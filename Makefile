@@ -2,9 +2,9 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet static build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke fuzz-smoke bench bench-json bench-diff bench-diff-smoke
+.PHONY: check vet static build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
 
-check: vet static build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke bench-diff-smoke fuzz-smoke
+check: vet static build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -43,9 +43,13 @@ test-recovery:
 
 # The metamorphic differential harness: >=200 generated store/query
 # pairs, every plan x parallelism x cache combination, byte-identical
-# results, under the race detector.
+# results, under the race detector. The grid doubles as the immutability
+# guard: every stored payload is fingerprinted before and must be
+# untouched after (as it must after snapshot/compaction/coalescing), and
+# all four plans run concurrently beside a writer so that a write to a
+# shared node is a reported race.
 test-diffharness:
-	$(GO) test -race -run '^TestDiffHarness$$' -timeout 300s .
+	$(GO) test -race -run '^(TestDiffHarness|TestPayloadsSurviveMaintenance|TestSharedNodesUnderConcurrentPlans)$$' -timeout 300s .
 
 # The incremental cell: the same >=200 generated pairs REPLAYED one
 # arrival at a time, incremental deltas byte-identical to full
@@ -81,6 +85,14 @@ test-labels:
 trace-smoke:
 	$(GO) test -race -run '^TestTraceSmoke$$' -timeout 120s .
 
+# The allocation gate: Q1 and QD under QaC+ and QaC++ on XMark sf=0.02
+# must stay under fixed allocs/op ceilings (~15 % above the zero-copy read
+# path's counts) — the deterministic metric a deep copy sneaking back onto
+# the read path cannot hide from. Run without -race: the detector's
+# instrumentation allocates on its own.
+alloc-gate:
+	$(GO) test -run '^TestAllocationCeiling$$' -count=1 -timeout 120s .
+
 # A short deterministic shake of each fuzz target; longer runs are
 # `make fuzz-smoke FUZZTIME=5m`. `-run '^$'` skips the unit tests that
 # already ran under `race`.
@@ -100,7 +112,7 @@ bench:
 # benchmarks (quick scales) as JSON — cost counters and latency quantiles
 # included — the cross-PR performance trajectory. Compare two snapshots
 # with bench-diff.
-BENCHOUT ?= BENCH_pr10.json
+BENCHOUT ?= BENCH_pr12.json
 bench-json:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
@@ -114,9 +126,3 @@ OLD ?= BENCH_pr4.json
 NEW ?= $(BENCHOUT)
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)
-
-# check-time smoke: diff the checked-in snapshots against themselves so
-# the loader and table renderer stay working without rerunning benchmarks.
-bench-diff-smoke:
-	@$(GO) run ./cmd/benchjson -diff BENCH_pr3.json BENCH_pr3.json >/dev/null
-	@echo "bench-diff smoke ok"

@@ -1,0 +1,60 @@
+package xcql_test
+
+import (
+	"testing"
+
+	"xcql/internal/evalbench"
+	ixcql "xcql/internal/xcql"
+	"xcql/internal/xmark"
+)
+
+// The allocation gate: reads are zero-copy — get_fillers builds one top
+// element per visible version and shares everything below it, projections,
+// hole filling and constructors rebuild only what they change — so the
+// allocations of an evaluation follow the number of versions and result
+// items it touches, not the number of nodes under them. The ceilings sit
+// ~15 % above the counts measured when that landed (PR 12: 9 829 / 9 323 /
+// 2 815 / 2 409; the clone-per-read engine before it needed 48 703 /
+// 48 197 / 8 275 / 7 869): a change that brings a
+// deep copy back on the read path — in the store, the cache, the label
+// index, a projection or a constructor — goes through them, while
+// allocator noise and small evaluator changes do not.
+//
+// `make alloc-gate` (part of `make check`) runs it without the race
+// detector, whose instrumentation allocates on its own.
+func TestAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ds, err := evalbench.Build(0.02, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queryQD = `for $c in stream("auction")//closed_auction return $c/price`
+	for _, c := range []struct {
+		name, src string
+		mode      ixcql.Mode
+		ceiling   float64
+	}{
+		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 11300},
+		{"Q1/QaC++", xmark.QueryQ1(), ixcql.QaCPlusPlus, 10700},
+		{"QD/QaC+", queryQD, ixcql.QaCPlus, 3240},
+		{"QD/QaC++", queryQD, ixcql.QaCPlusPlus, 2770},
+	} {
+		q, err := ds.Runtime.Compile(c.src, c.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// AllocsPerRun's warm-up run builds the label index, as the first
+		// read after a write does
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := q.Eval(evalbench.EvalInstant); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/op (ceiling %.0f)", c.name, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

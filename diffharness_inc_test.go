@@ -125,6 +125,10 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	if err != nil {
 		t.Fatalf("%s: generate: %v", p, err)
 	}
+	// the immutability guard: every replay ingests the same fragments, so
+	// a write to a stored node by any of them shows here
+	prints := fingerprintPayloads(ins.Fragments)
+	defer func() { checkPayloads(t, prints, p.String()) }()
 	for _, query := range ins.Queries {
 		var baseline replayTrace
 		haveBaseline := false

@@ -86,6 +86,9 @@ func runInstance(t *testing.T, p genstore.Profile) int {
 	if err != nil {
 		t.Fatalf("%s: store: %v", p, err)
 	}
+	// the immutability guard: no cell of the grid may write a stored node
+	prints := fingerprintPayloads(ins.Fragments)
+	defer func() { checkPayloads(t, prints, p.String()) }()
 	// one engine per execution strategy, all over the same store; the
 	// per-query strategy exercises Query.WithParallelism/WithCache on an
 	// otherwise default engine

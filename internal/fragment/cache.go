@@ -30,9 +30,10 @@ import (
 // client drops never reach Store.Add, so they cannot re-validate or
 // resurrect anything.
 //
-// The cache hands out deep clones and keeps its own pristine copies, so
-// callers may mutate hit results (reconstruction splices resolved
-// subtrees into documents) without poisoning later hits.
+// Hits are zero-copy: the cache keeps the annotated top elements the
+// store produced and hands the very same nodes to every probe. That is
+// sound because nodes are immutable once shared (see xmldom) — a caller
+// that wants to change a hit result rebuilds the nodes it changes.
 //
 // A nil *Cache is valid and means "no caching": every lookup method
 // falls through to the store and reports a miss, mirroring the nil
@@ -152,8 +153,8 @@ func (c *Cache) String() string {
 		c.Len(), c.Capacity(), s.Hits, s.Misses, s.Evictions, s.Invalidations)
 }
 
-// GetFillers is a caching Store.GetFillers: a hit serves deep clones of
-// the memoized subtrees without touching the store; a miss resolves,
+// GetFillers is a caching Store.GetFillers: a hit serves the memoized
+// elements without touching the store; a miss resolves,
 // fills the cache and reports hit=false so the caller can charge the
 // store pass. On a nil cache it falls through to the store.
 func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom.Node, hit bool) {
@@ -167,7 +168,7 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 	// generation BEFORE the lookup: an Add racing us stales the variant
 	gen := st.Generation()
 	versions := st.Versions(fillerID)
-	out := st.annotateVersions(versions, at)
+	out := st.annotateVersions(nil, versions, at)
 	c.fill(key, newVariant(gen, versions, at, out))
 	return out, false
 }
@@ -176,13 +177,13 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 // are served from memory; all missing ids are resolved in ONE store pass
 // (Store.versionGroups), preserving the batched cost shape that
 // separates QaC+ from QaC. The concatenation order matches
-// Store.GetFillersList exactly. It reports the hit and miss counts and
-// the number of filler versions the miss pass examined (0 when
-// everything hit).
-func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, scanned int) {
+// Store.GetFillersList exactly. It reports the hit and miss counts, the
+// number of filler versions the miss pass examined (0 when everything
+// hit) and the number of elements it built (hits build none).
+func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, scanned, built int) {
 	if c == nil {
 		out = st.GetFillersList(fillerIDs, at)
-		return out, 0, len(fillerIDs), st.LookupCost(len(out))
+		return out, 0, len(fillerIDs), st.LookupCost(len(out)), len(out)
 	}
 	type slot struct {
 		els []*xmldom.Node
@@ -208,22 +209,21 @@ func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []
 	if len(missIDs) > 0 {
 		gen := st.Generation()
 		groups := st.versionGroups(missIDs)
-		returned := 0
 		for j, group := range groups {
-			els := st.annotateVersions(group, at)
-			returned += len(els)
+			els := st.annotateVersions(nil, group, at)
+			built += len(els)
 			c.fill(cacheKey{store: st, kind: kindFiller, id: missIDs[j]}, newVariant(gen, group, at, els))
 			slots[missPos[j]] = slot{els: els, ok: true}
 		}
 		misses = len(missIDs)
-		scanned = st.LookupCost(returned)
+		scanned = st.LookupCost(built)
 	}
 	for _, s := range slots {
 		if s.ok {
 			out = append(out, s.els...)
 		}
 	}
-	return out, hits, misses, scanned
+	return out, hits, misses, scanned, built
 }
 
 // GetFillersByTSID is a caching Store.GetFillersByTSID.
@@ -240,7 +240,7 @@ func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmld
 	var out []*xmldom.Node
 	v := &cacheVariant{gen: gen}
 	for _, group := range groups {
-		out = append(out, st.annotateVersions(group, at)...)
+		out = st.annotateVersions(out, group, at)
 		// the tsid result is constant only while EVERY group's visible
 		// prefix is: intersect the per-group windows
 		gv := newVariant(gen, group, at, nil)
@@ -251,7 +251,7 @@ func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmld
 			v.to, v.hasTo = gv.to, true
 		}
 	}
-	v.els = cloneAll(out)
+	v.els = out
 	c.fill(key, v)
 	return out, false
 }
@@ -336,15 +336,15 @@ func (c *Cache) Usage(st *Store) (entries, valid int) {
 	return entries, valid
 }
 
-// newVariant builds the memoized variant for one filler id: pristine
-// clones of els plus the as-of window over which the visible prefix of
+// newVariant builds the memoized variant for one filler id: els plus the
+// as-of window over which the visible prefix of
 // versions — and therefore the annotated output — is constant:
 // [validTime of the last visible version, validTime of the next one).
 // With no visible version the window is (-inf, first validTime); with
 // every version visible it is [last validTime, +inf). When els is nil
 // the caller fills v.els itself (the tsid path intersects windows).
 func newVariant(gen uint64, versions []*Fragment, at time.Time, els []*xmldom.Node) *cacheVariant {
-	v := &cacheVariant{gen: gen, els: cloneAll(els)}
+	v := &cacheVariant{gen: gen, els: els}
 	visible := 0
 	for _, f := range versions {
 		if f.ValidTime.After(at) {
@@ -361,20 +361,10 @@ func newVariant(gen uint64, versions []*Fragment, at time.Time, els []*xmldom.No
 	return v
 }
 
-func cloneAll(els []*xmldom.Node) []*xmldom.Node {
-	if els == nil {
-		return nil
-	}
-	out := make([]*xmldom.Node, len(els))
-	for i, el := range els {
-		out[i] = el.Clone()
-	}
-	return out
-}
-
 // lookup serves a probe from memory: it drops stale-generation variants,
-// and on a covering fresh variant promotes the entry and returns deep
-// clones.
+// and on a covering fresh variant promotes the entry and returns its
+// elements (capacity clipped, so a caller's append cannot reach the
+// memoized slice).
 func (c *Cache) lookup(key cacheKey, st *Store, at time.Time) ([]*xmldom.Node, bool) {
 	gen := st.Generation()
 	c.mu.Lock()
@@ -404,7 +394,7 @@ func (c *Cache) lookup(key cacheKey, st *Store, at time.Time) ([]*xmldom.Node, b
 	}
 	c.ll.MoveToFront(e)
 	c.stats.Hits++
-	return cloneAll(found.els), true
+	return found.els[:len(found.els):len(found.els)], true
 }
 
 // contains is lookup without side effects (no promotion, no counters, no

@@ -127,23 +127,31 @@ func TestCacheWindowServesMovingInstant(t *testing.T) {
 	}
 }
 
-// TestCacheHandsOutClones: mutating a hit result must not poison later
-// hits — reconstruction splices resolved subtrees into documents.
-func TestCacheHandsOutClones(t *testing.T) {
+// TestCacheHitsAreZeroCopy: a hit hands out the very elements the miss
+// produced, their children are the stored payload's own nodes, and a
+// caller's append to the returned slice cannot reach the memoized one.
+func TestCacheHitsAreZeroCopy(t *testing.T) {
 	st := cacheStore(t)
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
 	first, _ := c.GetFillers(st, 2, at)
 	want := render(first)
-	first[0].SetAttr("mangled", "yes")
-	first[0].Children = nil
 	got, hit := c.GetFillers(st, 2, at)
 	if !hit {
 		t.Fatal("expected a hit")
 	}
-	if render(got) != want {
-		t.Fatalf("mutation leaked into the cache:\n%s\nwant\n%s", render(got), want)
+	if len(got) != len(first) || got[0] != first[0] {
+		t.Fatal("hit did not hand out the memoized elements")
+	}
+	payload := st.Versions(2)[0].Payload
+	if got[0].Children[0] != payload.Children[0] {
+		t.Fatal("annotated element does not share the stored payload's children")
+	}
+	_ = append(got, xmldom.NewElement("intruder"))
+	again, _ := c.GetFillers(st, 2, at)
+	if render(again) != want {
+		t.Fatalf("append through a hit reached the cache:\n%s\nwant\n%s", render(again), want)
 	}
 }
 
@@ -254,20 +262,20 @@ func TestCacheBatchedLookup(t *testing.T) {
 	ids := []int{1, 2, 3}
 	want := render(st.GetFillersList(ids, at))
 	c.GetFillers(st, 2, at) // warm just one of the three
-	out, hits, misses, scanned := c.GetFillersList(st, ids, at)
+	out, hits, misses, scanned, built := c.GetFillersList(st, ids, at)
 	if render(out) != want {
 		t.Fatalf("mixed batched lookup wrong:\n%s\nwant\n%s", render(out), want)
 	}
-	if hits != 1 || misses != 2 {
-		t.Fatalf("hits=%d misses=%d, want 1/2", hits, misses)
+	if hits != 1 || misses != 2 || built != 2 {
+		t.Fatalf("hits=%d misses=%d built=%d, want 1/2/2", hits, misses, built)
 	}
 	if scanned != st.Len() {
 		t.Fatalf("scanned=%d, want one shared pass of %d", scanned, st.Len())
 	}
 	// fully warm: zero store cost
-	out, hits, misses, scanned = c.GetFillersList(st, ids, at)
-	if render(out) != want || hits != 3 || misses != 0 || scanned != 0 {
-		t.Fatalf("warm batched lookup: hits=%d misses=%d scanned=%d", hits, misses, scanned)
+	out, hits, misses, scanned, built = c.GetFillersList(st, ids, at)
+	if render(out) != want || hits != 3 || misses != 0 || scanned != 0 || built != 0 {
+		t.Fatalf("warm batched lookup: hits=%d misses=%d scanned=%d built=%d", hits, misses, scanned, built)
 	}
 }
 
@@ -343,7 +351,7 @@ func TestNilCacheFallsThrough(t *testing.T) {
 	if hit || render(els) != want {
 		t.Fatalf("nil cache GetFillers: hit=%v", hit)
 	}
-	out, hits, misses, scanned := c.GetFillersList(st, []int{2}, at)
+	out, hits, misses, scanned, _ := c.GetFillersList(st, []int{2}, at)
 	if hits != 0 || misses != 1 || scanned != st.LookupCost(len(out)) {
 		t.Fatalf("nil cache GetFillersList: hits=%d misses=%d scanned=%d", hits, misses, scanned)
 	}

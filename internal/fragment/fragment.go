@@ -64,16 +64,17 @@ type Fragment struct {
 	// recorder reports comes from its own local clock. Transport
 	// metadata, not part of the Hole-Filler identity.
 	Trace obs.TraceContext
-	// Payload is the single element carried by the filler. The Fragment
-	// owns it; callers must Clone before mutating.
+	// Payload is the single element carried by the filler. It is immutable
+	// from the moment the fragment is built: stores, caches, indexes and
+	// query results all share its subtrees, so nobody — not even the
+	// publisher that built it — may write it afterwards. Clone it to get a
+	// tree to change.
 	Payload *xmldom.Node
 }
 
-// New builds a fragment. The payload's parent link is cleared.
+// New builds a fragment around payload, which the fragment shares rather
+// than copies: the caller must not write it afterwards.
 func New(fillerID, tsid int, validTime time.Time, payload *xmldom.Node) *Fragment {
-	if payload != nil {
-		payload.Parent = nil
-	}
 	return &Fragment{FillerID: fillerID, TSID: tsid, ValidTime: validTime, Payload: payload}
 }
 
@@ -96,7 +97,8 @@ func (f *Fragment) WithTrace(tc obs.TraceContext) *Fragment {
 
 // ToXML renders the wire form
 // <filler id="…" tsid="…" validTime="…" seq="…">payload</filler>.
-// The seq attribute is present only on sequenced fragments.
+// The seq attribute is present only on sequenced fragments. The wrapper
+// element is new; the payload under it is the fragment's own, shared.
 func (f *Fragment) ToXML() *xmldom.Node {
 	el := xmldom.NewElement(FillerTag)
 	el.SetAttr(AttrID, strconv.Itoa(f.FillerID))
@@ -109,7 +111,7 @@ func (f *Fragment) ToXML() *xmldom.Node {
 		el.SetAttr(AttrTrace, f.Trace.String())
 	}
 	if f.Payload != nil {
-		el.AppendChild(f.Payload.Clone())
+		el.AppendChild(f.Payload)
 	}
 	return el
 }
@@ -117,8 +119,9 @@ func (f *Fragment) ToXML() *xmldom.Node {
 // String returns the compact wire form.
 func (f *Fragment) String() string { return f.ToXML().String() }
 
-// FromXML parses a <filler> element into a Fragment. The payload is
-// cloned out of the element.
+// FromXML parses a <filler> element into a Fragment. The payload is el's
+// child element itself, not a copy: el belongs to the fragment from here
+// on and the caller must not write it.
 func FromXML(el *xmldom.Node) (*Fragment, error) {
 	if el == nil || el.Name != FillerTag {
 		return nil, fmt.Errorf("fragment: expected <%s>, got %v", FillerTag, name(el))
@@ -158,7 +161,7 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 	if len(kids) != 1 {
 		return nil, fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, len(kids))
 	}
-	f := New(id, tsid, vt.Time(), kids[0].Clone())
+	f := New(id, tsid, vt.Time(), kids[0])
 	f.Seq = seq
 	// PublishedAt is transport metadata a peer must never control: if a
 	// decoded frame could carry a publish stamp, a crafted frame would

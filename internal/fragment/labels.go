@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"xcql/internal/xmldom"
@@ -67,13 +68,21 @@ func (l Label) String() string {
 	return strings.Join(parts, ".")
 }
 
-// LabelIndex is the QaC++ access path: every filler stamped with its
-// Dewey prefix label, plus per-filler version groups and the per-tsid
-// filler lists, all derived from one snapshot of the fragment log. The
-// index is immutable once built and memoized on the store stamped with
-// the ingest generation read BEFORE the snapshot, so a racing Add makes
-// the memo stale rather than ever serving post-ingest data as
-// pre-ingest (the same rule the materialization cache follows).
+// LabelIndex is the QaC++ access path: per-filler version groups and the
+// per-tsid filler lists, plus every filler's Dewey prefix label, all
+// derived from one snapshot of the fragment log. The index is immutable
+// once built and memoized on the store stamped with the ingest
+// generation read BEFORE the snapshot, so a racing Add makes the memo
+// stale rather than ever serving post-ingest data as pre-ingest (the
+// same rule the materialization cache follows).
+//
+// The reads a query issues (Fillers, FillersList, FillersByTSID) need
+// only the groups, whose order the snapshot already fixes; the labels
+// themselves — and the document order they spell — are minted from the
+// same snapshot on first request (LabelOf, DocOrderFIDs, Labeled), so an
+// index rebuilt after every write costs and retains only what reads use.
+// Stored payloads are immutable, so minting later reads exactly what
+// minting at build time would have.
 //
 // Labels are assigned by a breadth-first walk from the root filler:
 // within one parent, the distinct child hole ids get consecutive slots
@@ -88,11 +97,13 @@ type LabelIndex struct {
 	st  *Store
 	gen uint64
 
-	labels   map[int]Label       // fid -> label (reachable fillers only)
 	versions map[int][]*Fragment // fid -> versions in validTime order
 	byTSID   map[int][]int       // tsid -> distinct fids ascending
-	docOrder []int               // labeled fids in label (document) order
 	total    int                 // distinct fillers stored
+
+	mint     sync.Once     // guards labels and docOrder
+	labels   map[int]Label // fid -> label (reachable fillers only)
+	docOrder []int         // labeled fids in label (document) order
 }
 
 // Labels returns the store's label index, rebuilding it only when the
@@ -109,8 +120,8 @@ func (st *Store) Labels() *LabelIndex {
 	return idx
 }
 
-// buildLabels snapshots the fragment log and assigns labels. gen must be
-// the generation read before the snapshot.
+// buildLabels snapshots the fragment log into the index's groups. gen
+// must be the generation read before the snapshot.
 func (st *Store) buildLabels(gen uint64) *LabelIndex {
 	st.mu.RLock()
 	log := make([]*Fragment, len(st.log))
@@ -120,7 +131,6 @@ func (st *Store) buildLabels(gen uint64) *LabelIndex {
 	idx := &LabelIndex{
 		st:       st,
 		gen:      gen,
-		labels:   make(map[int]Label),
 		versions: make(map[int][]*Fragment),
 		byTSID:   make(map[int][]int),
 	}
@@ -142,7 +152,16 @@ func (st *Store) buildLabels(gen uint64) *LabelIndex {
 	for _, fids := range idx.byTSID {
 		sort.Ints(fids)
 	}
+	return idx
+}
 
+// mintLabels assigns the labels and derives the document order, once.
+func (idx *LabelIndex) mintLabels() {
+	idx.mint.Do(idx.doMintLabels)
+}
+
+func (idx *LabelIndex) doMintLabels() {
+	idx.labels = make(map[int]Label)
 	// BFS from the root: label parents before children so every child
 	// label extends an already-final parent label.
 	if _, ok := idx.versions[RootFillerID]; ok {
@@ -194,7 +213,6 @@ func (st *Store) buildLabels(gen uint64) *LabelIndex {
 	sort.Slice(idx.docOrder, func(i, j int) bool {
 		return idx.labels[idx.docOrder[i]].Compare(idx.labels[idx.docOrder[j]]) < 0
 	})
-	return idx
 }
 
 // Generation returns the store generation the index was built against.
@@ -206,11 +224,15 @@ func (idx *LabelIndex) Size() int { return idx.total }
 
 // Labeled is the number of fillers reachable from the root and hence
 // carrying a label.
-func (idx *LabelIndex) Labeled() int { return len(idx.labels) }
+func (idx *LabelIndex) Labeled() int {
+	idx.mintLabels()
+	return len(idx.labels)
+}
 
 // LabelOf returns a filler's label; ok is false for orphans and unknown
 // ids.
 func (idx *LabelIndex) LabelOf(fid int) (Label, bool) {
+	idx.mintLabels()
 	l, ok := idx.labels[fid]
 	return l, ok
 }
@@ -218,6 +240,7 @@ func (idx *LabelIndex) LabelOf(fid int) (Label, bool) {
 // DocOrderFIDs lists the labeled (stored) filler ids in label order —
 // document order, derived without a single hole walk.
 func (idx *LabelIndex) DocOrderFIDs() []int {
+	idx.mintLabels()
 	out := make([]int, len(idx.docOrder))
 	copy(out, idx.docOrder)
 	return out
@@ -227,7 +250,7 @@ func (idx *LabelIndex) DocOrderFIDs() []int {
 // version of fid visible at the evaluation instant. Byte-identical to
 // Store.GetFillers, with zero log scans.
 func (idx *LabelIndex) Fillers(fid int, at time.Time) []*xmldom.Node {
-	return idx.st.annotateVersions(idx.versions[fid], at)
+	return idx.st.annotateVersions(nil, idx.versions[fid], at)
 }
 
 // FillersList serves get_fillers_list from the index: the id set
@@ -241,7 +264,7 @@ func (idx *LabelIndex) FillersList(fids []int, at time.Time) []*xmldom.Node {
 			continue
 		}
 		seen[fid] = true
-		out = append(out, idx.st.annotateVersions(idx.versions[fid], at)...)
+		out = idx.st.annotateVersions(out, idx.versions[fid], at)
 	}
 	return out
 }
@@ -253,7 +276,7 @@ func (idx *LabelIndex) FillersList(fids []int, at time.Time) []*xmldom.Node {
 func (idx *LabelIndex) FillersByTSID(tsid int, at time.Time) []*xmldom.Node {
 	var out []*xmldom.Node
 	for _, fid := range idx.byTSID[tsid] {
-		out = append(out, idx.st.annotateVersions(idx.versions[fid], at)...)
+		out = idx.st.annotateVersions(out, idx.versions[fid], at)
 	}
 	return out
 }

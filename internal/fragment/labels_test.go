@@ -130,6 +130,35 @@ func TestLabelDocOrder(t *testing.T) {
 
 // Reordered, reversed and duplicated arrivals must mint identical labels:
 // the labeler reads version-ordered groups, not the ingest log order.
+// TestLabelsMintedOnDemand: the reads a query issues never mint labels —
+// an index rebuilt after every write pays for and retains only the
+// version groups — and the first label request mints them, once, with
+// concurrent callers agreeing.
+func TestLabelsMintedOnDemand(t *testing.T) {
+	st := labelStore(t, labelFixture(t))
+	idx := st.Labels()
+	idx.Fillers(10, labelAt)
+	idx.FillersList([]int{11, 12}, labelAt)
+	idx.FillersByTSID(5, labelAt)
+	idx.TSIDCensus(5)
+	if idx.labels != nil || idx.docOrder != nil {
+		t.Fatal("serving reads minted the labels")
+	}
+	got := make(chan string, 4)
+	for i := 0; i < cap(got); i++ {
+		go func() { got <- fmt.Sprint(idx.DocOrderFIDs(), idx.Labeled()) }()
+	}
+	first := <-got
+	for i := 1; i < cap(got); i++ {
+		if next := <-got; next != first {
+			t.Fatalf("concurrent mints disagree: %s vs %s", first, next)
+		}
+	}
+	if l, ok := idx.LabelOf(13); !ok || l.String() != "0.1.0" {
+		t.Fatalf("label of filler 13 = %v %v, want 0.1.0", l, ok)
+	}
+}
+
 func TestLabelArrivalOrderStability(t *testing.T) {
 	base := labelFixture(t)
 	ref := labelStore(t, base).Labels()

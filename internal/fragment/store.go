@@ -242,33 +242,50 @@ func (st *Store) Root() *Fragment {
 // hole id, one element per stored version, annotated with its deduced
 // lifespan. For temporal tags version k spans [validTime(k),
 // validTime(k+1)) — encoded vtTo="now" on the last version; for event
-// tags each version is the point [validTime, validTime]. The elements are
-// fresh clones whose embedded holes are preserved, so callers can keep
-// navigating.
+// tags each version is the point [validTime, validTime]. Each element is a
+// new top node — its own attributes, the lifespan stamped on them — whose
+// children are the stored payload's, shared and immutable, embedded holes
+// included, so callers can keep navigating. A read therefore costs
+// O(versions) allocations whatever the payloads' size.
 //
 // Versions with validTime after the evaluation instant `at` are invisible
 // (they have not "happened" yet from the query's standpoint).
 func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
-	return st.annotateVersions(st.Versions(fillerID), at)
+	return st.annotateVersions(nil, st.Versions(fillerID), at)
 }
 
-// annotateVersions clones each version visible at the evaluation instant
-// and stamps its deduced [vtFrom, vtTo]. versions must be one filler id's
-// versions in validTime order.
-func (st *Store) annotateVersions(versions []*Fragment, at time.Time) []*xmldom.Node {
-	var out []*xmldom.Node
+// annotateVersions appends to out the annotated top element of each
+// version visible at the evaluation instant, stamped with its deduced
+// [vtFrom, vtTo]. versions must be one filler id's versions in validTime
+// order.
+func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, at time.Time) []*xmldom.Node {
+	next := "" // the next version's vtFrom, already formatted as this one's vtTo
 	for i, f := range versions {
 		if f.ValidTime.After(at) {
 			break
 		}
-		el := f.Payload.Clone()
+		p := f.Payload
+		kids := p.Children
+		el := &xmldom.Node{
+			Type:  p.Type,
+			Name:  p.Name,
+			Attrs: append(make([]xmldom.Attr, 0, len(p.Attrs)+2), p.Attrs...),
+			// capacity clipped: an append to the new top must reallocate, never
+			// write the spare capacity of the stored payload's array
+			Children: kids[:len(kids):len(kids)],
+		}
 		tag := st.structure.ByID(f.TSID)
-		from := f.ValidTime.UTC().Format(xtime.Layout)
+		from := next
+		next = ""
+		if from == "" {
+			from = f.ValidTime.UTC().Format(xtime.Layout)
+		}
 		el.SetAttr("vtFrom", from)
 		if tag != nil && tag.Type == tagstruct.Event {
 			el.SetAttr("vtTo", from)
 		} else if i+1 < len(versions) && !versions[i+1].ValidTime.After(at) {
-			el.SetAttr("vtTo", versions[i+1].ValidTime.UTC().Format(xtime.Layout))
+			next = versions[i+1].ValidTime.UTC().Format(xtime.Layout)
+			el.SetAttr("vtTo", next)
 		} else {
 			el.SetAttr("vtTo", "now")
 		}
@@ -289,7 +306,7 @@ func (st *Store) GetFillersList(fillerIDs []int, at time.Time) []*xmldom.Node {
 		if group == nil {
 			continue
 		}
-		out = append(out, st.annotateVersions(group, at)...)
+		out = st.annotateVersions(out, group, at)
 	}
 	return out
 }
@@ -349,7 +366,7 @@ func (st *Store) versionGroups(fillerIDs []int) [][]*Fragment {
 func (st *Store) GetFillersByTSID(tsid int, at time.Time) []*xmldom.Node {
 	var out []*xmldom.Node
 	for _, group := range st.tsidGroups(tsid) {
-		out = append(out, st.annotateVersions(group, at)...)
+		out = st.annotateVersions(out, group, at)
 	}
 	return out
 }

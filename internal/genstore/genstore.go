@@ -298,8 +298,8 @@ func (g *gen) mutate() {
 }
 
 // genQueries derives the query set from the structure: descendant and
-// rooted-path selections, counts, interval and version projections for
-// every fragmented tag (bounded so large structures don't explode the
+// rooted-path selections, counts, interval and version projections and a
+// constructor wrap for every fragmented tag (bounded so large structures don't explode the
 // corpus).
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
@@ -323,6 +323,10 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 				fmt.Sprintf(`for $x in stream("s")//%s?[2004-06-01T02:00:00,now] return $x`, t.Name)},
 			Query{"version-" + t.Name,
 				fmt.Sprintf(`for $x in stream("s")//%s#[1,last] return $x`, t.Name)},
+			// constructor content is attached, not copied: the wrapped
+			// subtree is shared with the store in every plan
+			Query{"wrap-" + t.Name,
+				fmt.Sprintf(`for $x in stream("s")//%s return <w of="%s">{$x}</w>`, t.Name, t.Name)},
 		)
 	}
 	// note: a bare stream("s") is deliberately absent — the plans render

@@ -947,13 +947,30 @@ func (e *Engine) unitSigKey(k unitKey) string {
 // id) and re-apply the piece's projection wrappers; generic units
 // evaluate their whole sub-plan. Count mode skips materialization — only
 // cardinality survives.
+//
+// The fetch is charged the way the query's plan charges it: as one
+// label-range lookup under QaC++ (which never runs a log pass: the
+// indexed store's by-id group IS the label index's version group, and a
+// scan store is read through its label index), as a lookup pass
+// otherwise — plus the annotated elements it built.
 func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
 	p := e.pieces[k.piece]
 	if !p.indexed() {
 		return e.q.EvalSubPlan(p.expr, at, lim, stats, !e.countMode)
 	}
-	els := e.store.GetFillers(k.fid, at)
-	stats.AddFillers(e.store.LookupCost(len(els)))
+	labeled := e.q.Mode == xcql.QaCPlusPlus
+	var els []*xmldom.Node
+	if labeled && e.store.Scanning() {
+		els = e.store.Labels().Fillers(k.fid, at)
+	} else {
+		els = e.store.GetFillers(k.fid, at)
+	}
+	if labeled {
+		stats.AddLabelRangeLookup(len(els))
+	} else {
+		stats.AddFillers(e.store.LookupCost(len(els)))
+	}
+	stats.AddNodes(len(els))
 	items := make([]xq.Expr, len(els))
 	for i, el := range els {
 		items[i] = &xq.Literal{Val: el}

@@ -17,10 +17,14 @@
 //	                  reconciliations)
 //	TSIDIndexHits     filler versions fetched straight from the tsid
 //	                  index — the QaC+ shortcut; zero under CaQ and QaC
-//	BytesMaterialized approximate bytes of XML cloned/constructed during
-//	                  the evaluation (CaQ's whole-view construction
-//	                  dominates here)
-//	NodesConstructed  elements built by reconstruction and constructors
+//	BytesMaterialized approximate bytes of XML the evaluation's results
+//	                  and views span — their logical size, charged to the
+//	                  byte budget whether a subtree was built or is
+//	                  shared with the store (CaQ's whole-view
+//	                  construction dominates here)
+//	NodesConstructed  elements actually built: one top element per
+//	                  filler version read, the spine reconstruction and
+//	                  hole filling rebuild above a hole, and constructors
 //
 // A nil *EvalStats is valid and means "not collecting": every method is
 // nil-receiver safe so instrumented call sites need no guards, mirroring
@@ -75,11 +79,16 @@ type EvalStats struct {
 	LabelRangeHits    int64
 	LabelRangeMisses  int64
 	// BytesMaterialized approximates the bytes of XML materialized during
-	// the evaluation: temporal views, resolved filler clones, constructed
-	// elements. Mirrors the byte budget's accounting.
+	// the evaluation: temporal views, resolved filler versions,
+	// constructed elements — by logical size, shared subtrees included.
+	// Mirrors the byte budget's accounting.
 	BytesMaterialized int64
-	// NodesConstructed counts elements built: reconstruction copies and
-	// element constructors.
+	// NodesConstructed counts elements actually allocated: the annotated
+	// top element of every filler version a store or label-index read
+	// returned (cache hits build none), the elements copy-on-write
+	// reconstruction and hole filling rebuilt, and element constructors.
+	// Subtrees shared with the store are not counted — compare with
+	// BytesMaterialized to see how much of a result was shared.
 	NodesConstructed int64
 	// Steps and Items are the cooperative work units and sequence
 	// cardinality charged to the evaluation's budget.

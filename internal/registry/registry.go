@@ -994,6 +994,9 @@ func mergeStats(dst, src *obs.EvalStats) {
 	dst.TSIDLookups += src.TSIDLookups
 	dst.TSIDIndexHits += src.TSIDIndexHits
 	dst.TSIDIndexMisses += src.TSIDIndexMisses
+	dst.LabelRangeLookups += src.LabelRangeLookups
+	dst.LabelRangeHits += src.LabelRangeHits
+	dst.LabelRangeMisses += src.LabelRangeMisses
 	dst.BytesMaterialized += src.BytesMaterialized
 	dst.NodesConstructed += src.NodesConstructed
 	dst.Steps += src.Steps

@@ -20,12 +20,21 @@ func dialTraced(t *testing.T, addr string, rec *obs.FlightRecorder) *Client {
 	return c
 }
 
-func collectFragments(t *testing.T, c *Client, n int) []*fragment.Fragment {
+// listenFragments registers a delivery listener and returns its channel.
+// Call it BEFORE publishing: a client that decodes and applies a frame
+// before the listener is registered has nobody to tell.
+func listenFragments(c *Client) <-chan *fragment.Fragment {
+	// roomy enough for every fragment these tests publish, so the
+	// client's feeding goroutine never blocks on the test
+	ch := make(chan *fragment.Fragment, 64)
+	c.OnFragment(func(f *fragment.Fragment) { ch <- f })
+	return ch
+}
+
+func collectFragments(t *testing.T, ch <-chan *fragment.Fragment, n int) []*fragment.Fragment {
 	t.Helper()
 	var got []*fragment.Fragment
 	deadline := time.After(5 * time.Second)
-	ch := make(chan *fragment.Fragment, 64)
-	c.OnFragment(func(f *fragment.Fragment) { ch <- f })
 	for len(got) < n {
 		select {
 		case f := <-ch:
@@ -55,10 +64,11 @@ func TestTraceInteropNewServerOldClient(t *testing.T) {
 
 	c := dialTraced(t, ln.Addr().String(), nil) // "old" client: tracing unaware
 	defer c.Close()
+	delivered := listenFragments(c)
 
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-01T01:00:00", "11"))
-	got := collectFragments(t, c, 2)
+	got := collectFragments(t, delivered, 2)
 	for _, f := range got {
 		if !f.Trace.Valid() {
 			t.Fatalf("fragment seq=%d lost its trace over the wire", f.Seq)
@@ -86,10 +96,11 @@ func TestTraceInteropOldServerNewClient(t *testing.T) {
 	rec := obs.NewFlightRecorder(obs.FlightRecorderOptions{SampleEvery: 1})
 	c := dialTraced(t, ln.Addr().String(), rec)
 	defer c.Close()
+	delivered := listenFragments(c)
 
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-01T01:00:00", "11"))
-	got := collectFragments(t, c, 2)
+	got := collectFragments(t, delivered, 2)
 	for _, f := range got {
 		if f.Trace.Valid() {
 			t.Fatalf("fragment seq=%d grew a trace out of nowhere: %+v", f.Seq, f.Trace)

@@ -48,11 +48,3 @@ func DerivedLifespan(el *xmldom.Node, at time.Time) xtime.Interval {
 	}
 	return xtime.Lifetime()
 }
-
-// SetLifespan writes the [vtFrom, vtTo] annotation onto el, preserving
-// symbolic endpoints ("now" stays "now" so the value remains open-ended
-// under a moving evaluation instant).
-func SetLifespan(el *xmldom.Node, iv xtime.Interval) {
-	el.SetAttr("vtFrom", iv.From.String())
-	el.SetAttr("vtTo", iv.To.String())
-}

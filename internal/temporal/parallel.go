@@ -290,10 +290,10 @@ func AssembleParallel(n, parallelism int, fill func(i int), wait *obs.Histogram,
 }
 
 // Prefetch resolves, in parallel, the transitive hole closure reachable
-// from roots — exactly the id set a sequential recursive walk
-// (Temporalize, fillHoles) would resolve, since that set is independent
-// of resolution order — and returns a memoized resolver for the
-// sequential assembly phase. With parallelism <= 1 or no holes it
+// from roots — exactly the id set the sequential recursive walk
+// (FillHoles, for Temporalize and for result materialization) would
+// resolve, since that set is independent of resolution order — and
+// returns a memoized resolver for the sequential assembly phase. With parallelism <= 1 or no holes it
 // returns the inner resolver unchanged.
 func Prefetch(roots []*xmldom.Node, resolve HoleResolver, parallelism int, wait *obs.Histogram, stats *obs.EvalStats) HoleResolver {
 	if parallelism <= 1 {

@@ -34,6 +34,7 @@ func ObservedStoreResolver(st *fragment.Store, at time.Time, s *obs.EvalStats) H
 		els := st.GetFillers(holeID, at)
 		s.AddHoles(1)
 		s.AddFillers(st.LookupCost(len(els)))
+		s.AddNodes(len(els))
 		return els
 	}
 }
@@ -49,6 +50,7 @@ func LabelResolver(idx *fragment.LabelIndex, at time.Time, s *obs.EvalStats) Hol
 	return func(holeID int) []*xmldom.Node {
 		els := idx.Fillers(holeID, at)
 		s.AddLabelRangeLookup(len(els))
+		s.AddNodes(len(els))
 		return els
 	}
 }
@@ -81,94 +83,105 @@ func BudgetResolver(b *budget.Budget, inner HoleResolver) HoleResolver {
 // keeps the elements whose lifespan intersects [tb, te], clips every kept
 // lifespan to the intersection, recurses into children, and resolves holes
 // through the resolver on the way. Elements without a lifespan annotation
-// are kept and recursed into unchanged. The inputs are not modified.
+// are kept and recursed into unchanged. The inputs are not modified, and
+// the projection is copy-on-write: a subtree with no hole to expand and no
+// lifespan to clip or drop is returned as is, shared with the input; only
+// the spine above a change is rebuilt.
 //
 // It is the identity e?[start,now] that gives unprojected expressions
 // their semantics, so tb > te simply yields the empty sequence.
 func IntervalProjection(els []*xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) []*xmldom.Node {
 	var out []*xmldom.Node
 	for _, el := range els {
-		if p := projectOne(el, window, at, resolve); p != nil {
-			out = append(out, p)
-		}
+		out = appendProjected(out, el, window, at, resolve)
 	}
 	return out
 }
 
-func projectOne(el *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) *xmldom.Node {
+// appendProjected appends el's projection to out: the projections of every
+// version of its fillers when el is a hole, else at most one element.
+func appendProjected(out []*xmldom.Node, el *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) []*xmldom.Node {
 	if el == nil || el.Type != xmldom.ElementNode {
-		return nil
+		return out
 	}
 	if fragment.IsHole(el) {
-		// A hole at projection level expands to its fillers, each projected;
-		// wrap is unnecessary because callers splice sequences.
-		// Handled by the caller via projectChildren; a bare hole input
-		// projects to nil when there is no resolver.
 		if resolve == nil {
-			return nil
+			return out
 		}
 		id, err := fragment.HoleID(el)
 		if err != nil {
-			return nil
+			return out
 		}
-		fillers := IntervalProjection(resolve(id), window, at, resolve)
-		if len(fillers) == 0 {
-			return nil
+		for _, f := range resolve(id) {
+			out = appendProjected(out, f, window, at, resolve)
 		}
-		// A single filler replaces the hole directly; multiple fillers are
-		// returned via a synthetic sequence marker the callers flatten.
-		seq := xmldom.NewElement(seqMarker)
-		for _, f := range fillers {
-			seq.AppendChild(f)
-		}
-		return seq
-	}
-	_, hasFrom := el.Attr("vtFrom")
-	if !hasFrom {
-		// snapshot element: keep, project children
-		out := shallowCopy(el)
-		projectChildren(out, el, window, at, resolve)
 		return out
 	}
-	life := LifespanOf(el)
-	clipped, ok := life.Intersect(window, at)
+	if p := projectElement(el, window, at, resolve); p != nil {
+		out = append(out, p)
+	}
+	return out
+}
+
+// projectElement projects one non-hole element: nil when its lifespan
+// misses the window, el itself when neither its lifespan nor anything
+// below it changes, a rebuilt element otherwise.
+func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) *xmldom.Node {
+	from, hasFrom := el.Attr("vtFrom")
+	if !hasFrom {
+		// snapshot element: keep, project children
+		kids, changed := projectChildren(el, window, at, resolve)
+		if !changed {
+			return el
+		}
+		out := el.CloneShallow()
+		out.Children = kids
+		return out
+	}
+	clipped, ok := LifespanOf(el).Intersect(window, at)
 	if !ok {
 		return nil
 	}
-	out := shallowCopy(el)
-	SetLifespan(out, clipped)
-	projectChildren(out, el, window, at, resolve)
-	return out
-}
-
-// seqMarker wraps multi-filler hole expansions while bubbling up one
-// level; projectChildren flattens it immediately, so it never escapes.
-const seqMarker = "\x00seq"
-
-func shallowCopy(el *xmldom.Node) *xmldom.Node {
-	out := xmldom.NewElement(el.Name)
-	out.Attrs = append(out.Attrs, el.Attrs...)
-	return out
-}
-
-func projectChildren(dst, src *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) {
-	for _, c := range src.Children {
-		if c.Type != xmldom.ElementNode {
-			dst.AppendChild(&xmldom.Node{Type: c.Type, Name: c.Name, Data: c.Data})
-			continue
-		}
-		p := projectOne(c, window, at, resolve)
-		if p == nil {
-			continue
-		}
-		if p.Name == seqMarker {
-			for _, f := range p.Children {
-				dst.AppendChild(f)
-			}
-			continue
-		}
-		dst.AppendChild(p)
+	kids, changed := projectChildren(el, window, at, resolve)
+	clipFrom, clipTo := clipped.From.String(), clipped.To.String()
+	if to, _ := el.Attr("vtTo"); !changed && from == clipFrom && to == clipTo {
+		return el
 	}
+	out := el.CloneShallow()
+	out.SetAttr("vtFrom", clipFrom)
+	out.SetAttr("vtTo", clipTo)
+	out.Children = kids
+	return out
+}
+
+// projectChildren projects src's children. While every child projects to
+// itself it allocates nothing; when all do it returns src's own child list
+// (capacity clipped) and changed=false. From the first difference on, kids
+// is a new list, unchanged children shared with src.
+func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) (kids []*xmldom.Node, changed bool) {
+	kids = src.Children[:len(src.Children):len(src.Children)]
+	for i, c := range src.Children {
+		var p *xmldom.Node
+		switch {
+		case c.Type != xmldom.ElementNode:
+			p = c
+		case !fragment.IsHole(c):
+			p = projectElement(c, window, at, resolve)
+		}
+		if p == c && !changed {
+			continue
+		}
+		if !changed {
+			changed = true
+			kids = append(make([]*xmldom.Node, 0, len(src.Children)), src.Children[:i]...)
+		}
+		if fragment.IsHole(c) {
+			kids = appendProjected(kids, c, window, at, resolve)
+		} else if p != nil {
+			kids = append(kids, p)
+		}
+	}
+	return kids, changed
 }
 
 // VersionProjection implements e#[vb,ve] (§6, version_projection): the
@@ -182,9 +195,7 @@ func VersionProjection(els []*xmldom.Node, window xtime.VersionInterval, at time
 	var out []*xmldom.Node
 	for pos := lo; pos <= hi; pos++ {
 		el := els[pos-1]
-		life := LifespanOf(el)
-		projected := IntervalProjection([]*xmldom.Node{el}, life, at, resolve)
-		out = append(out, projected...)
+		out = appendProjected(out, el, LifespanOf(el), at, resolve)
 	}
 	return out
 }

@@ -17,9 +17,11 @@ import (
 // each annotated with its deduced [vtFrom, vtTo]; the recursion continues
 // into the fillers because holes can appear anywhere down the chain.
 //
-// The result is a fresh tree; the store is not modified. A missing root
-// filler yields an error (the stream has not delivered its initial
-// document yet).
+// The store is not modified, and the view is built copy-on-write: only
+// elements with a hole somewhere below them are rebuilt, every hole-free
+// subtree of a stored payload is shared with the store as is. Like every
+// node that leaves the store the view is read-only. A missing root filler
+// yields an error (the stream has not delivered its initial document yet).
 //
 // Each filler id is resolved exactly once, at its first reference in
 // document order: when a container element has several versions that all
@@ -32,7 +34,8 @@ func Temporalize(st *fragment.Store, at time.Time) (*xmldom.Node, error) {
 }
 
 // TemporalizeBudget is Temporalize metered by a resource budget: every
-// copied element charges a step and its shallow bytes, so an oversized
+// element of the view charges a step and its shallow bytes — the logical
+// size, whether the element was rebuilt or shared — so an oversized
 // materialization aborts mid-reconstruction with a *budget.ResourceError
 // instead of exhausting memory first. A nil budget is unlimited.
 func TemporalizeBudget(st *fragment.Store, at time.Time, b *budget.Budget) (*xmldom.Node, error) {
@@ -40,7 +43,7 @@ func TemporalizeBudget(st *fragment.Store, at time.Time, b *budget.Budget) (*xml
 }
 
 // TemporalizeObserved is TemporalizeBudget with per-evaluation cost
-// counters: every hole resolution, examined filler version and copied
+// counters: every hole resolution, examined filler version and rebuilt
 // element is recorded in s — this is how the CaQ plan's whole-document
 // construction shows up in EvalStats. A nil s collects nothing.
 func TemporalizeObserved(st *fragment.Store, at time.Time, b *budget.Budget, s *obs.EvalStats) (view *xmldom.Node, err error) {
@@ -103,6 +106,7 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 				s.AddCacheMisses(1)
 			}
 			s.AddFillers(st.LookupCost(len(fillers)))
+			s.AddNodes(len(fillers))
 		}
 		return fillers
 	}
@@ -111,39 +115,58 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 	if opts.Parallelism > 1 {
 		resolve = Prefetch([]*xmldom.Node{root.Payload}, resolve, opts.Parallelism, opts.Wait, s)
 	}
-	return temporalizeElement(resolve, root.Payload, seen, b, s), nil
+	return FillHoles(resolve, root.Payload, seen, b, s), nil
 }
 
-// temporalizeElement copies el, replacing hole children with their fillers
-// recursively. Mirrors the paper's temporalize/get_fillers pair. The walk
-// charges the budget per copied element and aborts by panicking with the
-// *budget.ResourceError (contained by TemporalizeWith). Hole resolution
-// — and its cardinality/stats charging — lives in the resolver, so the
-// walk itself is identical for direct, cached and prefetched execution.
-func temporalizeElement(resolve HoleResolver, el *xmldom.Node, seen map[int]bool, b *budget.Budget, s *obs.EvalStats) *xmldom.Node {
+// FillHoles returns el with the holes below it replaced by their fillers'
+// versions, recursively, resolving each filler id once per seen map: el
+// itself when there is no hole, a rebuilt element over shared unchanged
+// children otherwise. It is the paper's temporalize/get_fillers pair and
+// also the final Materialize step of a query result. The walk charges b
+// (nil is unlimited) per element visited and aborts by panicking with the
+// *budget.ResourceError, which the engine boundary contains. Hole
+// resolution — and its cardinality/stats charging — lives in the resolver,
+// so the walk itself is identical for direct, cached and prefetched
+// execution. s counts the elements actually rebuilt.
+func FillHoles(resolve HoleResolver, el *xmldom.Node, seen map[int]bool, b *budget.Budget, s *obs.EvalStats) *xmldom.Node {
 	b.MustStep()
 	b.MustBytes(int64(el.ShallowSize()))
-	s.AddNodes(1)
-	out := xmldom.NewElement(el.Name)
-	out.Attrs = append(out.Attrs, el.Attrs...)
-	for _, c := range el.Children {
-		if c.Type != xmldom.ElementNode {
-			out.AppendChild(&xmldom.Node{Type: c.Type, Name: c.Name, Data: c.Data})
+	var kids []*xmldom.Node
+	changed := false
+	for i, c := range el.Children {
+		p := c
+		hole := fragment.IsHole(c)
+		if hole {
+			p = nil
+		} else if c.Type == xmldom.ElementNode {
+			p = FillHoles(resolve, c, seen, b, s)
+		}
+		if p == c && !changed {
 			continue
 		}
-		if fragment.IsHole(c) {
-			id, err := fragment.HoleID(c)
-			if err != nil || seen[id] {
-				continue
-			}
-			seen[id] = true
-			for _, filler := range resolve(id) {
-				out.AppendChild(temporalizeElement(resolve, filler, seen, b, s))
-			}
+		if !changed {
+			changed = true
+			kids = append(make([]*xmldom.Node, 0, len(el.Children)), el.Children[:i]...)
+		}
+		if !hole {
+			kids = append(kids, p)
 			continue
 		}
-		out.AppendChild(temporalizeElement(resolve, c, seen, b, s))
+		id, err := fragment.HoleID(c)
+		if err != nil || seen[id] {
+			continue
+		}
+		seen[id] = true
+		for _, filler := range resolve(id) {
+			kids = append(kids, FillHoles(resolve, filler, seen, b, s))
+		}
 	}
+	if !changed {
+		return el
+	}
+	s.AddNodes(1)
+	out := el.CloneShallow()
+	out.Children = kids
 	return out
 }
 
@@ -200,7 +223,16 @@ func (r *Reconstructor) MaterializeBudget(st *fragment.Store, at time.Time, b *b
 	if err := b.AddBytes(int64(rootFrag.Payload.TreeSize())); err != nil {
 		return nil, err
 	}
-	root := rootFrag.Payload.Clone()
+	// Stored payloads are immutable, so the walk splices into private
+	// copies: own(el) gives an element whose child list it may write. Only
+	// hole-bearing elements — the spine from the root down to each hole —
+	// are ever copied; everything else stays shared with the store.
+	own := func(el *xmldom.Node) *xmldom.Node {
+		out := el.CloneShallow()
+		out.Children = append([]*xmldom.Node(nil), el.Children...)
+		return out
+	}
+	root := own(rootFrag.Payload)
 	type item struct {
 		el  *xmldom.Node
 		tag *tagstruct.Tag
@@ -226,7 +258,8 @@ func (r *Reconstructor) MaterializeBudget(st *fragment.Store, at time.Time, b *b
 			if !fragment.IsHole(c) {
 				childTag := tag.Child(c.Name)
 				if childTag != nil && r.holeBearing[childTag.ID] {
-					descend = append(descend, item{c, childTag})
+					el.Children[i] = own(c)
+					descend = append(descend, item{el.Children[i], childTag})
 				}
 				continue
 			}
@@ -250,15 +283,15 @@ func (r *Reconstructor) MaterializeBudget(st *fragment.Store, at time.Time, b *b
 			if err := b.AddBytes(fillerBytes); err != nil {
 				return nil, err
 			}
-			// splice fillers in place of the hole
-			el.Children = append(el.Children[:i], append(fillers, el.Children[i+1:]...)...)
 			fillerTag := r.structure.ByID(fragment.HoleTSID(c))
-			for _, f := range fillers {
-				f.Parent = el
-				if fillerTag != nil && r.holeBearing[fillerTag.ID] {
-					descend = append(descend, item{f, fillerTag})
+			if fillerTag != nil && r.holeBearing[fillerTag.ID] {
+				for j, f := range fillers {
+					fillers[j] = own(f)
+					descend = append(descend, item{fillers[j], fillerTag})
 				}
 			}
+			// splice fillers in place of the hole
+			el.Children = append(el.Children[:i], append(fillers, el.Children[i+1:]...)...)
 			i += len(fillers) - 1
 		}
 		for i := len(descend) - 1; i >= 0; i-- {

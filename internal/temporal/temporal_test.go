@@ -143,6 +143,93 @@ func TestSchemaReconstructionMatchesTemporalize(t *testing.T) {
 	}
 }
 
+// storedNodes lists every node of every stored payload, preorder, with
+// the payloads' serialization: what reads must leave exactly as it was.
+func storedNodes(st *fragment.Store) (nodes []*xmldom.Node, serial string) {
+	for _, id := range st.FillerIDs() {
+		for _, f := range st.Versions(id) {
+			serial += f.Payload.String()
+			f.Payload.Walk(func(n *xmldom.Node) bool {
+				nodes = append(nodes, n)
+				return true
+			})
+		}
+	}
+	return nodes, serial
+}
+
+// TestReadsShareTheStoreAndLeaveItAlone: both reconstructions and the
+// projections hand out the store's own hole-free subtrees — rebuilding
+// only the spine above a hole or a clipped lifespan — and write none of
+// them. The flattened Reconstructor used to splice fillers into the child
+// lists it was handed; with shared lists that would overwrite the store.
+func TestReadsShareTheStoreAndLeaveItAlone(t *testing.T) {
+	st := creditStore(t)
+	before, serial := storedNodes(st)
+	check := func(step string) {
+		t.Helper()
+		after, got := storedNodes(st)
+		if got != serial {
+			t.Fatalf("%s changed a stored payload:\nwas: %s\nnow: %s", step, serial, got)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("%s re-linked stored nodes: %d nodes, had %d", step, len(after), len(before))
+		}
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%s re-linked stored node %d", step, i)
+			}
+		}
+	}
+	stored := make(map[*xmldom.Node]bool, len(before))
+	for _, n := range before {
+		stored[n] = true
+	}
+
+	view, err := Temporalize(st, evalAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Temporalize")
+	flat, err := NewReconstructor(st.Structure()).Materialize(st, evalAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Reconstructor.Materialize")
+	for name, v := range map[string]*xmldom.Node{"recursive": view, "flattened": flat} {
+		// the vendor element sits in a transaction filler with a hole
+		// beside it: the filler's top is rebuilt, the vendor is the store's
+		vendor := v.Descendants("vendor")
+		if len(vendor) != 1 || !stored[vendor[0]] {
+			t.Errorf("%s view copied a hole-free stored subtree", name)
+		}
+		if stored[v] || stored[v.ChildElements("account")[0]] {
+			t.Errorf("%s view reused a stored element that has holes below it", name)
+		}
+	}
+
+	acct := view.ChildElements("account")[0]
+	limits := acct.ChildElements("creditLimit")
+	// a window covering every lifespan changes nothing: the inputs come back
+	all := IntervalProjection(limits, xtime.Lifetime(), evalAt, nil)
+	if len(all) != len(limits) || all[0] != limits[0] || all[1] != limits[1] {
+		t.Error("a projection that clips nothing should return its inputs as they are")
+	}
+	// clipping one creditLimit rebuilds the account above it and shares
+	// the untouched customer below it
+	window := xtime.NewInterval(xtime.MustParse("1999-01-01T00:00:00"), xtime.MustParse("2000-01-01T00:00:00"))
+	out := IntervalProjection([]*xmldom.Node{acct}, window, evalAt, nil)
+	if len(out) != 1 || out[0] == acct {
+		t.Fatal("clipped account should be a rebuilt element")
+	}
+	if out[0].FirstChildElement("customer") != acct.FirstChildElement("customer") {
+		t.Error("unclipped sibling was copied, not shared")
+	}
+	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, StoreResolver(st, evalAt))
+	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, StoreResolver(st, evalAt))
+	check("projection across holes")
+}
+
 func TestDerivedLifespan(t *testing.T) {
 	el := xmldom.MustParseString(`<p>
 	  <a vtFrom="2003-02-01T00:00:00" vtTo="2003-03-01T00:00:00"/>
@@ -222,7 +309,7 @@ func TestIntervalProjectionResolvesHoles(t *testing.T) {
 	// project directly over the raw root fragment, crossing holes
 	root := st.Root().Payload
 	window := xtime.NewInterval(xtime.MustParse("2003-10-01T00:00:00"), xtime.Now())
-	out := IntervalProjection([]*xmldom.Node{root.Clone()}, window, evalAt, StoreResolver(st, evalAt))
+	out := IntervalProjection([]*xmldom.Node{root}, window, evalAt, StoreResolver(st, evalAt))
 	if len(out) != 1 {
 		t.Fatal("root dropped")
 	}

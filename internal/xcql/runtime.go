@@ -504,6 +504,7 @@ func (rt *Runtime) combinedResolver(at time.Time, s *obs.EvalStats, cache *fragm
 					s.AddCacheMisses(1)
 				}
 				s.AddFillers(st.LookupCost(len(els)))
+				s.AddNodes(len(els))
 			}
 			if len(els) > 0 {
 				return els
@@ -525,6 +526,7 @@ func (rt *Runtime) labelResolver(at time.Time, s *obs.EvalStats) temporal.HoleRe
 		for _, st := range rt.stores {
 			els := st.Labels().Fillers(holeID, at)
 			s.AddLabelRangeLookup(len(els))
+			s.AddNodes(len(els))
 			if len(els) > 0 {
 				return els
 			}
@@ -602,6 +604,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	}
 	els := st.GetFillers(fragment.RootFillerID, ctx.Static.Now)
 	ctx.Static.Stats.AddFillers(st.LookupCost(len(els)))
+	ctx.Static.Stats.AddNodes(len(els))
 	if len(els) == 0 {
 		return nil, nil
 	}
@@ -622,6 +625,7 @@ func (rt *Runtime) intrRootLabeled(ctx *xq.Context, args []xq.Sequence) (xq.Sequ
 	}
 	els := st.Labels().Fillers(fragment.RootFillerID, ctx.Static.Now)
 	ctx.Static.Stats.AddLabelRangeLookup(len(els))
+	ctx.Static.Stats.AddNodes(len(els))
 	if len(els) == 0 {
 		return nil, nil
 	}
@@ -721,6 +725,7 @@ func (rt *Runtime) resolvePerHole(static *xq.Static, st *fragment.Store, ids []i
 				static.Stats.AddCacheMisses(1)
 			}
 			static.Stats.AddFillers(st.LookupCost(len(els)))
+			static.Stats.AddNodes(len(els))
 		}
 		return els
 	}
@@ -786,9 +791,10 @@ func (rt *Runtime) intrFillersBatch(ctx *xq.Context, args []xq.Sequence) (xq.Seq
 		// share that one pass (Cache.GetFillersList); scanned is then the
 		// miss pass's cost, or the full pass on a nil cache.
 		cache := ctx.Static.Cache
-		els, hits, misses, scanned := cache.GetFillersList(st, ids, ctx.Static.Now)
+		els, hits, misses, scanned, built := cache.GetFillersList(st, ids, ctx.Static.Now)
 		ctx.Static.Stats.AddHoles(len(ids))
 		ctx.Static.Stats.AddFillers(scanned)
+		ctx.Static.Stats.AddNodes(built)
 		if cache != nil {
 			ctx.Static.Stats.AddCacheHits(hits)
 			ctx.Static.Stats.AddCacheMisses(misses)
@@ -830,6 +836,7 @@ func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence,
 				ctx.Static.Stats.AddCacheMisses(1)
 			}
 			ctx.Static.Stats.AddFillers(st.LookupCost(len(els)))
+			ctx.Static.Stats.AddNodes(len(els))
 		}
 		for _, el := range els {
 			out = append(out, el)
@@ -881,6 +888,7 @@ func (rt *Runtime) intrLabelKids(ctx *xq.Context, args []xq.Sequence) (xq.Sequen
 	if len(ids) > 0 {
 		els := st.Labels().FillersList(ids, ctx.Static.Now)
 		ctx.Static.Stats.AddLabelRangeLookup(len(els))
+		ctx.Static.Stats.AddNodes(len(els))
 		for _, el := range els {
 			out = append(out, el)
 		}
@@ -912,6 +920,7 @@ func (rt *Runtime) intrByLabel(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 		tsid := int(xq.NumberValue(a[0]))
 		els := idx.FillersByTSID(tsid, ctx.Static.Now)
 		ctx.Static.Stats.AddLabelRangeLookup(len(els))
+		ctx.Static.Stats.AddNodes(len(els))
 		for _, el := range els {
 			out = append(out, el)
 		}
@@ -1031,9 +1040,11 @@ func endpointVersion(seq xq.Sequence) (n int, last, ok bool) {
 
 // materializeResult resolves any holes left in result nodes (the final
 // Materialize of Figure 2) so every caller sees hole-free temporal XML.
-// The resolver charges the budget, so an attack that hides its bulk
-// behind holes in the result still trips mid-materialization (the panic
-// is contained by Query.eval).
+// Filling is copy-on-write (temporal.FillHoles): only the spine above a
+// hole is rebuilt, hole-free subtrees stay shared with the store. The
+// walk itself is unmetered; the resolver charges the budget, so an attack
+// that hides its bulk behind holes in the result still trips
+// mid-materialization (the panic is contained by Query.eval).
 //
 // With Parallelism > 1, the transitive hole closure of every holed
 // result item is prefetched on the worker pool first (phase A) and the
@@ -1057,7 +1068,7 @@ func (rt *Runtime) materializeResult(seq xq.Sequence, static *xq.Static, mode Mo
 		fill := func(i int) {
 			it := seq[i]
 			if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
-				out[i] = fillHoles(n, resolver, make(map[int]bool), s)
+				out[i] = temporal.FillHoles(resolver, n, make(map[int]bool), nil, s)
 			} else {
 				out[i] = it
 			}
@@ -1088,7 +1099,7 @@ func (rt *Runtime) materializeResult(seq xq.Sequence, static *xq.Static, mode Mo
 			out = append(out, it)
 			continue
 		}
-		out = append(out, fillHoles(n, resolver, make(map[int]bool), s))
+		out = append(out, temporal.FillHoles(resolver, n, make(map[int]bool), nil, s))
 	}
 	return out
 }
@@ -1102,32 +1113,4 @@ func hasHoles(n *xmldom.Node) bool {
 		return !found
 	})
 	return found
-}
-
-// fillHoles returns a copy of n with every hole replaced by its fillers'
-// versions, recursively, resolving each filler id once (Temporalize's
-// rule).
-func fillHoles(n *xmldom.Node, resolve temporal.HoleResolver, seen map[int]bool, s *obs.EvalStats) *xmldom.Node {
-	s.AddNodes(1)
-	out := xmldom.NewElement(n.Name)
-	out.Attrs = append(out.Attrs, n.Attrs...)
-	for _, c := range n.Children {
-		if c.Type != xmldom.ElementNode {
-			out.AppendChild(&xmldom.Node{Type: c.Type, Name: c.Name, Data: c.Data})
-			continue
-		}
-		if fragment.IsHole(c) {
-			id, err := fragment.HoleID(c)
-			if err != nil || seen[id] {
-				continue
-			}
-			seen[id] = true
-			for _, filler := range resolve(id) {
-				out.AppendChild(fillHoles(filler, resolve, seen, s))
-			}
-			continue
-		}
-		out.AppendChild(fillHoles(c, resolve, seen, s))
-	}
-	return out
 }

@@ -1,6 +1,6 @@
 // Package xmldom provides the XML substrate for the fragmented-stream
-// system: a compact mutable document tree, an incremental tokenizer that
-// can pull one complete element at a time off an unbounded stream (the way
+// system: a compact document tree, an incremental tokenizer that can pull
+// one complete element at a time off an unbounded stream (the way
 // fragments arrive on the wire), a recursive-descent parser, and a
 // serializer.
 //
@@ -8,6 +8,14 @@
 // comments, no namespace resolution — because the wire format of the
 // paper's system is plain prefixed names (e.g. <stream:structure>) treated
 // as opaque tags.
+//
+// Ownership: a node may be written (SetAttr, AppendChild, …) only by the
+// code that constructed it, and only until it is handed to anyone else.
+// From then on it is immutable and may be shared structurally: one subtree
+// can sit under any number of parents at once (a stored filler payload
+// under every result that mentions it), which is why nodes carry no parent
+// link. Clone is the one way to get a private, writable tree. See
+// "Node ownership and sharing" in DESIGN.md.
 package xmldom
 
 import "strings"
@@ -43,7 +51,6 @@ type Node struct {
 	Data     string // text/comment content
 	Attrs    []Attr
 	Children []*Node
-	Parent   *Node
 }
 
 // NewDocument returns an empty document node.
@@ -76,9 +83,9 @@ func TextElem(name, text string) *Node {
 	return e
 }
 
-// AppendChild attaches c as the last child of n and sets its parent.
+// AppendChild attaches c as the last child of n. It writes n only: c may
+// be a shared subtree.
 func (n *Node) AppendChild(c *Node) *Node {
-	c.Parent = n
 	n.Children = append(n.Children, c)
 	return n
 }
@@ -91,7 +98,6 @@ func (n *Node) InsertChildAt(i int, c *Node) {
 	if i > len(n.Children) {
 		i = len(n.Children)
 	}
-	c.Parent = n
 	n.Children = append(n.Children, nil)
 	copy(n.Children[i+1:], n.Children[i:])
 	n.Children[i] = c
@@ -102,7 +108,6 @@ func (n *Node) RemoveChild(c *Node) bool {
 	for i, ch := range n.Children {
 		if ch == c {
 			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			c.Parent = nil
 			return true
 		}
 	}
@@ -243,15 +248,27 @@ func (n *Node) Text() string {
 // TrimmedText is Text with surrounding whitespace removed.
 func (n *Node) TrimmedText() string { return strings.TrimSpace(n.Text()) }
 
-// Clone returns a deep copy of the subtree with a nil parent.
+// Clone returns a deep copy of the subtree: a private tree the caller may
+// write, sharing nothing with n.
 func (n *Node) Clone() *Node {
+	c := n.CloneShallow()
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = ch.Clone()
+		}
+	}
+	return c
+}
+
+// CloneShallow returns a new childless node with n's type, name, data and
+// a private copy of its attributes — the node copy-on-write rebuilds start
+// from: the caller attaches the (possibly shared) children.
+func (n *Node) CloneShallow() *Node {
 	c := &Node{Type: n.Type, Name: n.Name, Data: n.Data}
-	if n.Attrs != nil {
+	if len(n.Attrs) > 0 {
 		c.Attrs = make([]Attr, len(n.Attrs))
 		copy(c.Attrs, n.Attrs)
-	}
-	for _, ch := range n.Children {
-		c.AppendChild(ch.Clone())
 	}
 	return c
 }
@@ -277,7 +294,7 @@ func (n *Node) TreeSize() int {
 	return size
 }
 
-// Equal reports deep structural equality ignoring parents. Attribute order
+// Equal reports deep structural equality. Attribute order
 // is significant (the wire format is deterministic).
 func (n *Node) Equal(o *Node) bool {
 	if n == nil || o == nil {
@@ -298,60 +315,4 @@ func (n *Node) Equal(o *Node) bool {
 		}
 	}
 	return true
-}
-
-// Path returns a /-separated tag path from the root to n, for diagnostics.
-func (n *Node) Path() string {
-	var parts []string
-	for m := n; m != nil && m.Type == ElementNode; m = m.Parent {
-		parts = append(parts, m.Name)
-	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return "/" + strings.Join(parts, "/")
-}
-
-// DocumentOrderLess reports whether a precedes b in document order within
-// the same tree. Nodes from different trees compare arbitrarily but
-// consistently.
-func DocumentOrderLess(a, b *Node) bool {
-	if a == b {
-		return false
-	}
-	pa, pb := ancestry(a), ancestry(b)
-	i := 0
-	for i < len(pa) && i < len(pb) && pa[i] == pb[i] {
-		i++
-	}
-	if i == len(pa) {
-		return true // a is an ancestor of b
-	}
-	if i == len(pb) {
-		return false
-	}
-	parent := pa[i].Parent
-	if parent == nil {
-		return false
-	}
-	for _, c := range parent.Children {
-		if c == pa[i] {
-			return true
-		}
-		if c == pb[i] {
-			return false
-		}
-	}
-	return false
-}
-
-func ancestry(n *Node) []*Node {
-	var chain []*Node
-	for m := n; m != nil; m = m.Parent {
-		chain = append(chain, m)
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
 }

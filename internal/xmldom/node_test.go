@@ -37,9 +37,6 @@ func TestChildManipulation(t *testing.T) {
 	if strings.Join(names, "") != "abc" {
 		t.Fatalf("order = %v", names)
 	}
-	if b.Parent != p {
-		t.Fatal("parent not set")
-	}
 	if !p.RemoveChild(b) || p.RemoveChild(b) {
 		t.Fatal("RemoveChild")
 	}
@@ -72,8 +69,29 @@ func TestCloneIsDeep(t *testing.T) {
 	if v, _ := orig.Attr("x"); v != "1" {
 		t.Fatal("clone shares attrs")
 	}
-	if c.Parent != nil {
-		t.Fatal("clone should have nil parent")
+}
+
+// A subtree may sit under several parents at once: attaching it writes
+// the parent only, and CloneShallow gives a spine node whose attributes
+// are private while the children stay shared.
+func TestSharedSubtree(t *testing.T) {
+	shared := MustParseString(`<b k="v">hi</b>`).Root()
+	before := shared.String()
+	p1, p2 := NewElement("p1"), NewElement("p2")
+	p1.AppendChild(shared)
+	p2.AppendChild(shared)
+	if p1.Children[0] != p2.Children[0] {
+		t.Fatal("child not shared")
+	}
+	spine := shared.CloneShallow()
+	spine.Children = shared.Children
+	spine.SetAttr("k", "other")
+	spine.SetAttr("extra", "1")
+	if shared.String() != before {
+		t.Fatalf("shared node changed: %s", shared.String())
+	}
+	if spine.Children[0] != shared.Children[0] {
+		t.Fatal("CloneShallow children not shared")
 	}
 }
 
@@ -89,35 +107,6 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	} {
 		if same.Equal(MustParseString(variant).Root()) {
 			t.Errorf("Equal(%s, %s) = true", base, variant)
-		}
-	}
-}
-
-func TestPath(t *testing.T) {
-	doc := MustParseString(`<a><b><c/></b></a>`)
-	c := doc.Root().Descendants("c")[0]
-	if c.Path() != "/a/b/c" {
-		t.Fatalf("path = %q", c.Path())
-	}
-}
-
-func TestDocumentOrderLess(t *testing.T) {
-	doc := MustParseString(`<r><a><x/></a><b/><c><y/></c></r>`)
-	r := doc.Root()
-	a, b, c := r.Children[0], r.Children[1], r.Children[2]
-	x, y := a.Children[0], c.Children[0]
-	cases := []struct {
-		m, n *Node
-		want bool
-	}{
-		{a, b, true}, {b, a, false},
-		{a, x, true}, {x, a, false}, // ancestor precedes descendant
-		{x, b, true}, {x, y, true},
-		{y, b, false}, {a, a, false},
-	}
-	for i, cse := range cases {
-		if got := DocumentOrderLess(cse.m, cse.n); got != cse.want {
-			t.Errorf("case %d: got %v", i, got)
 		}
 	}
 }

@@ -68,6 +68,9 @@ type Context struct {
 	pos    int // 1-based position() inside a predicate
 	size   int // last() inside a predicate
 	depth  int // user-declared function application depth
+	// doc is the document node the innermost enclosing path started from:
+	// what root() — and so a leading "/" — resolves to for nodes below it.
+	doc *xmldom.Node
 }
 
 type binding struct {
@@ -219,6 +222,13 @@ func evalPath(p *Path, ctx *Context) (Sequence, error) {
 		}
 		cur = Singleton(ctx.item)
 	}
+	if len(cur) == 1 {
+		if d, ok := cur[0].(*xmldom.Node); ok && d.Type == xmldom.DocumentNode && d != ctx.doc {
+			child := *ctx
+			child.doc = d
+			ctx = &child
+		}
+	}
 	for _, step := range p.Steps {
 		next, err := applyStep(cur, step, ctx)
 		if err != nil {
@@ -262,7 +272,8 @@ func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
 // configured, <hole> placeholders encountered by child and descendant
 // steps transparently expand to their fillers' versions, so the temporal
 // view abstraction holds even for paths the XCQL translator could not
-// type statically (user-function bodies, copied fragment content).
+// type statically (user-function bodies, fragment content under a
+// constructed element).
 func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Sequence {
 	switch step.Axis {
 	case AxisSelf:
@@ -324,6 +335,16 @@ func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Seque
 		return out
 	}
 	return nil
+}
+
+// contains reports whether n is root or one of its descendants.
+func contains(root, n *xmldom.Node) bool {
+	found := false
+	root.Walk(func(m *xmldom.Node) bool {
+		found = found || m == n
+		return !found
+	})
+	return found
 }
 
 // elementChildrenResolved returns n's element children with holes
@@ -852,8 +873,9 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		// constructor content is deep-copied into the new element; charge
-		// the copy so result construction cannot outgrow the byte budget
+		// constructor content is attached, not copied, but the byte budget
+		// charges its logical size all the same, so a result cannot outgrow
+		// the budget by mentioning one subtree many times
 		for _, it := range v {
 			if n, ok := it.(*xmldom.Node); ok {
 				if err := ctx.Static.Budget.AddBytes(int64(n.TreeSize())); err != nil {
@@ -868,7 +890,8 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (Sequence, error) {
 }
 
 // appendContent realizes XQuery constructor content: attribute items set
-// attributes, nodes are deep-copied in, adjacent atomics join into one
+// attributes, nodes are attached as they are — shared with wherever they
+// came from, not copied — and adjacent atomics join into one
 // space-separated text node.
 func appendContent(el *xmldom.Node, content Sequence) {
 	var pendingAtomic []string
@@ -886,11 +909,9 @@ func appendContent(el *xmldom.Node, content Sequence) {
 		case *xmldom.Node:
 			flush()
 			if v.Type == xmldom.DocumentNode {
-				for _, c := range v.Children {
-					el.AppendChild(c.Clone())
-				}
+				el.Children = append(el.Children, v.Children...)
 			} else {
-				el.AppendChild(v.Clone())
+				el.AppendChild(v)
 			}
 		default:
 			pendingAtomic = append(pendingAtomic, StringValue(it))

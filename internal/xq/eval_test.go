@@ -504,16 +504,29 @@ func TestEvalDocResolver(t *testing.T) {
 }
 
 func TestEvalRootAnchoredPath(t *testing.T) {
-	// leading / resolves through root() of the context item
-	e := MustParse(`/creditAccounts/account[1]/@id`)
+	// leading / resolves through root() of the context item: the document
+	// itself, or the document the enclosing path started from
 	doc := xmldom.MustParseString(creditView)
+	for _, c := range []struct{ src, want string }{
+		{`/creditAccounts/account[1]/@id`, "1234"},
+		{`count(creditAccounts/account[/creditAccounts/account[1]/@id = @id])`, "1"},
+	} {
+		ctx := NewContext(&Static{Now: evalAt}).WithItem(doc, 1, 1)
+		seq, err := Eval(MustParse(c.src), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asStrings(seq) != c.want {
+			t.Errorf("%s = %q, want %q", c.src, asStrings(seq), c.want)
+		}
+	}
+	// a node the evaluation did not reach from a document is its own root
 	acct := doc.Root().ChildElements("account")[0]
-	ctx := NewContext(&Static{Now: evalAt}).WithItem(acct, 1, 1)
-	seq, err := Eval(e, ctx)
+	seq, err := Eval(MustParse(`root(.)/@id`), NewContext(&Static{Now: evalAt}).WithItem(acct, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if asStrings(seq) != "1234" {
-		t.Fatalf("rooted path = %q", asStrings(seq))
+		t.Fatalf("root(.) of a parentless element = %q", asStrings(seq))
 	}
 }

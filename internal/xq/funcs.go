@@ -197,7 +197,13 @@ func init() {
 			}
 			return Singleton(n), nil
 		},
-		"root": func(_ *Context, args []Sequence) (Sequence, error) {
+		// root(): nodes carry no parent link (subtrees are shared, see
+		// xmldom), so the root is known only for what the evaluation itself
+		// navigated: a document node is its own root, a node below the
+		// document the enclosing path started from has that document, and
+		// any other node — a filler, a constructed element — is the root of
+		// its own tree.
+		"root": func(ctx *Context, args []Sequence) (Sequence, error) {
 			if err := arity("root", args, 1); err != nil {
 				return nil, err
 			}
@@ -208,8 +214,8 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("xq: root() wants a node")
 			}
-			for n.Parent != nil {
-				n = n.Parent
+			if n.Type != xmldom.DocumentNode && ctx.doc != nil && contains(ctx.doc, n) {
+				n = ctx.doc
 			}
 			return Singleton(n), nil
 		},

@@ -29,6 +29,13 @@ import (
 //	AttrItem       — an attribute (name + string value)
 //	string, float64, bool
 //	xtime.DateTime, xtime.Duration
+//
+// A node item is read-only, whoever produced it: it may be — or may share
+// subtrees with — a stored filler payload, a cache entry, a standing
+// query's buffer or another result (see the ownership rule in xmldom).
+// Node identity is pointer identity, so the same stored element reached
+// twice is one node to a path step's duplicate elimination. Clone a node
+// to get a tree to change.
 type Item any
 
 // AttrItem is an attribute produced by an @name step or an attribute

@@ -60,20 +60,55 @@ func Date(year int, month time.Month, day, hour, min, sec int) DateTime {
 // Parse parses an XCQL time literal: "start", "now", an ISO-8601 dateTime
 // (CCYY-MM-DDThh:mm:ss, optionally with fractional seconds or a trailing
 // "Z"), or a bare date (CCYY-MM-DD, interpreted as midnight).
+//
+// General comparisons probe every string operand with Parse to see whether
+// it is a date, so the reject path is hot: a string that does not start
+// CCYY-MM-DD followed by "T" or nothing is turned away before any layout is
+// tried, at the cost of the one error value.
 func Parse(s string) (DateTime, error) {
-	switch strings.TrimSpace(s) {
+	s = strings.TrimSpace(s)
+	switch s {
 	case "start":
 		return Start(), nil
 	case "now":
 		return Now(), nil
 	}
-	s = strings.TrimSpace(s)
-	for _, layout := range []string{Layout, "2006-01-02T15:04:05.999999999", "2006-01-02T15:04:05Z07:00", "2006-01-02"} {
-		if t, err := time.Parse(layout, s); err == nil {
-			return At(t.UTC()), nil
+	if dateShaped(s) {
+		for _, layout := range layouts {
+			if t, err := time.Parse(layout, s); err == nil {
+				return At(t.UTC()), nil
+			}
 		}
 	}
-	return DateTime{}, fmt.Errorf("xtime: cannot parse %q as dateTime", s)
+	return DateTime{}, &parseError{s}
+}
+
+var layouts = [...]string{Layout, "2006-01-02T15:04:05.999999999", "2006-01-02T15:04:05Z07:00", "2006-01-02"}
+
+// dateShaped reports whether s begins CCYY-MM-DD and then ends or goes on
+// with "T" — what every layout Parse tries requires of its input.
+func dateShaped(s string) bool {
+	if len(s) < 10 || (len(s) > 10 && s[10] != 'T') {
+		return false
+	}
+	for i := 0; i < 10; i++ {
+		if i == 4 || i == 7 {
+			if s[i] != '-' {
+				return false
+			}
+		} else if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseError defers formatting the message to the caller that wants it;
+// most callers only test for nil.
+type parseError struct{ input string }
+
+func (e *parseError) Error() string {
+	return fmt.Sprintf("xtime: cannot parse %q as dateTime", e.input)
 }
 
 // MustParse is Parse that panics on error; for literals in tests/examples.

@@ -1,6 +1,8 @@
 package xtime
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -47,6 +49,75 @@ func TestParseRejectsGarbage(t *testing.T) {
 	for _, s := range []string{"", "hello", "2003-13-45T99:99:99", "20031023"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) unexpectedly succeeded", s)
+		}
+	}
+}
+
+// parseReference is Parse as it was before the shape check: every layout
+// tried on every input.
+func parseReference(s string) (DateTime, bool) {
+	s = strings.TrimSpace(s)
+	switch s {
+	case "start":
+		return Start(), true
+	case "now":
+		return Now(), true
+	}
+	for _, layout := range layouts {
+		if t, err := time.Parse(layout, s); err == nil {
+			return At(t.UTC()), true
+		}
+	}
+	return DateTime{}, false
+}
+
+// TestParseShapeCheckChangesNothing: the shape check may only turn away
+// what the layouts would have turned away. Hand-picked edge forms plus
+// single-byte corruptions of every accepted form.
+func TestParseShapeCheckChangesNothing(t *testing.T) {
+	inputs := []string{
+		"", " ", "now", " now ", "start", "Now", "hello", "Electronics Mart", "1000", "12.50",
+		"2003-10-23T12:23:34", " 2003-10-23T12:23:34\n", "2003-10-23T12:23:34.5", "2003-10-23T12:23:34.123456789",
+		"2003-10-23T12:23:34Z", "2003-10-23T12:23:34+02:00", "2003-10-23T12:23:34.25-07:00",
+		"2003-11-01", "2003-11-01T", "2003-11-01T5:04:05", "2003-11-01T05:4:05", "2003-11-01 12:00:00",
+		"2003-11-01t12:00:00", "2003-1-01", "2003-11-1", "03-11-01", "12345-01-01", "+2003-11-01",
+		"2003-13-45T99:99:99", "2003-02-30", "20031023", "2003/11/01", "2003-11-01Z", "2003-11-01T24:00:00",
+		"２００３-11-01", "2003-11-01T12:00:00 UTC", "0000-01-01", "9999-12-31T23:59:59",
+	}
+	for _, ok := range []string{"2003-10-23T12:23:34", "2003-10-23T12:23:34.5", "2003-10-23T12:23:34Z", "2003-11-01"} {
+		for i := 0; i < len(ok); i++ {
+			for _, b := range []byte{'0', '9', '-', 'T', ':', ' ', 'x'} {
+				inputs = append(inputs, ok[:i]+string(b)+ok[i+1:], ok[:i]+ok[i+1:], ok[:i]+string(b)+ok[i:])
+			}
+		}
+	}
+	for _, in := range inputs {
+		want, wantOK := parseReference(in)
+		got, err := Parse(in)
+		if (err == nil) != wantOK {
+			t.Errorf("Parse(%q): err = %v, reference accepts = %v", in, err, wantOK)
+			continue
+		}
+		if wantOK && got != want {
+			t.Errorf("Parse(%q) = %v, reference %v", in, got, want)
+		}
+		if err != nil && err.Error() != fmt.Sprintf("xtime: cannot parse %q as dateTime", strings.TrimSpace(in)) {
+			t.Errorf("Parse(%q) error text = %q", in, err)
+		}
+	}
+}
+
+// TestParseRejectIsCheap pins the hot reject path — a general comparison
+// probing a non-date string — at the one error value, where the layouts
+// used to cost four time.ParseErrors and a formatted message.
+func TestParseRejectIsCheap(t *testing.T) {
+	for _, in := range []string{"Electronics Mart", "1000", "person1234", "2003-10"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(in); err == nil {
+				t.Fatalf("Parse(%q) accepted", in)
+			}
+		}); n > 1 {
+			t.Errorf("Parse(%q): %v allocs per rejected probe, want <= 1", in, n)
 		}
 	}
 }

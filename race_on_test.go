@@ -1,0 +1,5 @@
+//go:build race
+
+package xcql_test
+
+const raceEnabled = true

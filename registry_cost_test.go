@@ -79,17 +79,17 @@ func mustAddT(tb testing.TB, st *xcql.Store, f *xcql.Fragment) {
 
 const registryCostQuery = `for $t in stream("credit")//transaction return $t`
 
-// replayRegistryCost registers K copies of the query and replays the
-// fixture's arrivals through the registry, returning the sharing
-// group's accumulated stats.
-func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, incremental bool) xcql.RegistryGroupStats {
+// replayRegistryCost registers K copies of the query under mode and
+// replays the fixture's arrivals through the registry, returning the
+// sharing group's accumulated stats.
+func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, incremental bool, mode xcql.Mode) xcql.RegistryGroupStats {
 	tb.Helper()
 	r := fx.engine.Registry()
 	at := fx.at
 	r.SetClock(func() time.Time { return at })
 	regs := make([]*xcql.QueryRegistration, k)
 	for i := range regs {
-		q, err := fx.engine.Compile(registryCostQuery, xcql.QaCPlus)
+		q, err := fx.engine.Compile(registryCostQuery, mode)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -138,8 +138,8 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 		{"full", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, tc.incremental)
-			many := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), k, tc.incremental)
+			one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, tc.incremental, xcql.QaCPlus)
+			many := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), k, tc.incremental, xcql.QaCPlus)
 			check := func(name string, got, base int64) {
 				t.Helper()
 				if base == 0 {
@@ -163,6 +163,17 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 			}
 			if one.SharedSaved != 0 {
 				t.Errorf("SharedSaved = %d with a single member: nothing to share", one.SharedSaved)
+			}
+			// a QaC++ registration reports its access cost in the plan's
+			// own counters — label-range lookups and the elements the reads
+			// built — and, as in a one-shot evaluation, no log pass
+			pp := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, tc.incremental, xcql.QaCPlusPlus)
+			if pp.Stats.LabelRangeLookups == 0 || pp.Stats.LabelRangeHits == 0 || pp.Stats.NodesConstructed == 0 {
+				t.Errorf("QaC++ group reports no access cost: label lookups=%d hits=%d nodes=%d",
+					pp.Stats.LabelRangeLookups, pp.Stats.LabelRangeHits, pp.Stats.NodesConstructed)
+			}
+			if pp.Stats.FillersScanned != 0 {
+				t.Errorf("QaC++ group FillersScanned = %d, want 0", pp.Stats.FillersScanned)
 			}
 		})
 	}
