@@ -2,9 +2,9 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet static build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
+.PHONY: check vet static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
 
-check: vet static build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
+check: vet static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,15 @@ static:
 
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own, so `go build ./...` from the root never
+# compiles it, yet it pins public API (Query.WithParallelism/WithCache,
+# Engine.SetTraceSink, SpanRecord, registry.DialSubscribe): building and
+# self-testing it here makes a change that breaks the end-to-end harness
+# fail locally, not in the pipeline. (-o /dev/null: the module's one main
+# package would otherwise be written over its own directory name.)
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test -short -timeout 120s ./...
 
 test:
 	$(GO) test -timeout 120s ./...
@@ -112,7 +121,7 @@ bench:
 # benchmarks (quick scales) as JSON — cost counters and latency quantiles
 # included — the cross-PR performance trajectory. Compare two snapshots
 # with bench-diff.
-BENCHOUT ?= BENCH_pr12.json
+BENCHOUT ?= BENCH_pr13.json
 bench-json:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \

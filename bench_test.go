@@ -363,7 +363,7 @@ func BenchmarkReconstruction(b *testing.B) {
 		r := temporal.NewReconstructor(ds.Store.Structure())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.Materialize(ds.Store, evalbench.EvalInstant); err != nil {
+			if _, err := r.Materialize(ds.Store, evalbench.EvalInstant, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,0 +1,182 @@
+package fragment
+
+import (
+	"time"
+
+	"xcql/internal/budget"
+	"xcql/internal/obs"
+	"xcql/internal/xmldom"
+)
+
+// HoleResolver maps a hole id to the annotated versions of its fillers.
+type HoleResolver func(holeID int) []*xmldom.Node
+
+// Access is the one seam between a translated plan and the stores it
+// reads. Every plan performs the same three reads and gets the same
+// elements from them; the implementations differ only in which index
+// serves a read and what the evaluation's counters are charged for it —
+// the paper's claim that the plans "differ only in access cost, never
+// in results", as a type.
+type Access interface {
+	// Filler returns one filler's versions visible at the evaluation
+	// instant. hole says the read crosses a hole; a stream's root and an
+	// incremental unit's own filler are reached without one.
+	Filler(st *Store, id int, hole bool) []*xmldom.Node
+	// Fillers returns the versions of a hole-id set — a child step —
+	// concatenated in input order, a repeated id contributing only at its
+	// first position.
+	Fillers(st *Store, ids []int) []*xmldom.Node
+	// ByTSID returns every version stored under a tsid, grouped by filler
+	// id ascending — a descendant step over the whole stream.
+	ByTSID(st *Store, tsid int) []*xmldom.Node
+}
+
+// AccessKind names an Access implementation.
+type AccessKind uint8
+
+const (
+	// LogScanAccess pays one lookup pass over the fragment log per filler id
+	// (CaQ and QaC): a hole-id set costs one pass per hole.
+	LogScanAccess AccessKind = iota
+	// TSIDIndexAccess is LogScanAccess with the unnested get_fillers of §8: a hole-id
+	// set resolves in one batched pass (QaC+).
+	TSIDIndexAccess
+	// LabelIndexAccess serves every read from the store's prefix-label index:
+	// no pass over the log, no hole counted as resolved (QaC++).
+	LabelIndexAccess
+)
+
+// Eval is the evaluation an Access reads for: the instant its reads are
+// as of, and where it charges them. The zero value reads at the zero
+// instant, uncounted, unmetered, uncached and sequentially.
+type Eval struct {
+	At time.Time
+	// Stats receives the access cost; nil collects nothing.
+	Stats *obs.EvalStats
+	// Budget is charged one step — a cancellation poll — per pass of a
+	// log-scanned hole-id set; nil is unlimited.
+	Budget *budget.Budget
+	// Cache memoizes the log passes; nil disables it. The label index is
+	// memoized on the store already and never consults it.
+	Cache *Cache
+	// Parallelism > 1 fans a log-scanned hole-id set out over that many
+	// workers; Wait, when non-nil, receives their queue waits.
+	Parallelism int
+	Wait        *obs.Histogram
+}
+
+// NewAccess returns the access implementation of the given kind, reading
+// and charging under ev.
+func NewAccess(kind AccessKind, ev Eval) Access {
+	switch kind {
+	case TSIDIndexAccess:
+		return &tsidIndex{logScan{ev}}
+	case LabelIndexAccess:
+		return &labelIndex{ev}
+	default:
+		return &logScan{ev}
+	}
+}
+
+type logScan struct{ Eval }
+
+// chargePass charges one lookup pass that returned n elements: a cache
+// hit replaces the pass, a miss pays the store's cost model for it.
+func (a *logScan) chargePass(st *Store, cached, hit bool, n int) {
+	if hit {
+		a.Stats.AddCacheHits(1)
+		return
+	}
+	if cached {
+		a.Stats.AddCacheMisses(1)
+	}
+	a.Stats.AddFillers(st.LookupCost(n))
+	a.Stats.AddNodes(n)
+}
+
+func (a *logScan) Filler(st *Store, id int, hole bool) []*xmldom.Node {
+	cache := a.Cache
+	if !hole {
+		// what no hole leads to is read once per evaluation: not memoized
+		cache = nil
+	}
+	els, hit := cache.GetFillers(st, id, a.At)
+	if hole {
+		a.Stats.AddHoles(1)
+	}
+	a.chargePass(st, cache != nil, hit, len(els))
+	return els
+}
+
+// Fillers issues one pass per hole, on the worker pool when Parallelism
+// allows: the per-hole cost the QaC plan pays and the batched read
+// avoids. A budget trip panics with the *budget.ResourceError — workers
+// cannot return errors — and is contained at the engine boundary.
+func (a *logScan) Fillers(st *Store, ids []int) []*xmldom.Node {
+	memo := ResolveIDs(ids, func(id int) []*xmldom.Node {
+		a.Budget.MustStep()
+		return a.Filler(st, id, true)
+	}, a.Parallelism, a.Wait, a.Stats)
+	var out []*xmldom.Node
+	for _, id := range ids {
+		out = append(out, memo[id]...)
+		delete(memo, id)
+	}
+	return out
+}
+
+// ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
+// by the tsid index on an indexed store. Only the index plans'
+// translations ask for it.
+func (a *logScan) ByTSID(st *Store, tsid int) []*xmldom.Node {
+	els, hit := a.Cache.GetFillersByTSID(st, tsid, a.At)
+	a.Stats.AddTSIDLookup(len(els))
+	a.chargePass(st, a.Cache != nil, hit, len(els))
+	return els
+}
+
+type tsidIndex struct{ logScan }
+
+// Fillers resolves the whole id set in one pass; with a cache, resident
+// ids are served from memory and only the misses share that pass.
+func (a *tsidIndex) Fillers(st *Store, ids []int) []*xmldom.Node {
+	els, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
+	a.Stats.AddHoles(len(ids))
+	if misses > 0 {
+		a.Stats.AddFillers(st.LookupCost(built))
+	}
+	a.Stats.AddNodes(built)
+	if a.Cache != nil {
+		a.Stats.AddCacheHits(hits)
+		a.Stats.AddCacheMisses(misses)
+	}
+	return els
+}
+
+type labelIndex struct{ Eval }
+
+// charge counts one index fetch and passes its elements through.
+func (a *labelIndex) charge(els []*xmldom.Node) []*xmldom.Node {
+	a.Stats.AddLabelRangeLookup(len(els))
+	a.Stats.AddNodes(len(els))
+	return els
+}
+
+// Filler reads the filler's version group. On an indexed store that
+// group is the by-id index's — the same versions in the same order — so
+// a single-filler read never makes a store that ingests between reads
+// rebuild its label index.
+func (a *labelIndex) Filler(st *Store, id int, _ bool) []*xmldom.Node {
+	if st.Scanning() {
+		return a.charge(st.Labels().Fillers(id, a.At))
+	}
+	return a.charge(st.GetFillers(id, a.At))
+}
+
+func (a *labelIndex) Fillers(st *Store, ids []int) []*xmldom.Node {
+	return a.charge(st.Labels().FillersList(ids, a.At))
+}
+
+func (a *labelIndex) ByTSID(st *Store, tsid int) []*xmldom.Node {
+	return a.charge(st.Labels().FillersByTSID(tsid, a.At))
+}

@@ -177,13 +177,13 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 // are served from memory; all missing ids are resolved in ONE store pass
 // (Store.versionGroups), preserving the batched cost shape that
 // separates QaC+ from QaC. The concatenation order matches
-// Store.GetFillersList exactly. It reports the hit and miss counts, the
-// number of filler versions the miss pass examined (0 when everything
-// hit) and the number of elements it built (hits build none).
-func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, scanned, built int) {
+// Store.GetFillersList exactly. It reports the hit and miss counts and
+// the number of elements the miss pass built (hits build none); the
+// caller charges that pass when there were misses.
+func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, built int) {
 	if c == nil {
 		out = st.GetFillersList(fillerIDs, at)
-		return out, 0, len(fillerIDs), st.LookupCost(len(out)), len(out)
+		return out, 0, len(fillerIDs), len(out)
 	}
 	type slot struct {
 		els []*xmldom.Node
@@ -216,14 +216,13 @@ func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []
 			slots[missPos[j]] = slot{els: els, ok: true}
 		}
 		misses = len(missIDs)
-		scanned = st.LookupCost(built)
 	}
 	for _, s := range slots {
 		if s.ok {
 			out = append(out, s.els...)
 		}
 	}
-	return out, hits, misses, scanned, built
+	return out, hits, misses, built
 }
 
 // GetFillersByTSID is a caching Store.GetFillersByTSID.

@@ -304,39 +304,6 @@ func TestLabelOrphans(t *testing.T) {
 	}
 }
 
-// Every lookup the QaC++ intrinsics use must be byte-identical to the
-// store's log-backed reads — on the scan store, where the log-backed
-// read really is a linear scan, so the equivalence is not vacuous.
-func TestLabelIndexServesLookups(t *testing.T) {
-	frags := labelFixture(t)
-	st := NewScanStore(creditStruct(t))
-	if err := st.AddAll(frags); err != nil {
-		t.Fatal(err)
-	}
-	idx := st.Labels()
-	fids := st.FillerIDs()
-	for _, fid := range fids {
-		if got, want := renderNodes(idx.Fillers(fid, labelAt)), renderNodes(st.GetFillers(fid, labelAt)); got != want {
-			t.Errorf("Fillers(%d):\n%s\nwant:\n%s", fid, got, want)
-		}
-	}
-	lists := [][]int{fids, {10, 11, 10, 99, 11}, {21, 20}, {7777}, nil}
-	for _, ids := range lists {
-		if got, want := renderNodes(idx.FillersList(ids, labelAt)), renderNodes(st.GetFillersList(ids, labelAt)); got != want {
-			t.Errorf("FillersList(%v):\n%s\nwant:\n%s", ids, got, want)
-		}
-	}
-	for _, tsid := range []int{1, 2, 4, 5, 7, 8} {
-		if got, want := renderNodes(idx.FillersByTSID(tsid, labelAt)), renderNodes(st.GetFillersByTSID(tsid, labelAt)); got != want {
-			t.Errorf("FillersByTSID(%d):\n%s\nwant:\n%s", tsid, got, want)
-		}
-		fillers, versions := idx.TSIDCensus(tsid)
-		if fillers > versions {
-			t.Errorf("census tsid %d: %d fillers > %d versions", tsid, fillers, versions)
-		}
-	}
-}
-
 func renderNodes(els []*xmldom.Node) string {
 	var out string
 	for _, el := range els {

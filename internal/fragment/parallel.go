@@ -1,10 +1,9 @@
-package temporal
+package fragment
 
 import (
 	"sync"
 	"time"
 
-	"xcql/internal/fragment"
 	"xcql/internal/obs"
 	"xcql/internal/xmldom"
 )
@@ -195,8 +194,8 @@ func holeIDsDeep(els []*xmldom.Node) []int {
 	var out []int
 	for _, el := range els {
 		el.Walk(func(n *xmldom.Node) bool {
-			if fragment.IsHole(n) {
-				if id, err := fragment.HoleID(n); err == nil {
+			if IsHole(n) {
+				if id, err := HoleID(n); err == nil {
 					out = append(out, id)
 				}
 			}
@@ -207,8 +206,8 @@ func holeIDsDeep(els []*xmldom.Node) []int {
 }
 
 // ResolveIDs resolves a flat id set on a bounded worker pool and returns
-// the memo. It is the QaC fan-out: intrFillers' per-hole get_fillers
-// loop issues one independent store pass per id, so the passes run
+// the memo. It is the log-scan access path's fan-out: its hole-id set
+// read issues one independent store pass per id, so the passes run
 // concurrently and assembly reads the memo in the original order.
 // parallelism <= 1 or a single id degrades to an inline loop. Panics
 // from the resolver (budget trips) re-raise on the caller once all
@@ -228,73 +227,12 @@ func ResolveIDs(ids []int, resolve HoleResolver, parallelism int, wait *obs.Hist
 	return p.memo
 }
 
-// AssembleParallel runs fill(0..n-1) on a bounded worker pool — the
-// QaC++ label-ordered assembly: each index fills one result slot whose
-// position (document order) the labels fixed before assembly started,
-// and slots share no mutable state, so the fills commute and the output
-// is byte-identical to the sequential loop. Panics from fill (budget
-// trips) are captured, the pool drains, and the first panic re-raises
-// on the caller — the same discipline as the resolution pool.
-// parallelism <= 1 or n < 2 degrades to an inline loop.
-func AssembleParallel(n, parallelism int, fill func(i int), wait *obs.Histogram, stats *obs.EvalStats) {
-	if parallelism <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fill(i)
-		}
-		return
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	var (
-		mu      sync.Mutex
-		next    int
-		aborted any
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if aborted != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				wait.Observe(time.Since(start))
-				stats.AddParallelTasks(1)
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if aborted == nil {
-								aborted = r
-							}
-							mu.Unlock()
-						}
-					}()
-					fill(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if aborted != nil {
-		panic(aborted)
-	}
-}
-
 // Prefetch resolves, in parallel, the transitive hole closure reachable
 // from roots — exactly the id set the sequential recursive walk
 // (FillHoles, for Temporalize and for result materialization) would
 // resolve, since that set is independent of resolution order — and
-// returns a memoized resolver for the sequential assembly phase. With parallelism <= 1 or no holes it
-// returns the inner resolver unchanged.
+// returns a memoized resolver for the sequential assembly phase. With
+// parallelism <= 1 or no holes it returns the inner resolver unchanged.
 func Prefetch(roots []*xmldom.Node, resolve HoleResolver, parallelism int, wait *obs.Histogram, stats *obs.EvalStats) HoleResolver {
 	if parallelism <= 1 {
 		return resolve

@@ -219,11 +219,11 @@ func soleStream(plan xq.Expr) string {
 			names[t.Name] = true
 		case *xq.Call:
 			switch t.Name {
-			case xcql.FnView, xcql.FnRoot, xcql.FnByTSID, xcql.FnByLabel:
+			case xcql.FnView, xcql.FnRoot, xcql.FnByTSID:
 				if s := xcql.PlanLitString(t.Args, 0); s != "" {
 					names[s] = true
 				}
-			case xcql.FnFillers, xcql.FnFillersBatch, xcql.FnLabelKids:
+			case xcql.FnFillers:
 				if s := xcql.PlanLitString(t.Args, 1); s != "" {
 					names[s] = true
 				}
@@ -294,11 +294,9 @@ func (e *Engine) decompose() []*piece {
 }
 
 // classify turns one plan strand into an indexed piece when it is a pure
-// fn:bytsid (or its QaC++ label-range twin — identical unit output, so
-// the two plans share pieces and SharedPass signatures) access on the
-// bound stream, else a generic piece.
+// fn:bytsid access on the bound stream, else a generic piece.
 func (e *Engine) classify(x xq.Expr, wrappers []wrapper) *piece {
-	if c, ok := x.(*xq.Call); ok && (c.Name == xcql.FnByTSID || c.Name == xcql.FnByLabel) && len(c.Args) >= 2 &&
+	if c, ok := x.(*xq.Call); ok && c.Name == xcql.FnByTSID && len(c.Args) >= 2 &&
 		xcql.PlanLitString(c.Args, 0) == e.stream {
 		tsids := make([]int, 0, len(c.Args)-1)
 		for i := 1; i < len(c.Args); i++ {
@@ -344,7 +342,7 @@ func (e *Engine) genericPiece(x xq.Expr) *piece {
 				} else {
 					p.broad = true
 				}
-			case xcql.FnFillers, xcql.FnFillersBatch, xcql.FnLabelKids:
+			case xcql.FnFillers:
 				if xcql.PlanLitString(t.Args, 1) != e.stream {
 					p.broad = true
 				} else if id := xcql.PlanLitInt(t.Args, 2); id > 0 {
@@ -352,7 +350,7 @@ func (e *Engine) genericPiece(x xq.Expr) *piece {
 				} else {
 					p.broad = true
 				}
-			case xcql.FnByTSID, xcql.FnByLabel:
+			case xcql.FnByTSID:
 				if xcql.PlanLitString(t.Args, 0) != e.stream {
 					p.broad = true
 					break
@@ -944,33 +942,16 @@ func (e *Engine) unitSigKey(k unitKey) string {
 // evalUnit computes one unit's current output through the engine's own
 // sub-plan evaluator. Indexed units fetch their filler's annotated
 // versions (the same store read the fn:bytsid intrinsic groups by filler
-// id) and re-apply the piece's projection wrappers; generic units
-// evaluate their whole sub-plan. Count mode skips materialization — only
-// cardinality survives.
-//
-// The fetch is charged the way the query's plan charges it: as one
-// label-range lookup under QaC++ (which never runs a log pass: the
-// indexed store's by-id group IS the label index's version group, and a
-// scan store is read through its label index), as a lookup pass
-// otherwise — plus the annotated elements it built.
+// id) through the query's access path, which charges the fetch the way
+// the query's plan charges it, and re-apply the piece's projection
+// wrappers; generic units evaluate their whole sub-plan. Count mode skips
+// materialization — only cardinality survives.
 func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
 	p := e.pieces[k.piece]
 	if !p.indexed() {
 		return e.q.EvalSubPlan(p.expr, at, lim, stats, !e.countMode)
 	}
-	labeled := e.q.Mode == xcql.QaCPlusPlus
-	var els []*xmldom.Node
-	if labeled && e.store.Scanning() {
-		els = e.store.Labels().Fillers(k.fid, at)
-	} else {
-		els = e.store.GetFillers(k.fid, at)
-	}
-	if labeled {
-		stats.AddLabelRangeLookup(len(els))
-	} else {
-		stats.AddFillers(e.store.LookupCost(len(els)))
-	}
-	stats.AddNodes(len(els))
+	els := e.q.ReadFiller(e.store, k.fid, at, stats)
 	items := make([]xq.Expr, len(els))
 	for i, el := range els {
 		items[i] = &xq.Literal{Val: el}

@@ -7,8 +7,11 @@ package registry
 // a bare subscribe's registration dies with the connection).
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -204,6 +207,48 @@ func TestAPISubscribeConnScopedLifetime(t *testing.T) {
 			t.Fatalf("registration outlived its connection")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSubscribeSeedAboveRequestBound: the subscriber's reader bounds
+// server result frames on their own, far above the 1 MiB bound on client
+// requests — a seed carries the whole standing result in one frame.
+func TestSubscribeSeedAboveRequestBound(t *testing.T) {
+	fx := newAPIFixture(t)
+	sub, err := DialSubscribe(fx.addr(), RegisterRequest{
+		Query:       `for $e in stream("log")//event return $e`,
+		Incremental: true,
+	}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	big := strings.Repeat("x", wsMaxPayload+4096)
+	fx.at = fx.at.Add(time.Second)
+	f := fragment.New(101, 2, fx.at, churnEl(t, "<event>"+big+"</event>"))
+	if err := fx.store.Add(f); err != nil {
+		t.Fatal(err)
+	}
+	fx.reg.Apply(f)
+	res, err := sub.Next()
+	if err != nil {
+		t.Fatalf("seed above %d bytes did not arrive: %v", wsMaxPayload, err)
+	}
+	if len(res.Delta) != 2 || !strings.Contains(res.Delta[1], big) {
+		t.Fatalf("seed delta holds %d items, want both events with the large one intact", len(res.Delta))
+	}
+}
+
+// TestSubscriberRejectsOversizedFrame: past its own bound the reader
+// fails with a typed error naming the frame size, before allocating.
+func TestSubscriberRejectsOversizedFrame(t *testing.T) {
+	hdr := []byte{0x80 | opText, 127, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint64(hdr[2:], wsMaxResultFrame+1)
+	c := &wsClient{br: bufio.NewReader(bytes.NewReader(hdr))}
+	_, err := c.ReadMessage()
+	var tooLarge *FrameTooLargeError
+	if !errors.As(err, &tooLarge) || tooLarge.Size != wsMaxResultFrame+1 || tooLarge.Limit != wsMaxResultFrame {
+		t.Fatalf("oversized frame: got %v, want a *FrameTooLargeError naming %d bytes", err, wsMaxResultFrame+1)
 	}
 }
 

@@ -29,6 +29,22 @@ const websocketGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 // small, so anything larger is hostile or broken.
 const wsMaxPayload = 1 << 20
 
+// wsMaxResultFrame bounds one server result frame on the subscriber's
+// side. A seed carries the whole standing result in one frame, so the
+// request bound is far too small for it; this one only keeps a broken
+// peer from making the subscriber allocate without limit.
+const wsMaxResultFrame = 64 << 20
+
+// FrameTooLargeError is returned by a Subscriber when the server sends a
+// result frame larger than the subscriber accepts.
+type FrameTooLargeError struct {
+	Size, Limit int64
+}
+
+func (e *FrameTooLargeError) Error() string {
+	return fmt.Sprintf("websocket: result frame of %d bytes exceeds the subscriber's %d-byte limit", e.Size, e.Limit)
+}
+
 // WebSocket opcodes (RFC 6455 §5.2).
 const (
 	opContinuation = 0x0
@@ -361,8 +377,8 @@ func (c *wsClient) ReadMessage() ([]byte, error) {
 			}
 			length = int64(binary.BigEndian.Uint64(ext[:]))
 		}
-		if length > wsMaxPayload {
-			return nil, fmt.Errorf("websocket: frame of %d bytes exceeds limit", length)
+		if length < 0 || length > wsMaxResultFrame {
+			return nil, &FrameTooLargeError{Size: length, Limit: wsMaxResultFrame}
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(c.br, payload); err != nil {

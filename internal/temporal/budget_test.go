@@ -19,13 +19,13 @@ func wantLimit(t *testing.T, err error, limit string) {
 	}
 }
 
-// TemporalizeBudget must abort mid-reconstruction — returning the
+// A budgeted TemporalizeWith must abort mid-reconstruction — returning the
 // resource error, not panicking out — when the byte budget is smaller
 // than the view it is building.
 func TestTemporalizeBudgetAbortsOnBytes(t *testing.T) {
 	st := creditStore(t)
 	b := budget.New(context.Background(), budget.Limits{MaxBytes: 128})
-	_, err := TemporalizeBudget(st, evalAt, b)
+	_, err := TemporalizeWith(st, evalAt, TemporalizeOptions{Budget: b})
 	wantLimit(t, err, budget.LimitBytes)
 
 	// The store is untouched: an unbudgeted reconstruction still works.
@@ -37,7 +37,7 @@ func TestTemporalizeBudgetAbortsOnBytes(t *testing.T) {
 func TestTemporalizeBudgetAbortsOnSteps(t *testing.T) {
 	st := creditStore(t)
 	b := budget.New(context.Background(), budget.Limits{MaxSteps: 3})
-	_, err := TemporalizeBudget(st, evalAt, b)
+	_, err := TemporalizeWith(st, evalAt, TemporalizeOptions{Budget: b})
 	wantLimit(t, err, budget.LimitSteps)
 }
 
@@ -45,10 +45,10 @@ func TestMaterializeBudgetAborts(t *testing.T) {
 	st := creditStore(t)
 	r := NewReconstructor(st.Structure())
 	b := budget.New(context.Background(), budget.Limits{MaxBytes: 64})
-	_, err := r.MaterializeBudget(st, evalAt, b)
+	_, err := r.Materialize(st, evalAt, b)
 	wantLimit(t, err, budget.LimitBytes)
 
-	if _, err := r.MaterializeBudget(st, evalAt, nil); err != nil {
+	if _, err := r.Materialize(st, evalAt, nil); err != nil {
 		t.Fatalf("store unusable after budget abort: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestTemporalizeBudgetTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := budget.New(context.Background(), budget.Limits{MaxBytes: 1 << 20, MaxSteps: 1 << 20, MaxItems: 1 << 20})
-	budgeted, err := TemporalizeBudget(st, evalAt, b)
+	budgeted, err := TemporalizeWith(st, evalAt, TemporalizeOptions{Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBudgetResolverTripsDuringProjection(t *testing.T) {
 	}
 	_ = view
 	b := budget.New(context.Background(), budget.Limits{MaxBytes: 32})
-	resolve := BudgetResolver(b, StoreResolver(st, evalAt))
+	resolve := BudgetResolver(b, storeResolver(st))
 	err = func() (err error) {
 		defer budget.Catch(&err)
 		resolve(1) // account filler: bigger than 32 bytes

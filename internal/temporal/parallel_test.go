@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xcql/internal/budget"
+	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
 	"xcql/internal/xmldom"
@@ -166,7 +167,7 @@ func TestPoolPanicPropagatesAndDrains(t *testing.T) {
 				t.Fatalf("recovered %v, want the resolver's panic value", r)
 			}
 		}()
-		ResolveIDs(ids, resolve, 4, nil, nil)
+		fragment.ResolveIDs(ids, resolve, 4, nil, nil)
 		t.Fatalf("ResolveIDs returned instead of panicking")
 	}()
 	assertWorkersExited(t, baseline)
@@ -181,13 +182,13 @@ func TestPoolGoroutineLeak(t *testing.T) {
 		ids[i] = i + 1
 	}
 	for round := 0; round < 50; round++ {
-		memo := ResolveIDs(ids, func(id int) []*xmldom.Node { return nil }, 4, obs.NewHistogram(), &obs.EvalStats{})
+		memo := fragment.ResolveIDs(ids, func(id int) []*xmldom.Node { return nil }, 4, obs.NewHistogram(), &obs.EvalStats{})
 		if len(memo) != len(ids) {
 			t.Fatalf("round %d: memo holds %d ids, want %d", round, len(memo), len(ids))
 		}
 		func() {
 			defer func() { recover() }()
-			ResolveIDs(ids, func(id int) []*xmldom.Node {
+			fragment.ResolveIDs(ids, func(id int) []*xmldom.Node {
 				if id == 9 {
 					panic("abort")
 				}
@@ -208,7 +209,7 @@ func TestResolveIDsExactTaskCount(t *testing.T) {
 	}
 	var calls atomic.Int64
 	stats := &obs.EvalStats{}
-	memo := ResolveIDs(ids, func(id int) []*xmldom.Node {
+	memo := fragment.ResolveIDs(ids, func(id int) []*xmldom.Node {
 		calls.Add(1)
 		return []*xmldom.Node{xmldom.NewElement(fmt.Sprintf("e%d", id))}
 	}, 8, nil, stats)

@@ -5,54 +5,20 @@ import (
 
 	"xcql/internal/budget"
 	"xcql/internal/fragment"
-	"xcql/internal/obs"
 	"xcql/internal/xmldom"
 	"xcql/internal/xtime"
 )
 
 // HoleResolver maps a hole id to the versions of its fillers (annotated
-// with vtFrom/vtTo) — fragment.Store.GetFillers when projecting over raw
-// fragments, or nil when projecting over an already materialized view
-// (which contains no holes).
-type HoleResolver func(holeID int) []*xmldom.Node
+// with vtFrom/vtTo); nil when projecting over an already materialized
+// view, which contains no holes.
+type HoleResolver = fragment.HoleResolver
 
-// StoreResolver adapts a fragment store to a HoleResolver at a fixed
-// evaluation instant.
-func StoreResolver(st *fragment.Store, at time.Time) HoleResolver {
-	return func(holeID int) []*xmldom.Node { return st.GetFillers(holeID, at) }
-}
-
-// ObservedStoreResolver is StoreResolver instrumented with per-evaluation
-// cost counters: each resolution records one hole crossing and the filler
-// versions the lookup pass examined (Store.LookupCost). A nil s degrades
-// to the plain StoreResolver.
-func ObservedStoreResolver(st *fragment.Store, at time.Time, s *obs.EvalStats) HoleResolver {
-	if s == nil {
-		return StoreResolver(st, at)
-	}
-	return func(holeID int) []*xmldom.Node {
-		els := st.GetFillers(holeID, at)
-		s.AddHoles(1)
-		s.AddFillers(st.LookupCost(len(els)))
-		s.AddNodes(len(els))
-		return els
-	}
-}
-
-// LabelResolver adapts a store's label index to a HoleResolver at a
-// fixed evaluation instant — the QaC++ path: every resolution is an
-// index fetch (no log pass, no hole counted as resolved) charged to the
-// label-range counters. A nil s degrades to the uncounted fetch.
-func LabelResolver(idx *fragment.LabelIndex, at time.Time, s *obs.EvalStats) HoleResolver {
-	if s == nil {
-		return func(holeID int) []*xmldom.Node { return idx.Fillers(holeID, at) }
-	}
-	return func(holeID int) []*xmldom.Node {
-		els := idx.Fillers(holeID, at)
-		s.AddLabelRangeLookup(len(els))
-		s.AddNodes(len(els))
-		return els
-	}
+// AccessResolver crosses the holes of one store's fragments through an
+// access path, which charges every crossing the way its index pays for
+// it.
+func AccessResolver(acc fragment.Access, st *fragment.Store) HoleResolver {
+	return func(holeID int) []*xmldom.Node { return acc.Filler(st, holeID, true) }
 }
 
 // BudgetResolver wraps a HoleResolver so every hole expansion charges

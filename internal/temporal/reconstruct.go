@@ -30,39 +30,28 @@ import (
 // being duplicated per version. This keeps the view — and therefore all
 // three query plans — consistent about element identity.
 func Temporalize(st *fragment.Store, at time.Time) (*xmldom.Node, error) {
-	return TemporalizeBudget(st, at, nil)
-}
-
-// TemporalizeBudget is Temporalize metered by a resource budget: every
-// element of the view charges a step and its shallow bytes — the logical
-// size, whether the element was rebuilt or shared — so an oversized
-// materialization aborts mid-reconstruction with a *budget.ResourceError
-// instead of exhausting memory first. A nil budget is unlimited.
-func TemporalizeBudget(st *fragment.Store, at time.Time, b *budget.Budget) (*xmldom.Node, error) {
-	return TemporalizeObserved(st, at, b, nil)
-}
-
-// TemporalizeObserved is TemporalizeBudget with per-evaluation cost
-// counters: every hole resolution, examined filler version and rebuilt
-// element is recorded in s — this is how the CaQ plan's whole-document
-// construction shows up in EvalStats. A nil s collects nothing.
-func TemporalizeObserved(st *fragment.Store, at time.Time, b *budget.Budget, s *obs.EvalStats) (view *xmldom.Node, err error) {
-	return TemporalizeWith(st, at, TemporalizeOptions{Budget: b, Stats: s})
+	return TemporalizeWith(st, at, TemporalizeOptions{})
 }
 
 // TemporalizeOptions configures TemporalizeWith beyond the instant:
-// metering, caching and parallel hole resolution. The zero value is
-// plain sequential, uncached, unmetered reconstruction.
+// metering, the access path the holes are crossed through, and parallel
+// hole resolution. The zero value is plain sequential, uncached,
+// unmetered reconstruction.
 type TemporalizeOptions struct {
-	// Budget meters the walk (see TemporalizeBudget); nil is unlimited.
+	// Budget meters the walk: every element of the view charges a step
+	// and its shallow bytes — the logical size, whether the element was
+	// rebuilt or shared — and every resolution its cardinality, so an
+	// oversized materialization aborts mid-reconstruction with a
+	// *budget.ResourceError instead of exhausting memory first. nil is
+	// unlimited.
 	Budget *budget.Budget
-	// Stats collects cost counters (see TemporalizeObserved); nil
-	// collects nothing.
+	// Stats collects the root lookup and every rebuilt element — this is
+	// how the CaQ plan's whole-document construction shows up in
+	// EvalStats; nil collects nothing.
 	Stats *obs.EvalStats
-	// Cache, when non-nil, memoizes hole resolutions across evaluations
-	// (a hit skips the store pass and counts CacheHits instead of
-	// FillersScanned).
-	Cache *fragment.Cache
+	// Access crosses the holes and charges each crossing; nil is an
+	// uncached log scan charging Stats.
+	Access fragment.Access
 	// Parallelism > 1 resolves the view's hole closure on that many
 	// workers before the sequential assembly walk; the output is
 	// byte-identical to sequential reconstruction.
@@ -74,14 +63,17 @@ type TemporalizeOptions struct {
 // TemporalizeWith is the fully configurable temporalize: sequential and
 // cacheless by default, optionally resolving the hole closure on a
 // worker pool (phase A) before the unchanged sequential assembly (phase
-// B) — see the two-phase contract in parallel.go. Whatever the options,
-// the returned view is byte-identical to Temporalize's.
+// B) — see the two-phase contract in fragment/parallel.go. Whatever the
+// options, the returned view is byte-identical to Temporalize's.
 func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) (view *xmldom.Node, err error) {
 	root := st.LatestVersion(fragment.RootFillerID, at)
 	if root == nil {
 		return nil, fmt.Errorf("temporal: root filler has not arrived")
 	}
-	b, s := opts.Budget, opts.Stats
+	b, s, acc := opts.Budget, opts.Stats, opts.Access
+	if acc == nil {
+		acc = fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at, Stats: s})
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			if re, ok := p.(*budget.ResourceError); ok {
@@ -91,30 +83,14 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 			panic(p)
 		}
 	}()
-	// Each resolution charges exactly what the inline sequential walk
-	// charged: the resolved cardinality against the budget, one hole and
-	// the lookup-pass cost against the stats. A cache hit skips the store
-	// pass, so it counts CacheHits instead of FillersScanned.
-	resolve := func(id int) []*xmldom.Node {
-		fillers, hit := opts.Cache.GetFillers(st, id, at)
+	var resolve HoleResolver = func(id int) []*xmldom.Node {
+		fillers := acc.Filler(st, id, true)
 		b.MustItems(len(fillers))
-		s.AddHoles(1)
-		if hit {
-			s.AddCacheHits(1)
-		} else {
-			if opts.Cache != nil {
-				s.AddCacheMisses(1)
-			}
-			s.AddFillers(st.LookupCost(len(fillers)))
-			s.AddNodes(len(fillers))
-		}
 		return fillers
 	}
 	seen := make(map[int]bool)
 	s.AddFillers(st.LookupCost(1)) // the root filler lookup is a pass too
-	if opts.Parallelism > 1 {
-		resolve = Prefetch([]*xmldom.Node{root.Payload}, resolve, opts.Parallelism, opts.Wait, s)
-	}
+	resolve = fragment.Prefetch([]*xmldom.Node{root.Payload}, resolve, opts.Parallelism, opts.Wait, s)
 	return FillHoles(resolve, root.Payload, seen, b, s), nil
 }
 
@@ -206,16 +182,11 @@ func NewReconstructor(s *tagstruct.Structure) *Reconstructor {
 
 // Materialize builds the temporal view using the compiled plan: an
 // explicit work list of (element, tag) pairs in which only hole-bearing
-// subtrees are ever entered.
-func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time) (*xmldom.Node, error) {
-	return r.MaterializeBudget(st, at, nil)
-}
-
-// MaterializeBudget is Materialize metered by a resource budget: each
-// work item charges a step, and spliced fillers charge their cardinality
-// and tree bytes, so reconstruction aborts mid-flight when over budget.
-// A nil budget is unlimited.
-func (r *Reconstructor) MaterializeBudget(st *fragment.Store, at time.Time, b *budget.Budget) (*xmldom.Node, error) {
+// subtrees are ever entered. It is metered by b: each work item charges
+// a step, and spliced fillers charge their cardinality and tree bytes,
+// so reconstruction aborts mid-flight when over budget. A nil budget is
+// unlimited.
+func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.Budget) (*xmldom.Node, error) {
 	rootFrag := st.LatestVersion(fragment.RootFillerID, at)
 	if rootFrag == nil {
 		return nil, fmt.Errorf("temporal: root filler has not arrived")

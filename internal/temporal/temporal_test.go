@@ -47,6 +47,11 @@ func ts(s string) time.Time {
 
 var evalAt = ts("2003-11-15T12:00:00")
 
+// storeResolver crosses st's holes at evalAt through an uncounted log scan.
+func storeResolver(st *fragment.Store) HoleResolver {
+	return AccessResolver(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: evalAt}), st)
+}
+
 func creditStore(t *testing.T) *fragment.Store {
 	t.Helper()
 	s, err := tagstruct.ParseString(creditWire)
@@ -122,7 +127,7 @@ func TestTemporalizeWithoutRootErrors(t *testing.T) {
 		t.Fatal("expected error with empty store")
 	}
 	r := NewReconstructor(s)
-	if _, err := r.Materialize(st, evalAt); err == nil {
+	if _, err := r.Materialize(st, evalAt, nil); err == nil {
 		t.Fatal("expected error with empty store")
 	}
 }
@@ -134,7 +139,7 @@ func TestSchemaReconstructionMatchesTemporalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReconstructor(st.Structure())
-	flat, err := r.Materialize(st, evalAt)
+	flat, err := r.Materialize(st, evalAt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestReadsShareTheStoreAndLeaveItAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Temporalize")
-	flat, err := NewReconstructor(st.Structure()).Materialize(st, evalAt)
+	flat, err := NewReconstructor(st.Structure()).Materialize(st, evalAt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +230,8 @@ func TestReadsShareTheStoreAndLeaveItAlone(t *testing.T) {
 	if out[0].FirstChildElement("customer") != acct.FirstChildElement("customer") {
 		t.Error("unclipped sibling was copied, not shared")
 	}
-	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, StoreResolver(st, evalAt))
-	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, StoreResolver(st, evalAt))
+	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, storeResolver(st))
+	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, storeResolver(st))
 	check("projection across holes")
 }
 
@@ -309,7 +314,7 @@ func TestIntervalProjectionResolvesHoles(t *testing.T) {
 	// project directly over the raw root fragment, crossing holes
 	root := st.Root().Payload
 	window := xtime.NewInterval(xtime.MustParse("2003-10-01T00:00:00"), xtime.Now())
-	out := IntervalProjection([]*xmldom.Node{root}, window, evalAt, StoreResolver(st, evalAt))
+	out := IntervalProjection([]*xmldom.Node{root}, window, evalAt, storeResolver(st))
 	if len(out) != 1 {
 		t.Fatal("root dropped")
 	}

@@ -8,17 +8,16 @@ import (
 )
 
 // Intrinsic function names emitted by the translator and implemented by
-// the Runtime. The prefix keeps them out of the user namespace.
+// the Runtime. The prefix keeps them out of the user namespace. The
+// vocabulary is the same under every fragment plan: which index serves a
+// call is the evaluation's access path (Mode.access), not the plan's text.
 const (
-	fnView      = "xcql:view"      // (stream)            materialized temporal view (CaQ)
-	fnRoot      = "xcql:root"      // (stream)            root filler payload versions (QaC)
-	fnFillers   = "xcql:fillers"   // (nodes, stream, tsid) cross holes, one get_fillers scan per hole (QaC)
-	fnFillersB  = "xcql:fillersb"  // (nodes, stream, tsid) cross holes, batched single pass (QaC+)
-	fnByTSID    = "xcql:bytsid"    // (stream, tsid…)     all filler versions with a tsid (QaC+)
-	fnIProj     = "xcql:iproj"     // (nodes, tb[, te], stream) interval projection over fragments
-	fnVProj     = "xcql:vproj"     // (nodes, vb, ve, stream)   version projection over fragments
-	fnByLabel   = "xcql:bylabel"   // (stream, tsid…)     label-range scan: all fillers with a tsid, served from the label index (QaC++)
-	fnLabelKids = "xcql:labelkids" // (nodes, stream, tsid) cross holes via the label index, zero log scans (QaC++)
+	fnView    = "xcql:view"    // (stream)            materialized temporal view (CaQ)
+	fnRoot    = "xcql:root"    // (stream)            root filler payload versions
+	fnFillers = "xcql:fillers" // (nodes, stream, tsid) cross the holes of a child step
+	fnByTSID  = "xcql:bytsid"  // (stream, tsid…)     all filler versions with a tsid
+	fnIProj   = "xcql:iproj"   // (nodes, tb[, te], stream) interval projection over fragments
+	fnVProj   = "xcql:vproj"   // (nodes, vb, ve, stream)   version projection over fragments
 )
 
 // typedTag is a (stream, tag) pair: the static type the translator tracks
@@ -60,6 +59,8 @@ type compiler struct {
 	// root: stream(x) evaluates to a document node so queries can write
 	// stream(x)/rootName/... exactly as the paper does.
 	docTags map[string]*tagstruct.Tag
+	// order lists the streams the query names, in first-reference order.
+	order []string
 }
 
 // docTag returns (creating on first use) the synthetic document tag of a
@@ -77,34 +78,9 @@ func (c *compiler) docTag(stream string) *tagstruct.Tag {
 	return t
 }
 
-// fillersFn picks the hole-crossing intrinsic for the mode: QaC loops one
-// get_fillers scan per hole (the paper's translation); QaC+ uses the
-// batched single-pass variant (§8's unnested/join get_fillers); QaC++
-// answers the same batch from the prefix-label index without touching
-// the fragment log.
-func (c *compiler) fillersFn() string {
-	switch c.mode {
-	case QaCPlus:
-		return fnFillersB
-	case QaCPlusPlus:
-		return fnLabelKids
-	default:
-		return fnFillers
-	}
-}
-
-// byTSIDFn picks the whole-stream descendant intrinsic: the tsid index
-// for QaC+, the label-range scan for QaC++.
-func (c *compiler) byTSIDFn() string {
-	if c.mode == QaCPlusPlus {
-		return fnByLabel
-	}
-	return fnByTSID
-}
-
 // isStreamTop reports whether the tag denotes the whole stream (the
-// synthetic document tag or the root), the precondition for the QaC+
-// tsid-index shortcut.
+// synthetic document tag or the root), the precondition for the by-tsid
+// shortcut.
 func (c *compiler) isStreamTop(tt typedTag) bool {
 	s := c.streams[tt.stream]
 	return s != nil && (tt.tag == s.Root || tt.tag == c.docTags[tt.stream])
@@ -112,20 +88,13 @@ func (c *compiler) isStreamTop(tt typedTag) bool {
 
 // Compile translates an XCQL expression into an engine expression for the
 // given mode. streams maps stream names to their tag structures; a query
-// referencing an unregistered stream is rejected at compile time.
-func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (xq.Expr, error) {
+// referencing an unregistered stream is rejected at compile time. named
+// lists the streams the query references, in first-reference order: the
+// scope its evaluations resolve holes in.
+func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (plan xq.Expr, named []string, err error) {
 	c := &compiler{mode: mode, streams: streams}
-	out, _, err := c.rewrite(e, env{vars: map[string]typeSet{}})
-	return out, err
-}
-
-// CompileQueryString parses and translates in one step.
-func CompileQueryString(src string, mode Mode, streams map[string]*tagstruct.Structure) (xq.Expr, error) {
-	e, err := xq.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(e, mode, streams)
+	plan, _, err = c.rewrite(e, env{vars: map[string]typeSet{}})
+	return plan, c.order, err
 }
 
 func lit(v any) xq.Expr { return &xq.Literal{Val: v} }
@@ -141,6 +110,10 @@ func (c *compiler) rewrite(e xq.Expr, en env) (xq.Expr, typeSet, error) {
 	case *xq.StreamRef:
 		if _, ok := c.streams[ex.Name]; !ok {
 			return nil, nil, fmt.Errorf("xcql: unknown stream %q", ex.Name)
+		}
+		if c.docTags[ex.Name] == nil {
+			// docTag creates the tag below: none yet is a first reference
+			c.order = append(c.order, ex.Name)
 		}
 		ts := typeSet{{stream: ex.Name, tag: c.docTag(ex.Name)}}
 		if c.mode == CaQ {
@@ -431,7 +404,7 @@ func (c *compiler) rewriteChildStep(base xq.Expr, baseTS typeSet, step xq.Step, 
 			outTS = append(outTS, typedTag{stream: tt.stream, tag: child})
 			if child.IsFragmented() {
 				pieces = append(pieces, &xq.Call{
-					Name: c.fillersFn(),
+					Name: fnFillers,
 					Args: []xq.Expr{base, lit(tt.stream), lit(float64(child.ID))},
 				})
 			} else if !seenPlain[child.Name] {
@@ -461,8 +434,9 @@ func (c *compiler) rewriteChildStep(base xq.Expr, baseTS typeSet, step xq.Step, 
 }
 
 // rewriteDescendantStep implements e//A by expanding the tag structure's
-// valid paths (the wildcard expansion of §4.1). In QaC+ mode, when the
-// base is the whole stream, the expansion collapses to a tsid-index fetch.
+// valid paths (the wildcard expansion of §4.1). Under the index plans,
+// when the base is the whole stream, the expansion collapses to one
+// by-tsid fetch.
 func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.Step, en env) (xq.Expr, typeSet, error) {
 	var outTS typeSet
 	var pieces []xq.Expr
@@ -490,7 +464,7 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 			}
 			if len(tsids) > 0 {
 				args := append([]xq.Expr{lit(tt.stream)}, tsids...)
-				pieces = append(pieces, &xq.Call{Name: c.byTSIDFn(), Args: args})
+				pieces = append(pieces, &xq.Call{Name: fnByTSID, Args: args})
 			}
 			continue
 		}
@@ -537,7 +511,7 @@ func (c *compiler) buildChain(base xq.Expr, from typedTag, target *tagstruct.Tag
 	cur := base
 	for _, tag := range chain {
 		if tag.IsFragmented() {
-			cur = &xq.Call{Name: c.fillersFn(), Args: []xq.Expr{cur, lit(from.stream), lit(float64(tag.ID))}}
+			cur = &xq.Call{Name: fnFillers, Args: []xq.Expr{cur, lit(from.stream), lit(float64(tag.ID))}}
 		} else {
 			cur = appendPathStep(cur, xq.Step{Axis: xq.AxisChild, Name: tag.Name})
 		}

@@ -216,10 +216,7 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 	case fnRoot:
 		return q.censusWhole(ExplainTarget{Op: "root", Stream: litString(call.Args, 0)}), true
 	case fnFillers:
-		t := ExplainTarget{Op: "get_fillers", Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2)}
-		return q.censusTSID(t), true
-	case fnFillersB:
-		t := ExplainTarget{Op: "get_fillers_batched", Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2)}
+		t := ExplainTarget{Op: crossingOps[q.Mode.access()], Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2)}
 		return q.censusTSID(t), true
 	case fnByTSID:
 		// one target per tsid argument would lose the shared single call;
@@ -227,14 +224,10 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		// (arguments are literals). Multi-tsid fetches are rare: they need
 		// several same-named fragmented tags under distinct parents.
 		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1)}
+		if q.Mode.access() == fragment.LabelIndexAccess {
+			t.Op = "label-range"
+		}
 		return q.censusTSID(t), true
-	case fnByLabel:
-		// same first-tsid convention as fnByTSID above
-		t := ExplainTarget{Op: "label-range", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1)}
-		return q.censusLabel(t), true
-	case fnLabelKids:
-		t := ExplainTarget{Op: "label-kids", Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2)}
-		return q.censusLabel(t), true
 	case fnIProj:
 		return ExplainTarget{Op: "interval-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
 	case fnVProj:
@@ -243,8 +236,20 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 	return ExplainTarget{}, false
 }
 
+// crossingOps names the child-step access path after the index that
+// serves it: the plan text is the same under every fragment plan, the
+// access implementation is what differs.
+var crossingOps = map[fragment.AccessKind]string{
+	fragment.LogScanAccess:    "get_fillers",
+	fragment.TSIDIndexAccess:  "get_fillers_batched",
+	fragment.LabelIndexAccess: "label-kids",
+}
+
 // censusTSID fills a target's store census: distinct filler ids and
 // versions currently carrying the tsid, and the cost of one lookup pass.
+// The label index returns exactly the stored versions under the tsid, so
+// there one pass costs the returned versions — never a log scan, even on
+// a scan-mode store. That gap is the QaC++ speedup EXPLAIN predicts.
 func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 	st := q.rt.Store(t.Stream)
 	if st == nil {
@@ -253,31 +258,15 @@ func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 	if tag := st.Structure().ByID(t.TSID); tag != nil {
 		t.Tag = tag.Name
 	}
-	versions := st.ByTSID(t.TSID)
-	ids := map[int]bool{}
-	for _, f := range versions {
-		ids[f.FillerID] = true
-	}
-	t.Holes = len(ids)
-	t.Versions = len(versions)
-	t.CostPerPass = st.LookupCost(len(versions))
-	return t
-}
-
-// censusLabel fills a QaC++ target from the label index: the index
-// fetch returns exactly the stored versions under the tsid, so the cost
-// of one pass is the returned versions — never a log scan, even on a
-// scan-mode store. That gap is the QaC++ speedup EXPLAIN predicts.
-func (q *Query) censusLabel(t ExplainTarget) ExplainTarget {
-	st := q.rt.Store(t.Stream)
-	if st == nil {
+	if q.Mode.access() == fragment.LabelIndexAccess {
+		t.Holes, t.Versions = st.Labels().TSIDCensus(t.TSID)
+		t.CostPerPass = t.Versions
 		return t
 	}
-	if tag := st.Structure().ByID(t.TSID); tag != nil {
-		t.Tag = tag.Name
-	}
-	t.Holes, t.Versions = st.Labels().TSIDCensus(t.TSID)
-	t.CostPerPass = t.Versions
+	versions := st.ByTSID(t.TSID)
+	t.Holes = len(distinctFillerIDs(versions))
+	t.Versions = len(versions)
+	t.CostPerPass = st.LookupCost(len(versions))
 	return t
 }
 
@@ -324,8 +313,8 @@ func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
 		// QaC++: an index fetch, no holes and no log pass
 		p.AddLabelRangeLookup(t.Versions)
 	case "root":
-		if q.Mode == QaCPlusPlus {
-			// QaC++ serves the root from the label index too
+		if q.Mode.access() == fragment.LabelIndexAccess {
+			// the label index serves the root too
 			if st := q.rt.Store(t.Stream); st != nil {
 				p.AddLabelRangeLookup(st.Labels().VersionCount(fragment.RootFillerID))
 			}

@@ -27,8 +27,8 @@ func FuzzCompile(f *testing.F) {
 		`declare function f($x) { if ($x = 0) then 0 else f($x - 1) }; f(3)`,
 		`declare function boom($x) { boom($x + 1) }; boom(0)`,
 		`stream("credit")//status?[start,now]`,
-		// descendant step straight off the stream: the shape QaC++
-		// compiles to a label-range scan (fnByLabel)
+		// descendant step straight off the stream: the shape the index
+		// plans compile to a by-tsid fetch (fnByTSID)
 		`for $s in stream("credit")//status return $s`,
 		`get_fillers(1)`,
 		`((((`,

@@ -9,17 +9,24 @@
 //     holes on demand from the root via get_fillers.
 //   - QaC+ (tsid-indexed QaC): jump straight to the fillers a descendant
 //     step needs using the tsid index, skipping hole reconciliation on
-//     levels the query never touches.
-//   - QaC++ (prefix-labeled QaC+): serve every access from the store's
-//     Dewey-label index, so evaluation never resolves a hole and never
-//     scans the fragment log — assembly order comes from the labels.
+//     levels the query never touches, and cross a child step's holes in
+//     one batched pass.
+//   - QaC++: the same plan as QaC+ over a different index — every read is
+//     served from the store's Dewey prefix-label index, so evaluation
+//     never resolves a hole and never scans the fragment log.
 //
-// The evaluator is shared across plans; only the rewritten access paths
-// differ, so measured differences between modes are plan differences —
-// exactly the comparison of §7.
+// The evaluator is shared across plans and the fragment plans share one
+// intrinsic vocabulary; a mode is a translation (materialize first, or
+// not; take the by-tsid shortcut, or not) plus the access path its store
+// reads go through (fragment.Access), so measured differences between
+// modes are plan differences — exactly the comparison of §7.
 package xcql
 
-import "fmt"
+import (
+	"fmt"
+
+	"xcql/internal/fragment"
+)
 
 // Mode selects the physical execution plan.
 type Mode uint8
@@ -33,12 +40,27 @@ const (
 	// QaCPlus is QaC with the tsid index: descendant steps over the whole
 	// stream fetch exactly the fillers they need.
 	QaCPlus
-	// QaCPlusPlus is QaC+ with Dewey-style prefix labels: every access —
-	// root, batched children, descendant jumps, projections and hole
-	// materialization — is served from the store's label index, so the
-	// plan resolves zero holes and performs zero log scans.
+	// QaCPlusPlus is the QaC+ plan over the store's Dewey prefix-label
+	// index: every read — root, child steps, descendant jumps, projections
+	// and hole materialization — is an index fetch, so the plan resolves
+	// zero holes and performs zero log scans.
 	QaCPlusPlus
 )
+
+// access is the index the mode's store reads are served from. The three
+// fragment plans translate to the same intrinsic vocabulary; this is the
+// only place they part (QaC additionally skips the by-tsid shortcut in
+// translation, which is what makes it the paper's QaC).
+func (m Mode) access() fragment.AccessKind {
+	switch m {
+	case QaCPlus:
+		return fragment.TSIDIndexAccess
+	case QaCPlusPlus:
+		return fragment.LabelIndexAccess
+	default:
+		return fragment.LogScanAccess
+	}
+}
 
 // String returns the paper's spelling of the mode.
 func (m Mode) String() string {

@@ -132,3 +132,67 @@ func TestDeclaredFunctionThroughCompiler(t *testing.T) {
 		t.Fatalf("totals = %v", got)
 	}
 }
+
+const nestedWire = `<stream:structure>
+<tag type="snapshot" id="1" name="doc">
+  <tag type="temporal" id="2" name="a">
+    <tag type="temporal" id="3" name="b">
+      <tag type="temporal" id="4" name="c"/>
+    </tag>
+  </tag>
+</tag>
+</stream:structure>`
+
+// nestedStore is doc/a/b/c with every level below the root a filler of
+// its own, ids minted from 1 the way every Fragmenter mints them; mark is
+// the text of the innermost <c>.
+func nestedStore(t *testing.T, mark string) *fragment.Store {
+	t.Helper()
+	s, err := tagstruct.ParseString(nestedWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fragment.NewStore(s)
+	at := ts("2003-01-01T00:00:00")
+	for _, f := range []*fragment.Fragment{
+		fragment.New(fragment.RootFillerID, 1, at, xmldom.MustParseString(`<doc><hole id="1" tsid="2"/></doc>`).Root()),
+		fragment.New(1, 2, at, xmldom.MustParseString(`<a><hole id="2" tsid="3"/></a>`).Root()),
+		fragment.New(2, 3, at, xmldom.MustParseString(`<b><hole id="3" tsid="4"/></b>`).Root()),
+		fragment.New(3, 4, at, xmldom.MustParseString(`<c>`+mark+`</c>`).Root()),
+	} {
+		if err := st.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// TestHolesResolveInTheQueriedStream: filler ids are unique within a
+// stream only, so the holes a result carries must be filled from the
+// stream the query names — never from another stream registered on the
+// same runtime that happens to hold the same ids.
+func TestHolesResolveInTheQueriedStream(t *testing.T) {
+	rt := NewRuntime()
+	rt.RegisterStream("one", nestedStore(t, "one"))
+	rt.RegisterStream("two", nestedStore(t, "two"))
+	at := ts("2003-06-01T00:00:00")
+	for _, mode := range allModes {
+		for _, par := range []int{1, 4} {
+			for _, cache := range []int{0, 64} {
+				q := rt.MustCompile(`stream("one")/doc/a/b`, mode).WithParallelism(par).WithCache(cache)
+				for i := 0; i < 50; i++ {
+					seq, err := q.Eval(at)
+					if err != nil {
+						t.Fatalf("%s par=%d cache=%d: %v", mode, par, cache, err)
+					}
+					if len(seq) != 1 {
+						t.Fatalf("%s par=%d cache=%d: %d items", mode, par, cache, len(seq))
+					}
+					if got := seq[0].(*xmldom.Node).TrimmedText(); got != "one" {
+						t.Fatalf("%s par=%d cache=%d eval %d: <c> = %q, want stream one's", mode, par, cache, i, got)
+					}
+				}
+			}
+		}
+	}
+}

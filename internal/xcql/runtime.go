@@ -191,6 +191,9 @@ type Query struct {
 	AST xq.Expr
 	// Plan is the translated engine expression actually evaluated.
 	Plan xq.Expr
+	// streams are the streams the query names, in first-reference order:
+	// the stores its evaluations resolve holes in.
+	streams []string
 	// Limits bounds every evaluation of this query: steps, recursion
 	// depth, cardinality, bytes and wall time. The zero value is
 	// unlimited except for the recursion-depth default. Set it before
@@ -291,7 +294,7 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 		return nil, err
 	}
 	trStart := time.Now()
-	plan, err := Compile(ast, mode, rt.Structures())
+	plan, streams, err := Compile(ast, mode, rt.Structures())
 	translateTime := time.Since(trStart)
 	if err != nil {
 		return nil, err
@@ -301,7 +304,7 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 		sink.Span("translate", mode.String(), trStart, translateTime)
 	}
 	return &Query{
-		rt: rt, Mode: mode, Source: src, AST: ast, Plan: plan,
+		rt: rt, Mode: mode, Source: src, AST: ast, Plan: plan, streams: streams,
 		parseTime: parseTime, translateTime: translateTime,
 	}, nil
 }
@@ -374,7 +377,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	if par > 1 {
 		wait = obs.NewHistogram()
 	}
-	static := q.rt.newStatic(at, b, stats, par, cache, wait, q.Mode)
+	static := q.newStatic(at, b, stats, par, cache, wait)
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -411,7 +414,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	}
 	if materialize {
 		matStart := time.Now()
-		seq = q.rt.materializeResult(seq, static, q.Mode)
+		seq = materializeResult(seq, static)
 		stats.MaterializeTime = time.Since(matStart)
 		if sink != nil {
 			sink.Span("materialize", q.Mode.String(), matStart, stats.MaterializeTime)
@@ -431,33 +434,31 @@ func (q *Query) wrapResource(err error) error {
 }
 
 // newStatic assembles the evaluation environment: intrinsics, user
-// functions, the resolvers, the evaluation's resource budget, and the
-// parallelism/cache execution options. Under QaCPlusPlus the root,
-// projection and hole-materialization paths are swapped for their
-// label-index-served variants, so a QaC++ evaluation never scans the
-// fragment log and never resolves a hole.
-func (rt *Runtime) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, par int, cache *fragment.Cache, wait *obs.Histogram, mode Mode) *xq.Static {
+// functions, the evaluation's resource budget, and the access path every
+// store read goes through — the one place the mode's index is chosen,
+// with the parallelism/cache execution options folded into it.
+func (q *Query) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, par int, cache *fragment.Cache, wait *obs.Histogram) *xq.Static {
+	rt := q.rt
+	acc := fragment.NewAccess(q.Mode.access(), fragment.Eval{
+		At: at, Stats: s, Budget: b, Cache: cache, Parallelism: par, Wait: wait,
+	})
 	funcs := map[string]xq.Func{
-		fnView:      rt.intrView,
-		fnRoot:      rt.intrRoot,
-		fnFillers:   rt.intrFillers,
-		fnFillersB:  rt.intrFillersBatch,
-		fnByTSID:    rt.intrByTSID,
-		fnIProj:     rt.intrIProj,
-		fnVProj:     rt.intrVProj,
-		fnByLabel:   rt.intrByLabel,
-		fnLabelKids: rt.intrLabelKids,
-	}
-	holes := temporal.BudgetResolver(b, rt.combinedResolver(at, s, cache))
-	if mode == QaCPlusPlus {
-		funcs[fnRoot] = rt.intrRootLabeled
-		funcs[fnIProj] = rt.intrIProjLabeled
-		funcs[fnVProj] = rt.intrVProjLabeled
-		holes = temporal.BudgetResolver(b, rt.labelResolver(at, s))
+		fnView:    rt.intrView,
+		fnRoot:    rt.intrRoot,
+		fnFillers: rt.intrFillers,
+		fnByTSID:  rt.intrByTSID,
+		fnIProj:   rt.intrIProj,
+		fnVProj:   rt.intrVProj,
 	}
 	rt.mu.RLock()
 	for name, f := range rt.funcs {
 		funcs[name] = f
+	}
+	stores := make([]*fragment.Store, 0, len(q.streams))
+	for _, name := range q.streams {
+		if st := rt.stores[name]; st != nil {
+			stores = append(stores, st)
+		}
 	}
 	rt.mu.RUnlock()
 	static := &xq.Static{
@@ -471,11 +472,11 @@ func (rt *Runtime) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, p
 			}
 			return nil, fmt.Errorf("xcql: unknown document %q", uri)
 		},
-		Holes:       holes,
+		Holes:       temporal.BudgetResolver(b, scopedResolver(acc, stores)),
 		Budget:      b,
 		Stats:       s,
 		Parallelism: par,
-		Cache:       cache,
+		Access:      acc,
 		Wait:        wait,
 	}
 	static.Stream = func(name string) (xq.Sequence, error) {
@@ -485,49 +486,17 @@ func (rt *Runtime) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, p
 	return static
 }
 
-// combinedResolver resolves hole ids across all registered stores; filler
-// ids are unique within a stream, and servers are expected to keep id
-// spaces disjoint across streams they co-publish (ours do). Each store
-// tried counts as one lookup pass in the stats (nil s collects nothing);
-// with a cache, a hit replaces the pass with a CacheHits count.
-func (rt *Runtime) combinedResolver(at time.Time, s *obs.EvalStats, cache *fragment.Cache) temporal.HoleResolver {
+// scopedResolver crosses holes that no stream-named call covers — steps
+// over untyped content and the final materialization — through the
+// stores of the streams the plan names, in first-reference order; the
+// first store holding the id answers. Filler ids are unique within a
+// stream only, so a plan never resolves through a stream it does not
+// name, and a join of streams with overlapping ids whose result carries
+// holes resolves them in its first stream (DESIGN.md "Access paths").
+func scopedResolver(acc fragment.Access, stores []*fragment.Store) temporal.HoleResolver {
 	return func(holeID int) []*xmldom.Node {
-		s.AddHoles(1)
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		for _, st := range rt.stores {
-			els, hit := cache.GetFillers(st, holeID, at)
-			if hit {
-				s.AddCacheHits(1)
-			} else {
-				if cache != nil {
-					s.AddCacheMisses(1)
-				}
-				s.AddFillers(st.LookupCost(len(els)))
-				s.AddNodes(len(els))
-			}
-			if len(els) > 0 {
-				return els
-			}
-		}
-		return nil
-	}
-}
-
-// labelResolver resolves hole ids across all registered stores through
-// their label indexes: no log pass ever runs and no hole is counted as
-// resolved — each store tried charges one label-range lookup instead.
-// This is the QaC++ materialization path; HolesResolved stays 0 by
-// construction.
-func (rt *Runtime) labelResolver(at time.Time, s *obs.EvalStats) temporal.HoleResolver {
-	return func(holeID int) []*xmldom.Node {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		for _, st := range rt.stores {
-			els := st.Labels().Fillers(holeID, at)
-			s.AddLabelRangeLookup(len(els))
-			s.AddNodes(len(els))
-			if len(els) > 0 {
+		for _, st := range stores {
+			if els := acc.Filler(st, holeID, true); len(els) > 0 {
 				return els
 			}
 		}
@@ -552,23 +521,23 @@ func argString(args []xq.Sequence, i int) string {
 	return xq.StringValue(args[i][0])
 }
 
-// chargeNodes meters the output of a store walk (get_fillers and the
-// tsid scan): cardinality plus the tree bytes of every resolved filler
-// version. This is what bounds the QaC/QaC+ access paths.
-func chargeNodes(b *budget.Budget, seq xq.Sequence) error {
-	if b == nil {
-		return nil
-	}
-	if err := b.AddItems(len(seq)); err != nil {
-		return err
-	}
-	var n int64
-	for _, it := range seq {
-		if nd, ok := it.(*xmldom.Node); ok {
+// chargeNodes meters the output of a store read: cardinality plus the
+// tree bytes of every resolved filler version. This is what bounds the
+// fragment plans' access paths.
+func chargeNodes(b *budget.Budget, out []*xmldom.Node) (xq.Sequence, error) {
+	if b != nil {
+		if err := b.AddItems(len(out)); err != nil {
+			return nil, err
+		}
+		var n int64
+		for _, nd := range out {
 			n += int64(nd.TreeSize())
 		}
+		if err := b.AddBytes(n); err != nil {
+			return nil, err
+		}
 	}
-	return b.AddBytes(n)
+	return xq.FromNodes(out), nil
 }
 
 func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, error) {
@@ -581,7 +550,7 @@ func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, e
 	view, err := temporal.TemporalizeWith(st, static.Now, temporal.TemporalizeOptions{
 		Budget:      static.Budget,
 		Stats:       static.Stats,
-		Cache:       static.Cache,
+		Access:      static.Access,
 		Parallelism: static.Parallelism,
 		Wait:        static.Wait,
 	})
@@ -602,9 +571,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	if err != nil {
 		return nil, err
 	}
-	els := st.GetFillers(fragment.RootFillerID, ctx.Static.Now)
-	ctx.Static.Stats.AddFillers(st.LookupCost(len(els)))
-	ctx.Static.Stats.AddNodes(len(els))
+	els := ctx.Static.Access.Filler(st, fragment.RootFillerID, false)
 	if len(els) == 0 {
 		return nil, nil
 	}
@@ -614,33 +581,13 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	return xq.Singleton(doc), nil
 }
 
-// intrRootLabeled is the QaC++ root access: the root filler's versions
-// come from the label index's version groups, so the call costs one
-// label-range lookup and zero log scans (intrRoot's pass would cost a
-// whole-log scan on the scan-mode store).
-func (rt *Runtime) intrRootLabeled(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	st, err := rt.storeOrErr(argString(args, 0))
-	if err != nil {
-		return nil, err
-	}
-	els := st.Labels().Fillers(fragment.RootFillerID, ctx.Static.Now)
-	ctx.Static.Stats.AddLabelRangeLookup(len(els))
-	ctx.Static.Stats.AddNodes(len(els))
-	if len(els) == 0 {
-		return nil, nil
-	}
-	doc := xmldom.NewDocument()
-	doc.AppendChild(els[len(els)-1])
-	return xq.Singleton(doc), nil
-}
-
 // intrFillers is get_fillers of §5: for every hole with the given tsid in
-// the input nodes, return the versions of its fillers.
-//
-// The per-hole store passes are independent of each other, so this is
-// the QaC fan-out point: with Parallelism > 1 the distinct ids resolve
-// on the worker pool and the output is assembled from the memo in the
-// original order — the sequential concatenation order, byte for byte.
+// the input nodes, return the versions of its fillers. Each filler id
+// resolves once per call — several versions of the same container carry
+// the same holes, and a child is one element, not one element per parent
+// version (matches Temporalize's rule). Whether the id set costs one pass
+// per hole, one batched pass or an index fetch is the access path's
+// business.
 func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
 	if len(args) != 3 {
 		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnFillers)
@@ -653,19 +600,17 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 		return nil, fmt.Errorf("xcql: empty tsid argument")
 	}
 	tsid := int(xq.NumberValue(args[2][0]))
-	// collect the ordered work list: inline (already materialized)
-	// elements interleave with hole ids, and each filler id resolves once
-	// per call — several versions of the same container carry the same
-	// holes, and a child is one element, not one element per parent
-	// version (matches Temporalize's rule)
-	type item struct {
-		inline *xmldom.Node
-		id     int
-		isID   bool
-	}
-	var order []item
+	var out []*xmldom.Node
 	var ids []int
-	resolved := make(map[int]bool)
+	seen := make(map[int]bool)
+	// the pending hole ids are read as one set; an inline node between two
+	// holed ones closes the set so the output stays in input order
+	flush := func() {
+		if len(ids) > 0 {
+			out = append(out, ctx.Static.Access.Fillers(st, ids)...)
+			ids = ids[:0]
+		}
+	}
 	for _, n := range xq.Nodes(args[0]) {
 		holeIDs := fragment.HoleIDs(n, tsid)
 		if len(holeIDs) == 0 {
@@ -673,107 +618,8 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 			// interval projection, which resolves holes while clipping);
 			// the versions then sit inline as name-matched children.
 			if tag := st.Structure().ByID(tsid); tag != nil {
-				for _, c := range n.ChildElements(tag.Name) {
-					order = append(order, item{inline: c})
-				}
-			}
-			continue
-		}
-		for _, id := range holeIDs {
-			if resolved[id] {
-				continue
-			}
-			resolved[id] = true
-			ids = append(ids, id)
-			order = append(order, item{id: id, isID: true})
-		}
-	}
-	// one store pass per hole id: this is the per-hole cost the QaC plan
-	// pays and the batched QaC+ flavour avoids
-	memo, err := rt.resolvePerHole(ctx.Static, st, ids)
-	if err != nil {
-		return nil, err
-	}
-	var out xq.Sequence
-	for _, it := range order {
-		if !it.isID {
-			out = append(out, it.inline)
-			continue
-		}
-		for _, el := range memo[it.id] {
-			out = append(out, el)
-		}
-	}
-	if err := chargeNodes(ctx.Static.Budget, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// resolvePerHole issues one get_fillers pass per id — sequentially, or
-// on the worker pool when the evaluation's Parallelism allows. Every
-// resolution charges one budget step (cancellation poll), one hole and
-// either the lookup-pass cost (store hit) or a cache hit.
-func (rt *Runtime) resolvePerHole(static *xq.Static, st *fragment.Store, ids []int) (map[int][]*xmldom.Node, error) {
-	resolveCharged := func(id int) []*xmldom.Node {
-		els, hit := static.Cache.GetFillers(st, id, static.Now)
-		static.Stats.AddHoles(1)
-		if hit {
-			static.Stats.AddCacheHits(1)
-		} else {
-			if static.Cache != nil {
-				static.Stats.AddCacheMisses(1)
-			}
-			static.Stats.AddFillers(st.LookupCost(len(els)))
-			static.Stats.AddNodes(len(els))
-		}
-		return els
-	}
-	if static.Parallelism > 1 && len(ids) > 1 {
-		resolve := func(id int) []*xmldom.Node {
-			// MustStep: workers cannot return errors; the pool re-raises
-			// the budget panic on the caller, where eval() contains it
-			static.Budget.MustStep()
-			return resolveCharged(id)
-		}
-		return temporal.ResolveIDs(ids, resolve, static.Parallelism, static.Wait, static.Stats), nil
-	}
-	memo := make(map[int][]*xmldom.Node, len(ids))
-	for _, id := range ids {
-		if err := static.Budget.Step(); err != nil {
-			return nil, err
-		}
-		memo[id] = resolveCharged(id)
-	}
-	return memo, nil
-}
-
-// intrFillersBatch is the QaC+ flavour of get_fillers: it collects every
-// matching hole id across the input nodes and resolves the whole set in
-// one pass over the store (the unnested/join get_fillers of §8).
-func (rt *Runtime) intrFillersBatch(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	if len(args) != 3 {
-		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnFillersB)
-	}
-	st, err := rt.storeOrErr(argString(args, 1))
-	if err != nil {
-		return nil, err
-	}
-	if len(args[2]) == 0 {
-		return nil, fmt.Errorf("xcql: empty tsid argument")
-	}
-	tsid := int(xq.NumberValue(args[2][0]))
-	var ids []int
-	seen := make(map[int]bool)
-	var out xq.Sequence
-	for _, n := range xq.Nodes(args[0]) {
-		holeIDs := fragment.HoleIDs(n, tsid)
-		if len(holeIDs) == 0 {
-			// materialized input: versions sit inline (see intrFillers)
-			if tag := st.Structure().ByID(tsid); tag != nil {
-				for _, c := range n.ChildElements(tag.Name) {
-					out = append(out, c)
-				}
+				flush()
+				out = append(out, n.ChildElements(tag.Name)...)
 			}
 			continue
 		}
@@ -784,34 +630,13 @@ func (rt *Runtime) intrFillersBatch(ctx *xq.Context, args []xq.Sequence) (xq.Seq
 			}
 		}
 	}
-	if len(ids) > 0 {
-		// the whole id set resolves in ONE pass over the store — the
-		// unnested get_fillers of §8 that separates QaC+ from QaC. With a
-		// cache, resident ids are served from memory and only the misses
-		// share that one pass (Cache.GetFillersList); scanned is then the
-		// miss pass's cost, or the full pass on a nil cache.
-		cache := ctx.Static.Cache
-		els, hits, misses, scanned, built := cache.GetFillersList(st, ids, ctx.Static.Now)
-		ctx.Static.Stats.AddHoles(len(ids))
-		ctx.Static.Stats.AddFillers(scanned)
-		ctx.Static.Stats.AddNodes(built)
-		if cache != nil {
-			ctx.Static.Stats.AddCacheHits(hits)
-			ctx.Static.Stats.AddCacheMisses(misses)
-		}
-		for _, el := range els {
-			out = append(out, el)
-		}
-	}
-	if err := chargeNodes(ctx.Static.Budget, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	flush()
+	return chargeNodes(ctx.Static.Budget, out)
 }
 
-// intrByTSID is the QaC+ access path: all filler versions whose tsid is in
-// the given set, fetched straight from the tsid index (one predicate scan
-// in the paper's cost model) without touching any other document level.
+// intrByTSID is the index plans' descendant jump: all filler versions
+// whose tsid is in the given set, without touching any other document
+// level.
 func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
 	if len(args) < 2 {
 		return nil, fmt.Errorf("xcql: %s wants (stream, tsid…)", fnByTSID)
@@ -820,138 +645,22 @@ func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence,
 	if err != nil {
 		return nil, err
 	}
-	var out xq.Sequence
+	var out []*xmldom.Node
 	for _, a := range args[1:] {
-		if len(a) == 0 {
-			continue
-		}
-		tsid := int(xq.NumberValue(a[0]))
-		cache := ctx.Static.Cache
-		els, hit := cache.GetFillersByTSID(st, tsid, ctx.Static.Now)
-		ctx.Static.Stats.AddTSIDLookup(len(els))
-		if hit {
-			ctx.Static.Stats.AddCacheHits(1)
-		} else {
-			if cache != nil {
-				ctx.Static.Stats.AddCacheMisses(1)
-			}
-			ctx.Static.Stats.AddFillers(st.LookupCost(len(els)))
-			ctx.Static.Stats.AddNodes(len(els))
-		}
-		for _, el := range els {
-			out = append(out, el)
+		if len(a) > 0 {
+			out = append(out, ctx.Static.Access.ByTSID(st, int(xq.NumberValue(a[0])))...)
 		}
 	}
-	if err := chargeNodes(ctx.Static.Budget, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return chargeNodes(ctx.Static.Budget, out)
 }
 
-// intrLabelKids is the QaC++ flavour of the batched get_fillers: the
-// whole hole-id set of a child step is answered from the label index in
-// input order — identical output to intrFillersBatch, zero log scans,
-// zero holes resolved. The batch charges one label-range lookup.
-func (rt *Runtime) intrLabelKids(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	if len(args) != 3 {
-		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnLabelKids)
-	}
-	st, err := rt.storeOrErr(argString(args, 1))
-	if err != nil {
-		return nil, err
-	}
-	if len(args[2]) == 0 {
-		return nil, fmt.Errorf("xcql: empty tsid argument")
-	}
-	tsid := int(xq.NumberValue(args[2][0]))
-	var ids []int
-	seen := make(map[int]bool)
-	var out xq.Sequence
-	for _, n := range xq.Nodes(args[0]) {
-		holeIDs := fragment.HoleIDs(n, tsid)
-		if len(holeIDs) == 0 {
-			// materialized input: versions sit inline (see intrFillers)
-			if tag := st.Structure().ByID(tsid); tag != nil {
-				for _, c := range n.ChildElements(tag.Name) {
-					out = append(out, c)
-				}
-			}
-			continue
-		}
-		for _, id := range holeIDs {
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
-	if len(ids) > 0 {
-		els := st.Labels().FillersList(ids, ctx.Static.Now)
-		ctx.Static.Stats.AddLabelRangeLookup(len(els))
-		ctx.Static.Stats.AddNodes(len(els))
-		for _, el := range els {
-			out = append(out, el)
-		}
-	}
-	if err := chargeNodes(ctx.Static.Budget, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// intrByLabel is the QaC++ whole-stream descendant access: all filler
-// versions under the given tsids, grouped by filler id ascending —
-// byte-identical to intrByTSID — served from the label index with zero
-// log scans.
-func (rt *Runtime) intrByLabel(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	if len(args) < 2 {
-		return nil, fmt.Errorf("xcql: %s wants (stream, tsid…)", fnByLabel)
-	}
-	st, err := rt.storeOrErr(argString(args, 0))
-	if err != nil {
-		return nil, err
-	}
-	idx := st.Labels()
-	var out xq.Sequence
-	for _, a := range args[1:] {
-		if len(a) == 0 {
-			continue
-		}
-		tsid := int(xq.NumberValue(a[0]))
-		els := idx.FillersByTSID(tsid, ctx.Static.Now)
-		ctx.Static.Stats.AddLabelRangeLookup(len(els))
-		ctx.Static.Stats.AddNodes(len(els))
-		for _, el := range els {
-			out = append(out, el)
-		}
-	}
-	if err := chargeNodes(ctx.Static.Budget, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// projResolver is the hole resolver a projection intrinsic slices with:
+// the evaluation's access path over the projection's own stream.
+func projResolver(static *xq.Static, st *fragment.Store) temporal.HoleResolver {
+	return temporal.BudgetResolver(static.Budget, temporal.AccessResolver(static.Access, st))
 }
 
 func (rt *Runtime) intrIProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	return rt.iproj(ctx, args, false)
-}
-
-// intrIProjLabeled is the QaC++ interval projection: hole crossing
-// during clipping resolves through the label index.
-func (rt *Runtime) intrIProjLabeled(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	return rt.iproj(ctx, args, true)
-}
-
-// projResolver picks the hole resolver a projection intrinsic slices
-// with: the observed store resolver (one log pass per hole), or the
-// label-index resolver under QaC++.
-func projResolver(st *fragment.Store, at time.Time, s *obs.EvalStats, b *budget.Budget, labeled bool) temporal.HoleResolver {
-	if labeled {
-		return temporal.BudgetResolver(b, temporal.LabelResolver(st.Labels(), at, s))
-	}
-	return temporal.BudgetResolver(b, temporal.ObservedStoreResolver(st, at, s))
-}
-
-func (rt *Runtime) iproj(ctx *xq.Context, args []xq.Sequence, labeled bool) (xq.Sequence, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("xcql: %s wants (nodes, tb, te, stream)", fnIProj)
 	}
@@ -968,10 +677,8 @@ func (rt *Runtime) iproj(ctx *xq.Context, args []xq.Sequence, labeled bool) (xq.
 		return nil, fmt.Errorf("xcql: interval end is not a dateTime")
 	}
 	window := xtime.NewInterval(from, to)
-	at := ctx.Static.Now
 	nodes := xq.Nodes(args[0])
-	resolve := projResolver(st, at, ctx.Static.Stats, ctx.Static.Budget, labeled)
-	out := xq.FromNodes(temporal.IntervalProjection(nodes, window, at, resolve))
+	out := xq.FromNodes(temporal.IntervalProjection(nodes, window, ctx.Static.Now, projResolver(ctx.Static, st)))
 	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
 		return nil, err
 	}
@@ -986,16 +693,6 @@ func endpointDateTime(seq xq.Sequence) (xtime.DateTime, bool) {
 }
 
 func (rt *Runtime) intrVProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	return rt.vproj(ctx, args, false)
-}
-
-// intrVProjLabeled is the QaC++ version projection: hole crossing
-// during version slicing resolves through the label index.
-func (rt *Runtime) intrVProjLabeled(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	return rt.vproj(ctx, args, true)
-}
-
-func (rt *Runtime) vproj(ctx *xq.Context, args []xq.Sequence, labeled bool) (xq.Sequence, error) {
 	if len(args) != 4 {
 		return nil, fmt.Errorf("xcql: %s wants (nodes, vb, ve, stream)", fnVProj)
 	}
@@ -1013,10 +710,8 @@ func (rt *Runtime) vproj(ctx *xq.Context, args []xq.Sequence, labeled bool) (xq.
 	if !ok {
 		return nil, fmt.Errorf("xcql: version end is not a number")
 	}
-	at := ctx.Static.Now
 	nodes := xq.Nodes(args[0])
-	resolve := projResolver(st, at, ctx.Static.Stats, ctx.Static.Budget, labeled)
-	out := xq.FromNodes(temporal.VersionProjection(nodes, window, at, resolve))
+	out := xq.FromNodes(temporal.VersionProjection(nodes, window, ctx.Static.Now, projResolver(ctx.Static, st)))
 	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
 		return nil, err
 	}
@@ -1042,47 +737,20 @@ func endpointVersion(seq xq.Sequence) (n int, last, ok bool) {
 // Materialize of Figure 2) so every caller sees hole-free temporal XML.
 // Filling is copy-on-write (temporal.FillHoles): only the spine above a
 // hole is rebuilt, hole-free subtrees stay shared with the store. The
-// walk itself is unmetered; the resolver charges the budget, so an attack
-// that hides its bulk behind holes in the result still trips
-// mid-materialization (the panic is contained by Query.eval).
+// walk itself is unmetered; the resolver (Static.Holes) charges the
+// budget, so an attack that hides its bulk behind holes in the result
+// still trips mid-materialization (the panic is contained by Query.eval).
 //
 // With Parallelism > 1, the transitive hole closure of every holed
 // result item is prefetched on the worker pool first (phase A) and the
 // sequential fill below reads the memo (phase B), so the output stays
 // byte-identical to sequential materialization. The memo resolves each
 // id once for the whole result; the sequential path deliberately keeps
-// its one-seen-map-per-item charging (the pre-existing behaviour), so
-// budget/stats totals — not results — may differ between the two.
-// Under QaCPlusPlus the resolver is the label resolver and — because
-// every result item fills independently (each item carries its own
-// seen map) while the output order is fixed by the items' positions,
-// which the labels already determined — the per-item assembly itself
-// runs on the worker pool when Parallelism allows. This is the
-// label-ordered parallel assembly PR 5 deliberately kept sequential:
-// without labels, output order was only derivable by walking holes.
-func (rt *Runtime) materializeResult(seq xq.Sequence, static *xq.Static, mode Mode) xq.Sequence {
+// its one-seen-map-per-item charging, so budget/stats totals — not
+// results — may differ between the two.
+func materializeResult(seq xq.Sequence, static *xq.Static) xq.Sequence {
 	s := static.Stats
-	if mode == QaCPlusPlus {
-		resolver := temporal.BudgetResolver(static.Budget, rt.labelResolver(static.Now, s))
-		out := make(xq.Sequence, len(seq))
-		fill := func(i int) {
-			it := seq[i]
-			if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
-				out[i] = temporal.FillHoles(resolver, n, make(map[int]bool), nil, s)
-			} else {
-				out[i] = it
-			}
-		}
-		if static.Parallelism > 1 && len(seq) > 1 {
-			temporal.AssembleParallel(len(seq), static.Parallelism, fill, static.Wait, s)
-		} else {
-			for i := range seq {
-				fill(i)
-			}
-		}
-		return out
-	}
-	resolver := temporal.BudgetResolver(static.Budget, rt.combinedResolver(static.Now, s, static.Cache))
+	resolver := static.Holes
 	if static.Parallelism > 1 {
 		var holed []*xmldom.Node
 		for _, it := range seq {
@@ -1090,7 +758,7 @@ func (rt *Runtime) materializeResult(seq xq.Sequence, static *xq.Static, mode Mo
 				holed = append(holed, n)
 			}
 		}
-		resolver = temporal.Prefetch(holed, resolver, static.Parallelism, static.Wait, s)
+		resolver = fragment.Prefetch(holed, resolver, static.Parallelism, static.Wait, s)
 	}
 	out := make(xq.Sequence, 0, len(seq))
 	for _, it := range seq {

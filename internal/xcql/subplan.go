@@ -10,6 +10,7 @@ import (
 	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
+	"xcql/internal/xmldom"
 	"xcql/internal/xq"
 )
 
@@ -19,19 +20,13 @@ import (
 const (
 	// FnView is the CaQ access path: materialize the whole temporal view.
 	FnView = fnView
-	// FnRoot fetches the root filler's payload versions (QaC).
+	// FnRoot fetches the root filler's payload versions.
 	FnRoot = fnRoot
-	// FnFillers crosses holes with one get_fillers pass per hole (QaC).
+	// FnFillers crosses the holes of a child step.
 	FnFillers = fnFillers
-	// FnFillersBatch crosses holes in one batched store pass (QaC+).
-	FnFillersBatch = fnFillersB
-	// FnByTSID jumps straight to every filler with a tsid (QaC+).
+	// FnByTSID jumps straight to every filler with a tsid (the index
+	// plans' descendant step over the whole stream).
 	FnByTSID = fnByTSID
-	// FnByLabel is the QaC++ label-range scan: every filler with a tsid,
-	// served from the prefix-label index.
-	FnByLabel = fnByLabel
-	// FnLabelKids crosses holes through the label index (QaC++).
-	FnLabelKids = fnLabelKids
 	// FnIProj is the compiled interval projection e?[t1,t2].
 	FnIProj = fnIProj
 	// FnVProj is the compiled version projection e#[v1,v2].
@@ -51,9 +46,16 @@ func PlanLitString(args []xq.Expr, i int) string { return litString(args, i) }
 func PlanLitInt(args []xq.Expr, i int) int { return litInt(args, i) }
 
 // StreamStore returns the fragment store registered under name on this
-// query's runtime, or nil. The incremental evaluator uses it to read the
-// per-tag access paths (GetFillers / the tsid index) directly.
+// query's runtime, or nil.
 func (q *Query) StreamStore(name string) *fragment.Store { return q.rt.Store(name) }
+
+// ReadFiller reads one filler's versions at the evaluation instant through
+// the access path this query's plan reads through, charged to stats the
+// way a full evaluation charges the same fetch. The incremental evaluator
+// reads its indexed units with it: the by-tsid fetch, one filler at a time.
+func (q *Query) ReadFiller(st *fragment.Store, fid int, at time.Time, stats *obs.EvalStats) []*xmldom.Node {
+	return fragment.NewAccess(q.Mode.access(), fragment.Eval{At: at, Stats: stats}).Filler(st, fid, false)
+}
 
 // RecordStats publishes s as this query's LastStats. The incremental
 // evaluator assembles one EvalStats per fragment arrival out of many
@@ -77,7 +79,7 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // step/byte/deadline-bounded by lim.
 func (q *Query) EvalSubPlan(e xq.Expr, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, err error) {
 	b := budget.New(context.Background(), lim)
-	static := q.rt.newStatic(at, b, stats, 1, nil, nil, q.Mode)
+	static := q.newStatic(at, b, stats, 1, nil, nil)
 	defer func() {
 		if p := recover(); p != nil {
 			seq = nil
@@ -98,7 +100,7 @@ func (q *Query) EvalSubPlan(e xq.Expr, at time.Time, lim Limits, stats *obs.Eval
 		return nil, q.wrapResource(err)
 	}
 	if materialize {
-		seq = q.rt.materializeResult(seq, static, q.Mode)
+		seq = materializeResult(seq, static)
 	}
 	if stats != nil {
 		// Query.eval copies the budget's totals into the stats at the

@@ -47,10 +47,10 @@ type Static struct {
 	// out to (0 or 1 means sequential). Results are byte-identical either
 	// way; only wall clock and scheduling differ.
 	Parallelism int
-	// Cache memoizes resolved filler subtrees across evaluations; nil
-	// (the default) disables caching. Every fragment.Cache method is
-	// nil-safe.
-	Cache *fragment.Cache
+	// Access is the access path the translated plan's store reads go
+	// through, charging Stats the way the plan's index pays for them. Set
+	// by the xcql runtime.
+	Access fragment.Access
 	// Wait receives the worker pool's queue-wait observations when
 	// Parallelism > 1; nil collects nothing.
 	Wait *obs.Histogram
