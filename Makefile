@@ -60,10 +60,11 @@ test-recovery:
 test-diffharness:
 	$(GO) test -race -run '^(TestDiffHarness|TestPayloadsSurviveMaintenance|TestSharedNodesUnderConcurrentPlans)$$' -timeout 300s .
 
-# The incremental cell: the same >=200 generated pairs REPLAYED one
-# arrival at a time, incremental deltas byte-identical to full
-# re-evaluation across the strategy grid, plus the arrival-order
-# metamorphic suite.
+# The incremental cell: generated pairs REPLAYED one arrival at a time
+# (every profile of at least four seeds, re-announced parents, expiring
+# windows and pure clock advances included), incremental deltas
+# byte-identical to full re-evaluation across the strategy grid, plus the
+# arrival-order metamorphic suite.
 test-diffharness-incremental:
 	$(GO) test -race -run '^(TestDiffHarnessIncremental|TestIncrementalArrivalOrder)$$' -timeout 600s .
 
@@ -97,8 +98,11 @@ trace-smoke:
 # The allocation gate: Q1 and QD under QaC+ and QaC++ on XMark sf=0.02
 # must stay under fixed allocs/op ceilings (~15 % above the zero-copy read
 # path's counts) — the deterministic metric a deep copy sneaking back onto
-# the read path cannot hide from. Run without -race: the detector's
-# instrumentation allocates on its own.
+# the read path cannot hide from — and so must one charge of the standing
+# fraud query on a re-announced credit stream: losing per-binding
+# decomposition or window-expiry scheduling costs about twenty times the
+# ceiling. Run without -race: the detector's instrumentation allocates on
+# its own.
 alloc-gate:
 	$(GO) test -run '^TestAllocationCeiling$$' -count=1 -timeout 120s .
 
@@ -121,7 +125,7 @@ bench:
 # benchmarks (quick scales) as JSON — cost counters and latency quantiles
 # included — the cross-PR performance trajectory. Compare two snapshots
 # with bench-diff.
-BENCHOUT ?= BENCH_pr13.json
+BENCHOUT ?= BENCH_pr14.json
 bench-json:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \

@@ -20,6 +20,9 @@ import (
 // index, a projection or a constructor — goes through them, while
 // allocator noise and small evaluator changes do not.
 //
+// The last ceiling is the incremental engine's: what one arrival costs a
+// standing query must follow what the arrival touches.
+//
 // `make alloc-gate` (part of `make check`) runs it without the race
 // detector, whose instrumentation allocates on its own.
 func TestAllocationCeiling(t *testing.T) {
@@ -56,5 +59,29 @@ func TestAllocationCeiling(t *testing.T) {
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+
+	// The standing fraud query on a re-announced credit stream, 250
+	// charges in (bench/e2e's standing-window shape): one charge — the
+	// account's re-announcement, then the transaction — recomputes the
+	// charged account's bindings twice and nothing else, 4 412 allocations
+	// averaged over the next two rounds of the twenty accounts when
+	// per-binding decomposition and window-expiry scheduling landed (PR
+	// 14). Without the decomposition every charge re-runs all twenty
+	// accounts, without the schedule every tick of the clock does: either
+	// way about twenty times the ceiling.
+	const fraudCeiling = 5070
+	cs := newCreditStanding(t, creditQueries[2].src, true, 250)
+	charges := cs.charges(41)
+	next := 0
+	got := testing.AllocsPerRun(len(charges)-1, func() {
+		if err := cs.arrive(charges[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
+	if got > fraudCeiling {
+		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d; strategy: %s", got, fraudCeiling, cs.cq.IncrementalStrategy())
 	}
 }

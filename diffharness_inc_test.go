@@ -34,10 +34,52 @@ func (tr replayTrace) String() string {
 	return strings.Join(tr.deltas, "\n--\n") + "\n==\n" + tr.final
 }
 
+// replayTick is the replays' pure clock advance: after every third
+// arrival the clock runs 40 minutes ahead of the data with no fragment to
+// evaluate, so sliding windows expire between arrivals, not only on them.
+func replayTick(arrival int) time.Duration {
+	if arrival%3 != 2 {
+		return 0
+	}
+	return 40 * time.Minute
+}
+
+// replayEnd is the instant every replay of frags is evaluated at last,
+// whatever order they arrived in: the latest validTime plus every tick,
+// which no replay's clock can have passed. Standing results over sliding
+// windows are comparable across arrival orders only at one instant.
+func replayEnd(frags []*xcql.Fragment) time.Time {
+	var end time.Time
+	var ticks time.Duration
+	for i, f := range frags {
+		if f.ValidTime.After(end) {
+			end = f.ValidTime
+		}
+		ticks += replayTick(i)
+	}
+	return end.Add(ticks)
+}
+
+// replayAdvance moves a replay's clock past arrival i where the schedule
+// has it move without a fragment — a tick, or the jump to replayEnd after
+// the last arrival — and reports whether it did: the caller evaluates.
+func replayAdvance(i int, frags []*xcql.Fragment, at *time.Time) bool {
+	switch tick := replayTick(i); {
+	case i == len(frags)-1:
+		*at = replayEnd(frags)
+	case tick > 0:
+		*at = at.Add(tick)
+	default:
+		return false
+	}
+	return true
+}
+
 // replayCQ feeds frags one at a time into a fresh store and continuous
 // query compiled under (mode, cfg), with the evaluation clock pinned to
 // the running maximum validTime (fragments never "un-happen"; reordered
-// histories replay with a monotone clock).
+// histories replay with a monotone clock) plus the replayTick advances
+// and the final jump to replayEnd, each of which is evaluated on its own.
 func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
 	t.Helper()
@@ -71,7 +113,7 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	if incremental {
 		cq.WithIncremental(true)
 	}
-	for _, f := range frags {
+	for i, f := range frags {
 		if err := st.Add(f); err != nil {
 			t.Fatalf("add filler %d: %v", f.FillerID, err)
 		}
@@ -83,6 +125,11 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 		// marker so both modes must fail at exactly the same arrivals
 		if err := cq.EvaluateFragment(f); err != nil {
 			tr.deltas = append(tr.deltas, "!error")
+		}
+		if replayAdvance(i, frags, &at) {
+			if err := cq.Evaluate(); err != nil {
+				tr.deltas = append(tr.deltas, "!error")
+			}
 		}
 	}
 	if incremental {
@@ -96,21 +143,22 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 // TestDiffHarnessIncremental replays 200+ generated store/query pairs
 // (40 under -short) and pins incremental continuous evaluation
 // byte-identical to full re-evaluation across the whole strategy grid.
+// Every profile of a seed is replayed — one instance can hold fifty
+// queries, and a pair count alone would stop before the re-announcing
+// profiles at the end of the grid — over at least four seeds (two under
+// -short).
 func TestDiffHarnessIncremental(t *testing.T) {
-	minPairs := 200
+	minPairs, minSeeds := 200, int64(4)
 	if testing.Short() {
-		minPairs = 40
+		minPairs, minSeeds = 40, 2
 	}
 	pairs := 0
-	for seed := int64(1); pairs < minPairs; seed++ {
+	for seed := int64(1); pairs < minPairs || seed <= minSeeds; seed++ {
 		if seed > 100 {
 			t.Fatalf("generator exhausted 100 seeds with only %d pairs", pairs)
 		}
 		for _, p := range harnessProfiles(seed) {
 			pairs += runIncrementalInstance(t, p)
-			if pairs >= minPairs {
-				break
-			}
 		}
 	}
 	t.Logf("verified %d incremental store/query pairs", pairs)
@@ -130,15 +178,24 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	prints := fingerprintPayloads(ins.Fragments)
 	defer func() { checkPayloads(t, prints, p.String()) }()
 	for _, query := range ins.Queries {
-		var baseline replayTrace
-		haveBaseline := false
-		check := func(tr replayTrace, label string) {
+		// the first full replay of a baseline group is what every other
+		// replay of the group must reproduce
+		split := splitOf(p, query)
+		baselines := make(map[string]replayTrace)
+		check := func(tr replayTrace, mode xcql.Mode, label string) {
 			t.Helper()
-			if !haveBaseline {
-				baseline, haveBaseline = tr, true
-				return
+			group := split.baselineGroup(mode)
+			want, ok := baselines[group]
+			if !ok {
+				baselines[group] = tr
+				// the index plans' deltas run ahead, to the same end: the
+				// navigating plans (replayed first) set the final result
+				if split != indexAhead || group == "every plan" {
+					return
+				}
+				tr, want = replayTrace{final: tr.final}, replayTrace{final: baselines["every plan"].final}
 			}
-			if got, want := tr.String(), baseline.String(); got != want {
+			if got, want := tr.String(), want.String(); got != want {
 				t.Fatalf("%s/%s: %s diverged from full baseline\nbaseline:\n%s\ngot:\n%s",
 					p, query.Name, label, harnessTruncate(want), harnessTruncate(got))
 			}
@@ -147,11 +204,11 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 			// full re-evaluation references, sequential and parallel
 			for _, cfg := range []execConfig{execConfigs[0], execConfigs[2]} {
 				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, false)
-				check(tr, fmt.Sprintf("full/%s/%s", mode, cfg.name))
+				check(tr, mode, fmt.Sprintf("full/%s/%s", mode, cfg.name))
 			}
 			for _, cfg := range execConfigs {
 				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, true)
-				check(tr, fmt.Sprintf("inc/%s/%s", mode, cfg.name))
+				check(tr, mode, fmt.Sprintf("inc/%s/%s", mode, cfg.name))
 			}
 		}
 	}
@@ -177,6 +234,7 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 		for _, p := range []genstore.Profile{
 			{Seed: seed},
 			{Seed: seed, Duplicates: true, Drops: true},
+			{Seed: seed, Reannounce: true},
 		} {
 			ins, err := genstore.Generate(p)
 			if err != nil {
@@ -242,6 +300,10 @@ func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(2), int64(7), uint8(3))
 	f.Add(int64(5), int64(42), uint8(5))
 	f.Add(int64(9), int64(13), uint8(7))
+	// re-announced parents under each fragment plan, in order and shuffled
+	f.Add(int64(1), int64(4), uint8(64|16))
+	f.Add(int64(6), int64(21), uint8(64|32|1))
+	f.Add(int64(4), int64(9), uint8(64|48|6))
 	f.Fuzz(func(t *testing.T, seed, permSeed int64, flags uint8) {
 		p := genstore.Profile{
 			Seed:       seed%1000 + 1,
@@ -249,6 +311,7 @@ func FuzzIncrementalArrival(f *testing.F) {
 			Duplicates: flags&2 != 0,
 			Drops:      flags&4 != 0,
 			Scan:       flags&8 != 0,
+			Reannounce: flags&64 != 0,
 		}
 		ins, err := genstore.Generate(p)
 		if err != nil {

@@ -39,6 +39,13 @@ type Profile struct {
 	// Scan builds the paper's linear-scan store instead of the indexed
 	// one.
 	Scan bool
+	// Reannounce sends the stream a real publisher sends: a filler's
+	// first versions carry no holes, and every child is preceded by a new
+	// version of its parent announcing it — the hole list grows by one per
+	// child, and the child's history starts where that version does.
+	// Without it every version of a filler carries the full hole set and
+	// no parent is ever re-versioned for a child.
+	Reannounce bool
 }
 
 func (p Profile) String() string {
@@ -54,6 +61,9 @@ func (p Profile) String() string {
 	}
 	if p.Scan {
 		s += ",scan"
+	}
+	if p.Reannounce {
+		s += ",reannounce"
 	}
 	return s
 }
@@ -205,8 +215,13 @@ func hasFragmented(t *tagstruct.Tag) bool {
 // tag — inline snapshot children, holes for fragmented children (their
 // fillers are emitted recursively). Every version of a filler carries
 // the same hole ids, exercising the resolve-once-per-id rule; new
-// fragmented instances appear as new fillers, not re-announced holes.
+// fragmented instances appear as new fillers, not re-announced holes —
+// unless the profile re-announces, see emitReannounced.
 func (g *gen) emit(fillerID int, tag *tagstruct.Tag, offsets []int) {
+	if g.profile.Reannounce {
+		g.emitReannounced(fillerID, tag, offsets)
+		return
+	}
 	// allocate the hole set once so all versions agree on it
 	type holeSlot struct {
 		child *tagstruct.Tag
@@ -228,11 +243,7 @@ func (g *gen) emit(fillerID int, tag *tagstruct.Tag, offsets []int) {
 		for _, h := range holes {
 			payload.AppendChild(fragment.NewHole(h.id, h.child.ID))
 		}
-		vt := Base.Add(time.Duration(off) * time.Hour)
-		if off > g.maxOffset {
-			g.maxOffset = off
-		}
-		g.frags = append(g.frags, fragment.New(fillerID, tag.ID, vt, payload))
+		g.version(fillerID, tag, off, payload)
 	}
 	for _, h := range holes {
 		if g.profile.Drops && g.rng.Intn(4) == 0 {
@@ -242,6 +253,54 @@ func (g *gen) emit(fillerID int, tag *tagstruct.Tag, offsets []int) {
 		}
 		g.emit(h.id, h.child, g.versionOffsets(h.child))
 	}
+}
+
+// emitReannounced generates one filler the way a publisher that learns
+// of children one at a time does: its versions at offsets carry no holes;
+// then, per child, one more version announcing it (the payload of the
+// last version with the hole list grown by one), an hour or more after
+// the previous one, followed by the child's own history starting at that
+// hour. Every fragmented child tag gets at least one child, so these
+// histories are the longer ones.
+func (g *gen) emitReannounced(fillerID int, tag *tagstruct.Tag, offsets []int) {
+	var payload *xmldom.Node
+	off := 0
+	for _, off = range offsets {
+		payload = g.genElement(tag)
+		g.version(fillerID, tag, off, payload)
+	}
+	for _, c := range tag.Children {
+		if !c.IsFragmented() {
+			continue
+		}
+		for i := 1 + g.rng.Intn(3); i > 0; i-- {
+			id := g.nextFiller
+			g.nextFiller++
+			off += 1 + g.rng.Intn(3)
+			last := payload
+			payload = last.CloneShallow()
+			payload.Children = append(last.Children[:len(last.Children):len(last.Children)], fragment.NewHole(id, c.ID))
+			g.version(fillerID, tag, off, payload)
+			if g.profile.Drops && g.rng.Intn(4) == 0 {
+				g.dropped[id] = true
+				continue
+			}
+			childOffs := g.versionOffsets(c)
+			shift := off - childOffs[0]
+			for j := range childOffs {
+				childOffs[j] += shift
+			}
+			g.emit(id, c, childOffs)
+		}
+	}
+}
+
+// version appends one fragment: a version of fillerID at Base+off hours.
+func (g *gen) version(fillerID int, tag *tagstruct.Tag, off int, payload *xmldom.Node) {
+	if off > g.maxOffset {
+		g.maxOffset = off
+	}
+	g.frags = append(g.frags, fragment.New(fillerID, tag.ID, Base.Add(time.Duration(off)*time.Hour), payload))
 }
 
 // versionOffsets picks the hour offsets of one filler's versions: events
@@ -261,14 +320,14 @@ func (g *gen) versionOffsets(tag *tagstruct.Tag) []int {
 	return offs
 }
 
-// genElement builds one version payload: the tag's element with a text
-// value and its snapshot children inlined recursively (their fragmented
+// genElement builds one version payload: the tag's element with a number
+// below 1000 as its text and its snapshot children inlined recursively (their fragmented
 // descendants' holes belong to the enclosing filler and are appended by
 // emit's caller only at the top level — nested snapshot tags keep their
 // own fragmented children out of scope to keep documents bounded).
 func (g *gen) genElement(tag *tagstruct.Tag) *xmldom.Node {
 	el := xmldom.NewElement(tag.Name)
-	el.AppendChild(xmldom.NewText(fmt.Sprintf("v%d", g.rng.Intn(1000))))
+	el.AppendChild(xmldom.NewText(fmt.Sprint(g.rng.Intn(1000))))
 	for _, c := range tag.Children {
 		if c.IsFragmented() {
 			continue
@@ -298,11 +357,17 @@ func (g *gen) mutate() {
 }
 
 // genQueries derives the query set from the structure: descendant and
-// rooted-path selections, counts, interval and version projections and a
-// constructor wrap for every fragmented tag (bounded so large structures don't explode the
-// corpus).
+// rooted-path selections, counts, interval and version projections, a
+// constructor wrap and a value filter for every fragmented tag, and for
+// a tag with a fragmented child the sliding-window shapes of the paper's
+// continuous queries (bounded so large structures don't explode the
+// corpus). The windows are a few hours wide and histories span a day, so
+// they expire while a history replays.
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
+	add := func(kind string, t *tagstruct.Tag, format string, args ...any) {
+		qs = append(qs, Query{Name: kind + "-" + t.Name, Src: fmt.Sprintf(format, args...)})
+	}
 	fragTags := 0
 	for _, t := range s.Tags() {
 		if !t.IsFragmented() {
@@ -312,27 +377,29 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 		if fragTags > 6 {
 			break
 		}
-		qs = append(qs,
-			Query{"descendant-" + t.Name,
-				fmt.Sprintf(`for $x in stream("s")//%s return $x`, t.Name)},
-			Query{"count-" + t.Name,
-				fmt.Sprintf(`count(for $x in stream("s")//%s return $x)`, t.Name)},
-			Query{"path-" + t.Name,
-				fmt.Sprintf(`for $x in stream("s")%s return $x`, t.Path())},
-			Query{"interval-" + t.Name,
-				fmt.Sprintf(`for $x in stream("s")//%s?[2004-06-01T02:00:00,now] return $x`, t.Name)},
-			Query{"version-" + t.Name,
-				fmt.Sprintf(`for $x in stream("s")//%s#[1,last] return $x`, t.Name)},
-			// constructor content is attached, not copied: the wrapped
-			// subtree is shared with the store in every plan
-			Query{"wrap-" + t.Name,
-				fmt.Sprintf(`for $x in stream("s")//%s return <w of="%s">{$x}</w>`, t.Name, t.Name)},
-		)
+		add("descendant", t, `for $x in stream("s")//%s return $x`, t.Name)
+		add("count", t, `count(for $x in stream("s")//%s return $x)`, t.Name)
+		add("path", t, `for $x in stream("s")%s return $x`, t.Path())
+		add("interval", t, `for $x in stream("s")//%s?[2004-06-01T02:00:00,now] return $x`, t.Name)
+		add("version", t, `for $x in stream("s")//%s#[1,last] return $x`, t.Name)
+		// constructor content is attached, not copied: the wrapped
+		// subtree is shared with the store in every plan
+		add("wrap", t, `for $x in stream("s")//%s return <w of="%s">{$x}</w>`, t.Name, t.Name)
+		// element text is a number below 1000 (genElement)
+		add("filter", t, `for $x in stream("s")//%s where $x/text() > 500 return $x/text()`, t.Name)
+		add("sliding", t, `stream("s")//%s?[now-PT5H,now]`, t.Name)
+		for _, c := range t.Children {
+			if !c.IsFragmented() {
+				continue
+			}
+			add("window-sum", t, `for $x in stream("s")//%s where sum($x/%s?[now-PT6H,now]/text()) >= 400 return $x/text()`, t.Name, c.Name)
+			add("window-children", t, `for $x in stream("s")//%s return $x/%s?[now-PT4H,now-PT1H]`, t.Name, c.Name)
+			break
+		}
 	}
 	// note: a bare stream("s") is deliberately absent — the plans render
 	// the document node differently (a known, pre-existing divergence);
 	// the equivalence claim is about element selections
-	qs = append(qs, Query{"root-count",
-		fmt.Sprintf(`count(stream("s")/%s)`, s.Root.Name)})
+	qs = append(qs, Query{Name: "root-count", Src: fmt.Sprintf(`count(stream("s")/%s)`, s.Root.Name)})
 	return qs
 }

@@ -18,9 +18,18 @@
 // Decomposition is best-effort and always sound: a plan (or plan part)
 // the decomposer does not understand becomes a single "broad" piece that
 // recomputes on every arrival, which is full re-evaluation in disguise.
-// The fast path is the QaC+ tsid-index access (fn:bytsid), whose units
-// are individual fillers: one arrival then touches one unit per matching
-// piece plus its containment ancestors, independent of store size.
+// The fast path is the index plans' tsid jump (fn:bytsid) under layers
+// that distribute over their input — projections, and FLWORs whose body
+// reaches the store only through the bound variable: its units are
+// individual fillers, the unit of work is the bindings of one filler, and
+// one arrival touches one unit per matching piece plus its containment
+// ancestors, independent of store size.
+//
+// The clock is scheduled the same way. Every unit evaluation hands back
+// a validity horizon — the earliest instant at which a comparison it made
+// against the moving "now" comes out differently — and a clock advance
+// recomputes only the units whose horizon it has reached: a charge inside
+// ?[now-PT1H,now] re-runs its account an hour later, and nothing before.
 //
 // Limitations: the engine binds to the single stream the plan mentions;
 // standing queries joining several streams fall back to broad pieces and
@@ -30,8 +39,12 @@
 package inc
 
 import (
+	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,59 +56,44 @@ import (
 	"xcql/internal/xq"
 )
 
-// wrapper is one elementwise projection call stripped from around a
-// piece during decomposition; it is re-applied per unit, with the unit's
-// own sequence in the inner-expression slot.
-type wrapper struct {
-	name string
-	args []xq.Expr // original call args; args[0] is the inner slot
-}
-
 // piece is one top-level strand of the decomposed plan. An indexed piece
-// (tsids non-empty) is a fn:bytsid access whose units are individual
-// fillers; a generic piece is an arbitrary sub-plan evaluated as one
-// unit, dirtied by the tag-relevance set the Tag Structure gives it.
+// (tsids non-empty) has one unit per filler of its tags: the unit runs
+// expr with $xcql.UnitVar bound to that filler's versions — "for $a in
+// xcql:bytsid(S, t) where W return R" has the body "for $a in $unit where
+// W return R" — and an arrival dirties the unit of its own filler and of
+// every filler containing it. A generic piece is one unit that runs expr
+// as it stands, dirtied by the arrivals of the tags it depends on.
 type piece struct {
-	expr     xq.Expr   // generic: the full (re-wrapped) sub-plan
-	wrappers []wrapper // indexed: projections re-applied per unit, outermost first
-	tsids    []int     // indexed: one tsid per fn:bytsid argument
-	// broad marks a piece whose data dependencies the decomposer cannot
-	// bound: every arrival dirties it.
-	broad bool
-	// clock marks a piece whose output can change when the evaluation
-	// instant moves (projection windows resolve against "now"): any
-	// clock advance dirties all its units.
-	clock bool
-	// relevant is the set of tsids whose arrivals dirty a generic piece:
-	// the tags its plan mentions plus every fragmented tag below them
-	// (materialization recurses through holes, so descendant arrivals
-	// change the piece's output).
-	relevant map[int]bool
+	expr  xq.Expr
+	tsids []int // indexed: one tsid per fn:bytsid argument
+	deps
+	// sigs holds the SharedPass signature of each unit slot: one per
+	// tsid, or the single one of a generic piece.
+	sigs []string
 }
 
-// sig is a structural signature of one unit slot — what the unit
-// computes, independent of which query's engine computes it. Two engines
-// whose units share a signature (same stream/store, same evaluation
-// instant, same limits) produce identical outputs for the same filler,
-// which is what lets a SharedPass evaluate the unit once and hand the
-// result to every query in a shared group. Indexed signatures carry the
-// tsid and a canonical rendering of the projection wrappers; generic
-// signatures carry the sub-plan's canonical rendering. The materialize
-// flag matters (count-mode queries skip materialization), so it is baked
-// in too.
-func (p *piece) sig(arg int, stream string, materialize bool) string {
-	m := "m0|"
-	if materialize {
-		m = "m1|"
-	}
-	if p.indexed() {
-		marker := &xq.VarRef{Name: "\x00unit\x00"}
-		return m + "i|" + stream + "|" + fmt.Sprint(p.tsids[arg]) + "|" + rewrap(marker, p.wrappers).String()
-	}
-	return m + "g|" + stream + "|" + p.expr.String()
+// deps is what an expression's result depends on besides the values it
+// is handed, as far as the plan shows it.
+type deps struct {
+	// relevant is the set of tsids whose arrivals can change the result:
+	// the tags the expression names plus every fragmented tag below them
+	// (materialization recurses through holes, so descendant arrivals
+	// change the output).
+	relevant map[int]bool
+	// broad, when set, says why the dependencies cannot be bounded: every
+	// arrival of every tag may change the result.
+	broad string
+	// rooted marks an expression that reads a stream from the top (the
+	// view, the root filler, a tsid jump) and not only through the nodes
+	// it is handed.
+	rooted bool
 }
 
 func (p *piece) indexed() bool { return len(p.tsids) > 0 }
+
+// unitRef is the slot of an indexed piece's body its unit's own filler
+// versions go in.
+var unitRef = &xq.VarRef{Name: xcql.UnitVar}
 
 // unitKey orders the partial-match state the way the full plan orders
 // its output: piece position, then fn:bytsid argument position, then
@@ -121,10 +119,33 @@ type entry struct {
 }
 
 // unit is one partial-match buffer: the current output of one piece
-// slice. In count mode units hold only their cardinality.
+// slice, and how long it stays valid. In count mode units hold only their
+// cardinality.
 type unit struct {
+	key     unitKey
 	entries []entry
 	count   int
+	// horizon is the earliest instant at which the unit's output can
+	// differ with the store unchanged (xcql.Query.EvalSubPlan): a clock
+	// advance re-runs the unit only on reaching it. Zero: never.
+	horizon time.Time
+	due     int  // position in Engine.due, -1 when horizon is zero
+	dirty   bool // queued for the arrival in progress
+}
+
+// dueHeap orders the units that have a horizon by it, earliest first.
+type dueHeap []*unit
+
+func (h dueHeap) Len() int           { return len(h) }
+func (h dueHeap) Less(i, j int) bool { return h[i].horizon.Before(h[j].horizon) }
+func (h dueHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].due, h[j].due = i, j }
+func (h *dueHeap) Push(x any)        { u := x.(*unit); u.due = len(*h); *h = append(*h, u) }
+func (h *dueHeap) Pop() any {
+	old := *h
+	u := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h, u.due = old[:len(old)-1], -1
+	return u
 }
 
 // pendingArrival is a fragment whose validTime is still in the future of
@@ -148,8 +169,8 @@ type Engine struct {
 	stripped  xq.Expr // plan after count-strip; the fallback whole-plan expr
 	pieces    []*piece
 
-	units      map[unitKey]*unit
-	order      []unitKey // unit keys in global output order
+	order      []*unit // every unit, in global output order (ascending key)
+	due        dueHeap // units with a horizon, next to pending: what the clock alone dirties
 	refcount   map[string]int
 	bytes      int64
 	hwm        int64
@@ -159,6 +180,12 @@ type Engine struct {
 	tsidOf   map[int]int // filler id -> tsid (observed or hole-announced)
 	parentOf map[int]int // filler id -> filler id of the payload holding its hole
 	pending  []pendingArrival
+
+	// dirty and results are the arrival in progress: the units to
+	// recompute and what they evaluated to. Kept across arrivals for
+	// their capacity only.
+	dirty   []*unit
+	results []unitResult
 
 	seeded   bool
 	fellBack bool
@@ -170,6 +197,14 @@ type Engine struct {
 	// tracer, when set, records an "inc.recompute" span per traced
 	// arrival (dirty-unit detail included). nil = off.
 	tracer *obs.FlightRecorder
+}
+
+// unitResult is one dirty unit's fresh evaluation, held until every
+// dirty unit has evaluated without error.
+type unitResult struct {
+	entries []entry
+	count   int
+	horizon time.Time
 }
 
 // SetFlightRecorder attaches a flight recorder: traced arrivals record
@@ -187,7 +222,6 @@ func (e *Engine) SetFlightRecorder(rec *obs.FlightRecorder) {
 func New(q *xcql.Query) *Engine {
 	e := &Engine{
 		q:        q,
-		units:    make(map[unitKey]*unit),
 		refcount: make(map[string]int),
 		tsidOf:   make(map[int]int),
 		parentOf: make(map[int]int),
@@ -243,34 +277,109 @@ func soleStream(plan xq.Expr) string {
 	return ""
 }
 
-// decompose splits the stripped plan into pieces: peel identity FLWOR
-// shells and elementwise projection wrappers off the top, flatten the
-// resulting sequence expression, and classify each strand.
+// layer is one operator peeled off the top of the plan that maps its
+// input sequence item by item: run over each part of a partition of the
+// input, its outputs concatenate to its output over the whole input. It
+// is a compiled projection (the input is Args[0]) or a binding loop (the
+// input is the first for clause's sequence).
+type layer struct {
+	call *xq.Call
+	loop *xq.FLWOR
+}
+
+func (l layer) input() xq.Expr {
+	if l.call != nil {
+		return l.call.Args[0]
+	}
+	return l.loop.Clauses[0].(xq.ForClause).In
+}
+
+// over rebuilds the layer around another input.
+func (l layer) over(x xq.Expr) xq.Expr {
+	if l.call != nil {
+		return &xq.Call{Name: l.call.Name, Args: append([]xq.Expr{x}, l.call.Args[1:]...)}
+	}
+	fl := *l.loop
+	fc := fl.Clauses[0].(xq.ForClause)
+	fc.In = x
+	fl.Clauses = append([]any{fc}, fl.Clauses[1:]...)
+	return &fl
+}
+
+// peel takes the top layer off x when it distributes over its input:
+//
+//   - an interval projection, which clips every input node on its own;
+//   - a version projection with the keep-all window #[1,last] (any other
+//     window numbers versions across the WHOLE input sequence);
+//   - a FLWOR whose first clause is a for without a positional variable,
+//     with no order by: every binding runs the rest of the loop on its
+//     own, and the outputs concatenate in binding order.
+//
+// In each case everything besides the input — window bounds, further
+// clauses, where, return — must reach the store only through what the
+// input hands it and otherwise be pure: its dependencies, with the unit
+// slot as input, are neither rooted nor broad. (The plan is closed and
+// peeling only descends through inputs, so no layer has a free variable
+// to begin with.)
+func (e *Engine) peel(x xq.Expr) (layer, bool) {
+	var l layer
+	switch t := x.(type) {
+	case *xq.Call:
+		if len(t.Args) != 4 || !(t.Name == xcql.FnIProj || t.Name == xcql.FnVProj && keepAllWindow(t.Args)) {
+			return l, false
+		}
+		l.call = t
+	case *xq.FLWOR:
+		if len(t.Clauses) == 0 || len(t.OrderBy) != 0 {
+			return l, false
+		}
+		if fc, ok := t.Clauses[0].(xq.ForClause); !ok || fc.PosVar != "" {
+			return l, false
+		}
+		l.loop = t
+	default:
+		return l, false
+	}
+	d := e.dependencies(l.over(unitRef))
+	return l, d.broad == "" && !d.rooted
+}
+
+// passThrough reports "for $x in E return $x": a loop that reproduces its
+// input item for item and so adds nothing to a body.
+func (l layer) passThrough() bool {
+	if l.loop == nil || len(l.loop.Clauses) != 1 || l.loop.Where != nil {
+		return false
+	}
+	v, ok := l.loop.Return.(*xq.VarRef)
+	return ok && v.Name == l.loop.Clauses[0].(xq.ForClause).Var
+}
+
+// decompose splits the stripped plan into pieces: peel the distributing
+// layers off the top, flatten the sequence expression under them, and
+// classify each strand with the layers as its body.
 func (e *Engine) decompose() []*piece {
 	if e.store == nil || e.structure == nil {
-		return []*piece{{expr: e.stripped, broad: true, clock: true}}
+		return []*piece{e.finish(&piece{expr: e.stripped, deps: deps{broad: "the plan does not name exactly one registered stream"}})}
 	}
 	expr := e.stripped
-	var wrappers []wrapper
+	var layers []layer // outermost first
 	for {
-		if fl, ok := expr.(*xq.FLWOR); ok && identityFLWOR(fl) {
-			expr = fl.Clauses[0].(xq.ForClause).In
-			continue
+		l, ok := e.peel(expr)
+		if !ok {
+			break
 		}
-		if c, ok := expr.(*xq.Call); ok && (c.Name == xcql.FnIProj || c.Name == xcql.FnVProj) && len(c.Args) == 4 {
-			wrappers = append(wrappers, wrapper{name: c.Name, args: c.Args})
-			expr = c.Args[0]
-			continue
+		if !l.passThrough() {
+			layers = append(layers, l)
 		}
-		break
+		expr = l.input()
 	}
-	splittable := wrappersSplittable(wrappers)
-	if len(wrappers) > 0 && !splittable {
-		// the projection is not elementwise over this window; keep the
-		// whole wrapped plan as one piece
-		return []*piece{e.genericPiece(rewrap(expr, wrappers))}
+	body := func(x xq.Expr) xq.Expr {
+		for i := len(layers) - 1; i >= 0; i-- {
+			x = layers[i].over(x)
+		}
+		return x
 	}
-	var flat []xq.Expr
+	var strands []xq.Expr
 	var flatten func(xq.Expr)
 	flatten = func(x xq.Expr) {
 		if s, ok := x.(*xq.SeqExpr); ok {
@@ -279,161 +388,165 @@ func (e *Engine) decompose() []*piece {
 			}
 			return
 		}
-		flat = append(flat, x)
+		strands = append(strands, x)
 	}
 	flatten(expr)
-	if len(flat) == 0 {
+	if len(strands) == 0 {
 		// statically empty plan
-		return []*piece{e.genericPiece(rewrap(expr, wrappers))}
+		strands = []xq.Expr{expr}
 	}
-	pieces := make([]*piece, 0, len(flat))
-	for _, x := range flat {
-		pieces = append(pieces, e.classify(x, wrappers))
+	pieces := make([]*piece, 0, len(strands))
+	unitBody := body(unitRef)
+	for _, x := range strands {
+		p := &piece{expr: unitBody, tsids: e.tsidJump(x)}
+		if !p.indexed() {
+			p.expr = body(x)
+			p.deps = e.dependencies(p.expr)
+		}
+		pieces = append(pieces, e.finish(p))
 	}
 	return pieces
 }
 
-// classify turns one plan strand into an indexed piece when it is a pure
-// fn:bytsid access on the bound stream, else a generic piece.
-func (e *Engine) classify(x xq.Expr, wrappers []wrapper) *piece {
-	if c, ok := x.(*xq.Call); ok && c.Name == xcql.FnByTSID && len(c.Args) >= 2 &&
-		xcql.PlanLitString(c.Args, 0) == e.stream {
-		tsids := make([]int, 0, len(c.Args)-1)
-		for i := 1; i < len(c.Args); i++ {
-			id := xcql.PlanLitInt(c.Args, i)
-			if id <= 0 || e.structure.ByID(id) == nil {
-				tsids = nil
-				break
-			}
-			tsids = append(tsids, id)
-		}
-		if tsids != nil {
-			return &piece{wrappers: wrappers, tsids: tsids, clock: len(wrappers) > 0}
-		}
+// tsidJump returns the tsids of a strand that is a pure fn:bytsid access
+// on the bound stream — what an indexed piece's units are the fillers of
+// — else nil.
+func (e *Engine) tsidJump(x xq.Expr) []int {
+	c, ok := x.(*xq.Call)
+	if !ok || c.Name != xcql.FnByTSID || len(c.Args) < 2 || xcql.PlanLitString(c.Args, 0) != e.stream {
+		return nil
 	}
-	return e.genericPiece(rewrap(x, wrappers))
+	tsids := make([]int, 0, len(c.Args)-1)
+	for i := 1; i < len(c.Args); i++ {
+		id := xcql.PlanLitInt(c.Args, i)
+		if id <= 0 || e.structure.ByID(id) == nil {
+			return nil
+		}
+		tsids = append(tsids, id)
+	}
+	return tsids
 }
 
-// genericPiece wraps an arbitrary sub-plan and derives its relevance set
-// from the access paths it mentions. Anything whose data dependencies
-// cannot be bounded through the Tag Structure makes the piece broad.
-func (e *Engine) genericPiece(x xq.Expr) *piece {
-	p := &piece{expr: x, relevant: make(map[int]bool)}
+// finish renders a piece's unit signatures — what each unit slot
+// computes, independent of which query's engine computes it. Two engines
+// whose units share a signature (same stream/store, same evaluation
+// instant, same limits) produce identical outputs for the same filler,
+// which is what lets a SharedPass evaluate the unit once and hand the
+// result to every query in a shared group. The signature is the
+// canonical rendering of what the unit evaluates — for an indexed slot,
+// its tsid and the body over the unit slot — plus the materialize flag
+// (count-mode queries skip materialization).
+func (e *Engine) finish(p *piece) *piece {
+	m := "m0|"
+	if !e.countMode {
+		m = "m1|"
+	}
+	body := p.expr.String()
+	if !p.indexed() {
+		p.sigs = []string{m + "g|" + e.stream + "|" + body}
+		return p
+	}
+	p.sigs = make([]string, len(p.tsids))
+	for i, tsid := range p.tsids {
+		p.sigs[i] = m + "i|" + e.stream + "|" + strconv.Itoa(tsid) + "|" + body
+	}
+	return p
+}
+
+// dependencies derives what x depends on from the access paths it
+// mentions. Anything whose data dependencies cannot be bounded through
+// the Tag Structure makes it broad; the first such thing is the reason
+// given.
+func (e *Engine) dependencies(x xq.Expr) deps {
+	d := deps{relevant: make(map[int]bool)}
+	broad := func(format string, args ...any) {
+		if d.broad == "" {
+			d.broad = fmt.Sprintf(format, args...)
+		}
+	}
 	addTag := func(id int) {
 		t := e.structure.ByID(id)
 		if t == nil {
-			p.broad = true
+			broad("names tag id %d, which the structure does not have", id)
 			return
 		}
-		p.relevant[id] = true
-		for _, d := range e.structure.FragmentedUnder(t) {
-			p.relevant[d.ID] = true
+		d.relevant[id] = true
+		for _, below := range e.structure.FragmentedUnder(t) {
+			d.relevant[below.ID] = true
 		}
+	}
+	bound := func(name string) bool {
+		if name != e.stream {
+			broad("reads stream %q beside %q", name, e.stream)
+		}
+		return name == e.stream
 	}
 	xcql.WalkPlan(x, func(n xq.Expr) {
 		switch t := n.(type) {
 		case *xq.Call:
 			switch t.Name {
 			case xcql.FnView:
-				p.broad = true
+				d.rooted = true
+				broad("materializes the whole view")
 			case xcql.FnRoot:
-				if xcql.PlanLitString(t.Args, 0) == e.stream && e.structure.Root != nil {
+				d.rooted = true
+				if !bound(xcql.PlanLitString(t.Args, 0)) {
+					break
+				}
+				if e.structure.Root != nil {
 					addTag(e.structure.Root.ID)
 				} else {
-					p.broad = true
+					broad("the structure has no root tag")
 				}
 			case xcql.FnFillers:
-				if xcql.PlanLitString(t.Args, 1) != e.stream {
-					p.broad = true
-				} else if id := xcql.PlanLitInt(t.Args, 2); id > 0 {
+				if !bound(xcql.PlanLitString(t.Args, 1)) {
+					break
+				}
+				if id := xcql.PlanLitInt(t.Args, 2); id > 0 {
 					addTag(id)
 				} else {
-					p.broad = true
+					broad("crosses the holes of a computed tag")
 				}
 			case xcql.FnByTSID:
-				if xcql.PlanLitString(t.Args, 0) != e.stream {
-					p.broad = true
+				d.rooted = true
+				if !bound(xcql.PlanLitString(t.Args, 0)) {
 					break
 				}
 				for i := 1; i < len(t.Args); i++ {
 					if id := xcql.PlanLitInt(t.Args, i); id > 0 {
 						addTag(id)
 					} else {
-						p.broad = true
+						broad("jumps to a computed tag")
 					}
 				}
 			case xcql.FnIProj, xcql.FnVProj:
-				p.clock = true
+				// reads through its input only
 			default:
-				// builtin or user function: unknown data dependencies
-				p.broad = true
+				// a builtin that reads nothing but its arguments is as
+				// structural as an operator; a user function, or a builtin
+				// that reaches outside them, may read anything
+				if !e.q.PureCall(t.Name) {
+					broad("calls %s, which is not a pure builtin", t.Name)
+				}
 			}
 		case *xq.StreamRef:
-			p.broad = true
-		case *xq.IntervalProj, *xq.VersionProj:
-			p.clock = true
+			d.rooted = true
+			broad("reads stream(%q) as a whole", t.Name)
+		case *xq.ElemCtor:
+			if t.NameExpr != nil || t.Name == "hole" {
+				broad("may construct a hole")
+			}
 		case *xq.Literal, *xq.SeqExpr, *xq.Path, *xq.Filter, *xq.BinOp, *xq.Unary,
 			*xq.If, *xq.FLWOR, *xq.Quantified, *xq.VarRef, *xq.ContextItem,
-			*xq.ElemCtor, *xq.AttrCtorExpr, *xq.LastMarker:
+			*xq.AttrCtorExpr, *xq.LastMarker, *xq.IntervalProj, *xq.VersionProj:
 			// structural: data flows from the intrinsic leaves handled above
+		case *xq.Module:
+			broad("declares functions")
 		default:
-			p.broad = true
+			broad("contains %T", n)
 		}
 	})
-	return p
-}
-
-// identityFLWOR reports "for $x in E return $x": a shell the decomposer
-// may peel because it reproduces E's sequence item for item.
-func identityFLWOR(fl *xq.FLWOR) bool {
-	if len(fl.Clauses) != 1 || fl.Where != nil || len(fl.OrderBy) != 0 {
-		return false
-	}
-	fc, ok := fl.Clauses[0].(xq.ForClause)
-	if !ok || fc.PosVar != "" {
-		return false
-	}
-	v, ok := fl.Return.(*xq.VarRef)
-	return ok && v.Name == fc.Var
-}
-
-// wrappersSplittable reports whether every stripped projection is
-// elementwise, i.e. distributing it over a partition of its input
-// reproduces the whole-input result: interval projections with
-// context-free endpoints (each input node is clipped independently), and
-// version projections only with the keep-all window #[1,last] (any other
-// window numbers versions across the WHOLE input sequence).
-func wrappersSplittable(ws []wrapper) bool {
-	for _, w := range ws {
-		switch w.name {
-		case xcql.FnIProj:
-			if !constOnly(w.args[1]) || !constOnly(w.args[2]) {
-				return false
-			}
-		case xcql.FnVProj:
-			if !keepAllWindow(w.args) {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// constOnly reports the expression depends on nothing but literals (it
-// may still resolve symbolically against "now" — that is what the clock
-// flag handles).
-func constOnly(e xq.Expr) bool {
-	ok := true
-	xcql.WalkPlan(e, func(n xq.Expr) {
-		switch n.(type) {
-		case *xq.Literal, *xq.BinOp, *xq.Unary:
-		default:
-			ok = false
-		}
-	})
-	return ok
+	return d
 }
 
 // keepAllWindow reports the compiled version window is exactly #[1,last].
@@ -446,18 +559,6 @@ func keepAllWindow(args []xq.Expr) bool {
 	f, isNum := from.Val.(float64)
 	s, isStr := to.Val.(string)
 	return isNum && f == 1 && isStr && s == "last"
-}
-
-// rewrap re-applies stripped projection wrappers (outermost first in ws)
-// around x.
-func rewrap(x xq.Expr, ws []wrapper) xq.Expr {
-	for i := len(ws) - 1; i >= 0; i-- {
-		args := make([]xq.Expr, len(ws[i].args))
-		args[0] = x
-		copy(args[1:], ws[i].args[1:])
-		x = &xq.Call{Name: ws[i].name, Args: args}
-	}
-	return x
 }
 
 // SharedPass memoizes unit evaluations across the engines of one shared
@@ -483,8 +584,9 @@ type SharedPass struct {
 }
 
 type sharedResult struct {
-	seq xq.Sequence
-	err error
+	seq     xq.Sequence
+	horizon time.Time
+	err     error
 }
 
 // NewSharedPass returns an empty per-arrival memo.
@@ -539,19 +641,19 @@ func (sp *SharedPass) Misses() int64 {
 	return sp.misses
 }
 
-func (sp *SharedPass) lookup(key string) (xq.Sequence, error, bool) {
+func (sp *SharedPass) lookup(key string) (sharedResult, bool) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	r, ok := sp.results[key]
 	if ok {
 		sp.hits++
 	}
-	return r.seq, r.err, ok
+	return r, ok
 }
 
-func (sp *SharedPass) store(key string, seq xq.Sequence, err error) {
+func (sp *SharedPass) store(key string, r sharedResult) {
 	sp.mu.Lock()
-	sp.results[key] = sharedResult{seq: seq, err: err}
+	sp.results[key] = r
 	sp.misses++
 	sp.mu.Unlock()
 }
@@ -560,9 +662,10 @@ func (sp *SharedPass) store(key string, seq xq.Sequence, err error) {
 // caller) at evaluation instant at, recomputes only the dirty units, and
 // returns the delta: the items whose serialized form was absent from the
 // previous result, in result order. A nil fragment is a pure clock
-// advance (re-evaluate projections and newly visible pending arrivals
-// only). An error (e.g. a budget trip in some unit) aborts the arrival
-// atomically: no state changes, and the caller may Reseed.
+// advance (re-evaluate the units whose horizon the clock reached and
+// newly visible pending arrivals only). An error (e.g. a budget trip in
+// some unit) aborts the arrival atomically: no state changes, and the
+// caller may Reseed.
 func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
 	return e.ApplyShared(f, at, lim, stats, nil)
 }
@@ -584,18 +687,17 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 		rsp.SetDetail("full-recompute")
 		return e.recomputeAll(at, lim, stats, false, sp)
 	}
-	dirty := make(map[unitKey]bool)
-	if at.After(e.lastAt) {
-		for _, k := range e.order {
-			if e.pieces[k.piece].clock {
-				dirty[k] = true
-			}
-		}
+	// the clock alone dirties what it has reached: the units whose
+	// horizon has come, and the stored versions that become visible. A
+	// unit evaluated at this very instant is current, whatever its horizon
+	// (a collapsed one is the instant itself).
+	for at.After(e.lastAt) && len(e.due) > 0 && !e.due[0].horizon.After(at) {
+		e.mark(heap.Pop(&e.due).(*unit))
 	}
-	var still []pendingArrival
+	still := e.pending[:0]
 	for _, p := range e.pending {
 		if !p.at.After(at) {
-			e.markArrival(p.fid, p.tsid, dirty)
+			e.markArrival(p.fid, p.tsid)
 		} else {
 			still = append(still, p)
 		}
@@ -612,16 +714,17 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 		if f.ValidTime.After(at) {
 			e.pending = append(e.pending, pendingArrival{fid: f.FillerID, tsid: f.TSID, at: f.ValidTime})
 		} else {
-			e.markArrival(f.FillerID, f.TSID, dirty)
+			e.markArrival(f.FillerID, f.TSID)
 		}
 	}
 	if rsp != nil {
-		rsp.SetDetail(fmt.Sprintf("dirty=%d units=%d", len(dirty), len(e.order)))
+		rsp.SetDetail("dirty=" + strconv.Itoa(len(e.dirty)) + " units=" + strconv.Itoa(len(e.order)))
 	}
-	seq, err := e.applyDirty(dirty, at, lim, stats, sp)
+	seq, err := e.applyDirty(at, lim, stats, sp)
 	if err != nil {
-		// the popped pending events and this arrival's dirty marks are
-		// lost; un-seed so the next evaluation rebuilds from the store
+		// the popped horizons and pending events and this arrival's dirty
+		// marks are lost; un-seed so the next evaluation rebuilds from the
+		// store
 		e.seeded = false
 		return nil, err
 	}
@@ -652,7 +755,7 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 	e.rebuildContainment(at)
 	if reseed {
 		e.refcount = make(map[string]int)
-		for _, u := range e.units {
+		for _, u := range e.order {
 			u.entries = nil
 			u.count = 0
 		}
@@ -672,11 +775,10 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 			}
 		}
 	}
-	dirty := make(map[unitKey]bool, len(e.order))
-	for _, k := range e.order {
-		dirty[k] = true
+	for _, u := range e.order {
+		e.mark(u)
 	}
-	seq, err := e.applyDirty(dirty, at, lim, stats, sp)
+	seq, err := e.applyDirty(at, lim, stats, sp)
 	if err != nil {
 		e.seeded = false
 		return nil, err
@@ -749,24 +851,35 @@ func (e *Engine) ingest(f *fragment.Fragment) error {
 	return err
 }
 
+// mark queues a unit for the arrival in progress, once.
+func (e *Engine) mark(u *unit) {
+	if !u.dirty {
+		u.dirty = true
+		e.dirty = append(e.dirty, u)
+	}
+}
+
 // markArrival dirties every unit the arrival (fid, tsid) can reach: the
 // filler's own units, the generic pieces whose relevance set contains
 // its tag, and — climbing the containment links — every ancestor
-// filler's units, since materialization pulls the arrival's content into
-// their output. The climb stops at orphans (parent not yet announced):
-// unreachable content cannot be in any current output.
-func (e *Engine) markArrival(fid, tsid int, dirty map[unitKey]bool) {
-	e.markLevel(fid, tsid, dirty, true)
-	visited := map[int]bool{fid: true}
-	cur := fid
+// filler's units, since their bodies and materialization pull the
+// arrival's content into their output. The climb stops at orphans
+// (parent not yet announced): unreachable content cannot be in any
+// current output.
+func (e *Engine) markArrival(fid, tsid int) {
+	e.markLevel(fid, tsid, true)
+	// containment is as deep as the Tag Structure; the climbed ids guard
+	// against a cycle a malformed stream could announce
+	var buf [8]int
+	climbed := append(buf[:0], fid)
 	for {
-		parent, ok := e.parentOf[cur]
-		if !ok || visited[parent] {
-			break
+		parent, ok := e.parentOf[fid]
+		if !ok || slices.Contains(climbed, parent) {
+			return
 		}
-		visited[parent] = true
-		e.markLevel(parent, e.tsidOf[parent], dirty, false)
-		cur = parent
+		climbed = append(climbed, parent)
+		e.markLevel(parent, e.tsidOf[parent], false)
+		fid = parent
 	}
 }
 
@@ -774,19 +887,17 @@ func (e *Engine) markArrival(fid, tsid int, dirty map[unitKey]bool) {
 // the arrival's own tag (direct): their relevance sets are already
 // closed downward over the Tag Structure, so ancestors need no extra
 // marking there.
-func (e *Engine) markLevel(fid, tsid int, dirty map[unitKey]bool, direct bool) {
+func (e *Engine) markLevel(fid, tsid int, direct bool) {
 	for pi, p := range e.pieces {
 		if !p.indexed() {
-			if direct && (p.broad || p.relevant[tsid]) {
-				dirty[unitKey{pi, -1, -1}] = true
+			if direct && (p.broad != "" || p.relevant[tsid]) {
+				e.mark(e.ensureUnit(unitKey{pi, -1, -1}))
 			}
 			continue
 		}
 		for ai, pt := range p.tsids {
 			if pt == tsid {
-				k := unitKey{pi, ai, fid}
-				e.ensureUnit(k)
-				dirty[k] = true
+				e.mark(e.ensureUnit(unitKey{pi, ai, fid}))
 			}
 		}
 	}
@@ -801,62 +912,70 @@ func (e *Engine) fallback() {
 		return
 	}
 	e.fellBack = true
-	var old []entry
-	var oldCount int
-	for _, k := range e.order {
-		old = append(old, e.units[k].entries...)
-		oldCount += e.units[k].count
+	u := &unit{key: unitKey{0, -1, -1}, due: -1}
+	for _, old := range e.order {
+		u.entries = append(u.entries, old.entries...)
+		u.count += old.count
+		old.dirty = false
 	}
-	e.pieces = []*piece{{expr: e.stripped, broad: true, clock: true}}
-	k := unitKey{0, -1, -1}
-	e.units = map[unitKey]*unit{k: {entries: old, count: oldCount}}
-	e.order = []unitKey{k}
+	e.pieces = []*piece{e.finish(&piece{expr: e.stripped, deps: deps{broad: "the stream announced a filler under two parents or tags"}})}
+	e.order = []*unit{u}
+	e.due, e.dirty = nil, e.dirty[:0]
 }
 
-// applyDirty is the three-phase arrival commit. Phase A recomputes every
-// dirty unit without touching engine state, so an error aborts the
-// arrival atomically. Phase B walks the dirty units in global output
-// order and collects the delta: items whose serial had refcount zero
-// (absent from the previous result) — new serials can only appear in
-// dirty units, and their first occurrence in the new result is their
-// first occurrence across the dirty units, so this reproduces the
-// full-mode diff byte for byte. Phase C swaps the buffers and moves the
-// refcounts.
-func (e *Engine) applyDirty(dirty map[unitKey]bool, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
+// applyDirty is the three-phase arrival commit over the marked units.
+// Phase A recomputes every dirty unit without touching engine state, so
+// an error aborts the arrival atomically. Phase B walks the dirty units
+// in global output order and collects the delta: items whose serial had
+// refcount zero (absent from the previous result, and not emitted earlier
+// in this walk — the fresh entries are counted in as they pass) — new
+// serials can only appear in dirty units, and their first occurrence in
+// the new result is their first occurrence across the dirty units, so
+// this reproduces the full-mode diff byte for byte. Phase C swaps the
+// buffers, releases the old entries' refcounts and re-files the units
+// under their new horizons.
+func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
 	// HandlerInvocations is charged in evalUnitShared, once per unit
 	// actually executed: a registry shared-pass hit runs no handler, so
 	// a group of K queries sharing a path reports ~1× handler cost.
-	// the dirty keys in global output order; iterating these instead of
+	// the dirty units in global output order; iterating these instead of
 	// all of e.order keeps the per-arrival cost proportional to what the
 	// arrival touched, not to the store size
-	keys := make([]unitKey, 0, len(dirty))
-	for k := range dirty {
-		keys = append(keys, k)
+	dirty := e.dirty
+	if len(dirty) > 1 {
+		slices.SortFunc(dirty, func(a, b *unit) int {
+			if keyLess(a.key, b.key) {
+				return -1
+			}
+			return 1
+		})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	fresh := make(map[unitKey][]entry, len(dirty))
-	counts := make(map[unitKey]int, len(dirty))
-	for _, k := range keys {
-		seq, err := e.evalUnitShared(k, at, lim, stats, sp)
+	defer func() {
+		for _, u := range dirty {
+			u.dirty = false
+		}
+		clear(e.results)
+		e.dirty, e.results = dirty[:0], e.results[:0]
+	}()
+	for _, u := range dirty {
+		seq, horizon, err := e.evalUnitShared(u.key, at, lim, stats, sp)
 		if err != nil {
 			return nil, err
 		}
-		if e.countMode {
-			counts[k] = len(seq)
-		} else {
-			es := make([]entry, len(seq))
+		r := unitResult{count: len(seq), horizon: horizon}
+		if !e.countMode {
+			r.entries = make([]entry, len(seq))
 			for i, it := range seq {
-				es[i] = entry{item: it, serial: serialOf(it, sp)}
+				r.entries[i] = entry{item: it, serial: serialOf(it, sp)}
 			}
-			fresh[k] = es
 		}
+		e.results = append(e.results, r)
 	}
 	var delta xq.Sequence
 	if e.countMode {
-		for _, k := range keys {
-			u := e.units[k]
-			e.countTotal += counts[k] - u.count
-			u.count = counts[k]
+		for i, u := range dirty {
+			e.countTotal += e.results[i].count - u.count
+			u.count = e.results[i].count
 		}
 		tot := float64(e.countTotal)
 		if !e.emitted || tot != e.lastTotal {
@@ -866,30 +985,28 @@ func (e *Engine) applyDirty(dirty map[unitKey]bool, at time.Time, lim xcql.Limit
 		e.emitted = true
 		e.bytes = int64(len(e.order)) * 8
 	} else {
-		emittedNow := make(map[string]bool)
-		for _, k := range keys {
-			for _, en := range fresh[k] {
-				if e.refcount[en.serial] == 0 && !emittedNow[en.serial] {
-					emittedNow[en.serial] = true
+		for i := range dirty {
+			for _, en := range e.results[i].entries {
+				if e.refcount[en.serial] == 0 {
 					delta = append(delta, en.item)
 				}
+				e.refcount[en.serial]++
+				e.bytes += int64(len(en.serial))
 			}
 		}
-		for _, k := range keys {
-			u := e.units[k]
-			e.itemCount += len(fresh[k]) - len(u.entries)
+		for i, u := range dirty {
+			e.itemCount += len(e.results[i].entries) - len(u.entries)
 			for _, en := range u.entries {
 				e.bytes -= int64(len(en.serial))
 				if e.refcount[en.serial]--; e.refcount[en.serial] == 0 {
 					delete(e.refcount, en.serial)
 				}
 			}
-			u.entries = fresh[k]
-			for _, en := range u.entries {
-				e.bytes += int64(len(en.serial))
-				e.refcount[en.serial]++
-			}
+			u.entries = e.results[i].entries
 		}
+	}
+	for i, u := range dirty {
+		e.schedule(u, e.results[i].horizon)
 	}
 	if e.bytes > e.hwm {
 		e.hwm = e.bytes
@@ -904,26 +1021,41 @@ func (e *Engine) applyDirty(dirty map[unitKey]bool, at time.Time, lim xcql.Limit
 	return delta, nil
 }
 
+// schedule files a unit under its new horizon.
+func (e *Engine) schedule(u *unit, horizon time.Time) {
+	u.horizon = horizon
+	switch {
+	case horizon.IsZero():
+		if u.due >= 0 {
+			heap.Remove(&e.due, u.due)
+		}
+	case u.due >= 0:
+		heap.Fix(&e.due, u.due)
+	default:
+		heap.Push(&e.due, u)
+	}
+}
+
 // evalUnitShared consults the shared pass (when present) before falling
 // through to a real unit evaluation: a hit returns the memoized result
 // of an identical unit already evaluated by another engine in the group
 // this arrival, charging only the shared-hit counter; a miss evaluates
 // and publishes the result for the rest of the group.
-func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
+func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, time.Time, error) {
 	if sp == nil {
 		stats.AddHandlerInvocations(1)
 		return e.evalUnit(k, at, lim, stats)
 	}
 	key := e.unitSigKey(k)
-	if seq, err, ok := sp.lookup(key); ok {
+	if r, ok := sp.lookup(key); ok {
 		stats.AddSharedUnitHits(1)
-		return seq, err
+		return r.seq, r.horizon, r.err
 	}
 	stats.AddHandlerInvocations(1)
-	seq, err := e.evalUnit(k, at, lim, stats)
-	sp.store(key, seq, err)
+	seq, horizon, err := e.evalUnit(k, at, lim, stats)
+	sp.store(key, sharedResult{seq: seq, horizon: horizon, err: err})
 	stats.AddSharedUnitMisses(1)
-	return seq, err
+	return seq, horizon, err
 }
 
 // unitSigKey is the SharedPass memo key of one unit: the piece slot's
@@ -931,46 +1063,34 @@ func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats 
 // units only; generic units evaluate the whole sub-plan and carry no
 // filler binding).
 func (e *Engine) unitSigKey(k unitKey) string {
-	p := e.pieces[k.piece]
-	arg := k.arg
-	if !p.indexed() {
-		arg = 0
-	}
-	return p.sig(arg, e.stream, !e.countMode) + "#" + fmt.Sprint(k.fid)
+	return e.pieces[k.piece].sigs[max(k.arg, 0)] + "#" + strconv.Itoa(k.fid)
 }
 
-// evalUnit computes one unit's current output through the engine's own
-// sub-plan evaluator. Indexed units fetch their filler's annotated
-// versions (the same store read the fn:bytsid intrinsic groups by filler
-// id) through the query's access path, which charges the fetch the way
-// the query's plan charges it, and re-apply the piece's projection
-// wrappers; generic units evaluate their whole sub-plan. Count mode skips
+// evalUnit computes one unit's current output and horizon through the
+// engine's own sub-plan evaluator. An indexed unit fetches its filler's
+// annotated versions (the same store read the fn:bytsid intrinsic groups
+// by filler id) through the query's access path, which charges the fetch
+// the way the query's plan charges it, and runs the piece's body over
+// them; a generic unit evaluates its whole sub-plan. Count mode skips
 // materialization — only cardinality survives.
-func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
+func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, time.Time, error) {
 	p := e.pieces[k.piece]
-	if !p.indexed() {
-		return e.q.EvalSubPlan(p.expr, at, lim, stats, !e.countMode)
+	var own xq.Sequence
+	if p.indexed() {
+		own = xq.FromNodes(e.q.ReadFiller(e.store, k.fid, at, stats))
 	}
-	els := e.q.ReadFiller(e.store, k.fid, at, stats)
-	items := make([]xq.Expr, len(els))
-	for i, el := range els {
-		items[i] = &xq.Literal{Val: el}
-	}
-	expr := rewrap(&xq.SeqExpr{Items: items}, p.wrappers)
-	return e.q.EvalSubPlan(expr, at, lim, stats, !e.countMode)
+	return e.q.EvalSubPlan(p.expr, own, at, lim, stats, !e.countMode)
 }
 
-// ensureUnit registers a unit key, keeping the global order sorted.
+// ensureUnit returns the unit of a key, registering it in the global
+// order when it is new.
 func (e *Engine) ensureUnit(k unitKey) *unit {
-	if u, ok := e.units[k]; ok {
-		return u
+	i := sort.Search(len(e.order), func(i int) bool { return !keyLess(e.order[i].key, k) })
+	if i < len(e.order) && e.order[i].key == k {
+		return e.order[i]
 	}
-	u := &unit{}
-	e.units[k] = u
-	i := sort.Search(len(e.order), func(i int) bool { return keyLess(k, e.order[i]) })
-	e.order = append(e.order, unitKey{})
-	copy(e.order[i+1:], e.order[i:])
-	e.order[i] = k
+	u := &unit{key: k, due: -1}
+	e.order = slices.Insert(e.order, i, u)
 	return u
 }
 
@@ -1003,8 +1123,8 @@ func (e *Engine) ItemsSnapshot() xq.Sequence {
 		return xq.Sequence{e.lastTotal}
 	}
 	var out xq.Sequence
-	for _, k := range e.order {
-		for _, en := range e.units[k].entries {
+	for _, u := range e.order {
+		for _, en := range u.entries {
 			out = append(out, en.item)
 		}
 	}
@@ -1045,29 +1165,30 @@ func (e *Engine) UnitSignatures() []string {
 	defer e.mu.Unlock()
 	var sigs []string
 	for _, p := range e.pieces {
-		if p.indexed() {
-			for ai := range p.tsids {
-				sigs = append(sigs, p.sig(ai, e.stream, !e.countMode))
-			}
-		} else {
-			sigs = append(sigs, p.sig(0, e.stream, !e.countMode))
-		}
+		sigs = append(sigs, p.sigs...)
 	}
 	return sigs
 }
 
-// Strategy describes how the plan decomposed, for EXPLAIN-style output:
-// e.g. "3 pieces (2 indexed), count mode".
+// Strategy describes how the plan decomposed and which arrivals re-run
+// each piece, for EXPLAIN-style output: "1 piece (per-binding on account)"
+// recomputes one account's bindings when that account or something under
+// it arrives; "1 piece (generic, broad: calls f, which is not a pure
+// builtin)" re-runs the whole plan on every arrival, and says why. What
+// the clock re-runs is decided per unit and evaluation (unit.horizon), not
+// by the plan: the "inc.recompute" span of an arrival counts it.
 func (e *Engine) Strategy() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	indexed := 0
-	for _, p := range e.pieces {
-		if p.indexed() {
-			indexed++
-		}
+	descs := make([]string, len(e.pieces))
+	for i, p := range e.pieces {
+		descs[i] = e.describe(p)
 	}
-	s := fmt.Sprintf("%d pieces (%d indexed)", len(e.pieces), indexed)
+	s := "1 piece ("
+	if len(e.pieces) != 1 {
+		s = strconv.Itoa(len(e.pieces)) + " pieces ("
+	}
+	s += strings.Join(descs, "; ") + ")"
 	if e.countMode {
 		s += ", count mode"
 	}
@@ -1075,6 +1196,31 @@ func (e *Engine) Strategy() string {
 		s += ", fallback"
 	}
 	return s
+}
+
+func (e *Engine) describe(p *piece) string {
+	// several tags may share a name (XMark's item under each region)
+	tagNames := func(ids []int) string {
+		var names []string
+		for _, id := range ids {
+			if name := e.structure.ByID(id).Name; !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+		return strings.Join(names, ",")
+	}
+	switch {
+	case p.indexed():
+		return "per-binding on " + tagNames(p.tsids)
+	case p.broad != "":
+		return "generic, broad: " + p.broad
+	}
+	ids := make([]int, 0, len(p.relevant))
+	for id := range p.relevant {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return "generic on " + tagNames(ids)
 }
 
 // itemSerial is the delta identity of one result item — the same

@@ -50,8 +50,8 @@ func corpus() []struct{ name, src string } {
 
 // TestClassifyIsIndexBlind: the QaC+ and QaC++ compilations of a query
 // are the same plan over different indexes, so the decomposer must hand
-// both the same pieces — indexed or generic, the same tsids, relevance
-// sets and flags — and the registry the same SharedPass signatures.
+// both the same pieces — indexed or generic, the same body, tsids and
+// dependencies — and the registry the same SharedPass signatures.
 func TestClassifyIsIndexBlind(t *testing.T) {
 	ds, err := evalbench.Build(0, false)
 	if err != nil {
@@ -70,8 +70,7 @@ func TestClassifyIsIndexBlind(t *testing.T) {
 			if a.indexed() {
 				indexed++
 			}
-			if a.indexed() != b.indexed() || !reflect.DeepEqual(a.tsids, b.tsids) ||
-				a.broad != b.broad || a.clock != b.clock || !reflect.DeepEqual(a.relevant, b.relevant) {
+			if a.expr.String() != b.expr.String() || !reflect.DeepEqual(a.tsids, b.tsids) || !reflect.DeepEqual(a.deps, b.deps) {
 				t.Errorf("%s: piece %d classified differently:\nQaC+  %+v\nQaC++ %+v", qc.name, i, a, b)
 			}
 		}
@@ -141,7 +140,7 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 				t.Fatalf("%s: plan did not decompose to one indexed piece: %s", name, e.Strategy())
 			}
 			unit := &obs.EvalStats{}
-			seq, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
+			seq, _, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
 			if err != nil {
 				t.Fatal(err)
 			}

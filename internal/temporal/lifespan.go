@@ -34,16 +34,17 @@ func LifespanOf(el *xmldom.Node) xtime.Interval {
 
 // DerivedLifespan computes an element's effective lifespan per §2: its own
 // annotation when present; otherwise the minimum interval covering the
-// lifespans of its children; [start, now] for unannotated leaves.
-func DerivedLifespan(el *xmldom.Node, at time.Time) xtime.Interval {
+// lifespans of its children; [start, now] for unannotated leaves. The
+// endpoint comparisons the cover is chosen by are reported to h.
+func DerivedLifespan(el *xmldom.Node, at time.Time, h *xtime.Horizon) xtime.Interval {
 	if _, ok := el.Attr("vtFrom"); ok {
 		return LifespanOf(el)
 	}
 	var childSpans []xtime.Interval
 	for _, c := range el.ElementChildren() {
-		childSpans = append(childSpans, DerivedLifespan(c, at))
+		childSpans = append(childSpans, DerivedLifespan(c, at, h))
 	}
-	if cover, ok := xtime.CoverAll(childSpans, at); ok {
+	if cover, ok := xtime.CoverAll(childSpans, at, h); ok {
 		return cover
 	}
 	return xtime.Lifetime()

@@ -56,17 +56,23 @@ func BudgetResolver(b *budget.Budget, inner HoleResolver) HoleResolver {
 //
 // It is the identity e?[start,now] that gives unprojected expressions
 // their semantics, so tb > te simply yields the empty sequence.
-func IntervalProjection(els []*xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) []*xmldom.Node {
+//
+// Every comparison of a lifespan endpoint with a window bound is reported
+// to h (nil reports nothing): with the store unchanged, the projection of
+// the same input changes only when one of them does. A clipped endpoint
+// that takes a moving bound's value is written symbolically ("now-PT1H"),
+// so it does not change in between.
+func IntervalProjection(els []*xmldom.Node, window xtime.Interval, at time.Time, h *xtime.Horizon, resolve HoleResolver) []*xmldom.Node {
 	var out []*xmldom.Node
 	for _, el := range els {
-		out = appendProjected(out, el, window, at, resolve)
+		out = appendProjected(out, el, window, at, h, resolve)
 	}
 	return out
 }
 
 // appendProjected appends el's projection to out: the projections of every
 // version of its fillers when el is a hole, else at most one element.
-func appendProjected(out []*xmldom.Node, el *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) []*xmldom.Node {
+func appendProjected(out []*xmldom.Node, el *xmldom.Node, window xtime.Interval, at time.Time, h *xtime.Horizon, resolve HoleResolver) []*xmldom.Node {
 	if el == nil || el.Type != xmldom.ElementNode {
 		return out
 	}
@@ -79,11 +85,11 @@ func appendProjected(out []*xmldom.Node, el *xmldom.Node, window xtime.Interval,
 			return out
 		}
 		for _, f := range resolve(id) {
-			out = appendProjected(out, f, window, at, resolve)
+			out = appendProjected(out, f, window, at, h, resolve)
 		}
 		return out
 	}
-	if p := projectElement(el, window, at, resolve); p != nil {
+	if p := projectElement(el, window, at, h, resolve); p != nil {
 		out = append(out, p)
 	}
 	return out
@@ -92,11 +98,11 @@ func appendProjected(out []*xmldom.Node, el *xmldom.Node, window xtime.Interval,
 // projectElement projects one non-hole element: nil when its lifespan
 // misses the window, el itself when neither its lifespan nor anything
 // below it changes, a rebuilt element otherwise.
-func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) *xmldom.Node {
+func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, h *xtime.Horizon, resolve HoleResolver) *xmldom.Node {
 	from, hasFrom := el.Attr("vtFrom")
 	if !hasFrom {
 		// snapshot element: keep, project children
-		kids, changed := projectChildren(el, window, at, resolve)
+		kids, changed := projectChildren(el, window, at, h, resolve)
 		if !changed {
 			return el
 		}
@@ -104,11 +110,12 @@ func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, resolv
 		out.Children = kids
 		return out
 	}
-	clipped, ok := LifespanOf(el).Intersect(window, at)
+	life := LifespanOf(el)
+	clipped, ok := life.Intersect(window, at, h)
 	if !ok {
 		return nil
 	}
-	kids, changed := projectChildren(el, window, at, resolve)
+	kids, changed := projectChildren(el, window, at, h, resolve)
 	clipFrom, clipTo := clipped.From.String(), clipped.To.String()
 	if to, _ := el.Attr("vtTo"); !changed && from == clipFrom && to == clipTo {
 		return el
@@ -124,7 +131,7 @@ func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, resolv
 // itself it allocates nothing; when all do it returns src's own child list
 // (capacity clipped) and changed=false. From the first difference on, kids
 // is a new list, unchanged children shared with src.
-func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, resolve HoleResolver) (kids []*xmldom.Node, changed bool) {
+func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, h *xtime.Horizon, resolve HoleResolver) (kids []*xmldom.Node, changed bool) {
 	kids = src.Children[:len(src.Children):len(src.Children)]
 	for i, c := range src.Children {
 		var p *xmldom.Node
@@ -132,7 +139,7 @@ func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, reso
 		case c.Type != xmldom.ElementNode:
 			p = c
 		case !fragment.IsHole(c):
-			p = projectElement(c, window, at, resolve)
+			p = projectElement(c, window, at, h, resolve)
 		}
 		if p == c && !changed {
 			continue
@@ -142,7 +149,7 @@ func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, reso
 			kids = append(make([]*xmldom.Node, 0, len(src.Children)), src.Children[:i]...)
 		}
 		if fragment.IsHole(c) {
-			kids = appendProjected(kids, c, window, at, resolve)
+			kids = appendProjected(kids, c, window, at, h, resolve)
 		} else if p != nil {
 			kids = append(kids, p)
 		}
@@ -156,12 +163,12 @@ func projectChildren(src *xmldom.Node, window xtime.Interval, at time.Time, reso
 // window are kept, and each kept version's children are interval-projected
 // to that version's own lifespan, resolving holes along the way. A
 // snapshot input (no lifespan annotation) counts as a single version.
-func VersionProjection(els []*xmldom.Node, window xtime.VersionInterval, at time.Time, resolve HoleResolver) []*xmldom.Node {
+func VersionProjection(els []*xmldom.Node, window xtime.VersionInterval, at time.Time, h *xtime.Horizon, resolve HoleResolver) []*xmldom.Node {
 	lo, hi := window.Bounds(len(els))
 	var out []*xmldom.Node
 	for pos := lo; pos <= hi; pos++ {
 		el := els[pos-1]
-		out = appendProjected(out, el, LifespanOf(el), at, resolve)
+		out = appendProjected(out, el, LifespanOf(el), at, h, resolve)
 	}
 	return out
 }

@@ -216,22 +216,22 @@ func TestReadsShareTheStoreAndLeaveItAlone(t *testing.T) {
 	acct := view.ChildElements("account")[0]
 	limits := acct.ChildElements("creditLimit")
 	// a window covering every lifespan changes nothing: the inputs come back
-	all := IntervalProjection(limits, xtime.Lifetime(), evalAt, nil)
+	all := IntervalProjection(limits, xtime.Lifetime(), evalAt, nil, nil)
 	if len(all) != len(limits) || all[0] != limits[0] || all[1] != limits[1] {
 		t.Error("a projection that clips nothing should return its inputs as they are")
 	}
 	// clipping one creditLimit rebuilds the account above it and shares
 	// the untouched customer below it
 	window := xtime.NewInterval(xtime.MustParse("1999-01-01T00:00:00"), xtime.MustParse("2000-01-01T00:00:00"))
-	out := IntervalProjection([]*xmldom.Node{acct}, window, evalAt, nil)
+	out := IntervalProjection([]*xmldom.Node{acct}, window, evalAt, nil, nil)
 	if len(out) != 1 || out[0] == acct {
 		t.Fatal("clipped account should be a rebuilt element")
 	}
 	if out[0].FirstChildElement("customer") != acct.FirstChildElement("customer") {
 		t.Error("unclipped sibling was copied, not shared")
 	}
-	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, storeResolver(st))
-	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, storeResolver(st))
+	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, nil, storeResolver(st))
+	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, nil, storeResolver(st))
 	check("projection across holes")
 }
 
@@ -240,16 +240,16 @@ func TestDerivedLifespan(t *testing.T) {
 	  <a vtFrom="2003-02-01T00:00:00" vtTo="2003-03-01T00:00:00"/>
 	  <b vtFrom="2003-01-01T00:00:00" vtTo="2003-02-01T00:00:00"/>
 	</p>`).Root()
-	life := DerivedLifespan(el, evalAt)
+	life := DerivedLifespan(el, evalAt, nil)
 	if life.From.String() != "2003-01-01T00:00:00" || life.To.String() != "2003-03-01T00:00:00" {
 		t.Fatalf("derived = %v", life)
 	}
 	leaf := xmldom.NewElement("leaf")
-	if got := DerivedLifespan(leaf, evalAt); got.String() != "[start,now]" {
+	if got := DerivedLifespan(leaf, evalAt, nil); got.String() != "[start,now]" {
 		t.Fatalf("leaf lifespan = %v", got)
 	}
 	annotated := xmldom.MustParseString(`<x vtFrom="2003-05-01T00:00:00" vtTo="now"><y vtFrom="2001-01-01T00:00:00" vtTo="2002-01-01T00:00:00"/></x>`).Root()
-	if got := DerivedLifespan(annotated, evalAt); got.From.String() != "2003-05-01T00:00:00" {
+	if got := DerivedLifespan(annotated, evalAt, nil); got.From.String() != "2003-05-01T00:00:00" {
 		t.Fatalf("own annotation should win: %v", got)
 	}
 }
@@ -262,7 +262,7 @@ func TestIntervalProjectionFiltersAndClips(t *testing.T) {
 
 	// window overlapping only the first limit
 	window := xtime.NewInterval(xtime.MustParse("1999-01-01T00:00:00"), xtime.MustParse("2000-01-01T00:00:00"))
-	out := IntervalProjection(limits, window, evalAt, nil)
+	out := IntervalProjection(limits, window, evalAt, nil, nil)
 	if len(out) != 1 || out[0].TrimmedText() != "2000" {
 		t.Fatalf("projection kept %d elements", len(out))
 	}
@@ -284,7 +284,7 @@ func TestIntervalProjectionNowWindow(t *testing.T) {
 	acct := view.ChildElements("account")[0]
 	limits := acct.ChildElements("creditLimit")
 	nowWin := xtime.PointInterval(xtime.Now())
-	out := IntervalProjection(limits, nowWin, evalAt, nil)
+	out := IntervalProjection(limits, nowWin, evalAt, nil, nil)
 	if len(out) != 1 || out[0].TrimmedText() != "5000" {
 		t.Fatalf("?[now] = %v", texts(out))
 	}
@@ -297,7 +297,7 @@ func TestIntervalProjectionRecursesIntoChildren(t *testing.T) {
 	// project the whole account to a window before the transaction: the
 	// transaction child must disappear while customer (snapshot) stays.
 	window := xtime.NewInterval(xtime.MustParse("1999-01-01T00:00:00"), xtime.MustParse("2000-01-01T00:00:00"))
-	out := IntervalProjection([]*xmldom.Node{acct}, window, evalAt, nil)
+	out := IntervalProjection([]*xmldom.Node{acct}, window, evalAt, nil, nil)
 	if len(out) != 1 {
 		t.Fatal("account dropped")
 	}
@@ -314,7 +314,7 @@ func TestIntervalProjectionResolvesHoles(t *testing.T) {
 	// project directly over the raw root fragment, crossing holes
 	root := st.Root().Payload
 	window := xtime.NewInterval(xtime.MustParse("2003-10-01T00:00:00"), xtime.Now())
-	out := IntervalProjection([]*xmldom.Node{root}, window, evalAt, storeResolver(st))
+	out := IntervalProjection([]*xmldom.Node{root}, window, evalAt, nil, storeResolver(st))
 	if len(out) != 1 {
 		t.Fatal("root dropped")
 	}
@@ -338,7 +338,7 @@ func TestIntervalProjectionEmptyWindow(t *testing.T) {
 	acct := view.ChildElements("account")[0]
 	// inverted window: empty result for annotated elements
 	window := xtime.NewInterval(xtime.MustParse("2005-01-01T00:00:00"), xtime.MustParse("2004-01-01T00:00:00"))
-	out := IntervalProjection(acct.ChildElements("creditLimit"), window, evalAt, nil)
+	out := IntervalProjection(acct.ChildElements("creditLimit"), window, evalAt, nil, nil)
 	if len(out) != 0 {
 		t.Fatalf("inverted window kept %d", len(out))
 	}
@@ -350,19 +350,19 @@ func TestVersionProjection(t *testing.T) {
 	acct := view.ChildElements("account")[0]
 	limits := acct.ChildElements("creditLimit")
 
-	first := VersionProjection(limits, xtime.VersionPoint(1), evalAt, nil)
+	first := VersionProjection(limits, xtime.VersionPoint(1), evalAt, nil, nil)
 	if len(first) != 1 || first[0].TrimmedText() != "2000" {
 		t.Fatalf("#[1] = %v", texts(first))
 	}
-	last := VersionProjection(limits, xtime.LastVersion(), evalAt, nil)
+	last := VersionProjection(limits, xtime.LastVersion(), evalAt, nil, nil)
 	if len(last) != 1 || last[0].TrimmedText() != "5000" {
 		t.Fatalf("#[last] = %v", texts(last))
 	}
-	all := VersionProjection(limits, xtime.VersionInterval{From: 1, To: 10}, evalAt, nil)
+	all := VersionProjection(limits, xtime.VersionInterval{From: 1, To: 10}, evalAt, nil, nil)
 	if len(all) != 2 {
 		t.Fatalf("#[1,10] = %d", len(all))
 	}
-	empty := VersionProjection(limits, xtime.VersionPoint(9), evalAt, nil)
+	empty := VersionProjection(limits, xtime.VersionPoint(9), evalAt, nil, nil)
 	if len(empty) != 0 {
 		t.Fatal("out-of-range version kept something")
 	}
@@ -370,7 +370,7 @@ func TestVersionProjection(t *testing.T) {
 
 func TestVersionProjectionSnapshotSingleVersion(t *testing.T) {
 	el := xmldom.TextElem("customer", "John")
-	out := VersionProjection([]*xmldom.Node{el}, xtime.VersionPoint(1), evalAt, nil)
+	out := VersionProjection([]*xmldom.Node{el}, xtime.VersionPoint(1), evalAt, nil, nil)
 	if len(out) != 1 || out[0].TrimmedText() != "John" {
 		t.Fatalf("snapshot #[1] = %v", texts(out))
 	}
@@ -383,7 +383,7 @@ func TestVersionProjectionClipsChildrenToVersionLifespan(t *testing.T) {
 	// Selecting account version 1 must clip its children to the account's
 	// lifespan (which covers everything here — so the transaction stays),
 	// exercising the interval-projection composition.
-	out := VersionProjection([]*xmldom.Node{acct}, xtime.VersionPoint(1), evalAt, nil)
+	out := VersionProjection([]*xmldom.Node{acct}, xtime.VersionPoint(1), evalAt, nil, nil)
 	if len(out) != 1 || len(out[0].ChildElements("transaction")) != 1 {
 		t.Fatal("version projection lost children")
 	}

@@ -678,7 +678,7 @@ func (rt *Runtime) intrIProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, 
 	}
 	window := xtime.NewInterval(from, to)
 	nodes := xq.Nodes(args[0])
-	out := xq.FromNodes(temporal.IntervalProjection(nodes, window, ctx.Static.Now, projResolver(ctx.Static, st)))
+	out := xq.FromNodes(temporal.IntervalProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, projResolver(ctx.Static, st)))
 	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
 		return nil, err
 	}
@@ -711,7 +711,7 @@ func (rt *Runtime) intrVProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, 
 		return nil, fmt.Errorf("xcql: version end is not a number")
 	}
 	nodes := xq.Nodes(args[0])
-	out := xq.FromNodes(temporal.VersionProjection(nodes, window, ctx.Static.Now, projResolver(ctx.Static, st)))
+	out := xq.FromNodes(temporal.VersionProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, projResolver(ctx.Static, st)))
 	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"xcql/internal/obs"
 	"xcql/internal/xmldom"
 	"xcql/internal/xq"
+	"xcql/internal/xtime"
 )
 
 // Exported spellings of the intrinsic plan functions, so plan inspectors
@@ -57,6 +58,20 @@ func (q *Query) ReadFiller(st *fragment.Store, fid int, at time.Time, stats *obs
 	return fragment.NewAccess(q.Mode.access(), fragment.Eval{At: at, Stats: stats}).Filler(st, fid, false)
 }
 
+// UnitVar is the variable an incremental unit's body reads its own
+// filler's versions from; EvalSubPlan binds it. No query can spell it.
+const UnitVar = "\x00unit"
+
+// PureCall reports that a call to name in this query's plan runs an xq
+// builtin that reads nothing but its arguments — not a function the
+// runtime registered under the same name, which may read anything.
+func (q *Query) PureCall(name string) bool {
+	q.rt.mu.RLock()
+	_, shadowed := q.rt.funcs[name]
+	q.rt.mu.RUnlock()
+	return !shadowed && xq.PureBuiltin(name)
+}
+
 // RecordStats publishes s as this query's LastStats. The incremental
 // evaluator assembles one EvalStats per fragment arrival out of many
 // sub-plan evaluations and records the merged profile here, so
@@ -64,12 +79,17 @@ func (q *Query) ReadFiller(st *fragment.Store, fid int, at time.Time, stats *obs
 func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 
 // EvalSubPlan evaluates one sub-expression of this query's plan in a
-// fresh environment at the evaluation instant: its own budget built from
-// lim, sequential and uncached execution (the pinned baseline strategy,
-// byte-identical to every parallel/cached configuration — see
-// TestDiffHarness), counters accumulated into stats (nil collects
-// nothing). materialize runs the final hole-filling Materialize step on
-// the result, exactly as Query.Eval does.
+// fresh environment at the evaluation instant, with $UnitVar bound to
+// unit: its own budget built from lim, sequential and uncached execution
+// (the pinned baseline strategy, byte-identical to every parallel/cached
+// configuration — see TestDiffHarness), counters accumulated into stats
+// (nil collects nothing). materialize runs the final hole-filling
+// Materialize step on the result, exactly as Query.Eval does.
+//
+// horizon is the earliest instant after at at which the same evaluation
+// over the same store can come out differently (xtime.Horizon): the zero
+// time when the clock alone never changes it, at itself when the result
+// is valid at this instant only.
 //
 // This is the incremental evaluator's workhorse: each partial-match unit
 // re-evaluates only its own slice of the plan through the same engine
@@ -77,12 +97,13 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // construction. EvalSubPlan performs no admission control — one fragment
 // arrival may evaluate many tiny units and each unit is already
 // step/byte/deadline-bounded by lim.
-func (q *Query) EvalSubPlan(e xq.Expr, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, err error) {
+func (q *Query) EvalSubPlan(e xq.Expr, unit xq.Sequence, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	b := budget.New(context.Background(), lim)
 	static := q.newStatic(at, b, stats, 1, nil, nil)
+	static.Horizon = xtime.NewHorizon(at)
 	defer func() {
 		if p := recover(); p != nil {
-			seq = nil
+			seq, horizon = nil, time.Time{}
 			if re, ok := p.(*budget.ResourceError); ok {
 				err = &EvalError{Query: q.Source, Mode: q.Mode, Err: re}
 			} else {
@@ -95,13 +116,14 @@ func (q *Query) EvalSubPlan(e xq.Expr, at time.Time, lim Limits, stats *obs.Eval
 			}
 		}
 	}()
-	seq, err = xq.Eval(e, xq.NewContext(static))
+	seq, err = xq.Eval(e, xq.NewContext(static).Bind(UnitVar, unit))
 	if err != nil {
-		return nil, q.wrapResource(err)
+		return nil, time.Time{}, q.wrapResource(err)
 	}
 	if materialize {
 		seq = materializeResult(seq, static)
 	}
+	horizon, _ = static.Horizon.Next()
 	if stats != nil {
 		// Query.eval copies the budget's totals into the stats at the
 		// end; sub-plan evaluations instead accumulate, so one arrival's
@@ -111,5 +133,5 @@ func (q *Query) EvalSubPlan(e xq.Expr, at time.Time, lim Limits, stats *obs.Eval
 		atomic.AddInt64(&stats.Items, items)
 		atomic.AddInt64(&stats.BytesMaterialized, bytes)
 	}
-	return seq, nil
+	return seq, horizon, nil
 }

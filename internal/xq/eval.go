@@ -54,6 +54,11 @@ type Static struct {
 	// Wait receives the worker pool's queue-wait observations when
 	// Parallelism > 1; nil collects nothing.
 	Wait *obs.Histogram
+	// Horizon, when set, is told of everything the evaluation decides by
+	// the moving Now — every comparison that resolves a symbolic "now",
+	// every direct read of the clock — so the caller learns how long the
+	// result stays valid over an unchanged store. nil tracks nothing.
+	Horizon *xtime.Horizon
 }
 
 // Func is a registered function implementation.
@@ -447,7 +452,7 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 	}
 	switch b.Op {
 	case "=", "!=", "<", "<=", ">", ">=":
-		return Singleton(generalCompare(b.Op, l, r, ctx.Static.Now)), nil
+		return Singleton(generalCompare(b.Op, l, r, ctx.Static)), nil
 	case "eq", "ne", "lt", "le", "gt", "ge":
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
@@ -456,7 +461,7 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 		if isNaNItem(la) || isNaNItem(ra) {
 			return Singleton(b.Op == "ne"), nil
 		}
-		c := compareAtomic(la, ra, ctx.Static.Now)
+		c := compareAtomic(la, ra, ctx.Static)
 		var res bool
 		switch b.Op {
 		case "eq":
@@ -474,15 +479,16 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 		}
 		return Singleton(res), nil
 	case "+", "-", "*", "div", "idiv", "mod":
-		return evalArith(b.Op, l, r, ctx.Static.Now)
+		return evalArith(b.Op, l, r, ctx.Static)
 	}
 	if allenOps[b.Op] {
-		li, lok := sequenceInterval(l, ctx.Static.Now)
-		ri, rok := sequenceInterval(r, ctx.Static.Now)
+		li, lok := sequenceInterval(l, ctx.Static)
+		ri, rok := sequenceInterval(r, ctx.Static)
 		if !lok || !rok {
 			return Singleton(false), nil
 		}
 		at := ctx.Static.Now
+		ctx.Static.Horizon.ObserveIntervals(li, ri)
 		var res bool
 		switch b.Op {
 		case "before":
@@ -508,14 +514,14 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 }
 
 // generalCompare implements XPath existential comparison semantics.
-func generalCompare(op string, l, r Sequence, at time.Time) bool {
+func generalCompare(op string, l, r Sequence, st *Static) bool {
 	la, ra := Atomize(l), Atomize(r)
 	for _, a := range la {
 		for _, b := range ra {
 			if isNaNItem(a) || isNaNItem(b) {
 				continue // NaN compares false to everything
 			}
-			c := compareAtomic(a, b, at)
+			c := compareAtomic(a, b, st)
 			ok := false
 			switch op {
 			case "=":
@@ -542,13 +548,13 @@ func generalCompare(op string, l, r Sequence, at time.Time) bool {
 // sequenceInterval derives the time interval of a sequence for Allen
 // comparisons: the lifespan of a node, a point for a dateTime, or the
 // value of an interval-like pair.
-func sequenceInterval(seq Sequence, at time.Time) (xtime.Interval, bool) {
+func sequenceInterval(seq Sequence, st *Static) (xtime.Interval, bool) {
 	if len(seq) == 0 {
 		return xtime.Interval{}, false
 	}
 	switch v := seq[0].(type) {
 	case *xmldom.Node:
-		return temporal.DerivedLifespan(v, at), true
+		return temporal.DerivedLifespan(v, st.Now, st.Horizon), true
 	case xtime.DateTime:
 		if len(seq) >= 2 {
 			if to, ok := seq[1].(xtime.DateTime); ok {
@@ -564,7 +570,7 @@ func sequenceInterval(seq Sequence, at time.Time) (xtime.Interval, bool) {
 	return xtime.Interval{}, false
 }
 
-func evalArith(op string, l, r Sequence, at time.Time) (Sequence, error) {
+func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 	la, ra := Atomize(l), Atomize(r)
 	if len(la) == 0 || len(ra) == 0 {
 		return nil, nil
@@ -593,7 +599,13 @@ func evalArith(op string, l, r Sequence, at time.Time) (Sequence, error) {
 			}
 		case xtime.DateTime:
 			if op == "-" {
-				diff := da.Resolve(at).Sub(bv.Resolve(at))
+				switch {
+				case da.IsNow() && bv.IsNow():
+					st.Horizon.Observe(da, bv) // fixed unless the shifts are calendar ones
+				case da.IsNow() || bv.IsNow():
+					st.Horizon.Collapse() // the difference grows with the clock
+				}
+				diff := da.Resolve(st.Now).Sub(bv.Resolve(st.Now))
 				return Singleton(xtime.Duration{Seconds: diff.Seconds()}), nil
 			}
 		default:
@@ -717,7 +729,6 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 		return nil, err
 	}
 	if len(fl.OrderBy) > 0 {
-		at := ctx.Static.Now
 		sort.SliceStable(tuples, func(i, j int) bool {
 			for k, spec := range fl.OrderBy {
 				a, b := tuples[i].keys[k], tuples[j].keys[k]
@@ -730,7 +741,7 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 				if b == nil {
 					return spec.Descending
 				}
-				c := compareAtomic(a, b, at)
+				c := compareAtomic(a, b, ctx.Static)
 				if c == 0 {
 					continue
 				}
@@ -973,7 +984,7 @@ func evalIntervalProj(ip *IntervalProj, ctx *Context) (Sequence, error) {
 	}
 	window := xtime.NewInterval(from, to)
 	nodes := Nodes(base)
-	projected := temporal.IntervalProjection(nodes, window, ctx.Static.Now, ctx.Static.Holes)
+	projected := temporal.IntervalProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, ctx.Static.Holes)
 	out := FromNodes(projected)
 	// non-node items pass through a projection untouched only if they are
 	// dateTimes inside the window; others are dropped (projection is a
@@ -1017,7 +1028,7 @@ func evalVersionProj(vp *VersionProj, ctx *Context) (Sequence, error) {
 		window.To, window.ToLast = toN, toLast
 	}
 	nodes := Nodes(base)
-	projected := temporal.VersionProjection(nodes, window, ctx.Static.Now, ctx.Static.Holes)
+	projected := temporal.VersionProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, ctx.Static.Holes)
 	return FromNodes(projected), nil
 }
 

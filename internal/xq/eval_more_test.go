@@ -188,14 +188,14 @@ func TestEvalTimeFormatting(t *testing.T) {
 }
 
 func TestSequenceIntervalFromDateTimePair(t *testing.T) {
-	iv, ok := sequenceInterval(Sequence{xtime.MustParse("2003-01-01T00:00:00"), xtime.MustParse("2003-02-01T00:00:00")}, evalAt)
+	iv, ok := sequenceInterval(Sequence{xtime.MustParse("2003-01-01T00:00:00"), xtime.MustParse("2003-02-01T00:00:00")}, &Static{Now: evalAt})
 	if !ok || iv.From.String() != "2003-01-01T00:00:00" || iv.To.String() != "2003-02-01T00:00:00" {
 		t.Fatalf("pair interval = %v ok=%v", iv, ok)
 	}
-	if _, ok := sequenceInterval(Sequence{}, evalAt); ok {
+	if _, ok := sequenceInterval(Sequence{}, &Static{Now: evalAt}); ok {
 		t.Fatal("empty sequence has no interval")
 	}
-	if _, ok := sequenceInterval(Sequence{true}, evalAt); ok {
+	if _, ok := sequenceInterval(Sequence{true}, &Static{Now: evalAt}); ok {
 		t.Fatal("boolean has no interval")
 	}
 }

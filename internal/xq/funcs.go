@@ -219,18 +219,14 @@ func init() {
 			}
 			return Singleton(n), nil
 		},
-		"doc":      docFn,
-		"document": docFn,
-		"currentDateTime": func(ctx *Context, _ []Sequence) (Sequence, error) {
-			return Singleton(xtime.At(ctx.Static.Now)), nil
-		},
-		"current-dateTime": func(ctx *Context, _ []Sequence) (Sequence, error) {
-			return Singleton(xtime.At(ctx.Static.Now)), nil
-		},
-		"abs":     numMap("abs", math.Abs),
-		"floor":   numMap("floor", math.Floor),
-		"ceiling": numMap("ceiling", math.Ceil),
-		"round":   numMap("round", math.Round),
+		"doc":              docFn,
+		"document":         docFn,
+		"currentDateTime":  currentDateTime,
+		"current-dateTime": currentDateTime,
+		"abs":              numMap("abs", math.Abs),
+		"floor":            numMap("floor", math.Floor),
+		"ceiling":          numMap("ceiling", math.Ceil),
+		"round":            numMap("round", math.Round),
 		"distinct-values": func(ctx *Context, args []Sequence) (Sequence, error) {
 			if err := arity("distinct-values", args, 1); err != nil {
 				return nil, err
@@ -255,6 +251,21 @@ func init() {
 		"vtFrom": lifespanEnd(false),
 		"vtTo":   lifespanEnd(true),
 	}
+}
+
+// PureBuiltin reports that name is a builtin whose result follows from
+// its arguments and the item in focus alone: it reads no document, no
+// stream and no store. doc and document fetch by uri, root climbs to a
+// document the arguments do not hold, and position and last read where
+// the focus sits in a sequence the caller may have cut up; everything a
+// runtime registers or a prologue declares is not a builtin at all.
+func PureBuiltin(name string) bool {
+	switch name {
+	case "doc", "document", "root", "position", "last":
+		return false
+	}
+	_, ok := builtins[name]
+	return ok
 }
 
 func arity(name string, args []Sequence, want int) error {
@@ -321,13 +332,20 @@ func extremum(sign int) Func {
 		}
 		best := all[0]
 		for _, it := range all[1:] {
-			c := compareAtomic(it, best, ctx.Static.Now)
+			c := compareAtomic(it, best, ctx.Static)
 			if (sign > 0 && c > 0) || (sign < 0 && c < 0) {
 				best = it
 			}
 		}
 		return Singleton(best), nil
 	}
+}
+
+// currentDateTime hands out the evaluation instant as a fixed value, so
+// whatever is computed from it is valid at that instant only.
+func currentDateTime(ctx *Context, _ []Sequence) (Sequence, error) {
+	ctx.Static.Horizon.Collapse()
+	return Singleton(xtime.At(ctx.Static.Now)), nil
 }
 
 func docFn(ctx *Context, args []Sequence) (Sequence, error) {
@@ -361,7 +379,7 @@ func lifespanEnd(end bool) Func {
 		}
 		switch v := args[0][0].(type) {
 		case *xmldom.Node:
-			life := temporal.DerivedLifespan(v, ctx.Static.Now)
+			life := temporal.DerivedLifespan(v, ctx.Static.Now, ctx.Static.Horizon)
 			if end {
 				return Singleton(life.To), nil
 			}

@@ -17,7 +17,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"xcql/internal/xmldom"
 	"xcql/internal/xtime"
@@ -226,8 +225,9 @@ func isNaNItem(it Item) bool {
 
 // compareAtomic orders two atomics for value comparison. It prefers, in
 // order: numeric comparison (both parse as numbers), dateTime comparison,
-// then lexicographic string comparison. `at` resolves symbolic dateTimes.
-func compareAtomic(a, b Item, at time.Time) int {
+// then lexicographic string comparison. st.Now resolves symbolic
+// dateTimes, and st.Horizon hears of it.
+func compareAtomic(a, b Item, st *Static) int {
 	na, nb := NumberValue(a), NumberValue(b)
 	if !math.IsNaN(na) && !math.IsNaN(nb) {
 		switch {
@@ -241,7 +241,8 @@ func compareAtomic(a, b Item, at time.Time) int {
 	}
 	if da, ok := DateTimeValue(a); ok {
 		if db, ok := DateTimeValue(b); ok {
-			return da.Compare(db, at)
+			st.Horizon.Observe(da, db)
+			return da.Compare(db, st.Now)
 		}
 	}
 	return strings.Compare(StringValue(a), StringValue(b))

@@ -38,13 +38,15 @@ func Coalesce(ivs []Interval, at time.Time) []Interval {
 }
 
 // CoverAll returns the minimum interval covering every input, or ok=false
-// for an empty input. Used to derive a parent lifespan from children.
-func CoverAll(ivs []Interval, at time.Time) (Interval, bool) {
+// for an empty input. Used to derive a parent lifespan from children. The
+// endpoint comparisons the cover is chosen by are reported to h.
+func CoverAll(ivs []Interval, at time.Time, h *Horizon) (Interval, bool) {
 	if len(ivs) == 0 {
 		return Interval{}, false
 	}
 	acc := ivs[0]
 	for _, iv := range ivs[1:] {
+		h.ObserveIntervals(acc, iv)
 		acc = acc.Cover(iv, at)
 	}
 	return acc, true

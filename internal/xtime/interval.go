@@ -89,11 +89,17 @@ func (iv Interval) Overlaps(o Interval, at time.Time) bool {
 
 // Intersect returns the intersection of the two intervals and whether it is
 // non-empty. This is the clipping operation of interval_projection (§6):
-// the resulting lifespan is [max(from), min(to)].
-func (iv Interval) Intersect(o Interval, at time.Time) (Interval, bool) {
+// the resulting lifespan is [max(from), min(to)]. The comparisons it
+// decides by — whether the intervals overlap, and which endpoints bound
+// the overlap — are reported to h.
+func (iv Interval) Intersect(o Interval, at time.Time, h *Horizon) (Interval, bool) {
+	h.LE(iv.From, o.To)
+	h.LE(o.From, iv.To)
 	if !iv.Overlaps(o, at) {
 		return Interval{}, false
 	}
+	h.GE(iv.From, o.From)
+	h.LE(iv.To, o.To)
 	return Interval{
 		From: iv.From.Max(o.From, at),
 		To:   iv.To.Min(o.To, at),

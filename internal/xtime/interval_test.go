@@ -49,7 +49,7 @@ func TestIntervalContains(t *testing.T) {
 func TestIntervalIntersect(t *testing.T) {
 	a := iv("2003-01-01T00:00:00", "2003-06-01T00:00:00")
 	b := iv("2003-03-01T00:00:00", "2003-09-01T00:00:00")
-	got, ok := a.Intersect(b, eval)
+	got, ok := a.Intersect(b, eval, nil)
 	if !ok {
 		t.Fatal("expected overlap")
 	}
@@ -58,7 +58,7 @@ func TestIntervalIntersect(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	c := iv("2004-01-01T00:00:00", "2004-02-01T00:00:00")
-	if _, ok := a.Intersect(c, eval); ok {
+	if _, ok := a.Intersect(c, eval, nil); ok {
 		t.Fatal("disjoint intervals should not intersect")
 	}
 }
@@ -66,12 +66,12 @@ func TestIntervalIntersect(t *testing.T) {
 func TestIntersectWithNowBound(t *testing.T) {
 	life := NewInterval(MustParse("2003-01-01T00:00:00"), Now())
 	window := iv("2003-06-01T00:00:00", "2003-07-01T00:00:00")
-	got, ok := life.Intersect(window, eval)
+	got, ok := life.Intersect(window, eval, nil)
 	if !ok || !got.Equal(window, eval) {
 		t.Fatalf("got %v ok=%v", got, ok)
 	}
 	future := iv("2004-01-01T00:00:00", "2004-02-01T00:00:00") // after eval
-	if _, ok := life.Intersect(future, eval); ok {
+	if _, ok := life.Intersect(future, eval, nil); ok {
 		t.Fatal("[.., now] should not reach past the evaluation instant")
 	}
 }
@@ -197,13 +197,13 @@ func TestCoalesceProperties(t *testing.T) {
 }
 
 func TestCoverAll(t *testing.T) {
-	if _, ok := CoverAll(nil, eval); ok {
+	if _, ok := CoverAll(nil, eval, nil); ok {
 		t.Fatal("empty CoverAll should report !ok")
 	}
 	got, ok := CoverAll([]Interval{
 		iv("2003-02-01T00:00:00", "2003-03-01T00:00:00"),
 		iv("2003-01-01T00:00:00", "2003-01-15T00:00:00"),
-	}, eval)
+	}, eval, nil)
 	if !ok || got.From.String() != "2003-01-01T00:00:00" || got.To.String() != "2003-03-01T00:00:00" {
 		t.Fatalf("got %v", got)
 	}
