@@ -2,12 +2,18 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
+.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
 
-check: vet static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
+check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
 
 vet:
 	$(GO) vet ./...
+
+# Fragments flow from a stream client into a registry, and so do the
+# imports: a ContinuousQuery is a registry of one, which internal/stream
+# can only build while internal/registry knows nothing of it.
+layering:
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/registry | grep -x xcql/internal/stream || { echo "internal/registry must not import internal/stream"; exit 1; }
 
 # staticcheck is optional tooling: run it when installed, skip loudly
 # (but successfully) when not, so `make check` works on a bare toolchain.
@@ -62,20 +68,24 @@ test-diffharness:
 
 # The incremental cell: generated pairs REPLAYED one arrival at a time
 # (every profile of at least four seeds, re-announced parents, expiring
-# windows and pure clock advances included), incremental deltas
-# byte-identical to full re-evaluation across the strategy grid, plus the
-# arrival-order metamorphic suite.
+# windows and pure clock advances included), full-mode and incremental
+# deltas byte-identical to the harness's from-scratch oracle across the
+# strategy grid, plus the arrival-order metamorphic suite.
 test-diffharness-incremental:
 	$(GO) test -race -run '^(TestDiffHarnessIncremental|TestIncrementalArrivalOrder)$$' -timeout 600s .
 
 # The registry-equivalence cell: 200+ generated store/query pairs
 # replayed through the multi-tenant registry with 2..32 overlapping
 # standing registrations, every delta stream and final standing result
-# byte-identical to independent continuous queries, plus the churn/soak
-# and shared-cost monotonicity suites, under the race detector.
+# byte-identical to a from-scratch evaluation diffed step by step (the
+# harness's own oracle, which a ContinuousQuery — a registry of one — is
+# held to as well), plus the shared-cost monotonicity, admission,
+# pending-re-emission and churn/soak suites, under the race detector. The
+# churn test dials a stream client, so it lives on the stream side.
 test-registry:
 	$(GO) test -race -run '^(TestRegistryEquivalence|TestRegistrySharedCostMonotonic)$$' -timeout 600s .
-	$(GO) test -race -run '^(TestRegistryChurnUnderFire|TestRegistryAdmissionOverload)$$' -timeout 120s ./internal/registry
+	$(GO) test -race -run '^(TestRegistryAdmissionOverload|TestPendingReemissionSurvivesFailedArrival)$$' -timeout 120s ./internal/registry
+	$(GO) test -race -run '^TestRegistryChurnUnderFire$$' -timeout 120s ./internal/stream
 
 # The QaC++ label cell: the prefix labeler's property suite (document
 # order without hole walks, arrival-order stability, generation
@@ -89,9 +99,11 @@ test-labels:
 	$(GO) test -race -run '^(TestEvalStatsPopulated|TestFillersScannedMonotonic|TestTSIDIndexHitsOnlyUnderQaCPlus)$$' -timeout 120s .
 
 # End-to-end tracing acceptance: a chaos burst with the flight recorder
-# attached at every layer must produce a complete publish→fsync→eval→
-# fan-out→delivery span tree under one trace id, survive a forced
-# reconnect, and leak no goroutines — all under the race detector.
+# attached at every layer must produce a complete publish → segstore.append
+# → segstore.fsync → deliver → registry.eval → fanout span tree under one
+# trace id (a standing query records registry.eval/fanout/inc.recompute
+# however it was created), survive a forced reconnect, and leak no
+# goroutines — all under the race detector.
 trace-smoke:
 	$(GO) test -race -run '^TestTraceSmoke$$' -timeout 120s .
 

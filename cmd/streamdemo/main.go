@@ -202,7 +202,7 @@ func main() {
 	var querySrv *http.Server
 	if *serveAddr != "" {
 		qreg := engine.Registry()
-		qreg.AttachClient(client)
+		client.AttachRegistry(qreg)
 		qreg.RegisterMetrics(registry, "registry")
 		qln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {

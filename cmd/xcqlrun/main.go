@@ -52,7 +52,7 @@ func main() {
 	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
 	incremental := flag.Bool("incremental", false, "replay the fragment stream through an incremental continuous query, printing per-arrival deltas")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: recovered fragments are ingested before the -fragments file and this run's ingest is write-ahead logged")
-	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → cq.eval → inc.recompute) in a flight recorder and dump it to stderr at the end")
+	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → registry.eval → fanout → inc.recompute) in a flight recorder and dump it to stderr at the end")
 	flag.Parse()
 
 	query, err := readQuery(*queryFile, flag.Args())

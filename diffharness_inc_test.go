@@ -1,6 +1,7 @@
 package xcql_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,11 +14,13 @@ import (
 
 // The incremental cell of the differential harness: every generated
 // store/query pair is REPLAYED fragment by fragment through a continuous
-// query — once in full re-evaluation mode (the reference), once with
-// WithIncremental(true) — and the two must agree byte for byte on every
-// per-arrival delta and on the final standing result. The incremental
-// replays run under every plan × parallelism × cache combination; the
-// engine's decomposition differs radically per plan (QaC+ indexes by
+// query — in full re-evaluation mode and with WithIncremental(true) — and
+// both must agree byte for byte, on every per-arrival delta and on the
+// final standing result, with replayOracle: a from-scratch evaluation at
+// every step, diffed here in the test. (A full-mode ContinuousQuery is no
+// reference: it runs through the same registration the incremental one
+// does.) The incremental replays run under every plan × parallelism ×
+// cache combination; the engine's decomposition differs radically per plan (QaC+ indexes by
 // tsid, CaQ degrades to whole-plan recomputation), so identical output
 // across the grid pins the tentpole claim: incremental evaluation is an
 // execution strategy, not a semantics change.
@@ -75,13 +78,9 @@ func replayAdvance(i int, frags []*xcql.Fragment, at *time.Time) bool {
 	return true
 }
 
-// replayCQ feeds frags one at a time into a fresh store and continuous
-// query compiled under (mode, cfg), with the evaluation clock pinned to
-// the running maximum validTime (fragments never "un-happen"; reordered
-// histories replay with a monotone clock) plus the replayTick advances
-// and the final jump to replayEnd, each of which is evaluated on its own.
-func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
-	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
+// replaySetup builds one replay's fresh store and the query compiled over
+// it under (mode, cfg).
+func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mode, cfg execConfig) (*xcql.Store, *xcql.Query) {
 	t.Helper()
 	var st *xcql.Store
 	if ins.Profile.Scan {
@@ -102,6 +101,71 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	if cfg.perQuery {
 		q = q.WithParallelism(cfg.parallelism).WithCache(cfg.cacheSize)
 	}
+	return st, q
+}
+
+// replaySteps drives one replay's schedule: frags are stored one at a
+// time, with the evaluation clock *at pinned to the running maximum
+// validTime (fragments never "un-happen"; reordered histories replay with
+// a monotone clock), and step is called after every arrival and — with
+// nil — after every replayTick advance and the final jump to replayEnd.
+func replaySteps(t *testing.T, st *xcql.Store, frags []*xcql.Fragment, at *time.Time, step func(*xcql.Fragment)) {
+	t.Helper()
+	for i, f := range frags {
+		if err := st.Add(f); err != nil {
+			t.Fatalf("add filler %d: %v", f.FillerID, err)
+		}
+		if f.ValidTime.After(*at) {
+			*at = f.ValidTime
+		}
+		step(f)
+		if replayAdvance(i, frags, at) {
+			step(nil)
+		}
+	}
+}
+
+// replayOracle is the reference every standing-query replay must
+// reproduce, and it shares no code with them: at every step the query is
+// evaluated from scratch and diffed, by serialized item, against the
+// step before. An evaluation error is a legitimate outcome (e.g. CaQ's
+// fn:view before the root filler arrives in a reordered history); it is
+// recorded as a marker, so a replay must fail at exactly the same steps.
+func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
+	src string, mode xcql.Mode, cfg execConfig) replayTrace {
+	t.Helper()
+	st, q := replaySetup(t, ins, src, mode, cfg)
+	var tr replayTrace
+	var at time.Time
+	prev := map[string]bool{}
+	replaySteps(t, st, frags, &at, func(*xcql.Fragment) {
+		seq, err := q.EvalLimits(context.Background(), at, q.Limits)
+		if err != nil {
+			tr.deltas = append(tr.deltas, "!error")
+			return
+		}
+		next := make(map[string]bool, len(seq))
+		var delta xcql.Sequence
+		for _, it := range seq {
+			key := xcql.FormatSequence(xcql.Sequence{it})
+			if !next[key] && !prev[key] {
+				delta = append(delta, it)
+			}
+			next[key] = true
+		}
+		prev = next
+		tr.deltas = append(tr.deltas, xcql.FormatSequence(delta))
+		tr.final = xcql.FormatSequence(seq)
+	})
+	return tr
+}
+
+// replayCQ replays frags through a ContinuousQuery over a fresh store,
+// compiled under (mode, cfg), on the replaySteps schedule.
+func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
+	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
+	t.Helper()
+	st, q := replaySetup(t, ins, src, mode, cfg)
 	var tr replayTrace
 	var lastItems xcql.Sequence
 	var at time.Time
@@ -113,25 +177,11 @@ func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	if incremental {
 		cq.WithIncremental(true)
 	}
-	for i, f := range frags {
-		if err := st.Add(f); err != nil {
-			t.Fatalf("add filler %d: %v", f.FillerID, err)
-		}
-		if f.ValidTime.After(at) {
-			at = f.ValidTime
-		}
-		// an evaluation error is a legitimate outcome (e.g. CaQ's fn:view
-		// before the root filler arrives in a reordered history); record a
-		// marker so both modes must fail at exactly the same arrivals
+	replaySteps(t, st, frags, &at, func(f *xcql.Fragment) {
 		if err := cq.EvaluateFragment(f); err != nil {
 			tr.deltas = append(tr.deltas, "!error")
 		}
-		if replayAdvance(i, frags, &at) {
-			if err := cq.Evaluate(); err != nil {
-				tr.deltas = append(tr.deltas, "!error")
-			}
-		}
-	}
+	})
 	if incremental {
 		tr.final = xcql.FormatSequence(cq.ItemsSnapshot())
 	} else {
@@ -164,9 +214,9 @@ func TestDiffHarnessIncremental(t *testing.T) {
 	t.Logf("verified %d incremental store/query pairs", pairs)
 }
 
-// runIncrementalInstance replays one generated history per query: full
-// re-evaluation across the plan grid as the reference, incremental
-// across plan × parallelism × cache.
+// runIncrementalInstance replays one generated history per query: the
+// oracle under every plan as the reference, full re-evaluation across the
+// plan grid and incremental across plan × parallelism × cache against it.
 func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	t.Helper()
 	ins, err := genstore.Generate(p)
@@ -178,8 +228,8 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	prints := fingerprintPayloads(ins.Fragments)
 	defer func() { checkPayloads(t, prints, p.String()) }()
 	for _, query := range ins.Queries {
-		// the first full replay of a baseline group is what every other
-		// replay of the group must reproduce
+		// the first replay of a baseline group — an oracle's — is what
+		// every other replay of the group must reproduce
 		split := splitOf(p, query)
 		baselines := make(map[string]replayTrace)
 		check := func(tr replayTrace, mode xcql.Mode, label string) {
@@ -196,12 +246,13 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 				tr, want = replayTrace{final: tr.final}, replayTrace{final: baselines["every plan"].final}
 			}
 			if got, want := tr.String(), want.String(); got != want {
-				t.Fatalf("%s/%s: %s diverged from full baseline\nbaseline:\n%s\ngot:\n%s",
+				t.Fatalf("%s/%s: %s diverged from the oracle baseline\nbaseline:\n%s\ngot:\n%s",
 					p, query.Name, label, harnessTruncate(want), harnessTruncate(got))
 			}
 		}
 		for _, mode := range harnessModes {
-			// full re-evaluation references, sequential and parallel
+			check(replayOracle(t, ins, ins.Fragments, query.Src, mode, execConfigs[0]), mode, fmt.Sprintf("oracle/%s", mode))
+			// full re-evaluation, sequential and parallel
 			for _, cfg := range []execConfig{execConfigs[0], execConfigs[2]} {
 				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, false)
 				check(tr, mode, fmt.Sprintf("full/%s/%s", mode, cfg.name))
@@ -218,7 +269,7 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 // TestIncrementalArrivalOrder is the arrival-order metamorphic suite:
 // the same fragment set replayed in document order, reverse order, and
 // seeded shuffles. Per order, incremental and full replays must agree
-// byte for byte (the differential property). Across orders, the FINAL
+// byte for byte with the oracle (the differential property). Across orders, the FINAL
 // standing result must be identical — arrival order never leaks into
 // the standing state — and nothing may appear in a final result that
 // was never emitted as a delta (a lost emission could silently narrow
@@ -256,11 +307,14 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 				finals := make(map[string]string)
 				for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
 					for name, frags := range orders {
+						want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
 						full := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], false)
 						inc := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], true)
-						if got, want := inc.String(), full.String(); got != want {
-							t.Fatalf("%s/%s/%s order=%s: incremental diverged from full\nfull:\n%s\ninc:\n%s",
-								p, query.Name, mode, name, harnessTruncate(want), harnessTruncate(got))
+						for kind, got := range map[string]string{"full": full.String(), "incremental": inc.String()} {
+							if got != want {
+								t.Fatalf("%s/%s/%s order=%s: %s diverged from the oracle\noracle:\n%s\n%s:\n%s",
+									p, query.Name, mode, name, kind, harnessTruncate(want), kind, harnessTruncate(got))
+							}
 						}
 						// no silent appearance: every line of the final result
 						// was emitted in some delta of this replay
@@ -293,8 +347,8 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 
 // FuzzIncrementalArrival fuzzes the differential property: an arbitrary
 // (seed, permutation, profile-flag) triple generates a history, shuffles
-// its arrival order, and replays it incrementally against the full
-// re-evaluation reference.
+// its arrival order, and replays it, incrementally and in full mode,
+// against the oracle.
 func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(0))
 	f.Add(int64(2), int64(7), uint8(3))
@@ -322,11 +376,12 @@ func FuzzIncrementalArrival(f *testing.F) {
 		// the battery so every query form gets coverage
 		query := ins.Queries[int(uint64(permSeed)%uint64(len(ins.Queries)))]
 		mode := harnessModes[int(uint8(flags>>4))%len(harnessModes)]
-		full := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], false)
-		inc := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], true)
-		if got, want := inc.String(), full.String(); got != want {
-			t.Fatalf("%s/%s/%s: incremental diverged from full\nfull:\n%s\ninc:\n%s",
-				p, query.Name, mode, harnessTruncate(want), harnessTruncate(got))
+		want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
+		for _, incremental := range []bool{false, true} {
+			if got := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], incremental).String(); got != want {
+				t.Fatalf("%s/%s/%s: replay (incremental=%v) diverged from the oracle\noracle:\n%s\ngot:\n%s",
+					p, query.Name, mode, incremental, harnessTruncate(want), harnessTruncate(got))
+			}
 		}
 	})
 }

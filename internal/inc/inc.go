@@ -597,12 +597,12 @@ func NewSharedPass() *SharedPass {
 	}
 }
 
-// serial is itemSerial with a cross-engine memo for node items (atomic
+// serial is ItemSerial with a cross-engine memo for node items (atomic
 // items serialize trivially and are not worth a map entry).
 func (sp *SharedPass) serial(it xq.Item) string {
 	n, ok := it.(*xmldom.Node)
 	if !ok {
-		return itemSerial(it)
+		return ItemSerial(it)
 	}
 	sp.mu.Lock()
 	s, ok := sp.serials[n]
@@ -610,7 +610,7 @@ func (sp *SharedPass) serial(it xq.Item) string {
 	if ok {
 		return s
 	}
-	s = itemSerial(it)
+	s = ItemSerial(it)
 	sp.mu.Lock()
 	sp.serials[n] = s
 	sp.mu.Unlock()
@@ -621,7 +621,7 @@ func (sp *SharedPass) serial(it xq.Item) string {
 // memo when one is active.
 func serialOf(it xq.Item, sp *SharedPass) string {
 	if sp == nil {
-		return itemSerial(it)
+		return ItemSerial(it)
 	}
 	return sp.serial(it)
 }
@@ -665,7 +665,7 @@ func (sp *SharedPass) store(key string, r sharedResult) {
 // advance (re-evaluate the units whose horizon the clock reached and
 // newly visible pending arrivals only). An error (e.g. a budget trip in
 // some unit) aborts the arrival atomically: no state changes, and the
-// caller may Reseed.
+// next arrival rebuilds from the store.
 func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
 	return e.ApplyShared(f, at, lim, stats, nil)
 }
@@ -685,7 +685,7 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 		// first evaluation, or a clock regression (visibility may shrink
 		// and popped pending arrivals would be lost): rebuild everything
 		rsp.SetDetail("full-recompute")
-		return e.recomputeAll(at, lim, stats, false, sp)
+		return e.recomputeAll(at, lim, stats, sp)
 	}
 	// the clock alone dirties what it has reached: the units whose
 	// horizon has come, and the stored versions that become visible. A
@@ -709,7 +709,7 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 			// decomposing and recompute the whole plan from here on
 			e.fallback()
 			rsp.SetDetail("fallback-full")
-			return e.recomputeAll(at, lim, stats, false, sp)
+			return e.recomputeAll(at, lim, stats, sp)
 		}
 		if f.ValidTime.After(at) {
 			e.pending = append(e.pending, pendingArrival{fid: f.FillerID, tsid: f.TSID, at: f.ValidTime})
@@ -731,39 +731,13 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 	return seq, nil
 }
 
-// Reseed rebuilds all incremental state from the store and re-emits the
-// entire current result — the recovery step after Invalidate: a lost
-// fragment may have orphaned state, so everything is recomputed and
-// everything re-emits (mirroring full mode's reset delta map).
-func (e *Engine) Reseed(at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
-	return e.ReseedShared(at, lim, stats, nil)
-}
-
-// ReseedShared is Reseed drawing unit evaluations from a SharedPass
-// (nil for unshared).
-func (e *Engine) ReseedShared(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.recomputeAll(at, lim, stats, true, sp)
-}
-
 // recomputeAll rebuilds containment and pending state from the store,
 // ensures a unit for everything the store holds, and recomputes every
-// unit. With reseed, the previous-result memory is cleared first so the
-// whole result re-emits as delta.
-func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, reseed bool, sp *SharedPass) (xq.Sequence, error) {
+// unit. The previous-result memory survives, so the delta stays relative
+// to what was last emitted; re-emitting a standing result is the
+// registry's business (it renders ItemsSnapshot), not the engine's.
+func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
 	e.rebuildContainment(at)
-	if reseed {
-		e.refcount = make(map[string]int)
-		for _, u := range e.order {
-			u.entries = nil
-			u.count = 0
-		}
-		e.bytes = 0
-		e.itemCount = 0
-		e.countTotal = 0
-		e.emitted = false
-	}
 	for pi, p := range e.pieces {
 		if !p.indexed() {
 			e.ensureUnit(unitKey{pi, -1, -1})
@@ -1223,9 +1197,11 @@ func (e *Engine) describe(p *piece) string {
 	return "generic on " + tagNames(ids)
 }
 
-// itemSerial is the delta identity of one result item — the same
-// serialization the continuous query's full mode diffs by.
-func itemSerial(it xq.Item) string {
+// ItemSerial is the delta identity of one result item: consecutive
+// results are diffed by it, here and in the registry's full mode, and the
+// registry's wire codec renders items with it — one definition, so the
+// three can never drift.
+func ItemSerial(it xq.Item) string {
 	if n, ok := it.(*xmldom.Node); ok {
 		return n.String()
 	}

@@ -161,14 +161,14 @@ func TestPerBindingSchedule(t *testing.T) {
 		}
 		var want []string
 		for _, it := range ref {
-			if s := itemSerial(it); !seen[s] {
+			if s := ItemSerial(it); !seen[s] {
 				seen[s] = true
 				want = append(want, s)
 			}
 		}
 		var got []string
 		for _, it := range delta {
-			got = append(got, itemSerial(it))
+			got = append(got, ItemSerial(it))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("at %s: delta %q, full re-evaluation emits %q", at.Format("15:04:05"), got, want)
@@ -257,7 +257,7 @@ func TestHorizonLaw(t *testing.T) {
 	bounded, changed := 0, 0
 	check := func(name string, e *Engine, frags []*fragment.Fragment, at time.Time) {
 		t.Helper()
-		if _, err := e.Reseed(at, xcql.Limits{}, nil); err != nil {
+		if _, err := e.Apply(nil, at, xcql.Limits{}, nil); err != nil {
 			return // e.g. CaQ before the root filler: nothing to hold
 		}
 		// a stored version that becomes visible changes the store the
@@ -276,7 +276,7 @@ func TestHorizonLaw(t *testing.T) {
 				}
 				var b strings.Builder
 				for _, it := range seq {
-					b.WriteString(itemSerial(it))
+					b.WriteString(ItemSerial(it))
 					b.WriteByte('\n')
 				}
 				return b.String(), horizon

@@ -350,6 +350,7 @@ func TestAPIEvalAndRegistryz(t *testing.T) {
 	}, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	fx.publish(101, 2) // seeds the registration: its buffers hold the standing result
 	resp2, body2 := func() (*http.Response, []byte) {
 		r, err := http.Get(fx.srv.URL + "/v1/registryz")
 		if err != nil {
@@ -364,14 +365,20 @@ func TestAPIEvalAndRegistryz(t *testing.T) {
 		t.Fatalf("registryz: %d", resp2.StatusCode)
 	}
 	var rz struct {
-		Stats  Stats        `json:"stats"`
-		Groups []GroupStats `json:"groups"`
+		Stats         Stats        `json:"stats"`
+		Groups        []GroupStats `json:"groups"`
+		Registrations []RegStats   `json:"registrations"`
 	}
 	if err := json.Unmarshal(body2, &rz); err != nil {
 		t.Fatal(err)
 	}
-	if rz.Stats.Registrations != 1 || len(rz.Groups) != 1 {
-		t.Fatalf("registryz shows %d registrations / %d groups, want 1/1: %s",
-			rz.Stats.Registrations, len(rz.Groups), body2)
+	if rz.Stats.Registrations != 1 || len(rz.Groups) != 1 || len(rz.Registrations) != 1 {
+		t.Fatalf("registryz shows %d registrations / %d groups / %d rows, want 1/1/1: %s",
+			rz.Stats.Registrations, len(rz.Groups), len(rz.Registrations), body2)
+	}
+	// the status row reads the counters the memory-bound tests assert
+	if row := rz.Registrations[0]; row.BufferBytes <= 0 || row.BufferHWMBytes < row.BufferBytes {
+		t.Fatalf("registryz row reports buffer %d B (high-water %d B) for a seeded registration: %s",
+			row.BufferBytes, row.BufferHWMBytes, body2)
 	}
 }

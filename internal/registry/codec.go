@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"xcql/internal/stream"
+	"xcql/internal/inc"
 	"xcql/internal/xq"
 )
 
@@ -70,13 +70,13 @@ func (JSONCodec) EncodeResult(id int64, res Result) ([]byte, error) {
 }
 
 // formatItems serializes a sequence item by item, using the delta
-// identity serialization (stream.ItemKey) so wire output and harness
+// identity serialization (inc.ItemSerial) so wire output and harness
 // diffing can never disagree. Always non-nil, so JSON renders [] rather
 // than null for an empty delta.
 func formatItems(seq xq.Sequence) []string {
 	out := make([]string, 0, len(seq))
 	for _, it := range seq {
-		out = append(out, stream.ItemKey(it))
+		out = append(out, inc.ItemSerial(it))
 	}
 	return out
 }

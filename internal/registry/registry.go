@@ -8,10 +8,15 @@
 // unit evaluations through an inc.SharedPass — the registry is the
 // layer that dedupes PR 6's per-tag/per-filler units *across* queries.
 //
-// Every registration's observable output — its per-arrival delta stream
-// and its standing result — is byte-identical to an independent
-// stream.ContinuousQuery over the same arrivals (the registry-
-// equivalence harness pins this). Sharing changes cost, never results.
+// This is the one implementation of a standing query: a registration
+// owns the previous-result memory, the degrade/re-emit protocol and the
+// buffer accounting, and stream.ContinuousQuery is a registry holding
+// exactly one of them. Every registration's observable output — its
+// per-arrival delta stream and its standing result — is byte-identical to
+// re-evaluating the query from scratch at every arrival and diffing
+// consecutive results (the registry-equivalence harness pins this
+// against an oracle that does exactly that). Sharing changes cost, never
+// results.
 //
 // Sharing is scoped for soundness: a group key combines the access-path
 // signature with the identity of the stores the plan reads and a
@@ -24,22 +29,27 @@
 // Delivery is per-registration with backpressure: a subscriber that
 // cannot keep up loses results but never silently — the registration is
 // invalidated (its next delivery re-emits the whole standing result)
-// and marked degraded with the drop reason, exactly the contract the
-// stream client applies to transport gaps.
+// and marked degraded with the drop reason, exactly the contract a
+// transport gap gets.
+//
+// The package sits below internal/stream: fragments flow from a stream
+// client into a registry, so the client wires itself in
+// (stream.Client.AttachRegistry) and nothing here knows about transports.
 package registry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/inc"
 	"xcql/internal/obs"
-	"xcql/internal/stream"
 	"xcql/internal/xcql"
 	"xcql/internal/xq"
 )
@@ -50,9 +60,10 @@ type Result struct {
 	// At is the evaluation instant (what "now" resolved to).
 	At time.Time
 	// Items is the full result sequence at that instant — full-mode
-	// registrations only, exactly as stream.Result.Items: incremental
-	// deliveries leave it nil (use Registration.ItemsSnapshot) and so
-	// do degraded emissions after a governed failure.
+	// registrations only: incremental deliveries leave it nil, so that
+	// per-arrival cost stays proportional to the delta (use
+	// Registration.ItemsSnapshot), and so do degraded emissions after a
+	// governed failure.
 	Items xq.Sequence
 	// Delta contains the items absent (by serialized form) from the
 	// registration's previous result, in result order. After an
@@ -82,8 +93,7 @@ type Options struct {
 	// re-evaluation per arrival.
 	Incremental bool
 	// Limits bounds each evaluation of this registration. The zero
-	// value falls back to the compiled query's own Limits — the same
-	// fallback stream.ContinuousQuery applies.
+	// value falls back to the compiled query's own Limits.
 	Limits xcql.Limits
 	// OnResult, when set, delivers synchronously on the arrival
 	// goroutine (no backpressure, no drops) — the mode tests and
@@ -193,9 +203,6 @@ type group struct {
 	// signature with refcount K is evaluated once per arrival and
 	// shared K ways.
 	sigRef map[string]int
-	// fullShares maps full-mode plan identities to the member ids
-	// holding them, so identical full-mode plans evaluate once.
-	fullShares map[string]map[int64]bool
 	// engShares maps incremental plan identities to a single shared
 	// inc.Engine: identical incremental registrations advance ONE
 	// engine per arrival and fan the delta out, so per-member cost is a
@@ -220,18 +227,27 @@ type Registration struct {
 	opts Options
 	lim  xcql.Limits
 	g    *group
-	// fullKey is the full-mode sharing identity (mode + canonical
-	// plan); empty for incremental registrations. incKey is the
-	// incremental engine-sharing identity; empty for full-mode ones.
-	fullKey string
-	incKey  string
-	eng     *inc.Engine
-	sigs    []string
+	// planKey is the sharing identity (evaluation kind + mode + canonical
+	// plan): members of a group with the same key share one evaluation per
+	// arrival — one full evaluation, or one advance of one engine.
+	planKey string
+	// eng is the incremental engine, possibly shared with the group's
+	// other members of the same planKey; nil in full mode.
+	eng  *inc.Engine
+	sigs []string
 
-	mu         sync.Mutex
-	seen       map[string]bool // full mode: previous result's serials
-	lastItems  xq.Sequence     // full mode: previous result (standing snapshot)
-	degraded   string
+	mu        sync.Mutex
+	seen      map[string]bool // full mode: previous result's serials
+	lastItems xq.Sequence     // full mode: previous result (standing snapshot)
+	// bufBytes / bufHWM account the full-mode standing state (seen's
+	// serialized bytes) and its high-water mark; an incremental
+	// registration reads its engine's counters instead.
+	bufBytes int64
+	bufHWM   int64
+	degraded string
+	// needReseed makes the next successful delivery re-emit the whole
+	// standing result: set by invalidation and by adopting a live shared
+	// engine, cleared only when that delivery is made.
 	needReseed bool
 	closed     bool
 	ch         chan Result
@@ -248,6 +264,14 @@ type RegStats struct {
 	Evaluations int64
 	Dropped     int64
 	Degraded    string
+	// BufferBytes is the standing state the registration holds between
+	// arrivals, in serialized bytes: the previous result's serial set in
+	// full mode, the engine's partial-match buffers in incremental mode
+	// (members sharing an engine each report the shared buffers).
+	// BufferHWMBytes is its high-water mark — it follows the standing
+	// result's size, not the output history.
+	BufferBytes    int64
+	BufferHWMBytes int64
 }
 
 // Stats is a snapshot of the registry's process-level counters.
@@ -303,7 +327,7 @@ type GroupStats struct {
 // stores, same limits) and starts receiving a Result per subsequent
 // arrival. Registration itself performs no evaluation; the first
 // arrival (or Evaluate call) seeds the standing state and emits it as
-// the first delta — exactly a fresh ContinuousQuery's behaviour.
+// the first delta.
 func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) {
 	if q == nil {
 		return nil, fmt.Errorf("registry: nil query")
@@ -317,7 +341,6 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		q:       q,
 		opts:    opts,
 		lim:     lim,
-		seen:    make(map[string]bool),
 		latency: obs.NewHistogram(),
 	}
 	if opts.OnResult == nil {
@@ -327,13 +350,13 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		}
 		reg.ch = make(chan Result, buf)
 	}
+	kind := "full"
 	if opts.Incremental {
-		reg.incKey = "inc\x00" + q.Mode.String() + "\x00" + q.Plan.String()
+		kind = "inc"
 		reg.eng = inc.New(q)
 		reg.sigs = reg.eng.UnitSignatures()
-	} else {
-		reg.fullKey = q.Mode.String() + "\x00" + q.Plan.String()
 	}
+	reg.planKey = kind + "\x00" + q.Mode.String() + "\x00" + q.Plan.String()
 	key, pathSig := groupKey(q, lim)
 
 	r.mu.Lock()
@@ -347,13 +370,12 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	g := r.groups[key]
 	if g == nil {
 		g = &group{
-			key:        key,
-			pathSig:    pathSig,
-			members:    make(map[int64]*Registration),
-			sigRef:     make(map[string]int),
-			fullShares: make(map[string]map[int64]bool),
-			engShares:  make(map[string]*engShare),
-			latency:    obs.NewHistogram(),
+			key:       key,
+			pathSig:   pathSig,
+			members:   make(map[int64]*Registration),
+			sigRef:    make(map[string]int),
+			engShares: make(map[string]*engShare),
+			latency:   obs.NewHistogram(),
 		}
 		r.groups[key] = g
 	}
@@ -362,16 +384,8 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	for _, sig := range reg.sigs {
 		g.sigRef[sig]++
 	}
-	if reg.fullKey != "" {
-		fs := g.fullShares[reg.fullKey]
-		if fs == nil {
-			fs = make(map[int64]bool)
-			g.fullShares[reg.fullKey] = fs
-		}
-		fs[reg.id] = true
-	}
-	if reg.incKey != "" {
-		if share := g.engShares[reg.incKey]; share != nil {
+	if reg.eng != nil {
+		if share := g.engShares[reg.planKey]; share != nil {
 			// adopt the share's live engine: this member's first
 			// delivery re-emits the standing result (exactly what a
 			// fresh independent query's first evaluation produces), and
@@ -380,10 +394,8 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 			share.refs++
 			reg.needReseed = true
 		} else {
-			g.engShares[reg.incKey] = &engShare{eng: reg.eng, refs: 1}
+			g.engShares[reg.planKey] = &engShare{eng: reg.eng, refs: 1}
 		}
-	}
-	if reg.eng != nil {
 		reg.eng.SetFlightRecorder(r.tracer)
 	}
 	r.regs[reg.id] = reg
@@ -464,6 +476,15 @@ func (reg *Registration) ItemsSnapshot() xq.Sequence {
 	return reg.lastItems
 }
 
+// Strategy describes how the incremental engine decomposed the plan (see
+// inc.Engine.Strategy); empty in full mode.
+func (reg *Registration) Strategy() string {
+	if reg.eng == nil {
+		return ""
+	}
+	return reg.eng.Strategy()
+}
+
 // Degraded reports the current degradation reason, if any.
 func (reg *Registration) Degraded() (string, bool) {
 	reg.mu.Lock()
@@ -480,9 +501,11 @@ func (reg *Registration) ClearDegraded() {
 }
 
 // Invalidate marks the registration degraded for the given reason and
-// schedules a reseed: the next arrival re-emits the whole standing
-// result, and every result carries the reason until ClearDegraded — the
-// contract a ContinuousQuery applies to client gaps.
+// schedules a re-emission: the next arrival delivers the whole standing
+// result as its delta, and every result carries the reason until
+// ClearDegraded. Lost fragments, tripped budgets and subscriber
+// backpressure all funnel into this. An empty reason schedules the
+// re-emission alone and leaves the degradation as it is.
 func (reg *Registration) Invalidate(reason string) {
 	reg.mu.Lock()
 	reg.invalidateLocked(reason)
@@ -490,8 +513,10 @@ func (reg *Registration) Invalidate(reason string) {
 }
 
 func (reg *Registration) invalidateLocked(reason string) {
-	reg.degraded = reason
-	reg.seen = make(map[string]bool)
+	if reason != "" {
+		reg.degraded = reason
+	}
+	reg.seen, reg.bufBytes = nil, 0
 	reg.needReseed = true
 }
 
@@ -499,14 +524,20 @@ func (reg *Registration) invalidateLocked(reason string) {
 func (reg *Registration) Stats() RegStats {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	return RegStats{
-		ID:          reg.id,
-		Group:       reg.g.pathSig,
-		Incremental: reg.eng != nil,
-		Evaluations: reg.evals,
-		Dropped:     reg.dropped,
-		Degraded:    reg.degraded,
+	st := RegStats{
+		ID:             reg.id,
+		Group:          reg.g.pathSig,
+		Incremental:    reg.eng != nil,
+		Evaluations:    reg.evals,
+		Dropped:        reg.dropped,
+		Degraded:       reg.degraded,
+		BufferBytes:    reg.bufBytes,
+		BufferHWMBytes: reg.bufHWM,
 	}
+	if reg.eng != nil {
+		st.BufferBytes, st.BufferHWMBytes = reg.eng.BufferedBytes(), reg.eng.BufferHWMBytes()
+	}
+	return st
 }
 
 // Close unregisters the standing query. After Close returns, no further
@@ -524,19 +555,9 @@ func (reg *Registration) Close() {
 				delete(g.sigRef, sig)
 			}
 		}
-		if reg.fullKey != "" {
-			if fs := g.fullShares[reg.fullKey]; fs != nil {
-				delete(fs, reg.id)
-				if len(fs) == 0 {
-					delete(g.fullShares, reg.fullKey)
-				}
-			}
-		}
-		if reg.incKey != "" {
-			if share := g.engShares[reg.incKey]; share != nil {
-				if share.refs--; share.refs <= 0 {
-					delete(g.engShares, reg.incKey)
-				}
+		if share := g.engShares[reg.planKey]; share != nil {
+			if share.refs--; share.refs <= 0 {
+				delete(g.engShares, reg.planKey)
 			}
 		}
 		if len(g.members) == 0 {
@@ -614,17 +635,47 @@ func (r *Registry) Apply(f *fragment.Fragment) {
 }
 
 // Evaluate runs one fragment-less evaluation (e.g. after preloading a
-// store, or on a clock advance): every registration sees it, exactly as
-// ContinuousQuery.Evaluate.
+// store, or on a clock advance): every registration sees it.
 func (r *Registry) Evaluate() { r.Apply(nil) }
 
-// applyGroup evaluates one sharing group for one arrival: a fresh
-// SharedPass scopes incremental unit sharing to this (fragment,
-// instant) cell, and full-mode plans evaluate once per distinct plan.
+// groupPass is one sharing group's evaluation of one arrival: the
+// arrival's coordinates and what the group's counters gain from it. (The
+// shared evaluations made so far travel beside it, as a map of their own:
+// inside this struct the map could not stay on the stack.)
+type groupPass struct {
+	f   *fragment.Fragment
+	at  time.Time
+	rec *obs.FlightRecorder
+	ptc obs.TraceContext // the "registry.eval" span member fan-outs hang off
+	tid uint64
+	// units scopes incremental unit sharing to this (fragment, instant)
+	// cell.
+	units *inc.SharedPass
+
+	stats     obs.EvalStats
+	fullEvals int64
+	delivered int64
+	reseeds   int64
+}
+
+// sharedEval is one evaluation shared by every member of a group with
+// the same planKey: the full-mode result sequence, or the delta one
+// advance of the shared engine produced — or the error that replaced it.
+// The first member pays for it; the rest consume it.
+type sharedEval struct {
+	seq xq.Sequence
+	err error
+	// stats is an engine advance's cost profile; nil for a full
+	// evaluation, whose query records its own.
+	stats     *obs.EvalStats
+	consumers int
+}
+
+// applyGroup evaluates one sharing group for one arrival.
 func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	start := time.Now()
 	r.mu.Lock()
-	rec := r.tracer
+	gp := groupPass{f: f, at: at, rec: r.tracer, units: inc.NewSharedPass(), stats: obs.EvalStats{Plan: "group"}}
 	members := make([]*Registration, 0, len(g.members))
 	for _, reg := range g.members {
 		members = append(members, reg)
@@ -637,37 +688,21 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	// subscribers served by one shared evaluation appear as K children of
 	// a single eval node in the span tree.
 	var gsp *obs.Span
-	var ptc obs.TraceContext
-	var tid uint64
 	if f != nil {
-		tid = f.Trace.TraceID
-		gsp = rec.Start(f.Trace, "registry.eval").Annotate("", f.TSID, f.Seq)
-		ptc = gsp.Context()
+		gp.tid = f.Trace.TraceID
+		gsp = gp.rec.Start(f.Trace, "registry.eval").Annotate("", f.TSID, f.Seq)
+		gp.ptc = gsp.Context()
 	}
-
-	pass := inc.NewSharedPass()
-	fullResults := make(map[string]fullEval)
-	incResults := make(map[string]*incAdvance)
-	groupStats := obs.EvalStats{Plan: "group"}
-	var delivered int64
+	shared := make(map[string]sharedEval) // by planKey
 	for _, reg := range members {
-		if reg.eng != nil {
-			r.applyIncremental(reg, f, at, pass, incResults, &groupStats, &delivered, rec, ptc, tid)
-		} else {
-			r.applyFull(reg, g, at, fullResults, &groupStats, &delivered, rec, ptc, tid)
-		}
+		reg.apply(&gp, shared)
 	}
-	elapsed := time.Since(start)
-	g.latency.ObserveExemplar(elapsed, tid)
+	g.latency.ObserveExemplar(time.Since(start), gp.tid)
 
-	evals := pass.Misses()
-	saved := pass.Hits()
-	for _, fe := range fullResults {
-		evals++
-		saved += int64(fe.consumers - 1)
-	}
-	for _, adv := range incResults {
-		saved += int64(adv.consumers - 1)
+	evals := gp.units.Misses() + gp.fullEvals
+	saved := gp.units.Hits()
+	for _, ev := range shared {
+		saved += int64(ev.consumers - 1)
 	}
 	if gsp != nil {
 		gsp.SetDetail(fmt.Sprintf("group=%s members=%d evals=%d saved=%d", g.pathSig, len(members), evals, saved))
@@ -676,124 +711,153 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	r.mu.Lock()
 	g.sharedEvals += evals
 	g.sharedSaved += saved
-	g.fanout += delivered
-	mergeStats(&g.stats, &groupStats)
+	g.fanout += gp.delivered
+	mergeStats(&g.stats, &gp.stats)
 	r.sharedEvals += evals
 	r.sharedSaved += saved
-	r.fanout += delivered
+	r.fanout += gp.delivered
+	r.reseeds += gp.reseeds
 	r.mu.Unlock()
 }
 
-// fullEval is one shared full-mode evaluation: the result (or error)
-// every member with the same plan identity diffs against its own seen
-// state.
-type fullEval struct {
-	seq       xq.Sequence
-	err       error
-	consumers int
-}
-
-// incAdvance is one shared incremental engine advance: the first member
-// holding the engine performs it; every other member with the same plan
-// identity consumes the memoized delta.
-type incAdvance struct {
-	delta     xq.Sequence
-	err       error
-	stats     *obs.EvalStats
-	consumers int
-}
-
-// applyIncremental advances one incremental registration. Members
-// sharing an engine (identical plan identity) advance it once per
-// arrival — the first member pays, the rest consume the delta; unit
-// evaluations inside the advance are further deduped across DIFFERENT
-// plans through the group's shared pass. A member flagged needReseed
-// re-emits the whole standing result (serial-deduped snapshot) instead
-// of the incremental delta — byte-identical to what an independent
-// query's Reseed emits, without disturbing the share.
-func (r *Registry) applyIncremental(reg *Registration, f *fragment.Fragment, at time.Time,
-	pass *inc.SharedPass, incResults map[string]*incAdvance, groupStats *obs.EvalStats, delivered *int64,
-	rec *obs.FlightRecorder, ptc obs.TraceContext, tid uint64) {
+// apply is one member's share of an arrival: take (or, as the first
+// member with this planKey, make) the shared evaluation, fold it into the
+// standing state, and deliver what that yields.
+func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
 	start := time.Now()
-	fsp := rec.Start(ptc, "fanout").SetReg(reg.id)
+	fsp := gp.rec.Start(gp.ptc, "fanout").SetReg(reg.id)
 	defer fsp.End()
-	reg.mu.Lock()
-	reseed := reg.needReseed
-	reg.needReseed = false
-	reg.mu.Unlock()
-	adv, ok := incResults[reg.incKey]
+	ev, ok := shared[reg.planKey]
 	if !ok {
-		stats := &obs.EvalStats{Plan: reg.q.Mode.String() + "+inc"}
-		delta, err := reg.eng.ApplyShared(f, at, reg.lim, stats, pass)
-		adv = &incAdvance{delta: delta, err: err, stats: stats}
-		incResults[reg.incKey] = adv
-		mergeStats(groupStats, stats)
+		ev = reg.evaluate(gp)
 	}
-	adv.consumers++
-	// every member publishes the advance's cost profile as its own
-	// LastStats (an EXPLAIN on any member shows what this arrival cost
-	// the share, not zero)
-	reg.q.RecordStats(adv.stats)
-	if adv.err != nil {
-		if reason, governed := stream.GovernedFailure(adv.err); governed {
-			if reseed {
-				r.mu.Lock()
-				r.reseeds++
-				r.mu.Unlock()
+	ev.consumers++
+	shared[reg.planKey] = ev
+	if ev.stats != nil {
+		// every member publishes the advance's cost profile as its own
+		// LastStats (an EXPLAIN on any member shows what this arrival cost
+		// the share, not zero)
+		reg.q.RecordStats(ev.stats)
+	}
+	res, outcome := reg.settle(ev, gp)
+	res.At, res.TraceID = gp.at, gp.tid
+	switch {
+	case outcome == "governed":
+		gp.rec.Flag(gp.tid, "governed")
+	case res.Degraded != "":
+		gp.rec.Flag(gp.tid, "degraded")
+	}
+	if fsp != nil {
+		if outcome == "" {
+			outcome = fmt.Sprintf("items=%d delta=%d", len(res.Items), len(res.Delta))
+		}
+		fsp.SetDetail(outcome)
+	}
+	if reg.deliver(res) {
+		gp.delivered++
+	} else {
+		gp.rec.Flag(gp.tid, "backpressure")
+	}
+	reg.latency.ObserveExemplar(time.Since(start), gp.tid)
+}
+
+// evaluate performs the shared evaluation of reg's planKey for this
+// arrival: one full evaluation, or one advance of the (possibly shared)
+// engine, whose unit evaluations are further deduped across DIFFERENT
+// plans through the group's shared pass.
+func (reg *Registration) evaluate(gp *groupPass) sharedEval {
+	if reg.eng == nil {
+		gp.fullEvals++
+		seq, err := reg.q.EvalLimits(context.Background(), gp.at, reg.lim)
+		stats := reg.q.LastStats()
+		mergeStats(&gp.stats, &stats)
+		return sharedEval{seq: seq, err: err}
+	}
+	stats := &obs.EvalStats{Plan: reg.q.Mode.String() + "+inc"}
+	seq, err := reg.eng.ApplyShared(gp.f, gp.at, reg.lim, stats, gp.units)
+	mergeStats(&gp.stats, stats)
+	return sharedEval{seq: seq, err: err, stats: stats}
+}
+
+// settle is the one standing-state transition: it folds a shared
+// evaluation into the registration and returns the delivery it yields,
+// plus what to call the outcome where it is not a plain delta
+// ("governed", "error", "reseed"). A governed failure (budget, deadline,
+// admission) is part of normal operation: the registration is invalidated
+// and the delivery carries the reason instead of a delta. Any other error
+// is delivered as Result.Err and changes nothing — in particular a
+// pending re-emission stays pending. Otherwise the delta is the items
+// absent from the previous result (full mode: diffed here, generation by
+// generation, so the serial set is bounded by the standing result and not
+// by the output history; incremental: the engine's delta), or, when a
+// re-emission is pending, the whole standing result.
+func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
+	if ev.err != nil {
+		reason, governed := governedFailure(ev.err)
+		if !governed {
+			return Result{Err: ev.err}, "error"
+		}
+		reg.Invalidate(reason)
+		return Result{Degraded: reason}, "governed"
+	}
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	res := Result{Degraded: reg.degraded}
+	outcome := ""
+	switch {
+	case reg.eng == nil:
+		next := make(map[string]bool, len(ev.seq))
+		res.Items, reg.bufBytes = ev.seq, 0
+		for _, it := range ev.seq {
+			key := inc.ItemSerial(it)
+			if next[key] {
+				continue
 			}
-			reg.Invalidate(reason)
-			rec.Flag(tid, "governed")
-			fsp.SetDetail("governed")
-			if reg.deliver(Result{At: at, Degraded: reason, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		} else {
-			fsp.SetDetail("error")
-			if reg.deliver(Result{At: at, Err: adv.err, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
+			next[key] = true
+			reg.bufBytes += int64(len(key))
+			if !reg.seen[key] {
+				res.Delta = append(res.Delta, it)
 			}
 		}
-		reg.latency.ObserveExemplar(time.Since(start), tid)
-		return
+		reg.seen, reg.lastItems = next, ev.seq
+		reg.bufHWM = max(reg.bufHWM, reg.bufBytes)
+	case reg.needReseed:
+		// re-emit from the engine's standing buffers rather than rebuild
+		// them: the engine may be shared, and its other members are owed
+		// nothing but this arrival's delta
+		res.Delta, outcome = snapshotDelta(reg.eng), "reseed"
+		gp.reseeds++
+	default:
+		res.Delta = ev.seq
 	}
-	delta := adv.delta
-	if reseed {
-		r.mu.Lock()
-		r.reseeds++
-		r.mu.Unlock()
-		delta = snapshotDelta(reg.eng)
-		fsp.SetDetail("reseed")
+	reg.needReseed = false
+	return res, outcome
+}
+
+// governedFailure classifies an evaluation error as resource governance
+// (budget trip, deadline, overload rejection) and renders the degradation
+// reason.
+func governedFailure(err error) (string, bool) {
+	var re *budget.ResourceError
+	if errors.As(err, &re) {
+		return "degraded: evaluation aborted: " + re.Error(), true
 	}
-	reg.mu.Lock()
-	degraded := reg.degraded
-	reg.mu.Unlock()
-	if degraded != "" {
-		rec.Flag(tid, "degraded")
+	var oe *xcql.OverloadError
+	if errors.As(err, &oe) {
+		return "degraded: evaluation rejected: " + oe.Error(), true
 	}
-	if fsp != nil && !reseed {
-		fsp.SetDetail(fmt.Sprintf("delta=%d", len(delta)))
-	}
-	if reg.deliver(Result{At: at, Delta: delta, Degraded: degraded, TraceID: tid}) {
-		*delivered++
-	} else {
-		rec.Flag(tid, "backpressure")
-	}
-	reg.latency.ObserveExemplar(time.Since(start), tid)
+	return "", false
 }
 
 // snapshotDelta renders the engine's standing result as a re-emission
-// delta: first occurrence per serialized form, in output order —
-// exactly the delta an independent engine's Reseed produces.
+// delta: first occurrence per serialized form, in output order — what a
+// from-scratch evaluation diffed against nothing would emit.
 func snapshotDelta(eng *inc.Engine) xq.Sequence {
 	snap := eng.ItemsSnapshot()
 	seen := make(map[string]bool, len(snap))
 	var delta xq.Sequence
 	for _, it := range snap {
-		key := stream.ItemKey(it)
+		key := inc.ItemSerial(it)
 		if seen[key] {
 			continue
 		}
@@ -801,80 +865,6 @@ func snapshotDelta(eng *inc.Engine) xq.Sequence {
 		delta = append(delta, it)
 	}
 	return delta
-}
-
-// applyFull advances one full-mode registration: the evaluation is
-// computed once per distinct plan identity in the group and diffed
-// against this registration's own previous-result serials — the exact
-// generation-scoped delta a ContinuousQuery maintains.
-func (r *Registry) applyFull(reg *Registration, g *group, at time.Time,
-	results map[string]fullEval, groupStats *obs.EvalStats, delivered *int64,
-	rec *obs.FlightRecorder, ptc obs.TraceContext, tid uint64) {
-	start := time.Now()
-	fsp := rec.Start(ptc, "fanout").SetReg(reg.id)
-	defer fsp.End()
-	fe, ok := results[reg.fullKey]
-	if !ok {
-		// the group's first member with this plan identity pays for the
-		// evaluation; the rest of the share reuses the sequence below
-		seq, err := reg.q.EvalLimits(context.Background(), at, reg.lim)
-		fe = fullEval{seq: seq, err: err}
-		stats := reg.q.LastStats()
-		mergeStats(groupStats, &stats)
-	}
-	fe.consumers++
-	results[reg.fullKey] = fe
-	if fe.err != nil {
-		if reason, governed := stream.GovernedFailure(fe.err); governed {
-			reg.Invalidate(reason)
-			rec.Flag(tid, "governed")
-			fsp.SetDetail("governed")
-			if reg.deliver(Result{At: at, Degraded: reason, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		} else {
-			fsp.SetDetail("error")
-			if reg.deliver(Result{At: at, Err: fe.err, TraceID: tid}) {
-				*delivered++
-			} else {
-				rec.Flag(tid, "backpressure")
-			}
-		}
-		reg.latency.ObserveExemplar(time.Since(start), tid)
-		return
-	}
-	reg.mu.Lock()
-	next := make(map[string]bool, len(fe.seq))
-	var delta xq.Sequence
-	for _, it := range fe.seq {
-		key := stream.ItemKey(it)
-		if next[key] {
-			continue
-		}
-		next[key] = true
-		if !reg.seen[key] {
-			delta = append(delta, it)
-		}
-	}
-	reg.seen = next
-	reg.lastItems = fe.seq
-	reg.needReseed = false
-	degraded := reg.degraded
-	reg.mu.Unlock()
-	if degraded != "" {
-		rec.Flag(tid, "degraded")
-	}
-	if fsp != nil {
-		fsp.SetDetail(fmt.Sprintf("items=%d delta=%d", len(fe.seq), len(delta)))
-	}
-	if reg.deliver(Result{At: at, Items: fe.seq, Delta: delta, Degraded: degraded, TraceID: tid}) {
-		*delivered++
-	} else {
-		rec.Flag(tid, "backpressure")
-	}
-	reg.latency.ObserveExemplar(time.Since(start), tid)
 }
 
 // InvalidateAll degrades every registration (transport gap, durable-
@@ -888,40 +878,6 @@ func (r *Registry) InvalidateAll(reason string) {
 	r.mu.Unlock()
 	for _, reg := range regs {
 		reg.Invalidate("degraded: " + reason)
-	}
-}
-
-// AttachClient wires a stream client into the registry: every applied
-// fragment triggers one shared evaluation pass, and a sequence gap
-// invalidates every registration — a lost filler can never silently
-// narrow any subscriber's result.
-func (r *Registry) AttachClient(c *stream.Client) {
-	c.OnGap(func(g stream.Gap) { r.InvalidateAll(g.String()) })
-	c.OnFragment(func(f *fragment.Fragment) { r.Apply(f) })
-}
-
-// AttachServer consumes a stream server's fragment flow in-process (the
-// service shape: registry and broadcast server in one host). Each
-// published fragment is applied to st (when non-nil — the store the
-// registered queries read) and then evaluated. The returned stop
-// function cancels the subscription and waits for the pump goroutine.
-func (r *Registry) AttachServer(s *stream.Server, st *fragment.Store) (stop func()) {
-	sub := s.Subscribe(256, true)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for f := range sub.C() {
-			if st != nil {
-				if err := st.Add(f); err != nil {
-					continue
-				}
-			}
-			r.Apply(f)
-		}
-	}()
-	return func() {
-		sub.Cancel()
-		<-done
 	}
 }
 

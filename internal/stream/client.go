@@ -9,6 +9,7 @@ import (
 
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/tagstruct"
 )
 
@@ -178,6 +179,15 @@ func (c *Client) OnGap(fn func(Gap)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gapListeners = append(c.gapListeners, fn)
+}
+
+// AttachRegistry wires the client into a standing-query registry: every
+// applied fragment triggers one shared evaluation pass, and a sequence
+// gap invalidates every registration — a lost filler can never silently
+// narrow any subscriber's result.
+func (c *Client) AttachRegistry(r *registry.Registry) {
+	c.OnGap(func(g Gap) { r.InvalidateAll(g.String()) })
+	c.OnFragment(r.Apply)
 }
 
 // Apply ingests one fragment and fans out notifications. Malformed

@@ -1,469 +1,200 @@
 package stream
 
 import (
-	"context"
-	"errors"
 	"log/slog"
 	"sync"
 	"time"
 
-	"xcql/internal/budget"
 	"xcql/internal/fragment"
-	"xcql/internal/inc"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/xcql"
-	"xcql/internal/xmldom"
 	"xcql/internal/xq"
 )
 
-// Result is one evaluation of a continuous query.
-type Result struct {
-	// At is the evaluation instant (what "now" resolved to).
-	At time.Time
-	// Items is the full result sequence at that instant. Incremental
-	// evaluations leave it nil — per-arrival cost stays proportional to
-	// the delta, not the standing result; use ItemsSnapshot for the full
-	// standing result.
-	Items xq.Sequence
-	// Delta contains the items absent (by serialized form) from the
-	// previous evaluation's result — the newly produced part of the
-	// continuous output stream. After an Invalidate the whole current
-	// result re-emits here.
-	Delta xq.Sequence
-	// Degraded is non-empty when the query has been invalidated by lost
-	// fragments since the last ClearDegraded: the result may be missing
-	// items that depended on fillers the client never received.
-	Degraded string
-}
+// Result is one evaluation of a continuous query — the registry's
+// delivery to a registration (see registry.Result for the fields).
+type Result = registry.Result
 
 // ContinuousQuery re-evaluates a compiled XCQL query whenever new
 // fragments arrive, emitting results to a callback. This is the
 // "continuous output stream" of the paper's model: the query stands, the
 // data moves.
+//
+// It is a private registry.Registry holding exactly one registration:
+// evaluation, the delta against the previous result, degradation and
+// re-emission all live there, and a query created here behaves — and
+// traces — like one registered anywhere else. The registration is made
+// at the first evaluation, from the Limits and WithIncremental settings
+// in force then; changing either later makes a new one, which re-emits
+// the standing result.
 type ContinuousQuery struct {
 	query    *xcql.Query
 	onResult func(Result)
 	// Clock supplies the evaluation instant; defaults to time.Now. Tests
 	// and replays pin it to the fragment timeline.
 	Clock func() time.Time
-	// Limits bounds each evaluation (per-evaluation deadline via
-	// Limits.Timeout, plus step/cardinality/byte budgets). The zero
-	// value falls back to the compiled query's own Limits. A budget- or
-	// deadline-killed evaluation does not wedge the delivering
-	// goroutine: it marks the query degraded with the trip reason and
-	// emits an empty result carrying it.
+	// Limits bounds each evaluation (deadline, step, cardinality and byte
+	// budgets); the zero value falls back to the compiled query's own. A
+	// budget- or deadline-killed evaluation degrades the query instead of
+	// wedging the delivering goroutine (see EvaluateFragment).
 	Limits xcql.Limits
 
 	logHolder
-	// latency is the per-fragment ingest→result histogram: from the
-	// instant Evaluate is triggered (the fragment has just been applied
-	// to the store) to the result callback returning. This is the
-	// end-to-end re-evaluation latency of the paper's continuous model —
-	// the time a freshly arrived filler takes to become query output.
+	// latency is the ingest→result histogram: from the trigger (the
+	// fragment has just been applied to the store) to the callback returning.
 	latency *obs.Histogram
+	r       *registry.Registry
 
-	mu sync.Mutex
-	// seen holds the serialized forms of the PREVIOUS evaluation's items
-	// (full mode): the delta of evaluation k is Items(k) \ Items(k-1).
-	// Scoping it to one generation bounds its size by the standing
-	// result's cardinality instead of growing with everything the query
-	// ever produced.
-	seen     map[string]bool
-	degraded string
-	evals    int64
+	// runMu serializes evaluations; last is what the current one delivered.
+	runMu sync.Mutex
+	last  Result
 
-	// incremental mode: plan-decomposed delta evaluation (internal/inc)
-	// instead of full re-evaluation per arrival.
+	mu          sync.Mutex
 	incremental bool
-	eng         *inc.Engine
-	// needReseed forces the next incremental evaluation through a full
-	// rebuild that re-emits everything — set by Invalidate/ResetDelta.
-	needReseed bool
-
-	// delta-state memory accounting: current serialized bytes buffered
-	// (full mode: the seen map; incremental: the partial-match buffers)
-	// and its high-water mark.
-	bufBytes int64
-	bufHWM   int64
-
-	// tracer, when set, records a "cq.eval" span per traced arrival,
-	// keeps trace exemplars on the latency histogram, and flags degraded
-	// evaluations. nil = off.
-	tracer *obs.FlightRecorder
+	// reg is the one registration, made with the options regAs.
+	reg   *registry.Registration
+	regAs registry.Options
 }
 
-// NewContinuousQuery wraps a compiled query. onResult is invoked after
-// every (re-)evaluation, on the goroutine that delivered the triggering
-// fragment.
+// NewContinuousQuery wraps a compiled query. onResult is invoked after every
+// (re-)evaluation, on the goroutine that delivered the triggering fragment.
 func NewContinuousQuery(q *xcql.Query, onResult func(Result)) *ContinuousQuery {
-	return &ContinuousQuery{
-		query:    q,
-		onResult: onResult,
-		Clock:    time.Now,
-		latency:  obs.NewHistogram(),
-		seen:     make(map[string]bool),
+	cq := &ContinuousQuery{query: q, onResult: onResult, Clock: time.Now, latency: obs.NewHistogram()}
+	cq.r = registry.New(func() time.Time { return cq.Clock() })
+	return cq
+}
+
+// registration returns the query's one registration, making it — or
+// making it anew, when Limits or WithIncremental changed since — on
+// demand. A replacement inherits the degradation of the one it replaces.
+func (cq *ContinuousQuery) registration() *registry.Registration {
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	if cq.reg != nil && cq.regAs.Limits == cq.Limits && cq.regAs.Incremental == cq.incremental {
+		return cq.reg
+	}
+	cq.regAs = registry.Options{Incremental: cq.incremental, Limits: cq.Limits, OnResult: cq.deliver}
+	reg, err := cq.r.Register(cq.query, cq.regAs)
+	if err != nil {
+		panic(err) // a nil query: the private registry has no admission bound
+	}
+	if cq.reg != nil {
+		if reason, degraded := cq.reg.Degraded(); degraded {
+			reg.Invalidate(reason)
+		}
+		cq.reg.Close()
+	}
+	cq.reg = reg
+	return reg
+}
+
+// deliver is the registration's callback, run inside Apply. An evaluation
+// error is EvaluateFragment's to return, not a result.
+func (cq *ContinuousQuery) deliver(res Result) {
+	cq.last = res
+	if res.Err == nil && cq.onResult != nil {
+		cq.onResult(res)
 	}
 }
 
 // Latency is the ingest→result latency histogram (see the field doc).
 func (cq *ContinuousQuery) Latency() *obs.Histogram { return cq.latency }
 
-// SetFlightRecorder attaches a flight recorder: traced fragment arrivals
-// record a "cq.eval" span (and, in incremental mode, the engine's
-// "inc.recompute" span), the latency histogram keeps trace-id exemplars,
-// and degraded evaluations flag their trace. nil detaches.
-func (cq *ContinuousQuery) SetFlightRecorder(rec *obs.FlightRecorder) {
-	cq.mu.Lock()
-	cq.tracer = rec
-	eng := cq.eng
-	cq.mu.Unlock()
-	if eng != nil {
-		eng.SetFlightRecorder(rec)
-	}
-}
-
-func (cq *ContinuousQuery) flightRecorder() *obs.FlightRecorder {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.tracer
-}
+// SetFlightRecorder attaches a flight recorder: traced arrivals record the
+// registry's "registry.eval" and "fanout" spans (and, in incremental mode,
+// the engine's "inc.recompute"), the latency histogram keeps trace-id
+// exemplars, and degraded evaluations flag their trace. nil detaches.
+func (cq *ContinuousQuery) SetFlightRecorder(rec *obs.FlightRecorder) { cq.r.SetFlightRecorder(rec) }
 
 // Evaluations returns the number of completed evaluations (including
-// degraded ones).
-func (cq *ContinuousQuery) Evaluations() int64 {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.evals
-}
-
-// Query returns the compiled query this continuous query re-evaluates,
-// e.g. to Explain it or read its LastStats.
-func (cq *ContinuousQuery) Query() *xcql.Query { return cq.query }
+// degraded ones): each one is one latency observation.
+func (cq *ContinuousQuery) Evaluations() int64 { return cq.latency.Count() }
 
 // WithIncremental switches the query between full re-evaluation per
-// arrival (the default) and incremental delta evaluation: the plan is
-// decomposed into per-tag handlers (internal/inc) and each arrival
-// recomputes only the partial-match state its tag can reach. Deltas and
-// the standing result (ItemsSnapshot) are byte-identical to full mode;
-// per-arrival Result.Items stays nil. Set it before attaching — toggling
-// mid-stream re-emits the standing result. Returns cq for chaining.
+// arrival (the default) and incremental delta evaluation (internal/inc:
+// an arrival recomputes only the partial-match state its tag can reach).
+// Deltas and the standing result (ItemsSnapshot) are byte-identical to
+// full mode; per-arrival Result.Items stays nil. Set it before attaching.
 func (cq *ContinuousQuery) WithIncremental(on bool) *ContinuousQuery {
 	cq.mu.Lock()
-	defer cq.mu.Unlock()
 	cq.incremental = on
-	if on && cq.eng == nil {
-		cq.eng = inc.New(cq.query)
-		cq.eng.SetFlightRecorder(cq.tracer)
-	}
-	if !on {
-		cq.eng = nil
-	}
+	cq.mu.Unlock()
 	return cq
-}
-
-// Incremental reports whether incremental evaluation is on.
-func (cq *ContinuousQuery) Incremental() bool {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.incremental
 }
 
 // IncrementalStrategy describes how the plan decomposed (see
 // inc.Engine.Strategy); empty when incremental mode is off.
-func (cq *ContinuousQuery) IncrementalStrategy() string {
-	cq.mu.Lock()
-	eng := cq.eng
-	cq.mu.Unlock()
-	if eng == nil {
-		return ""
-	}
-	return eng.Strategy()
-}
+func (cq *ContinuousQuery) IncrementalStrategy() string { return cq.registration().Strategy() }
 
-// ItemsSnapshot returns the full standing result of the incremental
-// engine at the last applied instant (nil in full mode, where every
-// Result already carries Items). The items are shared with the engine's
-// buffers; callers must not mutate them.
-func (cq *ContinuousQuery) ItemsSnapshot() xq.Sequence {
-	cq.mu.Lock()
-	eng := cq.eng
-	cq.mu.Unlock()
-	if eng == nil {
-		return nil
-	}
-	return eng.ItemsSnapshot()
-}
+// ItemsSnapshot returns the full standing result at the last evaluated
+// instant. The items are shared with the evaluator: do not mutate them.
+func (cq *ContinuousQuery) ItemsSnapshot() xq.Sequence { return cq.registration().ItemsSnapshot() }
 
 // BufferBytes is the current delta-state memory in serialized bytes: the
-// previous-result serial set in full mode, the partial-match buffers in
-// incremental mode.
-func (cq *ContinuousQuery) BufferBytes() int64 {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.bufBytes
-}
+// previous result's serial set (full) or the partial-match buffers.
+func (cq *ContinuousQuery) BufferBytes() int64 { return cq.registration().Stats().BufferBytes }
 
-// BufferHWMBytes is the high-water mark of BufferBytes over the query's
-// lifetime — the memory bound the delta state promises (it tracks the
-// standing result's cardinality, not the total output history).
-func (cq *ContinuousQuery) BufferHWMBytes() int64 {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	return cq.bufHWM
-}
+// BufferHWMBytes is the high-water mark of BufferBytes: it tracks the
+// standing result's cardinality, not the total output history.
+func (cq *ContinuousQuery) BufferHWMBytes() int64 { return cq.registration().Stats().BufferHWMBytes }
 
 // Attach subscribes the query to a client: every applied fragment
-// triggers a re-evaluation. It returns an unsubscribe-free handle (the
-// paper's clients never unregister individual queries from servers; a
-// client-local query just stops being attached when the client closes).
-//
-// Attach also wires the client's loss accounting into the query: a
-// sequence gap invalidates the query (the delta state is reset, so every
-// current item re-emits, and subsequent results carry the degradation
-// reason) — a lost filler can never silently narrow the result.
+// triggers a re-evaluation, and a sequence gap invalidates the query — a
+// lost filler can never silently narrow the result. There is no detach:
+// a client-local query stops being fed when the client closes.
 func (cq *ContinuousQuery) Attach(c *Client) {
-	c.OnGap(func(g Gap) {
-		cq.Invalidate(g.String())
-	})
-	c.OnFragment(func(f *fragment.Fragment) {
-		_ = cq.EvaluateFragment(f)
-	})
+	c.OnGap(func(g Gap) { cq.Invalidate(g.String()) })
+	c.OnFragment(func(f *fragment.Fragment) { _ = cq.EvaluateFragment(f) })
 }
 
 // Invalidate marks the query degraded for the given reason and resets the
 // delta state: the next evaluation re-emits everything it can still see,
-// and every result carries the reason until ClearDegraded. Server-side
-// per-subscription drop records (Subscription.DroppedFillers) or client
-// gaps both funnel into this.
-func (cq *ContinuousQuery) Invalidate(reason string) {
-	cq.mu.Lock()
-	cq.degraded = reason
-	cq.seen = make(map[string]bool)
-	cq.bufBytes = 0
-	cq.needReseed = true
-	cq.mu.Unlock()
-}
+// and every result carries the reason until ClearDegraded.
+func (cq *ContinuousQuery) Invalidate(reason string) { cq.registration().Invalidate(reason) }
 
 // ClearDegraded re-arms the query after the consumer has handled the
 // degradation (e.g. re-fetched state out of band).
-func (cq *ContinuousQuery) ClearDegraded() {
-	cq.mu.Lock()
-	cq.degraded = ""
-	cq.mu.Unlock()
-}
+func (cq *ContinuousQuery) ClearDegraded() { cq.registration().ClearDegraded() }
 
-// Evaluate runs the query once at the current clock instant, updates the
-// delta state, and emits the result.
+// ResetDelta forgets previously seen results, so the next evaluation
+// reports everything as new.
+func (cq *ContinuousQuery) ResetDelta() { cq.registration().Invalidate("") }
+
+// Evaluate is a fragment-less re-evaluation (e.g. on a clock advance).
+func (cq *ContinuousQuery) Evaluate() error { return cq.EvaluateFragment(nil) }
+
+// EvaluateFragment runs one evaluation triggered by the arrival of f,
+// already applied to the store (nil for none), and emits the result. Full
+// mode ignores the fragment — it re-reads the whole store anyway;
+// incremental mode uses it to touch only the state it can reach.
 //
-// A resource-governed failure — budget trip, per-evaluation deadline, or
-// admission-control rejection — is part of normal continuous operation,
-// not an error: the query is invalidated (degraded, delta reset) and an
-// empty result carrying the reason is emitted, so the subscription keeps
-// flowing and the consumer sees exactly why this evaluation produced
-// nothing. Other evaluation errors are returned as before.
-func (cq *ContinuousQuery) Evaluate() error {
-	return cq.EvaluateFragment(nil)
-}
-
-// EvaluateFragment runs one evaluation triggered by the given fragment
-// arrival (nil for a fragment-less re-evaluation, e.g. a clock advance).
-// Full mode ignores the fragment — it re-reads the whole store anyway;
-// incremental mode uses it to touch only the state reachable from the
-// fragment's tag. Attach feeds every applied fragment through here.
+// A resource-governed failure — budget trip, deadline, admission-control
+// rejection — is part of normal continuous operation, not an error: the
+// query is invalidated and an empty result carrying the reason is emitted,
+// so the subscription keeps flowing and the consumer sees why. Any other
+// evaluation error is returned, and emits nothing.
 func (cq *ContinuousQuery) EvaluateFragment(f *fragment.Fragment) error {
-	cq.mu.Lock()
-	incr := cq.incremental
-	cq.mu.Unlock()
-	if incr {
-		return cq.evaluateIncremental(f)
-	}
 	start := time.Now()
-	at := cq.Clock()
-	rec := cq.flightRecorder()
-	var tid uint64
-	var esp *obs.Span
-	if f != nil {
-		tid = f.Trace.TraceID
-		esp = rec.Start(f.Trace, "cq.eval").Annotate("", f.TSID, f.Seq)
+	cq.runMu.Lock()
+	defer cq.runMu.Unlock()
+	cq.registration()
+	cq.r.Apply(f)
+	res := cq.last
+	if res.Err != nil {
+		return res.Err
 	}
-	defer esp.End()
-	lim := cq.Limits
-	if lim == (xcql.Limits{}) {
-		lim = cq.query.Limits
-	}
-	seq, err := cq.query.EvalLimits(context.Background(), at, lim)
-	if err != nil {
-		if reason, ok := governedFailure(err); ok {
-			cq.Invalidate(reason)
-			rec.Flag(tid, "degraded")
-			if cq.onResult != nil {
-				cq.onResult(Result{At: at, Degraded: reason})
-			}
-			cq.finishEval(start, 0, 0, reason, tid)
-			return nil
-		}
-		return err
-	}
-	res := Result{At: at, Items: seq}
-	cq.mu.Lock()
-	// generation-scoped delta state: this evaluation's serials replace
-	// the previous evaluation's wholesale, so memory is bounded by the
-	// standing result, not the output history
-	next := make(map[string]bool, len(seq))
-	var bytes int64
-	for _, it := range seq {
-		key := itemKey(it)
-		if next[key] {
-			continue
-		}
-		next[key] = true
-		bytes += int64(len(key))
-		if !cq.seen[key] {
-			res.Delta = append(res.Delta, it)
-		}
-	}
-	cq.seen = next
-	cq.bufBytes = bytes
-	if bytes > cq.bufHWM {
-		cq.bufHWM = bytes
-	}
-	cq.needReseed = false
-	res.Degraded = cq.degraded
-	cq.mu.Unlock()
-	if res.Degraded != "" {
-		rec.Flag(tid, "degraded")
-	}
-	if cq.onResult != nil {
-		cq.onResult(res)
-	}
-	cq.finishEval(start, len(res.Items), len(res.Delta), res.Degraded, tid)
-	return nil
-}
-
-// evaluateIncremental is the incremental arrival path: apply the
-// fragment to the engine's partial-match state (or rebuild it wholesale
-// after an Invalidate), emit the delta, and surface the engine's cost
-// counters as the query's LastStats.
-func (cq *ContinuousQuery) evaluateIncremental(f *fragment.Fragment) error {
-	start := time.Now()
-	at := cq.Clock()
-	rec := cq.flightRecorder()
-	var tid uint64
-	var esp *obs.Span
-	if f != nil {
-		tid = f.Trace.TraceID
-		esp = rec.Start(f.Trace, "cq.eval").Annotate("", f.TSID, f.Seq)
-	}
-	defer esp.End()
-	lim := cq.Limits
-	if lim == (xcql.Limits{}) {
-		lim = cq.query.Limits
-	}
-	cq.mu.Lock()
-	eng := cq.eng
-	reseed := cq.needReseed
-	cq.needReseed = false
-	cq.mu.Unlock()
-	stats := &obs.EvalStats{Plan: cq.query.Mode.String() + "+inc"}
-	var delta xq.Sequence
-	var err error
-	if reseed {
-		// gap-triggered invalidation: one full rebuild that reseeds the
-		// incremental state and re-emits the entire standing result
-		delta, err = eng.Reseed(at, lim, stats)
-	} else {
-		delta, err = eng.Apply(f, at, lim, stats)
-	}
-	cq.query.RecordStats(stats)
-	if err != nil {
-		if reason, ok := governedFailure(err); ok {
-			cq.Invalidate(reason)
-			rec.Flag(tid, "degraded")
-			if cq.onResult != nil {
-				cq.onResult(Result{At: at, Degraded: reason})
-			}
-			cq.finishEval(start, 0, 0, reason, tid)
-			return nil
-		}
-		return err
-	}
-	cq.mu.Lock()
-	cq.bufBytes = eng.BufferedBytes()
-	if hwm := eng.BufferHWMBytes(); hwm > cq.bufHWM {
-		cq.bufHWM = hwm
-	}
-	res := Result{At: at, Delta: delta, Degraded: cq.degraded}
-	cq.mu.Unlock()
-	if res.Degraded != "" {
-		rec.Flag(tid, "degraded")
-	}
-	if cq.onResult != nil {
-		cq.onResult(res)
-	}
-	cq.finishEval(start, int(stats.BufferedItems), len(res.Delta), res.Degraded, tid)
-	return nil
-}
-
-// finishEval records one completed evaluation: the ingest→result
-// latency (trigger to result delivered, exemplified by the triggering
-// trace id when there is one) and the evaluation counter, and emits the
-// per-evaluation log event.
-func (cq *ContinuousQuery) finishEval(start time.Time, items, delta int, degraded string, traceID uint64) {
 	elapsed := time.Since(start)
-	cq.latency.ObserveExemplar(elapsed, traceID)
-	cq.mu.Lock()
-	cq.evals++
-	cq.mu.Unlock()
+	cq.latency.ObserveExemplar(elapsed, res.TraceID)
 	if l := cq.log(); l != nil {
 		level := slog.LevelDebug
-		if degraded != "" {
+		if res.Degraded != "" {
 			level = slog.LevelWarn
 		}
 		l.LogAttrs(logCtx, level, "continuous evaluation",
 			slog.String("component", "cq"), slog.String("plan", cq.query.Mode.String()),
-			slog.Int("items", items), slog.Int("delta", delta),
-			slog.Duration("latency", elapsed), slog.String("degraded", degraded))
+			slog.Int("items", len(res.Items)), slog.Int("delta", len(res.Delta)),
+			slog.Duration("latency", elapsed), slog.String("degraded", res.Degraded))
 	}
+	return nil
 }
-
-// ResetDelta forgets previously seen results, so the next evaluation
-// reports everything as new.
-func (cq *ContinuousQuery) ResetDelta() {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	cq.seen = make(map[string]bool)
-	cq.bufBytes = 0
-	cq.needReseed = true
-}
-
-// GovernedFailure classifies an evaluation error as resource governance
-// (budget trip, deadline, overload rejection) and renders the
-// degradation reason. Exported so the query registry degrades its
-// registrations with exactly the wording an independent ContinuousQuery
-// would use — the registry-equivalence harness compares them byte for
-// byte.
-func GovernedFailure(err error) (string, bool) {
-	var re *budget.ResourceError
-	if errors.As(err, &re) {
-		return "degraded: evaluation aborted: " + re.Error(), true
-	}
-	var oe *xcql.OverloadError
-	if errors.As(err, &oe) {
-		return "degraded: evaluation rejected: " + oe.Error(), true
-	}
-	return "", false
-}
-
-func governedFailure(err error) (string, bool) { return GovernedFailure(err) }
-
-// ItemKey is the delta identity of one result item — the serialization
-// both full-mode continuous queries and the registry diff consecutive
-// results by. One definition, shared, so the two can never drift.
-func ItemKey(it xq.Item) string {
-	if n, ok := it.(*xmldom.Node); ok {
-		return n.String()
-	}
-	return xq.StringValue(it)
-}
-
-func itemKey(it xq.Item) string { return ItemKey(it) }

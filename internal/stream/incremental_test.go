@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xcql"
 	"xcql/internal/xmldom"
@@ -186,14 +187,18 @@ const stateWire = `<stream:structure>
 // proportional to everything it ever emitted. A version projection
 // #[last,last] keeps exactly one standing item while the history grows
 // 60 versions deep; the buffer high-water mark must stay at one item,
-// not sixty.
+// not sixty. The state is the registration's, so the bound is pinned on a
+// bare registry.Registration (the numbers GET /v1/registryz reports) as
+// well as through the ContinuousQuery facade.
 func TestDeltaMemoryBounded(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		name := "full"
-		if incremental {
-			name = "incremental"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		facade, incremental bool
+	}{
+		{"facade/full", true, false}, {"facade/incremental", true, true},
+		{"registration/full", false, false}, {"registration/incremental", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			structure, err := tagstruct.ParseString(stateWire)
 			if err != nil {
 				t.Fatal(err)
@@ -204,11 +209,32 @@ func TestDeltaMemoryBounded(t *testing.T) {
 			q := rt.MustCompile(`for $x in stream("st")//state#[last,last] return $x`, xcql.QaCPlus)
 
 			var deltas int
-			cq := NewContinuousQuery(q, func(r Result) { deltas += len(r.Delta) })
 			var at time.Time
-			cq.Clock = func() time.Time { return at }
-			if incremental {
-				cq.WithIncremental(true)
+			clock := func() time.Time { return at }
+			onResult := func(r Result) { deltas += len(r.Delta) }
+			// the subject: how an arrival is evaluated, and where the two
+			// buffer numbers are read
+			var evaluate func(*fragment.Fragment)
+			var bufferBytes, bufferHWM func() int64
+			if c.facade {
+				cq := NewContinuousQuery(q, onResult).WithIncremental(c.incremental)
+				cq.Clock = clock
+				evaluate = func(f *fragment.Fragment) {
+					t.Helper()
+					if err := cq.EvaluateFragment(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bufferBytes, bufferHWM = cq.BufferBytes, cq.BufferHWMBytes
+			} else {
+				r := registry.New(clock)
+				reg, err := r.Register(q, registry.Options{Incremental: c.incremental, OnResult: onResult})
+				if err != nil {
+					t.Fatal(err)
+				}
+				evaluate = r.Apply
+				bufferBytes = func() int64 { return reg.Stats().BufferBytes }
+				bufferHWM = func() int64 { return reg.Stats().BufferHWMBytes }
 			}
 
 			apply := func(f *fragment.Fragment) {
@@ -219,9 +245,7 @@ func TestDeltaMemoryBounded(t *testing.T) {
 				if f.ValidTime.After(at) {
 					at = f.ValidTime
 				}
-				if err := cq.EvaluateFragment(f); err != nil {
-					t.Fatal(err)
-				}
+				evaluate(f)
 			}
 
 			apply(fragment.New(fragment.RootFillerID, 1, ts("2003-01-01T00:00:00"),
@@ -232,7 +256,7 @@ func TestDeltaMemoryBounded(t *testing.T) {
 				vt := ts("2003-01-01T00:00:00").Add(time.Duration(i+1) * time.Hour)
 				apply(fragment.New(1, 2, vt,
 					xmldom.MustParseString(`<state>v`+itoa(100+i)+`</state>`).Root()))
-				totalEmitted += cq.BufferBytes()
+				totalEmitted += bufferBytes()
 			}
 			// every new version replaced the previous one in the standing
 			// result — so it was emitted as a delta...
@@ -242,7 +266,7 @@ func TestDeltaMemoryBounded(t *testing.T) {
 			// ...but the delta memory tracks the standing result, not the
 			// emission history: the high-water mark is one item's worth,
 			// far below the 60 items' worth the old unbounded map kept
-			if hwm := cq.BufferHWMBytes(); hwm == 0 || hwm > totalEmitted/10 {
+			if hwm := bufferHWM(); hwm == 0 || hwm > totalEmitted/10 {
 				t.Fatalf("buffer HWM = %d bytes after emitting %d bytes total; delta state is not generation-scoped",
 					hwm, totalEmitted)
 			}

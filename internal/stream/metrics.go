@@ -99,9 +99,7 @@ func (cq *ContinuousQuery) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"_buffer_bytes", cq.BufferBytes)
 	r.Gauge(prefix+"_buffer_hwm_bytes", cq.BufferHWMBytes)
 	r.Gauge(prefix+"_degraded", func() int64 {
-		cq.mu.Lock()
-		defer cq.mu.Unlock()
-		if cq.degraded != "" {
+		if _, degraded := cq.registration().Degraded(); degraded {
 			return 1
 		}
 		return 0

@@ -77,7 +77,7 @@ func TestTraceSmoke(t *testing.T) {
 	engine.AttachClient(client)
 	engine.SetFlightRecorder(rec)
 	qreg := engine.Registry()
-	qreg.AttachClient(client)
+	client.AttachRegistry(qreg)
 
 	const K = 4
 	var mu sync.Mutex
@@ -185,7 +185,7 @@ func TestTraceSmoke(t *testing.T) {
 			if sp.Parent != 0 {
 				t.Fatalf("publish has a parent: %+v", sp)
 			}
-		case "segstore.append", "deliver", "registry.eval", "cq.eval", "inc.recompute":
+		case "segstore.append", "deliver", "registry.eval", "inc.recompute":
 			if sp.Parent != publishID {
 				t.Fatalf("%s parented to %d, want publish %d", sp.Name, sp.Parent, publishID)
 			}

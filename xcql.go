@@ -103,10 +103,12 @@ type (
 	Server = stream.Server
 	// Client receives a fragment stream into a local store.
 	Client = stream.Client
-	// ContinuousQuery re-evaluates a query as fragments arrive.
+	// ContinuousQuery re-evaluates a query as fragments arrive: a private
+	// QueryRegistry holding one registration.
 	ContinuousQuery = stream.ContinuousQuery
-	// Result is one evaluation of a continuous query.
-	Result = stream.Result
+	// Result is one evaluation of a continuous query — the same type as
+	// RegistryResult, under the name it has always had here.
+	Result = registry.Result
 	// Gap is a run of sequence numbers a client failed to receive.
 	Gap = stream.Gap
 	// ClientStats is a snapshot of a client's delivery counters.
@@ -297,9 +299,9 @@ func NewEngine() *Engine { return &Engine{rt: ixcql.NewRuntime()} }
 
 // Registry returns the engine's standing-query registry (created on
 // first use): register compiled queries with QueryRegistry.Register,
-// feed arrivals with QueryRegistry.Apply (or AttachClient/AttachServer),
-// and each shared access path evaluates once per arrival regardless of
-// how many registrations read it.
+// feed arrivals with QueryRegistry.Apply (or Client.AttachRegistry), and
+// each shared access path evaluates once per arrival regardless of how
+// many registrations read it.
 func (e *Engine) Registry() *QueryRegistry {
 	e.regOnce.Do(func() { e.reg = registry.New(nil) })
 	return e.reg
