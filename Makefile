@@ -113,10 +113,13 @@ trace-smoke:
 # the read path cannot hide from — and so must one charge of the standing
 # fraud query on a re-announced credit stream: losing per-binding
 # decomposition or window-expiry scheduling costs about twenty times the
-# ceiling. Run without -race: the detector's instrumentation allocates on
-# its own.
+# ceiling. The wire codec's ceilings hold allocations and bytes alike —
+# decoding one transaction frame and one thirty-hole account frame, and
+# Publish up to the wire bytes — since what the codec must not bring back
+# is a per-frame buffer: one allocation, 32 KiB. Run without -race: the
+# detector's instrumentation allocates on its own.
 alloc-gate:
-	$(GO) test -run '^TestAllocationCeiling$$' -count=1 -timeout 120s .
+	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling)$$' -count=1 -timeout 120s .
 
 # A short deterministic shake of each fuzz target; longer runs are
 # `make fuzz-smoke FUZZTIME=5m`. `-run '^$'` skips the unit tests that
@@ -133,21 +136,26 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Snapshot the Figure-4 + selectivity + continuous + parallel/cache
-# benchmarks (quick scales) as JSON — cost counters and latency quantiles
-# included — the cross-PR performance trajectory. Compare two snapshots
-# with bench-diff.
-BENCHOUT ?= BENCH_pr14.json
+# Snapshot the Figure-4 + selectivity + continuous + parallel/cache +
+# durability + wire-codec benchmarks (quick scales) as JSON — cost counters
+# and latency quantiles included — the cross-PR performance trajectory.
+# Compare two snapshots with bench-diff. The snapshots name themselves:
+# bench-json rewrites the newest BENCH_pr*.json unless told where to write
+# (a PR's first snapshot: make bench-json BENCHOUT=BENCH_pr<N>.json), and
+# bench-diff compares it with the newest one before it.
+SNAPSHOTS := $(shell ls BENCH_pr*.json 2>/dev/null | sort -V)
+BENCHOUT  ?= $(lastword $(SNAPSHOTS))
 bench-json:
-	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchmem -short . ; \
+	( $(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkContinuous|BenchmarkParallelCache|BenchmarkRecovery|BenchmarkSnapshotBootstrap|BenchmarkWireCodec)$$' -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracePropagation$$' -benchmem -short . ) \
 		| $(GO) run ./cmd/benchjson > $(BENCHOUT)
 
 # Regression table between two snapshots:
+#   make bench-diff                                  newest vs the one before
 #   make bench-diff OLD=BENCH_pr4.json NEW=BENCH_pr5.json
-OLD ?= BENCH_pr4.json
+OLD ?= $(lastword $(filter-out $(BENCHOUT),$(SNAPSHOTS)))
 NEW ?= $(BENCHOUT)
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

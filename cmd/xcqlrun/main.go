@@ -24,7 +24,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -279,7 +278,7 @@ func loadStream(structPath, fragPath string) (*tagstruct.Structure, *fragment.St
 			return nil, nil, nil, err
 		}
 		defer ff.Close()
-		dec := xmldom.NewStreamDecoder(bufio.NewReaderSize(ff, 1<<20))
+		dec := xmldom.NewStreamDecoder(ff)
 		for {
 			el, err := dec.ReadElement()
 			if err == io.EOF {

@@ -14,8 +14,10 @@
 package fragment
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"xcql/internal/obs"
@@ -70,6 +72,12 @@ type Fragment struct {
 	// publisher that built it — may write it afterwards. Clone it to get a
 	// tree to change.
 	Payload *xmldom.Node
+
+	// wire is the fragment's wire form when it carries one: rendered by
+	// Sealed for the consumers of a publish that write bytes, or the stored
+	// bytes of a frame read back from a segment file. See the "Wire codec"
+	// section of DESIGN.md.
+	wire string
 }
 
 // New builds a fragment around payload, which the fragment shares rather
@@ -80,18 +88,35 @@ func New(fillerID, tsid int, validTime time.Time, payload *xmldom.Node) *Fragmen
 
 // WithSeq returns a shallow copy of f stamped with the given sequence
 // number. The payload is shared (fragments are read-only once published),
-// so stamping is cheap enough to do once per Publish.
+// so stamping is cheap enough to do once per Publish. The copy has no wire
+// form yet: the one f may carry spells out f's stamps.
 func (f *Fragment) WithSeq(seq uint64) *Fragment {
 	g := *f
 	g.Seq = seq
+	g.wire = ""
 	return &g
 }
 
 // WithTrace returns a shallow copy of f stamped with the given trace
-// context (payload shared, like WithSeq).
+// context (payload shared and wire form dropped, like WithSeq).
 func (f *Fragment) WithTrace(tc obs.TraceContext) *Fragment {
 	g := *f
 	g.Trace = tc
+	g.wire = ""
+	return &g
+}
+
+// Sealed returns a shallow copy of f carrying its wire form, rendered once
+// through scratch: String on the copy returns those bytes instead of
+// encoding again, so a durable log and any number of sockets write one
+// encoding. It is the last step of publishing, after every stamp is on —
+// the copy's stamps must not change afterwards (WithSeq and WithTrace
+// return unsealed copies).
+func (f *Fragment) Sealed(scratch *bytes.Buffer) *Fragment {
+	scratch.Reset()
+	f.writeWire(scratch)
+	g := *f
+	g.wire = scratch.String()
 	return &g
 }
 
@@ -116,8 +141,49 @@ func (f *Fragment) ToXML() *xmldom.Node {
 	return el
 }
 
-// String returns the compact wire form.
-func (f *Fragment) String() string { return f.ToXML().String() }
+// String returns the compact wire form: the attached one when the
+// fragment has been sealed or read back from a log, a fresh encoding
+// otherwise. It is byte for byte what ToXML().String() spells.
+func (f *Fragment) String() string {
+	if f.wire != "" {
+		return f.wire
+	}
+	var b strings.Builder
+	f.writeWire(&b)
+	return b.String()
+}
+
+// writeWire writes the wire form straight into w: the <filler …> tag from
+// the stamps, the payload through the serializer, no wrapper element.
+func (f *Fragment) writeWire(w xmldom.Sink) {
+	var num [32]byte // stays on the stack: only its bytes are handed on
+	put := func(b []byte) {
+		for _, c := range b {
+			w.WriteByte(c)
+		}
+	}
+	w.WriteString(`<` + FillerTag + ` ` + AttrID + `="`)
+	put(strconv.AppendInt(num[:0], int64(f.FillerID), 10))
+	w.WriteString(`" ` + AttrTSID + `="`)
+	put(strconv.AppendInt(num[:0], int64(f.TSID), 10))
+	w.WriteString(`" ` + AttrValidTime + `="`)
+	put(f.ValidTime.UTC().AppendFormat(num[:0], xtime.Layout))
+	if f.Seq > 0 {
+		w.WriteString(`" ` + AttrSeq + `="`)
+		put(strconv.AppendUint(num[:0], f.Seq, 10))
+	}
+	if f.Trace.Valid() {
+		w.WriteString(`" ` + AttrTrace + `="`)
+		w.WriteString(f.Trace.String())
+	}
+	if f.Payload == nil {
+		w.WriteString(`"/>`)
+		return
+	}
+	w.WriteString(`">`)
+	f.Payload.EncodeTo(w)
+	w.WriteString(`</` + FillerTag + `>`)
+}
 
 // FromXML parses a <filler> element into a Fragment. The payload is el's
 // child element itself, not a copy: el belongs to the fragment from here
@@ -157,11 +223,18 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 			return nil, fmt.Errorf("fragment: bad seq %q on filler %d", seqStr, id)
 		}
 	}
-	kids := el.ElementChildren()
-	if len(kids) != 1 {
-		return nil, fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, len(kids))
+	var payload *xmldom.Node
+	kids := 0
+	for _, c := range el.Children {
+		if c.Type == xmldom.ElementNode {
+			payload = c
+			kids++
+		}
 	}
-	f := New(id, tsid, vt.Time(), kids[0])
+	if kids != 1 {
+		return nil, fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, kids)
+	}
+	f := New(id, tsid, vt.Time(), payload)
 	f.Seq = seq
 	// PublishedAt is transport metadata a peer must never control: if a
 	// decoded frame could carry a publish stamp, a crafted frame would
@@ -190,6 +263,19 @@ func Parse(src string) (*Fragment, error) {
 		return nil, err
 	}
 	return FromXML(doc.Root())
+}
+
+// ParseStored is Parse for a frame read back from a log: the fragment
+// keeps src — which its payload was decoded in place from, and so keeps
+// alive anyway — as its wire form, and whoever replays it to a socket or
+// copies it to another file writes the stored bytes, not a re-encoding.
+func ParseStored(src string) (*Fragment, error) {
+	f, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	f.wire = src
+	return f, nil
 }
 
 func name(el *xmldom.Node) string {

@@ -8,8 +8,11 @@ import (
 // properties must hold: the parser never panics on hostile input (a
 // streaming client feeds it whatever arrives on the socket), and any
 // input it does accept re-encodes to a wire form that parses back to the
-// same fragment — decode∘encode is a fixpoint, which is what lets the
-// stream layer relay fragments without semantic drift.
+// same fragment — decode(encode(f)) == f, stamps and payload tree alike,
+// which is what lets the stream layer relay fragments without semantic
+// drift. And since a decoded payload shares the string it was decoded
+// from, never the bytes that string was made of, scribbling over those
+// bytes afterwards must not reach it.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00"><doc/></filler>`))
 	f.Add([]byte(`<filler id="7" tsid="5" validTime="2003-01-02T10:00:00" seq="42"><event><value>33</value></event></filler>`))
@@ -44,6 +47,25 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if again.Payload.String() != frag.Payload.String() {
 			t.Fatalf("payload drifted:\n first %s\nsecond %s", frag.Payload, again.Payload)
+		}
+		// again was decoded from what the encoder writes, so its tree is
+		// the encoder's own fixpoint (arbitrary input may spell one run of
+		// text as several tokens — text next to CDATA — that re-encode as
+		// one)
+		third, err := Parse(again.String())
+		if err != nil || !third.Payload.Equal(again.Payload) {
+			t.Fatalf("decode(encode(f)) != f: %v\n first %s\nsecond %s", err, again, third)
+		}
+		wire := frag.String()
+		for i := range data {
+			data[i] = 'X'
+		}
+		if frag.String() != wire {
+			t.Fatalf("fragment changed with the bytes it was decoded from:\nbefore %s\n after %s", wire, frag)
+		}
+		stored, err := ParseStored(wire)
+		if err != nil || stored.String() != wire || !stored.Payload.Equal(again.Payload) {
+			t.Fatalf("ParseStored(%s) = %v, %v", wire, stored, err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -66,7 +67,15 @@ func (JSONCodec) EncodeResult(id int64, res Result) ([]byte, error) {
 	if res.TraceID != 0 {
 		w.Trace = fmt.Sprintf("%016x", res.TraceID)
 	}
-	return json.Marshal(w)
+	// result items are XML: with HTML escaping on, every '<' and '>' of
+	// theirs would travel as six bytes
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(w); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
 }
 
 // formatItems serializes a sequence item by item, using the delta

@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,10 +118,14 @@ type Registry struct {
 	// scoped to one arrival, so two arrivals must not interleave.
 	evalMu sync.Mutex
 
-	mu      sync.Mutex
-	clock   func() time.Time
-	regs    map[int64]*Registration
-	groups  map[string]*group
+	mu     sync.Mutex
+	clock  func() time.Time
+	regs   map[int64]*Registration
+	groups map[string]*group
+	// order is the groups sorted by key, the order arrivals visit them in.
+	// It is replaced, never written in place, where a group comes or goes,
+	// so an arrival iterates the slice it read under mu without copying.
+	order   []*group
 	nextID  int64
 	maxRegs int
 
@@ -198,7 +203,9 @@ func (r *Registry) SetMaxRegistrations(n int) {
 type group struct {
 	key     string
 	pathSig string
-	members map[int64]*Registration
+	// members is sorted by id and, like Registry.order, replaced where
+	// membership changes and never written in place.
+	members []*Registration
 	// sigRef refcounts incremental unit signatures across members: a
 	// signature with refcount K is evaluated once per arrival and
 	// shared K ways.
@@ -372,15 +379,17 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		g = &group{
 			key:       key,
 			pathSig:   pathSig,
-			members:   make(map[int64]*Registration),
 			sigRef:    make(map[string]int),
 			engShares: make(map[string]*engShare),
 			latency:   obs.NewHistogram(),
 		}
 		r.groups[key] = g
+		at := sort.Search(len(r.order), func(i int) bool { return r.order[i].key > key })
+		r.order = slices.Insert(slices.Clone(r.order), at, g)
 	}
 	reg.g = g
-	g.members[reg.id] = reg
+	// ids only grow, so the newest member sorts last
+	g.members = append(slices.Clip(g.members), reg)
 	for _, sig := range reg.sigs {
 		g.sigRef[sig]++
 	}
@@ -549,7 +558,7 @@ func (reg *Registration) Close() {
 	if _, live := r.regs[reg.id]; live {
 		delete(r.regs, reg.id)
 		g := reg.g
-		delete(g.members, reg.id)
+		g.members = slices.DeleteFunc(slices.Clone(g.members), func(m *Registration) bool { return m == reg })
 		for _, sig := range reg.sigs {
 			if g.sigRef[sig]--; g.sigRef[sig] <= 0 {
 				delete(g.sigRef, sig)
@@ -562,6 +571,7 @@ func (reg *Registration) Close() {
 		}
 		if len(g.members) == 0 {
 			delete(r.groups, g.key)
+			r.order = slices.DeleteFunc(slices.Clone(r.order), func(o *group) bool { return o == g })
 		}
 	}
 	r.mu.Unlock()
@@ -621,14 +631,9 @@ func (r *Registry) Apply(f *fragment.Fragment) {
 	defer r.evalMu.Unlock()
 	r.mu.Lock()
 	at := r.clock()
-	groups := make([]*group, 0, len(r.groups))
-	for _, g := range r.groups {
-		groups = append(groups, g)
-	}
+	groups := r.order // by key: a deterministic order keeps runs reproducible
 	r.applies++
 	r.mu.Unlock()
-	// deterministic group order keeps runs reproducible
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
 	for _, g := range groups {
 		r.applyGroup(g, f, at)
 	}
@@ -676,12 +681,8 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	start := time.Now()
 	r.mu.Lock()
 	gp := groupPass{f: f, at: at, rec: r.tracer, units: inc.NewSharedPass(), stats: obs.EvalStats{Plan: "group"}}
-	members := make([]*Registration, 0, len(g.members))
-	for _, reg := range g.members {
-		members = append(members, reg)
-	}
+	members := g.members // by id
 	r.mu.Unlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
 
 	// a traced arrival gets one "registry.eval" span per sharing group;
 	// each member's delivery hangs off it as a "fanout" child, so K

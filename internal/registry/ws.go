@@ -85,6 +85,33 @@ type wsConn struct {
 	br   *bufio.Reader
 
 	wmu sync.Mutex
+	// wbuf is where a frame is assembled before its one Write; kept
+	// between frames up to wsMaxKeptWriteBuffer. Guarded by wmu.
+	wbuf []byte
+}
+
+// wsMaxKeptWriteBuffer bounds the frame buffer a connection keeps between
+// writes: a seed frame carrying a whole standing result is assembled in a
+// buffer of its own and let go.
+const wsMaxKeptWriteBuffer = 64 << 10
+
+// appendWSHeader appends the header of a final, single-frame message of n
+// payload bytes: the length in its shortest form and, on a client frame,
+// the mask bit — the masking key follows it.
+func appendWSHeader(dst []byte, opcode byte, n int, masked bool) []byte {
+	var maskBit byte
+	if masked {
+		maskBit = 0x80
+	}
+	dst = append(dst, 0x80|opcode) // FIN, no extensions
+	switch {
+	case n < 126:
+		return append(dst, maskBit|byte(n))
+	case n < 1<<16:
+		return binary.BigEndian.AppendUint16(append(dst, maskBit|126), uint16(n))
+	default:
+		return binary.BigEndian.AppendUint64(append(dst, maskBit|127), uint64(n))
+	}
 }
 
 // wsUpgrade performs the server handshake and hijacks the connection.
@@ -124,29 +151,17 @@ func wsUpgrade(w http.ResponseWriter, r *http.Request) *wsConn {
 	return &wsConn{conn: conn, br: rw.Reader}
 }
 
-// writeFrame writes one unmasked (server→client) frame.
+// writeFrame writes one unmasked (server→client) frame: header and
+// payload leave in a single Write, so a result costs one system call and,
+// on a socket without Nagle, one segment.
 func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [10]byte
-	hdr[0] = 0x80 | opcode // FIN, no extensions
-	n := 2
-	switch {
-	case len(payload) < 126:
-		hdr[1] = byte(len(payload))
-	case len(payload) < 1<<16:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(len(payload)))
-		n = 4
-	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(payload)))
-		n = 10
+	buf := append(appendWSHeader(c.wbuf[:0], opcode, len(payload), false), payload...)
+	if cap(buf) <= wsMaxKeptWriteBuffer {
+		c.wbuf = buf
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(payload)
+	_, err := c.conn.Write(buf)
 	return err
 }
 
@@ -325,31 +340,18 @@ func (c *wsClient) WriteText(payload []byte) error {
 	c.ctr++
 	var mask [4]byte
 	binary.BigEndian.PutUint32(mask[:], c.ctr*2654435761)
-	var hdr [14]byte
-	hdr[0] = 0x80 | opText
-	n := 2
-	switch {
-	case len(payload) < 126:
-		hdr[1] = 0x80 | byte(len(payload))
-	case len(payload) < 1<<16:
-		hdr[1] = 0x80 | 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(len(payload)))
-		n = 4
-	default:
-		hdr[1] = 0x80 | 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(payload)))
-		n = 10
-	}
-	copy(hdr[n:], mask[:])
-	n += 4
-	masked := make([]byte, len(payload))
+	return c.writeMasked(opText, mask, payload)
+}
+
+// writeMasked assembles one client frame — header, masking key, payload
+// masked on its way in — and writes it in one go. The caller holds wmu.
+func (c *wsClient) writeMasked(opcode byte, mask [4]byte, payload []byte) error {
+	buf := make([]byte, 0, 14+len(payload))
+	buf = append(appendWSHeader(buf, opcode, len(payload), true), mask[:]...)
 	for i, b := range payload {
-		masked[i] = b ^ mask[i&3]
+		buf = append(buf, b^mask[i&3])
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(masked)
+	_, err := c.conn.Write(buf)
 	return err
 }
 
@@ -399,14 +401,7 @@ func (c *wsClient) ReadMessage() ([]byte, error) {
 func (c *wsClient) writePong(payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var mask [4]byte
-	hdr := []byte{0x80 | opPong, 0x80 | byte(len(payload))}
-	hdr = append(hdr, mask[:]...)
-	if _, err := c.conn.Write(hdr); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(payload)
-	return err
+	return c.writeMasked(opPong, [4]byte{}, payload)
 }
 
 // Close closes the client connection.

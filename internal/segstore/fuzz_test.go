@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,9 @@ import (
 // land in exactly one of the sanctioned outcomes: a clean parse, a torn
 // tail truncation, or quarantine-with-salvage — and every item it does
 // return must be a well-formed filler that a second open reproduces
-// identically with nothing left to quarantine.
+// identically with nothing left to quarantine. Every frame the scan
+// accepts also satisfies decode(encode(f)) == f and shares nothing with
+// the file buffer it was scanned from.
 func FuzzSegmentReplay(f *testing.F) {
 	// seed with a real segment file, a real snapshot file, and junk
 	dir := f.TempDir()
@@ -49,6 +52,45 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add([]byte("not a segment at all"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > len(segMagic) {
+			body := bytes.Clone(data[len(segMagic):])
+			res := parseFile(body, int64(len(segMagic)))
+			var before []string
+			for _, rec := range res.frames {
+				before = append(before, rec.xml)
+				if rec.frag == nil {
+					continue
+				}
+				before = append(before, rec.frag.Payload.String())
+				// a stored frame replays as the bytes it was stored as; what
+				// the encoder makes of it is the encoder's fixpoint
+				if rec.frag.String() != rec.xml {
+					t.Fatalf("stored frame %q replays as %q", rec.xml, rec.frag)
+				}
+				canon := rec.frag.WithSeq(rec.frag.Seq)
+				back, err := fragment.Parse(canon.String())
+				if err != nil || back.String() != canon.String() || back.Seq != canon.Seq ||
+					back.FillerID != canon.FillerID || back.TSID != canon.TSID || !back.ValidTime.Equal(canon.ValidTime) {
+					t.Fatalf("decode(encode(f)) != f for stored frame %q: %v", rec.xml, err)
+				}
+				if again, err := fragment.Parse(back.String()); err != nil || !again.Payload.Equal(back.Payload) {
+					t.Fatalf("decode(encode(f)) != f for stored frame %q: %v", rec.xml, err)
+				}
+			}
+			for i := range body {
+				body[i] = 'X' // the file buffer is the reader's to reuse
+			}
+			var after []string
+			for _, rec := range res.frames {
+				after = append(after, rec.xml)
+				if rec.frag != nil {
+					after = append(after, rec.frag.Payload.String())
+				}
+			}
+			if strings.Join(before, "\n") != strings.Join(after, "\n") {
+				t.Fatal("scanned frames changed with the file buffer")
+			}
+		}
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
 			t.Fatal(err)

@@ -40,12 +40,14 @@ type frameRec struct {
 	frag *fragment.Fragment
 	// xml is the fragment's wire form exactly as stored; re-encoding is
 	// avoided when frames are copied between files (snapshot, compaction)
-	// so byte identity is structural, not re-serialization luck.
-	xml []byte
+	// so byte identity is structural, not re-serialization luck. A frame
+	// read back from a file has one copy of its payload, this string: frag
+	// was decoded in place from it and carries it as its wire form.
+	xml string
 }
 
 // encodeFrame renders one frame (header + payload) into a fresh buffer.
-func encodeFrame(lsn uint64, xml []byte) []byte {
+func encodeFrame(lsn uint64, xml string) []byte {
 	payloadLen := 8 + len(xml)
 	buf := make([]byte, frameHeaderLen+payloadLen)
 	binary.BigEndian.PutUint32(buf[0:4], uint32(payloadLen))
@@ -105,10 +107,9 @@ func parseFile(data []byte, base int64) parseResult {
 			return res
 		}
 		lsn := binary.BigEndian.Uint64(payload[:8])
-		xml := payload[8:]
-		rec := frameRec{lsn: lsn, xml: append([]byte(nil), xml...)}
+		rec := frameRec{lsn: lsn, xml: string(payload[8:])}
 		if lsn > 0 {
-			frag, err := fragment.Parse(string(xml))
+			frag, err := fragment.ParseStored(rec.xml)
 			if err != nil {
 				res.corrupt = true
 				res.corruptAt = base + int64(off)

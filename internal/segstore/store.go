@@ -495,7 +495,7 @@ func (s *Store) loadSnapshot(name string) (*snapInfo, []frameRec, error) {
 	if len(res.frames) == 0 || res.frames[0].lsn != 0 {
 		return nil, nil, errors.New("missing meta frame")
 	}
-	doc, err := xmldom.ParseString(string(res.frames[0].xml))
+	doc, err := xmldom.ParseString(res.frames[0].xml)
 	if err != nil {
 		return nil, nil, errors.New("bad meta frame")
 	}
@@ -577,7 +577,9 @@ func (s *Store) Append(f *fragment.Fragment) error {
 		s.stats.AppendErrors++
 		return err
 	}
-	xml := []byte(f.String())
+	// the bytes the publishing server sealed onto f, when it came
+	// through one; encoded here otherwise
+	xml := f.String()
 	lsn := s.nextLSN
 	buf := encodeFrame(lsn, xml)
 	if _, err := s.active.Write(buf); err != nil {
@@ -911,7 +913,7 @@ func (s *Store) snapshotLocked() (uint64, error) {
 		return err
 	}
 	_ = write([]byte(snapMagic))
-	_ = write(encodeFrame(0, []byte(meta.String())))
+	_ = write(encodeFrame(0, meta.String()))
 	for _, rec := range frames {
 		_ = write(encodeFrame(rec.lsn, rec.xml))
 	}

@@ -328,7 +328,7 @@ func TestRecoveryTornTailTruncated(t *testing.T) {
 			seg = filepath.Join(dir, e.Name())
 		}
 	}
-	full := encodeFrame(99, []byte(want[0].String()))
+	full := encodeFrame(99, want[0].String())
 	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

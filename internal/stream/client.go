@@ -19,6 +19,11 @@ import (
 // growing the set without limit.
 const maxTrackedMissing = 4096
 
+// maxKeptErrs bounds the ingestion errors a client keeps for Errs: a
+// receive-only client cannot make a noisy link stop, so what it remembers
+// of the noise must not grow with it. ClientStats.Errors has the total.
+const maxKeptErrs = 64
+
 // Gap describes a run of sequence numbers the client has not received —
 // fragments lost on the transport (which may still heal via reordering or
 // replay) or a resume position the server no longer retained (permanent).
@@ -70,6 +75,9 @@ type ClientStats struct {
 	ReconnectReplay   int64
 	ReconnectSnapshot int64
 	ReconnectDegraded int64
+	// Errors counts the frames and fragments skipped as malformed since the
+	// client started; Errs returns the most recent of them.
+	Errors int64
 	// LastSeq is the highest sequence number seen.
 	LastSeq uint64
 	// Lag is the distance between the server's latest advertised
@@ -107,7 +115,8 @@ type Client struct {
 	mu           sync.Mutex
 	listeners    []func(*fragment.Fragment)
 	gapListeners []func(Gap)
-	errs         []error
+	errs         []error // the last maxKeptErrs of errTotal
+	errTotal     int64
 	done         chan struct{}
 	closeOnce    sync.Once
 
@@ -245,9 +254,7 @@ func (c *Client) Apply(f *fragment.Fragment) {
 		c.notifyGap(*gap)
 	}
 	if err := c.store.Add(f); err != nil {
-		c.mu.Lock()
-		c.errs = append(c.errs, err)
-		c.mu.Unlock()
+		c.addErr(err)
 		if l := c.log(); l != nil {
 			l.LogAttrs(logCtx, slog.LevelError, "malformed fragment skipped",
 				slog.String("component", "client"), slog.String("stream", c.name),
@@ -492,6 +499,7 @@ func (c *Client) Stats() ClientStats {
 		ReconnectReplay:   c.reconnectReplay,
 		ReconnectSnapshot: c.reconnectSnapshot,
 		ReconnectDegraded: c.reconnectDegraded,
+		Errors:            c.errTotal,
 		LastSeq:           c.lastSeq,
 	}
 	if c.latestSeen > c.lastSeq {
@@ -518,7 +526,20 @@ func (c *Client) Consume(sub *Subscription) {
 	}
 }
 
-// Errs returns ingestion errors collected so far.
+// addErr records one skipped frame or fragment, forgetting the oldest
+// kept error once maxKeptErrs are held.
+func (c *Client) addErr(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.errTotal++
+	if len(c.errs) == maxKeptErrs {
+		c.errs = append(c.errs[:0], c.errs[1:]...)
+	}
+	c.errs = append(c.errs, err)
+}
+
+// Errs returns the most recent ingestion errors, oldest first — at most
+// maxKeptErrs of them; Stats().Errors counts them all.
 func (c *Client) Errs() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

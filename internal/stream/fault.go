@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net"
@@ -20,6 +21,10 @@ type FaultPlan struct {
 	Seed int64
 	// DropProb silently discards a frame (the radio model's lost packet).
 	DropProb float64
+	// CorruptProb overwrites the frame's first byte, so what arrives is
+	// not well-formed XML: the noise a client must skip and account for
+	// like a drop.
+	CorruptProb float64
 	// DupProb writes a frame twice.
 	DupProb float64
 	// ReorderProb holds a frame back and emits it after its successor
@@ -41,6 +46,7 @@ type FaultPlan struct {
 type FaultStats struct {
 	Frames     int64 // fragment frames offered to the injector
 	Dropped    int64
+	Corrupted  int64
 	Duplicated int64
 	Reordered  int64
 	Delayed    int64
@@ -78,8 +84,8 @@ func (fi *FaultInjector) Stats() FaultStats {
 
 func (fi *FaultInjector) String() string {
 	st := fi.Stats()
-	return fmt.Sprintf("faults: %d frames, %d dropped, %d duplicated, %d reordered, %d delayed, %d resets",
-		st.Frames, st.Dropped, st.Duplicated, st.Reordered, st.Delayed, st.Resets)
+	return fmt.Sprintf("faults: %d frames, %d dropped, %d corrupted, %d duplicated, %d reordered, %d delayed, %d resets",
+		st.Frames, st.Dropped, st.Corrupted, st.Duplicated, st.Reordered, st.Delayed, st.Resets)
 }
 
 // wrap puts the injector between the serving loop and one connection.
@@ -94,13 +100,14 @@ type faultSink struct {
 	next frameSink
 	conn net.Conn
 
-	pending []byte // frame held back for reordering
+	pending string // frame held back for reordering; "" when none
 }
 
 // decision is one frame's fate, drawn under the injector lock.
 type decision struct {
 	delay        time.Duration
 	reset, drop  bool
+	corrupt      bool
 	dup, reorder bool
 }
 
@@ -129,6 +136,10 @@ func (fi *FaultInjector) decide() decision {
 		fi.stats.Dropped++
 		return d
 	}
+	if p.CorruptProb > 0 && fi.rng.Float64() < p.CorruptProb {
+		d.corrupt = true
+		fi.stats.Corrupted++
+	}
 	if p.DupProb > 0 && fi.rng.Float64() < p.DupProb {
 		d.dup = true
 		fi.stats.Duplicated++
@@ -140,12 +151,12 @@ func (fi *FaultInjector) decide() decision {
 	return d
 }
 
-func (fs *faultSink) WriteFrame(payload []byte) error {
+func (fs *faultSink) WriteFrame(payload string) error {
 	d := fs.fi.decide()
-	if l := fs.fi.log(); l != nil && (d.reset || d.drop || d.dup || d.reorder) {
+	if l := fs.fi.log(); l != nil && (d.reset || d.drop || d.corrupt || d.dup || d.reorder) {
 		l.LogAttrs(logCtx, slog.LevelDebug, "fault injected",
 			slog.String("component", "fault"),
-			slog.Bool("reset", d.reset), slog.Bool("drop", d.drop),
+			slog.Bool("reset", d.reset), slog.Bool("drop", d.drop), slog.Bool("corrupt", d.corrupt),
 			slog.Bool("dup", d.dup), slog.Bool("reorder", d.reorder))
 	}
 	if d.delay > 0 {
@@ -157,28 +168,32 @@ func (fs *faultSink) WriteFrame(payload []byte) error {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 		_, _ = fs.conn.Write(hdr[:])
-		_, _ = fs.conn.Write(payload[:len(payload)/2])
+		_, _ = io.WriteString(fs.conn, payload[:len(payload)/2])
 		fs.conn.Close()
 		return ErrInjectedReset
 	}
 	if d.drop {
 		return nil
 	}
+	if d.corrupt {
+		// a copy: the payload is every other connection's too
+		payload = "#" + payload[1:]
+	}
 	// a held-back frame is released after the current one (adjacent swap)
 	release := fs.pending
-	fs.pending = nil
+	fs.pending = ""
 	if d.reorder {
-		fs.pending = append([]byte(nil), payload...)
-		if release != nil {
+		fs.pending = payload
+		if release != "" {
 			return fs.next.WriteFrame(release)
 		}
 		return nil
 	}
-	writes := [][]byte{payload}
+	writes := []string{payload}
 	if d.dup {
 		writes = append(writes, payload)
 	}
-	if release != nil {
+	if release != "" {
 		writes = append(writes, release)
 	}
 	for _, p := range writes {
@@ -193,8 +208,8 @@ func (fs *faultSink) WriteFrame(payload []byte) error {
 // never turns into a drop.
 func (fs *faultSink) Flush() error {
 	release := fs.pending
-	fs.pending = nil
-	if release != nil {
+	fs.pending = ""
+	if release != "" {
 		if err := fs.next.WriteFrame(release); err != nil {
 			return err
 		}

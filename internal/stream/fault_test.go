@@ -70,6 +70,12 @@ func TestFaultScenarios(t *testing.T) {
 			wantGapEvents: true,
 		},
 		{
+			name:          "corrupt",
+			plan:          FaultPlan{Seed: 16, CorruptProb: 0.25},
+			wantLossless:  true, // a garbled frame is a dropped frame: it heals
+			wantGapEvents: true,
+		},
+		{
 			name:           "duplicate",
 			plan:           FaultPlan{Seed: 12, DupProb: 0.5},
 			wantLossless:   true,
@@ -195,6 +201,59 @@ func TestFaultScenarios(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCorruptFramesAreCountedNotHoarded: a link that garbles frames for as
+// long as it is up costs the client a counter and a bounded tail of
+// errors, not one retained error per bad frame. Every frame the injector
+// corrupted reached the client as something that is not XML; each must be
+// counted once, and Errs must hold the most recent maxKeptErrs of them.
+func TestCorruptFramesAreCountedNotHoarded(t *testing.T) {
+	s := NewServer("sensors", sensorStructure(t))
+	defer s.Close()
+	fi := NewFaultInjector(FaultPlan{Seed: 21, CorruptProb: 0.6})
+	addr := startFaultyServer(t, s, ServeOptions{Faults: fi})
+
+	const events = 4 * maxKeptErrs
+	s.Publish(rootFragment())
+	for i := 1; i <= events; i++ {
+		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
+	}
+	// no reconnects: one pass over the link, so the injector's count and
+	// the client's are over the same frames
+	c, err := Dial(addr, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !waitFor(t, 5*time.Second, func() bool {
+		st, inj := c.Stats(), fi.Stats()
+		return inj.Frames == events+1 && st.Received+st.Errors == events+1
+	}) {
+		t.Fatalf("replay never finished: client %+v, injector %v", c.Stats(), fi)
+	}
+	st, inj := c.Stats(), fi.Stats()
+	if inj.Corrupted <= maxKeptErrs {
+		t.Fatalf("injector corrupted only %d frames; the bound was never reached", inj.Corrupted)
+	}
+	if st.Errors != inj.Corrupted {
+		t.Fatalf("client counted %d bad frames, the link garbled %d", st.Errors, inj.Corrupted)
+	}
+	errs := c.Errs()
+	if len(errs) != maxKeptErrs {
+		t.Fatalf("Errs holds %d errors, want the last %d of %d", len(errs), maxKeptErrs, st.Errors)
+	}
+	for _, e := range errs {
+		if !strings.Contains(e.Error(), "stray character data") {
+			t.Fatalf("kept error is not a decode error: %v", e)
+		}
+	}
+	if st.Gaps == 0 {
+		t.Fatal("garbled frames left no sequence gap")
+	}
+	if reason, degraded := c.Degraded(); !degraded {
+		t.Fatalf("fragments are missing and the client does not say so (%q)", reason)
 	}
 }
 

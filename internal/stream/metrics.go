@@ -54,6 +54,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"_reconnect_outcome_replay", snap(func(st ClientStats) int64 { return st.ReconnectReplay }))
 	r.Gauge(prefix+"_reconnect_outcome_snapshot_bootstrap", snap(func(st ClientStats) int64 { return st.ReconnectSnapshot }))
 	r.Gauge(prefix+"_reconnect_outcome_degraded", snap(func(st ClientStats) int64 { return st.ReconnectDegraded }))
+	r.Gauge(prefix+"_errors", snap(func(st ClientStats) int64 { return st.Errors }))
 	r.Gauge(prefix+"_last_seq", snap(func(st ClientStats) int64 { return int64(st.LastSeq) }))
 	r.Gauge(prefix+"_lag", snap(func(st ClientStats) int64 { return int64(st.Lag) }))
 	r.Gauge(prefix+"_degraded", snap(func(st ClientStats) int64 {
@@ -79,6 +80,7 @@ func (fi *FaultInjector) RegisterMetrics(r *obs.Registry, prefix string) {
 	}
 	r.Gauge(prefix+"_frames", snap(func(st FaultStats) int64 { return st.Frames }))
 	r.Gauge(prefix+"_dropped", snap(func(st FaultStats) int64 { return st.Dropped }))
+	r.Gauge(prefix+"_corrupted", snap(func(st FaultStats) int64 { return st.Corrupted }))
 	r.Gauge(prefix+"_duplicated", snap(func(st FaultStats) int64 { return st.Duplicated }))
 	r.Gauge(prefix+"_reordered", snap(func(st FaultStats) int64 { return st.Reordered }))
 	r.Gauge(prefix+"_delayed", snap(func(st FaultStats) int64 { return st.Delayed }))

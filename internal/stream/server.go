@@ -19,6 +19,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -44,9 +45,16 @@ type Server struct {
 	// order always equals the sequence order; mu guards the shared state
 	// and is never held across a disk sync. Lock order: pubMu before mu.
 	pubMu sync.Mutex
+	// enc is the scratch a publish renders the fragment's wire form
+	// through (Fragment.Sealed); guarded by pubMu.
+	enc bytes.Buffer
 
-	mu           sync.Mutex
-	subs         map[*Subscription]struct{}
+	mu   sync.Mutex
+	subs map[*Subscription]struct{}
+	// wireSubs counts the live subscriptions that write fragments out as
+	// bytes (TCP connections): with any of them, or a durable log,
+	// attached, Publish makes the wire form, once for all of them.
+	wireSubs     int
 	history      []*fragment.Fragment // seq-stamped, retained for replay
 	historyLimit int                  // max retained fragments; 0 = unbounded
 	nextSeq      uint64               // last assigned sequence number
@@ -119,6 +127,8 @@ func (s *Server) trimHistoryLocked() {
 type Subscription struct {
 	server *Server
 	ch     chan *fragment.Fragment
+	// wire marks a subscription whose consumer writes wire bytes.
+	wire bool
 
 	// guarded by server.mu — a single lock serializes Publish, Cancel and
 	// Close, so the channel is never closed while a send is in flight.
@@ -141,7 +151,7 @@ func (sub *Subscription) Cancel() {
 		return
 	}
 	sub.closed = true
-	delete(s.subs, sub)
+	s.dropLocked(sub)
 	close(sub.ch)
 }
 
@@ -192,20 +202,36 @@ func (s *Server) Subscribe(buffer int, catchUp bool) *Subscription {
 func (s *Server) SubscribeFrom(buffer int, afterSeq uint64) *Subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.subscribeLocked(buffer, s.replayLocked(afterSeq))
+	return s.subscribeLocked(buffer, s.replayLocked(afterSeq), false)
+}
+
+// subscribeWire is SubscribeFrom for a consumer that writes every
+// fragment out as bytes: while it is subscribed, Publish seals.
+func (s *Server) subscribeWire(buffer int, afterSeq uint64) *Subscription {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.subscribeLocked(buffer, s.replayLocked(afterSeq), true)
 }
 
 func (s *Server) subscribe(buffer int, replay []*fragment.Fragment) *Subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.subscribeLocked(buffer, replay)
+	return s.subscribeLocked(buffer, replay, false)
 }
 
-func (s *Server) subscribeLocked(buffer int, replay []*fragment.Fragment) *Subscription {
+// dropLocked forgets a live subscription. The caller holds s.mu.
+func (s *Server) dropLocked(sub *Subscription) {
+	delete(s.subs, sub)
+	if sub.wire {
+		s.wireSubs--
+	}
+}
+
+func (s *Server) subscribeLocked(buffer int, replay []*fragment.Fragment, wire bool) *Subscription {
 	if buffer < 1 {
 		buffer = 1
 	}
-	sub := &Subscription{server: s, ch: make(chan *fragment.Fragment, buffer+len(replay))}
+	sub := &Subscription{server: s, wire: wire, ch: make(chan *fragment.Fragment, buffer+len(replay))}
 	for _, f := range replay {
 		sub.ch <- f // fits: capacity covers the replay
 	}
@@ -215,6 +241,9 @@ func (s *Server) subscribeLocked(buffer int, replay []*fragment.Fragment) *Subsc
 		return sub
 	}
 	s.subs[sub] = struct{}{}
+	if wire {
+		s.wireSubs++
+	}
 	return sub
 }
 
@@ -261,11 +290,23 @@ func (s *Server) Publish(f *fragment.Fragment) {
 	if s.durableBroken != "" {
 		d = nil
 	}
+	seal := d != nil || s.wireSubs > 0
 	s.mu.Unlock()
 
+	// every stamp is on: wired is stamped plus the one encoding the
+	// durable log frames and every connection writes. It goes to those who
+	// write bytes and is garbage once they have; the replay window and the
+	// in-process subscribers keep the fragment without it. With nobody to
+	// write bytes there is no encoding at all (a connection that joins
+	// before the fan-out below makes its own, as one replaying the window
+	// does).
+	wired := stamped
+	if seal {
+		wired = stamped.Sealed(&s.enc)
+	}
 	var derr error
 	if d != nil {
-		derr = d.Append(stamped)
+		derr = d.Append(wired)
 	}
 
 	s.mu.Lock()
@@ -289,8 +330,12 @@ func (s *Server) Publish(f *fragment.Fragment) {
 	s.trimHistoryLocked()
 	drops := 0
 	for sub := range s.subs {
+		out := stamped
+		if sub.wire {
+			out = wired
+		}
 		select {
-		case sub.ch <- stamped:
+		case sub.ch <- out:
 		default:
 			s.dropped++
 			drops++
@@ -429,7 +474,7 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	for sub := range s.subs {
-		delete(s.subs, sub)
+		s.dropLocked(sub)
 		sub.closed = true
 		close(sub.ch)
 	}

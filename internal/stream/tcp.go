@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -52,6 +51,12 @@ const (
 	// maxFrameSize caps a frame payload; a length prefix beyond it is
 	// treated as a corrupt stream rather than an allocation request.
 	maxFrameSize = 16 << 20
+
+	// maxKeptReadBuffer is the largest read buffer a connection holds on
+	// to between frames; a frame beyond it is read into a slice of its own
+	// so that one outsized frame does not stay allocated for as long as
+	// the connection lives.
+	maxKeptReadBuffer = 64 << 10
 )
 
 // errStreamEnded marks an orderly <stream:eos/> from the server: the
@@ -60,17 +65,23 @@ var errStreamEnded = errors.New("stream: ended by server")
 
 // --- framing ---------------------------------------------------------------
 
-func writeFrame(w io.Writer, payload []byte) error {
+// A payload is a string on its way out: a published fragment's wire form
+// is made once and written by every connection, so nothing that handles it
+// may be able to change it.
+func writeFrame(w io.Writer, payload string) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := io.WriteString(w, payload)
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame's payload into buf when buf has the room and
+// into a fresh slice otherwise; either way the payload is the returned
+// slice, valid until the caller reads into it again.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -82,27 +93,28 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrameSize {
 		return nil, fmt.Errorf("stream: frame of %d bytes exceeds limit %d", n, maxFrameSize)
 	}
-	buf := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-func encodeElement(el *xmldom.Node) []byte {
-	var b bytes.Buffer
-	_ = el.Encode(&b) // bytes.Buffer writes cannot fail
-	return b.Bytes()
-}
-
+// decodeElement decodes the element a frame carries. The string made here
+// is the one copy of the frame: the element's names and values are
+// substrings of it, never of payload, which the read loop overwrites with
+// the next frame.
 func decodeElement(payload []byte) (*xmldom.Node, error) {
-	return xmldom.NewStreamDecoder(bytes.NewReader(payload)).ReadElement()
+	return xmldom.ParseElement(string(payload))
 }
 
 // frameSink is where the serving side pushes outbound frames; the fault
 // injector wraps it to corrupt the flow deliberately.
 type frameSink interface {
-	WriteFrame(payload []byte) error
+	WriteFrame(payload string) error
 	// Flush releases any frame the sink is holding back (reordering).
 	Flush() error
 }
@@ -113,7 +125,7 @@ type connSink struct {
 	w *bufio.Writer
 }
 
-func (cs *connSink) WriteFrame(payload []byte) error {
+func (cs *connSink) WriteFrame(payload string) error {
 	if err := writeFrame(cs.w, payload); err != nil {
 		return err
 	}
@@ -180,7 +192,7 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 	// handshake: read the resume position
 	_ = conn.SetReadDeadline(time.Now().Add(opts.HandshakeTimeout))
 	br := bufio.NewReaderSize(conn, 32<<10)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		return fmt.Errorf("stream: reading resume frame: %w", err)
 	}
@@ -206,7 +218,7 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 	header.SetAttr("latest", strconv.FormatUint(st.LatestSeq, 10))
 	header.SetAttr("floor", strconv.FormatUint(st.ResumeFloor, 10))
 	header.AppendChild(s.Structure().ToXML())
-	if err := clean.WriteFrame(encodeElement(header)); err != nil {
+	if err := clean.WriteFrame(header.String()); err != nil {
 		return err
 	}
 
@@ -215,10 +227,13 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 		sink = opts.Faults.wrap(clean, conn)
 	}
 
-	sub := s.SubscribeFrom(opts.SubscriptionBuffer, after)
+	sub := s.subscribeWire(opts.SubscriptionBuffer, after)
 	defer sub.Cancel()
 	for f := range sub.C() {
-		if err := sink.WriteFrame(encodeElement(f.ToXML())); err != nil {
+		// the bytes Publish sealed onto the fragment, the same ones for
+		// every connection; a replayed fragment that carries none is
+		// encoded here
+		if err := sink.WriteFrame(f.String()); err != nil {
 			return err
 		}
 	}
@@ -231,7 +246,7 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 	}
 	eos := xmldom.NewElement(eosTag)
 	eos.SetAttr("latest", strconv.FormatUint(s.Stats().LatestSeq, 10))
-	return clean.WriteFrame(encodeElement(eos))
+	return clean.WriteFrame(eos.String())
 }
 
 // --- client side -----------------------------------------------------------
@@ -344,12 +359,12 @@ func dialHandshake(addr string, after uint64) (*clientConn, handshake, error) {
 	}
 	resume := xmldom.NewElement(resumeTag)
 	resume.SetAttr("after", strconv.FormatUint(after, 10))
-	if err := writeFrame(conn, encodeElement(resume)); err != nil {
+	if err := writeFrame(conn, resume.String()); err != nil {
 		conn.Close()
 		return nil, handshake{}, fmt.Errorf("stream: sending resume: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	payload, err := readFrame(br)
+	payload, err := readFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, handshake{}, fmt.Errorf("stream: reading header: %w", err)
@@ -535,10 +550,16 @@ func readLoop(c *Client, cc *clientConn) error {
 	}()
 	defer cc.conn.Close()
 	br := cc.br
+	// one read buffer for the connection's life: every frame is read into
+	// it and copied out once, as the string it is decoded from
+	var buf []byte
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, buf)
 		if err != nil {
 			return err
+		}
+		if cap(payload) <= maxKeptReadBuffer {
+			buf = payload
 		}
 		el, err := decodeElement(payload)
 		if err != nil {
@@ -560,10 +581,4 @@ func readLoop(c *Client, cc *clientConn) error {
 		}
 		c.Apply(f)
 	}
-}
-
-func (c *Client) addErr(err error) {
-	c.mu.Lock()
-	c.errs = append(c.errs, err)
-	c.mu.Unlock()
 }

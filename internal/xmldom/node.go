@@ -1,8 +1,8 @@
 // Package xmldom provides the XML substrate for the fragmented-stream
-// system: a compact document tree, an incremental tokenizer that can pull
-// one complete element at a time off an unbounded stream (the way
-// fragments arrive on the wire), a recursive-descent parser, and a
-// serializer.
+// system: a compact document tree, a tokenizer over in-memory input whose
+// tokens — and so the trees built from them — are substrings of that input
+// (a frame is decoded in place, not copied name by name), a
+// recursive-descent parser, and a serializer.
 //
 // The tree is deliberately simple — elements, attributes, text and
 // comments, no namespace resolution — because the wire format of the

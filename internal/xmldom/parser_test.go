@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestParseSimpleDocument(t *testing.T) {
@@ -98,32 +99,44 @@ func TestParseNestedDeep(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins every malformed case with the message and the
+// line:col the byte-at-a-time tokenizer reported for it: the position is
+// worked out from the offset only when the error is built, and must come
+// out where counting bytes on the way did.
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		``,                       // no document element
-		`<a>`,                    // unterminated
-		`<a></b>`,                // mismatched tags
-		`<a></a><b></b>`,         // two roots
-		`text only`,              // data outside root
-		`<a attr></a>`,           // attr missing value
-		`<a b=c></a>`,            // unquoted value
-		`<a>&unknown;</a>`,       // unknown entity
-		`<a>&#xZZ;</a>`,          // bad char ref
-		`<a><!-- unterminated`,   // comment EOF
-		`</a>`,                   // stray end tag
-		`<a b="1" b2='unclosed>`, // unterminated attr value
+	cases := []struct{ src, want string }{
+		{``, `xml: no document element`},
+		{`<a>`, `xml: unexpected EOF inside <a>`},
+		{`<a></b>`, `xml: 1:4: </b> does not match <a>`},
+		{`<a></a><b></b>`, `xml: 1:8: multiple document elements`},
+		{`text only`, `xml: 1:1: character data outside document element`},
+		{`<a attr></a>`, `xml: 1:9: attribute "attr" missing '='`},
+		{`<a b=c></a>`, `xml: 1:7: attribute "b" value must be quoted`},
+		{`<a>&unknown;</a>`, `xml: 1:13: unknown entity &unknown;`},
+		{`<a>&#xZZ;</a>`, `xml: 1:10: bad character reference &#xZZ;`},
+		{`<a>&amp</a>`, `xml: 1:8: unterminated entity reference`},
+		{`<a b="&bogus;"/>`, `xml: 1:15: attribute "b": unknown entity &bogus;`},
+		{`<a><!-- unterminated`, `xml: 1:21: unterminated comment`},
+		{`</a>`, `xml: 1:1: unexpected </a>`},
+		{`<a b="1" b2='unclosed>`, `xml: 1:23: unterminated value for attribute "b2"`},
+		{`<a/`, `xml: 1:4: expected '>' after '/' in <a>`},
+		{`<`, `xml: 1:2: unexpected EOF after '<'`},
+		{`<!DOCTYPE a [`, `xml: 1:14: unterminated directive`},
+		{"<a>\n  <b></c>\n</a>", `xml: 2:6: </c> does not match <b>`},
+		{"<a>\n\n <b x=\"1\" y></b></a>", `xml: 3:13: attribute "y" missing '='`},
+		{"<a>\n<![CDATA[x", `xml: 2:11: unterminated CDATA section`},
+		{"<a>\n <?pi never closed", `xml: 2:19: unterminated processing instruction`},
+		{"<a>\n</a \n x>", `xml: 3:3: malformed end tag </a`},
+		{"<?xml version=\"1.0\"?>\n<a>\n</a>\n<b/>", `xml: 4:1: multiple document elements`},
+		{"<é>\n<ü></é>", `xml: 2:5: </é> does not match <ü>`}, // columns count bytes
 	}
-	for _, src := range cases {
-		if _, err := ParseString(src); err == nil {
-			t.Errorf("ParseString(%q) unexpectedly succeeded", src)
+	for _, c := range cases {
+		_, err := ParseString(c.src)
+		if err == nil {
+			t.Errorf("ParseString(%q) unexpectedly succeeded", c.src)
+		} else if err.Error() != c.want {
+			t.Errorf("ParseString(%q):\n got %s\nwant %s", c.src, err, c.want)
 		}
-	}
-}
-
-func TestErrorsCarryPosition(t *testing.T) {
-	_, err := ParseString("<a>\n  <b></c>\n</a>")
-	if err == nil || !strings.Contains(err.Error(), "2:") {
-		t.Fatalf("error should carry line 2, got: %v", err)
 	}
 }
 
@@ -155,6 +168,64 @@ func TestStreamDecoderStrayData(t *testing.T) {
 	}
 	if _, err := d.ReadElement(); err == nil {
 		t.Fatal("stray data should error")
+	}
+}
+
+// TestStringsShareTheInput is the codec's allocation contract: a tree's
+// names, attribute values and text are substrings of the parsed string —
+// nothing is copied unless an entity reference forces it — so parsing
+// allocates nodes and slices only.
+func TestStringsShareTheInput(t *testing.T) {
+	src := `<transaction id="t17"><vendor>Grocer</vendor><amount>38</amount><note k="a&amp;b">x &lt; y</note></transaction>`
+	doc, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	inside := func(s string) bool {
+		return len(s) == 0 || (addr(s) >= addr(src) && addr(s)+uintptr(len(s)) <= addr(src)+uintptr(len(src)))
+	}
+	copied := 0
+	doc.Root().Walk(func(n *Node) bool {
+		for _, s := range []string{n.Name, n.Data} {
+			if !inside(s) {
+				copied++
+			}
+		}
+		for _, a := range n.Attrs {
+			if !inside(a.Name) {
+				t.Errorf("attribute name %q was copied", a.Name)
+			}
+			if !inside(a.Value) {
+				copied++
+			}
+		}
+		return true
+	})
+	// exactly the two values spelled with an entity
+	if copied != 2 {
+		t.Fatalf("%d strings copied out of the input, want 2", copied)
+	}
+	if v, _ := doc.Root().FirstChildElement("note").Attr("k"); v != "a&b" {
+		t.Fatalf("entity value = %q", v)
+	}
+}
+
+// TestParseElementTakesTheFirstElement is the frame decoder's contract:
+// noise before the element is skipped, whatever follows it is not read.
+func TestParseElementTakesTheFirstElement(t *testing.T) {
+	el, err := ParseElement(" <!-- c --><?pi?><f id=\"1\"><x/></f><unclosed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if el.String() != `<f id="1"><x/></f>` {
+		t.Fatalf("got %s", el)
+	}
+	if _, err := ParseElement(` junk <f/>`); err == nil {
+		t.Fatal("stray data before the element should error")
+	}
+	if _, err := ParseElement(``); err != io.EOF {
+		t.Fatalf("empty input: %v, want io.EOF", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package xmldom
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -28,62 +27,57 @@ const (
 	DirectiveTok
 )
 
-// Token is one lexical event from the stream.
+// Token is one lexical event. Its strings are substrings of the
+// tokenizer's input wherever the input spells them out literally; only a
+// value containing an entity reference is a fresh string.
 type Token struct {
 	Type        TokenType
 	Name        string // element tag / PI target
 	Data        string // text, comment, directive or PI payload
-	Attrs       []Attr
+	Attrs       []Attr // exactly sized, owned by the receiver
 	SelfClosing bool
-	Line, Col   int // position of the token start (1-based)
+	// Offset is the byte offset of the token's first byte in the input;
+	// Tokenizer.Position turns it into line:col when an error needs one.
+	Offset int
 }
 
-// Tokenizer incrementally lexes XML from an io.Reader. It never reads past
-// the end of the construct it is asked for, so multiple documents or
-// fragments can be pulled from the same connection back to back.
+// Tokenizer lexes XML held in memory. It never looks past the end of the
+// construct it is asked for, so several top-level elements can be pulled
+// from one input back to back.
+//
+// The input is a string, and tokens (and so the nodes built from them)
+// share it: whoever hands a Tokenizer bytes from a buffer it means to
+// reuse converts them to a string first, and that conversion is the only
+// copy decoding makes.
 type Tokenizer struct {
-	r         *bufio.Reader
-	line, col int
-	err       error
+	src string
+	pos int
+	err error
+	// attrs collects one start tag's attributes before they are copied
+	// out exactly sized; tags with more spill to the heap.
+	attrs [8]Attr
 }
 
-// NewTokenizer wraps r. The reader is buffered internally.
-func NewTokenizer(r io.Reader) *Tokenizer {
-	return &Tokenizer{r: bufio.NewReaderSize(r, 32<<10), line: 1, col: 1}
+// NewTokenizer tokenizes src.
+func NewTokenizer(src string) *Tokenizer { return &Tokenizer{src: src} }
+
+// Position converts a byte offset of the input into a 1-based line and
+// byte column. It scans the input, so it is for building errors only.
+func (z *Tokenizer) Position(offset int) (line, col int) {
+	before := z.src[:offset]
+	return 1 + strings.Count(before, "\n"), offset - strings.LastIndexByte(before, '\n')
 }
 
-// NewStringTokenizer tokenizes from a string.
-func NewStringTokenizer(s string) *Tokenizer { return NewTokenizer(strings.NewReader(s)) }
-
-func (z *Tokenizer) readByte() (byte, error) {
-	b, err := z.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if b == '\n' {
-		z.line++
-		z.col = 1
-	} else {
-		z.col++
-	}
-	return b, nil
+// errAt builds a syntax error carrying the position of offset.
+func (z *Tokenizer) errAt(offset int, format string, args ...any) error {
+	line, col := z.Position(offset)
+	return fmt.Errorf("xml: %d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (z *Tokenizer) unreadByte() {
-	_ = z.r.UnreadByte()
-	z.col-- // column-only rewind; we never unread across a newline
-}
-
-func (z *Tokenizer) peekByte() (byte, error) {
-	bs, err := z.r.Peek(1)
-	if err != nil {
-		return 0, err
-	}
-	return bs[0], nil
-}
-
+// syntaxErr reports an error at the current position: just past whatever
+// the tokenizer consumed before giving up.
 func (z *Tokenizer) syntaxErr(format string, args ...any) error {
-	return fmt.Errorf("xml: %d:%d: %s", z.line, z.col, fmt.Sprintf(format, args...))
+	return z.errAt(z.pos, format, args...)
 }
 
 // Next returns the next token. At end of input it returns io.EOF. A
@@ -99,84 +93,108 @@ func (z *Tokenizer) Next() (Token, error) {
 	return tok, err
 }
 
+// take consumes one byte and reports whether it was b; at end of input
+// nothing is consumed.
+func (z *Tokenizer) take(b byte) bool {
+	if z.pos >= len(z.src) {
+		return false
+	}
+	z.pos++
+	return z.src[z.pos-1] == b
+}
+
+// until consumes input up to and including the next occurrence of end and
+// returns what lay before it; without one it consumes everything.
+func (z *Tokenizer) until(end string) (string, bool) {
+	rest := z.src[z.pos:]
+	i := strings.Index(rest, end)
+	if i < 0 {
+		z.pos = len(z.src)
+		return "", false
+	}
+	z.pos += i + len(end)
+	return rest[:i], true
+}
+
 func (z *Tokenizer) next() (Token, error) {
-	startLine, startCol := z.line, z.col
-	b, err := z.readByte()
-	if err != nil {
+	start := z.pos
+	if start >= len(z.src) {
 		return Token{}, io.EOF
 	}
-	if b != '<' {
+	if z.src[start] != '<' {
 		// character data up to the next '<'
-		var sb strings.Builder
-		sb.WriteByte(b)
-		for {
-			c, err := z.peekByte()
-			if err != nil || c == '<' {
-				break
-			}
-			_, _ = z.readByte()
-			sb.WriteByte(c)
+		end := strings.IndexByte(z.src[start:], '<')
+		if end < 0 {
+			end = len(z.src) - start
 		}
-		text, derr := decodeEntities(sb.String())
+		z.pos = start + end
+		text, derr := decodeEntities(z.src[start:z.pos])
 		if derr != nil {
 			return Token{}, z.syntaxErr("%v", derr)
 		}
-		return Token{Type: TextTok, Data: text, Line: startLine, Col: startCol}, nil
+		return Token{Type: TextTok, Data: text, Offset: start}, nil
 	}
-	c, err := z.readByte()
-	if err != nil {
+	z.pos++
+	if z.pos >= len(z.src) {
 		return Token{}, z.syntaxErr("unexpected EOF after '<'")
 	}
-	switch {
-	case c == '/':
+	switch z.src[z.pos] {
+	case '/':
+		z.pos++
 		name, err := z.readName()
 		if err != nil {
 			return Token{}, err
 		}
 		z.skipSpace()
-		if b, err := z.readByte(); err != nil || b != '>' {
+		if !z.take('>') {
 			return Token{}, z.syntaxErr("malformed end tag </%s", name)
 		}
-		return Token{Type: EndElementTok, Name: name, Line: startLine, Col: startCol}, nil
-	case c == '!':
-		return z.readBang(startLine, startCol)
-	case c == '?':
-		return z.readProcInst(startLine, startCol)
+		return Token{Type: EndElementTok, Name: name, Offset: start}, nil
+	case '!':
+		z.pos++
+		return z.readBang(start)
+	case '?':
+		z.pos++
+		return z.readProcInst(start)
 	default:
-		z.unreadByte()
-		return z.readStartElement(startLine, startCol)
+		return z.readStartElement(start)
 	}
 }
 
-func (z *Tokenizer) readStartElement(line, col int) (Token, error) {
+func (z *Tokenizer) readStartElement(start int) (Token, error) {
 	name, err := z.readName()
 	if err != nil {
 		return Token{}, err
 	}
-	tok := Token{Type: StartElementTok, Name: name, Line: line, Col: col}
+	tok := Token{Type: StartElementTok, Name: name, Offset: start}
+	attrs := z.attrs[:0]
 	for {
 		z.skipSpace()
-		b, err := z.readByte()
-		if err != nil {
+		if z.pos >= len(z.src) {
 			return Token{}, z.syntaxErr("unexpected EOF in <%s>", name)
 		}
-		switch b {
+		switch z.src[z.pos] {
 		case '>':
-			return tok, nil
+			z.pos++
 		case '/':
-			if nb, err := z.readByte(); err != nil || nb != '>' {
+			z.pos++
+			if !z.take('>') {
 				return Token{}, z.syntaxErr("expected '>' after '/' in <%s>", name)
 			}
 			tok.SelfClosing = true
-			return tok, nil
 		default:
-			z.unreadByte()
 			attr, err := z.readAttr()
 			if err != nil {
 				return Token{}, err
 			}
-			tok.Attrs = append(tok.Attrs, attr)
+			attrs = append(attrs, attr)
+			continue
 		}
+		if len(attrs) > 0 {
+			tok.Attrs = make([]Attr, len(attrs))
+			copy(tok.Attrs, attrs)
+		}
+		return tok, nil
 	}
 }
 
@@ -186,138 +204,97 @@ func (z *Tokenizer) readAttr() (Attr, error) {
 		return Attr{}, err
 	}
 	z.skipSpace()
-	b, err := z.readByte()
-	if err != nil || b != '=' {
+	if !z.take('=') {
 		return Attr{}, z.syntaxErr("attribute %q missing '='", name)
 	}
 	z.skipSpace()
-	quote, err := z.readByte()
-	if err != nil || (quote != '"' && quote != '\'') {
+	var quote byte
+	if z.pos < len(z.src) {
+		quote = z.src[z.pos]
+		z.pos++
+	}
+	if quote != '"' && quote != '\'' {
 		return Attr{}, z.syntaxErr("attribute %q value must be quoted", name)
 	}
-	var sb strings.Builder
-	for {
-		c, err := z.readByte()
-		if err != nil {
-			return Attr{}, z.syntaxErr("unterminated value for attribute %q", name)
-		}
-		if c == quote {
-			break
-		}
-		sb.WriteByte(c)
+	rest := z.src[z.pos:]
+	end := strings.IndexByte(rest, quote)
+	if end < 0 {
+		z.pos = len(z.src)
+		return Attr{}, z.syntaxErr("unterminated value for attribute %q", name)
 	}
-	val, derr := decodeEntities(sb.String())
+	z.pos += end + 1
+	val, derr := decodeEntities(rest[:end])
 	if derr != nil {
 		return Attr{}, z.syntaxErr("attribute %q: %v", name, derr)
 	}
 	return Attr{Name: name, Value: val}, nil
 }
 
-func (z *Tokenizer) readBang(line, col int) (Token, error) {
-	// comment, CDATA, or directive
-	peek, err := z.r.Peek(2)
-	if err == nil && string(peek) == "--" {
-		_, _ = z.readByte()
-		_, _ = z.readByte()
-		var sb strings.Builder
-		for {
-			c, err := z.readByte()
-			if err != nil {
-				return Token{}, z.syntaxErr("unterminated comment")
-			}
-			sb.WriteByte(c)
-			s := sb.String()
-			if strings.HasSuffix(s, "-->") {
-				return Token{Type: CommentTok, Data: s[:len(s)-3], Line: line, Col: col}, nil
-			}
+// readBang reads what follows "<!": a comment, a CDATA section or a
+// directive.
+func (z *Tokenizer) readBang(start int) (Token, error) {
+	switch rest := z.src[z.pos:]; {
+	case strings.HasPrefix(rest, "--"):
+		z.pos += 2
+		data, ok := z.until("-->")
+		if !ok {
+			return Token{}, z.syntaxErr("unterminated comment")
 		}
+		return Token{Type: CommentTok, Data: data, Offset: start}, nil
+	case strings.HasPrefix(rest, "[CDATA["):
+		z.pos += 7
+		data, ok := z.until("]]>")
+		if !ok {
+			return Token{}, z.syntaxErr("unterminated CDATA section")
+		}
+		return Token{Type: TextTok, Data: data, Offset: start}, nil
 	}
-	peek7, err := z.r.Peek(7)
-	if err == nil && string(peek7) == "[CDATA[" {
-		for range 7 {
-			_, _ = z.readByte()
-		}
-		var sb strings.Builder
-		for {
-			c, err := z.readByte()
-			if err != nil {
-				return Token{}, z.syntaxErr("unterminated CDATA section")
-			}
-			sb.WriteByte(c)
-			s := sb.String()
-			if strings.HasSuffix(s, "]]>") {
-				return Token{Type: TextTok, Data: s[:len(s)-3], Line: line, Col: col}, nil
-			}
-		}
-	}
-	// directive: read to matching '>', tracking nested <...> (DOCTYPE
+	// directive: read to the matching '>', tracking nested <...> (DOCTYPE
 	// internal subsets)
 	depth := 1
-	var sb strings.Builder
-	for {
-		c, err := z.readByte()
-		if err != nil {
-			return Token{}, z.syntaxErr("unterminated directive")
-		}
-		if c == '<' {
+	for i := z.pos; i < len(z.src); i++ {
+		switch z.src[i] {
+		case '<':
 			depth++
-		}
-		if c == '>' {
-			depth--
-			if depth == 0 {
-				return Token{Type: DirectiveTok, Data: sb.String(), Line: line, Col: col}, nil
+		case '>':
+			if depth--; depth == 0 {
+				data := z.src[z.pos:i]
+				z.pos = i + 1
+				return Token{Type: DirectiveTok, Data: data, Offset: start}, nil
 			}
 		}
-		sb.WriteByte(c)
 	}
+	z.pos = len(z.src)
+	return Token{}, z.syntaxErr("unterminated directive")
 }
 
-func (z *Tokenizer) readProcInst(line, col int) (Token, error) {
+func (z *Tokenizer) readProcInst(start int) (Token, error) {
 	name, err := z.readName()
 	if err != nil {
 		return Token{}, err
 	}
-	var sb strings.Builder
-	for {
-		c, err := z.readByte()
-		if err != nil {
-			return Token{}, z.syntaxErr("unterminated processing instruction")
-		}
-		sb.WriteByte(c)
-		s := sb.String()
-		if strings.HasSuffix(s, "?>") {
-			return Token{Type: ProcInstTok, Name: name, Data: strings.TrimSpace(s[:len(s)-2]), Line: line, Col: col}, nil
-		}
+	data, ok := z.until("?>")
+	if !ok {
+		return Token{}, z.syntaxErr("unterminated processing instruction")
 	}
+	return Token{Type: ProcInstTok, Name: name, Data: strings.TrimSpace(data), Offset: start}, nil
 }
 
 func (z *Tokenizer) skipSpace() {
-	for {
-		b, err := z.peekByte()
-		if err != nil || !isSpace(b) {
-			return
-		}
-		_, _ = z.readByte()
+	for z.pos < len(z.src) && isSpace(z.src[z.pos]) {
+		z.pos++
 	}
 }
 
 func (z *Tokenizer) readName() (string, error) {
-	var sb strings.Builder
-	for {
-		b, err := z.peekByte()
-		if err != nil {
-			break
-		}
-		if !isNameByte(b, sb.Len() == 0) {
-			break
-		}
-		_, _ = z.readByte()
-		sb.WriteByte(b)
+	start := z.pos
+	for z.pos < len(z.src) && isNameByte(z.src[z.pos], z.pos == start) {
+		z.pos++
 	}
-	if sb.Len() == 0 {
+	if z.pos == start {
 		return "", z.syntaxErr("expected a name")
 	}
-	return sb.String(), nil
+	return z.src[start:z.pos], nil
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
@@ -340,9 +317,9 @@ func isNameByte(b byte, initial bool) bool {
 }
 
 // decodeEntities resolves the predefined entities and numeric character
-// references.
+// references. A string without any is returned as it is, not copied.
 func decodeEntities(s string) (string, error) {
-	if !strings.ContainsRune(s, '&') {
+	if strings.IndexByte(s, '&') < 0 {
 		return s, nil
 	}
 	var sb strings.Builder
