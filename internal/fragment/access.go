@@ -17,18 +17,24 @@ type HoleResolver func(holeID int) []*xmldom.Node
 // serves a read and what the evaluation's counters are charged for it —
 // the paper's claim that the plans "differ only in access cost, never
 // in results", as a type.
+//
+// Every read takes an optional Filter and returns only the versions it
+// keeps. The access cost is that of the unfiltered read — fillers scanned,
+// holes resolved, index hits all count every version examined — and only
+// the nodes constructed follow what was returned: a filter saves building
+// a version's view, not finding the version.
 type Access interface {
 	// Filler returns one filler's versions visible at the evaluation
 	// instant. hole says the read crosses a hole; a stream's root and an
 	// incremental unit's own filler are reached without one.
-	Filler(st *Store, id int, hole bool) []*xmldom.Node
+	Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node
 	// Fillers returns the versions of a hole-id set — a child step —
 	// concatenated in input order, a repeated id contributing only at its
 	// first position.
-	Fillers(st *Store, ids []int) []*xmldom.Node
+	Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node
 	// ByTSID returns every version stored under a tsid, grouped by filler
 	// id ascending — a descendant step over the whole stream.
-	ByTSID(st *Store, tsid int) []*xmldom.Node
+	ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node
 }
 
 // AccessKind names an Access implementation.
@@ -80,42 +86,49 @@ func NewAccess(kind AccessKind, ev Eval) Access {
 
 type logScan struct{ Eval }
 
-// chargePass charges one lookup pass that returned n elements: a cache
-// hit replaces the pass, a miss pays the store's cost model for it.
-func (a *logScan) chargePass(st *Store, cached, hit bool, n int) {
+// chargePass charges one lookup pass that examined n versions and built a
+// top element for each of built.
+func (a *logScan) chargePass(st *Store, n, built int) {
+	a.Stats.AddFillers(st.LookupCost(n))
+	a.Stats.AddNodes(built)
+}
+
+// chargeCached charges one probe of the cache, whose entries hold every
+// version's top: a hit replaces the pass, a miss pays for all of it. The
+// filter then runs over the cached tops — the cache key has no filter
+// dimension, so one entry serves every query that reads the filler.
+func (a *logScan) chargeCached(st *Store, hit bool, all []*xmldom.Node) {
 	if hit {
 		a.Stats.AddCacheHits(1)
 		return
 	}
-	if cached {
-		a.Stats.AddCacheMisses(1)
-	}
-	a.Stats.AddFillers(st.LookupCost(n))
-	a.Stats.AddNodes(n)
+	a.Stats.AddCacheMisses(1)
+	a.chargePass(st, len(all), len(all))
 }
 
-func (a *logScan) Filler(st *Store, id int, hole bool) []*xmldom.Node {
-	cache := a.Cache
-	if !hole {
-		// what no hole leads to is read once per evaluation: not memoized
-		cache = nil
-	}
-	els, hit := cache.GetFillers(st, id, a.At)
+func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node {
 	if hole {
 		a.Stats.AddHoles(1)
 	}
-	a.chargePass(st, cache != nil, hit, len(els))
-	return els
+	if a.Cache == nil || !hole {
+		// what no hole leads to is read once per evaluation: not memoized
+		els, n := st.annotateFiller(st.Versions(id), a.At, keep)
+		a.chargePass(st, n, len(els))
+		return els
+	}
+	all, hit := a.Cache.GetFillers(st, id, a.At)
+	a.chargeCached(st, hit, all)
+	return keep.Sift(all)
 }
 
 // Fillers issues one pass per hole, on the worker pool when Parallelism
 // allows: the per-hole cost the QaC plan pays and the batched read
 // avoids. A budget trip panics with the *budget.ResourceError — workers
 // cannot return errors — and is contained at the engine boundary.
-func (a *logScan) Fillers(st *Store, ids []int) []*xmldom.Node {
+func (a *logScan) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
 	memo := ResolveIDs(ids, func(id int) []*xmldom.Node {
 		a.Budget.MustStep()
-		return a.Filler(st, id, true)
+		return a.Filler(st, id, true, keep)
 	}, a.Parallelism, a.Wait, a.Stats)
 	var out []*xmldom.Node
 	for _, id := range ids {
@@ -128,36 +141,48 @@ func (a *logScan) Fillers(st *Store, ids []int) []*xmldom.Node {
 // ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
 // by the tsid index on an indexed store. Only the index plans'
 // translations ask for it.
-func (a *logScan) ByTSID(st *Store, tsid int) []*xmldom.Node {
-	els, hit := a.Cache.GetFillersByTSID(st, tsid, a.At)
-	a.Stats.AddTSIDLookup(len(els))
-	a.chargePass(st, a.Cache != nil, hit, len(els))
-	return els
+func (a *logScan) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
+	if a.Cache == nil {
+		els, n := st.annotateGroups(st.tsidGroups(tsid), a.At, keep)
+		a.Stats.AddTSIDLookup(n)
+		a.chargePass(st, n, len(els))
+		return els
+	}
+	all, hit := a.Cache.GetFillersByTSID(st, tsid, a.At)
+	a.Stats.AddTSIDLookup(len(all))
+	a.chargeCached(st, hit, all)
+	return keep.Sift(all)
 }
 
 type tsidIndex struct{ logScan }
 
 // Fillers resolves the whole id set in one pass; with a cache, resident
 // ids are served from memory and only the misses share that pass.
-func (a *tsidIndex) Fillers(st *Store, ids []int) []*xmldom.Node {
-	els, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
+func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
+	if len(ids) == 0 {
+		return nil
+	}
 	a.Stats.AddHoles(len(ids))
+	if a.Cache == nil {
+		els, n := st.annotateGroups(st.versionGroups(ids), a.At, keep)
+		a.chargePass(st, n, len(els))
+		return els
+	}
+	all, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
 	if misses > 0 {
-		a.Stats.AddFillers(st.LookupCost(built))
+		a.chargePass(st, built, built)
 	}
-	a.Stats.AddNodes(built)
-	if a.Cache != nil {
-		a.Stats.AddCacheHits(hits)
-		a.Stats.AddCacheMisses(misses)
-	}
-	return els
+	a.Stats.AddCacheHits(hits)
+	a.Stats.AddCacheMisses(misses)
+	return keep.Sift(all)
 }
 
 type labelIndex struct{ Eval }
 
-// charge counts one index fetch and passes its elements through.
-func (a *labelIndex) charge(els []*xmldom.Node) []*xmldom.Node {
-	a.Stats.AddLabelRangeLookup(len(els))
+// charge counts one index fetch that examined n versions and passes its
+// elements through.
+func (a *labelIndex) charge(els []*xmldom.Node, n int) []*xmldom.Node {
+	a.Stats.AddLabelRangeLookup(n)
 	a.Stats.AddNodes(len(els))
 	return els
 }
@@ -166,17 +191,17 @@ func (a *labelIndex) charge(els []*xmldom.Node) []*xmldom.Node {
 // group is the by-id index's — the same versions in the same order — so
 // a single-filler read never makes a store that ingests between reads
 // rebuild its label index.
-func (a *labelIndex) Filler(st *Store, id int, _ bool) []*xmldom.Node {
+func (a *labelIndex) Filler(st *Store, id int, _ bool, keep Filter) []*xmldom.Node {
 	if st.Scanning() {
-		return a.charge(st.Labels().Fillers(id, a.At))
+		return a.charge(st.Labels().Fillers(id, a.At, keep))
 	}
-	return a.charge(st.GetFillers(id, a.At))
+	return a.charge(st.annotateFiller(st.Versions(id), a.At, keep))
 }
 
-func (a *labelIndex) Fillers(st *Store, ids []int) []*xmldom.Node {
-	return a.charge(st.Labels().FillersList(ids, a.At))
+func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
+	return a.charge(st.Labels().FillersList(ids, a.At, keep))
 }
 
-func (a *labelIndex) ByTSID(st *Store, tsid int) []*xmldom.Node {
-	return a.charge(st.Labels().FillersByTSID(tsid, a.At))
+func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
+	return a.charge(st.Labels().FillersByTSID(tsid, a.At, keep))
 }

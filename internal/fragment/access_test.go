@@ -107,7 +107,7 @@ func TestAccessContract(t *testing.T) {
 				run: func(a fragment.Access) []*xmldom.Node {
 					var out []*xmldom.Node
 					for _, id := range ids {
-						out = append(out, a.Filler(st, id, true)...)
+						out = append(out, a.Filler(st, id, true, nil)...)
 					}
 					return out
 				},
@@ -121,7 +121,7 @@ func TestAccessContract(t *testing.T) {
 			{
 				name: "filler-no-hole",
 				run: func(a fragment.Access) []*xmldom.Node {
-					return a.Filler(st, fragment.RootFillerID, false)
+					return a.Filler(st, fragment.RootFillerID, false, nil)
 				},
 				want: func(kind fragment.AccessKind, _, _ bool, els []*xmldom.Node) charges {
 					if kind == fragment.LabelIndexAccess {
@@ -134,7 +134,7 @@ func TestAccessContract(t *testing.T) {
 			},
 			{
 				name: "fillers",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids) },
+				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids, nil) },
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
 					switch kind {
 					case fragment.LabelIndexAccess:
@@ -157,14 +157,14 @@ func TestAccessContract(t *testing.T) {
 			},
 			{
 				name: "fillers-repeated-and-unknown-ids",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, dupIDs) },
+				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, dupIDs, nil) },
 			},
 			{
 				name: "by-tsid",
 				run: func(a fragment.Access) []*xmldom.Node {
 					var out []*xmldom.Node
 					for _, tsid := range tsids {
-						out = append(out, a.ByTSID(st, tsid)...)
+						out = append(out, a.ByTSID(st, tsid, nil)...)
 					}
 					return out
 				},
@@ -221,8 +221,117 @@ func TestAccessContract(t *testing.T) {
 		// the census EXPLAIN predicts label reads from is what they return
 		for _, tsid := range tsids {
 			_, versions := st.Labels().TSIDCensus(tsid)
-			if got := len(fragment.NewAccess(fragment.LabelIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid)); got != versions {
+			if got := len(fragment.NewAccess(fragment.LabelIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid, nil)); got != versions {
 				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, got)
+			}
+		}
+	}
+}
+
+// TestAccessFilter: a read with a filter returns what the same read
+// without one returns, less the versions the filter turns away — whichever
+// index serves it, cached or not — and is charged the unfiltered read's
+// access cost: the filter is asked about every version examined, and only
+// the constructed nodes follow what it kept (a cache miss builds, and
+// memoizes, every version's top all the same).
+func TestAccessFilter(t *testing.T) {
+	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess}
+	for _, scan := range []bool{false, true} {
+		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ins.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := genstore.Base.Add(1000 * time.Hour)
+		var ids []int
+		for _, id := range st.FillerIDs() {
+			if id != fragment.RootFillerID {
+				ids = append(ids, id)
+			}
+		}
+		var tsids []int
+		for _, tag := range ins.Structure.Tags() {
+			if tag.IsFragmented() {
+				tsids = append(tsids, tag.ID)
+			}
+		}
+		even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
+		reads := map[string]func(fragment.Access, fragment.Filter) []*xmldom.Node{
+			"filler": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
+				for _, id := range ids {
+					out = append(out, a.Filler(st, id, true, keep)...)
+				}
+				return out
+			},
+			"fillers": func(a fragment.Access, keep fragment.Filter) []*xmldom.Node { return a.Fillers(st, ids, keep) },
+			"bytsid": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
+				for _, tsid := range tsids {
+					out = append(out, a.ByTSID(st, tsid, keep)...)
+				}
+				return out
+			},
+		}
+		for name, run := range reads {
+			for _, kind := range kinds {
+				for _, state := range []string{"nil", "cold", "warm"} {
+					name := fmt.Sprintf("scan=%v/%s/%d/cache-%s", scan, name, kind, state)
+					caches := [2]*fragment.Cache{}
+					for i := range caches {
+						if state != "nil" {
+							caches[i] = fragment.NewCache(1 << 16)
+						}
+						if state == "warm" {
+							run(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}), nil)
+						}
+					}
+					plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
+					all := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: plain, Cache: caches[0]}), nil)
+					asked := 0
+					kept := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: filtered, Cache: caches[1]}),
+						func(n *xmldom.Node) bool {
+							asked++
+							if _, stamped := n.Attr("vtFrom"); stamped != (kind != fragment.LabelIndexAccess && state != "nil") {
+								t.Errorf("%s: filter ran on a node with vtFrom stamped = %v", name, stamped)
+							}
+							return even(n)
+						})
+					var want []*xmldom.Node
+					for _, el := range all {
+						if even(el) {
+							want = append(want, el)
+						}
+					}
+					if len(want) == 0 || len(want) == len(all) {
+						t.Fatalf("%s: the filter keeps %d of %d versions, the case tests nothing", name, len(want), len(all))
+					}
+					if got := render(kept); got != render(want) {
+						t.Errorf("%s: filtered read returned\n%s\nwant\n%s", name, got, render(want))
+					}
+					if asked != len(all) {
+						t.Errorf("%s: filter asked about %d versions, %d examined", name, asked, len(all))
+					}
+					if got, want := chargesOf(filtered), chargesOf(plain); got != want {
+						t.Errorf("%s: access cost with the filter %+v, without %+v", name, got, want)
+					}
+					if filtered.LabelRangeHits != plain.LabelRangeHits || filtered.TSIDIndexHits != plain.TSIDIndexHits {
+						t.Errorf("%s: index hits with the filter %d/%d, without %d/%d", name,
+							filtered.TSIDIndexHits, filtered.LabelRangeHits, plain.TSIDIndexHits, plain.LabelRangeHits)
+					}
+					built := int64(len(kept))
+					switch {
+					case kind == fragment.LabelIndexAccess || state == "nil":
+					case state == "cold":
+						built = int64(len(all))
+					default:
+						built = 0
+					}
+					if filtered.NodesConstructed != built {
+						t.Errorf("%s: %d nodes constructed, want %d", name, filtered.NodesConstructed, built)
+					}
+				}
 			}
 		}
 	}

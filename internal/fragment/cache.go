@@ -168,7 +168,7 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 	// generation BEFORE the lookup: an Add racing us stales the variant
 	gen := st.Generation()
 	versions := st.Versions(fillerID)
-	out := st.annotateVersions(nil, versions, at)
+	out, _ := st.annotateFiller(versions, at, nil)
 	c.fill(key, newVariant(gen, versions, at, out))
 	return out, false
 }
@@ -210,7 +210,7 @@ func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []
 		gen := st.Generation()
 		groups := st.versionGroups(missIDs)
 		for j, group := range groups {
-			els := st.annotateVersions(nil, group, at)
+			els, _ := st.annotateFiller(group, at, nil)
 			built += len(els)
 			c.fill(cacheKey{store: st, kind: kindFiller, id: missIDs[j]}, newVariant(gen, group, at, els))
 			slots[missPos[j]] = slot{els: els, ok: true}
@@ -236,10 +236,9 @@ func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmld
 	}
 	gen := st.Generation()
 	groups := st.tsidGroups(tsid)
-	var out []*xmldom.Node
+	out, _ := st.annotateGroups(groups, at, nil)
 	v := &cacheVariant{gen: gen}
 	for _, group := range groups {
-		out = st.annotateVersions(out, group, at)
 		// the tsid result is constant only while EVERY group's visible
 		// prefix is: intersect the per-group windows
 		gv := newVariant(gen, group, at, nil)

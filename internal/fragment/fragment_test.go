@@ -272,6 +272,45 @@ func TestGetFillersTemporalChain(t *testing.T) {
 	}
 }
 
+// The lifespan a read stamps is each version's validTime as Layout spells
+// it, however the wire spelled it, on a top element of the read's own:
+// attributes sized once, in the payload's order, a vtFrom or vtTo the
+// payload carries itself replaced in place, the stored payload untouched.
+func TestGetFillersStampsLifespans(t *testing.T) {
+	st := NewStore(creditStruct(t))
+	for _, vt := range []string{"2003-01-01T00:00:00", "2003-02-01T00:00:00Z", "2003-03-01T01:00:00+01:00", "2003-04-01T00:00:00.250", "2003-05-01"} {
+		f, err := Parse(`<filler id="7" tsid="4" validTime="` + vt + `"><creditLimit vtTo="stale" unit="USD">` + vt + `</creditLimit></filler>`)
+		if err != nil {
+			t.Fatalf("%s: %v", vt, err)
+		}
+		if err := st.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	els := st.GetFillers(7, ts("2004-01-01T00:00:00"))
+	want := []string{
+		`<creditLimit vtTo="2003-02-01T00:00:00" unit="USD" vtFrom="2003-01-01T00:00:00">2003-01-01T00:00:00</creditLimit>`,
+		`<creditLimit vtTo="2003-03-01T00:00:00" unit="USD" vtFrom="2003-02-01T00:00:00">2003-02-01T00:00:00Z</creditLimit>`,
+		`<creditLimit vtTo="2003-04-01T00:00:00" unit="USD" vtFrom="2003-03-01T00:00:00">2003-03-01T01:00:00+01:00</creditLimit>`,
+		`<creditLimit vtTo="2003-05-01T00:00:00" unit="USD" vtFrom="2003-04-01T00:00:00">2003-04-01T00:00:00.250</creditLimit>`,
+		`<creditLimit vtTo="now" unit="USD" vtFrom="2003-05-01T00:00:00">2003-05-01</creditLimit>`,
+	}
+	if len(els) != len(want) {
+		t.Fatalf("%d versions, want %d", len(els), len(want))
+	}
+	for i, el := range els {
+		if el.String() != want[i] {
+			t.Errorf("version %d:\n%s\nwant\n%s", i+1, el, want[i])
+		}
+		if cap(el.Attrs) != 2+2 {
+			t.Errorf("version %d: room for %d attributes, want the payload's two and the lifespan's two", i+1, cap(el.Attrs))
+		}
+	}
+	if v, _ := st.Versions(7)[0].Payload.Attr("vtTo"); v != "stale" {
+		t.Errorf("the read wrote the stored payload: vtTo = %q", v)
+	}
+}
+
 func TestGetFillersEventPoint(t *testing.T) {
 	s := creditStruct(t)
 	st := NewStore(s)

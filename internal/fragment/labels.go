@@ -247,38 +247,39 @@ func (idx *LabelIndex) DocOrderFIDs() []int {
 }
 
 // Fillers serves get_fillers from the index: one annotated element per
-// version of fid visible at the evaluation instant. Byte-identical to
-// Store.GetFillers, with zero log scans.
-func (idx *LabelIndex) Fillers(fid int, at time.Time) []*xmldom.Node {
-	return idx.st.annotateVersions(nil, idx.versions[fid], at)
+// version of fid visible at the evaluation instant that keep lets through,
+// and the number of versions examined. Byte-identical to Store.GetFillers,
+// with zero log scans.
+func (idx *LabelIndex) Fillers(fid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	return idx.st.annotateFiller(idx.versions[fid], at, keep)
 }
 
 // FillersList serves get_fillers_list from the index: the id set
 // concatenated in input order, duplicates contributing only at their
 // first position — byte-identical to Store.GetFillersList.
-func (idx *LabelIndex) FillersList(fids []int, at time.Time) []*xmldom.Node {
+func (idx *LabelIndex) FillersList(fids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
 	seen := make(map[int]bool, len(fids))
-	var out []*xmldom.Node
+	first := make([]int, 0, len(fids))
 	for _, fid := range fids {
-		if seen[fid] {
-			continue
+		if !seen[fid] {
+			seen[fid] = true
+			first = append(first, fid)
 		}
-		seen[fid] = true
-		out = idx.st.annotateVersions(out, idx.versions[fid], at)
 	}
-	return out
+	return idx.fillersOf(first, at, keep)
 }
 
 // FillersByTSID serves the descendant jump from the index: every stored
 // filler under tsid, grouped by filler id ascending — byte-identical to
 // Store.GetFillersByTSID (orphans included, so reordered histories
 // replay identically).
-func (idx *LabelIndex) FillersByTSID(tsid int, at time.Time) []*xmldom.Node {
-	var out []*xmldom.Node
-	for _, fid := range idx.byTSID[tsid] {
-		out = idx.st.annotateVersions(out, idx.versions[fid], at)
-	}
-	return out
+func (idx *LabelIndex) FillersByTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	return idx.fillersOf(idx.byTSID[tsid], at, keep)
+}
+
+// fillersOf is one read of the version groups of distinct fillers.
+func (idx *LabelIndex) fillersOf(fids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	return idx.st.annotateEach(len(fids), func(i int) []*Fragment { return idx.versions[fids[i]] }, at, keep)
 }
 
 // VersionCount returns how many versions of fid the index holds.

@@ -137,9 +137,9 @@ func TestLabelDocOrder(t *testing.T) {
 func TestLabelsMintedOnDemand(t *testing.T) {
 	st := labelStore(t, labelFixture(t))
 	idx := st.Labels()
-	idx.Fillers(10, labelAt)
-	idx.FillersList([]int{11, 12}, labelAt)
-	idx.FillersByTSID(5, labelAt)
+	idx.Fillers(10, labelAt, nil)
+	idx.FillersList([]int{11, 12}, labelAt, nil)
+	idx.FillersByTSID(5, labelAt, nil)
 	idx.TSIDCensus(5)
 	if idx.labels != nil || idx.docOrder != nil {
 		t.Fatal("serving reads minted the labels")
@@ -294,12 +294,13 @@ func TestLabelOrphans(t *testing.T) {
 	if idx.Labeled() >= idx.Size() {
 		t.Fatalf("labeled %d of %d fillers — fixture should have an orphan", idx.Labeled(), idx.Size())
 	}
-	got := renderNodes(idx.FillersByTSID(5, labelAt))
+	viaLabels, _ := idx.FillersByTSID(5, labelAt, nil)
+	got := renderNodes(viaLabels)
 	want := renderNodes(st.GetFillersByTSID(5, labelAt))
 	if got != want {
 		t.Fatalf("tsid 5 via labels:\n%s\nvia store:\n%s", got, want)
 	}
-	if len(idx.Fillers(99, labelAt)) == 0 {
+	if els, _ := idx.Fillers(99, labelAt, nil); len(els) == 0 {
 		t.Fatal("orphan not served by Fillers")
 	}
 }

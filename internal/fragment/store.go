@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,47 +252,132 @@ func (st *Store) Root() *Fragment {
 // Versions with validTime after the evaluation instant `at` are invisible
 // (they have not "happened" yet from the query's standpoint).
 func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
-	return st.annotateVersions(nil, st.Versions(fillerID), at)
+	out, _ := st.annotateFiller(st.Versions(fillerID), at, nil)
+	return out
+}
+
+// Filter decides, from a version's stored payload, whether a read returns
+// the version. A read evaluates it before the version's top element
+// exists, so a version it turns away costs the read no allocation; it is
+// still a version the read examined, and is charged as one. The filter
+// must read only what a payload and its lifespan-stamped top element have
+// in common — never vtFrom or vtTo — because a cached read applies it to
+// the cached tops instead. nil keeps every version.
+type Filter func(payload *xmldom.Node) bool
+
+// Sift returns the elements the filter keeps: the filter applied to
+// versions that are built already.
+func (keep Filter) Sift(els []*xmldom.Node) []*xmldom.Node {
+	if keep == nil {
+		return els
+	}
+	var out []*xmldom.Node
+	for _, el := range els {
+		if keep(el) {
+			out = append(out, el)
+		}
+	}
+	return out
 }
 
 // annotateVersions appends to out the annotated top element of each
-// version visible at the evaluation instant, stamped with its deduced
-// [vtFrom, vtTo]. versions must be one filler id's versions in validTime
-// order.
-func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, at time.Time) []*xmldom.Node {
-	next := "" // the next version's vtFrom, already formatted as this one's vtTo
+// version visible at the evaluation instant that keep lets through,
+// stamped with its deduced [vtFrom, vtTo], and reports how many visible
+// versions it examined. versions must be one filler id's versions in
+// validTime order. The instants are rendered into the read's one buffer:
+// a read pays a few allocations for them, not one or two per version.
+func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, at time.Time, keep Filter, instants *strings.Builder) ([]*xmldom.Node, int) {
+	examined := 0
+	next := "" // the next version's vtFrom, already rendered as this one's vtTo
 	for i, f := range versions {
 		if f.ValidTime.After(at) {
 			break
 		}
-		p := f.Payload
-		kids := p.Children
-		el := &xmldom.Node{
-			Type:  p.Type,
-			Name:  p.Name,
-			Attrs: append(make([]xmldom.Attr, 0, len(p.Attrs)+2), p.Attrs...),
-			// capacity clipped: an append to the new top must reallocate, never
-			// write the spare capacity of the stored payload's array
-			Children: kids[:len(kids):len(kids)],
-		}
-		tag := st.structure.ByID(f.TSID)
+		examined++
 		from := next
 		next = ""
+		if keep != nil && !keep(f.Payload) {
+			continue
+		}
 		if from == "" {
-			from = f.ValidTime.UTC().Format(xtime.Layout)
+			from = renderInstant(instants, f.ValidTime)
 		}
-		el.SetAttr("vtFrom", from)
-		if tag != nil && tag.Type == tagstruct.Event {
-			el.SetAttr("vtTo", from)
+		to := "now"
+		if tag := st.structure.ByID(f.TSID); tag != nil && tag.Type == tagstruct.Event {
+			to = from
 		} else if i+1 < len(versions) && !versions[i+1].ValidTime.After(at) {
-			next = versions[i+1].ValidTime.UTC().Format(xtime.Layout)
-			el.SetAttr("vtTo", next)
-		} else {
-			el.SetAttr("vtTo", "now")
+			next = renderInstant(instants, versions[i+1].ValidTime)
+			to = next
 		}
-		out = append(out, el)
+		out = append(out, lifespanTop(f.Payload, from, to))
 	}
-	return out
+	return out, examined
+}
+
+// renderInstant spells t the way the wire does, at the end of b, and
+// returns the spelling as a substring of what b holds: b never rewrites
+// what it has handed out, so one buffer serves every version of a read
+// where time.Format would allocate once per call.
+func renderInstant(b *strings.Builder, t time.Time) string {
+	var spelled [len(xtime.Layout)]byte
+	start := b.Len()
+	if b.Cap()-start < len(spelled) {
+		b.Grow(max(len(spelled), start)) // a filtered read: double as versions are kept
+	}
+	b.Write(t.UTC().AppendFormat(spelled[:0], xtime.Layout))
+	return b.String()[start:]
+}
+
+// lifespanTop builds the top element a read returns for a stored payload:
+// the payload's name, its attributes with the lifespan stamped on them, and
+// its children, shared.
+func lifespanTop(p *xmldom.Node, from, to string) *xmldom.Node {
+	attrs := make([]xmldom.Attr, len(p.Attrs), len(p.Attrs)+2)
+	copy(attrs, p.Attrs)
+	kids := p.Children
+	el := &xmldom.Node{
+		Type:  p.Type,
+		Name:  p.Name,
+		Attrs: attrs,
+		// capacity clipped: an append to the new top must reallocate, never
+		// write the spare capacity of the stored payload's array
+		Children: kids[:len(kids):len(kids)],
+	}
+	el.SetAttr("vtFrom", from)
+	el.SetAttr("vtTo", to)
+	return el
+}
+
+// annotateEach is one read's annotateVersions over its n version groups,
+// group(i) the i-th (nil for none). Without a filter every visible version
+// is built and renders at most one instant, so the read sizes its output
+// and its instants once; with one, both grow as versions are kept.
+func (st *Store) annotateEach(n int, group func(int) []*Fragment, at time.Time, keep Filter) (out []*xmldom.Node, examined int) {
+	var instants strings.Builder
+	if keep == nil {
+		total := 0
+		for i := 0; i < n; i++ {
+			total += len(group(i))
+		}
+		out = make([]*xmldom.Node, 0, total)
+		instants.Grow(total * len(xtime.Layout))
+	}
+	for i := 0; i < n; i++ {
+		var seen int
+		out, seen = st.annotateVersions(out, group(i), at, keep, &instants)
+		examined += seen
+	}
+	return out, examined
+}
+
+// annotateFiller is annotateEach for a read of one filler.
+func (st *Store) annotateFiller(versions []*Fragment, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	return st.annotateEach(1, func(int) []*Fragment { return versions }, at, keep)
+}
+
+// annotateGroups is annotateEach over a list of version groups.
+func (st *Store) annotateGroups(groups [][]*Fragment, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	return st.annotateEach(len(groups), func(i int) []*Fragment { return groups[i] }, at, keep)
 }
 
 // GetFillersList is the paper's get_fillers_list: GetFillers over a set
@@ -301,13 +387,7 @@ func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, at t
 // QaC+ plan uses; the QaC plan deliberately loops GetFillers instead,
 // matching the paper's translation and its measured cost.
 func (st *Store) GetFillersList(fillerIDs []int, at time.Time) []*xmldom.Node {
-	var out []*xmldom.Node
-	for _, group := range st.versionGroups(fillerIDs) {
-		if group == nil {
-			continue
-		}
-		out = st.annotateVersions(out, group, at)
-	}
+	out, _ := st.annotateGroups(st.versionGroups(fillerIDs), at, nil)
 	return out
 }
 
@@ -364,10 +444,7 @@ func (st *Store) versionGroups(fillerIDs []int) [][]*Fragment {
 // access path (the paper's filler[@tsid=…] predicate scan). One pass over
 // the log in scan mode; index lookup otherwise.
 func (st *Store) GetFillersByTSID(tsid int, at time.Time) []*xmldom.Node {
-	var out []*xmldom.Node
-	for _, group := range st.tsidGroups(tsid) {
-		out = st.annotateVersions(out, group, at)
-	}
+	out, _ := st.annotateGroups(st.tsidGroups(tsid), at, nil)
 	return out
 }
 

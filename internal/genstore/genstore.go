@@ -13,11 +13,13 @@ package genstore
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"xcql/internal/fragment"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
+	"xcql/internal/xtime"
 )
 
 // Base is the validTime of every generated history's initial document;
@@ -324,17 +326,42 @@ func (g *gen) versionOffsets(tag *tagstruct.Tag) []int {
 // below 1000 as its text and its snapshot children inlined recursively (their fragmented
 // descendants' holes belong to the enclosing filler and are appended by
 // emit's caller only at the top level — nested snapshot tags keep their
-// own fragmented children out of scope to keep documents bounded).
+// own fragmented children out of scope to keep documents bounded). A leaf
+// snapshot child of an even number comes twice, so a comparison on it is
+// existential over several nodes.
 func (g *gen) genElement(tag *tagstruct.Tag) *xmldom.Node {
-	el := xmldom.NewElement(tag.Name)
-	el.AppendChild(xmldom.NewText(fmt.Sprint(g.rng.Intn(1000))))
+	el := numbered(tag.Name, g.rng.Intn(1000))
 	for _, c := range tag.Children {
 		if c.IsFragmented() {
 			continue
 		}
-		el.AppendChild(g.genElement(c))
+		kid := g.genElement(c)
+		el.AppendChild(kid)
+		if n := kidNumber(kid); len(c.Children) == 0 && n%2 == 0 {
+			el.AppendChild(numbered(c.Name, (n+333)%1000))
+		}
 	}
 	return el
+}
+
+// numbered builds <name k=… tier=… at=… pad=…>n</name>. The attributes
+// are functions of n — no draw of their own, so histories keep their shape
+// — and give predicates something of every class to compare: a number, a
+// string, a dateTime, and a number inside whitespace.
+func numbered(name string, n int) *xmldom.Node {
+	el := xmldom.NewElement(name)
+	el.SetAttr("k", fmt.Sprint(n%7))
+	el.SetAttr("tier", fmt.Sprintf("t%d", n%3))
+	el.SetAttr("at", Base.Add(time.Duration(n%24)*time.Hour).Format(xtime.Layout))
+	el.SetAttr("pad", fmt.Sprintf(" %d ", n%5))
+	el.AppendChild(xmldom.NewText(fmt.Sprint(n)))
+	return el
+}
+
+// kidNumber reads back the number numbered gave el.
+func kidNumber(el *xmldom.Node) int {
+	n, _ := strconv.Atoi(el.Children[0].Data)
+	return n
 }
 
 // mutate applies the profile's wire-history mutations to the emitted
@@ -358,7 +385,9 @@ func (g *gen) mutate() {
 
 // genQueries derives the query set from the structure: descendant and
 // rooted-path selections, counts, interval and version projections, a
-// constructor wrap and a value filter for every fragmented tag, and for
+// constructor wrap and a value filter for every fragmented tag, predicates
+// on both sides of what the translator pushes below the access path for
+// the first (genPredicates), and for
 // a tag with a fragmented child the sliding-window shapes of the paper's
 // continuous queries (bounded so large structures don't explode the
 // corpus). The windows are a few hours wide and histories span a day, so
@@ -388,6 +417,9 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 		// element text is a number below 1000 (genElement)
 		add("filter", t, `for $x in stream("s")//%s where $x/text() > 500 return $x/text()`, t.Name)
 		add("sliding", t, `stream("s")//%s?[now-PT5H,now]`, t.Name)
+		if fragTags == 1 {
+			g.genPredicates(add, t)
+		}
 		for _, c := range t.Children {
 			if !c.IsFragmented() {
 				continue
@@ -402,4 +434,43 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	// the equivalence claim is about element selections
 	qs = append(qs, Query{Name: "root-count", Src: fmt.Sprintf(`count(stream("s")/%s)`, s.Root.Name)})
 	return qs
+}
+
+// genPredicates adds, for one fragmented tag, step predicates and where
+// clauses over numbered's attributes and the tag's children. The first
+// group is what xcql's translator pushes below the access path — an
+// attribute or an inline child against a literal of each class, in either
+// order, conjoined, matched by several children; the second is what it
+// must leave to the evaluator — the lifespan a read stamps, a child behind
+// a hole, positions, a disjunction, a predicate on a projection's output.
+// Either way every plan must agree with CaQ, which has no access path to
+// push anything below.
+func (g *gen) genPredicates(add func(kind string, t *tagstruct.Tag, format string, args ...any), t *tagstruct.Tag) {
+	all := `stream("s")//` + t.Name
+	add("attr-eq", t, `for $x in %s[@tier = "t1"] return $x`, all)
+	add("attr-ne", t, `for $x in stream("s")%s[@k != 3] return $x`, t.Path())
+	add("attr-date", t, `%s[@at >= 2004-06-01T12:00:00]`, all)
+	add("attr-padded", t, `%s[@pad = 2]`, all)
+	add("where-two", t, `for $x in %s where 2 <= $x/@k and $x/@tier != "t2" return $x/text()`, all)
+	add("where-partly", t, `for $x in %s where $x/@k < 5 and string-length($x/@tier) = 2 return $x`, all)
+	add("then-first", t, `%s[@k != 3][1]`, all)
+
+	add("lifespan-from", t, `%s[@vtFrom <= "2004-06-01T05:00:00"]`, all)
+	add("lifespan-to", t, `%s[@vtTo = "now"]`, all)
+	add("second", t, `%s[position() = 2][@k != 3]`, all)
+	add("last", t, `%s[last()]`, all)
+	add("either", t, `%s[@k = 1 or @tier = "t2"]`, all)
+	add("projected", t, `%s?[2004-06-01T02:00:00,now][@k != 3]`, all)
+	inline, behindHole := false, false
+	for _, c := range t.Children {
+		switch {
+		case !c.IsFragmented() && !inline:
+			inline = true
+			add("child-lt", t, `%s[%s < 500]`, all, c.Name)
+			add("where-child", t, `for $x in %s where $x/%s >= 250 return $x/%s`, all, c.Name, c.Name)
+		case c.IsFragmented() && !behindHole:
+			behindHole = true
+			add("child-behind-hole", t, `%s[%s/@k >= 3]`, all, c.Name)
+		}
+	}
 }

@@ -39,6 +39,7 @@
 package inc
 
 import (
+	"bytes"
 	"container/heap"
 	"fmt"
 	"slices"
@@ -396,10 +397,18 @@ func (e *Engine) decompose() []*piece {
 		strands = []xq.Expr{expr}
 	}
 	pieces := make([]*piece, 0, len(strands))
-	unitBody := body(unitRef)
 	for _, x := range strands {
-		p := &piece{expr: unitBody, tsids: e.tsidJump(x)}
-		if !p.indexed() {
+		tsids, pred := e.tsidJump(x)
+		p := &piece{tsids: tsids}
+		if p.indexed() {
+			// the unit reads its filler's versions itself: a filter the
+			// translator pushed below the jump becomes a predicate on them
+			var own xq.Expr = unitRef
+			if pred != nil {
+				own = &xq.Filter{Base: unitRef, Preds: []xq.Expr{pred}}
+			}
+			p.expr = body(own)
+		} else {
 			p.expr = body(x)
 			p.deps = e.dependencies(p.expr)
 		}
@@ -410,21 +419,25 @@ func (e *Engine) decompose() []*piece {
 
 // tsidJump returns the tsids of a strand that is a pure fn:bytsid access
 // on the bound stream — what an indexed piece's units are the fillers of
-// — else nil.
-func (e *Engine) tsidJump(x xq.Expr) []int {
+// — else nil, and the filter the jump carries, as a predicate.
+func (e *Engine) tsidJump(x xq.Expr) (tsids []int, pred xq.Expr) {
 	c, ok := x.(*xq.Call)
-	if !ok || c.Name != xcql.FnByTSID || len(c.Args) < 2 || xcql.PlanLitString(c.Args, 0) != e.stream {
-		return nil
+	if !ok || c.Name != xcql.FnByTSID {
+		return nil, nil
 	}
-	tsids := make([]int, 0, len(c.Args)-1)
-	for i := 1; i < len(c.Args); i++ {
-		id := xcql.PlanLitInt(c.Args, i)
+	args, pred := xcql.AccessArgs(c)
+	if len(args) < 2 || xcql.PlanLitString(args, 0) != e.stream {
+		return nil, nil
+	}
+	tsids = make([]int, 0, len(args)-1)
+	for i := 1; i < len(args); i++ {
+		id := xcql.PlanLitInt(args, i)
 		if id <= 0 || e.structure.ByID(id) == nil {
-			return nil
+			return nil, nil
 		}
 		tsids = append(tsids, id)
 	}
-	return tsids
+	return tsids, pred
 }
 
 // finish renders a piece's unit signatures — what each unit slot
@@ -512,8 +525,9 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 				if !bound(xcql.PlanLitString(t.Args, 0)) {
 					break
 				}
-				for i := 1; i < len(t.Args); i++ {
-					if id := xcql.PlanLitInt(t.Args, i); id > 0 {
+				args, _ := xcql.AccessArgs(t)
+				for i := 1; i < len(args); i++ {
+					if id := xcql.PlanLitInt(args, i); id > 0 {
 						addTag(id)
 					} else {
 						broad("jumps to a computed tag")
@@ -1206,4 +1220,30 @@ func ItemSerial(it xq.Item) string {
 		return n.String()
 	}
 	return xq.StringValue(it)
+}
+
+// ItemSerials is ItemSerial over a sequence — what a response carries —
+// written through one buffer, so a node item costs its string and not a
+// builder's growth besides. Never nil: an empty sequence renders as [] in
+// JSON, not null.
+func ItemSerials(seq xq.Sequence) []string {
+	out := make([]string, 0, len(seq))
+	if len(seq) < 2 {
+		// nothing to share a buffer with: a builder's last growth is the string
+		for _, it := range seq {
+			out = append(out, ItemSerial(it))
+		}
+		return out
+	}
+	var buf bytes.Buffer
+	for _, it := range seq {
+		if n, ok := it.(*xmldom.Node); ok {
+			buf.Reset()
+			n.EncodeTo(&buf)
+			out = append(out, buf.String())
+		} else {
+			out = append(out, ItemSerial(it))
+		}
+	}
+	return out
 }

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"xcql/internal/inc"
 	"xcql/internal/obs"
 	"xcql/internal/xcql"
 )
@@ -489,7 +490,7 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"at":    at.Format(time.RFC3339Nano),
-		"items": formatItems(seq),
+		"items": inc.ItemSerials(seq),
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xcql/internal/inc"
-	"xcql/internal/xq"
 )
 
 // Codec encodes registry deliveries for the wire. The API ships JSON;
@@ -58,7 +57,7 @@ func (JSONCodec) EncodeResult(id int64, res Result) ([]byte, error) {
 		Type:     "result",
 		ID:       id,
 		At:       res.At.Format(time.RFC3339Nano),
-		Delta:    formatItems(res.Delta),
+		Delta:    inc.ItemSerials(res.Delta),
 		Degraded: res.Degraded,
 	}
 	if res.Err != nil {
@@ -76,16 +75,4 @@ func (JSONCodec) EncodeResult(id int64, res Result) ([]byte, error) {
 		return nil, err
 	}
 	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
-}
-
-// formatItems serializes a sequence item by item, using the delta
-// identity serialization (inc.ItemSerial) so wire output and harness
-// diffing can never disagree. Always non-nil, so JSON renders [] rather
-// than null for an empty delta.
-func formatItems(seq xq.Sequence) []string {
-	out := make([]string, 0, len(seq))
-	for _, it := range seq {
-		out = append(out, inc.ItemSerial(it))
-	}
-	return out
 }

@@ -27,6 +27,10 @@ func FuzzQueryAPIRequest(f *testing.F) {
 	// contract distinguishes, and frame-reader edge bytes
 	f.Add([]byte(`{"query":"for $e in stream(\"log\")//event return $e","incremental":true}`))
 	f.Add([]byte(`{"query":"1","mode":"QaC","codec":"json","buffer":4}`))
+	// predicates pushed below the access path, and ones that are not
+	f.Add([]byte(`{"query":"for $e in stream(\"log\")//event where $e/@level = \"error\" and $e/@code >= 500 return $e","incremental":true}`))
+	f.Add([]byte(`{"query":"stream(\"log\")//event[@at < 2003-06-01T00:00:00][1]","mode":"QaC++"}`))
+	f.Add([]byte(`{"query":"stream(\"log\")//event[@vtFrom = \"now\" or position() = last()]","mode":"QaC+"}`))
 	f.Add([]byte(`{"query":"for $x in ("}`))       // compile error
 	f.Add([]byte(`{"query":"1","mode":"warp"}`))   // mode error
 	f.Add([]byte(`{"query":"1","codec":"xdr"}`))   // codec error

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/inc"
 	"xcql/internal/xcql"
 	"xcql/internal/xq"
 )
@@ -73,10 +74,10 @@ func TestPendingReemissionSurvivesFailedArrival(t *testing.T) {
 	}
 	// A was emitted 100 and 101 before the failure and is owed the rest
 	if got := len(last[0].Delta); got != 2 {
-		t.Errorf("A's delta after the failure = %v, want the two events it has not seen", formatItems(last[0].Delta))
+		t.Errorf("A's delta after the failure = %v, want the two events it has not seen", inc.ItemSerials(last[0].Delta))
 	}
 	// B has been emitted nothing yet and is owed the standing result
 	if got := len(last[1].Delta); got != 4 {
-		t.Errorf("B's first successful delivery = %v, want all four standing events", formatItems(last[1].Delta))
+		t.Errorf("B's first successful delivery = %v, want all four standing events", inc.ItemSerials(last[1].Delta))
 	}
 }

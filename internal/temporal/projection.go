@@ -18,7 +18,7 @@ type HoleResolver = fragment.HoleResolver
 // access path, which charges every crossing the way its index pays for
 // it.
 func AccessResolver(acc fragment.Access, st *fragment.Store) HoleResolver {
-	return func(holeID int) []*xmldom.Node { return acc.Filler(st, holeID, true) }
+	return func(holeID int) []*xmldom.Node { return acc.Filler(st, holeID, true, nil) }
 }
 
 // BudgetResolver wraps a HoleResolver so every hole expansion charges

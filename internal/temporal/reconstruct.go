@@ -84,7 +84,7 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 		}
 	}()
 	var resolve HoleResolver = func(id int) []*xmldom.Node {
-		fillers := acc.Filler(st, id, true)
+		fillers := acc.Filler(st, id, true, nil)
 		b.MustItems(len(fillers))
 		return fillers
 	}

@@ -14,8 +14,8 @@ import (
 const (
 	fnView    = "xcql:view"    // (stream)            materialized temporal view (CaQ)
 	fnRoot    = "xcql:root"    // (stream)            root filler payload versions
-	fnFillers = "xcql:fillers" // (nodes, stream, tsid) cross the holes of a child step
-	fnByTSID  = "xcql:bytsid"  // (stream, tsid…)     all filler versions with a tsid
+	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter]) cross the holes of a child step
+	fnByTSID  = "xcql:bytsid"  // (stream, tsid…[, filter])     all filler versions with a tsid
 	fnIProj   = "xcql:iproj"   // (nodes, tb[, te], stream) interval projection over fragments
 	fnVProj   = "xcql:vproj"   // (nodes, vb, ve, stream)   version projection over fragments
 )
@@ -283,11 +283,15 @@ func (c *compiler) rewriteFLWOR(fl *xq.FLWOR, en env) (xq.Expr, typeSet, error) 
 		}
 	}
 	if fl.Where != nil {
-		w, _, err := c.rewrite(fl.Where, cur)
-		if err != nil {
-			return nil, nil, err
+		clauses, where := pushWhere(out.Clauses, fl.Where, cur.vars)
+		out.Clauses = clauses
+		if where != nil {
+			w, _, err := c.rewrite(where, cur)
+			if err != nil {
+				return nil, nil, err
+			}
+			out.Where = w
 		}
-		out.Where = w
 	}
 	for _, spec := range fl.OrderBy {
 		k, _, err := c.rewrite(spec.Key, cur)
@@ -417,20 +421,28 @@ func (c *compiler) rewriteChildStep(base xq.Expr, baseTS typeSet, step xq.Step, 
 		// the tag structure has no such child: statically empty
 		return &xq.SeqExpr{}, nil, nil
 	}
+	return c.filterPieces(pieces, outTS, step.Preds, en)
+}
+
+// filterPieces closes a rewritten step: its pieces in sequence, under the
+// step's predicates — the leading ones pushed below the pieces where those
+// are access calls, the rest applied by the evaluator.
+func (c *compiler) filterPieces(pieces []xq.Expr, ts typeSet, preds []xq.Expr, en env) (xq.Expr, typeSet, error) {
+	pieces, preds = pushStepPreds(pieces, ts, preds)
 	var out xq.Expr
 	if len(pieces) == 1 {
 		out = pieces[0]
 	} else {
 		out = &xq.SeqExpr{Items: pieces}
 	}
-	preds, err := c.rewritePreds(step.Preds, en.withCtx(outTS))
+	preds, err := c.rewritePreds(preds, en.withCtx(ts))
 	if err != nil {
 		return nil, nil, err
 	}
 	if len(preds) > 0 {
 		out = &xq.Filter{Base: out, Preds: preds}
 	}
-	return out, outTS, nil
+	return out, ts, nil
 }
 
 // rewriteDescendantStep implements e//A by expanding the tag structure's
@@ -480,20 +492,7 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 	if len(pieces) == 0 {
 		return &xq.SeqExpr{}, nil, nil
 	}
-	var out xq.Expr
-	if len(pieces) == 1 {
-		out = pieces[0]
-	} else {
-		out = &xq.SeqExpr{Items: pieces}
-	}
-	preds, err := c.rewritePreds(step.Preds, en.withCtx(outTS))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(preds) > 0 {
-		out = &xq.Filter{Base: out, Preds: preds}
-	}
-	return out, outTS, nil
+	return c.filterPieces(pieces, outTS, step.Preds, en)
 }
 
 // buildChain rewrites the unique tag-structure path from base's tag down

@@ -91,6 +91,10 @@ type ExplainTarget struct {
 	// on a scan store (the paper's predicate-scan model), only the
 	// returned versions on an indexed one.
 	CostPerPass int
+	// Filter is what the translator pushed below the path, as the query
+	// spelled it ("" when nothing): the path examines the same versions
+	// either way and builds only those the filter keeps.
+	Filter string
 }
 
 func (t ExplainTarget) String() string {
@@ -103,6 +107,9 @@ func (t ExplainTarget) String() string {
 	}
 	if t.Holes > 0 || t.Versions > 0 {
 		b += fmt.Sprintf(" holes=%d versions=%d cost/pass=%d", t.Holes, t.Versions, t.CostPerPass)
+	}
+	if t.Filter != "" {
+		b += " pushed=" + t.Filter
 	}
 	return b
 }
@@ -216,14 +223,14 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 	case fnRoot:
 		return q.censusWhole(ExplainTarget{Op: "root", Stream: litString(call.Args, 0)}), true
 	case fnFillers:
-		t := ExplainTarget{Op: crossingOps[q.Mode.access()], Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2)}
+		t := ExplainTarget{Op: crossingOps[q.Mode.access()], Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call)}
 		return q.censusTSID(t), true
 	case fnByTSID:
 		// one target per tsid argument would lose the shared single call;
 		// report the first tsid here and let walkExpr visit nothing below
 		// (arguments are literals). Multi-tsid fetches are rare: they need
 		// several same-named fragmented tags under distinct parents.
-		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1)}
+		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1), Filter: filterText(call)}
 		if q.Mode.access() == fragment.LabelIndexAccess {
 			t.Op = "label-range"
 		}
@@ -234,6 +241,14 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		return ExplainTarget{Op: "version-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
 	}
 	return ExplainTarget{}, false
+}
+
+// filterText renders the filter an access call carries, "" for none.
+func filterText(call *xq.Call) string {
+	if _, p := splitFilter(call.Args); p != nil {
+		return p.String()
+	}
+	return ""
 }
 
 // crossingOps names the child-step access path after the index that

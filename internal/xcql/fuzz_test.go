@@ -30,6 +30,19 @@ func FuzzCompile(f *testing.F) {
 		// descendant step straight off the stream: the shape the index
 		// plans compile to a by-tsid fetch (fnByTSID)
 		`for $s in stream("credit")//status return $s`,
+		// predicates the translator pushes below the access path (an
+		// attribute or an inline child against a literal of each class,
+		// conjoined, in a where) and ones it must not (a lifespan
+		// attribute, a child behind a hole, positions, a disjunction, a
+		// predicate on a projection's output)
+		`stream("credit")//transaction[@id = "12345"]`,
+		`stream("credit")//transaction[@id != 12345 and amount < 1000]`,
+		`stream("credit")/creditAccounts/account[customer = " Jane Doe "]`,
+		`for $t in stream("credit")//transaction where $t/amount >= 1200 and 2003-01-01T00:00:00 < $t/@id return $t/vendor`,
+		`stream("credit")//transaction[@vtFrom > "2003-10-01T00:00:00"][@vtTo = "now"]`,
+		`stream("credit")//transaction[status = "charged"][1]`,
+		`stream("credit")//transaction[position() = 2 or last()]`,
+		`stream("credit")//transaction?[2003-11-01T00:00:00,now][amount > 100]`,
 		`get_fillers(1)`,
 		`((((`,
 		`for $x in`,

@@ -496,7 +496,7 @@ func (q *Query) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, par 
 func scopedResolver(acc fragment.Access, stores []*fragment.Store) temporal.HoleResolver {
 	return func(holeID int) []*xmldom.Node {
 		for _, st := range stores {
-			if els := acc.Filler(st, holeID, true); len(els) > 0 {
+			if els := acc.Filler(st, holeID, true, nil); len(els) > 0 {
 				return els
 			}
 		}
@@ -571,7 +571,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	if err != nil {
 		return nil, err
 	}
-	els := ctx.Static.Access.Filler(st, fragment.RootFillerID, false)
+	els := ctx.Static.Access.Filler(st, fragment.RootFillerID, false, nil)
 	if len(els) == 0 {
 		return nil, nil
 	}
@@ -589,6 +589,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 // per hole, one batched pass or an index fetch is the access path's
 // business.
 func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
+	args, keep := boundFilter(ctx, args)
 	if len(args) != 3 {
 		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnFillers)
 	}
@@ -607,7 +608,7 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 	// holed ones closes the set so the output stays in input order
 	flush := func() {
 		if len(ids) > 0 {
-			out = append(out, ctx.Static.Access.Fillers(st, ids)...)
+			out = append(out, ctx.Static.Access.Fillers(st, ids, keep)...)
 			ids = ids[:0]
 		}
 	}
@@ -619,7 +620,7 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 			// the versions then sit inline as name-matched children.
 			if tag := st.Structure().ByID(tsid); tag != nil {
 				flush()
-				out = append(out, n.ChildElements(tag.Name)...)
+				out = append(out, keep.Sift(n.ChildElements(tag.Name))...)
 			}
 			continue
 		}
@@ -638,6 +639,7 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 // whose tsid is in the given set, without touching any other document
 // level.
 func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
+	args, keep := boundFilter(ctx, args)
 	if len(args) < 2 {
 		return nil, fmt.Errorf("xcql: %s wants (stream, tsid…)", fnByTSID)
 	}
@@ -648,7 +650,7 @@ func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence,
 	var out []*xmldom.Node
 	for _, a := range args[1:] {
 		if len(a) > 0 {
-			out = append(out, ctx.Static.Access.ByTSID(st, int(xq.NumberValue(a[0])))...)
+			out = append(out, ctx.Static.Access.ByTSID(st, int(xq.NumberValue(a[0])), keep)...)
 		}
 	}
 	return chargeNodes(ctx.Static.Budget, out)

@@ -46,6 +46,19 @@ func PlanLitString(args []xq.Expr, i int) string { return litString(args, i) }
 // PlanLitInt extracts the numeric literal at args[i] of a plan call, or 0.
 func PlanLitInt(args []xq.Expr, i int) int { return litInt(args, i) }
 
+// AccessArgs separates the arguments of an access call (FnFillers,
+// FnByTSID) from the filter the translator pushed below it: args is the
+// call as it would stand without one, pred the filter as a predicate over
+// each node the call returns — nil when it carries none. A reader that
+// fetches the call's fillers itself applies pred in the evaluator instead.
+func AccessArgs(c *xq.Call) (args []xq.Expr, pred xq.Expr) {
+	args, p := splitFilter(c.Args)
+	if p == nil {
+		return args, nil
+	}
+	return args, p.pred()
+}
+
 // StreamStore returns the fragment store registered under name on this
 // query's runtime, or nil.
 func (q *Query) StreamStore(name string) *fragment.Store { return q.rt.Store(name) }
@@ -55,7 +68,7 @@ func (q *Query) StreamStore(name string) *fragment.Store { return q.rt.Store(nam
 // way a full evaluation charges the same fetch. The incremental evaluator
 // reads its indexed units with it: the by-tsid fetch, one filler at a time.
 func (q *Query) ReadFiller(st *fragment.Store, fid int, at time.Time, stats *obs.EvalStats) []*xmldom.Node {
-	return fragment.NewAccess(q.Mode.access(), fragment.Eval{At: at, Stats: stats}).Filler(st, fid, false)
+	return fragment.NewAccess(q.Mode.access(), fragment.Eval{At: at, Stats: stats}).Filler(st, fid, false, nil)
 }
 
 // UnitVar is the variable an incremental unit's body reads its own

@@ -235,6 +235,9 @@ func (n *Node) Text() string {
 	if n.Type == TextNode {
 		return n.Data
 	}
+	if len(n.Children) == 1 && n.Children[0].Type == TextNode {
+		return n.Children[0].Data // <price>40</price>: the text as it stands
+	}
 	var b strings.Builder
 	n.Walk(func(m *Node) bool {
 		if m.Type == TextNode {

@@ -246,7 +246,12 @@ func evalPath(p *Path, ctx *Context) (Sequence, error) {
 
 func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
 	var out Sequence
-	seen := map[*xmldom.Node]bool{}
+	// one node's matches are distinct already: only a longer input can reach
+	// a node twice
+	var seen map[*xmldom.Node]bool
+	if len(input) > 1 {
+		seen = map[*xmldom.Node]bool{}
+	}
 	for _, it := range input {
 		n, ok := it.(*xmldom.Node)
 		if !ok {
@@ -259,6 +264,9 @@ func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
 		filtered, err := applyPredicates(matches, step.Preds, ctx)
 		if err != nil {
 			return nil, err
+		}
+		if seen == nil {
+			return filtered, nil
 		}
 		for _, m := range filtered {
 			if mn, ok := m.(*xmldom.Node); ok {
@@ -306,11 +314,11 @@ func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Seque
 			return out
 		}
 		var out Sequence
-		for _, c := range elementChildrenResolved(n, resolve) {
+		eachElementChild(n, resolve, func(c *xmldom.Node) {
 			if step.Name == "*" || c.Name == step.Name {
 				out = append(out, c)
 			}
-		}
+		})
 		return out
 	case AxisDescendant:
 		if step.Name == "text()" {
@@ -329,12 +337,12 @@ func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Seque
 		var out Sequence
 		var walk func(m *xmldom.Node)
 		walk = func(m *xmldom.Node) {
-			for _, c := range elementChildrenResolved(m, resolve) {
+			eachElementChild(m, resolve, func(c *xmldom.Node) {
 				if step.Name == "*" || c.Name == step.Name {
 					out = append(out, c)
 				}
 				walk(c)
-			}
+			})
 		}
 		walk(n)
 		return out
@@ -352,29 +360,29 @@ func contains(root, n *xmldom.Node) bool {
 	return found
 }
 
-// elementChildrenResolved returns n's element children with holes
-// replaced by their fillers (one level). Without a resolver, holes are
-// simply skipped — they are plumbing, not data.
-func elementChildrenResolved(n *xmldom.Node, resolve temporal.HoleResolver) []*xmldom.Node {
-	var out []*xmldom.Node
+// eachElementChild visits n's element children in place, a hole replaced
+// by its fillers (one level). Without a resolver, holes are simply skipped
+// — they are plumbing, not data.
+func eachElementChild(n *xmldom.Node, resolve temporal.HoleResolver, visit func(*xmldom.Node)) {
 	for _, c := range n.Children {
 		if c.Type != xmldom.ElementNode {
 			continue
 		}
-		if c.Name == "hole" {
-			if resolve == nil {
-				continue
-			}
-			if idStr, ok := c.Attr("id"); ok {
-				if id, err := strconv.Atoi(idStr); err == nil {
-					out = append(out, resolve(id)...)
-				}
-			}
+		if c.Name != "hole" {
+			visit(c)
 			continue
 		}
-		out = append(out, c)
+		if resolve == nil {
+			continue
+		}
+		if idStr, ok := c.Attr("id"); ok {
+			if id, err := strconv.Atoi(idStr); err == nil {
+				for _, f := range resolve(id) {
+					visit(f)
+				}
+			}
+		}
 	}
-	return out
 }
 
 func applyPredicates(input Sequence, preds []Expr, ctx *Context) (Sequence, error) {
@@ -457,11 +465,10 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
 		}
-		la, ra := Atomize(l)[0], Atomize(r)[0]
-		if isNaNItem(la) || isNaNItem(ra) {
+		if isNaNItem(l[0]) || isNaNItem(r[0]) {
 			return Singleton(b.Op == "ne"), nil
 		}
-		c := compareAtomic(la, ra, ctx.Static)
+		c := compareAtomic(l[0], r[0], ctx.Static)
 		var res bool
 		switch b.Op {
 		case "eq":
@@ -513,31 +520,18 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 	return nil, fmt.Errorf("xq: unknown operator %q", b.Op)
 }
 
-// generalCompare implements XPath existential comparison semantics.
+// generalCompare implements XPath existential comparison semantics. The
+// items are classified where they stand: no atomized copy of either side.
 func generalCompare(op string, l, r Sequence, st *Static) bool {
-	la, ra := Atomize(l), Atomize(r)
-	for _, a := range la {
-		for _, b := range ra {
-			if isNaNItem(a) || isNaNItem(b) {
-				continue // NaN compares false to everything
-			}
-			c := compareAtomic(a, b, st)
-			ok := false
-			switch op {
-			case "=":
-				ok = c == 0
-			case "!=":
-				ok = c != 0
-			case "<":
-				ok = c < 0
-			case "<=":
-				ok = c <= 0
-			case ">":
-				ok = c > 0
-			case ">=":
-				ok = c >= 0
-			}
-			if ok {
+	var few [2]Comparand
+	rc := few[:0]
+	for _, b := range r {
+		rc = append(rc, comparandOf(b))
+	}
+	for _, a := range l {
+		ca := comparandOf(a)
+		for i := range rc {
+			if holds(op, &ca, &rc[i], st) {
 				return true
 			}
 		}

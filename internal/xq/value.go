@@ -119,12 +119,62 @@ func NumberValue(it Item) float64 {
 	}
 }
 
+// parseNum reads s, whitespace aside, as an XQuery numeric literal: an
+// optional sign, digits with an optional point, an optional exponent, or
+// one of INF, -INF and NaN. Anything else is NaN, decided from its bytes:
+// strconv.ParseFloat also takes "inf", "Infinity", hex floats and digit
+// separators, and allocates an error for every string it turns away —
+// which, in a comparison, is most strings.
 func parseNum(s string) float64 {
-	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	s = strings.TrimSpace(s)
+	if !numericLexical(s) {
+		switch s {
+		case "INF":
+			return math.Inf(1)
+		case "-INF":
+			return math.Inf(-1)
+		}
+		return math.NaN()
+	}
+	f, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return math.NaN()
 	}
 	return f
+}
+
+// numericLexical reports whether s is [+-]? (digits [. digits*]? | . digits)
+// ([eE] [+-]? digits)?.
+func numericLexical(s string) bool {
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	digits := func() int {
+		start := i
+		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	mantissa := digits()
+	if i < len(s) && s[i] == '.' {
+		i++
+		mantissa += digits()
+	}
+	if mantissa == 0 {
+		return false
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return false
+		}
+	}
+	return i == len(s)
 }
 
 // DateTimeValue attempts to interpret an item as a dateTime: native
@@ -135,14 +185,11 @@ func DateTimeValue(it Item) (xtime.DateTime, bool) {
 	case xtime.DateTime:
 		return v, true
 	case string:
-		d, err := xtime.Parse(v)
-		return d, err == nil
+		return xtime.TryParse(v)
 	case *xmldom.Node:
-		d, err := xtime.Parse(strings.TrimSpace(v.Text()))
-		return d, err == nil
+		return xtime.TryParse(v.Text())
 	case AttrItem:
-		d, err := xtime.Parse(strings.TrimSpace(v.Value))
-		return d, err == nil
+		return xtime.TryParse(v.Value)
 	default:
 		return xtime.DateTime{}, false
 	}
@@ -223,27 +270,147 @@ func isNaNItem(it Item) bool {
 	return ok && math.IsNaN(f)
 }
 
-// compareAtomic orders two atomics for value comparison. It prefers, in
-// order: numeric comparison (both parse as numbers), dateTime comparison,
-// then lexicographic string comparison. st.Now resolves symbolic
-// dateTimes, and st.Horizon hears of it.
+// Comparand is one side of a comparison. A value read from a document — a
+// string, a node's or an attribute's content — is lexical: the number and
+// the dateTime it may spell are parsed when a comparison asks for them. A
+// typed item and a literal (ClassifyLiteral) carry theirs from the start,
+// and compare probes that side first, so a value compared against the
+// literal "person0" is never parsed as a number or a date at all.
+type Comparand struct {
+	str     string // the lexical form; a typed item renders its own on demand
+	typed   Item   // the item, when it is not lexical
+	num     float64
+	dt      xtime.DateTime
+	hasDT   bool
+	lexical bool // num, dt and hasDT are still to be read from str
+}
+
+// lexicalOf is the comparand of a value as a document spells it.
+func lexicalOf(s string) Comparand { return Comparand{str: s, lexical: true} }
+
+// comparandOf classifies an item without parsing anything.
+func comparandOf(it Item) Comparand {
+	switch v := it.(type) {
+	case string:
+		return lexicalOf(v)
+	case *xmldom.Node:
+		return lexicalOf(v.Text())
+	case AttrItem:
+		return lexicalOf(v.Value)
+	case xtime.DateTime:
+		return Comparand{typed: it, num: math.NaN(), dt: v, hasDT: true}
+	default:
+		return Comparand{typed: it, num: NumberValue(it)}
+	}
+}
+
+// ClassifyLiteral classifies a query literal once, at compile time: a
+// string literal is parsed here for the number and the dateTime it may
+// spell, so that comparing against it costs the other side only the parses
+// the literal's own classes call for.
+func ClassifyLiteral(it Item) Comparand {
+	c := comparandOf(it)
+	if c.lexical {
+		c.num = parseNum(c.str)
+		c.dt, c.hasDT = xtime.TryParse(c.str)
+		c.lexical = false
+	}
+	return c
+}
+
+func (c *Comparand) number() float64 {
+	if c.lexical {
+		return parseNum(c.str)
+	}
+	return c.num
+}
+
+func (c *Comparand) dateTime() (xtime.DateTime, bool) {
+	if c.lexical {
+		return xtime.TryParse(c.str)
+	}
+	return c.dt, c.hasDT
+}
+
+func (c *Comparand) text() string {
+	if c.typed != nil {
+		return StringValue(c.typed)
+	}
+	return c.str
+}
+
+// compare orders a against b for value comparison. It prefers, in order:
+// numeric comparison (both are numbers), dateTime comparison, then
+// lexicographic comparison of the string values. st.Now resolves symbolic
+// dateTimes, and st.Horizon hears of it. This is the one comparison of the
+// engine: general and value comparisons, order by, min/max and the
+// filters xcql pushes below the access path all end here.
+func compare(a, b *Comparand, st *Static) int {
+	known, other := a, b
+	if a.lexical {
+		known, other = b, a
+	}
+	if n := known.number(); !math.IsNaN(n) {
+		if m := other.number(); !math.IsNaN(m) {
+			if known != a {
+				n, m = m, n
+			}
+			switch {
+			case n < m:
+				return -1
+			case n > m:
+				return 1
+			default:
+				return 0
+			}
+		}
+	}
+	if d, ok := known.dateTime(); ok {
+		if e, ok := other.dateTime(); ok {
+			if known != a {
+				d, e = e, d
+			}
+			st.Horizon.Observe(d, e)
+			return d.Compare(e, st.Now)
+		}
+	}
+	return strings.Compare(a.text(), b.text())
+}
+
+// compareAtomic orders two atomized items.
 func compareAtomic(a, b Item, st *Static) int {
-	na, nb := NumberValue(a), NumberValue(b)
-	if !math.IsNaN(na) && !math.IsNaN(nb) {
-		switch {
-		case na < nb:
-			return -1
-		case na > nb:
-			return 1
-		default:
-			return 0
-		}
+	ca, cb := comparandOf(a), comparandOf(b)
+	return compare(&ca, &cb, st)
+}
+
+// holds decides "a op b" for a general comparison operator. The typed
+// number NaN compares false against everything, itself included.
+func holds(op string, a, b *Comparand, st *Static) bool {
+	if isNaNItem(a.typed) || isNaNItem(b.typed) {
+		return false
 	}
-	if da, ok := DateTimeValue(a); ok {
-		if db, ok := DateTimeValue(b); ok {
-			st.Horizon.Observe(da, db)
-			return da.Compare(db, st.Now)
-		}
+	c := compare(a, b, st)
+	switch op {
+	case "=":
+		return c == 0
+	case "!=":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
 	}
-	return strings.Compare(StringValue(a), StringValue(b))
+	return false
+}
+
+// LexicalHolds decides "s op lit" for a value as a document spells it
+// against a classified literal — the general comparison of one pair, for a
+// caller that holds the value and no sequence (xcql's pushed filters).
+func LexicalHolds(op, s string, lit *Comparand, st *Static) bool {
+	a := lexicalOf(s)
+	return holds(op, &a, lit, st)
 }

@@ -58,35 +58,42 @@ func Date(year int, month time.Month, day, hour, min, sec int) DateTime {
 }
 
 // Parse parses an XCQL time literal: "start", "now", an ISO-8601 dateTime
-// (CCYY-MM-DDThh:mm:ss, optionally with fractional seconds or a trailing
-// "Z"), or a bare date (CCYY-MM-DD, interpreted as midnight).
-//
-// General comparisons probe every string operand with Parse to see whether
-// it is a date, so the reject path is hot: a string that does not start
-// CCYY-MM-DD followed by "T" or nothing is turned away before any layout is
-// tried, at the cost of the one error value.
+// (CCYY-MM-DDThh:mm:ss, optionally with fractional seconds or a zone), or
+// a bare date (CCYY-MM-DD, interpreted as midnight).
 func Parse(s string) (DateTime, error) {
+	if d, ok := TryParse(s); ok {
+		return d, nil
+	}
+	return DateTime{}, &parseError{strings.TrimSpace(s)}
+}
+
+// TryParse is Parse for a caller that only asks whether s is a time
+// literal. Comparisons probe every string operand with it, so the reject
+// path is hot and allocates nothing: a string that does not start
+// CCYY-MM-DD followed by "T" or nothing is turned away on its bytes, before
+// any layout is tried.
+func TryParse(s string) (DateTime, bool) {
 	s = strings.TrimSpace(s)
 	switch s {
 	case "start":
-		return Start(), nil
+		return Start(), true
 	case "now":
-		return Now(), nil
+		return Now(), true
 	}
 	if dateShaped(s) {
 		for _, layout := range layouts {
 			if t, err := time.Parse(layout, s); err == nil {
-				return At(t.UTC()), nil
+				return At(t.UTC()), true
 			}
 		}
 	}
-	return DateTime{}, &parseError{s}
+	return DateTime{}, false
 }
 
 var layouts = [...]string{Layout, "2006-01-02T15:04:05.999999999", "2006-01-02T15:04:05Z07:00", "2006-01-02"}
 
 // dateShaped reports whether s begins CCYY-MM-DD and then ends or goes on
-// with "T" — what every layout Parse tries requires of its input.
+// with "T" — what every layout TryParse tries requires of its input.
 func dateShaped(s string) bool {
 	if len(s) < 10 || (len(s) > 10 && s[10] != 'T') {
 		return false

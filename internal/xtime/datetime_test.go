@@ -108,10 +108,18 @@ func TestParseShapeCheckChangesNothing(t *testing.T) {
 }
 
 // TestParseRejectIsCheap pins the hot reject path — a general comparison
-// probing a non-date string — at the one error value, where the layouts
-// used to cost four time.ParseErrors and a formatted message.
+// probing a non-date string — at nothing for TryParse, which comparisons
+// call, and at the one error value for Parse, where the layouts used to
+// cost four time.ParseErrors and a formatted message.
 func TestParseRejectIsCheap(t *testing.T) {
 	for _, in := range []string{"Electronics Mart", "1000", "person1234", "2003-10"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := TryParse(in); ok {
+				t.Fatalf("TryParse(%q) accepted", in)
+			}
+		}); n != 0 {
+			t.Errorf("TryParse(%q): %v allocs per rejected probe, want none", in, n)
+		}
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := Parse(in); err == nil {
 				t.Fatalf("Parse(%q) accepted", in)
