@@ -121,10 +121,15 @@ trace-smoke:
 # ceiling. The wire codec's ceilings hold allocations and bytes alike —
 # decoding one transaction frame and one thirty-hole account frame, and
 # Publish up to the wire bytes — since what the codec must not bring back
-# is a per-frame buffer: one allocation, 32 KiB. Run without -race: the
-# detector's instrumentation allocates on its own.
+# is a per-frame buffer: one allocation, 32 KiB. The registry's hold what
+# one arrival costs 64 standing pass-through queries in two groups — a
+# transaction, an account re-announcement that dirties nothing (nothing at
+# all) and a result frame written into a kept buffer (nothing either): what
+# they must not bring back is machinery rebuilt per arrival — a shared-pass
+# map, a stats struct, a function table, a second serialization. Run
+# without -race: the detector's instrumentation allocates on its own.
 alloc-gate:
-	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling)$$' -count=1 -timeout 120s .
+	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling)$$' -count=1 -timeout 120s .
 
 # A short deterministic shake of each fuzz target; longer runs are
 # `make fuzz-smoke FUZZTIME=5m`. `-run '^$'` skips the unit tests that
@@ -136,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/segstore -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xcql -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzQueryAPIRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz '^FuzzIncrementalArrival$$' -fuzztime $(FUZZTIME)
 
 bench:

@@ -110,7 +110,8 @@ func (e *ResourceError) Unwrap() error { return e.Cause }
 
 // Budget meters one evaluation against its Limits and context. The
 // counters are atomic so one evaluation's worker pool can charge it
-// concurrently; limits, ctx and the deadline are immutable after New.
+// concurrently; limits, ctx and the deadline are immutable between New (or
+// Reset) and the end of the evaluation.
 type Budget struct {
 	limits      Limits
 	ctx         context.Context
@@ -125,12 +126,25 @@ type Budget struct {
 // New builds a budget over ctx and lim. The Timeout deadline starts
 // now. ctx may be nil (background).
 func New(ctx context.Context, lim Limits) *Budget {
-	b := &Budget{limits: lim, ctx: ctx}
-	if lim.Timeout > 0 {
-		b.deadline = time.Now().Add(lim.Timeout)
-		b.hasDeadline = true
-	}
+	b := new(Budget)
+	b.Reset(ctx, lim)
 	return b
+}
+
+// Reset makes b the budget of a new evaluation, as New would build it:
+// nothing charged, the Timeout deadline starting now. For an owner that
+// runs one evaluation after another and is done with each — its worker
+// pool included — before the next.
+func (b *Budget) Reset(ctx context.Context, lim Limits) {
+	b.limits, b.ctx = lim, ctx
+	b.deadline, b.hasDeadline = time.Time{}, lim.Timeout > 0
+	if b.hasDeadline {
+		b.deadline = time.Now().Add(lim.Timeout)
+	}
+	b.ops.Store(0)
+	b.steps.Store(0)
+	b.items.Store(0)
+	b.bytes.Store(0)
 }
 
 // Limits returns the configured limits (zero value on a nil budget).

@@ -35,6 +35,9 @@ type Access interface {
 	// ByTSID returns every version stored under a tsid, grouped by filler
 	// id ascending — a descendant step over the whole stream.
 	ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node
+	// Arm makes ev the evaluation the reads are for from here on: an owner
+	// that runs one evaluation after another keeps one Access for them all.
+	Arm(ev Eval)
 }
 
 // AccessKind names an Access implementation.
@@ -85,6 +88,8 @@ func NewAccess(kind AccessKind, ev Eval) Access {
 }
 
 type logScan struct{ Eval }
+
+func (a *logScan) Arm(ev Eval) { a.Eval = ev }
 
 // chargePass charges one lookup pass that examined n versions and built a
 // top element for each of built.
@@ -178,6 +183,8 @@ func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
 }
 
 type labelIndex struct{ Eval }
+
+func (a *labelIndex) Arm(ev Eval) { a.Eval = ev }
 
 // charge counts one index fetch that examined n versions and passes its
 // elements through.

@@ -11,7 +11,7 @@
 //
 // The engine is pinned byte-identical to full re-evaluation (see
 // TestDiffHarnessIncremental): every unit evaluates through the same
-// engine code paths (Query.EvalSubPlan), unit outputs concatenate in the
+// engine code paths (xcql.UnitEval), unit outputs concatenate in the
 // plan's own order, and deltas are the serials absent from the previous
 // result, in first-occurrence order — exactly the full-mode diff.
 //
@@ -127,7 +127,7 @@ type unit struct {
 	entries []entry
 	count   int
 	// horizon is the earliest instant at which the unit's output can
-	// differ with the store unchanged (xcql.Query.EvalSubPlan): a clock
+	// differ with the store unchanged (xcql.UnitEval.Eval): a clock
 	// advance re-runs the unit only on reaching it. Zero: never.
 	horizon time.Time
 	due     int  // position in Engine.due, -1 when horizon is zero
@@ -161,8 +161,11 @@ type pendingArrival struct {
 // methods are safe for concurrent use; arrivals are serialized
 // internally.
 type Engine struct {
-	mu        sync.Mutex
-	q         *xcql.Query
+	mu sync.Mutex
+	q  *xcql.Query
+	// frame is the environment every unit evaluates in, built at the first
+	// evaluation and re-armed by each one.
+	frame     *xcql.UnitEval
 	store     *fragment.Store
 	structure *tagstruct.Structure
 	stream    string
@@ -201,7 +204,9 @@ type Engine struct {
 }
 
 // unitResult is one dirty unit's fresh evaluation, held until every
-// dirty unit has evaluated without error.
+// dirty unit has evaluated without error — and, through a SharedPass, by
+// every engine of the group that evaluates the same unit: the entries are
+// read-only once made.
 type unitResult struct {
 	entries []entry
 	count   int
@@ -576,118 +581,76 @@ func keepAllWindow(args []xq.Expr) bool {
 }
 
 // SharedPass memoizes unit evaluations across the engines of one shared
-// query group for one arrival: the first engine to evaluate a unit
-// signature stores its result (or error), and every later engine with
-// the same signature takes the memo instead of re-evaluating. Sharing is
-// sound only when the participating engines read the same store, the
-// same evaluation instant and the same limits — the registry scopes one
-// pass to exactly one (fragment, instant, limits, store) cell and
-// discards it afterwards, so no invalidation protocol is needed. Items
-// handed out through a pass are shared across engines; consumers must
-// not mutate them (the same rule deltas already carry).
+// query group for the arrival in progress: the first engine to evaluate a
+// unit — a signature and the filler it is bound to — stores its result (or
+// error), serials included, and every later engine with the same unit takes
+// the memo instead of re-evaluating and re-serializing. Sharing is sound
+// only when the participating engines read the same store, the same
+// evaluation instant and the same limits — the registry gives every group
+// one pass for its lifetime, scopes it to exactly one (fragment, instant,
+// limits, store) cell by a Reset before each arrival, and touches it from
+// one arrival at a time, so there is neither an invalidation protocol nor a
+// lock. Items handed out through a pass are shared across engines;
+// consumers must not mutate them (the same rule deltas already carry).
 type SharedPass struct {
-	mu      sync.Mutex
-	results map[string]sharedResult
-	// serials memoizes node-item serializations across the group's
-	// engines: every member diffs the same shared item pointers, so the
-	// (dominant) serialization cost is paid once per item per arrival
-	// instead of once per member.
-	serials map[*xmldom.Node]string
-	hits    int64
-	misses  int64
+	results      map[passKey]sharedResult
+	hits, misses int64
+}
+
+// passKey names one unit independent of which query's engine computes it:
+// the piece slot's structural signature plus the filler id the unit is
+// bound to (indexed units only; generic units evaluate the whole sub-plan
+// and carry no filler binding).
+type passKey struct {
+	sig string
+	fid int
 }
 
 type sharedResult struct {
-	seq     xq.Sequence
-	horizon time.Time
-	err     error
+	unitResult
+	err error
 }
 
-// NewSharedPass returns an empty per-arrival memo.
+// passKeptUnits bounds the table a pass keeps between arrivals: clearing
+// one costs its capacity, and the arrival that seeds a group memoizes
+// every unit of the store.
+const passKeptUnits = 64
+
+// NewSharedPass returns an empty memo.
 func NewSharedPass() *SharedPass {
-	return &SharedPass{
-		results: make(map[string]sharedResult),
-		serials: make(map[*xmldom.Node]string),
-	}
+	return &SharedPass{results: make(map[passKey]sharedResult)}
 }
 
-// serial is ItemSerial with a cross-engine memo for node items (atomic
-// items serialize trivially and are not worth a map entry).
-func (sp *SharedPass) serial(it xq.Item) string {
-	n, ok := it.(*xmldom.Node)
-	if !ok {
-		return ItemSerial(it)
+// Reset empties the memo and its counters for the next arrival.
+func (sp *SharedPass) Reset() {
+	if len(sp.results) > passKeptUnits {
+		sp.results = make(map[passKey]sharedResult)
+	} else {
+		clear(sp.results)
 	}
-	sp.mu.Lock()
-	s, ok := sp.serials[n]
-	sp.mu.Unlock()
-	if ok {
-		return s
-	}
-	s = ItemSerial(it)
-	sp.mu.Lock()
-	sp.serials[n] = s
-	sp.mu.Unlock()
-	return s
+	sp.hits, sp.misses = 0, 0
 }
 
-// serialOf resolves one item's delta serial, through the shared pass's
-// memo when one is active.
-func serialOf(it xq.Item, sp *SharedPass) string {
-	if sp == nil {
-		return ItemSerial(it)
-	}
-	return sp.serial(it)
-}
-
-// Hits is the number of unit evaluations served from the memo.
-func (sp *SharedPass) Hits() int64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.hits
-}
+// Hits is the number of unit evaluations served from the memo this arrival.
+func (sp *SharedPass) Hits() int64 { return sp.hits }
 
 // Misses is the number of unit evaluations computed into the memo — the
 // actual work the whole shared group performed this arrival.
-func (sp *SharedPass) Misses() int64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.misses
-}
-
-func (sp *SharedPass) lookup(key string) (sharedResult, bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	r, ok := sp.results[key]
-	if ok {
-		sp.hits++
-	}
-	return r, ok
-}
-
-func (sp *SharedPass) store(key string, r sharedResult) {
-	sp.mu.Lock()
-	sp.results[key] = r
-	sp.misses++
-	sp.mu.Unlock()
-}
+func (sp *SharedPass) Misses() int64 { return sp.misses }
 
 // Apply ingests one fragment arrival (already added to the store by the
 // caller) at evaluation instant at, recomputes only the dirty units, and
 // returns the delta: the items whose serialized form was absent from the
-// previous result, in result order. A nil fragment is a pure clock
-// advance (re-evaluate the units whose horizon the clock reached and
-// newly visible pending arrivals only). An error (e.g. a budget trip in
-// some unit) aborts the arrival atomically: no state changes, and the
-// next arrival rebuilds from the store.
-func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, error) {
-	return e.ApplyShared(f, at, lim, stats, nil)
-}
-
-// ApplyShared is Apply drawing unit evaluations from (and contributing
-// them to) a registry-scoped SharedPass; sp may be nil for unshared
-// evaluation. See SharedPass for the sharing contract.
-func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
+// previous result, in result order, and beside them those serialized
+// forms — the strings the engine diffed by, for whoever puts the delta on
+// a wire (nil in count mode, whose one item is a number). A nil fragment
+// is a pure clock advance (re-evaluate the units whose horizon the clock
+// reached and newly visible pending arrivals only). Unit evaluations are
+// drawn from, and contributed to, the group's SharedPass sp (see there for
+// the sharing contract); nil evaluates unshared. An error (e.g. a budget
+// trip in some unit) aborts the arrival atomically: no state changes, and
+// the next arrival rebuilds from the store.
+func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var rsp *obs.Span
@@ -734,23 +697,23 @@ func (e *Engine) ApplyShared(f *fragment.Fragment, at time.Time, lim xcql.Limits
 	if rsp != nil {
 		rsp.SetDetail("dirty=" + strconv.Itoa(len(e.dirty)) + " units=" + strconv.Itoa(len(e.order)))
 	}
-	seq, err := e.applyDirty(at, lim, stats, sp)
+	seq, serials, err := e.applyDirty(at, lim, stats, sp)
 	if err != nil {
 		// the popped horizons and pending events and this arrival's dirty
 		// marks are lost; un-seed so the next evaluation rebuilds from the
 		// store
 		e.seeded = false
-		return nil, err
+		return nil, nil, err
 	}
-	return seq, nil
+	return seq, serials, nil
 }
 
 // recomputeAll rebuilds containment and pending state from the store,
 // ensures a unit for everything the store holds, and recomputes every
 // unit. The previous-result memory survives, so the delta stays relative
 // to what was last emitted; re-emitting a standing result is the
-// registry's business (it renders ItemsSnapshot), not the engine's.
-func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
+// registry's business (it renders StandingDelta), not the engine's.
+func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.rebuildContainment(at)
 	for pi, p := range e.pieces {
 		if !p.indexed() {
@@ -766,13 +729,13 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 	for _, u := range e.order {
 		e.mark(u)
 	}
-	seq, err := e.applyDirty(at, lim, stats, sp)
+	seq, serials, err := e.applyDirty(at, lim, stats, sp)
 	if err != nil {
 		e.seeded = false
-		return nil, err
+		return nil, nil, err
 	}
 	e.seeded = true
-	return seq, nil
+	return seq, serials, nil
 }
 
 // rebuildContainment rescans the whole store: hole announcements give
@@ -922,7 +885,7 @@ func (e *Engine) fallback() {
 // this reproduces the full-mode diff byte for byte. Phase C swaps the
 // buffers, releases the old entries' refcounts and re-files the units
 // under their new horizons.
-func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, error) {
+func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	// HandlerInvocations is charged in evalUnitShared, once per unit
 	// actually executed: a registry shared-pass hit runs no handler, so
 	// a group of K queries sharing a path reports ~1× handler cost.
@@ -946,20 +909,14 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 		e.dirty, e.results = dirty[:0], e.results[:0]
 	}()
 	for _, u := range dirty {
-		seq, horizon, err := e.evalUnitShared(u.key, at, lim, stats, sp)
+		r, err := e.evalUnitShared(u.key, at, lim, stats, sp)
 		if err != nil {
-			return nil, err
-		}
-		r := unitResult{count: len(seq), horizon: horizon}
-		if !e.countMode {
-			r.entries = make([]entry, len(seq))
-			for i, it := range seq {
-				r.entries[i] = entry{item: it, serial: serialOf(it, sp)}
-			}
+			return nil, nil, err
 		}
 		e.results = append(e.results, r)
 	}
 	var delta xq.Sequence
+	var serials []string
 	if e.countMode {
 		for i, u := range dirty {
 			e.countTotal += e.results[i].count - u.count
@@ -977,6 +934,7 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 			for _, en := range e.results[i].entries {
 				if e.refcount[en.serial] == 0 {
 					delta = append(delta, en.item)
+					serials = append(serials, en.serial)
 				}
 				e.refcount[en.serial]++
 				e.bytes += int64(len(en.serial))
@@ -1006,7 +964,7 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 	stats.AddBufferedItems(items)
 	stats.MaxBufferHWMBytes(e.hwm)
 	e.lastAt = at
-	return delta, nil
+	return delta, serials, nil
 }
 
 // schedule files a unit under its new horizon.
@@ -1029,45 +987,55 @@ func (e *Engine) schedule(u *unit, horizon time.Time) {
 // of an identical unit already evaluated by another engine in the group
 // this arrival, charging only the shared-hit counter; a miss evaluates
 // and publishes the result for the rest of the group.
-func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, time.Time, error) {
+func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (unitResult, error) {
 	if sp == nil {
 		stats.AddHandlerInvocations(1)
 		return e.evalUnit(k, at, lim, stats)
 	}
-	key := e.unitSigKey(k)
-	if r, ok := sp.lookup(key); ok {
+	key := passKey{e.pieces[k.piece].sigs[max(k.arg, 0)], k.fid}
+	if r, ok := sp.results[key]; ok {
+		sp.hits++
 		stats.AddSharedUnitHits(1)
-		return r.seq, r.horizon, r.err
+		return r.unitResult, r.err
 	}
 	stats.AddHandlerInvocations(1)
-	seq, horizon, err := e.evalUnit(k, at, lim, stats)
-	sp.store(key, sharedResult{seq: seq, horizon: horizon, err: err})
+	r, err := e.evalUnit(k, at, lim, stats)
+	sp.results[key] = sharedResult{r, err}
+	sp.misses++
 	stats.AddSharedUnitMisses(1)
-	return seq, horizon, err
+	return r, err
 }
 
-// unitSigKey is the SharedPass memo key of one unit: the piece slot's
-// structural signature plus the filler id the unit is bound to (indexed
-// units only; generic units evaluate the whole sub-plan and carry no
-// filler binding).
-func (e *Engine) unitSigKey(k unitKey) string {
-	return e.pieces[k.piece].sigs[max(k.arg, 0)] + "#" + strconv.Itoa(k.fid)
-}
-
-// evalUnit computes one unit's current output and horizon through the
-// engine's own sub-plan evaluator. An indexed unit fetches its filler's
-// annotated versions (the same store read the fn:bytsid intrinsic groups
-// by filler id) through the query's access path, which charges the fetch
-// the way the query's plan charges it, and runs the piece's body over
-// them; a generic unit evaluates its whole sub-plan. Count mode skips
-// materialization — only cardinality survives.
-func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, time.Time, error) {
+// evalUnit computes one unit's current output and horizon in the engine's
+// evaluation frame. An indexed unit fetches its filler's annotated
+// versions (the same store read the fn:bytsid intrinsic groups by filler
+// id) through the query's access path, which charges the fetch the way the
+// query's plan charges it, and runs the piece's body over them; a generic
+// unit evaluates its whole sub-plan. Every item is serialized here, once:
+// the serial is what the engine diffs by, what a shared pass hands the
+// group's other engines, and what a delta carries to the wire. Count mode
+// skips materialization and serials — only cardinality survives.
+func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
 	p := e.pieces[k.piece]
-	var own xq.Sequence
-	if p.indexed() {
-		own = xq.FromNodes(e.q.ReadFiller(e.store, k.fid, at, stats))
+	if e.frame == nil {
+		e.frame = e.q.NewUnitEval()
 	}
-	return e.q.EvalSubPlan(p.expr, own, at, lim, stats, !e.countMode)
+	var own *fragment.Store
+	if p.indexed() {
+		own = e.store
+	}
+	seq, horizon, err := e.frame.Eval(p.expr, own, k.fid, at, lim, stats, !e.countMode)
+	if err != nil {
+		return unitResult{}, err
+	}
+	r := unitResult{count: len(seq), horizon: horizon}
+	if !e.countMode {
+		r.entries = make([]entry, len(seq))
+		for i, it := range seq {
+			r.entries[i] = entry{item: it, serial: ItemSerial(it)}
+		}
+	}
+	return r, nil
 }
 
 // ensureUnit returns the unit of a key, registering it in the global
@@ -1117,6 +1085,33 @@ func (e *Engine) ItemsSnapshot() xq.Sequence {
 		}
 	}
 	return out
+}
+
+// StandingDelta renders the standing result as a re-emission delta: first
+// occurrence per serialized form, in output order — what a from-scratch
+// evaluation diffed against nothing would emit — with the serials the
+// buffers hold already (nil in count mode).
+func (e *Engine) StandingDelta() (xq.Sequence, []string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.seeded {
+		return nil, nil
+	}
+	if e.countMode {
+		return xq.Sequence{e.lastTotal}, nil
+	}
+	seen := make(map[string]bool, len(e.refcount))
+	items := make(xq.Sequence, 0, len(e.refcount))
+	serials := make([]string, 0, len(e.refcount))
+	for _, u := range e.order {
+		for _, en := range u.entries {
+			if !seen[en.serial] {
+				seen[en.serial] = true
+				items, serials = append(items, en.item), append(serials, en.serial)
+			}
+		}
+	}
+	return items, serials
 }
 
 // BufferedBytes is the current partial-match buffer size in serialized

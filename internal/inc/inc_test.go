@@ -140,12 +140,12 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 				t.Fatalf("%s: plan did not decompose to one indexed piece: %s", name, e.Strategy())
 			}
 			unit := &obs.EvalStats{}
-			seq, _, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
+			res, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(seq) != 3 {
-				t.Fatalf("%s: unit returned %d versions, want 3", name, len(seq))
+			if res.count != 3 || len(res.entries) != 3 {
+				t.Fatalf("%s: unit returned %d versions, want 3", name, res.count)
 			}
 			type charge struct{ fillers, holes, labelLookups, labelHits int64 }
 			got := charge{unit.FillersScanned, unit.HolesResolved, unit.LabelRangeLookups, unit.LabelRangeHits}

@@ -148,11 +148,11 @@ func TestPerBindingSchedule(t *testing.T) {
 	apply := func(f *fragment.Fragment, at time.Time) (fraudUnits, filterUnits int64) {
 		t.Helper()
 		var fs, ls obs.EvalStats
-		delta, err := fraud.Apply(f, at, xcql.Limits{}, &fs)
+		delta, _, err := fraud.Apply(f, at, xcql.Limits{}, &fs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := filter.Apply(f, at, xcql.Limits{}, &ls); err != nil {
+		if _, _, err := filter.Apply(f, at, xcql.Limits{}, &ls, nil); err != nil {
 			t.Fatal(err)
 		}
 		ref, err := full.Eval(at)
@@ -220,7 +220,7 @@ func TestVolatileUnitRunsOncePerInstant(t *testing.T) {
 	units := func(f *fragment.Fragment, at time.Time) int64 {
 		t.Helper()
 		var st obs.EvalStats
-		if _, err := e.Apply(f, at, xcql.Limits{}, &st); err != nil {
+		if _, _, err := e.Apply(f, at, xcql.Limits{}, &st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.HandlerInvocations
@@ -257,7 +257,7 @@ func TestHorizonLaw(t *testing.T) {
 	bounded, changed := 0, 0
 	check := func(name string, e *Engine, frags []*fragment.Fragment, at time.Time) {
 		t.Helper()
-		if _, err := e.Apply(nil, at, xcql.Limits{}, nil); err != nil {
+		if _, _, err := e.Apply(nil, at, xcql.Limits{}, nil, nil); err != nil {
 			return // e.g. CaQ before the root filler: nothing to hold
 		}
 		// a stored version that becomes visible changes the store the
@@ -270,16 +270,16 @@ func TestHorizonLaw(t *testing.T) {
 		}
 		for _, u := range e.order {
 			serials := func(at time.Time) (string, time.Time) {
-				seq, horizon, err := e.evalUnit(u.key, at, xcql.Limits{}, nil)
+				res, err := e.evalUnit(u.key, at, xcql.Limits{}, nil)
 				if err != nil {
 					t.Fatalf("%s unit %v at %s: %v", name, u.key, at, err)
 				}
 				var b strings.Builder
-				for _, it := range seq {
-					b.WriteString(ItemSerial(it))
+				for _, en := range res.entries {
+					b.WriteString(en.serial)
 					b.WriteByte('\n')
 				}
-				return b.String(), horizon
+				return b.String(), res.horizon
 			}
 			want, horizon := serials(at)
 			end := horizon

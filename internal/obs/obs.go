@@ -130,8 +130,10 @@ type EvalStats struct {
 	// ParallelWait is the distribution of queue wait — enqueue of a hole
 	// resolution to the moment a worker picks it up. High waits mean the
 	// pool is saturated (more holes than workers); near-zero waits with few
-	// tasks mean the fan-out was not worth its overhead.
-	ParallelWait HistogramSnapshot
+	// tasks mean the fan-out was not worth its overhead. Only a parallel
+	// evaluation sets it: the snapshot is a kilobyte, four times the rest
+	// of the struct, and a sequential evaluation has nothing to put in it.
+	ParallelWait *HistogramSnapshot
 
 	// Per-phase wall times. Parse and Translate are compile-time and
 	// copied from the owning query; Exec and Materialize are measured per
@@ -273,10 +275,14 @@ func (s *EvalStats) String() string {
 		line += fmt.Sprintf(" cache-hits=%d cache-misses=%d", s.CacheHits, s.CacheMisses)
 	}
 	if s.Parallelism > 1 {
+		var wait HistogramSnapshot
+		if s.ParallelWait != nil {
+			wait = *s.ParallelWait
+		}
 		line += fmt.Sprintf(" parallelism=%d parallel-tasks=%d wait-p50=%v wait-max=%v",
 			s.Parallelism, s.ParallelTasks,
-			s.ParallelWait.Quantile(0.50).Round(time.Microsecond),
-			time.Duration(s.ParallelWait.Max).Round(time.Microsecond))
+			wait.Quantile(0.50).Round(time.Microsecond),
+			time.Duration(wait.Max).Round(time.Microsecond))
 	}
 	if s.HandlerInvocations > 0 || s.BufferedItems > 0 {
 		line += fmt.Sprintf(" handlers=%d buffered-items=%d buffer-hwm-bytes=%d",

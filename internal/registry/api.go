@@ -412,11 +412,7 @@ func (a *API) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			frame, err := codec.EncodeResult(reg.ID(), res)
-			if err != nil {
-				return
-			}
-			if err := conn.WriteText(frame); err != nil {
+			if err := conn.WriteResult(codec, reg.ID(), res); err != nil {
 				return
 			}
 		case <-done:

@@ -1,10 +1,9 @@
 package registry
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"xcql/internal/inc"
 )
@@ -19,8 +18,14 @@ type Codec interface {
 	Name() string
 	// ContentType is the MIME type of encoded frames.
 	ContentType() string
-	// EncodeResult renders one delivery for registration id.
-	EncodeResult(id int64, res Result) ([]byte, error)
+	// AppendResult appends one delivery for registration id to dst and
+	// returns the extended slice, like the standard library's Append
+	// functions: dst is the connection's frame buffer, kept between
+	// deliveries, so a codec that writes nowhere else allocates nothing
+	// per frame. On an error what was appended is discarded. A codec
+	// should write res.Serials where the result carries them rather than
+	// serialize res.Delta again.
+	AppendResult(dst []byte, id int64, res Result) ([]byte, error)
 }
 
 // WireResult is the JSON wire form of one delivery. Delta items are
@@ -51,28 +56,88 @@ func (JSONCodec) Name() string { return "json" }
 // ContentType implements Codec.
 func (JSONCodec) ContentType() string { return "application/json" }
 
-// EncodeResult implements Codec.
-func (JSONCodec) EncodeResult(id int64, res Result) ([]byte, error) {
-	w := WireResult{
-		Type:     "result",
-		ID:       id,
-		At:       res.At.Format(time.RFC3339Nano),
-		Delta:    inc.ItemSerials(res.Delta),
-		Degraded: res.Degraded,
+// AppendResult implements Codec: the frame is a WireResult as
+// encoding/json renders it with HTML escaping off — result items are XML,
+// and with it on every '<' and '>' of theirs would travel as six bytes —
+// written by hand, field by field (TestResultFrameGolden and
+// FuzzResultFrame hold it to the library's bytes).
+func (JSONCodec) AppendResult(dst []byte, id int64, res Result) ([]byte, error) {
+	dst = append(dst, `{"type":"result","id":`...)
+	dst = strconv.AppendInt(dst, id, 10)
+	dst = append(dst, `,"at":"`...)
+	dst = res.At.AppendFormat(dst, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
+	dst = append(dst, `","delta":[`...)
+	carried := len(res.Serials) == len(res.Delta)
+	for i, it := range res.Delta {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if carried {
+			dst = appendJSONString(dst, res.Serials[i])
+		} else {
+			dst = appendJSONString(dst, inc.ItemSerial(it))
+		}
+	}
+	dst = append(dst, ']')
+	if res.Degraded != "" {
+		dst = appendJSONString(append(dst, `,"degraded":`...), res.Degraded)
 	}
 	if res.Err != nil {
-		w.Err = res.Err.Error()
+		if msg := res.Err.Error(); msg != "" {
+			dst = appendJSONString(append(dst, `,"error":`...), msg)
+		}
 	}
 	if res.TraceID != 0 {
-		w.Trace = fmt.Sprintf("%016x", res.TraceID)
+		dst = append(dst, `,"trace":"`...)
+		var hex [16]byte
+		digits := strconv.AppendUint(hex[:0], res.TraceID, 16)
+		dst = append(dst, "0000000000000000"[len(digits):]...)
+		dst = append(append(dst, digits...), '"')
 	}
-	// result items are XML: with HTML escaping on, every '<' and '>' of
-	// theirs would travel as six bytes
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(w); err != nil {
-		return nil, err
+	return append(dst, '}'), nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a JSON string the way encoding/json does
+// with HTML escaping off: '"', '\\' and control bytes escaped (the five
+// with a short form use it), U+2028 and U+2029 escaped, invalid UTF-8
+// replaced by U+FFFD, everything else — markup included — as it is.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b >= utf8.RuneSelf {
+			c, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case c == utf8.RuneError && size == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+			case c == '\u2028' || c == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			default:
+				i += size
+				continue
+			}
+			i += size
+			start = i
+			continue
+		}
+		if b >= 0x20 && b != '"' && b != '\\' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '\\', '"':
+			dst = append(dst, '\\', b)
+		case '\b', '\t', '\n', '\f', '\r': // 8, 9, 10, 12, 13
+			dst = append(dst, '\\', "btn.fr"[b-'\b'])
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+		}
+		i++
+		start = i
 	}
-	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
+	return append(append(dst, s[start:]...), '"')
 }

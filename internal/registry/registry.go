@@ -22,9 +22,14 @@
 // signature with the identity of the stores the plan reads and a
 // fingerprint of the registration's effective limits, so two queries
 // share work only when their evaluations are guaranteed identical
-// (same store state, same instant, same budgets). Each arrival gets a
-// fresh SharedPass; nothing memoized outlives the arrival, so there is
-// no cross-arrival invalidation protocol to get wrong.
+// (same store state, same instant, same budgets). A group's SharedPass is
+// emptied before each arrival; nothing memoized outlives the arrival, so
+// there is no cross-arrival invalidation protocol to get wrong.
+// What surrounds a delivery is owned by what outlives the arrival, and
+// reset rather than rebuilt: the group owns the pass, an engine share the
+// stats its advance counts into (a member's Query.LastStats is a copy),
+// and the serial an engine diffs an item by travels with the delta
+// (Result.Serials) to the codec.
 //
 // Delivery is per-registration with backpressure: a subscriber that
 // cannot keep up loses results but never silently — the registration is
@@ -70,6 +75,12 @@ type Result struct {
 	// registration's previous result, in result order. After an
 	// invalidation the whole standing result re-emits here.
 	Delta xq.Sequence
+	// Serials, when set, holds the serialized form of every Delta item, in
+	// order: the strings the evaluation diffed by, shared — read-only — by
+	// every member the same evaluation served, so that a codec writes them
+	// instead of serializing the items again per subscriber. Nil when the
+	// evaluation had none to hand (count mode, a failed arrival).
+	Serials []string
 	// Degraded is non-empty while the registration is degraded: lost
 	// fragments, a tripped budget, or subscriber backpressure may have
 	// narrowed what this delta stream carried; the standing result has
@@ -216,6 +227,9 @@ type group struct {
 	// delivery, not an evaluation. The engine lives while any member
 	// holds it (refcount) and dies with the last Close.
 	engShares map[string]*engShare
+	// units is the unit memo the members' engines share, emptied at the
+	// start of every arrival. Touched under evalMu only.
+	units *inc.SharedPass
 
 	sharedEvals int64
 	sharedSaved int64
@@ -238,10 +252,12 @@ type Registration struct {
 	// plan): members of a group with the same key share one evaluation per
 	// arrival — one full evaluation, or one advance of one engine.
 	planKey string
-	// eng is the incremental engine, possibly shared with the group's
-	// other members of the same planKey; nil in full mode.
-	eng  *inc.Engine
-	sigs []string
+	// share holds the incremental engine, possibly shared with the group's
+	// other members of the same planKey, and eng is that engine; nil in
+	// full mode.
+	share *engShare
+	eng   *inc.Engine
+	sigs  []string
 
 	mu        sync.Mutex
 	seen      map[string]bool // full mode: previous result's serials
@@ -381,6 +397,7 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 			pathSig:   pathSig,
 			sigRef:    make(map[string]int),
 			engShares: make(map[string]*engShare),
+			units:     inc.NewSharedPass(),
 			latency:   obs.NewHistogram(),
 		}
 		r.groups[key] = g
@@ -399,11 +416,12 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 			// delivery re-emits the standing result (exactly what a
 			// fresh independent query's first evaluation produces), and
 			// from then on it consumes the shared advance.
-			reg.eng = share.eng
+			reg.share, reg.eng = share, share.eng
 			share.refs++
 			reg.needReseed = true
 		} else {
-			g.engShares[reg.planKey] = &engShare{eng: reg.eng, refs: 1}
+			reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "+inc"}
+			g.engShares[reg.planKey] = reg.share
 		}
 		reg.eng.SetFlightRecorder(r.tracer)
 	}
@@ -417,6 +435,11 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 type engShare struct {
 	eng  *inc.Engine
 	refs int
+	// stats is what the engine's advance for the arrival in progress counts
+	// into, named plan; every member records a copy as its LastStats.
+	// Touched under evalMu only.
+	plan  string
+	stats obs.EvalStats
 }
 
 // groupKey derives a registration's sharing scope: the sorted access-
@@ -653,7 +676,7 @@ type groupPass struct {
 	rec *obs.FlightRecorder
 	ptc obs.TraceContext // the "registry.eval" span member fan-outs hang off
 	tid uint64
-	// units scopes incremental unit sharing to this (fragment, instant)
+	// units is the group's unit memo, emptied for this (fragment, instant)
 	// cell.
 	units *inc.SharedPass
 
@@ -669,9 +692,13 @@ type groupPass struct {
 // The first member pays for it; the rest consume it.
 type sharedEval struct {
 	seq xq.Sequence
-	err error
-	// stats is an engine advance's cost profile; nil for a full
-	// evaluation, whose query records its own.
+	// serials are the serialized forms of seq's items: what a full-mode
+	// member diffs by, and an engine delta's Result.Serials (nil in count
+	// mode).
+	serials []string
+	err     error
+	// stats is an engine advance's cost profile, in the share's scratch;
+	// nil for a full evaluation, whose query records its own.
 	stats     *obs.EvalStats
 	consumers int
 }
@@ -680,9 +707,10 @@ type sharedEval struct {
 func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	start := time.Now()
 	r.mu.Lock()
-	gp := groupPass{f: f, at: at, rec: r.tracer, units: inc.NewSharedPass(), stats: obs.EvalStats{Plan: "group"}}
+	gp := groupPass{f: f, at: at, rec: r.tracer, units: g.units, stats: obs.EvalStats{Plan: "group"}}
 	members := g.members // by id
 	r.mu.Unlock()
+	gp.units.Reset()
 
 	// a traced arrival gets one "registry.eval" span per sharing group;
 	// each member's delivery hangs off it as a "fanout" child, so K
@@ -772,12 +800,13 @@ func (reg *Registration) evaluate(gp *groupPass) sharedEval {
 		seq, err := reg.q.EvalLimits(context.Background(), gp.at, reg.lim)
 		stats := reg.q.LastStats()
 		mergeStats(&gp.stats, &stats)
-		return sharedEval{seq: seq, err: err}
+		return sharedEval{seq: seq, serials: inc.ItemSerials(seq), err: err}
 	}
-	stats := &obs.EvalStats{Plan: reg.q.Mode.String() + "+inc"}
-	seq, err := reg.eng.ApplyShared(gp.f, gp.at, reg.lim, stats, gp.units)
+	stats := &reg.share.stats
+	*stats = obs.EvalStats{Plan: reg.share.plan}
+	seq, serials, err := reg.eng.Apply(gp.f, gp.at, reg.lim, stats, gp.units)
 	mergeStats(&gp.stats, stats)
-	return sharedEval{seq: seq, err: err, stats: stats}
+	return sharedEval{seq: seq, serials: serials, err: err, stats: stats}
 }
 
 // settle is the one standing-state transition: it folds a shared
@@ -809,15 +838,15 @@ func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
 	case reg.eng == nil:
 		next := make(map[string]bool, len(ev.seq))
 		res.Items, reg.bufBytes = ev.seq, 0
-		for _, it := range ev.seq {
-			key := inc.ItemSerial(it)
+		for i, it := range ev.seq {
+			key := ev.serials[i]
 			if next[key] {
 				continue
 			}
 			next[key] = true
 			reg.bufBytes += int64(len(key))
 			if !reg.seen[key] {
-				res.Delta = append(res.Delta, it)
+				res.Delta, res.Serials = append(res.Delta, it), append(res.Serials, key)
 			}
 		}
 		reg.seen, reg.lastItems = next, ev.seq
@@ -826,10 +855,11 @@ func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
 		// re-emit from the engine's standing buffers rather than rebuild
 		// them: the engine may be shared, and its other members are owed
 		// nothing but this arrival's delta
-		res.Delta, outcome = snapshotDelta(reg.eng), "reseed"
+		res.Delta, res.Serials = reg.eng.StandingDelta()
+		outcome = "reseed"
 		gp.reseeds++
 	default:
-		res.Delta = ev.seq
+		res.Delta, res.Serials = ev.seq, ev.serials
 	}
 	reg.needReseed = false
 	return res, outcome
@@ -848,24 +878,6 @@ func governedFailure(err error) (string, bool) {
 		return "degraded: evaluation rejected: " + oe.Error(), true
 	}
 	return "", false
-}
-
-// snapshotDelta renders the engine's standing result as a re-emission
-// delta: first occurrence per serialized form, in output order — what a
-// from-scratch evaluation diffed against nothing would emit.
-func snapshotDelta(eng *inc.Engine) xq.Sequence {
-	snap := eng.ItemsSnapshot()
-	seen := make(map[string]bool, len(snap))
-	var delta xq.Sequence
-	for _, it := range snap {
-		key := inc.ItemSerial(it)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		delta = append(delta, it)
-	}
-	return delta
 }
 
 // InvalidateAll degrades every registration (transport gap, durable-

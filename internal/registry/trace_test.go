@@ -12,7 +12,7 @@ import (
 )
 
 func TestWireResultCarriesTrace(t *testing.T) {
-	b, err := JSONCodec{}.EncodeResult(7, Result{At: time.Unix(0, 0).UTC(), TraceID: 0xdeadbeef})
+	b, err := JSONCodec{}.AppendResult(nil, 7, Result{At: time.Unix(0, 0).UTC(), TraceID: 0xdeadbeef})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestWireResultCarriesTrace(t *testing.T) {
 		t.Fatalf("wire trace %q, want 00000000deadbeef", w.Trace)
 	}
 	// untraced deliveries omit the field entirely (legacy wire shape)
-	b, err = JSONCodec{}.EncodeResult(7, Result{At: time.Unix(0, 0).UTC()})
+	b, err = JSONCodec{}.AppendResult(nil, 7, Result{At: time.Unix(0, 0).UTC()})
 	if err != nil {
 		t.Fatal(err)
 	}

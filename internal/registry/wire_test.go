@@ -19,7 +19,7 @@ import (
 // travel as six bytes each), and a frame is exactly the object.
 func TestResultFramesKeepMarkupBytes(t *testing.T) {
 	item := churnEl(t, `<transaction id="t1"><amount>5 &amp; up</amount></transaction>`)
-	frame, err := JSONCodec{}.EncodeResult(3, Result{At: time.Unix(0, 0).UTC(), Delta: xq.Sequence{item}})
+	frame, err := JSONCodec{}.AppendResult(nil, 3, Result{At: time.Unix(0, 0).UTC(), Delta: xq.Sequence{item}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,18 +151,50 @@ func wsUpgrade(w http.ResponseWriter, r *http.Request) *wsConn {
 	return &wsConn{conn: conn, br: rw.Reader}
 }
 
-// writeFrame writes one unmasked (server→client) frame: header and
-// payload leave in a single Write, so a result costs one system call and,
-// on a socket without Nagle, one segment.
-func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	buf := append(appendWSHeader(c.wbuf[:0], opcode, len(payload), false), payload...)
+// wsMaxHeader is the longest frame header a server writes: two bytes and
+// an eight-byte length.
+const wsMaxHeader = 10
+
+// beginFrame returns the kept buffer with room for the longest header at
+// its front; the payload is appended behind it. The caller holds wmu from
+// here to endFrame.
+func (c *wsConn) beginFrame() []byte {
+	var room [wsMaxHeader]byte
+	return append(c.wbuf[:0], room[:]...)
+}
+
+// endFrame writes one unmasked (server→client) frame: the header, whose
+// size the payload's decides, goes right before the payload, and both
+// leave in a single Write, so a result costs one system call and, on a
+// socket without Nagle, one segment.
+func (c *wsConn) endFrame(buf []byte, opcode byte) error {
+	var hdr [wsMaxHeader]byte
+	h := appendWSHeader(hdr[:0], opcode, len(buf)-wsMaxHeader, false)
+	frame := buf[wsMaxHeader-len(h):]
+	copy(frame, h)
 	if cap(buf) <= wsMaxKeptWriteBuffer {
 		c.wbuf = buf
 	}
-	_, err := c.conn.Write(buf)
+	_, err := c.conn.Write(frame)
 	return err
+}
+
+func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.endFrame(append(c.beginFrame(), payload...), opcode)
+}
+
+// WriteResult sends one delivery as a text message, encoded by codec
+// straight into the frame buffer.
+func (c *wsConn) WriteResult(codec Codec, id int64, res Result) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	buf, err := codec.AppendResult(c.beginFrame(), id, res)
+	if err != nil {
+		return err
+	}
+	return c.endFrame(buf, opText)
 }
 
 // WriteText sends one text message.
@@ -273,6 +305,9 @@ type wsClient struct {
 	br   *bufio.Reader
 	ctr  uint32
 	wmu  sync.Mutex
+	// rbuf is what ReadMessage reads a payload into; kept between messages
+	// up to wsMaxKeptWriteBuffer, as the server keeps its write buffer.
+	rbuf []byte
 }
 
 // wsDial connects to url (http://host/path form) and performs the
@@ -356,7 +391,8 @@ func (c *wsClient) writeMasked(opcode byte, mask [4]byte, payload []byte) error 
 }
 
 // ReadMessage reads the next server text message (server frames are
-// unmasked).
+// unmasked). The bytes are valid until the next ReadMessage, which reads
+// into the same buffer: decode them, or copy them, first.
 func (c *wsClient) ReadMessage() ([]byte, error) {
 	for {
 		var hdr [2]byte
@@ -382,7 +418,14 @@ func (c *wsClient) ReadMessage() ([]byte, error) {
 		if length < 0 || length > wsMaxResultFrame {
 			return nil, &FrameTooLargeError{Size: length, Limit: wsMaxResultFrame}
 		}
-		payload := make([]byte, length)
+		payload := c.rbuf[:0]
+		if int64(cap(payload)) < length {
+			payload = make([]byte, 0, length)
+			if length <= wsMaxKeptWriteBuffer {
+				c.rbuf = payload
+			}
+		}
+		payload = payload[:length]
 		if _, err := io.ReadFull(c.br, payload); err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -25,8 +26,13 @@ import (
 type Runtime struct {
 	mu     sync.RWMutex
 	stores map[string]*fragment.Store
-	funcs  map[string]xq.Func
-	docs   map[string]*xmldom.Node
+	// funcs is what a plan's calls resolve against: the intrinsics and,
+	// over them, the functions registered by name. Nothing in it depends on
+	// an evaluation — an intrinsic reads its Static through the context it
+	// is called with — so every evaluation reads this one table, and
+	// RegisterFunc replaces it rather than write to it.
+	funcs map[string]xq.Func
+	docs  map[string]*xmldom.Node
 
 	// admission control: maxEvals > 0 bounds concurrent evaluations;
 	// excess attempts are rejected with *OverloadError instead of
@@ -48,11 +54,19 @@ type Runtime struct {
 
 // NewRuntime returns an empty runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{
+	rt := &Runtime{
 		stores: make(map[string]*fragment.Store),
-		funcs:  make(map[string]xq.Func),
 		docs:   make(map[string]*xmldom.Node),
 	}
+	rt.funcs = map[string]xq.Func{
+		fnView:    rt.intrView,
+		fnRoot:    rt.intrRoot,
+		fnFillers: rt.intrFillers,
+		fnByTSID:  rt.intrByTSID,
+		fnIProj:   rt.intrIProj,
+		fnVProj:   rt.intrVProj,
+	}
+	return rt
 }
 
 // RegisterStream makes a fragment store queryable as stream(name).
@@ -74,7 +88,24 @@ func (rt *Runtime) Store(name string) *fragment.Store {
 func (rt *Runtime) RegisterFunc(name string, f xq.Func) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.funcs[name] = f
+	funcs := maps.Clone(rt.funcs)
+	funcs[name] = f
+	rt.funcs = funcs
+}
+
+func (rt *Runtime) funcTable() map[string]xq.Func {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.funcs
+}
+
+func (rt *Runtime) doc(uri string) (*xmldom.Node, error) {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	if d, ok := rt.docs[uri]; ok {
+		return d, nil
+	}
+	return nil, fmt.Errorf("xcql: unknown document %q", uri)
 }
 
 // RegisterDoc makes a static document available to doc(uri).
@@ -212,7 +243,7 @@ type Query struct {
 	cacheSet       bool
 
 	statsMu   sync.Mutex
-	lastStats *obs.EvalStats
+	lastStats obs.EvalStats
 }
 
 // WithParallelism overrides the runtime's default hole-resolution
@@ -272,15 +303,15 @@ func (q *Query) Parallelism() int {
 func (q *Query) LastStats() obs.EvalStats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()
-	if q.lastStats == nil {
-		return obs.EvalStats{}
-	}
-	return *q.lastStats
+	return q.lastStats
 }
 
+// storeStats copies s: the caller may go on to reuse it for its next
+// evaluation (a standing query's share does), and a LastStats reader must
+// not see that one half-counted.
 func (q *Query) storeStats(s *obs.EvalStats) {
 	q.statsMu.Lock()
-	q.lastStats = s
+	q.lastStats = *s
 	q.statsMu.Unlock()
 }
 
@@ -377,26 +408,19 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	if par > 1 {
 		wait = obs.NewHistogram()
 	}
-	static := q.newStatic(at, b, stats, par, cache, wait)
+	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Cache: cache, Parallelism: par, Wait: wait})
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			seq = nil
-			if re, ok := p.(*budget.ResourceError); ok {
-				err = &EvalError{Query: q.Source, Mode: q.Mode, Err: re}
-			} else {
-				err = &EvalError{
-					Query: q.Source,
-					Mode:  q.Mode,
-					Err:   fmt.Errorf("panic: %v", p),
-					Stack: debug.Stack(),
-				}
-			}
+			seq, err = nil, q.contained(p)
 		}
 		// stats are recorded even on failure: a tripped budget still
 		// shows how far the evaluation got before it was cut off.
 		stats.Steps, stats.Items, stats.BytesMaterialized = b.Used()
-		stats.ParallelWait = wait.Snapshot()
+		if wait != nil {
+			snap := wait.Snapshot()
+			stats.ParallelWait = &snap
+		}
 		stats.TotalTime = time.Since(start)
 		q.storeStats(stats)
 		if sink != nil {
@@ -423,6 +447,15 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	return seq, nil
 }
 
+// contained is the error a panic that escaped the evaluator becomes: a
+// budget trip keeps its *budget.ResourceError, anything else its stack.
+func (q *Query) contained(p any) error {
+	if re, ok := p.(*budget.ResourceError); ok {
+		return &EvalError{Query: q.Source, Mode: q.Mode, Err: re}
+	}
+	return &EvalError{Query: q.Source, Mode: q.Mode, Err: fmt.Errorf("panic: %v", p), Stack: debug.Stack()}
+}
+
 // wrapResource dresses resource-limit errors in the *EvalError envelope
 // (query text + plan); other evaluation errors pass through untouched.
 func (q *Query) wrapResource(err error) error {
@@ -433,27 +466,15 @@ func (q *Query) wrapResource(err error) error {
 	return err
 }
 
-// newStatic assembles the evaluation environment: intrinsics, user
-// functions, the evaluation's resource budget, and the access path every
+// newStatic assembles the environment of the evaluation ev: the function
+// table, the evaluation's resource budget, and the access path every
 // store read goes through — the one place the mode's index is chosen,
 // with the parallelism/cache execution options folded into it.
-func (q *Query) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, par int, cache *fragment.Cache, wait *obs.Histogram) *xq.Static {
+func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 	rt := q.rt
-	acc := fragment.NewAccess(q.Mode.access(), fragment.Eval{
-		At: at, Stats: s, Budget: b, Cache: cache, Parallelism: par, Wait: wait,
-	})
-	funcs := map[string]xq.Func{
-		fnView:    rt.intrView,
-		fnRoot:    rt.intrRoot,
-		fnFillers: rt.intrFillers,
-		fnByTSID:  rt.intrByTSID,
-		fnIProj:   rt.intrIProj,
-		fnVProj:   rt.intrVProj,
-	}
+	acc := fragment.NewAccess(q.Mode.access(), ev)
 	rt.mu.RLock()
-	for name, f := range rt.funcs {
-		funcs[name] = f
-	}
+	funcs := rt.funcs
 	stores := make([]*fragment.Store, 0, len(q.streams))
 	for _, name := range q.streams {
 		if st := rt.stores[name]; st != nil {
@@ -462,22 +483,15 @@ func (q *Query) newStatic(at time.Time, b *budget.Budget, s *obs.EvalStats, par 
 	}
 	rt.mu.RUnlock()
 	static := &xq.Static{
-		Now:   at,
-		Funcs: funcs,
-		Doc: func(uri string) (*xmldom.Node, error) {
-			rt.mu.RLock()
-			defer rt.mu.RUnlock()
-			if d, ok := rt.docs[uri]; ok {
-				return d, nil
-			}
-			return nil, fmt.Errorf("xcql: unknown document %q", uri)
-		},
-		Holes:       temporal.BudgetResolver(b, scopedResolver(acc, stores)),
-		Budget:      b,
-		Stats:       s,
-		Parallelism: par,
+		Now:         ev.At,
+		Funcs:       funcs,
+		Doc:         rt.doc,
+		Holes:       temporal.BudgetResolver(ev.Budget, scopedResolver(acc, stores)),
+		Budget:      ev.Budget,
+		Stats:       ev.Stats,
+		Parallelism: ev.Parallelism,
 		Access:      acc,
-		Wait:        wait,
+		Wait:        ev.Wait,
 	}
 	static.Stream = func(name string) (xq.Sequence, error) {
 		// uncompiled stream() access sees the materialized view

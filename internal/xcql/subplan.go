@@ -2,15 +2,12 @@ package xcql
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
 	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
-	"xcql/internal/xmldom"
 	"xcql/internal/xq"
 	"xcql/internal/xtime"
 )
@@ -63,41 +60,57 @@ func AccessArgs(c *xq.Call) (args []xq.Expr, pred xq.Expr) {
 // query's runtime, or nil.
 func (q *Query) StreamStore(name string) *fragment.Store { return q.rt.Store(name) }
 
-// ReadFiller reads one filler's versions at the evaluation instant through
-// the access path this query's plan reads through, charged to stats the
-// way a full evaluation charges the same fetch. The incremental evaluator
-// reads its indexed units with it: the by-tsid fetch, one filler at a time.
-func (q *Query) ReadFiller(st *fragment.Store, fid int, at time.Time, stats *obs.EvalStats) []*xmldom.Node {
-	return fragment.NewAccess(q.Mode.access(), fragment.Eval{At: at, Stats: stats}).Filler(st, fid, false, nil)
-}
-
 // UnitVar is the variable an incremental unit's body reads its own
-// filler's versions from; EvalSubPlan binds it. No query can spell it.
+// filler's versions from; UnitEval.Eval binds it. No query can spell it.
 const UnitVar = "\x00unit"
 
 // PureCall reports that a call to name in this query's plan runs an xq
 // builtin that reads nothing but its arguments — not a function the
 // runtime registered under the same name, which may read anything.
 func (q *Query) PureCall(name string) bool {
-	q.rt.mu.RLock()
-	_, shadowed := q.rt.funcs[name]
-	q.rt.mu.RUnlock()
+	_, shadowed := q.rt.funcTable()[name]
 	return !shadowed && xq.PureBuiltin(name)
 }
 
-// RecordStats publishes s as this query's LastStats. The incremental
-// evaluator assembles one EvalStats per fragment arrival out of many
-// sub-plan evaluations and records the merged profile here, so
-// Query.LastStats and EXPLAIN keep working in incremental mode.
+// RecordStats publishes a copy of s as this query's LastStats. The
+// incremental evaluator assembles one EvalStats per fragment arrival out of
+// many unit evaluations and records the merged profile here, so
+// Query.LastStats and EXPLAIN keep working in incremental mode; s stays the
+// caller's, to count the next arrival in.
 func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 
-// EvalSubPlan evaluates one sub-expression of this query's plan in a
-// fresh environment at the evaluation instant, with $UnitVar bound to
-// unit: its own budget built from lim, sequential and uncached execution
-// (the pinned baseline strategy, byte-identical to every parallel/cached
-// configuration — see TestDiffHarness), counters accumulated into stats
-// (nil collects nothing). materialize runs the final hole-filling
-// Materialize step on the result, exactly as Query.Eval does.
+// UnitEval is the evaluation frame of one incremental engine: the static
+// environment a unit evaluates in — function table, access path, hole
+// resolver, budget, horizon, the context $UnitVar is bound in — built once
+// (Query.NewUnitEval) and re-armed by every Eval, so that what a unit
+// evaluation allocates is what it reads and returns. Execution is
+// sequential and uncached: the pinned baseline strategy, byte-identical to
+// every parallel/cached configuration (see TestDiffHarness). One
+// evaluation at a time; the engine's lock sees to that.
+type UnitEval struct {
+	q       *Query
+	static  *xq.Static
+	budget  budget.Budget
+	horizon xtime.Horizon
+	ctx     *xq.Context // $UnitVar bound, rebound per unit
+}
+
+// NewUnitEval builds the frame of an engine over this query's plan.
+func (q *Query) NewUnitEval() *UnitEval {
+	u := &UnitEval{q: q}
+	u.static = q.newStatic(fragment.Eval{Budget: &u.budget, Parallelism: 1})
+	u.static.Horizon = &u.horizon
+	u.ctx = xq.NewContext(u.static).Bind(UnitVar, nil)
+	return u
+}
+
+// Eval evaluates one sub-expression of the query's plan at the evaluation
+// instant under its own budget built from lim, counters accumulated into
+// stats (nil collects nothing). With st set the unit is one filler's:
+// $UnitVar is bound to the versions of filler fid, read through the plan's
+// access path and charged the way a full evaluation charges the same
+// fetch — the by-tsid read, one filler at a time. materialize runs the
+// final hole-filling Materialize step on the result, as Query.Eval does.
 //
 // horizon is the earliest instant after at at which the same evaluation
 // over the same store can come out differently (xtime.Horizon): the zero
@@ -107,41 +120,38 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // This is the incremental evaluator's workhorse: each partial-match unit
 // re-evaluates only its own slice of the plan through the same engine
 // code paths as a full evaluation, so unit outputs are byte-identical by
-// construction. EvalSubPlan performs no admission control — one fragment
-// arrival may evaluate many tiny units and each unit is already
-// step/byte/deadline-bounded by lim.
-func (q *Query) EvalSubPlan(e xq.Expr, unit xq.Sequence, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
-	b := budget.New(context.Background(), lim)
-	static := q.newStatic(at, b, stats, 1, nil, nil)
-	static.Horizon = xtime.NewHorizon(at)
+// construction. There is no admission control — one fragment arrival may
+// evaluate many tiny units and each is already step/byte/deadline-bounded
+// by lim. Everything an evaluation leaves in the frame — a budget trip's
+// panic included — the next one's arming overwrites.
+func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
+	q, static := u.q, u.static
+	u.budget.Reset(context.Background(), lim)
+	u.horizon.Reset(at)
+	static.Now, static.Stats, static.Funcs = at, stats, q.rt.funcTable()
+	static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Parallelism: 1})
 	defer func() {
+		u.ctx.Rebind(nil)
 		if p := recover(); p != nil {
-			seq, horizon = nil, time.Time{}
-			if re, ok := p.(*budget.ResourceError); ok {
-				err = &EvalError{Query: q.Source, Mode: q.Mode, Err: re}
-			} else {
-				err = &EvalError{
-					Query: q.Source,
-					Mode:  q.Mode,
-					Err:   fmt.Errorf("panic: %v", p),
-					Stack: debug.Stack(),
-				}
-			}
+			seq, horizon, err = nil, time.Time{}, q.contained(p)
 		}
 	}()
-	seq, err = xq.Eval(e, xq.NewContext(static).Bind(UnitVar, unit))
+	if st != nil {
+		u.ctx.Rebind(xq.FromNodes(static.Access.Filler(st, fid, false, nil)))
+	}
+	seq, err = xq.Eval(e, u.ctx)
 	if err != nil {
 		return nil, time.Time{}, q.wrapResource(err)
 	}
 	if materialize {
 		seq = materializeResult(seq, static)
 	}
-	horizon, _ = static.Horizon.Next()
+	horizon, _ = u.horizon.Next()
 	if stats != nil {
 		// Query.eval copies the budget's totals into the stats at the
-		// end; sub-plan evaluations instead accumulate, so one arrival's
+		// end; unit evaluations instead accumulate, so one arrival's
 		// stats sum its unit evaluations.
-		steps, items, bytes := b.Used()
+		steps, items, bytes := u.budget.Used()
 		atomic.AddInt64(&stats.Steps, steps)
 		atomic.AddInt64(&stats.Items, items)
 		atomic.AddInt64(&stats.BytesMaterialized, bytes)

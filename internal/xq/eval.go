@@ -99,6 +99,12 @@ func (c *Context) Bind(name string, val Sequence) *Context {
 	return &child
 }
 
+// Rebind replaces the value of the variable c was made by binding. Only for
+// an owner that made c itself and runs one evaluation at a time over it:
+// the contexts an evaluation derives from c share the binding, and none of
+// them outlives the evaluation.
+func (c *Context) Rebind(val Sequence) { c.vars.val = val }
+
 // WithItem returns a child context focused on item at position pos of size.
 func (c *Context) WithItem(item Item, pos, size int) *Context {
 	child := *c

@@ -18,8 +18,10 @@ type Horizon struct {
 	set  bool
 }
 
-// NewHorizon starts tracking an evaluation at the instant at.
-func NewHorizon(at time.Time) *Horizon { return &Horizon{at: at} }
+// Reset starts tracking an evaluation at the instant at, forgetting
+// everything a previous one observed: one Horizon serves an owner that runs
+// one evaluation after another.
+func (h *Horizon) Reset(at time.Time) { *h = Horizon{at: at} }
 
 // Next returns the earliest instant after At at which the observed
 // comparisons can change; ok is false when none ever does. Next == At

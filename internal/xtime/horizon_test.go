@@ -29,7 +29,8 @@ func TestHorizonObserve(t *testing.T) {
 	for _, o := range observers {
 		for _, a := range values {
 			for _, b := range values {
-				h := NewHorizon(at)
+				h := new(Horizon)
+				h.Reset(at)
 				o.observe(h, a, b)
 				was := o.value(a, b, at)
 				next, ok := h.Next()
@@ -63,12 +64,13 @@ func TestHorizonObserve(t *testing.T) {
 // the instant only, and a nil horizon accepts every report.
 func TestHorizonCollapse(t *testing.T) {
 	at := time.Date(2004, 3, 31, 0, 0, 0, 0, time.UTC)
-	h := NewHorizon(at)
+	h := new(Horizon)
+	h.Reset(at)
 	h.Observe(Now().Sub(MustParseDuration("P1M")), At(at.Add(-24*time.Hour)))
 	if next, ok := h.Next(); !ok || !next.Equal(at) {
 		t.Errorf("month-shifted now: horizon %v %v, want the instant itself", next, ok)
 	}
-	h = NewHorizon(at)
+	h.Reset(at)
 	h.Observe(Now(), At(at.Add(time.Hour)))
 	h.Observe(Now(), At(at.Add(time.Minute)))
 	if next, _ := h.Next(); !next.Equal(at.Add(time.Minute)) {
