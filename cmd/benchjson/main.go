@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go test -bench 'BenchmarkFigure4$' -benchmem . | go run ./cmd/benchjson
-//	go run ./cmd/benchjson -diff BENCH_pr3.json BENCH_pr4.json
+//	go run ./cmd/benchjson -diff BENCH_pr18.json BENCH_pr19.json
 //
 // With -diff, two snapshot files are compared and a regression table of
 // the overlapping benchmarks is printed: old and new ns/op and the

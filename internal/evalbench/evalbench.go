@@ -189,7 +189,8 @@ func formatMs(d time.Duration) string {
 // SpeedupSummary reports, per query and scale, the ordering and the
 // QaC+/QaC++, QaC/QaC+ and CaQ/QaC ratios — the paper's headline claim
 // is that each step is about an order of magnitude at the larger sizes;
-// the QaC+/QaC++ column tracks what the label index buys on top.
+// the QaC+/QaC++ column tracks what reading the index with no lookup
+// pass buys on top.
 func SpeedupSummary(rows []Row) string {
 	type key struct {
 		q     string

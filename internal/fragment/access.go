@@ -13,8 +13,9 @@ type HoleResolver func(holeID int) []*xmldom.Node
 
 // Access is the one seam between a translated plan and the stores it
 // reads. Every plan performs the same three reads and gets the same
-// elements from them; the implementations differ only in which index
-// serves a read and what the evaluation's counters are charged for it —
+// elements from them, out of the store's one index; the implementations
+// differ only in the lookup pass a read pays for and what the evaluation's
+// counters are charged for it —
 // the paper's claim that the plans "differ only in access cost, never
 // in results", as a type.
 //
@@ -50,8 +51,10 @@ const (
 	// TSIDIndexAccess is LogScanAccess with the unnested get_fillers of §8: a hole-id
 	// set resolves in one batched pass (QaC+).
 	TSIDIndexAccess
-	// LabelIndexAccess serves every read from the store's prefix-label index:
-	// no pass over the log, no hole counted as resolved (QaC++).
+	// LabelIndexAccess reads the store's index and pays for no lookup: no pass
+	// over the log even on a scan store, no hole counted as resolved (QaC++).
+	// It is named for the counters it moves, obs.EvalStats' LabelRange*; no
+	// read consults a label (see LabelIndex).
 	LabelIndexAccess
 )
 
@@ -65,8 +68,8 @@ type Eval struct {
 	// Budget is charged one step — a cancellation poll — per pass of a
 	// log-scanned hole-id set; nil is unlimited.
 	Budget *budget.Budget
-	// Cache memoizes the log passes; nil disables it. The label index is
-	// memoized on the store already and never consults it.
+	// Cache memoizes the log passes; nil disables it. A label-index read
+	// runs no pass and never consults it.
 	Cache *Cache
 	// Parallelism > 1 fans a log-scanned hole-id set out over that many
 	// workers; Wait, when non-nil, receives their queue waits.
@@ -117,7 +120,7 @@ func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.No
 	}
 	if a.Cache == nil || !hole {
 		// what no hole leads to is read once per evaluation: not memoized
-		els, n := st.annotateFiller(st.Versions(id), a.At, keep)
+		els, n := st.lookup([]int{id}, a.At, keep)
 		a.chargePass(st, n, len(els))
 		return els
 	}
@@ -148,7 +151,7 @@ func (a *logScan) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
 // translations ask for it.
 func (a *logScan) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
 	if a.Cache == nil {
-		els, n := st.annotateGroups(st.tsidGroups(tsid), a.At, keep)
+		els, n := st.lookupTSID(tsid, a.At, keep)
 		a.Stats.AddTSIDLookup(n)
 		a.chargePass(st, n, len(els))
 		return els
@@ -169,7 +172,7 @@ func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
 	}
 	a.Stats.AddHoles(len(ids))
 	if a.Cache == nil {
-		els, n := st.annotateGroups(st.versionGroups(ids), a.At, keep)
+		els, n := st.lookup(distinctIDs(ids), a.At, keep)
 		a.chargePass(st, n, len(els))
 		return els
 	}
@@ -194,21 +197,14 @@ func (a *labelIndex) charge(els []*xmldom.Node, n int) []*xmldom.Node {
 	return els
 }
 
-// Filler reads the filler's version group. On an indexed store that
-// group is the by-id index's — the same versions in the same order — so
-// a single-filler read never makes a store that ingests between reads
-// rebuild its label index.
 func (a *labelIndex) Filler(st *Store, id int, _ bool, keep Filter) []*xmldom.Node {
-	if st.Scanning() {
-		return a.charge(st.Labels().Fillers(id, a.At, keep))
-	}
-	return a.charge(st.annotateFiller(st.Versions(id), a.At, keep))
+	return a.charge(st.read([]int{id}, 0, a.At, keep))
 }
 
 func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
-	return a.charge(st.Labels().FillersList(ids, a.At, keep))
+	return a.charge(st.read(distinctIDs(ids), 0, a.At, keep))
 }
 
 func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
-	return a.charge(st.Labels().FillersByTSID(tsid, a.At, keep))
+	return a.charge(st.readTSID(tsid, a.At, keep))
 }

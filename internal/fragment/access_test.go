@@ -9,6 +9,7 @@ import (
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
+	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
 
@@ -29,6 +30,41 @@ func render(els []*xmldom.Node) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// twoTSIDStore holds one filler id that arrived under tsid 2, then under
+// tsid 3, then under tsid 2 again — what no fragmenter produces and a
+// store accepts.
+func twoTSIDStore(t *testing.T, scan bool) *fragment.Store {
+	t.Helper()
+	structure, err := tagstruct.ParseString(`<stream:structure>
+<tag type="snapshot" id="1" name="r">
+  <tag type="temporal" id="2" name="a"/>
+  <tag type="temporal" id="3" name="b"/>
+</tag>
+</stream:structure>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fragment.NewStore(structure)
+	if scan {
+		st = fragment.NewScanStore(structure)
+	}
+	for _, wire := range []string{
+		`<filler id="0" tsid="1" validTime="2004-01-01T00:00:00"><r><hole id="5" tsid="2"/></r></filler>`,
+		`<filler id="5" tsid="2" validTime="2004-01-01T00:00:00"><a>one</a></filler>`,
+		`<filler id="5" tsid="3" validTime="2004-01-01T01:00:00"><b>two</b></filler>`,
+		`<filler id="5" tsid="2" validTime="2004-01-01T02:00:00"><a>three</a></filler>`,
+	} {
+		f, err := fragment.Parse(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
 }
 
 // TestAccessContract runs the three reads every plan performs through
@@ -83,7 +119,10 @@ func TestAccessContract(t *testing.T) {
 			name string
 			run  func(fragment.Access) []*xmldom.Node
 			want func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges
+			// elements, when set, spells out what the read returns
+			elements string
 		}
+		two := twoTSIDStore(t, scan)
 		perID := func(els []*xmldom.Node, n int, cached, warm bool) charges {
 			// one hole and one cached pass per id
 			c := charges{holes: int64(n)}
@@ -188,11 +227,27 @@ func TestAccessContract(t *testing.T) {
 					return c
 				},
 			},
+			{
+				// a read by tsid returns the versions carrying the tsid, and
+				// only those; a version's lifespan is closed by the filler's
+				// next version, whichever tsid that one carries
+				name: "by-tsid-of-a-filler-id-under-two-tsids",
+				run: func(a fragment.Access) []*xmldom.Node {
+					return append(a.ByTSID(two, 2, nil), a.ByTSID(two, 3, nil)...)
+				},
+				elements: `<a vtFrom="2004-01-01T00:00:00" vtTo="2004-01-01T01:00:00">one</a>
+<a vtFrom="2004-01-01T02:00:00" vtTo="now">three</a>
+<b vtFrom="2004-01-01T01:00:00" vtTo="2004-01-01T02:00:00">two</b>
+`,
+			},
 		}
 		for _, rd := range reads {
 			reference := render(rd.run(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at})))
 			if reference == "" {
 				t.Fatalf("scan=%v %s: reference read is empty", scan, rd.name)
+			}
+			if rd.elements != "" && reference != rd.elements {
+				t.Errorf("scan=%v %s: the log scan returned\n%s\nwant\n%s", scan, rd.name, reference, rd.elements)
 			}
 			for _, k := range kinds {
 				for _, state := range []string{"nil", "cold", "warm"} {
@@ -220,7 +275,7 @@ func TestAccessContract(t *testing.T) {
 		}
 		// the census EXPLAIN predicts label reads from is what they return
 		for _, tsid := range tsids {
-			_, versions := st.Labels().TSIDCensus(tsid)
+			_, versions := st.TSIDFillers(tsid)
 			if got := len(fragment.NewAccess(fragment.LabelIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid, nil)); got != versions {
 				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, got)
 			}

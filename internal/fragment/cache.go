@@ -10,8 +10,8 @@ import (
 )
 
 // Cache is an LRU materialization cache over Store lookups: it memoizes
-// the annotated subtrees that GetFillers / GetFillersList /
-// GetFillersByTSID produce, keyed by (store, access kind, id). Repeated
+// the annotated subtrees that a lookup by filler id or by tsid produces,
+// keyed by (store, access kind, id). Repeated
 // and continuous queries that revisit the same holes skip the store pass
 // — under the scan cost model that pass is a walk of the whole fragment
 // log, so a hit removes the dominant Figure-4 cost term entirely.
@@ -54,8 +54,8 @@ const maxVariants = 4
 
 // cache access kinds.
 const (
-	kindFiller = iota // GetFillers / GetFillersList (by hole id)
-	kindTSID          // GetFillersByTSID (by tag structure id)
+	kindFiller = iota // by hole id
+	kindTSID          // by tag structure id
 )
 
 type cacheKey struct {
@@ -167,90 +167,70 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 	}
 	// generation BEFORE the lookup: an Add racing us stales the variant
 	gen := st.Generation()
-	versions := st.Versions(fillerID)
-	out, _ := st.annotateFiller(versions, at, nil)
-	c.fill(key, newVariant(gen, versions, at, out))
+	ids := []int{fillerID}
+	out, _ := st.lookup(ids, at, nil)
+	c.fill(key, newVariant(gen, st, ids, at, out))
 	return out, false
 }
 
-// GetFillersList is a caching Store.GetFillersList: ids already resident
-// are served from memory; all missing ids are resolved in ONE store pass
-// (Store.versionGroups), preserving the batched cost shape that
-// separates QaC+ from QaC. The concatenation order matches
-// Store.GetFillersList exactly. It reports the hit and miss counts and
-// the number of elements the miss pass built (hits build none); the
-// caller charges that pass when there were misses.
+// GetFillersList is GetFillers over a hole-id set, concatenated in input
+// order, a repeated id contributing only at its first position: ids
+// already resident are served from memory and all missing ids share ONE
+// lookup pass, preserving the batched cost shape that separates QaC+ from
+// QaC. It reports the hit and miss counts and the number of elements the
+// miss pass built (hits build none); the caller charges that pass when
+// there were misses.
 func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, built int) {
+	fillerIDs = distinctIDs(fillerIDs)
 	if c == nil {
-		out = st.GetFillersList(fillerIDs, at)
+		out, _ = st.lookup(fillerIDs, at, nil)
 		return out, 0, len(fillerIDs), len(out)
 	}
-	type slot struct {
-		els []*xmldom.Node
-		ok  bool
-	}
-	slots := make([]slot, len(fillerIDs))
-	var missIDs []int
-	missPos := make([]int, 0, len(fillerIDs))
-	seen := make(map[int]bool, len(fillerIDs))
+	slots := make([][]*xmldom.Node, len(fillerIDs))
+	var missPos []int
 	for i, id := range fillerIDs {
-		if seen[id] {
-			continue // duplicate ids contribute only at their first position
-		}
-		seen[id] = true
 		if els, ok := c.lookup(cacheKey{store: st, kind: kindFiller, id: id}, st, at); ok {
-			slots[i] = slot{els: els, ok: true}
+			slots[i] = els
 			hits++
 			continue
 		}
-		missIDs = append(missIDs, id)
 		missPos = append(missPos, i)
 	}
-	if len(missIDs) > 0 {
+	if misses = len(missPos); misses > 0 {
 		gen := st.Generation()
-		groups := st.versionGroups(missIDs)
-		for j, group := range groups {
-			els, _ := st.annotateFiller(group, at, nil)
+		missIDs := make([]int, misses)
+		for j, i := range missPos {
+			missIDs[j] = fillerIDs[i]
+		}
+		st.scanPass(AttrID, missIDs)
+		for j, i := range missPos {
+			ids := missIDs[j : j+1]
+			els, _ := st.read(ids, 0, at, nil)
 			built += len(els)
-			c.fill(cacheKey{store: st, kind: kindFiller, id: missIDs[j]}, newVariant(gen, group, at, els))
-			slots[missPos[j]] = slot{els: els, ok: true}
+			c.fill(cacheKey{store: st, kind: kindFiller, id: ids[0]}, newVariant(gen, st, ids, at, els))
+			slots[i] = els
 		}
-		misses = len(missIDs)
 	}
-	for _, s := range slots {
-		if s.ok {
-			out = append(out, s.els...)
-		}
+	for _, els := range slots {
+		out = append(out, els...)
 	}
 	return out, hits, misses, built
 }
 
-// GetFillersByTSID is a caching Store.GetFillersByTSID.
+// GetFillersByTSID is GetFillers for the lookup by tsid.
 func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmldom.Node, hit bool) {
 	if c == nil {
-		return st.GetFillersByTSID(tsid, at), false
+		els, _ = st.lookupTSID(tsid, at, nil)
+		return els, false
 	}
 	key := cacheKey{store: st, kind: kindTSID, id: tsid}
 	if els, ok := c.lookup(key, st, at); ok {
 		return els, true
 	}
 	gen := st.Generation()
-	groups := st.tsidGroups(tsid)
-	out, _ := st.annotateGroups(groups, at, nil)
-	v := &cacheVariant{gen: gen}
-	for _, group := range groups {
-		// the tsid result is constant only while EVERY group's visible
-		// prefix is: intersect the per-group windows
-		gv := newVariant(gen, group, at, nil)
-		if gv.hasFrom && (!v.hasFrom || gv.from.After(v.from)) {
-			v.from, v.hasFrom = gv.from, true
-		}
-		if gv.hasTo && (!v.hasTo || gv.to.Before(v.to)) {
-			v.to, v.hasTo = gv.to, true
-		}
-	}
-	v.els = out
-	c.fill(key, v)
+	out, _ := st.lookupTSID(tsid, at, nil)
+	fids, _ := st.TSIDFillers(tsid)
+	c.fill(key, newVariant(gen, st, fids, at, out))
 	return out, false
 }
 
@@ -334,28 +314,11 @@ func (c *Cache) Usage(st *Store) (entries, valid int) {
 	return entries, valid
 }
 
-// newVariant builds the memoized variant for one filler id: els plus the
-// as-of window over which the visible prefix of
-// versions — and therefore the annotated output — is constant:
-// [validTime of the last visible version, validTime of the next one).
-// With no visible version the window is (-inf, first validTime); with
-// every version visible it is [last validTime, +inf). When els is nil
-// the caller fills v.els itself (the tsid path intersects windows).
-func newVariant(gen uint64, versions []*Fragment, at time.Time, els []*xmldom.Node) *cacheVariant {
+// newVariant builds the memoized variant of a read of fids: els plus the
+// as-of window over which the read returns them (Store.window).
+func newVariant(gen uint64, st *Store, fids []int, at time.Time, els []*xmldom.Node) *cacheVariant {
 	v := &cacheVariant{gen: gen, els: els}
-	visible := 0
-	for _, f := range versions {
-		if f.ValidTime.After(at) {
-			break
-		}
-		visible++
-	}
-	if visible > 0 {
-		v.from, v.hasFrom = versions[visible-1].ValidTime, true
-	}
-	if visible < len(versions) {
-		v.to, v.hasTo = versions[visible].ValidTime, true
-	}
+	v.from, v.to, v.hasFrom, v.hasTo = st.window(fids, at)
 	return v
 }
 

@@ -260,7 +260,7 @@ func TestCacheBatchedLookup(t *testing.T) {
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
 	ids := []int{1, 2, 3}
-	want := render(st.GetFillersList(ids, at))
+	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, ids, nil))
 	c.GetFillers(st, 2, at) // warm just one of the three
 	out, hits, misses, built := c.GetFillersList(st, ids, at)
 	if render(out) != want {
@@ -283,7 +283,7 @@ func TestCacheTSIDLookup(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	want := render(st.GetFillersByTSID(4, at))
+	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).ByTSID(st, 4, nil))
 	els, hit := c.GetFillersByTSID(st, 4, at)
 	if hit || render(els) != want {
 		t.Fatalf("cold tsid lookup: hit=%v out=%s", hit, render(els))
@@ -293,7 +293,7 @@ func TestCacheTSIDLookup(t *testing.T) {
 		t.Fatalf("warm tsid lookup: hit=%v out=%s", hit, render(els))
 	}
 	addLimit(t, st, "2004-01-01T00:00:00", "5000")
-	want = render(st.GetFillersByTSID(4, at))
+	want = render(NewAccess(TSIDIndexAccess, Eval{At: at}).ByTSID(st, 4, nil))
 	els, hit = c.GetFillersByTSID(st, 4, at)
 	if hit {
 		t.Fatal("tsid lookup served stale generation")

@@ -78,8 +78,8 @@ func TestCoalesceRemovesExactDuplicates(t *testing.T) {
 			if got := len(st.Versions(2)); got != 3 {
 				t.Fatalf("versions after coalesce = %d, want 3", got)
 			}
-			if got := len(st.ByTSID(4)); got != 3 {
-				t.Fatalf("ByTSID after coalesce = %d, want 3", got)
+			if _, got := st.TSIDFillers(4); got != 3 {
+				t.Fatalf("versions under tsid 4 after coalesce = %d, want 3", got)
 			}
 
 			// a no-op pass must not advance the generation: it would

@@ -2,7 +2,6 @@ package fragment
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,14 +128,14 @@ func abbrevID(name string) (int, bool) {
 // duplicates had never arrived.
 //
 // Generation semantics: the whole pass runs under the store's write
-// lock and the ingest generation advances before the lock is released —
-// but only when something was actually removed. A concurrent cached
-// lookup therefore either resolves entirely before the coalesce (and
-// its cache fill is stamped with the now-stale generation, so it can
-// never be served again) or entirely after it; no reader, cached or
-// not, can observe a half-compacted window. A no-op pass leaves the
-// generation untouched so it cannot gratuitously invalidate a warm
-// cache.
+// lock — it builds a new index (Store.index, as Add does) and leaves the
+// old one to the readers that hold its groups — and the ingest generation
+// advances before the lock is released, but only when something was
+// actually removed. A reader therefore sees each version group entirely
+// before the coalesce or entirely after it, never half-compacted, and a
+// cached lookup that resolved before it is stamped with the now-stale
+// generation, so it can never be served again. A no-op pass leaves the
+// generation untouched so it cannot gratuitously invalidate a warm cache.
 //
 // It returns the number of duplicate versions removed.
 func (st *Store) Coalesce() int {
@@ -163,26 +162,12 @@ func (st *Store) Coalesce() int {
 		return 0
 	}
 	st.log = keptLog
-	if st.scan {
-		st.wire = keptWire
-	} else {
-		byID := make(map[int][]*Fragment, len(st.byID))
-		byTSID := make(map[int][]*Fragment, len(st.byTSID))
-		for _, f := range keptLog {
-			versions := byID[f.FillerID]
-			i := sort.Search(len(versions), func(i int) bool {
-				return versions[i].ValidTime.After(f.ValidTime)
-			})
-			versions = append(versions, nil)
-			copy(versions[i+1:], versions[i:])
-			versions[i] = f
-			byID[f.FillerID] = versions
-			byTSID[f.TSID] = append(byTSID[f.TSID], f)
-		}
-		st.byID = byID
-		st.byTSID = byTSID
+	st.wire = keptWire
+	st.byID = make(map[int][]*Fragment, len(st.byID))
+	st.byTSID = make(map[int]tsidFillers, len(st.byTSID))
+	for _, f := range keptLog {
+		st.index(f)
 	}
-	st.count = len(keptLog)
 	st.gen.Add(1)
 	return removed
 }

@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -387,11 +388,11 @@ func TestByTSIDIndex(t *testing.T) {
 	if err := st.AddAll(frags); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.ByTSID(5); len(got) != 1 || got[0].Payload.Name != "transaction" {
-		t.Fatalf("ByTSID(5) = %v", got)
+	if fids, n := st.TSIDFillers(5); n != 1 || len(fids) != 1 || st.Versions(fids[0])[0].Payload.Name != "transaction" {
+		t.Fatalf("TSIDFillers(5) = %v, %d versions", fids, n)
 	}
-	if got := st.ByTSID(4); len(got) != 2 {
-		t.Fatalf("ByTSID(4) = %d fragments", len(got))
+	if fids, n := st.TSIDFillers(4); n != 2 || len(fids) != 1 || len(st.Versions(fids[0])) != 2 {
+		t.Fatalf("TSIDFillers(4) = %v, %d versions", fids, n)
 	}
 }
 
@@ -401,7 +402,7 @@ func TestGetFillersListConcatenates(t *testing.T) {
 	_ = st.Add(New(1, 4, ts("2003-01-01T00:00:00"), xmldom.TextElem("creditLimit", "a")))
 	_ = st.Add(New(2, 4, ts("2003-01-02T00:00:00"), xmldom.TextElem("creditLimit", "b")))
 	at := ts("2003-06-01T00:00:00")
-	els := st.GetFillersList([]int{1, 2, 99}, at)
+	els := NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, []int{1, 2, 99}, nil)
 	if len(els) != 2 {
 		t.Fatalf("list = %d", len(els))
 	}
@@ -412,17 +413,16 @@ func TestLifespan(t *testing.T) {
 	st := NewStore(s)
 	_ = st.Add(New(1, 4, ts("2003-01-01T00:00:00"), xmldom.TextElem("creditLimit", "a")))
 	_ = st.Add(New(1, 4, ts("2003-02-01T00:00:00"), xmldom.TextElem("creditLimit", "b")))
-	at := ts("2003-06-01T00:00:00")
-	iv, ok := st.Lifespan(1, 0, at)
-	if !ok || iv.From.String() != "2003-01-01T00:00:00" || iv.To.String() != "2003-02-01T00:00:00" {
-		t.Fatalf("v0 lifespan = %v ok=%v", iv, ok)
+	_ = st.Add(New(1, 4, ts("2003-09-01T00:00:00"), xmldom.TextElem("creditLimit", "c")))
+	els := st.GetFillers(1, ts("2003-06-01T00:00:00"))
+	if len(els) != 2 {
+		t.Fatalf("%d versions visible, want 2 (the third is dated after the read)", len(els))
 	}
-	iv, ok = st.Lifespan(1, 1, at)
-	if !ok || !iv.To.IsNow() {
-		t.Fatalf("v1 lifespan = %v", iv)
+	if from, to := els[0].AttrOr("vtFrom", ""), els[0].AttrOr("vtTo", ""); from != "2003-01-01T00:00:00" || to != "2003-02-01T00:00:00" {
+		t.Fatalf("v0 lifespan = [%s, %s]", from, to)
 	}
-	if _, ok := st.Lifespan(1, 5, at); ok {
-		t.Fatal("out-of-range index should fail")
+	if from, to := els[1].AttrOr("vtFrom", ""), els[1].AttrOr("vtTo", ""); from != "2003-02-01T00:00:00" || to != "now" {
+		t.Fatalf("v1 lifespan = [%s, %s], want it open: its successor has not happened yet", from, to)
 	}
 }
 
@@ -492,11 +492,20 @@ func TestScanStoreMatchesIndexedStore(t *testing.T) {
 		}
 	}
 	for tsid := 1; tsid <= 8; tsid++ {
-		if len(indexed.ByTSID(tsid)) != len(scan.ByTSID(tsid)) {
-			t.Fatalf("tsid %d counts differ", tsid)
+		fids, n := indexed.TSIDFillers(tsid)
+		scanFids, scanN := scan.TSIDFillers(tsid)
+		if n != scanN || !slices.Equal(fids, scanFids) {
+			t.Fatalf("tsid %d: %v (%d versions) vs %v (%d)", tsid, fids, n, scanFids, scanN)
+		}
+		// the pass a scan store pays for finds what its index holds
+		if got := scan.scanPass(AttrTSID, []int{tsid}); got != n {
+			t.Fatalf("tsid %d: the log pass matched %d versions, the index holds %d", tsid, got, n)
 		}
 	}
-	if len(indexed.FillerIDs()) != len(scan.FillerIDs()) {
+	if !slices.Equal(indexed.FillerIDs(), scan.FillerIDs()) {
 		t.Fatal("FillerIDs differ")
+	}
+	if got := scan.scanPass(AttrID, scan.FillerIDs()); got != scan.Len() {
+		t.Fatalf("the log pass for every id matched %d of %d fragments", got, scan.Len())
 	}
 }

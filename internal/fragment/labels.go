@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"xcql/internal/xmldom"
 )
@@ -13,8 +12,7 @@ import (
 // Label is a Dewey-style prefix label: the slot path from the root
 // filler down to a filler, one component per hole level. Lexicographic
 // order over labels (shorter prefix first) is exactly preorder document
-// order, which is what lets the QaC++ plan assemble results without ever
-// walking a hole: the order is already in the label.
+// order: a plan that needs it can have it without walking a hole.
 type Label []uint32
 
 // Compare orders labels lexicographically with a shorter prefix first —
@@ -68,21 +66,15 @@ func (l Label) String() string {
 	return strings.Join(parts, ".")
 }
 
-// LabelIndex is the QaC++ access path: per-filler version groups and the
-// per-tsid filler lists, plus every filler's Dewey prefix label, all
-// derived from one snapshot of the fragment log. The index is immutable
-// once built and memoized on the store stamped with the ingest
-// generation read BEFORE the snapshot, so a racing Add makes the memo
-// stale rather than ever serving post-ingest data as pre-ingest (the
-// same rule the materialization cache follows).
-//
-// The reads a query issues (Fillers, FillersList, FillersByTSID) need
-// only the groups, whose order the snapshot already fixes; the labels
-// themselves — and the document order they spell — are minted from the
-// same snapshot on first request (LabelOf, DocOrderFIDs, Labeled), so an
-// index rebuilt after every write costs and retains only what reads use.
-// Stored payloads are immutable, so minting later reads exactly what
-// minting at build time would have.
+// LabelIndex holds the Dewey prefix label of every filler reachable from
+// the root, and the document order the labels spell, for one generation of
+// a store. It stores no fragment: reads — QaC++'s included — go to the
+// store's index, and the labels are minted from that index, as it stands
+// then, on first request (LabelOf, DocOrderFIDs, Labeled). It is memoized
+// on the store stamped with the ingest generation read BEFORE anything
+// else is, so a write that comes before the minting makes the memo stale
+// rather than ever passing post-ingest labels off as pre-ingest (the rule
+// the materialization cache follows).
 //
 // Labels are assigned by a breadth-first walk from the root filler:
 // within one parent, the distinct child hole ids get consecutive slots
@@ -91,67 +83,27 @@ func (l Label) String() string {
 // reads the version-ordered groups — not the arrival order — reordered
 // or duplicated arrivals produce the same labels as document-order
 // ingest. Orphans (fillers never announced by any reachable hole) stay
-// unlabeled but remain served by the version and tsid lookups, so
-// label-served reads return exactly what the log-backed reads return.
+// unlabeled; the store's index serves them all the same.
 type LabelIndex struct {
 	st  *Store
 	gen uint64
-
-	versions map[int][]*Fragment // fid -> versions in validTime order
-	byTSID   map[int][]int       // tsid -> distinct fids ascending
-	total    int                 // distinct fillers stored
 
 	mint     sync.Once     // guards labels and docOrder
 	labels   map[int]Label // fid -> label (reachable fillers only)
 	docOrder []int         // labeled fids in label (document) order
 }
 
-// Labels returns the store's label index, rebuilding it only when the
-// ingest generation has moved since the last build. Concurrent callers
-// may race to build; every built index is correct for the generation it
-// is stamped with, so the race is benign.
+// Labels returns the store's label index, a new one only when the ingest
+// generation has moved since the last. Concurrent callers may race to make
+// one; each is correct for the generation it is stamped with, so the race
+// is benign.
 func (st *Store) Labels() *LabelIndex {
 	gen := st.gen.Load()
 	if idx := st.labelIdx.Load(); idx != nil && idx.gen == gen {
 		return idx
 	}
-	idx := st.buildLabels(gen)
+	idx := &LabelIndex{st: st, gen: gen}
 	st.labelIdx.Store(idx)
-	return idx
-}
-
-// buildLabels snapshots the fragment log into the index's groups. gen
-// must be the generation read before the snapshot.
-func (st *Store) buildLabels(gen uint64) *LabelIndex {
-	st.mu.RLock()
-	log := make([]*Fragment, len(st.log))
-	copy(log, st.log)
-	st.mu.RUnlock()
-
-	idx := &LabelIndex{
-		st:       st,
-		gen:      gen,
-		versions: make(map[int][]*Fragment),
-		byTSID:   make(map[int][]int),
-	}
-	tsidSeen := make(map[int]map[int]bool)
-	for _, f := range log {
-		idx.versions[f.FillerID] = append(idx.versions[f.FillerID], f)
-		if tsidSeen[f.TSID] == nil {
-			tsidSeen[f.TSID] = make(map[int]bool)
-		}
-		if !tsidSeen[f.TSID][f.FillerID] {
-			tsidSeen[f.TSID][f.FillerID] = true
-			idx.byTSID[f.TSID] = append(idx.byTSID[f.TSID], f.FillerID)
-		}
-	}
-	idx.total = len(idx.versions)
-	for _, group := range idx.versions {
-		sort.SliceStable(group, func(i, j int) bool { return group[i].ValidTime.Before(group[j].ValidTime) })
-	}
-	for _, fids := range idx.byTSID {
-		sort.Ints(fids)
-	}
 	return idx
 }
 
@@ -164,7 +116,7 @@ func (idx *LabelIndex) doMintLabels() {
 	idx.labels = make(map[int]Label)
 	// BFS from the root: label parents before children so every child
 	// label extends an already-final parent label.
-	if _, ok := idx.versions[RootFillerID]; ok {
+	if len(idx.st.Versions(RootFillerID)) > 0 {
 		idx.labels[RootFillerID] = Label{}
 		queue := []int{RootFillerID}
 		for len(queue) > 0 {
@@ -173,7 +125,7 @@ func (idx *LabelIndex) doMintLabels() {
 			base := idx.labels[parent]
 			slot := uint32(0)
 			seen := make(map[int]bool)
-			for _, v := range idx.versions[parent] {
+			for _, v := range idx.st.Versions(parent) {
 				if v.Payload == nil {
 					continue
 				}
@@ -195,7 +147,7 @@ func (idx *LabelIndex) doMintLabels() {
 					slot++
 					if _, dup := idx.labels[hid]; !dup {
 						idx.labels[hid] = lbl
-						if _, stored := idx.versions[hid]; stored {
+						if len(idx.st.Versions(hid)) > 0 {
 							queue = append(queue, hid)
 						}
 					}
@@ -206,7 +158,7 @@ func (idx *LabelIndex) doMintLabels() {
 	}
 	idx.docOrder = make([]int, 0, len(idx.labels))
 	for fid := range idx.labels {
-		if _, stored := idx.versions[fid]; stored {
+		if len(idx.st.Versions(fid)) > 0 {
 			idx.docOrder = append(idx.docOrder, fid)
 		}
 	}
@@ -217,10 +169,6 @@ func (idx *LabelIndex) doMintLabels() {
 
 // Generation returns the store generation the index was built against.
 func (idx *LabelIndex) Generation() uint64 { return idx.gen }
-
-// Size is the number of distinct fillers the index covers (labeled or
-// not).
-func (idx *LabelIndex) Size() int { return idx.total }
 
 // Labeled is the number of fillers reachable from the root and hence
 // carrying a label.
@@ -244,52 +192,4 @@ func (idx *LabelIndex) DocOrderFIDs() []int {
 	out := make([]int, len(idx.docOrder))
 	copy(out, idx.docOrder)
 	return out
-}
-
-// Fillers serves get_fillers from the index: one annotated element per
-// version of fid visible at the evaluation instant that keep lets through,
-// and the number of versions examined. Byte-identical to Store.GetFillers,
-// with zero log scans.
-func (idx *LabelIndex) Fillers(fid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	return idx.st.annotateFiller(idx.versions[fid], at, keep)
-}
-
-// FillersList serves get_fillers_list from the index: the id set
-// concatenated in input order, duplicates contributing only at their
-// first position — byte-identical to Store.GetFillersList.
-func (idx *LabelIndex) FillersList(fids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	seen := make(map[int]bool, len(fids))
-	first := make([]int, 0, len(fids))
-	for _, fid := range fids {
-		if !seen[fid] {
-			seen[fid] = true
-			first = append(first, fid)
-		}
-	}
-	return idx.fillersOf(first, at, keep)
-}
-
-// FillersByTSID serves the descendant jump from the index: every stored
-// filler under tsid, grouped by filler id ascending — byte-identical to
-// Store.GetFillersByTSID (orphans included, so reordered histories
-// replay identically).
-func (idx *LabelIndex) FillersByTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	return idx.fillersOf(idx.byTSID[tsid], at, keep)
-}
-
-// fillersOf is one read of the version groups of distinct fillers.
-func (idx *LabelIndex) fillersOf(fids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	return idx.st.annotateEach(len(fids), func(i int) []*Fragment { return idx.versions[fids[i]] }, at, keep)
-}
-
-// VersionCount returns how many versions of fid the index holds.
-func (idx *LabelIndex) VersionCount(fid int) int { return len(idx.versions[fid]) }
-
-// TSIDCensus reports the distinct fillers and total stored versions
-// under tsid — the label-path cost prediction EXPLAIN uses.
-func (idx *LabelIndex) TSIDCensus(tsid int) (fillers, versions int) {
-	for _, fid := range idx.byTSID[tsid] {
-		versions += len(idx.versions[fid])
-	}
-	return len(idx.byTSID[tsid]), versions
 }

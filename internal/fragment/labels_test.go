@@ -128,20 +128,18 @@ func TestLabelDocOrder(t *testing.T) {
 	}
 }
 
-// Reordered, reversed and duplicated arrivals must mint identical labels:
-// the labeler reads version-ordered groups, not the ingest log order.
 // TestLabelsMintedOnDemand: the reads a query issues never mint labels —
-// an index rebuilt after every write pays for and retains only the
-// version groups — and the first label request mints them, once, with
-// concurrent callers agreeing.
+// a store that is written between reads pays for none — and the first
+// label request mints them, once, with concurrent callers agreeing.
 func TestLabelsMintedOnDemand(t *testing.T) {
 	st := labelStore(t, labelFixture(t))
 	idx := st.Labels()
-	idx.Fillers(10, labelAt, nil)
-	idx.FillersList([]int{11, 12}, labelAt, nil)
-	idx.FillersByTSID(5, labelAt, nil)
-	idx.TSIDCensus(5)
-	if idx.labels != nil || idx.docOrder != nil {
+	acc := NewAccess(LabelIndexAccess, Eval{At: labelAt})
+	acc.Filler(st, 10, true, nil)
+	acc.Fillers(st, []int{11, 12}, nil)
+	acc.ByTSID(st, 5, nil)
+	st.TSIDFillers(5)
+	if idx != st.Labels() || idx.labels != nil || idx.docOrder != nil {
 		t.Fatal("serving reads minted the labels")
 	}
 	got := make(chan string, 4)
@@ -159,9 +157,12 @@ func TestLabelsMintedOnDemand(t *testing.T) {
 	}
 }
 
+// Reordered, reversed and duplicated arrivals must mint identical labels:
+// the labeler reads version-ordered groups, not the ingest log order.
 func TestLabelArrivalOrderStability(t *testing.T) {
 	base := labelFixture(t)
-	ref := labelStore(t, base).Labels()
+	refStore := labelStore(t, base)
+	ref := refStore.Labels()
 
 	arrivals := map[string][]*Fragment{}
 	rev := make([]*Fragment, len(base))
@@ -177,10 +178,11 @@ func TestLabelArrivalOrderStability(t *testing.T) {
 	arrivals["duplicated"] = append(append([]*Fragment(nil), base...), base[1], base[4], base[0])
 
 	for name, frags := range arrivals {
-		idx := labelStore(t, frags).Labels()
-		if idx.Labeled() != ref.Labeled() || idx.Size() != ref.Size() {
+		st := labelStore(t, frags)
+		idx := st.Labels()
+		if idx.Labeled() != ref.Labeled() || len(st.FillerIDs()) != len(refStore.FillerIDs()) {
 			t.Fatalf("%s: labeled %d/%d fillers, want %d/%d",
-				name, idx.Labeled(), idx.Size(), ref.Labeled(), ref.Size())
+				name, idx.Labeled(), len(st.FillerIDs()), ref.Labeled(), len(refStore.FillerIDs()))
 		}
 		for _, fid := range ref.DocOrderFIDs() {
 			want, _ := ref.LabelOf(fid)
@@ -291,17 +293,17 @@ func TestLabelOrphans(t *testing.T) {
 	if _, ok := idx.LabelOf(99); ok {
 		t.Fatal("orphan filler 99 got a label")
 	}
-	if idx.Labeled() >= idx.Size() {
-		t.Fatalf("labeled %d of %d fillers — fixture should have an orphan", idx.Labeled(), idx.Size())
+	if idx.Labeled() >= len(st.FillerIDs()) {
+		t.Fatalf("labeled %d of %d fillers — fixture should have an orphan", idx.Labeled(), len(st.FillerIDs()))
 	}
-	viaLabels, _ := idx.FillersByTSID(5, labelAt, nil)
-	got := renderNodes(viaLabels)
-	want := renderNodes(st.GetFillersByTSID(5, labelAt))
+	viaLabels := NewAccess(LabelIndexAccess, Eval{At: labelAt})
+	got := renderNodes(viaLabels.ByTSID(st, 5, nil))
+	want := renderNodes(NewAccess(LogScanAccess, Eval{At: labelAt}).ByTSID(st, 5, nil))
 	if got != want {
 		t.Fatalf("tsid 5 via labels:\n%s\nvia store:\n%s", got, want)
 	}
-	if els, _ := idx.Fillers(99, labelAt, nil); len(els) == 0 {
-		t.Fatal("orphan not served by Fillers")
+	if els := viaLabels.Filler(st, 99, true, nil); len(els) == 0 {
+		t.Fatal("orphan not served by Filler")
 	}
 }
 

@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,23 +16,28 @@ import (
 )
 
 // Store is the client-side fragment repository: every filler that has
-// arrived, indexed by filler id (versions, validTime order) and by tsid
-// (the QaC+ fast path). It is safe for concurrent readers with one or
-// more writers, so continuous queries can evaluate while fragments arrive.
+// arrived, and the one index every read goes through — each filler's
+// versions in validTime order and, per tsid, the distinct filler ids
+// ascending. It is safe for concurrent readers with one or more writers,
+// so continuous queries can evaluate while fragments arrive.
 type Store struct {
 	structure *tagstruct.Structure
-	// scan disables the hash indexes: every lookup walks the append-only
-	// fragment log, reproducing the cost model of the paper's evaluation
-	// substrate, where get_fillers was a predicate scan over a flat
-	// fragments.xml document. NewScanStore sets it.
+	// scan makes every log-scan and tsid-index lookup pass walk the stored
+	// <filler> wire elements (scanPass), reproducing the cost model of the
+	// paper's evaluation substrate, where get_fillers was a predicate scan
+	// over a flat fragments.xml document. NewScanStore sets it.
 	scan bool
 
-	mu     sync.RWMutex
-	log    []*Fragment         // arrival order (always kept)
-	wire   []*xmldom.Node      // scan mode: the <filler> wire elements
-	byID   map[int][]*Fragment // versions sorted by validTime, then arrival
-	byTSID map[int][]*Fragment // arrival order
-	count  int
+	mu   sync.RWMutex
+	log  []*Fragment    // arrival order
+	wire []*xmldom.Node // scan mode: the <filler> wire elements, aligned with log
+
+	// The filler index, written by index alone. A version group or an id
+	// list grows at its end or is replaced by a new slice, never shifted in
+	// place: a reader takes a slice header under mu and reads it — runs its
+	// Filter, builds its nodes — after letting mu go.
+	byID   map[int][]*Fragment // filler id -> versions by validTime, ties by arrival
+	byTSID map[int]tsidFillers
 
 	// gen counts successful Adds. The materialization cache stamps every
 	// entry with the generation read BEFORE the resolving lookup, so any
@@ -46,11 +52,16 @@ type Store struct {
 	// fragment out of memory entirely and fails the Add.
 	wal func(*Fragment) error
 
-	// labelIdx memoizes the Dewey prefix-label index (the QaC++ access
-	// path). It is stamped with the store generation at build time and
-	// rebuilt on demand when the generation has moved — the same
-	// stale-safe invalidation rule the materialization cache uses.
+	// labelIdx memoizes the prefix labels of one store generation; see
+	// Labels.
 	labelIdx atomic.Pointer[LabelIndex]
+}
+
+// tsidFillers is what the index keeps per tsid: the distinct ids of the
+// fillers with a version carrying it, ascending, and how many versions do.
+type tsidFillers struct {
+	fids     []int
+	versions int
 }
 
 // NewStore returns an empty indexed store for the given tag structure.
@@ -58,15 +69,15 @@ func NewStore(s *tagstruct.Structure) *Store {
 	return &Store{
 		structure: s,
 		byID:      make(map[int][]*Fragment),
-		byTSID:    make(map[int][]*Fragment),
+		byTSID:    make(map[int]tsidFillers),
 	}
 }
 
-// NewScanStore returns a store whose per-filler and per-tsid lookups scan
-// the whole fragment log as stored XML, evaluating the paper's
-// doc("fragments.xml")/fragments/filler[@id=$fid] predicate against each
-// <filler> element's attributes. The Figure-4 benchmarks use it to
-// reproduce the published cost shape; production clients should use
+// NewScanStore returns a store whose log-scan and tsid-index lookups pay
+// for a walk of the whole fragment log as stored XML, evaluating the
+// paper's doc("fragments.xml")/fragments/filler[@id=$fid] predicate
+// against each <filler> element's attributes. The Figure-4 benchmarks use
+// it to reproduce the published cost shape; production clients should use
 // NewStore.
 func NewScanStore(s *tagstruct.Structure) *Store {
 	st := NewStore(s)
@@ -110,21 +121,39 @@ func (st *Store) Add(f *Fragment) error {
 	st.log = append(st.log, f)
 	if st.scan {
 		st.wire = append(st.wire, f.ToXML())
-	} else {
-		versions := st.byID[f.FillerID]
-		// insert keeping validTime order; ties keep arrival order (stable)
-		i := sort.Search(len(versions), func(i int) bool {
-			return versions[i].ValidTime.After(f.ValidTime)
-		})
-		versions = append(versions, nil)
-		copy(versions[i+1:], versions[i:])
-		versions[i] = f
-		st.byID[f.FillerID] = versions
-		st.byTSID[f.TSID] = append(st.byTSID[f.TSID], f)
 	}
-	st.count++
+	st.index(f)
 	st.gen.Add(1)
 	return nil
+}
+
+// index files f under its filler id and its tsid. Callers hold the write
+// lock.
+func (st *Store) index(f *Fragment) {
+	versions := st.byID[f.FillerID]
+	// validTime order; ties keep arrival order
+	i := sort.Search(len(versions), func(i int) bool {
+		return versions[i].ValidTime.After(f.ValidTime)
+	})
+	st.byID[f.FillerID] = insertAt(versions, i, f)
+	t := st.byTSID[f.TSID]
+	if i, found := slices.BinarySearch(t.fids, f.FillerID); !found {
+		t.fids = insertAt(t.fids, i, f.FillerID)
+	}
+	t.versions++
+	st.byTSID[f.TSID] = t
+}
+
+// insertAt returns s with v at position i, keeping the index's rule for
+// slices a reader may be holding: at the end it appends — a reader never
+// looks past the length it took — and anywhere else it builds a new slice,
+// so no element a reader can see moves. Fragmenters number fillers, and
+// date versions, in the order they send them: the copy is the exception.
+func insertAt[T any](s []T, i int, v T) []T {
+	if i == len(s) {
+		return append(s, v)
+	}
+	return slices.Concat(s[:i], []T{v}, s[i:])
 }
 
 // Generation returns the store's ingest generation: a counter that
@@ -163,57 +192,90 @@ func (st *Store) AddAll(fs []*Fragment) error {
 func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.count
+	return len(st.log)
 }
 
-// Versions returns the stored versions for a filler id in validTime order.
-// The returned slice is a copy; the fragments are shared and must not be
-// mutated.
+// Versions returns the stored versions of a filler id in validTime order:
+// the index's own group, not a copy. The slice and the fragments are
+// shared and must not be modified.
 func (st *Store) Versions(fillerID int) []*Fragment {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.scan {
-		out := st.scanBy(AttrID, fillerID)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].ValidTime.Before(out[j].ValidTime) })
-		return out
-	}
 	vs := st.byID[fillerID]
-	out := make([]*Fragment, len(vs))
-	copy(out, vs)
-	return out
+	st.mu.RUnlock()
+	return vs[:len(vs):len(vs)]
 }
 
-// ByTSID returns every stored fragment with the given tsid in arrival
-// order — the QaC+ access path.
-func (st *Store) ByTSID(tsid int) []*Fragment {
+// FillerIDs returns every stored filler id in ascending order, in a slice
+// of the caller's own: the index's keys, sorted.
+func (st *Store) FillerIDs() []int {
+	st.mu.RLock()
+	ids := make([]int, 0, len(st.byID))
+	for id := range st.byID {
+		ids = append(ids, id)
+	}
+	st.mu.RUnlock()
+	sort.Ints(ids)
+	return ids
+}
+
+// Fillers returns the number of distinct filler ids stored.
+func (st *Store) Fillers() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if st.scan {
-		return st.scanBy(AttrTSID, tsid)
-	}
-	fs := st.byTSID[tsid]
-	out := make([]*Fragment, len(fs))
-	copy(out, fs)
-	return out
+	return len(st.byID)
 }
 
-// scanBy walks the stored <filler> wire elements evaluating the attribute
-// predicate per element — the paper's filler[@attr=value] access path.
-// Callers must hold at least a read lock.
-func (st *Store) scanBy(attr string, value int) []*Fragment {
-	var out []*Fragment
-	for i, el := range st.wire {
+// TSIDFillers returns the distinct ids of the fillers with a version
+// carrying tsid, ascending — the index's own list, which must not be
+// modified — and the number of versions that carry it.
+func (st *Store) TSIDFillers(tsid int) (fids []int, versions int) {
+	st.mu.RLock()
+	t := st.byTSID[tsid]
+	st.mu.RUnlock()
+	return t.fids[:len(t.fids):len(t.fids)], t.versions
+}
+
+// scanPass is one lookup pass under the scan cost model: the paper's
+// filler[@attr=value] predicate evaluated against every stored <filler>
+// wire element — for a set of values, the join of the log with the set
+// (§8's unnested get_fillers) — and the number of elements that matched.
+// A read does not collect them: the index already holds what the pass
+// finds, grouped and ordered, since Add files every fragment in both. A
+// scan store exists to reproduce what a lookup costs on the paper's
+// substrate, and this walk is that cost; on an indexed store there is no
+// pass.
+func (st *Store) scanPass(attr string, values []int) (matched int) {
+	if !st.scan || len(values) == 0 {
+		return 0
+	}
+	st.mu.RLock()
+	wire := st.wire // grows at its end or is replaced, like the index's slices
+	st.mu.RUnlock()
+	var set map[int]struct{} // the join's build side
+	if len(values) > 1 {
+		set = make(map[int]struct{}, len(values))
+		for _, v := range values {
+			set[v] = struct{}{}
+		}
+	}
+	for _, el := range wire {
 		v, ok := el.Attr(attr)
 		if !ok {
 			continue
 		}
 		n, err := strconv.Atoi(v)
-		if err != nil || n != value {
+		if err != nil {
 			continue
 		}
-		out = append(out, st.log[i])
+		match := n == values[0]
+		if set != nil {
+			_, match = set[n]
+		}
+		if match {
+			matched++
+		}
 	}
-	return out
+	return matched
 }
 
 // LookupCost reports how many stored filler versions one lookup pass
@@ -252,7 +314,7 @@ func (st *Store) Root() *Fragment {
 // Versions with validTime after the evaluation instant `at` are invisible
 // (they have not "happened" yet from the query's standpoint).
 func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
-	out, _ := st.annotateFiller(st.Versions(fillerID), at, nil)
+	out, _ := st.lookup([]int{fillerID}, at, nil)
 	return out
 }
 
@@ -284,18 +346,27 @@ func (keep Filter) Sift(els []*xmldom.Node) []*xmldom.Node {
 // version visible at the evaluation instant that keep lets through,
 // stamped with its deduced [vtFrom, vtTo], and reports how many visible
 // versions it examined. versions must be one filler id's versions in
-// validTime order. The instants are rendered into the read's one buffer:
-// a read pays a few allocations for them, not one or two per version.
-func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, at time.Time, keep Filter, instants *strings.Builder) ([]*xmldom.Node, int) {
+// validTime order. A version's lifespan is a fact about its filler, not
+// about the read that reached it: it runs to the validTime of the filler's
+// next visible version, whatever that one's tsid. A read by tsid (tsid >
+// 0) returns — examines, asks keep about — only the versions carrying the
+// tsid; for a filler id that arrived under a second tsid, the other tsid's
+// versions still close the lifespans of the ones returned. The instants
+// are rendered into the read's one buffer: a read pays a few allocations
+// for them, not one or two per version.
+func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, tsid int, at time.Time, keep Filter, instants *strings.Builder) ([]*xmldom.Node, int) {
 	examined := 0
 	next := "" // the next version's vtFrom, already rendered as this one's vtTo
 	for i, f := range versions {
 		if f.ValidTime.After(at) {
 			break
 		}
-		examined++
 		from := next
 		next = ""
+		if tsid > 0 && f.TSID != tsid {
+			continue
+		}
+		examined++
 		if keep != nil && !keep(f.Payload) {
 			continue
 		}
@@ -348,133 +419,109 @@ func lifespanTop(p *xmldom.Node, from, to string) *xmldom.Node {
 	return el
 }
 
-// annotateEach is one read's annotateVersions over its n version groups,
-// group(i) the i-th (nil for none). Without a filter every visible version
-// is built and renders at most one instant, so the read sizes its output
-// and its instants once; with one, both grow as versions are kept.
-func (st *Store) annotateEach(n int, group func(int) []*Fragment, at time.Time, keep Filter) (out []*xmldom.Node, examined int) {
+// read is one read of the index: the version groups of fids, in that
+// order, annotated — of each group only the versions carrying tsid when
+// tsid > 0 — and the number of versions examined. It takes each group's
+// slice header under the lock and annotates outside it, so no Filter runs
+// and no node is built while a writer waits, and no group is copied.
+// Without a filter every visible version is built and renders at most one
+// instant, so the read sizes its output and its instants once; with one,
+// both grow as versions are kept.
+func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter) (out []*xmldom.Node, examined int) {
 	var instants strings.Builder
 	if keep == nil {
 		total := 0
-		for i := 0; i < n; i++ {
-			total += len(group(i))
+		st.mu.RLock()
+		if tsid > 0 {
+			total = st.byTSID[tsid].versions
+		} else {
+			for _, fid := range fids {
+				total += len(st.byID[fid])
+			}
 		}
+		st.mu.RUnlock()
 		out = make([]*xmldom.Node, 0, total)
 		instants.Grow(total * len(xtime.Layout))
 	}
-	for i := 0; i < n; i++ {
+	for _, fid := range fids {
 		var seen int
-		out, seen = st.annotateVersions(out, group(i), at, keep, &instants)
+		out, seen = st.annotateVersions(out, st.Versions(fid), tsid, at, keep, &instants)
 		examined += seen
 	}
 	return out, examined
 }
 
-// annotateFiller is annotateEach for a read of one filler.
-func (st *Store) annotateFiller(versions []*Fragment, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	return st.annotateEach(1, func(int) []*Fragment { return versions }, at, keep)
+// lookup is the paper's get_fillers over a set of distinct hole ids, their
+// versions concatenated in input order: one lookup pass — §8's unnested
+// formulation when there are several ids — then the read.
+func (st *Store) lookup(ids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	st.scanPass(AttrID, ids)
+	return st.read(ids, 0, at, keep)
 }
 
-// annotateGroups is annotateEach over a list of version groups.
-func (st *Store) annotateGroups(groups [][]*Fragment, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	return st.annotateEach(len(groups), func(i int) []*Fragment { return groups[i] }, at, keep)
+// readTSID is a read of the versions carrying tsid, filler ids ascending.
+func (st *Store) readTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	fids, _ := st.TSIDFillers(tsid)
+	return st.read(fids, tsid, at, keep)
 }
 
-// GetFillersList is the paper's get_fillers_list: GetFillers over a set
-// of hole ids, concatenated in input order. Unlike looping GetFillers, it
-// resolves the whole id set in ONE pass over the log in scan mode — the
-// unnested/join formulation of get_fillers that §8 proposes and that the
-// QaC+ plan uses; the QaC plan deliberately loops GetFillers instead,
-// matching the paper's translation and its measured cost.
-func (st *Store) GetFillersList(fillerIDs []int, at time.Time) []*xmldom.Node {
-	out, _ := st.annotateGroups(st.versionGroups(fillerIDs), at, nil)
+// lookupTSID is the paper's filler[@tsid=…] lookup: one lookup pass, then
+// the read.
+func (st *Store) lookupTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+	st.scanPass(AttrTSID, []int{tsid})
+	return st.readTSID(tsid, at, keep)
+}
+
+// distinctIDs returns ids without its repeats, each id at its first
+// position: ids itself when it is strictly ascending — how a fragmenter
+// numbers one parent's holes — and a filtered copy otherwise.
+func distinctIDs(ids []int) []int {
+	ascending := true
+	for i := 1; i < len(ids) && ascending; i++ {
+		ascending = ids[i-1] < ids[i]
+	}
+	if ascending {
+		return ids
+	}
+	seen := make(map[int]struct{}, len(ids))
+	out := make([]int, 0, len(ids))
+	for _, id := range ids {
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
-// versionGroups returns, aligned with fillerIDs, each id's stored
-// versions in validTime order. A duplicate id contributes its group only
-// at its first position (later positions stay nil), mirroring
-// GetFillersList's concatenation semantics. In scan mode the whole id
-// set is resolved in ONE pass over the wire log — the single lookup pass
-// whose cost GetFillersList is charged for; in indexed mode each group
-// is an index copy. The cache layer shares this helper so batched miss
-// fills keep the one-pass cost shape.
-func (st *Store) versionGroups(fillerIDs []int) [][]*Fragment {
-	groups := make([][]*Fragment, len(fillerIDs))
-	if !st.scan {
-		seen := make(map[int]bool, len(fillerIDs))
-		for i, id := range fillerIDs {
-			if seen[id] {
-				continue
+// window is the span of evaluation instants over which a read of fids
+// returns what it returns at `at`: each group's visible prefix is constant
+// from its last visible version's validTime (from, when hasFrom) until its
+// next version's (to, when hasTo), and a read of several groups is
+// constant only while every group's is.
+func (st *Store) window(fids []int, at time.Time) (from, to time.Time, hasFrom, hasTo bool) {
+	for _, fid := range fids {
+		versions := st.Versions(fid)
+		visible := sort.Search(len(versions), func(i int) bool { return versions[i].ValidTime.After(at) })
+		if visible > 0 {
+			if t := versions[visible-1].ValidTime; !hasFrom || t.After(from) {
+				from, hasFrom = t, true
 			}
-			seen[id] = true
-			groups[i] = st.Versions(id)
 		}
-		return groups
-	}
-	want := make(map[int]int, len(fillerIDs)) // id -> first position
-	for i, id := range fillerIDs {
-		if _, ok := want[id]; !ok {
-			want[id] = i
+		if visible < len(versions) {
+			if t := versions[visible].ValidTime; !hasTo || t.Before(to) {
+				to, hasTo = t, true
+			}
 		}
 	}
-	st.mu.RLock()
-	for i, el := range st.wire {
-		v, ok := el.Attr(AttrID)
-		if !ok {
-			continue
-		}
-		id, err := strconv.Atoi(v)
-		if err != nil {
-			continue
-		}
-		if pos, ok := want[id]; ok {
-			groups[pos] = append(groups[pos], st.log[i])
-		}
-	}
-	st.mu.RUnlock()
-	for _, group := range groups {
-		sort.SliceStable(group, func(i, j int) bool { return group[i].ValidTime.Before(group[j].ValidTime) })
-	}
-	return groups
-}
-
-// GetFillersByTSID returns the annotated versions of every filler whose
-// tsid matches, grouped by filler id in ascending id order — the QaC+
-// access path (the paper's filler[@tsid=…] predicate scan). One pass over
-// the log in scan mode; index lookup otherwise.
-func (st *Store) GetFillersByTSID(tsid int, at time.Time) []*xmldom.Node {
-	out, _ := st.annotateGroups(st.tsidGroups(tsid), at, nil)
-	return out
-}
-
-// tsidGroups returns the stored fragments carrying tsid as per-filler
-// version groups: filler ids ascending, each group in validTime order —
-// GetFillersByTSID's grouping, shared with the cache layer. One lookup
-// pass over the log in scan mode.
-func (st *Store) tsidGroups(tsid int) [][]*Fragment {
-	frags := st.ByTSID(tsid)
-	byID := make(map[int][]*Fragment)
-	var order []int
-	for _, f := range frags {
-		if _, ok := byID[f.FillerID]; !ok {
-			order = append(order, f.FillerID)
-		}
-		byID[f.FillerID] = append(byID[f.FillerID], f)
-	}
-	sort.Ints(order)
-	groups := make([][]*Fragment, 0, len(order))
-	for _, id := range order {
-		group := byID[id]
-		sort.SliceStable(group, func(i, j int) bool { return group[i].ValidTime.Before(group[j].ValidTime) })
-		groups = append(groups, group)
-	}
-	return groups
+	return from, to, hasFrom, hasTo
 }
 
 // LatestVersion returns the version of fillerID current at the evaluation
-// instant, or nil when none has arrived yet.
+// instant, or nil when none has arrived yet. It is a lookup by filler id,
+// and costs a scan store one pass.
 func (st *Store) LatestVersion(fillerID int, at time.Time) *Fragment {
+	st.scanPass(AttrID, []int{fillerID})
 	versions := st.Versions(fillerID)
 	var cur *Fragment
 	for _, f := range versions {
@@ -484,40 +531,4 @@ func (st *Store) LatestVersion(fillerID int, at time.Time) *Fragment {
 		cur = f
 	}
 	return cur
-}
-
-// Lifespan computes the [vtFrom, vtTo] interval of version index (0-based)
-// of fillerID at the evaluation instant, mirroring GetFillers' annotation.
-func (st *Store) Lifespan(fillerID, index int, at time.Time) (xtime.Interval, bool) {
-	versions := st.Versions(fillerID)
-	if index < 0 || index >= len(versions) || versions[index].ValidTime.After(at) {
-		return xtime.Interval{}, false
-	}
-	f := versions[index]
-	from := xtime.At(f.ValidTime)
-	tag := st.structure.ByID(f.TSID)
-	if tag != nil && tag.Type == tagstruct.Event {
-		return xtime.PointInterval(from), true
-	}
-	if index+1 < len(versions) && !versions[index+1].ValidTime.After(at) {
-		return xtime.NewInterval(from, xtime.At(versions[index+1].ValidTime)), true
-	}
-	return xtime.NewInterval(from, xtime.Now()), true
-}
-
-// FillerIDs returns all known filler ids in ascending order; mainly for
-// diagnostics and tests.
-func (st *Store) FillerIDs() []int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	seen := make(map[int]bool)
-	var out []int
-	for _, f := range st.log {
-		if !seen[f.FillerID] {
-			seen[f.FillerID] = true
-			out = append(out, f.FillerID)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -721,7 +721,8 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 			continue
 		}
 		for ai, tsid := range p.tsids {
-			for _, fid := range e.fidsForTSID(tsid) {
+			fids, _ := e.store.TSIDFillers(tsid)
+			for _, fid := range fids {
 				e.ensureUnit(unitKey{pi, ai, fid})
 			}
 		}
@@ -738,10 +739,10 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 	return seq, serials, nil
 }
 
-// rebuildContainment rescans the whole store: hole announcements give
-// the parent links the per-arrival walk-up climbs, and versions with
-// future validTimes are queued as pending visibility events (a fragment
-// already stored can still "happen" later).
+// rebuildContainment rereads everything the store's index holds: hole
+// announcements give the parent links the per-arrival walk-up climbs, and
+// versions with future validTimes are queued as pending visibility events
+// (a fragment already stored can still "happen" later).
 func (e *Engine) rebuildContainment(at time.Time) {
 	e.tsidOf = make(map[int]int)
 	e.parentOf = make(map[int]int)
@@ -1048,21 +1049,6 @@ func (e *Engine) ensureUnit(k unitKey) *unit {
 	u := &unit{key: k, due: -1}
 	e.order = slices.Insert(e.order, i, u)
 	return u
-}
-
-// fidsForTSID lists the distinct filler ids stored under a tsid,
-// ascending — the iteration order of the store's tsid index.
-func (e *Engine) fidsForTSID(tsid int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, f := range e.store.ByTSID(tsid) {
-		if !seen[f.FillerID] {
-			seen[f.FillerID] = true
-			out = append(out, f.FillerID)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ItemsSnapshot returns the full current result (what a full

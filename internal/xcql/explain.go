@@ -2,6 +2,7 @@ package xcql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,18 +176,13 @@ func (q *Query) explainCache(cache *fragment.Cache, streamNames []string, target
 		}
 		switch t.Op {
 		case "get_fillers", "get_fillers_batched":
-			ids := distinctFillerIDs(st.ByTSID(t.TSID))
+			ids, _ := st.TSIDFillers(t.TSID)
 			hits := cache.ResidentFillers(st, ids)
 			ce.PredictedHits += int64(hits)
 			ce.PredictedMisses += int64(len(ids) - hits)
 		case "materialize-view":
 			// CaQ resolves every non-root filler id through the cache
-			var ids []int
-			for _, id := range st.FillerIDs() {
-				if id != fragment.RootFillerID {
-					ids = append(ids, id)
-				}
-			}
+			ids := slices.DeleteFunc(st.FillerIDs(), func(id int) bool { return id == fragment.RootFillerID })
 			hits := cache.ResidentFillers(st, ids)
 			ce.PredictedHits += int64(hits)
 			ce.PredictedMisses += int64(len(ids) - hits)
@@ -199,20 +195,6 @@ func (q *Query) explainCache(cache *fragment.Cache, streamNames []string, target
 		}
 	}
 	return ce
-}
-
-// distinctFillerIDs extracts the distinct filler ids behind a version
-// slice, in first-seen order.
-func distinctFillerIDs(versions []*fragment.Fragment) []int {
-	seen := map[int]bool{}
-	var ids []int
-	for _, f := range versions {
-		if !seen[f.FillerID] {
-			seen[f.FillerID] = true
-			ids = append(ids, f.FillerID)
-		}
-	}
-	return ids
 }
 
 // explainCall classifies one intrinsic call as a store access path.
@@ -260,11 +242,12 @@ var crossingOps = map[fragment.AccessKind]string{
 	fragment.LabelIndexAccess: "label-kids",
 }
 
-// censusTSID fills a target's store census: distinct filler ids and
-// versions currently carrying the tsid, and the cost of one lookup pass.
-// The label index returns exactly the stored versions under the tsid, so
-// there one pass costs the returned versions — never a log scan, even on
-// a scan-mode store. That gap is the QaC++ speedup EXPLAIN predicts.
+// censusTSID fills a target's store census from the store's index:
+// distinct filler ids and versions currently carrying the tsid, and the
+// cost of one lookup pass. A label-index read returns exactly the stored
+// versions under the tsid, so there one pass costs the returned versions —
+// never a log scan, even on a scan-mode store. That gap is the QaC++
+// speedup EXPLAIN predicts.
 func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 	st := q.rt.Store(t.Stream)
 	if st == nil {
@@ -273,15 +256,11 @@ func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 	if tag := st.Structure().ByID(t.TSID); tag != nil {
 		t.Tag = tag.Name
 	}
-	if q.Mode.access() == fragment.LabelIndexAccess {
-		t.Holes, t.Versions = st.Labels().TSIDCensus(t.TSID)
-		t.CostPerPass = t.Versions
-		return t
+	fids, versions := st.TSIDFillers(t.TSID)
+	t.Holes, t.Versions, t.CostPerPass = len(fids), versions, versions
+	if q.Mode.access() != fragment.LabelIndexAccess {
+		t.CostPerPass = st.LookupCost(versions)
 	}
-	versions := st.ByTSID(t.TSID)
-	t.Holes = len(distinctFillerIDs(versions))
-	t.Versions = len(versions)
-	t.CostPerPass = st.LookupCost(len(versions))
 	return t
 }
 
@@ -292,7 +271,7 @@ func (q *Query) censusWhole(t ExplainTarget) ExplainTarget {
 	if st == nil {
 		return t
 	}
-	t.Holes = len(st.FillerIDs())
+	t.Holes = st.Fillers()
 	t.Versions = st.Len()
 	t.CostPerPass = st.LookupCost(st.Len())
 	return t
@@ -329,9 +308,9 @@ func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
 		p.AddLabelRangeLookup(t.Versions)
 	case "root":
 		if q.Mode.access() == fragment.LabelIndexAccess {
-			// the label index serves the root too
+			// an index fetch of the root's versions
 			if st := q.rt.Store(t.Stream); st != nil {
-				p.AddLabelRangeLookup(st.Labels().VersionCount(fragment.RootFillerID))
+				p.AddLabelRangeLookup(len(st.Versions(fragment.RootFillerID)))
 			}
 			break
 		}

@@ -11,9 +11,9 @@
 //     step needs using the tsid index, skipping hole reconciliation on
 //     levels the query never touches, and cross a child step's holes in
 //     one batched pass.
-//   - QaC++: the same plan as QaC+ over a different index — every read is
-//     served from the store's Dewey prefix-label index, so evaluation
-//     never resolves a hole and never scans the fragment log.
+//   - QaC++: the same plan as QaC+, paying for no lookup — every read goes
+//     straight to the store's filler index, so evaluation never resolves a
+//     hole and never scans the fragment log.
 //
 // The evaluator is shared across plans and the fragment plans share one
 // intrinsic vocabulary; a mode is a translation (materialize first, or

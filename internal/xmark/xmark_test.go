@@ -104,11 +104,8 @@ func TestStructureMatchesGenerator(t *testing.T) {
 	count := func(name string) int {
 		total := 0
 		for _, tag := range s.Named(name) {
-			ids := map[int]bool{}
-			for _, f := range st.ByTSID(tag.ID) {
-				ids[f.FillerID] = true
-			}
-			total += len(ids)
+			fids, _ := st.TSIDFillers(tag.ID)
+			total += len(fids)
 		}
 		return total
 	}

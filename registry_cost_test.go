@@ -6,7 +6,7 @@ package xcql_test
 // monotonicity suite to the sharing layer: the group's cost counters
 // (FillersScanned, HandlerInvocations) after a replay must be ~flat in
 // K, and BenchmarkRegistryFanout exposes the same claim as a benchmark
-// grid (shared vs independent × K) for BENCH_pr8.json.
+// grid (shared vs independent × K) for the BENCH snapshots.
 
 import (
 	"fmt"
@@ -225,7 +225,7 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 	})
 }
 
-// BenchmarkRegistryFanout is the sharing headline for BENCH_pr8.json:
+// BenchmarkRegistryFanout is the sharing headline of the BENCH snapshots:
 // per-fragment cost with K standing queries over one shared access
 // path, registry-shared vs K independent continuous queries. Shared
 // mode should stay ~flat in K (handlers/op ~1×); independent mode grows

@@ -15,9 +15,9 @@
 // Queries compile to one of four physical plans over the fragment
 // store: CaQ (materialize, then query), QaC (query fragments directly,
 // crossing holes on demand), QaC+ (jump to the needed fragments via
-// the tsid index) and QaC++ (serve every access from a Dewey-style
-// prefix-label index, so evaluation never resolves a hole and never
-// scans the fragment log). All four produce identical results; they
+// the tsid index) and QaC++ (the same plan, every access read straight
+// off the store's filler index, so evaluation never resolves a hole and
+// never scans the fragment log). All four produce identical results; they
 // differ — dramatically, see the benchmarks — in how much of the
 // document they touch.
 //
