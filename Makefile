@@ -2,9 +2,9 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke bench bench-json bench-diff
+.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate bench-gate fuzz-smoke bench bench-json bench-diff
 
-check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate fuzz-smoke
+check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate bench-gate fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -113,13 +113,15 @@ test-labels:
 trace-smoke:
 	$(GO) test -race -run '^TestTraceSmoke$$' -timeout 120s .
 
-# The allocation gate: Q1, Q5 and QD under QaC+ and QaC++ on XMark sf=0.02
-# must stay under fixed allocs/op ceilings (~15 % above the counts of the
-# zero-copy read path with predicates pushed below it, both plans reading
-# the store's one index in place) — the deterministic metric that neither a
-# deep copy sneaking back onto the read path, nor a top element built for a
-# version the query discards, nor a per-read regrouping of what the index
-# holds can hide from. A QaC++ Q1 evaluated right after a Store.Add must
+# The allocation gate: Q1, Q2, Q5 and QD under QaC+ and QaC++ on XMark
+# sf=0.02 must stay under fixed allocs/op ceilings (~15 % above the counts
+# of the zero-copy read path with predicates pushed below it, a child
+# step's positions served as a read window and hole ids read in place,
+# both plans reading the store's one index in place) — the deterministic
+# metric that neither a deep copy sneaking back onto the read path, nor a
+# top element built for a version the query discards, nor a per-read
+# regrouping of what the index holds, nor an id set built per hole crossing
+# can hide from. A QaC++ Q1 evaluated right after a Store.Add must
 # allocate within 5 of a warm one, and Explain() the same on a store ten
 # times the size and after a write: nothing is derived from the store per
 # generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
@@ -136,6 +138,20 @@ trace-smoke:
 # without -race: the detector's instrumentation allocates on its own.
 alloc-gate:
 	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling|TestExplainDoesNotWalkTheStore)$$' -count=1 -timeout 120s .
+
+# The benchmark gate: a short fixed-iteration run of the grid rows whose
+# numbers a re-run reproduces — PlanGrid, Selectivity, the re-announcing
+# IncrementalContinuous rows and RegistryFanout — held to the newest
+# snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
+# label-lookups/op, handlers/op and mat-bytes/op exactly, allocs/op at most
+# 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
+# moves by a quarter between two runs of the same code. A PR that moves
+# one of these on purpose writes a new snapshot (bench-json).
+bench-gate:
+	( $(GO) test -run '^$$' -bench '^(BenchmarkPlanGrid|BenchmarkSelectivity)$$' -benchtime 20x -benchmem -short . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$/^reannounce$$' -benchtime 300x -benchmem -short . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ) \
+		| $(GO) run ./cmd/benchjson -gate $(BENCHOUT)
 
 # A short deterministic shake of each fuzz target; longer runs are
 # `make fuzz-smoke FUZZTIME=5m`. `-run '^$'` skips the unit tests that

@@ -14,6 +14,13 @@
 // With -diff, two snapshot files are compared and a regression table of
 // the overlapping benchmarks is printed: old and new ns/op and the
 // relative change, plus benchmarks only one side has.
+//
+// With -gate, the benchmark output on stdin is held to a snapshot on the
+// metrics a re-run reproduces — the access counters and bytes
+// materialized exactly, allocs/op within 2 % + 2 — and the command fails
+// when a row misses; ns/op is printed, never judged:
+//
+//	go test -bench 'BenchmarkPlanGrid$' -benchtime 20x -benchmem -short . | go run ./cmd/benchjson -gate BENCH_pr21.json
 package main
 
 import (
@@ -43,7 +50,15 @@ type Record struct {
 
 func main() {
 	diffMode := flag.Bool("diff", false, "compare two snapshot files: benchjson -diff old.json new.json")
+	gateSnap := flag.String("gate", "", "hold the benchmark output on stdin to this snapshot file")
 	flag.Parse()
+	if *gateSnap != "" {
+		if err := runGate(os.Stdout, os.Stdin, *gateSnap); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *diffMode {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "benchjson: -diff wants exactly two snapshot files")
@@ -126,6 +141,80 @@ func diffTable(w io.Writer, oldRecs, newRecs []Record) {
 			fmt.Fprintf(w, "%-50s %14.0f %14s %9s\n", or.Name, or.NsPerOp, "-", "gone")
 		}
 	}
+}
+
+// gateExact are the metrics a re-run must reproduce to the unit: they
+// follow from the data and the plan, not from the host.
+var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "label-lookups/op", "handlers/op", "mat-bytes/op"}
+
+// allocsAllowed is the most allocs/op a re-run may take against a
+// snapshot's: a fixed-iteration run amortizes one-off allocations over
+// fewer operations than the snapshot's did.
+func allocsAllowed(snapshot float64) float64 { return snapshot*1.02 + 2 }
+
+func runGate(w io.Writer, r io.Reader, snapPath string) error {
+	snap, err := loadSnapshot(snapPath)
+	if err != nil {
+		return err
+	}
+	out, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	// a benchmark that fails leaves no row to miss: the run fails instead
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "FAIL") || strings.HasPrefix(strings.TrimSpace(line), "--- FAIL") || strings.HasPrefix(line, "panic:") {
+			return fmt.Errorf("gate: the benchmark run failed: %s", line)
+		}
+	}
+	run, err := parse(bufio.NewScanner(strings.NewReader(string(out))))
+	if err != nil {
+		return err
+	}
+	if len(run) == 0 {
+		return fmt.Errorf("gate: no benchmark results on stdin")
+	}
+	if misses := gateTable(w, snap, run); misses > 0 {
+		return fmt.Errorf("gate: %d of %d rows miss %s", misses, len(run), snapPath)
+	}
+	return nil
+}
+
+// gateTable prints one line per run row — ns/op and allocs/op against the
+// snapshot and a verdict — and returns how many rows miss: a row the
+// snapshot lacks, an exact metric that moved, or allocs/op past
+// allocsAllowed.
+func gateTable(w io.Writer, snap, run []Record) (misses int) {
+	snapBy := make(map[string]Record, len(snap))
+	for _, r := range snap {
+		snapBy[r.Name] = r
+	}
+	fmt.Fprintf(w, "%-58s %12s %12s %10s %10s  %s\n", "benchmark", "snap ns/op", "run ns/op", "snap alloc", "run alloc", "verdict")
+	for _, nr := range run {
+		or, ok := snapBy[nr.Name]
+		var why []string
+		if !ok {
+			why = append(why, "not in the snapshot")
+		} else {
+			for _, m := range gateExact {
+				ov, oin := or.Metrics[m]
+				nv, nin := nr.Metrics[m]
+				if oin != nin || ov != nv {
+					why = append(why, fmt.Sprintf("%s %v -> %v", m, ov, nv))
+				}
+			}
+			if nv := nr.Metrics["allocs/op"]; nv > allocsAllowed(or.Metrics["allocs/op"]) {
+				why = append(why, fmt.Sprintf("allocs/op %v -> %v", or.Metrics["allocs/op"], nv))
+			}
+		}
+		verdict := "ok"
+		if len(why) > 0 {
+			misses++
+			verdict = "MISS: " + strings.Join(why, ", ")
+		}
+		fmt.Fprintf(w, "%-58s %12.0f %12.0f %10.0f %10.0f  %s\n", nr.Name, or.NsPerOp, nr.NsPerOp, or.Metrics["allocs/op"], nr.Metrics["allocs/op"], verdict)
+	}
+	return misses
 }
 
 func parse(sc *bufio.Scanner) ([]Record, error) {

@@ -124,3 +124,32 @@ func TestTrimProcs(t *testing.T) {
 		}
 	}
 }
+
+// The gate holds a re-run to a snapshot on what the host does not decide:
+// an access counter that moves by one, a row the snapshot lacks and
+// allocs/op past 2 % + 2 each miss; ns/op never does.
+func TestGateTable(t *testing.T) {
+	snap := []Record{
+		{Name: "PlanGrid/Q2/QaC+", NsPerOp: 100, Metrics: map[string]float64{"allocs/op": 1000, "fillers/op": 10, "mat-bytes/op": 5}},
+		{Name: "PlanGrid/Q1/QaC+", NsPerOp: 100, Metrics: map[string]float64{"allocs/op": 50, "fillers/op": 3}},
+	}
+	for _, c := range []struct {
+		name   string
+		run    Record
+		misses int
+		why    string
+	}{
+		{"identical, slower", Record{Name: "PlanGrid/Q2/QaC+", NsPerOp: 900, Metrics: map[string]float64{"allocs/op": 1000, "fillers/op": 10, "mat-bytes/op": 5}}, 0, "ok"},
+		{"allocs within 2 % + 2", Record{Name: "PlanGrid/Q2/QaC+", Metrics: map[string]float64{"allocs/op": 1022, "fillers/op": 10, "mat-bytes/op": 5}}, 0, "ok"},
+		{"allocs past it", Record{Name: "PlanGrid/Q2/QaC+", Metrics: map[string]float64{"allocs/op": 1023, "fillers/op": 10, "mat-bytes/op": 5}}, 1, "allocs/op 1000 -> 1023"},
+		{"fewer allocs", Record{Name: "PlanGrid/Q1/QaC+", Metrics: map[string]float64{"allocs/op": 30, "fillers/op": 3}}, 0, "ok"},
+		{"a counter moved", Record{Name: "PlanGrid/Q2/QaC+", Metrics: map[string]float64{"allocs/op": 900, "fillers/op": 11, "mat-bytes/op": 5}}, 1, "fillers/op 10 -> 11"},
+		{"a counter appeared", Record{Name: "PlanGrid/Q1/QaC+", Metrics: map[string]float64{"allocs/op": 50, "fillers/op": 3, "holes/op": 0}}, 1, "holes/op"},
+		{"not in the snapshot", Record{Name: "PlanGrid/Q9/QaC+", Metrics: map[string]float64{}}, 1, "not in the snapshot"},
+	} {
+		var sb strings.Builder
+		if got := gateTable(&sb, snap, []Record{c.run}); got != c.misses || !strings.Contains(sb.String(), c.why) {
+			t.Errorf("%s: %d misses, want %d, with %q:\n%s", c.name, got, c.misses, c.why, sb.String())
+		}
+	}
+}

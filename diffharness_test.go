@@ -113,14 +113,17 @@ func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 
 // TestDiffHarness is the headline test: at least 200 generated
 // store/query pairs, each evaluated at three instants under every
-// plan × parallelism × cache combination.
+// plan × parallelism × cache combination, over at least four seeds (two
+// under -short): seed 1 alone holds the pairs, and seed 4 is the first
+// whose parents have several versions and children — where a child step's
+// positions count per parent.
 func TestDiffHarness(t *testing.T) {
-	minPairs := 200
+	minPairs, minSeeds := 200, int64(4)
 	if testing.Short() {
-		minPairs = 40
+		minPairs, minSeeds = 40, 2
 	}
 	pairs := 0
-	for seed := int64(1); pairs < minPairs; seed++ {
+	for seed := int64(1); pairs < minPairs || seed <= minSeeds; seed++ {
 		if seed > 100 {
 			t.Fatalf("generator exhausted 100 seeds with only %d pairs", pairs)
 		}

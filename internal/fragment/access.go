@@ -31,14 +31,106 @@ type Access interface {
 	Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node
 	// Fillers returns the versions of a hole-id set — a child step —
 	// concatenated in input order, a repeated id contributing only at its
-	// first position.
-	Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node
+	// first position. A child step that counts positions per parent passes
+	// a Window; the zero Window reads the set whole.
+	Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node
 	// ByTSID returns every version stored under a tsid, grouped by filler
 	// id ascending — a descendant step over the whole stream.
 	ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node
 	// Arm makes ev the evaluation the reads are for from here on: an owner
 	// that runs one evaluation after another keeps one Access for them all.
 	Arm(ev Eval)
+}
+
+// Window is what a child step whose predicates count positions asks of its
+// read: the hole-id set falls into its parents' groups, and of each group's
+// versions — those the read's filter keeps, numbered from 1 in read order —
+// only the positions inside the window are built. Past the window's end the
+// read builds nothing more for the group, and it is charged what the
+// unwindowed read is: every visible version counts as examined. Only a
+// child step has a window; a descendant step's chain of reads would number
+// its versions across parents.
+type Window struct {
+	// Ends closes each parent's group: group g is ids[Ends[g-1]:Ends[g]],
+	// the first from 0, and the ids are distinct; nil reads the set whole,
+	// unwindowed. The read overwrites each entry — in the caller's array —
+	// with where its group ends in what the read returns.
+	Ends []int
+	// From and To are the first and last positions kept; To < From keeps
+	// none.
+	From, To int
+	// Last keeps each group's last version instead.
+	Last bool
+}
+
+// windowKeep narrows a read's filter to one group's window at a time: it
+// numbers the versions keep lets through and lets those numbered from..to
+// through. Past to it asks keep nothing more.
+type windowKeep struct {
+	keep     Filter
+	from, to int
+	n        int
+}
+
+func (w *windowKeep) admit(payload *xmldom.Node) bool {
+	if w.n >= w.to || w.keep != nil && !w.keep(payload) {
+		return false
+	}
+	w.n++
+	return w.n >= w.from
+}
+
+// open readies w for gids, one group of win: for Last, what keep lets
+// through of the group is counted off the store's index first.
+func (w *windowKeep) open(win Window, st *Store, gids []int, at time.Time) {
+	w.from, w.to, w.n = win.From, win.To, 0
+	if win.Last {
+		w.from = st.kept(gids, at, w.keep)
+		w.to = w.from
+	}
+}
+
+// groups runs a windowed read group by group: visit reads ids[lo:hi], one
+// parent's group, under keep narrowed to the window, and returns the
+// length of the read's output after it, which becomes the group's entry in
+// Ends.
+func (win Window) groups(st *Store, ids []int, at time.Time, keep Filter, visit func(lo, hi int, keep Filter) int) {
+	w := windowKeep{keep: keep}
+	narrowed := Filter(w.admit)
+	lo := 0
+	for g, hi := range win.Ends {
+		w.open(win, st, ids[lo:hi], at)
+		win.Ends[g] = visit(lo, hi, narrowed)
+		lo = hi
+	}
+}
+
+// siftSlots applies a read's filter, and its window when it has one, to
+// versions built already: slots[i] holds the versions of ids[i].
+func siftSlots(st *Store, ids []int, at time.Time, slots [][]*xmldom.Node, keep Filter, win Window) []*xmldom.Node {
+	var out []*xmldom.Node
+	appendKept := func(slots [][]*xmldom.Node, keep Filter) {
+		for _, els := range slots {
+			if keep == nil {
+				out = append(out, els...)
+				continue
+			}
+			for _, el := range els {
+				if keep(el) {
+					out = append(out, el)
+				}
+			}
+		}
+	}
+	if win.Ends == nil {
+		appendKept(slots, keep)
+		return out
+	}
+	win.groups(st, ids, at, keep, func(lo, hi int, keep Filter) int {
+		appendKept(slots[lo:hi], keep)
+		return len(out)
+	})
+	return out
 }
 
 // AccessKind names an Access implementation.
@@ -120,7 +212,7 @@ func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.No
 	}
 	if a.Cache == nil || !hole {
 		// what no hole leads to is read once per evaluation: not memoized
-		els, n := st.lookup([]int{id}, a.At, keep)
+		els, n := st.lookup([]int{id}, a.At, keep, Window{})
 		a.chargePass(st, n, len(els))
 		return els
 	}
@@ -132,8 +224,21 @@ func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.No
 // Fillers issues one pass per hole, on the worker pool when Parallelism
 // allows: the per-hole cost the QaC plan pays and the batched read
 // avoids. A budget trip panics with the *budget.ResourceError — workers
-// cannot return errors — and is contained at the engine boundary.
-func (a *logScan) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
+// cannot return errors — and is contained at the engine boundary. A
+// window numbers versions across a group's holes, so a windowed read
+// passes them in order, on the calling goroutine.
+func (a *logScan) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
+	if win.Ends != nil {
+		var out []*xmldom.Node
+		win.groups(st, ids, a.At, keep, func(lo, hi int, keep Filter) int {
+			for _, id := range ids[lo:hi] {
+				a.Budget.MustStep()
+				out = append(out, a.Filler(st, id, true, keep)...)
+			}
+			return len(out)
+		})
+		return out
+	}
 	memo := ResolveIDs(ids, func(id int) []*xmldom.Node {
 		a.Budget.MustStep()
 		return a.Filler(st, id, true, keep)
@@ -164,25 +269,27 @@ func (a *logScan) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
 
 type tsidIndex struct{ logScan }
 
-// Fillers resolves the whole id set in one pass; with a cache, resident
-// ids are served from memory and only the misses share that pass.
-func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
+// Fillers resolves the whole id set in one pass, windowed or not; with a
+// cache, resident ids are served from memory and only the misses share
+// that pass.
+func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
 	if len(ids) == 0 {
 		return nil
 	}
 	a.Stats.AddHoles(len(ids))
+	ids = distinctIDs(ids)
 	if a.Cache == nil {
-		els, n := st.lookup(distinctIDs(ids), a.At, keep)
+		els, n := st.lookup(ids, a.At, keep, win)
 		a.chargePass(st, n, len(els))
 		return els
 	}
-	all, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
+	slots, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
 	if misses > 0 {
 		a.chargePass(st, built, built)
 	}
 	a.Stats.AddCacheHits(hits)
 	a.Stats.AddCacheMisses(misses)
-	return keep.Sift(all)
+	return siftSlots(st, ids, a.At, slots, keep, win)
 }
 
 type labelIndex struct{ Eval }
@@ -198,11 +305,11 @@ func (a *labelIndex) charge(els []*xmldom.Node, n int) []*xmldom.Node {
 }
 
 func (a *labelIndex) Filler(st *Store, id int, _ bool, keep Filter) []*xmldom.Node {
-	return a.charge(st.read([]int{id}, 0, a.At, keep))
+	return a.charge(st.read([]int{id}, 0, a.At, keep, Window{}))
 }
 
-func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter) []*xmldom.Node {
-	return a.charge(st.read(distinctIDs(ids), 0, a.At, keep))
+func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
+	return a.charge(st.read(distinctIDs(ids), 0, a.At, keep, win))
 }
 
 func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {

@@ -173,7 +173,7 @@ func TestAccessContract(t *testing.T) {
 			},
 			{
 				name: "fillers",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids, nil) },
+				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
 					switch kind {
 					case fragment.LabelIndexAccess:
@@ -196,7 +196,7 @@ func TestAccessContract(t *testing.T) {
 			},
 			{
 				name: "fillers-repeated-and-unknown-ids",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, dupIDs, nil) },
+				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, dupIDs, nil, fragment.Window{}) },
 			},
 			{
 				name: "by-tsid",
@@ -321,7 +321,9 @@ func TestAccessFilter(t *testing.T) {
 				}
 				return out
 			},
-			"fillers": func(a fragment.Access, keep fragment.Filter) []*xmldom.Node { return a.Fillers(st, ids, keep) },
+			"fillers": func(a fragment.Access, keep fragment.Filter) []*xmldom.Node {
+				return a.Fillers(st, ids, keep, fragment.Window{})
+			},
 			"bytsid": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
 				for _, tsid := range tsids {
 					out = append(out, a.ByTSID(st, tsid, keep)...)
@@ -385,6 +387,111 @@ func TestAccessFilter(t *testing.T) {
 					}
 					if filtered.NodesConstructed != built {
 						t.Errorf("%s: %d nodes constructed, want %d", name, filtered.NodesConstructed, built)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAccessWindow: a windowed read returns, group by group, the positions
+// of its window among the versions the unwindowed read of the group returns
+// — whichever index serves it, cached or not — rewrites Ends to where each
+// group ends in its output, and is charged the unwindowed read's access
+// cost; uncached, it builds only what it returns.
+func TestAccessWindow(t *testing.T) {
+	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess}
+	windows := map[string]fragment.Window{
+		"[1]":        {From: 1, To: 1},
+		"[2]":        {From: 2, To: 2},
+		"[<=2]":      {From: 1, To: 2},
+		"[last()]":   {Last: true},
+		"[<1]":       {From: 1, To: 0},
+		"every":      {From: 1, To: 1 << 30},
+		"[3] of one": {From: 3, To: 3},
+	}
+	even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
+	for _, scan := range []bool{false, true} {
+		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ins.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := genstore.Base.Add(1000 * time.Hour)
+		var ids, ends []int
+		for _, id := range st.FillerIDs() {
+			if id != fragment.RootFillerID {
+				ids = append(ids, id)
+			}
+		}
+		// groups of one, two, three, … ids
+		for size, end := 1, 0; end < len(ids); size++ {
+			end = min(end+size, len(ids))
+			ends = append(ends, end)
+		}
+		for name, w := range windows {
+			for _, keep := range []fragment.Filter{nil, even} {
+				// what the window selects: its positions among each group's
+				// kept versions, read unwindowed
+				var want []*xmldom.Node
+				var wantEnds []int
+				lo := 0
+				for _, hi := range ends {
+					group := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}).Fillers(st, ids[lo:hi], keep, fragment.Window{})
+					from, to := w.From, w.To
+					if w.Last {
+						from, to = len(group), len(group)
+					}
+					for i, el := range group {
+						if i+1 >= from && i+1 <= to {
+							want = append(want, el)
+						}
+					}
+					wantEnds = append(wantEnds, len(want))
+					lo = hi
+				}
+				if total := len(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}).Fillers(st, ids, keep, fragment.Window{})); name == "[1]" && (len(want) < 2 || len(want) == total) {
+					t.Fatalf("scan=%v: [1] keeps %d of %d versions, the case tests nothing", scan, len(want), total)
+				}
+				for _, kind := range kinds {
+					for _, state := range []string{"nil", "cold", "warm"} {
+						name := fmt.Sprintf("scan=%v/%s/filter=%v/%d/cache-%s", scan, name, keep != nil, kind, state)
+						caches := [2]*fragment.Cache{}
+						for i := range caches {
+							if state != "nil" {
+								caches[i] = fragment.NewCache(1 << 16)
+							}
+							if state == "warm" {
+								fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}).Fillers(st, ids, nil, fragment.Window{})
+							}
+						}
+						whole, windowed := &obs.EvalStats{}, &obs.EvalStats{}
+						all := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: whole, Cache: caches[0]}).Fillers(st, ids, keep, fragment.Window{})
+						w.Ends = append([]int(nil), ends...)
+						got := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: windowed, Cache: caches[1]}).Fillers(st, ids, keep, w)
+						if render(got) != render(want) {
+							t.Errorf("%s: windowed read returned\n%s\nwant\n%s", name, render(got), render(want))
+						}
+						if fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
+							t.Errorf("%s: Ends rewritten to %v, want %v", name, w.Ends, wantEnds)
+						}
+						if a, b := chargesOf(windowed), chargesOf(whole); a != b {
+							t.Errorf("%s: access cost with the window %+v, without %+v", name, a, b)
+						}
+						built := int64(len(got))
+						switch {
+						case kind == fragment.LabelIndexAccess || state == "nil":
+						case state == "cold":
+							built = whole.NodesConstructed
+						default:
+							built = 0
+						}
+						if windowed.NodesConstructed != built {
+							t.Errorf("%s: %d nodes constructed, want %d (%d unwindowed)", name, windowed.NodesConstructed, built, len(all))
+						}
 					}
 				}
 			}

@@ -168,25 +168,22 @@ func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom
 	// generation BEFORE the lookup: an Add racing us stales the variant
 	gen := st.Generation()
 	ids := []int{fillerID}
-	out, _ := st.lookup(ids, at, nil)
+	out, _ := st.lookup(ids, at, nil, Window{})
 	c.fill(key, newVariant(gen, st, ids, at, out))
 	return out, false
 }
 
-// GetFillersList is GetFillers over a hole-id set, concatenated in input
-// order, a repeated id contributing only at its first position: ids
-// already resident are served from memory and all missing ids share ONE
-// lookup pass, preserving the batched cost shape that separates QaC+ from
-// QaC. It reports the hit and miss counts and the number of elements the
-// miss pass built (hits build none); the caller charges that pass when
-// there were misses.
-func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []*xmldom.Node, hits, misses, built int) {
+// GetFillersList is GetFillers over a hole-id set, a repeated id counted
+// only at its first position: slots[i] holds the versions of the i-th
+// distinct id. Ids already resident are served from memory and all missing
+// ids share ONE lookup pass, preserving the batched cost shape that
+// separates QaC+ from QaC. It reports the hit and miss counts and the
+// number of elements the miss pass built (hits build none); the caller
+// charges that pass when there were misses. On a nil cache every id is a
+// miss.
+func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (slots [][]*xmldom.Node, hits, misses, built int) {
 	fillerIDs = distinctIDs(fillerIDs)
-	if c == nil {
-		out, _ = st.lookup(fillerIDs, at, nil)
-		return out, 0, len(fillerIDs), len(out)
-	}
-	slots := make([][]*xmldom.Node, len(fillerIDs))
+	slots = make([][]*xmldom.Node, len(fillerIDs))
 	var missPos []int
 	for i, id := range fillerIDs {
 		if els, ok := c.lookup(cacheKey{store: st, kind: kindFiller, id: id}, st, at); ok {
@@ -205,16 +202,15 @@ func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (out []
 		st.scanPass(AttrID, missIDs)
 		for j, i := range missPos {
 			ids := missIDs[j : j+1]
-			els, _ := st.read(ids, 0, at, nil)
+			els, _ := st.read(ids, 0, at, nil, Window{})
 			built += len(els)
-			c.fill(cacheKey{store: st, kind: kindFiller, id: ids[0]}, newVariant(gen, st, ids, at, els))
+			if c != nil {
+				c.fill(cacheKey{store: st, kind: kindFiller, id: ids[0]}, newVariant(gen, st, ids, at, els))
+			}
 			slots[i] = els
 		}
 	}
-	for _, els := range slots {
-		out = append(out, els...)
-	}
-	return out, hits, misses, built
+	return slots, hits, misses, built
 }
 
 // GetFillersByTSID is GetFillers for the lookup by tsid.
@@ -325,8 +321,11 @@ func newVariant(gen uint64, st *Store, fids []int, at time.Time, els []*xmldom.N
 // lookup serves a probe from memory: it drops stale-generation variants,
 // and on a covering fresh variant promotes the entry and returns its
 // elements (capacity clipped, so a caller's append cannot reach the
-// memoized slice).
+// memoized slice). A nil cache holds nothing.
 func (c *Cache) lookup(key cacheKey, st *Store, at time.Time) ([]*xmldom.Node, bool) {
+	if c == nil {
+		return nil, false
+	}
 	gen := st.Generation()
 	c.mu.Lock()
 	defer c.mu.Unlock()

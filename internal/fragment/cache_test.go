@@ -2,6 +2,7 @@ package fragment
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -260,18 +261,18 @@ func TestCacheBatchedLookup(t *testing.T) {
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
 	ids := []int{1, 2, 3}
-	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, ids, nil))
+	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, ids, nil, Window{}))
 	c.GetFillers(st, 2, at) // warm just one of the three
-	out, hits, misses, built := c.GetFillersList(st, ids, at)
-	if render(out) != want {
-		t.Fatalf("mixed batched lookup wrong:\n%s\nwant\n%s", render(out), want)
+	slots, hits, misses, built := c.GetFillersList(st, ids, at)
+	if render(slices.Concat(slots...)) != want {
+		t.Fatalf("mixed batched lookup wrong:\n%s\nwant\n%s", render(slices.Concat(slots...)), want)
 	}
 	if hits != 1 || misses != 2 || built != 2 {
 		t.Fatalf("hits=%d misses=%d built=%d, want 1/2/2", hits, misses, built)
 	}
 	// fully warm: nothing built, so no pass to charge
-	out, hits, misses, built = c.GetFillersList(st, ids, at)
-	if render(out) != want || hits != 3 || misses != 0 || built != 0 {
+	slots, hits, misses, built = c.GetFillersList(st, ids, at)
+	if render(slices.Concat(slots...)) != want || hits != 3 || misses != 0 || built != 0 {
 		t.Fatalf("warm batched lookup: hits=%d misses=%d built=%d", hits, misses, built)
 	}
 }
@@ -348,8 +349,8 @@ func TestNilCacheFallsThrough(t *testing.T) {
 	if hit || render(els) != want {
 		t.Fatalf("nil cache GetFillers: hit=%v", hit)
 	}
-	out, hits, misses, built := c.GetFillersList(st, []int{2}, at)
-	if hits != 0 || misses != 1 || built != len(out) {
+	slots, hits, misses, built := c.GetFillersList(st, []int{2}, at)
+	if hits != 0 || misses != 1 || built != len(slots[0]) {
 		t.Fatalf("nil cache GetFillersList: hits=%d misses=%d built=%d", hits, misses, built)
 	}
 	if _, hit := c.GetFillersByTSID(st, 4, at); hit {

@@ -92,7 +92,7 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 						defer wg.Done()
 						acc := NewAccess(kind, Eval{At: at})
 						for i := 0; i < 50 || !done.Load(); i++ {
-							checkHistories(t, fmt.Sprintf("kind %d Fillers", kind), acc.Fillers(st, ids, keep))
+							checkHistories(t, fmt.Sprintf("kind %d Fillers", kind), acc.Fillers(st, ids, keep, Window{}))
 							checkHistories(t, fmt.Sprintf("kind %d ByTSID", kind), acc.ByTSID(st, 4, keep))
 							_ = st.LatestVersion(2, at)
 						}

@@ -327,28 +327,18 @@ func HoleTSID(el *xmldom.Node) int {
 	return n
 }
 
-// Holes returns the hole elements that are direct children of el.
-func Holes(el *xmldom.Node) []*xmldom.Node {
-	var out []*xmldom.Node
-	for _, c := range el.ElementChildren() {
-		if IsHole(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// HoleIDs returns the ids of direct-child holes of el; when tsid > 0 only
-// holes with that tsid are returned.
-func HoleIDs(el *xmldom.Node, tsid int) []int {
-	var out []int
-	for _, h := range Holes(el) {
-		if tsid > 0 && HoleTSID(h) != tsid {
+// HoleIDs appends to dst the ids of el's direct-child holes — when tsid > 0
+// only those of holes with that tsid — in one pass over its children, and
+// returns the extended slice: a caller crossing the holes of many nodes
+// reads them all into one buffer.
+func HoleIDs(dst []int, el *xmldom.Node, tsid int) []int {
+	for _, c := range el.Children {
+		if !IsHole(c) || tsid > 0 && HoleTSID(c) != tsid {
 			continue
 		}
-		if id, err := HoleID(h); err == nil {
-			out = append(out, id)
+		if id, err := HoleID(c); err == nil {
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }

@@ -54,7 +54,7 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 	if !f.ValidTime.Equal(ts("2003-10-23T12:23:34")) {
 		t.Fatalf("validTime = %v", f.ValidTime)
 	}
-	if ids := HoleIDs(f.Payload, 0); len(ids) != 1 || ids[0] != 200 {
+	if ids := HoleIDs(nil, f.Payload, 0); len(ids) != 1 || ids[0] != 200 {
 		t.Fatalf("holes = %v", ids)
 	}
 	back, err := Parse(f.String())
@@ -97,10 +97,10 @@ func TestHoleHelpers(t *testing.T) {
 		t.Fatal("HoleTSID")
 	}
 	el := xmldom.MustParseString(`<t><hole id="1" tsid="7"/><x/><hole id="2" tsid="4"/></t>`).Root()
-	if got := HoleIDs(el, 0); len(got) != 2 {
+	if got := HoleIDs(nil, el, 0); len(got) != 2 {
 		t.Fatalf("all holes = %v", got)
 	}
-	if got := HoleIDs(el, 4); len(got) != 1 || got[0] != 2 {
+	if got := HoleIDs(nil, el, 4); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("tsid-filtered holes = %v", got)
 	}
 	if _, err := HoleID(xmldom.NewElement("x")); err == nil {
@@ -147,7 +147,7 @@ func TestFragmenterCutsAtTemporalAndEventTags(t *testing.T) {
 	if root.FillerID != RootFillerID || root.Payload.Name != "creditAccounts" {
 		t.Fatalf("root = %s", root)
 	}
-	if holes := HoleIDs(root.Payload, 0); len(holes) != 1 {
+	if holes := HoleIDs(nil, root.Payload, 0); len(holes) != 1 {
 		t.Fatalf("root holes = %v", holes)
 	}
 	// the two creditLimit versions share one filler id
@@ -169,7 +169,7 @@ func TestFragmenterCutsAtTemporalAndEventTags(t *testing.T) {
 			if f.Payload.FirstChildElement("status") != nil {
 				t.Fatal("temporal child not cut out")
 			}
-			if len(HoleIDs(f.Payload, 7)) != 1 {
+			if len(HoleIDs(nil, f.Payload, 7)) != 1 {
 				t.Fatal("transaction should have one status hole")
 			}
 		}
@@ -402,7 +402,7 @@ func TestGetFillersListConcatenates(t *testing.T) {
 	_ = st.Add(New(1, 4, ts("2003-01-01T00:00:00"), xmldom.TextElem("creditLimit", "a")))
 	_ = st.Add(New(2, 4, ts("2003-01-02T00:00:00"), xmldom.TextElem("creditLimit", "b")))
 	at := ts("2003-06-01T00:00:00")
-	els := NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, []int{1, 2, 99}, nil)
+	els := NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, []int{1, 2, 99}, nil, Window{})
 	if len(els) != 2 {
 		t.Fatalf("list = %d", len(els))
 	}
@@ -438,7 +438,7 @@ func TestUpdatePreservesHoles(t *testing.T) {
 	if len(frags) != 1 {
 		t.Fatalf("update produced %d fragments", len(frags))
 	}
-	if ids := HoleIDs(frags[0].Payload, 7); len(ids) != 1 || ids[0] != 400 {
+	if ids := HoleIDs(nil, frags[0].Payload, 7); len(ids) != 1 || ids[0] != 400 {
 		t.Fatalf("holes after update = %v", ids)
 	}
 	if frags[0].FillerID != 300 {
@@ -461,7 +461,7 @@ func TestUpdateCutsNestedFreshElements(t *testing.T) {
 	if frags[1].Payload.Name != "status" {
 		t.Fatalf("second fragment = %s", frags[1])
 	}
-	if len(HoleIDs(frags[0].Payload, 7)) != 1 {
+	if len(HoleIDs(nil, frags[0].Payload, 7)) != 1 {
 		t.Fatal("fresh status should be replaced by a hole")
 	}
 }

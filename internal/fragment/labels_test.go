@@ -136,7 +136,7 @@ func TestLabelsMintedOnDemand(t *testing.T) {
 	idx := st.Labels()
 	acc := NewAccess(LabelIndexAccess, Eval{At: labelAt})
 	acc.Filler(st, 10, true, nil)
-	acc.Fillers(st, []int{11, 12}, nil)
+	acc.Fillers(st, []int{11, 12}, nil, Window{})
 	acc.ByTSID(st, 5, nil)
 	st.TSIDFillers(5)
 	if idx != st.Labels() || idx.labels != nil || idx.docOrder != nil {

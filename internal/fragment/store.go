@@ -314,7 +314,7 @@ func (st *Store) Root() *Fragment {
 // Versions with validTime after the evaluation instant `at` are invisible
 // (they have not "happened" yet from the query's standpoint).
 func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
-	out, _ := st.lookup([]int{fillerID}, at, nil)
+	out, _ := st.lookup([]int{fillerID}, at, nil, Window{})
 	return out
 }
 
@@ -424,12 +424,13 @@ func lifespanTop(p *xmldom.Node, from, to string) *xmldom.Node {
 // tsid > 0 — and the number of versions examined. It takes each group's
 // slice header under the lock and annotates outside it, so no Filter runs
 // and no node is built while a writer waits, and no group is copied.
-// Without a filter every visible version is built and renders at most one
-// instant, so the read sizes its output and its instants once; with one,
-// both grow as versions are kept.
-func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter) (out []*xmldom.Node, examined int) {
+// Without a filter or a window every visible version is built and renders
+// at most one instant, so the read sizes its output and its instants once;
+// otherwise both grow as versions are kept. A window reads fids parent by
+// parent (Window).
+func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Window) (out []*xmldom.Node, examined int) {
 	var instants strings.Builder
-	if keep == nil {
+	if keep == nil && win.Ends == nil {
 		total := 0
 		st.mu.RLock()
 		if tsid > 0 {
@@ -443,26 +444,60 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter) (out []*x
 		out = make([]*xmldom.Node, 0, total)
 		instants.Grow(total * len(xtime.Layout))
 	}
-	for _, fid := range fids {
-		var seen int
-		out, seen = st.annotateVersions(out, st.Versions(fid), tsid, at, keep, &instants)
-		examined += seen
+	annotate := func(fids []int, keep Filter) {
+		for _, fid := range fids {
+			var seen int
+			out, seen = st.annotateVersions(out, st.Versions(fid), tsid, at, keep, &instants)
+			examined += seen
+		}
+	}
+	if win.Ends == nil {
+		annotate(fids, keep)
+		return out, examined
+	}
+	// Window.groups' loop, spelled out so that the narrowed filter stays on
+	// the stack: this is the read every index plan's window takes
+	w := windowKeep{keep: keep}
+	narrowed := Filter(w.admit)
+	lo := 0
+	for g, hi := range win.Ends {
+		w.open(win, st, fids[lo:hi], at)
+		annotate(fids[lo:hi], narrowed)
+		win.Ends[g] = len(out)
+		lo = hi
 	}
 	return out, examined
+}
+
+// kept counts the versions of fids visible at the evaluation instant that
+// keep lets through, building nothing.
+func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
+	n := 0
+	for _, fid := range fids {
+		for _, f := range st.Versions(fid) {
+			if f.ValidTime.After(at) {
+				break
+			}
+			if keep == nil || keep(f.Payload) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // lookup is the paper's get_fillers over a set of distinct hole ids, their
 // versions concatenated in input order: one lookup pass — §8's unnested
 // formulation when there are several ids — then the read.
-func (st *Store) lookup(ids []int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
+func (st *Store) lookup(ids []int, at time.Time, keep Filter, win Window) ([]*xmldom.Node, int) {
 	st.scanPass(AttrID, ids)
-	return st.read(ids, 0, at, keep)
+	return st.read(ids, 0, at, keep, win)
 }
 
 // readTSID is a read of the versions carrying tsid, filler ids ascending.
 func (st *Store) readTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
 	fids, _ := st.TSIDFillers(tsid)
-	return st.read(fids, tsid, at, keep)
+	return st.read(fids, tsid, at, keep, Window{})
 }
 
 // lookupTSID is the paper's filler[@tsid=…] lookup: one lookup pass, then

@@ -390,14 +390,15 @@ func (g *gen) mutate() {
 // the first (genPredicates), and for
 // a tag with a fragmented child the sliding-window shapes of the paper's
 // continuous queries (bounded so large structures don't explode the
-// corpus). The windows are a few hours wide and histories span a day, so
+// corpus) and, for the first such tag, positions on the child step
+// (genPositional). The windows are a few hours wide and histories span a day, so
 // they expire while a history replays.
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
 	add := func(kind string, t *tagstruct.Tag, format string, args ...any) {
 		qs = append(qs, Query{Name: kind + "-" + t.Name, Src: fmt.Sprintf(format, args...)})
 	}
-	fragTags := 0
+	fragTags, positional := 0, false
 	for _, t := range s.Tags() {
 		if !t.IsFragmented() {
 			continue
@@ -426,6 +427,10 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 			}
 			add("window-sum", t, `for $x in stream("s")//%s where sum($x/%s?[now-PT6H,now]/text()) >= 400 return $x/text()`, t.Name, c.Name)
 			add("window-children", t, `for $x in stream("s")//%s return $x/%s?[now-PT4H,now-PT1H]`, t.Name, c.Name)
+			if !positional {
+				positional = true
+				g.genPositional(add, t, c)
+			}
 			break
 		}
 	}
@@ -434,6 +439,21 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	// the equivalence claim is about element selections
 	qs = append(qs, Query{Name: "root-count", Src: fmt.Sprintf(`count(stream("s")/%s)`, s.Root.Name)})
 	return qs
+}
+
+// genPositional adds, for a fragmented tag t with a fragmented child c,
+// positional predicates on the child step from every version of every t —
+// a base of many nodes, whose predicates count within each of them: the
+// positions a read's window serves, one it does not, and a position before
+// and after a filter the translator pushes below the read.
+func (g *gen) genPositional(add func(kind string, t *tagstruct.Tag, format string, args ...any), t, c *tagstruct.Tag) {
+	kids := `stream("s")//` + t.Name + "/" + c.Name
+	add("child-first", t, `%s[1]`, kids)
+	add("child-last", t, `for $x in %s[last()] return $x/text()`, kids)
+	add("child-upto", t, `count(stream("s")%s[position() <= 2])`, c.Path())
+	add("child-second", t, `%s[position() = 2]`, kids)
+	add("child-then-first", t, `%s[@k != 3][1]`, kids)
+	add("child-first-then", t, `%s[1][@k != 3]`, kids)
 }
 
 // genPredicates adds, for one fragmented tag, step predicates and where

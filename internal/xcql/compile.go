@@ -2,6 +2,7 @@ package xcql
 
 import (
 	"fmt"
+	"slices"
 
 	"xcql/internal/tagstruct"
 	"xcql/internal/xq"
@@ -14,7 +15,7 @@ import (
 const (
 	fnView    = "xcql:view"    // (stream)            materialized temporal view (CaQ)
 	fnRoot    = "xcql:root"    // (stream)            root filler payload versions
-	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter]) cross the holes of a child step
+	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter][, per-parent]) cross the holes of a child step
 	fnByTSID  = "xcql:bytsid"  // (stream, tsid…[, filter])     all filler versions with a tsid
 	fnIProj   = "xcql:iproj"   // (nodes, tb[, te], stream) interval projection over fragments
 	fnVProj   = "xcql:vproj"   // (nodes, vb, ve, stream)   version projection over fragments
@@ -421,14 +422,20 @@ func (c *compiler) rewriteChildStep(base xq.Expr, baseTS typeSet, step xq.Step, 
 		// the tag structure has no such child: statically empty
 		return &xq.SeqExpr{}, nil, nil
 	}
-	return c.filterPieces(pieces, outTS, step.Preds, en)
+	return c.filterPieces(pieces, outTS, step.Preds, en, true)
 }
 
 // filterPieces closes a rewritten step: its pieces in sequence, under the
 // step's predicates — the leading ones pushed below the pieces where those
-// are access calls, the rest applied by the evaluator.
-func (c *compiler) filterPieces(pieces []xq.Expr, ts typeSet, preds []xq.Expr, en env) (xq.Expr, typeSet, error) {
+// are access calls, the rest applied by the evaluator: per parent, on the
+// piece itself (eachParent), when the step is a child step of one piece and
+// a predicate counts positions; else over the pieces' whole output, which
+// is the same thing when none does. A step of several pieces — a wildcard,
+// a base of several tags — and a descendant step's chains are left to the
+// whole output.
+func (c *compiler) filterPieces(pieces []xq.Expr, ts typeSet, preds []xq.Expr, en env, child bool) (xq.Expr, typeSet, error) {
 	pieces, preds = pushStepPreds(pieces, ts, preds)
+	perParent := child && len(pieces) == 1 && slices.ContainsFunc(preds, positional)
 	var out xq.Expr
 	if len(pieces) == 1 {
 		out = pieces[0]
@@ -439,7 +446,11 @@ func (c *compiler) filterPieces(pieces []xq.Expr, ts typeSet, preds []xq.Expr, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(preds) > 0 {
+	switch {
+	case len(preds) == 0:
+	case perParent:
+		out = eachParent(out, preds)
+	default:
 		out = &xq.Filter{Base: out, Preds: preds}
 	}
 	return out, ts, nil
@@ -492,7 +503,7 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 	if len(pieces) == 0 {
 		return &xq.SeqExpr{}, nil, nil
 	}
-	return c.filterPieces(pieces, outTS, step.Preds, en)
+	return c.filterPieces(pieces, outTS, step.Preds, en, false)
 }
 
 // buildChain rewrites the unique tag-structure path from base's tag down

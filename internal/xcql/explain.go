@@ -96,6 +96,11 @@ type ExplainTarget struct {
 	// spelled it ("" when nothing): the path examines the same versions
 	// either way and builds only those the filter keeps.
 	Filter string
+	// PerParent is the predicate list a child step applies to each parent's
+	// versions ("" when none), window[…] marking the one the read serves:
+	// the path examines the same versions and builds only those inside the
+	// window.
+	PerParent string
 }
 
 func (t ExplainTarget) String() string {
@@ -111,6 +116,9 @@ func (t ExplainTarget) String() string {
 	}
 	if t.Filter != "" {
 		b += " pushed=" + t.Filter
+	}
+	if t.PerParent != "" {
+		b += " per-parent=" + t.PerParent
 	}
 	return b
 }
@@ -206,6 +214,9 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		return q.censusWhole(ExplainTarget{Op: "root", Stream: litString(call.Args, 0)}), true
 	case fnFillers:
 		t := ExplainTarget{Op: crossingOps[q.Mode.access()], Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call)}
+		if p := parentPreds(call.Args); p != nil {
+			t.PerParent = p.list()
+		}
 		return q.censusTSID(t), true
 	case fnByTSID:
 		// one target per tsid argument would lose the shared single call;
@@ -227,7 +238,11 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 
 // filterText renders the filter an access call carries, "" for none.
 func filterText(call *xq.Call) string {
-	if _, p := splitFilter(call.Args); p != nil {
+	args := call.Args
+	if parentPreds(args) != nil {
+		args = args[:len(args)-1] // the filter rides before the per-parent list
+	}
+	if _, p := splitFilter(args); p != nil {
 		return p.String()
 	}
 	return ""
@@ -406,7 +421,13 @@ func walkExpr(e xq.Expr, fn func(xq.Expr)) {
 	}
 	fn(e)
 	switch ex := e.(type) {
-	case *xq.Literal, *xq.LastMarker, *xq.VarRef, *xq.ContextItem, *xq.StreamRef:
+	case *xq.Literal:
+		if p, ok := ex.Val.(*perParent); ok {
+			for _, pred := range p.preds {
+				walkExpr(pred, fn)
+			}
+		}
+	case *xq.LastMarker, *xq.VarRef, *xq.ContextItem, *xq.StreamRef:
 	case *xq.SeqExpr:
 		for _, it := range ex.Items {
 			walkExpr(it, fn)

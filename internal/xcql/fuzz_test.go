@@ -43,6 +43,13 @@ func FuzzCompile(f *testing.F) {
 		`stream("credit")//transaction[status = "charged"][1]`,
 		`stream("credit")//transaction[position() = 2 or last()]`,
 		`stream("credit")//transaction?[2003-11-01T00:00:00,now][amount > 100]`,
+		// positions on a child step over several parents: counted per
+		// parent, the leading one a read window where it can be
+		`stream("credit")/creditAccounts/account/transaction[1]`,
+		`stream("credit")/creditAccounts/account/transaction[last()][amount > 100]`,
+		`stream("credit")/creditAccounts/account/transaction[amount > 100][position() <= 2]`,
+		`stream("credit")/creditAccounts/account/transaction[position() < 2]/status[1]`,
+		`stream("credit")/creditAccounts/account/customer[last() - 1 + 1]`,
 		`get_fillers(1)`,
 		`((((`,
 		`for $x in`,

@@ -291,7 +291,9 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 		return clauses, where
 	}
 	call, ok := accessCall(fc.In)
-	if !ok {
+	if !ok || parentPreds(call.Args) != nil {
+		// a filter goes below the positions a per-parent list counts, and
+		// a where filters what they selected
 		return clauses, where
 	}
 	conds, rest := pushConjuncts(conjuncts(where, nil), fc.Var, vars[fc.Var])
@@ -311,13 +313,20 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 	return out, residual
 }
 
-// boundFilter takes the filter off an intrinsic's evaluated arguments and
-// binds it to the evaluation; nil when the call carries none.
-func boundFilter(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.Filter) {
+// boundAccess takes the filter and the per-parent list off an intrinsic's
+// evaluated arguments, binding the filter to the evaluation; nil for what
+// the call does not carry.
+func boundAccess(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.Filter, *perParent) {
+	var each *perParent
 	if n := len(args); n > 0 && len(args[n-1]) == 1 {
-		if p, ok := args[n-1][0].(*pushed); ok {
-			return args[:n-1], p.bind(ctx.Static)
+		if p, ok := args[n-1][0].(*perParent); ok {
+			args, each = args[:n-1], p
 		}
 	}
-	return args, nil
+	if n := len(args); n > 0 && len(args[n-1]) == 1 {
+		if p, ok := args[n-1][0].(*pushed); ok {
+			return args[:n-1], p.bind(ctx.Static), each
+		}
+	}
+	return args, nil, each
 }

@@ -32,15 +32,19 @@ func TestPushdownShapes(t *testing.T) {
 		{"rooted child step", rooted + `[customer = "Jane Doe"]`, "account", `[customer = "Jane Doe"]`, ""},
 		{"leading conjuncts of a where", `for $t in ` + all + ` where $t/amount > 100 and contains($t/vendor, "Pizza") return $t`, "transaction", `[amount > 100]`, "contains("},
 		{"leading predicate, then a position", all + `[amount > 100][1]`, "transaction", `[amount > 100]`, "[1]"},
+		{"leading predicate, then a child step's position", rooted + `/transaction[amount > 100][1]`, "transaction", `[amount > 100]`, "per-parent:window[1]"},
 		{"inner loop of two", `for $a in ` + rooted + ` for $t in $a/transaction where $t/amount > 1000 return $t`, "transaction", `[amount > 1000]`, ""},
 		// not pushed
 		{"lifespan start", all + `[@vtFrom > "2003-10-01T00:00:00"]`, "transaction", "", "@vtFrom"},
 		{"lifespan end", rooted + `[@vtTo = "now"]`, "account", "", "@vtTo"},
 		{"child behind a hole", all + `[status = "charged"]`, "transaction", "", `"charged"`},
-		{"first", all + `[1]`, "transaction", "", "[1]"},
-		{"position()", all + `[position() = 2]`, "transaction", "", "position()"},
-		{"last()", all + `[last()]`, "transaction", "", "last()"},
+		// a child step's positions count per parent, the ones a read can
+		// serve as its window
+		{"first", rooted + `/transaction[1]`, "transaction", "", "per-parent:window[1]"},
+		{"position()", rooted + `/transaction[position() = 2]`, "transaction", "", "per-parent:[(position() = 2)]"},
+		{"last()", rooted + `/transaction[last()]`, "transaction", "", "per-parent:window[last()]"},
 		{"position, then a comparison", all + `[1][amount > 100]`, "transaction", "", "amount"},
+		{"where after a position", `for $t in ` + rooted + `/transaction[1] where $t/amount < 2000 return $t`, "transaction", "", "amount"},
 		{"disjunction", all + `[amount > 2000 or vendor = "BookShop"]`, "transaction", "", " or "},
 		{"conjunct after one that stays", `for $t in ` + all + ` where contains($t/vendor, "Pizza") and $t/amount > 100 return $t`, "transaction", "", "amount"},
 		{"after an interval projection", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", "amount"},

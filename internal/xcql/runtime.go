@@ -601,9 +601,11 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 // the same holes, and a child is one element, not one element per parent
 // version (matches Temporalize's rule). Whether the id set costs one pass
 // per hole, one batched pass or an index fetch is the access path's
-// business.
+// business. A per-parent list applies to each input node's group of
+// versions: the read gets the nodes' ids as groups, and a window when the
+// list opens with one.
 func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	args, keep := boundFilter(ctx, args)
+	args, keep, each := boundAccess(ctx, args)
 	if len(args) != 3 {
 		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnFillers)
 	}
@@ -615,45 +617,108 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 		return nil, fmt.Errorf("xcql: empty tsid argument")
 	}
 	tsid := int(xq.NumberValue(args[2][0]))
-	var out []*xmldom.Node
-	var ids []int
-	seen := make(map[int]bool)
+	var (
+		out  []*xmldom.Node
+		ids  []int        // every id the call reads, distinct, in input order
+		seen map[int]bool // ids as a set, once they stop ascending
+		read int          // ids[:read] are read
+		ends []int        // per parent: where each pending group ends in ids[read:]
+	)
 	// the pending hole ids are read as one set; an inline node between two
 	// holed ones closes the set so the output stays in input order
-	flush := func() {
-		if len(ids) > 0 {
-			out = append(out, ctx.Static.Access.Fillers(st, ids, keep)...)
-			ids = ids[:0]
+	flush := func() error {
+		if len(ids) == read {
+			return nil
 		}
+		pending := ids[read:]
+		read = len(ids)
+		if each == nil {
+			out = appendNodes(out, ctx.Static.Access.Fillers(st, pending, keep, fragment.Window{}))
+			return nil
+		}
+		win := each.window(ends)
+		els := ctx.Static.Access.Fillers(st, pending, keep, win)
+		ends = ends[:0]
+		var err error
+		out, err = applyPerGroup(ctx, out, els, win.Ends, each.rest())
+		return err
 	}
-	for _, n := range xq.Nodes(args[0]) {
-		holeIDs := fragment.HoleIDs(n, tsid)
-		if len(holeIDs) == 0 {
+	for _, it := range args[0] {
+		n, ok := it.(*xmldom.Node)
+		if !ok {
+			continue
+		}
+		if ids == nil {
+			// the first node's children bound its holes: most calls cross
+			// the holes of one node
+			ids = make([]int, 0, len(n.Children))
+			if each != nil {
+				ends = make([]int, 0, len(args[0]))
+			}
+		}
+		start := len(ids)
+		ids = fragment.HoleIDs(ids, n, tsid)
+		if len(ids) == start {
 			// The node may already be materialized (e.g. the output of an
 			// interval projection, which resolves holes while clipping);
 			// the versions then sit inline as name-matched children.
 			if tag := st.Structure().ByID(tsid); tag != nil {
-				flush()
-				out = append(out, keep.Sift(n.ChildElements(tag.Name))...)
+				if err := flush(); err != nil {
+					return nil, err
+				}
+				kids := keep.Sift(n.ChildElements(tag.Name))
+				if each == nil || len(kids) == 0 {
+					out = appendNodes(out, kids)
+				} else if out, err = applyPerGroup(ctx, out, kids, []int{len(kids)}, each.preds); err != nil {
+					return nil, err
+				}
 			}
 			continue
 		}
-		for _, id := range holeIDs {
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
+		ids, seen = distinctTail(ids, start, seen)
+		if each != nil && len(ids) > start {
+			ends = append(ends, len(ids)-read)
 		}
 	}
-	flush()
+	if err := flush(); err != nil {
+		return nil, err
+	}
 	return chargeNodes(ctx.Static.Budget, out)
+}
+
+// distinctTail drops from ids[start:] every id ids holds before it, and
+// returns ids and its set: none is built while ids stays strictly
+// ascending — how a fragmenter numbers one parent's holes, and the
+// parents themselves — since no id can then repeat.
+func distinctTail(ids []int, start int, seen map[int]bool) ([]int, map[int]bool) {
+	if seen == nil {
+		ascending := true
+		for i := max(start, 1); i < len(ids) && ascending; i++ {
+			ascending = ids[i-1] < ids[i]
+		}
+		if ascending {
+			return ids, nil
+		}
+		seen = make(map[int]bool, len(ids))
+		for _, id := range ids[:start] {
+			seen[id] = true
+		}
+	}
+	kept := ids[:start]
+	for _, id := range ids[start:] {
+		if !seen[id] {
+			seen[id] = true
+			kept = append(kept, id)
+		}
+	}
+	return kept, seen
 }
 
 // intrByTSID is the index plans' descendant jump: all filler versions
 // whose tsid is in the given set, without touching any other document
 // level.
 func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	args, keep := boundFilter(ctx, args)
+	args, keep, _ := boundAccess(ctx, args)
 	if len(args) < 2 {
 		return nil, fmt.Errorf("xcql: %s wants (stream, tsid…)", fnByTSID)
 	}

@@ -135,6 +135,16 @@ func (e *BinOp) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.L.String(), e.Op, e.R.String())
 }
 
+// Boolean reports that the operator's value is a boolean, never a number:
+// a comparison, a conjunction or a disjunction.
+func (e *BinOp) Boolean() bool {
+	switch e.Op {
+	case "or", "and", "=", "!=", "<", "<=", ">", ">=":
+		return true
+	}
+	return cmpNames[e.Op]
+}
+
 // Unary is numeric negation.
 type Unary struct{ E Expr }
 

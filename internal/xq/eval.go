@@ -164,7 +164,7 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return applyPredicates(base, ex.Preds, ctx)
+		return ApplyPredicates(base, ex.Preds, ctx)
 	case *BinOp:
 		return evalBinOp(ex, ctx)
 	case *Unary:
@@ -267,7 +267,7 @@ func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
 		if err := ctx.Static.Budget.AddItems(len(matches)); err != nil {
 			return nil, err
 		}
-		filtered, err := applyPredicates(matches, step.Preds, ctx)
+		filtered, err := ApplyPredicates(matches, step.Preds, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +391,11 @@ func eachElementChild(n *xmldom.Node, resolve temporal.HoleResolver, visit func(
 	}
 }
 
-func applyPredicates(input Sequence, preds []Expr, ctx *Context) (Sequence, error) {
+// ApplyPredicates filters input through preds in turn, as a step or a
+// filter expression applies its predicates: each item is evaluated at its
+// position in what the previous predicate kept, and a number selects by
+// position, anything else by its effective boolean value.
+func ApplyPredicates(input Sequence, preds []Expr, ctx *Context) (Sequence, error) {
 	cur := input
 	for _, pred := range preds {
 		var next Sequence

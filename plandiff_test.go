@@ -2,6 +2,7 @@ package xcql_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"xcql"
@@ -117,6 +118,71 @@ func TestPlanEquivalenceScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	runCorpus(t, ds)
+}
+
+// TestPositionalPlanAgreement: a child step's positional predicates count
+// within each parent — how the evaluator applies a step's predicates, and
+// so how CaQ does — under every plan, read window or not. Before PR 21 the
+// fragment plans wrapped the whole crossing in one Filter and counted
+// across parents: bidder[1] gave 1 where CaQ gives 240, [position() <= 2]
+// 2 where CaQ gives 445. A descendant step numbers its matches across the
+// whole stream under every plan, and is left so.
+func TestPositionalPlanAgreement(t *testing.T) {
+	ds, err := evalbench.Build(0.02, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const auctions = `stream("auction")/site/open_auctions/open_auction`
+	for _, c := range []struct {
+		step   string
+		window bool // the read serves the first positional predicate
+		count  int  // CaQ's count, when pinned
+	}{
+		{"/bidder[1]", true, 240},
+		{"/bidder[2]", true, 0},
+		{"/bidder[last()]", true, 0},
+		{"/bidder[position() <= 2]", true, 445},
+		{"/bidder[increase >= 10][1]", true, 0},
+		{"/bidder[1][increase > 10]", true, 0},
+		{"/bidder[position() = 2]", false, 0},
+		{"/initial[1]", false, 0}, // inline: the step keeps its predicates
+		{`stream("auction")//bidder[1]`, false, 1},
+	} {
+		src := c.step
+		if strings.HasPrefix(src, "/") {
+			src = auctions + src
+		}
+		var want string
+		for _, mode := range harnessModes { // CaQ first
+			q, err := ds.Runtime.Compile(src, mode)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", src, mode, err)
+			}
+			seq, err := q.Eval(evalbench.EvalInstant)
+			if err != nil {
+				t.Fatalf("%s/%s: eval: %v", src, mode, err)
+			}
+			got := xcql.FormatSequence(seq)
+			if mode == xcql.CaQ {
+				want = got
+				if c.count > 0 && len(seq) != c.count {
+					t.Errorf("%s: CaQ returns %d items, want %d", src, len(seq), c.count)
+				}
+				t.Logf("%s: %d items", src, len(seq))
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: %s differs from CaQ\nCaQ:\n%s\n%s:\n%s", src, mode, truncate(want), mode, truncate(got))
+			}
+			windowed := false
+			for _, tgt := range q.Explain().Targets {
+				windowed = windowed || strings.HasPrefix(tgt.PerParent, "window")
+			}
+			if windowed != c.window {
+				t.Errorf("%s/%s: read window %v, want %v\n%s", src, mode, windowed, c.window, q.Explain())
+			}
+		}
+	}
 }
 
 // TestPlanEquivalenceEmptyScale covers the degenerate scale-0 dataset
