@@ -126,7 +126,8 @@ trace-smoke:
 # times the size and after a write: nothing is derived from the store per
 # generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
 # credit stream has a ceiling too: losing per-binding decomposition or
-# window-expiry scheduling costs about twenty times as much. The wire codec's ceilings hold allocations and bytes alike —
+# window-expiry scheduling costs about twenty times as much, losing a unit's
+# per-version memo about five times and more with every charge. The wire codec's ceilings hold allocations and bytes alike —
 # decoding one transaction frame and one thirty-hole account frame, and
 # Publish up to the wire bytes — since what the codec must not bring back
 # is a per-frame buffer: one allocation, 32 KiB. The registry's hold what

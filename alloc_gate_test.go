@@ -105,18 +105,22 @@ func TestAllocationCeiling(t *testing.T) {
 
 	// The standing fraud query on a re-announced credit stream, 250
 	// charges in (bench/e2e's standing-window shape): one charge — the
-	// account's re-announcement, then the transaction — recomputes the
-	// charged account's bindings twice and nothing else, 2 566 allocations
-	// averaged over the next two rounds of the twenty accounts (3 083 while
-	// each crossing of $a/transaction built its hole ids through three
-	// slices and a set, 3 361 while every hole crossing copied its version
-	// group out of the index, 3 417 while each of the two unit evaluations
-	// built its own static environment, 4 412 when per-binding decomposition
-	// and window-expiry scheduling landed, PR 14, before comparisons stopped
-	// allocating). Without the decomposition every charge re-runs all twenty
-	// accounts, without the schedule every tick of the clock does: either
-	// way about twenty times the ceiling.
-	const fraudCeiling = 2950
+	// account's re-announcement, then the transaction — re-runs three
+	// versions of the charged account and nothing else — the new version
+	// and the one whose lifespan it closes, then the version announcing the
+	// transaction — 415 allocations averaged over the next two rounds of the
+	// twenty accounts (2 566 while each of the two arrivals re-ran every
+	// version of the account, each crossing all its holes; 3 083 while each
+	// crossing of $a/transaction built its hole ids through three slices
+	// and a set, 3 361 while every hole crossing copied its version group
+	// out of the index, 3 417 while each of the two unit evaluations built
+	// its own static environment, 4 412 when per-binding decomposition and
+	// window-expiry scheduling landed, before comparisons stopped
+	// allocating). Without the per-version memo every charge costs about five
+	// times the ceiling at this depth, and more with every charge after;
+	// without the decomposition every charge re-runs all twenty accounts,
+	// without the schedule every tick of the clock does.
+	const fraudCeiling = 478
 	cs := newCreditStanding(t, creditQueries[2].src, true, 250)
 	charges := cs.charges(41)
 	next := 0

@@ -632,11 +632,14 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 // one operation is one charge — the account's re-announcement and the
 // transaction, each ingested and evaluated — on twenty accounts with
 // `events` charges behind them. Full mode re-reads every version of every
-// account twice per charge. The incremental engine recomputes the charged
-// account's bindings twice (fraud), the one transaction (filter,
-// pass-through), and nothing for the clock moving on until a charge
-// leaves the window; what is left grows with that one account's history,
-// not with the store.
+// account twice per charge. The incremental engine re-runs three versions
+// of the charged account (fraud) — on the re-announcement the new one and
+// the one whose lifespan it closes, on the transaction the one announcing
+// it —, the one transaction (filter, pass-through), and nothing for the
+// clock moving on until a charge leaves the window, when it re-runs the
+// versions holding that charge. What is left grows with the holes of the
+// account's latest versions, which each re-run crosses — linearly in that
+// one account's history, not with the store.
 //
 // The {full,incremental}/events=N rows keep the older shape, one account
 // announcing every filler — preloaded and arriving — in its first and

@@ -358,6 +358,11 @@ func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(1), int64(4), uint8(64|16))
 	f.Add(int64(6), int64(21), uint8(64|32|1))
 	f.Add(int64(4), int64(9), uint8(64|48|6))
+	// re-announced, duplicated and reordered at once under the index plans:
+	// a unit's versions re-run one by one against its memo
+	f.Add(int64(1), int64(3), uint8(64|32|2|1))
+	f.Add(int64(3), int64(17), uint8(64|48|2|1))
+	f.Add(int64(8), int64(5), uint8(64|32|8|2|1))
 	f.Fuzz(func(t *testing.T, seed, permSeed int64, flags uint8) {
 		p := genstore.Profile{
 			Seed:       seed%1000 + 1,

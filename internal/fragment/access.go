@@ -27,7 +27,10 @@ type HoleResolver func(holeID int) []*xmldom.Node
 type Access interface {
 	// Filler returns one filler's versions visible at the evaluation
 	// instant. hole says the read crosses a hole; a stream's root and an
-	// incremental unit's own filler are reached without one.
+	// incremental unit's own filler are reached without one. keep is asked
+	// exactly once per visible version, in validTime order, whatever it
+	// answers — an incremental unit selects the versions it re-runs by
+	// their position — and the read is charged what the unfiltered read is.
 	Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node
 	// Fillers returns the versions of a hole-id set — a child step —
 	// concatenated in input order, a repeated id contributing only at its

@@ -2,6 +2,7 @@ package fragment_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -272,6 +273,49 @@ func TestAccessContract(t *testing.T) {
 					}
 				}
 			}
+		}
+		// an incremental unit's read — a filler reached without a hole — asks
+		// its filter once per visible version, in validTime order, whatever
+		// the filter answers, so that a unit can select its versions by
+		// position; and it is charged what the unfiltered read is, cache or
+		// not
+		multi, hidden := 0, 0
+		for _, k := range kinds {
+			for _, when := range []time.Time{ins.Instants[1], at} {
+				for _, cache := range []*fragment.Cache{nil, fragment.NewCache(1 << 16)} {
+					for _, id := range ids {
+						name := fmt.Sprintf("scan=%v/unit-read/%s/filler %d at %s/cache=%v", scan, k.name, id, when.Format(time.DateTime), cache != nil)
+						var visible []*xmldom.Node
+						for _, v := range st.Versions(id) {
+							if !v.ValidTime.After(when) {
+								visible = append(visible, v.Payload)
+							} else {
+								hidden++
+							}
+						}
+						if len(visible) > 1 {
+							multi++
+						}
+						plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
+						all := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain, Cache: cache}).Filler(st, id, false, nil)
+						var asked []*xmldom.Node
+						odd := func(p *xmldom.Node) bool { asked = append(asked, p); return len(asked)%2 == 1 }
+						kept := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered, Cache: cache}).Filler(st, id, false, odd)
+						if !slices.Equal(asked, visible) {
+							t.Errorf("%s: filter asked about %d payloads, want the %d visible versions' in validTime order", name, len(asked), len(visible))
+						}
+						if len(all) != len(visible) || len(kept) != (len(visible)+1)/2 {
+							t.Errorf("%s: %d versions read, %d kept of every other one; %d visible", name, len(all), len(kept), len(visible))
+						}
+						if got, want := chargesOf(filtered), chargesOf(plain); got != want {
+							t.Errorf("%s: charged %+v filtered, %+v unfiltered", name, got, want)
+						}
+					}
+				}
+			}
+		}
+		if multi == 0 || hidden == 0 {
+			t.Fatalf("scan=%v: unit reads met %d fillers of several visible versions and %d versions not yet visible: the row tests nothing", scan, multi, hidden)
 		}
 		// the census EXPLAIN predicts label reads from is what they return
 		for _, tsid := range tsids {

@@ -23,13 +23,17 @@
 // reaches the store only through the bound variable: its units are
 // individual fillers, the unit of work is the bindings of one filler, and
 // one arrival touches one unit per matching piece plus its containment
-// ancestors, independent of store size.
+// ancestors, independent of store size. The same layers distribute over a
+// filler's versions, so a unit keeps its output cut by version and re-runs
+// only the versions an arrival changed: a re-announced parent costs its
+// new version and the one whose lifespan it closes, not its history.
 //
-// The clock is scheduled the same way. Every unit evaluation hands back
-// a validity horizon — the earliest instant at which a comparison it made
-// against the moving "now" comes out differently — and a clock advance
-// recomputes only the units whose horizon it has reached: a charge inside
-// ?[now-PT1H,now] re-runs its account an hour later, and nothing before.
+// The clock is scheduled the same way. Every version's evaluation hands
+// back a validity horizon — the earliest instant at which a comparison it
+// made against the moving "now" comes out differently — and a clock
+// advance re-runs only the versions whose horizon it has reached: a charge
+// inside ?[now-PT1H,now] re-runs the versions of its account holding it an
+// hour later, and nothing before.
 //
 // Limitations: the engine binds to the single stream the plan mentions;
 // standing queries joining several streams fall back to broad pieces and
@@ -42,6 +46,7 @@ import (
 	"bytes"
 	"container/heap"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -130,17 +135,41 @@ type unit struct {
 	// differ with the store unchanged (xcql.UnitEval.Eval): a clock
 	// advance re-runs the unit only on reaching it. Zero: never.
 	horizon time.Time
-	due     int  // position in Engine.due, -1 when horizon is zero
-	dirty   bool // queued for the arrival in progress
+	// versions cuts the output of an indexed unit whose filler had several
+	// visible versions by version, so that an arrival re-runs only the
+	// versions it changed; nil re-runs them all.
+	versions *versionMemo
+	due      int32 // position in Engine.due, -1 when horizon is zero
+	dirty    bool  // queued for the arrival in progress
 }
+
+// versionMemo is an indexed unit's output cut by version, in read order
+// (validTime): version i's items are entries[spans[i-1].end:spans[i].end],
+// the first from 0 — in count mode the ends are running counts. It is
+// read-only once made: a SharedPass hands it to every engine of the group.
+type versionMemo struct{ spans []versionSpan }
+
+// versionSpan is what one version contributed to its unit's output: the
+// version — its payload, and with the next span's its lifespan —, where its
+// items end, and its own horizon as Unix seconds and nanoseconds, which
+// hold every instant and the zero time (never) exactly, packed beside end
+// so that a span takes 24 bytes.
+type versionSpan struct {
+	v    *fragment.Fragment
+	sec  int64
+	end  int32
+	nsec int32
+}
+
+func (s versionSpan) horizon() time.Time { return time.Unix(s.sec, int64(s.nsec)).UTC() }
 
 // dueHeap orders the units that have a horizon by it, earliest first.
 type dueHeap []*unit
 
 func (h dueHeap) Len() int           { return len(h) }
 func (h dueHeap) Less(i, j int) bool { return h[i].horizon.Before(h[j].horizon) }
-func (h dueHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].due, h[j].due = i, j }
-func (h *dueHeap) Push(x any)        { u := x.(*unit); u.due = len(*h); *h = append(*h, u) }
+func (h dueHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].due, h[j].due = int32(i), int32(j) }
+func (h *dueHeap) Push(x any)        { u := x.(*unit); u.due = int32(len(*h)); *h = append(*h, u) }
 func (h *dueHeap) Pop() any {
 	old := *h
 	u := old[len(old)-1]
@@ -186,10 +215,19 @@ type Engine struct {
 	pending  []pendingArrival
 
 	// dirty and results are the arrival in progress: the units to
-	// recompute and what they evaluated to. Kept across arrivals for
-	// their capacity only.
+	// recompute and what they evaluated to; holes are the containment
+	// levels its climb passed, and reran counts the versions it re-ran.
+	// Kept across arrivals for their capacity only.
 	dirty   []*unit
 	results []unitResult
+	holes   []holeMark
+	reran   int
+
+	// run is the per-version evaluation of one unit, and keep and each its
+	// two methods, bound once with the frame.
+	run  versionRun
+	keep fragment.Filter
+	each func(xq.Sequence, time.Time)
 
 	seeded   bool
 	fellBack bool
@@ -208,9 +246,18 @@ type Engine struct {
 // every engine of the group that evaluates the same unit: the entries are
 // read-only once made.
 type unitResult struct {
-	entries []entry
-	count   int
-	horizon time.Time
+	entries  []entry
+	count    int
+	horizon  time.Time
+	versions *versionMemo
+}
+
+// holeMark says that the arrival in progress reached unit u's filler
+// through the hole of filler id: only the versions holding that hole re-run
+// for it.
+type holeMark struct {
+	u  *unit
+	id int
 }
 
 // SetFlightRecorder attaches a flight recorder: traced arrivals record
@@ -653,6 +700,7 @@ func (sp *SharedPass) Misses() int64 { return sp.misses }
 func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.reran = 0
 	var rsp *obs.Span
 	if f != nil {
 		rsp = e.tracer.Start(f.Trace, "inc.recompute").Annotate(e.stream, f.TSID, f.Seq)
@@ -694,10 +742,11 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 			e.markArrival(f.FillerID, f.TSID)
 		}
 	}
-	if rsp != nil {
-		rsp.SetDetail("dirty=" + strconv.Itoa(len(e.dirty)) + " units=" + strconv.Itoa(len(e.order)))
-	}
+	dirty := len(e.dirty)
 	seq, serials, err := e.applyDirty(at, lim, stats, sp)
+	if rsp != nil {
+		rsp.SetDetail("dirty=" + strconv.Itoa(dirty) + " units=" + strconv.Itoa(len(e.order)) + " versions=" + strconv.Itoa(e.reran))
+	}
 	if err != nil {
 		// the popped horizons and pending events and this arrival's dirty
 		// marks are lost; un-seed so the next evaluation rebuilds from the
@@ -710,9 +759,10 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 
 // recomputeAll rebuilds containment and pending state from the store,
 // ensures a unit for everything the store holds, and recomputes every
-// unit. The previous-result memory survives, so the delta stays relative
-// to what was last emitted; re-emitting a standing result is the
-// registry's business (it renders StandingDelta), not the engine's.
+// unit, every version of it. The previous-result memory survives, so the
+// delta stays relative to what was last emitted; re-emitting a standing
+// result is the registry's business (it renders StandingDelta), not the
+// engine's.
 func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.rebuildContainment(at)
 	for pi, p := range e.pieces {
@@ -728,6 +778,7 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 		}
 	}
 	for _, u := range e.order {
+		u.versions = nil
 		e.mark(u)
 	}
 	seq, serials, err := e.applyDirty(at, lim, stats, sp)
@@ -819,7 +870,7 @@ func (e *Engine) mark(u *unit) {
 // (parent not yet announced): unreachable content cannot be in any
 // current output.
 func (e *Engine) markArrival(fid, tsid int) {
-	e.markLevel(fid, tsid, true)
+	e.markLevel(fid, tsid, -1)
 	// containment is as deep as the Tag Structure; the climbed ids guard
 	// against a cycle a malformed stream could announce
 	var buf [8]int
@@ -830,26 +881,33 @@ func (e *Engine) markArrival(fid, tsid int) {
 			return
 		}
 		climbed = append(climbed, parent)
-		e.markLevel(parent, e.tsidOf[parent], false)
+		e.markLevel(parent, e.tsidOf[parent], fid)
 		fid = parent
 	}
 }
 
-// markLevel dirties one containment level. Generic pieces react only to
-// the arrival's own tag (direct): their relevance sets are already
-// closed downward over the Tag Structure, so ancestors need no extra
-// marking there.
-func (e *Engine) markLevel(fid, tsid int, direct bool) {
+// markLevel dirties one containment level: the arrival's own (hole < 0),
+// or an ancestor reached through the hole of filler hole — of whose
+// versions only those holding that hole re-run for it. Generic pieces react
+// only to the arrival's own tag: their relevance sets are already closed
+// downward over the Tag Structure, so ancestors need no extra marking
+// there.
+func (e *Engine) markLevel(fid, tsid, hole int) {
 	for pi, p := range e.pieces {
 		if !p.indexed() {
-			if direct && (p.broad != "" || p.relevant[tsid]) {
+			if hole < 0 && (p.broad != "" || p.relevant[tsid]) {
 				e.mark(e.ensureUnit(unitKey{pi, -1, -1}))
 			}
 			continue
 		}
 		for ai, pt := range p.tsids {
-			if pt == tsid {
-				e.mark(e.ensureUnit(unitKey{pi, ai, fid}))
+			if pt != tsid {
+				continue
+			}
+			u := e.ensureUnit(unitKey{pi, ai, fid})
+			e.mark(u)
+			if hole >= 0 && u.versions != nil {
+				e.holes = append(e.holes, holeMark{u, hole})
 			}
 		}
 	}
@@ -907,10 +965,11 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 			u.dirty = false
 		}
 		clear(e.results)
-		e.dirty, e.results = dirty[:0], e.results[:0]
+		clear(e.holes)
+		e.dirty, e.results, e.holes = dirty[:0], e.results[:0], e.holes[:0]
 	}()
 	for _, u := range dirty {
-		r, err := e.evalUnitShared(u.key, at, lim, stats, sp)
+		r, err := e.evalUnitShared(u, at, lim, stats, sp)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -921,7 +980,7 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 	if e.countMode {
 		for i, u := range dirty {
 			e.countTotal += e.results[i].count - u.count
-			u.count = e.results[i].count
+			u.count, u.versions = e.results[i].count, e.results[i].versions
 		}
 		tot := float64(e.countTotal)
 		if !e.emitted || tot != e.lastTotal {
@@ -949,7 +1008,7 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 					delete(e.refcount, en.serial)
 				}
 			}
-			u.entries = e.results[i].entries
+			u.entries, u.versions = e.results[i].entries, e.results[i].versions
 		}
 	}
 	for i, u := range dirty {
@@ -974,10 +1033,10 @@ func (e *Engine) schedule(u *unit, horizon time.Time) {
 	switch {
 	case horizon.IsZero():
 		if u.due >= 0 {
-			heap.Remove(&e.due, u.due)
+			heap.Remove(&e.due, int(u.due))
 		}
 	case u.due >= 0:
-		heap.Fix(&e.due, u.due)
+		heap.Fix(&e.due, int(u.due))
 	default:
 		heap.Push(&e.due, u)
 	}
@@ -987,48 +1046,102 @@ func (e *Engine) schedule(u *unit, horizon time.Time) {
 // through to a real unit evaluation: a hit returns the memoized result
 // of an identical unit already evaluated by another engine in the group
 // this arrival, charging only the shared-hit counter; a miss evaluates
-// and publishes the result for the rest of the group.
-func (e *Engine) evalUnitShared(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (unitResult, error) {
+// and publishes the result for the rest of the group. The result carries
+// its versionMemo: an engine that takes a hit re-runs its next arrival from
+// what the evaluating engine kept, which describes the same output.
+func (e *Engine) evalUnitShared(u *unit, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (unitResult, error) {
 	if sp == nil {
 		stats.AddHandlerInvocations(1)
-		return e.evalUnit(k, at, lim, stats)
+		return e.reevalUnit(u.key, u, at, lim, stats)
 	}
-	key := passKey{e.pieces[k.piece].sigs[max(k.arg, 0)], k.fid}
+	key := passKey{e.pieces[u.key.piece].sigs[max(u.key.arg, 0)], u.key.fid}
 	if r, ok := sp.results[key]; ok {
 		sp.hits++
 		stats.AddSharedUnitHits(1)
 		return r.unitResult, r.err
 	}
 	stats.AddHandlerInvocations(1)
-	r, err := e.evalUnit(k, at, lim, stats)
+	r, err := e.reevalUnit(u.key, u, at, lim, stats)
 	sp.results[key] = sharedResult{r, err}
 	sp.misses++
 	stats.AddSharedUnitMisses(1)
 	return r, err
 }
 
-// evalUnit computes one unit's current output and horizon in the engine's
-// evaluation frame. An indexed unit fetches its filler's annotated
-// versions (the same store read the fn:bytsid intrinsic groups by filler
-// id) through the query's access path, which charges the fetch the way the
-// query's plan charges it, and runs the piece's body over them; a generic
-// unit evaluates its whole sub-plan. Every item is serialized here, once:
-// the serial is what the engine diffs by, what a shared pass hands the
-// group's other engines, and what a delta carries to the wire. Count mode
-// skips materialization and serials — only cardinality survives.
+// evalUnit computes one unit's current output and horizon from scratch:
+// every version of an indexed unit runs.
 func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
+	return e.reevalUnit(k, nil, at, lim, stats)
+}
+
+// reevalUnit computes one unit's current output and horizon in the
+// engine's evaluation frame. A generic unit evaluates its whole sub-plan.
+// An indexed unit reads its filler's annotated versions (the same store
+// read the fn:bytsid intrinsic groups by filler id) through the query's
+// access path, which charges the read the way the query's plan charges it,
+// and runs the piece's body over them — over all of them at once when the
+// filler has one visible version and prev, the unit as last evaluated, has
+// no versionMemo; otherwise version by version, and then only the versions
+// planRerun finds changed: the read builds no top for the others, whose
+// spans of prev's output are kept. Every item is serialized once, when its
+// version runs: the serial is what the engine diffs by, what a shared pass
+// hands the group's other engines, and what a delta carries to the wire.
+// Count mode skips materialization and serials — only cardinality survives.
+func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
 	p := e.pieces[k.piece]
 	if e.frame == nil {
 		e.frame = e.q.NewUnitEval()
+		e.keep, e.each = e.run.admit, e.run.collect
+		e.run.serialize = !e.countMode
 	}
-	var own *fragment.Store
-	if p.indexed() {
-		own = e.store
+	if !p.indexed() {
+		seq, horizon, err := e.frame.Eval(p.expr, nil, 0, nil, nil, at, lim, stats, !e.countMode)
+		if err != nil {
+			return unitResult{}, err
+		}
+		return e.result(seq, horizon), nil
 	}
-	seq, horizon, err := e.frame.Eval(p.expr, own, k.fid, at, lim, stats, !e.countMode)
-	if err != nil {
-		return unitResult{}, err
+	var memo *versionMemo
+	if prev != nil {
+		memo = prev.versions
 	}
+	r := &e.run
+	defer r.reset()
+	for {
+		vs := e.store.Versions(k.fid)
+		n := len(vs)
+		for n > 0 && vs[n-1].ValidTime.After(at) {
+			n--
+		}
+		vs = vs[:n]
+		if memo == nil && n < 2 {
+			// one version: nothing to keep apart
+			seq, horizon, err := e.frame.Eval(p.expr, e.store, k.fid, nil, nil, at, lim, stats, !e.countMode)
+			if err != nil {
+				return unitResult{}, err
+			}
+			e.reran += n
+			return e.result(seq, horizon), nil
+		}
+		e.planRerun(vs, memo, prev, at)
+		_, _, err := e.frame.Eval(p.expr, e.store, k.fid, e.keep, e.each, at, lim, stats, !e.countMode)
+		e.reran += len(r.ends)
+		if err != nil {
+			return unitResult{}, err
+		}
+		if r.asked == n {
+			return e.spliceVersions(vs, memo, prev), nil
+		}
+		// a writer stored a version between the two reads of the group: what
+		// ran is not what was planned; run again, every version
+		memo = nil
+		r.reset()
+	}
+}
+
+// result keeps one evaluation's output as a unit's: the items and their
+// serials, or in count mode their number.
+func (e *Engine) result(seq xq.Sequence, horizon time.Time) unitResult {
 	r := unitResult{count: len(seq), horizon: horizon}
 	if !e.countMode {
 		r.entries = make([]entry, len(seq))
@@ -1036,7 +1149,171 @@ func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.E
 			r.entries[i] = entry{item: it, serial: ItemSerial(it)}
 		}
 	}
-	return r, nil
+	return r
+}
+
+// versionRun is the per-version evaluation of one unit in progress: by
+// visible position, the span of the memo each version keeps (-1: it
+// re-runs) and how many the read has asked about, then what the re-run
+// versions produced, in read order.
+type versionRun struct {
+	keep      []int
+	holes     []int // the fillers the arrival reached the unit's filler through
+	asked     int
+	serialize bool
+	fresh     []entry
+	ends      []int // the j-th re-run version's items end at fresh[ends[j]]; count mode: running counts
+	horizons  []time.Time
+}
+
+// admit is the read's filter: it is asked once per visible version, in
+// validTime order (fragment.Access), and lets through the versions that
+// re-run.
+func (r *versionRun) admit(*xmldom.Node) bool {
+	i := r.asked
+	r.asked++
+	return i < len(r.keep) && r.keep[i] < 0
+}
+
+// collect takes one re-run version's output.
+func (r *versionRun) collect(seq xq.Sequence, horizon time.Time) {
+	end := len(seq)
+	if r.serialize {
+		for _, it := range seq {
+			r.fresh = append(r.fresh, entry{item: it, serial: ItemSerial(it)})
+		}
+		end = len(r.fresh)
+	} else if len(r.ends) > 0 {
+		end += r.ends[len(r.ends)-1]
+	}
+	r.ends, r.horizons = append(r.ends, end), append(r.horizons, horizon)
+}
+
+// reset forgets the evaluation, and the items it held.
+func (r *versionRun) reset() {
+	clear(r.fresh)
+	r.keep, r.holes, r.fresh, r.ends, r.horizons = r.keep[:0], r.holes[:0], r.fresh[:0], r.ends[:0], r.horizons[:0]
+	r.asked = 0
+}
+
+// planRerun decides which of the visible versions vs re-run. A version
+// keeps its span of memo — prev's output cut by version — when it is the
+// version the span was made of, its lifespan still ends where it did (at
+// the next version's validTime, or now), the span's horizon is ahead of a
+// clock that moved, and its payload holds none of the holes the arrival
+// reached it through: these are everything a version's output depends on.
+// memo's versions are a subsequence of vs — the store only inserts — and
+// are matched in order, so a version stored mid-history re-runs with the
+// one whose lifespan it closes, and no other.
+func (e *Engine) planRerun(vs []*fragment.Fragment, memo *versionMemo, prev *unit, at time.Time) {
+	r := &e.run
+	var spans []versionSpan
+	if memo != nil {
+		spans = memo.spans
+		for _, h := range e.holes {
+			if h.u == prev {
+				r.holes = append(r.holes, h.id)
+			}
+		}
+	}
+	moved := at.After(e.lastAt)
+	j := 0
+	for i, v := range vs {
+		keep := -1
+		if j < len(spans) && spans[j].v == v {
+			next := i+1 < len(vs)
+			sameEnd := next == (j+1 < len(spans)) && (!next || vs[i+1].ValidTime.Equal(spans[j+1].v.ValidTime))
+			h := spans[j].horizon()
+			due := moved && !h.IsZero() && !h.After(at)
+			if sameEnd && !due && (len(r.holes) == 0 || !holdsHole(v.Payload, r.holes)) {
+				keep = j
+			}
+			j++
+		}
+		r.keep = append(r.keep, keep)
+	}
+}
+
+// spliceVersions assembles a unit's output from the spans of memo its
+// versions kept — in prev's entries — and the outputs of those that
+// re-ran, with the memo that cuts it by version.
+func (e *Engine) spliceVersions(vs []*fragment.Fragment, memo *versionMemo, prev *unit) unitResult {
+	r := &e.run
+	spans := make([]versionSpan, len(vs))
+	var res unitResult
+	for i, j := 0, 0; i < len(vs); i++ {
+		var lo, hi int
+		var h time.Time
+		if m := r.keep[i]; m >= 0 {
+			lo, hi = memo.bounds(m)
+			h = memo.spans[m].horizon()
+		} else {
+			lo, hi = r.bounds(j)
+			h = r.horizons[j]
+			j++
+		}
+		res.count += hi - lo
+		res.horizon = earliest(res.horizon, h)
+		spans[i] = versionSpan{v: vs[i], sec: h.Unix(), end: int32(res.count), nsec: int32(h.Nanosecond())}
+	}
+	if r.serialize {
+		res.entries = make([]entry, 0, res.count)
+		for i, j := 0, 0; i < len(vs); i++ {
+			if m := r.keep[i]; m >= 0 {
+				lo, hi := memo.bounds(m)
+				res.entries = append(res.entries, prev.entries[lo:hi]...)
+			} else {
+				lo, hi := r.bounds(j)
+				res.entries = append(res.entries, r.fresh[lo:hi]...)
+				j++
+			}
+		}
+	}
+	if res.count <= math.MaxInt32 {
+		res.versions = &versionMemo{spans}
+	}
+	return res
+}
+
+// bounds is where span i's items run in its unit's output.
+func (m *versionMemo) bounds(i int) (lo, hi int) {
+	if i > 0 {
+		lo = int(m.spans[i-1].end)
+	}
+	return lo, int(m.spans[i].end)
+}
+
+// bounds is where re-run version j's items run in fresh.
+func (r *versionRun) bounds(j int) (lo, hi int) {
+	if j > 0 {
+		lo = r.ends[j-1]
+	}
+	return lo, r.ends[j]
+}
+
+// earliest is the earlier of two horizons, the zero time being never.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// holdsHole reports that a payload holds, at any depth, the hole of one of
+// the fillers ids.
+func holdsHole(n *xmldom.Node, ids []int) bool {
+	for _, c := range n.Children {
+		if !fragment.IsHole(c) {
+			if holdsHole(c, ids) {
+				return true
+			}
+			continue
+		}
+		if id, err := fragment.HoleID(c); err == nil && slices.Contains(ids, id) {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureUnit returns the unit of a key, registering it in the global

@@ -207,6 +207,166 @@ func TestPerBindingSchedule(t *testing.T) {
 	}
 }
 
+// fraudReplay drives one fraud engine over a credit stream and holds every
+// step to a from-scratch evaluation of the plan: the delta to the items
+// absent from the previous full result, the standing result to the full
+// result itself.
+type fraudReplay struct {
+	t    *testing.T
+	e    *Engine
+	full *xcql.Query
+	prev map[string]bool
+}
+
+func newFraudReplay(t *testing.T, rt *xcql.Runtime) *fraudReplay {
+	return &fraudReplay{t: t, e: New(rt.MustCompile(fraudQuery, xcql.QaCPlus)), full: rt.MustCompile(fraudQuery, xcql.QaCPlus)}
+}
+
+// step applies one arrival (nil: a clock advance) at the instant at, checks
+// it, and returns how many versions it re-ran.
+func (fr *fraudReplay) step(f *fragment.Fragment, at time.Time) int {
+	fr.t.Helper()
+	delta, _, err := fr.e.Apply(f, at, xcql.Limits{}, nil, nil)
+	if err != nil {
+		fr.t.Fatalf("at %s: %v", at.Format(time.TimeOnly), err)
+	}
+	ref, err := fr.full.Eval(at)
+	if err != nil {
+		fr.t.Fatal(err)
+	}
+	next := make(map[string]bool)
+	want := []string{}
+	for _, s := range ItemSerials(ref) {
+		if !fr.prev[s] && !next[s] {
+			want = append(want, s)
+		}
+		next[s] = true
+	}
+	fr.prev = next
+	if got := ItemSerials(delta); !reflect.DeepEqual(got, want) {
+		fr.t.Fatalf("at %s: delta %q, full re-evaluation emits %q", at.Format(time.TimeOnly), got, want)
+	}
+	if got, want := snapshotSerials(fr.e), strings.Join(ItemSerials(ref), "\n"); got != want {
+		fr.t.Fatalf("at %s: standing result\n%s\nfull re-evaluation\n%s", at.Format(time.TimeOnly), got, want)
+	}
+	return fr.e.reran
+}
+
+// TestPerVersionSchedule pins which versions an arrival re-runs on a
+// re-announced credit stream, one account charged k times a minute apart,
+// so that version i of the account holds the holes of charges 1..i: a
+// re-announcement re-runs the new version and the one whose lifespan it
+// closes, its transaction the one version announcing it; the clock re-runs
+// nothing short of a window edge, and just past one only the versions
+// whose horizon it passed — the versions holding the charge that left the
+// window, not the older ones. Duplicate versions, a version stored
+// mid-history, a future-dated version becoming visible, a clock regression
+// and a budget trip half-way through a unit's versions all leave every
+// delta and standing result equal to a from-scratch evaluation.
+func TestPerVersionSchedule(t *testing.T) {
+	rt, cs := newCreditStream(t, 2)
+	fr := newFraudReplay(t, rt)
+	rec := obs.NewFlightRecorder(obs.FlightRecorderOptions{SampleEvery: 1})
+	fr.e.SetFlightRecorder(rec)
+	fr.step(nil, creditBase)
+	const k = 6
+	minute := func(m int) time.Time { return creditBase.Add(time.Duration(m) * time.Minute) }
+	at := creditBase
+	for i := 1; i <= k; i++ {
+		at = minute(i)
+		announce, tx := cs.charge(0, 2000, at)
+		announce.Trace = rec.NewTrace()
+		if n := fr.step(announce, at); n != 2 {
+			t.Fatalf("charge %d, the re-announcement: %d versions re-run, want the new one and the one whose lifespan it closes", i, n)
+		}
+		rec.Flush()
+		spans := rec.TraceByID(announce.Trace.TraceID).Spans
+		if len(spans) != 1 || spans[0].Detail != "dirty=1 units=2 versions=2" {
+			t.Fatalf("charge %d, the re-announcement: spans %+v, want one inc.recompute span detailing dirty=1 units=2 versions=2", i, spans)
+		}
+		if n := fr.step(tx, at); n != 1 {
+			t.Fatalf("charge %d, the transaction: %d versions re-run, want the one announcing it", i, n)
+		}
+	}
+	for _, u := range fr.e.order {
+		if want := len(cs.store.Versions(u.key.fid)); u.key.fid == 1 && (u.versions == nil || len(u.versions.spans) != want) {
+			t.Fatalf("account 0: unit memo %+v, want one span for each of its %d versions", u.versions, want)
+		}
+	}
+
+	// charge i leaves the window an hour after its minute: the first takes
+	// the k versions holding it, the second the k-1 holding it — version 1,
+	// which holds the first charge alone, has no horizon left
+	for i, want := range []int{k, k - 1} {
+		edge := minute(i + 1).Add(time.Hour)
+		for _, tick := range []time.Time{edge.Add(-time.Second), edge} {
+			if n := fr.step(nil, tick); n != 0 {
+				t.Fatalf("clock at %s, short of charge %d's window edge: %d versions re-run, want none", tick.Format(time.TimeOnly), i+1, n)
+			}
+		}
+		at = edge.Add(time.Nanosecond)
+		if n := fr.step(nil, at); n != want {
+			t.Fatalf("charge %d left the window: %d versions re-run, want the %d holding it", i+1, n, want)
+		}
+	}
+
+	// duplicate delivery: the latest version stored again, then a copy
+	// sharing its payload; each re-runs itself and the version before it
+	latest := cs.store.Versions(1)[k]
+	for _, dup := range []*fragment.Fragment{latest, fragment.New(latest.FillerID, latest.TSID, latest.ValidTime, latest.Payload)} {
+		if n := fr.step(cs.add(dup), at); n != 2 {
+			t.Fatalf("a duplicate of the latest version: %d versions re-run, want 2", n)
+		}
+	}
+	// a version dated between charges 2 and 3, arriving now
+	if n := fr.step(cs.add(cs.pub.Account(0, minute(2).Add(30*time.Second))), at); n != 2 {
+		t.Fatalf("a version stored mid-history: %d versions re-run, want it and the one whose lifespan it closes", n)
+	}
+	// a version dated ahead of the clock re-runs nothing until it is visible
+	future := cs.add(cs.pub.Account(0, at.Add(30*time.Second)))
+	if n := fr.step(future, at); n != 0 {
+		t.Fatalf("a future-dated version: %d versions re-run on arrival, want none", n)
+	}
+	if n := fr.step(nil, future.ValidTime); n != 2 {
+		t.Fatalf("a future-dated version becoming visible: %d versions re-run, want it and the one whose lifespan it closes", n)
+	}
+	// a clock regression re-runs everything visible; the clock then runs on
+	back := minute(61).Add(30 * time.Second)
+	visible := 0
+	for _, fid := range []int{1, 2} {
+		for _, v := range cs.store.Versions(fid) {
+			if !v.ValidTime.After(back) {
+				visible++
+			}
+		}
+	}
+	if n := fr.step(nil, back); n != visible {
+		t.Fatalf("a clock regression: %d versions re-run, want all %d visible", n, visible)
+	}
+	fr.step(nil, minute(65))
+
+	// a budget trip after the first of a unit's two re-run versions, then
+	// the next arrival: the smallest step budget that lets one version
+	// through is found on fresh engines seeded before the re-announcement
+	at = minute(70)
+	announce, tx := cs.charge(0, 2000, at)
+	for steps := int64(1); ; steps++ {
+		tripped := newFraudReplay(t, rt)
+		tripped.step(nil, at.Add(-time.Second))
+		_, _, err := tripped.e.Apply(announce, at, xcql.Limits{MaxSteps: steps}, nil, nil)
+		if err == nil {
+			t.Fatalf("no step budget trips between the unit's two versions (%d let both through)", steps)
+		}
+		if tripped.e.reran == 0 {
+			continue
+		}
+		if n := tripped.step(tx, at); n == 0 {
+			t.Fatalf("the arrival after a budget trip re-ran no version")
+		}
+		break
+	}
+}
+
 // TestVolatileUnitRunsOncePerInstant: a unit that reads the clock as a
 // value has its evaluation instant for a horizon. Every clock advance
 // re-runs it; a second arrival at the same instant, which is none of its

@@ -107,15 +107,24 @@ func (q *Query) NewUnitEval() *UnitEval {
 // Eval evaluates one sub-expression of the query's plan at the evaluation
 // instant under its own budget built from lim, counters accumulated into
 // stats (nil collects nothing). With st set the unit is one filler's:
-// $UnitVar is bound to the versions of filler fid, read through the plan's
-// access path and charged the way a full evaluation charges the same
-// fetch — the by-tsid read, one filler at a time. materialize runs the
-// final hole-filling Materialize step on the result, as Query.Eval does.
+// $UnitVar is bound to the versions of filler fid that keep lets through
+// (nil keeps all), read through the plan's access path and charged the way
+// a full evaluation charges the same fetch — the by-tsid read, one filler
+// at a time, every visible version examined whatever keep turns away.
+// materialize runs the final hole-filling Materialize step on the result,
+// as Query.Eval does.
 //
 // horizon is the earliest instant after at at which the same evaluation
 // over the same store can come out differently (xtime.Horizon): the zero
 // time when the clock alone never changes it, at itself when the result
 // is valid at this instant only.
+//
+// With each set, e runs once per version read instead, $UnitVar bound to
+// that version alone, and each receives every version's output and horizon
+// in read order; Eval then returns neither. An incremental unit's body
+// distributes over any partition of its input, so the outputs concatenate
+// to the output over all the versions, and a caller that keeps them apart
+// can re-run one version without the others.
 //
 // This is the incremental evaluator's workhorse: each partial-match unit
 // re-evaluates only its own slice of the plan through the same engine
@@ -124,10 +133,10 @@ func (q *Query) NewUnitEval() *UnitEval {
 // evaluate many tiny units and each is already step/byte/deadline-bounded
 // by lim. Everything an evaluation leaves in the frame — a budget trip's
 // panic included — the next one's arming overwrites.
-func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
+func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, each func(xq.Sequence, time.Time),
+	at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	q, static := u.q, u.static
 	u.budget.Reset(context.Background(), lim)
-	u.horizon.Reset(at)
 	static.Now, static.Stats, static.Funcs = at, stats, q.rt.funcTable()
 	static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Parallelism: 1})
 	defer func() {
@@ -136,17 +145,25 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, at time.Time, li
 			seq, horizon, err = nil, time.Time{}, q.contained(p)
 		}
 	}()
+	var bound xq.Sequence
 	if st != nil {
-		u.ctx.Rebind(xq.FromNodes(static.Access.Filler(st, fid, false, nil)))
+		bound = xq.FromNodes(static.Access.Filler(st, fid, false, keep))
 	}
-	seq, err = xq.Eval(e, u.ctx)
+	if each == nil {
+		seq, horizon, err = u.run(e, bound, at, materialize)
+	} else {
+		for i := range bound {
+			var one xq.Sequence
+			var h time.Time
+			if one, h, err = u.run(e, bound[i:i+1:i+1], at, materialize); err != nil {
+				break
+			}
+			each(one, h)
+		}
+	}
 	if err != nil {
-		return nil, time.Time{}, q.wrapResource(err)
+		return nil, time.Time{}, err
 	}
-	if materialize {
-		seq = materializeResult(seq, static)
-	}
-	horizon, _ = u.horizon.Next()
 	if stats != nil {
 		// Query.eval copies the budget's totals into the stats at the
 		// end; unit evaluations instead accumulate, so one arrival's
@@ -156,5 +173,21 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, at time.Time, li
 		atomic.AddInt64(&stats.Items, items)
 		atomic.AddInt64(&stats.BytesMaterialized, bytes)
 	}
+	return seq, horizon, nil
+}
+
+// run evaluates e once with $UnitVar bound to bound, and the horizon of
+// that one evaluation.
+func (u *UnitEval) run(e xq.Expr, bound xq.Sequence, at time.Time, materialize bool) (xq.Sequence, time.Time, error) {
+	u.horizon.Reset(at)
+	u.ctx.Rebind(bound)
+	seq, err := xq.Eval(e, u.ctx)
+	if err != nil {
+		return nil, time.Time{}, u.q.wrapResource(err)
+	}
+	if materialize {
+		seq = materializeResult(seq, u.static)
+	}
+	horizon, _ := u.horizon.Next()
 	return seq, horizon, nil
 }

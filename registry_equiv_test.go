@@ -2,6 +2,7 @@ package xcql_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -126,6 +127,97 @@ func registrySpecs(ins *genstore.Instance, n int) []regSpec {
 		specs = specs[:n]
 	}
 	return specs
+}
+
+// TestSharedMemoSurvivesChurn: two incremental registrations whose plans
+// differ — so each has an engine of its own — but share the fraud piece's
+// unit signature, on a re-announced credit stream. The second joins a
+// quarter of the way in: its seeding evaluates the accounts the arrival
+// left clean itself, and from then on the first, which evaluates first,
+// computes every dirty account and the second takes it from the shared
+// pass, its per-version memo included. When the first is closed half-way
+// the second re-runs from the memos it took, not from the ones it made
+// when it joined. Its deltas after joining and its final standing result
+// are replayOracle's, and so are the first's up to its close.
+func TestSharedMemoSurvivesChurn(t *testing.T) {
+	structure := xcql.MustParseTagStructure(genstore.CreditStructure)
+	pub, frags := genstore.NewCreditPublisher(3)
+	for i := 1; i <= 24; i++ {
+		a := 0
+		if i%4 == 3 {
+			a = 1 + i%2
+		}
+		announce, tx := pub.Charge(a, 3000, genstore.CreditBase.Add(time.Duration(i)*30*time.Minute))
+		frags = append(frags, announce, tx)
+	}
+	ins := &genstore.Instance{Structure: structure, Fragments: frags}
+	const where = ` where sum($a/transaction?[now-PT1H,now]/amount) >= 5000 return $a/@id`
+	srcs := []string{
+		`for $a in stream("s")//account` + where,
+		`for $a in (stream("s")//account, stream("s")//account)` + where,
+	}
+
+	st := fragment.NewStore(structure)
+	e := xcql.NewEngine()
+	e.RegisterStore("s", st)
+	var at time.Time
+	r := e.Registry()
+	r.SetClock(func() time.Time { return at })
+	traces := make([]replayTrace, len(srcs))
+	regs := make([]*xcql.QueryRegistration, len(srcs))
+	register := func(i int) {
+		q, err := e.Compile(srcs[i], xcql.QaCPlus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if regs[i], err = r.Register(q, xcql.RegistryOptions{Incremental: true, OnResult: func(res xcql.RegistryResult) {
+			if res.Err != nil {
+				traces[i].deltas = append(traces[i].deltas, "!error")
+				return
+			}
+			traces[i].deltas = append(traces[i].deltas, xcql.FormatSequence(res.Delta))
+		}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(0)
+	// the second joins on a quiet account's re-announcement, so that its
+	// seeding evaluates the busy account 0 itself
+	steps, joinAt, closeAt := 0, -1, len(frags)/2
+	replaySteps(t, st, frags, &at, func(f *xcql.Fragment) {
+		switch {
+		case joinAt < 0 && steps >= len(frags)/4 && f != nil && f.TSID == genstore.CreditAccountTSID && f.FillerID != 1:
+			joinAt = steps
+			register(1)
+			if a, b := regs[0].Strategy(), regs[1].Strategy(); a != "1 piece (per-binding on account)" || b != "2 pieces (per-binding on account; per-binding on account)" {
+				t.Fatalf("strategies %q and %q, want the fraud piece per binding in both", a, b)
+			}
+		case steps == closeAt:
+			groups := r.Groups()
+			if len(groups) != 1 || groups[0].Members != 2 || groups[0].Stats.SharedUnitHits == 0 {
+				t.Fatalf("before the close: groups %+v, want the two registrations in one group sharing units", groups)
+			}
+			regs[0].Close()
+		}
+		r.Apply(f)
+		steps++
+	})
+	traces[1].final = xcql.FormatSequence(regs[1].ItemsSnapshot())
+
+	// the survivor's first delivery re-emits its standing result; what
+	// follows is the oracle's, delta for delta
+	want := replayOracle(t, ins, frags, srcs[1], xcql.QaCPlus, execConfigs[0])
+	if !slices.ContainsFunc(want.deltas[closeAt:], func(d string) bool { return d != "" }) {
+		t.Fatalf("the fraud query reports nothing after the close: the case tests nothing")
+	}
+	want.deltas = want.deltas[joinAt+1:]
+	if got := (replayTrace{deltas: traces[1].deltas[1:], final: traces[1].final}); got.String() != want.String() {
+		t.Fatalf("the registration left alone diverged from the oracle\noracle:\n%s\nregistry:\n%s", harnessTruncate(want.String()), harnessTruncate(got.String()))
+	}
+	first := replayOracle(t, ins, frags, srcs[0], xcql.QaCPlus, execConfigs[0])
+	if got, want := traces[0].deltas, first.deltas[:closeAt]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the closed registration diverged from the oracle before its close\noracle:\n%q\nregistry:\n%q", want, got)
+	}
 }
 
 // TestRegistryEquivalence replays 200+ generated store/query pairs (40
