@@ -130,15 +130,21 @@ trace-smoke:
 # per-version memo about five times and more with every charge. The wire codec's ceilings hold allocations and bytes alike —
 # decoding one transaction frame and one thirty-hole account frame, and
 # Publish up to the wire bytes — since what the codec must not bring back
-# is a per-frame buffer: one allocation, 32 KiB. The registry's hold what
+# is a per-frame buffer (one allocation, 32 KiB) or a node built at a time
+# (decoding is the frame's string, its payload's three arrays and the
+# fragment: the <filler> wrapper is never built). The registry's hold what
 # one arrival costs 64 standing pass-through queries in two groups — a
 # transaction, an account re-announcement that dirties nothing (nothing at
 # all) and a result frame written into a kept buffer (nothing either): what
 # they must not bring back is machinery rebuilt per arrival — a shared-pass
-# map, a stats struct, a function table, a second serialization. Run
-# without -race: the detector's instrumentation allocates on its own.
+# map, a stats struct, a function table, a second serialization. A
+# subscriber reading a result frame pays the one string its strings are
+# substrings of and the delta slice: what it must not bring back is a
+# decode that allocates per field or item. Run without -race: the
+# detector's instrumentation allocates on its own.
 alloc-gate:
 	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling|TestExplainDoesNotWalkTheStore)$$' -count=1 -timeout 120s .
+	$(GO) test -run '^TestSubscriberReadAllocationCeiling$$' -count=1 -timeout 120s ./internal/registry
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
 # numbers a re-run reproduces — PlanGrid, Selectivity, the re-announcing
@@ -165,6 +171,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xcql -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzQueryAPIRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzResultFrameRead$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz '^FuzzIncrementalArrival$$' -fuzztime $(FUZZTIME)
 
 bench:

@@ -189,39 +189,8 @@ func (f *Fragment) writeWire(w xmldom.Sink) {
 // child element itself, not a copy: el belongs to the fragment from here
 // on and the caller must not write it.
 func FromXML(el *xmldom.Node) (*Fragment, error) {
-	if el == nil || el.Name != FillerTag {
-		return nil, fmt.Errorf("fragment: expected <%s>, got %v", FillerTag, name(el))
-	}
-	idStr, ok := el.Attr(AttrID)
-	if !ok {
-		return nil, fmt.Errorf("fragment: filler missing id")
-	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil || id < 0 {
-		return nil, fmt.Errorf("fragment: bad filler id %q", idStr)
-	}
-	tsidStr, ok := el.Attr(AttrTSID)
-	if !ok {
-		return nil, fmt.Errorf("fragment: filler %d missing tsid", id)
-	}
-	tsid, err := strconv.Atoi(tsidStr)
-	if err != nil || tsid <= 0 {
-		return nil, fmt.Errorf("fragment: bad tsid %q on filler %d", tsidStr, id)
-	}
-	vtStr, ok := el.Attr(AttrValidTime)
-	if !ok {
-		return nil, fmt.Errorf("fragment: filler %d missing validTime", id)
-	}
-	vt, err := xtime.Parse(vtStr)
-	if err != nil || !vt.IsAbsolute() {
-		return nil, fmt.Errorf("fragment: filler %d has bad validTime %q", id, vtStr)
-	}
-	var seq uint64
-	if seqStr, ok := el.Attr(AttrSeq); ok {
-		seq, err = strconv.ParseUint(seqStr, 10, 64)
-		if err != nil || seq == 0 {
-			return nil, fmt.Errorf("fragment: bad seq %q on filler %d", seqStr, id)
-		}
+	if el == nil {
+		return nil, fmt.Errorf("fragment: expected <%s>, got nil", FillerTag)
 	}
 	var payload *xmldom.Node
 	kids := 0
@@ -231,10 +200,70 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 			kids++
 		}
 	}
+	f, err := fromWrapper(el.Name, el.Attrs, kids)
+	if err != nil {
+		return nil, err
+	}
+	f.Payload = payload
+	return f, nil
+}
+
+// FromScanned is FromXML for a <filler> element held in an xmldom.Decoder's
+// scratch: the wrapper is checked there, by the code that checks FromXML's
+// and with the same errors, and never built; only the payload is, so a
+// stored fragment keeps no wrapper node.
+func FromScanned(el xmldom.Scanned) (*Fragment, error) {
+	payload, kids := el.OnlyElement()
+	f, err := fromWrapper(el.Name(), el.Attrs(), kids)
+	if err != nil {
+		return nil, err
+	}
+	f.Payload = payload.Build()
+	return f, nil
+}
+
+// fromWrapper reads the stamps of a <filler> wrapper with the given name,
+// attributes and number of element children into a fragment that has no
+// payload yet.
+func fromWrapper(tag string, attrs []xmldom.Attr, kids int) (*Fragment, error) {
+	if tag != FillerTag {
+		return nil, fmt.Errorf("fragment: expected <%s>, got <%s>", FillerTag, tag)
+	}
+	idStr, ok := xmldom.LookupAttr(attrs, AttrID)
+	if !ok {
+		return nil, fmt.Errorf("fragment: filler missing id")
+	}
+	id, err := strconv.Atoi(idStr)
+	if err != nil || id < 0 {
+		return nil, fmt.Errorf("fragment: bad filler id %q", idStr)
+	}
+	tsidStr, ok := xmldom.LookupAttr(attrs, AttrTSID)
+	if !ok {
+		return nil, fmt.Errorf("fragment: filler %d missing tsid", id)
+	}
+	tsid, err := strconv.Atoi(tsidStr)
+	if err != nil || tsid <= 0 {
+		return nil, fmt.Errorf("fragment: bad tsid %q on filler %d", tsidStr, id)
+	}
+	vtStr, ok := xmldom.LookupAttr(attrs, AttrValidTime)
+	if !ok {
+		return nil, fmt.Errorf("fragment: filler %d missing validTime", id)
+	}
+	vt, err := xtime.Parse(vtStr)
+	if err != nil || !vt.IsAbsolute() {
+		return nil, fmt.Errorf("fragment: filler %d has bad validTime %q", id, vtStr)
+	}
+	var seq uint64
+	if seqStr, ok := xmldom.LookupAttr(attrs, AttrSeq); ok {
+		seq, err = strconv.ParseUint(seqStr, 10, 64)
+		if err != nil || seq == 0 {
+			return nil, fmt.Errorf("fragment: bad seq %q on filler %d", seqStr, id)
+		}
+	}
 	if kids != 1 {
 		return nil, fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, kids)
 	}
-	f := New(id, tsid, vt.Time(), payload)
+	f := New(id, tsid, vt.Time(), nil)
 	f.Seq = seq
 	// PublishedAt is transport metadata a peer must never control: if a
 	// decoded frame could carry a publish stamp, a crafted frame would
@@ -248,7 +277,7 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 	// legacy peers (no attr) and garbled frames interoperate. Contrast
 	// with PublishedAt above — a trace id can't poison any measurement,
 	// it only chooses which correlation bucket spans land in.
-	if traceStr, ok := el.Attr(AttrTrace); ok {
+	if traceStr, ok := xmldom.LookupAttr(attrs, AttrTrace); ok {
 		if tc, ok := obs.ParseTraceContext(traceStr); ok {
 			f.Trace = tc
 		}
@@ -258,24 +287,31 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 
 // Parse parses the compact wire string form.
 func Parse(src string) (*Fragment, error) {
-	doc, err := xmldom.ParseString(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromXML(doc.Root())
+	var d xmldom.Decoder
+	return parse(&d, src)
 }
 
-// ParseStored is Parse for a frame read back from a log: the fragment
-// keeps src — which its payload was decoded in place from, and so keeps
-// alive anyway — as its wire form, and whoever replays it to a socket or
-// copies it to another file writes the stored bytes, not a re-encoding.
-func ParseStored(src string) (*Fragment, error) {
-	f, err := Parse(src)
+// ParseStored is Parse for a frame read back from a log, on the decoder
+// of the replay reading it: the fragment keeps src — which its payload
+// was decoded in place from, and so keeps alive anyway — as its wire form,
+// and whoever replays it to a socket or copies it to another file writes
+// the stored bytes, not a re-encoding.
+func ParseStored(d *xmldom.Decoder, src string) (*Fragment, error) {
+	f, err := parse(d, src)
 	if err != nil {
 		return nil, err
 	}
 	f.wire = src
 	return f, nil
+}
+
+func parse(d *xmldom.Decoder, src string) (*Fragment, error) {
+	doc, err := d.ScanDocument(src)
+	if err != nil {
+		return nil, err
+	}
+	root, _ := doc.OnlyElement()
+	return FromScanned(root)
 }
 
 func name(el *xmldom.Node) string {

@@ -2,6 +2,8 @@ package fragment
 
 import (
 	"testing"
+
+	"xcql/internal/xmldom"
 )
 
 // FuzzWireDecode throws arbitrary bytes at the filler wire parser. Two
@@ -13,6 +15,12 @@ import (
 // drift. And since a decoded payload shares the string it was decoded
 // from, never the bytes that string was made of, scribbling over those
 // bytes afterwards must not reach it.
+//
+// A connection or a replay decodes every frame in one kept
+// xmldom.Decoder, which never builds the <filler> wrapper: it must accept
+// and reject exactly what a fresh ParseElement + FromXML does, with the
+// same error, and a fragment it decoded must not change when the same
+// decoder decodes the next frame.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00"><doc/></filler>`))
 	f.Add([]byte(`<filler id="7" tsid="5" validTime="2003-01-02T10:00:00" seq="42"><event><value>33</value></event></filler>`))
@@ -29,6 +37,25 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="1" tsid="1" validTime="2003-01-02T00:00:00" trace="0000000000000000-0000000000000000"><x/></filler>`))
 	f.Add([]byte(`<filler id="1" tsid="1" validTime="2003-01-02T00:00:00" trace="ffffffffffffffffffffffffffffffffff"><x/></filler>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec xmldom.Decoder
+		keptFrag, keptErr := decodeKept(&dec, string(data))
+		freshFrag, freshErr := decodeFresh(string(data))
+		if (keptErr == nil) != (freshErr == nil) || keptErr != nil && keptErr.Error() != freshErr.Error() {
+			t.Fatalf("kept decoder: %v; fresh ParseElement + FromXML: %v", keptErr, freshErr)
+		}
+		if keptFrag != nil {
+			keptWire := keptFrag.String()
+			if keptWire != freshFrag.String() {
+				t.Fatalf("kept decoder gave %s, fresh decode %s", keptWire, freshFrag)
+			}
+			if _, err := decodeKept(&dec, keptWire); err != nil {
+				t.Fatalf("the encoder's frame does not decode: %v\nwire: %s", err, keptWire)
+			}
+			if keptFrag.String() != keptWire {
+				t.Fatalf("a fragment changed when its decoder decoded the next frame:\nbefore %s\n after %s", keptWire, keptFrag)
+			}
+		}
+
 		frag, err := Parse(string(data))
 		if err != nil {
 			return // rejection is fine; panicking is not
@@ -63,9 +90,28 @@ func FuzzWireDecode(f *testing.F) {
 		if frag.String() != wire {
 			t.Fatalf("fragment changed with the bytes it was decoded from:\nbefore %s\n after %s", wire, frag)
 		}
-		stored, err := ParseStored(wire)
+		stored, err := ParseStored(&dec, wire)
 		if err != nil || stored.String() != wire || !stored.Payload.Equal(again.Payload) {
 			t.Fatalf("ParseStored(%s) = %v, %v", wire, stored, err)
 		}
 	})
+}
+
+// decodeKept is a connection's read loop on one frame.
+func decodeKept(dec *xmldom.Decoder, frame string) (*Fragment, error) {
+	el, err := dec.Scan(frame)
+	if err != nil {
+		return nil, err
+	}
+	return FromScanned(el)
+}
+
+// decodeFresh decodes one frame with nothing kept: the whole element
+// built, wrapper included, then read.
+func decodeFresh(frame string) (*Fragment, error) {
+	el, err := xmldom.ParseElement(frame)
+	if err != nil {
+		return nil, err
+	}
+	return FromXML(el)
 }

@@ -155,14 +155,6 @@ func decodeAck(b []byte) (registerAck, error) {
 	return ack, nil
 }
 
-func decodeWireResult(b []byte) (WireResult, error) {
-	var w WireResult
-	if err := json.Unmarshal(b, &w); err != nil {
-		return w, err
-	}
-	return w, nil
-}
-
 func httpError(w http.ResponseWriter, status int, kind, msg string) {
 	var we wireError
 	we.Error.Kind = kind

@@ -133,7 +133,7 @@ func TestAPIRegisterSubscribeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := decodeWireResult(frame)
+	res, err := new(resultReader).read(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAPIRegisterSubscribeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = decodeWireResult(frame); err != nil {
+	if res, err = new(resultReader).read(frame); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Delta) != 1 || !strings.Contains(res.Delta[0], ">3</event>") {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,6 +78,18 @@ func TestResultFrameGolden(t *testing.T) {
 		if lib, err := libraryFrame(c.id, c.res); err != nil || string(lib) != c.want {
 			t.Errorf("%s: encoding/json renders %s, %v", c.name, lib, err)
 		}
+		sameReading(t, got[len("kept"):])
+	}
+}
+
+// sameReading reads frame as a subscriber does and as encoding/json does,
+// and fails unless the two readings are deeply equal.
+func sameReading(t *testing.T, frame []byte) {
+	t.Helper()
+	got, err := new(resultReader).read(frame)
+	var want WireResult
+	if libErr := json.Unmarshal(frame, &want); err != nil || libErr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriber read %#v (%v), encoding/json %#v (%v) from %q", got, err, want, libErr, frame)
 	}
 }
 
@@ -105,8 +118,59 @@ func FuzzResultFrame(f *testing.F) {
 		if got, err = (JSONCodec{}).AppendResult(got[:0], id, res); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("frames differ with carried serials (%v)\n got %q\nwant %q", err, got, want)
 		}
-		if w, err := decodeWireResult(got); err != nil || len(w.Delta) != 2 || w.ID != id {
-			t.Fatalf("subscriber decoded %+v, %v from %q", w, err, got)
+		sameReading(t, got)
+	})
+}
+
+// FuzzResultFrameRead: whatever the bytes, the subscriber's frame reader
+// does not panic, and what it accepts encoding/json accepts and reads the
+// same way. It may refuse what the library takes — null for a field, a key
+// twice or in another case, a top level that is not an object — but never
+// read another value; and what it returned does not change when it reads
+// the next frame.
+func FuzzResultFrameRead(f *testing.F) {
+	at := time.Date(2003, 11, 5, 10, 0, 0, 0, time.UTC)
+	for _, res := range []Result{
+		{At: at},
+		{At: at, Delta: xq.Sequence{"<a b=\"c\">x &amp; y</a>", "\x00\t\"\\ caf\xc3\xa9 \xe2\x80\xa8 \xff"}, Degraded: "d", Err: errors.New("e"), TraceID: 0xdeadbeef},
+	} {
+		frame, err := JSONCodec{}.AppendResult(nil, 7, res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	for _, s := range []string{
+		`{"type":"result","future":{"a":[1,-2.5e+3,0.5E-1,true,false,null,"s",{}]},"id":1,"delta":[],"x":[]}`,
+		` {"delta" : [ "\u00e9\ud83d\ude00\ud800x\udc00\/\b\f\n\r\t" , "" ] , "at":"\u0041"} ` + "\n",
+		`{"\u0074ype":"t","id":-9223372036854775808}`,
+		`{"id":9223372036854775808}`, `{"id":1.0}`, `{"id":1e3}`, `{"id":-0}`, `{"id":01}`,
+		`{"Type":"result"}`, `{"DELTA":[]}`, `{"id":1,"id":2}`, `{"id":null}`, `{"delta":null}`, `{"delta":[null]}`,
+		`{"at":"\u12"}`, `{"at":"\ud800\u12"}`, `{"at":"\x"}`, "{\"at\":\"\x01\"}", "{\"at\":\"\xed\xa0\x80\"}",
+		`{"x":[[[[[[[[]]]]]]]]}`, `{"x":tru}`, `{"x":-}`, `{"x":1.}`, `{"x":1e}`,
+		`[]`, `null`, ``, `{}`, `{} x`, `{"id":1,}`, `{,}`,
+	} {
+		f.Add([]byte(s))
+	}
+	next := []byte(`{"type":"overwritten","id":2,"at":"overwritten","delta":["overwritten","overwritten"]}`)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var r resultReader
+		got, err := r.read(frame)
+		if err != nil {
+			return
+		}
+		var want WireResult
+		if err := json.Unmarshal(frame, &want); err != nil {
+			t.Fatalf("reader accepted %q, which encoding/json refuses: %v", frame, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("from %q the reader read %#v, encoding/json %#v", frame, got, want)
+		}
+		if _, err := r.read(next); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("what the reader returned changed when it read the next frame: %#v", got)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package registry
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -29,7 +30,7 @@ func TestResultFramesKeepMarkupBytes(t *testing.T) {
 	if bytes.HasSuffix(frame, []byte("\n")) || frame[0] != '{' || frame[len(frame)-1] != '}' {
 		t.Fatalf("frame is not exactly one object: %q", frame)
 	}
-	w, err := decodeWireResult(frame)
+	w, err := new(resultReader).read(frame)
 	if err != nil || len(w.Delta) != 1 || w.Delta[0] != item.String() {
 		t.Fatalf("subscriber decoded %+v, %v", w, err)
 	}
@@ -85,6 +86,41 @@ func TestWSFrameIsOneWrite(t *testing.T) {
 	_ = c.WriteText(make([]byte, 50))
 	if cap(c.wbuf) != kept {
 		t.Fatalf("write buffer went from %d to %d bytes across an outsized frame", kept, cap(c.wbuf))
+	}
+}
+
+// The subscriber's reader holds a server to what the server's reader holds
+// a client to. Each crafted frame below is followed on the socket by a
+// well-formed one, and must end the read with an error instead: a reader
+// that returned the first (a data frame without FIN is a message cut
+// short) or skipped it for the second (a continuation frame, an unknown
+// opcode) would hand the subscriber a frame that is not the server's.
+func TestSubscriberRejectsMalformedServerFrames(t *testing.T) {
+	next := append([]byte{0x80 | opText, 2}, "{}"...)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"data frame without FIN", append([]byte{opText, 5}, `{"id"`...), "fragmented"},
+		{"continuation frame", append([]byte{0x80 | opContinuation, 2}, "}]"...), "fragmented"},
+		{"reserved bits", append([]byte{0x80 | 0x40 | opText, 2}, "{}"...), "reserved bits"},
+		{"unknown opcode", append([]byte{0x80 | 0x3, 2}, "{}"...), "unsupported opcode"},
+		{"control frame over 125 bytes", append([]byte{0x80 | opPing, 126, 0, 126}, bytes.Repeat([]byte{'p'}, 126)...), "oversized control frame"},
+		{"masked frame", append([]byte{0x80 | opText, 0x80 | 2, 1, 2, 3, 4}, "z!"...), "masked"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, cli := net.Pipe()
+			defer srv.Close()
+			defer cli.Close()
+			go func() { _, _ = srv.Write(append(c.frame, next...)) }()
+			go func() { _, _ = io.Copy(io.Discard, srv) }() // a pong, if one is written
+			_ = cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+			msg, err := (&wsClient{conn: cli, br: bufio.NewReader(cli)}).ReadMessage()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("read %q, %v; want an error saying %q", msg, err, c.want)
+			}
+		})
 	}
 }
 

@@ -229,62 +229,87 @@ func (c *wsConn) ReadMessage() ([]byte, error) {
 		case opClose:
 			_ = c.writeFrame(opClose, nil)
 			return nil, errWSClosed
-		default:
-			return nil, fmt.Errorf("websocket: unsupported opcode %#x", opcode)
 		}
 	}
 }
 
-// readWSFrame decodes one client frame. It is deliberately strict —
-// reserved bits, unmasked client frames, fragmentation and oversized
-// payloads are all errors, never panics: the fuzz target feeds this
-// arbitrary bytes.
-func readWSFrame(br *bufio.Reader, maxPayload int64) (opcode byte, payload []byte, err error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
+// readWSHeader reads a frame header up to the masking key, held to the
+// subset both sides speak: no extensions, no fragmentation, the data and
+// control opcodes of RFC 6455, control payloads of at most 125 bytes, and
+// the mask set on exactly the client's frames (masked says which side
+// wrote it). Anything else is an error, never a panic and never skipped:
+// the fuzz target feeds the server's reader arbitrary bytes.
+func readWSHeader(br *bufio.Reader, masked bool) (opcode byte, length uint64, err error) {
+	hdr, err := readBigEndian(br, 2)
+	if err != nil {
+		return 0, 0, err
 	}
-	fin := hdr[0]&0x80 != 0
-	if hdr[0]&0x70 != 0 {
-		return 0, nil, errors.New("websocket: reserved bits set")
+	b0, b1 := byte(hdr>>8), byte(hdr)
+	if b0&0x70 != 0 {
+		return 0, 0, errors.New("websocket: reserved bits set")
 	}
-	opcode = hdr[0] & 0x0F
-	if opcode == opContinuation || !fin {
-		return 0, nil, errors.New("websocket: fragmented frames not supported")
+	opcode = b0 & 0x0F
+	if opcode == opContinuation || b0&0x80 == 0 {
+		return 0, 0, errors.New("websocket: fragmented frames not supported")
 	}
-	masked := hdr[1]&0x80 != 0
-	if !masked {
-		return 0, nil, errors.New("websocket: client frame not masked")
+	switch opcode {
+	case opText, opBinary, opClose, opPing, opPong:
+	default:
+		return 0, 0, fmt.Errorf("websocket: unsupported opcode %#x", opcode)
 	}
-	length := int64(hdr[1] & 0x7F)
-	switch length {
+	switch {
+	case masked && b1&0x80 == 0:
+		return 0, 0, errors.New("websocket: client frame not masked")
+	case !masked && b1&0x80 != 0:
+		return 0, 0, errors.New("websocket: server frame masked")
+	}
+	switch length = uint64(b1 & 0x7F); length {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = int64(binary.BigEndian.Uint16(ext[:]))
+		length, err = readBigEndian(br, 2)
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		u := binary.BigEndian.Uint64(ext[:])
-		if u > uint64(maxPayload) {
-			return 0, nil, fmt.Errorf("websocket: frame of %d bytes exceeds limit", u)
-		}
-		length = int64(u)
+		length, err = readBigEndian(br, 8)
 	}
-	if length > maxPayload {
-		return 0, nil, fmt.Errorf("websocket: frame of %d bytes exceeds limit", length)
+	if err != nil {
+		return 0, 0, err
 	}
 	if opcode >= opClose && length > 125 {
-		return 0, nil, errors.New("websocket: oversized control frame")
+		return 0, 0, errors.New("websocket: oversized control frame")
 	}
-	var mask [4]byte
-	if _, err := io.ReadFull(br, mask[:]); err != nil {
+	return opcode, length, nil
+}
+
+// readBigEndian reads the next n (at most 8) bytes of br as a big-endian
+// number — from the reader's own buffer, so reading a header allocates
+// nothing.
+func readBigEndian(br *bufio.Reader, n int) (uint64, error) {
+	b, err := br.Peek(n)
+	if err != nil {
+		return 0, err
+	}
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	_, err = br.Discard(n)
+	return v, err
+}
+
+// readWSFrame decodes one client frame: masked, and at most maxPayload
+// bytes.
+func readWSFrame(br *bufio.Reader, maxPayload int64) (opcode byte, payload []byte, err error) {
+	opcode, length, err := readWSHeader(br, true)
+	if err != nil {
 		return 0, nil, err
 	}
+	if length > uint64(maxPayload) {
+		return 0, nil, fmt.Errorf("websocket: frame of %d bytes exceeds limit", length)
+	}
+	key, err := readBigEndian(br, 4)
+	if err != nil {
+		return 0, nil, err
+	}
+	var mask [4]byte
+	binary.BigEndian.PutUint32(mask[:], uint32(key))
 	payload = make([]byte, length)
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return 0, nil, err
@@ -391,35 +416,20 @@ func (c *wsClient) writeMasked(opcode byte, mask [4]byte, payload []byte) error 
 }
 
 // ReadMessage reads the next server text message (server frames are
-// unmasked). The bytes are valid until the next ReadMessage, which reads
-// into the same buffer: decode them, or copy them, first.
+// unmasked), held to what the server's reader holds a client to. The bytes
+// are valid until the next ReadMessage, which reads into the same buffer:
+// decode them, or copy them, first.
 func (c *wsClient) ReadMessage() ([]byte, error) {
 	for {
-		var hdr [2]byte
-		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		opcode, length, err := readWSHeader(c.br, false)
+		if err != nil {
 			return nil, err
 		}
-		opcode := hdr[0] & 0x0F
-		length := int64(hdr[1] & 0x7F)
-		switch length {
-		case 126:
-			var ext [2]byte
-			if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-				return nil, err
-			}
-			length = int64(binary.BigEndian.Uint16(ext[:]))
-		case 127:
-			var ext [8]byte
-			if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-				return nil, err
-			}
-			length = int64(binary.BigEndian.Uint64(ext[:]))
-		}
-		if length < 0 || length > wsMaxResultFrame {
-			return nil, &FrameTooLargeError{Size: length, Limit: wsMaxResultFrame}
+		if length > wsMaxResultFrame {
+			return nil, &FrameTooLargeError{Size: int64(length), Limit: wsMaxResultFrame}
 		}
 		payload := c.rbuf[:0]
-		if int64(cap(payload)) < length {
+		if uint64(cap(payload)) < length {
 			payload = make([]byte, 0, length)
 			if length <= wsMaxKeptWriteBuffer {
 				c.rbuf = payload
@@ -483,19 +493,21 @@ func DialSubscribe(addr string, req RegisterRequest, timeout time.Duration) (*Su
 // Subscriber is a live query-and-subscribe connection.
 type Subscriber struct {
 	c *wsClient
+	r resultReader
 	// ID is the server-side registration id.
 	ID int64
 	// Group is the registration's sharing-group signature.
 	Group string
 }
 
-// Next blocks for the next result frame.
+// Next blocks for the next result frame. Its strings are substrings of
+// one string per frame.
 func (s *Subscriber) Next() (WireResult, error) {
 	msg, err := s.c.ReadMessage()
 	if err != nil {
 		return WireResult{}, err
 	}
-	return decodeWireResult(msg)
+	return s.r.read(msg)
 }
 
 // Close tears the subscription down (the server unregisters the query).

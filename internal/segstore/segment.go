@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"xcql/internal/fragment"
+	"xcql/internal/xmldom"
 )
 
 // On-disk format. A segment or snapshot file is an 8-byte magic followed
@@ -79,6 +80,7 @@ type parseResult struct {
 // with base = len(magic) for offset reporting).
 func parseFile(data []byte, base int64) parseResult {
 	res := parseResult{goodSize: base}
+	var dec xmldom.Decoder // the replay's: its scratch serves every frame
 	off := 0
 	for off < len(data) {
 		rest := len(data) - off
@@ -109,7 +111,7 @@ func parseFile(data []byte, base int64) parseResult {
 		lsn := binary.BigEndian.Uint64(payload[:8])
 		rec := frameRec{lsn: lsn, xml: string(payload[8:])}
 		if lsn > 0 {
-			frag, err := fragment.ParseStored(rec.xml)
+			frag, err := fragment.ParseStored(&dec, rec.xml)
 			if err != nil {
 				res.corrupt = true
 				res.corruptAt = base + int64(off)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xcql/internal/fragment"
+	"xcql/internal/xmldom"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the length-prefixed frame
@@ -14,10 +15,10 @@ import (
 // a corrupt or malicious prefix has to come back as an error.
 //
 // The read loop reads every frame into one buffer and decodes it in
-// place, so the target also checks the two things that rests on: a frame
-// that decodes as a filler survives decode(encode(f)) unchanged, and what
-// was decoded from the buffer does not change when the buffer is
-// overwritten with the next frame.
+// place, in one decoder, so the target also checks the two things that
+// rests on: a frame that decodes as a filler survives decode(encode(f))
+// unchanged, and what was decoded from the buffer does not change when the
+// buffer and the decoder's scratch are overwritten with the next frame.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(payload string) []byte {
 		var b bytes.Buffer
@@ -54,20 +55,27 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal("a frame that fits the read buffer was read somewhere else")
 		}
 
-		el, err := decodeElement(payload)
+		// what the read loop does with the frame: scan it in the
+		// connection's decoder and build the filler's payload
+		var dec xmldom.Decoder
+		el, err := dec.Scan(string(payload))
+		if err != nil || el.Name() == eosTag {
+			return
+		}
+		frag, err := fragment.FromScanned(el)
 		if err != nil {
 			return
 		}
-		before := el.String()
+		before := frag.String()
 		for i := range payload {
 			payload[i] = 'X' // the next frame arrives in the same buffer
 		}
-		if after := el.String(); after != before {
-			t.Fatalf("decoded element changed with the read buffer:\nbefore %s\n after %s", before, after)
+		// and is scanned in the same decoder
+		if _, err := dec.Scan(`<filler id="9" tsid="9" validTime="2004-01-01T00:00:00"><next a="b">c<d/></next></filler>`); err != nil {
+			t.Fatal(err)
 		}
-		frag, err := fragment.FromXML(el)
-		if err != nil {
-			return
+		if after := frag.String(); after != before {
+			t.Fatalf("decoded fragment changed with the read buffer and the decoder:\nbefore %s\n after %s", before, after)
 		}
 		// what the encoder writes decodes to the encoder's own fixpoint
 		// (arbitrary input may spell one run of text as several tokens —

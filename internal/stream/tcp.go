@@ -103,10 +103,9 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeElement decodes the element a frame carries. The string made here
-// is the one copy of the frame: the element's names and values are
-// substrings of it, never of payload, which the read loop overwrites with
-// the next frame.
+// decodeElement decodes the element a handshake frame carries. The string
+// made here is the one copy of the frame: the element's names and values
+// are substrings of it, never of payload, which the reader may overwrite.
 func decodeElement(payload []byte) (*xmldom.Node, error) {
 	return xmldom.ParseElement(string(payload))
 }
@@ -550,9 +549,12 @@ func readLoop(c *Client, cc *clientConn) error {
 	}()
 	defer cc.conn.Close()
 	br := cc.br
-	// one read buffer for the connection's life: every frame is read into
-	// it and copied out once, as the string it is decoded from
+	// one read buffer and one decoder for the connection's life: every
+	// frame is read into the buffer, copied out once as the string it is
+	// decoded from, and parsed in the decoder's scratch, of which only the
+	// payload is built
 	var buf []byte
+	var dec xmldom.Decoder
 	for {
 		payload, err := readFrame(br, buf)
 		if err != nil {
@@ -561,20 +563,21 @@ func readLoop(c *Client, cc *clientConn) error {
 		if cap(payload) <= maxKeptReadBuffer {
 			buf = payload
 		}
-		el, err := decodeElement(payload)
+		el, err := dec.Scan(string(payload))
 		if err != nil {
 			// a frame that is not well-formed XML: tolerate the noise,
 			// the sequence numbers account for anything lost
 			c.addErr(err)
 			continue
 		}
-		if el.Name == eosTag {
-			if latest, err := strconv.ParseUint(el.AttrOr("latest", "0"), 10, 64); err == nil {
+		if el.Name() == eosTag {
+			v, _ := xmldom.LookupAttr(el.Attrs(), "latest")
+			if latest, err := strconv.ParseUint(v, 10, 64); err == nil {
 				c.noteLatest(latest)
 			}
 			return errStreamEnded
 		}
-		f, err := fragment.FromXML(el)
+		f, err := fragment.FromScanned(el)
 		if err != nil {
 			c.addErr(err)
 			continue

@@ -115,8 +115,11 @@ func (n *Node) RemoveChild(c *Node) bool {
 }
 
 // Attr returns the value of the named attribute.
-func (n *Node) Attr(name string) (string, bool) {
-	for _, a := range n.Attrs {
+func (n *Node) Attr(name string) (string, bool) { return LookupAttr(n.Attrs, name) }
+
+// LookupAttr returns the value of the named attribute in attrs.
+func LookupAttr(attrs []Attr, name string) (string, bool) {
+	for _, a := range attrs {
 		if a.Name == name {
 			return a.Value, true
 		}

@@ -33,8 +33,12 @@ func readString(r io.Reader) (string, error) {
 // so the tree keeps s alive — and never anything else: a caller that read s
 // into a buffer it reuses has already copied it by making the string.
 func ParseString(s string) (*Node, error) {
-	p := parser{z: Tokenizer{src: s}}
-	return p.parseDoc()
+	var d Decoder
+	doc, err := d.ScanDocument(s)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Build(), nil
 }
 
 // MustParseString parses or panics; for literals in tests.
@@ -51,137 +55,292 @@ func MustParseString(s string) *Node {
 // the shape of one frame on the wire or in a segment file. It shares s the
 // way ParseString does.
 func ParseElement(s string) (*Node, error) {
-	p := parser{z: Tokenizer{src: s}}
-	return p.readElement()
+	var d Decoder
+	return d.Element(s)
 }
 
-// parser builds trees from a tokenizer's events.
-type parser struct {
+// Decoder parses XML held in memory. It builds a tree in three exactly
+// sized arrays — the nodes, their attributes, their child pointers — and
+// every node's Attrs and Children is a window of one of them with its
+// capacity clipped, so an append to one node's list reallocates instead of
+// writing a neighbour's. What parsing needs on the way — a record per
+// node, the attributes, the children of the elements still open — is
+// scratch the Decoder keeps from one call to the next: a Decoder that reads
+// every frame of a connection allocates the three arrays per frame and
+// nothing else. A Decoder serves one goroutine; it is never shared.
+type Decoder struct {
 	z Tokenizer
-	// open is the stack of children collected for the elements being
-	// built: an element's children sit above its parent's until its end
-	// tag, when they are copied out exactly sized.
-	open []*Node
+	// recs holds the nodes parsed since the last reset in document order,
+	// so a node's subtree is the run of records from it to its end.
+	recs []rec
+	// attrs holds the attributes of recs, each element's a run.
+	attrs []Attr
+	// kids holds the children of closed elements, each element's a run.
+	kids []int32
+	// open holds the children collected for the elements being parsed: an
+	// element's children sit above its parent's until its end tag.
+	open []int32
 }
 
-func (p *parser) errAt(tok Token, format string, args ...any) error {
-	return p.z.errAt(tok.Offset, format, args...)
+// rec is a node in a Decoder's scratch.
+type rec struct {
+	typ         NodeType
+	name, data  string
+	attrs, kids span  // the node's runs of Decoder.attrs and Decoder.kids
+	end         int32 // one past the last record of the node's subtree
 }
 
-func (p *parser) parseDoc() (*Node, error) {
-	doc := NewDocument()
+// span is the run [from, to) of a scratch array.
+type span struct{ from, to int32 }
+
+func (s span) len() int { return int(s.to - s.from) }
+
+// keptRecords bounds the scratch a Decoder keeps between calls: a tree of
+// more nodes or attributes is parsed in scratch of its own, so one
+// outsized frame does not stay allocated for as long as its connection
+// lives. 1 024 records are 64 KiB, what a read loop keeps of its frame
+// buffer.
+const keptRecords = 1024
+
+// Element is ParseElement on the Decoder's scratch.
+func (d *Decoder) Element(s string) (*Node, error) {
+	el, err := d.Scan(s)
+	if err != nil {
+		return nil, err
+	}
+	return el.Build(), nil
+}
+
+// Scan parses the first complete element of s as ParseElement does, into
+// the Decoder's scratch, and builds nothing.
+func (d *Decoder) Scan(s string) (Scanned, error) {
+	d.z.reset(s)
+	d.clear()
+	return d.nextElement()
+}
+
+// ScanDocument parses s as ParseString does, into the Decoder's scratch,
+// and returns the document node, whose one element child is the document
+// element. It builds nothing.
+func (d *Decoder) ScanDocument(s string) (Scanned, error) {
+	d.z.reset(s)
+	d.clear()
+	return d.document()
+}
+
+// clear empties the scratch for the next tree.
+func (d *Decoder) clear() {
+	if cap(d.recs) > keptRecords || cap(d.attrs) > keptRecords {
+		d.recs, d.attrs, d.kids, d.open, d.z.attrs = nil, nil, nil, nil, nil
+	}
+	d.recs, d.attrs, d.kids, d.open = d.recs[:0], d.attrs[:0], d.kids[:0], d.open[:0]
+}
+
+func (d *Decoder) errAt(tok Token, format string, args ...any) error {
+	return d.z.errAt(tok.Offset, format, args...)
+}
+
+func (d *Decoder) document() (Scanned, error) {
+	d.recs = append(d.recs, rec{typ: DocumentNode})
 	sawRoot := false
 	for {
-		tok, err := p.z.Next()
+		tok, err := d.z.Next()
 		if err == io.EOF {
 			if !sawRoot {
-				return nil, fmt.Errorf("xml: no document element")
+				return Scanned{}, fmt.Errorf("xml: no document element")
 			}
-			return doc, nil
+			d.closeNode(0, 0)
+			return Scanned{d, 0}, nil
 		}
 		if err != nil {
-			return nil, err
+			return Scanned{}, err
 		}
 		switch tok.Type {
 		case TextTok:
 			if strings.TrimSpace(tok.Data) != "" {
-				return nil, p.errAt(tok, "character data outside document element")
+				return Scanned{}, d.errAt(tok, "character data outside document element")
 			}
 		case CommentTok:
-			doc.AppendChild(NewComment(tok.Data))
+			d.open = append(d.open, d.leaf(CommentNode, "", tok.Data))
 		case ProcInstTok:
-			doc.AppendChild(&Node{Type: ProcInstNode, Name: tok.Name, Data: tok.Data})
+			d.open = append(d.open, d.leaf(ProcInstNode, tok.Name, tok.Data))
 		case DirectiveTok:
 			// prolog directives are skipped
 		case StartElementTok:
 			if sawRoot {
-				return nil, p.errAt(tok, "multiple document elements")
+				return Scanned{}, d.errAt(tok, "multiple document elements")
 			}
 			sawRoot = true
-			el, err := p.parseElement(tok)
+			el, err := d.element(tok)
 			if err != nil {
-				return nil, err
+				return Scanned{}, err
 			}
-			doc.AppendChild(el)
+			d.open = append(d.open, el)
 		case EndElementTok:
-			return nil, p.errAt(tok, "unexpected </%s>", tok.Name)
+			return Scanned{}, d.errAt(tok, "unexpected </%s>", tok.Name)
 		}
 	}
 }
 
-// parseElement builds the element whose start tag is start, consuming up
-// to and including its end tag.
-func (p *parser) parseElement(start Token) (*Node, error) {
-	el := &Node{Type: ElementNode, Name: start.Name, Attrs: start.Attrs}
+// nextElement parses the next complete top-level element, or returns
+// io.EOF when the input is exhausted at an element boundary.
+func (d *Decoder) nextElement() (Scanned, error) {
+	for {
+		tok, err := d.z.Next()
+		if err != nil {
+			return Scanned{}, err
+		}
+		switch tok.Type {
+		case StartElementTok:
+			el, err := d.element(tok)
+			if err != nil {
+				return Scanned{}, err
+			}
+			return Scanned{d, el}, nil
+		case TextTok:
+			if strings.TrimSpace(tok.Data) != "" {
+				return Scanned{}, d.errAt(tok, "stray character data between stream elements")
+			}
+		case EndElementTok:
+			return Scanned{}, d.errAt(tok, "stray </%s> between stream elements", tok.Name)
+		default:
+			// skip comments, PIs, directives
+		}
+	}
+}
+
+// element parses the element whose start tag is start, up to and
+// including its end tag, and returns its record.
+func (d *Decoder) element(start Token) (int32, error) {
+	el := int32(len(d.recs))
+	from := len(d.attrs)
+	d.attrs = append(d.attrs, start.Attrs...) // before Next reuses them
+	d.recs = append(d.recs, rec{typ: ElementNode, name: start.Name, attrs: span{int32(from), int32(len(d.attrs))}})
+	base := len(d.open)
 	if start.SelfClosing {
+		d.closeNode(el, base)
 		return el, nil
 	}
-	if p.open == nil {
-		p.open = make([]*Node, 0, 16)
-	}
-	base := len(p.open)
 	for {
-		tok, err := p.z.Next()
+		tok, err := d.z.Next()
 		if err == io.EOF {
-			return nil, fmt.Errorf("xml: unexpected EOF inside <%s>", start.Name)
+			return 0, fmt.Errorf("xml: unexpected EOF inside <%s>", start.Name)
 		}
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		var child *Node
+		var child int32
 		switch tok.Type {
 		case TextTok:
 			if tok.Data == "" {
 				continue
 			}
-			child = NewText(tok.Data)
+			child = d.leaf(TextNode, "", tok.Data)
 		case CommentTok:
-			child = NewComment(tok.Data)
+			child = d.leaf(CommentNode, "", tok.Data)
 		case ProcInstTok:
-			child = &Node{Type: ProcInstNode, Name: tok.Name, Data: tok.Data}
+			child = d.leaf(ProcInstNode, tok.Name, tok.Data)
 		case DirectiveTok:
 			continue
 		case StartElementTok:
-			if child, err = p.parseElement(tok); err != nil {
-				return nil, err
+			if child, err = d.element(tok); err != nil {
+				return 0, err
 			}
 		case EndElementTok:
 			if tok.Name != start.Name {
-				return nil, p.errAt(tok, "</%s> does not match <%s>", tok.Name, start.Name)
+				return 0, d.errAt(tok, "</%s> does not match <%s>", tok.Name, start.Name)
 			}
-			if kids := p.open[base:]; len(kids) > 0 {
-				el.Children = make([]*Node, len(kids))
-				copy(el.Children, kids)
-				p.open = p.open[:base]
-			}
+			d.closeNode(el, base)
 			return el, nil
 		}
-		p.open = append(p.open, child)
+		d.open = append(d.open, child)
 	}
 }
 
-// readElement returns the next complete top-level element, or io.EOF when
-// the input is exhausted at an element boundary.
-func (p *parser) readElement() (*Node, error) {
-	p.open = p.open[:0] // an element that failed to parse leaves its children behind
-	for {
-		tok, err := p.z.Next()
-		if err != nil {
-			return nil, err
-		}
-		switch tok.Type {
-		case StartElementTok:
-			return p.parseElement(tok)
-		case TextTok:
-			if strings.TrimSpace(tok.Data) != "" {
-				return nil, p.errAt(tok, "stray character data between stream elements")
-			}
-		case EndElementTok:
-			return nil, p.errAt(tok, "stray </%s> between stream elements", tok.Name)
-		default:
-			// skip comments, PIs, directives
+// leaf records a node that has no attributes and no children.
+func (d *Decoder) leaf(typ NodeType, name, data string) int32 {
+	i := int32(len(d.recs))
+	d.recs = append(d.recs, rec{typ: typ, name: name, data: data, end: i + 1})
+	return i
+}
+
+// closeNode gives node i the children collected above base and ends its
+// subtree.
+func (d *Decoder) closeNode(i int32, base int) {
+	from := len(d.kids)
+	d.kids = append(d.kids, d.open[base:]...)
+	d.open = d.open[:base]
+	r := &d.recs[i]
+	r.kids = span{int32(from), int32(len(d.kids))}
+	r.end = int32(len(d.recs))
+}
+
+// Scanned is a node parsed into a Decoder's scratch by Scan or
+// ScanDocument. It is valid until the Decoder's next call; Build makes the
+// tree that outlives it.
+type Scanned struct {
+	d *Decoder
+	i int32
+}
+
+// Name returns the node's tag.
+func (e Scanned) Name() string { return e.d.recs[e.i].name }
+
+// Attrs returns the node's attributes: a view of the Decoder's scratch.
+func (e Scanned) Attrs() []Attr {
+	r := &e.d.recs[e.i]
+	return e.d.attrs[r.attrs.from:r.attrs.to]
+}
+
+// OnlyElement returns how many element children the node has and, when it
+// is exactly one, that child.
+func (e Scanned) OnlyElement() (Scanned, int) {
+	var only Scanned
+	n := 0
+	r := &e.d.recs[e.i]
+	for _, k := range e.d.kids[r.kids.from:r.kids.to] {
+		if e.d.recs[k].typ == ElementNode {
+			only = Scanned{e.d, k}
+			n++
 		}
 	}
+	if n != 1 {
+		only = Scanned{}
+	}
+	return only, n
+}
+
+// Build builds the node's subtree in three exactly sized arrays and
+// returns its top: a tree that shares nothing with the Decoder but the
+// input string its names and values are substrings of.
+func (e Scanned) Build() *Node {
+	d := e.d
+	recs := d.recs[e.i:d.recs[e.i].end]
+	nAttrs, nKids := 0, 0
+	for _, r := range recs {
+		nAttrs += r.attrs.len()
+		nKids += r.kids.len()
+	}
+	nodes := make([]Node, len(recs))
+	attrs := make([]Attr, 0, nAttrs)
+	kids := make([]*Node, 0, nKids)
+	for j := range recs {
+		r, n := &recs[j], &nodes[j]
+		n.Type, n.Name, n.Data = r.typ, r.name, r.data
+		if r.attrs.len() > 0 {
+			from := len(attrs)
+			attrs = append(attrs, d.attrs[r.attrs.from:r.attrs.to]...)
+			n.Attrs = attrs[from:len(attrs):len(attrs)]
+		}
+		if r.kids.len() > 0 {
+			from := len(kids)
+			for _, k := range d.kids[r.kids.from:r.kids.to] {
+				kids = append(kids, &nodes[k-e.i])
+			}
+			n.Children = kids[from:len(kids):len(kids)]
+		}
+	}
+	return &nodes[0]
 }
 
 // StreamDecoder pulls complete top-level elements one at a time from an
@@ -190,7 +349,7 @@ func (p *parser) readElement() (*Node, error) {
 // the first ReadElement.
 type StreamDecoder struct {
 	r io.Reader
-	p parser
+	d Decoder
 }
 
 // NewStreamDecoder wraps r.
@@ -198,13 +357,19 @@ func NewStreamDecoder(r io.Reader) *StreamDecoder { return &StreamDecoder{r: r} 
 
 // ReadElement returns the next complete element, or io.EOF when the input
 // is exhausted at an element boundary.
-func (d *StreamDecoder) ReadElement() (*Node, error) {
-	if d.r != nil {
-		src, err := readString(d.r)
+func (s *StreamDecoder) ReadElement() (*Node, error) {
+	if s.r != nil {
+		src, err := readString(s.r)
 		if err != nil {
 			return nil, err
 		}
-		d.r, d.p.z.src = nil, src
+		s.r = nil
+		s.d.z.reset(src)
 	}
-	return d.p.readElement()
+	s.d.clear()
+	el, err := s.d.nextElement()
+	if err != nil {
+		return nil, err
+	}
+	return el.Build(), nil
 }

@@ -2,6 +2,7 @@ package xmldom
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -226,6 +227,79 @@ func TestParseElementTakesTheFirstElement(t *testing.T) {
 	}
 	if _, err := ParseElement(``); err != io.EOF {
 		t.Fatalf("empty input: %v, want io.EOF", err)
+	}
+}
+
+// TestDecodedListsAreClippedWindows is the decoder's layout contract: a
+// tree's nodes, attributes and child pointers are three arrays, and every
+// node's Attrs and Children is a window of one with its capacity clipped —
+// so the owner of a decoded tree appending to one node's list reallocates
+// that list and never writes a neighbour's.
+func TestDecodedListsAreClippedWindows(t *testing.T) {
+	const src = `<?pi x?><a x="1" y="2"><b k="v">t</b><c/><!-- n --><d e="f"><g h="i" j="k"/><g/>tail</d><h l="m"/></a>`
+	var kept Decoder
+	decoders := map[string]func() (*Node, error){
+		"ParseString":  func() (*Node, error) { return ParseString(src) },
+		"ParseElement": func() (*Node, error) { return ParseElement(src) },
+		"kept Decoder": func() (*Node, error) { return kept.Element(src) },
+	}
+	preorder := func(root *Node) []*Node {
+		var nodes []*Node
+		root.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+		return nodes
+	}
+	for name, decode := range decoders {
+		root, err := decode()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nodes := preorder(root)
+		for _, n := range nodes {
+			if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
+				t.Errorf("%s: <%s> has %d/%d children and %d/%d attributes (len/cap)",
+					name, n.Name, len(n.Children), cap(n.Children), len(n.Attrs), cap(n.Attrs))
+			}
+		}
+		for i := range nodes {
+			root, _ := decode()
+			nodes := preorder(root)
+			type lists struct {
+				kids  []*Node
+				attrs []Attr
+			}
+			before := make([]lists, len(nodes))
+			for j, n := range nodes {
+				before[j] = lists{slices.Clone(n.Children), slices.Clone(n.Attrs)}
+			}
+			nodes[i].AppendChild(NewText("appended"))
+			nodes[i].SetAttr("appended", "1")
+			for j, n := range nodes {
+				if j != i && (!slices.Equal(n.Children, before[j].kids) || !slices.Equal(n.Attrs, before[j].attrs)) {
+					t.Fatalf("%s: appending to node %d (<%s>) changed node %d (<%s>)", name, i, nodes[i].Name, j, n.Name)
+				}
+			}
+		}
+	}
+}
+
+// A kept decoder lets go of scratch that one outsized tree grew: a
+// connection's decoder lives as long as the connection.
+func TestDecoderLetsGoOfOutsizedScratch(t *testing.T) {
+	var d Decoder
+	for _, src := range []string{
+		"<a>" + strings.Repeat("<b/>", 2*keptRecords) + "</a>",
+		"<a" + strings.Repeat(` x="1"`, 2*keptRecords) + "/>",
+	} {
+		if _, err := d.Element(src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Element(`<small k="v"/>`); err != nil {
+			t.Fatal(err)
+		}
+		if cap(d.recs) > keptRecords || cap(d.attrs) > keptRecords || cap(d.z.attrs) > keptRecords {
+			t.Fatalf("kept %d records and %d+%d attributes of scratch after an outsized tree",
+				cap(d.recs), cap(d.attrs), cap(d.z.attrs))
+		}
 	}
 }
 

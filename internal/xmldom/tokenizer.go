@@ -31,10 +31,12 @@ const (
 // tokenizer's input wherever the input spells them out literally; only a
 // value containing an entity reference is a fresh string.
 type Token struct {
-	Type        TokenType
-	Name        string // element tag / PI target
-	Data        string // text, comment, directive or PI payload
-	Attrs       []Attr // exactly sized, owned by the receiver
+	Type TokenType
+	Name string // element tag / PI target
+	Data string // text, comment, directive or PI payload
+	// Attrs is a view of the tokenizer's attribute buffer: valid until the
+	// next Next, which reads the next start tag's attributes into it.
+	Attrs       []Attr
 	SelfClosing bool
 	// Offset is the byte offset of the token's first byte in the input;
 	// Tokenizer.Position turns it into line:col when an error needs one.
@@ -53,13 +55,18 @@ type Tokenizer struct {
 	src string
 	pos int
 	err error
-	// attrs collects one start tag's attributes before they are copied
-	// out exactly sized; tags with more spill to the heap.
-	attrs [8]Attr
+	// attrs holds the last start tag's attributes (Token.Attrs); kept from
+	// one tag, and one input, to the next.
+	attrs []Attr
 }
 
 // NewTokenizer tokenizes src.
 func NewTokenizer(src string) *Tokenizer { return &Tokenizer{src: src} }
+
+// reset points the tokenizer at a new input, keeping its attribute buffer.
+func (z *Tokenizer) reset(src string) {
+	*z = Tokenizer{src: src, attrs: z.attrs[:0]}
+}
 
 // Position converts a byte offset of the input into a 1-based line and
 // byte column. It scans the input, so it is for building errors only.
@@ -190,9 +197,9 @@ func (z *Tokenizer) readStartElement(start int) (Token, error) {
 			attrs = append(attrs, attr)
 			continue
 		}
+		z.attrs = attrs
 		if len(attrs) > 0 {
-			tok.Attrs = make([]Attr, len(attrs))
-			copy(tok.Attrs, attrs)
+			tok.Attrs = attrs
 		}
 		return tok, nil
 	}

@@ -41,13 +41,14 @@ func wireFixtures() map[string]*fragment.Fragment {
 var wireFixtureNames = []string{"transaction", "account30"}
 
 // decodeFrame is the client read loop's work on one frame: the one copy
-// out of the read buffer, the element decoded in place, the fragment.
-func decodeFrame(buf []byte) (*fragment.Fragment, error) {
-	el, err := xmldom.ParseElement(string(buf))
+// out of the read buffer, the frame scanned in place in the connection's
+// decoder, the fragment with its payload built.
+func decodeFrame(dec *xmldom.Decoder, buf []byte) (*fragment.Fragment, error) {
+	el, err := dec.Scan(string(buf))
 	if err != nil {
 		return nil, err
 	}
-	return fragment.FromXML(el)
+	return fragment.FromScanned(el)
 }
 
 // BenchmarkWireCodec: encode is Publish's single encoding (through the
@@ -68,10 +69,11 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		})
 		b.Run("decode/"+name, func(b *testing.B) {
+			var dec xmldom.Decoder
 			b.SetBytes(int64(len(wire)))
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := decodeFrame(wire); err != nil {
+				if _, err := decodeFrame(&dec, wire); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,16 +108,17 @@ func (l *nullLog) ReadSince(uint64) ([]*fragment.Fragment, error) {
 func (l *nullLog) SeqCoverage() (min, max uint64, contiguous bool) { return 0, 0, true }
 
 // TestWireCodecAllocationCeiling is the codec's part of `make alloc-gate`.
-// A decoded frame costs its nodes, one exactly sized slice per element
-// with attributes or children, the fragment, the parser's stack of pending
-// children, and one copy of its bytes — the string everything else is a
-// substring of: 15 allocations and 1 192 B for the transaction, 75 and
-// 7 296 B for the account with its thirty holes, and the ceilings sit
-// ~15 % above that. (The tokenizer this one replaced built a 32 KiB reader
-// per frame and a string per name and value: 72 allocations and 35.6 KB
-// for the transaction.) Publish → wire bytes is the stamped copy, the
-// sealed copy, the bytes, and the window's and the trim's share: 5
-// allocations, 586 B.
+// A frame decoded in a connection's kept decoder costs one copy of its
+// bytes — the string everything else is a substring of —, the payload's
+// three arrays (nodes, attributes, child pointers) and the fragment, the
+// <filler> wrapper nothing: 5 allocations and 800 B for the transaction,
+// 5 and 6 544 B for the account with its thirty holes, and the ceilings
+// sit ~15 % above that. (Built node by node, wrapper included, with a
+// slice per element, it was 15 allocations and 1 192 B, and 75 and
+// 7 296 B; the tokenizer before that built a 32 KiB reader per frame and
+// a string per name and value: 72 allocations and 35.6 KB for the
+// transaction.) Publish → wire bytes is the stamped copy, the sealed copy,
+// the bytes, and the window's and the trim's share: 5 allocations, 586 B.
 func TestWireCodecAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -125,12 +128,13 @@ func TestWireCodecAllocationCeiling(t *testing.T) {
 		name           string
 		allocs, bytes_ float64
 	}{
-		{"transaction", 17, 1370},
-		{"account30", 86, 8400},
+		{"transaction", 6, 920},
+		{"account30", 6, 7500},
 	} {
 		wire := []byte(fixtures[c.name].String())
+		var dec xmldom.Decoder
 		allocs, bytes := allocsAndBytes(200, func() {
-			if _, err := decodeFrame(wire); err != nil {
+			if _, err := decodeFrame(&dec, wire); err != nil {
 				t.Fatal(err)
 			}
 		})
