@@ -117,11 +117,13 @@ trace-smoke:
 # sf=0.02 must stay under fixed allocs/op ceilings (~15 % above the counts
 # of the zero-copy read path with predicates pushed below it, a child
 # step's positions served as a read window and hole ids read in place,
-# both plans reading the store's one index in place) — the deterministic
+# both plans reading the store's one index in place, a read's tops built
+# in one array, no context kept per FLWOR tuple) — the deterministic
 # metric that neither a deep copy sneaking back onto the read path, nor a
 # top element built for a version the query discards, nor a per-read
 # regrouping of what the index holds, nor an id set built per hole crossing
-# can hide from. A QaC++ Q1 evaluated right after a Store.Add must
+# can hide from; POST /v1/eval around Q2 and QD, through httptest, has
+# ceilings of its own. A QaC++ Q1 evaluated right after a Store.Add must
 # allocate within 5 of a warm one, and Explain() the same on a store ten
 # times the size and after a write: nothing is derived from the store per
 # generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
@@ -172,6 +174,7 @@ fuzz-smoke:
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzQueryAPIRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzResultFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzResultFrameRead$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
+	$(GO) test ./internal/registry -run '^$$' -fuzz '^FuzzEvalBody$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x
 	$(GO) test . -run '^$$' -fuzz '^FuzzIncrementalArrival$$' -fuzztime $(FUZZTIME)
 
 bench:

@@ -1,6 +1,10 @@
 package xcql_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"testing"
@@ -26,18 +30,29 @@ import (
 // of 195 that sold at 40 or more. Since PR 21 a child step's positions are
 // a read window too — Q2's bidder[1] builds one bidder of ≈3 per auction —
 // and a hole crossing reads its ids in place, with no id set built per
-// call. Both index plans read the store's one index in place (PR 20), so
-// they allocate the same: 40, 5 328, 1 014 and 1 206 for Q1, Q2, Q5 and QD,
-// and the ceilings sit ~15 % above (96, 10 958, 1 062 and 1 206 before PR
-// 21; QaC+ regrouped a tsid's fragments per read before PR 20 — 611,
-// 1 262, 1 618 for Q1, Q5, QD; before predicates were pushed Q1 and QD
-// needed 9 829 / 9 323 and 2 815 / 2 409, and the clone-per-read engine
-// before PR 12 48 703 / 48 197 and 8 275 / 7 869): a change that brings a
-// deep copy back on the read path — in the store, the cache, a projection
-// or a constructor — a top element back for every version a filter or a
-// window turns away, a per-read regrouping of what the index already
-// holds, or an id set per crossing goes through them, while allocator
-// noise and small evaluator changes do not.
+// call. Both index plans read the store's one index in place, so they
+// allocate the same. A read builds its versions' top elements in one array
+// of nodes and one of attributes, a literal evaluates to a sequence built
+// once, and a FLWOR without order by keeps no context per tuple: 34, 3 401,
+// 205 and 225 for Q1, Q2, Q5 and QD, and the ceilings sit ~15 % above (40,
+// 5 328, 1 014 and 1 206 while every top cost two allocations, every
+// literal evaluation one and every tuple a context and a binding; 96,
+// 10 958, 1 062 and 1 206 before child steps were windowed; QaC+ regrouped
+// a tsid's fragments per read before the one index — 611, 1 262, 1 618 for
+// Q1, Q5, QD; before predicates were pushed Q1 and QD needed 9 829 / 9 323
+// and 2 815 / 2 409, and the clone-per-read engine 48 703 / 48 197 and
+// 8 275 / 7 869): a change that brings a deep copy back on the read path —
+// in the store, the cache, a projection or a constructor — a top element
+// back for every version a filter or a window turns away, an allocation
+// per top, a per-read regrouping of what the index already holds, an id
+// set per crossing or a context per tuple goes through them, while
+// allocator noise and small evaluator changes do not.
+//
+// POST /v1/eval has two rows of its own: the handler around Q2 and QD —
+// the request, the compile, the evaluation and a body written by hand,
+// each node item encoded into one kept buffer and escaped from there —
+// 3 551 and 327 allocations per request (5 708 and 1 498 while the body
+// was a map handed to encoding/json, one string per item).
 //
 // One more ceiling holds what the one index must never lose: nothing is
 // derived from the store per generation, so the first QaC++ evaluation
@@ -64,14 +79,14 @@ func TestAllocationCeiling(t *testing.T) {
 		mode      ixcql.Mode
 		ceiling   float64
 	}{
-		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 46},
-		{"Q1/QaC++", xmark.QueryQ1(), ixcql.QaCPlusPlus, 46},
-		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 6130},
-		{"Q2/QaC++", xmark.QueryQ2(), ixcql.QaCPlusPlus, 6130},
-		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 1170},
-		{"Q5/QaC++", xmark.QueryQ5(), ixcql.QaCPlusPlus, 1170},
-		{"QD/QaC+", queryQD, ixcql.QaCPlus, 1390},
-		{"QD/QaC++", queryQD, ixcql.QaCPlusPlus, 1390},
+		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 39},
+		{"Q1/QaC++", xmark.QueryQ1(), ixcql.QaCPlusPlus, 39},
+		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 3910},
+		{"Q2/QaC++", xmark.QueryQ2(), ixcql.QaCPlusPlus, 3910},
+		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 236},
+		{"Q5/QaC++", xmark.QueryQ5(), ixcql.QaCPlusPlus, 236},
+		{"QD/QaC+", queryQD, ixcql.QaCPlus, 259},
+		{"QD/QaC++", queryQD, ixcql.QaCPlusPlus, 259},
 	} {
 		q, err := ds.Runtime.Compile(c.src, c.mode)
 		if err != nil {
@@ -103,14 +118,43 @@ func TestAllocationCeiling(t *testing.T) {
 		}
 	}
 
+	// POST /v1/eval around the same evaluations, through httptest: the
+	// request, the compile, the evaluation and the body, written by hand.
+	api := registry.NewAPI(registry.New(time.Now), ds.Runtime.Compile)
+	for _, c := range []struct {
+		name, src string
+		ceiling   float64
+	}{
+		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 4080},
+		{"POST /v1/eval QD/QaC+", queryQD, 376},
+	} {
+		req, err := json.Marshal(map[string]string{"query": c.src, "mode": "QaC+", "at": evalbench.EvalInstant.Format(time.RFC3339Nano)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(5, func() {
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", bytes.NewReader(req)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", c.name, rec.Code, rec.Body)
+			}
+		})
+		t.Logf("%s: %.0f allocs/request (ceiling %.0f)", c.name, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocs/request, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+
 	// The standing fraud query on a re-announced credit stream, 250
 	// charges in (bench/e2e's standing-window shape): one charge — the
 	// account's re-announcement, then the transaction — re-runs three
 	// versions of the charged account and nothing else — the new version
 	// and the one whose lifespan it closes, then the version announcing the
-	// transaction — 415 allocations averaged over the next two rounds of the
-	// twenty accounts (2 566 while each of the two arrivals re-ran every
-	// version of the account, each crossing all its holes; 3 083 while each
+	// transaction — 310 allocations averaged over the next two rounds of the
+	// twenty accounts (415 while every top a read built cost two allocations
+	// and every literal evaluation one, 2 566 while each of the two arrivals
+	// re-ran every version of the account, each crossing all its holes;
+	// 3 083 while each
 	// crossing of $a/transaction built its hole ids through three slices
 	// and a set, 3 361 while every hole crossing copied its version group
 	// out of the index, 3 417 while each of the two unit evaluations built
@@ -120,7 +164,7 @@ func TestAllocationCeiling(t *testing.T) {
 	// times the ceiling at this depth, and more with every charge after;
 	// without the decomposition every charge re-runs all twenty accounts,
 	// without the schedule every tick of the clock does.
-	const fraudCeiling = 478
+	const fraudCeiling = 357
 	cs := newCreditStanding(t, creditQueries[2].src, true, 250)
 	charges := cs.charges(41)
 	next := 0

@@ -542,3 +542,80 @@ func TestAccessWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestReadTopsAreClippedWindows: a read builds its tops in one array of
+// nodes and one of attributes. Each top's Attrs is a window of the one with
+// room for exactly the payload's attributes and the lifespan's two, and its
+// Children the stored payload's list, both capacity-clipped: an append to
+// one top changes no other top of the same read and no stored payload.
+func TestReadTopsAreClippedWindows(t *testing.T) {
+	ins, err := genstore.Generate(genstore.Profile{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ins.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := genstore.Base.Add(1000 * time.Hour)
+	var ids []int
+	for _, id := range st.FillerIDs() {
+		if id != fragment.RootFillerID {
+			ids = append(ids, id)
+		}
+	}
+	payloads := func() string {
+		var b strings.Builder
+		for _, id := range st.FillerIDs() {
+			for _, f := range st.Versions(id) {
+				b.WriteString(f.Payload.String())
+			}
+		}
+		return b.String()
+	}
+	stored := payloads()
+	even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
+	a := fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: at})
+	reads := map[string]func() []*xmldom.Node{
+		"fillers":  func() []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },
+		"filtered": func() []*xmldom.Node { return a.Fillers(st, ids, even, fragment.Window{}) },
+		"windowed": func() []*xmldom.Node {
+			return a.Fillers(st, ids, nil, fragment.Window{From: 1, To: 2, Ends: []int{len(ids) / 2, len(ids)}})
+		},
+		"bytsid": func() (out []*xmldom.Node) {
+			for _, tag := range ins.Structure.Tags() {
+				if els := a.ByTSID(st, tag.ID, nil); len(els) > len(out) {
+					out = els
+				}
+			}
+			return out
+		},
+	}
+	for name, read := range reads {
+		els := read()
+		if len(els) < 2 {
+			t.Fatalf("%s: %d tops, the case tests nothing", name, len(els))
+		}
+		want := make([]string, len(els))
+		for i, el := range els {
+			want[i] = el.String()
+			if cap(el.Attrs) != len(el.Attrs) || cap(el.Children) != len(el.Children) {
+				t.Errorf("%s: top %d has %d/%d attributes and %d/%d children (len/cap)", name, i,
+					len(el.Attrs), cap(el.Attrs), len(el.Children), cap(el.Children))
+			}
+		}
+		for i, el := range els {
+			el.Attrs = append(el.Attrs, xmldom.Attr{Name: "x", Value: "y"})
+			el.Children = append(el.Children, xmldom.NewText("z"))
+			want[i] = el.String()
+			for j, other := range els {
+				if got := other.String(); got != want[j] {
+					t.Fatalf("%s: appending to top %d changed top %d:\n%s\nwant\n%s", name, i, j, got, want[j])
+				}
+			}
+		}
+		if payloads() != stored {
+			t.Fatalf("%s: appending to the tops changed a stored payload", name)
+		}
+	}
+}

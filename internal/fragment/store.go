@@ -342,27 +342,27 @@ func (keep Filter) Sift(els []*xmldom.Node) []*xmldom.Node {
 	return out
 }
 
-// annotateVersions appends to out the annotated top element of each
-// version visible at the evaluation instant that keep lets through,
-// stamped with its deduced [vtFrom, vtTo], and reports how many visible
-// versions it examined. versions must be one filler id's versions in
-// validTime order. A version's lifespan is a fact about its filler, not
-// about the read that reached it: it runs to the validTime of the filler's
-// next visible version, whatever that one's tsid. A read by tsid (tsid >
-// 0) returns — examines, asks keep about — only the versions carrying the
-// tsid; for a filler id that arrived under a second tsid, the other tsid's
-// versions still close the lifespans of the ones returned. The instants
-// are rendered into the read's one buffer: a read pays a few allocations
-// for them, not one or two per version.
-func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, tsid int, at time.Time, keep Filter, instants *strings.Builder) ([]*xmldom.Node, int) {
+// keptVersion is a version a read returns, as its first pass finds it: the
+// version, and the one whose validTime closes its lifespan — f itself for
+// an event's point, nil while the lifespan is open ("now").
+type keptVersion struct{ f, to *Fragment }
+
+// pickVersions appends to kept each version of one filler id visible at
+// the evaluation instant that keep lets through, with what closes its
+// lifespan, and reports how many visible versions it examined. versions
+// must be the filler's versions in validTime order. A version's lifespan is
+// a fact about its filler, not about the read that reached it: it runs to
+// the validTime of the filler's next visible version, whatever that one's
+// tsid. A read by tsid (tsid > 0) returns — examines, asks keep about —
+// only the versions carrying the tsid; for a filler id that arrived under a
+// second tsid, the other tsid's versions still close the lifespans of the
+// ones returned.
+func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int, at time.Time, keep Filter) ([]keptVersion, int) {
 	examined := 0
-	next := "" // the next version's vtFrom, already rendered as this one's vtTo
 	for i, f := range versions {
 		if f.ValidTime.After(at) {
 			break
 		}
-		from := next
-		next = ""
 		if tsid > 0 && f.TSID != tsid {
 			continue
 		}
@@ -370,19 +370,71 @@ func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, tsid
 		if keep != nil && !keep(f.Payload) {
 			continue
 		}
-		if from == "" {
-			from = renderInstant(instants, f.ValidTime)
-		}
-		to := "now"
+		k := keptVersion{f: f}
 		if tag := st.structure.ByID(f.TSID); tag != nil && tag.Type == tagstruct.Event {
-			to = from
+			k.to = f
 		} else if i+1 < len(versions) && !versions[i+1].ValidTime.After(at) {
-			next = renderInstant(instants, versions[i+1].ValidTime)
-			to = next
+			k.to = versions[i+1]
 		}
-		out = append(out, lifespanTop(f.Payload, from, to))
+		kept = append(kept, k)
 	}
-	return out, examined
+	return kept, examined
+}
+
+// buildTops builds the top elements of the kept versions, each stamped with
+// its deduced [vtFrom, vtTo]: the payload's name, its attributes with the
+// lifespan on them, and its children, shared. The read knows every top it
+// builds before it builds one, so the tops are one array of nodes, their
+// attributes one array of attributes and their instants one buffer: a read
+// costs a few allocations, not two per version. Each top's Attrs is a
+// window of that array with room for the payload's attributes and the
+// lifespan's two, and its Children the stored payload's list, both
+// capacity-clipped: an append to one top reallocates, never writing into
+// another top's attributes or a stored payload's children.
+func buildTops(kept []keptVersion) []*xmldom.Node {
+	if len(kept) == 0 {
+		return nil
+	}
+	nattrs, ninstants := 0, 0
+	for i, k := range kept {
+		nattrs += len(k.f.Payload.Attrs) + 2
+		if i == 0 || kept[i-1].to != k.f {
+			ninstants++ // its vtFrom; otherwise the version before's vtTo
+		}
+		if k.to != nil && k.to != k.f {
+			ninstants++
+		}
+	}
+	out := make([]*xmldom.Node, len(kept))
+	nodes := make([]xmldom.Node, len(kept))
+	attrs := make([]xmldom.Attr, nattrs)
+	var instants strings.Builder
+	instants.Grow(ninstants * len(xtime.Layout))
+	to := ""
+	for i, k := range kept {
+		from := to
+		if i == 0 || kept[i-1].to != k.f {
+			from = renderInstant(&instants, k.f.ValidTime)
+		}
+		switch k.to {
+		case nil:
+			to = "now"
+		case k.f:
+			to = from
+		default:
+			to = renderInstant(&instants, k.to.ValidTime)
+		}
+		p, el := k.f.Payload, &nodes[i]
+		n := len(p.Attrs) + 2
+		el.Type, el.Name = p.Type, p.Name
+		el.Attrs = attrs[:copy(attrs, p.Attrs):n]
+		el.Children = p.Children[:len(p.Children):len(p.Children)]
+		el.SetAttr("vtFrom", from)
+		el.SetAttr("vtTo", to)
+		attrs = attrs[n:]
+		out[i] = el
+	}
+	return out
 }
 
 // renderInstant spells t the way the wire does, at the end of b, and
@@ -392,44 +444,23 @@ func (st *Store) annotateVersions(out []*xmldom.Node, versions []*Fragment, tsid
 func renderInstant(b *strings.Builder, t time.Time) string {
 	var spelled [len(xtime.Layout)]byte
 	start := b.Len()
-	if b.Cap()-start < len(spelled) {
-		b.Grow(max(len(spelled), start)) // a filtered read: double as versions are kept
-	}
 	b.Write(t.UTC().AppendFormat(spelled[:0], xtime.Layout))
 	return b.String()[start:]
-}
-
-// lifespanTop builds the top element a read returns for a stored payload:
-// the payload's name, its attributes with the lifespan stamped on them, and
-// its children, shared.
-func lifespanTop(p *xmldom.Node, from, to string) *xmldom.Node {
-	attrs := make([]xmldom.Attr, len(p.Attrs), len(p.Attrs)+2)
-	copy(attrs, p.Attrs)
-	kids := p.Children
-	el := &xmldom.Node{
-		Type:  p.Type,
-		Name:  p.Name,
-		Attrs: attrs,
-		// capacity clipped: an append to the new top must reallocate, never
-		// write the spare capacity of the stored payload's array
-		Children: kids[:len(kids):len(kids)],
-	}
-	el.SetAttr("vtFrom", from)
-	el.SetAttr("vtTo", to)
-	return el
 }
 
 // read is one read of the index: the version groups of fids, in that
 // order, annotated — of each group only the versions carrying tsid when
 // tsid > 0 — and the number of versions examined. It takes each group's
-// slice header under the lock and annotates outside it, so no Filter runs
-// and no node is built while a writer waits, and no group is copied.
-// Without a filter or a window every visible version is built and renders
-// at most one instant, so the read sizes its output and its instants once;
-// otherwise both grow as versions are kept. A window reads fids parent by
-// parent (Window).
+// slice header under the lock and works outside it, so no Filter runs and
+// no node is built while a writer waits, and no group is copied. A read is
+// two passes: the first asks the filter about each version and notes the
+// ones kept, the second builds exactly those (buildTops). Without a filter
+// or a window every visible version is kept, so the read sizes its notes
+// once; otherwise they start on the stack and grow as versions are kept. A
+// window reads fids parent by parent (Window).
 func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Window) (out []*xmldom.Node, examined int) {
-	var instants strings.Builder
+	var few [32]keptVersion
+	kept := few[:0]
 	if keep == nil && win.Ends == nil {
 		total := 0
 		st.mu.RLock()
@@ -441,19 +472,20 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 			}
 		}
 		st.mu.RUnlock()
-		out = make([]*xmldom.Node, 0, total)
-		instants.Grow(total * len(xtime.Layout))
+		if total > len(few) {
+			kept = make([]keptVersion, 0, total)
+		}
 	}
-	annotate := func(fids []int, keep Filter) {
+	pick := func(fids []int, keep Filter) {
 		for _, fid := range fids {
 			var seen int
-			out, seen = st.annotateVersions(out, st.Versions(fid), tsid, at, keep, &instants)
+			kept, seen = st.pickVersions(kept, st.Versions(fid), tsid, at, keep)
 			examined += seen
 		}
 	}
 	if win.Ends == nil {
-		annotate(fids, keep)
-		return out, examined
+		pick(fids, keep)
+		return buildTops(kept), examined
 	}
 	// Window.groups' loop, spelled out so that the narrowed filter stays on
 	// the stack: this is the read every index plan's window takes
@@ -462,11 +494,11 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 	lo := 0
 	for g, hi := range win.Ends {
 		w.open(win, st, fids[lo:hi], at)
-		annotate(fids[lo:hi], narrowed)
-		win.Ends[g] = len(out)
+		pick(fids[lo:hi], narrowed)
+		win.Ends[g] = len(kept)
 		lo = hi
 	}
-	return out, examined
+	return buildTops(kept), examined
 }
 
 // kept counts the versions of fids visible at the evaluation instant that

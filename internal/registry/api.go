@@ -21,6 +21,7 @@ package registry
 // reader are fuzzed against arbitrary bytes (FuzzQueryAPIRequest).
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +34,8 @@ import (
 	"xcql/internal/inc"
 	"xcql/internal/obs"
 	"xcql/internal/xcql"
+	"xcql/internal/xmldom"
+	"xcql/internal/xq"
 )
 
 // maxRequestBody bounds register/eval request bodies.
@@ -476,10 +479,34 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "eval", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"at":    at.Format(time.RFC3339Nano),
-		"items": inc.ItemSerials(seq),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(appendEvalBody(nil, at, seq))
+}
+
+// appendEvalBody appends the body of a successful POST /v1/eval to dst: the
+// object {"at", "items"} as encoding/json renders it with HTML escaping off,
+// each item serialized as inc.ItemSerial does, written field by field. A
+// node item is encoded into one buffer kept for all of them and escaped
+// from there, so an item costs no string of its own.
+func appendEvalBody(dst []byte, at time.Time, seq xq.Sequence) []byte {
+	dst = append(dst, `{"at":"`...)
+	dst = at.AppendFormat(dst, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
+	dst = append(dst, `","items":[`...)
+	var item bytes.Buffer
+	for i, it := range seq {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if n, ok := it.(*xmldom.Node); ok {
+			item.Reset()
+			n.EncodeTo(&item)
+			dst = appendJSONString(dst, item.Bytes())
+		} else {
+			dst = appendJSONString(dst, inc.ItemSerial(it))
+		}
+	}
+	return append(dst, "]}"...)
 }
 
 // handleRegistryz reports the sharing stats: the JSON sibling of

@@ -103,13 +103,14 @@ const hexDigits = "0123456789abcdef"
 // with HTML escaping off: '"', '\\' and control bytes escaped (the five
 // with a short form use it), U+2028 and U+2029 escaped, invalid UTF-8
 // replaced by U+FFFD, everything else — markup included — as it is.
-func appendJSONString(dst []byte, s string) []byte {
+func appendJSONString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
 		if b >= utf8.RuneSelf {
-			c, size := utf8.DecodeRuneInString(s[i:])
+			// at most one rune's bytes, converted on the stack
+			c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 			switch {
 			case c == utf8.RuneError && size == 1:
 				dst = append(append(dst, s[start:i]...), `\ufffd`...)

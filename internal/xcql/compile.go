@@ -98,7 +98,7 @@ func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (pla
 	return plan, c.order, err
 }
 
-func lit(v any) xq.Expr { return &xq.Literal{Val: v} }
+func lit(v any) xq.Expr { return xq.NewLiteral(v) }
 
 func (c *compiler) rewrite(e xq.Expr, en env) (xq.Expr, typeSet, error) {
 	switch ex := e.(type) {

@@ -118,7 +118,7 @@ func eachParent(piece xq.Expr, preds []xq.Expr) xq.Expr {
 	call := piece.(*xq.Call)
 	pp := &perParent{preds: preds}
 	pp.win, pp.windowed = windowOf(preds[0])
-	return &xq.Call{Name: call.Name, Args: append(call.Args[:len(call.Args):len(call.Args)], &xq.Literal{Val: pp})}
+	return &xq.Call{Name: call.Name, Args: append(call.Args[:len(call.Args):len(call.Args)], xq.NewLiteral(pp))}
 }
 
 // windowOf reports the positions a predicate selects when it is one a read

@@ -75,7 +75,7 @@ func (p *pushed) pred() xq.Expr {
 	var out xq.Expr
 	for i := range p.conds {
 		c := &p.conds[i]
-		var e xq.Expr = &xq.BinOp{Op: c.op, L: c.path(), R: &xq.Literal{Val: c.val}}
+		var e xq.Expr = &xq.BinOp{Op: c.op, L: c.path(), R: xq.NewLiteral(c.val)}
 		if out == nil {
 			out = e
 		} else {
@@ -91,7 +91,7 @@ func (p *pushed) String() string {
 	var b strings.Builder
 	for i := range p.conds {
 		c := &p.conds[i]
-		b.WriteString("[" + c.path().String() + " " + c.op + " " + (&xq.Literal{Val: c.val}).String() + "]")
+		b.WriteString("[" + c.path().String() + " " + c.op + " " + xq.NewLiteral(c.val).String() + "]")
 	}
 	return b.String()
 }
@@ -242,7 +242,7 @@ func withFilter(call *xq.Call, conds []cond) *xq.Call {
 		merged.conds = append(merged.conds, p.conds...)
 	}
 	merged.conds = append(merged.conds, conds...)
-	return &xq.Call{Name: call.Name, Args: append(args[:len(args):len(args)], &xq.Literal{Val: merged})}
+	return &xq.Call{Name: call.Name, Args: append(args[:len(args):len(args)], xq.NewLiteral(merged))}
 }
 
 // pushStepPreds moves the leading predicates of a step below the access

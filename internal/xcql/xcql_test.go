@@ -2,6 +2,7 @@ package xcql
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -427,5 +428,45 @@ func TestLateArrivalChangesResult(t *testing.T) {
 	}
 	if xq.StringValue(after[0]) != "4" {
 		t.Fatalf("after = %v", after[0])
+	}
+}
+
+// A literal evaluates to one sequence kept on its node, and every
+// evaluation of a compiled query shares it — the stream names and tsids of
+// every fillers call among them. Two evaluations of one query at once
+// return what one alone does; under the race detector, they write nothing
+// they share.
+func TestLiteralsSharedAcrossEvaluations(t *testing.T) {
+	rt := newRuntime(t)
+	const src = `for $a in stream("credit")//account
+		return <acct id="{ $a/@id }" kind="{ "account" }">{ "limit", $a/creditLimit[1], ("x", 1, 2.5, true()),
+			concat("a", "-", "b"), $a/transaction[amount > 1000]/@id, count(($a/transaction, 1, "two")) }</acct>`
+	for _, mode := range allModes {
+		q, err := rt.Compile(src, mode)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		eval := func() (string, error) {
+			seq, err := q.Eval(evalAt)
+			return strings.Join(renderSeq(seq), "\n"), err
+		}
+		want, err := eval()
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 20 {
+					if got, err := eval(); err != nil || got != want {
+						t.Errorf("%s: concurrent evaluation returned (%v)\n%s\nwant\n%s", mode, err, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

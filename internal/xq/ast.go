@@ -12,7 +12,18 @@ type Expr interface {
 }
 
 // Literal is a constant: string, number, dateTime, duration or boolean.
-type Literal struct{ Val Item }
+// Build one with NewLiteral.
+type Literal struct {
+	Val Item
+	// seq is Val as the one-item sequence every evaluation returns, built
+	// once: its capacity is its length, so an append to it reallocates, and
+	// it is never written, since no evaluator writes into a sequence it was
+	// handed.
+	seq Sequence
+}
+
+// NewLiteral returns the literal of v.
+func NewLiteral(v Item) *Literal { return &Literal{Val: v, seq: Sequence{v}} }
 
 func (e *Literal) String() string {
 	if s, ok := e.Val.(string); ok {

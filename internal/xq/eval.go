@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"xcql/internal/budget"
@@ -132,7 +133,7 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 	}
 	switch ex := e.(type) {
 	case *Literal:
-		return Singleton(ex.Val), nil
+		return ex.seq, nil
 	case *VarRef:
 		v, ok := ctx.Var(ex.Name)
 		if !ok {
@@ -198,7 +199,7 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Singleton(AttrItem{Name: ex.Name, Value: joinAtomics(Atomize(v))}), nil
+		return Singleton(AttrItem{Name: ex.Name, Value: joinAtomics(v)}), nil
 	case *IntervalProj:
 		return evalIntervalProj(ex, ctx)
 	case *VersionProj:
@@ -320,11 +321,19 @@ func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Seque
 			return out
 		}
 		var out Sequence
-		eachElementChild(n, resolve, func(c *xmldom.Node) {
-			if step.Name == "*" || c.Name == step.Name {
+		for _, c := range n.Children {
+			switch {
+			case c.Type != xmldom.ElementNode:
+			case c.Name == "hole":
+				for _, f := range holeFillers(c, resolve) {
+					if step.Name == "*" || f.Name == step.Name {
+						out = append(out, f)
+					}
+				}
+			case step.Name == "*" || c.Name == step.Name:
 				out = append(out, c)
 			}
-		})
+		}
 		return out
 	case AxisDescendant:
 		if step.Name == "text()" {
@@ -378,38 +387,51 @@ func eachElementChild(n *xmldom.Node, resolve temporal.HoleResolver, visit func(
 			visit(c)
 			continue
 		}
-		if resolve == nil {
-			continue
-		}
-		if idStr, ok := c.Attr("id"); ok {
-			if id, err := strconv.Atoi(idStr); err == nil {
-				for _, f := range resolve(id) {
-					visit(f)
-				}
-			}
+		for _, f := range holeFillers(c, resolve) {
+			visit(f)
 		}
 	}
 }
 
+// holeFillers returns the fillers' versions a <hole> child stands for, or
+// nothing without a resolver.
+func holeFillers(hole *xmldom.Node, resolve temporal.HoleResolver) []*xmldom.Node {
+	if resolve == nil {
+		return nil
+	}
+	if idStr, ok := hole.Attr("id"); ok {
+		if id, err := strconv.Atoi(idStr); err == nil {
+			return resolve(id)
+		}
+	}
+	return nil
+}
+
 // ApplyPredicates filters input through preds in turn, as a step or a
 // filter expression applies its predicates: each item is evaluated at its
-// position in what the previous predicate kept, and a number selects by
-// position, anything else by its effective boolean value.
+// position in what the previous predicate kept, and a number selects the
+// item whose position it equals, anything else by its effective boolean
+// value. One context is focused on item after item: a predicate's
+// evaluation never keeps the context it was handed.
 func ApplyPredicates(input Sequence, preds []Expr, ctx *Context) (Sequence, error) {
+	if len(preds) == 0 {
+		return input, nil
+	}
+	pc := *ctx
 	cur := input
 	for _, pred := range preds {
 		var next Sequence
-		size := len(cur)
+		pc.size = len(cur)
 		for i, it := range cur {
-			pc := ctx.WithItem(it, i+1, size)
-			v, err := Eval(pred, pc)
+			pc.item, pc.pos = it, i+1
+			v, err := Eval(pred, &pc)
 			if err != nil {
 				return nil, err
 			}
 			// numeric predicate selects by position
 			if len(v) == 1 {
 				if f, ok := v[0].(float64); ok {
-					if int(f) == i+1 {
+					if f == float64(i+1) {
 						next = append(next, it)
 					}
 					continue
@@ -664,12 +686,31 @@ func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 
 // --- FLWOR ------------------------------------------------------------------
 
+// evalFLWOR runs a FLWOR's clauses over the tuples they bind. Without an
+// order by, the return clause runs as each tuple survives where, and each
+// for clause binds one frame and rebinds it item by item: a frame never
+// outlives the return of its tuple, so nothing is kept per tuple. An order
+// by must see every tuple before the first return runs, so each tuple then
+// keeps a context of its own, as does a tuple with a positional variable.
 func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
+	ordered := len(fl.OrderBy) > 0
 	type tuple struct {
 		ctx  *Context
 		keys []Item
 	}
 	var tuples []tuple
+	var out Sequence
+	emit := func(c *Context) error {
+		v, err := Eval(fl.Return, c)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Static.Budget.AddItems(len(v)); err != nil {
+			return err
+		}
+		out = append(out, v...)
+		return nil
+	}
 	var bindRest func(i int, c *Context) error
 	bindRest = func(i int, c *Context) error {
 		if i == len(fl.Clauses) {
@@ -681,6 +722,14 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 				if !EffectiveBool(w) {
 					return nil
 				}
+			}
+			// each surviving tuple is intermediate cardinality: an
+			// unbounded cross join trips MaxItems by its tuples alone
+			if err := ctx.Static.Budget.AddItems(1); err != nil {
+				return err
+			}
+			if !ordered {
+				return emit(c)
 			}
 			var keys []Item
 			for _, spec := range fl.OrderBy {
@@ -694,12 +743,6 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 					keys = append(keys, nil)
 				}
 			}
-			// each surviving tuple is intermediate cardinality: an
-			// unbounded cross join trips MaxItems here, before the
-			// return clause ever runs
-			if err := ctx.Static.Budget.AddItems(1); err != nil {
-				return err
-			}
 			tuples = append(tuples, tuple{ctx: c, keys: keys})
 			return nil
 		}
@@ -709,12 +752,25 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			if err != nil {
 				return err
 			}
-			for idx, it := range seq {
-				cc := c.Bind(cl.Var, Singleton(it))
-				if cl.PosVar != "" {
-					cc = cc.Bind(cl.PosVar, Singleton(float64(idx+1)))
+			if ordered || cl.PosVar != "" {
+				for idx := range seq {
+					cc := c.Bind(cl.Var, seq[idx:idx+1:idx+1])
+					if cl.PosVar != "" {
+						cc = cc.Bind(cl.PosVar, Singleton(float64(idx+1)))
+					}
+					if err := bindRest(i+1, cc); err != nil {
+						return err
+					}
 				}
-				if err := bindRest(i+1, cc); err != nil {
+				return nil
+			}
+			if len(seq) == 0 {
+				return nil
+			}
+			frame := c.Bind(cl.Var, nil)
+			for idx := range seq {
+				frame.Rebind(seq[idx : idx+1 : idx+1])
+				if err := bindRest(i+1, frame); err != nil {
 					return err
 				}
 			}
@@ -732,52 +788,54 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	if err := bindRest(0, ctx); err != nil {
 		return nil, err
 	}
-	if len(fl.OrderBy) > 0 {
-		sort.SliceStable(tuples, func(i, j int) bool {
-			for k, spec := range fl.OrderBy {
-				a, b := tuples[i].keys[k], tuples[j].keys[k]
-				if a == nil && b == nil {
-					continue
-				}
-				if a == nil {
-					return !spec.Descending
-				}
-				if b == nil {
-					return spec.Descending
-				}
-				c := compareAtomic(a, b, ctx.Static)
-				if c == 0 {
-					continue
-				}
-				if spec.Descending {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+	if !ordered {
+		return out, nil
 	}
-	var out Sequence
+	sort.SliceStable(tuples, func(i, j int) bool {
+		for k, spec := range fl.OrderBy {
+			a, b := tuples[i].keys[k], tuples[j].keys[k]
+			if a == nil && b == nil {
+				continue
+			}
+			if a == nil {
+				return !spec.Descending
+			}
+			if b == nil {
+				return spec.Descending
+			}
+			c := compareAtomic(a, b, ctx.Static)
+			if c == 0 {
+				continue
+			}
+			if spec.Descending {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
 	for _, t := range tuples {
-		v, err := Eval(fl.Return, t.ctx)
-		if err != nil {
+		if err := emit(t.ctx); err != nil {
 			return nil, err
 		}
-		if err := ctx.Static.Budget.AddItems(len(v)); err != nil {
-			return nil, err
-		}
-		out = append(out, v...)
 	}
 	return out, nil
 }
 
+// evalQuantified binds one frame for the range variable and rebinds it
+// item by item, as a for clause does.
 func evalQuantified(q *Quantified, ctx *Context) (Sequence, error) {
 	seq, err := Eval(q.In, ctx)
 	if err != nil {
 		return nil, err
 	}
-	for _, it := range seq {
-		v, err := Eval(q.Satisfies, ctx.Bind(q.Var, Singleton(it)))
+	if len(seq) == 0 {
+		return Singleton(q.Every), nil
+	}
+	frame := ctx.Bind(q.Var, nil)
+	for i := range seq {
+		frame.Rebind(seq[i : i+1 : i+1])
+		v, err := Eval(q.Satisfies, frame)
 		if err != nil {
 			return nil, err
 		}
@@ -909,53 +967,53 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (Sequence, error) {
 // came from, not copied — and adjacent atomics join into one
 // space-separated text node.
 func appendContent(el *xmldom.Node, content Sequence) {
-	var pendingAtomic []string
-	flush := func() {
-		if len(pendingAtomic) > 0 {
-			el.AppendChild(xmldom.NewText(joinStrings(pendingAtomic)))
-			pendingAtomic = nil
-		}
-	}
-	for _, it := range content {
-		switch v := it.(type) {
+	for i := 0; i < len(content); i++ {
+		switch v := content[i].(type) {
 		case AttrItem:
-			flush()
 			el.SetAttr(v.Name, v.Value)
 		case *xmldom.Node:
-			flush()
 			if v.Type == xmldom.DocumentNode {
 				el.Children = append(el.Children, v.Children...)
 			} else {
 				el.AppendChild(v)
 			}
 		default:
-			pendingAtomic = append(pendingAtomic, StringValue(it))
+			run := i + 1
+			for run < len(content) && isAtomic(content[run]) {
+				run++
+			}
+			el.AppendChild(xmldom.NewText(joinAtomics(content[i:run])))
+			i = run - 1
 		}
 	}
-	flush()
 }
 
-func joinStrings(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
+func isAtomic(it Item) bool {
+	switch it.(type) {
+	case AttrItem, *xmldom.Node:
+		return false
 	}
-	return out
+	return true
 }
 
+// joinAtomics is the string values of seq joined by single spaces, built in
+// one sized pass.
 func joinAtomics(seq Sequence) string {
-	return joinStrings(Strings(seq))
+	if len(seq) == 1 {
+		return StringValue(seq[0])
+	}
+	return strings.Join(Strings(seq), " ")
 }
 
+// evalAttrParts is an attribute constructor's value: its parts'
+// concatenation, built in one sized pass.
 func evalAttrParts(parts []Expr, ctx *Context) (string, error) {
-	out := ""
+	var few [4]string
+	vals := few[:0]
 	for _, p := range parts {
 		if lit, ok := p.(*Literal); ok {
 			if s, isStr := lit.Val.(string); isStr {
-				out += s
+				vals = append(vals, s)
 				continue
 			}
 		}
@@ -963,9 +1021,9 @@ func evalAttrParts(parts []Expr, ctx *Context) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		out += joinAtomics(Atomize(v))
+		vals = append(vals, joinAtomics(v))
 	}
-	return out, nil
+	return strings.Join(vals, ""), nil
 }
 
 // --- temporal projections -----------------------------------------------

@@ -773,13 +773,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &Literal{Val: v}, nil
+		return NewLiteral(v), nil
 	case tokNumber:
 		v := p.tok.Num
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &Literal{Val: v}, nil
+		return NewLiteral(v), nil
 	case tokDateTime:
 		dt, err := xtime.Parse(p.tok.Text)
 		if err != nil {
@@ -788,7 +788,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &Literal{Val: dt}, nil
+		return NewLiteral(dt), nil
 	case tokDuration:
 		d, err := xtime.ParseDuration(p.tok.Text)
 		if err != nil {
@@ -797,7 +797,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &Literal{Val: d}, nil
+		return NewLiteral(d), nil
 	case tokVar:
 		name := p.tok.Text
 		if err := p.advance(); err != nil {
@@ -866,14 +866,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err := p.advance(); err != nil {
 					return nil, err
 				}
-				return &Literal{Val: xtime.Now()}, nil
+				return NewLiteral(xtime.Now()), nil
 			}
 		case "start":
 			if pk := p.peek(); !(pk.Kind == tokSym && pk.Text == "(") {
 				if err := p.advance(); err != nil {
 					return nil, err
 				}
-				return &Literal{Val: xtime.Start()}, nil
+				return NewLiteral(xtime.Start()), nil
 			}
 		case "true", "false":
 			if pk := p.peek(); pk.Kind == tokSym && pk.Text == "(" {
@@ -886,7 +886,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err := p.expectSym(")"); err != nil {
 					return nil, err
 				}
-				return &Literal{Val: name == "true"}, nil
+				return NewLiteral(name == "true"), nil
 			}
 		}
 		if pk := p.peek(); pk.Kind == tokSym && pk.Text == "(" {
@@ -1089,7 +1089,7 @@ func (p *parser) rawElement() (Expr, error) {
 			ctor.Content = append(ctor.Content, child)
 		case c == '{':
 			if strings.HasPrefix(l.src[l.pos:], "{{") {
-				ctor.Content = append(ctor.Content, &Literal{Val: "{"})
+				ctor.Content = append(ctor.Content, NewLiteral("{"))
 				l.pos += 2
 				continue
 			}
@@ -1104,7 +1104,7 @@ func (p *parser) rawElement() (Expr, error) {
 				return nil, err
 			}
 			if strings.TrimSpace(text) != "" {
-				ctor.Content = append(ctor.Content, &Literal{Val: text})
+				ctor.Content = append(ctor.Content, NewLiteral(text))
 			}
 		}
 	}
@@ -1222,7 +1222,7 @@ func (p *parser) rawAttr() (AttrCtor, error) {
 	var lit strings.Builder
 	flush := func() {
 		if lit.Len() > 0 {
-			parts = append(parts, &Literal{Val: lit.String()})
+			parts = append(parts, NewLiteral(lit.String()))
 			lit.Reset()
 		}
 	}

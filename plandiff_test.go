@@ -185,6 +185,44 @@ func TestPositionalPlanAgreement(t *testing.T) {
 	}
 }
 
+// A number selects the item whose position it equals, so a fractional one
+// selects no bidder, under every plan — the per-parent list the fragment
+// plans hang on the fillers call included, which no read window serves.
+// bidder[1.5] returned each auction's first bidder while the position was
+// truncated.
+func TestFractionalPositionPerParent(t *testing.T) {
+	ds, err := evalbench.Build(0.02, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []string{"1.5", "2.9"} {
+		src := `for $b in stream("auction")/site/open_auctions/open_auction return $b/bidder[` + pred + `]`
+		for _, mode := range harnessModes {
+			q, err := ds.Runtime.Compile(src, mode)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", src, mode, err)
+			}
+			seq, err := q.Eval(evalbench.EvalInstant)
+			if err != nil {
+				t.Fatalf("%s/%s: eval: %v", src, mode, err)
+			}
+			if len(seq) != 0 {
+				t.Errorf("%s/%s: %d bidders, want none", src, mode, len(seq))
+			}
+			if mode == xcql.CaQ {
+				continue
+			}
+			perParent := false
+			for _, tgt := range q.Explain().Targets {
+				perParent = perParent || tgt.PerParent != ""
+			}
+			if !perParent {
+				t.Errorf("%s/%s: no per-parent list on the read\n%s", src, mode, q.Explain())
+			}
+		}
+	}
+}
+
 // TestPlanEquivalenceEmptyScale covers the degenerate scale-0 dataset
 // (the paper's 116KB base document, no update history).
 func TestPlanEquivalenceEmptyScale(t *testing.T) {
