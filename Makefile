@@ -2,9 +2,9 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate bench-gate fuzz-smoke bench bench-json bench-diff
+.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry trace-smoke alloc-gate bench-gate fuzz-smoke bench bench-json bench-diff
 
-check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry test-labels trace-smoke alloc-gate bench-gate fuzz-smoke
+check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry trace-smoke alloc-gate bench-gate fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,11 +28,14 @@ build:
 	$(GO) build ./...
 
 # bench/ is a module of its own, so `go build ./...` from the root never
-# compiles it, yet it pins public API (Query.WithParallelism/WithCache,
-# Engine.SetTraceSink, SpanRecord, registry.DialSubscribe): building and
-# self-testing it here makes a change that breaks the end-to-end harness
-# fail locally, not in the pipeline. (-o /dev/null: the module's one main
-# package would otherwise be written over its own directory name.)
+# compiles it, yet it pins public API: the QaCPlusPlus mode and its "QaC++"
+# wire name, EvalStats.LabelRangeLookups, Query.WithParallelism/WithCache,
+# Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
+# RegisterRequest.Incremental, and registry.DialSubscribe. Folding any of
+# them waits on the harness (ROADMAP 2 (a)). Building and self-testing it
+# here makes a change that breaks the end-to-end harness fail locally, not
+# in the pipeline. (-o /dev/null: the module's one main package would
+# otherwise be written over its own directory name.)
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test -short -timeout 120s ./...
 
@@ -90,19 +93,6 @@ test-registry:
 	$(GO) test -race -run '^(TestRegistryEquivalence|TestRegistrySharedCostMonotonic)$$' -timeout 600s .
 	$(GO) test -race -run '^(TestRegistryAdmissionOverload|TestPendingReemissionSurvivesFailedArrival)$$' -timeout 120s ./internal/registry
 	$(GO) test -race -run '^TestRegistryChurnUnderFire$$' -timeout 120s ./internal/stream
-
-# The label cell: the prefix labeler's property suite (document order
-# without hole walks, arrival-order stability, labels minted on first
-# request and per store generation — ingest, compaction), the
-# crash-recover-then-relabel case, and the four-plan stats chain
-# (FillersScanned QaC++ <= QaC+ < QaC < CaQ with HolesResolved pinned to 0
-# under QaC++), under the race detector. No plan reads a label yet — QaC++
-# reads the store's one index like every other plan — so this cell is what
-# keeps the labels right for the plan that will (ROADMAP, first item).
-test-labels:
-	$(GO) test -race -run '^TestLabel' -timeout 120s ./internal/fragment
-	$(GO) test -race -run '^TestRecoverThenLabel$$' -timeout 120s ./internal/segstore
-	$(GO) test -race -run '^(TestEvalStatsPopulated|TestFillersScannedMonotonic|TestTSIDIndexHitsOnlyUnderQaCPlus)$$' -timeout 120s .
 
 # End-to-end tracing acceptance: a chaos burst with the flight recorder
 # attached at every layer must produce a complete publish → segstore.append

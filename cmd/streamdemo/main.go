@@ -390,7 +390,7 @@ func main() {
 		fmt.Print(flight.Render(5))
 	}
 	fmt.Println("final metric exposition:")
-	_, _ = registry.WriteTo(os.Stdout)
+	_, _ = registry.WritePrometheus(os.Stdout)
 	for _, srv := range []*http.Server{httpSrv, querySrv} {
 		if srv == nil {
 			continue

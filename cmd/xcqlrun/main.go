@@ -53,6 +53,9 @@ func main() {
 	storeDir := flag.String("store-dir", "", "durable segment store directory: recovered fragments are ingested before the -fragments file and this run's ingest is write-ahead logged")
 	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → registry.eval → fanout → inc.recompute) in a flight recorder and dump it to stderr at the end")
 	flag.Parse()
+	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez); err != nil {
+		fatal(err)
+	}
 
 	query, err := readQuery(*queryFile, flag.Args())
 	if err != nil {
@@ -102,8 +105,6 @@ func main() {
 			}
 		}
 		engine.RegisterStore(*streamName, store)
-	} else if *storeDir != "" {
-		fatal(fmt.Errorf("-store-dir needs -structure to build the recovered store"))
 	}
 	var sink *xcql.CollectorSink
 	if *showTrace {
@@ -119,14 +120,8 @@ func main() {
 		return
 	}
 	if *incremental {
-		if store == nil {
-			fatal(fmt.Errorf("-incremental needs -structure (and -fragments) to replay"))
-		}
 		runIncremental(q, store, frags, at, *atStr == "now", *showStats, *tracez)
 		return
-	}
-	if *tracez {
-		fatal(fmt.Errorf("-tracez needs -incremental: spans are recorded per replayed arrival"))
 	}
 	start := time.Now()
 	seq, err := q.Eval(at)
@@ -149,6 +144,21 @@ func main() {
 	if sink != nil {
 		fmt.Fprint(os.Stderr, sink.Timeline())
 	}
+}
+
+// checkFlags rejects flag combinations that cannot do what they ask.
+func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) error {
+	switch {
+	case storeDir != "" && structPath == "":
+		return fmt.Errorf("-store-dir needs -structure to build the recovered store")
+	case incremental && structPath == "":
+		return fmt.Errorf("-incremental needs -structure (and -fragments) to replay")
+	case tracez && !incremental:
+		return fmt.Errorf("-tracez needs -incremental: spans are recorded per replayed arrival")
+	case trace && incremental:
+		return fmt.Errorf("-trace times one evaluation; with -incremental use -tracez for per-arrival spans")
+	}
+	return nil
 }
 
 // runIncremental replays the fragment stream one arrival at a time

@@ -148,8 +148,8 @@ const (
 	TSIDIndexAccess
 	// LabelIndexAccess reads the store's index and pays for no lookup: no pass
 	// over the log even on a scan store, no hole counted as resolved (QaC++).
-	// It is named for the counters it moves, obs.EvalStats' LabelRange*; no
-	// read consults a label (see LabelIndex).
+	// It is named for the counters it moves, obs.EvalStats' LabelRange*; the
+	// store keeps no labels.
 	LabelIndexAccess
 )
 

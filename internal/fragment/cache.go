@@ -230,18 +230,6 @@ func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmld
 	return out, false
 }
 
-// ContainsFillers reports whether a GetFillers(fillerID, at) probe would
-// hit, without filling, touching LRU order, or counting stats — the
-// Explain planner's predicted-hit probe.
-func (c *Cache) ContainsFillers(st *Store, fillerID int, at time.Time) bool {
-	return c.contains(cacheKey{store: st, kind: kindFiller, id: fillerID}, st, at)
-}
-
-// ContainsTSID is ContainsFillers for the tsid access path.
-func (c *Cache) ContainsTSID(st *Store, tsid int, at time.Time) bool {
-	return c.contains(cacheKey{store: st, kind: kindTSID, id: tsid}, st, at)
-}
-
 // ResidentFillers counts how many of ids have a resident,
 // generation-fresh variant for st, regardless of as-of window — the
 // Explain planner's window-agnostic effectiveness estimate (it predicts
@@ -355,27 +343,6 @@ func (c *Cache) lookup(key cacheKey, st *Store, at time.Time) ([]*xmldom.Node, b
 	c.ll.MoveToFront(e)
 	c.stats.Hits++
 	return found.els[:len(found.els):len(found.els)], true
-}
-
-// contains is lookup without side effects (no promotion, no counters, no
-// stale-variant sweep).
-func (c *Cache) contains(key cacheKey, st *Store, at time.Time) bool {
-	if c == nil {
-		return false
-	}
-	gen := st.Generation()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.byKey[key]
-	if !ok {
-		return false
-	}
-	for _, v := range e.Value.(*cacheEntry).variants {
-		if v.gen == gen && v.covers(at) {
-			return true
-		}
-	}
-	return false
 }
 
 // fill inserts (or refreshes) the variant under key, evicting the least

@@ -33,6 +33,12 @@ func addLimit(t *testing.T, st *Store, vt, amount string) {
 	}
 }
 
+// resident reports whether the filler's entry holds a generation-fresh
+// variant, without filling, promoting or counting.
+func resident(c *Cache, st *Store, fid int) bool {
+	return c.ResidentFillers(st, []int{fid}) == 1
+}
+
 func render(els []*xmldom.Node) string {
 	s := ""
 	for _, el := range els {
@@ -176,10 +182,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.GetFillers(st, 2, at)
 	c.GetFillers(st, 1, at) // touch 1 so 2 is LRU
 	c.GetFillers(st, 3, at) // evicts 2
-	if !c.ContainsFillers(st, 1, at) {
+	if !resident(c, st, 1) {
 		t.Fatal("recently used entry was evicted")
 	}
-	if c.ContainsFillers(st, 2, at) {
+	if resident(c, st, 2) {
 		t.Fatal("LRU entry survived past capacity")
 	}
 	if c.Len() != 2 {
@@ -204,7 +210,7 @@ func TestCacheEvictedEntryNotResurrected(t *testing.T) {
 	c.GetFillers(st, 2, at)
 	// evict filler 2 by filling the single slot with filler 1
 	c.GetFillers(st, 1, at)
-	if c.ContainsFillers(st, 2, at) {
+	if resident(c, st, 2) {
 		t.Fatal("evicted entry still resident")
 	}
 	// the history moves on while the entry is out of the cache
@@ -228,11 +234,11 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
 	c.GetFillers(st, 2, at)
-	if !c.ContainsFillers(st, 2, at) {
+	if !resident(c, st, 2) {
 		t.Fatal("entry not resident after fill")
 	}
 	addLimit(t, st, "2004-01-01T00:00:00", "5000") // any Add bumps the generation
-	if c.ContainsFillers(st, 2, at) {
+	if resident(c, st, 2) {
 		t.Fatal("stale-generation variant still answers probes")
 	}
 	if _, hit := c.GetFillers(st, 2, at); hit {

@@ -1,7 +1,6 @@
 package fragment
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -194,70 +193,5 @@ func TestCoalesceCacheRace(t *testing.T) {
 	st.Coalesce()
 	if got := renderEls(st.GetFillers(2, at)); got != wantClean {
 		t.Fatalf("settled output differs:\n got %s\nwant %s", got, wantClean)
-	}
-}
-
-func TestCompactorRunsStepsAndReportsErrors(t *testing.T) {
-	var aRuns, bRuns int
-	boom := errors.New("boom")
-	var seen []error
-	c := NewCompactor(0,
-		func() error { aRuns++; return nil },
-		func() error { bRuns++; return boom },
-	)
-	c.OnError(func(err error) { seen = append(seen, err) })
-	c.Start() // interval <= 0: manual only, Start is a no-op
-	if err := c.RunOnce(); !errors.Is(err, boom) {
-		t.Fatalf("RunOnce error = %v, want boom", err)
-	}
-	if aRuns != 1 || bRuns != 1 || len(seen) != 1 {
-		t.Fatalf("steps ran a=%d b=%d observed=%d", aRuns, bRuns, len(seen))
-	}
-	runs, errs := c.Runs()
-	if runs != 1 || errs != 1 {
-		t.Fatalf("runs=%d errs=%d", runs, errs)
-	}
-	c.Stop() // stopping an unstarted compactor is a no-op
-}
-
-func TestCompactorBackgroundLoop(t *testing.T) {
-	var mu sync.Mutex
-	n := 0
-	c := NewCompactor(time.Millisecond, func() error {
-		mu.Lock()
-		n++
-		mu.Unlock()
-		return nil
-	})
-	c.Start()
-	c.Start() // double start is a no-op
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		ran := n
-		mu.Unlock()
-		if ran >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compactor never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.Stop()
-	runs, _ := c.Runs()
-	if runs < 3 {
-		t.Fatalf("runs = %d, want >= 3", runs)
-	}
-	// after Stop no further runs happen
-	mu.Lock()
-	after := n
-	mu.Unlock()
-	time.Sleep(10 * time.Millisecond)
-	mu.Lock()
-	final := n
-	mu.Unlock()
-	if final != after {
-		t.Fatal("compactor kept running after Stop")
 	}
 }

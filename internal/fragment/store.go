@@ -51,10 +51,6 @@ type Store struct {
 	// it becomes queryable — the write-ahead rule: an error keeps the
 	// fragment out of memory entirely and fails the Add.
 	wal func(*Fragment) error
-
-	// labelIdx memoizes the prefix labels of one store generation; see
-	// Labels.
-	labelIdx atomic.Pointer[LabelIndex]
 }
 
 // tsidFillers is what the index keeps per tsid: the distinct ids of the

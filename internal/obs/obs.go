@@ -1,6 +1,6 @@
 // Package obs is the engine's observability layer: per-evaluation cost
 // counters (EvalStats), a lightweight span-trace API (TraceSink), and a
-// process-level metrics registry (Registry) with an expvar-style text
+// process-level metrics registry (Registry) with a Prometheus text
 // exposition.
 //
 // The paper's evaluation (§7, Figure 4) rests on a mechanism claim — the
@@ -38,7 +38,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -313,43 +312,23 @@ type SpanRecord struct {
 	Dur    time.Duration
 }
 
-// DefaultCollectorCapacity is the span bound a zero-value CollectorSink
-// adopts on first use.
+// DefaultCollectorCapacity is the span bound of a CollectorSink.
 const DefaultCollectorCapacity = 4096
 
 // CollectorSink accumulates spans in a bounded in-memory ring;
 // cmd/xcqlrun -trace uses it to dump a query timeline after the run.
 // When the ring is full the oldest span is overwritten and Dropped
-// increments, so a long -trace run holds a window of recent spans
-// instead of growing without bound. The zero value is ready to use with
-// DefaultCollectorCapacity; SetCapacity adjusts the bound.
+// increments, so a long -trace run holds a window of the
+// DefaultCollectorCapacity most recent spans instead of growing without
+// bound. The zero value is ready to use.
 type CollectorSink struct {
 	mu      sync.Mutex
-	cap     int
 	spans   []SpanRecord // ring storage; write position is next once full
 	next    int
 	dropped int64
 }
 
-// SetCapacity bounds the ring to n spans (n <= 0 restores the default),
-// dropping the oldest collected spans if more than n are held.
-func (c *CollectorSink) SetCapacity(n int) {
-	if n <= 0 {
-		n = DefaultCollectorCapacity
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ordered := c.orderedLocked()
-	if len(ordered) > n {
-		c.dropped += int64(len(ordered) - n)
-		ordered = ordered[len(ordered)-n:]
-	}
-	c.cap = n
-	c.spans = ordered
-	c.next = 0
-}
-
-// Dropped returns the number of spans overwritten or trimmed away.
+// Dropped returns the number of spans overwritten.
 func (c *CollectorSink) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,15 +338,12 @@ func (c *CollectorSink) Dropped() int64 {
 // Span implements TraceSink.
 func (c *CollectorSink) Span(name, detail string, start time.Time, d time.Duration) {
 	c.mu.Lock()
-	if c.cap == 0 {
-		c.cap = DefaultCollectorCapacity
-	}
 	rec := SpanRecord{Name: name, Detail: detail, Start: start, Dur: d}
-	if len(c.spans) < c.cap {
+	if len(c.spans) < DefaultCollectorCapacity {
 		c.spans = append(c.spans, rec)
 	} else {
 		c.spans[c.next] = rec
-		c.next = (c.next + 1) % c.cap
+		c.next = (c.next + 1) % DefaultCollectorCapacity
 		c.dropped++
 	}
 	c.mu.Unlock()
@@ -423,19 +399,6 @@ func (c *CollectorSink) Timeline() string {
 	return b.String()
 }
 
-// WriterSink streams spans as text lines to w as they complete.
-type WriterSink struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// Span implements TraceSink.
-func (ws *WriterSink) Span(name, detail string, start time.Time, d time.Duration) {
-	ws.mu.Lock()
-	fmt.Fprintf(ws.W, "trace %-12s %-12v %s\n", name, d.Round(time.Microsecond), detail)
-	ws.mu.Unlock()
-}
-
 // --- process-level metrics registry ----------------------------------------
 
 // Counter is a monotonically increasing process-level counter. Safe for
@@ -451,11 +414,11 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Registry is a named set of counters and gauges with an expvar-style
+// Registry is a named set of counters and gauges with a Prometheus
 // text exposition. One process typically owns one registry and points
 // the stream server/client metrics plus any engine counters at it; the
 // registry is then exposed over HTTP (it implements http.Handler) or
-// dumped with WriteTo.
+// dumped with WritePrometheus.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -519,8 +482,8 @@ func (r *Registry) Reset() {
 // counter share a name, the gauge shadows the counter: the name appears
 // once and reports the gauge's value. This is deliberate — components
 // first count locally and later replace the number with a live snapshot
-// gauge under the same name without breaking dashboards — and WriteTo
-// inherits the same rule because it is built on Each.
+// gauge under the same name without breaking dashboards — and
+// WritePrometheus follows the same rule.
 func (r *Registry) Each(fn func(name string, value int64)) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.counters)+len(r.gauges))
@@ -542,25 +505,9 @@ func (r *Registry) Each(fn func(name string, value int64)) {
 	}
 }
 
-// WriteTo writes the exposition ("name value\n" per metric, sorted) to w.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	var werr error
-	r.Each(func(name string, value int64) {
-		if werr != nil {
-			return
-		}
-		n, err := fmt.Fprintf(w, "%s %d\n", name, value)
-		total += int64(n)
-		werr = err
-	})
-	return total, werr
-}
-
 // ServeHTTP exposes the registry in the Prometheus text format, so a
 // Registry can be mounted directly on an HTTP mux (e.g. next to
-// /debug/pprof) and scraped cleanly. The bare WriteTo exposition is
-// still available programmatically.
+// /debug/pprof) and scraped cleanly.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = r.WritePrometheus(w)

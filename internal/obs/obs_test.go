@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -63,15 +64,6 @@ func TestCollectorSinkTimeline(t *testing.T) {
 	}
 }
 
-func TestWriterSink(t *testing.T) {
-	var b strings.Builder
-	ws := &WriterSink{W: &b}
-	ws.Span("eval", "CaQ", time.Time{}, 3*time.Millisecond)
-	if !strings.Contains(b.String(), "eval") || !strings.Contains(b.String(), "CaQ") {
-		t.Fatalf("writer sink output = %q", b.String())
-	}
-}
-
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("frames").Add(41)
@@ -80,12 +72,10 @@ func TestRegistryExposition(t *testing.T) {
 	r.Gauge("lag", func() int64 { return 7 })
 
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
+	r.Each(func(name string, v int64) { fmt.Fprintf(&b, "%s %d\n", name, v) })
 	want := "drops 0\nframes 42\nlag 7\n"
 	if b.String() != want {
-		t.Fatalf("exposition = %q, want %q", b.String(), want)
+		t.Fatalf("Each = %q, want %q", b.String(), want)
 	}
 }
 
@@ -101,18 +91,18 @@ func TestRegistryGaugeShadowsCounter(t *testing.T) {
 	}
 }
 
-// WriteTo is built on Each, so the gauge-shadows-counter rule holds in
-// the exposition too: the shared name appears once with the gauge value.
-func TestRegistryWriteToShadowsCounter(t *testing.T) {
+// The gauge-shadows-counter rule holds in the exposition too: the shared
+// name appears once, typed gauge, with the gauge value.
+func TestRegistryPrometheusShadowsCounter(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Add(1)
 	r.Gauge("x", func() int64 { return 99 })
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	if _, err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != "x 99\n" {
-		t.Fatalf("exposition = %q, want %q", b.String(), "x 99\n")
+	if want := "# TYPE x gauge\nx 99\n"; b.String() != want {
+		t.Fatalf("exposition = %q, want %q", b.String(), want)
 	}
 }
 
@@ -149,7 +139,7 @@ func TestRegistryReset(t *testing.T) {
 		t.Fatalf("Reset left %d metrics registered", count)
 	}
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil || b.String() != "" {
+	if _, err := r.WritePrometheus(&b); err != nil || b.String() != "" {
 		t.Fatalf("exposition after Reset = %q, err %v", b.String(), err)
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // Prometheus text exposition (text/plain; version=0.0.4) for Registry.
 //
-// WriteTo's bare "name value" exposition predates this and stays
-// unchanged — tests and the streamdemo final dump pin it. Scrapers get
-// WritePrometheus instead: the same metrics with `# HELP`/`# TYPE`
+// WritePrometheus is the registry's one exposition, served on /metrics
+// and written by streamdemo's final dump: every metric with `# HELP`/`# TYPE`
 // headers, names sanitized to the Prometheus grammar, and support for
 // labeled series registered under names of the form
 // `family{key="value",...}` (label values are escaped per the format

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -113,13 +114,16 @@ func TestHistogramExemplar(t *testing.T) {
 
 func TestCollectorSinkBounded(t *testing.T) {
 	var c CollectorSink
-	c.SetCapacity(3)
-	for i := 0; i < 10; i++ {
-		c.Span("eval", "q", time.Now(), time.Millisecond)
+	for i := 0; i < DefaultCollectorCapacity+7; i++ {
+		c.Span("eval", strconv.Itoa(i), time.Now(), time.Millisecond)
 	}
 	spans := c.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("retained %d spans, want 3", len(spans))
+	if len(spans) != DefaultCollectorCapacity {
+		t.Fatalf("retained %d spans, want %d", len(spans), DefaultCollectorCapacity)
+	}
+	// the ring keeps the newest spans, oldest first
+	if spans[0].Detail != "7" || spans[len(spans)-1].Detail != strconv.Itoa(DefaultCollectorCapacity+6) {
+		t.Fatalf("retained window %s..%s", spans[0].Detail, spans[len(spans)-1].Detail)
 	}
 	if got := c.Dropped(); got != 7 {
 		t.Fatalf("dropped %d, want 7", got)
@@ -140,20 +144,5 @@ func TestCollectorSinkDefaultCapacity(t *testing.T) {
 	}
 	if got := c.Dropped(); got != 10 {
 		t.Fatalf("dropped %d, want 10", got)
-	}
-}
-
-func TestCollectorSinkShrink(t *testing.T) {
-	var c CollectorSink
-	c.SetCapacity(8)
-	for i := 0; i < 8; i++ {
-		c.Span("eval", "q", time.Now(), time.Millisecond)
-	}
-	c.SetCapacity(2) // shrink trims the oldest, keeps the newest
-	if got := len(c.Spans()); got != 2 {
-		t.Fatalf("after shrink: %d spans, want 2", got)
-	}
-	if got := c.Dropped(); got != 6 {
-		t.Fatalf("shrink dropped %d, want 6", got)
 	}
 }

@@ -306,7 +306,7 @@ func TestFlightRecorderRenderAndMetrics(t *testing.T) {
 	reg := NewRegistry()
 	rec.RegisterMetrics(reg, "trace")
 	var sb strings.Builder
-	if _, err := reg.WriteTo(&sb); err != nil {
+	if _, err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"trace_traces_kept 1", "trace_e2e_count 1"} {

@@ -278,7 +278,7 @@ func TestWatermarkAndLatencyMetrics(t *testing.T) {
 		t.Errorf("client_delivery_count = %d, want 2", vals["client_delivery_count"])
 	}
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	if _, err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "cq_latency_p99 ") {

@@ -62,7 +62,7 @@ func TestRegisterMetricsExposesLiveCounters(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	if _, err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"server_published 2", "server_latest_seq 2", "client_received 3"} {

@@ -94,18 +94,6 @@ func (t *Tag) Path() string {
 	return t.Parent.Path() + "/" + t.Name
 }
 
-// FragmentAncestor returns the nearest ancestor (self included) that is
-// fragmented, or the root tag when none is. This is the tag of the filler
-// fragment that physically contains elements of t.
-func (t *Tag) FragmentAncestor() *Tag {
-	for cur := t; cur != nil; cur = cur.Parent {
-		if cur.IsFragmented() || cur.Parent == nil {
-			return cur
-		}
-	}
-	return nil
-}
-
 // Structure is a validated tag structure.
 type Structure struct {
 	Root *Tag
@@ -216,27 +204,6 @@ func (s *Structure) FragmentedUnder(base *Tag) []*Tag {
 		walk(base)
 	}
 	return out
-}
-
-// ResolvePath resolves a /-separated name path (no leading slash) from the
-// root, e.g. "creditAccounts/account/creditLimit". The first component
-// must be the root's name.
-func (s *Structure) ResolvePath(path []string) (*Tag, error) {
-	if len(path) == 0 {
-		return nil, fmt.Errorf("tagstruct: empty path")
-	}
-	if path[0] != s.Root.Name {
-		return nil, fmt.Errorf("tagstruct: path root %q does not match structure root %q", path[0], s.Root.Name)
-	}
-	cur := s.Root
-	for _, name := range path[1:] {
-		next := cur.Child(name)
-		if next == nil {
-			return nil, fmt.Errorf("tagstruct: %q has no child %q", cur.Path(), name)
-		}
-		cur = next
-	}
-	return cur, nil
 }
 
 // wire representation ------------------------------------------------------

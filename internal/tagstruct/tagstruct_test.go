@@ -70,39 +70,6 @@ func TestIsFragmented(t *testing.T) {
 	}
 }
 
-func TestFragmentAncestor(t *testing.T) {
-	s := credit(t)
-	// amount (snapshot) lives inside the transaction fragment
-	if got := s.ByID(8).FragmentAncestor(); got != s.ByID(5) {
-		t.Fatalf("amount fragment ancestor = %v", got.Name)
-	}
-	// account is itself a fragment
-	if got := s.ByID(2).FragmentAncestor(); got != s.ByID(2) {
-		t.Fatal("account should be its own fragment ancestor")
-	}
-	// root snapshot tag anchors to itself
-	if got := s.ByID(1).FragmentAncestor(); got != s.ByID(1) {
-		t.Fatal("root fragment ancestor")
-	}
-}
-
-func TestResolvePath(t *testing.T) {
-	s := credit(t)
-	tag, err := s.ResolvePath([]string{"creditAccounts", "account", "transaction", "status"})
-	if err != nil || tag.ID != 7 {
-		t.Fatalf("resolve: %v %v", tag, err)
-	}
-	if _, err := s.ResolvePath([]string{"creditAccounts", "nope"}); err == nil {
-		t.Fatal("bad path resolved")
-	}
-	if _, err := s.ResolvePath([]string{"wrongRoot"}); err == nil {
-		t.Fatal("wrong root resolved")
-	}
-	if _, err := s.ResolvePath(nil); err == nil {
-		t.Fatal("empty path resolved")
-	}
-}
-
 func TestNamedAndNamedUnder(t *testing.T) {
 	s := credit(t)
 	if got := s.Named("creditLimit"); len(got) != 1 || got[0].ID != 4 {
@@ -189,9 +156,15 @@ func TestInferFromSample(t *testing.T) {
 	}
 	check := func(path string, typ TagType) {
 		t.Helper()
-		tag, err := s.ResolvePath(strings.Split(path, "/"))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+		names := strings.Split(path, "/")
+		if names[0] != s.Root.Name {
+			t.Fatalf("%s: root is %q", path, s.Root.Name)
+		}
+		tag := s.Root
+		for _, name := range names[1:] {
+			if tag = tag.Child(name); tag == nil {
+				t.Fatalf("%s: no child %q", path, name)
+			}
 		}
 		if tag.Type != typ {
 			t.Errorf("%s: type = %v, want %v", path, tag.Type, typ)

@@ -92,8 +92,13 @@ func TestFragmentReconstructRoundTrip(t *testing.T) {
 // stripVT removes the lifespan annotations reconstruction adds.
 func stripVT(n *xmldom.Node) {
 	n.Walk(func(m *xmldom.Node) bool {
-		m.RemoveAttr("vtFrom")
-		m.RemoveAttr("vtTo")
+		kept := make([]xmldom.Attr, 0, len(m.Attrs))
+		for _, a := range m.Attrs {
+			if a.Name != "vtFrom" && a.Name != "vtTo" {
+				kept = append(kept, a)
+			}
+		}
+		m.Attrs = kept
 		return true
 	})
 }

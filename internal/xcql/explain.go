@@ -73,8 +73,8 @@ type ExplainTarget struct {
 	// Op names the access path: "materialize-view" (CaQ), "root",
 	// "get_fillers" (QaC, one pass per hole), "get_fillers_batched"
 	// (QaC+, one pass for all holes), "tsid-index" (QaC+ descendant
-	// shortcut), "label-range" (QaC++ descendant scan over the label
-	// index), "label-kids" (QaC++ batched child step off the label
+	// shortcut), "label-range" (QaC++ descendant read off the store
+	// index), "label-kids" (QaC++ batched child step off the store
 	// index), "interval-projection", "version-projection".
 	Op     string
 	Stream string

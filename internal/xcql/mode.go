@@ -40,10 +40,11 @@ const (
 	// QaCPlus is QaC with the tsid index: descendant steps over the whole
 	// stream fetch exactly the fillers they need.
 	QaCPlus
-	// QaCPlusPlus is the QaC+ plan over the store's Dewey prefix-label
-	// index: every read — root, child steps, descendant jumps, projections
-	// and hole materialization — is an index fetch, so the plan resolves
-	// zero holes and performs zero log scans.
+	// QaCPlusPlus is the QaC+ plan read straight off the store's index and
+	// charged to the LabelRange* counters: every read — root, child steps,
+	// descendant jumps, projections and hole materialization — is an index
+	// fetch, so the plan resolves zero holes, performs zero log scans and
+	// skips the filler cache. The store keeps no labels.
 	QaCPlusPlus
 )
 

@@ -90,30 +90,6 @@ func (n *Node) AppendChild(c *Node) *Node {
 	return n
 }
 
-// InsertChildAt inserts c at index i (clamped) among n's children.
-func (n *Node) InsertChildAt(i int, c *Node) {
-	if i < 0 {
-		i = 0
-	}
-	if i > len(n.Children) {
-		i = len(n.Children)
-	}
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = c
-}
-
-// RemoveChild detaches the first occurrence of c and reports success.
-func (n *Node) RemoveChild(c *Node) bool {
-	for i, ch := range n.Children {
-		if ch == c {
-			n.Children = append(n.Children[:i], n.Children[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Attr returns the value of the named attribute.
 func (n *Node) Attr(name string) (string, bool) { return LookupAttr(n.Attrs, name) }
 
@@ -144,17 +120,6 @@ func (n *Node) SetAttr(name, value string) {
 		}
 	}
 	n.Attrs = append(n.Attrs, Attr{Name: name, Value: value})
-}
-
-// RemoveAttr deletes the named attribute and reports whether it existed.
-func (n *Node) RemoveAttr(name string) bool {
-	for i, a := range n.Attrs {
-		if a.Name == name {
-			n.Attrs = append(n.Attrs[:i], n.Attrs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Root returns the document element of a document node, or n itself when n

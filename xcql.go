@@ -153,10 +153,8 @@ type (
 	// CollectorSink is a TraceSink that buffers spans in memory and can
 	// render them as a timeline.
 	CollectorSink = obs.CollectorSink
-	// WriterSink is a TraceSink that prints each span to an io.Writer.
-	WriterSink = obs.WriterSink
 	// Registry is a process-level registry of named counters and gauges
-	// with a plain-text exposition format (it is an http.Handler).
+	// with a Prometheus text exposition (it is an http.Handler).
 	Registry = obs.Registry
 	// Counter is a monotonically increasing atomic counter in a Registry.
 	Counter = obs.Counter
@@ -213,9 +211,6 @@ type (
 	// DurableLog is the write-through/replay interface a Server uses for
 	// durable bootstrap; *SegStore satisfies it.
 	DurableLog = stream.DurableLog
-	// Compactor runs registered maintenance steps (in-memory coalescing,
-	// durable compaction, snapshots) on one background goroutine.
-	Compactor = fragment.Compactor
 	// QueryRegistry is the multi-tenant standing-query registry: it
 	// groups registered queries by access path and evaluates each
 	// shared path once per arriving fragment, fanning per-registration
@@ -543,12 +538,6 @@ func OpenSegStore(dir string, opts SegStoreOptions) (*SegStore, *RecoveryReport,
 // reseeded, and the log stays attached for write-through.
 func RecoverServer(name string, s *TagStructure, d DurableLog) (*Server, error) {
 	return stream.RecoverServer(name, s, d)
-}
-
-// NewCompactor builds a background maintenance runner over the given
-// steps (interval <= 0 means manual-only via RunOnce).
-func NewCompactor(interval time.Duration, steps ...func() error) *Compactor {
-	return fragment.NewCompactor(interval, steps...)
 }
 
 // NewContinuousQuery wraps a compiled query for continuous evaluation.
