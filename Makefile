@@ -31,8 +31,9 @@ build:
 # compiles it, yet it pins public API: the QaCPlusPlus mode and its "QaC++"
 # wire name, EvalStats.LabelRangeLookups, Query.WithParallelism/WithCache,
 # Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
-# RegisterRequest.Incremental, and registry.DialSubscribe. Folding any of
-# them waits on the harness (ROADMAP 2 (a)). Building and self-testing it
+# RegisterRequest.Incremental (ignored fields since every standing query
+# runs the incremental engine), and registry.DialSubscribe. Folding any of
+# them waits on the harness (ROADMAP 1 (a)). Building and self-testing it
 # here makes a change that breaks the end-to-end harness fail locally, not
 # in the pipeline. (-o /dev/null: the module's one main package would
 # otherwise be written over its own directory name.)
@@ -75,9 +76,9 @@ test-diffharness:
 
 # The incremental cell: generated pairs REPLAYED one arrival at a time
 # (every profile of at least four seeds, re-announced parents, expiring
-# windows and pure clock advances included), full-mode and incremental
-# deltas byte-identical to the harness's from-scratch oracle across the
-# strategy grid, plus the arrival-order metamorphic suite.
+# windows and pure clock advances included) through a continuous query,
+# its deltas byte-identical to the harness's from-scratch oracle under
+# every plan, plus the arrival-order metamorphic suite.
 test-diffharness-incremental:
 	$(GO) test -race -run '^(TestDiffHarnessIncremental|TestIncrementalArrivalOrder)$$' -timeout 600s .
 

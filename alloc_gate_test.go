@@ -165,7 +165,7 @@ func TestAllocationCeiling(t *testing.T) {
 	// without the decomposition every charge re-runs all twenty accounts,
 	// without the schedule every tick of the clock does.
 	const fraudCeiling = 357
-	cs := newCreditStanding(t, creditQueries[2].src, true, 250)
+	cs := newCreditStanding(t, creditQueries[2].src, 250)
 	charges := cs.charges(41)
 	next := 0
 	got := testing.AllocsPerRun(len(charges)-1, func() {
@@ -176,12 +176,12 @@ func TestAllocationCeiling(t *testing.T) {
 	})
 	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
 	if got > fraudCeiling {
-		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d; strategy: %s", got, fraudCeiling, cs.cq.IncrementalStrategy())
+		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d; strategy: %s", got, fraudCeiling, cs.cq.Strategy())
 	}
 }
 
 // TestRegistryArrivalAllocationCeiling is the registry's part of `make
-// alloc-gate`: bench/e2e's ingest-fanout shape — 64 incremental
+// alloc-gate`: bench/e2e's ingest-fanout shape — 64 standing
 // registrations of the pass-through query, 32 under QaC+ and 32 under
 // QaC++, two sharing groups of one engine each — 200 charges in. An
 // arrival allocates for what it delivers, not for the machinery around the
@@ -228,7 +228,7 @@ func TestRegistryArrivalAllocationCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Register(q, registry.Options{Incremental: true, OnResult: func(res registry.Result) { last = res }}); err != nil {
+			if _, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) { last = res }}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -568,7 +568,7 @@ type creditStanding struct {
 	at     time.Time
 }
 
-func newCreditStanding(tb testing.TB, src string, incremental bool, events int) *creditStanding {
+func newCreditStanding(tb testing.TB, src string, events int) *creditStanding {
 	tb.Helper()
 	structure, err := tagstruct.ParseString(genstore.CreditStructure)
 	if err != nil {
@@ -592,7 +592,6 @@ func newCreditStanding(tb testing.TB, src string, incremental bool, events int) 
 	}
 	cs.cq = stream.NewContinuousQuery(cs.q, func(stream.Result) {})
 	cs.cq.Clock = func() time.Time { return cs.at }
-	cs.cq.WithIncremental(incremental)
 	if err := cs.cq.EvaluateFragment(nil); err != nil {
 		tb.Fatal(err)
 	}
@@ -625,14 +624,14 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 	return nil
 }
 
-// BenchmarkIncrementalContinuous pits incremental continuous evaluation
-// against full re-evaluation on the streaming credit workload.
+// BenchmarkIncrementalContinuous measures the standing-query engine on the
+// streaming credit workload. Its row names keep an "incremental" segment,
+// so that they match the rows of earlier snapshots.
 //
 // The reannounce rows are the stream a publisher sends (creditStanding):
 // one operation is one charge — the account's re-announcement and the
 // transaction, each ingested and evaluated — on twenty accounts with
-// `events` charges behind them. Full mode re-reads every version of every
-// account twice per charge. The incremental engine re-runs three versions
+// `events` charges behind them. The engine re-runs three versions
 // of the charged account (fraud) — on the re-announcement the new one and
 // the one whose lifespan it closes, on the transaction the one announcing
 // it —, the one transaction (filter, pass-through), and nothing for the
@@ -641,7 +640,7 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 // account's latest versions, which each re-run crosses — linearly in that
 // one account's history, not with the store.
 //
-// The {full,incremental}/events=N rows keep the older shape, one account
+// The incremental/events=N rows keep the older shape, one account
 // announcing every filler — preloaded and arriving — in its first and
 // only version. No publisher can send that stream (it would have to know
 // every future transaction), and it is the only one on which a standing
@@ -652,89 +651,82 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 // handlers/op counts the units the last arrival recomputed.
 func BenchmarkIncrementalContinuous(b *testing.B) {
 	for _, query := range creditQueries {
-		for _, mode := range []string{"full", "incremental"} {
-			for _, events := range []int{100, 1000} {
-				b.Run(fmt.Sprintf("reannounce/%s/%s/events=%d", query.name, mode, events), func(b *testing.B) {
-					cs := newCreditStanding(b, query.src, mode == "incremental", events)
-					charges := cs.charges(b.N)
-					b.ResetTimer()
-					for _, charge := range charges {
-						if err := cs.arrive(charge); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(cs.cq.BufferHWMBytes()), "buffered-bytes-hwm")
-					b.ReportMetric(float64(cs.q.LastStats().HandlerInvocations), "handlers/op")
-				})
-			}
-		}
-	}
-	for _, mode := range []string{"full", "incremental"} {
-		for _, preload := range []int{100, 1000, 10000} {
-			b.Run(fmt.Sprintf("%s/events=%d", mode, preload), func(b *testing.B) {
-				structure, err := tagstruct.ParseString(benchCreditStructure)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := fragment.NewStore(structure)
-				base := time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC)
-				el := func(src string) *xmldom.Node { return xmldom.MustParseString(src).Root() }
-				// announce every filler up front — preloaded and arriving —
-				// so arrivals are pure event ingest, no re-announcement
-				var holes strings.Builder
-				holes.WriteString(`<hole id="2" tsid="4"/>`)
-				for i := 0; i < preload+b.N; i++ {
-					fmt.Fprintf(&holes, `<hole id="%d" tsid="5"/>`, 100+i)
-				}
-				mustAdd(b, st, fragment.New(0, 1, base, el(`<creditAccounts><hole id="1" tsid="2"/></creditAccounts>`)))
-				mustAdd(b, st, fragment.New(1, 2, base, el(`<account id="1234"><customer>J</customer>`+holes.String()+`</account>`)))
-				mustAdd(b, st, fragment.New(2, 4, base, el(`<creditLimit>5000</creditLimit>`)))
-				newTx := func(i int) *fragment.Fragment {
-					tx := fmt.Sprintf(`<transaction id="t%d"><vendor>V</vendor><amount>%d</amount></transaction>`, i, 10+i%90)
-					return fragment.New(100+i, 5, base.Add(time.Duration(i)*time.Second), el(tx))
-				}
-				for i := 0; i < preload; i++ {
-					mustAdd(b, st, newTx(i))
-				}
-				rt := ixcql.NewRuntime()
-				rt.RegisterStream("credit", st)
-				q, err := rt.Compile(`for $t in stream("credit")//transaction return $t`, ixcql.QaCPlus)
-				if err != nil {
-					b.Fatal(err)
-				}
-				at := base.Add(time.Duration(preload) * time.Second)
-				cq := stream.NewContinuousQuery(q, func(stream.Result) {})
-				cq.Clock = func() time.Time { return at }
-				if mode == "incremental" {
-					cq.WithIncremental(true)
-				}
-				// seed the standing state outside the timer
-				if err := cq.EvaluateFragment(nil); err != nil {
-					b.Fatal(err)
-				}
-				// prebuild the arrival fragments so the timer measures
-				// ingest + evaluation, not payload parsing
-				arrivals := make([]*fragment.Fragment, b.N)
-				for i := range arrivals {
-					arrivals[i] = newTx(preload + i)
-				}
+		for _, events := range []int{100, 1000} {
+			b.Run(fmt.Sprintf("reannounce/%s/incremental/events=%d", query.name, events), func(b *testing.B) {
+				cs := newCreditStanding(b, query.src, events)
+				charges := cs.charges(b.N)
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f := arrivals[i]
-					if f.ValidTime.After(at) {
-						at = f.ValidTime
-					}
-					mustAdd(b, st, f)
-					if err := cq.EvaluateFragment(f); err != nil {
+				for _, charge := range charges {
+					if err := cs.arrive(charge); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(cq.BufferHWMBytes()), "buffered-bytes-hwm")
-				s := q.LastStats()
-				b.ReportMetric(float64(s.HandlerInvocations), "handlers/op")
+				b.ReportMetric(float64(cs.cq.BufferHWMBytes()), "buffered-bytes-hwm")
+				b.ReportMetric(float64(cs.q.LastStats().HandlerInvocations), "handlers/op")
 			})
 		}
+	}
+	for _, preload := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("incremental/events=%d", preload), func(b *testing.B) {
+			structure, err := tagstruct.ParseString(benchCreditStructure)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := fragment.NewStore(structure)
+			base := time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC)
+			el := func(src string) *xmldom.Node { return xmldom.MustParseString(src).Root() }
+			// announce every filler up front — preloaded and arriving —
+			// so arrivals are pure event ingest, no re-announcement
+			var holes strings.Builder
+			holes.WriteString(`<hole id="2" tsid="4"/>`)
+			for i := 0; i < preload+b.N; i++ {
+				fmt.Fprintf(&holes, `<hole id="%d" tsid="5"/>`, 100+i)
+			}
+			mustAdd(b, st, fragment.New(0, 1, base, el(`<creditAccounts><hole id="1" tsid="2"/></creditAccounts>`)))
+			mustAdd(b, st, fragment.New(1, 2, base, el(`<account id="1234"><customer>J</customer>`+holes.String()+`</account>`)))
+			mustAdd(b, st, fragment.New(2, 4, base, el(`<creditLimit>5000</creditLimit>`)))
+			newTx := func(i int) *fragment.Fragment {
+				tx := fmt.Sprintf(`<transaction id="t%d"><vendor>V</vendor><amount>%d</amount></transaction>`, i, 10+i%90)
+				return fragment.New(100+i, 5, base.Add(time.Duration(i)*time.Second), el(tx))
+			}
+			for i := 0; i < preload; i++ {
+				mustAdd(b, st, newTx(i))
+			}
+			rt := ixcql.NewRuntime()
+			rt.RegisterStream("credit", st)
+			q, err := rt.Compile(`for $t in stream("credit")//transaction return $t`, ixcql.QaCPlus)
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := base.Add(time.Duration(preload) * time.Second)
+			cq := stream.NewContinuousQuery(q, func(stream.Result) {})
+			cq.Clock = func() time.Time { return at }
+			// seed the standing state outside the timer
+			if err := cq.EvaluateFragment(nil); err != nil {
+				b.Fatal(err)
+			}
+			// prebuild the arrival fragments so the timer measures
+			// ingest + evaluation, not payload parsing
+			arrivals := make([]*fragment.Fragment, b.N)
+			for i := range arrivals {
+				arrivals[i] = newTx(preload + i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := arrivals[i]
+				if f.ValidTime.After(at) {
+					at = f.ValidTime
+				}
+				mustAdd(b, st, f)
+				if err := cq.EvaluateFragment(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(cq.BufferHWMBytes()), "buffered-bytes-hwm")
+			s := q.LastStats()
+			b.ReportMetric(float64(s.HandlerInvocations), "handlers/op")
+		})
 	}
 }

@@ -73,7 +73,6 @@ func main() {
 	verbose := flag.Bool("log", false, "emit structured debug logs for the whole pipeline to stderr")
 	parallel := flag.Int("parallel", 1, "worker count for parallel hole resolution (1 = sequential)")
 	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
-	incremental := flag.Bool("incremental", false, "evaluate the continuous query incrementally: each arrival touches only the state reachable from its tag")
 	serveAddr := flag.String("serve", "", "serve the standing-query API on this address (e.g. 127.0.0.1:9280): register XCQL over HTTP or WebSocket, receive JSON deltas; keeps the demo streaming until interrupted")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: publishes write through to it, the server recovers from it on restart, and reconnecting clients bootstrap from it past the replay window")
 	historyLimit := flag.Int("history", 0, "bound the server's in-memory replay window to this many fragments (0 = unbounded); with -store-dir older positions stay servable from the log")
@@ -188,10 +187,7 @@ func main() {
 	})
 	cq.SetLogger(logger)
 	cq.SetFlightRecorder(flight)
-	if *incremental {
-		cq.WithIncremental(true)
-		fmt.Printf("incremental evaluation: %s\n", cq.IncrementalStrategy())
-	}
+	fmt.Printf("incremental evaluation: %s\n", cq.Strategy())
 	cq.RegisterMetrics(registry, "cq")
 	cq.Attach(client)
 
@@ -378,10 +374,8 @@ func main() {
 	}
 	fmt.Printf("watermark lag: %v, ingest->result latency: %s\n",
 		xcql.WatermarkLag(server, client), cq.Latency())
-	if *incremental {
-		fmt.Printf("incremental buffer: %d bytes standing, %d bytes high-water\n",
-			cq.BufferBytes(), cq.BufferHWMBytes())
-	}
+	fmt.Printf("incremental buffer: %d bytes standing, %d bytes high-water\n",
+		cq.BufferBytes(), cq.BufferHWMBytes())
 	if flight != nil {
 		flight.Flush()
 		st := flight.Stats()

@@ -170,14 +170,13 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 	var delta xcql.Sequence
 	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) { delta = r.Delta })
 	cq.Clock = func() time.Time { return clock }
-	cq.WithIncremental(true)
 	var rec *xcql.FlightRecorder
 	if tracez {
 		// keep every trace: a CLI replay is small and the point is the dump
 		rec = xcql.NewFlightRecorder(xcql.FlightRecorderOptions{SampleEvery: 1})
 		cq.SetFlightRecorder(rec)
 	}
-	fmt.Fprintf(os.Stderr, "incremental: %s\n", cq.IncrementalStrategy())
+	fmt.Fprintf(os.Stderr, "incremental: %s\n", cq.Strategy())
 	start := time.Now()
 	for i, f := range frags {
 		if err := store.Add(f); err != nil {

@@ -4,7 +4,7 @@
 // the server closes the stream.
 //
 //	xcqlsub -addr 127.0.0.1:9280 'for $t in stream("credit")//transaction return $t'
-//	xcqlsub -addr 127.0.0.1:9280 -mode QaC -full 'count(stream("credit")//transaction)'
+//	xcqlsub -addr 127.0.0.1:9280 -mode QaC 'count(stream("credit")//transaction)'
 //	xcqlsub -addr 127.0.0.1:9280 -json ...   # raw wire frames, one JSON object per line
 //
 // Closing the connection (interrupt) unregisters the query server-side;
@@ -27,21 +27,19 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9280", "query API address (host:port of streamdemo -serve)")
 	mode := flag.String("mode", "QaC+", `physical plan: "CaQ", "QaC" or "QaC+"`)
-	full := flag.Bool("full", false, "full re-evaluation per arrival instead of incremental deltas")
 	raw := flag.Bool("json", false, "print raw wire frames as JSON lines instead of formatted deltas")
 	timeout := flag.Duration("timeout", 5*time.Second, "dial + handshake timeout")
 	flag.Parse()
 
 	query := strings.TrimSpace(strings.Join(flag.Args(), " "))
 	if query == "" {
-		fmt.Fprintln(os.Stderr, "usage: xcqlsub [-addr host:port] [-mode M] [-full] 'XCQL query'")
+		fmt.Fprintln(os.Stderr, "usage: xcqlsub [-addr host:port] [-mode M] 'XCQL query'")
 		os.Exit(2)
 	}
 
 	sub, err := registry.DialSubscribe(*addr, registry.RegisterRequest{
-		Query:       query,
-		Mode:        *mode,
-		Incremental: !*full,
+		Query: query,
+		Mode:  *mode,
 	}, *timeout)
 	if err != nil {
 		log.Fatal(err)

@@ -14,16 +14,14 @@ import (
 
 // The incremental cell of the differential harness: every generated
 // store/query pair is REPLAYED fragment by fragment through a continuous
-// query — in full re-evaluation mode and with WithIncremental(true) — and
-// both must agree byte for byte, on every per-arrival delta and on the
-// final standing result, with replayOracle: a from-scratch evaluation at
-// every step, diffed here in the test. (A full-mode ContinuousQuery is no
-// reference: it runs through the same registration the incremental one
-// does.) The incremental replays run under every plan × parallelism ×
-// cache combination; the engine's decomposition differs radically per plan (QaC+ indexes by
-// tsid, CaQ degrades to whole-plan recomputation), so identical output
-// across the grid pins the tentpole claim: incremental evaluation is an
-// execution strategy, not a semantics change.
+// query, and it must agree byte for byte, on every per-arrival delta and
+// on the final standing result, with replayOracle: a from-scratch
+// evaluation at every step, diffed here in the test. A continuous query
+// runs the one standing engine (internal/inc) under every plan; its
+// decomposition differs radically per plan (QaC+ indexes by tsid, CaQ
+// degrades to whole-plan recomputation), so identical output across the
+// plans pins the claim that incremental evaluation is an execution
+// strategy, not a semantics change.
 
 // replayTrace is the observable output of one fragment-by-fragment
 // replay: the serialized delta of every arrival and the final standing
@@ -161,38 +159,28 @@ func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 }
 
 // replayCQ replays frags through a ContinuousQuery over a fresh store,
-// compiled under (mode, cfg), on the replaySteps schedule.
-func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
-	src string, mode xcql.Mode, cfg execConfig, incremental bool) replayTrace {
+// compiled under mode, on the replaySteps schedule.
+func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment, src string, mode xcql.Mode) replayTrace {
 	t.Helper()
-	st, q := replaySetup(t, ins, src, mode, cfg)
+	st, q := replaySetup(t, ins, src, mode, execConfigs[0])
 	var tr replayTrace
-	var lastItems xcql.Sequence
 	var at time.Time
 	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) {
 		tr.deltas = append(tr.deltas, xcql.FormatSequence(r.Delta))
-		lastItems = r.Items
 	})
 	cq.Clock = func() time.Time { return at }
-	if incremental {
-		cq.WithIncremental(true)
-	}
 	replaySteps(t, st, frags, &at, func(f *xcql.Fragment) {
 		if err := cq.EvaluateFragment(f); err != nil {
 			tr.deltas = append(tr.deltas, "!error")
 		}
 	})
-	if incremental {
-		tr.final = xcql.FormatSequence(cq.ItemsSnapshot())
-	} else {
-		tr.final = xcql.FormatSequence(lastItems)
-	}
+	tr.final = xcql.FormatSequence(cq.ItemsSnapshot())
 	return tr
 }
 
 // TestDiffHarnessIncremental replays 200+ generated store/query pairs
 // (40 under -short) and pins incremental continuous evaluation
-// byte-identical to full re-evaluation across the whole strategy grid.
+// byte-identical to re-evaluation from scratch under every plan.
 // Every profile of a seed is replayed — one instance can hold fifty
 // queries, and a pair count alone would stop before the re-announcing
 // profiles at the end of the grid — over at least four seeds (two under
@@ -215,8 +203,8 @@ func TestDiffHarnessIncremental(t *testing.T) {
 }
 
 // runIncrementalInstance replays one generated history per query: the
-// oracle under every plan as the reference, full re-evaluation across the
-// plan grid and incremental across plan × parallelism × cache against it.
+// oracle under every plan as the reference, and a continuous query under
+// every plan against it.
 func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 	t.Helper()
 	ins, err := genstore.Generate(p)
@@ -252,15 +240,7 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 		}
 		for _, mode := range harnessModes {
 			check(replayOracle(t, ins, ins.Fragments, query.Src, mode, execConfigs[0]), mode, fmt.Sprintf("oracle/%s", mode))
-			// full re-evaluation, sequential and parallel
-			for _, cfg := range []execConfig{execConfigs[0], execConfigs[2]} {
-				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, false)
-				check(tr, mode, fmt.Sprintf("full/%s/%s", mode, cfg.name))
-			}
-			for _, cfg := range execConfigs {
-				tr := replayCQ(t, ins, ins.Fragments, query.Src, mode, cfg, true)
-				check(tr, mode, fmt.Sprintf("inc/%s/%s", mode, cfg.name))
-			}
+			check(replayCQ(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("inc/%s", mode))
 		}
 	}
 	return len(ins.Queries)
@@ -268,7 +248,7 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 
 // TestIncrementalArrivalOrder is the arrival-order metamorphic suite:
 // the same fragment set replayed in document order, reverse order, and
-// seeded shuffles. Per order, incremental and full replays must agree
+// seeded shuffles. Per order, the continuous query's replay must agree
 // byte for byte with the oracle (the differential property). Across orders, the FINAL
 // standing result must be identical — arrival order never leaks into
 // the standing state — and nothing may appear in a final result that
@@ -308,13 +288,10 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 				for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
 					for name, frags := range orders {
 						want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
-						full := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], false)
-						inc := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], true)
-						for kind, got := range map[string]string{"full": full.String(), "incremental": inc.String()} {
-							if got != want {
-								t.Fatalf("%s/%s/%s order=%s: %s diverged from the oracle\noracle:\n%s\n%s:\n%s",
-									p, query.Name, mode, name, kind, harnessTruncate(want), kind, harnessTruncate(got))
-							}
+						inc := replayCQ(t, ins, frags, query.Src, mode)
+						if got := inc.String(); got != want {
+							t.Fatalf("%s/%s/%s order=%s: the replay diverged from the oracle\noracle:\n%s\nreplay:\n%s",
+								p, query.Name, mode, name, harnessTruncate(want), harnessTruncate(got))
 						}
 						// no silent appearance: every line of the final result
 						// was emitted in some delta of this replay
@@ -347,8 +324,8 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 
 // FuzzIncrementalArrival fuzzes the differential property: an arbitrary
 // (seed, permutation, profile-flag) triple generates a history, shuffles
-// its arrival order, and replays it, incrementally and in full mode,
-// against the oracle.
+// its arrival order, and replays it through a continuous query against the
+// oracle.
 func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(0))
 	f.Add(int64(2), int64(7), uint8(3))
@@ -382,11 +359,9 @@ func FuzzIncrementalArrival(f *testing.F) {
 		query := ins.Queries[int(uint64(permSeed)%uint64(len(ins.Queries)))]
 		mode := harnessModes[int(uint8(flags>>4))%len(harnessModes)]
 		want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
-		for _, incremental := range []bool{false, true} {
-			if got := replayCQ(t, ins, frags, query.Src, mode, execConfigs[0], incremental).String(); got != want {
-				t.Fatalf("%s/%s/%s: replay (incremental=%v) diverged from the oracle\noracle:\n%s\ngot:\n%s",
-					p, query.Name, mode, incremental, harnessTruncate(want), harnessTruncate(got))
-			}
+		if got := replayCQ(t, ins, frags, query.Src, mode).String(); got != want {
+			t.Fatalf("%s/%s/%s: the replay diverged from the oracle\noracle:\n%s\ngot:\n%s",
+				p, query.Name, mode, harnessTruncate(want), harnessTruncate(got))
 		}
 	})
 }

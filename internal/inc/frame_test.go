@@ -9,6 +9,7 @@ import (
 	"xcql/internal/budget"
 	"xcql/internal/obs"
 	"xcql/internal/xcql"
+	"xcql/internal/xq"
 )
 
 // TestFrameSurvivesBudgetTrips: an engine evaluates every unit in one
@@ -68,5 +69,14 @@ func TestFrameSurvivesBudgetTrips(t *testing.T) {
 }
 
 func snapshotSerials(e *Engine) string {
-	return strings.Join(ItemSerials(e.ItemsSnapshot()), "\n")
+	return strings.Join(itemSerials(e.ItemsSnapshot()), "\n")
+}
+
+// itemSerials is ItemSerial over a sequence.
+func itemSerials(seq xq.Sequence) []string {
+	out := make([]string, len(seq))
+	for i, it := range seq {
+		out[i] = ItemSerial(it)
+	}
+	return out
 }

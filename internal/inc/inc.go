@@ -1,19 +1,20 @@
-// Package inc evaluates a compiled XCQL query incrementally against a
-// fragment stream: instead of re-running the whole plan on every arrival
-// (O(store) per fragment), it decomposes the plan's access paths into
-// pieces scheduled off the Tag Structure, keeps per-piece partial-match
-// state keyed by filler id, and on each arrival recomputes only the
-// units reachable from that fragment's tag — emitting the delta
-// directly. This is the FluX-style schema-driven scheduling of the
-// paper's continuous model: the Tag Structure tells the engine, per
+// Package inc is the standing-query engine: it evaluates a compiled XCQL
+// query against a fragment stream incrementally. Instead of re-running the
+// whole plan on every arrival (O(store) per fragment), it decomposes the
+// plan's access paths into pieces scheduled off the Tag Structure, keeps
+// per-piece partial-match state keyed by filler id, and on each arrival
+// recomputes only the units reachable from that fragment's tag — emitting
+// the delta directly. This is the FluX-style schema-driven scheduling of
+// the paper's continuous model: the Tag Structure tells the engine, per
 // arriving tsid, exactly which standing sub-results the fragment can
 // touch.
 //
-// The engine is pinned byte-identical to full re-evaluation (see
+// The engine is pinned byte-identical to re-evaluating the query from
+// scratch at every arrival and diffing consecutive results (see
 // TestDiffHarnessIncremental): every unit evaluates through the same
 // engine code paths (xcql.UnitEval), unit outputs concatenate in the
 // plan's own order, and deltas are the serials absent from the previous
-// result, in first-occurrence order — exactly the full-mode diff.
+// result, in first-occurrence order.
 //
 // Decomposition is best-effort and always sound: a plan (or plan part)
 // the decomposer does not understand becomes a single "broad" piece that
@@ -35,15 +36,14 @@
 // inside ?[now-PT1H,now] re-runs the versions of its account holding it an
 // hour later, and nothing before.
 //
-// Limitations: the engine binds to the single stream the plan mentions;
-// standing queries joining several streams fall back to broad pieces and
-// should stay on full re-evaluation. Items handed out in deltas and
-// snapshots are shared with the internal buffers — callers must not
-// mutate them.
+// The engine binds to the single stream the plan mentions. A plan over
+// several streams (or none) is one broad piece that every evaluation
+// re-runs, the clock's included: no index says which stored versions an
+// instant makes visible there. Items handed out in deltas and snapshots
+// are shared with the internal buffers — callers must not mutate them.
 package inc
 
 import (
-	"bytes"
 	"container/heap"
 	"fmt"
 	"math"
@@ -118,7 +118,7 @@ func keyLess(a, b unitKey) bool {
 }
 
 // entry is one buffered result item with its serialized form (the delta
-// identity full mode diffs by).
+// identity, see ItemSerial).
 type entry struct {
 	item   xq.Item
 	serial string
@@ -232,6 +232,9 @@ type Engine struct {
 	seeded   bool
 	fellBack bool
 	lastAt   time.Time
+	// gen is the store generation the last evaluation started from: a
+	// fragment-less evaluation that finds the store moved on rebuilds.
+	gen uint64
 
 	lastTotal float64 // count mode: last emitted total
 	emitted   bool    // count mode: a total has been emitted
@@ -269,7 +272,7 @@ func (e *Engine) SetFlightRecorder(rec *obs.FlightRecorder) {
 	e.mu.Unlock()
 }
 
-// New builds an incremental evaluator for q. It never fails: plans the
+// New builds the standing evaluator for q. It never fails: plans the
 // decomposer cannot split run as one broad piece (full re-evaluation per
 // arrival, still byte-identical).
 func New(q *xcql.Query) *Engine {
@@ -694,21 +697,40 @@ func (sp *SharedPass) Misses() int64 { return sp.misses }
 // is a pure clock advance (re-evaluate the units whose horizon the clock
 // reached and newly visible pending arrivals only). Unit evaluations are
 // drawn from, and contributed to, the group's SharedPass sp (see there for
-// the sharing contract); nil evaluates unshared. An error (e.g. a budget
-// trip in some unit) aborts the arrival atomically: no state changes, and
-// the next arrival rebuilds from the store.
+// the sharing contract); nil evaluates unshared. One arrival is one
+// evaluation to the runtime's admission control (SetMaxConcurrentEvals),
+// however many units it runs: past the bound it fails with an
+// *xcql.OverloadError. An error (that one, or e.g. a budget trip in some
+// unit) aborts the arrival atomically: no state changes, and the next
+// arrival rebuilds from the store. So does a fragment-less evaluation of a
+// store that took fragments since the last evaluation: nothing handed
+// them in, so the engine re-reads the store, as a from-scratch evaluation
+// would.
 func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.q.Admit(); err != nil {
+		e.seeded = false
+		return nil, nil, err
+	}
+	defer e.q.Release()
 	e.reran = 0
 	var rsp *obs.Span
 	if f != nil {
 		rsp = e.tracer.Start(f.Trace, "inc.recompute").Annotate(e.stream, f.TSID, f.Seq)
 	}
 	defer rsp.End()
-	if !e.seeded || at.Before(e.lastAt) {
-		// first evaluation, or a clock regression (visibility may shrink
-		// and popped pending arrivals would be lost): rebuild everything
+	missed := false
+	if e.store != nil {
+		// arrivals may be stored ahead of their Apply; a fragment-less
+		// evaluation comes after every write that was ever handed in
+		gen := e.store.Generation()
+		missed, e.gen = f == nil && gen > e.gen, gen
+	}
+	if !e.seeded || at.Before(e.lastAt) || missed {
+		// first evaluation, a clock regression (visibility may shrink and
+		// popped pending arrivals would be lost), or fragments stored behind
+		// the engine's back: rebuild everything
 		rsp.SetDetail("full-recompute")
 		return e.recomputeAll(at, lim, stats, sp)
 	}
@@ -728,7 +750,10 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 		}
 	}
 	e.pending = still
-	if f != nil {
+	if e.store == nil {
+		// unbound: the one broad piece re-runs on every evaluation
+		e.mark(e.order[0])
+	} else if f != nil {
 		if err := e.ingest(f); err != nil {
 			// hole identity turned out ambiguous: permanently stop
 			// decomposing and recompute the whole plan from here on
@@ -941,7 +966,7 @@ func (e *Engine) fallback() {
 // in this walk — the fresh entries are counted in as they pass) — new
 // serials can only appear in dirty units, and their first occurrence in
 // the new result is their first occurrence across the dirty units, so
-// this reproduces the full-mode diff byte for byte. Phase C swaps the
+// this reproduces the from-scratch diff byte for byte. Phase C swaps the
 // buffers, releases the old entries' refcounts and re-files the units
 // under their new horizons.
 func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
@@ -1066,12 +1091,6 @@ func (e *Engine) evalUnitShared(u *unit, at time.Time, lim xcql.Limits, stats *o
 	sp.misses++
 	stats.AddSharedUnitMisses(1)
 	return r, err
-}
-
-// evalUnit computes one unit's current output and horizon from scratch:
-// every version of an indexed unit runs.
-func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
-	return e.reevalUnit(k, nil, at, lim, stats)
 }
 
 // reevalUnit computes one unit's current output and horizon in the
@@ -1392,15 +1411,6 @@ func (e *Engine) BufferHWMBytes() int64 {
 	return e.hwm
 }
 
-// Store returns the fragment store the engine bound to, or nil when the
-// plan mentions no single stream. The registry uses pointer identity to
-// decide which engines may share a pass.
-func (e *Engine) Store() *fragment.Store {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.store
-}
-
 // UnitSignatures lists the structural signatures of the engine's piece
 // slots (one per indexed fn:bytsid argument, one per generic piece), in
 // plan order. The registry refcounts these across the queries of a
@@ -1470,38 +1480,11 @@ func (e *Engine) describe(p *piece) string {
 }
 
 // ItemSerial is the delta identity of one result item: consecutive
-// results are diffed by it, here and in the registry's full mode, and the
-// registry's wire codec renders items with it — one definition, so the
-// three can never drift.
+// results are diffed by it, and the registry's wire codec renders items
+// with it — one definition, so the two can never drift.
 func ItemSerial(it xq.Item) string {
 	if n, ok := it.(*xmldom.Node); ok {
 		return n.String()
 	}
 	return xq.StringValue(it)
-}
-
-// ItemSerials is ItemSerial over a sequence — what a response carries —
-// written through one buffer, so a node item costs its string and not a
-// builder's growth besides. Never nil: an empty sequence renders as [] in
-// JSON, not null.
-func ItemSerials(seq xq.Sequence) []string {
-	out := make([]string, 0, len(seq))
-	if len(seq) < 2 {
-		// nothing to share a buffer with: a builder's last growth is the string
-		for _, it := range seq {
-			out = append(out, ItemSerial(it))
-		}
-		return out
-	}
-	var buf bytes.Buffer
-	for _, it := range seq {
-		if n, ok := it.(*xmldom.Node); ok {
-			buf.Reset()
-			n.EncodeTo(&buf)
-			out = append(out, buf.String())
-		} else {
-			out = append(out, ItemSerial(it))
-		}
-	}
-	return out
 }

@@ -120,7 +120,8 @@ func itemRuntime(t *testing.T, scan bool) (*xcql.Runtime, *fragment.Store) {
 // TestEvalUnitChargesLikeFullEvaluation: an indexed unit's filler read is
 // charged the way a full evaluation of the same plan charges the same
 // fetch — a label-range lookup and nothing else under QaC++, a lookup
-// pass (FillersScanned) under QaC+ — on an indexed and on a scan store.
+// pass (FillersScanned) under QaC+ — on an indexed and on a scan store,
+// and its budget meters the items and bytes the fetch meters.
 // The full evaluation is the by-tsid fetch alone: a whole-stream
 // descendant step never reads the root.
 func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
@@ -147,12 +148,14 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 			if res.count != 3 || len(res.entries) != 3 {
 				t.Fatalf("%s: unit returned %d versions, want 3", name, res.count)
 			}
-			type charge struct{ fillers, holes, labelLookups, labelHits int64 }
-			got := charge{unit.FillersScanned, unit.HolesResolved, unit.LabelRangeLookups, unit.LabelRangeHits}
-			want := charge{full.FillersScanned, full.HolesResolved, full.LabelRangeLookups, full.LabelRangeHits}
+			type charge struct{ fillers, holes, labelLookups, labelHits, items, bytes int64 }
+			got := charge{unit.FillersScanned, unit.HolesResolved, unit.LabelRangeLookups, unit.LabelRangeHits, unit.Items, unit.BytesMaterialized}
+			want := charge{full.FillersScanned, full.HolesResolved, full.LabelRangeLookups, full.LabelRangeHits, full.Items, full.BytesMaterialized}
 			if got != want {
 				t.Errorf("%s: unit charged %+v, the full evaluation's fetch %+v", name, got, want)
 			}
+			// the budget meters the read as it meters the full evaluation's
+			got.items, got.bytes = 0, 0
 			switch {
 			case mode == xcql.QaCPlusPlus && got != (charge{labelLookups: 1, labelHits: 3}):
 				t.Errorf("%s: unit charged %+v, want one label-range lookup only", name, got)
@@ -161,4 +164,10 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalUnit computes one unit's current output and horizon from scratch:
+// every version of an indexed unit runs.
+func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
+	return e.reevalUnit(k, nil, at, lim, stats)
 }

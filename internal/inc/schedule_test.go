@@ -236,17 +236,17 @@ func (fr *fraudReplay) step(f *fragment.Fragment, at time.Time) int {
 	}
 	next := make(map[string]bool)
 	want := []string{}
-	for _, s := range ItemSerials(ref) {
+	for _, s := range itemSerials(ref) {
 		if !fr.prev[s] && !next[s] {
 			want = append(want, s)
 		}
 		next[s] = true
 	}
 	fr.prev = next
-	if got := ItemSerials(delta); !reflect.DeepEqual(got, want) {
+	if got := itemSerials(delta); !reflect.DeepEqual(got, want) {
 		fr.t.Fatalf("at %s: delta %q, full re-evaluation emits %q", at.Format(time.TimeOnly), got, want)
 	}
-	if got, want := snapshotSerials(fr.e), strings.Join(ItemSerials(ref), "\n"); got != want {
+	if got, want := snapshotSerials(fr.e), strings.Join(itemSerials(ref), "\n"); got != want {
 		fr.t.Fatalf("at %s: standing result\n%s\nfull re-evaluation\n%s", at.Format(time.TimeOnly), got, want)
 	}
 	return fr.e.reran

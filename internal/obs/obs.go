@@ -106,9 +106,9 @@ type EvalStats struct {
 	ParallelTasks int64
 	Parallelism   int
 
-	// HandlerInvocations counts incremental per-tag handler runs: how many
-	// partial-match units one fragment arrival actually touched. Zero under
-	// full re-evaluation — the incremental mode's headline counter (cost
+	// HandlerInvocations counts the standing engine's unit runs: how many
+	// partial-match units one fragment arrival actually touched. Zero for a
+	// one-shot evaluation — the engine's headline counter (cost
 	// proportional to affected output, not store size).
 	HandlerInvocations int64
 	// BufferedItems is the number of result items the incremental engine

@@ -5,7 +5,7 @@ package registry
 // JSON-encoded deltas; the output encoding is a codec seam (JSON built
 // in). Endpoints:
 //
-//	POST   /v1/query       register {query, mode, incremental} → {id, group}
+//	POST   /v1/query       register {query, mode} → {id, group}
 //	DELETE /v1/query?id=N  unregister
 //	GET    /v1/subscribe   WebSocket: ?id=N drains an existing
 //	                       registration; with no id the first client
@@ -116,8 +116,8 @@ type RegisterRequest struct {
 	// Mode selects the physical plan ("CaQ", "QaC", "QaC+", "QaC++");
 	// empty means QaC+.
 	Mode string `json:"mode,omitempty"`
-	// Incremental selects delta evaluation through the incremental
-	// engine.
+	// Incremental is ignored: every registration runs the incremental
+	// engine. Clients that still send it are accepted.
 	Incremental bool `json:"incremental,omitempty"`
 	// Codec selects the result encoding (default "json").
 	Codec string `json:"codec,omitempty"`
@@ -250,7 +250,6 @@ func (a *API) register(req RegisterRequest, opts Options) (*Registration, *xcql.
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, "compile", err
 	}
-	opts.Incremental = req.Incremental
 	if req.Buffer > 0 {
 		opts.Buffer = req.Buffer
 	}

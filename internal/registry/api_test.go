@@ -173,8 +173,7 @@ func TestAPIRegisterSubscribeDelta(t *testing.T) {
 func TestAPISubscribeConnScopedLifetime(t *testing.T) {
 	fx := newAPIFixture(t)
 	sub, err := DialSubscribe(fx.addr(), RegisterRequest{
-		Query:       `for $e in stream("log")//event return $e`,
-		Incremental: true,
+		Query: `for $e in stream("log")//event return $e`,
 	}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +215,7 @@ func TestAPISubscribeConnScopedLifetime(t *testing.T) {
 func TestSubscribeSeedAboveRequestBound(t *testing.T) {
 	fx := newAPIFixture(t)
 	sub, err := DialSubscribe(fx.addr(), RegisterRequest{
-		Query:       `for $e in stream("log")//event return $e`,
-		Incremental: true,
+		Query: `for $e in stream("log")//event return $e`,
 	}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +344,7 @@ func TestAPIEvalAndRegistryz(t *testing.T) {
 	}
 
 	if _, err := DialSubscribe(fx.addr(), RegisterRequest{
-		Query: `for $e in stream("log")//event return $e`, Incremental: true,
+		Query: `for $e in stream("log")//event return $e`,
 	}, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +374,14 @@ func TestAPIEvalAndRegistryz(t *testing.T) {
 		t.Fatalf("registryz shows %d registrations / %d groups / %d rows, want 1/1/1: %s",
 			rz.Stats.Registrations, len(rz.Groups), len(rz.Registrations), body2)
 	}
-	// the status row reads the counters the memory-bound tests assert
-	if row := rz.Registrations[0]; row.BufferBytes <= 0 || row.BufferHWMBytes < row.BufferBytes {
+	// the status row reads the counters the memory-bound tests assert, and
+	// says how the engine decomposed the plan
+	row := rz.Registrations[0]
+	if row.BufferBytes <= 0 || row.BufferHWMBytes < row.BufferBytes {
 		t.Fatalf("registryz row reports buffer %d B (high-water %d B) for a seeded registration: %s",
 			row.BufferBytes, row.BufferHWMBytes, body2)
+	}
+	if want := "1 piece (per-binding on event)"; row.Strategy != want {
+		t.Fatalf("registryz row strategy %q, want %q", row.Strategy, want)
 	}
 }

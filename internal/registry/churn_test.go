@@ -71,8 +71,7 @@ func TestRegistryAdmissionOverload(t *testing.T) {
 	for i := range live {
 		i := i
 		r, err := reg.Register(q, Options{
-			Incremental: true,
-			OnResult:    func(Result) { atomic.AddInt64(&delivered[i], 1) },
+			OnResult: func(Result) { atomic.AddInt64(&delivered[i], 1) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +80,7 @@ func TestRegistryAdmissionOverload(t *testing.T) {
 	}
 
 	// the third registration trips admission with a typed error...
-	_, err := reg.Register(q, Options{Incremental: true, OnResult: func(Result) {}})
+	_, err := reg.Register(q, Options{OnResult: func(Result) {}})
 	var over *xcql.OverloadError
 	if !errors.As(err, &over) {
 		t.Fatalf("want *xcql.OverloadError, got %v", err)
@@ -106,7 +105,7 @@ func TestRegistryAdmissionOverload(t *testing.T) {
 	}
 
 	// a slot freed by Close admits again
-	if _, err := reg.Register(q, Options{Incremental: true, OnResult: func(Result) {}}); err != nil {
+	if _, err := reg.Register(q, Options{OnResult: func(Result) {}}); err != nil {
 		t.Fatalf("register after slots freed: %v", err)
 	}
 }

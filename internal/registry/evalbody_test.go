@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"xcql/internal/inc"
 	"xcql/internal/xmldom"
 	"xcql/internal/xq"
 )
@@ -19,7 +18,7 @@ func libraryEvalBody(at time.Time, seq xq.Sequence, escapeHTML bool) ([]byte, er
 	var b bytes.Buffer
 	enc := json.NewEncoder(&b)
 	enc.SetEscapeHTML(escapeHTML)
-	err := enc.Encode(map[string]any{"at": at.Format(time.RFC3339Nano), "items": inc.ItemSerials(seq)})
+	err := enc.Encode(map[string]any{"at": at.Format(time.RFC3339Nano), "items": itemSerials(seq)})
 	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), err
 }
 

@@ -20,7 +20,7 @@ func libraryFrame(id int64, res Result) ([]byte, error) {
 		Type:     "result",
 		ID:       id,
 		At:       res.At.Format(time.RFC3339Nano),
-		Delta:    inc.ItemSerials(res.Delta),
+		Delta:    itemSerials(res.Delta),
 		Degraded: res.Degraded,
 	}
 	if res.Err != nil {
@@ -36,6 +36,16 @@ func libraryFrame(id int64, res Result) ([]byte, error) {
 		return nil, err
 	}
 	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
+}
+
+// itemSerials renders a sequence the way a frame carries it: one
+// inc.ItemSerial per item, an empty sequence as [] and not null.
+func itemSerials(seq xq.Sequence) []string {
+	out := make([]string, len(seq))
+	for i, it := range seq {
+		out[i] = inc.ItemSerial(it)
+	}
+	return out
 }
 
 // The hand-written frame, field by field, present and omitted: the golden

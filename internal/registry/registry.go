@@ -2,21 +2,22 @@
 // process-wide registry accepts many compiled XCQL registrations,
 // groups them by the tsid access paths their plans touch (what
 // Query.Explain already computes), and evaluates each shared path once
-// per arriving fragment instead of once per query. Within a group,
-// full-mode registrations with identical plans share one evaluation per
-// arrival, and incremental registrations share individual partial-match
-// unit evaluations through an inc.SharedPass — the registry is the
-// layer that dedupes PR 6's per-tag/per-filler units *across* queries.
+// per arriving fragment instead of once per query. Every registration
+// runs the incremental engine (internal/inc); within a group, registrations
+// with identical plans advance one shared engine per arrival, and
+// registrations with different plans share individual partial-match unit
+// evaluations through an inc.SharedPass — the registry is the layer that
+// dedupes the engine's per-tag/per-filler units *across* queries.
 //
 // This is the one implementation of a standing query: a registration
-// owns the previous-result memory, the degrade/re-emit protocol and the
-// buffer accounting, and stream.ContinuousQuery is a registry holding
-// exactly one of them. Every registration's observable output — its
-// per-arrival delta stream and its standing result — is byte-identical to
-// re-evaluating the query from scratch at every arrival and diffing
-// consecutive results (the registry-equivalence harness pins this
-// against an oracle that does exactly that). Sharing changes cost, never
-// results.
+// owns the degrade/re-emit protocol and the delivery accounting, its
+// engine the previous-result memory, and stream.ContinuousQuery is a
+// registry holding exactly one of them. Every registration's observable
+// output — its per-arrival delta stream and its standing result — is
+// byte-identical to re-evaluating the query from scratch at every arrival
+// and diffing consecutive results (the registry-equivalence harness pins
+// this against an oracle that does exactly that). Sharing changes cost,
+// never results.
 //
 // Sharing is scoped for soundness: a group key combines the access-path
 // signature with the identity of the stores the plan reads and a
@@ -43,7 +44,6 @@
 package registry
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -65,15 +65,11 @@ import (
 type Result struct {
 	// At is the evaluation instant (what "now" resolved to).
 	At time.Time
-	// Items is the full result sequence at that instant — full-mode
-	// registrations only: incremental deliveries leave it nil, so that
-	// per-arrival cost stays proportional to the delta (use
-	// Registration.ItemsSnapshot), and so do degraded emissions after a
-	// governed failure.
-	Items xq.Sequence
 	// Delta contains the items absent (by serialized form) from the
 	// registration's previous result, in result order. After an
-	// invalidation the whole standing result re-emits here.
+	// invalidation the whole standing result re-emits here. The full
+	// standing result is Registration.ItemsSnapshot: a delivery's cost
+	// stays proportional to its delta.
 	Delta xq.Sequence
 	// Serials, when set, holds the serialized form of every Delta item, in
 	// order: the strings the evaluation diffed by, shared — read-only — by
@@ -100,11 +96,11 @@ type Result struct {
 
 // Options configures one registration.
 type Options struct {
-	// Incremental selects delta evaluation through internal/inc (per
-	// arrival cost proportional to the dirty state) instead of full
-	// re-evaluation per arrival.
+	// Incremental is ignored: every registration runs the incremental
+	// engine. It stays so that callers that still set it compile.
 	Incremental bool
-	// Limits bounds each evaluation of this registration. The zero
+	// Limits bounds each unit evaluation of this registration's engine
+	// (see inc.Engine.Apply). The zero
 	// value falls back to the compiled query's own Limits.
 	Limits xcql.Limits
 	// OnResult, when set, delivers synchronously on the arrival
@@ -158,15 +154,13 @@ type Registry struct {
 // SetFlightRecorder attaches a flight recorder: traced arrivals record
 // a "registry.eval" span per sharing group and a "fanout" span per
 // registration delivery, and the recorder is propagated into every
-// registration's incremental engine (current and future). nil detaches.
+// registration's engine (current and future). nil detaches.
 func (r *Registry) SetFlightRecorder(rec *obs.FlightRecorder) {
 	r.mu.Lock()
 	r.tracer = rec
 	engines := make([]*inc.Engine, 0, len(r.regs))
 	for _, reg := range r.regs {
-		if reg.eng != nil {
-			engines = append(engines, reg.eng)
-		}
+		engines = append(engines, reg.eng)
 	}
 	r.mu.Unlock()
 	for _, eng := range engines {
@@ -217,15 +211,14 @@ type group struct {
 	// members is sorted by id and, like Registry.order, replaced where
 	// membership changes and never written in place.
 	members []*Registration
-	// sigRef refcounts incremental unit signatures across members: a
-	// signature with refcount K is evaluated once per arrival and
-	// shared K ways.
+	// sigRef refcounts unit signatures across members: a signature with
+	// refcount K is evaluated once per arrival and shared K ways.
 	sigRef map[string]int
-	// engShares maps incremental plan identities to a single shared
-	// inc.Engine: identical incremental registrations advance ONE
-	// engine per arrival and fan the delta out, so per-member cost is a
-	// delivery, not an evaluation. The engine lives while any member
-	// holds it (refcount) and dies with the last Close.
+	// engShares maps plan identities to a single shared inc.Engine:
+	// identical registrations advance ONE engine per arrival and fan the
+	// delta out, so per-member cost is a delivery, not an evaluation. The
+	// engine lives while any member holds it (refcount) and dies with the
+	// last Close.
 	engShares map[string]*engShare
 	// units is the unit memo the members' engines share, emptied at the
 	// start of every arrival. Touched under evalMu only.
@@ -248,25 +241,16 @@ type Registration struct {
 	opts Options
 	lim  xcql.Limits
 	g    *group
-	// planKey is the sharing identity (evaluation kind + mode + canonical
-	// plan): members of a group with the same key share one evaluation per
-	// arrival — one full evaluation, or one advance of one engine.
+	// planKey is the sharing identity (mode + canonical plan): members of a
+	// group with the same key share one advance of one engine per arrival.
 	planKey string
-	// share holds the incremental engine, possibly shared with the group's
-	// other members of the same planKey, and eng is that engine; nil in
-	// full mode.
+	// share holds the engine, possibly shared with the group's other
+	// members of the same planKey, and eng is that engine.
 	share *engShare
 	eng   *inc.Engine
 	sigs  []string
 
-	mu        sync.Mutex
-	seen      map[string]bool // full mode: previous result's serials
-	lastItems xq.Sequence     // full mode: previous result (standing snapshot)
-	// bufBytes / bufHWM account the full-mode standing state (seen's
-	// serialized bytes) and its high-water mark; an incremental
-	// registration reads its engine's counters instead.
-	bufBytes int64
-	bufHWM   int64
+	mu       sync.Mutex
 	degraded string
 	// needReseed makes the next successful delivery re-emit the whole
 	// standing result: set by invalidation and by adopting a live shared
@@ -281,15 +265,17 @@ type Registration struct {
 
 // RegStats is a snapshot of one registration's delivery counters.
 type RegStats struct {
-	ID          int64
-	Group       string
-	Incremental bool
+	ID    int64
+	Group string
+	// Strategy is how the engine decomposed the plan, and so which
+	// arrivals re-run what: per-binding units, or one broad piece and why
+	// (inc.Engine.Strategy).
+	Strategy    string
 	Evaluations int64
 	Dropped     int64
 	Degraded    string
 	// BufferBytes is the standing state the registration holds between
-	// arrivals, in serialized bytes: the previous result's serial set in
-	// full mode, the engine's partial-match buffers in incremental mode
+	// arrivals, in serialized bytes: the engine's partial-match buffers
 	// (members sharing an engine each report the shared buffers).
 	// BufferHWMBytes is its high-water mark — it follows the standing
 	// result's size, not the output history.
@@ -306,12 +292,11 @@ type Stats struct {
 	// Applies counts fragment arrivals (plus fragment-less Evaluate
 	// calls) the registry processed.
 	Applies int64
-	// SharedEvals counts evaluations actually performed: incremental
-	// unit misses plus one per full-mode shared plan per arrival.
+	// SharedEvals counts unit evaluations actually performed: the shared
+	// passes' misses.
 	SharedEvals int64
-	// SharedSaved counts evaluations sharing made unnecessary:
-	// incremental unit hits plus the extra members a full-mode shared
-	// evaluation served.
+	// SharedSaved counts evaluations sharing made unnecessary: unit hits
+	// plus the extra members a shared engine advance served.
 	SharedSaved int64
 	// Fanout counts results delivered to registrations.
 	Fanout int64
@@ -320,7 +305,8 @@ type Stats struct {
 	// BackpressureDrops counts deliveries dropped on full subscriber
 	// channels (each one invalidates its registration).
 	BackpressureDrops int64
-	// Reseeds counts invalidation-triggered full rebuilds.
+	// Reseeds counts invalidation-triggered re-emissions of a standing
+	// result.
 	Reseeds int64
 }
 
@@ -331,8 +317,8 @@ type GroupStats struct {
 	Key string
 	// Members is the live registration count.
 	Members int
-	// SharedUnits counts incremental unit signatures held by more than
-	// one member — the units evaluated once and fanned out.
+	// SharedUnits counts unit signatures held by more than one member —
+	// the units evaluated once and fanned out.
 	SharedUnits int
 	// SharedEvals / SharedSaved / Fanout mirror the registry-level
 	// counters, scoped to this group.
@@ -373,13 +359,9 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		}
 		reg.ch = make(chan Result, buf)
 	}
-	kind := "full"
-	if opts.Incremental {
-		kind = "inc"
-		reg.eng = inc.New(q)
-		reg.sigs = reg.eng.UnitSignatures()
-	}
-	reg.planKey = kind + "\x00" + q.Mode.String() + "\x00" + q.Plan.String()
+	reg.eng = inc.New(q)
+	reg.sigs = reg.eng.UnitSignatures()
+	reg.planKey = q.Mode.String() + "\x00" + q.Plan.String()
 	key, pathSig := groupKey(q, lim)
 
 	r.mu.Lock()
@@ -410,28 +392,25 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	for _, sig := range reg.sigs {
 		g.sigRef[sig]++
 	}
-	if reg.eng != nil {
-		if share := g.engShares[reg.planKey]; share != nil {
-			// adopt the share's live engine: this member's first
-			// delivery re-emits the standing result (exactly what a
-			// fresh independent query's first evaluation produces), and
-			// from then on it consumes the shared advance.
-			reg.share, reg.eng = share, share.eng
-			share.refs++
-			reg.needReseed = true
-		} else {
-			reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "+inc"}
-			g.engShares[reg.planKey] = reg.share
-		}
-		reg.eng.SetFlightRecorder(r.tracer)
+	if share := g.engShares[reg.planKey]; share != nil {
+		// adopt the share's live engine: this member's first delivery
+		// re-emits the standing result (exactly what a fresh independent
+		// query's first evaluation produces), and from then on it consumes
+		// the shared advance.
+		reg.share, reg.eng = share, share.eng
+		share.refs++
+		reg.needReseed = true
+	} else {
+		reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "+inc"}
+		g.engShares[reg.planKey] = reg.share
 	}
+	reg.eng.SetFlightRecorder(r.tracer)
 	r.regs[reg.id] = reg
 	return reg, nil
 }
 
-// engShare is one refcounted shared incremental engine: every live
-// registration with the same plan identity in the group advances and
-// reads the same engine.
+// engShare is one refcounted shared engine: every live registration with
+// the same plan identity in the group advances and reads the same engine.
 type engShare struct {
 	eng  *inc.Engine
 	refs int
@@ -496,26 +475,13 @@ func (reg *Registration) Query() *xcql.Query { return reg.q }
 func (reg *Registration) Latency() *obs.Histogram { return reg.latency }
 
 // ItemsSnapshot returns the registration's full standing result at the
-// last applied instant: the incremental engine's buffers, or the last
-// full-mode evaluation's sequence. The items are shared with the
-// engine; callers must not mutate them.
-func (reg *Registration) ItemsSnapshot() xq.Sequence {
-	if reg.eng != nil {
-		return reg.eng.ItemsSnapshot()
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.lastItems
-}
+// last applied instant, read off the engine's buffers. The items are
+// shared with the engine; callers must not mutate them.
+func (reg *Registration) ItemsSnapshot() xq.Sequence { return reg.eng.ItemsSnapshot() }
 
-// Strategy describes how the incremental engine decomposed the plan (see
-// inc.Engine.Strategy); empty in full mode.
-func (reg *Registration) Strategy() string {
-	if reg.eng == nil {
-		return ""
-	}
-	return reg.eng.Strategy()
-}
+// Strategy describes how the engine decomposed the plan (see
+// inc.Engine.Strategy).
+func (reg *Registration) Strategy() string { return reg.eng.Strategy() }
 
 // Degraded reports the current degradation reason, if any.
 func (reg *Registration) Degraded() (string, bool) {
@@ -548,7 +514,6 @@ func (reg *Registration) invalidateLocked(reason string) {
 	if reason != "" {
 		reg.degraded = reason
 	}
-	reg.seen, reg.bufBytes = nil, 0
 	reg.needReseed = true
 }
 
@@ -556,20 +521,16 @@ func (reg *Registration) invalidateLocked(reason string) {
 func (reg *Registration) Stats() RegStats {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	st := RegStats{
+	return RegStats{
 		ID:             reg.id,
 		Group:          reg.g.pathSig,
-		Incremental:    reg.eng != nil,
+		Strategy:       reg.eng.Strategy(),
 		Evaluations:    reg.evals,
 		Dropped:        reg.dropped,
 		Degraded:       reg.degraded,
-		BufferBytes:    reg.bufBytes,
-		BufferHWMBytes: reg.bufHWM,
+		BufferBytes:    reg.eng.BufferedBytes(),
+		BufferHWMBytes: reg.eng.BufferHWMBytes(),
 	}
-	if reg.eng != nil {
-		st.BufferBytes, st.BufferHWMBytes = reg.eng.BufferedBytes(), reg.eng.BufferHWMBytes()
-	}
-	return st
 }
 
 // Close unregisters the standing query. After Close returns, no further
@@ -681,24 +642,21 @@ type groupPass struct {
 	units *inc.SharedPass
 
 	stats     obs.EvalStats
-	fullEvals int64
 	delivered int64
 	reseeds   int64
 }
 
 // sharedEval is one evaluation shared by every member of a group with
-// the same planKey: the full-mode result sequence, or the delta one
-// advance of the shared engine produced — or the error that replaced it.
-// The first member pays for it; the rest consume it.
+// the same planKey: the delta one advance of the shared engine produced —
+// or the error that replaced it. The first member pays for it; the rest
+// consume it.
 type sharedEval struct {
-	seq xq.Sequence
-	// serials are the serialized forms of seq's items: what a full-mode
-	// member diffs by, and an engine delta's Result.Serials (nil in count
-	// mode).
+	delta xq.Sequence
+	// serials are the serialized forms of delta's items, its
+	// Result.Serials (nil in count mode).
 	serials []string
 	err     error
-	// stats is an engine advance's cost profile, in the share's scratch;
-	// nil for a full evaluation, whose query records its own.
+	// stats is the advance's cost profile, in the share's scratch.
 	stats     *obs.EvalStats
 	consumers int
 }
@@ -728,7 +686,7 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	}
 	g.latency.ObserveExemplar(time.Since(start), gp.tid)
 
-	evals := gp.units.Misses() + gp.fullEvals
+	evals := gp.units.Misses()
 	saved := gp.units.Hits()
 	for _, ev := range shared {
 		saved += int64(ev.consumers - 1)
@@ -762,12 +720,10 @@ func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
 	}
 	ev.consumers++
 	shared[reg.planKey] = ev
-	if ev.stats != nil {
-		// every member publishes the advance's cost profile as its own
-		// LastStats (an EXPLAIN on any member shows what this arrival cost
-		// the share, not zero)
-		reg.q.RecordStats(ev.stats)
-	}
+	// every member publishes the advance's cost profile as its own
+	// LastStats (an EXPLAIN on any member shows what this arrival cost the
+	// share, not zero)
+	reg.q.RecordStats(ev.stats)
 	res, outcome := reg.settle(ev, gp)
 	res.At, res.TraceID = gp.at, gp.tid
 	switch {
@@ -778,7 +734,7 @@ func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
 	}
 	if fsp != nil {
 		if outcome == "" {
-			outcome = fmt.Sprintf("items=%d delta=%d", len(res.Items), len(res.Delta))
+			outcome = fmt.Sprintf("delta=%d", len(res.Delta))
 		}
 		fsp.SetDetail(outcome)
 	}
@@ -791,22 +747,15 @@ func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
 }
 
 // evaluate performs the shared evaluation of reg's planKey for this
-// arrival: one full evaluation, or one advance of the (possibly shared)
-// engine, whose unit evaluations are further deduped across DIFFERENT
-// plans through the group's shared pass.
+// arrival: one advance of the (possibly shared) engine, whose unit
+// evaluations are further deduped across DIFFERENT plans through the
+// group's shared pass.
 func (reg *Registration) evaluate(gp *groupPass) sharedEval {
-	if reg.eng == nil {
-		gp.fullEvals++
-		seq, err := reg.q.EvalLimits(context.Background(), gp.at, reg.lim)
-		stats := reg.q.LastStats()
-		mergeStats(&gp.stats, &stats)
-		return sharedEval{seq: seq, serials: inc.ItemSerials(seq), err: err}
-	}
 	stats := &reg.share.stats
 	*stats = obs.EvalStats{Plan: reg.share.plan}
-	seq, serials, err := reg.eng.Apply(gp.f, gp.at, reg.lim, stats, gp.units)
+	delta, serials, err := reg.eng.Apply(gp.f, gp.at, reg.lim, stats, gp.units)
 	mergeStats(&gp.stats, stats)
-	return sharedEval{seq: seq, serials: serials, err: err, stats: stats}
+	return sharedEval{delta: delta, serials: serials, err: err, stats: stats}
 }
 
 // settle is the one standing-state transition: it folds a shared
@@ -816,11 +765,8 @@ func (reg *Registration) evaluate(gp *groupPass) sharedEval {
 // admission) is part of normal operation: the registration is invalidated
 // and the delivery carries the reason instead of a delta. Any other error
 // is delivered as Result.Err and changes nothing — in particular a
-// pending re-emission stays pending. Otherwise the delta is the items
-// absent from the previous result (full mode: diffed here, generation by
-// generation, so the serial set is bounded by the standing result and not
-// by the output history; incremental: the engine's delta), or, when a
-// re-emission is pending, the whole standing result.
+// pending re-emission stays pending. Otherwise the delta is the engine's,
+// or, when a re-emission is pending, the whole standing result.
 func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
 	if ev.err != nil {
 		reason, governed := governedFailure(ev.err)
@@ -834,32 +780,15 @@ func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
 	defer reg.mu.Unlock()
 	res := Result{Degraded: reg.degraded}
 	outcome := ""
-	switch {
-	case reg.eng == nil:
-		next := make(map[string]bool, len(ev.seq))
-		res.Items, reg.bufBytes = ev.seq, 0
-		for i, it := range ev.seq {
-			key := ev.serials[i]
-			if next[key] {
-				continue
-			}
-			next[key] = true
-			reg.bufBytes += int64(len(key))
-			if !reg.seen[key] {
-				res.Delta, res.Serials = append(res.Delta, it), append(res.Serials, key)
-			}
-		}
-		reg.seen, reg.lastItems = next, ev.seq
-		reg.bufHWM = max(reg.bufHWM, reg.bufBytes)
-	case reg.needReseed:
+	if reg.needReseed {
 		// re-emit from the engine's standing buffers rather than rebuild
 		// them: the engine may be shared, and its other members are owed
 		// nothing but this arrival's delta
 		res.Delta, res.Serials = reg.eng.StandingDelta()
 		outcome = "reseed"
 		gp.reseeds++
-	default:
-		res.Delta, res.Serials = ev.seq, ev.serials
+	} else {
+		res.Delta, res.Serials = ev.delta, ev.serials
 	}
 	reg.needReseed = false
 	return res, outcome

@@ -34,7 +34,7 @@ func TestShareMembersGetOneAdvance(t *testing.T) {
 	var last [3]Result
 	for i := range queries {
 		queries[i] = rt.MustCompile(`for $e in stream("log")//event return $e`, xcql.QaCPlus)
-		if _, err := r.Register(queries[i], Options{Incremental: true, OnResult: func(res Result) { last[i] = res }}); err != nil {
+		if _, err := r.Register(queries[i], Options{OnResult: func(res Result) { last[i] = res }}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -165,7 +165,7 @@ func TestGroupAndMemberOrderSurvivesChurn(t *testing.T) {
 	}
 	var regs []*Registration
 	for i := range 12 {
-		reg, err := r.Register(queries[i%len(queries)], Options{Incremental: i%2 == 0, OnResult: func(Result) {}})
+		reg, err := r.Register(queries[i%len(queries)], Options{OnResult: func(Result) {}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,17 +25,17 @@ type Result = registry.Result
 // evaluation, the delta against the previous result, degradation and
 // re-emission all live there, and a query created here behaves — and
 // traces — like one registered anywhere else. The registration is made
-// at the first evaluation, from the Limits and WithIncremental settings
-// in force then; changing either later makes a new one, which re-emits
-// the standing result.
+// at the first evaluation, from the Limits in force then; changing them
+// later makes a new one, which re-emits the standing result.
 type ContinuousQuery struct {
 	query    *xcql.Query
 	onResult func(Result)
 	// Clock supplies the evaluation instant; defaults to time.Now. Tests
 	// and replays pin it to the fragment timeline.
 	Clock func() time.Time
-	// Limits bounds each evaluation (deadline, step, cardinality and byte
-	// budgets); the zero value falls back to the compiled query's own. A
+	// Limits bounds each unit evaluation of the engine (deadline, step,
+	// cardinality and byte budgets, the unit's own read included); the
+	// zero value falls back to the compiled query's own. A
 	// budget- or deadline-killed evaluation degrades the query instead of
 	// wedging the delivering goroutine (see EvaluateFragment).
 	Limits xcql.Limits
@@ -50,11 +50,10 @@ type ContinuousQuery struct {
 	runMu sync.Mutex
 	last  Result
 
-	mu          sync.Mutex
-	incremental bool
-	// reg is the one registration, made with the options regAs.
-	reg   *registry.Registration
-	regAs registry.Options
+	mu sync.Mutex
+	// reg is the one registration, made with the limits regLim.
+	reg    *registry.Registration
+	regLim xcql.Limits
 }
 
 // NewContinuousQuery wraps a compiled query. onResult is invoked after every
@@ -66,16 +65,16 @@ func NewContinuousQuery(q *xcql.Query, onResult func(Result)) *ContinuousQuery {
 }
 
 // registration returns the query's one registration, making it — or
-// making it anew, when Limits or WithIncremental changed since — on
-// demand. A replacement inherits the degradation of the one it replaces.
+// making it anew, when Limits changed since — on demand. A replacement
+// inherits the degradation of the one it replaces.
 func (cq *ContinuousQuery) registration() *registry.Registration {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	if cq.reg != nil && cq.regAs.Limits == cq.Limits && cq.regAs.Incremental == cq.incremental {
+	if cq.reg != nil && cq.regLim == cq.Limits {
 		return cq.reg
 	}
-	cq.regAs = registry.Options{Incremental: cq.incremental, Limits: cq.Limits, OnResult: cq.deliver}
-	reg, err := cq.r.Register(cq.query, cq.regAs)
+	cq.regLim = cq.Limits
+	reg, err := cq.r.Register(cq.query, registry.Options{Limits: cq.Limits, OnResult: cq.deliver})
 	if err != nil {
 		panic(err) // a nil query: the private registry has no admission bound
 	}
@@ -102,8 +101,8 @@ func (cq *ContinuousQuery) deliver(res Result) {
 func (cq *ContinuousQuery) Latency() *obs.Histogram { return cq.latency }
 
 // SetFlightRecorder attaches a flight recorder: traced arrivals record the
-// registry's "registry.eval" and "fanout" spans (and, in incremental mode,
-// the engine's "inc.recompute"), the latency histogram keeps trace-id
+// registry's "registry.eval" and "fanout" spans and the engine's
+// "inc.recompute", the latency histogram keeps trace-id
 // exemplars, and degraded evaluations flag their trace. nil detaches.
 func (cq *ContinuousQuery) SetFlightRecorder(rec *obs.FlightRecorder) { cq.r.SetFlightRecorder(rec) }
 
@@ -111,28 +110,16 @@ func (cq *ContinuousQuery) SetFlightRecorder(rec *obs.FlightRecorder) { cq.r.Set
 // degraded ones): each one is one latency observation.
 func (cq *ContinuousQuery) Evaluations() int64 { return cq.latency.Count() }
 
-// WithIncremental switches the query between full re-evaluation per
-// arrival (the default) and incremental delta evaluation (internal/inc:
-// an arrival recomputes only the partial-match state its tag can reach).
-// Deltas and the standing result (ItemsSnapshot) are byte-identical to
-// full mode; per-arrival Result.Items stays nil. Set it before attaching.
-func (cq *ContinuousQuery) WithIncremental(on bool) *ContinuousQuery {
-	cq.mu.Lock()
-	cq.incremental = on
-	cq.mu.Unlock()
-	return cq
-}
-
-// IncrementalStrategy describes how the plan decomposed (see
-// inc.Engine.Strategy); empty when incremental mode is off.
-func (cq *ContinuousQuery) IncrementalStrategy() string { return cq.registration().Strategy() }
+// Strategy describes how the engine decomposed the plan, and so which
+// arrivals re-run what (see inc.Engine.Strategy).
+func (cq *ContinuousQuery) Strategy() string { return cq.registration().Strategy() }
 
 // ItemsSnapshot returns the full standing result at the last evaluated
 // instant. The items are shared with the evaluator: do not mutate them.
 func (cq *ContinuousQuery) ItemsSnapshot() xq.Sequence { return cq.registration().ItemsSnapshot() }
 
 // BufferBytes is the current delta-state memory in serialized bytes: the
-// previous result's serial set (full) or the partial-match buffers.
+// engine's partial-match buffers.
 func (cq *ContinuousQuery) BufferBytes() int64 { return cq.registration().Stats().BufferBytes }
 
 // BufferHWMBytes is the high-water mark of BufferBytes: it tracks the
@@ -165,9 +152,9 @@ func (cq *ContinuousQuery) ResetDelta() { cq.registration().Invalidate("") }
 func (cq *ContinuousQuery) Evaluate() error { return cq.EvaluateFragment(nil) }
 
 // EvaluateFragment runs one evaluation triggered by the arrival of f,
-// already applied to the store (nil for none), and emits the result. Full
-// mode ignores the fragment — it re-reads the whole store anyway;
-// incremental mode uses it to touch only the state it can reach.
+// already applied to the store (nil for none), and emits the result: the
+// engine touches only the state f can reach. A store that took fragments
+// no evaluation was handed is re-read whole.
 //
 // A resource-governed failure — budget trip, deadline, admission-control
 // rejection — is part of normal continuous operation, not an error: the
@@ -193,7 +180,7 @@ func (cq *ContinuousQuery) EvaluateFragment(f *fragment.Fragment) error {
 		}
 		l.LogAttrs(logCtx, level, "continuous evaluation",
 			slog.String("component", "cq"), slog.String("plan", cq.query.Mode.String()),
-			slog.Int("items", len(res.Items)), slog.Int("delta", len(res.Delta)),
+			slog.Int("delta", len(res.Delta)),
 			slog.Duration("latency", elapsed), slog.String("degraded", res.Degraded))
 	}
 	return nil

@@ -53,8 +53,8 @@ func TestContinuousQueryDegradesOnBudgetTrip(t *testing.T) {
 	if !strings.Contains(last.Degraded, "bytes") {
 		t.Fatalf("degradation reason should name the tripped limit: %q", last.Degraded)
 	}
-	if len(last.Items) != 0 {
-		t.Fatalf("budget-killed evaluation should carry no items, got %d", len(last.Items))
+	if len(last.Delta) != 0 {
+		t.Fatalf("budget-killed evaluation should carry no items, got %d", len(last.Delta))
 	}
 
 	// Lift the pressure, re-arm, and confirm the same query heals.
@@ -69,8 +69,8 @@ func TestContinuousQueryDegradesOnBudgetTrip(t *testing.T) {
 	if last.Degraded != "" {
 		t.Fatalf("still degraded after recovery: %q", last.Degraded)
 	}
-	if len(last.Items) != 1 {
-		t.Fatalf("want 1 item after recovery, got %d", len(last.Items))
+	if len(last.Delta) != 1 || len(cq.ItemsSnapshot()) != 1 {
+		t.Fatalf("want 1 item after recovery, got delta %d, standing %d", len(last.Delta), len(cq.ItemsSnapshot()))
 	}
 }
 

@@ -14,12 +14,10 @@ import (
 	"xcql/internal/xq"
 )
 
-// TestIncrementalInvalidatedOnGap mirrors
-// TestContinuousQueryInvalidatedOnGap for the incremental path: a lost
-// sequence number invalidates the query, the next arrival triggers a
-// reseed that rebuilds the engine state from the store and re-emits the
-// ENTIRE standing result (not just the new fragment's contribution),
-// and the result carries the degradation.
+// TestIncrementalInvalidatedOnGap: a lost sequence number invalidates the
+// query, the next arrival re-emits the ENTIRE standing result from the
+// engine's buffers (not just the new fragment's contribution), and the
+// result carries the degradation.
 func TestIncrementalInvalidatedOnGap(t *testing.T) {
 	c := NewClient("sensors", sensorStructure(t))
 	rt := xcql.NewRuntime()
@@ -34,7 +32,6 @@ func TestIncrementalInvalidatedOnGap(t *testing.T) {
 		mu.Unlock()
 	})
 	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.WithIncremental(true)
 	cq.Attach(c)
 
 	c.Apply(rootFragment().WithSeq(1))
@@ -56,9 +53,9 @@ func TestIncrementalInvalidatedOnGap(t *testing.T) {
 	if last.Degraded == "" {
 		t.Fatal("post-gap result not marked degraded")
 	}
-	// the reseed re-emitted everything visible, exactly like full mode's
-	// reset delta map — the consumer can rebuild its world from this one
-	// result instead of silently missing the pre-gap items
+	// the reseed re-emitted everything visible, exactly like a from-scratch
+	// evaluation diffed against nothing — the consumer can rebuild its world
+	// from this one result instead of silently missing the pre-gap items
 	if strings.Join(xq.Strings(last.Delta), ",") != "41,55" {
 		t.Fatalf("post-gap delta = %v", xq.Strings(last.Delta))
 	}
@@ -135,7 +132,6 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 		mu.Unlock()
 	})
 	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.WithIncremental(true)
 	cq.Attach(c)
 
 	for _, f := range traffic[1:] {
@@ -150,7 +146,7 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	})
 	st := c.Stats()
 	t.Logf("converged=%v store=%d/%d stats=%+v injector=%v strategy=%q",
-		converged, c.Store().Len(), len(traffic), st, fi, cq.IncrementalStrategy())
+		converged, c.Store().Len(), len(traffic), st, fi, cq.Strategy())
 	if fs := fi.Stats(); fs.Dropped < 1 || fs.Resets < 1 {
 		t.Fatalf("chaos run was too gentle: %v", fi)
 	}
@@ -192,11 +188,10 @@ const stateWire = `<stream:structure>
 // well as through the ContinuousQuery facade.
 func TestDeltaMemoryBounded(t *testing.T) {
 	for _, c := range []struct {
-		name                string
-		facade, incremental bool
+		name   string
+		facade bool
 	}{
-		{"facade/full", true, false}, {"facade/incremental", true, true},
-		{"registration/full", false, false}, {"registration/incremental", false, true},
+		{"facade/incremental", true}, {"registration/incremental", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			structure, err := tagstruct.ParseString(stateWire)
@@ -217,7 +212,7 @@ func TestDeltaMemoryBounded(t *testing.T) {
 			var evaluate func(*fragment.Fragment)
 			var bufferBytes, bufferHWM func() int64
 			if c.facade {
-				cq := NewContinuousQuery(q, onResult).WithIncremental(c.incremental)
+				cq := NewContinuousQuery(q, onResult)
 				cq.Clock = clock
 				evaluate = func(f *fragment.Fragment) {
 					t.Helper()
@@ -228,7 +223,7 @@ func TestDeltaMemoryBounded(t *testing.T) {
 				bufferBytes, bufferHWM = cq.BufferBytes, cq.BufferHWMBytes
 			} else {
 				r := registry.New(clock)
-				reg, err := r.Register(q, registry.Options{Incremental: c.incremental, OnResult: onResult})
+				reg, err := r.Register(q, registry.Options{OnResult: onResult})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -90,7 +90,6 @@ func TestRegistryChurnUnderFire(t *testing.T) {
 				}
 				var closed atomic.Bool
 				r, err := reg.Register(q, registry.Options{
-					Incremental: (w+cycle)%2 == 0,
 					OnResult: func(registry.Result) {
 						if closed.Load() {
 							atomic.AddInt64(&bleeds[w], 1)

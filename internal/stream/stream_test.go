@@ -272,9 +272,9 @@ func TestContinuousQueryDeltas(t *testing.T) {
 	if strings.Join(xq.Strings(results[3].Delta), ",") != "55" {
 		t.Fatalf("delta 4 = %v", results[3].Delta)
 	}
-	// the full result accumulates
-	if len(results[3].Items) != 2 {
-		t.Fatalf("items = %v", results[3].Items)
+	// the standing result accumulates
+	if got := cq.ItemsSnapshot(); len(got) != 2 {
+		t.Fatalf("items = %v", got)
 	}
 }
 

@@ -72,10 +72,19 @@ func (q *Query) PureCall(name string) bool {
 	return !shadowed && xq.PureBuiltin(name)
 }
 
+// Admit takes one of the runtime's evaluation slots (SetMaxConcurrentEvals)
+// for an evaluation the caller assembles itself — an incremental engine's
+// arrival, however many unit evaluations it runs — and fails past the
+// bound with *OverloadError, as Eval does. Release gives the slot back.
+func (q *Query) Admit() error { return q.rt.admit() }
+
+// Release returns the evaluation slot Admit took.
+func (q *Query) Release() { q.rt.release() }
+
 // RecordStats publishes a copy of s as this query's LastStats. The
 // incremental evaluator assembles one EvalStats per fragment arrival out of
 // many unit evaluations and records the merged profile here, so
-// Query.LastStats and EXPLAIN keep working in incremental mode; s stays the
+// Query.LastStats and EXPLAIN keep working for standing queries; s stays the
 // caller's, to count the next arrival in.
 func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 
@@ -129,10 +138,11 @@ func (q *Query) NewUnitEval() *UnitEval {
 // This is the incremental evaluator's workhorse: each partial-match unit
 // re-evaluates only its own slice of the plan through the same engine
 // code paths as a full evaluation, so unit outputs are byte-identical by
-// construction. There is no admission control — one fragment arrival may
-// evaluate many tiny units and each is already step/byte/deadline-bounded
-// by lim. Everything an evaluation leaves in the frame — a budget trip's
-// panic included — the next one's arming overwrites.
+// construction. Admission is the caller's (Admit): one fragment arrival
+// may evaluate many tiny units under one slot, each already
+// step/byte/deadline-bounded by lim. Everything an evaluation leaves in
+// the frame — a budget trip's panic included — the next one's arming
+// overwrites.
 func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, each func(xq.Sequence, time.Time),
 	at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	q, static := u.q, u.static
@@ -147,7 +157,11 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 	}()
 	var bound xq.Sequence
 	if st != nil {
-		bound = xq.FromNodes(static.Access.Filler(st, fid, false, keep))
+		// the budget meters the unit's own read as it meters the by-tsid
+		// read of a full evaluation
+		if bound, err = chargeNodes(&u.budget, static.Access.Filler(st, fid, false, keep)); err != nil {
+			return nil, time.Time{}, q.wrapResource(err)
+		}
 	}
 	if each == nil {
 		seq, horizon, err = u.run(e, bound, at, materialize)

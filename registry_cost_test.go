@@ -82,7 +82,7 @@ const registryCostQuery = `for $t in stream("credit")//transaction return $t`
 // replayRegistryCost registers K copies of the query under mode and
 // replays the fixture's arrivals through the registry, returning the
 // sharing group's accumulated stats.
-func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, incremental bool, mode xcql.Mode) xcql.RegistryGroupStats {
+func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, mode xcql.Mode) xcql.RegistryGroupStats {
 	tb.Helper()
 	r := fx.engine.Registry()
 	at := fx.at
@@ -93,10 +93,7 @@ func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, increment
 		if err != nil {
 			tb.Fatal(err)
 		}
-		reg, err := r.Register(q, xcql.RegistryOptions{
-			Incremental: incremental,
-			OnResult:    func(xcql.RegistryResult) {},
-		})
+		reg, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) {}})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -125,58 +122,47 @@ func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, increment
 // TestRegistrySharedCostMonotonic pins the sharing claim on the
 // counters: a group of K=8 registrations over one access path must
 // report per-replay FillersScanned and HandlerInvocations within 1.5×
-// of a single registration — ~1× cost, not K× — in both incremental
-// (unit sharing) and full (plan dedup) mode, with the saved work
+// of a single registration — ~1× cost, not K× — with the saved work
 // visible in SharedSaved.
 func TestRegistrySharedCostMonotonic(t *testing.T) {
 	const k = 8
-	for _, tc := range []struct {
-		name        string
-		incremental bool
-	}{
-		{"incremental", true},
-		{"full", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, tc.incremental, xcql.QaCPlus)
-			many := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), k, tc.incremental, xcql.QaCPlus)
-			check := func(name string, got, base int64) {
-				t.Helper()
-				if base == 0 {
-					t.Fatalf("%s: single-registration baseline is 0 — fixture measures nothing", name)
-				}
-				// ~flat: well under 1.5× one query, nowhere near K×
-				if got*2 > base*3 {
-					t.Errorf("%s: group cost with %d members = %d, want ~%d (1x); sharing is not deduplicating",
-						name, k, got, base)
-				}
+	t.Run("incremental", func(t *testing.T) {
+		one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, xcql.QaCPlus)
+		many := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), k, xcql.QaCPlus)
+		check := func(name string, got, base int64) {
+			t.Helper()
+			if base == 0 {
+				t.Fatalf("%s: single-registration baseline is 0 — fixture measures nothing", name)
 			}
-			check("FillersScanned", many.Stats.FillersScanned, one.Stats.FillersScanned)
-			if tc.incremental {
-				check("HandlerInvocations", many.Stats.HandlerInvocations, one.Stats.HandlerInvocations)
-				if many.SharedUnits == 0 {
-					t.Errorf("SharedUnits = 0: no unit signature is held by more than one member")
-				}
+			// ~flat: well under 1.5× one query, nowhere near K×
+			if got*2 > base*3 {
+				t.Errorf("%s: group cost with %d members = %d, want ~%d (1x); sharing is not deduplicating",
+					name, k, got, base)
 			}
-			if many.SharedSaved == 0 {
-				t.Errorf("SharedSaved = 0 with %d members sharing one path", k)
-			}
-			if one.SharedSaved != 0 {
-				t.Errorf("SharedSaved = %d with a single member: nothing to share", one.SharedSaved)
-			}
-			// a QaC++ registration reports its access cost in the plan's
-			// own counters — label-range lookups and the elements the reads
-			// built — and, as in a one-shot evaluation, no log pass
-			pp := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, tc.incremental, xcql.QaCPlusPlus)
-			if pp.Stats.LabelRangeLookups == 0 || pp.Stats.LabelRangeHits == 0 || pp.Stats.NodesConstructed == 0 {
-				t.Errorf("QaC++ group reports no access cost: label lookups=%d hits=%d nodes=%d",
-					pp.Stats.LabelRangeLookups, pp.Stats.LabelRangeHits, pp.Stats.NodesConstructed)
-			}
-			if pp.Stats.FillersScanned != 0 {
-				t.Errorf("QaC++ group FillersScanned = %d, want 0", pp.Stats.FillersScanned)
-			}
-		})
-	}
+		}
+		check("FillersScanned", many.Stats.FillersScanned, one.Stats.FillersScanned)
+		check("HandlerInvocations", many.Stats.HandlerInvocations, one.Stats.HandlerInvocations)
+		if many.SharedUnits == 0 {
+			t.Errorf("SharedUnits = 0: no unit signature is held by more than one member")
+		}
+		if many.SharedSaved == 0 {
+			t.Errorf("SharedSaved = 0 with %d members sharing one path", k)
+		}
+		if one.SharedSaved != 0 {
+			t.Errorf("SharedSaved = %d with a single member: nothing to share", one.SharedSaved)
+		}
+		// a QaC++ registration reports its access cost in the plan's own
+		// counters — label-range lookups and the elements the reads built —
+		// and, as in a one-shot evaluation, no log pass
+		pp := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, xcql.QaCPlusPlus)
+		if pp.Stats.LabelRangeLookups == 0 || pp.Stats.LabelRangeHits == 0 || pp.Stats.NodesConstructed == 0 {
+			t.Errorf("QaC++ group reports no access cost: label lookups=%d hits=%d nodes=%d",
+				pp.Stats.LabelRangeLookups, pp.Stats.LabelRangeHits, pp.Stats.NodesConstructed)
+		}
+		if pp.Stats.FillersScanned != 0 {
+			t.Errorf("QaC++ group FillersScanned = %d, want 0", pp.Stats.FillersScanned)
+		}
+	})
 
 	// Identical registrations share a whole engine, so the per-arrival
 	// unit memo only proves itself across DISTINCT plans that decompose
@@ -197,10 +183,7 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Register(q, xcql.RegistryOptions{
-				Incremental: true,
-				OnResult:    func(xcql.RegistryResult) {},
-			}); err != nil {
+			if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) {}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -243,10 +226,7 @@ func BenchmarkRegistryFanout(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := r.Register(q, xcql.RegistryOptions{
-					Incremental: true,
-					OnResult:    func(xcql.RegistryResult) { delivered++ },
-				}); err != nil {
+				if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) { delivered++ }}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -281,7 +261,6 @@ func BenchmarkRegistryFanout(b *testing.B) {
 				queries[i] = q
 				cq := xcql.NewContinuousQuery(q, func(xcql.Result) {})
 				cq.Clock = func() time.Time { return at }
-				cq.WithIncremental(true)
 				if err := cq.EvaluateFragment(nil); err != nil {
 					b.Fatal(err)
 				}

@@ -18,31 +18,21 @@ import (
 // and each registration's per-arrival delta trace and final standing
 // result must be byte-identical to replayOracle's: the same history on a
 // private store, evaluated from scratch at every step and diffed in the
-// test, through none of the registry's code. Sharing (full-mode plan
-// dedup, incremental unit memoization across queries) is an execution
+// test, through none of the registry's code. Sharing (one engine advance
+// per identical plan, unit memoization across plans) is an execution
 // strategy, not a semantics change; this suite pins that.
 
 // regSpec is one standing registration in a registry replay.
 type regSpec struct {
 	src  string
 	mode xcql.Mode
-	inc  bool
-}
-
-func (s regSpec) String() string {
-	kind := "full"
-	if s.inc {
-		kind = "inc"
-	}
-	return fmt.Sprintf("%s/%s", s.mode, kind)
 }
 
 // replayRegistry feeds frags one at a time into a single shared store
 // and registry carrying every spec as a live registration, with the
 // clock on the replaySteps schedule every replay runs. It returns one
 // trace per spec, in spec order.
-func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
-	specs []regSpec, cfg execConfig) []replayTrace {
+func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment, specs []regSpec) []replayTrace {
 	t.Helper()
 	var st *xcql.Store
 	if ins.Profile.Scan {
@@ -51,29 +41,19 @@ func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment
 		st = fragment.NewStore(ins.Structure)
 	}
 	e := xcql.NewEngine()
-	if !cfg.perQuery {
-		e.SetParallelism(cfg.parallelism)
-		e.SetCache(cfg.cacheSize)
-	}
 	e.RegisterStore("s", st)
 	var at time.Time
 	r := e.Registry()
 	r.SetClock(func() time.Time { return at })
 
 	traces := make([]replayTrace, len(specs))
-	lastItems := make([]xcql.Sequence, len(specs))
 	regs := make([]*xcql.QueryRegistration, len(specs))
 	for i, spec := range specs {
 		q, err := e.Compile(spec.src, spec.mode)
 		if err != nil {
 			t.Fatalf("compile %q under %s: %v", spec.src, spec.mode, err)
 		}
-		if cfg.perQuery {
-			q = q.WithParallelism(cfg.parallelism).WithCache(cfg.cacheSize)
-		}
-		i := i
 		reg, err := r.Register(q, xcql.RegistryOptions{
-			Incremental: spec.inc,
 			OnResult: func(res xcql.RegistryResult) {
 				if res.Err != nil {
 					// the oracle's marker for a failed evaluation: both
@@ -82,46 +62,35 @@ func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment
 					return
 				}
 				traces[i].deltas = append(traces[i].deltas, xcql.FormatSequence(res.Delta))
-				lastItems[i] = res.Items
 			},
 		})
 		if err != nil {
-			t.Fatalf("register %s: %v", spec, err)
+			t.Fatalf("register %s: %v", spec.mode, err)
 		}
 		regs[i] = reg
 	}
 	replaySteps(t, st, frags, &at, r.Apply)
-	for i, spec := range specs {
-		if spec.inc {
-			traces[i].final = xcql.FormatSequence(regs[i].ItemsSnapshot())
-		} else {
-			traces[i].final = xcql.FormatSequence(lastItems[i])
-		}
+	for i := range specs {
+		traces[i].final = xcql.FormatSequence(regs[i].ItemsSnapshot())
 		regs[i].Close()
 	}
 	return traces
 }
 
 // registrySpecs builds the overlapping registration set for one
-// instance: every generated query enters once per {full, incremental}
-// under a rotating plan, then the set is padded with duplicate
-// registrations (cycling queries, plans and modes) up to n — the
-// duplicates are what force full-plan sharing and cross-query unit
-// sharing inside one group.
+// instance: every generated query enters twice under a rotating plan,
+// then the set is padded with duplicate registrations (cycling queries
+// and plans) up to n — the duplicates are what force engine sharing and
+// cross-query unit sharing inside one group.
 func registrySpecs(ins *genstore.Instance, n int) []regSpec {
 	var specs []regSpec
 	for j, q := range ins.Queries {
 		mode := harnessModes[j%len(harnessModes)]
-		specs = append(specs, regSpec{src: q.Src, mode: mode, inc: false})
-		specs = append(specs, regSpec{src: q.Src, mode: mode, inc: true})
+		specs = append(specs, regSpec{src: q.Src, mode: mode}, regSpec{src: q.Src, mode: mode})
 	}
 	for j := 0; len(specs) < n; j++ {
 		q := ins.Queries[j%len(ins.Queries)]
-		specs = append(specs, regSpec{
-			src:  q.Src,
-			mode: harnessModes[(j/2)%len(harnessModes)],
-			inc:  j%2 == 1,
-		})
+		specs = append(specs, regSpec{src: q.Src, mode: harnessModes[(j/2)%len(harnessModes)]})
 	}
 	if len(specs) > n {
 		specs = specs[:n]
@@ -170,7 +139,7 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if regs[i], err = r.Register(q, xcql.RegistryOptions{Incremental: true, OnResult: func(res xcql.RegistryResult) {
+		if regs[i], err = r.Register(q, xcql.RegistryOptions{OnResult: func(res xcql.RegistryResult) {
 			if res.Err != nil {
 				traces[i].deltas = append(traces[i].deltas, "!error")
 				return
@@ -223,7 +192,7 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 // TestRegistryEquivalence replays 200+ generated store/query pairs (40
 // under -short) through the registry and pins every registration's
 // delta stream and final standing result byte-identical to the oracle
-// across {CaQ,QaC,QaC+} × {full,incremental} × {seq,par4}.
+// under every plan.
 func TestRegistryEquivalence(t *testing.T) {
 	minPairs := 200
 	if testing.Short() {
@@ -231,7 +200,6 @@ func TestRegistryEquivalence(t *testing.T) {
 	}
 	// registration-count schedule: cycles the required N=2..32 band
 	nSchedule := []int{2, 6, 12, 32, 8, 16, 4, 24}
-	cfgs := []execConfig{execConfigs[0], execConfigs[2]} // seq, par4
 	pairs, inst := 0, 0
 	for seed := int64(1); pairs < minPairs; seed++ {
 		if seed > 100 {
@@ -243,25 +211,22 @@ func TestRegistryEquivalence(t *testing.T) {
 				t.Fatalf("%s: generate: %v", p, err)
 			}
 			n := nSchedule[inst%len(nSchedule)]
-			cfg := cfgs[inst%len(cfgs)]
 			inst++
 			specs := registrySpecs(ins, n)
-			traces := replayRegistry(t, ins, ins.Fragments, specs, cfg)
-			// oracle replays are cached per distinct query and plan: full,
-			// incremental and duplicate registrations of it must all match
-			// the one independent baseline
+			traces := replayRegistry(t, ins, ins.Fragments, specs)
+			// oracle replays are cached per distinct query and plan: every
+			// registration of it must match the one independent baseline
 			refs := make(map[regSpec]replayTrace)
 			verified := make(map[string]bool)
 			for i, spec := range specs {
-				key := regSpec{src: spec.src, mode: spec.mode}
-				ref, ok := refs[key]
+				ref, ok := refs[spec]
 				if !ok {
-					ref = replayOracle(t, ins, ins.Fragments, spec.src, spec.mode, cfg)
-					refs[key] = ref
+					ref = replayOracle(t, ins, ins.Fragments, spec.src, spec.mode, execConfigs[0])
+					refs[spec] = ref
 				}
 				if got, want := traces[i].String(), ref.String(); got != want {
-					t.Fatalf("%s reg[%d] %s under %s diverged from the oracle\noracle:\n%s\nregistry:\n%s",
-						p, i, spec, cfg.name, harnessTruncate(want), harnessTruncate(got))
+					t.Fatalf("%s reg[%d] under %s diverged from the oracle\noracle:\n%s\nregistry:\n%s",
+						p, i, spec.mode, harnessTruncate(want), harnessTruncate(got))
 				}
 				verified[spec.src] = true
 			}

@@ -220,8 +220,7 @@ type (
 	// QueryRegistry: consume results, inspect degradation, Close to
 	// unregister.
 	QueryRegistration = registry.Registration
-	// RegistryOptions configures one registration (incremental mode,
-	// limits, delivery).
+	// RegistryOptions configures one registration (limits, delivery).
 	RegistryOptions = registry.Options
 	// RegistryResult is one delivery to a registration: the arrival's
 	// delta, or a degradation/error.

@@ -153,7 +153,7 @@ func TestEngineContinuousOverBroadcast(t *testing.T) {
 	server.Close()
 	<-done
 
-	if len(last.Items) == 0 {
+	if len(cq.ItemsSnapshot()) == 0 {
 		t.Fatalf("continuous query produced nothing; errs=%v", client.Errs())
 	}
 	if got := xcql.FormatSequence(last.Delta); !strings.Contains(got, "99999") {
