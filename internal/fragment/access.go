@@ -75,8 +75,8 @@ type windowKeep struct {
 	n        int
 }
 
-func (w *windowKeep) admit(payload *xmldom.Node) bool {
-	if w.n >= w.to || w.keep != nil && !w.keep(payload) {
+func (w *windowKeep) admit(v Version) bool {
+	if w.n >= w.to || w.keep != nil && !w.keep(v) {
 		return false
 	}
 	w.n++
@@ -119,7 +119,7 @@ func siftSlots(st *Store, ids []int, at time.Time, slots [][]*xmldom.Node, keep 
 				continue
 			}
 			for _, el := range els {
-				if keep(el) {
+				if keep(Version{top: el}) {
 					out = append(out, el)
 				}
 			}

@@ -299,7 +299,7 @@ func TestAccessContract(t *testing.T) {
 						plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
 						all := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain, Cache: cache}).Filler(st, id, false, nil)
 						var asked []*xmldom.Node
-						odd := func(p *xmldom.Node) bool { asked = append(asked, p); return len(asked)%2 == 1 }
+						odd := func(v fragment.Version) bool { asked = append(asked, v.Payload()); return len(asked)%2 == 1 }
 						kept := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered, Cache: cache}).Filler(st, id, false, odd)
 						if !slices.Equal(asked, visible) {
 							t.Errorf("%s: filter asked about %d payloads, want the %d visible versions' in validTime order", name, len(asked), len(visible))
@@ -392,7 +392,8 @@ func TestAccessFilter(t *testing.T) {
 					all := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: plain, Cache: caches[0]}), nil)
 					asked := 0
 					kept := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: filtered, Cache: caches[1]}),
-						func(n *xmldom.Node) bool {
+						func(v fragment.Version) bool {
+							n := v.Payload()
 							asked++
 							if _, stamped := n.Attr("vtFrom"); stamped != (kind != fragment.LabelIndexAccess && state != "nil") {
 								t.Errorf("%s: filter ran on a node with vtFrom stamped = %v", name, stamped)
@@ -454,7 +455,7 @@ func TestAccessWindow(t *testing.T) {
 		"every":      {From: 1, To: 1 << 30},
 		"[3] of one": {From: 3, To: 3},
 	}
-	even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
+	even := func(v fragment.Version) bool { return strings.ContainsAny(v.Payload().AttrOr("k", "1"), "0246") }
 	for _, scan := range []bool{false, true} {
 		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
 		if err != nil {
@@ -574,7 +575,7 @@ func TestReadTopsAreClippedWindows(t *testing.T) {
 		return b.String()
 	}
 	stored := payloads()
-	even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
+	even := func(v fragment.Version) bool { return strings.ContainsAny(v.Payload().AttrOr("k", "1"), "0246") }
 	a := fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: at})
 	reads := map[string]func() []*xmldom.Node{
 		"fillers":  func() []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },

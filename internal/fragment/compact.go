@@ -37,7 +37,7 @@ func (st *Store) Coalesce() int {
 	removed := 0
 	for i, f := range st.log {
 		key := strconv.Itoa(f.FillerID) + "|" + strconv.Itoa(f.TSID) + "|" +
-			strconv.FormatInt(f.ValidTime.UnixNano(), 10) + "|" + f.Payload.String()
+			strconv.FormatInt(f.ValidTime.UnixNano(), 10) + "|" + f.Tree().String()
 		if seen[key] {
 			removed++
 			continue

@@ -84,7 +84,7 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 
 			at := ts("2004-01-01T00:00:00")
 			ids := []int{2, topID - 2, topID - 1, topID}
-			keep := func(p *xmldom.Node) bool { return st.Len() > 0 && p != nil }
+			keep := func(v Version) bool { return st.Len() > 0 && v.Payload() != nil }
 			for _, kind := range []AccessKind{LogScanAccess, TSIDIndexAccess, LabelIndexAccess} {
 				for r := 0; r < 2; r++ {
 					wg.Add(1)

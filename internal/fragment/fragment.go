@@ -15,10 +15,14 @@ package fragment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"xcql/internal/obs"
 	"xcql/internal/xmldom"
@@ -66,18 +70,92 @@ type Fragment struct {
 	// recorder reports comes from its own local clock. Transport
 	// metadata, not part of the Hole-Filler identity.
 	Trace obs.TraceContext
-	// Payload is the single element carried by the filler. It is immutable
-	// from the moment the fragment is built: stores, caches, indexes and
-	// query results all share its subtrees, so nobody — not even the
-	// publisher that built it — may write it afterwards. Clone it to get a
-	// tree to change.
+	// Payload is the single element carried by a filler built in memory
+	// (New, FromXML). It is immutable from the moment the fragment is
+	// built: stores, caches, indexes and query results all share its
+	// subtrees, so nobody — not even the publisher that built it — may
+	// write it afterwards. Clone it to get a tree to change. A fragment
+	// decoded from a frame leaves it nil and builds its payload when
+	// something first reads it: Tree reads either kind.
 	Payload *xmldom.Node
 
-	// wire is the fragment's wire form when it carries one: rendered by
-	// Sealed for the consumers of a publish that write bytes, or the stored
-	// bytes of a frame read back from a segment file. See the "Wire codec"
-	// section of DESIGN.md.
-	wire string
+	// enc is the fragment's wire form, or the frame it was decoded from
+	// (see encoding, and the "Wire codec" section of DESIGN.md).
+	enc encoding
+}
+
+// encoding is what a fragment carries besides its stamps and Payload, in
+// the two words of a string: nothing; the bytes of its wire form, which
+// Sealed renders (n > 0); or, on a fragment decoded from a frame, its lazy
+// state (n < 0). A fragment built in memory — and every copy a publish
+// makes of one — is thus no larger for what a decoded fragment keeps.
+type encoding struct {
+	p unsafe.Pointer // the wire form's first byte, or the *lazy
+	n int            // the wire form's length, or decodedWire or decodedOnly
+}
+
+const (
+	// decodedWire: the lazy state's src is the fragment's wire form.
+	decodedWire = -1
+	// decodedOnly: src does not spell the fragment's stamps — a copy
+	// restamped it, or it was parsed from text that need not be a wire
+	// form — so the fragment has no wire form.
+	decodedOnly = -2
+)
+
+// sealed is the encoding of a fragment whose wire form is wire.
+func sealed(wire string) encoding {
+	return encoding{unsafe.Pointer(unsafe.StringData(wire)), len(wire)}
+}
+
+// wire returns the wire form the fragment carries, "" when it has none.
+func (e encoding) wire() string {
+	switch {
+	case e.n > 0:
+		return unsafe.String((*byte)(e.p), e.n)
+	case e.n == decodedWire:
+		return (*lazy)(e.p).src
+	}
+	return ""
+}
+
+// lazy returns a decoded fragment's state, nil for one built in memory.
+func (e encoding) lazy() *lazy {
+	if e.n < 0 {
+		return (*lazy)(e.p)
+	}
+	return nil
+}
+
+// restamped is the encoding of a copy with other stamps: the decoded state
+// without a wire form, or nothing.
+func (e encoding) restamped() encoding {
+	if e.n < 0 {
+		return encoding{e.p, decodedOnly}
+	}
+	return encoding{}
+}
+
+// lazy is what a fragment decoded from a frame keeps of it: the frame,
+// where the payload's tag is in it, the holes the payload announces, and —
+// from the first read on — the payload tree, built once: concurrent first
+// reads race to publish theirs, and every reader gets the one that won.
+type lazy struct {
+	tree atomic.Pointer[xmldom.Node]
+	// src is the <filler> element as it arrived, or the stored frame
+	// (ParseStored), or the parsed text (Parse).
+	src string
+	// holes is the payload's hole pairs, (id, tsid) as little-endian
+	// int32s; a length that is not a multiple of 8 says a number did not
+	// fit, and EachHole asks the tree.
+	holes string
+	tag   [2]int32 // src[tag[0]:tag[1]] is the payload's tag
+}
+
+// decoded is a decoded fragment and its lazy state, in one allocation.
+type decoded struct {
+	Fragment
+	lz lazy
 }
 
 // New builds a fragment around payload, which the fragment shares rather
@@ -93,7 +171,7 @@ func New(fillerID, tsid int, validTime time.Time, payload *xmldom.Node) *Fragmen
 func (f *Fragment) WithSeq(seq uint64) *Fragment {
 	g := *f
 	g.Seq = seq
-	g.wire = ""
+	g.enc = f.enc.restamped()
 	return &g
 }
 
@@ -102,7 +180,7 @@ func (f *Fragment) WithSeq(seq uint64) *Fragment {
 func (f *Fragment) WithTrace(tc obs.TraceContext) *Fragment {
 	g := *f
 	g.Trace = tc
-	g.wire = ""
+	g.enc = f.enc.restamped()
 	return &g
 }
 
@@ -111,13 +189,102 @@ func (f *Fragment) WithTrace(tc obs.TraceContext) *Fragment {
 // encoding again, so a durable log and any number of sockets write one
 // encoding. It is the last step of publishing, after every stamp is on —
 // the copy's stamps must not change afterwards (WithSeq and WithTrace
-// return unsealed copies).
+// return unsealed copies). The copy of a decoded fragment carries the tree
+// its bytes were encoded from as its Payload.
 func (f *Fragment) Sealed(scratch *bytes.Buffer) *Fragment {
 	scratch.Reset()
 	f.writeWire(scratch)
 	g := *f
-	g.wire = scratch.String()
+	g.Payload = f.Tree()
+	g.enc = sealed(scratch.String())
 	return &g
+}
+
+// Tree returns the fragment's payload element: Payload for a fragment
+// built in memory; for one decoded from a frame, the tree built from the
+// frame on the first call — one tree, however many goroutines ask first.
+// It is immutable, like Payload.
+func (f *Fragment) Tree() *xmldom.Node {
+	lz := f.enc.lazy()
+	if lz == nil {
+		return f.Payload
+	}
+	if t := lz.tree.Load(); t != nil {
+		return t
+	}
+	t := lz.build()
+	if !lz.tree.CompareAndSwap(nil, t) {
+		t = lz.tree.Load()
+	}
+	return t
+}
+
+// builders are the decoders first reads build payloads with.
+var builders = sync.Pool{New: func() any { return new(xmldom.Decoder) }}
+
+// build scans src again, as its decode did, and builds the payload.
+func (lz *lazy) build() *xmldom.Node {
+	d := builders.Get().(*xmldom.Decoder)
+	defer builders.Put(d)
+	defer d.Reset()
+	el, err := d.Scan(lz.src)
+	if err != nil {
+		// src scanned once without an error, and scanning is deterministic
+		panic(fmt.Sprintf("fragment: a decoded frame no longer scans: %v", err))
+	}
+	payload, _ := el.OnlyElement()
+	return payload.Build()
+}
+
+// EachHole calls yield with the id and tsid of every hole f's payload
+// announces, in document order, until yield returns false: a hole's own
+// content is not searched, a hole whose id does not parse is skipped, and
+// one without a tsid that parses has tsid 0. A decoded fragment answers
+// from what its decode collected, and builds nothing.
+func (f *Fragment) EachHole(yield func(id, tsid int) bool) {
+	if lz := f.enc.lazy(); lz != nil && len(lz.holes)%8 == 0 {
+		for h := lz.holes; h != ""; h = h[8:] {
+			if !yield(int(int32(le32(h))), int(int32(le32(h[4:])))) {
+				return
+			}
+		}
+		return
+	}
+	if p := f.Tree(); p != nil {
+		treeHoles(p, yield)
+	}
+}
+
+// treeHoles is EachHole over a built tree; it reports whether yield wants
+// more.
+func treeHoles(n *xmldom.Node, yield func(id, tsid int) bool) bool {
+	if IsHole(n) {
+		id, err := HoleID(n)
+		return err != nil || yield(id, HoleTSID(n))
+	}
+	for _, c := range n.Children {
+		if !treeHoles(c, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// le32 reads the little-endian uint32 s starts with.
+func le32(s string) uint32 {
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// payloadTag returns the tag of f's payload element — off the frame, for a
+// decoded fragment — and false when f carries no payload.
+func (f *Fragment) payloadTag() (string, bool) {
+	if lz := f.enc.lazy(); lz != nil {
+		return lz.src[lz.tag[0]:lz.tag[1]], true
+	}
+	if f.Payload == nil {
+		return "", false
+	}
+	return f.Payload.Name, true
 }
 
 // ToXML renders the wire form
@@ -135,18 +302,19 @@ func (f *Fragment) ToXML() *xmldom.Node {
 	if f.Trace.Valid() {
 		el.SetAttr(AttrTrace, f.Trace.String())
 	}
-	if f.Payload != nil {
-		el.AppendChild(f.Payload)
+	if p := f.Tree(); p != nil {
+		el.AppendChild(p)
 	}
 	return el
 }
 
-// String returns the compact wire form: the attached one when the
-// fragment has been sealed or read back from a log, a fresh encoding
-// otherwise. It is byte for byte what ToXML().String() spells.
+// String returns the compact wire form: the one the fragment carries when
+// it has been sealed or was decoded from a frame — the frame as it
+// arrived —, a fresh encoding otherwise, byte for byte what
+// ToXML().String() spells.
 func (f *Fragment) String() string {
-	if f.wire != "" {
-		return f.wire
+	if w := f.enc.wire(); w != "" {
+		return w
 	}
 	var b strings.Builder
 	f.writeWire(&b)
@@ -176,12 +344,13 @@ func (f *Fragment) writeWire(w xmldom.Sink) {
 		w.WriteString(`" ` + AttrTrace + `="`)
 		w.WriteString(f.Trace.String())
 	}
-	if f.Payload == nil {
+	payload := f.Tree()
+	if payload == nil {
 		w.WriteString(`"/>`)
 		return
 	}
 	w.WriteString(`">`)
-	f.Payload.EncodeTo(w)
+	payload.EncodeTo(w)
 	w.WriteString(`</` + FillerTag + `>`)
 }
 
@@ -200,8 +369,8 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 			kids++
 		}
 	}
-	f, err := fromWrapper(el.Name, el.Attrs, kids)
-	if err != nil {
+	f := new(Fragment)
+	if err := fromWrapper(f, el.Name, el.Attrs, kids); err != nil {
 		return nil, err
 	}
 	f.Payload = payload
@@ -209,62 +378,108 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 }
 
 // FromScanned is FromXML for a <filler> element held in an xmldom.Decoder's
-// scratch: the wrapper is checked there, by the code that checks FromXML's
-// and with the same errors, and never built; only the payload is, so a
-// stored fragment keeps no wrapper node.
+// scratch, and builds nothing. The wrapper's stamps are read there, by the
+// code that reads FromXML's and with the same errors; the payload's holes
+// are collected in the same scan; and the fragment keeps the element's
+// text — its wire form, without whatever followed it in the input — to
+// build the payload from when something first reads it (Tree).
 func FromScanned(el xmldom.Scanned) (*Fragment, error) {
-	payload, kids := el.OnlyElement()
-	f, err := fromWrapper(el.Name(), el.Attrs(), kids)
-	if err != nil {
-		return nil, err
-	}
-	f.Payload = payload.Build()
-	return f, nil
+	from, _ := el.Span()
+	return decode(el, el.Source(), from)
 }
 
-// fromWrapper reads the stamps of a <filler> wrapper with the given name,
-// attributes and number of element children into a fragment that has no
-// payload yet.
-func fromWrapper(tag string, attrs []xmldom.Attr, kids int) (*Fragment, error) {
+// decode makes the fragment of a scanned <filler> element whose text sits
+// in src from base on: the stamps read off the scan, the holes collected,
+// the payload left as text.
+func decode(el xmldom.Scanned, src string, base int) (*Fragment, error) {
+	payload, kids := el.OnlyElement()
+	var f Fragment
+	if err := fromWrapper(&f, el.Name(), el.Attrs(), kids); err != nil {
+		return nil, err
+	}
+	d := &decoded{Fragment: f}
+	from, _ := payload.Span()
+	tag := int32(from-base) + 1
+	d.lz.src = src
+	d.lz.holes = scanHoles(payload)
+	d.lz.tag = [2]int32{tag, tag + int32(len(payload.Name()))}
+	d.enc = encoding{unsafe.Pointer(&d.lz), decodedWire}
+	return &d.Fragment, nil
+}
+
+// scanHoles collects a scanned payload's holes as lazy.holes keeps them,
+// in the walk treeHoles takes over a built tree.
+func scanHoles(payload xmldom.Scanned) string {
+	var buf [32 * 8]byte
+	pairs, fits := buf[:0], true
+	payload.Walk(func(el xmldom.Scanned) bool {
+		if el.Name() != HoleTag {
+			return true
+		}
+		attrs := el.Attrs()
+		idStr, _ := xmldom.LookupAttr(attrs, AttrID)
+		id, err := strconv.Atoi(idStr)
+		if err != nil {
+			return false
+		}
+		tsid := 0
+		if v, ok := xmldom.LookupAttr(attrs, AttrTSID); ok {
+			if n, err := strconv.Atoi(v); err == nil {
+				tsid = n
+			}
+		}
+		fits = fits && id == int(int32(id)) && tsid == int(int32(tsid))
+		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(id))
+		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(tsid))
+		return false
+	})
+	if !fits {
+		return "?" // not a whole pair: EachHole asks the tree
+	}
+	return string(pairs)
+}
+
+// fromWrapper reads into f the stamps of a <filler> wrapper with the given
+// name, attributes and number of element children.
+func fromWrapper(f *Fragment, tag string, attrs []xmldom.Attr, kids int) error {
 	if tag != FillerTag {
-		return nil, fmt.Errorf("fragment: expected <%s>, got <%s>", FillerTag, tag)
+		return fmt.Errorf("fragment: expected <%s>, got <%s>", FillerTag, tag)
 	}
 	idStr, ok := xmldom.LookupAttr(attrs, AttrID)
 	if !ok {
-		return nil, fmt.Errorf("fragment: filler missing id")
+		return fmt.Errorf("fragment: filler missing id")
 	}
 	id, err := strconv.Atoi(idStr)
 	if err != nil || id < 0 {
-		return nil, fmt.Errorf("fragment: bad filler id %q", idStr)
+		return fmt.Errorf("fragment: bad filler id %q", idStr)
 	}
 	tsidStr, ok := xmldom.LookupAttr(attrs, AttrTSID)
 	if !ok {
-		return nil, fmt.Errorf("fragment: filler %d missing tsid", id)
+		return fmt.Errorf("fragment: filler %d missing tsid", id)
 	}
 	tsid, err := strconv.Atoi(tsidStr)
 	if err != nil || tsid <= 0 {
-		return nil, fmt.Errorf("fragment: bad tsid %q on filler %d", tsidStr, id)
+		return fmt.Errorf("fragment: bad tsid %q on filler %d", tsidStr, id)
 	}
 	vtStr, ok := xmldom.LookupAttr(attrs, AttrValidTime)
 	if !ok {
-		return nil, fmt.Errorf("fragment: filler %d missing validTime", id)
+		return fmt.Errorf("fragment: filler %d missing validTime", id)
 	}
 	vt, err := xtime.Parse(vtStr)
 	if err != nil || !vt.IsAbsolute() {
-		return nil, fmt.Errorf("fragment: filler %d has bad validTime %q", id, vtStr)
+		return fmt.Errorf("fragment: filler %d has bad validTime %q", id, vtStr)
 	}
 	var seq uint64
 	if seqStr, ok := xmldom.LookupAttr(attrs, AttrSeq); ok {
 		seq, err = strconv.ParseUint(seqStr, 10, 64)
 		if err != nil || seq == 0 {
-			return nil, fmt.Errorf("fragment: bad seq %q on filler %d", seqStr, id)
+			return fmt.Errorf("fragment: bad seq %q on filler %d", seqStr, id)
 		}
 	}
 	if kids != 1 {
-		return nil, fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, kids)
+		return fmt.Errorf("fragment: filler %d must carry exactly one element, has %d", id, kids)
 	}
-	f := New(id, tsid, vt.Time(), nil)
-	f.Seq = seq
+	f.FillerID, f.TSID, f.ValidTime, f.Seq = id, tsid, vt.Time(), seq
 	// PublishedAt is transport metadata a peer must never control: if a
 	// decoded frame could carry a publish stamp, a crafted frame would
 	// inject an arbitrary delivery latency into the client's histogram
@@ -282,27 +497,29 @@ func fromWrapper(tag string, attrs []xmldom.Attr, kids int) (*Fragment, error) {
 			f.Trace = tc
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Parse parses the compact wire string form.
+// Parse parses a <filler> document. The fragment builds its payload when
+// first read, and carries no wire form: the text need not be one, so
+// String encodes.
 func Parse(src string) (*Fragment, error) {
 	var d xmldom.Decoder
-	return parse(&d, src)
-}
-
-// ParseStored is Parse for a frame read back from a log, on the decoder
-// of the replay reading it: the fragment keeps src — which its payload
-// was decoded in place from, and so keeps alive anyway — as its wire form,
-// and whoever replays it to a socket or copies it to another file writes
-// the stored bytes, not a re-encoding.
-func ParseStored(d *xmldom.Decoder, src string) (*Fragment, error) {
-	f, err := parse(d, src)
+	f, err := parse(&d, src)
 	if err != nil {
 		return nil, err
 	}
-	f.wire = src
+	f.enc.n = decodedOnly
 	return f, nil
+}
+
+// ParseStored is Parse for a frame read back from a log, on the decoder
+// of the replay reading it: the fragment keeps src as its wire form — whoever
+// replays it to a socket or copies it to another file writes the stored
+// bytes, not a re-encoding — and builds its payload from it when first
+// read.
+func ParseStored(d *xmldom.Decoder, src string) (*Fragment, error) {
+	return parse(d, src)
 }
 
 func parse(d *xmldom.Decoder, src string) (*Fragment, error) {
@@ -311,7 +528,7 @@ func parse(d *xmldom.Decoder, src string) (*Fragment, error) {
 		return nil, err
 	}
 	root, _ := doc.OnlyElement()
-	return FromScanned(root)
+	return decode(root, src, 0)
 }
 
 func name(el *xmldom.Node) string {

@@ -54,14 +54,14 @@ func TestFragmentWireRoundTrip(t *testing.T) {
 	if !f.ValidTime.Equal(ts("2003-10-23T12:23:34")) {
 		t.Fatalf("validTime = %v", f.ValidTime)
 	}
-	if ids := HoleIDs(nil, f.Payload, 0); len(ids) != 1 || ids[0] != 200 {
+	if ids := HoleIDs(nil, f.Tree(), 0); len(ids) != 1 || ids[0] != 200 {
 		t.Fatalf("holes = %v", ids)
 	}
 	back, err := Parse(f.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Payload.Equal(f.Payload) {
+	if !back.Tree().Equal(f.Tree()) {
 		t.Fatal("payload changed on round trip")
 	}
 }
@@ -307,7 +307,7 @@ func TestGetFillersStampsLifespans(t *testing.T) {
 			t.Errorf("version %d: room for %d attributes, want the payload's two and the lifespan's two", i+1, cap(el.Attrs))
 		}
 	}
-	if v, _ := st.Versions(7)[0].Payload.Attr("vtTo"); v != "stale" {
+	if v, _ := st.Versions(7)[0].Tree().Attr("vtTo"); v != "stale" {
 		t.Errorf("the read wrote the stored payload: vtTo = %q", v)
 	}
 }

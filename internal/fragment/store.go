@@ -88,7 +88,9 @@ func (st *Store) Scanning() bool { return st.scan }
 func (st *Store) Structure() *tagstruct.Structure { return st.structure }
 
 // Add ingests one fragment. The tsid must exist in the tag structure and,
-// except for the root filler, must belong to a fragmented tag.
+// except for the root filler, must belong to a fragmented tag, and the
+// payload must be the tag's element — read off a decoded fragment's frame,
+// which Add does not build.
 func (st *Store) Add(f *Fragment) error {
 	tag := st.structure.ByID(f.TSID)
 	if tag == nil {
@@ -97,12 +99,13 @@ func (st *Store) Add(f *Fragment) error {
 	if f.FillerID != RootFillerID && !tag.IsFragmented() {
 		return fmt.Errorf("fragment: filler %d carries snapshot tag %q", f.FillerID, tag.Name)
 	}
-	if f.Payload == nil {
+	name, ok := f.payloadTag()
+	if !ok {
 		return fmt.Errorf("fragment: filler %d has no payload", f.FillerID)
 	}
-	if f.Payload.Name != tag.Name {
+	if name != tag.Name {
 		return fmt.Errorf("fragment: filler %d payload <%s> does not match tag %q (tsid %d)",
-			f.FillerID, f.Payload.Name, tag.Name, f.TSID)
+			f.FillerID, name, tag.Name, f.TSID)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -321,7 +324,24 @@ func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
 // must read only what a payload and its lifespan-stamped top element have
 // in common — never vtFrom or vtTo — because a cached read applies it to
 // the cached tops instead. nil keeps every version.
-type Filter func(payload *xmldom.Node) bool
+type Filter func(v Version) bool
+
+// Version is a version as a Filter is asked about it: its payload is built
+// only if the filter reads it, so a filter that decides by position alone
+// (an incremental unit picking the versions it re-runs) builds nothing.
+type Version struct {
+	f   *Fragment
+	top *xmldom.Node // a read's built top, when the filter sifts those
+}
+
+// Payload returns the version's payload element — the built top, when the
+// filter sifts what a read built already.
+func (v Version) Payload() *xmldom.Node {
+	if v.top != nil {
+		return v.top
+	}
+	return v.f.Tree()
+}
 
 // Sift returns the elements the filter keeps: the filter applied to
 // versions that are built already.
@@ -331,7 +351,7 @@ func (keep Filter) Sift(els []*xmldom.Node) []*xmldom.Node {
 	}
 	var out []*xmldom.Node
 	for _, el := range els {
-		if keep(el) {
+		if keep(Version{top: el}) {
 			out = append(out, el)
 		}
 	}
@@ -363,7 +383,7 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 			continue
 		}
 		examined++
-		if keep != nil && !keep(f.Payload) {
+		if keep != nil && !keep(Version{f: f}) {
 			continue
 		}
 		k := keptVersion{f: f}
@@ -393,7 +413,7 @@ func buildTops(kept []keptVersion) []*xmldom.Node {
 	}
 	nattrs, ninstants := 0, 0
 	for i, k := range kept {
-		nattrs += len(k.f.Payload.Attrs) + 2
+		nattrs += len(k.f.Tree().Attrs) + 2
 		if i == 0 || kept[i-1].to != k.f {
 			ninstants++ // its vtFrom; otherwise the version before's vtTo
 		}
@@ -420,7 +440,7 @@ func buildTops(kept []keptVersion) []*xmldom.Node {
 		default:
 			to = renderInstant(&instants, k.to.ValidTime)
 		}
-		p, el := k.f.Payload, &nodes[i]
+		p, el := k.f.Tree(), &nodes[i]
 		n := len(p.Attrs) + 2
 		el.Type, el.Name = p.Type, p.Name
 		el.Attrs = attrs[:copy(attrs, p.Attrs):n]
@@ -506,7 +526,7 @@ func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
 			if f.ValidTime.After(at) {
 				break
 			}
-			if keep == nil || keep(f.Payload) {
+			if keep == nil || keep(Version{f: f}) {
 				n++
 			}
 		}

@@ -849,33 +849,22 @@ func (e *Engine) ingest(f *fragment.Fragment) error {
 	}
 	e.tsidOf[f.FillerID] = f.TSID
 	var err error
-	if f.Payload != nil {
-		f.Payload.Walk(func(n *xmldom.Node) bool {
-			if err != nil {
+	// the holes a decoded fragment's decode collected: nothing is built
+	f.EachHole(func(hid, ht int) bool {
+		if prev, ok := e.parentOf[hid]; ok && prev != f.FillerID {
+			err = fmt.Errorf("inc: filler %d held by both filler %d and %d", hid, prev, f.FillerID)
+			return false
+		}
+		e.parentOf[hid] = f.FillerID
+		if ht > 0 {
+			if prev, ok := e.tsidOf[hid]; ok && prev != ht {
+				err = fmt.Errorf("inc: filler %d announced with tsid %d and %d", hid, prev, ht)
 				return false
 			}
-			if !fragment.IsHole(n) {
-				return true
-			}
-			hid, herr := fragment.HoleID(n)
-			if herr != nil {
-				return false
-			}
-			if prev, ok := e.parentOf[hid]; ok && prev != f.FillerID {
-				err = fmt.Errorf("inc: filler %d held by both filler %d and %d", hid, prev, f.FillerID)
-				return false
-			}
-			e.parentOf[hid] = f.FillerID
-			if ht := fragment.HoleTSID(n); ht > 0 {
-				if prev, ok := e.tsidOf[hid]; ok && prev != ht {
-					err = fmt.Errorf("inc: filler %d announced with tsid %d and %d", hid, prev, ht)
-					return false
-				}
-				e.tsidOf[hid] = ht
-			}
-			return false // holes have no children worth descending into
-		})
-	}
+			e.tsidOf[hid] = ht
+		}
+		return true
+	})
 	return err
 }
 
@@ -1188,7 +1177,7 @@ type versionRun struct {
 // admit is the read's filter: it is asked once per visible version, in
 // validTime order (fragment.Access), and lets through the versions that
 // re-run.
-func (r *versionRun) admit(*xmldom.Node) bool {
+func (r *versionRun) admit(fragment.Version) bool {
 	i := r.asked
 	r.asked++
 	return i < len(r.keep) && r.keep[i] < 0
@@ -1244,7 +1233,7 @@ func (e *Engine) planRerun(vs []*fragment.Fragment, memo *versionMemo, prev *uni
 			sameEnd := next == (j+1 < len(spans)) && (!next || vs[i+1].ValidTime.Equal(spans[j+1].v.ValidTime))
 			h := spans[j].horizon()
 			due := moved && !h.IsZero() && !h.After(at)
-			if sameEnd && !due && (len(r.holes) == 0 || !holdsHole(v.Payload, r.holes)) {
+			if sameEnd && !due && (len(r.holes) == 0 || !holdsHole(v, r.holes)) {
 				keep = j
 			}
 			j++
@@ -1318,21 +1307,15 @@ func earliest(a, b time.Time) time.Time {
 	return a
 }
 
-// holdsHole reports that a payload holds, at any depth, the hole of one of
-// the fillers ids.
-func holdsHole(n *xmldom.Node, ids []int) bool {
-	for _, c := range n.Children {
-		if !fragment.IsHole(c) {
-			if holdsHole(c, ids) {
-				return true
-			}
-			continue
-		}
-		if id, err := fragment.HoleID(c); err == nil && slices.Contains(ids, id) {
-			return true
-		}
-	}
-	return false
+// holdsHole reports that a version's payload holds, at any depth, the hole
+// of one of the fillers ids.
+func holdsHole(v *fragment.Fragment, ids []int) bool {
+	held := false
+	v.EachHole(func(id, _ int) bool {
+		held = slices.Contains(ids, id)
+		return !held
+	})
+	return held
 }
 
 // ensureUnit returns the unit of a key, registering it in the global

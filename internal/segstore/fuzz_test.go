@@ -61,7 +61,7 @@ func FuzzSegmentReplay(f *testing.F) {
 				if rec.frag == nil {
 					continue
 				}
-				before = append(before, rec.frag.Payload.String())
+				before = append(before, rec.frag.Tree().String())
 				// a stored frame replays as the bytes it was stored as; what
 				// the encoder makes of it is the encoder's fixpoint
 				if rec.frag.String() != rec.xml {
@@ -73,7 +73,7 @@ func FuzzSegmentReplay(f *testing.F) {
 					back.FillerID != canon.FillerID || back.TSID != canon.TSID || !back.ValidTime.Equal(canon.ValidTime) {
 					t.Fatalf("decode(encode(f)) != f for stored frame %q: %v", rec.xml, err)
 				}
-				if again, err := fragment.Parse(back.String()); err != nil || !again.Payload.Equal(back.Payload) {
+				if again, err := fragment.Parse(back.String()); err != nil || !again.Tree().Equal(back.Tree()) {
 					t.Fatalf("decode(encode(f)) != f for stored frame %q: %v", rec.xml, err)
 				}
 			}
@@ -84,7 +84,7 @@ func FuzzSegmentReplay(f *testing.F) {
 			for _, rec := range res.frames {
 				after = append(after, rec.xml)
 				if rec.frag != nil {
-					after = append(after, rec.frag.Payload.String())
+					after = append(after, rec.frag.Tree().String())
 				}
 			}
 			if strings.Join(before, "\n") != strings.Join(after, "\n") {

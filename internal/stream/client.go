@@ -112,8 +112,11 @@ type Client struct {
 	// SetFlightRecorder may be called from anywhere.
 	tracer atomic.Pointer[obs.FlightRecorder]
 
+	// listeners is copy-on-write: OnFragment publishes a new list, and
+	// Apply reads the current one without a lock or a copy.
+	listeners atomic.Pointer[[]func(*fragment.Fragment)]
+
 	mu           sync.Mutex
-	listeners    []func(*fragment.Fragment)
 	gapListeners []func(Gap)
 	errs         []error // the last maxKeptErrs of errTotal
 	errTotal     int64
@@ -176,7 +179,17 @@ func (c *Client) Store() *fragment.Store { return c.store }
 func (c *Client) OnFragment(fn func(*fragment.Fragment)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.listeners = append(c.listeners, fn)
+	cur := c.listenerList()
+	next := append(cur[:len(cur):len(cur)], fn)
+	c.listeners.Store(&next)
+}
+
+// listenerList returns the current listeners: a list nobody writes.
+func (c *Client) listenerList() []func(*fragment.Fragment) {
+	if p := c.listeners.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // OnGap registers a callback invoked whenever a sequence gap is detected
@@ -270,15 +283,13 @@ func (c *Client) Apply(f *fragment.Fragment) {
 	if f.ValidTime.After(c.watermark) {
 		c.watermark = f.ValidTime
 	}
-	listeners := make([]func(*fragment.Fragment), len(c.listeners))
-	copy(listeners, c.listeners)
 	c.mu.Unlock()
 	if l := c.log(); l != nil {
 		l.LogAttrs(logCtx, slog.LevelDebug, "fragment applied",
 			slog.String("component", "client"), slog.String("stream", c.name),
 			slog.Uint64("seq", f.Seq), slog.Int("fillerID", f.FillerID))
 	}
-	for _, fn := range listeners {
+	for _, fn := range c.listenerList() {
 		fn(f)
 	}
 }

@@ -551,8 +551,8 @@ func readLoop(c *Client, cc *clientConn) error {
 	br := cc.br
 	// one read buffer and one decoder for the connection's life: every
 	// frame is read into the buffer, copied out once as the string it is
-	// decoded from, and parsed in the decoder's scratch, of which only the
-	// payload is built
+	// decoded from, and scanned in the decoder's scratch: the fragment keeps
+	// the string and builds nothing (fragment.FromScanned)
 	var buf []byte
 	var dec xmldom.Decoder
 	for {

@@ -90,8 +90,9 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 	}
 	seen := make(map[int]bool)
 	s.AddFillers(st.LookupCost(1)) // the root filler lookup is a pass too
-	resolve = fragment.Prefetch([]*xmldom.Node{root.Payload}, resolve, opts.Parallelism, opts.Wait, s)
-	return FillHoles(resolve, root.Payload, seen, b, s), nil
+	payload := root.Tree()
+	resolve = fragment.Prefetch([]*xmldom.Node{payload}, resolve, opts.Parallelism, opts.Wait, s)
+	return FillHoles(resolve, payload, seen, b, s), nil
 }
 
 // FillHoles returns el with the holes below it replaced by their fillers'
@@ -191,7 +192,7 @@ func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.
 	if rootFrag == nil {
 		return nil, fmt.Errorf("temporal: root filler has not arrived")
 	}
-	if err := b.AddBytes(int64(rootFrag.Payload.TreeSize())); err != nil {
+	if err := b.AddBytes(int64(rootFrag.Tree().TreeSize())); err != nil {
 		return nil, err
 	}
 	// Stored payloads are immutable, so the walk splices into private
@@ -203,7 +204,7 @@ func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.
 		out.Children = append([]*xmldom.Node(nil), el.Children...)
 		return out
 	}
-	root := own(rootFrag.Payload)
+	root := own(rootFrag.Tree())
 	type item struct {
 		el  *xmldom.Node
 		tag *tagstruct.Tag

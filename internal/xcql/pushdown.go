@@ -100,8 +100,9 @@ func (p *pushed) String() string {
 // the comparisons, and its budget — every version examined is a step, so a
 // filter that turns everything away is still bounded and cancellable.
 func (p *pushed) bind(st *xq.Static) fragment.Filter {
-	return func(n *xmldom.Node) bool {
+	return func(v fragment.Version) bool {
 		st.Budget.MustStep()
+		n := v.Payload()
 		for i := range p.conds {
 			if !p.conds[i].holds(n, 0, st) {
 				return false

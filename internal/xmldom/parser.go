@@ -85,9 +85,10 @@ type Decoder struct {
 // rec is a node in a Decoder's scratch.
 type rec struct {
 	typ         NodeType
-	name, data  string
-	attrs, kids span  // the node's runs of Decoder.attrs and Decoder.kids
 	end         int32 // one past the last record of the node's subtree
+	name, data  string
+	attrs, kids span // the node's runs of Decoder.attrs and Decoder.kids
+	text        span // where the node's text lies in the input (Scanned.Span)
 }
 
 // span is the run [from, to) of a scratch array.
@@ -128,6 +129,17 @@ func (d *Decoder) ScanDocument(s string) (Scanned, error) {
 	return d.document()
 }
 
+// Reset lets go of the last input: the scratch keeps no string of it, and
+// scratch grown past keptRecords is dropped, so a Decoder kept idle — in a
+// pool — holds neither a frame nor more than a frame's worth of records.
+func (d *Decoder) Reset() {
+	clear(d.recs)
+	clear(d.attrs)
+	clear(d.z.attrs[:cap(d.z.attrs)])
+	d.z.reset("")
+	d.clear()
+}
+
 // clear empties the scratch for the next tree.
 func (d *Decoder) clear() {
 	if cap(d.recs) > keptRecords || cap(d.attrs) > keptRecords {
@@ -141,7 +153,7 @@ func (d *Decoder) errAt(tok Token, format string, args ...any) error {
 }
 
 func (d *Decoder) document() (Scanned, error) {
-	d.recs = append(d.recs, rec{typ: DocumentNode})
+	d.recs = append(d.recs, rec{typ: DocumentNode, text: span{0, int32(len(d.z.src))}})
 	sawRoot := false
 	for {
 		tok, err := d.z.Next()
@@ -161,9 +173,9 @@ func (d *Decoder) document() (Scanned, error) {
 				return Scanned{}, d.errAt(tok, "character data outside document element")
 			}
 		case CommentTok:
-			d.open = append(d.open, d.leaf(CommentNode, "", tok.Data))
+			d.open = append(d.open, d.leaf(CommentNode, tok))
 		case ProcInstTok:
-			d.open = append(d.open, d.leaf(ProcInstNode, tok.Name, tok.Data))
+			d.open = append(d.open, d.leaf(ProcInstNode, tok))
 		case DirectiveTok:
 			// prolog directives are skipped
 		case StartElementTok:
@@ -215,7 +227,8 @@ func (d *Decoder) element(start Token) (int32, error) {
 	el := int32(len(d.recs))
 	from := len(d.attrs)
 	d.attrs = append(d.attrs, start.Attrs...) // before Next reuses them
-	d.recs = append(d.recs, rec{typ: ElementNode, name: start.Name, attrs: span{int32(from), int32(len(d.attrs))}})
+	d.recs = append(d.recs, rec{typ: ElementNode, name: start.Name, attrs: span{int32(from), int32(len(d.attrs))},
+		text: span{int32(start.Offset), int32(d.z.pos)}})
 	base := len(d.open)
 	if start.SelfClosing {
 		d.closeNode(el, base)
@@ -235,11 +248,11 @@ func (d *Decoder) element(start Token) (int32, error) {
 			if tok.Data == "" {
 				continue
 			}
-			child = d.leaf(TextNode, "", tok.Data)
+			child = d.leaf(TextNode, tok)
 		case CommentTok:
-			child = d.leaf(CommentNode, "", tok.Data)
+			child = d.leaf(CommentNode, tok)
 		case ProcInstTok:
-			child = d.leaf(ProcInstNode, tok.Name, tok.Data)
+			child = d.leaf(ProcInstNode, tok)
 		case DirectiveTok:
 			continue
 		case StartElementTok:
@@ -251,16 +264,19 @@ func (d *Decoder) element(start Token) (int32, error) {
 				return 0, d.errAt(tok, "</%s> does not match <%s>", tok.Name, start.Name)
 			}
 			d.closeNode(el, base)
+			d.recs[el].text.to = int32(d.z.pos)
 			return el, nil
 		}
 		d.open = append(d.open, child)
 	}
 }
 
-// leaf records a node that has no attributes and no children.
-func (d *Decoder) leaf(typ NodeType, name, data string) int32 {
+// leaf records tok, which the tokenizer has just read, as a node that has
+// no attributes and no children.
+func (d *Decoder) leaf(typ NodeType, tok Token) int32 {
 	i := int32(len(d.recs))
-	d.recs = append(d.recs, rec{typ: typ, name: name, data: data, end: i + 1})
+	d.recs = append(d.recs, rec{typ: typ, name: tok.Name, data: tok.Data, end: i + 1,
+		text: span{int32(tok.Offset), int32(d.z.pos)}})
 	return i
 }
 
@@ -308,6 +324,35 @@ func (e Scanned) OnlyElement() (Scanned, int) {
 		only = Scanned{}
 	}
 	return only, n
+}
+
+// Span returns where the node lies in the input it was scanned from, as
+// byte offsets [from, to): an element from the '<' of its start tag to past
+// the '>' of its end tag, a document the whole input.
+func (e Scanned) Span() (from, to int) {
+	t := e.d.recs[e.i].text
+	return int(t.from), int(t.to)
+}
+
+// Source returns the node's text in the input: a substring, which outlives
+// the Decoder's next call.
+func (e Scanned) Source() string {
+	from, to := e.Span()
+	return e.d.z.src[from:to]
+}
+
+// Walk visits the node, when it is an element, and every element below it
+// in document order; visit returning false skips that element's subtree.
+// It builds nothing, and visit must not call the Decoder.
+func (e Scanned) Walk(visit func(Scanned) bool) {
+	recs := e.d.recs
+	for j, end := e.i, recs[e.i].end; j < end; {
+		if recs[j].typ == ElementNode && !visit(Scanned{e.d, j}) {
+			j = recs[j].end
+		} else {
+			j++
+		}
+	}
 }
 
 // Build builds the node's subtree in three exactly sized arrays and

@@ -128,8 +128,8 @@ func TestWireCodecAllocationCeiling(t *testing.T) {
 		name           string
 		allocs, bytes_ float64
 	}{
-		{"transaction", 6, 920},
-		{"account30", 6, 7500},
+		{"transaction", 2, 390},
+		{"account30", 3, 1660},
 	} {
 		wire := []byte(fixtures[c.name].String())
 		var dec xmldom.Decoder
