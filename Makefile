@@ -124,9 +124,10 @@ trace-smoke:
 # decoding one transaction frame and one thirty-hole account frame, and
 # Publish up to the wire bytes — since what the codec must not bring back
 # is a per-frame buffer (one allocation, 32 KiB) or a node built at a time
-# (decoding is the frame's string, its payload's three arrays and the
-# fragment: the <filler> wrapper is never built). The registry's hold what
-# one arrival costs 64 standing pass-through queries in two groups — a
+# (decoding is the frame's string, its hole list and the fragment: the
+# payload is built on its first read, for one allocation more than an eager
+# decode). The registry's hold what
+# one arrival costs 64 standing pass-through queries in one group — a
 # transaction, an account re-announcement that dirties nothing (nothing at
 # all) and a result frame written into a kept buffer (nothing either): what
 # they must not bring back is machinery rebuilt per arrival — a shared-pass
@@ -141,7 +142,8 @@ alloc-gate:
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
 # numbers a re-run reproduces — PlanGrid, Selectivity, the re-announcing
-# IncrementalContinuous rows and RegistryFanout — held to the newest
+# IncrementalContinuous rows, RegistryFanout, and the wire codec, recovery
+# and snapshot-bootstrap rows (allocs/op only) — held to the newest
 # snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
 # label-lookups/op, handlers/op and mat-bytes/op exactly, allocs/op at most
 # 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
@@ -150,7 +152,8 @@ alloc-gate:
 bench-gate:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkPlanGrid|BenchmarkSelectivity)$$' -benchtime 20x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$/^reannounce$$' -benchtime 300x -benchmem -short . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ) \
+	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkWireCodec|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchtime 200x -benchmem -short . ) \
 		| $(GO) run ./cmd/benchjson -gate $(BENCHOUT)
 
 # A short deterministic shake of each fuzz target; longer runs are

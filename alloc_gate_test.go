@@ -183,19 +183,21 @@ func TestAllocationCeiling(t *testing.T) {
 // TestRegistryArrivalAllocationCeiling is the registry's part of `make
 // alloc-gate`: bench/e2e's ingest-fanout shape — 64 standing
 // registrations of the pass-through query, 32 under QaC+ and 32 under
-// QaC++, two sharing groups of one engine each — 200 charges in. An
-// arrival allocates for what it delivers, not for the machinery around the
+// QaC++, one sharing group (the stores and limits are the same) with two
+// engines, whose one unit is evaluated once — 200 charges in. An arrival
+// allocates for what it delivers, not for the machinery around the
 // delivery: the pass, the stats an advance counts into and the evaluation
 // frame are owned by the group, the engine share and the engine, and the
 // serial an engine diffs an item by is the string the frame is written
 // from. So
 //
-//   - a transaction costs, per group, the version read (its slice, its top
-//     element and that one's attributes), the unit's bound sequence, its
-//     entries, the serial, and the delta and serials a delivery carries: 34
-//     allocations and 1 904 B for the two groups (36 and 1 920 B while the
-//     read copied the version group first, 94 and 8 800 B when every
-//     arrival built a pass, a stats struct and a static environment);
+//   - a transaction costs the version read (its slice, its top element and
+//     that one's attributes), the unit's bound sequence, its entries, the
+//     serial in one allocation of its size, and per engine the delta and
+//     serials a delivery carries: 14 allocations and 688 B (34 and 1 904 B
+//     while each plan was a group of its own that evaluated the unit again
+//     and a serial grew its buffer, 94 and 8 800 B when every arrival built
+//     a pass, a stats struct and a static environment);
 //   - an account's re-announcement, which dirties no unit, costs nothing
 //     at all (10 allocations and 2 880 B of pure scaffolding before);
 //   - a frame written into a buffer that has reached its size costs
@@ -259,8 +261,8 @@ func TestRegistryArrivalAllocationCeiling(t *testing.T) {
 			t.Fatalf("charge %d delivered %+v, want the one transaction and its serial", i, last)
 		}
 	}
-	if got := r.Stats(); got.Groups != 2 || got.Registrations != 64 {
-		t.Fatalf("registry holds %+v, want 64 registrations in 2 groups", got)
+	if got := r.Stats(); got.Groups != 1 || got.Registrations != 64 {
+		t.Fatalf("registry holds %+v, want 64 registrations in 1 group", got)
 	}
 	frame, err := registry.JSONCodec{}.AppendResult(nil, 1, last)
 	if err != nil {
@@ -275,7 +277,7 @@ func TestRegistryArrivalAllocationCeiling(t *testing.T) {
 		name                           string
 		allocs, bytes, maxAllocs, maxB float64
 	}{
-		{"transaction arrival", median(allocs[1]), median(bytes[1]), 41, 2200},
+		{"transaction arrival", median(allocs[1]), median(bytes[1]), 16, 790},
 		{"re-announcement that dirties nothing", median(allocs[0]), median(bytes[0]), 2, 64},
 		{"steady-state frame encode", encAllocs, encBytes, 0, 0},
 	} {

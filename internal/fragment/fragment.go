@@ -14,11 +14,9 @@
 package fragment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,19 +182,17 @@ func (f *Fragment) WithTrace(tc obs.TraceContext) *Fragment {
 	return &g
 }
 
-// Sealed returns a shallow copy of f carrying its wire form, rendered once
-// through scratch: String on the copy returns those bytes instead of
-// encoding again, so a durable log and any number of sockets write one
-// encoding. It is the last step of publishing, after every stamp is on —
-// the copy's stamps must not change afterwards (WithSeq and WithTrace
-// return unsealed copies). The copy of a decoded fragment carries the tree
-// its bytes were encoded from as its Payload.
-func (f *Fragment) Sealed(scratch *bytes.Buffer) *Fragment {
-	scratch.Reset()
-	f.writeWire(scratch)
+// Sealed returns a shallow copy of f carrying its wire form, rendered once:
+// String on the copy returns those bytes instead of encoding again, so a
+// durable log and any number of sockets write one encoding. It is the last
+// step of publishing, after every stamp is on — the copy's stamps must not
+// change afterwards (WithSeq and WithTrace return unsealed copies). The
+// copy of a decoded fragment carries the tree its bytes were encoded from
+// as its Payload.
+func (f *Fragment) Sealed() *Fragment {
 	g := *f
 	g.Payload = f.Tree()
-	g.enc = sealed(scratch.String())
+	g.enc = sealed(f.String())
 	return &g
 }
 
@@ -311,47 +307,55 @@ func (f *Fragment) ToXML() *xmldom.Node {
 // String returns the compact wire form: the one the fragment carries when
 // it has been sealed or was decoded from a frame — the frame as it
 // arrived —, a fresh encoding otherwise, byte for byte what
-// ToXML().String() spells.
+// ToXML().String() spells, written once into an allocation of its exact
+// size.
 func (f *Fragment) String() string {
 	if w := f.enc.wire(); w != "" {
 		return w
 	}
-	var b strings.Builder
-	f.writeWire(&b)
-	return b.String()
+	var buf [wireHeadMax]byte // stays on the stack: only its bytes are copied out
+	head := f.appendHead(buf[:0])
+	payload := f.Tree()
+	size := len(head) + len(`"/>`)
+	if payload != nil {
+		size = len(head) + len(`"></`+FillerTag+`>`) + payload.EncodedLen()
+	}
+	b := appendTail(append(make([]byte, 0, size), head...), payload)
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// writeWire writes the wire form straight into w: the <filler …> tag from
-// the stamps, the payload through the serializer, no wrapper element.
-func (f *Fragment) writeWire(w xmldom.Sink) {
-	var num [32]byte // stays on the stack: only its bytes are handed on
-	put := func(b []byte) {
-		for _, c := range b {
-			w.WriteByte(c)
-		}
-	}
-	w.WriteString(`<` + FillerTag + ` ` + AttrID + `="`)
-	put(strconv.AppendInt(num[:0], int64(f.FillerID), 10))
-	w.WriteString(`" ` + AttrTSID + `="`)
-	put(strconv.AppendInt(num[:0], int64(f.TSID), 10))
-	w.WriteString(`" ` + AttrValidTime + `="`)
-	put(f.ValidTime.UTC().AppendFormat(num[:0], xtime.Layout))
+// wireHeadMax bounds appendHead's output: the tag, five attribute names,
+// two ints, a uint, a dateTime and a trace context.
+const wireHeadMax = 192
+
+// appendHead appends the <filler …> start tag from the stamps, up to the
+// last attribute value's closing quote, which appendTail writes.
+func (f *Fragment) appendHead(dst []byte) []byte {
+	dst = append(dst, `<`+FillerTag+` `+AttrID+`="`...)
+	dst = strconv.AppendInt(dst, int64(f.FillerID), 10)
+	dst = append(dst, `" `+AttrTSID+`="`...)
+	dst = strconv.AppendInt(dst, int64(f.TSID), 10)
+	dst = append(dst, `" `+AttrValidTime+`="`...)
+	dst = f.ValidTime.UTC().AppendFormat(dst, xtime.Layout)
 	if f.Seq > 0 {
-		w.WriteString(`" ` + AttrSeq + `="`)
-		put(strconv.AppendUint(num[:0], f.Seq, 10))
+		dst = append(dst, `" `+AttrSeq+`="`...)
+		dst = strconv.AppendUint(dst, f.Seq, 10)
 	}
 	if f.Trace.Valid() {
-		w.WriteString(`" ` + AttrTrace + `="`)
-		w.WriteString(f.Trace.String())
+		dst = append(dst, `" `+AttrTrace+`="`...)
+		dst = append(dst, f.Trace.String()...)
 	}
-	payload := f.Tree()
+	return dst
+}
+
+// appendTail closes the start tag appendHead left open and appends the
+// payload through the serializer, no wrapper element built.
+func appendTail(dst []byte, payload *xmldom.Node) []byte {
 	if payload == nil {
-		w.WriteString(`"/>`)
-		return
+		return append(dst, `"/>`...)
 	}
-	w.WriteString(`">`)
-	payload.EncodeTo(w)
-	w.WriteString(`</` + FillerTag + `>`)
+	dst = payload.AppendTo(append(dst, `">`...))
+	return append(dst, `</`+FillerTag+`>`...)
 }
 
 // FromXML parses a <filler> element into a Fragment. The payload is el's

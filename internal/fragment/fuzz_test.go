@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"slices"
 	"testing"
 
 	"xcql/internal/xmldom"
@@ -20,7 +21,8 @@ import (
 // xmldom.Decoder, which never builds the <filler> wrapper: it must accept
 // and reject exactly what a fresh ParseElement + FromXML does, with the
 // same error, and a fragment it decoded must not change when the same
-// decoder decodes the next frame.
+// decoder decodes the next frame. What a decode leaves unbuilt must equal
+// what an eager decode builds (lazyEqualsEager).
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00"><doc/></filler>`))
 	f.Add([]byte(`<filler id="7" tsid="5" validTime="2003-01-02T10:00:00" seq="42"><event><value>33</value></event></filler>`))
@@ -36,6 +38,12 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="1" tsid="1" validTime="2003-01-02T00:00:00" trace="not-a-trace"><x/></filler>`))
 	f.Add([]byte(`<filler id="1" tsid="1" validTime="2003-01-02T00:00:00" trace="0000000000000000-0000000000000000"><x/></filler>`))
 	f.Add([]byte(`<filler id="1" tsid="1" validTime="2003-01-02T00:00:00" trace="ffffffffffffffffffffffffffffffffff"><x/></filler>`))
+	// holes: under a non-hole element, inside a hole (not searched), with an
+	// id that does not parse (skipped), without a tsid (0)
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><x><hole id="4" tsid="5"/></x><hole id="6" tsid="5"/></account></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="4" tsid="5"><hole id="8" tsid="5"/></hole></account></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="four" tsid="5"/><hole id="9" tsid="5"/></account></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="4"/><hole id="5" tsid="x"/></account></filler>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dec xmldom.Decoder
 		keptFrag, keptErr := decodeKept(&dec, string(data))
@@ -44,6 +52,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("kept decoder: %v; fresh ParseElement + FromXML: %v", keptErr, freshErr)
 		}
 		if keptFrag != nil {
+			lazyEqualsEager(t, keptFrag)
 			keptWire := keptFrag.ToXML().String() // a fresh encoding: String is the frame as it arrived
 			if keptWire != freshFrag.String() {
 				t.Fatalf("kept decoder gave %s, fresh decode %s", keptWire, freshFrag)
@@ -60,6 +69,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}
+		lazyEqualsEager(t, frag)
 		if frag.TSID <= 0 || frag.FillerID < 0 {
 			t.Fatalf("parser accepted invalid identity: %+v", frag)
 		}
@@ -114,4 +124,51 @@ func decodeFresh(frame string) (*Fragment, error) {
 		return nil, err
 	}
 	return FromXML(el)
+}
+
+// lazyEqualsEager holds a decoded fragment, before anything has read its
+// payload, to what an eager decode of its frame makes: the tree its first
+// read builds is the payload's text parsed on its own, and EachHole lists
+// the holes the tree walk of an eager decode finds — every hole in
+// document order, below non-hole elements only, one whose id does not
+// parse skipped, one without a tsid that parses with tsid 0.
+func lazyEqualsEager(t *testing.T, frag *Fragment) {
+	t.Helper()
+	var holes [][2]int
+	frag.EachHole(func(id, tsid int) bool {
+		holes = append(holes, [2]int{id, tsid})
+		return true
+	})
+	var dec xmldom.Decoder
+	el, err := dec.Scan(frag.String())
+	if err != nil {
+		t.Fatalf("the frame of a decoded fragment does not scan: %v", err)
+	}
+	payload, kids := el.OnlyElement()
+	if kids != 1 {
+		if frag.Tree() != nil || holes != nil {
+			t.Fatalf("a fragment without a payload built %s and lists holes %v", frag.Tree(), holes)
+		}
+		return
+	}
+	eager, err := xmldom.ParseString(payload.Source())
+	if err != nil {
+		t.Fatalf("the payload %q does not parse on its own: %v", payload.Source(), err)
+	}
+	if !frag.Tree().Equal(eager.Root()) {
+		t.Fatalf("the payload built on the first read is %s, parsed eagerly %s", frag.Tree(), eager.Root())
+	}
+	var walked [][2]int
+	eager.Root().Walk(func(n *xmldom.Node) bool {
+		if !IsHole(n) {
+			return true
+		}
+		if id, err := HoleID(n); err == nil {
+			walked = append(walked, [2]int{id, HoleTSID(n)})
+		}
+		return false
+	})
+	if !slices.Equal(holes, walked) {
+		t.Fatalf("EachHole lists %v, the tree walk %v", holes, walked)
+	}
 }

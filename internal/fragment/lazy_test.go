@@ -1,10 +1,15 @@
 package fragment
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
+	"xcql/internal/xtime"
 )
 
 // TestFirstReadBuildsOneTree: decoding builds nothing, and concurrent first
@@ -52,5 +57,75 @@ func TestFirstReadBuildsOneTree(t *testing.T) {
 	}
 	if !got[0].Equal(want.Payload) {
 		t.Fatalf("built %s, a fresh parse builds %s", got[0], want.Payload)
+	}
+}
+
+// TestReadBesideAddOfNextVersion: the first read of a decoded version —
+// the one that builds its payload — racing Store.Add of the same filler's
+// next version returns the tops a quiet read of the same instant returns
+// (run with -race: the build and the Add's read of the next frame's tag
+// share the store).
+func TestReadBesideAddOfNextVersion(t *testing.T) {
+	structure := tagstruct.MustParseString(`<stream:structure><tag type="temporal" id="4" name="creditLimit"><tag type="event" id="5" name="charge"/></tag></stream:structure>`)
+	base := time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC)
+	version := func(i int) *Fragment {
+		t.Helper()
+		f, err := decodeKept(new(xmldom.Decoder), fmt.Sprintf(
+			`<filler id="7" tsid="4" validTime="%s"><creditLimit currency="EUR">%d<hole id="%d" tsid="5"/></creditLimit></filler>`,
+			base.Add(time.Duration(i)*time.Minute).Format(xtime.Layout), 1000+i, 100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	read := func(st *Store, at time.Time) string {
+		var b strings.Builder
+		for _, top := range NewAccess(TSIDIndexAccess, Eval{At: at}).Filler(st, 7, false, nil) {
+			b.WriteString(top.String())
+		}
+		return b.String()
+	}
+	quiet, busy := NewStore(structure), NewStore(structure)
+	if err := busy.Add(version(0)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 64 {
+		at := base.Add(time.Duration(i) * time.Minute)
+		if err := quiet.Add(version(i)); err != nil {
+			t.Fatal(err)
+		}
+		want := read(quiet, at)
+		next := version(i + 1)
+		var got string
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got = read(busy, at)
+		}()
+		if err := busy.Add(next); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if got != want {
+			t.Fatalf("version %d read beside the next one's Add:\n%s\nquietly:\n%s", i, got, want)
+		}
+	}
+}
+
+// A fragment built in memory writes its wire form once, into one
+// allocation of its exact size: the stamps on the stack, the payload
+// through the serializer's length pass.
+func TestStringAllocatesOnce(t *testing.T) {
+	payload := xmldom.MustParseString(`<transaction id="t1"><vendor>V &amp; W</vendor><amount>7</amount></transaction>`).Root()
+	f := New(7, 5, time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC), payload).WithSeq(3)
+	if got := testing.AllocsPerRun(20, func() { _ = f.String() }); got != 1 {
+		t.Errorf("Fragment.String: %v allocations, want 1", got)
+	}
+	if got, want := f.String(), f.ToXML().String(); got != want {
+		t.Errorf("String %q, ToXML().String() %q", got, want)
+	}
+	if empty := New(8, 5, f.ValidTime, nil); empty.String() != empty.ToXML().String() {
+		t.Errorf("without a payload: String %q, ToXML().String() %q", empty, empty.ToXML())
 	}
 }

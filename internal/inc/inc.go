@@ -498,17 +498,21 @@ func (e *Engine) tsidJump(x xq.Expr) (tsids []int, pred xq.Expr) {
 // finish renders a piece's unit signatures — what each unit slot
 // computes, independent of which query's engine computes it. Two engines
 // whose units share a signature (same stream/store, same evaluation
-// instant, same limits) produce identical outputs for the same filler,
-// which is what lets a SharedPass evaluate the unit once and hand the
-// result to every query in a shared group. The signature is the
-// canonical rendering of what the unit evaluates — for an indexed slot,
-// its tsid and the body over the unit slot — plus the materialize flag
-// (count-mode queries skip materialization).
+// instant, same limits) produce identical outputs, or identical budget
+// trips, for the same filler, which is what lets a SharedPass evaluate the
+// unit once and hand the result to every registration in a shared group,
+// whatever its plan. The signature is the materialize flag (count-mode
+// queries skip materialization), the read class of the plan
+// (xcql.Mode.ReadClass: a scan read charges a step per hole where an index
+// read charges none, so under a step limit the two can part), the stream,
+// for an indexed slot its tsid, and the canonical rendering of the body the
+// unit evaluates.
 func (e *Engine) finish(p *piece) *piece {
 	m := "m0|"
 	if !e.countMode {
 		m = "m1|"
 	}
+	m += e.q.Mode.ReadClass() + "|"
 	body := p.expr.String()
 	if !p.indexed() {
 		p.sigs = []string{m + "g|" + e.stream + "|" + body}
@@ -961,7 +965,7 @@ func (e *Engine) fallback() {
 func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	// HandlerInvocations is charged in evalUnitShared, once per unit
 	// actually executed: a registry shared-pass hit runs no handler, so
-	// a group of K queries sharing a path reports ~1× handler cost.
+	// a group of K queries sharing a unit reports ~1× handler cost.
 	// the dirty units in global output order; iterating these instead of
 	// all of e.order keeps the per-arrival cost proportional to what the
 	// arrival touched, not to the store size

@@ -21,7 +21,6 @@ package registry
 // reader are fuzzed against arbitrary bytes (FuzzQueryAPIRequest).
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -486,21 +485,24 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 // appendEvalBody appends the body of a successful POST /v1/eval to dst: the
 // object {"at", "items"} as encoding/json renders it with HTML escaping off,
 // each item serialized as inc.ItemSerial does, written field by field. A
-// node item is encoded into one buffer kept for all of them and escaped
-// from there, so an item costs no string of its own.
+// node item is encoded into one buffer kept for all of them, grown to an
+// item's exact size when it is too small, and escaped from there, so an
+// item costs no string of its own.
 func appendEvalBody(dst []byte, at time.Time, seq xq.Sequence) []byte {
 	dst = append(dst, `{"at":"`...)
 	dst = at.AppendFormat(dst, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
 	dst = append(dst, `","items":[`...)
-	var item bytes.Buffer
+	var item []byte
 	for i, it := range seq {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		if n, ok := it.(*xmldom.Node); ok {
-			item.Reset()
-			n.EncodeTo(&item)
-			dst = appendJSONString(dst, item.Bytes())
+			if size := n.EncodedLen(); cap(item) < size {
+				item = make([]byte, 0, size)
+			}
+			item = n.AppendTo(item[:0])
+			dst = appendJSONString(dst, item)
 		} else {
 			dst = appendJSONString(dst, inc.ItemSerial(it))
 		}

@@ -7,7 +7,7 @@ import "xcql/internal/obs"
 // "registry_shared_evals"). Gauges read a fresh Stats snapshot at
 // exposition time, so /metricsz always shows live values. The headline
 // pair is shared_evals vs shared_saved: their ratio is the fan-in the
-// sharing layer achieves — with K queries on one access path,
+// sharing layer achieves — with K queries sharing one unit,
 // shared_saved grows like (K-1)× shared_evals.
 func (r *Registry) RegisterMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {

@@ -1,13 +1,14 @@
 // Package registry is the multi-tenant standing-query layer: one
-// process-wide registry accepts many compiled XCQL registrations,
-// groups them by the tsid access paths their plans touch (what
-// Query.Explain already computes), and evaluates each shared path once
-// per arriving fragment instead of once per query. Every registration
-// runs the incremental engine (internal/inc); within a group, registrations
-// with identical plans advance one shared engine per arrival, and
-// registrations with different plans share individual partial-match unit
-// evaluations through an inc.SharedPass — the registry is the layer that
-// dedupes the engine's per-tag/per-filler units *across* queries.
+// process-wide registry accepts many compiled XCQL registrations, groups
+// them by the stores their plans read and their limits, and evaluates each
+// partial-match unit they have in common once per arriving fragment
+// instead of once per query. Every registration runs the incremental
+// engine (internal/inc); within a group, registrations with identical
+// plans advance one shared engine per arrival, and registrations with
+// different plans — another mode, another set of access paths — share
+// individual unit evaluations through an inc.SharedPass: the registry is
+// the layer that dedupes the engine's per-tag/per-filler units *across*
+// queries.
 //
 // This is the one implementation of a standing query: a registration
 // owns the degrade/re-emit protocol and the delivery accounting, its
@@ -19,13 +20,18 @@
 // this against an oracle that does exactly that). Sharing changes cost,
 // never results.
 //
-// Sharing is scoped for soundness: a group key combines the access-path
-// signature with the identity of the stores the plan reads and a
-// fingerprint of the registration's effective limits, so two queries
-// share work only when their evaluations are guaranteed identical
-// (same store state, same instant, same budgets). A group's SharedPass is
-// emptied before each arrival; nothing memoized outlives the arrival, so
-// there is no cross-arrival invalidation protocol to get wrong.
+// Sharing is scoped for soundness: a group key is the identity of the
+// stores the plan reads and a fingerprint of the registration's effective
+// limits, so two units share work only when their evaluations read the
+// same store state at the same instant under the same budget. What a unit
+// computes is its signature (inc.Engine.UnitSignatures): the materialize
+// flag, the plan's read class, the stream, the tsid and the body. The read
+// class keeps a scan plan's unit (CaQ, QaC: one budget step per hole read)
+// apart from an index plan's (QaC+, QaC++: none), so that no registration
+// is handed a budget trip, or a success, its own plan would not produce.
+// A group's SharedPass is emptied before each arrival; nothing memoized
+// outlives the arrival, so there is no cross-arrival invalidation protocol
+// to get wrong.
 // What surrounds a delivery is owned by what outlives the arrival, and
 // reset rather than rebuilt: the group owns the pass, an engine share the
 // stats its advance counts into (a member's Query.LastStats is a copy),
@@ -203,11 +209,11 @@ func (r *Registry) SetMaxRegistrations(n int) {
 	r.mu.Unlock()
 }
 
-// group is one sharing scope: every registration whose plan touches the
-// same access paths over the same stores under the same limits.
+// group is one sharing scope: every registration whose plan reads the
+// same stores under the same limits.
 type group struct {
-	key     string
-	pathSig string
+	key   string
+	scope string // the key's readable part: stream names and limits
 	// members is sorted by id and, like Registry.order, replaced where
 	// membership changes and never written in place.
 	members []*Registration
@@ -249,6 +255,9 @@ type Registration struct {
 	share *engShare
 	eng   *inc.Engine
 	sigs  []string
+	// paths is the plan's access-path signature from EXPLAIN, what
+	// RegStats.Group reports.
+	paths string
 
 	mu       sync.Mutex
 	degraded string
@@ -265,7 +274,9 @@ type Registration struct {
 
 // RegStats is a snapshot of one registration's delivery counters.
 type RegStats struct {
-	ID    int64
+	ID int64
+	// Group is the registration's own access paths, from EXPLAIN, e.g.
+	// "tsid-index(credit:5)"; its sharing group may hold other paths.
 	Group string
 	// Strategy is how the engine decomposed the plan, and so which
 	// arrivals re-run what: per-binding units, or one broad piece and why
@@ -312,8 +323,8 @@ type Stats struct {
 
 // GroupStats is a snapshot of one sharing group.
 type GroupStats struct {
-	// Key is the group's access-path signature (human-readable part of
-	// the sharing scope).
+	// Key renders the group's sharing scope: the streams its members
+	// read and, when set, their limits.
 	Key string
 	// Members is the live registration count.
 	Members int
@@ -326,14 +337,14 @@ type GroupStats struct {
 	SharedSaved int64
 	Fanout      int64
 	// Stats accumulates the group's evaluation cost counters across
-	// arrivals: with K members sharing a path, FillersScanned grows
+	// arrivals: with K members sharing a unit, FillersScanned grows
 	// like one query's cost, not K of them.
 	Stats obs.EvalStats
 }
 
 // Register adds a compiled standing query. The registration is grouped
-// with every earlier registration sharing its access paths (same
-// stores, same limits) and starts receiving a Result per subsequent
+// with every earlier registration reading the same stores under the same
+// limits and starts receiving a Result per subsequent
 // arrival. Registration itself performs no evaluation; the first
 // arrival (or Evaluate call) seeds the standing state and emits it as
 // the first delta.
@@ -362,7 +373,9 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	reg.eng = inc.New(q)
 	reg.sigs = reg.eng.UnitSignatures()
 	reg.planKey = q.Mode.String() + "\x00" + q.Plan.String()
-	key, pathSig := groupKey(q, lim)
+	ex := q.Explain()
+	key, scope := groupKey(q, ex.Streams, lim)
+	reg.paths = accessPaths(ex.Targets)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -376,7 +389,7 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	if g == nil {
 		g = &group{
 			key:       key,
-			pathSig:   pathSig,
+			scope:     scope,
 			sigRef:    make(map[string]int),
 			engShares: make(map[string]*engShare),
 			units:     inc.NewSharedPass(),
@@ -421,43 +434,43 @@ type engShare struct {
 	stats obs.EvalStats
 }
 
-// groupKey derives a registration's sharing scope: the sorted access-
-// path signature from EXPLAIN, the identity of every store the plan
-// reads (sharing across different stores would be unsound), and the
-// effective limits fingerprint (sharing across different budgets would
-// change which registrations trip).
-func groupKey(q *xcql.Query, lim xcql.Limits) (key, pathSig string) {
-	ex := q.Explain()
-	paths := make([]string, 0, len(ex.Targets))
-	for _, t := range ex.Targets {
+// groupKey derives a registration's sharing scope: the identity of every
+// store the plan reads (sharing across different stores would be unsound)
+// and the effective limits fingerprint (sharing across different budgets
+// would change which registrations trip). How the plan reads is not part
+// of it: the unit signatures carry that. scope is the readable part.
+func groupKey(q *xcql.Query, streams []string, lim xcql.Limits) (key, scope string) {
+	names := slices.Compact(slices.Sorted(slices.Values(streams)))
+	stores := make([]string, len(names))
+	for i, name := range names {
+		stores[i] = fmt.Sprintf("%s=%p", name, q.StreamStore(name))
+	}
+	scope = strings.Join(names, ",")
+	if scope == "" {
+		scope = "(no stream)"
+	}
+	if lim != (xcql.Limits{}) {
+		scope += fmt.Sprintf(" %+v", lim)
+	}
+	return scope + "\x00" + strings.Join(stores, ","), scope
+}
+
+// accessPaths renders the access paths EXPLAIN finds in a plan, sorted and
+// deduplicated: "tsid-index(credit:5)".
+func accessPaths(targets []xcql.ExplainTarget) string {
+	paths := make([]string, 0, len(targets))
+	for _, t := range targets {
 		p := t.Op + "(" + t.Stream
 		if t.TSID > 0 {
 			p += fmt.Sprintf(":%d", t.TSID)
 		}
-		p += ")"
-		paths = append(paths, p)
+		paths = append(paths, p+")")
 	}
-	sort.Strings(paths)
-	pathSig = strings.Join(dedupeSorted(paths), " ")
-	if pathSig == "" {
-		pathSig = "(no store access)"
+	slices.Sort(paths)
+	if sig := strings.Join(slices.Compact(paths), " "); sig != "" {
+		return sig
 	}
-	stores := make([]string, 0, len(ex.Streams))
-	for _, name := range ex.Streams {
-		stores = append(stores, fmt.Sprintf("%s=%p", name, q.StreamStore(name)))
-	}
-	key = pathSig + "\x00" + strings.Join(stores, ",") + "\x00" + fmt.Sprintf("%+v", lim)
-	return key, pathSig
-}
-
-func dedupeSorted(ss []string) []string {
-	out := ss[:0]
-	for i, s := range ss {
-		if i == 0 || s != ss[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
+	return "(no store access)"
 }
 
 // C returns the registration's delivery channel (nil when the
@@ -523,7 +536,7 @@ func (reg *Registration) Stats() RegStats {
 	defer reg.mu.Unlock()
 	return RegStats{
 		ID:             reg.id,
-		Group:          reg.g.pathSig,
+		Group:          reg.paths,
 		Strategy:       reg.eng.Strategy(),
 		Evaluations:    reg.evals,
 		Dropped:        reg.dropped,
@@ -607,9 +620,9 @@ func (reg *Registration) deliver(res Result) bool {
 }
 
 // Apply ingests one fragment arrival (already added to the stores the
-// queries read) at the registry clock's current instant: each shared
-// group evaluates its shared paths once and fans the per-registration
-// deltas out. A nil fragment is a pure re-evaluation (clock advance).
+// queries read) at the registry clock's current instant: each sharing
+// group evaluates its members' units once each and fans the
+// per-registration deltas out. A nil fragment is a pure re-evaluation (clock advance).
 func (r *Registry) Apply(f *fragment.Fragment) {
 	r.evalMu.Lock()
 	defer r.evalMu.Unlock()
@@ -692,7 +705,7 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 		saved += int64(ev.consumers - 1)
 	}
 	if gsp != nil {
-		gsp.SetDetail(fmt.Sprintf("group=%s members=%d evals=%d saved=%d", g.pathSig, len(members), evals, saved))
+		gsp.SetDetail(fmt.Sprintf("group=%s members=%d evals=%d saved=%d", g.scope, len(members), evals, saved))
 	}
 	gsp.End()
 	r.mu.Lock()
@@ -853,7 +866,7 @@ func (r *Registry) Groups() []GroupStats {
 			}
 		}
 		out = append(out, GroupStats{
-			Key:         g.pathSig,
+			Key:         g.scope,
 			Members:     len(g.members),
 			SharedUnits: shared,
 			SharedEvals: g.sharedEvals,

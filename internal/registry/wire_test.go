@@ -152,10 +152,10 @@ func TestGroupAndMemberOrderSurvivesChurn(t *testing.T) {
 		members := 0
 		for _, g := range r.order {
 			if r.groups[g.key] != g || len(g.members) == 0 {
-				t.Fatalf("%s: group %q is ordered but not live", when, g.pathSig)
+				t.Fatalf("%s: group %q is ordered but not live", when, g.scope)
 			}
 			if !slices.IsSortedFunc(g.members, func(a, b *Registration) int { return int(a.id - b.id) }) {
-				t.Fatalf("%s: members of %q out of id order", when, g.pathSig)
+				t.Fatalf("%s: members of %q out of id order", when, g.scope)
 			}
 			members += len(g.members)
 		}
@@ -165,7 +165,10 @@ func TestGroupAndMemberOrderSurvivesChurn(t *testing.T) {
 	}
 	var regs []*Registration
 	for i := range 12 {
-		reg, err := r.Register(queries[i%len(queries)], Options{OnResult: func(Result) {}})
+		// a group is the stores read and the limits: the limits part the
+		// three queries into three groups
+		lim := xcql.Limits{MaxSteps: int64(1e9 + i%len(queries))}
+		reg, err := r.Register(queries[i%len(queries)], Options{OnResult: func(Result) {}, Limits: lim})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,6 +177,9 @@ func TestGroupAndMemberOrderSurvivesChurn(t *testing.T) {
 	}
 	// what an arrival in flight would be iterating
 	r.mu.Lock()
+	if len(r.order) != len(queries) {
+		t.Fatalf("%d groups, want %d", len(r.order), len(queries))
+	}
 	groupsSeen := r.order
 	membersSeen := r.order[0].members
 	groupsWant, membersWant := slices.Clone(groupsSeen), slices.Clone(membersSeen)

@@ -496,7 +496,7 @@ type Subscriber struct {
 	r resultReader
 	// ID is the server-side registration id.
 	ID int64
-	// Group is the registration's sharing-group signature.
+	// Group is the registration's access paths (RegStats.Group).
 	Group string
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"xcql/internal/fragment"
@@ -18,7 +19,10 @@ import (
 // place, in one decoder, so the target also checks the two things that
 // rests on: a frame that decodes as a filler survives decode(encode(f))
 // unchanged, and what was decoded from the buffer does not change when the
-// buffer and the decoder's scratch are overwritten with the next frame.
+// buffer and the decoder's scratch are overwritten with the next frame —
+// neither its frame nor the payload its first read then builds, which
+// equals the payload text parsed eagerly, with the holes EachHole listed
+// before the build those of the eager tree's walk.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(payload string) []byte {
 		var b bytes.Buffer
@@ -34,6 +38,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB length prefix
 	f.Add([]byte{0, 0, 0, 5, 'a', 'b'})   // truncated payload
 	f.Add(append(frame("<a/>"), frame("<b/>")...))
+	// holes: under a non-hole element, inside a hole (not searched), with an
+	// id that does not parse (skipped), without a tsid (0)
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><x><hole id="4" tsid="5"/></x><hole id="6" tsid="5"/></a></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="4" tsid="5"><hole id="8" tsid="5"/></hole></a></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="four" tsid="5"/><hole id="9" tsid="5"/></a></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="4"/><hole id="5" tsid="x"/></a></filler>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		buf := make([]byte, 0, 64)
@@ -67,6 +77,18 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		before := frag.String()
+		var holes [][2]int
+		frag.EachHole(func(id, tsid int) bool {
+			holes = append(holes, [2]int{id, tsid})
+			return true
+		})
+		var eager *xmldom.Node // the payload parsed on its own
+		if p, kids := el.OnlyElement(); kids == 1 {
+			if eager, err = xmldom.ParseString(p.Source()); err != nil {
+				t.Fatalf("the payload %q does not parse on its own: %v", p.Source(), err)
+			}
+			eager = eager.Root()
+		}
 		for i := range payload {
 			payload[i] = 'X' // the next frame arrives in the same buffer
 		}
@@ -76,6 +98,24 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if after := frag.String(); after != before {
 			t.Fatalf("decoded fragment changed with the read buffer and the decoder:\nbefore %s\n after %s", before, after)
+		}
+		if tree := frag.Tree(); tree == nil != (eager == nil) || eager != nil && !tree.Equal(eager) {
+			t.Fatalf("the payload built on the first read is %s, parsed eagerly %s", tree, eager)
+		}
+		var walked [][2]int
+		if eager != nil {
+			eager.Walk(func(n *xmldom.Node) bool {
+				if !fragment.IsHole(n) {
+					return true
+				}
+				if id, err := fragment.HoleID(n); err == nil {
+					walked = append(walked, [2]int{id, fragment.HoleTSID(n)})
+				}
+				return false
+			})
+		}
+		if !slices.Equal(holes, walked) {
+			t.Fatalf("EachHole lists %v, the eager tree's walk %v", holes, walked)
 		}
 		// what the encoder writes decodes to the encoder's own fixpoint
 		// (arbitrary input may spell one run of text as several tokens —

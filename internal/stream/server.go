@@ -19,7 +19,6 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -45,9 +44,6 @@ type Server struct {
 	// order always equals the sequence order; mu guards the shared state
 	// and is never held across a disk sync. Lock order: pubMu before mu.
 	pubMu sync.Mutex
-	// enc is the scratch a publish renders the fragment's wire form
-	// through (Fragment.Sealed); guarded by pubMu.
-	enc bytes.Buffer
 
 	mu   sync.Mutex
 	subs map[*Subscription]struct{}
@@ -302,7 +298,7 @@ func (s *Server) Publish(f *fragment.Fragment) {
 	// does).
 	wired := stamped
 	if seal {
-		wired = stamped.Sealed(&s.enc)
+		wired = stamped.Sealed()
 	}
 	var derr error
 	if d != nil {

@@ -63,6 +63,19 @@ func (m Mode) access() fragment.AccessKind {
 	}
 }
 
+// ReadClass names how the mode's store reads charge a budget: "index" for
+// QaC+ and QaC++, whose reads go to the store's index (Store.lookup,
+// Store.read) and charge no step, and "scan" for CaQ and QaC, whose
+// log-scanned hole-id sets charge one step per hole. Two plans of one
+// class produce the same output, or the same budget trip, from the same
+// read under the same limits; they part only in obs.EvalStats counters.
+func (m Mode) ReadClass() string {
+	if m.access() == fragment.LogScanAccess {
+		return "scan"
+	}
+	return "index"
+}
+
 // String returns the paper's spelling of the mode.
 func (m Mode) String() string {
 	switch m {

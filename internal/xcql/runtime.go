@@ -299,7 +299,11 @@ func (q *Query) Parallelism() int {
 // evaluation of this query (last-writer-wins under concurrent use). The
 // zero value is returned before the first evaluation. Stats are recorded
 // even when the evaluation failed, so a budget trip still shows how far
-// it got.
+// it got. For a standing query the counters are those of its engine's
+// last advance, and a unit that advance took from another registration's
+// evaluation of it (a registry shares a unit across plans of one read
+// class) counts as SharedUnitHits, not as this plan's reads: a QaC++
+// registration beside a QaC+ one may report no LabelRange* reads at all.
 func (q *Query) LastStats() obs.EvalStats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()

@@ -124,6 +124,22 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
+// String writes a serial once, into one allocation of its exact size,
+// whatever the markup to escape.
+func TestStringAllocatesOnce(t *testing.T) {
+	doc := MustParseString(`<r a="x&quot;y&#10;z">t &amp; &lt; &gt;<!-- c --><?pi d?><e/><f g="h">mixed <b>bold</b> tail</f></r>`)
+	root := doc.Root()
+	if got := testing.AllocsPerRun(20, func() { _ = root.String() }); got != 1 {
+		t.Errorf("Node.String: %v allocations, want 1", got)
+	}
+	if got, want := len(root.String()), root.EncodedLen(); got != want {
+		t.Errorf("EncodedLen %d, String writes %d bytes", want, got)
+	}
+	if got, want := doc.String(), root.String(); !strings.HasSuffix(got, want) || doc.EncodedLen() != len(got) {
+		t.Errorf("document %q (EncodedLen %d), root %q", got, doc.EncodedLen(), want)
+	}
+}
+
 func TestSerializeParsePropertyRoundTrip(t *testing.T) {
 	// Property: any tree built from a constrained alphabet serializes to a
 	// string that parses back to an equal tree.
@@ -156,6 +172,9 @@ func TestSerializeParsePropertyRoundTrip(t *testing.T) {
 			}
 		}
 		out := root.String()
+		if len(out) != root.EncodedLen() {
+			return false // the length pass is what String allocates
+		}
 		doc, err := ParseString(out)
 		if err != nil {
 			return false

@@ -1,18 +1,10 @@
 package xmldom
 
 import (
-	"bufio"
 	"io"
 	"strings"
+	"unsafe"
 )
-
-// Sink is what the serializer writes to: the string and byte appends that
-// strings.Builder, bytes.Buffer and bufio.Writer share. The first two
-// cannot fail; a bufio.Writer keeps its first error for Flush.
-type Sink interface {
-	WriteString(string) (int, error)
-	WriteByte(byte) error
-}
 
 // Encode serializes the subtree compactly (no added whitespace) — the
 // canonical wire form. Text and attribute values are escaped.
@@ -23,80 +15,142 @@ func (n *Node) Encode(w io.Writer) error { return encode(w, n, -1, false) }
 // kept inline so text is not distorted.
 func (n *Node) EncodeIndent(w io.Writer) error { return encode(w, n, 0, true) }
 
-func encode(w io.Writer, n *Node, depth int, indent bool) error {
-	sink, direct := w.(Sink)
-	var bw *bufio.Writer
-	if !direct {
-		bw = bufio.NewWriter(w)
-		sink = bw
-	}
-	writeNode(sink, n, depth, indent)
+func encode(out io.Writer, n *Node, depth int, indent bool) error {
+	w := writer{buf: make([]byte, 0, flushAt+flushAt/4), out: out}
+	writeNode(&w, n, depth, indent)
 	if indent {
-		_ = sink.WriteByte('\n')
+		w.byte('\n')
 	}
-	if bw != nil {
-		return bw.Flush()
-	}
-	return nil
+	w.flush()
+	return w.err
 }
 
-// EncodeTo serializes the subtree compactly into a sink the caller is
-// already writing to.
-func (n *Node) EncodeTo(w Sink) { writeNode(w, n, -1, false) }
+// AppendTo appends the compact serialization to dst.
+func (n *Node) AppendTo(dst []byte) []byte {
+	w := writer{buf: dst}
+	writeNode(&w, n, -1, false)
+	return w.buf
+}
 
-// String returns the compact serialization.
+// String returns the compact serialization, written once into an
+// allocation of its exact size (EncodedLen).
 func (n *Node) String() string {
-	var b strings.Builder
-	writeNode(&b, n, -1, false)
-	return b.String()
+	b := n.AppendTo(make([]byte, 0, n.EncodedLen()))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // IndentString returns the indented serialization.
 func (n *Node) IndentString() string {
-	var b strings.Builder
-	writeNode(&b, n, 0, true)
-	b.WriteByte('\n')
-	return b.String()
+	w := writer{}
+	writeNode(&w, n, 0, true)
+	w.byte('\n')
+	return string(w.buf)
 }
 
-func writeNode(w Sink, n *Node, depth int, indent bool) {
+// EncodedLen is the length of the compact serialization: what String
+// allocates.
+func (n *Node) EncodedLen() int {
+	switch n.Type {
+	case DocumentNode:
+		size := 0
+		for _, c := range n.Children {
+			size += c.EncodedLen()
+		}
+		return size
+	case TextNode:
+		return escapedLen(n.Data, false)
+	case CommentNode:
+		return len("<!---->") + len(n.Data)
+	case ProcInstNode:
+		size := len("<??>") + len(n.Name)
+		if n.Data != "" {
+			size += 1 + len(n.Data)
+		}
+		return size
+	case ElementNode:
+		size := 1 + len(n.Name)
+		for _, a := range n.Attrs {
+			size += len(` =""`) + len(a.Name) + escapedLen(a.Value, true)
+		}
+		if len(n.Children) == 0 {
+			return size + len("/>")
+		}
+		size += len("></>") + len(n.Name)
+		for _, c := range n.Children {
+			size += c.EncodedLen()
+		}
+		return size
+	}
+	return 0
+}
+
+// flushAt is the size at which a writer with an out hands its buffer on.
+const flushAt = 4096
+
+// writer is what the serializer writes to: buf, which an encoder to an
+// io.Writer hands to out, keeping the first error, each time it reaches
+// flushAt. A concrete type, so that a writer on the caller's stack stays
+// there: String allocates its bytes and nothing else.
+type writer struct {
+	buf []byte
+	out io.Writer
+	err error
+}
+
+func (w *writer) str(s string) { w.buf = append(w.buf, s...) }
+func (w *writer) byte(b byte)  { w.buf = append(w.buf, b) }
+
+func (w *writer) flush() {
+	if w.out == nil || len(w.buf) == 0 {
+		return
+	}
+	if w.err == nil {
+		_, w.err = w.out.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+func writeNode(w *writer, n *Node, depth int, indent bool) {
+	if w.out != nil && len(w.buf) >= flushAt {
+		w.flush()
+	}
 	switch n.Type {
 	case DocumentNode:
 		for i, c := range n.Children {
 			if indent && i > 0 {
-				w.WriteByte('\n')
+				w.byte('\n')
 			}
 			writeNode(w, c, depth, indent)
 		}
 	case TextNode:
 		writeEscaped(w, n.Data, false)
 	case CommentNode:
-		w.WriteString("<!--")
-		w.WriteString(n.Data)
-		w.WriteString("-->")
+		w.str("<!--")
+		w.str(n.Data)
+		w.str("-->")
 	case ProcInstNode:
-		w.WriteString("<?")
-		w.WriteString(n.Name)
+		w.str("<?")
+		w.str(n.Name)
 		if n.Data != "" {
-			w.WriteByte(' ')
-			w.WriteString(n.Data)
+			w.byte(' ')
+			w.str(n.Data)
 		}
-		w.WriteString("?>")
+		w.str("?>")
 	case ElementNode:
-		w.WriteByte('<')
-		w.WriteString(n.Name)
+		w.byte('<')
+		w.str(n.Name)
 		for _, a := range n.Attrs {
-			w.WriteByte(' ')
-			w.WriteString(a.Name)
-			w.WriteString(`="`)
+			w.byte(' ')
+			w.str(a.Name)
+			w.str(`="`)
 			writeEscaped(w, a.Value, true)
-			w.WriteByte('"')
+			w.byte('"')
 		}
 		if len(n.Children) == 0 {
-			w.WriteString("/>")
+			w.str("/>")
 			return
 		}
-		w.WriteByte('>')
+		w.byte('>')
 		if indent && !n.mixed() {
 			for _, c := range n.Children {
 				writeIndent(w, depth+1)
@@ -108,16 +162,16 @@ func writeNode(w Sink, n *Node, depth int, indent bool) {
 				writeNode(w, c, depth+1, false)
 			}
 		}
-		w.WriteString("</")
-		w.WriteString(n.Name)
-		w.WriteByte('>')
+		w.str("</")
+		w.str(n.Name)
+		w.byte('>')
 	}
 }
 
-func writeIndent(w Sink, depth int) {
-	w.WriteByte('\n')
+func writeIndent(w *writer, depth int) {
+	w.byte('\n')
 	for range depth {
-		w.WriteString("  ")
+		w.str("  ")
 	}
 }
 
@@ -157,14 +211,25 @@ func escapeOf(b byte, attr bool) string {
 
 // writeEscaped writes s with its markup bytes replaced by references: the
 // stretches between them go out as the substrings they are.
-func writeEscaped(w Sink, s string, attr bool) {
+func writeEscaped(w *writer, s string, attr bool) {
 	from := 0
 	for i := 0; i < len(s); i++ {
 		if esc := escapeOf(s[i], attr); esc != "" {
-			w.WriteString(s[from:i])
-			w.WriteString(esc)
+			w.str(s[from:i])
+			w.str(esc)
 			from = i + 1
 		}
 	}
-	w.WriteString(s[from:])
+	w.str(s[from:])
+}
+
+// escapedLen is the length of s as writeEscaped writes it.
+func escapedLen(s string, attr bool) int {
+	size := len(s)
+	for i := 0; i < len(s); i++ {
+		if esc := escapeOf(s[i], attr); esc != "" {
+			size += len(esc) - 1
+		}
+	}
+	return size
 }

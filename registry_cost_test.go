@@ -16,6 +16,7 @@ import (
 
 	"xcql"
 	"xcql/internal/fragment"
+	"xcql/internal/genstore"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
@@ -79,17 +80,17 @@ func mustAddT(tb testing.TB, st *xcql.Store, f *xcql.Fragment) {
 
 const registryCostQuery = `for $t in stream("credit")//transaction return $t`
 
-// replayRegistryCost registers K copies of the query under mode and
+// replayRegistryCost registers K copies of the query under each mode and
 // replays the fixture's arrivals through the registry, returning the
 // sharing group's accumulated stats.
-func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, mode xcql.Mode) xcql.RegistryGroupStats {
+func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, modes ...xcql.Mode) xcql.RegistryGroupStats {
 	tb.Helper()
 	r := fx.engine.Registry()
 	at := fx.at
 	r.SetClock(func() time.Time { return at })
-	regs := make([]*xcql.QueryRegistration, k)
+	regs := make([]*xcql.QueryRegistration, k*len(modes))
 	for i := range regs {
-		q, err := fx.engine.Compile(registryCostQuery, mode)
+		q, err := fx.engine.Compile(registryCostQuery, modes[i/k])
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -110,8 +111,8 @@ func replayRegistryCost(tb testing.TB, fx *registryCostFixture, k int, mode xcql
 	if len(groups) != 1 {
 		tb.Fatalf("expected 1 sharing group, got %d", len(groups))
 	}
-	if got := groups[0].Members; got != k {
-		tb.Fatalf("group members = %d, want %d", got, k)
+	if got := groups[0].Members; got != len(regs) {
+		tb.Fatalf("group members = %d, want %d", got, len(regs))
 	}
 	for _, reg := range regs {
 		reg.Close()
@@ -208,45 +209,103 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 	})
 }
 
+// TestRegistrySharesUnitsAcrossPlans: a sharing group is the stores its
+// members read and their limits, not their access paths, so a unit is
+// evaluated once per arrival for every registration whose decomposition
+// holds it — under QaC+ and QaC++ alike, and beside a plan that reads
+// more paths — and every registration still delivers what replayOracle
+// computes for it alone.
+func TestRegistrySharesUnitsAcrossPlans(t *testing.T) {
+	t.Run("cross-mode", func(t *testing.T) {
+		one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, xcql.QaCPlus)
+		mixed := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 8, xcql.QaCPlus, xcql.QaCPlusPlus)
+		if mixed.Stats.SharedUnitHits == 0 {
+			t.Errorf("SharedUnitHits = 0: the QaC++ engine did not take the QaC+ engine's units")
+		}
+		if got, base := mixed.Stats.HandlerInvocations, one.Stats.HandlerInvocations; got*2 > base*3 {
+			t.Errorf("HandlerInvocations of 8 QaC+ and 8 QaC++ registrations = %d, want ~%d (1x)", got, base)
+		}
+		const src = `for $t in stream("s")//transaction return $t`
+		var specs []regSpec
+		for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
+			for range 8 {
+				specs = append(specs, regSpec{src: src, mode: mode})
+			}
+		}
+		checkRegistryAgainstOracle(t, specs)
+	})
+
+	t.Run("superset-path-set", func(t *testing.T) {
+		fx := newRegistryCostFixture(t, 100, 50)
+		r := fx.engine.Registry()
+		at := fx.at
+		r.SetClock(func() time.Time { return at })
+		for _, src := range []string{registryCostQuery, `(stream("credit")//transaction, stream("credit")//account)`} {
+			q, err := fx.engine.Compile(src, xcql.QaCPlus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) {}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, f := range fx.arrivals {
+			mustAddT(t, fx.store, f)
+			at = f.ValidTime
+			r.Apply(f)
+		}
+		groups := r.Groups()
+		if len(groups) != 1 || groups[0].Stats.SharedUnitHits == 0 || groups[0].SharedUnits == 0 {
+			t.Fatalf("groups %+v: want one group in which the transaction unit is shared", groups)
+		}
+		regs := r.Registrations()
+		if regs[0].Group != "tsid-index(credit:5)" || regs[1].Group != "tsid-index(credit:2) tsid-index(credit:5)" {
+			t.Errorf("registrations report access paths %q and %q, want each its own", regs[0].Group, regs[1].Group)
+		}
+		checkRegistryAgainstOracle(t, []regSpec{
+			{src: `for $t in stream("s")//transaction return $t`, mode: xcql.QaCPlus},
+			{src: `(stream("s")//transaction, stream("s")//account)`, mode: xcql.QaCPlus},
+		})
+	})
+}
+
+// checkRegistryAgainstOracle replays a credit stream of re-announced
+// accounts through one registry holding every spec and holds each
+// registration's deltas and standing result to replayOracle's.
+func checkRegistryAgainstOracle(t *testing.T, specs []regSpec) {
+	t.Helper()
+	pub, frags := genstore.NewCreditPublisher(3)
+	for i := 1; i <= 30; i++ {
+		announce, tx := pub.Charge(i%3, 10*i, genstore.CreditBase.Add(time.Duration(i)*time.Minute))
+		frags = append(frags, announce, tx)
+	}
+	ins := &genstore.Instance{Structure: xcql.MustParseTagStructure(genstore.CreditStructure), Fragments: frags}
+	for i, got := range replayRegistry(t, ins, frags, specs) {
+		want := replayOracle(t, ins, frags, specs[i].src, specs[i].mode, execConfigs[0])
+		if got.String() != want.String() {
+			t.Fatalf("registration %d (%s, %q) diverged from the oracle\noracle:\n%s\nregistry:\n%s",
+				i, specs[i].mode, specs[i].src, harnessTruncate(want.String()), harnessTruncate(got.String()))
+		}
+	}
+}
+
 // BenchmarkRegistryFanout is the sharing headline of the BENCH snapshots:
 // per-fragment cost with K standing queries over one shared access
 // path, registry-shared vs K independent continuous queries. Shared
 // mode should stay ~flat in K (handlers/op ~1×); independent mode grows
-// ~linearly.
+// ~linearly. The mixed rows hold K/2 QaC+ and K/2 QaC++ registrations,
+// two engines whose one unit is evaluated once: their handlers/op is the
+// shared rows'.
 func BenchmarkRegistryFanout(b *testing.B) {
 	for _, k := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shared/k=%d", k), func(b *testing.B) {
-			fx := newRegistryCostFixture(b, 100, b.N)
-			r := fx.engine.Registry()
-			at := fx.at
-			r.SetClock(func() time.Time { return at })
-			var delivered int64
-			for i := 0; i < k; i++ {
-				q, err := fx.engine.Compile(registryCostQuery, xcql.QaCPlus)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) { delivered++ }}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// seed the standing state outside the timer
-			r.Evaluate()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f := fx.arrivals[i]
-				mustAddT(b, fx.store, f)
-				if f.ValidTime.After(at) {
-					at = f.ValidTime
-				}
-				r.Apply(f)
-			}
-			b.StopTimer()
-			g := r.Groups()[0]
-			b.ReportMetric(float64(g.Stats.HandlerInvocations)/float64(b.N), "handlers/op")
-			b.ReportMetric(float64(g.SharedSaved)/float64(b.N), "shared-saved/op")
-			b.ReportMetric(float64(delivered)/float64(b.N), "fanout/op")
+			benchRegistryFanout(b, k, xcql.QaCPlus)
 		})
+		if k > 1 {
+			b.Run(fmt.Sprintf("mixed/k=%d", k), func(b *testing.B) {
+				benchRegistryFanout(b, k/2, xcql.QaCPlus, xcql.QaCPlusPlus)
+			})
+		}
 		b.Run(fmt.Sprintf("independent/k=%d", k), func(b *testing.B) {
 			fx := newRegistryCostFixture(b, 100, b.N)
 			at := fx.at
@@ -286,4 +345,41 @@ func BenchmarkRegistryFanout(b *testing.B) {
 			b.ReportMetric(float64(handlers)/float64(b.N), "handlers-last/op")
 		})
 	}
+}
+
+// benchRegistryFanout replays b.N arrivals through one registry holding k
+// registrations of the query under each mode.
+func benchRegistryFanout(b *testing.B, k int, modes ...xcql.Mode) {
+	fx := newRegistryCostFixture(b, 100, b.N)
+	r := fx.engine.Registry()
+	at := fx.at
+	r.SetClock(func() time.Time { return at })
+	var delivered int64
+	for _, mode := range modes {
+		for range k {
+			q, err := fx.engine.Compile(registryCostQuery, mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) { delivered++ }}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// seed the standing state outside the timer
+	r.Evaluate()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := fx.arrivals[i]
+		mustAddT(b, fx.store, f)
+		if f.ValidTime.After(at) {
+			at = f.ValidTime
+		}
+		r.Apply(f)
+	}
+	b.StopTimer()
+	g := r.Groups()[0]
+	b.ReportMetric(float64(g.Stats.HandlerInvocations)/float64(b.N), "handlers/op")
+	b.ReportMetric(float64(g.SharedSaved)/float64(b.N), "shared-saved/op")
+	b.ReportMetric(float64(delivered)/float64(b.N), "fanout/op")
 }

@@ -212,9 +212,9 @@ type (
 	// durable bootstrap; *SegStore satisfies it.
 	DurableLog = stream.DurableLog
 	// QueryRegistry is the multi-tenant standing-query registry: it
-	// groups registered queries by access path and evaluates each
-	// shared path once per arriving fragment, fanning per-registration
-	// deltas out. Engine.Registry returns the engine's registry.
+	// groups registered queries by the stores they read and their limits
+	// and evaluates each shared unit once per arriving fragment, fanning
+	// per-registration deltas out. Engine.Registry returns the engine's registry.
 	QueryRegistry = registry.Registry
 	// QueryRegistration is one standing query's handle in a
 	// QueryRegistry: consume results, inspect degradation, Close to
