@@ -119,8 +119,9 @@ trace-smoke:
 # times the size and after a write: nothing is derived from the store per
 # generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
 # credit stream has a ceiling too: losing per-binding decomposition or
-# window-expiry scheduling costs about twenty times as much, losing a unit's
-# per-version memo about five times and more with every charge. The wire codec's ceilings hold allocations and bytes alike —
+# window-expiry scheduling costs many times as much, losing a unit's
+# per-version memo or its per-child terms three to four times, and more with
+# every charge (a check holds one charge flat from 250 to 1 000 charges in). The wire codec's ceilings hold allocations and bytes alike —
 # decoding one transaction frame and one thirty-hole account frame, and
 # Publish up to the wire bytes — since what the codec must not bring back
 # is a per-frame buffer (one allocation, 32 KiB) or a node built at a time

@@ -150,8 +150,12 @@ func TestAllocationCeiling(t *testing.T) {
 	// account's re-announcement, then the transaction — re-runs three
 	// versions of the charged account and nothing else — the new version
 	// and the one whose lifespan it closes, then the version announcing the
-	// transaction — 310 allocations averaged over the next two rounds of the
-	// twenty accounts (415 while every top a read built cost two allocations
+	// transaction —, each folding the sum from its transactions' kept
+	// terms, of which the charge evaluates two (the new transaction's, empty
+	// on the re-announcement, full on its arrival): 74 allocations averaged
+	// over the next two rounds of the twenty accounts (310 while every
+	// re-run re-crossed, re-projected and re-summed every transaction the
+	// version held, 415 while every top a read built cost two allocations
 	// and every literal evaluation one, 2 566 while each of the two arrivals
 	// re-ran every version of the account, each crossing all its holes;
 	// 3 083 while each
@@ -160,24 +164,45 @@ func TestAllocationCeiling(t *testing.T) {
 	// out of the index, 3 417 while each of the two unit evaluations built
 	// its own static environment, 4 412 when per-binding decomposition and
 	// window-expiry scheduling landed, before comparisons stopped
-	// allocating). Without the per-version memo every charge costs about five
+	// allocating). Without the per-version memo every charge costs about three
 	// times the ceiling at this depth, and more with every charge after;
 	// without the decomposition every charge re-runs all twenty accounts,
-	// without the schedule every tick of the clock does.
-	const fraudCeiling = 357
-	cs := newCreditStanding(t, creditQueries[2].src, 250)
+	// without the schedule every tick of the clock does. Without the term
+	// memo a charge grows with the account's history: on a stream charged
+	// once a second, so that none of its charges leaves the hour's window
+	// (a charge that leaves re-runs every version holding it, memo or no
+	// memo), the same charge 1 000 charges in must cost within a fifth of
+	// what it costs 250 in.
+	const fraudCeiling = 85
+	got := fraudChargeAllocs(t, 250, 10*time.Second)
+	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
+	if got > fraudCeiling {
+		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d", got, fraudCeiling)
+	}
+	shallow, deep := fraudChargeAllocs(t, 250, time.Second), fraudChargeAllocs(t, 1000, time.Second)
+	t.Logf("fraud/incremental, one charge a second: %.0f allocs/charge 250 charges in, %.0f 1 000 in", shallow, deep)
+	if deep > shallow*1.2 || deep < shallow/1.2 {
+		t.Errorf("fraud/incremental: %.0f allocs per charge 1 000 charges in, %.0f 250 in: not flat within 20 %%", deep, shallow)
+	}
+}
+
+// fraudChargeAllocs is what one charge of the standing fraud query costs
+// on a re-announced credit stream charged `every` apart, `events` charges
+// in, averaged over the next two rounds of the twenty accounts.
+func fraudChargeAllocs(t *testing.T, events int, every time.Duration) float64 {
+	t.Helper()
+	cs := newCreditStanding(t, creditQueries[2].src, events, every)
+	if s := cs.cq.Strategy(); s != "1 piece (per-binding on account; sum folded over transaction terms)" {
+		t.Fatalf("fraud/incremental: strategy %s", s)
+	}
 	charges := cs.charges(41)
 	next := 0
-	got := testing.AllocsPerRun(len(charges)-1, func() {
+	return testing.AllocsPerRun(len(charges)-1, func() {
 		if err := cs.arrive(charges[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	})
-	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
-	if got > fraudCeiling {
-		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d; strategy: %s", got, fraudCeiling, cs.cq.Strategy())
-	}
 }
 
 // TestRegistryArrivalAllocationCeiling is the registry's part of `make

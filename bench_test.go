@@ -556,26 +556,27 @@ var creditQueries = []struct{ name, src string }{
 
 // creditStanding is one standing query over the credit stream as a
 // publisher sends it (genstore.CreditPublisher): twenty accounts charged
-// round robin, ten seconds apart — an hour's window holds 360 charges,
-// and expires them as the stream runs on — with `events` charges already
-// in the store and evaluated.
+// round robin, `every` apart — ten seconds in the benchmarks, so that an
+// hour's window holds 360 charges and expires them as the stream runs on
+// — with `events` charges already in the store and evaluated.
 type creditStanding struct {
 	q      *ixcql.Query
 	cq     *stream.ContinuousQuery
 	pub    *genstore.CreditPublisher
 	st     *fragment.Store
 	events int
+	every  time.Duration
 	at     time.Time
 }
 
-func newCreditStanding(tb testing.TB, src string, events int) *creditStanding {
+func newCreditStanding(tb testing.TB, src string, events int, every time.Duration) *creditStanding {
 	tb.Helper()
 	structure, err := tagstruct.ParseString(genstore.CreditStructure)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	pub, initial := genstore.NewCreditPublisher(20)
-	cs := &creditStanding{pub: pub, st: fragment.NewStore(structure), at: genstore.CreditBase}
+	cs := &creditStanding{pub: pub, st: fragment.NewStore(structure), every: every, at: genstore.CreditBase}
 	if err := cs.st.AddAll(initial); err != nil {
 		tb.Fatal(err)
 	}
@@ -604,7 +605,7 @@ func (cs *creditStanding) charges(n int) [][2]*fragment.Fragment {
 	out := make([][2]*fragment.Fragment, n)
 	for i := range out {
 		cs.events++
-		at := genstore.CreditBase.Add(time.Duration(cs.events) * 10 * time.Second)
+		at := genstore.CreditBase.Add(time.Duration(cs.events) * cs.every)
 		out[i][0], out[i][1] = cs.pub.Charge(cs.events%20, 1+cs.events*37%1000, at)
 	}
 	return out
@@ -653,7 +654,7 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 	for _, query := range creditQueries {
 		for _, events := range []int{100, 1000} {
 			b.Run(fmt.Sprintf("reannounce/%s/incremental/events=%d", query.name, events), func(b *testing.B) {
-				cs := newCreditStanding(b, query.src, events)
+				cs := newCreditStanding(b, query.src, events, 10*time.Second)
 				charges := cs.charges(b.N)
 				b.ResetTimer()
 				for _, charge := range charges {

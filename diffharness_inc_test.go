@@ -340,6 +340,12 @@ func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(1), int64(3), uint8(64|32|2|1))
 	f.Add(int64(3), int64(17), uint8(64|48|2|1))
 	f.Add(int64(8), int64(5), uint8(64|32|8|2|1))
+	// the same, on the window-sum query, whose sum the index plans fold
+	// from per-child terms: terms are kept, and some reach their horizon
+	f.Add(int64(0), int64(72), uint8(64|32|2|1))
+	f.Add(int64(0), int64(72), uint8(64|48|2|1))
+	f.Add(int64(3), int64(22), uint8(64|32|2|1))
+	f.Add(int64(3), int64(22), uint8(64|48|2|1))
 	f.Fuzz(func(t *testing.T, seed, permSeed int64, flags uint8) {
 		p := genstore.Profile{
 			Seed:       seed%1000 + 1,

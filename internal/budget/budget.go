@@ -221,6 +221,29 @@ func (b *Budget) AddItems(n int) error {
 	return b.tick()
 }
 
+// Charge charges at once what an evaluation charged before — steps, items
+// and bytes — for a caller that replays one it memoized instead of running
+// it again. Steps trip as Step does, one at a time: past MaxSteps the
+// error reports the step that tripped, not the ones after it.
+func (b *Budget) Charge(steps, items, bytes int64) error {
+	if b == nil {
+		return nil
+	}
+	if steps > 0 {
+		used := b.steps.Add(steps)
+		if b.limits.MaxSteps > 0 && used > b.limits.MaxSteps {
+			return &ResourceError{Limit: LimitSteps, Used: max(used-steps, b.limits.MaxSteps) + 1, Max: b.limits.MaxSteps}
+		}
+		if err := b.tick(); err != nil {
+			return err
+		}
+	}
+	if err := b.AddItems(int(items)); err != nil {
+		return err
+	}
+	return b.AddBytes(bytes)
+}
+
 // AddBytes charges n approximate bytes of materialized XML.
 func (b *Budget) AddBytes(n int64) error {
 	if b == nil || n == 0 {

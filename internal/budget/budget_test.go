@@ -141,3 +141,30 @@ func TestUsedCounters(t *testing.T) {
 		t.Fatalf("Used() = %d,%d,%d, want 1,7,42", steps, items, bytes)
 	}
 }
+
+// TestChargeTripsAsStepsDo: charging steps at once trips where stepping
+// one at a time does, with the same error, and charges items and bytes
+// as AddItems and AddBytes do.
+func TestChargeTripsAsStepsDo(t *testing.T) {
+	stepped, charged := New(context.Background(), Limits{MaxSteps: 5}), New(context.Background(), Limits{MaxSteps: 5})
+	var want error
+	for i := 0; i < 7 && want == nil; i++ {
+		want = stepped.Step()
+	}
+	if err := charged.Charge(3, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := charged.Charge(4, 0, 0); err == nil || err.Error() != want.Error() {
+		t.Fatalf("charging 3 then 4 of 5 steps: %v, stepping: %v", err, want)
+	}
+	b := New(context.Background(), Limits{MaxItems: 10, MaxBytes: 100})
+	if err := b.Charge(0, 10, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, items, bytes := b.Used(); items != 10 || bytes != 100 {
+		t.Fatalf("used %d items and %d bytes, want 10 and 100", items, bytes)
+	}
+	if err := b.Charge(0, 1, 0); tripLimit(t, err) != LimitItems {
+		t.Fatalf("an item past the limit: %v", err)
+	}
+}

@@ -37,6 +37,11 @@ type Access interface {
 	// first position. A child step that counts positions per parent passes
 	// a Window; the zero Window reads the set whole.
 	Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node
+	// ChargeFillers charges what Fillers(st, ids, nil, Window{}) charges,
+	// uncached and sequential, for distinct ids, and reads nothing: for a
+	// caller that holds what the read returns already (an incremental
+	// engine's memoized child terms). A budget trip panics, as in Fillers.
+	ChargeFillers(st *Store, ids []int)
 	// ByTSID returns every version stored under a tsid, grouped by filler
 	// id ascending — a descendant step over the whole stream.
 	ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node
@@ -254,6 +259,15 @@ func (a *logScan) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmld
 	return out
 }
 
+func (a *logScan) ChargeFillers(st *Store, ids []int) {
+	for _, id := range ids {
+		a.Budget.MustStep()
+		a.Stats.AddHoles(1)
+		n := st.visible(id, a.At)
+		a.chargePass(st, n, n)
+	}
+}
+
 // ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
 // by the tsid index on an indexed store. Only the index plans'
 // translations ask for it.
@@ -295,6 +309,18 @@ func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xm
 	return siftSlots(st, ids, a.At, slots, keep, win)
 }
 
+func (a *tsidIndex) ChargeFillers(st *Store, ids []int) {
+	if len(ids) == 0 {
+		return
+	}
+	a.Stats.AddHoles(len(ids))
+	n := 0
+	for _, id := range ids {
+		n += st.visible(id, a.At)
+	}
+	a.chargePass(st, n, n)
+}
+
 type labelIndex struct{ Eval }
 
 func (a *labelIndex) Arm(ev Eval) { a.Eval = ev }
@@ -313,6 +339,15 @@ func (a *labelIndex) Filler(st *Store, id int, _ bool, keep Filter) []*xmldom.No
 
 func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
 	return a.charge(st.read(distinctIDs(ids), 0, a.At, keep, win))
+}
+
+func (a *labelIndex) ChargeFillers(st *Store, ids []int) {
+	n := 0
+	for _, id := range ids {
+		n += st.visible(id, a.At)
+	}
+	a.Stats.AddLabelRangeLookup(n)
+	a.Stats.AddNodes(n)
 }
 
 func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {

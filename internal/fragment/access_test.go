@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
@@ -617,6 +618,37 @@ func TestReadTopsAreClippedWindows(t *testing.T) {
 		}
 		if payloads() != stored {
 			t.Fatalf("%s: appending to the tops changed a stored payload", name)
+		}
+	}
+}
+
+// TestChargeFillersChargesTheRead: charging a child step's read without
+// making it moves every counter and the budget's steps exactly as making
+// it does, under every access implementation, on indexed and scan stores,
+// with versions ahead of the instant and an id nothing is stored under.
+func TestChargeFillersChargesTheRead(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ins.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := append(st.FillerIDs()[1:], 1<<20)
+		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
+			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess} {
+				var read, charged obs.EvalStats
+				var readBudget, chargedBudget budget.Budget
+				fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &read, Budget: &readBudget}).Fillers(st, ids, nil, fragment.Window{})
+				fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &charged, Budget: &chargedBudget}).ChargeFillers(st, ids)
+				r, _, _ := readBudget.Used()
+				c, _, _ := chargedBudget.Used()
+				if read != charged || r != c {
+					t.Errorf("scan=%v kind %d at %s: the read charged\n%+v, %d steps\ncharging it charged\n%+v, %d steps", scan, kind, at, read, r, charged, c)
+				}
+			}
 		}
 	}
 }

@@ -204,6 +204,13 @@ func (st *Store) Versions(fillerID int) []*Fragment {
 	return vs[:len(vs):len(vs)]
 }
 
+// visible is how many versions of a filler are visible at the instant at:
+// what a read of it examines, and builds without a filter.
+func (st *Store) visible(fillerID int, at time.Time) int {
+	vs := st.Versions(fillerID)
+	return sort.Search(len(vs), func(i int) bool { return vs[i].ValidTime.After(at) })
+}
+
 // FillerIDs returns every stored filler id in ascending order, in a slice
 // of the caller's own: the index's keys, sorted.
 func (st *Store) FillerIDs() []int {

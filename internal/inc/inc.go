@@ -27,7 +27,10 @@
 // ancestors, independent of store size. The same layers distribute over a
 // filler's versions, so a unit keeps its output cut by version and re-runs
 // only the versions an arrival changed: a re-announced parent costs its
-// new version and the one whose lifespan it closes, not its history.
+// new version and the one whose lifespan it closes, not its history. And
+// an aggregate over a child step distributes over the children: a re-run
+// version folds the per-child terms the engine keeps (fold.go) instead of
+// re-crossing its holes.
 //
 // The clock is scheduled the same way. Every version's evaluation hands
 // back a validity horizon — the earliest instant at which a comparison it
@@ -76,6 +79,19 @@ type piece struct {
 	// sigs holds the SharedPass signature of each unit slot: one per
 	// tsid, or the single one of a generic piece.
 	sigs []string
+	// folded is what an indexed piece's units run in place of expr when
+	// its body folds aggregates from per-child terms (fold.go), nil when
+	// expr runs as it stands; folds says which, for Strategy.
+	folded xq.Expr
+	folds  []string
+}
+
+// body is the expression the piece's units evaluate.
+func (p *piece) body() xq.Expr {
+	if p.folded != nil {
+		return p.folded
+	}
+	return p.expr
 }
 
 // deps is what an expression's result depends on besides the values it
@@ -201,6 +217,10 @@ type Engine struct {
 	countMode bool
 	stripped  xq.Expr // plan after count-strip; the fallback whole-plan expr
 	pieces    []*piece
+	// sites are the aggregates the pieces fold from per-child terms,
+	// numbered as the folded bodies number them, and terms keeps the terms.
+	sites []xcql.FoldSite
+	terms termMemo
 
 	order      []*unit // every unit, in global output order (ascending key)
 	due        dueHeap // units with a horizon, next to pending: what the clock alone dirties
@@ -295,6 +315,7 @@ func New(q *xcql.Query) *Engine {
 		e.structure = e.store.Structure()
 	}
 	e.pieces = e.decompose()
+	e.terms.sites = len(e.sites)
 	return e
 }
 
@@ -463,6 +484,7 @@ func (e *Engine) decompose() []*piece {
 				own = &xq.Filter{Base: unitRef, Preds: []xq.Expr{pred}}
 			}
 			p.expr = body(own)
+			e.fold(p)
 		} else {
 			p.expr = body(x)
 			p.deps = e.dependencies(p.expr)
@@ -718,7 +740,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 		return nil, nil, err
 	}
 	defer e.q.Release()
-	e.reran = 0
+	e.reran, e.terms.runs = 0, 0
 	var rsp *obs.Span
 	if f != nil {
 		rsp = e.tracer.Start(f.Trace, "inc.recompute").Annotate(e.stream, f.TSID, f.Seq)
@@ -774,7 +796,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 	dirty := len(e.dirty)
 	seq, serials, err := e.applyDirty(at, lim, stats, sp)
 	if rsp != nil {
-		rsp.SetDetail("dirty=" + strconv.Itoa(dirty) + " units=" + strconv.Itoa(len(e.order)) + " versions=" + strconv.Itoa(e.reran))
+		rsp.SetDetail("dirty=" + strconv.Itoa(dirty) + " units=" + strconv.Itoa(len(e.order)) + " versions=" + strconv.Itoa(e.reran) + " terms=" + strconv.Itoa(e.terms.runs))
 	}
 	if err != nil {
 		// the popped horizons and pending events and this arrival's dirty
@@ -794,6 +816,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 // engine's.
 func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
 	e.rebuildContainment(at)
+	clear(e.terms.kept)
 	for pi, p := range e.pieces {
 		if !p.indexed() {
 			e.ensureUnit(unitKey{pi, -1, -1})
@@ -889,6 +912,7 @@ func (e *Engine) mark(u *unit) {
 // current output.
 func (e *Engine) markArrival(fid, tsid int) {
 	e.markLevel(fid, tsid, -1)
+	e.terms.drop(fid)
 	// containment is as deep as the Tag Structure; the climbed ids guard
 	// against a cycle a malformed stream could announce
 	var buf [8]int
@@ -900,6 +924,7 @@ func (e *Engine) markArrival(fid, tsid int) {
 		}
 		climbed = append(climbed, parent)
 		e.markLevel(parent, e.tsidOf[parent], fid)
+		e.terms.drop(parent)
 		fid = parent
 	}
 }
@@ -1105,9 +1130,12 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 		e.frame = e.q.NewUnitEval()
 		e.keep, e.each = e.run.admit, e.run.collect
 		e.run.serialize = !e.countMode
+		if len(e.sites) > 0 {
+			e.frame.SetFolds(e.sites, &e.terms)
+		}
 	}
 	if !p.indexed() {
-		seq, horizon, err := e.frame.Eval(p.expr, nil, 0, nil, nil, at, lim, stats, !e.countMode)
+		seq, horizon, err := e.frame.Eval(p.body(), nil, 0, nil, nil, at, lim, stats, !e.countMode)
 		if err != nil {
 			return unitResult{}, err
 		}
@@ -1128,7 +1156,7 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 		vs = vs[:n]
 		if memo == nil && n < 2 {
 			// one version: nothing to keep apart
-			seq, horizon, err := e.frame.Eval(p.expr, e.store, k.fid, nil, nil, at, lim, stats, !e.countMode)
+			seq, horizon, err := e.frame.Eval(p.body(), e.store, k.fid, nil, nil, at, lim, stats, !e.countMode)
 			if err != nil {
 				return unitResult{}, err
 			}
@@ -1136,7 +1164,7 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 			return e.result(seq, horizon), nil
 		}
 		e.planRerun(vs, memo, prev, at)
-		_, _, err := e.frame.Eval(p.expr, e.store, k.fid, e.keep, e.each, at, lim, stats, !e.countMode)
+		_, _, err := e.frame.Eval(p.body(), e.store, k.fid, e.keep, e.each, at, lim, stats, !e.countMode)
 		e.reran += len(r.ends)
 		if err != nil {
 			return unitResult{}, err
@@ -1416,8 +1444,10 @@ func (e *Engine) UnitSignatures() []string {
 // Strategy describes how the plan decomposed and which arrivals re-run
 // each piece, for EXPLAIN-style output: "1 piece (per-binding on account)"
 // recomputes one account's bindings when that account or something under
-// it arrives; "1 piece (generic, broad: calls f, which is not a pure
-// builtin)" re-runs the whole plan on every arrival, and says why. What
+// it arrives, and "; sum folded over transaction terms" after it says the
+// body's sum folds per-transaction terms; "1 piece (generic, broad: calls
+// f, which is not a pure builtin)" re-runs the whole plan on every
+// arrival, and says why. What
 // the clock re-runs is decided per unit and evaluation (unit.horizon), not
 // by the plan: the "inc.recompute" span of an arrival counts it.
 func (e *Engine) Strategy() string {
@@ -1454,7 +1484,7 @@ func (e *Engine) describe(p *piece) string {
 	}
 	switch {
 	case p.indexed():
-		return "per-binding on " + tagNames(p.tsids)
+		return strings.Join(append([]string{"per-binding on " + tagNames(p.tsids)}, p.folds...), "; ")
 	case p.broad != "":
 		return "generic, broad: " + p.broad
 	}

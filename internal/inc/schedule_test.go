@@ -1,12 +1,14 @@
 package inc
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
@@ -109,8 +111,8 @@ func TestStrategyNamesTheDecision(t *testing.T) {
 		mode xcql.Mode
 		want string
 	}{
-		{fraudQuery, xcql.QaCPlus, "1 piece (per-binding on account)"},
-		{fraudQuery, xcql.QaCPlusPlus, "1 piece (per-binding on account)"},
+		{fraudQuery, xcql.QaCPlus, "1 piece (per-binding on account; sum folded over transaction terms)"},
+		{fraudQuery, xcql.QaCPlusPlus, "1 piece (per-binding on account; sum folded over transaction terms)"},
 		{filterQuery, xcql.QaCPlus, "1 piece (per-binding on transaction)"},
 		{`count(stream("credit")//transaction)`, xcql.QaCPlusPlus, "1 piece (per-binding on transaction), count mode"},
 		{fraudQuery, xcql.QaC, "1 piece (generic on creditAccounts,account,creditLimit,transaction)"},
@@ -252,6 +254,18 @@ func (fr *fraudReplay) step(f *fragment.Fragment, at time.Time) int {
 	return fr.e.reran
 }
 
+// terms checks how many terms the last step evaluated and, when it
+// evaluated any, how many items the term of transaction fid now holds.
+func (fr *fraudReplay) terms(what string, runs, fid, items int) {
+	fr.t.Helper()
+	if n := fr.e.terms.runs; n != runs {
+		fr.t.Fatalf("%s: %d terms evaluated, want %d", what, n, runs)
+	}
+	if t := fr.e.terms.kept[termKey{0, fid}]; runs > 0 && (t == nil || t.Len() != items) {
+		fr.t.Fatalf("%s: transaction %d's term %+v, want one of %d items", what, fid, t, items)
+	}
+}
+
 // TestPerVersionSchedule pins which versions an arrival re-runs on a
 // re-announced credit stream, one account charged k times a minute apart,
 // so that version i of the account holds the holes of charges 1..i: a
@@ -259,10 +273,16 @@ func (fr *fraudReplay) step(f *fragment.Fragment, at time.Time) int {
 // closes, its transaction the one version announcing it; the clock re-runs
 // nothing short of a window edge, and just past one only the versions
 // whose horizon it passed — the versions holding the charge that left the
-// window, not the older ones. Duplicate versions, a version stored
-// mid-history, a future-dated version becoming visible, a clock regression
+// window, not the older ones. Within the versions that re-run, the sum
+// folds the transactions' terms, and only a changed transaction's term is
+// evaluated: a charge evaluates one term with an item in it (and, on the
+// re-announcement, the empty one of the transaction not yet stored), the
+// edge only the term of the charge that left, a duplicated or newly
+// visible transaction only its own. Duplicate versions, a version stored
+// mid-history, future-dated versions becoming visible, a clock regression
 // and a budget trip half-way through a unit's versions all leave every
-// delta and standing result equal to a from-scratch evaluation.
+// delta and standing result equal to a from-scratch evaluation, and the
+// trip is the one the unfolded sum makes, at every step budget.
 func TestPerVersionSchedule(t *testing.T) {
 	rt, cs := newCreditStream(t, 2)
 	fr := newFraudReplay(t, rt)
@@ -272,21 +292,26 @@ func TestPerVersionSchedule(t *testing.T) {
 	const k = 6
 	minute := func(m int) time.Time { return creditBase.Add(time.Duration(m) * time.Minute) }
 	at := creditBase
+	var txs []int // charge i's transaction is txs[i-1]
 	for i := 1; i <= k; i++ {
+		// each fragment is stored as it arrives
 		at = minute(i)
-		announce, tx := cs.charge(0, 2000, at)
+		announce, tx := cs.pub.Charge(0, 2000, at)
 		announce.Trace = rec.NewTrace()
-		if n := fr.step(announce, at); n != 2 {
+		if n := fr.step(cs.add(announce), at); n != 2 {
 			t.Fatalf("charge %d, the re-announcement: %d versions re-run, want the new one and the one whose lifespan it closes", i, n)
 		}
+		txs = append(txs, tx.FillerID)
+		fr.terms(fmt.Sprintf("charge %d, the re-announcement", i), 1, tx.FillerID, 0)
 		rec.Flush()
 		spans := rec.TraceByID(announce.Trace.TraceID).Spans
-		if len(spans) != 1 || spans[0].Detail != "dirty=1 units=2 versions=2" {
-			t.Fatalf("charge %d, the re-announcement: spans %+v, want one inc.recompute span detailing dirty=1 units=2 versions=2", i, spans)
+		if len(spans) != 1 || spans[0].Detail != "dirty=1 units=2 versions=2 terms=1" {
+			t.Fatalf("charge %d, the re-announcement: spans %+v, want one inc.recompute span detailing dirty=1 units=2 versions=2 terms=1", i, spans)
 		}
-		if n := fr.step(tx, at); n != 1 {
+		if n := fr.step(cs.add(tx), at); n != 1 {
 			t.Fatalf("charge %d, the transaction: %d versions re-run, want the one announcing it", i, n)
 		}
+		fr.terms(fmt.Sprintf("charge %d, the transaction", i), 1, tx.FillerID, 1)
 	}
 	for _, u := range fr.e.order {
 		if want := len(cs.store.Versions(u.key.fid)); u.key.fid == 1 && (u.versions == nil || len(u.versions.spans) != want) {
@@ -303,21 +328,29 @@ func TestPerVersionSchedule(t *testing.T) {
 			if n := fr.step(nil, tick); n != 0 {
 				t.Fatalf("clock at %s, short of charge %d's window edge: %d versions re-run, want none", tick.Format(time.TimeOnly), i+1, n)
 			}
+			fr.terms(fmt.Sprintf("clock short of charge %d's window edge", i+1), 0, -1, 0)
 		}
 		at = edge.Add(time.Nanosecond)
 		if n := fr.step(nil, at); n != want {
 			t.Fatalf("charge %d left the window: %d versions re-run, want the %d holding it", i+1, n, want)
 		}
+		fr.terms(fmt.Sprintf("charge %d left the window", i+1), 1, txs[i], 0)
 	}
 
 	// duplicate delivery: the latest version stored again, then a copy
-	// sharing its payload; each re-runs itself and the version before it
+	// sharing its payload; each re-runs itself and the version before it,
+	// and no term
 	latest := cs.store.Versions(1)[k]
 	for _, dup := range []*fragment.Fragment{latest, fragment.New(latest.FillerID, latest.TSID, latest.ValidTime, latest.Payload)} {
 		if n := fr.step(cs.add(dup), at); n != 2 {
 			t.Fatalf("a duplicate of the latest version: %d versions re-run, want 2", n)
 		}
+		fr.terms("a duplicate of the latest version", 0, -1, 0)
 	}
+	// the last transaction delivered again: the versions holding it re-run,
+	// and evaluate its term alone
+	fr.step(cs.add(cs.store.Versions(txs[k-1])[0]), at)
+	fr.terms("a duplicate of the last transaction", 1, txs[k-1], 1)
 	// a version dated between charges 2 and 3, arriving now
 	if n := fr.step(cs.add(cs.pub.Account(0, minute(2).Add(30*time.Second))), at); n != 2 {
 		t.Fatalf("a version stored mid-history: %d versions re-run, want it and the one whose lifespan it closes", n)
@@ -330,6 +363,22 @@ func TestPerVersionSchedule(t *testing.T) {
 	if n := fr.step(nil, future.ValidTime); n != 2 {
 		t.Fatalf("a future-dated version becoming visible: %d versions re-run, want it and the one whose lifespan it closes", n)
 	}
+	fr.terms("a future-dated version becoming visible", 0, -1, 0)
+	// a charge whose transaction is dated ahead of the clock: its term is
+	// evaluated, with the item in it, once the transaction is visible
+	at = future.ValidTime
+	announce, tx := cs.pub.Charge(0, 2000, at)
+	late := fragment.New(tx.FillerID, tx.TSID, at.Add(20*time.Second), tx.Payload)
+	fr.step(cs.add(announce), at)
+	fr.terms("a re-announcement ahead of its transaction", 1, late.FillerID, 0)
+	if n := fr.step(cs.add(late), at); n != 0 {
+		t.Fatalf("a future-dated transaction: %d versions re-run on arrival, want none", n)
+	}
+	fr.terms("a future-dated transaction", 0, -1, 0)
+	if n := fr.step(nil, late.ValidTime); n != 1 {
+		t.Fatalf("a future-dated transaction becoming visible: %d versions re-run, want the one announcing it", n)
+	}
+	fr.terms("a future-dated transaction becoming visible", 1, late.FillerID, 1)
 	// a clock regression re-runs everything visible; the clock then runs on
 	back := minute(61).Add(30 * time.Second)
 	visible := 0
@@ -347,23 +396,50 @@ func TestPerVersionSchedule(t *testing.T) {
 
 	// a budget trip after the first of a unit's two re-run versions, then
 	// the next arrival: the smallest step budget that lets one version
-	// through is found on fresh engines seeded before the re-announcement
+	// through is found on fresh engines seeded before the re-announcement.
+	// The re-announcement folds the terms the seeding kept. At every step
+	// and item budget up to one that lets it through, the folded sum trips
+	// where the unfolded one does, after the same versions: a step trip
+	// with the same error, an item trip — which a kept term's charge can
+	// make — on the same limit.
 	at = minute(70)
-	announce, tx := cs.charge(0, 2000, at)
-	for steps := int64(1); ; steps++ {
-		tripped := newFraudReplay(t, rt)
-		tripped.step(nil, at.Add(-time.Second))
-		_, _, err := tripped.e.Apply(announce, at, xcql.Limits{MaxSteps: steps}, nil, nil)
-		if err == nil {
-			t.Fatalf("no step budget trips between the unit's two versions (%d let both through)", steps)
+	announce, tx = cs.charge(0, 2000, at)
+	resumed := false
+	for _, limit := range []string{budget.LimitSteps, budget.LimitItems} {
+		for n := int64(1); ; n++ {
+			lim := xcql.Limits{MaxSteps: n}
+			if limit == budget.LimitItems {
+				lim = xcql.Limits{MaxItems: n}
+			}
+			tripped, plain := newFraudReplay(t, rt), newFraudReplay(t, rt)
+			plain.e.pieces[0].folded = nil
+			tripped.step(nil, at.Add(-time.Second))
+			plain.step(nil, at.Add(-time.Second))
+			_, _, err := tripped.e.Apply(announce, at, lim, nil, nil)
+			_, _, want := plain.e.Apply(announce, at, lim, nil, nil)
+			var re, wantRE *budget.ResourceError
+			same := errors.As(err, &re) == errors.As(want, &wantRE) && (re == nil || re.Limit == wantRE.Limit)
+			if limit == budget.LimitSteps {
+				same = fmt.Sprint(err) == fmt.Sprint(want)
+			}
+			if !same || tripped.e.reran != plain.e.reran {
+				t.Fatalf("%s budget %d: the folded sum fails with %v after %d versions, the unfolded one with %v after %d",
+					limit, n, err, tripped.e.reran, want, plain.e.reran)
+			}
+			if err == nil {
+				break
+			}
+			if tripped.e.reran == 0 || resumed {
+				continue
+			}
+			resumed = true
+			if n := tripped.step(tx, at); n == 0 {
+				t.Fatalf("the arrival after a budget trip re-ran no version")
+			}
 		}
-		if tripped.e.reran == 0 {
-			continue
-		}
-		if n := tripped.step(tx, at); n == 0 {
-			t.Fatalf("the arrival after a budget trip re-ran no version")
-		}
-		break
+	}
+	if !resumed {
+		t.Fatalf("no budget trips between the unit's two versions")
 	}
 }
 

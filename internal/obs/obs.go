@@ -144,6 +144,38 @@ type EvalStats struct {
 	TotalTime       time.Duration
 }
 
+// AccessCounts is what the store reads of part of an evaluation charged
+// its counters, for a caller that memoizes that part and replays the
+// charge instead of running it again.
+type AccessCounts struct {
+	Fillers, Holes, Nodes                int64
+	LabelLookups, LabelHits, LabelMisses int64
+}
+
+// Access returns the access counters s holds.
+func (s *EvalStats) Access() AccessCounts {
+	return AccessCounts{s.FillersScanned, s.HolesResolved, s.NodesConstructed, s.LabelRangeLookups, s.LabelRangeHits, s.LabelRangeMisses}
+}
+
+// Sub returns c less o.
+func (c AccessCounts) Sub(o AccessCounts) AccessCounts {
+	return AccessCounts{c.Fillers - o.Fillers, c.Holes - o.Holes, c.Nodes - o.Nodes,
+		c.LabelLookups - o.LabelLookups, c.LabelHits - o.LabelHits, c.LabelMisses - o.LabelMisses}
+}
+
+// AddAccess adds access counters to s.
+func (s *EvalStats) AddAccess(c AccessCounts) {
+	if s == nil {
+		return
+	}
+	atomic.AddInt64(&s.FillersScanned, c.Fillers)
+	atomic.AddInt64(&s.HolesResolved, c.Holes)
+	atomic.AddInt64(&s.NodesConstructed, c.Nodes)
+	atomic.AddInt64(&s.LabelRangeLookups, c.LabelLookups)
+	atomic.AddInt64(&s.LabelRangeHits, c.LabelHits)
+	atomic.AddInt64(&s.LabelRangeMisses, c.LabelMisses)
+}
+
 // AddFillers records n filler versions examined by a store lookup.
 func (s *EvalStats) AddFillers(n int) {
 	if s != nil {

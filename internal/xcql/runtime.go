@@ -65,6 +65,7 @@ func NewRuntime() *Runtime {
 		fnByTSID:  rt.intrByTSID,
 		fnIProj:   rt.intrIProj,
 		fnVProj:   rt.intrVProj,
+		FnFold:    rt.intrFold,
 	}
 	return rt
 }

@@ -102,6 +102,8 @@ type UnitEval struct {
 	budget  budget.Budget
 	horizon xtime.Horizon
 	ctx     *xq.Context // $UnitVar bound, rebound per unit
+	fold    foldState
+	stats   obs.EvalStats // a term frame's counters (fold.go)
 }
 
 // NewUnitEval builds the frame of an engine over this query's plan.
@@ -109,8 +111,16 @@ func (q *Query) NewUnitEval() *UnitEval {
 	u := &UnitEval{q: q}
 	u.static = q.newStatic(fragment.Eval{Budget: &u.budget, Parallelism: 1})
 	u.static.Horizon = &u.horizon
-	u.ctx = xq.NewContext(u.static).Bind(UnitVar, nil)
+	u.ctx = xq.NewContext(u.static).Bind(foldVar, xq.Sequence{u}).Bind(UnitVar, nil)
 	return u
+}
+
+// arm readies the frame for an evaluation at the instant at under a budget
+// built from lim, its counters charged to stats.
+func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
+	u.budget.Reset(context.Background(), lim)
+	u.static.Now, u.static.Stats, u.static.Funcs = at, stats, u.q.rt.funcTable()
+	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Parallelism: 1})
 }
 
 // Eval evaluates one sub-expression of the query's plan at the evaluation
@@ -146,9 +156,7 @@ func (q *Query) NewUnitEval() *UnitEval {
 func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, each func(xq.Sequence, time.Time),
 	at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	q, static := u.q, u.static
-	u.budget.Reset(context.Background(), lim)
-	static.Now, static.Stats, static.Funcs = at, stats, q.rt.funcTable()
-	static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Parallelism: 1})
+	u.arm(at, lim, stats)
 	defer func() {
 		u.ctx.Rebind(nil)
 		if p := recover(); p != nil {

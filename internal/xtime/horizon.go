@@ -41,6 +41,15 @@ func (h *Horizon) Collapse() {
 	}
 }
 
+// Until reports that the result can change at t: what a part of the
+// evaluation observed when it ran before, for a caller that memoized that
+// part instead of running it again.
+func (h *Horizon) Until(t time.Time) {
+	if h != nil {
+		h.before(t)
+	}
+}
+
 func (h *Horizon) before(t time.Time) {
 	if !h.set || t.Before(h.next) {
 		h.next, h.set = t, true

@@ -158,8 +158,8 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 		case joinAt < 0 && steps >= len(frags)/4 && f != nil && f.TSID == genstore.CreditAccountTSID && f.FillerID != 1:
 			joinAt = steps
 			register(1)
-			if a, b := regs[0].Strategy(), regs[1].Strategy(); a != "1 piece (per-binding on account)" || b != "2 pieces (per-binding on account; per-binding on account)" {
-				t.Fatalf("strategies %q and %q, want the fraud piece per binding in both", a, b)
+			if a, b := regs[0].Strategy(), regs[1].Strategy(); a != "1 piece (per-binding on account; sum folded over transaction terms)" || b != "2 pieces (per-binding on account; per-binding on account)" {
+				t.Fatalf("strategies %q and %q, want the fraud piece per binding in both, folded in the first", a, b)
 			}
 		case steps == closeAt:
 			groups := r.Groups()

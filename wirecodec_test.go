@@ -82,6 +82,9 @@ func BenchmarkWireCodec(b *testing.B) {
 // allocsAndBytes is testing.AllocsPerRun that also reports bytes.
 func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// a collection during the runs empties the pooled decoders, and the
+	// next first read allocates one: collect before them, not inside them
+	runtime.GC()
 	f() // warm up: scratch buffers reach their size
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
