@@ -33,8 +33,11 @@ import (
 // call. Both index plans read the store's one index in place, so they
 // allocate the same. A read builds its versions' top elements in one array
 // of nodes and one of attributes, a literal evaluates to a sequence built
-// once, and a FLWOR without order by keeps no context per tuple: 34, 3 401,
-// 205 and 225 for Q1, Q2, Q5 and QD, and the ceilings sit ~15 % above (40,
+// once, a FLWOR without order by keeps no context per tuple, and under the
+// index plans a for clause reads what its body crosses of every binding's
+// holes in one read (Q2: the bidders of every open auction): 34, 1 733, 205
+// and 225 for Q1, Q2, Q5 and QD, and the ceilings sit ~15 % above (3 401
+// for Q2 while every binding read its own children; 40,
 // 5 328, 1 014 and 1 206 while every top cost two allocations, every
 // literal evaluation one and every tuple a context and a binding; 96,
 // 10 958, 1 062 and 1 206 before child steps were windowed; QaC+ regrouped
@@ -51,8 +54,9 @@ import (
 // POST /v1/eval has two rows of its own: the handler around Q2 and QD —
 // the request, the compile, the evaluation and a body written by hand,
 // each node item encoded into one kept buffer and escaped from there —
-// 3 551 and 327 allocations per request (5 708 and 1 498 while the body
-// was a map handed to encoding/json, one string per item).
+// 1 885 and 327 allocations per request (3 551 for Q2 while every binding
+// read its own children, 5 708 and 1 498 while the body was a map handed
+// to encoding/json, one string per item).
 //
 // One more ceiling holds what the one index must never lose: nothing is
 // derived from the store per generation, so the first QaC++ evaluation
@@ -81,8 +85,8 @@ func TestAllocationCeiling(t *testing.T) {
 	}{
 		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 39},
 		{"Q1/QaC++", xmark.QueryQ1(), ixcql.QaCPlusPlus, 39},
-		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 3910},
-		{"Q2/QaC++", xmark.QueryQ2(), ixcql.QaCPlusPlus, 3910},
+		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 1990},
+		{"Q2/QaC++", xmark.QueryQ2(), ixcql.QaCPlusPlus, 1990},
 		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 236},
 		{"Q5/QaC++", xmark.QueryQ5(), ixcql.QaCPlusPlus, 236},
 		{"QD/QaC+", queryQD, ixcql.QaCPlus, 259},
@@ -125,7 +129,7 @@ func TestAllocationCeiling(t *testing.T) {
 		name, src string
 		ceiling   float64
 	}{
-		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 4080},
+		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 2170},
 		{"POST /v1/eval QD/QaC+", queryQD, 376},
 	} {
 		req, err := json.Marshal(map[string]string{"query": c.src, "mode": "QaC+", "at": evalbench.EvalInstant.Format(time.RFC3339Nano)})

@@ -346,6 +346,13 @@ func FuzzIncrementalArrival(f *testing.F) {
 	f.Add(int64(0), int64(72), uint8(64|48|2|1))
 	f.Add(int64(3), int64(22), uint8(64|32|2|1))
 	f.Add(int64(3), int64(22), uint8(64|48|2|1))
+	// a child position taken from each version a for clause binds, the
+	// versions holding the same children: the index plans read every
+	// binding's children at once and hand each its own group
+	f.Add(int64(0), int64(75), uint8(64|32|2|1))
+	f.Add(int64(0), int64(76), uint8(64|48|2|1))
+	f.Add(int64(3), int64(47), uint8(64|48|2|1))
+	f.Add(int64(3), int64(48), uint8(64|32|2|1))
 	f.Fuzz(func(t *testing.T, seed, permSeed int64, flags uint8) {
 		p := genstore.Profile{
 			Seed:       seed%1000 + 1,

@@ -42,6 +42,21 @@ type Access interface {
 	// caller that holds what the read returns already (an incremental
 	// engine's memoized child terms). A budget trip panics, as in Fillers.
 	ChargeFillers(st *Store, ids []int)
+	// FillersEach reads, in one pass, what several Fillers calls without a
+	// filter would read one after another — a for clause's body crossing
+	// each binding's holes. win.Ends closes the calls' id sets as it closes
+	// a window's groups: ids within a set are distinct, and an id may recur
+	// in other sets, each set getting its versions. win's positions count
+	// within each set, Ends and Examined receive each set's end in what the
+	// read returns and the versions it examined, and nothing is charged:
+	// ChargeEach charges one set what its own call charges. It reports
+	// false and reads nothing where a call's charge depends on the calls
+	// before it — a cache, which they warm, or a pass per hole; given no
+	// ids, it reads nothing and only reports which.
+	FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool)
+	// ChargeEach charges what a Fillers call of holes distinct ids charges
+	// when it examines examined versions and builds built.
+	ChargeEach(st *Store, holes, examined, built int)
 	// ByTSID returns every version stored under a tsid, grouped by filler
 	// id ascending — a descendant step over the whole stream.
 	ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node
@@ -69,6 +84,9 @@ type Window struct {
 	From, To int
 	// Last keeps each group's last version instead.
 	Last bool
+	// Examined, when non-nil, receives each group's count of versions
+	// examined, entry for entry with Ends.
+	Examined []int
 }
 
 // windowKeep narrows a read's filter to one group's window at a time: it
@@ -268,6 +286,11 @@ func (a *logScan) ChargeFillers(st *Store, ids []int) {
 	}
 }
 
+func (a *logScan) FillersEach(*Store, []int, Window) ([]*xmldom.Node, bool) { return nil, false }
+
+// ChargeEach is never asked: a pass per hole reads each call itself.
+func (a *logScan) ChargeEach(*Store, int, int, int) {}
+
 // ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
 // by the tsid index on an indexed store. Only the index plans'
 // translations ask for it.
@@ -309,16 +332,29 @@ func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xm
 	return siftSlots(st, ids, a.At, slots, keep, win)
 }
 
+// FillersEach makes the calls' one pass, unless a cache serves them.
+func (a *tsidIndex) FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool) {
+	if a.Cache != nil || len(ids) == 0 {
+		return nil, a.Cache == nil
+	}
+	els, _ := st.lookup(ids, a.At, nil, win)
+	return els, true
+}
+
+func (a *tsidIndex) ChargeEach(st *Store, holes, examined, built int) {
+	a.Stats.AddHoles(holes)
+	a.chargePass(st, examined, built)
+}
+
 func (a *tsidIndex) ChargeFillers(st *Store, ids []int) {
 	if len(ids) == 0 {
 		return
 	}
-	a.Stats.AddHoles(len(ids))
 	n := 0
 	for _, id := range ids {
 		n += st.visible(id, a.At)
 	}
-	a.chargePass(st, n, n)
+	a.ChargeEach(st, len(ids), n, n)
 }
 
 type labelIndex struct{ Eval }
@@ -346,8 +382,20 @@ func (a *labelIndex) ChargeFillers(st *Store, ids []int) {
 	for _, id := range ids {
 		n += st.visible(id, a.At)
 	}
-	a.Stats.AddLabelRangeLookup(n)
-	a.Stats.AddNodes(n)
+	a.ChargeEach(st, len(ids), n, n)
+}
+
+func (a *labelIndex) FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool) {
+	if len(ids) == 0 {
+		return nil, true
+	}
+	els, _ := st.read(ids, 0, a.At, nil, win)
+	return els, true
+}
+
+func (a *labelIndex) ChargeEach(_ *Store, _, examined, built int) {
+	a.Stats.AddLabelRangeLookup(examined)
+	a.Stats.AddNodes(built)
 }
 
 func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {

@@ -652,3 +652,82 @@ func TestChargeFillersChargesTheRead(t *testing.T) {
 		}
 	}
 }
+
+// TestFillersEachIsTheCallsInTurn: one FillersEach read of several id sets,
+// ids repeated across them, returns what a Fillers call per set returns in
+// turn, with the same windows per set, charges nothing itself, and
+// ChargeEach charges each set what its call charged. A cache or a pass per
+// hole reads nothing and says so.
+func TestFillersEachIsTheCallsInTurn(t *testing.T) {
+	windows := map[string]fragment.Window{
+		"every":    {From: 1, To: 1 << 30},
+		"[1]":      {From: 1, To: 1},
+		"[last()]": {Last: true},
+		"[<=2]":    {From: 1, To: 2},
+	}
+	for _, scan := range []bool{false, true} {
+		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := ins.NewStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fids := st.FillerIDs()[1:]
+		sets := [][]int{fids[0:3], fids[1:4], fids[0:3], fids[5:6], fids[2:8]}
+		var ids []int
+		for _, set := range sets {
+			ids = append(ids, set...)
+		}
+		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
+			for _, kind := range []fragment.AccessKind{fragment.TSIDIndexAccess, fragment.LabelIndexAccess} {
+				for name, w := range windows {
+					name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, name, at)
+					var want []*xmldom.Node
+					var wantEnds []int
+					var calls obs.EvalStats
+					for _, set := range sets {
+						w.Ends = []int{len(set)}
+						want = append(want, fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &calls}).Fillers(st, set, nil, w)...)
+						wantEnds = append(wantEnds, len(want))
+					}
+					w.Ends, w.Examined = nil, make([]int, len(sets))
+					end := 0
+					for _, set := range sets {
+						end += len(set)
+						w.Ends = append(w.Ends, end)
+					}
+					var each obs.EvalStats
+					acc := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &each})
+					got, ok := acc.FillersEach(st, ids, w)
+					if !ok {
+						t.Fatalf("%s: the index reads the sets at once", name)
+					}
+					if render(got) != render(want) || fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
+						t.Fatalf("%s: read\n%s%v\nthe calls in turn\n%s%v", name, render(got), w.Ends, render(want), wantEnds)
+					}
+					if each != (obs.EvalStats{}) {
+						t.Errorf("%s: the read charged %+v", name, each)
+					}
+					lo := 0
+					for g, set := range sets {
+						acc.ChargeEach(st, len(set), w.Examined[g], w.Ends[g]-lo)
+						lo = w.Ends[g]
+					}
+					if each != calls {
+						t.Errorf("%s: charged\n%+v\nthe calls charged\n%+v", name, each, calls)
+					}
+				}
+			}
+		}
+		for _, acc := range []fragment.Access{
+			fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{}),
+			fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{Cache: fragment.NewCache(64)}),
+		} {
+			if els, ok := acc.FillersEach(st, ids, fragment.Window{From: 1, To: 1, Ends: []int{len(ids)}}); ok || els != nil {
+				t.Errorf("scan=%v %T: read %d versions at once", scan, acc, len(els))
+			}
+		}
+	}
+}

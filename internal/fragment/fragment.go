@@ -584,6 +584,21 @@ func HoleTSID(el *xmldom.Node) int {
 	return n
 }
 
+// CountHoles is how many ids HoleIDs appends for el and tsid: what a
+// caller sizes its id buffer by.
+func CountHoles(el *xmldom.Node, tsid int) int {
+	n := 0
+	for _, c := range el.Children {
+		if !IsHole(c) || tsid > 0 && HoleTSID(c) != tsid {
+			continue
+		}
+		if _, err := HoleID(c); err == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // HoleIDs appends to dst the ids of el's direct-child holes — when tsid > 0
 // only those of holes with that tsid — in one pass over its children, and
 // returns the extended slice: a caller crossing the holes of many nodes

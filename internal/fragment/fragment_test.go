@@ -508,4 +508,14 @@ func TestScanStoreMatchesIndexedStore(t *testing.T) {
 	if got := scan.scanPass(AttrID, scan.FillerIDs()); got != scan.Len() {
 		t.Fatalf("the log pass for every id matched %d of %d fragments", got, scan.Len())
 	}
+	// ids repeated, as a batch of several parents' holes holds them, and
+	// ids far apart, which the pass looks up in a set instead of a bitmap
+	ids := scan.FillerIDs()
+	first, last := ids[0], ids[len(ids)-1]
+	want := len(scan.Versions(first)) + len(scan.Versions(last))
+	for _, values := range [][]int{{first, last, first, last}, {first, last, last + 1<<20}} {
+		if got := scan.scanPass(AttrID, values); got != want {
+			t.Fatalf("the log pass for %v matched %d fragments, want %d", values, got, want)
+		}
+	}
 }

@@ -257,8 +257,25 @@ func (st *Store) scanPass(attr string, values []int) (matched int) {
 	st.mu.RLock()
 	wire := st.wire // grows at its end or is replaced, like the index's slices
 	st.mu.RUnlock()
-	var set map[int]struct{} // the join's build side
-	if len(values) > 1 {
+	// the join's build side: a bitmap over the values' range when it takes
+	// no more words than there are values — a batch of hole ids, which a
+	// fragmenter numbers closely, repeats included — and a set otherwise
+	lo, hi := slices.Min(values), slices.Max(values)
+	var few [4]uint64
+	var bits []uint64
+	var set map[int]struct{}
+	switch words := (hi-lo)/64 + 1; {
+	case len(values) == 1:
+	case words <= len(values):
+		bits = few[:0]
+		if words > len(few) {
+			bits = make([]uint64, 0, words)
+		}
+		bits = bits[:words]
+		for _, v := range values {
+			bits[(v-lo)/64] |= 1 << ((v - lo) % 64)
+		}
+	default:
 		set = make(map[int]struct{}, len(values))
 		for _, v := range values {
 			set[v] = struct{}{}
@@ -274,7 +291,10 @@ func (st *Store) scanPass(attr string, values []int) (matched int) {
 			continue
 		}
 		match := n == values[0]
-		if set != nil {
+		switch {
+		case bits != nil:
+			match = n >= lo && n <= hi && bits[(n-lo)/64]&(1<<((n-lo)%64)) != 0
+		case set != nil:
 			_, match = set[n]
 		}
 		if match {
@@ -478,13 +498,14 @@ func renderInstant(b *strings.Builder, t time.Time) string {
 // no node is built while a writer waits, and no group is copied. A read is
 // two passes: the first asks the filter about each version and notes the
 // ones kept, the second builds exactly those (buildTops). Without a filter
-// or a window every visible version is kept, so the read sizes its notes
-// once; otherwise they start on the stack and grow as versions are kept. A
-// window reads fids parent by parent (Window).
+// every visible version is kept, and with a window no more than its width
+// per group, so the read sizes its notes once; with a filter they start on
+// the stack and grow as versions are kept. A window reads fids parent by
+// parent (Window).
 func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Window) (out []*xmldom.Node, examined int) {
 	var few [32]keptVersion
 	kept := few[:0]
-	if keep == nil && win.Ends == nil {
+	if keep == nil {
 		total := 0
 		st.mu.RLock()
 		if tsid > 0 {
@@ -495,6 +516,15 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 			}
 		}
 		st.mu.RUnlock()
+		if win.Ends != nil {
+			width := 1
+			if !win.Last {
+				width = max(win.To-win.From+1, 0)
+			}
+			if width < total/len(win.Ends)+1 {
+				total = width * len(win.Ends)
+			}
+		}
 		if total > len(few) {
 			kept = make([]keptVersion, 0, total)
 		}
@@ -517,8 +547,12 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 	lo := 0
 	for g, hi := range win.Ends {
 		w.open(win, st, fids[lo:hi], at)
+		before := examined
 		pick(fids[lo:hi], narrowed)
 		win.Ends[g] = len(kept)
+		if win.Examined != nil {
+			win.Examined[g] = examined - before
+		}
 		lo = hi
 	}
 	return buildTops(kept), examined

@@ -391,14 +391,16 @@ func (g *gen) mutate() {
 // a tag with a fragmented child the sliding-window shapes of the paper's
 // continuous queries (bounded so large structures don't explode the
 // corpus) and, for the first such tag, positions on the child step
-// (genPositional). The windows are a few hours wide and histories span a day, so
+// (genPositional), and last the same positions taken from each version a
+// for clause binds. The windows are a few hours wide and histories span a day, so
 // they expire while a history replays.
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
 	add := func(kind string, t *tagstruct.Tag, format string, args ...any) {
 		qs = append(qs, Query{Name: kind + "-" + t.Name, Src: fmt.Sprintf(format, args...)})
 	}
-	fragTags, positional := 0, false
+	fragTags := 0
+	var parent, child *tagstruct.Tag // what genPositional was given
 	for _, t := range s.Tags() {
 		if !t.IsFragmented() {
 			continue
@@ -427,8 +429,8 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 			}
 			add("window-sum", t, `for $x in stream("s")//%s where sum($x/%s?[now-PT6H,now]/text()) >= 400 return $x/text()`, t.Name, c.Name)
 			add("window-children", t, `for $x in stream("s")//%s return $x/%s?[now-PT4H,now-PT1H]`, t.Name, c.Name)
-			if !positional {
-				positional = true
+			if parent == nil {
+				parent, child = t, c
 				g.genPositional(add, t, c)
 			}
 			break
@@ -438,6 +440,14 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	// the document node differently (a known, pre-existing divergence);
 	// the equivalence claim is about element selections
 	qs = append(qs, Query{Name: "root-count", Src: fmt.Sprintf(`count(stream("s")/%s)`, s.Root.Name)})
+	if parent != nil {
+		// the child positions again, taken from each version a for clause
+		// binds: they count within that version, however many other
+		// versions hold the same children. Last, so that the queries
+		// before them keep their places in the list.
+		add("each-first", parent, `for $x in stream("s")//%s return $x/%s[1]`, parent.Name, child.Name)
+		add("each-last", parent, `for $x in stream("s")//%s return $x/%s[last()]`, parent.Name, child.Name)
+	}
 	return qs
 }
 

@@ -1,0 +1,242 @@
+package xcql
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"xcql/internal/fragment"
+	"xcql/internal/genstore"
+	"xcql/internal/obs"
+	"xcql/internal/tagstruct"
+	"xcql/internal/xmark"
+	"xcql/internal/xmldom"
+	"xcql/internal/xq"
+)
+
+// reannouncedCredit is the credit stream of one account charged twice, as
+// a publisher sends it: three versions of the account, announcing the
+// transaction holes {}, {t1} and {t1, t2}, and the two transactions, of 100
+// and 200. It returns the instant after the last charge.
+func reannouncedCredit(t testing.TB) (*Runtime, time.Time) {
+	t.Helper()
+	s, err := tagstruct.ParseString(genstore.CreditStructure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fragment.NewStore(s)
+	pub, initial := genstore.NewCreditPublisher(1)
+	frags := initial
+	for i, amount := range []int{100, 200} {
+		announce, tx := pub.Charge(0, amount, genstore.CreditBase.Add(time.Duration(i+1)*time.Hour))
+		frags = append(frags, announce, tx)
+	}
+	if err := st.AddAll(frags); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime()
+	rt.RegisterStream("credit", st)
+	return rt, genstore.CreditBase.Add(3 * time.Hour)
+}
+
+// aheadCases are per-binding child reads over the re-announced account:
+// each version's positions count within the version, though the versions
+// share their transactions. want is the result's string values and, per
+// index plan, the evaluation's counters, pinned from the engine that made
+// one read per binding.
+var aheadCases = []struct {
+	name, src string
+	want      string
+}{
+	{
+		name: "first",
+		src:  `for $a in stream("credit")/creditAccounts/account return $a/transaction[1]/amount`,
+		want: "[100 100]",
+	},
+	{
+		name: "last",
+		src:  `for $a in stream("credit")/creditAccounts/account return $a/transaction[last()]/amount`,
+		want: "[100 200]",
+	},
+	{
+		name: "whole",
+		src:  `for $a in stream("credit")/creditAccounts/account return $a/transaction/amount`,
+		want: "[100 100 200]",
+	},
+	{
+		name: "pushed filter",
+		src:  `for $a in stream("credit")/creditAccounts/account return $a/transaction[amount > 50][1]/amount`,
+		want: "[100 100]",
+	},
+	{
+		name: "position after a predicate",
+		src:  `for $a in stream("credit")/creditAccounts/account return $a/transaction[position() = last()][amount > 150]/amount`,
+		want: "[200]",
+	},
+	{
+		name: "where drops tuples",
+		src:  `for $a in stream("credit")/creditAccounts/account where count($a/transaction) = 2 return $a/transaction[1]/amount`,
+		want: "[100]",
+	},
+	{
+		name: "order by",
+		src:  `for $a in stream("credit")/creditAccounts/account order by count($a/transaction) descending return $a/transaction[last()]/amount`,
+		want: "[200 100]",
+	},
+	{
+		name: "at",
+		src:  `for $a at $i in stream("credit")/creditAccounts/account return ($i, $a/transaction[1]/amount)`,
+		want: "[1 2 100 3 100]",
+	},
+	{
+		name: "nested",
+		src:  `for $a in stream("credit")/creditAccounts/account return for $t in $a/transaction return ($t/amount, count($a/transaction))`,
+		want: "[100 1 100 2 200 2]",
+	},
+	{
+		name: "mixed sequence",
+		src:  `for $x in (stream("credit")/creditAccounts/account, 7, "seven") return $x/transaction[1]/amount`,
+		want: "[100 100]",
+	},
+}
+
+// TestReadAheadPerBinding holds a for clause's one read of every binding's
+// children to what a read per binding returned and charged: results equal
+// to QaC's, which reads per binding, and counters equal to the pinned ones.
+// A read that merged the bindings' hole ids — the versions share theirs —
+// would number t2 first in the last version.
+func TestReadAheadPerBinding(t *testing.T) {
+	rt, at := reannouncedCredit(t)
+	for _, tc := range aheadCases {
+		t.Run(tc.name, func(t *testing.T) {
+			oracle := evalRendered(t, rt, tc.src, QaC, at)
+			for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
+				got := evalRendered(t, rt, tc.src, mode, at)
+				if got.items != oracle.items {
+					t.Errorf("%s: %s, QaC %s", mode, got.items, oracle.items)
+				}
+				if got.values != tc.want {
+					t.Errorf("%s: %s, want %s", mode, got.values, tc.want)
+				}
+				if want := aheadStats[tc.name+"/"+mode.String()]; got.stats != want {
+					t.Errorf("%s: stats %s, pinned %s", mode, got.stats, want)
+				}
+			}
+		})
+	}
+}
+
+// TestReadAheadCachedAndQ2 pins the counters where the read ahead stands
+// aside — an evaluation with a cache reads per binding, cold then warm —
+// and of XMark Q2, whose bidder[1] it reads for every open auction at once.
+func TestReadAheadCachedAndQ2(t *testing.T) {
+	rt, at := reannouncedCredit(t)
+	for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
+		q, err := rt.Compile(aheadCases[0].src, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.WithCache(64)
+		for _, pass := range []string{"cold", "warm"} {
+			if _, err := q.Eval(at); err != nil {
+				t.Fatal(err)
+			}
+			key := "cached " + pass + "/" + mode.String()
+			if got, want := readStats(q.LastStats()), aheadStats[key]; got != want {
+				t.Errorf("%s: stats %s, pinned %s", key, got, want)
+			}
+		}
+	}
+	xrt := xmarkRuntime(t)
+	oracle := evalRendered(t, xrt, xmark.QueryQ2(), QaC, evalAt)
+	for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
+		got := evalRendered(t, xrt, xmark.QueryQ2(), mode, evalAt)
+		if got.items != oracle.items {
+			t.Errorf("Q2 %s: result differs from QaC's", mode)
+		}
+		if want := aheadStats["Q2/"+mode.String()]; got.stats != want {
+			t.Errorf("Q2 %s: stats %s, pinned %s", mode, got.stats, want)
+		}
+	}
+}
+
+// xmarkRuntime serves the XMark auction stream at sf=0.02, the ad-hoc
+// workloads' scale.
+func xmarkRuntime(t testing.TB) *Runtime {
+	t.Helper()
+	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.02, Seed: 1})
+	st := fragment.NewStore(s)
+	if err := st.AddAll(frags); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRuntime()
+	rt.RegisterStream("auction", st)
+	return rt
+}
+
+// aheadStats are the counters of the cases above, pinned from the engine
+// that read every binding's children with a call of its own.
+var aheadStats = map[string]string{
+	"first/QaC+":                       "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"first/QaC++":                      "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"last/QaC+":                        "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"last/QaC++":                       "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"whole/QaC+":                       "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=7 steps=22 items=16 bytes=2186",
+	"whole/QaC++":                      "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=7 steps=22 items=16 bytes=2186",
+	"pushed filter/QaC+":               "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=30 items=13 bytes=1819",
+	"pushed filter/QaC++":              "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=30 items=13 bytes=1819",
+	"position after a predicate/QaC+":  "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=7 steps=40 items=12 bytes=1452",
+	"position after a predicate/QaC++": "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=7 steps=40 items=12 bytes=1452",
+	"where drops tuples/QaC+":          "fillers=9 holes=6 label=0/0/0 cache=0/0 nodes=8 steps=34 items=11 bytes=2553",
+	"where drops tuples/QaC++":         "fillers=0 holes=0 label=5/9/0 cache=0/0 nodes=8 steps=34 items=11 bytes=2553",
+	"order by/QaC+":                    "fillers=10 holes=7 label=0/0/0 cache=0/0 nodes=9 steps=40 items=16 bytes=2920",
+	"order by/QaC++":                   "fillers=0 holes=0 label=6/10/0 cache=0/0 nodes=9 steps=40 items=16 bytes=2920",
+	"at/QaC+":                          "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=31 items=21 bytes=1819",
+	"at/QaC++":                         "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=31 items=21 bytes=1819",
+	"nested/QaC+":                      "fillers=12 holes=9 label=0/0/0 cache=0/0 nodes=12 steps=46 items=39 bytes=4021",
+	"nested/QaC++":                     "fillers=0 holes=0 label=7/12/0 cache=0/0 nodes=12 steps=46 items=39 bytes=4021",
+	"mixed sequence/QaC+":              "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=40 items=20 bytes=1819",
+	"mixed sequence/QaC++":             "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=40 items=20 bytes=1819",
+	"cached cold/QaC+":                 "fillers=6 holes=4 label=0/0/0 cache=1/3 nodes=6 steps=25 items=13 bytes=1819",
+	"cached warm/QaC+":                 "fillers=1 holes=4 label=0/0/0 cache=4/0 nodes=1 steps=25 items=13 bytes=1819",
+	"cached cold/QaC++":                "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"cached warm/QaC++":                "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"Q2/QaC+":                          "fillers=911 holes=930 label=0/0/0 cache=0/0 nodes=670 steps=1568 items=1340 bytes=646911",
+	"Q2/QaC++":                         "fillers=0 holes=0 label=225/911/0 cache=0/0 nodes=670 steps=1568 items=1340 bytes=646911",
+}
+
+type rendered struct{ items, values, stats string }
+
+// evalRendered evaluates src under mode and renders its result — as
+// serialized items and as string values — and the counters a read charges.
+func evalRendered(t *testing.T, rt *Runtime, src string, mode Mode, at time.Time) rendered {
+	t.Helper()
+	q, err := rt.Compile(src, mode)
+	if err != nil {
+		t.Fatalf("%s: %v", mode, err)
+	}
+	seq, err := q.Eval(at)
+	if err != nil {
+		t.Fatalf("%s: %v", mode, err)
+	}
+	var items strings.Builder
+	values := make([]string, len(seq))
+	for i, it := range seq {
+		if n, ok := it.(*xmldom.Node); ok {
+			items.WriteString(n.String())
+		} else {
+			items.WriteString(xq.StringValue(it))
+		}
+		items.WriteByte('\n')
+		values[i] = xq.StringValue(it)
+	}
+	return rendered{items.String(), fmt.Sprint(values), readStats(q.LastStats())}
+}
+
+// readStats spells what an evaluation's reads charged.
+func readStats(s obs.EvalStats) string {
+	return fmt.Sprintf("fillers=%d holes=%d label=%d/%d/%d cache=%d/%d nodes=%d steps=%d items=%d bytes=%d",
+		s.FillersScanned, s.HolesResolved, s.LabelRangeLookups, s.LabelRangeHits, s.LabelRangeMisses,
+		s.CacheHits, s.CacheMisses, s.NodesConstructed, s.Steps, s.Items, s.BytesMaterialized)
+}

@@ -3,10 +3,12 @@ package xcql
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"xcql/internal/budget"
+	"xcql/internal/xmark"
 	"xcql/internal/xq"
 )
 
@@ -92,6 +94,57 @@ func TestLimitParityAcrossPlans(t *testing.T) {
 				}
 				if len(seq) != 3 {
 					t.Fatalf("%s: probe after %s kill returned %d items, want 3", mode, tc.limit, len(seq))
+				}
+			}
+		})
+	}
+	t.Run("Q2 on the indexed XMark store", limitParityQ2)
+}
+
+// limitParityQ2: XMark Q2 on the indexed store trips the same limit under
+// every plan, and under the index plans, which read every open auction's
+// bidders at once and charge each auction's when its return takes them, at
+// the same point: what the budget had counted when it tripped is pinned
+// from the engine that read each auction's bidders with a call of its own.
+func limitParityQ2(t *testing.T) {
+	rt := xmarkRuntime(t)
+	for _, tc := range []struct {
+		name   string
+		lim    Limits
+		cancel bool
+		limit  string
+		used   string // steps/items/bytes counted at the trip, QaC+ and QaC++
+	}{
+		{"items", Limits{MaxItems: 600}, false, budget.LimitItems, "532/601/557986"},
+		{"steps", Limits{MaxSteps: 800}, false, budget.LimitSteps, "801/791/580820"},
+		{"bytes", Limits{MaxBytes: 600000}, false, budget.LimitBytes, "1022/949/600046"},
+		{"canceled", Limits{}, true, budget.LimitCanceled, "1/0/0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, mode := range allModes {
+				q, err := rt.Compile(xmark.QueryQ2(), mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				if tc.cancel {
+					cancel()
+				}
+				_, err = q.EvalLimits(ctx, evalAt, tc.lim)
+				cancel()
+				var ee *EvalError
+				if !errors.As(err, &ee) || ee.Stack != nil {
+					t.Fatalf("%s: want a governed *EvalError, got %v", mode, err)
+				}
+				if re, ok := ResourceCause(err); !ok || re.Limit != tc.limit {
+					t.Fatalf("%s: want tripped limit %q, got %v", mode, tc.limit, err)
+				}
+				if mode.ReadClass() != "index" {
+					continue
+				}
+				s := q.LastStats()
+				if got := fmt.Sprintf("%d/%d/%d", s.Steps, s.Items, s.BytesMaterialized); got != tc.used {
+					t.Errorf("%s: tripped at %s, pinned %s", mode, got, tc.used)
 				}
 			}
 		})

@@ -331,6 +331,9 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 	}
 	trStart := time.Now()
 	plan, streams, err := Compile(ast, mode, rt.Structures())
+	if err == nil && mode.ReadClass() == "index" {
+		rt.attachReadAhead(plan)
+	}
 	translateTime := time.Since(trStart)
 	if err != nil {
 		return nil, err
@@ -544,19 +547,25 @@ func argString(args []xq.Sequence, i int) string {
 // tree bytes of every resolved filler version. This is what bounds the
 // fragment plans' access paths.
 func chargeNodes(b *budget.Budget, out []*xmldom.Node) (xq.Sequence, error) {
-	if b != nil {
-		if err := b.AddItems(len(out)); err != nil {
-			return nil, err
-		}
-		var n int64
-		for _, nd := range out {
-			n += int64(nd.TreeSize())
-		}
-		if err := b.AddBytes(n); err != nil {
-			return nil, err
-		}
+	if err := meterNodes(b, out); err != nil {
+		return nil, err
 	}
 	return xq.FromNodes(out), nil
+}
+
+// meterNodes is chargeNodes' charge, for a caller that holds the items.
+func meterNodes(b *budget.Budget, out []*xmldom.Node) error {
+	if b == nil {
+		return nil
+	}
+	if err := b.AddItems(len(out)); err != nil {
+		return err
+	}
+	var n int64
+	for _, nd := range out {
+		n += int64(nd.TreeSize())
+	}
+	return b.AddBytes(n)
 }
 
 func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, error) {
@@ -608,7 +617,8 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 // per hole, one batched pass or an index fetch is the access path's
 // business. A per-parent list applies to each input node's group of
 // versions: the read gets the nodes' ids as groups, and a window when the
-// list opens with one.
+// list opens with one. A call on the binding of a for clause that read
+// ahead takes its group of the clause's one read instead (takeAhead).
 func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
 	args, keep, each := boundAccess(ctx, args)
 	if len(args) != 3 {
@@ -622,6 +632,11 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 		return nil, fmt.Errorf("xcql: empty tsid argument")
 	}
 	tsid := int(xq.NumberValue(args[2][0]))
+	if keep == nil {
+		if seq, ok, err := takeAhead(ctx, args[0], st, tsid, each); ok {
+			return seq, err
+		}
+	}
 	var (
 		out  []*xmldom.Node
 		ids  []int        // every id the call reads, distinct, in input order

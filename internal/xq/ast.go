@@ -174,6 +174,20 @@ type ForClause struct {
 	Var    string
 	PosVar string // "" when absent
 	In     Expr
+	// Ahead, when set, reads ahead for the clause's body (ReadAhead). The
+	// clause's text does not show it: it changes how the body's reads are
+	// made, never what they return.
+	Ahead ReadAhead
+}
+
+// ReadAhead reads ahead for a for clause: Begin is handed the clause's
+// whole sequence, when it has more than one item, before the clause binds
+// the first, so that what the clause's body reads of each item can be read
+// for all of them at once. What Begin returns rides on every binding the
+// clause makes, and a function the body calls finds it again through
+// Context.Ahead; nil rides on none.
+type ReadAhead interface {
+	Begin(ctx *Context, seq Sequence) any
 }
 
 // LetClause binds Var to the whole sequence of E.

@@ -85,6 +85,22 @@ type binding struct {
 	next *binding
 }
 
+// aheadName names a binding that carries what a for clause read ahead
+// (aheadMark), just below the clause's own binding; no query can spell it.
+const aheadName = "\x00ahead"
+
+// aheadMark is the binding below a for clause's binding when the clause
+// read ahead: what its ReadAhead returned, and the position of the binding
+// above in the clause's sequence, from 0. Its value is the mark itself.
+// Only a clause that reads ahead pays for one, so a binding stays the size
+// it is.
+type aheadMark struct {
+	binding
+	ahead any
+	at    int
+	self  [1]Item
+}
+
 // NewContext builds a root context over the given static environment.
 func NewContext(s *Static) *Context {
 	if s.Now.IsZero() {
@@ -105,6 +121,39 @@ func (c *Context) Bind(name string, val Sequence) *Context {
 // the contexts an evaluation derives from c share the binding, and none of
 // them outlives the evaluation.
 func (c *Context) Rebind(val Sequence) { c.vars.val = val }
+
+// bindItem returns a child context with $name bound to seq[at], a binding
+// of a for clause, and — when the clause's ReadAhead returned ahead — the
+// mark below the binding.
+func (c *Context) bindItem(name string, seq Sequence, at int, ahead any) (*Context, *aheadMark) {
+	child := *c
+	var m *aheadMark
+	if ahead != nil {
+		m = &aheadMark{binding: binding{name: aheadName, next: c.vars}, ahead: ahead, at: at}
+		m.self[0] = m
+		m.val = m.self[:]
+		child.vars = &m.binding
+	}
+	child.vars = &binding{name: name, val: seq[at : at+1 : at+1], next: child.vars}
+	return &child, m
+}
+
+// Ahead reports what a for clause's ReadAhead returned for the binding
+// whose value seq is — the very sequence a reference to the clause's
+// variable evaluates to, not an equal one — and the binding's position in
+// the clause's sequence. ok is false for any other sequence.
+func (c *Context) Ahead(seq Sequence) (ahead any, at int, ok bool) {
+	if len(seq) != 1 {
+		return nil, 0, false
+	}
+	for b := c.vars; b != nil; b = b.next {
+		if m := b.next; m != nil && m.name == aheadName && len(b.val) == 1 && &b.val[0] == &seq[0] {
+			mark := m.val[0].(*aheadMark)
+			return mark.ahead, mark.at, true
+		}
+	}
+	return nil, 0, false
+}
 
 // WithItem returns a child context focused on item at position pos of size.
 func (c *Context) WithItem(item Item, pos, size int) *Context {
@@ -692,6 +741,8 @@ func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 // outlives the return of its tuple, so nothing is kept per tuple. An order
 // by must see every tuple before the first return runs, so each tuple then
 // keeps a context of its own, as does a tuple with a positional variable.
+// A for clause with a ReadAhead hands it a sequence of several items before
+// it binds the first.
 func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	ordered := len(fl.OrderBy) > 0
 	type tuple struct {
@@ -752,9 +803,13 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			if err != nil {
 				return err
 			}
+			var ahead any
+			if cl.Ahead != nil && len(seq) > 1 {
+				ahead = cl.Ahead.Begin(c, seq)
+			}
 			if ordered || cl.PosVar != "" {
 				for idx := range seq {
-					cc := c.Bind(cl.Var, seq[idx:idx+1:idx+1])
+					cc, _ := c.bindItem(cl.Var, seq, idx, ahead)
 					if cl.PosVar != "" {
 						cc = cc.Bind(cl.PosVar, Singleton(float64(idx+1)))
 					}
@@ -767,9 +822,12 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			if len(seq) == 0 {
 				return nil
 			}
-			frame := c.Bind(cl.Var, nil)
+			frame, mark := c.bindItem(cl.Var, seq, 0, ahead)
 			for idx := range seq {
-				frame.Rebind(seq[idx : idx+1 : idx+1])
+				frame.vars.val = seq[idx : idx+1 : idx+1]
+				if mark != nil {
+					mark.at = idx
+				}
 				if err := bindRest(i+1, frame); err != nil {
 					return err
 				}

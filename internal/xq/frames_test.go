@@ -147,3 +147,67 @@ func TestConstructorTextAllocationsFlat(t *testing.T) {
 		}
 	}
 }
+
+// aheadProbe is a ReadAhead that records the sequences it is handed.
+type aheadProbe struct{ begun []Sequence }
+
+func (p *aheadProbe) Begin(_ *Context, seq Sequence) any {
+	p.begun = append(p.begun, seq)
+	return p
+}
+
+// What a for clause's ReadAhead returned rides on each binding the clause
+// makes, with the binding's position in the clause's sequence, however the
+// FLWOR binds — one frame rebound, a context per tuple for an order by or
+// a positional variable — and reaches through a let and a nested clause
+// that rebind the very sequence; an equal sequence built anew finds
+// nothing, and a clause of one item has nothing read ahead.
+func TestReadAheadRidesOnEachBinding(t *testing.T) {
+	for src, want := range map[string]string{
+		`for $x in (10, 20, 30) return at($x)`:                               "0|1|2",
+		`for $x in (10, 20, 30) order by -$x return at($x)`:                  "2|1|0",
+		`for $x at $i in (10, 20, 30) return ($i, at($x))`:                   "1|0|2|1|3|2",
+		`for $x in (10, 20, 30) let $y := $x return at($y)`:                  "0|1|2",
+		`for $x in (10, 20, 30) return for $y in $x return at($y)`:           "0|1|2",
+		`for $x in (10, 20, 30) where $x > 10 return at($x)`:                 "1|2",
+		`for $x in (10, 20, 30) return at(($x, $x))`:                         "-1|-1|-1",
+		`for $x in (10, 20, 30) return at(for $y in $x return ($y + 0))`:     "-1|-1|-1",
+		`for $x in (10) return at($x)`:                                       "-1",
+		`for $x in (10, 20) return for $y in (1, 2) return (at($x), at($y))`: "0|0|0|1|1|0|1|1",
+	} {
+		e := MustParse(src)
+		probe := &aheadProbe{}
+		withAhead(e, probe)
+		st := &Static{Now: evalAt, Funcs: map[string]Func{
+			"at": func(ctx *Context, args []Sequence) (Sequence, error) {
+				a, at, ok := ctx.Ahead(args[0])
+				if !ok || a != probe {
+					return Singleton(float64(-1)), nil
+				}
+				return Singleton(float64(at)), nil
+			},
+		}}
+		seq, err := Eval(e, NewContext(st))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := asStrings(seq); got != want {
+			t.Errorf("%s = %q, want %q", src, got, want)
+		}
+	}
+}
+
+// withAhead gives every for clause of e's top FLWORs the probe.
+func withAhead(e Expr, probe ReadAhead) {
+	fl, ok := e.(*FLWOR)
+	if !ok {
+		return
+	}
+	for i, cl := range fl.Clauses {
+		if fc, ok := cl.(ForClause); ok {
+			fc.Ahead = probe
+			fl.Clauses[i] = fc
+		}
+	}
+	withAhead(fl.Return, probe)
+}
