@@ -28,8 +28,9 @@ build:
 	$(GO) build ./...
 
 # bench/ is a module of its own, so `go build ./...` from the root never
-# compiles it, yet it pins public API: the QaCPlusPlus mode and its "QaC++"
-# wire name, EvalStats.LabelRangeLookups, Query.WithParallelism/WithCache,
+# compiles it, yet it pins public API: the deprecated QaCPlusPlus constant
+# and "QaC++" wire name (both QaC+ now), the deprecated, always-zero
+# EvalStats.LabelRangeLookups, Query.WithParallelism/WithCache,
 # Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
 # RegisterRequest.Incremental (ignored fields since every standing query
 # runs the incremental engine), and registry.DialSubscribe. Folding any of
@@ -69,7 +70,7 @@ test-recovery:
 # against the same predicate left to the evaluator, under the race detector. The grid doubles as the immutability
 # guard: every stored payload is fingerprinted before and must be
 # untouched after (as it must after snapshot/compaction/coalescing), and
-# all four plans run concurrently beside a writer so that a write to a
+# all three plans run concurrently beside a writer so that a write to a
 # shared node is a reported race.
 test-diffharness:
 	$(GO) test -race -run '^(TestDiffHarness|TestPushedFilterMatchesEvaluator|TestPayloadsSurviveMaintenance|TestSharedNodesUnderConcurrentPlans)$$' -timeout 300s .
@@ -104,17 +105,17 @@ test-registry:
 trace-smoke:
 	$(GO) test -race -run '^TestTraceSmoke$$' -timeout 120s .
 
-# The allocation gate: Q1, Q2, Q5 and QD under QaC+ and QaC++ on XMark
-# sf=0.02 must stay under fixed allocs/op ceilings (~15 % above the counts
-# of the zero-copy read path with predicates pushed below it, a child
-# step's positions served as a read window and hole ids read in place,
-# both plans reading the store's one index in place, a read's tops built
+# The allocation gate: Q1, Q2, Q5 and QD under QaC+ on XMark sf=0.02 must
+# stay under fixed allocs/op ceilings (~15 % above the counts of the
+# zero-copy read path with predicates pushed below it, a child step's
+# positions served as a read window and hole ids read in place, the
+# store's one index read in place, a read's tops built
 # in one array, no context kept per FLWOR tuple) — the deterministic
 # metric that neither a deep copy sneaking back onto the read path, nor a
 # top element built for a version the query discards, nor a per-read
 # regrouping of what the index holds, nor an id set built per hole crossing
 # can hide from; POST /v1/eval around Q2 and QD, through httptest, has
-# ceilings of its own. A QaC++ Q1 evaluated right after a Store.Add must
+# ceilings of its own. A QaC+ Q1 evaluated right after a Store.Add must
 # allocate within 5 of a warm one, and Explain() the same on a store ten
 # times the size and after a write: nothing is derived from the store per
 # generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
@@ -146,7 +147,7 @@ alloc-gate:
 # IncrementalContinuous rows, RegistryFanout, and the wire codec, recovery
 # and snapshot-bootstrap rows (allocs/op only) — held to the newest
 # snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
-# label-lookups/op, handlers/op and mat-bytes/op exactly, allocs/op at most
+# handlers/op and mat-bytes/op exactly, allocs/op at most
 # 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
 # moves by a quarter between two runs of the same code. A PR that moves
 # one of these on purpose writes a new snapshot (bench-json).

@@ -145,7 +145,7 @@ func diffTable(w io.Writer, oldRecs, newRecs []Record) {
 
 // gateExact are the metrics a re-run must reproduce to the unit: they
 // follow from the data and the plan, not from the host.
-var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "label-lookups/op", "handlers/op", "mat-bytes/op"}
+var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "handlers/op", "mat-bytes/op"}
 
 // allocsAllowed is the most allocs/op a re-run may take against a
 // snapshot's: a fixed-iteration run amortizes one-off allocations over

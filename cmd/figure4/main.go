@@ -1,6 +1,6 @@
 // Command figure4 regenerates the paper's Figure 4: run time of XMark
 // queries Q1, Q2 and Q5 over fragmented auction streams at three sizes,
-// under the four execution plans QaC++, QaC+, QaC and CaQ.
+// under the paper's three execution plans QaC+, QaC and CaQ.
 //
 //	figure4             # full grid at the paper's scales (0, 0.05, 0.1)
 //	figure4 -quick      # small scales for a fast smoke run

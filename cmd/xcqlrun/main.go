@@ -40,7 +40,7 @@ func main() {
 	structPath := flag.String("structure", "", "tag structure file (wire form)")
 	fragPath := flag.String("fragments", "", "fragment stream file")
 	streamName := flag.String("stream", "stream", "name the fragments are registered under")
-	modeStr := flag.String("mode", "QaC+", "execution plan: CaQ, QaC, QaC+ or QaC++")
+	modeStr := flag.String("mode", "QaC+", "execution plan: CaQ, QaC or QaC+")
 	atStr := flag.String("at", "now", "evaluation instant (ISO-8601 or 'now')")
 	showPlan := flag.Bool("plan", false, "print the translated plan instead of evaluating")
 	explain := flag.Bool("explain", false, "evaluate, then print the plan explanation (access paths, predicted vs observed cost) to stderr")

@@ -14,7 +14,7 @@ import (
 // both store kinds — crossed with randomized XCQL queries, evaluated
 // under every execution strategy the engine offers:
 //
-//	{CaQ, QaC, QaC+, QaC++} × {sequential, parallel=4} × {uncached, cold cache, warm cache}
+//	{CaQ, QaC, QaC+} × {sequential, parallel=4} × {uncached, cold cache, warm cache}
 //
 // Every combination must produce byte-identical output to the baseline
 // (CaQ, sequential, uncached). This pins the tentpole claim that
@@ -24,7 +24,7 @@ import (
 // shakes out data races in the worker pool and cache.
 
 // harnessModes mirrors evalbench.Modes without depending on it.
-var harnessModes = []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus, xcql.QaCPlusPlus}
+var harnessModes = []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus}
 
 // execConfig is one execution strategy applied to every plan.
 type execConfig struct {
@@ -60,16 +60,15 @@ type planSplit int
 
 const (
 	// caqApart: CaQ's temporal view hangs a child under the first parent
-	// version that announces it, and only there, while QaC, QaC+ and QaC++
-	// cross the holes of whichever version they hold. A parent with
-	// several versions therefore carries its children once under CaQ and
-	// once per version under the fragment plans (bench/README finding 3).
+	// version that announces it, and only there, while QaC and QaC+ cross
+	// the holes of whichever version they hold. A parent with several
+	// versions therefore carries its children once under CaQ and once per
+	// version under the fragment plans (bench/README finding 3).
 	caqApart planSplit = iota + 1
 	// indexAhead: a filler that arrives before the parent version
-	// announcing it is an orphan QaC+ and QaC++ already serve (they jump
-	// to its tag) and CaQ and QaC cannot reach yet, so the index plans'
-	// per-arrival deltas run ahead until the parent arrives. The final
-	// results agree.
+	// announcing it is an orphan QaC+ already serves (it jumps to its
+	// tag) and CaQ and QaC cannot reach yet, so QaC+'s per-arrival deltas
+	// run ahead until the parent arrives. The final results agree.
 	indexAhead
 )
 
@@ -105,8 +104,8 @@ func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 	switch {
 	case sp == caqApart && mode == xcql.CaQ:
 		return "CaQ"
-	case sp == indexAhead && (mode == xcql.QaCPlus || mode == xcql.QaCPlusPlus):
-		return "index plans"
+	case sp == indexAhead && mode == xcql.QaCPlus:
+		return "QaC+"
 	}
 	return "every plan"
 }

@@ -1,5 +1,5 @@
 // Quickstart: build a temporal XML stream from a document, run XCQL
-// queries over its history, and watch the four execution plans agree.
+// queries over its history, and watch the three execution plans agree.
 //
 //	go run ./examples/quickstart
 package main
@@ -71,7 +71,7 @@ func main() {
 		{"October charges", octoberTotal},
 	} {
 		fmt.Printf("== %s\n", q.label)
-		for _, mode := range []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus, xcql.QaCPlusPlus} {
+		for _, mode := range []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus} {
 			compiled, err := engine.Compile(q.src, mode)
 			if err != nil {
 				log.Fatal(err)

@@ -12,7 +12,7 @@ import (
 )
 
 // Stored payloads are immutable and structurally shared: every read —
-// get_fillers, the cache, the label index, projections, hole filling,
+// get_fillers, the cache, the tsid index, projections, hole filling,
 // constructors, the wire codec — hands out the store's own nodes. These
 // tests are the guard on that contract: a fingerprint of every stored
 // payload (its serialization and the identity of every node in it) taken
@@ -112,7 +112,7 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 	checkPayloads(t, prints, "after post-maintenance reads")
 }
 
-// TestSharedNodesUnderConcurrentPlans runs all four plans — sequential
+// TestSharedNodesUnderConcurrentPlans runs all three plans — sequential
 // and parallel, cached and not — concurrently against ONE store while a
 // writer keeps adding versions. Every evaluation hands out the store's
 // own nodes, so under -race any write to a shared node (a parent link, an

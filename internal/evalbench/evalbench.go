@@ -1,8 +1,7 @@
 // Package evalbench is the harness that regenerates the paper's
 // experimental evaluation (§7, Figure 4): XMark auction data at the three
-// published sizes, queries Q1/Q2/Q5, and the four execution plans
-// QaC++/QaC+/QaC/CaQ (the paper's three rows plus this repo's
-// prefix-labeled plan). cmd/figure4 prints the table; bench_test.go
+// published sizes, queries Q1/Q2/Q5, and the paper's three execution
+// plans QaC+/QaC/CaQ. cmd/figure4 prints the table; bench_test.go
 // measures the same cells under testing.B.
 package evalbench
 
@@ -69,9 +68,8 @@ func Queries() []struct{ Name, Src string } {
 	}
 }
 
-// Modes in the paper's row order, fastest plan first (QaC++ is this
-// repo's extra row on top of the paper's three).
-var Modes = []xcql.Mode{xcql.QaCPlusPlus, xcql.QaCPlus, xcql.QaC, xcql.CaQ}
+// Modes in the paper's row order, fastest plan first.
+var Modes = []xcql.Mode{xcql.QaCPlus, xcql.QaC, xcql.CaQ}
 
 // Scales used by Figure 4 (the paper's scaling factors 0.0 / 0.05 / 0.1).
 var Scales = []float64{0.0, 0.05, 0.1}
@@ -118,7 +116,7 @@ type Row struct {
 }
 
 // RunFigure4 executes the full grid. Each dataset is built once and
-// shared by its twelve cells (3 queries × 4 plans). progress, when
+// shared by its nine cells (3 queries × 3 plans). progress, when
 // non-nil, receives one line per finished cell.
 func RunFigure4(scales []float64, scanStore bool, progress io.Writer) ([]Row, error) {
 	var rows []Row
@@ -186,11 +184,9 @@ func formatMs(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
 }
 
-// SpeedupSummary reports, per query and scale, the ordering and the
-// QaC+/QaC++, QaC/QaC+ and CaQ/QaC ratios — the paper's headline claim
-// is that each step is about an order of magnitude at the larger sizes;
-// the QaC+/QaC++ column tracks what reading the index with no lookup
-// pass buys on top.
+// SpeedupSummary reports, per query and scale, the QaC/QaC+ and CaQ/QaC
+// ratios — the paper's headline claim is that each step is about an
+// order of magnitude at the larger sizes.
 func SpeedupSummary(rows []Row) string {
 	type key struct {
 		q     string
@@ -215,7 +211,7 @@ func SpeedupSummary(rows []Row) string {
 		return keys[i].scale < keys[j].scale
 	})
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-8s %14s %14s %14s\n", "Query", "Scale", "QaC+/QaC++", "QaC/QaC+", "CaQ/QaC")
+	fmt.Fprintf(&b, "%-6s %-8s %14s %14s\n", "Query", "Scale", "QaC/QaC+", "CaQ/QaC")
 	for _, k := range keys {
 		t := times[k]
 		ratio := func(a, b time.Duration) string {
@@ -224,8 +220,8 @@ func SpeedupSummary(rows []Row) string {
 			}
 			return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 		}
-		fmt.Fprintf(&b, "%-6s %-8g %14s %14s %14s\n", k.q, k.scale,
-			ratio(t["QaC+"], t["QaC++"]), ratio(t["QaC"], t["QaC+"]), ratio(t["CaQ"], t["QaC"]))
+		fmt.Fprintf(&b, "%-6s %-8g %14s %14s\n", k.q, k.scale,
+			ratio(t["QaC"], t["QaC+"]), ratio(t["CaQ"], t["QaC"]))
 	}
 	return b.String()
 }

@@ -169,11 +169,6 @@ const (
 	// TSIDIndexAccess is LogScanAccess with the unnested get_fillers of §8: a hole-id
 	// set resolves in one batched pass (QaC+).
 	TSIDIndexAccess
-	// LabelIndexAccess reads the store's index and pays for no lookup: no pass
-	// over the log even on a scan store, no hole counted as resolved (QaC++).
-	// It is named for the counters it moves, obs.EvalStats' LabelRange*; the
-	// store keeps no labels.
-	LabelIndexAccess
 )
 
 // Eval is the evaluation an Access reads for: the instant its reads are
@@ -186,8 +181,7 @@ type Eval struct {
 	// Budget is charged one step — a cancellation poll — per pass of a
 	// log-scanned hole-id set; nil is unlimited.
 	Budget *budget.Budget
-	// Cache memoizes the log passes; nil disables it. A label-index read
-	// runs no pass and never consults it.
+	// Cache memoizes the log passes; nil disables it.
 	Cache *Cache
 	// Parallelism > 1 fans a log-scanned hole-id set out over that many
 	// workers; Wait, when non-nil, receives their queue waits.
@@ -198,14 +192,10 @@ type Eval struct {
 // NewAccess returns the access implementation of the given kind, reading
 // and charging under ev.
 func NewAccess(kind AccessKind, ev Eval) Access {
-	switch kind {
-	case TSIDIndexAccess:
+	if kind == TSIDIndexAccess {
 		return &tsidIndex{logScan{ev}}
-	case LabelIndexAccess:
-		return &labelIndex{ev}
-	default:
-		return &logScan{ev}
 	}
+	return &logScan{ev}
 }
 
 type logScan struct{ Eval }
@@ -292,8 +282,8 @@ func (a *logScan) FillersEach(*Store, []int, Window) ([]*xmldom.Node, bool) { re
 func (a *logScan) ChargeEach(*Store, int, int, int) {}
 
 // ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
-// by the tsid index on an indexed store. Only the index plans'
-// translations ask for it.
+// by the tsid index on an indexed store. Only QaC+'s translations ask
+// for it.
 func (a *logScan) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
 	if a.Cache == nil {
 		els, n := st.lookupTSID(tsid, a.At, keep)
@@ -355,49 +345,4 @@ func (a *tsidIndex) ChargeFillers(st *Store, ids []int) {
 		n += st.visible(id, a.At)
 	}
 	a.ChargeEach(st, len(ids), n, n)
-}
-
-type labelIndex struct{ Eval }
-
-func (a *labelIndex) Arm(ev Eval) { a.Eval = ev }
-
-// charge counts one index fetch that examined n versions and passes its
-// elements through.
-func (a *labelIndex) charge(els []*xmldom.Node, n int) []*xmldom.Node {
-	a.Stats.AddLabelRangeLookup(n)
-	a.Stats.AddNodes(len(els))
-	return els
-}
-
-func (a *labelIndex) Filler(st *Store, id int, _ bool, keep Filter) []*xmldom.Node {
-	return a.charge(st.read([]int{id}, 0, a.At, keep, Window{}))
-}
-
-func (a *labelIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
-	return a.charge(st.read(distinctIDs(ids), 0, a.At, keep, win))
-}
-
-func (a *labelIndex) ChargeFillers(st *Store, ids []int) {
-	n := 0
-	for _, id := range ids {
-		n += st.visible(id, a.At)
-	}
-	a.ChargeEach(st, len(ids), n, n)
-}
-
-func (a *labelIndex) FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool) {
-	if len(ids) == 0 {
-		return nil, true
-	}
-	els, _ := st.read(ids, 0, a.At, nil, win)
-	return els, true
-}
-
-func (a *labelIndex) ChargeEach(_ *Store, _, examined, built int) {
-	a.Stats.AddLabelRangeLookup(examined)
-	a.Stats.AddNodes(built)
-}
-
-func (a *labelIndex) ByTSID(st *Store, tsid int, keep Filter) []*xmldom.Node {
-	return a.charge(st.readTSID(tsid, a.At, keep))
 }

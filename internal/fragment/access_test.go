@@ -18,11 +18,11 @@ import (
 // charges are the counters an access read may move; a contract row
 // states all of them, so what a read must NOT move is pinned at zero.
 type charges struct {
-	holes, fillers, tsidLookups, labelLookups, hits, misses int64
+	holes, fillers, tsidLookups, hits, misses int64
 }
 
 func chargesOf(s *obs.EvalStats) charges {
-	return charges{s.HolesResolved, s.FillersScanned, s.TSIDLookups, s.LabelRangeLookups, s.CacheHits, s.CacheMisses}
+	return charges{s.HolesResolved, s.FillersScanned, s.TSIDLookups, s.CacheHits, s.CacheMisses}
 }
 
 func render(els []*xmldom.Node) string {
@@ -81,7 +81,6 @@ func TestAccessContract(t *testing.T) {
 	}{
 		{"log-scan", fragment.LogScanAccess},
 		{"tsid-index", fragment.TSIDIndexAccess},
-		{"label-index", fragment.LabelIndexAccess},
 	}
 	for _, scan := range []bool{false, true} {
 		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
@@ -153,9 +152,6 @@ func TestAccessContract(t *testing.T) {
 					return out
 				},
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					if kind == fragment.LabelIndexAccess {
-						return charges{labelLookups: int64(len(ids))}
-					}
 					return perID(els, len(ids), cached, warm)
 				},
 			},
@@ -165,9 +161,6 @@ func TestAccessContract(t *testing.T) {
 					return a.Filler(st, fragment.RootFillerID, false, nil)
 				},
 				want: func(kind fragment.AccessKind, _, _ bool, els []*xmldom.Node) charges {
-					if kind == fragment.LabelIndexAccess {
-						return charges{labelLookups: 1}
-					}
 					// the root is reached without a hole: no hole counted,
 					// and the pass is not memoized
 					return charges{fillers: passCost(len(els))}
@@ -177,10 +170,7 @@ func TestAccessContract(t *testing.T) {
 				name: "fillers",
 				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					switch kind {
-					case fragment.LabelIndexAccess:
-						return charges{labelLookups: 1}
-					case fragment.LogScanAccess:
+					if kind == fragment.LogScanAccess {
 						return perID(els, len(ids), cached, warm)
 					}
 					// one pass for the whole batch
@@ -211,9 +201,6 @@ func TestAccessContract(t *testing.T) {
 				},
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
 					n := int64(len(tsids))
-					if kind == fragment.LabelIndexAccess {
-						return charges{labelLookups: n}
-					}
 					c := charges{tsidLookups: n}
 					switch {
 					case warm:
@@ -318,10 +305,10 @@ func TestAccessContract(t *testing.T) {
 		if multi == 0 || hidden == 0 {
 			t.Fatalf("scan=%v: unit reads met %d fillers of several visible versions and %d versions not yet visible: the row tests nothing", scan, multi, hidden)
 		}
-		// the census EXPLAIN predicts label reads from is what they return
+		// the census EXPLAIN predicts tsid reads from is what they return
 		for _, tsid := range tsids {
 			_, versions := st.TSIDFillers(tsid)
-			if got := len(fragment.NewAccess(fragment.LabelIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid, nil)); got != versions {
+			if got := len(fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid, nil)); got != versions {
 				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, got)
 			}
 		}
@@ -335,7 +322,7 @@ func TestAccessContract(t *testing.T) {
 // the constructed nodes follow what it kept (a cache miss builds, and
 // memoizes, every version's top all the same).
 func TestAccessFilter(t *testing.T) {
-	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess}
+	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess}
 	for _, scan := range []bool{false, true} {
 		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
 		if err != nil {
@@ -396,7 +383,7 @@ func TestAccessFilter(t *testing.T) {
 						func(v fragment.Version) bool {
 							n := v.Payload()
 							asked++
-							if _, stamped := n.Attr("vtFrom"); stamped != (kind != fragment.LabelIndexAccess && state != "nil") {
+							if _, stamped := n.Attr("vtFrom"); stamped != (state != "nil") {
 								t.Errorf("%s: filter ran on a node with vtFrom stamped = %v", name, stamped)
 							}
 							return even(n)
@@ -419,13 +406,12 @@ func TestAccessFilter(t *testing.T) {
 					if got, want := chargesOf(filtered), chargesOf(plain); got != want {
 						t.Errorf("%s: access cost with the filter %+v, without %+v", name, got, want)
 					}
-					if filtered.LabelRangeHits != plain.LabelRangeHits || filtered.TSIDIndexHits != plain.TSIDIndexHits {
-						t.Errorf("%s: index hits with the filter %d/%d, without %d/%d", name,
-							filtered.TSIDIndexHits, filtered.LabelRangeHits, plain.TSIDIndexHits, plain.LabelRangeHits)
+					if filtered.TSIDIndexHits != plain.TSIDIndexHits {
+						t.Errorf("%s: index hits with the filter %d, without %d", name, filtered.TSIDIndexHits, plain.TSIDIndexHits)
 					}
 					built := int64(len(kept))
 					switch {
-					case kind == fragment.LabelIndexAccess || state == "nil":
+					case state == "nil":
 					case state == "cold":
 						built = int64(len(all))
 					default:
@@ -446,7 +432,7 @@ func TestAccessFilter(t *testing.T) {
 // group ends in its output, and is charged the unwindowed read's access
 // cost; uncached, it builds only what it returns.
 func TestAccessWindow(t *testing.T) {
-	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess}
+	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess}
 	windows := map[string]fragment.Window{
 		"[1]":        {From: 1, To: 1},
 		"[2]":        {From: 2, To: 2},
@@ -529,7 +515,7 @@ func TestAccessWindow(t *testing.T) {
 						}
 						built := int64(len(got))
 						switch {
-						case kind == fragment.LabelIndexAccess || state == "nil":
+						case state == "nil":
 						case state == "cold":
 							built = whole.NodesConstructed
 						default:
@@ -638,7 +624,7 @@ func TestChargeFillersChargesTheRead(t *testing.T) {
 		}
 		ids := append(st.FillerIDs()[1:], 1<<20)
 		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
-			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess, fragment.LabelIndexAccess} {
+			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
 				var read, charged obs.EvalStats
 				var readBudget, chargedBudget budget.Budget
 				fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &read, Budget: &readBudget}).Fillers(st, ids, nil, fragment.Window{})
@@ -681,43 +667,42 @@ func TestFillersEachIsTheCallsInTurn(t *testing.T) {
 			ids = append(ids, set...)
 		}
 		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
-			for _, kind := range []fragment.AccessKind{fragment.TSIDIndexAccess, fragment.LabelIndexAccess} {
-				for name, w := range windows {
-					name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, name, at)
-					var want []*xmldom.Node
-					var wantEnds []int
-					var calls obs.EvalStats
-					for _, set := range sets {
-						w.Ends = []int{len(set)}
-						want = append(want, fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &calls}).Fillers(st, set, nil, w)...)
-						wantEnds = append(wantEnds, len(want))
-					}
-					w.Ends, w.Examined = nil, make([]int, len(sets))
-					end := 0
-					for _, set := range sets {
-						end += len(set)
-						w.Ends = append(w.Ends, end)
-					}
-					var each obs.EvalStats
-					acc := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &each})
-					got, ok := acc.FillersEach(st, ids, w)
-					if !ok {
-						t.Fatalf("%s: the index reads the sets at once", name)
-					}
-					if render(got) != render(want) || fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
-						t.Fatalf("%s: read\n%s%v\nthe calls in turn\n%s%v", name, render(got), w.Ends, render(want), wantEnds)
-					}
-					if each != (obs.EvalStats{}) {
-						t.Errorf("%s: the read charged %+v", name, each)
-					}
-					lo := 0
-					for g, set := range sets {
-						acc.ChargeEach(st, len(set), w.Examined[g], w.Ends[g]-lo)
-						lo = w.Ends[g]
-					}
-					if each != calls {
-						t.Errorf("%s: charged\n%+v\nthe calls charged\n%+v", name, each, calls)
-					}
+			kind := fragment.TSIDIndexAccess
+			for name, w := range windows {
+				name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, name, at)
+				var want []*xmldom.Node
+				var wantEnds []int
+				var calls obs.EvalStats
+				for _, set := range sets {
+					w.Ends = []int{len(set)}
+					want = append(want, fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &calls}).Fillers(st, set, nil, w)...)
+					wantEnds = append(wantEnds, len(want))
+				}
+				w.Ends, w.Examined = nil, make([]int, len(sets))
+				end := 0
+				for _, set := range sets {
+					end += len(set)
+					w.Ends = append(w.Ends, end)
+				}
+				var each obs.EvalStats
+				acc := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &each})
+				got, ok := acc.FillersEach(st, ids, w)
+				if !ok {
+					t.Fatalf("%s: the index reads the sets at once", name)
+				}
+				if render(got) != render(want) || fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
+					t.Fatalf("%s: read\n%s%v\nthe calls in turn\n%s%v", name, render(got), w.Ends, render(want), wantEnds)
+				}
+				if each != (obs.EvalStats{}) {
+					t.Errorf("%s: the read charged %+v", name, each)
+				}
+				lo := 0
+				for g, set := range sets {
+					acc.ChargeEach(st, len(set), w.Examined[g], w.Ends[g]-lo)
+					lo = w.Ends[g]
+				}
+				if each != calls {
+					t.Errorf("%s: charged\n%+v\nthe calls charged\n%+v", name, each, calls)
 				}
 			}
 		}

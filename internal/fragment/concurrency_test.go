@@ -85,7 +85,7 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 			at := ts("2004-01-01T00:00:00")
 			ids := []int{2, topID - 2, topID - 1, topID}
 			keep := func(v Version) bool { return st.Len() > 0 && v.Payload() != nil }
-			for _, kind := range []AccessKind{LogScanAccess, TSIDIndexAccess, LabelIndexAccess} {
+			for _, kind := range []AccessKind{LogScanAccess, TSIDIndexAccess} {
 				for r := 0; r < 2; r++ {
 					wg.Add(1)
 					go func() {

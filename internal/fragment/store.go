@@ -541,7 +541,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 		return buildTops(kept), examined
 	}
 	// Window.groups' loop, spelled out so that the narrowed filter stays on
-	// the stack: this is the read every index plan's window takes
+	// the stack: this is the read QaC+'s window takes
 	w := windowKeep{keep: keep}
 	narrowed := Filter(w.admit)
 	lo := 0
@@ -583,17 +583,12 @@ func (st *Store) lookup(ids []int, at time.Time, keep Filter, win Window) ([]*xm
 	return st.read(ids, 0, at, keep, win)
 }
 
-// readTSID is a read of the versions carrying tsid, filler ids ascending.
-func (st *Store) readTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
-	fids, _ := st.TSIDFillers(tsid)
-	return st.read(fids, tsid, at, keep, Window{})
-}
-
 // lookupTSID is the paper's filler[@tsid=…] lookup: one lookup pass, then
-// the read.
+// a read of the versions carrying tsid, filler ids ascending.
 func (st *Store) lookupTSID(tsid int, at time.Time, keep Filter) ([]*xmldom.Node, int) {
 	st.scanPass(AttrTSID, []int{tsid})
-	return st.readTSID(tsid, at, keep)
+	fids, _ := st.TSIDFillers(tsid)
+	return st.read(fids, tsid, at, keep, Window{})
 }
 
 // distinctIDs returns ids without its repeats, each id at its first

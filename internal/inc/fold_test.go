@@ -33,56 +33,55 @@ func TestFoldChargesWhatItReplaces(t *testing.T) {
 		{`for $a in stream("credit")//account where avg($a/transaction/@id) = 1 or count($a/transaction#[1,last]/amount) > 4 return $a/@id`, "avg folded over transaction terms; count folded"},
 		{`for $a in stream("credit")//account where sum($a/transaction?[now-PT1H,now]/amount) > 3000 and count($a/transaction) > 2 return <hit>{$a/@id}{avg($a/transaction/amount)}</hit>`, "count folded over transaction terms; avg folded"},
 	} {
-		for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
-			rt, cs := newCreditStream(t, 3)
-			folded, plain := New(rt.MustCompile(c.src, mode)), New(rt.MustCompile(c.src, mode))
-			if s := folded.Strategy(); !strings.Contains(s, c.folds) {
-				t.Fatalf("%s under %s: strategy %s, want it to say %q", c.src, mode, s, c.folds)
-			}
-			plain.pieces[0].folded = nil
-			emitted := 0
-			step := func(f *fragment.Fragment, at time.Time) {
-				t.Helper()
-				var fs, ps obs.EvalStats
-				fd, _, ferr := folded.Apply(f, at, xcql.Limits{}, &fs, nil)
-				pd, _, perr := plain.Apply(f, at, xcql.Limits{}, &ps, nil)
-				if fmt.Sprint(ferr) != fmt.Sprint(perr) || !reflect.DeepEqual(itemSerials(fd), itemSerials(pd)) {
-					t.Fatalf("%s under %s at %s: folded %q (%v), unfolded %q (%v)", c.src, mode, at.Format(time.TimeOnly), itemSerials(fd), ferr, itemSerials(pd), perr)
-				}
-				emitted += len(fd)
-				if fs != ps {
-					t.Fatalf("%s under %s at %s: the folded aggregate charged\n%+v\nthe unfolded one\n%+v", c.src, mode, at.Format(time.TimeOnly), fs, ps)
-				}
-			}
-			step(nil, creditBase)
-			at := creditBase
-			for i := 1; i <= 30; i++ {
-				at = creditBase.Add(time.Duration(i) * 7 * time.Minute)
-				announce, tx := cs.pub.Charge(i%3, 700*(i%9), at)
-				step(cs.add(announce), at)
-				step(cs.add(tx), at)
-				if i%5 == 0 {
-					step(cs.add(tx), at)
-				}
-				step(nil, at.Add(3*time.Minute))
-			}
-			// account 1 re-versioned with its transactions inline: no hole
-			// of the tag, so the child step reads its children instead
-			inline := xmldom.NewElement("account")
-			inline.SetAttr("id", "acct1001")
-			for _, amount := range []string{"2500", "x", "2600"} {
-				tx := xmldom.NewElement("transaction")
-				tx.SetAttr("id", "t0")
-				tx.AppendChild(xmldom.TextElem("amount", amount))
-				inline.AppendChild(tx)
-			}
-			at = at.Add(time.Minute)
-			step(cs.add(fragment.New(2, genstore.CreditAccountTSID, at, inline)), at)
-			if folded.terms.kept == nil || emitted == 0 {
-				t.Fatalf("%s under %s: %d terms kept, %d items emitted: the case tests nothing", c.src, mode, len(folded.terms.kept), emitted)
-			}
-			step(nil, creditBase.Add(time.Hour))
-			step(nil, at.Add(2*time.Hour))
+		mode := xcql.QaCPlus
+		rt, cs := newCreditStream(t, 3)
+		folded, plain := New(rt.MustCompile(c.src, mode)), New(rt.MustCompile(c.src, mode))
+		if s := folded.Strategy(); !strings.Contains(s, c.folds) {
+			t.Fatalf("%s under %s: strategy %s, want it to say %q", c.src, mode, s, c.folds)
 		}
+		plain.pieces[0].folded = nil
+		emitted := 0
+		step := func(f *fragment.Fragment, at time.Time) {
+			t.Helper()
+			var fs, ps obs.EvalStats
+			fd, _, ferr := folded.Apply(f, at, xcql.Limits{}, &fs, nil)
+			pd, _, perr := plain.Apply(f, at, xcql.Limits{}, &ps, nil)
+			if fmt.Sprint(ferr) != fmt.Sprint(perr) || !reflect.DeepEqual(itemSerials(fd), itemSerials(pd)) {
+				t.Fatalf("%s under %s at %s: folded %q (%v), unfolded %q (%v)", c.src, mode, at.Format(time.TimeOnly), itemSerials(fd), ferr, itemSerials(pd), perr)
+			}
+			emitted += len(fd)
+			if fs != ps {
+				t.Fatalf("%s under %s at %s: the folded aggregate charged\n%+v\nthe unfolded one\n%+v", c.src, mode, at.Format(time.TimeOnly), fs, ps)
+			}
+		}
+		step(nil, creditBase)
+		at := creditBase
+		for i := 1; i <= 30; i++ {
+			at = creditBase.Add(time.Duration(i) * 7 * time.Minute)
+			announce, tx := cs.pub.Charge(i%3, 700*(i%9), at)
+			step(cs.add(announce), at)
+			step(cs.add(tx), at)
+			if i%5 == 0 {
+				step(cs.add(tx), at)
+			}
+			step(nil, at.Add(3*time.Minute))
+		}
+		// account 1 re-versioned with its transactions inline: no hole
+		// of the tag, so the child step reads its children instead
+		inline := xmldom.NewElement("account")
+		inline.SetAttr("id", "acct1001")
+		for _, amount := range []string{"2500", "x", "2600"} {
+			tx := xmldom.NewElement("transaction")
+			tx.SetAttr("id", "t0")
+			tx.AppendChild(xmldom.TextElem("amount", amount))
+			inline.AppendChild(tx)
+		}
+		at = at.Add(time.Minute)
+		step(cs.add(fragment.New(2, genstore.CreditAccountTSID, at, inline)), at)
+		if folded.terms.kept == nil || emitted == 0 {
+			t.Fatalf("%s under %s: %d terms kept, %d items emitted: the case tests nothing", c.src, mode, len(folded.terms.kept), emitted)
+		}
+		step(nil, creditBase.Add(time.Hour))
+		step(nil, at.Add(2*time.Hour))
 	}
 }

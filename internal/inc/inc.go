@@ -19,7 +19,7 @@
 // Decomposition is best-effort and always sound: a plan (or plan part)
 // the decomposer does not understand becomes a single "broad" piece that
 // recomputes on every arrival, which is full re-evaluation in disguise.
-// The fast path is the index plans' tsid jump (fn:bytsid) under layers
+// The fast path is QaC+'s tsid jump (fn:bytsid) under layers
 // that distribute over their input — projections, and FLWORs whose body
 // reaches the store only through the bound variable: its units are
 // individual fillers, the unit of work is the bindings of one filler, and
@@ -523,18 +523,17 @@ func (e *Engine) tsidJump(x xq.Expr) (tsids []int, pred xq.Expr) {
 // instant, same limits) produce identical outputs, or identical budget
 // trips, for the same filler, which is what lets a SharedPass evaluate the
 // unit once and hand the result to every registration in a shared group,
-// whatever its plan. The signature is the materialize flag (count-mode
-// queries skip materialization), the read class of the plan
-// (xcql.Mode.ReadClass: a scan read charges a step per hole where an index
-// read charges none, so under a step limit the two can part), the stream,
-// for an indexed slot its tsid, and the canonical rendering of the body the
-// unit evaluates.
+// whatever its query. The signature is the materialize flag (count-mode
+// queries skip materialization), the plan (a scan read charges a step per
+// hole where QaC+'s index read charges none, so under a step limit two
+// plans can part), the stream, for an indexed slot its tsid, and the
+// canonical rendering of the body the unit evaluates.
 func (e *Engine) finish(p *piece) *piece {
 	m := "m0|"
 	if !e.countMode {
 		m = "m1|"
 	}
-	m += e.q.Mode.ReadClass() + "|"
+	m += e.q.Mode.String() + "|"
 	body := p.expr.String()
 	if !p.indexed() {
 		p.sigs = []string{m + "g|" + e.stream + "|" + body}

@@ -2,7 +2,6 @@ package inc
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -48,41 +47,6 @@ func corpus() []struct{ name, src string } {
 	return out
 }
 
-// TestClassifyIsIndexBlind: the QaC+ and QaC++ compilations of a query
-// are the same plan over different indexes, so the decomposer must hand
-// both the same pieces — indexed or generic, the same body, tsids and
-// dependencies — and the registry the same SharedPass signatures.
-func TestClassifyIsIndexBlind(t *testing.T) {
-	ds, err := evalbench.Build(0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed := 0
-	for _, qc := range corpus() {
-		plus := New(ds.Runtime.MustCompile(qc.src, xcql.QaCPlus))
-		pp := New(ds.Runtime.MustCompile(qc.src, xcql.QaCPlusPlus))
-		if len(plus.pieces) != len(pp.pieces) {
-			t.Errorf("%s: %d pieces under QaC+, %d under QaC++", qc.name, len(plus.pieces), len(pp.pieces))
-			continue
-		}
-		for i, a := range plus.pieces {
-			b := pp.pieces[i]
-			if a.indexed() {
-				indexed++
-			}
-			if a.expr.String() != b.expr.String() || !reflect.DeepEqual(a.tsids, b.tsids) || !reflect.DeepEqual(a.deps, b.deps) {
-				t.Errorf("%s: piece %d classified differently:\nQaC+  %+v\nQaC++ %+v", qc.name, i, a, b)
-			}
-		}
-		if a, b := plus.UnitSignatures(), pp.UnitSignatures(); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: SharedPass signatures differ:\nQaC+  %q\nQaC++ %q", qc.name, a, b)
-		}
-	}
-	if indexed == 0 {
-		t.Fatal("corpus produced no indexed piece: the comparison is vacuous")
-	}
-}
-
 const itemWire = `<stream:structure>
 <tag type="snapshot" id="1" name="items">
   <tag type="temporal" id="2" name="item"/>
@@ -119,49 +83,45 @@ func itemRuntime(t *testing.T, scan bool) (*xcql.Runtime, *fragment.Store) {
 
 // TestEvalUnitChargesLikeFullEvaluation: an indexed unit's filler read is
 // charged the way a full evaluation of the same plan charges the same
-// fetch — a label-range lookup and nothing else under QaC++, a lookup
-// pass (FillersScanned) under QaC+ — on an indexed and on a scan store,
-// and its budget meters the items and bytes the fetch meters.
+// fetch — a lookup pass (FillersScanned) and nothing else under QaC+ — on
+// an indexed and on a scan store, and its budget meters the items and
+// bytes the fetch meters.
 // The full evaluation is the by-tsid fetch alone: a whole-stream
 // descendant step never reads the root.
 func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 	at := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
 	for _, scan := range []bool{false, true} {
 		rt, st := itemRuntime(t, scan)
-		for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
-			name := fmt.Sprintf("scan=%v/%s", scan, mode)
-			q := rt.MustCompile(`stream("items")//item`, mode)
-			if _, err := q.Eval(at); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			full := q.LastStats()
+		mode := xcql.QaCPlus
+		name := fmt.Sprintf("scan=%v/%s", scan, mode)
+		q := rt.MustCompile(`stream("items")//item`, mode)
+		if _, err := q.Eval(at); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		full := q.LastStats()
 
-			e := New(q)
-			if len(e.pieces) != 1 || !e.pieces[0].indexed() {
-				t.Fatalf("%s: plan did not decompose to one indexed piece: %s", name, e.Strategy())
-			}
-			unit := &obs.EvalStats{}
-			res, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.count != 3 || len(res.entries) != 3 {
-				t.Fatalf("%s: unit returned %d versions, want 3", name, res.count)
-			}
-			type charge struct{ fillers, holes, labelLookups, labelHits, items, bytes int64 }
-			got := charge{unit.FillersScanned, unit.HolesResolved, unit.LabelRangeLookups, unit.LabelRangeHits, unit.Items, unit.BytesMaterialized}
-			want := charge{full.FillersScanned, full.HolesResolved, full.LabelRangeLookups, full.LabelRangeHits, full.Items, full.BytesMaterialized}
-			if got != want {
-				t.Errorf("%s: unit charged %+v, the full evaluation's fetch %+v", name, got, want)
-			}
-			// the budget meters the read as it meters the full evaluation's
-			got.items, got.bytes = 0, 0
-			switch {
-			case mode == xcql.QaCPlusPlus && got != (charge{labelLookups: 1, labelHits: 3}):
-				t.Errorf("%s: unit charged %+v, want one label-range lookup only", name, got)
-			case mode == xcql.QaCPlus && got != (charge{fillers: int64(st.LookupCost(3))}):
-				t.Errorf("%s: unit charged %+v, want one lookup pass only", name, got)
-			}
+		e := New(q)
+		if len(e.pieces) != 1 || !e.pieces[0].indexed() {
+			t.Fatalf("%s: plan did not decompose to one indexed piece: %s", name, e.Strategy())
+		}
+		unit := &obs.EvalStats{}
+		res, err := e.evalUnit(unitKey{piece: 0, arg: 0, fid: 1}, at, xcql.Limits{}, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.count != 3 || len(res.entries) != 3 {
+			t.Fatalf("%s: unit returned %d versions, want 3", name, res.count)
+		}
+		type charge struct{ fillers, holes, items, bytes int64 }
+		got := charge{unit.FillersScanned, unit.HolesResolved, unit.Items, unit.BytesMaterialized}
+		want := charge{full.FillersScanned, full.HolesResolved, full.Items, full.BytesMaterialized}
+		if got != want {
+			t.Errorf("%s: unit charged %+v, the full evaluation's fetch %+v", name, got, want)
+		}
+		// the budget meters the read as it meters the full evaluation's
+		got.items, got.bytes = 0, 0
+		if got != (charge{fillers: int64(st.LookupCost(3))}) {
+			t.Errorf("%s: unit charged %+v, want one lookup pass only", name, got)
 		}
 	}
 }

@@ -112,9 +112,8 @@ func TestStrategyNamesTheDecision(t *testing.T) {
 		want string
 	}{
 		{fraudQuery, xcql.QaCPlus, "1 piece (per-binding on account; sum folded over transaction terms)"},
-		{fraudQuery, xcql.QaCPlusPlus, "1 piece (per-binding on account; sum folded over transaction terms)"},
 		{filterQuery, xcql.QaCPlus, "1 piece (per-binding on transaction)"},
-		{`count(stream("credit")//transaction)`, xcql.QaCPlusPlus, "1 piece (per-binding on transaction), count mode"},
+		{`count(stream("credit")//transaction)`, xcql.QaCPlus, "1 piece (per-binding on transaction), count mode"},
 		{fraudQuery, xcql.QaC, "1 piece (generic on creditAccounts,account,creditLimit,transaction)"},
 		{fraudQuery, xcql.CaQ, "1 piece (generic, broad: materializes the whole view)"},
 		{`for $a in stream("credit")//account where audit($a) return $a`, xcql.QaCPlus,
@@ -556,7 +555,7 @@ func TestHorizonLaw(t *testing.T) {
 			rt := xcql.NewRuntime()
 			rt.RegisterStream("s", st)
 			for _, query := range ins.Queries {
-				for _, mode := range []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus, xcql.QaCPlusPlus} {
+				for _, mode := range []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus} {
 					for _, at := range ins.Instants[1:] {
 						check(fmt.Sprintf("%s/%s/%s", p, query.Name, mode), New(rt.MustCompile(query.Src, mode)), ins.Fragments, at)
 					}

@@ -50,7 +50,7 @@ import (
 // populates them on every Eval/EvalContext call; read them back with
 // Query.LastStats or Engine.EvalContextStats.
 type EvalStats struct {
-	// Plan is the physical plan that ran ("CaQ", "QaC", "QaC+", "QaC++").
+	// Plan is the physical plan that ran ("CaQ", "QaC", "QaC+").
 	Plan string
 
 	// FillersScanned counts filler versions examined by store lookups.
@@ -67,25 +67,20 @@ type EvalStats struct {
 	TSIDLookups     int64
 	TSIDIndexHits   int64
 	TSIDIndexMisses int64
-	// LabelRangeLookups counts label-index fetches issued by the QaC++
-	// plan (root access, batched child steps, descendant label-range
-	// scans, projection and materialization hole crossings);
-	// LabelRangeHits is the filler versions they returned and
-	// LabelRangeMisses the fetches that found none. Zero under the other
-	// plans — and under QaC++ HolesResolved and FillersScanned stay zero,
-	// since every access is an index fetch, not a hole walk or log pass.
+	// Deprecated: LabelRangeLookups is always zero. It counted the reads of
+	// a fourth plan, QaC++, whose reads were QaC+'s, and stays only until
+	// the end-to-end harness under bench/ stops reading it (ROADMAP item
+	// 1 (a)).
 	LabelRangeLookups int64
-	LabelRangeHits    int64
-	LabelRangeMisses  int64
 	// BytesMaterialized approximates the bytes of XML materialized during
 	// the evaluation: temporal views, resolved filler versions,
 	// constructed elements — by logical size, shared subtrees included.
 	// Mirrors the byte budget's accounting.
 	BytesMaterialized int64
 	// NodesConstructed counts elements actually allocated: the annotated
-	// top element of every filler version a store or label-index read
-	// returned (cache hits build none), the elements copy-on-write
-	// reconstruction and hole filling rebuilt, and element constructors.
+	// top element of every filler version a store read returned (cache
+	// hits build none), the elements copy-on-write reconstruction and hole
+	// filling rebuilt, and element constructors.
 	// Subtrees shared with the store are not counted — compare with
 	// BytesMaterialized to see how much of a result was shared.
 	NodesConstructed int64
@@ -148,19 +143,17 @@ type EvalStats struct {
 // its counters, for a caller that memoizes that part and replays the
 // charge instead of running it again.
 type AccessCounts struct {
-	Fillers, Holes, Nodes                int64
-	LabelLookups, LabelHits, LabelMisses int64
+	Fillers, Holes, Nodes int64
 }
 
 // Access returns the access counters s holds.
 func (s *EvalStats) Access() AccessCounts {
-	return AccessCounts{s.FillersScanned, s.HolesResolved, s.NodesConstructed, s.LabelRangeLookups, s.LabelRangeHits, s.LabelRangeMisses}
+	return AccessCounts{s.FillersScanned, s.HolesResolved, s.NodesConstructed}
 }
 
 // Sub returns c less o.
 func (c AccessCounts) Sub(o AccessCounts) AccessCounts {
-	return AccessCounts{c.Fillers - o.Fillers, c.Holes - o.Holes, c.Nodes - o.Nodes,
-		c.LabelLookups - o.LabelLookups, c.LabelHits - o.LabelHits, c.LabelMisses - o.LabelMisses}
+	return AccessCounts{c.Fillers - o.Fillers, c.Holes - o.Holes, c.Nodes - o.Nodes}
 }
 
 // AddAccess adds access counters to s.
@@ -171,9 +164,6 @@ func (s *EvalStats) AddAccess(c AccessCounts) {
 	atomic.AddInt64(&s.FillersScanned, c.Fillers)
 	atomic.AddInt64(&s.HolesResolved, c.Holes)
 	atomic.AddInt64(&s.NodesConstructed, c.Nodes)
-	atomic.AddInt64(&s.LabelRangeLookups, c.LabelLookups)
-	atomic.AddInt64(&s.LabelRangeHits, c.LabelHits)
-	atomic.AddInt64(&s.LabelRangeMisses, c.LabelMisses)
 }
 
 // AddFillers records n filler versions examined by a store lookup.
@@ -201,20 +191,6 @@ func (s *EvalStats) AddTSIDLookup(fillers int) {
 		atomic.AddInt64(&s.TSIDIndexHits, int64(fillers))
 	} else {
 		atomic.AddInt64(&s.TSIDIndexMisses, 1)
-	}
-}
-
-// AddLabelRangeLookup records one label-index fetch that returned
-// `fillers` versions.
-func (s *EvalStats) AddLabelRangeLookup(fillers int) {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.LabelRangeLookups, 1)
-	if fillers > 0 {
-		atomic.AddInt64(&s.LabelRangeHits, int64(fillers))
-	} else {
-		atomic.AddInt64(&s.LabelRangeMisses, 1)
 	}
 }
 
@@ -298,10 +274,6 @@ func (s *EvalStats) String() string {
 		s.Plan, s.FillersScanned, s.HolesResolved, s.TSIDIndexHits, s.TSIDIndexMisses,
 		s.BytesMaterialized, s.NodesConstructed, s.Steps, s.Items,
 		s.ExecTime.Round(time.Microsecond), s.MaterializeTime.Round(time.Microsecond))
-	if s.LabelRangeLookups > 0 {
-		line += fmt.Sprintf(" label-lookups=%d label-hits=%d label-misses=%d",
-			s.LabelRangeLookups, s.LabelRangeHits, s.LabelRangeMisses)
-	}
 	if s.CacheHits > 0 || s.CacheMisses > 0 {
 		line += fmt.Sprintf(" cache-hits=%d cache-misses=%d", s.CacheHits, s.CacheMisses)
 	}

@@ -112,8 +112,8 @@ func (a *API) SetClock(clock func() time.Time) {
 type RegisterRequest struct {
 	// Query is the XCQL source text.
 	Query string `json:"query"`
-	// Mode selects the physical plan ("CaQ", "QaC", "QaC+", "QaC++");
-	// empty means QaC+.
+	// Mode selects the physical plan ("CaQ", "QaC", "QaC+"; "QaC++" is
+	// accepted as QaC+, see xcql.ParseMode); empty means QaC+.
 	Mode string `json:"mode,omitempty"`
 	// Incremental is ignored: every registration runs the incremental
 	// engine. Clients that still send it are accepted.

@@ -25,10 +25,10 @@
 // limits, so two units share work only when their evaluations read the
 // same store state at the same instant under the same budget. What a unit
 // computes is its signature (inc.Engine.UnitSignatures): the materialize
-// flag, the plan's read class, the stream, the tsid and the body. The read
-// class keeps a scan plan's unit (CaQ, QaC: one budget step per hole read)
-// apart from an index plan's (QaC+, QaC++: none), so that no registration
-// is handed a budget trip, or a success, its own plan would not produce.
+// flag, the plan, the stream, the tsid and the body. The plan keeps a scan
+// plan's unit (CaQ, QaC: one budget step per hole read) apart from QaC+'s
+// (none), so that no registration is handed a budget trip, or a success,
+// its own plan would not produce.
 // A group's SharedPass is emptied before each arrival; nothing memoized
 // outlives the arrival, so there is no cross-arrival invalidation protocol
 // to get wrong.
@@ -905,9 +905,6 @@ func mergeStats(dst, src *obs.EvalStats) {
 	dst.TSIDLookups += src.TSIDLookups
 	dst.TSIDIndexHits += src.TSIDIndexHits
 	dst.TSIDIndexMisses += src.TSIDIndexMisses
-	dst.LabelRangeLookups += src.LabelRangeLookups
-	dst.LabelRangeHits += src.LabelRangeHits
-	dst.LabelRangeMisses += src.LabelRangeMisses
 	dst.BytesMaterialized += src.BytesMaterialized
 	dst.NodesConstructed += src.NodesConstructed
 	dst.Steps += src.Steps

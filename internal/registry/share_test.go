@@ -149,14 +149,13 @@ func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragmen
 	return traces, steps, r, regs
 }
 
-// A scan plan's unit and an index plan's unit that evaluate the same body
-// are not the same unit: a scan read charges a budget step per hole it
-// crosses, an index read none, so under a step limit the scan plan trips
-// where the index plan does not. The unit signature names the read class,
-// and a QaC+ registration beside a QaC one of the same query, under a
-// limit that only QaC's reads exceed, delivers exactly what it delivers
-// alone.
-func TestReadClassPartsUnits(t *testing.T) {
+// A QaC unit and a QaC+ unit that evaluate the same body are not the same
+// unit: QaC's scan read charges a budget step per hole it crosses, QaC+'s
+// index read none, so under a step limit QaC trips where QaC+ does not.
+// The unit signature names the plan, and a QaC+ registration beside a QaC
+// one of the same query, under a limit that only QaC's reads exceed,
+// delivers exactly what it delivers alone.
+func TestPlansPartUnits(t *testing.T) {
 	structure, frags := creditCharges(12)
 	// child steps only: QaC and QaC+ translate it alike
 	const src = `stream("s")/creditAccounts/account/transaction`
@@ -178,8 +177,8 @@ func TestReadClassPartsUnits(t *testing.T) {
 		t.Fatalf("%d groups, want the two plans in one", got)
 	}
 	scanSigs, indexSigs := regs[0].sigs, regs[1].sigs
-	if len(scanSigs) != 1 || strings.Replace(scanSigs[0], "|scan|", "|index|", 1) != indexSigs[0] || scanSigs[0] == indexSigs[0] {
-		t.Fatalf("signatures %q and %q: want one body, apart only in the read class", scanSigs, indexSigs)
+	if len(scanSigs) != 1 || strings.Replace(scanSigs[0], "|QaC|", "|QaC+|", 1) != indexSigs[0] || scanSigs[0] == indexSigs[0] {
+		t.Fatalf("signatures %q and %q: want one body, apart only in the plan", scanSigs, indexSigs)
 	}
 	for i, alone := range [][]string{scanAlone[0], indexAlone[0]} {
 		if !slices.Equal(both[i], alone) {

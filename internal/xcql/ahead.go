@@ -9,7 +9,7 @@ import (
 	"xcql/internal/xq"
 )
 
-// readAhead is a for clause's xq.ReadAhead under the index plans: the
+// readAhead is a for clause's xq.ReadAhead under QaC+: the
 // fillers calls its body makes on each binding — xcql:fillers($v, …) with
 // $v the clause's variable, made once per binding whatever the binding
 // holds — are read for every binding at once, one store read per call

@@ -111,17 +111,15 @@ func TestReadAheadPerBinding(t *testing.T) {
 	for _, tc := range aheadCases {
 		t.Run(tc.name, func(t *testing.T) {
 			oracle := evalRendered(t, rt, tc.src, QaC, at)
-			for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
-				got := evalRendered(t, rt, tc.src, mode, at)
-				if got.items != oracle.items {
-					t.Errorf("%s: %s, QaC %s", mode, got.items, oracle.items)
-				}
-				if got.values != tc.want {
-					t.Errorf("%s: %s, want %s", mode, got.values, tc.want)
-				}
-				if want := aheadStats[tc.name+"/"+mode.String()]; got.stats != want {
-					t.Errorf("%s: stats %s, pinned %s", mode, got.stats, want)
-				}
+			got := evalRendered(t, rt, tc.src, QaCPlus, at)
+			if got.items != oracle.items {
+				t.Errorf("%s, QaC %s", got.items, oracle.items)
+			}
+			if got.values != tc.want {
+				t.Errorf("%s, want %s", got.values, tc.want)
+			}
+			if want := aheadStats[tc.name+"/QaC+"]; got.stats != want {
+				t.Errorf("stats %s, pinned %s", got.stats, want)
 			}
 		})
 	}
@@ -132,32 +130,28 @@ func TestReadAheadPerBinding(t *testing.T) {
 // and of XMark Q2, whose bidder[1] it reads for every open auction at once.
 func TestReadAheadCachedAndQ2(t *testing.T) {
 	rt, at := reannouncedCredit(t)
-	for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
-		q, err := rt.Compile(aheadCases[0].src, mode)
-		if err != nil {
+	q, err := rt.Compile(aheadCases[0].src, QaCPlus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.WithCache(64)
+	for _, pass := range []string{"cold", "warm"} {
+		if _, err := q.Eval(at); err != nil {
 			t.Fatal(err)
 		}
-		q.WithCache(64)
-		for _, pass := range []string{"cold", "warm"} {
-			if _, err := q.Eval(at); err != nil {
-				t.Fatal(err)
-			}
-			key := "cached " + pass + "/" + mode.String()
-			if got, want := readStats(q.LastStats()), aheadStats[key]; got != want {
-				t.Errorf("%s: stats %s, pinned %s", key, got, want)
-			}
+		key := "cached " + pass + "/QaC+"
+		if got, want := readStats(q.LastStats()), aheadStats[key]; got != want {
+			t.Errorf("%s: stats %s, pinned %s", key, got, want)
 		}
 	}
 	xrt := xmarkRuntime(t)
 	oracle := evalRendered(t, xrt, xmark.QueryQ2(), QaC, evalAt)
-	for _, mode := range []Mode{QaCPlus, QaCPlusPlus} {
-		got := evalRendered(t, xrt, xmark.QueryQ2(), mode, evalAt)
-		if got.items != oracle.items {
-			t.Errorf("Q2 %s: result differs from QaC's", mode)
-		}
-		if want := aheadStats["Q2/"+mode.String()]; got.stats != want {
-			t.Errorf("Q2 %s: stats %s, pinned %s", mode, got.stats, want)
-		}
+	got := evalRendered(t, xrt, xmark.QueryQ2(), QaCPlus, evalAt)
+	if got.items != oracle.items {
+		t.Error("Q2: result differs from QaC's")
+	}
+	if want := aheadStats["Q2/QaC+"]; got.stats != want {
+		t.Errorf("Q2: stats %s, pinned %s", got.stats, want)
 	}
 }
 
@@ -178,32 +172,19 @@ func xmarkRuntime(t testing.TB) *Runtime {
 // aheadStats are the counters of the cases above, pinned from the engine
 // that read every binding's children with a call of its own.
 var aheadStats = map[string]string{
-	"first/QaC+":                       "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"first/QaC++":                      "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"last/QaC+":                        "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"last/QaC++":                       "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"whole/QaC+":                       "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=7 steps=22 items=16 bytes=2186",
-	"whole/QaC++":                      "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=7 steps=22 items=16 bytes=2186",
-	"pushed filter/QaC+":               "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=30 items=13 bytes=1819",
-	"pushed filter/QaC++":              "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=30 items=13 bytes=1819",
-	"position after a predicate/QaC+":  "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=7 steps=40 items=12 bytes=1452",
-	"position after a predicate/QaC++": "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=7 steps=40 items=12 bytes=1452",
-	"where drops tuples/QaC+":          "fillers=9 holes=6 label=0/0/0 cache=0/0 nodes=8 steps=34 items=11 bytes=2553",
-	"where drops tuples/QaC++":         "fillers=0 holes=0 label=5/9/0 cache=0/0 nodes=8 steps=34 items=11 bytes=2553",
-	"order by/QaC+":                    "fillers=10 holes=7 label=0/0/0 cache=0/0 nodes=9 steps=40 items=16 bytes=2920",
-	"order by/QaC++":                   "fillers=0 holes=0 label=6/10/0 cache=0/0 nodes=9 steps=40 items=16 bytes=2920",
-	"at/QaC+":                          "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=31 items=21 bytes=1819",
-	"at/QaC++":                         "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=31 items=21 bytes=1819",
-	"nested/QaC+":                      "fillers=12 holes=9 label=0/0/0 cache=0/0 nodes=12 steps=46 items=39 bytes=4021",
-	"nested/QaC++":                     "fillers=0 holes=0 label=7/12/0 cache=0/0 nodes=12 steps=46 items=39 bytes=4021",
-	"mixed sequence/QaC+":              "fillers=7 holes=4 label=0/0/0 cache=0/0 nodes=6 steps=40 items=20 bytes=1819",
-	"mixed sequence/QaC++":             "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=40 items=20 bytes=1819",
-	"cached cold/QaC+":                 "fillers=6 holes=4 label=0/0/0 cache=1/3 nodes=6 steps=25 items=13 bytes=1819",
-	"cached warm/QaC+":                 "fillers=1 holes=4 label=0/0/0 cache=4/0 nodes=1 steps=25 items=13 bytes=1819",
-	"cached cold/QaC++":                "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"cached warm/QaC++":                "fillers=0 holes=0 label=4/7/0 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
-	"Q2/QaC+":                          "fillers=911 holes=930 label=0/0/0 cache=0/0 nodes=670 steps=1568 items=1340 bytes=646911",
-	"Q2/QaC++":                         "fillers=0 holes=0 label=225/911/0 cache=0/0 nodes=670 steps=1568 items=1340 bytes=646911",
+	"first/QaC+":                      "fillers=7 holes=4 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"last/QaC+":                       "fillers=7 holes=4 cache=0/0 nodes=6 steps=25 items=13 bytes=1819",
+	"whole/QaC+":                      "fillers=7 holes=4 cache=0/0 nodes=7 steps=22 items=16 bytes=2186",
+	"pushed filter/QaC+":              "fillers=7 holes=4 cache=0/0 nodes=6 steps=30 items=13 bytes=1819",
+	"position after a predicate/QaC+": "fillers=7 holes=4 cache=0/0 nodes=7 steps=40 items=12 bytes=1452",
+	"where drops tuples/QaC+":         "fillers=9 holes=6 cache=0/0 nodes=8 steps=34 items=11 bytes=2553",
+	"order by/QaC+":                   "fillers=10 holes=7 cache=0/0 nodes=9 steps=40 items=16 bytes=2920",
+	"at/QaC+":                         "fillers=7 holes=4 cache=0/0 nodes=6 steps=31 items=21 bytes=1819",
+	"nested/QaC+":                     "fillers=12 holes=9 cache=0/0 nodes=12 steps=46 items=39 bytes=4021",
+	"mixed sequence/QaC+":             "fillers=7 holes=4 cache=0/0 nodes=6 steps=40 items=20 bytes=1819",
+	"cached cold/QaC+":                "fillers=6 holes=4 cache=1/3 nodes=6 steps=25 items=13 bytes=1819",
+	"cached warm/QaC+":                "fillers=1 holes=4 cache=4/0 nodes=1 steps=25 items=13 bytes=1819",
+	"Q2/QaC+":                         "fillers=911 holes=930 cache=0/0 nodes=670 steps=1568 items=1340 bytes=646911",
 }
 
 type rendered struct{ items, values, stats string }
@@ -236,7 +217,6 @@ func evalRendered(t *testing.T, rt *Runtime, src string, mode Mode, at time.Time
 
 // readStats spells what an evaluation's reads charged.
 func readStats(s obs.EvalStats) string {
-	return fmt.Sprintf("fillers=%d holes=%d label=%d/%d/%d cache=%d/%d nodes=%d steps=%d items=%d bytes=%d",
-		s.FillersScanned, s.HolesResolved, s.LabelRangeLookups, s.LabelRangeHits, s.LabelRangeMisses,
-		s.CacheHits, s.CacheMisses, s.NodesConstructed, s.Steps, s.Items, s.BytesMaterialized)
+	return fmt.Sprintf("fillers=%d holes=%d cache=%d/%d nodes=%d steps=%d items=%d bytes=%d",
+		s.FillersScanned, s.HolesResolved, s.CacheHits, s.CacheMisses, s.NodesConstructed, s.Steps, s.Items, s.BytesMaterialized)
 }

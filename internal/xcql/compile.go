@@ -457,7 +457,7 @@ func (c *compiler) filterPieces(pieces []xq.Expr, ts typeSet, preds []xq.Expr, e
 }
 
 // rewriteDescendantStep implements e//A by expanding the tag structure's
-// valid paths (the wildcard expansion of §4.1). Under the index plans,
+// valid paths (the wildcard expansion of §4.1). Under QaC+,
 // when the base is the whole stream, the expansion collapses to one
 // by-tsid fetch.
 func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.Step, en env) (xq.Expr, typeSet, error) {
@@ -469,7 +469,7 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 			continue
 		}
 		targets := s.NamedUnder(tt.tag, step.Name)
-		if (c.mode == QaCPlus || c.mode == QaCPlusPlus) && c.isStreamTop(tt) {
+		if c.mode == QaCPlus && c.isStreamTop(tt) {
 			// whole-stream descendant: fetch fragmented targets directly by
 			// tsid; purely-snapshot targets still need path chains
 			var tsids []xq.Expr

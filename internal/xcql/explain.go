@@ -18,7 +18,7 @@ import (
 // counted. The prediction uses the same units as obs.EvalStats, so
 // predicted and observed read side by side.
 type Explain struct {
-	// Plan is the physical plan ("CaQ", "QaC", "QaC+", "QaC++").
+	// Plan is the physical plan ("CaQ", "QaC", "QaC+").
 	Plan string
 	// Source is the original query text; Rewritten is the translated
 	// engine expression the evaluator runs.
@@ -73,9 +73,7 @@ type ExplainTarget struct {
 	// Op names the access path: "materialize-view" (CaQ), "root",
 	// "get_fillers" (QaC, one pass per hole), "get_fillers_batched"
 	// (QaC+, one pass for all holes), "tsid-index" (QaC+ descendant
-	// shortcut), "label-range" (QaC++ descendant read off the store
-	// index), "label-kids" (QaC++ batched child step off the store
-	// index), "interval-projection", "version-projection".
+	// shortcut), "interval-projection", "version-projection".
 	Op     string
 	Stream string
 	// TSID and Tag identify the targeted tag-structure node for the
@@ -213,7 +211,13 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 	case fnRoot:
 		return q.censusWhole(ExplainTarget{Op: "root", Stream: litString(call.Args, 0)}), true
 	case fnFillers:
-		t := ExplainTarget{Op: crossingOps[q.Mode.access()], Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call)}
+		// the call is the same under both fragment plans; QaC+'s access
+		// path crosses the holes in one pass
+		op := "get_fillers"
+		if q.Mode == QaCPlus {
+			op = "get_fillers_batched"
+		}
+		t := ExplainTarget{Op: op, Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call)}
 		if p := parentPreds(call.Args); p != nil {
 			t.PerParent = p.list()
 		}
@@ -224,9 +228,6 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		// (arguments are literals). Multi-tsid fetches are rare: they need
 		// several same-named fragmented tags under distinct parents.
 		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1), Filter: filterText(call)}
-		if q.Mode.access() == fragment.LabelIndexAccess {
-			t.Op = "label-range"
-		}
 		return q.censusTSID(t), true
 	case fnIProj:
 		return ExplainTarget{Op: "interval-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
@@ -248,21 +249,9 @@ func filterText(call *xq.Call) string {
 	return ""
 }
 
-// crossingOps names the child-step access path after the index that
-// serves it: the plan text is the same under every fragment plan, the
-// access implementation is what differs.
-var crossingOps = map[fragment.AccessKind]string{
-	fragment.LogScanAccess:    "get_fillers",
-	fragment.TSIDIndexAccess:  "get_fillers_batched",
-	fragment.LabelIndexAccess: "label-kids",
-}
-
 // censusTSID fills a target's store census from the store's index:
 // distinct filler ids and versions currently carrying the tsid, and the
-// cost of one lookup pass. A label-index read returns exactly the stored
-// versions under the tsid, so there one pass costs the returned versions —
-// never a log scan, even on a scan-mode store. That gap is the QaC++
-// speedup EXPLAIN predicts.
+// cost of one lookup pass.
 func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 	st := q.rt.Store(t.Stream)
 	if st == nil {
@@ -272,10 +261,7 @@ func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 		t.Tag = tag.Name
 	}
 	fids, versions := st.TSIDFillers(t.TSID)
-	t.Holes, t.Versions, t.CostPerPass = len(fids), versions, versions
-	if q.Mode.access() != fragment.LabelIndexAccess {
-		t.CostPerPass = st.LookupCost(versions)
-	}
+	t.Holes, t.Versions, t.CostPerPass = len(fids), versions, st.LookupCost(versions)
 	return t
 }
 
@@ -318,17 +304,7 @@ func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
 	case "tsid-index":
 		p.AddTSIDLookup(t.Versions)
 		p.FillersScanned += int64(t.CostPerPass)
-	case "label-range", "label-kids":
-		// QaC++: an index fetch, no holes and no log pass
-		p.AddLabelRangeLookup(t.Versions)
 	case "root":
-		if q.Mode.access() == fragment.LabelIndexAccess {
-			// an index fetch of the root's versions
-			if st := q.rt.Store(t.Stream); st != nil {
-				p.AddLabelRangeLookup(len(st.Versions(fragment.RootFillerID)))
-			}
-			break
-		}
 		// one lookup for the root filler's versions
 		p.FillersScanned += int64(rootVersions(q.rt.Store(t.Stream), scanning))
 	}
@@ -404,12 +380,8 @@ func (ex Explain) String() string {
 
 // statsLine renders the cost counters predicted and observed share.
 func statsLine(s obs.EvalStats) string {
-	line := fmt.Sprintf("fillers-scanned=%d holes-resolved=%d tsid-lookups=%d tsid-hits=%d",
+	return fmt.Sprintf("fillers-scanned=%d holes-resolved=%d tsid-lookups=%d tsid-hits=%d",
 		s.FillersScanned, s.HolesResolved, s.TSIDLookups, s.TSIDIndexHits)
-	if s.LabelRangeLookups > 0 {
-		line += fmt.Sprintf(" label-lookups=%d label-hits=%d", s.LabelRangeLookups, s.LabelRangeHits)
-	}
-	return line
 }
 
 // walkExpr visits e and every sub-expression, calling fn on each node in

@@ -8,16 +8,15 @@ import (
 // Explain must name the same plan whose counters LastStats reports, for
 // every physical plan, and the access paths must match the plan's shape:
 // CaQ materializes, QaC walks get_fillers per hole, QaC+ takes the
-// tsid-index shortcut, QaC++ the label-range scan.
+// tsid-index shortcut.
 func TestExplainMatchesPlanAcrossModes(t *testing.T) {
 	const query = `for $t in stream("credit")//transaction return $t/amount`
 	wantOps := map[Mode]string{
-		CaQ:         "materialize-view",
-		QaC:         "get_fillers",
-		QaCPlus:     "tsid-index",
-		QaCPlusPlus: "label-range",
+		CaQ:     "materialize-view",
+		QaC:     "get_fillers",
+		QaCPlus: "tsid-index",
 	}
-	for _, mode := range []Mode{CaQ, QaC, QaCPlus, QaCPlusPlus} {
+	for _, mode := range []Mode{CaQ, QaC, QaCPlus} {
 		t.Run(mode.String(), func(t *testing.T) {
 			rt := NewRuntime()
 			rt.RegisterStream("credit", buildCreditStore(t))
@@ -56,16 +55,7 @@ func TestExplainMatchesPlanAcrossModes(t *testing.T) {
 				t.Fatalf("Explain plan %q / observed %q != LastStats plan %q",
 					ex.Plan, ex.Observed.Plan, got)
 			}
-			if mode == QaCPlusPlus {
-				// the reconstruction-free plan: every access is a label
-				// index fetch, never a log pass or a hole walk
-				if ex.Observed.LabelRangeLookups == 0 {
-					t.Fatal("QaC++ observed no label-range lookups")
-				}
-				if ex.Observed.FillersScanned != 0 || ex.Observed.HolesResolved != 0 {
-					t.Fatalf("QaC++ scanned fillers or resolved holes: %+v", ex.Observed)
-				}
-			} else if ex.Observed.FillersScanned == 0 {
+			if ex.Observed.FillersScanned == 0 {
 				t.Fatal("observed stats empty after evaluation")
 			}
 		})
@@ -106,52 +96,6 @@ func TestExplainPredictionTracksStore(t *testing.T) {
 	}
 	if obs.TSIDLookups != ex.Predicted.TSIDLookups {
 		t.Errorf("tsid lookups: observed %d, predicted %d", obs.TSIDLookups, ex.Predicted.TSIDLookups)
-	}
-}
-
-// Under QaC++ the prediction is a label-index census: the label-range
-// target predicts the versions the label index holds for the tsid, the
-// predicted hits are label-range hits (never filler scans), and the
-// observed counters of a real run stay within the census.
-func TestExplainPredictionLabelRange(t *testing.T) {
-	rt := NewRuntime()
-	rt.RegisterStream("credit", buildCreditStore(t))
-	q := rt.MustCompile(`stream("credit")//transaction`, QaCPlusPlus)
-
-	ex := q.Explain()
-	if len(ex.Targets) == 0 {
-		t.Fatal("no targets")
-	}
-	tgt := ex.Targets[0]
-	if tgt.Op != "label-range" || tgt.TSID != 5 || tgt.Tag != "transaction" {
-		t.Fatalf("target = %+v", tgt)
-	}
-	if tgt.Versions == 0 || tgt.Holes == 0 {
-		t.Fatalf("census empty: %+v", tgt)
-	}
-	if ex.Predicted.LabelRangeLookups == 0 {
-		t.Fatal("no predicted label-range lookups")
-	}
-	if ex.Predicted.FillersScanned != 0 || ex.Predicted.HolesResolved != 0 {
-		t.Fatalf("QaC++ prediction charges scans or hole walks: %+v", ex.Predicted)
-	}
-
-	if _, err := q.Eval(evalAt); err != nil {
-		t.Fatal(err)
-	}
-	obs := q.LastStats()
-	// materializing the result crosses the holes inside each transaction
-	// through the label index too, so the run observes at least the
-	// predicted plan-target fetches and hits
-	if obs.LabelRangeHits < ex.Predicted.LabelRangeHits {
-		t.Errorf("observed hits %d < predicted hits %d", obs.LabelRangeHits, ex.Predicted.LabelRangeHits)
-	}
-	if obs.LabelRangeLookups < ex.Predicted.LabelRangeLookups {
-		t.Errorf("label lookups: observed %d < predicted %d",
-			obs.LabelRangeLookups, ex.Predicted.LabelRangeLookups)
-	}
-	if obs.FillersScanned != 0 || obs.HolesResolved != 0 || obs.TSIDLookups != 0 {
-		t.Errorf("QaC++ run touched non-label access paths: %+v", obs)
 	}
 }
 

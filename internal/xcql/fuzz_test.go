@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzCompile shakes the whole query path: arbitrary source text is
-// compiled under all four plans, and whatever compiles is evaluated
+// compiled under all three plans, and whatever compiles is evaluated
 // over the running-example store under a tight budget. The contract
 // under fuzz input is "typed error or result, never a panic": the engine
 // boundary must absorb evaluator panics (EvalError.Stack set means an

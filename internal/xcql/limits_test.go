@@ -102,7 +102,7 @@ func TestLimitParityAcrossPlans(t *testing.T) {
 }
 
 // limitParityQ2: XMark Q2 on the indexed store trips the same limit under
-// every plan, and under the index plans, which read every open auction's
+// every plan, and under QaC+, which reads every open auction's
 // bidders at once and charge each auction's when its return takes them, at
 // the same point: what the budget had counted when it tripped is pinned
 // from the engine that read each auction's bidders with a call of its own.
@@ -113,7 +113,7 @@ func limitParityQ2(t *testing.T) {
 		lim    Limits
 		cancel bool
 		limit  string
-		used   string // steps/items/bytes counted at the trip, QaC+ and QaC++
+		used   string // steps/items/bytes counted at the trip under QaC+
 	}{
 		{"items", Limits{MaxItems: 600}, false, budget.LimitItems, "532/601/557986"},
 		{"steps", Limits{MaxSteps: 800}, false, budget.LimitSteps, "801/791/580820"},
@@ -139,7 +139,7 @@ func limitParityQ2(t *testing.T) {
 				if re, ok := ResourceCause(err); !ok || re.Limit != tc.limit {
 					t.Fatalf("%s: want tripped limit %q, got %v", mode, tc.limit, err)
 				}
-				if mode.ReadClass() != "index" {
+				if mode != QaCPlus {
 					continue
 				}
 				s := q.LastStats()

@@ -60,7 +60,7 @@ func TestPushdownShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := newRuntime(t)
 			evalAll(t, rt, tc.src) // every plan agrees with CaQ
-			for _, mode := range []Mode{QaC, QaCPlus, QaCPlusPlus} {
+			for _, mode := range []Mode{QaC, QaCPlus} {
 				q := rt.MustCompile(tc.src, mode)
 				ex := q.Explain()
 				got, found := "", false
@@ -95,7 +95,7 @@ func TestPushdownShapes(t *testing.T) {
 // the constructed nodes follow what was kept.
 func TestPushdownAccounting(t *testing.T) {
 	rt := newRuntime(t)
-	for _, mode := range []Mode{QaC, QaCPlus, QaCPlusPlus} {
+	for _, mode := range []Mode{QaC, QaCPlus} {
 		every := rt.MustCompile(`stream("credit")//transaction`, mode)
 		one := rt.MustCompile(`stream("credit")//transaction[@id = "22222"]`, mode)
 		if _, err := every.EvalRaw(evalAt); err != nil {
@@ -110,8 +110,7 @@ func TestPushdownAccounting(t *testing.T) {
 		}
 		a, b := every.LastStats(), one.LastStats()
 		if a.FillersScanned != b.FillersScanned || a.HolesResolved != b.HolesResolved ||
-			a.TSIDLookups != b.TSIDLookups || a.TSIDIndexHits != b.TSIDIndexHits ||
-			a.LabelRangeLookups != b.LabelRangeLookups || a.LabelRangeHits != b.LabelRangeHits {
+			a.TSIDLookups != b.TSIDLookups || a.TSIDIndexHits != b.TSIDIndexHits {
 			t.Errorf("%s: access cost moved with the filter:\nall:      %s\nfiltered: %s", mode, statsLine(a), statsLine(b))
 		}
 		if b.NodesConstructed != a.NodesConstructed-2 {

@@ -302,9 +302,8 @@ func (q *Query) Parallelism() int {
 // even when the evaluation failed, so a budget trip still shows how far
 // it got. For a standing query the counters are those of its engine's
 // last advance, and a unit that advance took from another registration's
-// evaluation of it (a registry shares a unit across plans of one read
-// class) counts as SharedUnitHits, not as this plan's reads: a QaC++
-// registration beside a QaC+ one may report no LabelRange* reads at all.
+// evaluation of it (a registry shares a unit across registrations of one
+// plan) counts as SharedUnitHits, not as this plan's reads.
 func (q *Query) LastStats() obs.EvalStats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()
@@ -331,7 +330,7 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 	}
 	trStart := time.Now()
 	plan, streams, err := Compile(ast, mode, rt.Structures())
-	if err == nil && mode.ReadClass() == "index" {
+	if err == nil && mode == QaCPlus {
 		rt.attachReadAhead(plan)
 	}
 	translateTime := time.Since(trStart)
@@ -734,7 +733,7 @@ func distinctTail(ids []int, start int, seen map[int]bool) ([]int, map[int]bool)
 	return kept, seen
 }
 
-// intrByTSID is the index plans' descendant jump: all filler versions
+// intrByTSID is QaC+'s descendant jump: all filler versions
 // whose tsid is in the given set, without touching any other document
 // level.
 func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {

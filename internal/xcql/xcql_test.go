@@ -91,9 +91,9 @@ func newRuntime(t testing.TB) *Runtime {
 	return rt
 }
 
-var allModes = []Mode{CaQ, QaC, QaCPlus, QaCPlusPlus}
+var allModes = []Mode{CaQ, QaC, QaCPlus}
 
-// evalAll runs src under all four modes and checks they agree, returning
+// evalAll runs src under all three modes and checks they agree, returning
 // the (shared) result rendered as strings.
 func evalAll(t *testing.T, rt *Runtime, src string) []string {
 	t.Helper()
@@ -164,10 +164,6 @@ func TestPlanShapes(t *testing.T) {
 	// QaC+ descendant over the whole stream must not chain fillers calls
 	if strings.Contains(plus, fnFillers+"("+fnFillers) {
 		t.Fatalf("QaC+ should not reconcile intermediate holes:\n%s", plus)
-	}
-	// QaC++ is the same plan over a different index
-	if pp := rt.MustCompile(src, QaCPlusPlus).Plan.String(); pp != plus {
-		t.Fatalf("QaC++ plan differs from QaC+:\n%s\nvs\n%s", pp, plus)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestPushedFilterMatchesEvaluator(t *testing.T) {
 							fmt.Sprintf(`(%s)[%s]`, sel, c.pred),
 							fmt.Sprintf(`for $x in %s return if (%s) then $x else ()`, sel, c.cond),
 						}
-						for _, mode := range []xcql.Mode{xcql.QaC, xcql.QaCPlus, xcql.QaCPlusPlus} {
+						for _, mode := range []xcql.Mode{xcql.QaC, xcql.QaCPlus} {
 							for _, at := range ins.Instants {
 								for i := range pushed {
 									got, want := evalFormatted(t, e, pushed[i], mode, at), evalFormatted(t, e, plain[i], mode, at)
@@ -114,7 +114,7 @@ func comparePositions(t *testing.T, e *xcql.Engine, p genstore.Profile, instants
 	compared := 0
 	for _, pos := range positions {
 		windowed, plain := sel+pos.windowed, sel+pos.plain
-		for _, mode := range []xcql.Mode{xcql.QaC, xcql.QaCPlus, xcql.QaCPlusPlus} {
+		for _, mode := range []xcql.Mode{xcql.QaC, xcql.QaCPlus} {
 			for src, want := range map[string]bool{windowed: true, plain: false} {
 				q, err := e.Compile(src, mode)
 				if err != nil {

@@ -9,7 +9,11 @@ package xcql_test
 // grid (shared vs independent × K) for the BENCH snapshots.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -152,17 +156,6 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 		if one.SharedSaved != 0 {
 			t.Errorf("SharedSaved = %d with a single member: nothing to share", one.SharedSaved)
 		}
-		// a QaC++ registration reports its access cost in the plan's own
-		// counters — label-range lookups and the elements the reads built —
-		// and, as in a one-shot evaluation, no log pass
-		pp := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, xcql.QaCPlusPlus)
-		if pp.Stats.LabelRangeLookups == 0 || pp.Stats.LabelRangeHits == 0 || pp.Stats.NodesConstructed == 0 {
-			t.Errorf("QaC++ group reports no access cost: label lookups=%d hits=%d nodes=%d",
-				pp.Stats.LabelRangeLookups, pp.Stats.LabelRangeHits, pp.Stats.NodesConstructed)
-		}
-		if pp.Stats.FillersScanned != 0 {
-			t.Errorf("QaC++ group FillersScanned = %d, want 0", pp.Stats.FillersScanned)
-		}
 	})
 
 	// Identical registrations share a whole engine, so the per-arrival
@@ -209,32 +202,112 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 	})
 }
 
+// TestRegistryOldPlanSpelling: "QaC++" names no plan of its own — it
+// parses as QaC+ (xcql.ParseMode), for clients that still send it. One
+// query registered under both spellings, through RegistryOptions and
+// through POST /v1/query, is one sharing group in which no arrival costs
+// more than one handler invocation, and every registration delivers what
+// replayOracle computes for QaC+. POST /v1/eval under "QaC++" answers
+// QaC+'s items.
+func TestRegistryOldPlanSpelling(t *testing.T) {
+	const src = `for $t in stream("s")//transaction return $t`
+	spellings := []string{"QaC+", "QaC++"}
+	pub, frags := genstore.NewCreditPublisher(3)
+	for i := 1; i <= 30; i++ {
+		announce, tx := pub.Charge(i%3, 10*i, genstore.CreditBase.Add(time.Duration(i)*time.Minute))
+		frags = append(frags, announce, tx)
+	}
+	ins := &genstore.Instance{Structure: xcql.MustParseTagStructure(genstore.CreditStructure), Fragments: frags}
+	want := replayOracle(t, ins, frags, src, xcql.QaCPlus, execConfigs[0])
+
+	st := fragment.NewStore(ins.Structure)
+	e := xcql.NewEngine()
+	e.RegisterStore("s", st)
+	var at time.Time
+	r := e.Registry()
+	r.SetClock(func() time.Time { return at })
+	api := e.ServeQueryAPI()
+	api.SetClock(func() time.Time { return at })
+	post := func(path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	traces := make([]replayTrace, len(spellings))
+	regs := make([]*xcql.QueryRegistration, len(spellings))
+	for i, spelling := range spellings {
+		mode, err := xcql.ParseMode(spelling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := e.Compile(src, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i], err = r.Register(q, xcql.RegistryOptions{OnResult: func(res xcql.RegistryResult) {
+			if res.Err != nil {
+				traces[i].deltas = append(traces[i].deltas, "!error")
+				return
+			}
+			traces[i].deltas = append(traces[i].deltas, xcql.FormatSequence(res.Delta))
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spelling := range spellings {
+		var ack struct{ Mode, Group string }
+		body := fmt.Sprintf(`{"query":%q,"mode":%q,"buffer":4096}`, src, spelling)
+		if err := json.Unmarshal(post("/v1/query", body), &ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Mode != "QaC+" || ack.Group != regs[0].Stats().Group {
+			t.Errorf("POST /v1/query under %q: registered as %+v, want QaC+ on %s", spelling, ack, regs[0].Stats().Group)
+		}
+	}
+
+	replaySteps(t, st, frags, &at, func(f *xcql.Fragment) {
+		before := r.Groups()[0].Stats.HandlerInvocations
+		r.Apply(f)
+		if d := r.Groups()[0].Stats.HandlerInvocations - before; d > 1 || (d != 1 && f != nil && f.TSID == 5) {
+			t.Errorf("arrival of %v at %s cost %d handler invocations, want one per transaction", f, at, d)
+		}
+	})
+	if groups := r.Groups(); len(groups) != 1 || groups[0].Members != 2*len(spellings) {
+		t.Fatalf("groups %+v: want the %d registrations in one", groups, 2*len(spellings))
+	}
+	for i, spelling := range spellings {
+		traces[i].final = xcql.FormatSequence(regs[i].ItemsSnapshot())
+		if traces[i].String() != want.String() {
+			t.Errorf("registration under %q diverged from the QaC+ oracle\noracle:\n%s\nregistry:\n%s",
+				spelling, harnessTruncate(want.String()), harnessTruncate(traces[i].String()))
+		}
+	}
+	for _, rs := range r.Registrations() {
+		if rs.Evaluations != regs[0].Stats().Evaluations || rs.Dropped != 0 || rs.Degraded != "" {
+			t.Errorf("registration %+v: want the deliveries of %+v", rs, regs[0].Stats())
+		}
+	}
+
+	evalBody := func(spelling string) []byte {
+		return post("/v1/eval", fmt.Sprintf(`{"query":%q,"mode":%q}`, src, spelling))
+	}
+	if plus, old := evalBody("QaC+"), evalBody("QaC++"); !bytes.Equal(plus, old) || !bytes.Contains(plus, []byte("<transaction")) {
+		t.Errorf("POST /v1/eval under QaC++ answered\n%s\nunder QaC+\n%s", old, plus)
+	}
+}
+
 // TestRegistrySharesUnitsAcrossPlans: a sharing group is the stores its
 // members read and their limits, not their access paths, so a unit is
 // evaluated once per arrival for every registration whose decomposition
-// holds it — under QaC+ and QaC++ alike, and beside a plan that reads
-// more paths — and every registration still delivers what replayOracle
-// computes for it alone.
+// holds it — beside a plan that reads more paths — and every registration
+// still delivers what replayOracle computes for it alone.
 func TestRegistrySharesUnitsAcrossPlans(t *testing.T) {
-	t.Run("cross-mode", func(t *testing.T) {
-		one := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 1, xcql.QaCPlus)
-		mixed := replayRegistryCost(t, newRegistryCostFixture(t, 100, 50), 8, xcql.QaCPlus, xcql.QaCPlusPlus)
-		if mixed.Stats.SharedUnitHits == 0 {
-			t.Errorf("SharedUnitHits = 0: the QaC++ engine did not take the QaC+ engine's units")
-		}
-		if got, base := mixed.Stats.HandlerInvocations, one.Stats.HandlerInvocations; got*2 > base*3 {
-			t.Errorf("HandlerInvocations of 8 QaC+ and 8 QaC++ registrations = %d, want ~%d (1x)", got, base)
-		}
-		const src = `for $t in stream("s")//transaction return $t`
-		var specs []regSpec
-		for _, mode := range []xcql.Mode{xcql.QaCPlus, xcql.QaCPlusPlus} {
-			for range 8 {
-				specs = append(specs, regSpec{src: src, mode: mode})
-			}
-		}
-		checkRegistryAgainstOracle(t, specs)
-	})
-
 	t.Run("superset-path-set", func(t *testing.T) {
 		fx := newRegistryCostFixture(t, 100, 50)
 		r := fx.engine.Registry()
@@ -293,19 +366,12 @@ func checkRegistryAgainstOracle(t *testing.T, specs []regSpec) {
 // per-fragment cost with K standing queries over one shared access
 // path, registry-shared vs K independent continuous queries. Shared
 // mode should stay ~flat in K (handlers/op ~1×); independent mode grows
-// ~linearly. The mixed rows hold K/2 QaC+ and K/2 QaC++ registrations,
-// two engines whose one unit is evaluated once: their handlers/op is the
-// shared rows'.
+// ~linearly.
 func BenchmarkRegistryFanout(b *testing.B) {
 	for _, k := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shared/k=%d", k), func(b *testing.B) {
-			benchRegistryFanout(b, k, xcql.QaCPlus)
+			benchRegistryFanout(b, k)
 		})
-		if k > 1 {
-			b.Run(fmt.Sprintf("mixed/k=%d", k), func(b *testing.B) {
-				benchRegistryFanout(b, k/2, xcql.QaCPlus, xcql.QaCPlusPlus)
-			})
-		}
 		b.Run(fmt.Sprintf("independent/k=%d", k), func(b *testing.B) {
 			fx := newRegistryCostFixture(b, 100, b.N)
 			at := fx.at
@@ -348,22 +414,20 @@ func BenchmarkRegistryFanout(b *testing.B) {
 }
 
 // benchRegistryFanout replays b.N arrivals through one registry holding k
-// registrations of the query under each mode.
-func benchRegistryFanout(b *testing.B, k int, modes ...xcql.Mode) {
+// registrations of the query under QaC+.
+func benchRegistryFanout(b *testing.B, k int) {
 	fx := newRegistryCostFixture(b, 100, b.N)
 	r := fx.engine.Registry()
 	at := fx.at
 	r.SetClock(func() time.Time { return at })
 	var delivered int64
-	for _, mode := range modes {
-		for range k {
-			q, err := fx.engine.Compile(registryCostQuery, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) { delivered++ }}); err != nil {
-				b.Fatal(err)
-			}
+	for range k {
+		q, err := fx.engine.Compile(registryCostQuery, xcql.QaCPlus)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) { delivered++ }}); err != nil {
+			b.Fatal(err)
 		}
 	}
 	// seed the standing state outside the timer

@@ -12,13 +12,11 @@
 // projections e?[t1,t2], version projections e#[v1,v2], vtFrom/vtTo
 // lifespan accessors and the constants start and now.
 //
-// Queries compile to one of four physical plans over the fragment
-// store: CaQ (materialize, then query), QaC (query fragments directly,
-// crossing holes on demand), QaC+ (jump to the needed fragments via
-// the tsid index) and QaC++ (the same plan, every access read straight
-// off the store's filler index, so evaluation never resolves a hole and
-// never scans the fragment log). All four produce identical results; they
-// differ — dramatically, see the benchmarks — in how much of the
+// Queries compile to one of the paper's three physical plans over the
+// fragment store: CaQ (materialize, then query), QaC (query fragments
+// directly, crossing holes on demand) and QaC+ (jump to the needed
+// fragments via the tsid index). All three produce identical results;
+// they differ — dramatically, see the benchmarks — in how much of the
 // document they touch.
 //
 // Quick start:
@@ -56,7 +54,7 @@ import (
 // Re-exported types. The implementation lives in internal packages; these
 // aliases are the supported surface.
 type (
-	// Mode selects the physical plan: CaQ, QaC, QaCPlus or QaCPlusPlus.
+	// Mode selects the physical plan: CaQ, QaC or QaCPlus.
 	Mode = ixcql.Mode
 	// Query is a compiled XCQL query bound to an engine. Set Query.Limits
 	// and evaluate with Query.EvalContext for governed execution.
@@ -248,10 +246,13 @@ type (
 
 // Execution modes.
 const (
-	CaQ         = ixcql.CaQ
-	QaC         = ixcql.QaC
-	QaCPlus     = ixcql.QaCPlus
-	QaCPlusPlus = ixcql.QaCPlusPlus
+	CaQ     = ixcql.CaQ
+	QaC     = ixcql.QaC
+	QaCPlus = ixcql.QaCPlus
+	// Deprecated: QaCPlusPlus is QaCPlus. It named a fourth plan whose
+	// reads were QaC+'s, and stays only until the end-to-end harness under
+	// bench/ stops naming it (ROADMAP item 1 (a)).
+	QaCPlusPlus = ixcql.QaCPlus
 )
 
 // Tag types.
@@ -276,7 +277,8 @@ const (
 // returns a depth ResourceError instead of crashing the process.
 const DefaultMaxDepth = budget.DefaultMaxDepth
 
-// ParseMode parses a plan name ("CaQ", "QaC", "QaC+", "QaC++").
+// ParseMode parses a plan name ("CaQ", "QaC", "QaC+"; "QaC++" is accepted
+// as QaC+ for clients that still send it).
 func ParseMode(s string) (Mode, error) { return ixcql.ParseMode(s) }
 
 // Engine owns a set of named streams and compiles XCQL queries against
