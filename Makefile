@@ -30,7 +30,8 @@ build:
 # bench/ is a module of its own, so `go build ./...` from the root never
 # compiles it, yet it pins public API: the deprecated QaCPlusPlus constant
 # and "QaC++" wire name (both QaC+ now), the deprecated, always-zero
-# EvalStats.LabelRangeLookups, Query.WithParallelism/WithCache,
+# EvalStats.LabelRangeLookups, Query.WithParallelism (a deprecated no-op:
+# holes resolve sequentially) and Query.WithCache,
 # Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
 # RegisterRequest.Incremental (ignored fields since every standing query
 # runs the incremental engine), and registry.DialSubscribe. Folding any of
@@ -51,11 +52,12 @@ race:
 	$(GO) test -race -timeout 240s ./...
 
 # The stream and obs packages hold the timing-sensitive reliability/chaos
-# tests and the lock-free histogram, and temporal/fragment hold the
-# worker pool and the materialization cache; a second -count=2 pass under
-# the race detector is the deflake gate.
+# tests and the lock-free histogram, fragment the materialization cache,
+# the store's lock and the lazily decoded payloads, and registry the
+# standing-query fan-out; a second -count=2 pass under the race detector
+# is the deflake gate.
 race-stream:
-	$(GO) test -race -count=2 -timeout 120s ./internal/stream ./internal/obs ./internal/temporal ./internal/fragment ./internal/registry
+	$(GO) test -race -count=2 -timeout 120s ./internal/stream ./internal/obs ./internal/fragment ./internal/registry
 
 # The crash-point harness: enumerate every filesystem operation in an
 # ingest/snapshot/compact run, kill the store at each one, and prove
@@ -65,7 +67,7 @@ test-recovery:
 	$(GO) test -race -run '^(TestCrashPointHarness|TestCrashPointHarnessReplaysTwice)$$' -timeout 300s ./internal/segstore
 
 # The metamorphic differential harness: >=200 generated store/query
-# pairs, every plan x parallelism x cache combination, byte-identical
+# pairs, every plan x cache combination, byte-identical
 # results, and every predicate the translator pushes below the access path
 # against the same predicate left to the evaluator, under the race detector. The grid doubles as the immutability
 # guard: every stored payload is fingerprinted before and must be
@@ -176,7 +178,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Snapshot the Figure-4 + selectivity + continuous + parallel/cache +
+# Snapshot the Figure-4 + selectivity + continuous + cache +
 # durability + wire-codec benchmarks (quick scales) as JSON — cost counters
 # and latency quantiles included — the cross-PR performance trajectory.
 # Compare two snapshots with bench-diff. The snapshots name themselves:

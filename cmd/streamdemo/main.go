@@ -71,7 +71,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed for the fault schedule and reconnect jitter")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 	verbose := flag.Bool("log", false, "emit structured debug logs for the whole pipeline to stderr")
-	parallel := flag.Int("parallel", 1, "worker count for parallel hole resolution (1 = sequential)")
 	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
 	serveAddr := flag.String("serve", "", "serve the standing-query API on this address (e.g. 127.0.0.1:9280): register XCQL over HTTP or WebSocket, receive JSON deltas; keeps the demo streaming until interrupted")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: publishes write through to it, the server recovers from it on restart, and reconnecting clients bootstrap from it past the replay window")
@@ -170,7 +169,6 @@ func main() {
 	fmt.Printf("client registered with stream %q (structure delivered in the handshake)\n", client.Name())
 
 	engine := xcql.NewEngine()
-	engine.SetParallelism(*parallel)
 	engine.SetCache(*cacheSize)
 	if c := engine.Cache(); c != nil {
 		c.RegisterMetrics(registry, "cache")

@@ -47,13 +47,12 @@ func main() {
 	queryFile := flag.String("f", "", "read the query from a file instead of argv")
 	showTrace := flag.Bool("trace", false, "dump the parse→translate→execute→materialize timeline to stderr")
 	showStats := flag.Bool("stats", false, "print the evaluation's cost counters to stderr")
-	parallel := flag.Int("parallel", 1, "worker count for parallel hole resolution (1 = sequential)")
 	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
 	incremental := flag.Bool("incremental", false, "replay the fragment stream through an incremental continuous query, printing per-arrival deltas")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: recovered fragments are ingested before the -fragments file and this run's ingest is write-ahead logged")
 	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → registry.eval → fanout → inc.recompute) in a flight recorder and dump it to stderr at the end")
 	flag.Parse()
-	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez); err != nil {
+	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez, *cacheSize); err != nil {
 		fatal(err)
 	}
 
@@ -75,7 +74,6 @@ func main() {
 	}
 
 	engine := xcql.NewEngine()
-	engine.SetParallelism(*parallel)
 	engine.SetCache(*cacheSize)
 	var store *fragment.Store
 	var frags []*fragment.Fragment
@@ -147,7 +145,7 @@ func main() {
 }
 
 // checkFlags rejects flag combinations that cannot do what they ask.
-func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) error {
+func checkFlags(structPath, storeDir string, incremental, trace, tracez bool, cache int) error {
 	switch {
 	case storeDir != "" && structPath == "":
 		return fmt.Errorf("-store-dir needs -structure to build the recovered store")
@@ -157,6 +155,8 @@ func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) er
 		return fmt.Errorf("-tracez needs -incremental: spans are recorded per replayed arrival")
 	case trace && incremental:
 		return fmt.Errorf("-trace times one evaluation; with -incremental use -tracez for per-arrival spans")
+	case cache > 0 && incremental:
+		return fmt.Errorf("-cache has no effect with -incremental: the standing engine reads uncached")
 	}
 	return nil
 }

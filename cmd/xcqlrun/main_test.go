@@ -10,6 +10,7 @@ func TestCheckFlags(t *testing.T) {
 		name                       string
 		structure, storeDir        string
 		incremental, trace, tracez bool
+		cache                      int
 		wantErr                    string // "" = accepted
 	}{
 		{name: "one-shot", structure: "s.xml"},
@@ -21,9 +22,12 @@ func TestCheckFlags(t *testing.T) {
 		// an incremental replay never prints the one-shot timeline, so
 		// -trace would only fill the span ring
 		{name: "trace with incremental", structure: "s.xml", incremental: true, trace: true, wantErr: "-tracez"},
+		{name: "one-shot cache", structure: "s.xml", cache: 64},
+		// the standing engine reads uncached, so the cache would sit idle
+		{name: "cache with incremental", structure: "s.xml", incremental: true, cache: 64, wantErr: "-cache"},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.structure, c.storeDir, c.incremental, c.trace, c.tracez)
+		err := checkFlags(c.structure, c.storeDir, c.incremental, c.trace, c.tracez, c.cache)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

@@ -88,7 +88,6 @@ func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mod
 	}
 	e := xcql.NewEngine()
 	if !cfg.perQuery {
-		e.SetParallelism(cfg.parallelism)
 		e.SetCache(cfg.cacheSize)
 	}
 	e.RegisterStore("s", st)
@@ -97,7 +96,7 @@ func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mod
 		t.Fatalf("compile %q under %s: %v", src, mode, err)
 	}
 	if cfg.perQuery {
-		q = q.WithParallelism(cfg.parallelism).WithCache(cfg.cacheSize)
+		q = q.WithCache(cfg.cacheSize)
 	}
 	return st, q
 }

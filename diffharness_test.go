@@ -14,31 +14,28 @@ import (
 // both store kinds — crossed with randomized XCQL queries, evaluated
 // under every execution strategy the engine offers:
 //
-//	{CaQ, QaC, QaC+} × {sequential, parallel=4} × {uncached, cold cache, warm cache}
+//	{CaQ, QaC, QaC+} × {uncached, cold cache, warm cache} × {engine-wide, per-query cache}
 //
 // Every combination must produce byte-identical output to the baseline
-// (CaQ, sequential, uncached). This pins the tentpole claim that
-// parallel hole resolution and the filler-resolution cache are pure
-// execution strategies: they may change wall time and counters, never
+// (CaQ, uncached). This pins the claim that the filler-resolution cache is
+// a pure execution strategy: it may change wall time and counters, never
 // results. Run under -race (make test-diffharness) the harness also
-// shakes out data races in the worker pool and cache.
+// shakes out data races in the cache.
 
 // harnessModes mirrors evalbench.Modes without depending on it.
 var harnessModes = []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus}
 
 // execConfig is one execution strategy applied to every plan.
 type execConfig struct {
-	name        string
-	parallelism int
-	cacheSize   int  // 0 = uncached
-	perQuery    bool // set options per query instead of engine-wide
+	name      string
+	cacheSize int  // 0 = uncached
+	perQuery  bool // set the cache per query instead of engine-wide
 }
 
 var execConfigs = []execConfig{
-	{name: "seq", parallelism: 1},
-	{name: "seq-cache", parallelism: 1, cacheSize: 128},
-	{name: "par4", parallelism: 4},
-	{name: "par4-cache", parallelism: 4, cacheSize: 128, perQuery: true},
+	{name: "seq"},
+	{name: "seq-cache", cacheSize: 128},
+	{name: "seq-cache-per-query", cacheSize: 128, perQuery: true},
 }
 
 // harnessProfiles is the store-mutation grid applied per seed.
@@ -98,8 +95,7 @@ func splitOf(p genstore.Profile, q genstore.Query) planSplit {
 
 // baselineGroup names the results of one cell that must be byte-identical:
 // all of them, whatever the plan, except across a known split. Within a
-// group, sequential and parallel, cached and not, full and incremental
-// all still agree.
+// group, cached and not, full and incremental all still agree.
 func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 	switch {
 	case sp == caqApart && mode == xcql.CaQ:
@@ -112,7 +108,7 @@ func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 
 // TestDiffHarness is the headline test: at least 200 generated
 // store/query pairs, each evaluated at three instants under every
-// plan × parallelism × cache combination, over at least four seeds (two
+// plan × cache combination, over at least four seeds (two
 // under -short): seed 1 alone holds the pairs, and seed 4 is the first
 // whose parents have several versions and children — where a child step's
 // positions count per parent.
@@ -151,13 +147,12 @@ func runInstance(t *testing.T, p genstore.Profile) int {
 	prints := fingerprintPayloads(ins.Fragments)
 	defer func() { checkPayloads(t, prints, p.String()) }()
 	// one engine per execution strategy, all over the same store; the
-	// per-query strategy exercises Query.WithParallelism/WithCache on an
-	// otherwise default engine
+	// per-query strategy exercises Query.WithCache on an otherwise default
+	// engine
 	engines := make([]*xcql.Engine, len(execConfigs))
 	for i, cfg := range execConfigs {
 		e := xcql.NewEngine()
 		if !cfg.perQuery {
-			e.SetParallelism(cfg.parallelism)
 			e.SetCache(cfg.cacheSize)
 		}
 		e.RegisterStore("s", st)
@@ -173,7 +168,7 @@ func runInstance(t *testing.T, p genstore.Profile) int {
 						t.Fatalf("%s/%s/%s/%s: compile: %v", p, query.Name, cfg.name, mode, err)
 					}
 					if cfg.perQuery {
-						q = q.WithParallelism(cfg.parallelism).WithCache(cfg.cacheSize)
+						q = q.WithCache(cfg.cacheSize)
 					}
 					// cached configs evaluate twice: the first pass fills
 					// the cache (cold), the second must serve identical

@@ -112,8 +112,8 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 	checkPayloads(t, prints, "after post-maintenance reads")
 }
 
-// TestSharedNodesUnderConcurrentPlans runs all three plans — sequential
-// and parallel, cached and not — concurrently against ONE store while a
+// TestSharedNodesUnderConcurrentPlans runs all three plans — cached and
+// not — concurrently against ONE store while a
 // writer keeps adding versions. Every evaluation hands out the store's
 // own nodes, so under -race any write to a shared node (a parent link, an
 // in-place splice, a stamped attribute) is a reported data race; the
@@ -147,8 +147,9 @@ func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 	tick := make(chan struct{})
 	for _, cfg := range execConfigs {
 		e := xcql.NewEngine()
-		e.SetParallelism(cfg.parallelism)
-		e.SetCache(cfg.cacheSize)
+		if !cfg.perQuery {
+			e.SetCache(cfg.cacheSize)
+		}
 		e.RegisterStore("s", st)
 		for _, mode := range harnessModes {
 			readers.Add(1)
@@ -160,6 +161,9 @@ func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 						if err != nil {
 							errs <- fmt.Errorf("%s/%s/%s: compile: %w", cfg.name, mode, query.Name, err)
 							return
+						}
+						if cfg.perQuery {
+							q = q.WithCache(cfg.cacheSize)
 						}
 						seq, err := q.Eval(at)
 						if err != nil {

@@ -11,11 +11,9 @@
 //
 // A nil *Budget is a valid, unlimited budget: every method is
 // nil-receiver safe, so call sites need no guards. Each evaluation owns
-// its own Budget, but that evaluation may fan hole resolution out across
-// a worker pool (temporal.Prefetch), so all charge counters are atomic:
-// concurrent workers charging one budget never lose or double-count a
-// unit, and the limit trips exactly once the aggregate crosses the
-// bound.
+// its own Budget. The charge counters are atomic all the same: goroutines
+// charging one budget never lose or double-count a unit, and the limit
+// trips exactly once the aggregate crosses the bound.
 package budget
 
 import (
@@ -109,9 +107,8 @@ func (e *ResourceError) Error() string {
 func (e *ResourceError) Unwrap() error { return e.Cause }
 
 // Budget meters one evaluation against its Limits and context. The
-// counters are atomic so one evaluation's worker pool can charge it
-// concurrently; limits, ctx and the deadline are immutable between New (or
-// Reset) and the end of the evaluation.
+// counters are atomic; limits, ctx and the deadline are immutable between
+// New (or Reset) and the end of the evaluation.
 type Budget struct {
 	limits      Limits
 	ctx         context.Context
@@ -133,8 +130,8 @@ func New(ctx context.Context, lim Limits) *Budget {
 
 // Reset makes b the budget of a new evaluation, as New would build it:
 // nothing charged, the Timeout deadline starting now. For an owner that
-// runs one evaluation after another and is done with each — its worker
-// pool included — before the next.
+// runs one evaluation after another and is done with each before the
+// next.
 func (b *Budget) Reset(ctx context.Context, lim Limits) {
 	b.limits, b.ctx = lim, ctx
 	b.deadline, b.hasDeadline = time.Time{}, lim.Timeout > 0

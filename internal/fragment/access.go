@@ -8,9 +8,6 @@ import (
 	"xcql/internal/xmldom"
 )
 
-// HoleResolver maps a hole id to the annotated versions of its fillers.
-type HoleResolver func(holeID int) []*xmldom.Node
-
 // Access is the one seam between a translated plan and the stores it
 // reads. Every plan performs the same three reads and gets the same
 // elements from them, out of the store's one index; the implementations
@@ -173,7 +170,7 @@ const (
 
 // Eval is the evaluation an Access reads for: the instant its reads are
 // as of, and where it charges them. The zero value reads at the zero
-// instant, uncounted, unmetered, uncached and sequentially.
+// instant, uncounted, unmetered and uncached.
 type Eval struct {
 	At time.Time
 	// Stats receives the access cost; nil collects nothing.
@@ -183,10 +180,6 @@ type Eval struct {
 	Budget *budget.Budget
 	// Cache memoizes the log passes; nil disables it.
 	Cache *Cache
-	// Parallelism > 1 fans a log-scanned hole-id set out over that many
-	// workers; Wait, when non-nil, receives their queue waits.
-	Parallelism int
-	Wait        *obs.Histogram
 }
 
 // NewAccess returns the access implementation of the given kind, reading
@@ -237,15 +230,15 @@ func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.No
 	return keep.Sift(all)
 }
 
-// Fillers issues one pass per hole, on the worker pool when Parallelism
-// allows: the per-hole cost the QaC plan pays and the batched read
-// avoids. A budget trip panics with the *budget.ResourceError — workers
-// cannot return errors — and is contained at the engine boundary. A
-// window numbers versions across a group's holes, so a windowed read
-// passes them in order, on the calling goroutine.
+// Fillers issues one pass per hole: the per-hole cost the QaC plan pays
+// and the batched read avoids. A repeated id is read, charged and
+// returned at its first position only. A budget trip panics with the
+// *budget.ResourceError and is contained at the engine boundary. A window
+// numbers versions across a group's holes, so a windowed read passes them
+// group by group.
 func (a *logScan) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
+	var out []*xmldom.Node
 	if win.Ends != nil {
-		var out []*xmldom.Node
 		win.groups(st, ids, a.At, keep, func(lo, hi int, keep Filter) int {
 			for _, id := range ids[lo:hi] {
 				a.Budget.MustStep()
@@ -255,14 +248,14 @@ func (a *logScan) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmld
 		})
 		return out
 	}
-	memo := ResolveIDs(ids, func(id int) []*xmldom.Node {
-		a.Budget.MustStep()
-		return a.Filler(st, id, true, keep)
-	}, a.Parallelism, a.Wait, a.Stats)
-	var out []*xmldom.Node
+	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		out = append(out, memo[id]...)
-		delete(memo, id)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		a.Budget.MustStep()
+		out = append(out, a.Filler(st, id, true, keep)...)
 	}
 	return out
 }

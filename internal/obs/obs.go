@@ -28,12 +28,10 @@
 //
 // A nil *EvalStats is valid and means "not collecting": every method is
 // nil-receiver safe so instrumented call sites need no guards, mirroring
-// the budget package. An EvalStats is owned by one evaluation, but that
-// evaluation may fan hole resolution out over a worker pool, so the Add*
-// counter methods are atomic; the plain fields (Plan, phase times,
-// Parallelism, ParallelWait) are written only by the owning goroutine
-// before or after the fan-out. Snapshots taken after the evaluation are
-// plain values.
+// the budget package. An EvalStats is owned by one evaluation. The Add*
+// counter methods are atomic all the same; the plain fields (Plan, phase
+// times) are written only by the owning goroutine. Snapshots taken after
+// the evaluation are plain values.
 package obs
 
 import (
@@ -95,11 +93,6 @@ type EvalStats struct {
 	// is configured.
 	CacheHits   int64
 	CacheMisses int64
-	// ParallelTasks counts hole resolutions dispatched to the worker pool;
-	// zero under sequential execution. Parallelism is the configured worker
-	// count (0 or 1 = sequential).
-	ParallelTasks int64
-	Parallelism   int
 
 	// HandlerInvocations counts the standing engine's unit runs: how many
 	// partial-match units one fragment arrival actually touched. Zero for a
@@ -121,13 +114,6 @@ type EvalStats struct {
 	// evaluation.
 	SharedUnitHits   int64
 	SharedUnitMisses int64
-	// ParallelWait is the distribution of queue wait — enqueue of a hole
-	// resolution to the moment a worker picks it up. High waits mean the
-	// pool is saturated (more holes than workers); near-zero waits with few
-	// tasks mean the fan-out was not worth its overhead. Only a parallel
-	// evaluation sets it: the snapshot is a kilobyte, four times the rest
-	// of the struct, and a sequential evaluation has nothing to put in it.
-	ParallelWait *HistogramSnapshot
 
 	// Per-phase wall times. Parse and Translate are compile-time and
 	// copied from the owning query; Exec and Materialize are measured per
@@ -215,13 +201,6 @@ func (s *EvalStats) AddCacheMisses(n int) {
 	}
 }
 
-// AddParallelTasks records n hole resolutions handed to the worker pool.
-func (s *EvalStats) AddParallelTasks(n int) {
-	if s != nil {
-		atomic.AddInt64(&s.ParallelTasks, int64(n))
-	}
-}
-
 // AddHandlerInvocations records n incremental handler runs.
 func (s *EvalStats) AddHandlerInvocations(n int) {
 	if s != nil {
@@ -276,16 +255,6 @@ func (s *EvalStats) String() string {
 		s.ExecTime.Round(time.Microsecond), s.MaterializeTime.Round(time.Microsecond))
 	if s.CacheHits > 0 || s.CacheMisses > 0 {
 		line += fmt.Sprintf(" cache-hits=%d cache-misses=%d", s.CacheHits, s.CacheMisses)
-	}
-	if s.Parallelism > 1 {
-		var wait HistogramSnapshot
-		if s.ParallelWait != nil {
-			wait = *s.ParallelWait
-		}
-		line += fmt.Sprintf(" parallelism=%d parallel-tasks=%d wait-p50=%v wait-max=%v",
-			s.Parallelism, s.ParallelTasks,
-			wait.Quantile(0.50).Round(time.Microsecond),
-			time.Duration(wait.Max).Round(time.Microsecond))
 	}
 	if s.HandlerInvocations > 0 || s.BufferedItems > 0 {
 		line += fmt.Sprintf(" handlers=%d buffered-items=%d buffer-hwm-bytes=%d",

@@ -896,9 +896,8 @@ func (r *Registry) Registrations() []RegStats {
 	return out
 }
 
-// mergeStats accumulates src's cost counters into dst (wall times and
-// distribution fields are left alone — the group latency histogram
-// covers time).
+// mergeStats accumulates src's cost counters into dst (wall times are
+// left alone — the group latency histogram covers time).
 func mergeStats(dst, src *obs.EvalStats) {
 	dst.FillersScanned += src.FillersScanned
 	dst.HolesResolved += src.HolesResolved
@@ -911,7 +910,6 @@ func mergeStats(dst, src *obs.EvalStats) {
 	dst.Items += src.Items
 	dst.CacheHits += src.CacheHits
 	dst.CacheMisses += src.CacheMisses
-	dst.ParallelTasks += src.ParallelTasks
 	dst.HandlerInvocations += src.HandlerInvocations
 	dst.BufferedItems += src.BufferedItems
 	dst.SharedUnitHits += src.SharedUnitHits

@@ -12,7 +12,7 @@ import (
 // HoleResolver maps a hole id to the versions of its fillers (annotated
 // with vtFrom/vtTo); nil when projecting over an already materialized
 // view, which contains no holes.
-type HoleResolver = fragment.HoleResolver
+type HoleResolver func(holeID int) []*xmldom.Node
 
 // AccessResolver crosses the holes of one store's fragments through an
 // access path, which charges every crossing the way its index pays for

@@ -34,9 +34,8 @@ func Temporalize(st *fragment.Store, at time.Time) (*xmldom.Node, error) {
 }
 
 // TemporalizeOptions configures TemporalizeWith beyond the instant:
-// metering, the access path the holes are crossed through, and parallel
-// hole resolution. The zero value is plain sequential, uncached,
-// unmetered reconstruction.
+// metering and the access path the holes are crossed through. The zero
+// value is uncached, unmetered reconstruction.
 type TemporalizeOptions struct {
 	// Budget meters the walk: every element of the view charges a step
 	// and its shallow bytes — the logical size, whether the element was
@@ -52,19 +51,10 @@ type TemporalizeOptions struct {
 	// Access crosses the holes and charges each crossing; nil is an
 	// uncached log scan charging Stats.
 	Access fragment.Access
-	// Parallelism > 1 resolves the view's hole closure on that many
-	// workers before the sequential assembly walk; the output is
-	// byte-identical to sequential reconstruction.
-	Parallelism int
-	// Wait, when non-nil, receives the pool's queue-wait observations.
-	Wait *obs.Histogram
 }
 
-// TemporalizeWith is the fully configurable temporalize: sequential and
-// cacheless by default, optionally resolving the hole closure on a
-// worker pool (phase A) before the unchanged sequential assembly (phase
-// B) — see the two-phase contract in fragment/parallel.go. Whatever the
-// options, the returned view is byte-identical to Temporalize's.
+// TemporalizeWith is the configurable temporalize. Whatever the options,
+// the returned view is byte-identical to Temporalize's.
 func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) (view *xmldom.Node, err error) {
 	root := st.LatestVersion(fragment.RootFillerID, at)
 	if root == nil {
@@ -83,16 +73,13 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 			panic(p)
 		}
 	}()
-	var resolve HoleResolver = func(id int) []*xmldom.Node {
+	resolve := func(id int) []*xmldom.Node {
 		fillers := acc.Filler(st, id, true, nil)
 		b.MustItems(len(fillers))
 		return fillers
 	}
-	seen := make(map[int]bool)
 	s.AddFillers(st.LookupCost(1)) // the root filler lookup is a pass too
-	payload := root.Tree()
-	resolve = fragment.Prefetch([]*xmldom.Node{payload}, resolve, opts.Parallelism, opts.Wait, s)
-	return FillHoles(resolve, payload, seen, b, s), nil
+	return FillHoles(resolve, root.Tree(), make(map[int]bool), b, s), nil
 }
 
 // FillHoles returns el with the holes below it replaced by their fillers'
@@ -103,8 +90,8 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 // (nil is unlimited) per element visited and aborts by panicking with the
 // *budget.ResourceError, which the engine boundary contains. Hole
 // resolution — and its cardinality/stats charging — lives in the resolver,
-// so the walk itself is identical for direct, cached and prefetched
-// execution. s counts the elements actually rebuilt.
+// so the walk itself is identical for direct and cached execution. s
+// counts the elements actually rebuilt.
 func FillHoles(resolve HoleResolver, el *xmldom.Node, seen map[int]bool, b *budget.Budget, s *obs.EvalStats) *xmldom.Node {
 	b.MustStep()
 	b.MustBytes(int64(el.ShallowSize()))

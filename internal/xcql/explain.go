@@ -37,9 +37,6 @@ type Explain struct {
 	// (Query.LastStats); meaningful only when Evaluated is true.
 	Observed  obs.EvalStats
 	Evaluated bool
-	// Parallelism is the worker count the query would fan hole
-	// resolution out on (1 = sequential).
-	Parallelism int
 	// Cache predicts the materialization cache's effectiveness for this
 	// plan's access paths; nil when the query runs uncached.
 	Cache *CacheExplain
@@ -147,8 +144,6 @@ func (q *Query) Explain() Explain {
 		ex.Streams = append(ex.Streams, s)
 	}
 	sort.Strings(ex.Streams)
-	ex.Parallelism = q.Parallelism()
-	ex.Predicted.Parallelism = ex.Parallelism
 	if cache := q.QueryCache(); cache != nil {
 		ex.Cache = q.explainCache(cache, ex.Streams, ex.Targets)
 		ex.Predicted.CacheHits = ex.Cache.PredictedHits
@@ -360,9 +355,6 @@ func (ex Explain) String() string {
 		for _, t := range ex.Targets {
 			fmt.Fprintf(&b, "  %s\n", t)
 		}
-	}
-	if ex.Parallelism > 1 {
-		fmt.Fprintf(&b, "parallel:  %d workers\n", ex.Parallelism)
 	}
 	if ex.Cache != nil {
 		fmt.Fprintf(&b, "cache:     %s\n", ex.Cache)

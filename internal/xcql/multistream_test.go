@@ -177,20 +177,18 @@ func TestHolesResolveInTheQueriedStream(t *testing.T) {
 	rt.RegisterStream("two", nestedStore(t, "two"))
 	at := ts("2003-06-01T00:00:00")
 	for _, mode := range allModes {
-		for _, par := range []int{1, 4} {
-			for _, cache := range []int{0, 64} {
-				q := rt.MustCompile(`stream("one")/doc/a/b`, mode).WithParallelism(par).WithCache(cache)
-				for i := 0; i < 50; i++ {
-					seq, err := q.Eval(at)
-					if err != nil {
-						t.Fatalf("%s par=%d cache=%d: %v", mode, par, cache, err)
-					}
-					if len(seq) != 1 {
-						t.Fatalf("%s par=%d cache=%d: %d items", mode, par, cache, len(seq))
-					}
-					if got := seq[0].(*xmldom.Node).TrimmedText(); got != "one" {
-						t.Fatalf("%s par=%d cache=%d eval %d: <c> = %q, want stream one's", mode, par, cache, i, got)
-					}
+		for _, cache := range []int{0, 64} {
+			q := rt.MustCompile(`stream("one")/doc/a/b`, mode).WithCache(cache)
+			for i := 0; i < 50; i++ {
+				seq, err := q.Eval(at)
+				if err != nil {
+					t.Fatalf("%s cache=%d: %v", mode, cache, err)
+				}
+				if len(seq) != 1 {
+					t.Fatalf("%s cache=%d: %d items", mode, cache, len(seq))
+				}
+				if got := seq[0].(*xmldom.Node).TrimmedText(); got != "one" {
+					t.Fatalf("%s cache=%d eval %d: <c> = %q, want stream one's", mode, cache, i, got)
 				}
 			}
 		}

@@ -45,11 +45,9 @@ type Runtime struct {
 	// reads the clock beyond the always-on phase timings.
 	trace obs.TraceSink
 
-	// parallelism and cache are the runtime-wide execution defaults,
-	// overridable per query (Query.WithParallelism / Query.WithCache).
-	// parallelism <= 1 means sequential; a nil cache disables caching.
-	parallelism int
-	cache       *fragment.Cache
+	// cache is the runtime-wide filler cache, overridable per query
+	// (Query.WithCache); nil disables caching.
+	cache *fragment.Cache
 }
 
 // NewRuntime returns an empty runtime.
@@ -163,20 +161,6 @@ func (rt *Runtime) release() {
 	rt.mu.Unlock()
 }
 
-// SetParallelism sets the runtime-wide default hole-resolution
-// parallelism: n > 1 fans independent hole resolutions out over n
-// workers during reconstruction and result materialization; n <= 1 (the
-// default) is sequential. Results are byte-identical either way.
-// Queries override it with WithParallelism.
-func (rt *Runtime) SetParallelism(n int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	rt.parallelism = n
-}
-
 // SetCache installs a runtime-wide filler materialization cache bounded
 // to size entries; size <= 0 removes it. The cache is shared by every
 // query on this runtime (continuous queries warm it for each other) and
@@ -236,30 +220,19 @@ type Query struct {
 	parseTime     time.Duration
 	translateTime time.Duration
 
-	// per-query execution options; unset falls back to the runtime-wide
-	// defaults (Runtime.SetParallelism / Runtime.SetCache).
-	parallelism    int
-	parallelismSet bool
-	cache          *fragment.Cache
-	cacheSet       bool
+	// the per-query cache; unset falls back to the runtime-wide one
+	// (Runtime.SetCache).
+	cache    *fragment.Cache
+	cacheSet bool
 
 	statsMu   sync.Mutex
 	lastStats obs.EvalStats
 }
 
-// WithParallelism overrides the runtime's default hole-resolution
-// parallelism for this query: n > 1 fans hole resolution out over n
-// workers, n <= 1 forces sequential execution even when the runtime
-// default is parallel. Returns q for chaining; set it before sharing the
-// query across goroutines.
-func (q *Query) WithParallelism(n int) *Query {
-	if n < 0 {
-		n = 0
-	}
-	q.parallelism = n
-	q.parallelismSet = true
-	return q
-}
+// Deprecated: WithParallelism does nothing and returns q. Holes are
+// resolved sequentially; it stays only until the end-to-end harness under
+// bench/ stops calling it (ROADMAP item 1 (a)).
+func (q *Query) WithParallelism(int) *Query { return q }
 
 // WithCache gives this query its own filler materialization cache
 // bounded to size entries, overriding the runtime-wide cache; size <= 0
@@ -283,17 +256,6 @@ func (q *Query) QueryCache() *fragment.Cache {
 		return q.cache
 	}
 	return q.rt.Cache()
-}
-
-// Parallelism returns the worker count this query's evaluations use
-// (0 or 1 means sequential).
-func (q *Query) Parallelism() int {
-	if q.parallelismSet {
-		return q.parallelism
-	}
-	q.rt.mu.RLock()
-	defer q.rt.mu.RUnlock()
-	return q.rt.parallelism
 }
 
 // LastStats returns a snapshot of the cost counters from the most recent
@@ -401,21 +363,14 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 		return nil, err
 	}
 	defer q.rt.release()
-	par := q.Parallelism()
-	cache := q.QueryCache()
 	stats := &obs.EvalStats{
 		Plan:          q.Mode.String(),
 		ParseTime:     q.parseTime,
 		TranslateTime: q.translateTime,
-		Parallelism:   par,
 	}
 	sink := q.rt.traceSink()
 	b := budget.New(ctx, lim)
-	var wait *obs.Histogram
-	if par > 1 {
-		wait = obs.NewHistogram()
-	}
-	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Cache: cache, Parallelism: par, Wait: wait})
+	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Cache: q.QueryCache()})
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -424,10 +379,6 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 		// stats are recorded even on failure: a tripped budget still
 		// shows how far the evaluation got before it was cut off.
 		stats.Steps, stats.Items, stats.BytesMaterialized = b.Used()
-		if wait != nil {
-			snap := wait.Snapshot()
-			stats.ParallelWait = &snap
-		}
 		stats.TotalTime = time.Since(start)
 		q.storeStats(stats)
 		if sink != nil {
@@ -476,7 +427,7 @@ func (q *Query) wrapResource(err error) error {
 // newStatic assembles the environment of the evaluation ev: the function
 // table, the evaluation's resource budget, and the access path every
 // store read goes through — the one place the mode's index is chosen,
-// with the parallelism/cache execution options folded into it.
+// with the cache folded into it.
 func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 	rt := q.rt
 	acc := fragment.NewAccess(q.Mode.access(), ev)
@@ -490,15 +441,13 @@ func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 	}
 	rt.mu.RUnlock()
 	static := &xq.Static{
-		Now:         ev.At,
-		Funcs:       funcs,
-		Doc:         rt.doc,
-		Holes:       temporal.BudgetResolver(ev.Budget, scopedResolver(acc, stores)),
-		Budget:      ev.Budget,
-		Stats:       ev.Stats,
-		Parallelism: ev.Parallelism,
-		Access:      acc,
-		Wait:        ev.Wait,
+		Now:    ev.At,
+		Funcs:  funcs,
+		Doc:    rt.doc,
+		Holes:  temporal.BudgetResolver(ev.Budget, scopedResolver(acc, stores)),
+		Budget: ev.Budget,
+		Stats:  ev.Stats,
+		Access: acc,
 	}
 	static.Stream = func(name string) (xq.Sequence, error) {
 		// uncompiled stream() access sees the materialized view
@@ -575,11 +524,9 @@ func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, e
 	// CaQ's whole-document materialization is metered: an oversized view
 	// aborts mid-reconstruction instead of exhausting memory first
 	view, err := temporal.TemporalizeWith(st, static.Now, temporal.TemporalizeOptions{
-		Budget:      static.Budget,
-		Stats:       static.Stats,
-		Access:      static.Access,
-		Parallelism: static.Parallelism,
-		Wait:        static.Wait,
+		Budget: static.Budget,
+		Stats:  static.Stats,
+		Access: static.Access,
 	})
 	if err != nil {
 		return nil, err
@@ -840,26 +787,8 @@ func endpointVersion(seq xq.Sequence) (n int, last, ok bool) {
 // walk itself is unmetered; the resolver (Static.Holes) charges the
 // budget, so an attack that hides its bulk behind holes in the result
 // still trips mid-materialization (the panic is contained by Query.eval).
-//
-// With Parallelism > 1, the transitive hole closure of every holed
-// result item is prefetched on the worker pool first (phase A) and the
-// sequential fill below reads the memo (phase B), so the output stays
-// byte-identical to sequential materialization. The memo resolves each
-// id once for the whole result; the sequential path deliberately keeps
-// its one-seen-map-per-item charging, so budget/stats totals — not
-// results — may differ between the two.
+// Each result item resolves its holes under a seen map of its own.
 func materializeResult(seq xq.Sequence, static *xq.Static) xq.Sequence {
-	s := static.Stats
-	resolver := static.Holes
-	if static.Parallelism > 1 {
-		var holed []*xmldom.Node
-		for _, it := range seq {
-			if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
-				holed = append(holed, n)
-			}
-		}
-		resolver = fragment.Prefetch(holed, resolver, static.Parallelism, static.Wait, s)
-	}
 	out := make(xq.Sequence, 0, len(seq))
 	for _, it := range seq {
 		n, ok := it.(*xmldom.Node)
@@ -867,7 +796,7 @@ func materializeResult(seq xq.Sequence, static *xq.Static) xq.Sequence {
 			out = append(out, it)
 			continue
 		}
-		out = append(out, temporal.FillHoles(resolver, n, make(map[int]bool), nil, s))
+		out = append(out, temporal.FillHoles(static.Holes, n, make(map[int]bool), nil, static.Stats))
 	}
 	return out
 }

@@ -93,9 +93,9 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // resolver, budget, horizon, the context $UnitVar is bound in — built once
 // (Query.NewUnitEval) and re-armed by every Eval, so that what a unit
 // evaluation allocates is what it reads and returns. Execution is
-// sequential and uncached: the pinned baseline strategy, byte-identical to
-// every parallel/cached configuration (see TestDiffHarness). One
-// evaluation at a time; the engine's lock sees to that.
+// uncached: the pinned baseline strategy, byte-identical to every cached
+// configuration (see TestDiffHarness). One evaluation at a time; the
+// engine's lock sees to that.
 type UnitEval struct {
 	q       *Query
 	static  *xq.Static
@@ -109,7 +109,7 @@ type UnitEval struct {
 // NewUnitEval builds the frame of an engine over this query's plan.
 func (q *Query) NewUnitEval() *UnitEval {
 	u := &UnitEval{q: q}
-	u.static = q.newStatic(fragment.Eval{Budget: &u.budget, Parallelism: 1})
+	u.static = q.newStatic(fragment.Eval{Budget: &u.budget})
 	u.static.Horizon = &u.horizon
 	u.ctx = xq.NewContext(u.static).Bind(foldVar, xq.Sequence{u}).Bind(UnitVar, nil)
 	return u
@@ -120,7 +120,7 @@ func (q *Query) NewUnitEval() *UnitEval {
 func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
 	u.budget.Reset(context.Background(), lim)
 	u.static.Now, u.static.Stats, u.static.Funcs = at, stats, u.q.rt.funcTable()
-	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Parallelism: 1})
+	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget})
 }
 
 // Eval evaluates one sub-expression of the query's plan at the evaluation

@@ -44,17 +44,10 @@ type Static struct {
 	// resolved, nodes constructed, …) for the observability layer. nil
 	// means "not collecting"; every obs method is nil-safe.
 	Stats *obs.EvalStats
-	// Parallelism is the hole-resolution worker count the plans may fan
-	// out to (0 or 1 means sequential). Results are byte-identical either
-	// way; only wall clock and scheduling differ.
-	Parallelism int
 	// Access is the access path the translated plan's store reads go
 	// through, charging Stats the way the plan's index pays for them. Set
 	// by the xcql runtime.
 	Access fragment.Access
-	// Wait receives the worker pool's queue-wait observations when
-	// Parallelism > 1; nil collects nothing.
-	Wait *obs.Histogram
 	// Horizon, when set, is told of everything the evaluation decides by
 	// the moving Now — every comparison that resolves a symbolic "now",
 	// every direct read of the clock — so the caller learns how long the

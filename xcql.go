@@ -439,13 +439,6 @@ func ResourceCause(err error) (*ResourceError, bool) { return ixcql.ResourceCaus
 // admission control for heavily loaded servers.
 func (e *Engine) SetMaxConcurrentEvals(n int) { e.rt.SetMaxConcurrentEvals(n) }
 
-// SetParallelism sets the default worker count queries compiled on this
-// engine use to resolve independent holes concurrently (n <= 1 =
-// sequential). Results are byte-identical to sequential execution; only
-// wall time and the EvalStats parallel counters change. Individual
-// queries can override with Query.WithParallelism.
-func (e *Engine) SetParallelism(n int) { e.rt.SetParallelism(n) }
-
 // SetCache gives the engine an LRU filler-resolution cache of the given
 // entry capacity, shared by every query compiled on it (size <= 0
 // removes the cache). Cached subtrees are invalidated automatically
