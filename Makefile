@@ -120,7 +120,11 @@ trace-smoke:
 # ceilings of its own. A QaC+ Q1 evaluated right after a Store.Add must
 # allocate within 5 of a warm one, and Explain() the same on a store ten
 # times the size and after a write: nothing is derived from the store per
-# generation, and a census is read off the index. One charge of the standing fraud query on a re-announced
+# generation, and a census is read off the index. Q2, Q5, QD and the two
+# POST /v1/eval rows hold heap bytes as well (~15 % above what they allocate
+# with their reads building no top the query cannot observe): a count
+# cannot see a read's tops come back, since a read builds them all in a few
+# allocations. One charge of the standing fraud query on a re-announced
 # credit stream has a ceiling too: losing per-binding decomposition or
 # window-expiry scheduling costs many times as much, losing a unit's
 # per-version memo or its per-child terms three to four times, and more with

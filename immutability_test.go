@@ -2,12 +2,14 @@ package xcql_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"xcql"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
 
@@ -117,12 +119,15 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 // writer keeps adding versions. Every evaluation hands out the store's
 // own nodes, so under -race any write to a shared node (a parent link, an
 // in-place splice, a stamped attribute) is a reported data race; the
-// fingerprint check catches what a lucky schedule might hide.
+// fingerprint check catches what a lucky schedule might hide. A query that
+// only navigates through what it reads joins the generated ones: its reads
+// hand out the stored payloads themselves as their tops (tops=bare).
 func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 	ins, err := genstore.Generate(genstore.Profile{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	queries := append(slices.Clone(ins.Queries), navigationQuery(t, ins.Structure))
 	// the first half is the standing store, the second half arrives while
 	// the readers run; the root filler is first, so CaQ always has a view
 	half := len(ins.Fragments) / 2
@@ -156,7 +161,7 @@ func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 			go func() {
 				defer readers.Done()
 				for r := 0; r < rounds; r++ {
-					for _, query := range ins.Queries {
+					for _, query := range queries {
 						q, err := e.Compile(query.Src, mode)
 						if err != nil {
 							errs <- fmt.Errorf("%s/%s/%s: compile: %w", cfg.name, mode, query.Name, err)
@@ -203,4 +208,29 @@ func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 		t.Error(err)
 	}
 	checkPayloads(t, prints, "after concurrent plans beside a writer")
+}
+
+// navigationQuery is a query over s's first fragmented tag with a
+// fragmented child that reads nothing of either but their text: under
+// the fragment plans both of its reads are bare.
+func navigationQuery(t *testing.T, s *tagstruct.Structure) genstore.Query {
+	t.Helper()
+	for _, p := range s.Tags() {
+		for _, c := range p.Children {
+			if !p.IsFragmented() || !c.IsFragmented() {
+				continue
+			}
+			src := fmt.Sprintf(`for $x in stream("s")//%s return ($x/text(), $x/%s/text())`, p.Name, c.Name)
+			e := xcql.NewEngine()
+			e.RegisterStore("s", fragment.NewStore(s))
+			for _, tgt := range e.MustCompile(src, xcql.QaC).Explain().Targets {
+				if tgt.Op != "root" && !tgt.Bare {
+					t.Fatalf("%s: the %s read is not bare", src, tgt.Tag)
+				}
+			}
+			return genstore.Query{Name: "navigation-" + p.Name, Src: src}
+		}
+	}
+	t.Fatal("the generated structure has no fragmented tag with a fragmented child")
+	return genstore.Query{}
 }

@@ -68,6 +68,58 @@ func Queries() []struct{ Name, Src string } {
 	}
 }
 
+// Corpus is the differential-testing corpus: the Figure-4 queries
+// plus generated path/projection queries over every fragmented tag of the
+// XMark structure. Each query must produce byte-identical output under
+// CaQ, QaC and QaC+ — the paper's central equivalence claim (§5: the
+// three plans differ only in access cost, never in results).
+func Corpus() []struct{ Name, Src string } {
+	corpus := []struct{ Name, Src string }{
+		{"Q1", Queries()[0].Src},
+		{"Q2", Queries()[1].Src},
+		{"Q5", Queries()[2].Src},
+	}
+	// one entry per fragmented (temporal/event) tag: its child path from
+	// the stream top and a leaf child to return
+	targets := []struct{ tag, path, child string }{
+		{"person", `/site/people/person`, "name"},
+		{"category", `/site/categories/category`, "name"},
+		{"open_auction", `/site/open_auctions/open_auction`, "reserve"},
+		{"closed_auction", `/site/closed_auctions/closed_auction`, "price"},
+	}
+	windows := []struct{ name, proj string }{
+		{"all", `?[start,now]`},
+		{"year", `?[2003-01-01,2004-01-01]`},
+		{"tail", `?[2004-01-01,now]`},
+	}
+	for _, tg := range targets {
+		corpus = append(corpus,
+			struct{ Name, Src string }{
+				"child-" + tg.tag,
+				fmt.Sprintf(`for $x in stream("auction")%s return $x/%s`, tg.path, tg.child),
+			},
+			struct{ Name, Src string }{
+				"descendant-" + tg.tag,
+				fmt.Sprintf(`for $x in stream("auction")//%s return $x/%s`, tg.tag, tg.child),
+			},
+			struct{ Name, Src string }{
+				"count-" + tg.tag,
+				fmt.Sprintf(`count(for $x in stream("auction")%s return $x)`, tg.path),
+			},
+			struct{ Name, Src string }{
+				"version-" + tg.tag,
+				fmt.Sprintf(`for $x in stream("auction")%s#[1,last] return $x/%s`, tg.path, tg.child),
+			})
+		for _, w := range windows {
+			corpus = append(corpus, struct{ Name, Src string }{
+				"interval-" + w.name + "-" + tg.tag,
+				fmt.Sprintf(`for $x in stream("auction")%s%s return $x/%s`, tg.path, w.proj, tg.child),
+			})
+		}
+	}
+	return corpus
+}
+
 // Modes in the paper's row order, fastest plan first.
 var Modes = []xcql.Mode{xcql.QaCPlus, xcql.QaC, xcql.CaQ}
 

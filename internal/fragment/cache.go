@@ -216,7 +216,7 @@ func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (slots 
 // GetFillersByTSID is GetFillers for the lookup by tsid.
 func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmldom.Node, hit bool) {
 	if c == nil {
-		els, _ = st.lookupTSID(tsid, at, nil)
+		els, _ = st.lookupTSID(tsid, at, nil, nil)
 		return els, false
 	}
 	key := cacheKey{store: st, kind: kindTSID, id: tsid}
@@ -224,7 +224,7 @@ func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmld
 		return els, true
 	}
 	gen := st.Generation()
-	out, _ := st.lookupTSID(tsid, at, nil)
+	out, _ := st.lookupTSID(tsid, at, nil, nil)
 	fids, _ := st.TSIDFillers(tsid)
 	c.fill(key, newVariant(gen, st, fids, at, out))
 	return out, false

@@ -46,7 +46,7 @@ func (e *Engine) fold(p *piece) {
 			}
 			return nil
 		})
-		e.sites = append(e.sites, xcql.FoldSite{Agg: c.Name, TSID: tsid, Chain: chain})
+		e.sites = append(e.sites, xcql.FoldSite{Agg: c.Name, TSID: tsid, Bare: xcql.ReadsBare(cross), Chain: chain})
 		folds = append(folds, c.Name+" folded over "+e.structure.ByID(tsid).Name+" terms")
 		return &xq.Call{Name: xcql.FnFold, Args: []xq.Expr{cross.Args[0], cross.Args[1], xq.NewLiteral(float64(site))}}
 	})

@@ -23,8 +23,9 @@
 //	                  shared with the store (CaQ's whole-view
 //	                  construction dominates here)
 //	NodesConstructed  elements actually built: one top element per
-//	                  filler version read, the spine reconstruction and
-//	                  hole filling rebuild above a hole, and constructors
+//	                  filler version a read returned stamped, the spine
+//	                  reconstruction and hole filling rebuild above a
+//	                  hole, and constructors
 //
 // A nil *EvalStats is valid and means "not collecting": every method is
 // nil-receiver safe so instrumented call sites need no guards, mirroring
@@ -48,7 +49,9 @@ import (
 // populates them on every Eval/EvalContext call; read them back with
 // Query.LastStats or Engine.EvalContextStats.
 type EvalStats struct {
-	// Plan is the physical plan that ran ("CaQ", "QaC", "QaC+").
+	// Plan is the physical plan that ran ("CaQ", "QaC", "QaC+"). A standing
+	// query's advance adds "/inc" ("QaC+/inc"): the incremental engine ran
+	// the plan's units.
 	Plan string
 
 	// FillersScanned counts filler versions examined by store lookups.
@@ -76,9 +79,11 @@ type EvalStats struct {
 	// Mirrors the byte budget's accounting.
 	BytesMaterialized int64
 	// NodesConstructed counts elements actually allocated: the annotated
-	// top element of every filler version a store read returned (cache
-	// hits build none), the elements copy-on-write reconstruction and hole
-	// filling rebuilt, and element constructors.
+	// top element of every filler version a store read returned stamped
+	// (cache hits build none, nor does a read whose tops nothing in the
+	// query observes: it hands out the stored payloads), the elements
+	// copy-on-write reconstruction and hole filling rebuilt, and element
+	// constructors.
 	// Subtrees shared with the store are not counted — compare with
 	// BytesMaterialized to see how much of a result was shared.
 	NodesConstructed int64

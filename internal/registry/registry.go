@@ -414,7 +414,7 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		share.refs++
 		reg.needReseed = true
 	} else {
-		reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "+inc"}
+		reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "/inc"}
 		g.engShares[reg.planKey] = reg.share
 	}
 	reg.eng.SetFlightRecorder(r.tracer)

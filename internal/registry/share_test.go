@@ -16,6 +16,35 @@ import (
 	"xcql/internal/xcql"
 )
 
+// A standing query's LastStats names its plan as xcql.ParseMode spells it,
+// with "/inc" after it: the plan is the one the query was compiled under,
+// never the spelling of a plan that no longer exists ("QaC++inc" for QaC+).
+func TestStandingStatsNameThePlan(t *testing.T) {
+	for _, mode := range []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus} {
+		st := fragment.NewStore(churnStructure(t))
+		at := time.Date(2003, time.June, 1, 0, 0, 0, 0, time.UTC)
+		r := New(func() time.Time { return at })
+		rt := xcql.NewRuntime()
+		rt.RegisterStream("log", st)
+		q := rt.MustCompile(`for $e in stream("log")//event return $e`, mode)
+		if _, err := r.Register(q, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		root := fragment.New(0, 1, at, churnEl(t, `<log><hole id="100" tsid="2"/></log>`))
+		if err := st.Add(root); err != nil {
+			t.Fatal(err)
+		}
+		r.Apply(root)
+		plan := q.LastStats().Plan
+		if want := mode.String() + "/inc"; plan != want {
+			t.Errorf("%s: LastStats().Plan = %q, want %q", mode, plan, want)
+		}
+		if m, err := xcql.ParseMode(strings.TrimSuffix(plan, "/inc")); err != nil || m != mode {
+			t.Errorf("%s: LastStats().Plan = %q does not name the plan (%v, %v)", mode, plan, m, err)
+		}
+	}
+}
+
 // The members of an engine share consume one advance: each gets the delta
 // with the serials the engine diffed by — the same strings, not a
 // serialization per member — and each one's LastStats shows what that
@@ -75,7 +104,7 @@ func TestShareMembersGetOneAdvance(t *testing.T) {
 			if &last[i].Serials[0] != &last[0].Serials[0] {
 				t.Fatalf("member %d was handed serials of its own", i)
 			}
-			if s := queries[i].LastStats(); s.Plan != "QaC++inc" || s.HandlerInvocations != 1 || s.BufferedItems != int64(fid-99) {
+			if s := queries[i].LastStats(); s.Plan != "QaC+/inc" || s.HandlerInvocations != 1 || s.BufferedItems != int64(fid-99) {
 				t.Fatalf("member %d's LastStats after event %d: %s", i, fid, s.String())
 			}
 		}
@@ -85,7 +114,7 @@ func TestShareMembersGetOneAdvance(t *testing.T) {
 
 	before := queries[1].LastStats()
 	r.Apply(nil) // nothing is dirty: the advance costs no handler run
-	if s := queries[1].LastStats(); s.HandlerInvocations != 0 || s.Plan != "QaC++inc" {
+	if s := queries[1].LastStats(); s.HandlerInvocations != 0 || s.Plan != "QaC+/inc" {
 		t.Fatalf("LastStats after an idle advance: %s", s.String())
 	}
 	if before.HandlerInvocations != 1 {

@@ -29,11 +29,13 @@ type readAhead struct {
 }
 
 // aheadCall is one correlated call, as its groups are looked up: two calls
-// that cross the same holes with the same per-parent list read alike.
+// that cross the same holes with the same per-parent list, both of bare
+// tops or both stamped, read alike.
 type aheadCall struct {
 	stream string
 	tsid   int
 	each   *perParent
+	bare   bool
 }
 
 // aheadReads is what Begin returns: reads[i] is calls[i] made for every
@@ -52,9 +54,10 @@ type aheadRead struct {
 }
 
 // aheadSlot is one binding's group, els[lo:hi], read from holes distinct
-// hole ids, examining examined versions. holes == 0: the binding crosses
-// none of the call's holes, and its call reads as it would have.
-type aheadSlot struct{ lo, hi, holes, examined int32 }
+// hole ids, examining examined versions, its tops' stamps, when bare,
+// stamps bytes. holes == 0: the binding crosses none of the call's holes,
+// and its call reads as it would have.
+type aheadSlot struct{ lo, hi, holes, examined, stamps int32 }
 
 // Begin reads every call for every binding of seq, or nothing when the
 // evaluation's access path reads each call itself.
@@ -90,7 +93,11 @@ func (ra *readAhead) read(ctx *xq.Context, c aheadCall, seq xq.Sequence, r *ahea
 	}
 	r.slots = make([]aheadSlot, len(seq))
 	ids := make([]int, 0, total)
-	bounds := make([]int, 2*groups)
+	outs := 2
+	if c.bare {
+		outs = 3
+	}
+	bounds := make([]int, outs*groups)
 	win := fragment.Window{From: 1, To: math.MaxInt, Ends: bounds[:0:groups]}
 	if c.each != nil {
 		win = c.each.window(win.Ends)
@@ -111,7 +118,10 @@ func (ra *readAhead) read(ctx *xq.Context, c aheadCall, seq xq.Sequence, r *ahea
 		r.slots[i].holes = int32(len(set))
 		win.Ends = append(win.Ends, len(ids))
 	}
-	win.Examined = bounds[groups:]
+	win.Examined = bounds[groups : 2*groups]
+	if c.bare {
+		win.Stamps = bounds[2*groups:]
+	}
 	els, _ := ctx.Static.Access.FillersEach(r.st, ids, win)
 	r.els, r.items = els, xq.FromNodes(els)
 	g, lo := 0, 0
@@ -121,6 +131,9 @@ func (ra *readAhead) read(ctx *xq.Context, c aheadCall, seq xq.Sequence, r *ahea
 			continue
 		}
 		s.lo, s.hi, s.examined = int32(lo), int32(win.Ends[g]), int32(win.Examined[g])
+		if c.bare {
+			s.stamps = int32(win.Stamps[g])
+		}
 		lo = win.Ends[g]
 		g++
 	}
@@ -129,7 +142,7 @@ func (ra *readAhead) read(ctx *xq.Context, c aheadCall, seq xq.Sequence, r *ahea
 // takeAhead answers a fillers call on nodes from what the clause that bound
 // nodes read ahead, charging what the call's own read would have; ok is
 // false when nothing was read for it, and the call reads for itself.
-func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int, each *perParent) (seq xq.Sequence, ok bool, err error) {
+func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int, each *perParent, bare bool) (seq xq.Sequence, ok bool, err error) {
 	a, at, ok := ctx.Ahead(nodes)
 	if !ok {
 		return nil, false, nil
@@ -140,7 +153,7 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 	}
 	var r *aheadRead
 	for i, c := range ar.calls {
-		if ar.reads[i].st == st && c.tsid == tsid && c.each == each {
+		if ar.reads[i].st == st && c.tsid == tsid && c.each == each && c.bare == bare {
 			r = &ar.reads[i]
 			break
 		}
@@ -150,16 +163,22 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 	}
 	s := r.slots[at]
 	els := r.els[s.lo:s.hi:s.hi]
-	ctx.Static.Access.ChargeEach(st, int(s.holes), int(s.examined), len(els))
+	built := len(els)
+	if bare {
+		built = 0
+	}
+	ctx.Static.Access.ChargeEach(st, int(s.holes), int(s.examined), built)
 	if each != nil && len(each.rest()) > 0 {
+		// never bare: a list the read does not serve whole keeps the tops
+		// stamped (markBare)
 		out, err := applyPerGroup(ctx, nil, els, []int{len(els)}, each.rest())
 		if err != nil {
 			return nil, true, err
 		}
-		seq, err := chargeNodes(ctx.Static.Budget, out)
+		seq, err := chargeNodes(ctx.Static.Budget, out, 0)
 		return seq, true, err
 	}
-	if err := meterNodes(ctx.Static.Budget, els); err != nil {
+	if err := meterNodes(ctx.Static.Budget, els, int(s.stamps)); err != nil {
 		return nil, true, err
 	}
 	return r.items[s.lo:s.hi:s.hi], true, nil
@@ -195,9 +214,9 @@ func (rt *Runtime) attachReadAhead(plan xq.Expr) {
 	})
 }
 
-// correlated reports that c is xcql:fillers($v, stream, tsid[, per-parent]):
-// a call that crosses the holes of $v's binding and of nothing else, with
-// no pushed filter.
+// correlated reports that c is xcql:fillers($v, stream, tsid[,
+// per-parent][, tops=bare]): a call that crosses the holes of $v's binding
+// and of nothing else, with no pushed filter.
 func correlated(c *xq.Call, v string) (aheadCall, bool) {
 	if c.Name != fnFillers || len(c.Args) == 0 {
 		return aheadCall{}, false
@@ -213,7 +232,7 @@ func correlated(c *xq.Call, v string) (aheadCall, bool) {
 	if _, filter := splitFilter(args); filter != nil || len(args) != 3 || stream == "" || tsid <= 0 {
 		return aheadCall{}, false
 	}
-	return aheadCall{stream: stream, tsid: tsid, each: each}, true
+	return aheadCall{stream: stream, tsid: tsid, each: each, bare: readsBare(c.Args)}, true
 }
 
 // eachPerBinding visits what fl evaluates exactly once per binding of its

@@ -15,8 +15,8 @@ import (
 const (
 	fnView    = "xcql:view"    // (stream)            materialized temporal view (CaQ)
 	fnRoot    = "xcql:root"    // (stream)            root filler payload versions
-	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter][, per-parent]) cross the holes of a child step
-	fnByTSID  = "xcql:bytsid"  // (stream, tsid…[, filter])     all filler versions with a tsid
+	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter][, per-parent][, tops=bare]) cross the holes of a child step
+	fnByTSID  = "xcql:bytsid"  // (stream, tsid…[, filter][, tops=bare])     all filler versions with a tsid
 	fnIProj   = "xcql:iproj"   // (nodes, tb[, te], stream) interval projection over fragments
 	fnVProj   = "xcql:vproj"   // (nodes, vb, ve, stream)   version projection over fragments
 )
@@ -95,6 +95,9 @@ func (c *compiler) isStreamTop(tt typedTag) bool {
 func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (plan xq.Expr, named []string, err error) {
 	c := &compiler{mode: mode, streams: streams}
 	plan, _, err = c.rewrite(e, env{vars: map[string]typeSet{}})
+	if err == nil && bareReads {
+		markBare(plan)
+	}
 	return plan, c.order, err
 }
 

@@ -96,6 +96,10 @@ type ExplainTarget struct {
 	// the path examines the same versions and builds only those inside the
 	// window.
 	PerParent string
+	// Bare reports that nothing the plan does with the path's output
+	// observes a lifespan stamp (bareTops): the path hands out stored
+	// payloads and builds no top.
+	Bare bool
 }
 
 func (t ExplainTarget) String() string {
@@ -114,6 +118,9 @@ func (t ExplainTarget) String() string {
 	}
 	if t.PerParent != "" {
 		b += " per-parent=" + t.PerParent
+	}
+	if t.Bare {
+		b += " tops=bare"
 	}
 	return b
 }
@@ -212,7 +219,7 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		if q.Mode == QaCPlus {
 			op = "get_fillers_batched"
 		}
-		t := ExplainTarget{Op: op, Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call)}
+		t := ExplainTarget{Op: op, Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call), Bare: readsBare(call.Args)}
 		if p := parentPreds(call.Args); p != nil {
 			t.PerParent = p.list()
 		}
@@ -222,7 +229,7 @@ func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
 		// report the first tsid here and let walkExpr visit nothing below
 		// (arguments are literals). Multi-tsid fetches are rare: they need
 		// several same-named fragmented tags under distinct parents.
-		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1), Filter: filterText(call)}
+		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1), Filter: filterText(call), Bare: readsBare(call.Args)}
 		return q.censusTSID(t), true
 	case fnIProj:
 		return ExplainTarget{Op: "interval-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
@@ -321,8 +328,8 @@ func litString(args []xq.Expr, i int) string {
 	if i < 0 || i >= len(args) {
 		return ""
 	}
-	if l, ok := args[i].(*xq.Literal); ok {
-		if s, ok := l.Val.(string); ok {
+	if v, ok := litOf(args[i]); ok {
+		if s, ok := v.(string); ok {
 			return s
 		}
 	}
@@ -333,8 +340,8 @@ func litInt(args []xq.Expr, i int) int {
 	if i < 0 || i >= len(args) {
 		return 0
 	}
-	if l, ok := args[i].(*xq.Literal); ok {
-		if f, ok := l.Val.(float64); ok {
+	if v, ok := litOf(args[i]); ok {
+		if f, ok := v.(float64); ok {
 			return int(f)
 		}
 	}

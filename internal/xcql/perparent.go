@@ -96,8 +96,8 @@ func appendNodes(out, els []*xmldom.Node) []*xmldom.Node {
 // when it carries none.
 func parentPreds(args []xq.Expr) *perParent {
 	if n := len(args); n > 0 {
-		if l, ok := args[n-1].(*xq.Literal); ok {
-			if p, ok := l.Val.(*perParent); ok {
+		if v, ok := litOf(args[n-1]); ok {
+			if p, ok := v.(*perParent); ok {
 				return p
 			}
 		}

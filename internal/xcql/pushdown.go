@@ -223,8 +223,8 @@ func accessCall(e xq.Expr) (*xq.Call, bool) {
 // on them, nil when there is none.
 func splitFilter(args []xq.Expr) ([]xq.Expr, *pushed) {
 	if n := len(args); n > 0 {
-		if l, ok := args[n-1].(*xq.Literal); ok {
-			if p, ok := l.Val.(*pushed); ok {
+		if v, ok := litOf(args[n-1]); ok {
+			if p, ok := v.(*pushed); ok {
 				return args[:n-1], p
 			}
 		}
@@ -314,10 +314,11 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 	return out, residual
 }
 
-// boundAccess takes the filter and the per-parent list off an intrinsic's
-// evaluated arguments, binding the filter to the evaluation; nil for what
-// the call does not carry.
-func boundAccess(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.Filter, *perParent) {
+// boundAccess takes the filter, the per-parent list and the bare-tops
+// marker off an intrinsic's evaluated arguments, binding the filter to the
+// evaluation; nil (false) for what the call does not carry.
+func boundAccess(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.Filter, *perParent, bool) {
+	bare := takeBare(args)
 	var each *perParent
 	if n := len(args); n > 0 && len(args[n-1]) == 1 {
 		if p, ok := args[n-1][0].(*perParent); ok {
@@ -326,8 +327,8 @@ func boundAccess(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.F
 	}
 	if n := len(args); n > 0 && len(args[n-1]) == 1 {
 		if p, ok := args[n-1][0].(*pushed); ok {
-			return args[:n-1], p.bind(ctx.Static), each
+			return args[:n-1], p.bind(ctx.Static), each, bare
 		}
 	}
-	return args, nil, each
+	return args, nil, each, bare
 }

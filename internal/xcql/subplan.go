@@ -56,6 +56,13 @@ func AccessArgs(c *xq.Call) (args []xq.Expr, pred xq.Expr) {
 	return args, p.pred()
 }
 
+// ReadsBare reports that the compiler marked access call c as one whose
+// tops nothing observes: it reads bare tops, the stored payloads, where an
+// unmarked call reads lifespan-stamped ones. The literal arguments of a
+// marked call read as they would unmarked (PlanLitString, PlanLitInt,
+// AccessArgs).
+func ReadsBare(c *xq.Call) bool { return readsBare(c.Args) }
+
 // StreamStore returns the fragment store registered under name on this
 // query's runtime, or nil.
 func (q *Query) StreamStore(name string) *fragment.Store { return q.rt.Store(name) }
@@ -167,7 +174,7 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 	if st != nil {
 		// the budget meters the unit's own read as it meters the by-tsid
 		// read of a full evaluation
-		if bound, err = chargeNodes(&u.budget, static.Access.Filler(st, fid, false, keep)); err != nil {
+		if bound, err = chargeNodes(&u.budget, static.Access.Filler(st, fid, false, keep), 0); err != nil {
 			return nil, time.Time{}, q.wrapResource(err)
 		}
 	}

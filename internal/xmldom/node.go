@@ -251,10 +251,14 @@ func (n *Node) CloneShallow() *Node {
 func (n *Node) ShallowSize() int {
 	size := 48 + len(n.Name) + len(n.Data) // struct + slice headers, roughly
 	for _, a := range n.Attrs {
-		size += len(a.Name) + len(a.Value) + 16
+		size += AttrSize(a.Name, len(a.Value))
 	}
 	return size
 }
+
+// AttrSize is what an attribute named name with a value n bytes long adds
+// to its element's ShallowSize.
+func AttrSize(name string, n int) int { return len(name) + n + 16 }
 
 // TreeSize approximates the in-memory footprint of the whole subtree.
 func (n *Node) TreeSize() int {
