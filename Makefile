@@ -149,16 +149,17 @@ alloc-gate:
 	$(GO) test -run '^TestSubscriberReadAllocationCeiling$$' -count=1 -timeout 120s ./internal/registry
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
-# numbers a re-run reproduces — PlanGrid, Selectivity, the re-announcing
+# numbers a re-run reproduces — PlanGrid, Selectivity, ParallelCache's
+# uncached, cold-cache and warm-cache rows, the re-announcing
 # IncrementalContinuous rows, RegistryFanout, and the wire codec, recovery
 # and snapshot-bootstrap rows (allocs/op only) — held to the newest
 # snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
-# handlers/op and mat-bytes/op exactly, allocs/op at most
-# 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
+# handlers/op, mat-bytes/op, cache-hits/op and cache-misses/op exactly,
+# allocs/op at most 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
 # moves by a quarter between two runs of the same code. A PR that moves
 # one of these on purpose writes a new snapshot (bench-json).
 bench-gate:
-	( $(GO) test -run '^$$' -bench '^(BenchmarkPlanGrid|BenchmarkSelectivity)$$' -benchtime 20x -benchmem -short . ; \
+	( $(GO) test -run '^$$' -bench '^(BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkParallelCache)$$' -benchtime 20x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$/^reannounce$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkWireCodec|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchtime 200x -benchmem -short . ) \
