@@ -321,8 +321,9 @@ func BenchmarkGranularity(b *testing.B) {
 	}
 }
 
-// BenchmarkGetFillers measures hole resolution itself: indexed store
-// versus the paper's scan cost model, at two stream sizes.
+// BenchmarkGetFillers measures hole resolution itself — the paper's
+// get_fillers, an uncached read through one hole —: indexed store versus
+// the paper's scan cost model, at two stream sizes.
 func BenchmarkGetFillers(b *testing.B) {
 	for _, scale := range []float64{0.005, 0.02} {
 		for _, scan := range []bool{false, true} {
@@ -333,10 +334,10 @@ func BenchmarkGetFillers(b *testing.B) {
 			b.Run(fmt.Sprintf("sf=%g/%s", scale, label), func(b *testing.B) {
 				ds := dataset(b, scale, scan)
 				ids := ds.Store.FillerIDs()
+				acc := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: evalbench.EvalInstant})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					id := ids[i%len(ids)]
-					_ = ds.Store.GetFillers(id, evalbench.EvalInstant)
+					_, _ = acc.Read(ds.Store, fragment.Read{Source: fragment.FromHole, ID: ids[i%len(ids)]})
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"math"
 	"time"
 
 	"xcql/internal/budget"
@@ -9,12 +10,14 @@ import (
 )
 
 // Access is the one seam between a translated plan and the stores it
-// reads. Every plan performs the same three reads and gets the same
-// elements from them, out of the store's one index; the implementations
-// differ only in the lookup pass a read pays for and what the evaluation's
-// counters are charged for it —
-// the paper's claim that the plans "differ only in access cost, never
-// in results", as a type.
+// reads: every read a plan makes is one Read, the paper's get_fillers (§5),
+// and every plan gets the same elements from it, out of the store's one
+// index — one per version visible at the evaluation instant, a new top
+// stamped with its deduced lifespan over the stored payload's children
+// (buildTops, pickVersions). The implementations
+// differ only in the lookup passes a read pays for and what the
+// evaluation's counters are charged for it — the paper's claim that the
+// plans "differ only in access cost, never in results", as a type.
 //
 // Every read takes an optional Filter and returns only the versions it
 // keeps. The access cost is that of the unfiltered read — fillers scanned,
@@ -22,84 +25,215 @@ import (
 // the nodes constructed follow what was returned: a filter saves building
 // a version's view, not finding the version. A caller that reads nothing
 // of a top but its name, children and payload attributes asks for bare
-// tops (Window.Stamps): the same versions, each its stored payload, no top
+// tops (Read.Bare): the same versions, each its stored payload, no top
 // built and no lifespan stamped — charged the same, save the nodes.
 type Access interface {
-	// Filler returns one filler's versions visible at the evaluation
-	// instant. hole says the read crosses a hole; a stream's root and an
-	// incremental unit's own filler are reached without one. keep is asked
-	// exactly once per visible version, in validTime order, whatever it
-	// answers — an incremental unit selects the versions it re-runs by
-	// their position — and the read is charged what the unfiltered read is.
-	Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node
-	// Fillers returns the versions of a hole-id set — a child step —
-	// concatenated in input order, a repeated id contributing only at its
-	// first position. A child step that counts positions per parent passes
-	// a Window; a Window without Ends reads the set whole.
-	Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node
-	// ChargeFillers charges what Fillers(st, ids, nil, Window{}) charges —
-	// a read of bare tops when bare —, uncached and sequential, for
-	// distinct ids, and reads nothing: for a caller that holds what the
-	// read returns already (an incremental engine's memoized child terms).
-	// A budget trip panics, as in Fillers.
-	ChargeFillers(st *Store, ids []int, bare bool)
-	// FillersEach reads, in one pass, what several Fillers calls without a
-	// filter would read one after another — a for clause's body crossing
-	// each binding's holes. win.Ends closes the calls' id sets as it closes
-	// a window's groups: ids within a set are distinct, and an id may recur
-	// in other sets, each set getting its versions. win's positions count
-	// within each set, Ends and Examined receive each set's end in what the
-	// read returns and the versions it examined, and nothing is charged:
-	// ChargeEach charges one set what its own call charges. It reports
-	// false and reads nothing where a call's charge depends on the calls
-	// before it — a cache, which they warm, or a pass per hole; given no
-	// ids, it reads nothing and only reports which.
-	FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool)
-	// ChargeEach charges what a Fillers call of holes distinct ids charges
-	// when it examines examined versions and builds built (none for bare
-	// tops).
-	ChargeEach(st *Store, holes, examined, built int)
-	// ByTSID returns every version stored under a tsid, grouped by filler
-	// id ascending — a descendant step over the whole stream. It reads the
-	// set whole: of win it heeds Stamps alone.
-	ByTSID(st *Store, tsid int, keep Filter, win Window) []*xmldom.Node
+	// Read makes the read r asks for and returns the versions it keeps,
+	// and the read as one group (Group). A budget trip panics with the
+	// *budget.ResourceError, which the engine boundary contains.
+	Read(st *Store, r Read) ([]*xmldom.Node, Group)
+	// Charge charges g, one group of a deferred read (Read.Defer), what
+	// the group's own read charges: a read of g.Holes distinct holes that
+	// examines g.Examined versions and builds g.Built tops. A group that
+	// crossed no hole charges nothing.
+	Charge(st *Store, g Group)
 	// Arm makes ev the evaluation the reads are for from here on: an owner
 	// that runs one evaluation after another keeps one Access for them all.
 	Arm(ev Eval)
 }
 
-// Window is what a child step whose predicates count positions asks of its
-// read: the hole-id set falls into its parents' groups, and of each group's
-// versions — those the read's filter keeps, numbered from 1 in read order —
-// only the positions inside the window are built. Past the window's end the
-// read builds nothing more for the group, and it is charged what the
-// unwindowed read is: every visible version counts as examined. Only a
-// child step has a window; a descendant step's chain of reads would number
-// its versions across parents.
-type Window struct {
-	// Ends closes each parent's group: group g is ids[Ends[g-1]:Ends[g]],
-	// the first from 0, and the ids are distinct; nil reads the set whole,
-	// unwindowed. The read overwrites each entry — in the caller's array —
-	// with where its group ends in what the read returns.
-	Ends []int
-	// From and To are the first and last positions kept; To < From keeps
-	// none.
+// Source is what a read reads.
+type Source uint8
+
+const (
+	// FromHoles reads Read.IDs, the hole ids of a child step, in groups.
+	FromHoles Source = iota
+	// FromFiller reads filler Read.ID reached without a hole: a stream's
+	// root, an incremental unit's own filler. It is not memoized.
+	FromFiller
+	// FromHole reads filler Read.ID through the one hole that leads to it,
+	// as a projection or a materialization crosses holes one at a time.
+	FromHole
+	// FromTSID reads every version stored under tsid Read.ID, grouped by
+	// filler id ascending: a descendant step over the whole stream, the
+	// paper's filler[@tsid=…] predicate.
+	FromTSID
+)
+
+// Read is one read request: what it reads, which of the versions it
+// keeps, how it hands them out, and who charges it. Only a FromHoles read
+// has groups, a window, a dedupe scope or a deferred charge; the others
+// read their versions whole, as one group.
+type Read struct {
+	Source Source
+	// IDs are a FromHoles read's hole ids. They are the caller's scratch:
+	// the read drops repeated ids in place, and reports how many it kept
+	// as the returned Group's Holes.
+	IDs []int
+	// ID is the filler a FromFiller or FromHole read reads, the tsid a
+	// FromTSID read reads.
+	ID int
+	// Keep is the read's filter; nil keeps every version. A FromFiller
+	// read asks it exactly once per visible version, in validTime order,
+	// whatever it answers: an incremental unit selects the versions it
+	// re-runs by their position.
+	Keep Filter
+	// Groups closes IDs into groups — a child step's parents, a for
+	// clause's bindings —: group g is IDs[Groups[g-1].End:Groups[g].End],
+	// the first from 0. The read fills in each group's report, its End
+	// rewritten to where the group ends in what the read returns. nil reads
+	// IDs as one group, unwindowed, reported only as the whole.
+	Groups []Group
+	// From and To are the first and last positions each group keeps,
+	// numbered from 1 among the versions Keep lets through, in read order;
+	// To < From keeps none, and From 0 keeps every position. Past a group's
+	// window the read builds nothing more for the group, and it is charged
+	// what the unwindowed read is: every visible version counts as
+	// examined. Only a child step has a window; a descendant step's chain
+	// of reads would number its versions across parents.
 	From, To int
 	// Last keeps each group's last version instead.
 	Last bool
-	// Examined, when non-nil, receives each group's count of versions
-	// examined, entry for entry with Ends.
-	Examined []int
-	// Stamps, when non-nil, asks for bare tops: each kept version's stored
-	// payload in place of a new top stamped with its lifespan, for a
-	// caller that reads nothing of a top but its name, children and
-	// payload attributes. The read adds to Stamps what the stamps would
-	// have added to the returned tops' logical size
-	// (xmldom.Node.TreeSize), so that a caller metering bytes charges what
-	// the stamped read returns: entry for entry with Ends, or one entry
-	// when Ends is nil. A cached read returns the cache's stamped tops and
-	// adds nothing: bare is a permission, never an obligation.
-	Stamps []int
+	// Bare asks for bare tops: each kept version's stored payload in place
+	// of a new top stamped with its lifespan, for a caller that reads
+	// nothing of a top but its name, children and payload attributes. The
+	// read reports what the stamps would have added to the returned tops'
+	// logical size (Group.Stamps). A cached read returns the cache's
+	// stamped tops: bare is a permission, never an obligation.
+	Bare bool
+	// EachGroup drops an id repeated within its group only, so that an id
+	// may recur in other groups, each getting its versions — a for
+	// clause's bindings, each read as its own call reads it. Otherwise an
+	// id counts only at its first position in the read: a child step
+	// crossing several parents' holes reads a shared child once.
+	EachGroup bool
+	// Defer reads without charging anything: the caller charges each group
+	// when it takes it (Charge). Where a group's charge depends on the
+	// groups before it — through a cache, which they warm — a deferred read
+	// reads nothing and reports every group empty: each group's caller then
+	// reads for itself.
+	Defer bool
+}
+
+// Group is one group of a read as the read reports it, and, as Read
+// returns it, the whole read as one group. Every kind of access fills it
+// in, cached or not.
+type Group struct {
+	// End is where the group ends: in Read.IDs as the caller closes it,
+	// and, once read, in what the read returns.
+	End int
+	// Holes is the distinct hole ids the group crossed: none for a
+	// FromFiller or FromTSID read.
+	Holes int
+	// Examined is the versions the read examined: every visible version of
+	// the group's fillers, whatever Keep and the window turned away.
+	Examined int
+	// Built is the tops the read built: none for bare tops or a cache hit,
+	// every visible version's on a cache miss, which memoizes them all.
+	Built int
+	// Stamps is what the stamps of a bare read's tops would have added to
+	// their logical size (xmldom.Node.TreeSize), so that a caller metering
+	// bytes charges what the stamped read returns. A cached read hands out
+	// the cache's stamped tops and reports none.
+	Stamps int
+}
+
+// took adds to g what o read: its versions examined, its tops built and
+// their stamps.
+func (g *Group) took(o Group) {
+	g.Examined += o.Examined
+	g.Built += o.Built
+	g.Stamps += o.Stamps
+}
+
+// distinct drops each repeated id from r.IDs in place, keeping it at its
+// first position in the read — or, with EachGroup, in its group — and
+// closes each group where its ids now end, reporting their count as the
+// group's Holes. While the ids ascend, across the read or within each
+// group — how a fragmenter numbers one parent's holes, and the parents
+// themselves — no id can repeat, and it neither builds a set nor writes
+// to IDs. This is the one place a read's ids are deduped.
+func (r *Read) distinct() {
+	ids, groups := r.IDs, r.Groups
+	var whole [1]Group
+	if groups == nil {
+		whole[0].End = len(ids)
+		groups = whole[:]
+	}
+	ascending, lo := true, 0
+	for _, g := range groups {
+		from := max(lo, 1)
+		if r.EachGroup {
+			from = lo + 1
+		}
+		for i := from; i < g.End && ascending; i++ {
+			ascending = ids[i-1] < ids[i]
+		}
+		lo = g.End
+	}
+	var seen map[int]bool
+	if !ascending {
+		seen = make(map[int]bool, len(ids))
+	}
+	n := 0
+	lo = 0
+	for i := range groups {
+		hi, start := groups[i].End, n
+		if seen == nil {
+			n = hi
+		} else {
+			if r.EachGroup {
+				clear(seen)
+			}
+			for _, id := range ids[lo:hi] {
+				if !seen[id] {
+					seen[id] = true
+					ids[n] = id
+					n++
+				}
+			}
+		}
+		groups[i] = Group{End: n, Holes: n - start}
+		lo = hi
+	}
+	r.IDs = ids[:n]
+}
+
+// each runs a read of ids — r's, or a tsid's fillers — group by group:
+// visit reads ids[lo:hi], one group, and returns what it read, End the length of the read's output
+// after it, which becomes the group's End. visit reads under the filter
+// w narrowed (windowKeep.narrow), which each opens for the group. A read without Groups is
+// one group, unwindowed. each returns the read as one group.
+func (r *Read) each(st *Store, at time.Time, ids []int, w *windowKeep, visit func(lo, hi int) Group) Group {
+	if r.Groups == nil {
+		g := visit(0, len(ids))
+		g.Holes = len(ids)
+		return g
+	}
+	var total Group
+	lo := 0
+	for i := range r.Groups {
+		g := &r.Groups[i]
+		hi := g.End
+		w.open(r, st, ids[lo:hi], at)
+		took := visit(lo, hi)
+		g.End = took.End
+		g.took(took)
+		total.took(took)
+		total.Holes += g.Holes
+		total.End = took.End
+		lo = hi
+	}
+	return total
+}
+
+// narrow is the filter a read reads its groups under: keep narrowed to
+// the window through w, or keep itself for a read without groups.
+func (w *windowKeep) narrow(keep Filter, grouped bool) Filter {
+	if w.keep = keep; !grouped {
+		return keep
+	}
+	return w.admit
 }
 
 // windowKeep narrows a read's filter to one group's window at a time: it
@@ -119,66 +253,19 @@ func (w *windowKeep) admit(v Version) bool {
 	return w.n >= w.from
 }
 
-// stampsOf is the one-entry Stamps of group g's read: nil, stamped, when
-// w asks for stamped tops.
-func (w Window) stampsOf(g int) []int {
-	if w.Stamps == nil {
-		return nil
-	}
-	return w.Stamps[g : g+1]
-}
-
-// open readies w for gids, one group of win: for Last, what keep lets
+// open readies w for gids, one group of r: for Last, what keep lets
 // through of the group is counted off the store's index first.
-func (w *windowKeep) open(win Window, st *Store, gids []int, at time.Time) {
-	w.from, w.to, w.n = win.From, win.To, 0
-	if win.Last {
+func (w *windowKeep) open(r *Read, st *Store, gids []int, at time.Time) {
+	w.n = 0
+	switch {
+	case r.Last:
 		w.from = st.kept(gids, at, w.keep)
 		w.to = w.from
+	case r.From == 0:
+		w.from, w.to = 1, math.MaxInt
+	default:
+		w.from, w.to = r.From, r.To
 	}
-}
-
-// groups runs a windowed read group by group: visit reads ids[lo:hi], one
-// parent's group, under keep narrowed to the window, and returns the
-// length of the read's output after it, which becomes the group's entry in
-// Ends.
-func (win Window) groups(st *Store, ids []int, at time.Time, keep Filter, visit func(lo, hi int, keep Filter) int) {
-	w := windowKeep{keep: keep}
-	narrowed := Filter(w.admit)
-	lo := 0
-	for g, hi := range win.Ends {
-		w.open(win, st, ids[lo:hi], at)
-		win.Ends[g] = visit(lo, hi, narrowed)
-		lo = hi
-	}
-}
-
-// siftSlots applies a read's filter, and its window when it has one, to
-// versions built already: slots[i] holds the versions of ids[i].
-func siftSlots(st *Store, ids []int, at time.Time, slots [][]*xmldom.Node, keep Filter, win Window) []*xmldom.Node {
-	var out []*xmldom.Node
-	appendKept := func(slots [][]*xmldom.Node, keep Filter) {
-		for _, els := range slots {
-			if keep == nil {
-				out = append(out, els...)
-				continue
-			}
-			for _, el := range els {
-				if keep(Version{top: el}) {
-					out = append(out, el)
-				}
-			}
-		}
-	}
-	if win.Ends == nil {
-		appendKept(slots, keep)
-		return out
-	}
-	win.groups(st, ids, at, keep, func(lo, hi int, keep Filter) int {
-		appendKept(slots[lo:hi], keep)
-		return len(out)
-	})
-	return out
 }
 
 // AccessKind names an Access implementation.
@@ -203,7 +290,8 @@ type Eval struct {
 	// Budget is charged one step — a cancellation poll — per pass of a
 	// log-scanned hole-id set; nil is unlimited.
 	Budget *budget.Budget
-	// Cache memoizes the log passes; nil disables it.
+	// Cache memoizes the reads that cross holes and the reads by tsid;
+	// nil disables it.
 	Cache *Cache
 }
 
@@ -220,86 +308,111 @@ type logScan struct{ Eval }
 
 func (a *logScan) Arm(ev Eval) { a.Eval = ev }
 
-// chargePass charges one lookup pass that examined n versions and built a
-// top element for each of built.
-func (a *logScan) chargePass(st *Store, n, built int) {
-	a.Stats.AddFillers(st.LookupCost(n))
-	a.Stats.AddNodes(built)
-}
-
-// chargeCached charges one probe of the cache, whose entries hold every
-// version's top: a hit replaces the pass, a miss pays for all of it. The
-// filter then runs over the cached tops — the cache key has no filter
-// dimension, so one entry serves every query that reads the filler.
-func (a *logScan) chargeCached(st *Store, hit bool, all []*xmldom.Node) {
-	if hit {
-		a.Stats.AddCacheHits(1)
-		return
-	}
-	a.Stats.AddCacheMisses(1)
-	a.chargePass(st, len(all), len(all))
-}
-
-func (a *logScan) Filler(st *Store, id int, hole bool, keep Filter) []*xmldom.Node {
-	return a.filler(st, id, hole, keep, nil)
-}
-
-// filler is Filler, of bare tops when stamps is non-nil (a one-entry
-// Window.Stamps).
-func (a *logScan) filler(st *Store, id int, hole bool, keep Filter, stamps []int) []*xmldom.Node {
-	if hole {
-		a.Stats.AddHoles(1)
-	}
-	if a.Cache == nil || !hole {
-		// what no hole leads to is read once per evaluation: not memoized
-		els, n := st.lookup([]int{id}, a.At, keep, Window{Stamps: stamps})
-		a.chargePass(st, n, builtOf(len(els), stamps != nil))
-		return els
-	}
-	all, hit := a.Cache.GetFillers(st, id, a.At)
-	a.chargeCached(st, hit, all)
-	return keep.Sift(all)
-}
-
-// Fillers issues one pass per hole: the per-hole cost the QaC plan pays
-// and the batched read avoids. A repeated id is read, charged and
-// returned at its first position only. A budget trip panics with the
-// *budget.ResourceError and is contained at the engine boundary. A window
+// Read issues one pass per hole: the per-hole cost the QaC plan pays and
+// the batched read avoids, each hole's pass a step of the budget. A window
 // numbers versions across a group's holes, so a windowed read passes them
 // group by group.
-func (a *logScan) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
+func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
+	switch r.Source {
+	case FromFiller, FromHole:
+		return a.one(st, 0, r.ID, r.Source == FromHole, r.Keep, r.Bare, true)
+	case FromTSID:
+		return a.one(st, r.ID, 0, false, r.Keep, r.Bare, true)
+	}
+	if !a.holes(&r) {
+		return nil, Group{}
+	}
 	var out []*xmldom.Node
-	if win.Ends != nil {
-		g := 0
-		win.groups(st, ids, a.At, keep, func(lo, hi int, keep Filter) int {
-			stamps := win.stampsOf(g)
-			g++
-			for _, id := range ids[lo:hi] {
+	var w windowKeep
+	keep := w.narrow(r.Keep, r.Groups != nil)
+	total := r.each(st, a.At, r.IDs, &w, func(lo, hi int) Group {
+		var g Group
+		for _, id := range r.IDs[lo:hi] {
+			if !r.Defer {
 				a.Budget.MustStep()
-				out = append(out, a.filler(st, id, true, keep, stamps)...)
 			}
-			return len(out)
-		})
-		return out
-	}
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			continue
+			els, took := a.one(st, 0, id, true, keep, r.Bare, !r.Defer)
+			out = append(out, els...)
+			g.took(took)
 		}
-		seen[id] = true
-		a.Budget.MustStep()
-		out = append(out, a.filler(st, id, true, keep, win.Stamps)...)
-	}
-	return out
+		g.End = len(out)
+		return g
+	})
+	return out, total
 }
 
-func (a *logScan) ChargeFillers(st *Store, ids []int, bare bool) {
-	for _, id := range ids {
+// holes readies a FromHoles read, its ids deduped (Read.distinct), and
+// reports whether the read goes ahead: a deferred read through a cache
+// reads nothing and reports every group empty instead.
+func (a *logScan) holes(r *Read) bool {
+	if r.Defer && a.Cache != nil {
+		clear(r.Groups)
+		return false
+	}
+	r.distinct()
+	return true
+}
+
+// one is one pass: a read of filler id, through a hole when hole, or, when
+// tsid > 0, the paper's filler[@tsid=…] predicate, answered by the tsid
+// index on an indexed store. It is charged when charge is set, as a
+// deferred read never reaches the cache (holes). A hole's read and a
+// tsid's are memoized when there is a cache, the filter then running over
+// the cached tops — the cache key has no filter dimension, so one entry
+// serves every query that reads the filler; what no hole leads to is read
+// once per evaluation.
+func (a *logScan) one(st *Store, tsid, id int, hole bool, keep Filter, bare, charge bool) ([]*xmldom.Node, Group) {
+	ids := [1]int{id}
+	holes := 0
+	if hole {
+		holes = 1
+	}
+	var els []*xmldom.Node
+	var g Group
+	if a.Cache == nil || !hole && tsid == 0 {
+		els, g = st.lookup(ids[:], tsid, a.At, Read{Keep: keep, Bare: bare})
+		g.Holes = holes
+		if charge {
+			a.charge(st, g, 1)
+		}
+	} else {
+		var slot [1]cachedSlot
+		hits, misses, built := a.Cache.get(st, tsid, ids[:], a.At, slot[:])
+		els = keep.Sift(slot[0].els)
+		g = Group{End: len(els), Holes: holes, Examined: len(slot[0].els), Built: built}
+		a.Stats.AddHoles(holes)
+		a.chargeCache(st, hits, misses, built)
+	}
+	if tsid > 0 {
+		a.Stats.AddTSIDLookup(g.Examined)
+	}
+	return els, g
+}
+
+// Charge charges a deferred group a step and a pass per hole.
+func (a *logScan) Charge(st *Store, g Group) {
+	for range g.Holes {
 		a.Budget.MustStep()
-		a.Stats.AddHoles(1)
-		n := st.visible(id, a.At)
-		a.chargePass(st, n, builtOf(n, bare))
+	}
+	a.charge(st, g, g.Holes)
+}
+
+// charge charges a read of g's holes that made passes lookup passes
+// between them, examining g's versions and building its tops.
+func (a *logScan) charge(st *Store, g Group, passes int) {
+	a.Stats.AddHoles(g.Holes)
+	a.Stats.AddFillers(st.PassCost(passes, g.Examined))
+	a.Stats.AddNodes(g.Built)
+}
+
+// chargeCache charges a read the cache served: each hit replaces its
+// pass, and the misses share one pass that built every version of theirs.
+func (a *logScan) chargeCache(st *Store, hits, misses, built int) {
+	a.Stats.AddCacheHits(hits)
+	a.Stats.AddCacheMisses(misses)
+	if misses > 0 {
+		a.Stats.AddFillers(st.PassCost(1, built))
+		a.Stats.AddNodes(built)
 	}
 }
 
@@ -312,73 +425,59 @@ func builtOf(n int, bare bool) int {
 	return n
 }
 
-func (a *logScan) FillersEach(*Store, []int, Window) ([]*xmldom.Node, bool) { return nil, false }
-
-// ChargeEach is never asked: a pass per hole reads each call itself.
-func (a *logScan) ChargeEach(*Store, int, int, int) {}
-
-// ByTSID is the paper's filler[@tsid=…] predicate: one pass, answered
-// by the tsid index on an indexed store. Only QaC+'s translations ask
-// for it.
-func (a *logScan) ByTSID(st *Store, tsid int, keep Filter, win Window) []*xmldom.Node {
-	if a.Cache == nil {
-		els, n := st.lookupTSID(tsid, a.At, keep, win.Stamps)
-		a.Stats.AddTSIDLookup(n)
-		a.chargePass(st, n, builtOf(len(els), win.Stamps != nil))
-		return els
-	}
-	all, hit := a.Cache.GetFillersByTSID(st, tsid, a.At)
-	a.Stats.AddTSIDLookup(len(all))
-	a.chargeCached(st, hit, all)
-	return keep.Sift(all)
-}
-
 type tsidIndex struct{ logScan }
 
-// Fillers resolves the whole id set in one pass, windowed or not; with a
-// cache, resident ids are served from memory and only the misses share
-// that pass.
-func (a *tsidIndex) Fillers(st *Store, ids []int, keep Filter, win Window) []*xmldom.Node {
-	if len(ids) == 0 {
-		return nil
+// Read resolves a hole-id set in one pass, windowed or not; with a cache,
+// resident ids are served from memory and only the misses share that
+// pass. Its other reads are the log scan's.
+func (a *tsidIndex) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
+	if r.Source != FromHoles {
+		return a.logScan.Read(st, r)
 	}
-	a.Stats.AddHoles(len(ids))
-	ids = distinctIDs(ids)
+	if !a.holes(&r) || len(r.IDs) == 0 {
+		return nil, Group{}
+	}
 	if a.Cache == nil {
-		els, n := st.lookup(ids, a.At, keep, win)
-		a.chargePass(st, n, builtOf(len(els), win.Stamps != nil))
-		return els
+		els, g := st.lookup(r.IDs, 0, a.At, r)
+		g.Holes = len(r.IDs)
+		if !r.Defer {
+			a.charge(st, g, 1)
+		}
+		return els, g
 	}
-	slots, hits, misses, built := a.Cache.GetFillersList(st, ids, a.At)
-	if misses > 0 {
-		a.chargePass(st, built, built)
-	}
-	a.Stats.AddCacheHits(hits)
-	a.Stats.AddCacheMisses(misses)
-	return siftSlots(st, ids, a.At, slots, keep, win)
+	slots := make([]cachedSlot, len(r.IDs))
+	hits, misses, built := a.Cache.get(st, 0, r.IDs, a.At, slots)
+	a.Stats.AddHoles(len(r.IDs))
+	a.chargeCache(st, hits, misses, built)
+	var out []*xmldom.Node
+	var w windowKeep
+	keep := w.narrow(r.Keep, r.Groups != nil)
+	total := r.each(st, a.At, r.IDs, &w, func(lo, hi int) Group {
+		var g Group
+		for _, s := range slots[lo:hi] {
+			g.Examined += len(s.els)
+			if !s.hit {
+				g.Built += len(s.els)
+			}
+			if keep == nil {
+				out = append(out, s.els...)
+				continue
+			}
+			for _, el := range s.els {
+				if keep(Version{top: el}) {
+					out = append(out, el)
+				}
+			}
+		}
+		g.End = len(out)
+		return g
+	})
+	return out, total
 }
 
-// FillersEach makes the calls' one pass, unless a cache serves them.
-func (a *tsidIndex) FillersEach(st *Store, ids []int, win Window) ([]*xmldom.Node, bool) {
-	if a.Cache != nil || len(ids) == 0 {
-		return nil, a.Cache == nil
+// Charge charges a deferred group its share of the one pass.
+func (a *tsidIndex) Charge(st *Store, g Group) {
+	if g.Holes > 0 {
+		a.charge(st, g, 1)
 	}
-	els, _ := st.lookup(ids, a.At, nil, win)
-	return els, true
-}
-
-func (a *tsidIndex) ChargeEach(st *Store, holes, examined, built int) {
-	a.Stats.AddHoles(holes)
-	a.chargePass(st, examined, built)
-}
-
-func (a *tsidIndex) ChargeFillers(st *Store, ids []int, bare bool) {
-	if len(ids) == 0 {
-		return
-	}
-	n := 0
-	for _, id := range ids {
-		n += st.visible(id, a.At)
-	}
-	a.ChargeEach(st, len(ids), n, builtOf(n, bare))
 }

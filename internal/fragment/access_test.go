@@ -69,11 +69,35 @@ func twoTSIDStore(t *testing.T, scan bool) *fragment.Store {
 	return st
 }
 
-// TestAccessContract runs the three reads every plan performs through
-// the three access implementations, over generated indexed and scan
-// stores, with the cache absent, cold and warm: the elements are
-// byte-identical whichever index serves them, and each implementation
-// moves exactly the counters it owns.
+// groupsAt closes a read's ids into groups ending at ends.
+func groupsAt(ends ...int) []fragment.Group {
+	groups := make([]fragment.Group, len(ends))
+	for i, end := range ends {
+		groups[i].End = end
+	}
+	return groups
+}
+
+// readOf makes r through a and returns what it returned and reported: its
+// groups' reports, then the read's as one group. r's ids and groups are
+// copied first: a read drops repeated ids in place, and reports in its
+// groups.
+func readOf(a fragment.Access, st *fragment.Store, r fragment.Read) ([]*xmldom.Node, []fragment.Group) {
+	r.IDs, r.Groups = slices.Clone(r.IDs), slices.Clone(r.Groups)
+	els, g := a.Read(st, r)
+	return els, append(r.Groups, g)
+}
+
+// TestAccessContract makes a read of every request shape — hole ids whole,
+// in groups deduped across the read or within each group, windowed, for
+// the last version, of bare tops; one hole at a time; a filler reached
+// without a hole; by tsid — through both access implementations, over
+// generated indexed and scan stores, with the cache absent, cold and warm:
+// the elements are byte-identical whichever index serves them, each
+// implementation moves exactly the counters it owns, and the report every
+// read fills in is the same whoever serves it, save what a cache hit does
+// not build and its stamped tops. A deferred read, charged group by group,
+// equals the groups' own reads made in turn.
 func TestAccessContract(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -83,7 +107,7 @@ func TestAccessContract(t *testing.T) {
 		{"tsid-index", fragment.TSIDIndexAccess},
 	}
 	for _, scan := range []bool{false, true} {
-		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan})
+		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +125,7 @@ func TestAccessContract(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		if len(ids) < 3 {
+		if len(ids) < 8 {
 			t.Fatalf("generated store holds only %d fillers", len(ids))
 		}
 		var tsids []int
@@ -112,16 +136,25 @@ func TestAccessContract(t *testing.T) {
 		}
 		// passCost is what one lookup pass returning n elements costs
 		// under the store's model
-		passCost := func(n int) int64 { return int64(st.LookupCost(n)) }
+		passCost := func(n int) int64 { return int64(st.PassCost(1, n)) }
+		uncached := func() fragment.Access { return fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}) }
+		// whole is the elements of a read of distinct ids as one set
+		whole := func(ids ...int) []*xmldom.Node {
+			els, _ := readOf(uncached(), st, fragment.Read{IDs: ids})
+			return els
+		}
 
-		// one read of each kind; want states, per implementation and cache
-		// state, the charges of running it once
-		type read struct {
-			name string
-			run  func(fragment.Access) []*xmldom.Node
-			want func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges
-			// elements, when set, spells out what the read returns
-			elements string
+		// one row per request shape; want states, per implementation and
+		// cache state, the charges of running it once, and oracle what it
+		// returns as simpler reads spell it
+		type row struct {
+			name     string
+			run      func(fragment.Access) ([]*xmldom.Node, []fragment.Group)
+			want     func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges
+			oracle   func() []*xmldom.Node
+			elements string // spelled out, when set
+			bare     bool
+			several  bool // several reads, each reported as one group
 		}
 		two := twoTSIDStore(t, scan)
 		perID := func(els []*xmldom.Node, n int, cached, warm bool) charges {
@@ -140,25 +173,76 @@ func TestAccessContract(t *testing.T) {
 			}
 			return c
 		}
+		batched := func(kind fragment.AccessKind, n int, cached, warm bool, els []*xmldom.Node) charges {
+			if kind == fragment.LogScanAccess {
+				return perID(els, n, cached, warm)
+			}
+			// one pass for the whole batch
+			c := charges{holes: int64(n)}
+			if warm {
+				c.hits = int64(n)
+				return c
+			}
+			c.fillers = passCost(len(els))
+			if cached {
+				c.misses = int64(n)
+			}
+			return c
+		}
 		dupIDs := []int{ids[1], ids[0], ids[1], 1 << 20, ids[2], ids[0]}
-		reads := []read{
+		// three parents' groups sharing ids, one of them repeating its own
+		grouped := fragment.Read{IDs: []int{ids[0], ids[1], ids[2], ids[1], ids[3], ids[4], ids[4], ids[0]}, Groups: groupsAt(3, 5, 8)}
+		inTurn := func(r fragment.Read) func() []*xmldom.Node {
+			// each group's own read, in turn, positions counted within it
+			return func() (out []*xmldom.Node) {
+				lo := 0
+				for _, g := range r.Groups {
+					own := r
+					own.IDs, own.Groups = r.IDs[lo:g.End], groupsAt(g.End-lo)
+					els, _ := readOf(uncached(), st, own)
+					out = append(out, els...)
+					lo = g.End
+				}
+				return out
+			}
+		}
+		windowed := func(name string, w fragment.Read) row {
+			w.IDs, w.Groups, w.EachGroup = grouped.IDs, grouped.Groups, true
+			return row{
+				name:   name,
+				run:    func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) { return readOf(a, st, w) },
+				oracle: inTurn(w),
+			}
+		}
+		rows := []row{
 			{
-				name: "filler",
-				run: func(a fragment.Access) []*xmldom.Node {
-					var out []*xmldom.Node
+				name: "whole-set",
+				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
+					return readOf(a, st, fragment.Read{IDs: ids})
+				},
+				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
+					return batched(kind, len(ids), cached, warm, els)
+				},
+			},
+			{
+				name: "one-hole",
+				run: func(a fragment.Access) (out []*xmldom.Node, groups []fragment.Group) {
 					for _, id := range ids {
-						out = append(out, a.Filler(st, id, true, nil)...)
+						els, g := readOf(a, st, fragment.Read{Source: fragment.FromHole, ID: id})
+						out, groups = append(out, els...), append(groups, g...)
 					}
-					return out
+					return out, groups
 				},
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
 					return perID(els, len(ids), cached, warm)
 				},
+				oracle:  func() []*xmldom.Node { return whole(ids...) },
+				several: true,
 			},
 			{
-				name: "filler-no-hole",
-				run: func(a fragment.Access) []*xmldom.Node {
-					return a.Filler(st, fragment.RootFillerID, false, nil)
+				name: "hole-less",
+				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
+					return readOf(a, st, fragment.Read{Source: fragment.FromFiller, ID: fragment.RootFillerID})
 				},
 				want: func(kind fragment.AccessKind, _, _ bool, els []*xmldom.Node) charges {
 					// the root is reached without a hole: no hole counted,
@@ -167,37 +251,48 @@ func TestAccessContract(t *testing.T) {
 				},
 			},
 			{
-				name: "fillers",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					if kind == fragment.LogScanAccess {
-						return perID(els, len(ids), cached, warm)
-					}
-					// one pass for the whole batch
-					c := charges{holes: int64(len(ids))}
-					if warm {
-						c.hits = int64(len(ids))
-						return c
-					}
-					c.fillers = passCost(len(els))
-					if cached {
-						c.misses = int64(len(ids))
-					}
-					return c
+				name: "whole-set-repeated-and-unknown-ids",
+				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
+					return readOf(a, st, fragment.Read{IDs: dupIDs})
 				},
+				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
+					// four distinct ids, the unknown one among them
+					return batched(kind, 4, cached, warm, els)
+				},
+				oracle: func() []*xmldom.Node { return whole(ids[1], ids[0], 1<<20, ids[2]) },
 			},
 			{
-				name: "fillers-repeated-and-unknown-ids",
-				run:  func(a fragment.Access) []*xmldom.Node { return a.Fillers(st, dupIDs, nil, fragment.Window{}) },
+				// an id counts at its first position in the read: the third
+				// group's ids were all read before it
+				name: "grouped-deduped-across-the-read",
+				run:  func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) { return readOf(a, st, grouped) },
+				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
+					return batched(kind, 5, cached, warm, els)
+				},
+				oracle: func() []*xmldom.Node { return whole(ids[0], ids[1], ids[2], ids[3], ids[4]) },
+			},
+			windowed("grouped-deduped-within-each-group", fragment.Read{}),
+			windowed("windowed-[1]", fragment.Read{From: 1, To: 1}),
+			windowed("windowed-[<=2]", fragment.Read{From: 1, To: 2}),
+			windowed("last", fragment.Read{Last: true}),
+			{
+				// bare tops are the stored payloads, their stamps reported
+				// as bytes; a cache hands out its stamped tops and reports
+				// none
+				name: "bare",
+				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
+					return readOf(a, st, fragment.Read{IDs: grouped.IDs, Groups: grouped.Groups, Bare: true})
+				},
+				bare: true,
 			},
 			{
 				name: "by-tsid",
-				run: func(a fragment.Access) []*xmldom.Node {
-					var out []*xmldom.Node
+				run: func(a fragment.Access) (out []*xmldom.Node, groups []fragment.Group) {
 					for _, tsid := range tsids {
-						out = append(out, a.ByTSID(st, tsid, nil, fragment.Window{})...)
+						els, g := readOf(a, st, fragment.Read{Source: fragment.FromTSID, ID: tsid})
+						out, groups = append(out, els...), append(groups, g...)
 					}
-					return out
+					return out, groups
 				},
 				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
 					n := int64(len(tsids))
@@ -215,28 +310,39 @@ func TestAccessContract(t *testing.T) {
 					}
 					return c
 				},
+				several: true,
 			},
 			{
 				// a read by tsid returns the versions carrying the tsid, and
 				// only those; a version's lifespan is closed by the filler's
 				// next version, whichever tsid that one carries
 				name: "by-tsid-of-a-filler-id-under-two-tsids",
-				run: func(a fragment.Access) []*xmldom.Node {
-					return append(a.ByTSID(two, 2, nil, fragment.Window{}), a.ByTSID(two, 3, nil, fragment.Window{})...)
+				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
+					els2, g2 := readOf(a, two, fragment.Read{Source: fragment.FromTSID, ID: 2})
+					els3, g3 := readOf(a, two, fragment.Read{Source: fragment.FromTSID, ID: 3})
+					return append(els2, els3...), append(g2, g3...)
 				},
 				elements: `<a vtFrom="2004-01-01T00:00:00" vtTo="2004-01-01T01:00:00">one</a>
 <a vtFrom="2004-01-01T02:00:00" vtTo="now">three</a>
 <b vtFrom="2004-01-01T01:00:00" vtTo="2004-01-01T02:00:00">two</b>
 `,
+				several: true,
 			},
 		}
-		for _, rd := range reads {
-			reference := render(rd.run(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at})))
+		stamped := whole(ids[:5]...) // what the bare row reads, stamped
+		for _, rd := range rows {
+			refEls, refGroups := rd.run(uncached())
+			reference := render(refEls)
 			if reference == "" {
 				t.Fatalf("scan=%v %s: reference read is empty", scan, rd.name)
 			}
 			if rd.elements != "" && reference != rd.elements {
 				t.Errorf("scan=%v %s: the log scan returned\n%s\nwant\n%s", scan, rd.name, reference, rd.elements)
+			}
+			if rd.oracle != nil {
+				if want := render(rd.oracle()); reference != want {
+					t.Errorf("scan=%v %s: the log scan returned\n%s\nits oracle\n%s", scan, rd.name, reference, want)
+				}
 			}
 			for _, k := range kinds {
 				for _, state := range []string{"nil", "cold", "warm"} {
@@ -249,9 +355,52 @@ func TestAccessContract(t *testing.T) {
 						rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Cache: cache}))
 					}
 					stats := &obs.EvalStats{}
-					els := rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Stats: stats, Cache: cache}))
-					if got := render(els); got != reference {
+					els, groups := rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Stats: stats, Cache: cache}))
+					if rd.bare {
+						// the stamps a bare read reports are what the stamped
+						// read's tops weigh beyond its payloads; cached, the
+						// read is the stamped one
+						size := int64(0)
+						for _, el := range els {
+							size += int64(el.TreeSize())
+						}
+						var want int64
+						for _, el := range stamped {
+							want += int64(el.TreeSize())
+						}
+						total := groups[len(groups)-1]
+						if got := size + int64(total.Stamps); got != want {
+							t.Errorf("%s: %d bytes of tops and %d of stamps, the stamped read's are %d", name, size, total.Stamps, want)
+						}
+						if cache != nil && (render(els) != render(stamped) || total.Stamps != 0) {
+							t.Errorf("%s: a cached read returned other than its stamped tops, or reported %d bytes of stamps", name, total.Stamps)
+						}
+						if cache == nil && stats.NodesConstructed != 0 {
+							t.Errorf("%s: built %d tops", name, stats.NodesConstructed)
+						}
+					} else if got := render(els); got != reference {
 						t.Errorf("%s: elements differ from the log scan's:\n%s\nwant:\n%s", name, got, reference)
+					}
+					// the report: the same whoever serves the read, save
+					// the tops built and a cache's stamps
+					if len(groups) != len(refGroups) {
+						t.Fatalf("%s: %d reports, the log scan's %d", name, len(groups), len(refGroups))
+					}
+					built := 0
+					for i, g := range groups {
+						ref := refGroups[i]
+						if cache != nil {
+							ref.Stamps = 0
+						}
+						if g.End != ref.End || g.Holes != ref.Holes || g.Examined != ref.Examined || g.Stamps != ref.Stamps {
+							t.Errorf("%s: report %d is %+v, the log scan's %+v", name, i, g, refGroups[i])
+						}
+						if rd.several || i == len(groups)-1 {
+							built += g.Built // a read as one group
+						}
+					}
+					if int64(built) != stats.NodesConstructed {
+						t.Errorf("%s: reports built %d tops, %d charged", name, built, stats.NodesConstructed)
 					}
 					if rd.want == nil {
 						continue
@@ -262,6 +411,7 @@ func TestAccessContract(t *testing.T) {
 				}
 			}
 		}
+		deferredRow(t, st, scan)
 		// an incremental unit's read — a filler reached without a hole — asks
 		// its filter once per visible version, in validTime order, whatever
 		// the filter answers, so that a unit can select its versions by
@@ -276,7 +426,7 @@ func TestAccessContract(t *testing.T) {
 						var visible []*xmldom.Node
 						for _, v := range st.Versions(id) {
 							if !v.ValidTime.After(when) {
-								visible = append(visible, v.Payload)
+								visible = append(visible, v.Tree())
 							} else {
 								hidden++
 							}
@@ -285,10 +435,10 @@ func TestAccessContract(t *testing.T) {
 							multi++
 						}
 						plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
-						all := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain, Cache: cache}).Filler(st, id, false, nil)
+						all, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain, Cache: cache}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id})
 						var asked []*xmldom.Node
 						odd := func(v fragment.Version) bool { asked = append(asked, v.Payload()); return len(asked)%2 == 1 }
-						kept := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered, Cache: cache}).Filler(st, id, false, odd)
+						kept, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered, Cache: cache}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id, Keep: odd})
 						if !slices.Equal(asked, visible) {
 							t.Errorf("%s: filter asked about %d payloads, want the %d visible versions' in validTime order", name, len(asked), len(visible))
 						}
@@ -308,8 +458,138 @@ func TestAccessContract(t *testing.T) {
 		// the census EXPLAIN predicts tsid reads from is what they return
 		for _, tsid := range tsids {
 			_, versions := st.TSIDFillers(tsid)
-			if got := len(fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: at}).ByTSID(st, tsid, nil, fragment.Window{})); got != versions {
-				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, got)
+			if got, _ := readOf(uncached(), st, fragment.Read{Source: fragment.FromTSID, ID: tsid}); len(got) != versions {
+				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, len(got))
+			}
+		}
+	}
+}
+
+// deferredRow is TestAccessContract's deferred row. A for clause's
+// read-ahead reads several bindings' id sets as the groups of one deferred
+// read, ids repeated across the sets and within one, an unknown id among
+// them, one set empty: the read returns what each set's own read returns,
+// in turn, with the same window per set, and charges nothing — no counter,
+// no budget step; each group charged through Charge then charges what its
+// own read charged. Charged as one group, the deferred read charges what
+// the read made at once charges, and so does a read of no position whose
+// report counts every version examined as built: a fold's charge for the
+// child step it does not make. Through a cache a deferred read reads and
+// charges nothing, and reports every group empty.
+func deferredRow(t *testing.T, st *fragment.Store, scan bool) {
+	t.Helper()
+	windows := map[string]fragment.Read{
+		"every":    {},
+		"[1]":      {From: 1, To: 1},
+		"[last()]": {Last: true},
+		"[<=2]":    {From: 1, To: 2},
+	}
+	fids := st.FillerIDs()[1:]
+	sets := [][]int{fids[0:3], fids[1:4], {}, fids[0:3], {fids[4], fids[4], fids[3]}, fids[5:6], append(slices.Clone(fids[2:8]), 1<<20)}
+	var ids, ends []int
+	for _, set := range sets {
+		ids = append(ids, set...)
+		ends = append(ends, len(ids))
+	}
+	type spent struct {
+		stats obs.EvalStats
+		steps int64
+	}
+	access := func(kind fragment.AccessKind, at time.Time, cache *fragment.Cache, s *spent, b *budget.Budget) fragment.Access {
+		return fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &s.stats, Budget: b, Cache: cache})
+	}
+	for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
+		for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
+			for wname, w := range windows {
+				for _, state := range []string{"nil", "cold", "warm"} {
+					name := fmt.Sprintf("scan=%v/deferred/%d/%s/at=%s/cache-%s", scan, kind, wname, at.Format(time.DateTime), state)
+					var cache *fragment.Cache
+					if state != "nil" {
+						cache = fragment.NewCache(1 << 16)
+					}
+					if state == "warm" {
+						readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: cache}), st, fragment.Read{IDs: ids})
+					}
+					// each set's own read, in turn
+					var calls spent
+					var callsBudget budget.Budget
+					var want []*xmldom.Node
+					var wantEnds []int
+					for _, set := range sets {
+						own := w
+						own.IDs, own.Groups = set, groupsAt(len(set))
+						els, _ := readOf(access(kind, at, nil, &calls, &callsBudget), st, own)
+						want = append(want, els...)
+						wantEnds = append(wantEnds, len(want))
+					}
+					calls.steps, _, _ = callsBudget.Used()
+					// the one deferred read
+					var each spent
+					var eachBudget budget.Budget
+					acc := access(kind, at, cache, &each, &eachBudget)
+					r := w
+					r.IDs, r.Groups, r.EachGroup, r.Defer = ids, groupsAt(ends...), true, true
+					got, groups := readOf(acc, st, r)
+					groups = groups[:len(sets)]
+					if steps, _, _ := eachBudget.Used(); each.stats != (obs.EvalStats{}) || steps != 0 {
+						t.Errorf("%s: the deferred read charged %+v, %d steps", name, each.stats, steps)
+					}
+					if cache != nil {
+						if got != nil || slices.ContainsFunc(groups, func(g fragment.Group) bool { return g != fragment.Group{} }) {
+							t.Errorf("%s: a deferred read through a cache read %d versions, reported %+v", name, len(got), groups)
+						}
+						continue
+					}
+					gotEnds := make([]int, len(groups))
+					for g := range groups {
+						gotEnds[g] = groups[g].End
+					}
+					if render(got) != render(want) || !slices.Equal(gotEnds, wantEnds) {
+						t.Fatalf("%s: read\n%s%v\nthe sets' own reads in turn\n%s%v", name, render(got), gotEnds, render(want), wantEnds)
+					}
+					for _, g := range groups {
+						acc.Charge(st, g)
+					}
+					each.steps, _, _ = eachBudget.Used()
+					if each != calls {
+						t.Errorf("%s: charged group by group\n%+v\nthe sets' own reads charged\n%+v", name, each, calls)
+					}
+					// the read as one group, deferred or made at once
+					var once, whole spent
+					var onceBudget, wholeBudget budget.Budget
+					r.Defer = false
+					readOf(access(kind, at, nil, &once, &onceBudget), st, r)
+					r.Defer = true
+					acc = access(kind, at, nil, &whole, &wholeBudget)
+					_, groups = readOf(acc, st, r)
+					acc.Charge(st, groups[len(groups)-1])
+					once.steps, _, _ = onceBudget.Used()
+					whole.steps, _, _ = wholeBudget.Used()
+					if whole != once {
+						t.Errorf("%s: charged as one group\n%+v\nthe read made at once charged\n%+v", name, whole, once)
+					}
+					if wname != "every" {
+						continue
+					}
+					// a read of no position, charged as if it built what it
+					// examined, is the read: a child step's, deduped across
+					// the read
+					var child, fold spent
+					var childBudget, foldBudget budget.Budget
+					read := fragment.Read{IDs: ids, Groups: groupsAt(ends...)}
+					readOf(access(kind, at, nil, &child, &childBudget), st, read)
+					read.From, read.To, read.Defer = 1, 0, true
+					acc = access(kind, at, nil, &fold, &foldBudget)
+					els, groups := readOf(acc, st, read)
+					g := groups[len(groups)-1]
+					g.Built = g.Examined
+					acc.Charge(st, g)
+					child.steps, _, _ = childBudget.Used()
+					fold.steps, _, _ = foldBudget.Used()
+					if len(els) != 0 || fold != child {
+						t.Errorf("%s: a read of no position returned %d versions and charged\n%+v\nthe read charged\n%+v", name, len(els), fold, child)
+					}
+				}
 			}
 		}
 	}
@@ -347,18 +627,21 @@ func TestAccessFilter(t *testing.T) {
 		}
 		even := func(n *xmldom.Node) bool { return strings.ContainsAny(n.AttrOr("k", "1"), "0246") }
 		reads := map[string]func(fragment.Access, fragment.Filter) []*xmldom.Node{
-			"filler": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
+			"one-hole": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
 				for _, id := range ids {
-					out = append(out, a.Filler(st, id, true, keep)...)
+					els, _ := a.Read(st, fragment.Read{Source: fragment.FromHole, ID: id, Keep: keep})
+					out = append(out, els...)
 				}
 				return out
 			},
-			"fillers": func(a fragment.Access, keep fragment.Filter) []*xmldom.Node {
-				return a.Fillers(st, ids, keep, fragment.Window{})
+			"whole-set": func(a fragment.Access, keep fragment.Filter) []*xmldom.Node {
+				els, _ := readOf(a, st, fragment.Read{IDs: ids, Keep: keep})
+				return els
 			},
 			"bytsid": func(a fragment.Access, keep fragment.Filter) (out []*xmldom.Node) {
 				for _, tsid := range tsids {
-					out = append(out, a.ByTSID(st, tsid, keep, fragment.Window{})...)
+					els, _ := a.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep})
+					out = append(out, els...)
 				}
 				return out
 			},
@@ -428,12 +711,12 @@ func TestAccessFilter(t *testing.T) {
 
 // TestAccessWindow: a windowed read returns, group by group, the positions
 // of its window among the versions the unwindowed read of the group returns
-// — whichever index serves it, cached or not — rewrites Ends to where each
-// group ends in its output, and is charged the unwindowed read's access
-// cost; uncached, it builds only what it returns.
+// — whichever index serves it, cached or not — rewrites each group's End to
+// where the group ends in its output, and is charged the unwindowed read's
+// access cost; uncached, it builds only what it returns.
 func TestAccessWindow(t *testing.T) {
 	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess}
-	windows := map[string]fragment.Window{
+	windows := map[string]fragment.Read{
 		"[1]":        {From: 1, To: 1},
 		"[2]":        {From: 2, To: 2},
 		"[<=2]":      {From: 1, To: 2},
@@ -472,7 +755,7 @@ func TestAccessWindow(t *testing.T) {
 				var wantEnds []int
 				lo := 0
 				for _, hi := range ends {
-					group := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}).Fillers(st, ids[lo:hi], keep, fragment.Window{})
+					group, _ := readOf(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}), st, fragment.Read{IDs: ids[lo:hi], Keep: keep})
 					from, to := w.From, w.To
 					if w.Last {
 						from, to = len(group), len(group)
@@ -485,8 +768,8 @@ func TestAccessWindow(t *testing.T) {
 					wantEnds = append(wantEnds, len(want))
 					lo = hi
 				}
-				if total := len(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}).Fillers(st, ids, keep, fragment.Window{})); name == "[1]" && (len(want) < 2 || len(want) == total) {
-					t.Fatalf("scan=%v: [1] keeps %d of %d versions, the case tests nothing", scan, len(want), total)
+				if all, _ := readOf(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}), st, fragment.Read{IDs: ids, Keep: keep}); name == "[1]" && (len(want) < 2 || len(want) == len(all)) {
+					t.Fatalf("scan=%v: [1] keeps %d of %d versions, the case tests nothing", scan, len(want), len(all))
 				}
 				for _, kind := range kinds {
 					for _, state := range []string{"nil", "cold", "warm"} {
@@ -497,18 +780,22 @@ func TestAccessWindow(t *testing.T) {
 								caches[i] = fragment.NewCache(1 << 16)
 							}
 							if state == "warm" {
-								fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}).Fillers(st, ids, nil, fragment.Window{})
+								readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}), st, fragment.Read{IDs: ids})
 							}
 						}
 						whole, windowed := &obs.EvalStats{}, &obs.EvalStats{}
-						all := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: whole, Cache: caches[0]}).Fillers(st, ids, keep, fragment.Window{})
-						w.Ends = append([]int(nil), ends...)
-						got := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: windowed, Cache: caches[1]}).Fillers(st, ids, keep, w)
+						all, _ := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: whole, Cache: caches[0]}), st, fragment.Read{IDs: ids, Keep: keep})
+						w.IDs, w.Keep, w.Groups = ids, keep, groupsAt(ends...)
+						got, groups := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: windowed, Cache: caches[1]}), st, w)
 						if render(got) != render(want) {
 							t.Errorf("%s: windowed read returned\n%s\nwant\n%s", name, render(got), render(want))
 						}
-						if fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
-							t.Errorf("%s: Ends rewritten to %v, want %v", name, w.Ends, wantEnds)
+						gotEnds := make([]int, len(ends))
+						for g := range gotEnds {
+							gotEnds[g] = groups[g].End
+						}
+						if !slices.Equal(gotEnds, wantEnds) {
+							t.Errorf("%s: group ends rewritten to %v, want %v", name, gotEnds, wantEnds)
 						}
 						if a, b := chargesOf(windowed), chargesOf(whole); a != b {
 							t.Errorf("%s: access cost with the window %+v, without %+v", name, a, b)
@@ -564,15 +851,19 @@ func TestReadTopsAreClippedWindows(t *testing.T) {
 	stored := payloads()
 	even := func(v fragment.Version) bool { return strings.ContainsAny(v.Payload().AttrOr("k", "1"), "0246") }
 	a := fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: at})
+	read := func(r fragment.Read) []*xmldom.Node {
+		els, _ := readOf(a, st, r)
+		return els
+	}
 	reads := map[string]func() []*xmldom.Node{
-		"fillers":  func() []*xmldom.Node { return a.Fillers(st, ids, nil, fragment.Window{}) },
-		"filtered": func() []*xmldom.Node { return a.Fillers(st, ids, even, fragment.Window{}) },
+		"whole-set": func() []*xmldom.Node { return read(fragment.Read{IDs: ids}) },
+		"filtered":  func() []*xmldom.Node { return read(fragment.Read{IDs: ids, Keep: even}) },
 		"windowed": func() []*xmldom.Node {
-			return a.Fillers(st, ids, nil, fragment.Window{From: 1, To: 2, Ends: []int{len(ids) / 2, len(ids)}})
+			return read(fragment.Read{IDs: ids, From: 1, To: 2, Groups: groupsAt(len(ids)/2, len(ids))})
 		},
 		"bytsid": func() (out []*xmldom.Node) {
 			for _, tag := range ins.Structure.Tags() {
-				if els := a.ByTSID(st, tag.ID, nil, fragment.Window{}); len(els) > len(out) {
+				if els := read(fragment.Read{Source: fragment.FromTSID, ID: tag.ID}); len(els) > len(out) {
 					out = els
 				}
 			}
@@ -604,115 +895,6 @@ func TestReadTopsAreClippedWindows(t *testing.T) {
 		}
 		if payloads() != stored {
 			t.Fatalf("%s: appending to the tops changed a stored payload", name)
-		}
-	}
-}
-
-// TestChargeFillersChargesTheRead: charging a child step's read without
-// making it moves every counter and the budget's steps exactly as making
-// it does, under every access implementation, on indexed and scan stores,
-// with versions ahead of the instant and an id nothing is stored under.
-func TestChargeFillersChargesTheRead(t *testing.T) {
-	for _, scan := range []bool{false, true} {
-		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := ins.NewStore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := append(st.FillerIDs()[1:], 1<<20)
-		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
-			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
-				var read, charged obs.EvalStats
-				var readBudget, chargedBudget budget.Budget
-				fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &read, Budget: &readBudget}).Fillers(st, ids, nil, fragment.Window{})
-				fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &charged, Budget: &chargedBudget}).ChargeFillers(st, ids, false)
-				r, _, _ := readBudget.Used()
-				c, _, _ := chargedBudget.Used()
-				if read != charged || r != c {
-					t.Errorf("scan=%v kind %d at %s: the read charged\n%+v, %d steps\ncharging it charged\n%+v, %d steps", scan, kind, at, read, r, charged, c)
-				}
-			}
-		}
-	}
-}
-
-// TestFillersEachIsTheCallsInTurn: one FillersEach read of several id sets,
-// ids repeated across them, returns what a Fillers call per set returns in
-// turn, with the same windows per set, charges nothing itself, and
-// ChargeEach charges each set what its call charged. A cache or a pass per
-// hole reads nothing and says so.
-func TestFillersEachIsTheCallsInTurn(t *testing.T) {
-	windows := map[string]fragment.Window{
-		"every":    {From: 1, To: 1 << 30},
-		"[1]":      {From: 1, To: 1},
-		"[last()]": {Last: true},
-		"[<=2]":    {From: 1, To: 2},
-	}
-	for _, scan := range []bool{false, true} {
-		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := ins.NewStore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fids := st.FillerIDs()[1:]
-		sets := [][]int{fids[0:3], fids[1:4], fids[0:3], fids[5:6], fids[2:8]}
-		var ids []int
-		for _, set := range sets {
-			ids = append(ids, set...)
-		}
-		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
-			kind := fragment.TSIDIndexAccess
-			for name, w := range windows {
-				name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, name, at)
-				var want []*xmldom.Node
-				var wantEnds []int
-				var calls obs.EvalStats
-				for _, set := range sets {
-					w.Ends = []int{len(set)}
-					want = append(want, fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &calls}).Fillers(st, set, nil, w)...)
-					wantEnds = append(wantEnds, len(want))
-				}
-				w.Ends, w.Examined = nil, make([]int, len(sets))
-				end := 0
-				for _, set := range sets {
-					end += len(set)
-					w.Ends = append(w.Ends, end)
-				}
-				var each obs.EvalStats
-				acc := fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &each})
-				got, ok := acc.FillersEach(st, ids, w)
-				if !ok {
-					t.Fatalf("%s: the index reads the sets at once", name)
-				}
-				if render(got) != render(want) || fmt.Sprint(w.Ends) != fmt.Sprint(wantEnds) {
-					t.Fatalf("%s: read\n%s%v\nthe calls in turn\n%s%v", name, render(got), w.Ends, render(want), wantEnds)
-				}
-				if each != (obs.EvalStats{}) {
-					t.Errorf("%s: the read charged %+v", name, each)
-				}
-				lo := 0
-				for g, set := range sets {
-					acc.ChargeEach(st, len(set), w.Examined[g], w.Ends[g]-lo)
-					lo = w.Ends[g]
-				}
-				if each != calls {
-					t.Errorf("%s: charged\n%+v\nthe calls charged\n%+v", name, each, calls)
-				}
-			}
-		}
-		for _, acc := range []fragment.Access{
-			fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{}),
-			fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{Cache: fragment.NewCache(64)}),
-		} {
-			if els, ok := acc.FillersEach(st, ids, fragment.Window{From: 1, To: 1, Ends: []int{len(ids)}}); ok || els != nil {
-				t.Errorf("scan=%v %T: read %d versions at once", scan, acc, len(els))
-			}
 		}
 	}
 }

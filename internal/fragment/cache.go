@@ -17,8 +17,8 @@ import (
 // log, so a hit removes the dominant Figure-4 cost term entirely.
 //
 // Each cached entry holds up to a few variants, one per as-of validity
-// window: the output of GetFillers(id, at) is constant for every at in
-// [validTime of the last visible version, validTime of the next
+// window: what a read of id returns at instant at is constant for every
+// at in [validTime of the last visible version, validTime of the next
 // version), so a variant learned at one evaluation instant keeps serving
 // a continuous query whose instant advances inside that window.
 //
@@ -35,10 +35,11 @@ import (
 // sound because nodes are immutable once shared (see xmldom) — a caller
 // that wants to change a hit result rebuilds the nodes it changes.
 //
-// A nil *Cache is valid and means "no caching": every lookup method
-// falls through to the store and reports a miss, mirroring the nil
-// conventions of budget.Budget and obs.EvalStats. A Cache is safe for
-// concurrent use; one cache may serve many stores and many evaluations.
+// An Access reads through its cache only when it has one (Eval.Cache); a
+// nil *Cache reports itself empty to its accessors (Capacity, Len, Stats,
+// String, Usage), as an engine without a cache hands one out. A Cache is
+// safe for concurrent use; one cache may serve many stores and many
+// evaluations.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -153,124 +154,83 @@ func (c *Cache) String() string {
 		c.Len(), c.Capacity(), s.Hits, s.Misses, s.Evictions, s.Invalidations)
 }
 
-// GetFillers is a caching Store.GetFillers: a hit serves the memoized
-// elements without touching the store; a miss resolves,
-// fills the cache and reports hit=false so the caller can charge the
-// store pass. On a nil cache it falls through to the store.
-func (c *Cache) GetFillers(st *Store, fillerID int, at time.Time) (els []*xmldom.Node, hit bool) {
-	if c == nil {
-		return st.GetFillers(fillerID, at), false
+// cachedSlot is what a cached read finds of one key: its versions, and
+// whether memory served them.
+type cachedSlot struct {
+	els []*xmldom.Node
+	hit bool
+}
+
+// get is the one cached read: of the fillers ids, or, when tsid > 0, of
+// the tsid's versions. slots[i] receives ids[i]'s versions — slots[0] the
+// tsid's. A key with a variant that covers at is served from memory
+// without touching the store; the keys missing share ONE lookup pass,
+// preserving the batched cost shape that separates QaC+ from QaC, and fill
+// the cache. It reports the hits, the misses and the tops the miss pass
+// built (hits build none), for the caller to charge that pass.
+func (c *Cache) get(st *Store, tsid int, ids []int, at time.Time, slots []cachedSlot) (hits, misses, built int) {
+	kind, keys := kindFiller, ids
+	tsids := [1]int{tsid}
+	if tsid > 0 {
+		kind, keys = kindTSID, tsids[:]
 	}
-	key := cacheKey{store: st, kind: kindFiller, id: fillerID}
-	if els, ok := c.lookup(key, st, at); ok {
-		return els, true
+	var few [8]int
+	missed := few[:0]
+	for i, k := range keys {
+		if els, ok := c.lookup(cacheKey{store: st, kind: kind, id: k}, st, at); ok {
+			slots[i] = cachedSlot{els: els, hit: true}
+			hits++
+		} else {
+			missed = append(missed, k)
+		}
+	}
+	if len(missed) == 0 {
+		return hits, 0, 0
 	}
 	// generation BEFORE the lookup: an Add racing us stales the variant
 	gen := st.Generation()
-	ids := []int{fillerID}
-	out, _ := st.lookup(ids, at, nil, Window{})
-	c.fill(key, newVariant(gen, st, ids, at, out))
-	return out, false
-}
-
-// GetFillersList is GetFillers over a hole-id set, a repeated id counted
-// only at its first position: slots[i] holds the versions of the i-th
-// distinct id. Ids already resident are served from memory and all missing
-// ids share ONE lookup pass, preserving the batched cost shape that
-// separates QaC+ from QaC. It reports the hit and miss counts and the
-// number of elements the miss pass built (hits build none); the caller
-// charges that pass when there were misses. On a nil cache every id is a
-// miss.
-func (c *Cache) GetFillersList(st *Store, fillerIDs []int, at time.Time) (slots [][]*xmldom.Node, hits, misses, built int) {
-	fillerIDs = distinctIDs(fillerIDs)
-	slots = make([][]*xmldom.Node, len(fillerIDs))
-	var missPos []int
-	for i, id := range fillerIDs {
-		if els, ok := c.lookup(cacheKey{store: st, kind: kindFiller, id: id}, st, at); ok {
-			slots[i] = els
-			hits++
+	attr := AttrID
+	if tsid > 0 {
+		attr = AttrTSID
+	}
+	st.scanPass(attr, missed)
+	for i := range slots {
+		if slots[i].hit {
 			continue
 		}
-		missPos = append(missPos, i)
-	}
-	if misses = len(missPos); misses > 0 {
-		gen := st.Generation()
-		missIDs := make([]int, misses)
-		for j, i := range missPos {
-			missIDs[j] = fillerIDs[i]
+		fids := keys[i : i+1]
+		if tsid > 0 {
+			fids, _ = st.TSIDFillers(tsid)
 		}
-		st.scanPass(AttrID, missIDs)
-		for j, i := range missPos {
-			ids := missIDs[j : j+1]
-			els, _ := st.read(ids, 0, at, nil, Window{})
-			built += len(els)
-			if c != nil {
-				c.fill(cacheKey{store: st, kind: kindFiller, id: ids[0]}, newVariant(gen, st, ids, at, els))
-			}
-			slots[i] = els
-		}
+		els, _ := st.read(fids, tsid, at, Read{})
+		built += len(els)
+		c.fill(cacheKey{store: st, kind: kind, id: keys[i]}, newVariant(gen, st, fids, at, els))
+		slots[i] = cachedSlot{els: els}
 	}
-	return slots, hits, misses, built
+	return hits, len(missed), built
 }
 
-// GetFillersByTSID is GetFillers for the lookup by tsid.
-func (c *Cache) GetFillersByTSID(st *Store, tsid int, at time.Time) (els []*xmldom.Node, hit bool) {
-	if c == nil {
-		els, _ = st.lookupTSID(tsid, at, nil, nil)
-		return els, false
-	}
-	key := cacheKey{store: st, kind: kindTSID, id: tsid}
-	if els, ok := c.lookup(key, st, at); ok {
-		return els, true
-	}
-	gen := st.Generation()
-	out, _ := st.lookupTSID(tsid, at, nil, nil)
-	fids, _ := st.TSIDFillers(tsid)
-	c.fill(key, newVariant(gen, st, fids, at, out))
-	return out, false
-}
-
-// ResidentFillers counts how many of ids have a resident,
-// generation-fresh variant for st, regardless of as-of window — the
-// Explain planner's window-agnostic effectiveness estimate (it predicts
-// without knowing the future evaluation instant).
-func (c *Cache) ResidentFillers(st *Store, ids []int) int {
-	if c == nil {
-		return 0
+// Resident counts the keys of a read — the fillers ids, or, when tsid > 0,
+// the tsid — that have a resident, generation-fresh variant for st,
+// regardless of as-of window: the Explain planner's window-agnostic
+// effectiveness estimate (it predicts without knowing the future
+// evaluation instant). It fills, promotes and counts nothing.
+func (c *Cache) Resident(st *Store, tsid int, ids []int) int {
+	kind, keys := kindFiller, ids
+	tsids := [1]int{tsid}
+	if tsid > 0 {
+		kind, keys = kindTSID, tsids[:]
 	}
 	gen := st.Generation()
 	n := 0
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range ids {
-		if e, ok := c.byKey[cacheKey{store: st, kind: kindFiller, id: id}]; ok {
-			for _, v := range e.Value.(*cacheEntry).variants {
-				if v.gen == gen {
-					n++
-					break
-				}
-			}
+	for _, k := range keys {
+		if e, ok := c.byKey[cacheKey{store: st, kind: kind, id: k}]; ok && e.Value.(*cacheEntry).fresh(gen) {
+			n++
 		}
 	}
 	return n
-}
-
-// ResidentTSID is ResidentFillers for one tsid entry.
-func (c *Cache) ResidentTSID(st *Store, tsid int) bool {
-	if c == nil {
-		return false
-	}
-	gen := st.Generation()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byKey[cacheKey{store: st, kind: kindTSID, id: tsid}]; ok {
-		for _, v := range e.Value.(*cacheEntry).variants {
-			if v.gen == gen {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Usage reports the resident entries for one store and how many of them
@@ -288,14 +248,21 @@ func (c *Cache) Usage(st *Store) (entries, valid int) {
 			continue
 		}
 		entries++
-		for _, v := range ent.variants {
-			if v.gen == gen {
-				valid++
-				break
-			}
+		if ent.fresh(gen) {
+			valid++
 		}
 	}
 	return entries, valid
+}
+
+// fresh reports that e holds a variant of the store generation gen.
+func (e *cacheEntry) fresh(gen uint64) bool {
+	for _, v := range e.variants {
+		if v.gen == gen {
+			return true
+		}
+	}
+	return false
 }
 
 // newVariant builds the memoized variant of a read of fids: els plus the
@@ -309,11 +276,8 @@ func newVariant(gen uint64, st *Store, fids []int, at time.Time, els []*xmldom.N
 // lookup serves a probe from memory: it drops stale-generation variants,
 // and on a covering fresh variant promotes the entry and returns its
 // elements (capacity clipped, so a caller's append cannot reach the
-// memoized slice). A nil cache holds nothing.
+// memoized slice).
 func (c *Cache) lookup(key cacheKey, st *Store, at time.Time) ([]*xmldom.Node, bool) {
-	if c == nil {
-		return nil, false
-	}
 	gen := st.Generation()
 	c.mu.Lock()
 	defer c.mu.Unlock()

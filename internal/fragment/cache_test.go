@@ -2,7 +2,6 @@ package fragment
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -36,7 +35,41 @@ func addLimit(t *testing.T, st *Store, vt, amount string) {
 // resident reports whether the filler's entry holds a generation-fresh
 // variant, without filling, promoting or counting.
 func resident(c *Cache, st *Store, fid int) bool {
-	return c.ResidentFillers(st, []int{fid}) == 1
+	return c.Resident(st, 0, []int{fid}) == 1
+}
+
+// readFillers is the uncharged, uncached read of one filler through a
+// hole.
+func readFillers(st *Store, fid int, at time.Time) []*xmldom.Node {
+	els, _ := NewAccess(LogScanAccess, Eval{At: at}).Read(st, Read{Source: FromHole, ID: fid})
+	return els
+}
+
+// getFillers is the cache's read of one filler: its versions, and whether
+// memory served them.
+func getFillers(c *Cache, st *Store, fid int, at time.Time) ([]*xmldom.Node, bool) {
+	var slot [1]cachedSlot
+	c.get(st, 0, []int{fid}, at, slot[:])
+	return slot[0].els, slot[0].hit
+}
+
+// getTSID is the cache's read of a tsid's versions, and whether memory
+// served them.
+func getTSID(c *Cache, st *Store, tsid int, at time.Time) ([]*xmldom.Node, bool) {
+	var slot [1]cachedSlot
+	c.get(st, tsid, nil, at, slot[:])
+	return slot[0].els, slot[0].hit
+}
+
+// getList is the cache's read of a hole-id set: each id's versions, and the
+// hits, misses and tops built.
+func getList(c *Cache, st *Store, ids []int, at time.Time) (els []*xmldom.Node, hits, misses, built int) {
+	slots := make([]cachedSlot, len(ids))
+	hits, misses, built = c.get(st, 0, ids, at, slots)
+	for _, s := range slots {
+		els = append(els, s.els...)
+	}
+	return els, hits, misses, built
 }
 
 func render(els []*xmldom.Node) string {
@@ -54,15 +87,15 @@ func TestCacheHitMatchesStore(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	want := render(st.GetFillers(2, at))
-	els, hit := c.GetFillers(st, 2, at)
+	want := render(readFillers(st, 2, at))
+	els, hit := getFillers(c, st, 2, at)
 	if hit {
 		t.Fatal("first probe hit an empty cache")
 	}
 	if render(els) != want {
 		t.Fatalf("miss path wrong:\n%s\nwant\n%s", render(els), want)
 	}
-	els, hit = c.GetFillers(st, 2, at)
+	els, hit = getFillers(c, st, 2, at)
 	if !hit {
 		t.Fatal("second probe missed")
 	}
@@ -88,15 +121,15 @@ func TestCacheNeverServesStaleAfterIngest(t *testing.T) {
 		addLimit(t, st, "2003-02-01T00:00:00", "2000")
 		c := NewCache(8)
 		for _, p := range probes {
-			c.GetFillers(st, 2, ts(p)) // warm whatever windows these touch
+			getFillers(c, st, 2, ts(p)) // warm whatever windows these touch
 		}
 		// a newer version changes the deduced vtTo of the cached version
 		// AND what later instants see
 		addLimit(t, st, "2004-01-01T00:00:00", "5000")
 		for _, p := range append(probes, "2004-06-01T00:00:00") {
 			at := ts(p)
-			want := render(st.GetFillers(2, at))
-			got, _ := c.GetFillers(st, 2, at)
+			want := render(readFillers(st, 2, at))
+			got, _ := getFillers(c, st, 2, at)
 			if render(got) != want {
 				t.Fatalf("probes %v at %s: stale subtree served\ngot  %s\nwant %s",
 					probes, p, render(got), want)
@@ -114,21 +147,21 @@ func TestCacheWindowServesMovingInstant(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	addLimit(t, st, "2004-01-01T00:00:00", "5000")
 	c := NewCache(8)
-	c.GetFillers(st, 2, ts("2003-03-01T00:00:00")) // fill the first window
+	getFillers(c, st, 2, ts("2003-03-01T00:00:00")) // fill the first window
 	for i, p := range []string{"2003-04-01T00:00:00", "2003-08-01T00:00:00", "2003-12-31T23:59:59"} {
-		if _, hit := c.GetFillers(st, 2, ts(p)); !hit {
+		if _, hit := getFillers(c, st, 2, ts(p)); !hit {
 			t.Fatalf("probe %d (%s) inside the cached window missed", i, p)
 		}
 	}
 	// crossing into the second version's window must miss, then cache
-	if _, hit := c.GetFillers(st, 2, ts("2004-02-01T00:00:00")); hit {
+	if _, hit := getFillers(c, st, 2, ts("2004-02-01T00:00:00")); hit {
 		t.Fatal("probe across the version boundary served the old window")
 	}
-	if _, hit := c.GetFillers(st, 2, ts("2004-03-01T00:00:00")); !hit {
+	if _, hit := getFillers(c, st, 2, ts("2004-03-01T00:00:00")); !hit {
 		t.Fatal("second window did not cache")
 	}
-	want := render(st.GetFillers(2, ts("2004-03-01T00:00:00")))
-	got, _ := c.GetFillers(st, 2, ts("2004-03-01T00:00:00"))
+	want := render(readFillers(st, 2, ts("2004-03-01T00:00:00")))
+	got, _ := getFillers(c, st, 2, ts("2004-03-01T00:00:00"))
 	if render(got) != want {
 		t.Fatalf("second window wrong:\n%s\nwant\n%s", render(got), want)
 	}
@@ -142,9 +175,9 @@ func TestCacheHitsAreZeroCopy(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	first, _ := c.GetFillers(st, 2, at)
+	first, _ := getFillers(c, st, 2, at)
 	want := render(first)
-	got, hit := c.GetFillers(st, 2, at)
+	got, hit := getFillers(c, st, 2, at)
 	if !hit {
 		t.Fatal("expected a hit")
 	}
@@ -156,7 +189,7 @@ func TestCacheHitsAreZeroCopy(t *testing.T) {
 		t.Fatal("annotated element does not share the stored payload's children")
 	}
 	_ = append(got, xmldom.NewElement("intruder"))
-	again, _ := c.GetFillers(st, 2, at)
+	again, _ := getFillers(c, st, 2, at)
 	if render(again) != want {
 		t.Fatalf("append through a hit reached the cache:\n%s\nwant\n%s", render(again), want)
 	}
@@ -178,10 +211,10 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	c := NewCache(2)
 	at := ts("2003-06-01T00:00:00")
-	c.GetFillers(st, 1, at)
-	c.GetFillers(st, 2, at)
-	c.GetFillers(st, 1, at) // touch 1 so 2 is LRU
-	c.GetFillers(st, 3, at) // evicts 2
+	getFillers(c, st, 1, at)
+	getFillers(c, st, 2, at)
+	getFillers(c, st, 1, at) // touch 1 so 2 is LRU
+	getFillers(c, st, 3, at) // evicts 2
 	if !resident(c, st, 1) {
 		t.Fatal("recently used entry was evicted")
 	}
@@ -207,16 +240,16 @@ func TestCacheEvictedEntryNotResurrected(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(1)
 	at := ts("2003-06-01T00:00:00")
-	c.GetFillers(st, 2, at)
+	getFillers(c, st, 2, at)
 	// evict filler 2 by filling the single slot with filler 1
-	c.GetFillers(st, 1, at)
+	getFillers(c, st, 1, at)
 	if resident(c, st, 2) {
 		t.Fatal("evicted entry still resident")
 	}
 	// the history moves on while the entry is out of the cache
 	addLimit(t, st, "2003-05-01T00:00:00", "7000")
-	want := render(st.GetFillers(2, at))
-	got, hit := c.GetFillers(st, 2, at)
+	want := render(readFillers(st, 2, at))
+	got, hit := getFillers(c, st, 2, at)
 	if hit {
 		t.Fatal("probe after eviction+ingest claimed a hit")
 	}
@@ -233,7 +266,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	c.GetFillers(st, 2, at)
+	getFillers(c, st, 2, at)
 	if !resident(c, st, 2) {
 		t.Fatal("entry not resident after fill")
 	}
@@ -241,7 +274,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	if resident(c, st, 2) {
 		t.Fatal("stale-generation variant still answers probes")
 	}
-	if _, hit := c.GetFillers(st, 2, at); hit {
+	if _, hit := getFillers(c, st, 2, at); hit {
 		t.Fatal("stale-generation variant served a hit")
 	}
 	if s := c.Stats(); s.Invalidations == 0 {
@@ -249,7 +282,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	}
 }
 
-// TestCacheBatchedLookup: GetFillersList must return exactly the
+// TestCacheBatchedLookup: a read of a hole-id set must return exactly the
 // store's concatenation whatever mix of hits and misses serves it, and
 // misses must share one scan pass.
 func TestCacheBatchedLookup(t *testing.T) {
@@ -267,18 +300,18 @@ func TestCacheBatchedLookup(t *testing.T) {
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
 	ids := []int{1, 2, 3}
-	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, ids, nil, Window{}))
-	c.GetFillers(st, 2, at) // warm just one of the three
-	slots, hits, misses, built := c.GetFillersList(st, ids, at)
-	if render(slices.Concat(slots...)) != want {
-		t.Fatalf("mixed batched lookup wrong:\n%s\nwant\n%s", render(slices.Concat(slots...)), want)
+	want := render(readFillers(st, 1, at)) + render(readFillers(st, 2, at)) + render(readFillers(st, 3, at))
+	getFillers(c, st, 2, at) // warm just one of the three
+	els, hits, misses, built := getList(c, st, ids, at)
+	if render(els) != want {
+		t.Fatalf("mixed batched lookup wrong:\n%s\nwant\n%s", render(els), want)
 	}
 	if hits != 1 || misses != 2 || built != 2 {
 		t.Fatalf("hits=%d misses=%d built=%d, want 1/2/2", hits, misses, built)
 	}
 	// fully warm: nothing built, so no pass to charge
-	slots, hits, misses, built = c.GetFillersList(st, ids, at)
-	if render(slices.Concat(slots...)) != want || hits != 3 || misses != 0 || built != 0 {
+	els, hits, misses, built = getList(c, st, ids, at)
+	if render(els) != want || hits != 3 || misses != 0 || built != 0 {
 		t.Fatalf("warm batched lookup: hits=%d misses=%d built=%d", hits, misses, built)
 	}
 }
@@ -290,18 +323,22 @@ func TestCacheTSIDLookup(t *testing.T) {
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	want := render(NewAccess(TSIDIndexAccess, Eval{At: at}).ByTSID(st, 4, nil, Window{}))
-	els, hit := c.GetFillersByTSID(st, 4, at)
+	byTSID := func() string {
+		els, _ := NewAccess(TSIDIndexAccess, Eval{At: at}).Read(st, Read{Source: FromTSID, ID: 4})
+		return render(els)
+	}
+	want := byTSID()
+	els, hit := getTSID(c, st, 4, at)
 	if hit || render(els) != want {
 		t.Fatalf("cold tsid lookup: hit=%v out=%s", hit, render(els))
 	}
-	els, hit = c.GetFillersByTSID(st, 4, at)
+	els, hit = getTSID(c, st, 4, at)
 	if !hit || render(els) != want {
 		t.Fatalf("warm tsid lookup: hit=%v out=%s", hit, render(els))
 	}
 	addLimit(t, st, "2004-01-01T00:00:00", "5000")
-	want = render(NewAccess(TSIDIndexAccess, Eval{At: at}).ByTSID(st, 4, nil, Window{}))
-	els, hit = c.GetFillersByTSID(st, 4, at)
+	want = byTSID()
+	els, hit = getTSID(c, st, 4, at)
 	if hit {
 		t.Fatal("tsid lookup served stale generation")
 	}
@@ -310,25 +347,25 @@ func TestCacheTSIDLookup(t *testing.T) {
 	}
 }
 
-// TestCacheUsageAndResidency: the Explain probes — Usage,
-// ResidentFillers, ResidentTSID — reflect residency and freshness
+// TestCacheUsageAndResidency: the Explain probes — Usage and Resident,
+// by filler id and by tsid — reflect residency and freshness
 // without disturbing LRU order or counters.
 func TestCacheUsageAndResidency(t *testing.T) {
 	st := cacheStore(t)
 	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	c := NewCache(8)
 	at := ts("2003-06-01T00:00:00")
-	c.GetFillers(st, 1, at)
-	c.GetFillers(st, 2, at)
+	getFillers(c, st, 1, at)
+	getFillers(c, st, 2, at)
 	before := c.Stats()
 	entries, valid := c.Usage(st)
 	if entries != 2 || valid != 2 {
 		t.Fatalf("Usage = %d/%d, want 2/2", entries, valid)
 	}
-	if n := c.ResidentFillers(st, []int{1, 2, 99}); n != 2 {
-		t.Fatalf("ResidentFillers = %d, want 2", n)
+	if n := c.Resident(st, 0, []int{1, 2, 99}); n != 2 {
+		t.Fatalf("Resident = %d, want 2", n)
 	}
-	if c.ResidentTSID(st, 4) {
+	if c.Resident(st, 4, nil) != 0 {
 		t.Fatal("tsid entry resident without a tsid fill")
 	}
 	addLimit(t, st, "2004-01-01T00:00:00", "5000")
@@ -336,34 +373,25 @@ func TestCacheUsageAndResidency(t *testing.T) {
 	if entries != 2 || valid != 0 {
 		t.Fatalf("post-ingest Usage = %d/%d, want 2/0", entries, valid)
 	}
-	if n := c.ResidentFillers(st, []int{1, 2}); n != 0 {
-		t.Fatalf("post-ingest ResidentFillers = %d, want 0", n)
+	if n := c.Resident(st, 0, []int{1, 2}); n != 0 {
+		t.Fatalf("post-ingest Resident = %d, want 0", n)
 	}
 	if after := c.Stats(); after != before {
 		t.Fatalf("probes moved counters: %+v -> %+v", before, after)
 	}
 }
 
-// TestNilCacheFallsThrough: a nil *Cache is a valid no-op layer.
+// TestNilCacheFallsThrough: a nil *Cache — what an engine without one
+// hands out — reports itself empty to every accessor; the reads never
+// reach it (an Access without a cache reads the store).
 func TestNilCacheFallsThrough(t *testing.T) {
 	st := cacheStore(t)
-	addLimit(t, st, "2003-02-01T00:00:00", "2000")
 	var c *Cache
-	at := ts("2003-06-01T00:00:00")
-	want := render(st.GetFillers(2, at))
-	els, hit := c.GetFillers(st, 2, at)
-	if hit || render(els) != want {
-		t.Fatalf("nil cache GetFillers: hit=%v", hit)
-	}
-	slots, hits, misses, built := c.GetFillersList(st, []int{2}, at)
-	if hits != 0 || misses != 1 || built != len(slots[0]) {
-		t.Fatalf("nil cache GetFillersList: hits=%d misses=%d built=%d", hits, misses, built)
-	}
-	if _, hit := c.GetFillersByTSID(st, 4, at); hit {
-		t.Fatal("nil cache tsid lookup hit")
-	}
-	if c.Len() != 0 || c.Capacity() != 0 || c.ResidentFillers(st, []int{2}) != 0 || c.ResidentTSID(st, 4) {
+	if entries, valid := c.Usage(st); c.Len() != 0 || c.Capacity() != 0 || c.Stats() != (CacheStats{}) || entries != 0 || valid != 0 {
 		t.Fatal("nil cache accessors not zero")
+	}
+	if c.String() != "<no cache>" {
+		t.Fatalf("nil cache renders %q", c.String())
 	}
 }
 

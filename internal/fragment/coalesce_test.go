@@ -61,7 +61,7 @@ func TestCoalesceRemovesExactDuplicates(t *testing.T) {
 			// duplicates annotate as degenerate zero-width windows; the
 			// coalesced store must render exactly like one that never saw
 			// them
-			wantClean := renderEls(coalesceStore(t, scan, 0).GetFillers(2, at))
+			wantClean := renderEls(readFillers(coalesceStore(t, scan, 0), 2, at))
 			genBefore := st.Generation()
 
 			removed := st.Coalesce()
@@ -71,7 +71,7 @@ func TestCoalesceRemovesExactDuplicates(t *testing.T) {
 			if st.Generation() != genBefore+1 {
 				t.Fatalf("generation %d after coalesce, want %d", st.Generation(), genBefore+1)
 			}
-			if got := renderEls(st.GetFillers(2, at)); got != wantClean {
+			if got := renderEls(readFillers(st, 2, at)); got != wantClean {
 				t.Fatalf("coalesce output differs from a never-duplicated store:\n got %s\nwant %s", got, wantClean)
 			}
 			if got := len(st.Versions(2)); got != 3 {
@@ -123,8 +123,8 @@ func TestCoalesceKeepsDistinctPayloadsAtSameInstant(t *testing.T) {
 func TestCoalesceCacheRace(t *testing.T) {
 	st := coalesceStore(t, false, 1)
 	at := ts("2004-01-01T00:00:00")
-	wantDup := renderEls(st.GetFillers(2, at))
-	wantClean := renderEls(coalesceStore(t, false, 0).GetFillers(2, at))
+	wantDup := renderEls(readFillers(st, 2, at))
+	wantClean := renderEls(readFillers(coalesceStore(t, false, 0), 2, at))
 	if wantDup == wantClean {
 		t.Fatal("test setup broken: duplicated and coalesced renderings must differ")
 	}
@@ -174,13 +174,13 @@ func TestCoalesceCacheRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				els, _ := cache.GetFillers(st, 2, at)
+				els, _ := getFillers(cache, st, 2, at)
 				if got := renderEls(els); got != wantDup && got != wantClean {
 					t.Errorf("cached hand-out observed a half-compacted window:\n got %s", got)
 					return
 				}
 				// churn a second key so the 2-entry LRU evicts
-				_, _ = cache.GetFillers(st, 1, at)
+				_, _ = getFillers(cache, st, 1, at)
 			}
 		}()
 	}
@@ -191,7 +191,7 @@ func TestCoalesceCacheRace(t *testing.T) {
 
 	// settle: a final coalesce must land on exactly the clean rendering
 	st.Coalesce()
-	if got := renderEls(st.GetFillers(2, at)); got != wantClean {
+	if got := renderEls(readFillers(st, 2, at)); got != wantClean {
 		t.Fatalf("settled output differs:\n got %s\nwant %s", got, wantClean)
 	}
 }

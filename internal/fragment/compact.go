@@ -14,7 +14,7 @@ import (
 // stream client's dedup window. Coalescing is semantics-preserving for
 // every as-of query: a duplicate annotates as a degenerate zero-width
 // window, so removing it leaves which-version-is-current unchanged at
-// every instant; after the pass GetFillers renders exactly as if the
+// every instant; after the pass a read renders exactly as if the
 // duplicates had never arrived.
 //
 // Generation semantics: the whole pass runs under the store's write

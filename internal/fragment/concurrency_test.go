@@ -92,8 +92,10 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 						defer wg.Done()
 						acc := NewAccess(kind, Eval{At: at})
 						for i := 0; i < 50 || !done.Load(); i++ {
-							checkHistories(t, fmt.Sprintf("kind %d Fillers", kind), acc.Fillers(st, ids, keep, Window{}))
-							checkHistories(t, fmt.Sprintf("kind %d ByTSID", kind), acc.ByTSID(st, 4, keep, Window{}))
+							holes, _ := acc.Read(st, Read{IDs: ids, Keep: keep})
+							checkHistories(t, fmt.Sprintf("kind %d hole ids", kind), holes)
+							byTSID, _ := acc.Read(st, Read{Source: FromTSID, ID: 4, Keep: keep})
+							checkHistories(t, fmt.Sprintf("kind %d by tsid", kind), byTSID)
 							_ = st.LatestVersion(2, at)
 						}
 					}()

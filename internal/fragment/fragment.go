@@ -8,7 +8,7 @@
 //
 // The package provides the wire representation, the fragmenter that cuts a
 // document into fillers along the temporal/event tags of a Tag Structure,
-// and the client-side Store whose GetFillers method realizes the paper's
+// and the client-side Store whose reads (Access) realize the paper's
 // get_fillers function (versions annotated with their deduced [vtFrom,
 // vtTo] lifespans).
 package fragment

@@ -258,7 +258,7 @@ func TestGetFillersTemporalChain(t *testing.T) {
 		mk("2003-03-01T00:00:00", "2000"),
 	})
 	at := ts("2003-06-01T00:00:00")
-	els := st.GetFillers(7, at)
+	els := readFillers(st, 7, at)
 	if len(els) != 2 {
 		t.Fatalf("versions = %d", len(els))
 	}
@@ -288,7 +288,7 @@ func TestGetFillersStampsLifespans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	els := st.GetFillers(7, ts("2004-01-01T00:00:00"))
+	els := readFillers(st, 7, ts("2004-01-01T00:00:00"))
 	want := []string{
 		`<creditLimit vtTo="2003-02-01T00:00:00" unit="USD" vtFrom="2003-01-01T00:00:00">2003-01-01T00:00:00</creditLimit>`,
 		`<creditLimit vtTo="2003-03-01T00:00:00" unit="USD" vtFrom="2003-02-01T00:00:00">2003-02-01T00:00:00Z</creditLimit>`,
@@ -317,7 +317,7 @@ func TestGetFillersEventPoint(t *testing.T) {
 	st := NewStore(s)
 	tx := xmldom.TextElem("transaction", "")
 	_ = st.Add(New(9, 5, ts("2003-10-23T12:23:34"), tx))
-	els := st.GetFillers(9, ts("2003-12-01T00:00:00"))
+	els := readFillers(st, 9, ts("2003-12-01T00:00:00"))
 	if len(els) != 1 {
 		t.Fatal("event missing")
 	}
@@ -339,7 +339,7 @@ func TestGetFillersFutureInvisible(t *testing.T) {
 		mk("2003-09-01T00:00:00", "9000"),
 	})
 	at := ts("2003-06-01T00:00:00")
-	els := st.GetFillers(7, at)
+	els := readFillers(st, 7, at)
 	if len(els) != 1 {
 		t.Fatalf("future version leaked: %d elements", len(els))
 	}
@@ -369,7 +369,7 @@ func TestStatusUpdateScenario(t *testing.T) {
 	}
 	// after, it is suspended and the charged version is closed
 	after := ts("2003-12-01T00:00:00")
-	els := st.GetFillers(400, after)
+	els := readFillers(st, 400, after)
 	if len(els) != 2 {
 		t.Fatalf("status versions = %d", len(els))
 	}
@@ -402,7 +402,7 @@ func TestGetFillersListConcatenates(t *testing.T) {
 	_ = st.Add(New(1, 4, ts("2003-01-01T00:00:00"), xmldom.TextElem("creditLimit", "a")))
 	_ = st.Add(New(2, 4, ts("2003-01-02T00:00:00"), xmldom.TextElem("creditLimit", "b")))
 	at := ts("2003-06-01T00:00:00")
-	els := NewAccess(TSIDIndexAccess, Eval{At: at}).Fillers(st, []int{1, 2, 99}, nil, Window{})
+	els, _ := NewAccess(TSIDIndexAccess, Eval{At: at}).Read(st, Read{IDs: []int{1, 2, 99}})
 	if len(els) != 2 {
 		t.Fatalf("list = %d", len(els))
 	}
@@ -414,7 +414,7 @@ func TestLifespan(t *testing.T) {
 	_ = st.Add(New(1, 4, ts("2003-01-01T00:00:00"), xmldom.TextElem("creditLimit", "a")))
 	_ = st.Add(New(1, 4, ts("2003-02-01T00:00:00"), xmldom.TextElem("creditLimit", "b")))
 	_ = st.Add(New(1, 4, ts("2003-09-01T00:00:00"), xmldom.TextElem("creditLimit", "c")))
-	els := st.GetFillers(1, ts("2003-06-01T00:00:00"))
+	els := readFillers(st, 1, ts("2003-06-01T00:00:00"))
 	if len(els) != 2 {
 		t.Fatalf("%d versions visible, want 2 (the third is dated after the read)", len(els))
 	}
@@ -481,7 +481,7 @@ func TestScanStoreMatchesIndexedStore(t *testing.T) {
 	}
 	at := ts("2003-12-01T00:00:00")
 	for _, id := range indexed.FillerIDs() {
-		a, b := indexed.GetFillers(id, at), scan.GetFillers(id, at)
+		a, b := readFillers(indexed, id, at), readFillers(scan, id, at)
 		if len(a) != len(b) {
 			t.Fatalf("filler %d: %d vs %d versions", id, len(a), len(b))
 		}

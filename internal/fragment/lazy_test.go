@@ -80,7 +80,8 @@ func TestReadBesideAddOfNextVersion(t *testing.T) {
 	}
 	read := func(st *Store, at time.Time) string {
 		var b strings.Builder
-		for _, top := range NewAccess(TSIDIndexAccess, Eval{At: at}).Filler(st, 7, false, nil) {
+		tops, _ := NewAccess(TSIDIndexAccess, Eval{At: at}).Read(st, Read{Source: FromFiller, ID: 7})
+		for _, top := range tops {
 			b.WriteString(top.String())
 		}
 		return b.String()

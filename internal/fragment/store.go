@@ -204,13 +204,6 @@ func (st *Store) Versions(fillerID int) []*Fragment {
 	return vs[:len(vs):len(vs)]
 }
 
-// visible is how many versions of a filler are visible at the instant at:
-// what a read of it examines, and builds without a filter.
-func (st *Store) visible(fillerID int, at time.Time) int {
-	vs := st.Versions(fillerID)
-	return sort.Search(len(vs), func(i int) bool { return vs[i].ValidTime.After(at) })
-}
-
 // FillerIDs returns every stored filler id in ascending order, in a slice
 // of the caller's own: the index's keys, sorted.
 func (st *Store) FillerIDs() []int {
@@ -304,17 +297,18 @@ func (st *Store) scanPass(attr string, values []int) (matched int) {
 	return matched
 }
 
-// LookupCost reports how many stored filler versions one lookup pass
-// examined: the whole fragment log under the scan cost model (the
-// paper's predicate scan evaluates its filter against every <filler>
-// element), or just the returned versions on the indexed store. The
-// observability layer charges this per store pass so EvalStats'
-// FillersScanned reproduces the access cost Figure 4 measures.
-func (st *Store) LookupCost(returned int) int {
+// PassCost reports how many stored filler versions passes lookup passes
+// that returned n versions between them examined: the whole fragment log
+// per pass under the scan cost model (the paper's predicate scan
+// evaluates its filter against every <filler> element), or just the
+// returned versions on the indexed store. The access paths charge it to
+// EvalStats' FillersScanned, so that it reproduces the access cost
+// Figure 4 measures, and EXPLAIN predicts with it.
+func (st *Store) PassCost(passes, n int) int {
 	if st.scan {
-		return st.Len()
+		return passes * st.Len()
 	}
-	return returned
+	return n
 }
 
 // Root returns the latest version of the root filler, or nil before it
@@ -325,23 +319,6 @@ func (st *Store) Root() *Fragment {
 		return nil
 	}
 	return vs[len(vs)-1]
-}
-
-// GetFillers is the paper's get_fillers function (§5): it returns, for a
-// hole id, one element per stored version, annotated with its deduced
-// lifespan. For temporal tags version k spans [validTime(k),
-// validTime(k+1)) — encoded vtTo="now" on the last version; for event
-// tags each version is the point [validTime, validTime]. Each element is a
-// new top node — its own attributes, the lifespan stamped on them — whose
-// children are the stored payload's, shared and immutable, embedded holes
-// included, so callers can keep navigating. A read therefore costs
-// O(versions) allocations whatever the payloads' size.
-//
-// Versions with validTime after the evaluation instant `at` are invisible
-// (they have not "happened" yet from the query's standpoint).
-func (st *Store) GetFillers(fillerID int, at time.Time) []*xmldom.Node {
-	out, _ := st.lookup([]int{fillerID}, at, nil, Window{})
-	return out
 }
 
 // Filter decides, from a version's stored payload, whether a read returns
@@ -493,20 +470,20 @@ func renderInstant(b *strings.Builder, t time.Time) string {
 
 // read is one read of the index: the version groups of fids, in that
 // order, annotated — of each group only the versions carrying tsid when
-// tsid > 0 — and the number of versions examined. It takes each group's
-// slice header under the lock and works outside it, so no Filter runs and
-// no node is built while a writer waits, and no group is copied. A read is
-// two passes: the first asks the filter about each version and notes the
-// ones kept, the second builds exactly those (buildTops) — or, for a read
-// of bare tops, hands out their stored payloads (tops). Without a filter
-// every visible version is kept, and with a window no more than its width
-// per group, so the read sizes its notes once; with a filter they start on
-// the stack and grow as versions are kept. A window reads fids parent by
-// parent (Window).
-func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Window) (out []*xmldom.Node, examined int) {
+// tsid > 0 — under r's filter, groups (which close fids), window and bare
+// tops, and the read as one group. It takes each group's slice header under
+// the lock and works outside it, so no Filter runs and no node is built
+// while a writer waits, and no group is copied. A read is two passes: the
+// first asks the filter about each version and notes the ones kept, the
+// second builds exactly those (buildTops) — or, for a read of bare tops,
+// hands out their stored payloads (tops). Without a filter every visible
+// version is kept, and with a window no more than its width per group, so
+// the read sizes its notes once; with a filter they start on the stack and
+// grow as versions are kept.
+func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
 	var few [32]keptVersion
 	kept := few[:0]
-	if keep == nil {
+	if r.Keep == nil {
 		total := 0
 		st.mu.RLock()
 		if tsid > 0 {
@@ -517,70 +494,64 @@ func (st *Store) read(fids []int, tsid int, at time.Time, keep Filter, win Windo
 			}
 		}
 		st.mu.RUnlock()
-		if win.Ends != nil {
+		if r.Groups != nil && (r.Last || r.From > 0) {
 			width := 1
-			if !win.Last {
-				width = max(win.To-win.From+1, 0)
+			if !r.Last {
+				width = max(r.To-r.From+1, 0)
 			}
-			if width < total/len(win.Ends)+1 {
-				total = width * len(win.Ends)
+			if width < total/len(r.Groups)+1 {
+				total = width * len(r.Groups)
 			}
 		}
 		if total > len(few) {
 			kept = make([]keptVersion, 0, total)
 		}
 	}
-	pick := func(fids []int, keep Filter) {
-		for _, fid := range fids {
+	examined := 0
+	var w windowKeep
+	keep := w.narrow(r.Keep, r.Groups != nil)
+	r.each(st, at, fids, &w, func(lo, hi int) Group {
+		var g Group
+		n := len(kept)
+		for _, fid := range fids[lo:hi] {
 			var seen int
 			kept, seen = st.pickVersions(kept, st.Versions(fid), tsid, at, keep)
-			examined += seen
+			g.Examined += seen
 		}
-	}
-	if win.Ends == nil {
-		pick(fids, keep)
-		return tops(kept, win), examined
-	}
-	// Window.groups' loop, spelled out so that the narrowed filter stays on
-	// the stack: this is the read QaC+'s window takes
-	w := windowKeep{keep: keep}
-	narrowed := Filter(w.admit)
-	lo := 0
-	for g, hi := range win.Ends {
-		w.open(win, st, fids[lo:hi], at)
-		before := examined
-		pick(fids[lo:hi], narrowed)
-		win.Ends[g] = len(kept)
-		if win.Examined != nil {
-			win.Examined[g] = examined - before
-		}
-		lo = hi
-	}
-	return tops(kept, win), examined
+		examined += g.Examined
+		g.End, g.Built = len(kept), builtOf(len(kept)-n, r.Bare)
+		return g
+	})
+	out, stamps := tops(kept, r)
+	return out, Group{End: len(out), Examined: examined, Built: builtOf(len(out), r.Bare), Stamps: stamps}
 }
 
 // tops is what a read returns for its kept versions: a lifespan-stamped
-// top each (buildTops), or, when win asks for bare tops, each version's
-// stored payload, adding to win.Stamps the bytes the stamps would have
-// added to them, group by group (win.Ends, already where each group ends
-// in kept).
-func tops(kept []keptVersion, win Window) []*xmldom.Node {
-	if win.Stamps == nil {
-		return buildTops(kept)
+// top each (buildTops), or, when r asks for bare tops, each version's
+// stored payload, and the bytes the stamps would have added to them, in
+// all and group by group (r.Groups, already where each group ends in
+// kept).
+func tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
+	if !r.Bare {
+		return buildTops(kept), 0
 	}
 	if len(kept) == 0 {
-		return nil
+		return nil, 0
 	}
 	out := make([]*xmldom.Node, len(kept))
-	g := 0
+	stamps, g := 0, 0
 	for i, k := range kept {
-		for g < len(win.Ends) && i >= win.Ends[g] {
+		for g < len(r.Groups) && i >= r.Groups[g].End {
 			g++
 		}
 		out[i] = k.f.Tree()
-		win.Stamps[g] += stampBytes(k)
+		n := stampBytes(k)
+		stamps += n
+		if g < len(r.Groups) {
+			r.Groups[g].Stamps += n
+		}
 	}
-	return out
+	return out, stamps
 }
 
 // stampBytes is what buildTops' stamps add to k's top beyond its payload's
@@ -628,43 +599,20 @@ func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
 	return n
 }
 
-// lookup is the paper's get_fillers over a set of distinct hole ids, their
-// versions concatenated in input order: one lookup pass — §8's unnested
-// formulation when there are several ids — then the read.
-func (st *Store) lookup(ids []int, at time.Time, keep Filter, win Window) ([]*xmldom.Node, int) {
-	st.scanPass(AttrID, ids)
-	return st.read(ids, 0, at, keep, win)
-}
-
-// lookupTSID is the paper's filler[@tsid=…] lookup: one lookup pass, then
-// a read of the versions carrying tsid, filler ids ascending — bare tops
-// when stamps is non-nil (Window.Stamps).
-func (st *Store) lookupTSID(tsid int, at time.Time, keep Filter, stamps []int) ([]*xmldom.Node, int) {
-	st.scanPass(AttrTSID, []int{tsid})
-	fids, _ := st.TSIDFillers(tsid)
-	return st.read(fids, tsid, at, keep, Window{Stamps: stamps})
-}
-
-// distinctIDs returns ids without its repeats, each id at its first
-// position: ids itself when it is strictly ascending — how a fragmenter
-// numbers one parent's holes — and a filtered copy otherwise.
-func distinctIDs(ids []int) []int {
-	ascending := true
-	for i := 1; i < len(ids) && ascending; i++ {
-		ascending = ids[i-1] < ids[i]
+// lookup is one lookup pass, then the read: the paper's get_fillers over a
+// set of distinct hole ids, their versions concatenated in input order —
+// §8's unnested formulation when there are several ids —, or, when tsid >
+// 0, its filler[@tsid=…] lookup, the versions carrying tsid, filler ids
+// ascending.
+func (st *Store) lookup(ids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
+	if tsid > 0 {
+		tsids := [1]int{tsid}
+		st.scanPass(AttrTSID, tsids[:])
+		ids, _ = st.TSIDFillers(tsid)
+	} else {
+		st.scanPass(AttrID, ids)
 	}
-	if ascending {
-		return ids
-	}
-	seen := make(map[int]struct{}, len(ids))
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	return out
+	return st.read(ids, tsid, at, r)
 }
 
 // window is the span of evaluation instants over which a read of fids

@@ -120,7 +120,7 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 		}
 		// the budget meters the read as it meters the full evaluation's
 		got.items, got.bytes = 0, 0
-		if got != (charge{fillers: int64(st.LookupCost(3))}) {
+		if got != (charge{fillers: int64(st.PassCost(1, 3))}) {
 			t.Errorf("%s: unit charged %+v, want one lookup pass only", name, got)
 		}
 	}

@@ -18,7 +18,10 @@ type HoleResolver func(holeID int) []*xmldom.Node
 // access path, which charges every crossing the way its index pays for
 // it.
 func AccessResolver(acc fragment.Access, st *fragment.Store) HoleResolver {
-	return func(holeID int) []*xmldom.Node { return acc.Filler(st, holeID, true, nil) }
+	return func(holeID int) []*xmldom.Node {
+		els, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID})
+		return els
+	}
 }
 
 // BudgetResolver wraps a HoleResolver so every hole expansion charges

@@ -74,11 +74,11 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 		}
 	}()
 	resolve := func(id int) []*xmldom.Node {
-		fillers := acc.Filler(st, id, true, nil)
+		fillers, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: id})
 		b.MustItems(len(fillers))
 		return fillers
 	}
-	s.AddFillers(st.LookupCost(1)) // the root filler lookup is a pass too
+	s.AddFillers(st.PassCost(1, 1)) // the root filler lookup is a pass too
 	return FillHoles(resolve, root.Tree(), make(map[int]bool), b, s), nil
 }
 
@@ -192,6 +192,7 @@ func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.
 		return out
 	}
 	root := own(rootFrag.Tree())
+	acc := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at})
 	type item struct {
 		el  *xmldom.Node
 		tag *tagstruct.Tag
@@ -231,7 +232,7 @@ func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.
 				continue
 			}
 			seen[id] = true
-			fillers := st.GetFillers(id, at)
+			fillers, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: id})
 			if err := b.AddItems(len(fillers)); err != nil {
 				return nil, err
 			}

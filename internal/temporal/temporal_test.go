@@ -231,7 +231,7 @@ func TestReadsShareTheStoreAndLeaveItAlone(t *testing.T) {
 		t.Error("unclipped sibling was copied, not shared")
 	}
 	IntervalProjection([]*xmldom.Node{st.Root().Payload}, window, evalAt, nil, storeResolver(st))
-	VersionProjection(st.GetFillers(1, evalAt), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, nil, storeResolver(st))
+	VersionProjection(storeResolver(st)(1), xtime.VersionInterval{From: 1, ToLast: true}, evalAt, nil, storeResolver(st))
 	check("projection across holes")
 }
 

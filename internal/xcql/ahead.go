@@ -1,7 +1,6 @@
 package xcql
 
 import (
-	"math"
 	"slices"
 
 	"xcql/internal/fragment"
@@ -22,7 +21,8 @@ import (
 // tuple that never makes the call pays for nothing. A call with a pushed
 // filter reads for itself (the filter charges a step per version it is
 // asked about, when it is asked), and so does every call of an evaluation
-// with a cache, whose hits the earlier bindings' reads would warm.
+// with a cache, whose hits the earlier bindings' reads would warm: the
+// access path reads nothing ahead there (fragment.Read.Defer).
 type readAhead struct {
 	rt    *Runtime
 	calls []aheadCall
@@ -38,105 +38,60 @@ type aheadCall struct {
 	bare   bool
 }
 
-// aheadReads is what Begin returns: reads[i] is calls[i] made for every
-// binding.
-type aheadReads struct {
-	calls []aheadCall
-	reads []aheadRead
+// clauseRead is one call made for every binding of its clause, as Begin
+// returns it: groups[i] is binding i's group of els. A group that crossed
+// no hole — a binding holding none of the call's, or any binding of a read
+// the access path left to the calls (fragment.Read.Defer) — makes its call
+// read as it would have.
+type clauseRead struct {
+	aheadCall
+	st     *fragment.Store
+	els    []*xmldom.Node
+	items  xq.Sequence // els as items: a group is handed out as a window of it
+	groups []fragment.Group
 }
 
-// aheadRead is one call made for every binding of its clause.
-type aheadRead struct {
-	st    *fragment.Store
-	els   []*xmldom.Node
-	items xq.Sequence // els as items: a group is handed out as a window of it
-	slots []aheadSlot // per binding
-}
-
-// aheadSlot is one binding's group, els[lo:hi], read from holes distinct
-// hole ids, examining examined versions, its tops' stamps, when bare,
-// stamps bytes. holes == 0: the binding crosses none of the call's holes,
-// and its call reads as it would have.
-type aheadSlot struct{ lo, hi, holes, examined, stamps int32 }
-
-// Begin reads every call for every binding of seq, or nothing when the
-// evaluation's access path reads each call itself.
+// Begin reads every call for every binding of seq.
 func (ra *readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
-	if _, each := ctx.Static.Access.FillersEach(nil, nil, fragment.Window{}); !each {
-		return nil
+	reads := make([]clauseRead, len(ra.calls))
+	for i := range reads {
+		reads[i].aheadCall = ra.calls[i]
+		ra.read(ctx, seq, &reads[i])
 	}
-	reads := make([]aheadRead, len(ra.calls))
-	for i, c := range ra.calls {
-		ra.read(ctx, c, seq, &reads[i])
-	}
-	return &aheadReads{calls: ra.calls, reads: reads}
+	return reads
 }
 
-// read makes call c for every binding of seq into r: the bindings' hole
+// read makes r's call for every binding of seq: the bindings' hole
 // ids, counted first so that the id list is built to size, go to the store
-// as one window read whose groups are the bindings, in binding order.
-func (ra *readAhead) read(ctx *xq.Context, c aheadCall, seq xq.Sequence, r *aheadRead) {
-	if r.st = ra.rt.Store(c.stream); r.st == nil {
+// as one deferred read whose groups are the bindings, each binding's ids
+// distinct within its group, as its own call makes them.
+func (ra *readAhead) read(ctx *xq.Context, seq xq.Sequence, r *clauseRead) {
+	if r.st = ra.rt.Store(r.stream); r.st == nil {
 		return // the call reports the missing stream itself
 	}
-	total, groups := 0, 0
+	total := 0
 	for _, it := range seq {
 		if n, ok := it.(*xmldom.Node); ok {
-			if k := fragment.CountHoles(n, c.tsid); k > 0 {
-				total += k
-				groups++
-			}
+			total += fragment.CountHoles(n, r.tsid)
 		}
 	}
-	if groups == 0 {
+	if total == 0 {
 		return
 	}
-	r.slots = make([]aheadSlot, len(seq))
 	ids := make([]int, 0, total)
-	outs := 2
-	if c.bare {
-		outs = 3
-	}
-	bounds := make([]int, outs*groups)
-	win := fragment.Window{From: 1, To: math.MaxInt, Ends: bounds[:0:groups]}
-	if c.each != nil {
-		win = c.each.window(win.Ends)
-	}
+	r.groups = make([]fragment.Group, len(seq))
 	for i, it := range seq {
-		n, ok := it.(*xmldom.Node)
-		if !ok {
-			continue
+		if n, ok := it.(*xmldom.Node); ok {
+			ids = fragment.HoleIDs(ids, n, r.tsid)
 		}
-		start := len(ids)
-		ids = fragment.HoleIDs(ids, n, c.tsid)
-		if len(ids) == start {
-			continue
-		}
-		// one binding's ids are distinct, as its own call makes them
-		set, _ := distinctTail(ids[start:], 0, nil)
-		ids = ids[:start+len(set)]
-		r.slots[i].holes = int32(len(set))
-		win.Ends = append(win.Ends, len(ids))
+		r.groups[i].End = len(ids)
 	}
-	win.Examined = bounds[groups : 2*groups]
-	if c.bare {
-		win.Stamps = bounds[2*groups:]
+	read := fragment.Read{IDs: ids, Groups: r.groups, Bare: r.bare, EachGroup: true, Defer: true}
+	if r.each != nil {
+		r.each.window(&read)
 	}
-	els, _ := ctx.Static.Access.FillersEach(r.st, ids, win)
-	r.els, r.items = els, xq.FromNodes(els)
-	g, lo := 0, 0
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.holes == 0 {
-			continue
-		}
-		s.lo, s.hi, s.examined = int32(lo), int32(win.Ends[g]), int32(win.Examined[g])
-		if c.bare {
-			s.stamps = int32(win.Stamps[g])
-		}
-		lo = win.Ends[g]
-		g++
-	}
+	r.els, _ = ctx.Static.Access.Read(r.st, read)
+	r.items = xq.FromNodes(r.els)
 }
 
 // takeAhead answers a fillers call on nodes from what the clause that bound
@@ -147,41 +102,37 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 	if !ok {
 		return nil, false, nil
 	}
-	ar, _ := a.(*aheadReads)
-	if ar == nil {
-		return nil, false, nil
-	}
-	var r *aheadRead
-	for i, c := range ar.calls {
-		if ar.reads[i].st == st && c.tsid == tsid && c.each == each && c.bare == bare {
-			r = &ar.reads[i]
+	reads, _ := a.([]clauseRead)
+	var r *clauseRead
+	for i := range reads {
+		if c := &reads[i]; c.st == st && c.tsid == tsid && c.each == each && c.bare == bare {
+			r = c
 			break
 		}
 	}
-	if r == nil || r.slots == nil || r.slots[at].holes == 0 {
+	if r == nil || r.groups == nil || r.groups[at].Holes == 0 {
 		return nil, false, nil
 	}
-	s := r.slots[at]
-	els := r.els[s.lo:s.hi:s.hi]
-	built := len(els)
-	if bare {
-		built = 0
+	g, lo := r.groups[at], 0
+	if at > 0 {
+		lo = r.groups[at-1].End
 	}
-	ctx.Static.Access.ChargeEach(st, int(s.holes), int(s.examined), built)
+	els := r.els[lo:g.End:g.End]
+	ctx.Static.Access.Charge(st, g)
 	if each != nil && len(each.rest()) > 0 {
 		// never bare: a list the read does not serve whole keeps the tops
 		// stamped (markBare)
-		out, err := applyPerGroup(ctx, nil, els, []int{len(els)}, each.rest())
+		out, err := applyPreds(ctx, nil, els, each.rest())
 		if err != nil {
 			return nil, true, err
 		}
 		seq, err := chargeNodes(ctx.Static.Budget, out, 0)
 		return seq, true, err
 	}
-	if err := meterNodes(ctx.Static.Budget, els, int(s.stamps)); err != nil {
+	if err := meterNodes(ctx.Static.Budget, els, g.Stamps); err != nil {
 		return nil, true, err
 	}
-	return r.items[s.lo:s.hi:s.hi], true, nil
+	return r.items[lo:g.End:g.End], true, nil
 }
 
 // attachReadAhead gives every for clause of plan whose body makes

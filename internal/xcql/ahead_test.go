@@ -221,3 +221,32 @@ func readStats(s obs.EvalStats) string {
 	return fmt.Sprintf("fillers=%d holes=%d cache=%d/%d nodes=%d steps=%d items=%d bytes=%d",
 		s.FillersScanned, s.HolesResolved, s.CacheHits, s.CacheMisses, s.NodesConstructed, s.Steps, s.Items, s.BytesMaterialized)
 }
+
+// TestFillersMixedInput: a child step whose input mixes materialized nodes
+// — an interval projection's output, its children inline — with nodes that
+// hold the children's holes reads the holes as one set, each id once, and
+// puts each node's children where the node stands. The values and counters
+// are pinned from the engine that read each run of holed nodes between
+// materialized ones with a call of its own; the plans part from CaQ on
+// these inputs (ROADMAP item 2), not from each other.
+func TestFillersMixedInput(t *testing.T) {
+	rt, at := reannouncedCredit(t)
+	projected := `stream("credit")/creditAccounts/account[last()]?[2000-01-01T00:00:00,now]`
+	accounts := `stream("credit")/creditAccounts/account`
+	for _, tc := range []struct{ src, values, stats string }{
+		{`for $t in (` + accounts + `, ` + projected + `, ` + accounts + `)/transaction return string($t/amount)`,
+			"[100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=48 holes=21 cache=0/0 nodes=42 steps=125 items=120 bytes=14445"},
+		{`for $t in (` + projected + `, ` + accounts + `, ` + projected + `)/transaction return string($t/amount)`,
+			"[100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=54 holes=27 cache=0/0 nodes=42 steps=164 items=147 bytes=16923"},
+		{`for $t in (` + projected + `, ` + accounts + `)/transaction[1] return string($t/amount)`,
+			"[100]", "fillers=24 holes=12 cache=0/0 nodes=20 steps=60 items=45 bytes=7460"},
+		{`for $t in (` + accounts + `, ` + projected + `)/transaction[last()] return string($t/amount)`,
+			"[200]", "fillers=24 holes=12 cache=0/0 nodes=20 steps=60 items=45 bytes=7460"},
+	} {
+		qac := evalRendered(t, rt, tc.src, QaC, at)
+		got := evalRendered(t, rt, tc.src, QaCPlus, at)
+		if got.items != qac.items || got.values != tc.values || got.stats != tc.stats {
+			t.Errorf("%s: QaC+ %s, %s; pinned %s, %s (QaC %s)", tc.src, got.values, got.stats, tc.values, tc.stats, qac.values)
+		}
+	}
+}

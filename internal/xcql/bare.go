@@ -5,7 +5,7 @@ import "xcql/internal/xq"
 // bareTops marks an access call whose output nothing observes beyond its
 // children, its holes and its payload attributes: get_fillers returns each
 // version "annotated with its lifespan", and a read builds a new top
-// element per version for the two stamps alone (fragment.Window.Stamps),
+// element per version for the two stamps alone (fragment.Read.Bare),
 // so a read whose consumers only navigate through the top hands out the
 // stored payload instead. It is pushdown's reasoning (pushed) applied to
 // a read's consumers: which tops are built changes, never what is

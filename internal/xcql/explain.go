@@ -182,25 +182,21 @@ func (q *Query) explainCache(cache *fragment.Cache, streamNames []string, target
 		if st == nil {
 			continue
 		}
+		tsid, ids := 0, []int(nil)
 		switch t.Op {
 		case "get_fillers", "get_fillers_batched":
-			ids, _ := st.TSIDFillers(t.TSID)
-			hits := cache.ResidentFillers(st, ids)
-			ce.PredictedHits += int64(hits)
-			ce.PredictedMisses += int64(len(ids) - hits)
+			ids, _ = st.TSIDFillers(t.TSID)
 		case "materialize-view":
 			// CaQ resolves every non-root filler id through the cache
-			ids := slices.DeleteFunc(st.FillerIDs(), func(id int) bool { return id == fragment.RootFillerID })
-			hits := cache.ResidentFillers(st, ids)
-			ce.PredictedHits += int64(hits)
-			ce.PredictedMisses += int64(len(ids) - hits)
+			ids = slices.DeleteFunc(st.FillerIDs(), func(id int) bool { return id == fragment.RootFillerID })
 		case "tsid-index":
-			if cache.ResidentTSID(st, t.TSID) {
-				ce.PredictedHits++
-			} else {
-				ce.PredictedMisses++
-			}
+			tsid, ids = t.TSID, []int{t.TSID}
+		default:
+			continue
 		}
+		hits := cache.Resident(st, tsid, ids)
+		ce.PredictedHits += int64(hits)
+		ce.PredictedMisses += int64(len(ids) - hits)
 	}
 	return ce
 }
@@ -263,7 +259,7 @@ func (q *Query) censusTSID(t ExplainTarget) ExplainTarget {
 		t.Tag = tag.Name
 	}
 	fids, versions := st.TSIDFillers(t.TSID)
-	t.Holes, t.Versions, t.CostPerPass = len(fids), versions, st.LookupCost(versions)
+	t.Holes, t.Versions, t.CostPerPass = len(fids), versions, st.PassCost(1, versions)
 	return t
 }
 
@@ -276,29 +272,24 @@ func (q *Query) censusWhole(t ExplainTarget) ExplainTarget {
 	}
 	t.Holes = st.Fillers()
 	t.Versions = st.Len()
-	t.CostPerPass = st.LookupCost(st.Len())
+	t.CostPerPass = st.PassCost(1, st.Len())
 	return t
 }
 
 // predict charges one access path to the cost-model estimate, mirroring
-// how the intrinsics charge EvalStats at run time. On a scan store every
-// lookup pass examines the whole fragment log (the paper's
-// predicate-scan model); on an indexed store only the returned versions.
+// how the access paths charge EvalStats at run time, passes costed as they
+// cost them (fragment.Store.PassCost).
 func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
-	scanning := false
-	if st := q.rt.Store(t.Stream); st != nil {
-		scanning = st.Scanning()
+	st := q.rt.Store(t.Stream)
+	if st == nil {
+		return
 	}
 	switch t.Op {
 	case "materialize-view", "get_fillers":
 		// one lookup pass per hole: CaQ's reconstruction and QaC's
 		// per-hole get_fillers share this shape
 		p.AddHoles(t.Holes)
-		if scanning {
-			p.FillersScanned += int64(t.Holes) * int64(t.CostPerPass)
-		} else {
-			p.FillersScanned += int64(t.Versions)
-		}
+		p.FillersScanned += int64(st.PassCost(t.Holes, t.Versions))
 	case "get_fillers_batched":
 		// QaC+: the whole hole set resolves in one pass
 		p.AddHoles(t.Holes)
@@ -307,21 +298,10 @@ func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
 		p.AddTSIDLookup(t.Versions)
 		p.FillersScanned += int64(t.CostPerPass)
 	case "root":
-		// one lookup for the root filler's versions
-		p.FillersScanned += int64(rootVersions(q.rt.Store(t.Stream), scanning))
+		// one lookup for the root filler's versions, which QaC plans open
+		// with
+		p.FillersScanned += int64(st.PassCost(1, len(st.Versions(fragment.RootFillerID))))
 	}
-}
-
-// rootVersions is the predicted cost of the root-filler lookup QaC plans
-// open with.
-func rootVersions(st *fragment.Store, scanning bool) int {
-	if st == nil {
-		return 0
-	}
-	if scanning {
-		return st.Len()
-	}
-	return len(st.Versions(fragment.RootFillerID))
 }
 
 func litString(args []xq.Expr, i int) string {

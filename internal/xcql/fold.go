@@ -104,9 +104,7 @@ type foldState struct {
 	sites []foldSite
 	memo  TermMemo
 	terms *UnitEval
-	segs  []segment
-	ids   []int // the hole ids of the call's input, distinct
-	batch []int // the ids of one of the child step's reads
+	in    callInput // the call's input, as xcql:fillers reads it
 	one   [1]int
 }
 
@@ -117,14 +115,6 @@ type foldSite struct {
 	// evaluation of the chain the aggregate made.
 	skel     spent
 	measured bool
-}
-
-// segment is a span of a child step's output: the versions of hole id, or,
-// with id < 0, the inline children of a node that holds no hole of the
-// tag — a node that closes the read in progress.
-type segment struct {
-	id   int
-	kids []*xmldom.Node
 }
 
 // SetFolds gives the frame the fold sites its bodies' FnFold calls number,
@@ -139,9 +129,9 @@ func (u *UnitEval) SetFolds(sites []FoldSite, memo TermMemo) {
 
 // intrFold answers a folded aggregate. It reads the holes of its input as
 // xcql:fillers does — each id once, at its first position; a node holding
-// none of the tag closes the read in progress and contributes its inline
+// none of the tag closes the group in progress and contributes its inline
 // children —, charges what the aggregate's evaluation charged: the child
-// step's reads, the chain's skeleton and each term — kept or evaluated now
+// step's read, the chain's skeleton and each term — kept or evaluated now
 // — what its evaluation charged, and folds the terms' numbers left to right
 // as the aggregate folds its argument.
 func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
@@ -162,40 +152,18 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	if err != nil {
 		return nil, err
 	}
-	tag := st.Structure().ByID(s.TSID)
-	f.segs, f.ids = f.segs[:0], f.ids[:0]
-	var seen map[int]bool
-	for _, it := range args[0] {
-		n, ok := it.(*xmldom.Node)
-		if !ok {
-			continue
-		}
-		start := len(f.ids)
-		f.ids = fragment.HoleIDs(f.ids, n, s.TSID)
-		if len(f.ids) == start {
-			if tag != nil {
-				f.segs = append(f.segs, segment{id: -1, kids: n.ChildElements(tag.Name)})
-			}
-			continue
-		}
-		f.ids, seen = distinctTail(f.ids, start, seen)
-		for _, id := range f.ids[start:] {
-			f.segs = append(f.segs, segment{id: id})
-		}
-	}
+	in := &f.in
+	in.collect(args[0], s.TSID, st.Structure().ByID(s.TSID), false)
+	in.closeRun() // a read's window needs its groups
+	// the child step's read, made as xcql:fillers makes it, of no position:
+	// it dedupes the ids and counts what the read examines, and is charged
+	// the whole read, which the kept terms stand in for
 	acc := u.static.Access
-	f.batch = f.batch[:0]
-	for _, sg := range f.segs {
-		if sg.id >= 0 {
-			f.batch = append(f.batch, sg.id)
-		} else if len(f.batch) > 0 {
-			acc.ChargeFillers(st, f.batch, s.Bare)
-			f.batch = f.batch[:0]
-		}
+	_, read := acc.Read(st, fragment.Read{IDs: in.ids, Groups: in.groups, From: 1, To: 0, Defer: true})
+	if !s.Bare {
+		read.Built = read.Examined
 	}
-	if len(f.batch) > 0 {
-		acc.ChargeFillers(st, f.batch, s.Bare)
-	}
+	acc.Charge(st, read)
 	if !s.measured {
 		if err := u.measure(s); err != nil {
 			return nil, err
@@ -206,23 +174,24 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	}
 	at := u.static.Now
 	total, items, numbers := 0.0, 0, 0
-	for _, sg := range f.segs {
+	// add folds in the term of child id, or, with id < 0, of kids, the
+	// inline children of a node
+	add := func(id int, kids []*xmldom.Node) error {
 		var t *Term
-		if sg.id >= 0 {
-			t = f.memo.Term(site, sg.id, at)
-		} else if len(sg.kids) == 0 {
-			continue
+		if id >= 0 {
+			t = f.memo.Term(site, id, at)
 		}
 		if t == nil {
-			if t, err = u.evalTerm(s, st, sg.id, sg.kids); err != nil {
-				return nil, err
+			var err error
+			if t, err = u.evalTerm(s, st, id, kids); err != nil {
+				return err
 			}
-			if sg.id >= 0 {
-				f.memo.KeepTerm(site, sg.id, t)
+			if id >= 0 {
+				f.memo.KeepTerm(site, id, t)
 			}
 		}
 		if err := u.charge(t.steps, t.items, t.bytes, t.access); err != nil {
-			return nil, err
+			return err
 		}
 		if h := t.Horizon(); !h.IsZero() {
 			u.horizon.Until(h)
@@ -234,6 +203,28 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 				numbers++
 			}
 		}
+		return nil
+	}
+	// the read left each group's distinct ids in place, in order
+	ids := in.ids
+	err = in.each(func(g int, kids []*xmldom.Node) error {
+		if g < 0 {
+			if len(kids) == 0 {
+				return nil
+			}
+			return add(-1, kids)
+		}
+		holes := in.groups[g].Holes
+		for _, id := range ids[:holes] {
+			if err := add(id, nil); err != nil {
+				return err
+			}
+		}
+		ids = ids[holes:]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	switch s.Agg {
 	case "count":
@@ -291,15 +282,14 @@ func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, id int, kids []*xml
 	t := u.termFrame()
 	base := kids
 	var read spent
-	var stamps []int
+	var g fragment.Group
 	if id >= 0 {
 		u.fold.one[0] = id
-		stamps = bareStamps(s.Bare, 1)
-		base = t.static.Access.Fillers(st, u.fold.one[:], nil, fragment.Window{Stamps: stamps})
-		// the read's own charge is its batch's: the fold charges that
+		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: s.Bare})
+		// the read's own charge is its group's: the fold charges that
 		read = t.used()
 	}
-	bound, err := chargeNodes(&t.budget, base, stampSum(stamps))
+	bound, err := chargeNodes(&t.budget, base, g.Stamps)
 	if err != nil {
 		return nil, err
 	}

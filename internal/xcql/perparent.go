@@ -20,10 +20,11 @@ import (
 //
 // When the list opens with a position a read can serve ([n], [last()],
 // [position() <= n], [position() < n]), the read does: it gets the
-// positions as a fragment.Window and builds no version outside them.
+// positions as a fragment.Read's window and builds no version outside
+// them.
 type perParent struct {
 	preds    []xq.Expr
-	win      fragment.Window // what preds[0] selects, when windowed
+	win      fragment.Read // the window preds[0] selects, when windowed
 	windowed bool
 }
 
@@ -52,33 +53,26 @@ func (p *perParent) rest() []xq.Expr {
 	return p.preds
 }
 
-// window is the read's window over groups closed at ends: the positions
-// preds[0] selects, or every position when the read serves none.
-func (p *perParent) window(ends []int) fragment.Window {
-	w := fragment.Window{From: 1, To: math.MaxInt}
+// window gives a read over the parents' groups the positions preds[0]
+// selects, when the read serves them; it reads every position otherwise.
+func (p *perParent) window(r *fragment.Read) {
 	if p.windowed {
-		w = p.win
+		r.From, r.To, r.Last = p.win.From, p.win.To, p.win.Last
 	}
-	w.Ends = ends
-	return w
 }
 
-// applyPerGroup appends to out what each group of els — group g is
-// els[ends[g-1]:ends[g]] — keeps under preds.
-func applyPerGroup(ctx *xq.Context, out, els []*xmldom.Node, ends []int, preds []xq.Expr) ([]*xmldom.Node, error) {
-	if len(preds) == 0 {
-		return appendNodes(out, els), nil
+// applyPreds appends to out what group, one parent's versions, keeps under
+// preds.
+func applyPreds(ctx *xq.Context, out, group []*xmldom.Node, preds []xq.Expr) ([]*xmldom.Node, error) {
+	if len(preds) == 0 || len(group) == 0 {
+		return appendNodes(out, group), nil
 	}
-	lo := 0
-	for _, hi := range ends {
-		kept, err := xq.ApplyPredicates(xq.FromNodes(els[lo:hi]), preds, ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range kept {
-			out = append(out, it.(*xmldom.Node))
-		}
-		lo = hi
+	kept, err := xq.ApplyPredicates(xq.FromNodes(group), preds, ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range kept {
+		out = append(out, it.(*xmldom.Node))
 	}
 	return out, nil
 }
@@ -124,15 +118,15 @@ func eachParent(piece xq.Expr, preds []xq.Expr) xq.Expr {
 // windowOf reports the positions a predicate selects when it is one a read
 // can serve: [n], [last()], [position() <= n] or [position() < n], n a
 // positive integer literal.
-func windowOf(e xq.Expr) (fragment.Window, bool) {
+func windowOf(e xq.Expr) (fragment.Read, bool) {
 	switch ex := e.(type) {
 	case *xq.Literal:
 		if n, ok := positiveInt(ex.Val); ok {
-			return fragment.Window{From: n, To: n}, true
+			return fragment.Read{From: n, To: n}, true
 		}
 	case *xq.Call:
 		if ex.Name == "last" && len(ex.Args) == 0 {
-			return fragment.Window{Last: true}, true
+			return fragment.Read{Last: true}, true
 		}
 	case *xq.BinOp:
 		pos, isCall := ex.L.(*xq.Call)
@@ -143,12 +137,12 @@ func windowOf(e xq.Expr) (fragment.Window, bool) {
 		n, ok := positiveInt(lit.Val)
 		switch {
 		case ok && ex.Op == "<=":
-			return fragment.Window{From: 1, To: n}, true
+			return fragment.Read{From: 1, To: n}, true
 		case ok && ex.Op == "<":
-			return fragment.Window{From: 1, To: n - 1}, true
+			return fragment.Read{From: 1, To: n - 1}, true
 		}
 	}
-	return fragment.Window{}, false
+	return fragment.Read{}, false
 }
 
 func positiveInt(v xq.Item) (int, bool) {

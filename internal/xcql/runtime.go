@@ -466,7 +466,7 @@ func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 func scopedResolver(acc fragment.Access, stores []*fragment.Store) temporal.HoleResolver {
 	return func(holeID int) []*xmldom.Node {
 		for _, st := range stores {
-			if els := acc.Filler(st, holeID, true, nil); len(els) > 0 {
+			if els, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID}); len(els) > 0 {
 				return els
 			}
 		}
@@ -493,7 +493,7 @@ func argString(args []xq.Sequence, i int) string {
 
 // chargeNodes meters the output of a store read: cardinality plus the
 // tree bytes of every resolved filler version, stamps is the bytes the
-// stamps of the bare tops among them would add (fragment.Window.Stamps).
+// stamps of the bare tops among them would add (fragment.Group.Stamps).
 // This is what bounds the fragment plans' access paths, and it is the same
 // charge for bare tops as for stamped ones.
 func chargeNodes(b *budget.Budget, out []*xmldom.Node, stamps int) (xq.Sequence, error) {
@@ -516,24 +516,6 @@ func meterNodes(b *budget.Budget, out []*xmldom.Node, stamps int) error {
 		n += int64(nd.TreeSize())
 	}
 	return b.AddBytes(n)
-}
-
-// bareStamps is the fragment.Window.Stamps of a read of groups groups
-// that asks for bare tops, nil for one that does not.
-func bareStamps(bare bool, groups int) []int {
-	if !bare {
-		return nil
-	}
-	return make([]int, groups)
-}
-
-// stampSum is what a read of bare tops added to stamps, all groups.
-func stampSum(stamps []int) int {
-	n := 0
-	for _, s := range stamps {
-		n += s
-	}
-	return n
 }
 
 func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, error) {
@@ -565,7 +547,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	if err != nil {
 		return nil, err
 	}
-	els := ctx.Static.Access.Filler(st, fragment.RootFillerID, false, nil)
+	els, _ := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fragment.RootFillerID})
 	if len(els) == 0 {
 		return nil, nil
 	}
@@ -583,9 +565,11 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 // per hole, one batched pass or an index fetch is the access path's
 // business. A per-parent list applies to each input node's group of
 // versions: the read gets the nodes' ids as groups, and a window when the
-// list opens with one. A call on the binding of a for clause that read
-// ahead takes its group of the clause's one read instead (takeAhead). A
-// call marked bare (bareTops) reads bare tops.
+// list opens with one. A node that holds no hole of the tag contributes
+// its children of the tag's name where it stands (callInput). A call
+// on the binding of a for clause that read ahead takes its group of the
+// clause's one read instead (takeAhead). A call marked bare (bareTops)
+// reads bare tops.
 func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
 	args, keep, each, bare := boundAccess(ctx, args)
 	if len(args) != 3 {
@@ -604,106 +588,119 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 			return seq, err
 		}
 	}
-	var (
-		stamps int // what the bare tops' stamps would have added
-		out    []*xmldom.Node
-		ids    []int        // every id the call reads, distinct, in input order
-		seen   map[int]bool // ids as a set, once they stop ascending
-		read   int          // ids[:read] are read
-		ends   []int        // per parent: where each pending group ends in ids[read:]
-	)
-	// the pending hole ids are read as one set; an inline node between two
-	// holed ones closes the set so the output stays in input order
-	flush := func() error {
-		if len(ids) == read {
-			return nil
+	var in callInput
+	in.collect(args[0], tsid, st.Structure().ByID(tsid), each != nil)
+	var els []*xmldom.Node
+	var read fragment.Group
+	if len(in.ids) > 0 {
+		r := fragment.Read{IDs: in.ids, Keep: keep, Groups: in.groups, Bare: bare}
+		if each != nil {
+			each.window(&r)
 		}
-		pending := ids[read:]
-		read = len(ids)
-		if each == nil {
-			win := fragment.Window{Stamps: bareStamps(bare, 1)}
-			out = appendNodes(out, ctx.Static.Access.Fillers(st, pending, keep, win))
-			stamps += stampSum(win.Stamps)
-			return nil
-		}
-		win := each.window(ends)
-		win.Stamps = bareStamps(bare, len(ends))
-		els := ctx.Static.Access.Fillers(st, pending, keep, win)
-		stamps += stampSum(win.Stamps)
-		ends = ends[:0]
-		var err error
-		out, err = applyPerGroup(ctx, out, els, win.Ends, each.rest())
-		return err
+		els, read = ctx.Static.Access.Read(st, r)
 	}
-	for _, it := range args[0] {
+	var rest, preds []xq.Expr
+	if each != nil {
+		rest, preds = each.rest(), each.preds
+	}
+	if in.inline == nil && len(rest) == 0 {
+		return chargeNodes(ctx.Static.Budget, els, read.Stamps)
+	}
+	// the read served the window a list opens with, not the inline children
+	var out []*xmldom.Node
+	lo := 0
+	err = in.each(func(g int, kids []*xmldom.Node) (err error) {
+		if g < 0 {
+			out, err = applyPreds(ctx, out, keep.Sift(kids), preds)
+			return err
+		}
+		out, err = applyPreds(ctx, out, els[lo:in.groups[g].End], rest)
+		lo = in.groups[g].End
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return chargeNodes(ctx.Static.Budget, out, read.Stamps)
+}
+
+// callInput is what a fillers call reads of its input nodes — and a fold,
+// in its place: the hole ids of its tag, in groups, and the children of the
+// tag's name of each node that holds none of its holes inline, after the
+// groups before it. Such a node may be materialized already (e.g. the
+// output of an interval projection, which resolves holes while clipping).
+// A group is one node's ids under a per-parent list, else those of a run
+// of nodes between inline ones; a call with neither reads its ids as one
+// set.
+type callInput struct {
+	ids    []int
+	groups []fragment.Group
+	inline []inlineKids
+}
+
+// inlineKids are one input node's inline children, and how many of the
+// read's groups stand before them.
+type inlineKids struct {
+	before int
+	kids   []*xmldom.Node
+}
+
+// collect reads nodes into in, over in's buffers: the holes of tsid —
+// tag, when the structure names it —, node by node when perNode.
+func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, perNode bool) {
+	in.ids, in.groups, in.inline = in.ids[:0], in.groups[:0], in.inline[:0]
+	for _, it := range nodes {
 		n, ok := it.(*xmldom.Node)
 		if !ok {
 			continue
 		}
-		if ids == nil {
+		if in.ids == nil {
 			// the first node's children bound its holes: most calls cross
 			// the holes of one node
-			ids = make([]int, 0, len(n.Children))
-			if each != nil {
-				ends = make([]int, 0, len(args[0]))
+			in.ids = make([]int, 0, len(n.Children))
+			if perNode {
+				in.groups = make([]fragment.Group, 0, len(nodes))
 			}
 		}
-		start := len(ids)
-		ids = fragment.HoleIDs(ids, n, tsid)
-		if len(ids) == start {
-			// The node may already be materialized (e.g. the output of an
-			// interval projection, which resolves holes while clipping);
-			// the versions then sit inline as name-matched children.
-			if tag := st.Structure().ByID(tsid); tag != nil {
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				kids := keep.Sift(n.ChildElements(tag.Name))
-				if each == nil || len(kids) == 0 {
-					out = appendNodes(out, kids)
-				} else if out, err = applyPerGroup(ctx, out, kids, []int{len(kids)}, each.preds); err != nil {
-					return nil, err
-				}
+		start := len(in.ids)
+		if in.ids = fragment.HoleIDs(in.ids, n, tsid); len(in.ids) > start {
+			if perNode {
+				in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
 			}
-			continue
-		}
-		ids, seen = distinctTail(ids, start, seen)
-		if each != nil && len(ids) > start {
-			ends = append(ends, len(ids)-read)
+		} else if tag != nil {
+			in.closeRun()
+			in.inline = append(in.inline, inlineKids{before: len(in.groups), kids: n.ChildElements(tag.Name)})
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	if len(in.inline) > 0 {
+		in.closeRun()
 	}
-	return chargeNodes(ctx.Static.Budget, out, stamps)
 }
 
-// distinctTail drops from ids[start:] every id ids holds before it, and
-// returns ids and its set: none is built while ids stays strictly
-// ascending — how a fragmenter numbers one parent's holes, and the
-// parents themselves — since no id can then repeat.
-func distinctTail(ids []int, start int, seen map[int]bool) ([]int, map[int]bool) {
-	if seen == nil {
-		ascending := true
-		for i := max(start, 1); i < len(ids) && ascending; i++ {
-			ascending = ids[i-1] < ids[i]
+// closeRun closes the group of the ids read since the last group.
+func (in *callInput) closeRun() {
+	if n := len(in.groups); len(in.ids) > 0 && (n == 0 || in.groups[n-1].End < len(in.ids)) {
+		in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
+	}
+}
+
+// each visits the call's output in input order: each group g of the read,
+// and, as g < 0, each node's inline children, kids.
+func (in *callInput) each(visit func(g int, kids []*xmldom.Node) error) error {
+	k := 0
+	for g := 0; ; g++ {
+		for ; k < len(in.inline) && in.inline[k].before == g; k++ {
+			if err := visit(-1, in.inline[k].kids); err != nil {
+				return err
+			}
 		}
-		if ascending {
-			return ids, nil
+		if g == len(in.groups) {
+			return nil
 		}
-		seen = make(map[int]bool, len(ids))
-		for _, id := range ids[:start] {
-			seen[id] = true
+		if err := visit(g, nil); err != nil {
+			return err
 		}
 	}
-	kept := ids[:start]
-	for _, id := range ids[start:] {
-		if !seen[id] {
-			seen[id] = true
-			kept = append(kept, id)
-		}
-	}
-	return kept, seen
 }
 
 // intrByTSID is QaC+'s descendant jump: all filler versions
@@ -719,13 +716,15 @@ func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence,
 		return nil, err
 	}
 	var out []*xmldom.Node
-	win := fragment.Window{Stamps: bareStamps(bare, 1)}
+	stamps := 0
 	for _, a := range args[1:] {
 		if len(a) > 0 {
-			out = append(out, ctx.Static.Access.ByTSID(st, int(xq.NumberValue(a[0])), keep, win)...)
+			els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: int(xq.NumberValue(a[0])), Keep: keep, Bare: bare})
+			out = append(out, els...)
+			stamps += g.Stamps
 		}
 	}
-	return chargeNodes(ctx.Static.Budget, out, stampSum(win.Stamps))
+	return chargeNodes(ctx.Static.Budget, out, stamps)
 }
 
 // projResolver is the hole resolver a projection intrinsic slices with:

@@ -174,7 +174,8 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 	if st != nil {
 		// the budget meters the unit's own read as it meters the by-tsid
 		// read of a full evaluation
-		if bound, err = chargeNodes(&u.budget, static.Access.Filler(st, fid, false, keep), 0); err != nil {
+		els, _ := static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fid, Keep: keep})
+		if bound, err = chargeNodes(&u.budget, els, 0); err != nil {
 			return nil, time.Time{}, q.wrapResource(err)
 		}
 	}
