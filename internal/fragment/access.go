@@ -313,11 +313,8 @@ func (a *logScan) Arm(ev Eval) { a.Eval = ev }
 // numbers versions across a group's holes, so a windowed read passes them
 // group by group.
 func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
-	switch r.Source {
-	case FromFiller, FromHole:
-		return a.one(st, 0, r.ID, r.Source == FromHole, r.Keep, r.Bare, true)
-	case FromTSID:
-		return a.one(st, r.ID, 0, false, r.Keep, r.Bare, true)
+	if r.Source != FromHoles {
+		return a.one(st, r, true)
 	}
 	if !a.holes(&r) {
 		return nil, Group{}
@@ -331,7 +328,7 @@ func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 			if !r.Defer {
 				a.Budget.MustStep()
 			}
-			els, took := a.one(st, 0, id, true, keep, r.Bare, !r.Defer)
+			els, took := a.one(st, Read{Source: FromHole, ID: id, Keep: keep, Bare: r.Bare}, !r.Defer)
 			out = append(out, els...)
 			g.took(took)
 		}
@@ -353,24 +350,27 @@ func (a *logScan) holes(r *Read) bool {
 	return true
 }
 
-// one is one pass: a read of filler id, through a hole when hole, or, when
-// tsid > 0, the paper's filler[@tsid=…] predicate, answered by the tsid
-// index on an indexed store. It is charged when charge is set, as a
-// deferred read never reaches the cache (holes). A hole's read and a
-// tsid's are memoized when there is a cache, the filter then running over
-// the cached tops — the cache key has no filter dimension, so one entry
+// one is one pass, r's read of one filler or one tsid — the paper's
+// filler[@tsid=…] predicate, answered by the tsid index on an indexed
+// store —, charged when charge is set, as a deferred read never reaches
+// the cache (holes). A read through a hole and a read by tsid are
+// memoized when there is a cache, the filter then running over the
+// cached tops — the cache key has no filter dimension, so one entry
 // serves every query that reads the filler; what no hole leads to is read
 // once per evaluation.
-func (a *logScan) one(st *Store, tsid, id int, hole bool, keep Filter, bare, charge bool) ([]*xmldom.Node, Group) {
-	ids := [1]int{id}
-	holes := 0
-	if hole {
+func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
+	ids := [1]int{r.ID}
+	tsid, holes := 0, 0
+	switch r.Source {
+	case FromTSID:
+		tsid = r.ID
+	case FromHole:
 		holes = 1
 	}
 	var els []*xmldom.Node
 	var g Group
-	if a.Cache == nil || !hole && tsid == 0 {
-		els, g = st.lookup(ids[:], tsid, a.At, Read{Keep: keep, Bare: bare})
+	if a.Cache == nil || r.Source == FromFiller {
+		els, g = st.lookup(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare})
 		g.Holes = holes
 		if charge {
 			a.charge(st, g, 1)
@@ -378,7 +378,7 @@ func (a *logScan) one(st *Store, tsid, id int, hole bool, keep Filter, bare, cha
 	} else {
 		var slot [1]cachedSlot
 		hits, misses, built := a.Cache.get(st, tsid, ids[:], a.At, slot[:])
-		els = keep.Sift(slot[0].els)
+		els = r.Keep.Sift(slot[0].els)
 		g = Group{End: len(els), Holes: holes, Examined: len(slot[0].els), Built: built}
 		a.Stats.AddHoles(holes)
 		a.chargeCache(st, hits, misses, built)
