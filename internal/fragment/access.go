@@ -149,10 +149,10 @@ func (g *Group) took(o Group) {
 // distinct drops each repeated id from r.IDs in place, keeping it at its
 // first position in the read — or, with EachGroup, in its group — and
 // closes each group where its ids now end, reporting their count as the
-// group's Holes. While the ids ascend, across the read or within each
-// group — how a fragmenter numbers one parent's holes, and the parents
-// themselves — no id can repeat, and it neither builds a set nor writes
-// to IDs. This is the one place a read's ids are deduped.
+// group's Holes. It builds a set only once the ids stop ascending: while
+// they ascend, as a fragmenter numbers one parent's holes and the parents
+// themselves, none can repeat, and it writes nothing to IDs. This is the
+// one place a read's ids are deduped.
 func (r *Read) distinct() {
 	ids, groups := r.IDs, r.Groups
 	var whole [1]Group
@@ -160,38 +160,30 @@ func (r *Read) distinct() {
 		whole[0].End = len(ids)
 		groups = whole[:]
 	}
-	ascending, lo := true, 0
-	for _, g := range groups {
-		from := max(lo, 1)
-		if r.EachGroup {
-			from = lo + 1
-		}
-		for i := from; i < g.End && ascending; i++ {
-			ascending = ids[i-1] < ids[i]
-		}
-		lo = g.End
-	}
 	var seen map[int]bool
-	if !ascending {
-		seen = make(map[int]bool, len(ids))
-	}
-	n := 0
-	lo = 0
+	n, lo, scope := 0, 0, 0
 	for i := range groups {
 		hi, start := groups[i].End, n
-		if seen == nil {
-			n = hi
-		} else {
-			if r.EachGroup {
-				clear(seen)
-			}
-			for _, id := range ids[lo:hi] {
-				if !seen[id] {
-					seen[id] = true
-					ids[n] = id
-					n++
+		if r.EachGroup {
+			seen, scope = nil, start
+		}
+		for j, id := range ids[lo:hi] {
+			if seen == nil && n > scope && ids[n-1] >= id {
+				seen = make(map[int]bool, len(ids))
+				for _, kept := range ids[scope:n] {
+					seen[kept] = true
 				}
 			}
+			if seen != nil {
+				if seen[id] {
+					continue
+				}
+				seen[id] = true
+			}
+			if n != lo+j {
+				ids[n] = id
+			}
+			n++
 		}
 		groups[i] = Group{End: n, Holes: n - start}
 		lo = hi
@@ -378,7 +370,7 @@ func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
 	} else {
 		var slot [1]cachedSlot
 		hits, misses, built := a.Cache.get(st, tsid, ids[:], a.At, slot[:])
-		els = r.Keep.Sift(slot[0].els)
+		els = r.Keep.Sift(nil, slot[0].els)
 		g = Group{End: len(els), Holes: holes, Examined: len(slot[0].els), Built: built}
 		a.Stats.AddHoles(holes)
 		a.chargeCache(st, hits, misses, built)
@@ -459,15 +451,7 @@ func (a *tsidIndex) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 			if !s.hit {
 				g.Built += len(s.els)
 			}
-			if keep == nil {
-				out = append(out, s.els...)
-				continue
-			}
-			for _, el := range s.els {
-				if keep(Version{top: el}) {
-					out = append(out, el)
-				}
-			}
+			out = keep.Sift(out, s.els)
 		}
 		g.End = len(out)
 		return g

@@ -519,3 +519,40 @@ func TestScanStoreMatchesIndexedStore(t *testing.T) {
 		}
 	}
 }
+
+// TestReadDistinct: a read keeps each id at its first position — in the
+// read, or, for EachGroup, in its group — compacting the ids in place and
+// closing each group where its ids end.
+func TestReadDistinct(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		ids, ends []int
+		each      bool
+		want      []int
+		wantEnds  []int
+	}{
+		{"ascending", []int{1, 2, 5, 7, 9}, []int{2, 5}, false, []int{1, 2, 5, 7, 9}, []int{2, 5}},
+		{"across the read", []int{3, 4, 4, 3, 5, 1, 3, 6}, []int{3, 5, 8}, false, []int{3, 4, 5, 1, 6}, []int{2, 3, 5}},
+		{"within each group", []int{3, 4, 4, 3, 5, 1, 3, 6, 6}, []int{3, 5, 9}, true, []int{3, 4, 3, 5, 1, 3, 6}, []int{2, 4, 7}},
+		{"an emptied group", []int{2, 3, 3, 2, 4}, []int{2, 4, 5}, false, []int{2, 3, 4}, []int{2, 2, 3}},
+		{"a later group moved down", []int{5, 5, 5, 5, 7}, []int{3, 5}, false, []int{5, 7}, []int{1, 2}},
+		{"one set", []int{5, 1, 5, 2, 1}, nil, false, []int{5, 1, 2}, nil},
+	} {
+		r := Read{IDs: slices.Clone(c.ids), EachGroup: c.each}
+		for _, end := range c.ends {
+			r.Groups = append(r.Groups, Group{End: end})
+		}
+		r.distinct()
+		var ends []int
+		lo := 0
+		for i, g := range r.Groups {
+			if g.Holes != g.End-lo {
+				t.Errorf("%s: group %d reports %d holes, holds %d", c.name, i, g.Holes, g.End-lo)
+			}
+			ends, lo = append(ends, g.End), g.End
+		}
+		if !slices.Equal(r.IDs, c.want) || !slices.Equal(ends, c.wantEnds) {
+			t.Errorf("%s: ids %v ends %v, want %v %v", c.name, r.IDs, ends, c.want, c.wantEnds)
+		}
+	}
+}

@@ -347,13 +347,16 @@ func (v Version) Payload() *xmldom.Node {
 	return v.f.Tree()
 }
 
-// Sift returns the elements the filter keeps: the filter applied to
-// versions that are built already.
-func (keep Filter) Sift(els []*xmldom.Node) []*xmldom.Node {
+// Sift appends to out the elements of els the filter keeps — versions
+// built already —, taking els itself while out is empty and there is no
+// filter.
+func (keep Filter) Sift(out, els []*xmldom.Node) []*xmldom.Node {
 	if keep == nil {
-		return els
+		if len(out) == 0 {
+			return els
+		}
+		return append(out, els...)
 	}
-	var out []*xmldom.Node
 	for _, el := range els {
 		if keep(Version{top: el}) {
 			out = append(out, el)

@@ -128,9 +128,9 @@ func (u *UnitEval) SetFolds(sites []FoldSite, memo TermMemo) {
 }
 
 // intrFold answers a folded aggregate. It reads the holes of its input as
-// xcql:fillers does — each id once, at its first position; a node holding
-// none of the tag closes the group in progress and contributes its inline
-// children —, charges what the aggregate's evaluation charged: the child
+// xcql:fillers does (callInput) — each id once, at its first position; a
+// node holding none of the tag's holes contributes its inline children
+// where it stands —, charges what the aggregate's evaluation charged: the child
 // step's read, the chain's skeleton and each term — kept or evaluated now
 // — what its evaluation charged, and folds the terms' numbers left to right
 // as the aggregate folds its argument.
@@ -209,9 +209,6 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	ids := in.ids
 	err = in.each(func(g int, kids []*xmldom.Node) error {
 		if g < 0 {
-			if len(kids) == 0 {
-				return nil
-			}
 			return add(-1, kids)
 		}
 		holes := in.groups[g].Holes

@@ -611,7 +611,7 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 	lo := 0
 	err = in.each(func(g int, kids []*xmldom.Node) (err error) {
 		if g < 0 {
-			out, err = applyPreds(ctx, out, keep.Sift(kids), preds)
+			out, err = applyPreds(ctx, out, keep.Sift(nil, kids), preds)
 			return err
 		}
 		out, err = applyPreds(ctx, out, els[lo:in.groups[g].End], rest)
@@ -626,9 +626,10 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 
 // callInput is what a fillers call reads of its input nodes — and a fold,
 // in its place: the hole ids of its tag, in groups, and the children of the
-// tag's name of each node that holds none of its holes inline, after the
+// tag's name that a node holding none of its holes holds inline, after the
 // groups before it. Such a node may be materialized already (e.g. the
-// output of an interval projection, which resolves holes while clipping).
+// output of an interval projection, which resolves holes while clipping);
+// one holding neither contributes nothing.
 // A group is one node's ids under a per-parent list, else those of a run
 // of nodes between inline ones; a call with neither reads its ids as one
 // set.
@@ -668,8 +669,10 @@ func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, pe
 				in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
 			}
 		} else if tag != nil {
-			in.closeRun()
-			in.inline = append(in.inline, inlineKids{before: len(in.groups), kids: n.ChildElements(tag.Name)})
+			if kids := n.ChildElements(tag.Name); len(kids) > 0 {
+				in.closeRun()
+				in.inline = append(in.inline, inlineKids{before: len(in.groups), kids: kids})
+			}
 		}
 	}
 	if len(in.inline) > 0 {
