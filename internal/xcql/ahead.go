@@ -61,35 +61,22 @@ func (ra *readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
 	return reads
 }
 
-// read makes r's call for every binding of seq: the bindings' hole
-// ids, counted first so that the id list is built to size, go to the store
-// as one deferred read whose groups are the bindings, each binding's ids
-// distinct within its group, as its own call makes them.
+// read makes r's call for every binding of seq: the bindings' hole ids go
+// to the store as one deferred read whose groups are the bindings, each
+// binding's ids distinct within its group, as its own call makes them.
 func (ra *readAhead) read(ctx *xq.Context, seq xq.Sequence, r *clauseRead) {
 	if r.st = ra.rt.Store(r.stream); r.st == nil {
 		return // the call reports the missing stream itself
 	}
-	total := 0
-	for _, it := range seq {
-		if n, ok := it.(*xmldom.Node); ok {
-			total += fragment.CountHoles(n, r.tsid)
-		}
-	}
-	if total == 0 {
+	var in callInput
+	if in.collect(seq, r.tsid, nil, true); len(in.ids) == 0 {
 		return
 	}
-	ids := make([]int, 0, total)
-	r.groups = make([]fragment.Group, len(seq))
-	for i, it := range seq {
-		if n, ok := it.(*xmldom.Node); ok {
-			ids = fragment.HoleIDs(ids, n, r.tsid)
-		}
-		r.groups[i].End = len(ids)
-	}
-	read := fragment.Read{IDs: ids, Groups: r.groups, Bare: r.bare, EachGroup: true, Defer: true}
+	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.bare, EachGroup: true, Defer: true}
 	if r.each != nil {
 		r.each.window(&read)
 	}
+	r.groups = in.groups
 	r.els, _ = ctx.Static.Access.Read(r.st, read)
 	r.items = xq.FromNodes(r.els)
 }

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -624,15 +625,15 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 	return chargeNodes(ctx.Static.Budget, out, read.Stamps)
 }
 
-// callInput is what a fillers call reads of its input nodes — and a fold,
-// in its place: the hole ids of its tag, in groups, and the children of the
-// tag's name that a node holding none of its holes holds inline, after the
-// groups before it. Such a node may be materialized already (e.g. the
-// output of an interval projection, which resolves holes while clipping);
-// one holding neither contributes nothing.
-// A group is one node's ids under a per-parent list, else those of a run
-// of nodes between inline ones; a call with neither reads its ids as one
-// set.
+// callInput is what a fillers call reads of its input nodes — and a fold
+// and a for clause's read-ahead, in its place: the hole ids of its tag, in
+// groups, and the children of the tag's name that a node holding none of
+// its holes holds inline, after the groups before it. Such a node may be
+// materialized already (e.g. the output of an interval projection, which
+// resolves holes while clipping); one holding neither contributes nothing.
+// A group is one input item's ids under a per-parent list or for a
+// read-ahead, else those of a run of nodes between inline ones; a call
+// with neither reads its ids as one set.
 type callInput struct {
 	ids    []int
 	groups []fragment.Group
@@ -646,33 +647,38 @@ type inlineKids struct {
 	kids   []*xmldom.Node
 }
 
-// collect reads nodes into in, over in's buffers: the holes of tsid —
-// tag, when the structure names it —, node by node when perNode.
-func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, perNode bool) {
+// collect reads nodes into in, over in's buffers: the holes of tsid and,
+// when tag is given, the inline children of its name — each item of nodes
+// a group of its own when perItem, empty when it holds no hole.
+func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, perItem bool) {
 	in.ids, in.groups, in.inline = in.ids[:0], in.groups[:0], in.inline[:0]
+	if perItem {
+		// sized once: a group per item, and every item's holes counted
+		total := 0
+		for _, it := range nodes {
+			if n, ok := it.(*xmldom.Node); ok {
+				total += fragment.CountHoles(n, tsid)
+			}
+		}
+		in.ids, in.groups = slices.Grow(in.ids, total), slices.Grow(in.groups, len(nodes))
+	}
 	for _, it := range nodes {
-		n, ok := it.(*xmldom.Node)
-		if !ok {
-			continue
-		}
-		if in.ids == nil {
-			// the first node's children bound its holes: most calls cross
-			// the holes of one node
-			in.ids = make([]int, 0, len(n.Children))
-			if perNode {
-				in.groups = make([]fragment.Group, 0, len(nodes))
+		if n, ok := it.(*xmldom.Node); ok {
+			if in.ids == nil {
+				// the first node's children bound its holes: most calls
+				// cross the holes of one node
+				in.ids = make([]int, 0, len(n.Children))
+			}
+			start := len(in.ids)
+			if in.ids = fragment.HoleIDs(in.ids, n, tsid); len(in.ids) == start && tag != nil {
+				if kids := n.ChildElements(tag.Name); len(kids) > 0 {
+					in.closeRun()
+					in.inline = append(in.inline, inlineKids{before: len(in.groups), kids: kids})
+				}
 			}
 		}
-		start := len(in.ids)
-		if in.ids = fragment.HoleIDs(in.ids, n, tsid); len(in.ids) > start {
-			if perNode {
-				in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
-			}
-		} else if tag != nil {
-			if kids := n.ChildElements(tag.Name); len(kids) > 0 {
-				in.closeRun()
-				in.inline = append(in.inline, inlineKids{before: len(in.groups), kids: kids})
-			}
+		if perItem {
+			in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
 		}
 	}
 	if len(in.inline) > 0 {
