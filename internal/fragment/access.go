@@ -192,10 +192,11 @@ func (r *Read) distinct() {
 }
 
 // each runs a read of ids — r's, or a tsid's fillers — group by group:
-// visit reads ids[lo:hi], one group, and returns what it read, End the length of the read's output
-// after it, which becomes the group's End. visit reads under the filter
-// w narrowed (windowKeep.narrow), which each opens for the group. A read without Groups is
-// one group, unwindowed. each returns the read as one group.
+// visit reads ids[lo:hi], one group, under the filter w narrowed
+// (windowKeep.narrow), which each opens for the group, and returns what it
+// read, End the length of the read's output after it, which becomes the
+// group's End. A read without Groups is one group, unwindowed. each
+// returns the read as one group.
 func (r *Read) each(st *Store, at time.Time, ids []int, w *windowKeep, visit func(lo, hi int) Group) Group {
 	if r.Groups == nil {
 		g := visit(0, len(ids))
@@ -219,15 +220,6 @@ func (r *Read) each(st *Store, at time.Time, ids []int, w *windowKeep, visit fun
 	return total
 }
 
-// narrow is the filter a read reads its groups under: keep narrowed to
-// the window through w, or keep itself for a read without groups.
-func (w *windowKeep) narrow(keep Filter, grouped bool) Filter {
-	if w.keep = keep; !grouped {
-		return keep
-	}
-	return w.admit
-}
-
 // windowKeep narrows a read's filter to one group's window at a time: it
 // numbers the versions keep lets through and lets those numbered from..to
 // through. Past to it asks keep nothing more.
@@ -235,6 +227,15 @@ type windowKeep struct {
 	keep     Filter
 	from, to int
 	n        int
+}
+
+// narrow is the filter a read reads its groups under: keep narrowed to
+// the window through w, or keep itself for a read without groups.
+func (w *windowKeep) narrow(keep Filter, grouped bool) Filter {
+	if w.keep = keep; !grouped {
+		return keep
+	}
+	return w.admit
 }
 
 func (w *windowKeep) admit(v Version) bool {
