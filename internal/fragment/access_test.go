@@ -96,8 +96,8 @@ func readOf(a fragment.Access, st *fragment.Store, r fragment.Read) ([]*xmldom.N
 // the elements are byte-identical whichever index serves them, each
 // implementation moves exactly the counters it owns, and the report every
 // read fills in is the same whoever serves it, save what a cache hit does
-// not build and its stamped tops. A deferred read, charged group by group,
-// equals the groups' own reads made in turn.
+// not build and its stamped tops. Deferred reads have their own tests:
+// TestFillersEachIsTheCallsInTurn and TestChargeFillersChargesTheRead.
 func TestAccessContract(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -107,17 +107,7 @@ func TestAccessContract(t *testing.T) {
 		{"tsid-index", fragment.TSIDIndexAccess},
 	}
 	for _, scan := range []bool{false, true} {
-		ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := ins.NewStore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Scanning() != scan {
-			t.Fatalf("store scanning = %v, want %v", st.Scanning(), scan)
-		}
+		ins, st := contractStore(t, scan)
 		at := genstore.Base.Add(1000 * time.Hour) // every version visible
 		var ids []int
 		for _, id := range st.FillerIDs() {
@@ -411,7 +401,6 @@ func TestAccessContract(t *testing.T) {
 				}
 			}
 		}
-		deferredRow(t, st, scan)
 		// an incremental unit's read — a filler reached without a hole — asks
 		// its filter once per visible version, in validTime order, whatever
 		// the filter answers, so that a unit can select its versions by
@@ -465,108 +454,160 @@ func TestAccessContract(t *testing.T) {
 	}
 }
 
-// deferredRow is TestAccessContract's deferred row. A for clause's
-// read-ahead reads several bindings' id sets as the groups of one deferred
-// read, ids repeated across the sets and within one, an unknown id among
-// them, one set empty: the read returns what each set's own read returns,
-// in turn, with the same window per set, and charges nothing — no counter,
-// no budget step; each group charged through Charge then charges what its
-// own read charged. Charged as one group, the deferred read charges what
-// the read made at once charges, and so does a read of no position whose
-// report counts every version examined as built: a fold's charge for the
-// child step it does not make. Through a cache a deferred read reads and
-// charges nothing, and reports every group empty.
-func deferredRow(t *testing.T, st *fragment.Store, scan bool) {
+// contractStore is the re-announcing generated store the access contract
+// tests read, indexed or scan.
+func contractStore(t *testing.T, scan bool) (*genstore.Instance, *fragment.Store) {
 	t.Helper()
-	windows := map[string]fragment.Read{
-		"every":    {},
-		"[1]":      {From: 1, To: 1},
-		"[last()]": {Last: true},
-		"[<=2]":    {From: 1, To: 2},
+	ins, err := genstore.Generate(genstore.Profile{Seed: 12, Scan: scan, Reannounce: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	st, err := ins.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Scanning() != scan {
+		t.Fatalf("store scanning = %v, want %v", st.Scanning(), scan)
+	}
+	return ins, st
+}
+
+// deferredWindows are the windows a deferred read is made under.
+var deferredWindows = map[string]fragment.Read{
+	"every":    {},
+	"[1]":      {From: 1, To: 1},
+	"[last()]": {Last: true},
+	"[<=2]":    {From: 1, To: 2},
+}
+
+// deferredSets are the id sets a for clause's read-ahead reads as the
+// groups of one deferred read: ids repeated across the sets and within
+// one, an unknown id among them, one set empty; ids is the sets in turn
+// and ends where each closes.
+func deferredSets(st *fragment.Store) (sets [][]int, ids, ends []int) {
 	fids := st.FillerIDs()[1:]
-	sets := [][]int{fids[0:3], fids[1:4], {}, fids[0:3], {fids[4], fids[4], fids[3]}, fids[5:6], append(slices.Clone(fids[2:8]), 1<<20)}
-	var ids, ends []int
+	sets = [][]int{fids[0:3], fids[1:4], {}, fids[0:3], {fids[4], fids[4], fids[3]}, fids[5:6], append(slices.Clone(fids[2:8]), 1<<20)}
 	for _, set := range sets {
 		ids = append(ids, set...)
 		ends = append(ends, len(ids))
 	}
-	type spent struct {
-		stats obs.EvalStats
-		steps int64
-	}
-	access := func(kind fragment.AccessKind, at time.Time, cache *fragment.Cache, s *spent, b *budget.Budget) fragment.Access {
-		return fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &s.stats, Budget: b, Cache: cache})
-	}
-	for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
-		for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
-			for wname, w := range windows {
-				for _, state := range []string{"nil", "cold", "warm"} {
-					name := fmt.Sprintf("scan=%v/deferred/%d/%s/at=%s/cache-%s", scan, kind, wname, at.Format(time.DateTime), state)
-					var cache *fragment.Cache
-					if state != "nil" {
-						cache = fragment.NewCache(1 << 16)
-					}
-					if state == "warm" {
-						readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: cache}), st, fragment.Read{IDs: ids})
-					}
-					// each set's own read, in turn
-					var calls spent
-					var callsBudget budget.Budget
-					var want []*xmldom.Node
-					var wantEnds []int
-					for _, set := range sets {
-						own := w
-						own.IDs, own.Groups = set, groupsAt(len(set))
-						els, _ := readOf(access(kind, at, nil, &calls, &callsBudget), st, own)
-						want = append(want, els...)
-						wantEnds = append(wantEnds, len(want))
-					}
-					calls.steps, _, _ = callsBudget.Used()
-					// the one deferred read
-					var each spent
-					var eachBudget budget.Budget
-					acc := access(kind, at, cache, &each, &eachBudget)
-					r := w
-					r.IDs, r.Groups, r.EachGroup, r.Defer = ids, groupsAt(ends...), true, true
-					got, groups := readOf(acc, st, r)
-					groups = groups[:len(sets)]
-					if steps, _, _ := eachBudget.Used(); each.stats != (obs.EvalStats{}) || steps != 0 {
-						t.Errorf("%s: the deferred read charged %+v, %d steps", name, each.stats, steps)
-					}
-					if cache != nil {
-						if got != nil || slices.ContainsFunc(groups, func(g fragment.Group) bool { return g != fragment.Group{} }) {
-							t.Errorf("%s: a deferred read through a cache read %d versions, reported %+v", name, len(got), groups)
+	return sets, ids, ends
+}
+
+// spent is what a read charged: its counters and its budget's steps.
+type spent struct {
+	stats obs.EvalStats
+	steps int64
+	b     budget.Budget
+}
+
+func (s *spent) access(kind fragment.AccessKind, at time.Time, cache *fragment.Cache) fragment.Access {
+	return fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &s.stats, Budget: &s.b, Cache: cache})
+}
+
+// settle records the budget's steps used so far.
+func (s *spent) settle() { s.steps, _, _ = s.b.Used() }
+
+// TestFillersEachIsTheCallsInTurn: one deferred read of several id sets
+// as its groups (deferredSets) returns what each set's own read returns,
+// in turn, with the same window per set, and charges nothing — no
+// counter, no budget step; each group charged through Charge then charges
+// what its own read charged: holes, fillers, nodes, budget steps. Through
+// a cache a deferred read reads and charges nothing, and reports every
+// group empty, so that each call reads for itself.
+func TestFillersEachIsTheCallsInTurn(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		_, st := contractStore(t, scan)
+		sets, ids, ends := deferredSets(st)
+		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
+			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
+				for wname, w := range deferredWindows {
+					for _, state := range []string{"nil", "cold", "warm"} {
+						name := fmt.Sprintf("scan=%v/%d/%s/at=%s/cache-%s", scan, kind, wname, at.Format(time.DateTime), state)
+						var cache *fragment.Cache
+						if state != "nil" {
+							cache = fragment.NewCache(1 << 16)
 						}
-						continue
+						if state == "warm" {
+							readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: cache}), st, fragment.Read{IDs: ids})
+						}
+						// each set's own read, in turn
+						var calls spent
+						var want []*xmldom.Node
+						var wantEnds []int
+						for _, set := range sets {
+							own := w
+							own.IDs, own.Groups = set, groupsAt(len(set))
+							els, _ := readOf(calls.access(kind, at, nil), st, own)
+							want = append(want, els...)
+							wantEnds = append(wantEnds, len(want))
+						}
+						calls.settle()
+						// the one deferred read
+						var each spent
+						acc := each.access(kind, at, cache)
+						r := w
+						r.IDs, r.Groups, r.EachGroup, r.Defer = ids, groupsAt(ends...), true, true
+						got, groups := readOf(acc, st, r)
+						groups = groups[:len(sets)]
+						if each.settle(); each.stats != (obs.EvalStats{}) || each.steps != 0 {
+							t.Errorf("%s: the deferred read charged %+v, %d steps", name, each.stats, each.steps)
+						}
+						if cache != nil {
+							if got != nil || slices.ContainsFunc(groups, func(g fragment.Group) bool { return g != fragment.Group{} }) {
+								t.Errorf("%s: a deferred read through a cache read %d versions, reported %+v", name, len(got), groups)
+							}
+							continue
+						}
+						gotEnds := make([]int, len(groups))
+						for g := range groups {
+							gotEnds[g] = groups[g].End
+						}
+						if render(got) != render(want) || !slices.Equal(gotEnds, wantEnds) {
+							t.Fatalf("%s: read\n%s%v\nthe sets' own reads in turn\n%s%v", name, render(got), gotEnds, render(want), wantEnds)
+						}
+						for _, g := range groups {
+							acc.Charge(st, g)
+						}
+						each.settle()
+						if each.stats != calls.stats || each.steps != calls.steps {
+							t.Errorf("%s: charged group by group\n%+v, %d steps\nthe sets' own reads charged\n%+v, %d steps", name, each.stats, each.steps, calls.stats, calls.steps)
+						}
 					}
-					gotEnds := make([]int, len(groups))
-					for g := range groups {
-						gotEnds[g] = groups[g].End
-					}
-					if render(got) != render(want) || !slices.Equal(gotEnds, wantEnds) {
-						t.Fatalf("%s: read\n%s%v\nthe sets' own reads in turn\n%s%v", name, render(got), gotEnds, render(want), wantEnds)
-					}
-					for _, g := range groups {
-						acc.Charge(st, g)
-					}
-					each.steps, _, _ = eachBudget.Used()
-					if each != calls {
-						t.Errorf("%s: charged group by group\n%+v\nthe sets' own reads charged\n%+v", name, each, calls)
-					}
+				}
+			}
+		}
+	}
+}
+
+// TestChargeFillersChargesTheRead: a deferred read charged as one group
+// moves every counter and the budget's steps exactly as the read made at
+// once does, under every access implementation and window, on indexed and
+// scan stores, with versions ahead of the instant and an id nothing is
+// stored under; and so does a read of no position whose report counts
+// every version examined as built — a fold's charge for the child step it
+// does not make.
+func TestChargeFillersChargesTheRead(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		_, st := contractStore(t, scan)
+		_, ids, ends := deferredSets(st)
+		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
+			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
+				for wname, w := range deferredWindows {
+					name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, wname, at.Format(time.DateTime))
 					// the read as one group, deferred or made at once
 					var once, whole spent
-					var onceBudget, wholeBudget budget.Budget
-					r.Defer = false
-					readOf(access(kind, at, nil, &once, &onceBudget), st, r)
+					r := w
+					r.IDs, r.Groups, r.EachGroup = ids, groupsAt(ends...), true
+					readOf(once.access(kind, at, nil), st, r)
 					r.Defer = true
-					acc = access(kind, at, nil, &whole, &wholeBudget)
-					_, groups = readOf(acc, st, r)
+					acc := whole.access(kind, at, nil)
+					_, groups := readOf(acc, st, r)
 					acc.Charge(st, groups[len(groups)-1])
-					once.steps, _, _ = onceBudget.Used()
-					whole.steps, _, _ = wholeBudget.Used()
-					if whole != once {
-						t.Errorf("%s: charged as one group\n%+v\nthe read made at once charged\n%+v", name, whole, once)
+					once.settle()
+					whole.settle()
+					if whole.stats != once.stats || whole.steps != once.steps {
+						t.Errorf("%s: charged as one group\n%+v, %d steps\nthe read made at once charged\n%+v, %d steps", name, whole.stats, whole.steps, once.stats, once.steps)
 					}
 					if wname != "every" {
 						continue
@@ -575,19 +616,18 @@ func deferredRow(t *testing.T, st *fragment.Store, scan bool) {
 					// examined, is the read: a child step's, deduped across
 					// the read
 					var child, fold spent
-					var childBudget, foldBudget budget.Budget
 					read := fragment.Read{IDs: ids, Groups: groupsAt(ends...)}
-					readOf(access(kind, at, nil, &child, &childBudget), st, read)
+					readOf(child.access(kind, at, nil), st, read)
 					read.From, read.To, read.Defer = 1, 0, true
-					acc = access(kind, at, nil, &fold, &foldBudget)
+					acc = fold.access(kind, at, nil)
 					els, groups := readOf(acc, st, read)
 					g := groups[len(groups)-1]
 					g.Built = g.Examined
 					acc.Charge(st, g)
-					child.steps, _, _ = childBudget.Used()
-					fold.steps, _, _ = foldBudget.Used()
-					if len(els) != 0 || fold != child {
-						t.Errorf("%s: a read of no position returned %d versions and charged\n%+v\nthe read charged\n%+v", name, len(els), fold, child)
+					child.settle()
+					fold.settle()
+					if len(els) != 0 || fold.stats != child.stats || fold.steps != child.steps {
+						t.Errorf("%s: a read of no position returned %d versions and charged\n%+v, %d steps\nthe read charged\n%+v, %d steps", name, len(els), fold.stats, fold.steps, child.stats, child.steps)
 					}
 				}
 			}
