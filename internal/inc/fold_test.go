@@ -85,3 +85,50 @@ func TestFoldChargesWhatItReplaces(t *testing.T) {
 		step(nil, at.Add(2*time.Hour))
 	}
 }
+
+// TestFoldedPlanText pins what a folded unit runs and the signatures its
+// slots share results under, as the plan renders them: the aggregate
+// becomes an xcql:fold call on the child step's input, and the site's
+// chain reads the unit slot where the child step read the holes. A
+// where pushed below the jump stays a predicate on the unit's versions.
+func TestFoldedPlanText(t *testing.T) {
+	rt, _ := newCreditStream(t, 2)
+	for _, c := range []struct{ src, body, folded, chain string }{
+		{
+			fraudQuery,
+			`for $a in $unit where (sum(xcql:iproj(xcql:fillers($a, "credit", 5), (now - PT1H), now, "credit")/amount) >= 5000) return $a/@id`,
+			`for $a in $unit where (xcql:fold($a, "credit", 0) >= 5000) return $a/@id`,
+			`xcql:iproj($unit, (now - PT1H), now, "credit")/amount`,
+		},
+		{
+			`for $a in stream("credit")//account where $a/@id = "acct1001" and count($a/transaction) > 2 return $a/@id`,
+			`for $a in $unit[(@id = "acct1001")] where (count(xcql:fillers($a, "credit", 5)) > 2) return $a/@id`,
+			`for $a in $unit[(@id = "acct1001")] where (xcql:fold($a, "credit", 0) > 2) return $a/@id`,
+			`$unit`,
+		},
+		{
+			`for $a in stream("credit")//account return sum($a/transaction/amount)`,
+			`for $a in $unit return sum(xcql:fillers($a, "credit", 5, tops=bare)/amount)`,
+			`for $a in $unit return xcql:fold($a, "credit", 0)`,
+			`$unit/amount`,
+		},
+	} {
+		// the unit slot's name is unspellable; the table spells it $unit
+		slot := strings.NewReplacer("$unit", "$"+xcql.UnitVar)
+		c.body, c.folded, c.chain = slot.Replace(c.body), slot.Replace(c.folded), slot.Replace(c.chain)
+		e := New(rt.MustCompile(c.src, xcql.QaCPlus))
+		p := e.pieces[0]
+		var folded, chain string
+		if p.folded != nil {
+			folded, chain = p.folded.String(), e.sites[0].Chain.String()
+		}
+		if got := p.expr.String(); got != c.body || folded != c.folded || chain != c.chain {
+			t.Errorf("%s:\n body %q\nfolded %q\n chain %q\nwant\n body %q\nfolded %q\n chain %q", c.src, got, folded, chain, c.body, c.folded, c.chain)
+		}
+		for _, sig := range p.sigs {
+			if !strings.HasSuffix(sig, "|"+p.expr.String()) {
+				t.Errorf("%s: signature %q is not of the body", c.src, sig)
+			}
+		}
+	}
+}
