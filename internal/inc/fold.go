@@ -38,17 +38,15 @@ func (e *Engine) fold(p *piece) {
 		if cross == nil {
 			return nil
 		}
-		site := len(e.sites)
-		tsid := xcql.PlanLitInt(cross.Args, 2)
 		chain := rewrite(c.Args[0], func(x xq.Expr) xq.Expr {
 			if x == cross {
 				return unitRef
 			}
 			return nil
 		})
-		e.sites = append(e.sites, xcql.FoldSite{Agg: c.Name, TSID: tsid, Bare: xcql.ReadsBare(cross), Chain: chain})
-		folds = append(folds, c.Name+" folded over "+e.structure.ByID(tsid).Name+" terms")
-		return &xq.Call{Name: xcql.FnFold, Args: []xq.Expr{cross.Args[0], cross.Args[1], xq.NewLiteral(float64(site))}}
+		e.sites = append(e.sites, xcql.FoldSite{Agg: c.Name, Chain: chain})
+		folds = append(folds, c.Name+" folded over "+e.structure.ByID(xcql.IntrinsicOf(cross).TSIDs[0]).Name+" terms")
+		return xcql.FoldCall(cross, len(e.sites)-1)
 	})
 	if folds != nil {
 		p.folded, p.folds = folded, folds
@@ -75,14 +73,16 @@ func (e *Engine) termChain(x xq.Expr) *xq.Call {
 			}
 			x = t.Base
 		case *xq.Call:
+			in := xcql.IntrinsicOf(t)
 			switch {
-			case t.Name == xcql.FnFillers:
-				if len(t.Args) == 3 && xcql.PlanLitString(t.Args, 1) == e.stream && e.structure.ByID(xcql.PlanLitInt(t.Args, 2)) != nil {
+			case in == nil || in.Stream != e.stream:
+				return nil
+			case in.Op == xcql.FnFillers:
+				if in.Whole() && e.structure.ByID(in.TSIDs[0]) != nil {
 					return t
 				}
 				return nil
-			case len(t.Args) == 4 && xcql.PlanLitString(t.Args, 3) == e.stream &&
-				(t.Name == xcql.FnIProj && constant(t.Args[1]) && constant(t.Args[2]) || t.Name == xcql.FnVProj && keepAllWindow(t.Args)):
+			case in.Op == xcql.FnIProj && constant(t.Args[1]) && constant(t.Args[2]) || in.Op == xcql.FnVProj && keepAllWindow(t.Args):
 				x = t.Args[0]
 			default:
 				return nil
@@ -212,7 +212,7 @@ func rewrite(x xq.Expr, f func(xq.Expr) xq.Expr) xq.Expr {
 		c.In, c.Satisfies = r(t.In), r(t.Satisfies)
 		return &c
 	case *xq.Call:
-		return &xq.Call{Name: t.Name, Args: all(t.Args)}
+		return &xq.Call{Name: t.Name, Args: all(t.Args), Callee: t.Callee}
 	case *xq.ElemCtor:
 		c := *t
 		c.NameExpr, c.Content = r(t.NameExpr), all(t.Content)

@@ -19,7 +19,7 @@
 // Decomposition is best-effort and always sound: a plan (or plan part)
 // the decomposer does not understand becomes a single "broad" piece that
 // recomputes on every arrival, which is full re-evaluation in disguise.
-// The fast path is QaC+'s tsid jump (fn:bytsid) under layers
+// The fast path is QaC+'s tsid jump (xcql:bytsid) under layers
 // that distribute over their input — projections, and FLWORs whose body
 // reaches the store only through the bound variable: its units are
 // individual fillers, the unit of work is the bindings of one filler, and
@@ -74,7 +74,7 @@ import (
 // as it stands, dirtied by the arrivals of the tags it depends on.
 type piece struct {
 	expr  xq.Expr
-	tsids []int // indexed: one tsid per fn:bytsid argument
+	tsids []int // indexed: the tsids of its xcql:bytsid jump
 	deps
 	// sigs holds the SharedPass signature of each unit slot: one per
 	// tsid, or the single one of a generic piece.
@@ -118,7 +118,7 @@ func (p *piece) indexed() bool { return len(p.tsids) > 0 }
 var unitRef = &xq.VarRef{Name: xcql.UnitVar}
 
 // unitKey orders the partial-match state the way the full plan orders
-// its output: piece position, then fn:bytsid argument position, then
+// its output: piece position, then xcql:bytsid tsid position, then
 // filler id ascending (the store's tsid-index order). Generic pieces use
 // arg = fid = -1.
 type unitKey struct{ piece, arg, fid int }
@@ -325,24 +325,10 @@ func New(q *xcql.Query) *Engine {
 func soleStream(plan xq.Expr) string {
 	names := make(map[string]bool)
 	xcql.WalkPlan(plan, func(n xq.Expr) {
-		switch t := n.(type) {
-		case *xq.StreamRef:
+		if t, ok := n.(*xq.StreamRef); ok {
 			names[t.Name] = true
-		case *xq.Call:
-			switch t.Name {
-			case xcql.FnView, xcql.FnRoot, xcql.FnByTSID:
-				if s := xcql.PlanLitString(t.Args, 0); s != "" {
-					names[s] = true
-				}
-			case xcql.FnFillers:
-				if s := xcql.PlanLitString(t.Args, 1); s != "" {
-					names[s] = true
-				}
-			case xcql.FnIProj, xcql.FnVProj:
-				if s := xcql.PlanLitString(t.Args, 3); s != "" {
-					names[s] = true
-				}
-			}
+		} else if in := xcql.IntrinsicOf(n); in != nil {
+			names[in.Stream] = true
 		}
 	})
 	if len(names) != 1 {
@@ -374,7 +360,7 @@ func (l layer) input() xq.Expr {
 // over rebuilds the layer around another input.
 func (l layer) over(x xq.Expr) xq.Expr {
 	if l.call != nil {
-		return &xq.Call{Name: l.call.Name, Args: append([]xq.Expr{x}, l.call.Args[1:]...)}
+		return &xq.Call{Name: l.call.Name, Args: append([]xq.Expr{x}, l.call.Args[1:]...), Callee: l.call.Callee}
 	}
 	fl := *l.loop
 	fc := fl.Clauses[0].(xq.ForClause)
@@ -402,7 +388,8 @@ func (e *Engine) peel(x xq.Expr) (layer, bool) {
 	var l layer
 	switch t := x.(type) {
 	case *xq.Call:
-		if len(t.Args) != 4 || !(t.Name == xcql.FnIProj || t.Name == xcql.FnVProj && keepAllWindow(t.Args)) {
+		in := xcql.IntrinsicOf(t)
+		if in == nil || !(in.Op == xcql.FnIProj || in.Op == xcql.FnVProj && keepAllWindow(t.Args)) {
 			return l, false
 		}
 		l.call = t
@@ -494,27 +481,20 @@ func (e *Engine) decompose() []*piece {
 	return pieces
 }
 
-// tsidJump returns the tsids of a strand that is a pure fn:bytsid access
+// tsidJump returns the tsids of a strand that is a pure xcql:bytsid access
 // on the bound stream — what an indexed piece's units are the fillers of
 // — else nil, and the filter the jump carries, as a predicate.
 func (e *Engine) tsidJump(x xq.Expr) (tsids []int, pred xq.Expr) {
-	c, ok := x.(*xq.Call)
-	if !ok || c.Name != xcql.FnByTSID {
+	in := xcql.IntrinsicOf(x)
+	if in == nil || in.Op != xcql.FnByTSID || in.Stream != e.stream {
 		return nil, nil
 	}
-	args, pred := xcql.AccessArgs(c)
-	if len(args) < 2 || xcql.PlanLitString(args, 0) != e.stream {
-		return nil, nil
-	}
-	tsids = make([]int, 0, len(args)-1)
-	for i := 1; i < len(args); i++ {
-		id := xcql.PlanLitInt(args, i)
-		if id <= 0 || e.structure.ByID(id) == nil {
+	for _, id := range in.TSIDs {
+		if e.structure.ByID(id) == nil {
 			return nil, nil
 		}
-		tsids = append(tsids, id)
 	}
-	return tsids, pred
+	return in.TSIDs, in.Pred()
 }
 
 // finish renders a piece's unit signatures — what each unit slot
@@ -577,13 +557,23 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 	xcql.WalkPlan(x, func(n xq.Expr) {
 		switch t := n.(type) {
 		case *xq.Call:
-			switch t.Name {
+			in := xcql.IntrinsicOf(t)
+			if in == nil {
+				// a builtin that reads nothing but its arguments is as
+				// structural as an operator; a user function, or a builtin
+				// that reaches outside them, may read anything
+				if !e.q.PureCall(t.Name) {
+					broad("calls %s, which is not a pure builtin", t.Name)
+				}
+				break
+			}
+			switch in.Op {
 			case xcql.FnView:
 				d.rooted = true
 				broad("materializes the whole view")
 			case xcql.FnRoot:
 				d.rooted = true
-				if !bound(xcql.PlanLitString(t.Args, 0)) {
+				if !bound(in.Stream) {
 					break
 				}
 				if e.structure.Root != nil {
@@ -591,37 +581,17 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 				} else {
 					broad("the structure has no root tag")
 				}
-			case xcql.FnFillers:
-				if !bound(xcql.PlanLitString(t.Args, 1)) {
-					break
+			case xcql.FnFillers, xcql.FnByTSID:
+				if in.Op == xcql.FnByTSID {
+					d.rooted = true
 				}
-				if id := xcql.PlanLitInt(t.Args, 2); id > 0 {
-					addTag(id)
-				} else {
-					broad("crosses the holes of a computed tag")
-				}
-			case xcql.FnByTSID:
-				d.rooted = true
-				if !bound(xcql.PlanLitString(t.Args, 0)) {
-					break
-				}
-				args, _ := xcql.AccessArgs(t)
-				for i := 1; i < len(args); i++ {
-					if id := xcql.PlanLitInt(args, i); id > 0 {
+				if bound(in.Stream) {
+					for _, id := range in.TSIDs {
 						addTag(id)
-					} else {
-						broad("jumps to a computed tag")
 					}
 				}
 			case xcql.FnIProj, xcql.FnVProj:
 				// reads through its input only
-			default:
-				// a builtin that reads nothing but its arguments is as
-				// structural as an operator; a user function, or a builtin
-				// that reaches outside them, may read anything
-				if !e.q.PureCall(t.Name) {
-					broad("calls %s, which is not a pure builtin", t.Name)
-				}
 			}
 		case *xq.StreamRef:
 			d.rooted = true
@@ -1113,7 +1083,7 @@ func (e *Engine) evalUnitShared(u *unit, at time.Time, lim xcql.Limits, stats *o
 // reevalUnit computes one unit's current output and horizon in the
 // engine's evaluation frame. A generic unit evaluates its whole sub-plan.
 // An indexed unit reads its filler's annotated versions (the same store
-// read the fn:bytsid intrinsic groups by filler id) through the query's
+// read the xcql:bytsid intrinsic groups by filler id) through the query's
 // access path, which charges the read the way the query's plan charges it,
 // and runs the piece's body over them — over all of them at once when the
 // filler has one visible version and prev, the unit as last evaluated, has
@@ -1426,7 +1396,7 @@ func (e *Engine) BufferHWMBytes() int64 {
 }
 
 // UnitSignatures lists the structural signatures of the engine's piece
-// slots (one per indexed fn:bytsid argument, one per generic piece), in
+// slots (one per indexed xcql:bytsid tsid, one per generic piece), in
 // plan order. The registry refcounts these across the queries of a
 // shared group: a signature held by K queries is evaluated once per
 // arrival and shared K ways.

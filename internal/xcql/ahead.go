@@ -23,19 +23,12 @@ import (
 // asked about, when it is asked), and so does every call of an evaluation
 // with a cache, whose hits the earlier bindings' reads would warm: the
 // access path reads nothing ahead there (fragment.Read.Defer).
-type readAhead struct {
-	rt    *Runtime
-	calls []aheadCall
-}
+type readAhead []*Intrinsic
 
-// aheadCall is one correlated call, as its groups are looked up: two calls
-// that cross the same holes with the same per-parent list, both of bare
-// tops or both stamped, read alike.
-type aheadCall struct {
-	stream string
-	tsid   int
-	each   *perParent
-	bare   bool
+// alike reports that two correlated calls read alike: they cross the same
+// holes with the same per-parent list, both of bare tops or both stamped.
+func (in *Intrinsic) alike(o *Intrinsic) bool {
+	return in.Stream == o.Stream && in.TSIDs[0] == o.TSIDs[0] && in.each == o.each && in.Bare == o.Bare
 }
 
 // clauseRead is one call made for every binding of its clause, as Begin
@@ -44,7 +37,7 @@ type aheadCall struct {
 // the access path left to the calls (fragment.Read.Defer) — makes its call
 // read as it would have.
 type clauseRead struct {
-	aheadCall
+	call   *Intrinsic
 	st     *fragment.Store
 	els    []*xmldom.Node
 	items  xq.Sequence // els as items: a group is handed out as a window of it
@@ -52,11 +45,11 @@ type clauseRead struct {
 }
 
 // Begin reads every call for every binding of seq.
-func (ra *readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
-	reads := make([]clauseRead, len(ra.calls))
+func (ra readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
+	reads := make([]clauseRead, len(ra))
 	for i := range reads {
-		reads[i].aheadCall = ra.calls[i]
-		ra.read(ctx, seq, &reads[i])
+		reads[i].call = ra[i]
+		reads[i].read(ctx, seq)
 	}
 	return reads
 }
@@ -64,27 +57,27 @@ func (ra *readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
 // read makes r's call for every binding of seq: the bindings' hole ids go
 // to the store as one deferred read whose groups are the bindings, each
 // binding's ids distinct within its group, as its own call makes them.
-func (ra *readAhead) read(ctx *xq.Context, seq xq.Sequence, r *clauseRead) {
-	if r.st = ra.rt.Store(r.stream); r.st == nil {
+func (r *clauseRead) read(ctx *xq.Context, seq xq.Sequence) {
+	if r.st = r.call.rt.Store(r.call.Stream); r.st == nil {
 		return // the call reports the missing stream itself
 	}
 	var in callInput
-	if in.collect(seq, r.tsid, nil, true); len(in.ids) == 0 {
+	if in.collect(seq, r.call.TSIDs[0], nil, true); len(in.ids) == 0 {
 		return
 	}
-	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.bare, EachGroup: true, Defer: true}
-	if r.each != nil {
-		r.each.window(&read)
+	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.call.Bare, EachGroup: true, Defer: true}
+	if r.call.each != nil {
+		r.call.each.window(&read)
 	}
 	r.groups = in.groups
 	r.els, _ = ctx.Static.Access.Read(r.st, read)
 	r.items = xq.FromNodes(r.els)
 }
 
-// takeAhead answers a fillers call on nodes from what the clause that bound
-// nodes read ahead, charging what the call's own read would have; ok is
-// false when nothing was read for it, and the call reads for itself.
-func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int, each *perParent, bare bool) (seq xq.Sequence, ok bool, err error) {
+// takeAhead answers fillers call in on nodes from what the clause that
+// bound nodes read ahead, charging what the call's own read would have; ok
+// is false when nothing was read for it, and the call reads for itself.
+func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, in *Intrinsic) (seq xq.Sequence, ok bool, err error) {
 	a, at, ok := ctx.Ahead(nodes)
 	if !ok {
 		return nil, false, nil
@@ -92,7 +85,7 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 	reads, _ := a.([]clauseRead)
 	var r *clauseRead
 	for i := range reads {
-		if c := &reads[i]; c.st == st && c.tsid == tsid && c.each == each && c.bare == bare {
+		if c := &reads[i]; c.st == st && c.call.alike(in) {
 			r = c
 			break
 		}
@@ -106,10 +99,10 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 	}
 	els := r.els[lo:g.End:g.End]
 	ctx.Static.Access.Charge(st, g)
-	if each != nil && len(each.rest()) > 0 {
+	if in.each != nil && len(in.each.rest()) > 0 {
 		// never bare: a list the read does not serve whole keeps the tops
 		// stamped (markBare)
-		out, err := applyPreds(ctx, nil, els, each.rest())
+		out, err := applyPreds(ctx, nil, els, in.each.rest())
 		if err != nil {
 			return nil, true, err
 		}
@@ -125,7 +118,7 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, tsid int,
 // attachReadAhead gives every for clause of plan whose body makes
 // correlated fillers calls a readAhead for them. plan is a new translation,
 // its clauses its own.
-func (rt *Runtime) attachReadAhead(plan xq.Expr) {
+func attachReadAhead(plan xq.Expr) {
 	walkExpr(plan, func(e xq.Expr) {
 		fl, ok := e.(*xq.FLWOR)
 		if !ok {
@@ -136,41 +129,34 @@ func (rt *Runtime) attachReadAhead(plan xq.Expr) {
 			if !ok {
 				continue
 			}
-			var calls []aheadCall
+			var calls []*Intrinsic
 			eachPerBinding(fl, i, func(e xq.Expr) {
 				everyTime(e, func(c *xq.Call) {
-					if ac, ok := correlated(c, fc.Var); ok && !slices.Contains(calls, ac) {
-						calls = append(calls, ac)
+					if in := correlated(c, fc.Var); in != nil && !slices.ContainsFunc(calls, in.alike) {
+						calls = append(calls, in)
 					}
 				})
 			})
 			if calls != nil {
-				fc.Ahead = &readAhead{rt: rt, calls: calls}
+				fc.Ahead = readAhead(calls)
 				fl.Clauses[i] = fc
 			}
 		}
 	})
 }
 
-// correlated reports that c is xcql:fillers($v, stream, tsid[,
-// per-parent][, tops=bare]): a call that crosses the holes of $v's binding
-// and of nothing else, with no pushed filter.
-func correlated(c *xq.Call, v string) (aheadCall, bool) {
-	if c.Name != fnFillers || len(c.Args) == 0 {
-		return aheadCall{}, false
+// correlated returns the intrinsic of c when c is xcql:fillers($v, …)
+// with no pushed filter: a call that crosses the holes of $v's binding and
+// of nothing else. Else nil.
+func correlated(c *xq.Call, v string) *Intrinsic {
+	in := IntrinsicOf(c)
+	if in == nil || in.Op != FnFillers || in.filter != nil {
+		return nil
 	}
 	if ref, ok := c.Args[0].(*xq.VarRef); !ok || ref.Name != v {
-		return aheadCall{}, false
+		return nil
 	}
-	args, each := c.Args, parentPreds(c.Args)
-	if each != nil {
-		args = args[:len(args)-1]
-	}
-	stream, tsid := litString(args, 1), litInt(args, 2)
-	if _, filter := splitFilter(args); filter != nil || len(args) != 3 || stream == "" || tsid <= 0 {
-		return aheadCall{}, false
-	}
-	return aheadCall{stream: stream, tsid: tsid, each: each, bare: readsBare(c.Args)}, true
+	return in
 }
 
 // eachPerBinding visits what fl evaluates exactly once per binding of its

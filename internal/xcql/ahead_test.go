@@ -171,7 +171,7 @@ func xmarkRuntime(t testing.TB) *Runtime {
 
 // aheadStats are the counters of the cases above, pinned from the engine
 // that read every binding's children with a call of its own. nodes counts
-// the tops built: none for a read whose tops nothing observes (bareTops).
+// the tops built: none for a read whose tops nothing observes (Intrinsic.Bare).
 var aheadStats = map[string]string{
 	"first/QaC+":                      "fillers=7 holes=4 cache=0/0 nodes=1 steps=25 items=13 bytes=1819",
 	"last/QaC+":                       "fillers=7 holes=4 cache=0/0 nodes=1 steps=25 items=13 bytes=1819",

@@ -2,64 +2,16 @@ package xcql
 
 import "xcql/internal/xq"
 
-// bareTops marks an access call whose output nothing observes beyond its
-// children, its holes and its payload attributes: get_fillers returns each
-// version "annotated with its lifespan", and a read builds a new top
-// element per version for the two stamps alone (fragment.Read.Bare),
-// so a read whose consumers only navigate through the top hands out the
-// stored payload instead. It is pushdown's reasoning (pushed) applied to
-// a read's consumers: which tops are built changes, never what is
-// returned.
-//
-// The marker rides on the call's last literal argument — its tsid, its
-// filter or its per-parent list — which it wraps, and renders as a
-// trailing tops=bare. It is not an argument of its own because every
-// argument costs its evaluation a budget step, and a marked call is
-// charged exactly what the unmarked call is.
-type bareTops struct {
-	inner *xq.Literal
-	val   [1]xq.Item // inner's value, as its evaluation returns it
-}
-
-func (b *bareTops) String() string { return b.inner.String() + ", tops=bare" }
-
-// litOf is the value of a literal argument, seen through the marker.
-func litOf(e xq.Expr) (xq.Item, bool) {
-	l, ok := e.(*xq.Literal)
-	if !ok {
-		return nil, false
-	}
-	if b, ok := l.Val.(*bareTops); ok {
-		return b.inner.Val, true
-	}
-	return l.Val, true
-}
+// Bare tops. get_fillers returns each version "annotated with its
+// lifespan", and a read builds a new top element per version for the two
+// stamps alone (fragment.Read.Bare), so a read whose consumers only
+// navigate through the top hands out the stored payload instead: its
+// Intrinsic is Bare, which markBare decides and the plan spells as a
+// trailing tops=bare. It is pushdown's reasoning (pushed) applied to a
+// read's consumers: which tops are built changes, never what is returned.
 
 // bareReads turns the marking pass on; tests turn it off to compare.
 var bareReads = true
-
-// readsBare reports that an access call's arguments carry the marker.
-func readsBare(args []xq.Expr) bool {
-	if n := len(args); n > 0 {
-		if l, ok := args[n-1].(*xq.Literal); ok {
-			_, ok := l.Val.(*bareTops)
-			return ok
-		}
-	}
-	return false
-}
-
-// takeBare takes the marker off an intrinsic's evaluated arguments, in
-// place, and reports whether they carried one.
-func takeBare(args []xq.Sequence) bool {
-	if n := len(args); n > 0 && len(args[n-1]) == 1 {
-		if b, ok := args[n-1][0].(*bareTops); ok {
-			args[n-1] = b.val[:]
-			return true
-		}
-	}
-	return false
-}
 
 // use is how an expression's value is consumed: observed (the zero
 // value), only navigated — the base of a path whose first step is a child
@@ -95,8 +47,8 @@ type bareMarker struct {
 }
 
 type callUse struct {
-	c *xq.Call
-	u use
+	in *Intrinsic
+	u  use
 }
 
 // scoped is a variable in scope; b is nil for one the pass does not track
@@ -106,7 +58,7 @@ type scoped struct {
 	b    *binding
 }
 
-// markBare marks every xcql:fillers and xcql:bytsid call of plan whose
+// markBare marks Bare every xcql:fillers and xcql:bytsid call of plan whose
 // every consumer — every place its value reaches, the call's own pushed
 // filter and per-parent list included — is one of:
 //
@@ -124,47 +76,25 @@ type scoped struct {
 // name is observed, as any predicate's is. Everything else observes: a
 // call's result returned or put in a constructor, vtFrom() and vtTo(),
 // projections, @*, is and union, filter expressions and every function
-// argument. plan is a new translation, its calls its own: a marked call
-// gets the marker in place, and a call the translator shares between two
+// argument. plan is a new translation, its intrinsics its own: a marked
+// one is marked in place, and a call the translator shares between two
 // pieces is marked only when every occurrence may be.
 func markBare(plan xq.Expr) {
 	var m bareMarker
 	m.walk(plan, use{})
-	for i, cu := range m.uses {
-		if m.first(i) && m.bare(cu.c) {
-			n := len(cu.c.Args)
-			b := &bareTops{inner: cu.c.Args[n-1].(*xq.Literal)}
-			b.val[0] = b.inner.Val
-			cu.c.Args[n-1] = xq.NewLiteral(b)
-		}
+	for _, cu := range m.uses {
+		cu.in.Bare = m.bare(cu.in)
 	}
 }
 
-// first reports that uses[i] is its call's first occurrence.
-func (m *bareMarker) first(i int) bool {
-	for _, cu := range m.uses[:i] {
-		if cu.c == m.uses[i].c {
-			return false
-		}
-	}
-	return true
-}
-
-// bare reports that access call c, consumed as its uses say, may return
+// bare reports that access call in, consumed as its uses say, may return
 // bare tops.
-func (m *bareMarker) bare(c *xq.Call) bool {
-	n := len(c.Args)
-	if n == 0 {
-		return false
-	}
-	if _, lit := c.Args[n-1].(*xq.Literal); !lit {
-		return false // nothing to carry the marker
-	}
-	if p := parentPreds(c.Args); p != nil && len(p.rest()) > 0 {
+func (m *bareMarker) bare(in *Intrinsic) bool {
+	if in.each != nil && len(in.each.rest()) > 0 {
 		return false
 	}
 	for _, cu := range m.uses {
-		if cu.c == c && !cu.u.nav && (cu.u.b == nil || cu.u.b.observed) {
+		if cu.in == in && !cu.u.nav && (cu.u.b == nil || cu.u.b.observed) {
 			return false
 		}
 	}
@@ -173,15 +103,7 @@ func (m *bareMarker) bare(c *xq.Call) bool {
 
 func (m *bareMarker) walk(e xq.Expr, u use) {
 	switch ex := e.(type) {
-	case nil, *xq.LastMarker, *xq.ContextItem, *xq.StreamRef:
-	case *xq.Literal:
-		// a per-parent list is the child step's predicates, which may
-		// read any variable in scope
-		if v, _ := litOf(ex); v != nil {
-			if p, ok := v.(*perParent); ok {
-				m.walkAll(p.preds)
-			}
-		}
+	case nil, *xq.LastMarker, *xq.ContextItem, *xq.StreamRef, *xq.Literal:
 	case *xq.VarRef:
 		for i := len(m.scope) - 1; i >= 0; i-- {
 			if m.scope[i].name != ex.Name {
@@ -200,11 +122,17 @@ func (m *bareMarker) walk(e xq.Expr, u use) {
 			return
 		}
 	case *xq.Call:
-		if ex.Name == fnFillers || ex.Name == fnByTSID {
-			m.uses = append(m.uses, callUse{ex, u})
+		in := readCall(ex)
+		if in != nil {
+			m.uses = append(m.uses, callUse{in, u})
 		}
-		for i, a := range ex.Args {
-			m.walk(a, use{nav: i == 0 && ex.Name == fnFillers})
+		for _, a := range ex.Args {
+			m.walk(a, use{nav: in != nil && in.Op == FnFillers})
+		}
+		if in != nil && in.each != nil {
+			// a per-parent list is the child step's predicates, which may
+			// read any variable in scope
+			m.walkAll(in.each.preds)
 		}
 	case *xq.Path:
 		m.walk(ex.Base, use{nav: len(ex.Steps) > 0 && navigates(ex.Steps[0])})

@@ -8,17 +8,20 @@ import (
 	"xcql/internal/xq"
 )
 
-// Intrinsic function names emitted by the translator and implemented by
-// the Runtime. The prefix keeps them out of the user namespace. The
-// vocabulary is the same under every fragment plan: which index serves a
-// call is the evaluation's access path (Mode.access), not the plan's text.
+// Intrinsic function names emitted by the translator, each call compiled
+// into an Intrinsic, which says what it reads, which the Runtime evaluates
+// and whose Op plan inspectors (internal/inc) classify an access by. The
+// prefix keeps them out of the user namespace, and no query can spell
+// them. The vocabulary is the same under every fragment plan: which index
+// serves a call is the evaluation's access path (Mode.access), not the
+// plan's text.
 const (
-	fnView    = "xcql:view"    // (stream)            materialized temporal view (CaQ)
-	fnRoot    = "xcql:root"    // (stream)            root filler payload versions
-	fnFillers = "xcql:fillers" // (nodes, stream, tsid[, filter][, per-parent][, tops=bare]) cross the holes of a child step
-	fnByTSID  = "xcql:bytsid"  // (stream, tsid…[, filter][, tops=bare])     all filler versions with a tsid
-	fnIProj   = "xcql:iproj"   // (nodes, tb[, te], stream) interval projection over fragments
-	fnVProj   = "xcql:vproj"   // (nodes, vb, ve, stream)   version projection over fragments
+	FnView    = "xcql:view"    // materialized temporal view (CaQ)
+	FnRoot    = "xcql:root"    // root filler payload versions
+	FnFillers = "xcql:fillers" // cross the holes of a child step
+	FnByTSID  = "xcql:bytsid"  // all filler versions with a tsid (QaC+'s descendant step from the top)
+	FnIProj   = "xcql:iproj"   // interval projection e?[t1,t2] over fragments
+	FnVProj   = "xcql:vproj"   // version projection e#[v1,v2] over fragments
 )
 
 // typedTag is a (stream, tag) pair: the static type the translator tracks
@@ -54,6 +57,7 @@ func (e env) withCtx(ts typeSet) env { return env{vars: e.vars, ctx: ts} }
 
 // compiler performs the Figure-3 schema-based translation for one mode.
 type compiler struct {
+	rt      *Runtime
 	mode    Mode
 	streams map[string]*tagstruct.Structure
 	// docTags holds, per stream, the synthetic "#document" tag above the
@@ -87,13 +91,13 @@ func (c *compiler) isStreamTop(tt typedTag) bool {
 	return s != nil && (tt.tag == s.Root || tt.tag == c.docTags[tt.stream])
 }
 
-// Compile translates an XCQL expression into an engine expression for the
-// given mode. streams maps stream names to their tag structures; a query
-// referencing an unregistered stream is rejected at compile time. named
-// lists the streams the query references, in first-reference order: the
-// scope its evaluations resolve holes in.
-func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (plan xq.Expr, named []string, err error) {
-	c := &compiler{mode: mode, streams: streams}
+// translate translates an XCQL expression into an engine expression for
+// the given mode over the streams registered on rt, which evaluates its
+// intrinsics; a query referencing an unregistered stream is rejected at
+// compile time. named lists the streams the query references, in
+// first-reference order: the scope its evaluations resolve holes in.
+func (rt *Runtime) translate(e xq.Expr, mode Mode) (plan xq.Expr, named []string, err error) {
+	c := &compiler{rt: rt, mode: mode, streams: rt.Structures()}
 	plan, _, err = c.rewrite(e, env{vars: map[string]typeSet{}})
 	if err == nil && bareReads {
 		markBare(plan)
@@ -101,7 +105,10 @@ func Compile(e xq.Expr, mode Mode, streams map[string]*tagstruct.Structure) (pla
 	return plan, c.order, err
 }
 
-func lit(v any) xq.Expr { return xq.NewLiteral(v) }
+// call is a call to intrinsic op on stream over args, reading tsids.
+func (c *compiler) call(op, stream string, args []xq.Expr, tsids ...int) *xq.Call {
+	return (&Intrinsic{Op: op, Stream: stream, TSIDs: tsids, rt: c.rt}).call(args...)
+}
 
 func (c *compiler) rewrite(e xq.Expr, en env) (xq.Expr, typeSet, error) {
 	switch ex := e.(type) {
@@ -121,9 +128,9 @@ func (c *compiler) rewrite(e xq.Expr, en env) (xq.Expr, typeSet, error) {
 		}
 		ts := typeSet{{stream: ex.Name, tag: c.docTag(ex.Name)}}
 		if c.mode == CaQ {
-			return &xq.Call{Name: fnView, Args: []xq.Expr{lit(ex.Name)}}, ts, nil
+			return c.call(FnView, ex.Name, nil), ts, nil
 		}
-		return &xq.Call{Name: fnRoot, Args: []xq.Expr{lit(ex.Name)}}, ts, nil
+		return c.call(FnRoot, ex.Name, nil), ts, nil
 	case *xq.SeqExpr:
 		out := &xq.SeqExpr{Items: make([]xq.Expr, len(ex.Items))}
 		var union typeSet
@@ -191,7 +198,7 @@ func (c *compiler) rewrite(e xq.Expr, en env) (xq.Expr, typeSet, error) {
 		}
 		return &xq.Quantified{Every: ex.Every, Var: ex.Var, In: in, Satisfies: sat}, nil, nil
 	case *xq.Call:
-		out := &xq.Call{Name: ex.Name, Args: make([]xq.Expr, len(ex.Args))}
+		out := &xq.Call{Name: ex.Name, Args: make([]xq.Expr, len(ex.Args)), Callee: ex.Callee}
 		for i, a := range ex.Args {
 			ra, _, err := c.rewrite(a, en)
 			if err != nil {
@@ -411,10 +418,7 @@ func (c *compiler) rewriteChildStep(base xq.Expr, baseTS typeSet, step xq.Step, 
 			}
 			outTS = append(outTS, typedTag{stream: tt.stream, tag: child})
 			if child.IsFragmented() {
-				pieces = append(pieces, &xq.Call{
-					Name: fnFillers,
-					Args: []xq.Expr{base, lit(tt.stream), lit(float64(child.ID))},
-				})
+				pieces = append(pieces, c.call(FnFillers, tt.stream, []xq.Expr{base}, child.ID))
 			} else if !seenPlain[child.Name] {
 				seenPlain[child.Name] = true
 				pieces = append(pieces, appendPathStep(base, xq.Step{Axis: xq.AxisChild, Name: child.Name}))
@@ -475,11 +479,11 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 		if c.mode == QaCPlus && c.isStreamTop(tt) {
 			// whole-stream descendant: fetch fragmented targets directly by
 			// tsid; purely-snapshot targets still need path chains
-			var tsids []xq.Expr
+			var tsids []int
 			for _, tag := range targets {
 				outTS = append(outTS, typedTag{stream: tt.stream, tag: tag})
 				if tag.IsFragmented() {
-					tsids = append(tsids, lit(float64(tag.ID)))
+					tsids = append(tsids, tag.ID)
 				} else {
 					chainExpr, err := c.buildChain(base, tt, tag)
 					if err != nil {
@@ -489,8 +493,7 @@ func (c *compiler) rewriteDescendantStep(base xq.Expr, baseTS typeSet, step xq.S
 				}
 			}
 			if len(tsids) > 0 {
-				args := append([]xq.Expr{lit(tt.stream)}, tsids...)
-				pieces = append(pieces, &xq.Call{Name: fnByTSID, Args: args})
+				pieces = append(pieces, c.call(FnByTSID, tt.stream, nil, tsids...))
 			}
 			continue
 		}
@@ -524,7 +527,7 @@ func (c *compiler) buildChain(base xq.Expr, from typedTag, target *tagstruct.Tag
 	cur := base
 	for _, tag := range chain {
 		if tag.IsFragmented() {
-			cur = &xq.Call{Name: fnFillers, Args: []xq.Expr{cur, lit(from.stream), lit(float64(tag.ID))}}
+			cur = c.call(FnFillers, from.stream, []xq.Expr{cur}, tag.ID)
 		} else {
 			cur = appendPathStep(cur, xq.Step{Axis: xq.AxisChild, Name: tag.Name})
 		}
@@ -568,14 +571,10 @@ func (c *compiler) rewriteIntervalProj(ip *xq.IntervalProj, en env) (xq.Expr, ty
 	}
 	if c.mode != CaQ {
 		if stream, single := singleStream(ts); single {
-			args := []xq.Expr{inner, from}
-			if to != nil {
-				args = append(args, to)
-			} else {
-				args = append(args, from)
+			if to == nil {
+				to = from
 			}
-			args = append(args, lit(stream))
-			return &xq.Call{Name: fnIProj, Args: args}, ts, nil
+			return c.call(FnIProj, stream, []xq.Expr{inner, from, to}), ts, nil
 		}
 	}
 	return &xq.IntervalProj{E: inner, From: from, To: to}, ts, nil
@@ -594,7 +593,7 @@ func (c *compiler) rewriteVersionProj(vp *xq.VersionProj, en env) (xq.Expr, type
 		}
 		if _, ok := e.(*xq.LastMarker); ok {
 			if forCall {
-				return lit("last"), nil
+				return xq.NewLiteral("last"), nil
 			}
 			return e, nil
 		}
@@ -614,7 +613,7 @@ func (c *compiler) rewriteVersionProj(vp *xq.VersionProj, en env) (xq.Expr, type
 			if to == nil {
 				to = from
 			}
-			return &xq.Call{Name: fnVProj, Args: []xq.Expr{inner, from, to, lit(stream)}}, ts, nil
+			return c.call(FnVProj, stream, []xq.Expr{inner, from, to}), ts, nil
 		}
 	}
 	from, err := rewriteEnd(vp.From, false)

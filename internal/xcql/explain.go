@@ -97,7 +97,7 @@ type ExplainTarget struct {
 	// window.
 	PerParent string
 	// Bare reports that nothing the plan does with the path's output
-	// observes a lifespan stamp (bareTops): the path hands out stored
+	// observes a lifespan stamp (Intrinsic.Bare): the path hands out stored
 	// payloads and builds no top.
 	Bare bool
 }
@@ -137,14 +137,12 @@ func (q *Query) Explain() Explain {
 	ex.Predicted.Plan = ex.Plan
 	streams := map[string]bool{}
 	walkExpr(q.Plan, func(e xq.Expr) {
-		call, ok := e.(*xq.Call)
-		if !ok {
-			return
-		}
-		if t, ok := q.explainCall(call); ok {
-			streams[t.Stream] = true
-			ex.Targets = append(ex.Targets, t)
-			q.predict(&ex.Predicted, t)
+		if in := IntrinsicOf(e); in != nil {
+			for _, t := range q.explainCall(in) {
+				streams[t.Stream] = true
+				ex.Targets = append(ex.Targets, t)
+				q.predict(&ex.Predicted, t)
+			}
 		}
 	})
 	for s := range streams {
@@ -201,50 +199,45 @@ func (q *Query) explainCache(cache *fragment.Cache, streamNames []string, target
 	return ce
 }
 
-// explainCall classifies one intrinsic call as a store access path.
-func (q *Query) explainCall(call *xq.Call) (ExplainTarget, bool) {
-	switch call.Name {
-	case fnView:
-		return q.censusWhole(ExplainTarget{Op: "materialize-view", Stream: litString(call.Args, 0)}), true
-	case fnRoot:
-		return q.censusWhole(ExplainTarget{Op: "root", Stream: litString(call.Args, 0)}), true
-	case fnFillers:
-		// the call is the same under both fragment plans; QaC+'s access
-		// path crosses the holes in one pass
-		op := "get_fillers"
-		if q.Mode == QaCPlus {
-			op = "get_fillers_batched"
-		}
-		t := ExplainTarget{Op: op, Stream: litString(call.Args, 1), TSID: litInt(call.Args, 2), Filter: filterText(call), Bare: readsBare(call.Args)}
-		if p := parentPreds(call.Args); p != nil {
-			t.PerParent = p.list()
-		}
-		return q.censusTSID(t), true
-	case fnByTSID:
-		// one target per tsid argument would lose the shared single call;
-		// report the first tsid here and let walkExpr visit nothing below
-		// (arguments are literals). Multi-tsid fetches are rare: they need
-		// several same-named fragmented tags under distinct parents.
-		t := ExplainTarget{Op: "tsid-index", Stream: litString(call.Args, 0), TSID: litInt(call.Args, 1), Filter: filterText(call), Bare: readsBare(call.Args)}
-		return q.censusTSID(t), true
-	case fnIProj:
-		return ExplainTarget{Op: "interval-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
-	case fnVProj:
-		return ExplainTarget{Op: "version-projection", Stream: litString(call.Args, len(call.Args)-1)}, true
+// explainCall classifies one intrinsic call as store access paths: one
+// per tsid a jump reads, else one.
+func (q *Query) explainCall(in *Intrinsic) []ExplainTarget {
+	t := ExplainTarget{Stream: in.Stream, Bare: in.Bare}
+	switch in.Op {
+	case FnView:
+		t.Op = "materialize-view"
+		return []ExplainTarget{q.censusWhole(t)}
+	case FnRoot:
+		t.Op = "root"
+		return []ExplainTarget{q.censusWhole(t)}
+	case FnIProj:
+		t.Op = "interval-projection"
+		return []ExplainTarget{t}
+	case FnVProj:
+		t.Op = "version-projection"
+		return []ExplainTarget{t}
 	}
-	return ExplainTarget{}, false
-}
-
-// filterText renders the filter an access call carries, "" for none.
-func filterText(call *xq.Call) string {
-	args := call.Args
-	if parentPreds(args) != nil {
-		args = args[:len(args)-1] // the filter rides before the per-parent list
+	// the fillers call is the same under both fragment plans; QaC+'s
+	// access path crosses the holes in one pass
+	t.Op = "get_fillers"
+	switch {
+	case in.Op == FnByTSID:
+		t.Op = "tsid-index"
+	case q.Mode == QaCPlus:
+		t.Op = "get_fillers_batched"
 	}
-	if _, p := splitFilter(args); p != nil {
-		return p.String()
+	if in.filter != nil {
+		t.Filter = in.filter.String()
 	}
-	return ""
+	if in.each != nil {
+		t.PerParent = in.each.list()
+	}
+	out := make([]ExplainTarget, len(in.TSIDs))
+	for i, tsid := range in.TSIDs {
+		t.TSID = tsid
+		out[i] = q.censusTSID(t)
+	}
+	return out
 }
 
 // censusTSID fills a target's store census from the store's index:
@@ -304,30 +297,6 @@ func (q *Query) predict(p *obs.EvalStats, t ExplainTarget) {
 	}
 }
 
-func litString(args []xq.Expr, i int) string {
-	if i < 0 || i >= len(args) {
-		return ""
-	}
-	if v, ok := litOf(args[i]); ok {
-		if s, ok := v.(string); ok {
-			return s
-		}
-	}
-	return ""
-}
-
-func litInt(args []xq.Expr, i int) int {
-	if i < 0 || i >= len(args) {
-		return 0
-	}
-	if v, ok := litOf(args[i]); ok {
-		if f, ok := v.(float64); ok {
-			return int(f)
-		}
-	}
-	return 0
-}
-
 // String renders the explanation for CLI and /statusz output.
 func (ex Explain) String() string {
 	var b strings.Builder
@@ -372,13 +341,7 @@ func walkExpr(e xq.Expr, fn func(xq.Expr)) {
 	}
 	fn(e)
 	switch ex := e.(type) {
-	case *xq.Literal:
-		if p, ok := ex.Val.(*perParent); ok {
-			for _, pred := range p.preds {
-				walkExpr(pred, fn)
-			}
-		}
-	case *xq.LastMarker, *xq.VarRef, *xq.ContextItem, *xq.StreamRef:
+	case *xq.Literal, *xq.LastMarker, *xq.VarRef, *xq.ContextItem, *xq.StreamRef:
 	case *xq.SeqExpr:
 		for _, it := range ex.Items {
 			walkExpr(it, fn)
@@ -424,6 +387,11 @@ func walkExpr(e xq.Expr, fn func(xq.Expr)) {
 	case *xq.Call:
 		for _, a := range ex.Args {
 			walkExpr(a, fn)
+		}
+		if in := IntrinsicOf(ex); in != nil && in.each != nil {
+			for _, p := range in.each.preds {
+				walkExpr(p, fn)
+			}
 		}
 	case *xq.ElemCtor:
 		walkExpr(ex.NameExpr, fn)

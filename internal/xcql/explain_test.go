@@ -143,3 +143,37 @@ func TestExplainString(t *testing.T) {
 		t.Errorf("post-eval output missing observed line:\n%s", out)
 	}
 }
+
+// A descendant jump to a tag name fragmented under two parents reads both
+// tsids: EXPLAIN gives each its own access path and predicts the counters
+// the run observes, with and without a cache in front of the store.
+func TestExplainMultiTSIDJump(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		rt := NewRuntime()
+		rt.RegisterStream("s", twinStore(t))
+		q := rt.MustCompile(`count(stream("s")//x)`, QaCPlus)
+		if cached {
+			q.WithCache(64)
+		}
+		ex := q.Explain()
+		var tsids []int
+		for _, tgt := range ex.Targets {
+			if tgt.Op == "tsid-index" {
+				tsids = append(tsids, tgt.TSID)
+			}
+		}
+		if len(tsids) != 2 || tsids[0] != 4 || tsids[1] != 5 {
+			t.Fatalf("cache %v: tsid-index targets %v, want [4 5]:\n%s", cached, tsids, ex)
+		}
+		if _, err := q.Eval(evalAt); err != nil {
+			t.Fatal(err)
+		}
+		p, o := ex.Predicted, q.LastStats()
+		if p.FillersScanned != o.FillersScanned || p.TSIDLookups != o.TSIDLookups || p.TSIDIndexHits != o.TSIDIndexHits {
+			t.Errorf("cache %v: predicted %s, observed %s", cached, statsLine(p), statsLine(o))
+		}
+		if cached && (p.CacheMisses != o.CacheMisses || p.CacheHits != o.CacheHits) {
+			t.Errorf("cache: predicted %d hits %d misses, observed %d hits %d misses", p.CacheHits, p.CacheMisses, o.CacheHits, o.CacheMisses)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package xcql
 
 // SetBareReads turns the compiler's marking of reads whose tops nothing
-// observes (bareTops) on or off for the compilations that follow, and
+// observes (Intrinsic.Bare) on or off for the compilations that follow, and
 // returns what puts it back.
 func SetBareReads(on bool) (restore func()) {
 	was := bareReads

@@ -26,26 +26,31 @@ import (
 // terms of the holes in the order xcql:fillers reads them.
 
 // FnFold stands for a folded aggregate: xcql:fold(nodes, stream, site)
-// takes the arguments of the xcql:fillers call its chain crossed the child
-// step with, the fold site's number in place of the tsid, and folds the
-// terms of the holes of nodes.
+// reads the holes of nodes as the xcql:fillers call its chain crossed the
+// child step with reads them, and folds their terms (FoldCall).
 const FnFold = "xcql:fold"
+
+// FoldCall is the call that folds the terms of fold site number site in
+// place of the aggregate whose chain crossed the child step with fillers,
+// an xcql:fillers call that hands out every version it reads (Whole).
+func FoldCall(fillers *xq.Call, site int) *xq.Call {
+	in := *IntrinsicOf(fillers)
+	in.Op, in.site = FnFold, site
+	return in.call(fillers.Args...)
+}
 
 // foldVar binds a unit frame for its fold calls; no query can spell it.
 const foldVar = "\x00fold"
 
 // FoldSite is one aggregate a unit body folds from per-child terms: Agg
 // ("sum", "avg" or "count") over Chain, the aggregate's argument with
-// $UnitVar where it crossed the holes of tag TSID, by a call that read bare
-// tops when Bare (bareTops). Each layer of Chain
-// maps its input node by node and reads the store only through it, so
-// over no input the chain yields nothing at any instant: what its
-// skeleton observes of the clock is in every term's horizon, and changes
-// nothing where there is no term.
+// $UnitVar where it crossed the holes of the child step its FoldCall
+// reads. Each layer of Chain maps its input node by node and reads the
+// store only through it, so over no input the chain yields nothing at any
+// instant: what its skeleton observes of the clock is in every term's
+// horizon, and changes nothing where there is no term.
 type FoldSite struct {
 	Agg   string
-	TSID  int
-	Bare  bool
 	Chain xq.Expr
 }
 
@@ -127,40 +132,32 @@ func (u *UnitEval) SetFolds(sites []FoldSite, memo TermMemo) {
 	u.fold.memo = memo
 }
 
-// intrFold answers a folded aggregate. It reads the holes of its input as
+// fold answers a folded aggregate. It reads the holes of its input as
 // xcql:fillers does (callInput) — each id once, at its first position; a
 // node holding none of the tag's holes contributes its inline children
 // where it stands —, charges what the aggregate's evaluation charged: the child
 // step's read, the chain's skeleton and each term — kept or evaluated now
 // — what its evaluation charged, and folds the terms' numbers left to right
 // as the aggregate folds its argument.
-func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
+func (in *Intrinsic) fold(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence) (xq.Sequence, error) {
 	var u *UnitEval
 	if v, _ := ctx.Var(foldVar); len(v) == 1 {
 		u, _ = v[0].(*UnitEval)
 	}
-	if u == nil || len(args) != 3 || len(args[2]) == 0 {
+	if u == nil || in.site >= len(u.fold.sites) {
 		return nil, fmt.Errorf("xcql: %s outside a folded unit", FnFold)
 	}
-	f := &u.fold
-	site := int(xq.NumberValue(args[2][0]))
-	if site < 0 || site >= len(f.sites) {
-		return nil, fmt.Errorf("xcql: %s: no fold site %d", FnFold, site)
-	}
+	f, site, tsid := &u.fold, in.site, in.TSIDs[0]
 	s := &f.sites[site]
-	st, err := rt.storeOrErr(argString(args, 1))
-	if err != nil {
-		return nil, err
-	}
-	in := &f.in
-	in.collect(args[0], s.TSID, st.Structure().ByID(s.TSID), false)
-	in.closeRun() // a read's window needs its groups
+	input := &f.in
+	input.collect(nodes, tsid, st.Structure().ByID(tsid), false)
+	input.closeRun() // a read's window needs its groups
 	// the child step's read, made as xcql:fillers makes it, of no position:
 	// it dedupes the ids and counts what the read examines, and is charged
 	// the whole read, which the kept terms stand in for
 	acc := u.static.Access
-	_, read := acc.Read(st, fragment.Read{IDs: in.ids, Groups: in.groups, From: 1, To: 0, Defer: true})
-	if !s.Bare {
+	_, read := acc.Read(st, fragment.Read{IDs: input.ids, Groups: input.groups, From: 1, To: 0, Defer: true})
+	if !in.Bare {
 		read.Built = read.Examined
 	}
 	acc.Charge(st, read)
@@ -183,7 +180,7 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 		}
 		if t == nil {
 			var err error
-			if t, err = u.evalTerm(s, st, id, kids); err != nil {
+			if t, err = u.evalTerm(s, st, id, kids, in.Bare); err != nil {
 				return err
 			}
 			if id >= 0 {
@@ -206,12 +203,12 @@ func (rt *Runtime) intrFold(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 		return nil
 	}
 	// the read left each group's distinct ids in place, in order
-	ids := in.ids
-	err = in.each(func(g int, kids []*xmldom.Node) error {
+	ids := input.ids
+	err := input.each(func(g int, kids []*xmldom.Node) error {
 		if g < 0 {
 			return add(-1, kids)
 		}
-		holes := in.groups[g].Holes
+		holes := input.groups[g].Holes
 		for _, id := range ids[:holes] {
 			if err := add(id, nil); err != nil {
 				return err
@@ -271,18 +268,19 @@ func (u *UnitEval) termFrame() *UnitEval {
 }
 
 // evalTerm evaluates site s's chain over the versions of child id as the
-// child step reads them — or over kids, the inline children of a node —
+// child step reads them, bare tops or stamped — or over kids, the inline
+// children of a node —
 // in the terms' frame, and returns what it yields and charged beyond the
 // skeleton and the read. A budget trip returns or panics as the chain's
 // evaluation in the unit would; the unit's frame reports it.
-func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, id int, kids []*xmldom.Node) (*Term, error) {
+func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, id int, kids []*xmldom.Node, bare bool) (*Term, error) {
 	t := u.termFrame()
 	base := kids
 	var read spent
 	var g fragment.Group
 	if id >= 0 {
 		u.fold.one[0] = id
-		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: s.Bare})
+		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: bare})
 		// the read's own charge is its group's: the fold charges that
 		read = t.used()
 	}

@@ -15,7 +15,8 @@ import (
 // under fuzz input is "typed error or result, never a panic": the engine
 // boundary must absorb evaluator panics (EvalError.Stack set means an
 // internal bug escaped), and the budget must bound any accidentally
-// expensive query the fuzzer synthesizes.
+// expensive query the fuzzer synthesizes. Every plan that compiles is
+// explained too.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		`1 + 2 * 3`,
@@ -28,7 +29,7 @@ func FuzzCompile(f *testing.F) {
 		`declare function boom($x) { boom($x + 1) }; boom(0)`,
 		`stream("credit")//status?[start,now]`,
 		// descendant step straight off the stream: the shape the index
-		// plans compile to a by-tsid fetch (fnByTSID)
+		// plans compile to a by-tsid fetch (FnByTSID)
 		`for $s in stream("credit")//status return $s`,
 		// predicates the translator pushes below the access path (an
 		// attribute or an inline child against a literal of each class,
@@ -75,6 +76,9 @@ func FuzzCompile(f *testing.F) {
 			if err != nil {
 				continue // rejecting garbage is fine; crashing is not
 			}
+			// EXPLAIN reads every access call of the plan: one left
+			// half-built panics here
+			_ = q.Explain().String()
 			_, err = q.EvalLimits(context.Background(), evalAt, lim)
 			if err == nil {
 				continue

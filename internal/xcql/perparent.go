@@ -11,8 +11,8 @@ import (
 )
 
 // perParent is the predicate list a child step's positional predicates
-// ride on its one fillers call as: a trailing literal argument, after the
-// pushed filter when there is one. intrFillers applies it to each input
+// ride on its one fillers call as: its Intrinsic's per-parent list, spelled
+// after the pushed filter when there is one. The call applies it to each input
 // node's group of versions, position() and last() counted within the
 // group — how the evaluator applies a step's predicates, once per context
 // node, and so how CaQ, whose steps stay plain, applies them. A Filter over
@@ -86,19 +86,6 @@ func appendNodes(out, els []*xmldom.Node) []*xmldom.Node {
 	return append(out, els...)
 }
 
-// parentPreds returns the per-parent list an access call carries, nil
-// when it carries none.
-func parentPreds(args []xq.Expr) *perParent {
-	if n := len(args); n > 0 {
-		if v, ok := litOf(args[n-1]); ok {
-			if p, ok := v.(*perParent); ok {
-				return p
-			}
-		}
-	}
-	return nil
-}
-
 // eachParent hangs the predicates of a child step that count positions on
 // the step's one piece, so that they apply per parent: on an inline step as
 // the step's own predicates, on a fillers call as a per-parent list.
@@ -109,10 +96,10 @@ func eachParent(piece xq.Expr, preds []xq.Expr) xq.Expr {
 		last.Preds = append(last.Preds[:len(last.Preds):len(last.Preds)], preds...)
 		return &xq.Path{Base: p.Base, Steps: steps}
 	}
-	call := piece.(*xq.Call)
-	pp := &perParent{preds: preds}
-	pp.win, pp.windowed = windowOf(preds[0])
-	return &xq.Call{Name: call.Name, Args: append(call.Args[:len(call.Args):len(call.Args)], xq.NewLiteral(pp))}
+	in := *IntrinsicOf(piece)
+	in.each = &perParent{preds: preds}
+	in.each.win, in.each.windowed = windowOf(preds[0])
+	return in.call(piece.(*xq.Call).Args...)
 }
 
 // windowOf reports the positions a predicate selects when it is one a read

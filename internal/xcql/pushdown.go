@@ -1,6 +1,7 @@
 package xcql
 
 import (
+	"slices"
 	"strings"
 
 	"xcql/internal/fragment"
@@ -13,9 +14,9 @@ import (
 // conjunction of "relpath op literal" conditions the access path evaluates
 // on each stored payload before it builds the version's top element, so a
 // version the query would discard costs no node, no context and no
-// comparison in the evaluator. It rides on the call as a trailing literal
-// argument, which is how it reaches the intrinsic, the plan's rendering
-// (and so the incremental engine's unit signatures) and EXPLAIN.
+// comparison in the evaluator. It is the call's Intrinsic's filter, which
+// is how it reaches the read, the plan's rendering (and so the incremental
+// engine's unit signatures) and EXPLAIN.
 //
 // A condition is pushable when the translator can prove, from the Tag
 // Structure, that its path reads only what is inline in the payload: child
@@ -70,8 +71,11 @@ func (c *cond) path() *xq.Path {
 
 // pred is the filter as a predicate over the context item: what a reader
 // that holds the versions already (an incremental unit) applies in the
-// evaluator instead.
+// evaluator instead; nil for no filter.
 func (p *pushed) pred() xq.Expr {
+	if p == nil {
+		return nil
+	}
 	var out xq.Expr
 	for i := range p.conds {
 		c := &p.conds[i]
@@ -98,8 +102,12 @@ func (p *pushed) String() string {
 
 // bind closes the filter over one evaluation: its clock and horizon for
 // the comparisons, and its budget — every version examined is a step, so a
-// filter that turns everything away is still bounded and cancellable.
+// filter that turns everything away is still bounded and cancellable. No
+// filter binds to nil.
 func (p *pushed) bind(st *xq.Static) fragment.Filter {
+	if p == nil {
+		return nil
+	}
 	return func(v fragment.Version) bool {
 		st.Budget.MustStep()
 		n := v.Payload()
@@ -212,38 +220,26 @@ func pushConjuncts(es []xq.Expr, origin string, ts typeSet) ([]cond, []xq.Expr) 
 	return conds, nil
 }
 
-// accessCall reports e is a call that reads fillers through the access
-// path, and so can carry a filter.
-func accessCall(e xq.Expr) (*xq.Call, bool) {
-	c, ok := e.(*xq.Call)
-	return c, ok && (c.Name == fnFillers || c.Name == fnByTSID)
-}
-
-// splitFilter separates an access call's arguments from the filter riding
-// on them, nil when there is none.
-func splitFilter(args []xq.Expr) ([]xq.Expr, *pushed) {
-	if n := len(args); n > 0 {
-		if v, ok := litOf(args[n-1]); ok {
-			if p, ok := v.(*pushed); ok {
-				return args[:n-1], p
-			}
-		}
+// readCall returns the intrinsic of e when e is a call that reads
+// fillers through the access path, and so can carry a filter; else nil.
+func readCall(e xq.Expr) *Intrinsic {
+	if in := IntrinsicOf(e); in != nil && (in.Op == FnFillers || in.Op == FnByTSID) {
+		return in
 	}
-	return args, nil
+	return nil
 }
 
-// withFilter returns the access call with conds added to its filter.
-func withFilter(call *xq.Call, conds []cond) *xq.Call {
+// withFilter returns call, a readCall, with conds added to its filter.
+func withFilter(call xq.Expr, conds []cond) xq.Expr {
 	if len(conds) == 0 {
 		return call
 	}
-	args, p := splitFilter(call.Args)
-	merged := &pushed{}
-	if p != nil {
-		merged.conds = append(merged.conds, p.conds...)
+	in := *IntrinsicOf(call)
+	if in.filter != nil {
+		conds = append(slices.Clip(in.filter.conds), conds...)
 	}
-	merged.conds = append(merged.conds, conds...)
-	return &xq.Call{Name: call.Name, Args: append(args[:len(args):len(args)], xq.NewLiteral(merged))}
+	in.filter = &pushed{conds: conds}
+	return in.call(call.(*xq.Call).Args...)
 }
 
 // pushStepPreds moves the leading predicates of a step below the access
@@ -253,7 +249,7 @@ func withFilter(call *xq.Call, conds []cond) *xq.Call {
 // the predicates still to apply.
 func pushStepPreds(pieces []xq.Expr, ts typeSet, preds []xq.Expr) ([]xq.Expr, []xq.Expr) {
 	for _, p := range pieces {
-		if _, ok := accessCall(p); !ok {
+		if readCall(p) == nil {
 			return pieces, preds
 		}
 	}
@@ -270,7 +266,7 @@ func pushStepPreds(pieces []xq.Expr, ts typeSet, preds []xq.Expr) ([]xq.Expr, []
 	}
 	out := make([]xq.Expr, len(pieces))
 	for i, p := range pieces {
-		out[i] = withFilter(p.(*xq.Call), conds)
+		out[i] = withFilter(p, conds)
 	}
 	return out, preds
 }
@@ -291,8 +287,7 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 	if !ok || fc.PosVar != "" {
 		return clauses, where
 	}
-	call, ok := accessCall(fc.In)
-	if !ok || parentPreds(call.Args) != nil {
+	if in := readCall(fc.In); in == nil || in.each != nil {
 		// a filter goes below the positions a per-parent list counts, and
 		// a where filters what they selected
 		return clauses, where
@@ -301,7 +296,7 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 	if len(conds) == 0 {
 		return clauses, where
 	}
-	fc.In = withFilter(call, conds)
+	fc.In = withFilter(fc.In, conds)
 	out := append(append([]any(nil), clauses[:last]...), fc)
 	var residual xq.Expr
 	for _, e := range rest {
@@ -312,23 +307,4 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 		}
 	}
 	return out, residual
-}
-
-// boundAccess takes the filter, the per-parent list and the bare-tops
-// marker off an intrinsic's evaluated arguments, binding the filter to the
-// evaluation; nil (false) for what the call does not carry.
-func boundAccess(ctx *xq.Context, args []xq.Sequence) ([]xq.Sequence, fragment.Filter, *perParent, bool) {
-	bare := takeBare(args)
-	var each *perParent
-	if n := len(args); n > 0 && len(args[n-1]) == 1 {
-		if p, ok := args[n-1][0].(*perParent); ok {
-			args, each = args[:n-1], p
-		}
-	}
-	if n := len(args); n > 0 && len(args[n-1]) == 1 {
-		if p, ok := args[n-1][0].(*pushed); ok {
-			return args[:n-1], p.bind(ctx.Static), each, bare
-		}
-	}
-	return args, nil, each, bare
 }

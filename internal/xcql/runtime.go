@@ -27,11 +27,11 @@ import (
 type Runtime struct {
 	mu     sync.RWMutex
 	stores map[string]*fragment.Store
-	// funcs is what a plan's calls resolve against: the intrinsics and,
-	// over them, the functions registered by name. Nothing in it depends on
-	// an evaluation — an intrinsic reads its Static through the context it
-	// is called with — so every evaluation reads this one table, and
-	// RegisterFunc replaces it rather than write to it.
+	// funcs is what a plan's calls by name resolve against, over the
+	// builtins: the functions registered by name. A plan's intrinsics are
+	// compiled into their calls (Intrinsic) and never looked up. Every
+	// evaluation reads this one table, and RegisterFunc replaces it rather
+	// than write to it.
 	funcs map[string]xq.Func
 	docs  map[string]*xmldom.Node
 
@@ -53,20 +53,11 @@ type Runtime struct {
 
 // NewRuntime returns an empty runtime.
 func NewRuntime() *Runtime {
-	rt := &Runtime{
+	return &Runtime{
 		stores: make(map[string]*fragment.Store),
+		funcs:  make(map[string]xq.Func),
 		docs:   make(map[string]*xmldom.Node),
 	}
-	rt.funcs = map[string]xq.Func{
-		fnView:    rt.intrView,
-		fnRoot:    rt.intrRoot,
-		fnFillers: rt.intrFillers,
-		fnByTSID:  rt.intrByTSID,
-		fnIProj:   rt.intrIProj,
-		fnVProj:   rt.intrVProj,
-		FnFold:    rt.intrFold,
-	}
-	return rt
 }
 
 // RegisterStream makes a fragment store queryable as stream(name).
@@ -292,9 +283,9 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 		return nil, err
 	}
 	trStart := time.Now()
-	plan, streams, err := Compile(ast, mode, rt.Structures())
+	plan, streams, err := rt.translate(ast, mode)
 	if err == nil && mode == QaCPlus {
-		rt.attachReadAhead(plan)
+		attachReadAhead(plan)
 	}
 	translateTime := time.Since(trStart)
 	if err != nil {
@@ -452,7 +443,7 @@ func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 	}
 	static.Stream = func(name string) (xq.Sequence, error) {
 		// uncompiled stream() access sees the materialized view
-		return rt.intrViewNamed(name, static)
+		return rt.view(name, static)
 	}
 	return static
 }
@@ -485,13 +476,6 @@ func (rt *Runtime) storeOrErr(name string) (*fragment.Store, error) {
 
 // --- intrinsics -----------------------------------------------------------
 
-func argString(args []xq.Sequence, i int) string {
-	if i >= len(args) || len(args[i]) == 0 {
-		return ""
-	}
-	return xq.StringValue(args[i][0])
-}
-
 // chargeNodes meters the output of a store read: cardinality plus the
 // tree bytes of every resolved filler version, stamps is the bytes the
 // stamps of the bare tops among them would add (fragment.Group.Stamps).
@@ -519,7 +503,9 @@ func meterNodes(b *budget.Budget, out []*xmldom.Node, stamps int) error {
 	return b.AddBytes(n)
 }
 
-func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, error) {
+// view is CaQ's access: the temporal view of stream name, materialized
+// whole.
+func (rt *Runtime) view(name string, static *xq.Static) (xq.Sequence, error) {
 	st, err := rt.storeOrErr(name)
 	if err != nil {
 		return nil, err
@@ -539,15 +525,9 @@ func (rt *Runtime) intrViewNamed(name string, static *xq.Static) (xq.Sequence, e
 	return xq.Singleton(doc), nil
 }
 
-func (rt *Runtime) intrView(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	return rt.intrViewNamed(argString(args, 0), ctx.Static)
-}
-
-func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	st, err := rt.storeOrErr(argString(args, 0))
-	if err != nil {
-		return nil, err
-	}
+// root is the fragment plans' stream(): the document of the root filler's
+// current version.
+func root(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
 	els, _ := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fragment.RootFillerID})
 	if len(els) == 0 {
 		return nil, nil
@@ -558,7 +538,7 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 	return xq.Singleton(doc), nil
 }
 
-// intrFillers is get_fillers of §5: for every hole with the given tsid in
+// fillers is get_fillers of §5: for every hole with the call's tsid in
 // the input nodes, return the versions of its fillers. Each filler id
 // resolves once per call — several versions of the same container carry
 // the same holes, and a child is one element, not one element per parent
@@ -569,32 +549,20 @@ func (rt *Runtime) intrRoot(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, e
 // list opens with one. A node that holds no hole of the tag contributes
 // its children of the tag's name where it stands (callInput). A call
 // on the binding of a for clause that read ahead takes its group of the
-// clause's one read instead (takeAhead). A call marked bare (bareTops)
-// reads bare tops.
-func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	args, keep, each, bare := boundAccess(ctx, args)
-	if len(args) != 3 {
-		return nil, fmt.Errorf("xcql: %s wants (nodes, stream, tsid)", fnFillers)
-	}
-	st, err := rt.storeOrErr(argString(args, 1))
-	if err != nil {
-		return nil, err
-	}
-	if len(args[2]) == 0 {
-		return nil, fmt.Errorf("xcql: empty tsid argument")
-	}
-	tsid := int(xq.NumberValue(args[2][0]))
+// clause's one read instead (takeAhead). A Bare call reads bare tops.
+func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence) (xq.Sequence, error) {
+	tsid, each, keep := in.TSIDs[0], in.each, in.filter.bind(ctx.Static)
 	if keep == nil {
-		if seq, ok, err := takeAhead(ctx, args[0], st, tsid, each, bare); ok {
+		if seq, ok, err := takeAhead(ctx, nodes, st, in); ok {
 			return seq, err
 		}
 	}
-	var in callInput
-	in.collect(args[0], tsid, st.Structure().ByID(tsid), each != nil)
+	var input callInput
+	input.collect(nodes, tsid, st.Structure().ByID(tsid), each != nil)
 	var els []*xmldom.Node
 	var read fragment.Group
-	if len(in.ids) > 0 {
-		r := fragment.Read{IDs: in.ids, Keep: keep, Groups: in.groups, Bare: bare}
+	if len(input.ids) > 0 {
+		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare}
 		if each != nil {
 			each.window(&r)
 		}
@@ -604,19 +572,19 @@ func (rt *Runtime) intrFillers(ctx *xq.Context, args []xq.Sequence) (xq.Sequence
 	if each != nil {
 		rest, preds = each.rest(), each.preds
 	}
-	if in.inline == nil && len(rest) == 0 {
+	if input.inline == nil && len(rest) == 0 {
 		return chargeNodes(ctx.Static.Budget, els, read.Stamps)
 	}
 	// the read served the window a list opens with, not the inline children
 	var out []*xmldom.Node
 	lo := 0
-	err = in.each(func(g int, kids []*xmldom.Node) (err error) {
+	err := input.each(func(g int, kids []*xmldom.Node) (err error) {
 		if g < 0 {
 			out, err = applyPreds(ctx, out, keep.Sift(nil, kids), preds)
 			return err
 		}
-		out, err = applyPreds(ctx, out, els[lo:in.groups[g].End], rest)
-		lo = in.groups[g].End
+		out, err = applyPreds(ctx, out, els[lo:input.groups[g].End], rest)
+		lo = input.groups[g].End
 		return err
 	})
 	if err != nil {
@@ -712,26 +680,16 @@ func (in *callInput) each(visit func(g int, kids []*xmldom.Node) error) error {
 	}
 }
 
-// intrByTSID is QaC+'s descendant jump: all filler versions
-// whose tsid is in the given set, without touching any other document
-// level.
-func (rt *Runtime) intrByTSID(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	args, keep, _, bare := boundAccess(ctx, args)
-	if len(args) < 2 {
-		return nil, fmt.Errorf("xcql: %s wants (stream, tsid…)", fnByTSID)
-	}
-	st, err := rt.storeOrErr(argString(args, 0))
-	if err != nil {
-		return nil, err
-	}
+// byTSID is QaC+'s descendant jump: all filler versions whose tsid is
+// one of the call's, without touching any other document level.
+func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
+	keep := in.filter.bind(ctx.Static)
 	var out []*xmldom.Node
 	stamps := 0
-	for _, a := range args[1:] {
-		if len(a) > 0 {
-			els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: int(xq.NumberValue(a[0])), Keep: keep, Bare: bare})
-			out = append(out, els...)
-			stamps += g.Stamps
-		}
+	for _, tsid := range in.TSIDs {
+		els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep, Bare: in.Bare})
+		out = append(out, els...)
+		stamps += g.Stamps
 	}
 	return chargeNodes(ctx.Static.Budget, out, stamps)
 }
@@ -742,14 +700,9 @@ func projResolver(static *xq.Static, st *fragment.Store) temporal.HoleResolver {
 	return temporal.BudgetResolver(static.Budget, temporal.AccessResolver(static.Access, st))
 }
 
-func (rt *Runtime) intrIProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	if len(args) != 4 {
-		return nil, fmt.Errorf("xcql: %s wants (nodes, tb, te, stream)", fnIProj)
-	}
-	st, err := rt.storeOrErr(argString(args, 3))
-	if err != nil {
-		return nil, err
-	}
+// iproj is the interval projection nodes?[tb,te] of args, over the
+// fragments of st.
+func iproj(ctx *xq.Context, st *fragment.Store, args []xq.Sequence) (xq.Sequence, error) {
 	from, ok := endpointDateTime(args[1])
 	if !ok {
 		return nil, fmt.Errorf("xcql: interval start is not a dateTime")
@@ -774,14 +727,9 @@ func endpointDateTime(seq xq.Sequence) (xtime.DateTime, bool) {
 	return xq.DateTimeValue(xq.Atomize(seq)[0])
 }
 
-func (rt *Runtime) intrVProj(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
-	if len(args) != 4 {
-		return nil, fmt.Errorf("xcql: %s wants (nodes, vb, ve, stream)", fnVProj)
-	}
-	st, err := rt.storeOrErr(argString(args, 3))
-	if err != nil {
-		return nil, err
-	}
+// vproj is the version projection nodes#[vb,ve] of args, over the
+// fragments of st.
+func vproj(ctx *xq.Context, st *fragment.Store, args []xq.Sequence) (xq.Sequence, error) {
 	window := xtime.VersionInterval{}
 	var ok bool
 	window.From, window.FromLast, ok = endpointVersion(args[1])

@@ -12,56 +12,10 @@ import (
 	"xcql/internal/xtime"
 )
 
-// Exported spellings of the intrinsic plan functions, so plan inspectors
-// (EXPLAIN, the incremental compiler in internal/inc) can classify the
-// access paths of a translated Query.Plan without duplicating the names.
-const (
-	// FnView is the CaQ access path: materialize the whole temporal view.
-	FnView = fnView
-	// FnRoot fetches the root filler's payload versions.
-	FnRoot = fnRoot
-	// FnFillers crosses the holes of a child step.
-	FnFillers = fnFillers
-	// FnByTSID jumps straight to every filler with a tsid (the index
-	// plans' descendant step over the whole stream).
-	FnByTSID = fnByTSID
-	// FnIProj is the compiled interval projection e?[t1,t2].
-	FnIProj = fnIProj
-	// FnVProj is the compiled version projection e#[v1,v2].
-	FnVProj = fnVProj
-)
-
 // WalkPlan visits every node of a plan (or AST) expression in preorder —
 // the EXPLAIN walker, exported so other plan compilers (internal/inc)
 // reuse the same traversal instead of growing their own.
 func WalkPlan(e xq.Expr, fn func(xq.Expr)) { walkExpr(e, fn) }
-
-// PlanLitString extracts the string literal at args[i] of a plan call, or
-// "" — the EXPLAIN argument readers, exported alongside WalkPlan.
-func PlanLitString(args []xq.Expr, i int) string { return litString(args, i) }
-
-// PlanLitInt extracts the numeric literal at args[i] of a plan call, or 0.
-func PlanLitInt(args []xq.Expr, i int) int { return litInt(args, i) }
-
-// AccessArgs separates the arguments of an access call (FnFillers,
-// FnByTSID) from the filter the translator pushed below it: args is the
-// call as it would stand without one, pred the filter as a predicate over
-// each node the call returns — nil when it carries none. A reader that
-// fetches the call's fillers itself applies pred in the evaluator instead.
-func AccessArgs(c *xq.Call) (args []xq.Expr, pred xq.Expr) {
-	args, p := splitFilter(c.Args)
-	if p == nil {
-		return args, nil
-	}
-	return args, p.pred()
-}
-
-// ReadsBare reports that the compiler marked access call c as one whose
-// tops nothing observes: it reads bare tops, the stored payloads, where an
-// unmarked call reads lifespan-stamped ones. The literal arguments of a
-// marked call read as they would unmarked (PlanLitString, PlanLitInt,
-// AccessArgs).
-func ReadsBare(c *xq.Call) bool { return readsBare(c.Args) }
 
 // StreamStore returns the fragment store registered under name on this
 // query's runtime, or nil.

@@ -147,22 +147,22 @@ func TestPlanShapes(t *testing.T) {
 	src := `for $t in stream("credit")//transaction where $t/amount > 1000 return $t/amount`
 
 	caq := rt.MustCompile(src, CaQ).Plan.String()
-	if !strings.Contains(caq, fnView) || strings.Contains(caq, fnFillers) {
+	if !strings.Contains(caq, FnView) || strings.Contains(caq, FnFillers) {
 		t.Fatalf("CaQ plan:\n%s", caq)
 	}
 	qac := rt.MustCompile(src, QaC).Plan.String()
-	if !strings.Contains(qac, fnRoot) || !strings.Contains(qac, fnFillers) {
+	if !strings.Contains(qac, FnRoot) || !strings.Contains(qac, FnFillers) {
 		t.Fatalf("QaC plan:\n%s", qac)
 	}
-	if strings.Contains(qac, fnByTSID) {
+	if strings.Contains(qac, FnByTSID) {
 		t.Fatalf("QaC plan must not use the tsid index:\n%s", qac)
 	}
 	plus := rt.MustCompile(src, QaCPlus).Plan.String()
-	if !strings.Contains(plus, fnByTSID) {
+	if !strings.Contains(plus, FnByTSID) {
 		t.Fatalf("QaC+ plan must use the tsid index:\n%s", plus)
 	}
 	// QaC+ descendant over the whole stream must not chain fillers calls
-	if strings.Contains(plus, fnFillers+"("+fnFillers) {
+	if strings.Contains(plus, FnFillers+"("+FnFillers) {
 		t.Fatalf("QaC+ should not reconcile intermediate holes:\n%s", plus)
 	}
 }

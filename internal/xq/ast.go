@@ -260,16 +260,31 @@ func (e *Quantified) String() string {
 	return fmt.Sprintf("%s $%s in %s satisfies %s", kw, e.Var, e.In.String(), e.Satisfies.String())
 }
 
-// Call is a function application.
+// Call is a function application. Callee, when set, is what a host
+// compiled the call into: the evaluator hands it the evaluated Args instead
+// of looking Name up, and the call spells it after them.
 type Call struct {
-	Name string
-	Args []Expr
+	Name   string
+	Args   []Expr
+	Callee Callee
+}
+
+// Callee is a call a host compiled. Call evaluates it over its Args'
+// values; String spells the operands it holds beyond them, "" for none.
+type Callee interface {
+	Call(ctx *Context, args []Sequence) (Sequence, error)
+	String() string
 }
 
 func (e *Call) String() string {
-	parts := make([]string, len(e.Args))
+	parts := make([]string, len(e.Args), len(e.Args)+1)
 	for i, a := range e.Args {
 		parts[i] = a.String()
+	}
+	if e.Callee != nil {
+		if s := e.Callee.String(); s != "" {
+			parts = append(parts, s)
+		}
 	}
 	return e.Name + "(" + strings.Join(parts, ", ") + ")"
 }

@@ -944,9 +944,11 @@ func makeUserFunc(fd FuncDecl) Func {
 }
 
 func evalCall(call *Call, ctx *Context) (Sequence, error) {
-	fn := lookupFunc(ctx, call.Name)
-	if fn == nil {
-		return nil, fmt.Errorf("xq: unknown function %s()", call.Name)
+	var fn Func
+	if call.Callee == nil {
+		if fn = lookupFunc(ctx, call.Name); fn == nil {
+			return nil, fmt.Errorf("xq: unknown function %s()", call.Name)
+		}
 	}
 	args := make([]Sequence, len(call.Args))
 	for i, a := range call.Args {
@@ -955,6 +957,9 @@ func evalCall(call *Call, ctx *Context) (Sequence, error) {
 			return nil, err
 		}
 		args[i] = v
+	}
+	if fn == nil {
+		return call.Callee.Call(ctx, args)
 	}
 	return fn(ctx, args)
 }
