@@ -309,21 +309,26 @@ func TestAPIErrorContract(t *testing.T) {
 		}
 		decodeError(t, body, "overload")
 	})
-	t.Run("ws register error frame", func(t *testing.T) {
-		c, err := wsDial("http://"+fx.addr()+"/v1/subscribe", 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.WriteText([]byte(`{"query":"for $x in ("}`)); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := c.ReadMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		decodeError(t, frame, "compile")
-	})
+	for _, tc := range []struct{ name, first, kind string }{
+		{"ws register error frame", `{"query":"for $x in ("}`, "compile"},
+		{"ws unknown codec", `{"query":"1","codec":"xdr"}`, "codec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := wsDial("http://"+fx.addr()+"/v1/subscribe", 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.WriteText([]byte(tc.first)); err != nil {
+				t.Fatal(err)
+			}
+			frame, err := c.ReadMessage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodeError(t, frame, tc.kind)
+		})
+	}
 }
 
 func TestAPIEvalAndRegistryz(t *testing.T) {

@@ -86,3 +86,82 @@ func TestFaultInjectorRegisterMetrics(t *testing.T) {
 		t.Fatal("fault_frames gauge not registered")
 	}
 }
+
+// The exposition of a server and a client is pinned line by line: every
+// series name either registers, and every value but the wall-clock
+// delivery latencies, for one scripted run — a root and two events (the
+// second older than the first), a buffer-1 subscriber that drops, and a
+// client that skips a sequence number.
+func TestExpositionPinned(t *testing.T) {
+	r := obs.NewRegistry()
+	s := NewServer("sensors", sensorStructure(t))
+	defer s.Close()
+	s.RegisterMetrics(r, "server")
+	c := NewClient("sensors", sensorStructure(t))
+	c.RegisterMetrics(r, "client")
+
+	feed := s.Subscribe(16, false)
+	s.Subscribe(1, false) // never drained: holds the root, drops the rest
+	s.Publish(rootFragment())
+	s.Publish(eventFragment(1, "2003-01-02T00:00:00", "42"))
+	s.Publish(eventFragment(2, "2003-01-01T12:00:00", "43"))
+	for range 3 {
+		c.Apply(<-feed.C())
+	}
+	skip := eventFragment(3, "2003-01-03T00:00:00", "44")
+	skip.Seq = 5
+	c.Apply(skip)
+
+	var b strings.Builder
+	if _, err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		if strings.HasPrefix(name, "client_delivery_") && name != "client_delivery_count" {
+			value = "*" // wall-clock latency
+		}
+		got = append(got, name+" "+value)
+	}
+	want := []string{
+		"client_degraded 1",
+		"client_delivery_count 3",
+		"client_delivery_max *",
+		"client_delivery_p50 *",
+		"client_delivery_p90 *",
+		"client_delivery_p99 *",
+		"client_delivery_sum *",
+		"client_duplicates 0",
+		"client_errors 0",
+		"client_gaps 1",
+		"client_lag 0",
+		"client_last_seq 5",
+		"client_lost 0",
+		"client_missing 1",
+		"client_received 4",
+		"client_reconnect_outcome_degraded 0",
+		"client_reconnect_outcome_replay 0",
+		"client_reconnect_outcome_snapshot_bootstrap 0",
+		"client_reconnects 0",
+		"client_replayed 0",
+		"client_watermark_ns 1041552000000000000",
+		"server_bootstraps 0",
+		"server_dropped 2",
+		"server_latest_seq 3",
+		"server_oldest_retained 1",
+		"server_published 3",
+		"server_queue_depth 1",
+		"server_resume_floor 0",
+		"server_retained 3",
+		"server_storage_errors 0",
+		"server_subscribers 2",
+		"server_watermark_ns 1041465600000000000",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("exposition:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
