@@ -112,9 +112,9 @@ func main() {
 			log.Fatal(err)
 		}
 		seg.RegisterMetrics(registry, "segstore")
-		if got := server.LatestSeq(); got > 0 {
+		if st := server.Stats(); st.LatestSeq > 0 {
 			fmt.Printf("recovered %d fragments from %s; sequence resumes after %d\n",
-				len(server.History()), *storeDir, got)
+				st.Retained, *storeDir, st.LatestSeq)
 		}
 	} else {
 		server = xcql.NewServer("credit", structure)
@@ -225,12 +225,12 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", registry)
 		mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-			sh, ch := server.Health(), client.Health()
-			fmt.Fprintf(w, "stream %q\n", sh.Stream)
+			ss, cs := server.Stats(), client.Stats()
+			fmt.Fprintf(w, "stream %q\n", server.Name())
 			fmt.Fprintf(w, "server: watermark-seq=%d watermark=%s subscribers=%d max-queue-depth=%d dropped=%d\n",
-				sh.WatermarkSeq, sh.WatermarkValidTime.Format(time.RFC3339), sh.Subscribers, sh.MaxQueueDepth, sh.Dropped)
+				ss.LatestSeq, ss.Watermark.Format(time.RFC3339), ss.Subscribers, ss.MaxQueueDepth, ss.Dropped)
 			fmt.Fprintf(w, "client: watermark-seq=%d watermark=%s seq-lag=%d missing=%d lost=%d degraded=%q\n",
-				ch.WatermarkSeq, ch.WatermarkValidTime.Format(time.RFC3339), ch.SeqLag, ch.Missing, ch.Lost, ch.Degraded)
+				cs.LastSeq, cs.Watermark.Format(time.RFC3339), cs.Lag, cs.Missing, cs.Lost, cs.Degraded)
 			fmt.Fprintf(w, "watermark lag: %v\n", xcql.WatermarkLag(server, client))
 			fmt.Fprintf(w, "evaluations: %d\n", cq.Evaluations())
 			fmt.Fprintf(w, "ingest->result latency: %s\n", cq.Latency())
@@ -347,7 +347,7 @@ func main() {
 
 	srv, cli := server.Stats(), client.Stats()
 	fmt.Printf("server: published=%d broker-drops=%d retained=%d latest-seq=%d resume-floor=%d bootstraps=%d\n",
-		srv.Published, srv.Dropped, srv.Retained, srv.LatestSeq, srv.ResumeFloor, srv.Bootstraps)
+		srv.LatestSeq, srv.Dropped, srv.Retained, srv.LatestSeq, srv.ResumeFloor, srv.Bootstraps)
 	fmt.Printf("client: received=%d duplicates=%d replayed=%d gaps=%d missing=%d lost=%d reconnects=%d last-seq=%d\n",
 		cli.Received, cli.Duplicates, cli.Replayed, cli.Gaps, cli.Missing, cli.Lost, cli.Reconnects, cli.LastSeq)
 	if cli.Reconnects > 0 {

@@ -43,7 +43,9 @@ func (g Gap) String() string {
 	return fmt.Sprintf("gap [%d,%d] (%d fragments, %s)", g.From, g.To, g.Missing(), g.Reason)
 }
 
-// ClientStats is a point-in-time snapshot of a client's receive counters.
+// ClientStats is a point-in-time snapshot of a client's progress and
+// receive counters: the one read-out of a client, which the metrics
+// gauges, WatermarkLag and the demo's status page all read.
 type ClientStats struct {
 	// Received counts fragments applied to the store.
 	Received int64
@@ -78,11 +80,19 @@ type ClientStats struct {
 	// Errors counts the frames and fragments skipped as malformed since the
 	// client started; Errs returns the most recent of them.
 	Errors int64
-	// LastSeq is the highest sequence number seen.
+	// LastSeq is the highest sequence number seen (including fragments
+	// that skipped ahead over a gap): the client's sequence watermark.
 	LastSeq uint64
+	// Watermark is the latest validTime applied to the store — the
+	// client's event-time watermark; zero before the first fragment.
+	// Monotone by construction: duplicates, reorders and replays may
+	// arrive in any order, and a replayed or reordered old fragment is
+	// applied but never moves it backwards.
+	Watermark time.Time
 	// Lag is the distance between the server's latest advertised
 	// sequence number (learned at each handshake) and LastSeq — how far
-	// behind the client knows itself to be.
+	// behind the client knows itself to be (0 when caught up or before a
+	// handshake has advertised a position).
 	Lag uint64
 	// Degraded is the non-empty degradation reason while any fragment is
 	// missing or permanently lost: query results may silently miss the
@@ -512,12 +522,25 @@ func (c *Client) Stats() ClientStats {
 		ReconnectDegraded: c.reconnectDegraded,
 		Errors:            c.errTotal,
 		LastSeq:           c.lastSeq,
+		Watermark:         c.watermark,
 	}
 	if c.latestSeen > c.lastSeq {
 		st.Lag = c.latestSeen - c.lastSeq
 	}
 	st.Degraded, _ = c.degradedLocked()
 	return st
+}
+
+// WatermarkLag returns the event-time distance between a server's and a
+// client's watermark: how stale the client's view of the stream is, in
+// validTime terms. Zero when the client has caught up (or when either
+// side has not seen any fragment yet).
+func WatermarkLag(s *Server, c *Client) time.Duration {
+	sw, cw := s.Stats().Watermark, c.Stats().Watermark
+	if sw.IsZero() || cw.IsZero() {
+		return 0
+	}
+	return max(sw.Sub(cw), 0)
 }
 
 // Consume drains a subscription until it closes or the client is closed.

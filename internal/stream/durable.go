@@ -75,18 +75,13 @@ func RecoverServer(name string, structure *tagstruct.Structure, d DurableLog) (*
 	return s, nil
 }
 
-// ResumeFloor is the lowest resume position ("after" in the registration
-// handshake) the server can serve losslessly right now. Without a
-// durable log this is OldestRetained()-1 — the in-memory window; with a
-// healthy one whose coverage joins up with the window, positions all the
-// way back to the log's first sequence number (usually 0: the whole
-// stream) are servable via the durable bridge.
-func (s *Server) ResumeFloor() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resumeFloorLocked()
-}
-
+// resumeFloorLocked is the lowest resume position ("after" in the
+// registration handshake) the server can serve losslessly right now
+// (ServerStats.ResumeFloor). Without a durable log this is
+// OldestRetained-1 — the in-memory window; with a healthy one whose
+// coverage joins up with the window, positions all the way back to the
+// log's first sequence number (usually 0: the whole stream) are servable
+// via the durable bridge. The caller holds s.mu.
 func (s *Server) resumeFloorLocked() uint64 {
 	// in-memory floor: the window [oldest, nextSeq] serves after >= oldest-1;
 	// an empty window serves only clients already at nextSeq

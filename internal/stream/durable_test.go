@@ -102,7 +102,7 @@ func TestRecoverServerResumesSequence(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
 	}
-	wm := s.Health().WatermarkValidTime
+	wm := s.Stats().Watermark
 	s.Close()
 	seg.Close()
 
@@ -125,7 +125,7 @@ func TestRecoverServerResumesSequence(t *testing.T) {
 	if got := len(s2.History()); got != 6 {
 		t.Fatalf("recovered window holds %d, want 6", got)
 	}
-	if got := s2.Health().WatermarkValidTime; !got.Equal(wm) {
+	if got := s2.Stats().Watermark; !got.Equal(wm) {
 		t.Fatalf("recovered watermark %v, want %v", got, wm)
 	}
 	// the next publish continues the sequence and is persisted

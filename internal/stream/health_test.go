@@ -20,21 +20,21 @@ import (
 func TestServerWatermarkMonotone(t *testing.T) {
 	s := NewServer("sensors", sensorStructure(t))
 	defer s.Close()
-	if h := s.Health(); !h.WatermarkValidTime.IsZero() || h.WatermarkSeq != 0 {
-		t.Fatalf("fresh server watermark = %+v", h)
+	if st := s.Stats(); !st.Watermark.IsZero() || st.LatestSeq != 0 {
+		t.Fatalf("fresh server watermark = %+v", st)
 	}
 	s.Publish(eventFragment(1, "2003-01-05T00:00:00", "v"))
-	wm := s.Health().WatermarkValidTime
+	wm := s.Stats().Watermark
 	if !wm.Equal(ts("2003-01-05T00:00:00")) {
 		t.Fatalf("watermark = %v", wm)
 	}
 	s.Publish(eventFragment(2, "2003-01-02T00:00:00", "v")) // older event time
-	h := s.Health()
-	if !h.WatermarkValidTime.Equal(wm) {
-		t.Errorf("watermark moved backwards: %v -> %v", wm, h.WatermarkValidTime)
+	st := s.Stats()
+	if !st.Watermark.Equal(wm) {
+		t.Errorf("watermark moved backwards: %v -> %v", wm, st.Watermark)
 	}
-	if h.WatermarkSeq != 2 {
-		t.Errorf("seq watermark = %d, want 2", h.WatermarkSeq)
+	if st.LatestSeq != 2 {
+		t.Errorf("seq watermark = %d, want 2", st.LatestSeq)
 	}
 }
 
@@ -46,9 +46,9 @@ func TestClientWatermarkMonotone(t *testing.T) {
 	defer c.Close()
 	c.Apply(rootFragment())
 	c.Apply(eventFragment(1, "2003-01-05T00:00:00", "v"))
-	wm := c.Health().WatermarkValidTime
+	wm := c.Stats().Watermark
 	c.Apply(eventFragment(2, "2003-01-02T00:00:00", "v")) // late data
-	if got := c.Health().WatermarkValidTime; !got.Equal(wm) {
+	if got := c.Stats().Watermark; !got.Equal(wm) {
 		t.Errorf("watermark moved backwards: %v -> %v", wm, got)
 	}
 }
@@ -70,8 +70,8 @@ func TestSeqLagHealsAfterReplay(t *testing.T) {
 	hist := s.History()
 	c.Apply(hist[0])
 	c.Apply(hist[1])
-	if got := c.Health().SeqLag; got != 4 {
-		t.Fatalf("SeqLag = %d, want 4", got)
+	if got := c.Stats().Lag; got != 4 {
+		t.Fatalf("Lag = %d, want 4", got)
 	}
 	if lag := WatermarkLag(s, c); lag <= 0 {
 		t.Fatalf("WatermarkLag = %v, want > 0", lag)
@@ -80,22 +80,22 @@ func TestSeqLagHealsAfterReplay(t *testing.T) {
 	// resume: replay everything after the client's position
 	sub := s.SubscribeFrom(16, c.LastSeq())
 	defer sub.Cancel()
-	for sub.QueueDepth() > 0 {
+	for len(sub.C()) > 0 {
 		c.Apply(<-sub.C())
 	}
-	h := c.Health()
-	if h.SeqLag != 0 {
-		t.Errorf("SeqLag after replay = %d, want 0", h.SeqLag)
+	st := c.Stats()
+	if st.Lag != 0 {
+		t.Errorf("Lag after replay = %d, want 0", st.Lag)
 	}
-	if h.Missing != 0 {
-		t.Errorf("Missing after replay = %d, want 0", h.Missing)
+	if st.Missing != 0 {
+		t.Errorf("Missing after replay = %d, want 0", st.Missing)
 	}
 	if lag := WatermarkLag(s, c); lag != 0 {
 		t.Errorf("WatermarkLag after replay = %v, want 0", lag)
 	}
-	if !h.WatermarkValidTime.Equal(s.Health().WatermarkValidTime) {
+	if !st.Watermark.Equal(s.Stats().Watermark) {
 		t.Errorf("client watermark %v != server watermark %v",
-			h.WatermarkValidTime, s.Health().WatermarkValidTime)
+			st.Watermark, s.Stats().Watermark)
 	}
 	// in-process delivery is stamped, so the latency histogram filled up
 	if c.DeliveryLatency().Count() != 6 {
@@ -119,37 +119,34 @@ func TestWatermarkLagZeroWhenNothingSeen(t *testing.T) {
 }
 
 // Queue depth is the delivered-but-unconsumed backlog; a depth pinned at
-// capacity means the next publish drops, and the drop shows up in both
-// the subscription's and the server's health.
-func TestQueueDepthAndSubscriptionHealth(t *testing.T) {
+// capacity means the next publish drops, and the server counts the drop.
+func TestQueueDepthAndDrops(t *testing.T) {
 	s := NewServer("sensors", sensorStructure(t))
 	defer s.Close()
 	sub := s.Subscribe(2, false)
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-02T00:00:00", "v"))
 
-	if h := s.Health(); h.MaxQueueDepth != 2 || h.WatermarkSeq != 2 || h.Subscribers != 1 {
-		t.Fatalf("server health = %+v", h)
-	}
-	if sh := sub.Health(); sh.QueueDepth != 2 || sh.QueueCap != 2 || sh.Dropped != 0 || sh.Closed {
-		t.Fatalf("subscription health = %+v", sh)
+	if st := s.Stats(); st.MaxQueueDepth != 2 || st.LatestSeq != 2 || st.Subscribers != 1 || st.Dropped != 0 {
+		t.Fatalf("server stats = %+v", st)
 	}
 
 	s.Publish(eventFragment(2, "2003-01-03T00:00:00", "v")) // buffer full
-	if sh := sub.Health(); sh.Dropped != 1 {
-		t.Errorf("subscription dropped = %d, want 1", sh.Dropped)
-	}
-	if h := s.Health(); h.Dropped != 1 {
-		t.Errorf("server dropped = %d, want 1", h.Dropped)
+	if st := s.Stats(); st.MaxQueueDepth != 2 || st.Dropped != 1 {
+		t.Errorf("after a full-buffer publish: depth %d dropped %d, want 2 and 1", st.MaxQueueDepth, st.Dropped)
 	}
 
 	<-sub.C()
-	if d := sub.QueueDepth(); d != 1 {
+	if d := s.Stats().MaxQueueDepth; d != 1 {
 		t.Errorf("queue depth after one receive = %d, want 1", d)
 	}
 	sub.Cancel()
-	if !sub.Health().Closed {
-		t.Error("cancelled subscription not reported closed")
+	<-sub.C() // the delivery still buffered
+	if _, ok := <-sub.C(); ok {
+		t.Error("cancelled subscription's feed not closed")
+	}
+	if st := s.Stats(); st.Subscribers != 0 || st.MaxQueueDepth != 0 {
+		t.Errorf("cancelled subscription still counted: %+v", st)
 	}
 }
 
@@ -189,7 +186,7 @@ func TestWatermarkMonotoneUnderFaults(t *testing.T) {
 			var prev time.Time
 			violations := 0
 			c.OnFragment(func(*fragment.Fragment) {
-				wm := c.Health().WatermarkValidTime
+				wm := c.Stats().Watermark
 				mu.Lock()
 				if wm.Before(prev) {
 					violations++
@@ -211,13 +208,13 @@ func TestWatermarkMonotoneUnderFaults(t *testing.T) {
 			if violations != 0 {
 				t.Errorf("watermark moved backwards %d times", violations)
 			}
-			h := c.Health()
-			if !h.WatermarkValidTime.Equal(s.Health().WatermarkValidTime) {
+			st := c.Stats()
+			if !st.Watermark.Equal(s.Stats().Watermark) {
 				t.Errorf("client watermark %v != server watermark %v",
-					h.WatermarkValidTime, s.Health().WatermarkValidTime)
+					st.Watermark, s.Stats().Watermark)
 			}
-			if h.SeqLag != 0 || h.Missing != 0 {
-				t.Errorf("lag did not return to zero after replay: %+v", h)
+			if st.Lag != 0 || st.Missing != 0 {
+				t.Errorf("lag did not return to zero after replay: %+v", st)
 			}
 		})
 	}
@@ -247,7 +244,7 @@ func TestWatermarkAndLatencyMetrics(t *testing.T) {
 	defer sub.Cancel()
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-02T00:00:00", "42"))
-	for sub.QueueDepth() > 0 {
+	for len(sub.C()) > 0 {
 		c.Apply(<-sub.C())
 	}
 

@@ -17,7 +17,7 @@ func (s *Server) RegisterMetrics(r *obs.Registry, prefix string) {
 	snap := func(f func(ServerStats) int64) func() int64 {
 		return func() int64 { return f(s.Stats()) }
 	}
-	r.Gauge(prefix+"_published", snap(func(st ServerStats) int64 { return int64(st.Published) }))
+	r.Gauge(prefix+"_published", snap(func(st ServerStats) int64 { return int64(st.LatestSeq) }))
 	r.Gauge(prefix+"_dropped", snap(func(st ServerStats) int64 { return st.Dropped }))
 	r.Gauge(prefix+"_subscribers", snap(func(st ServerStats) int64 { return int64(st.Subscribers) }))
 	r.Gauge(prefix+"_retained", snap(func(st ServerStats) int64 { return int64(st.Retained) }))
@@ -26,12 +26,8 @@ func (s *Server) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"_resume_floor", snap(func(st ServerStats) int64 { return int64(st.ResumeFloor) }))
 	r.Gauge(prefix+"_bootstraps", snap(func(st ServerStats) int64 { return st.Bootstraps }))
 	r.Gauge(prefix+"_storage_errors", snap(func(st ServerStats) int64 { return st.StorageErrors }))
-	r.Gauge(prefix+"_watermark_ns", func() int64 {
-		return unixNanoOrZero(s.Health().WatermarkValidTime)
-	})
-	r.Gauge(prefix+"_queue_depth", func() int64 {
-		return int64(s.Health().MaxQueueDepth)
-	})
+	r.Gauge(prefix+"_watermark_ns", snap(func(st ServerStats) int64 { return unixNanoOrZero(st.Watermark) }))
+	r.Gauge(prefix+"_queue_depth", snap(func(st ServerStats) int64 { return int64(st.MaxQueueDepth) }))
 }
 
 // RegisterMetrics publishes the client's delivery counters into an
@@ -63,9 +59,7 @@ func (c *Client) RegisterMetrics(r *obs.Registry, prefix string) {
 		}
 		return 0
 	}))
-	r.Gauge(prefix+"_watermark_ns", func() int64 {
-		return unixNanoOrZero(c.Health().WatermarkValidTime)
-	})
+	r.Gauge(prefix+"_watermark_ns", snap(func(st ClientStats) int64 { return unixNanoOrZero(st.Watermark) }))
 	c.delivery.Register(r, prefix+"_delivery")
 }
 

@@ -103,8 +103,8 @@ func TestSlowSubscriberDrops(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Publish(eventFragment(i+1, "2003-01-02T00:00:00", "x"))
 	}
-	if s.Dropped() != 4 {
-		t.Fatalf("dropped = %d, want 4 (no acks, no retransmission)", s.Dropped())
+	if got := s.Stats().Dropped; got != 4 {
+		t.Fatalf("dropped = %d, want 4 (no acks, no retransmission)", got)
 	}
 }
 

@@ -109,9 +109,11 @@ type (
 	Result = registry.Result
 	// Gap is a run of sequence numbers a client failed to receive.
 	Gap = stream.Gap
-	// ClientStats is a snapshot of a client's delivery counters.
+	// ClientStats is a client's one progress snapshot: watermarks, lag,
+	// missing and lost fragments, delivery counters.
 	ClientStats = stream.ClientStats
-	// ServerStats is a snapshot of a server's publish counters.
+	// ServerStats is a server's one progress snapshot: watermarks, queue
+	// depth, drops, the replay window.
 	ServerStats = stream.ServerStats
 	// EvalStats is the per-evaluation cost profile: fillers scanned,
 	// holes resolved, tsid-index hits, bytes materialized, nodes
@@ -135,14 +137,6 @@ type (
 	Histogram = obs.Histogram
 	// HistogramSnapshot is a point-in-time copy of a Histogram.
 	HistogramSnapshot = obs.HistogramSnapshot
-	// ServerHealth is a server progress snapshot: watermarks, queue
-	// depths, drops.
-	ServerHealth = stream.ServerHealth
-	// ClientHealth is a client progress snapshot: watermarks, lag,
-	// missing and lost fragments.
-	ClientHealth = stream.ClientHealth
-	// SubscriptionHealth is one subscription's backlog snapshot.
-	SubscriptionHealth = stream.SubscriptionHealth
 	// TraceSink receives phase spans (parse, translate, execute,
 	// materialize, eval) when tracing is enabled via SetTraceSink.
 	TraceSink = obs.TraceSink
@@ -233,9 +227,6 @@ type (
 	// register XCQL text over HTTP, stream JSON deltas over a
 	// hand-rolled RFC 6455 WebSocket. It is an http.Handler.
 	QueryAPI = registry.API
-	// ResultCodec encodes registry results for the wire; JSON is built
-	// in, alternative codecs plug into QueryAPI.RegisterCodec.
-	ResultCodec = registry.Codec
 	// DateTime is a time point, possibly the symbolic start or now.
 	DateTime = xtime.DateTime
 	// Duration is an ISO-8601 duration (PnYnMnDTnHnMnS).
