@@ -8,26 +8,6 @@ import (
 	"xcql/internal/inc"
 )
 
-// Codec encodes registry deliveries for the wire. The API ships JSON;
-// alternative encodings (e.g. a binary frame format) plug in through
-// API.RegisterCodec and are selected per subscription with the codec
-// request field — the codec is a seam, not a fork: every codec sees the
-// same Result.
-type Codec interface {
-	// Name is the codec's request-selector (e.g. "json").
-	Name() string
-	// ContentType is the MIME type of encoded frames.
-	ContentType() string
-	// AppendResult appends one delivery for registration id to dst and
-	// returns the extended slice, like the standard library's Append
-	// functions: dst is the connection's frame buffer, kept between
-	// deliveries, so a codec that writes nowhere else allocates nothing
-	// per frame. On an error what was appended is discarded. A codec
-	// should write res.Serials where the result carries them rather than
-	// serialize res.Delta again.
-	AppendResult(dst []byte, id int64, res Result) ([]byte, error)
-}
-
 // WireResult is the JSON wire form of one delivery. Delta items are
 // serialized with the same item serialization the equivalence harness
 // diffs on (nodes as XML, atomics as string values), so what a
@@ -47,20 +27,20 @@ type WireResult struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// JSONCodec is the built-in JSON result codec.
+// JSONCodec is the result codec: the one encoding of a delivery on the
+// wire ("json", the only name a codec request field accepts).
 type JSONCodec struct{}
 
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// ContentType implements Codec.
-func (JSONCodec) ContentType() string { return "application/json" }
-
-// AppendResult implements Codec: the frame is a WireResult as
-// encoding/json renders it with HTML escaping off — result items are XML,
-// and with it on every '<' and '>' of theirs would travel as six bytes —
-// written by hand, field by field (TestResultFrameGolden and
-// FuzzResultFrame hold it to the library's bytes).
+// AppendResult appends one delivery for registration id to dst and
+// returns the extended slice, like the standard library's Append
+// functions: dst is the connection's frame buffer, kept between
+// deliveries, so a frame allocates nothing of its own. On an error what
+// was appended is discarded. The frame is a WireResult as encoding/json
+// renders it with HTML escaping off — result items are XML, and with it
+// on every '<' and '>' of theirs would travel as six bytes — written by
+// hand, field by field, from res.Serials where the result carries them
+// (TestResultFrameGolden and FuzzResultFrame hold it to the library's
+// bytes).
 func (JSONCodec) AppendResult(dst []byte, id int64, res Result) ([]byte, error) {
 	dst = append(dst, `{"type":"result","id":`...)
 	dst = strconv.AppendInt(dst, id, 10)

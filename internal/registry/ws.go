@@ -185,12 +185,12 @@ func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
 	return c.endFrame(append(c.beginFrame(), payload...), opcode)
 }
 
-// WriteResult sends one delivery as a text message, encoded by codec
-// straight into the frame buffer.
-func (c *wsConn) WriteResult(codec Codec, id int64, res Result) error {
+// WriteResult sends one delivery as a text message, encoded straight
+// into the frame buffer.
+func (c *wsConn) WriteResult(id int64, res Result) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	buf, err := codec.AppendResult(c.beginFrame(), id, res)
+	buf, err := JSONCodec{}.AppendResult(c.beginFrame(), id, res)
 	if err != nil {
 		return err
 	}
