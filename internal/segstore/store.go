@@ -558,9 +558,6 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 	return nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append writes one fragment to the log. With syncing on (the default)
 // a nil return means the fragment is on stable storage. On error the
 // active segment is sealed at its last committed byte and the next

@@ -340,11 +340,6 @@ func (q *Query) EvalRaw(at time.Time) (xq.Sequence, error) {
 	return q.eval(context.Background(), at, q.Limits, false)
 }
 
-// EvalRawContext is EvalRaw under a context and the query's Limits.
-func (q *Query) EvalRawContext(ctx context.Context, at time.Time) (xq.Sequence, error) {
-	return q.eval(ctx, at, q.Limits, false)
-}
-
 // eval is the engine boundary: admission control, budget construction,
 // plan evaluation, result materialization, and panic containment. Any
 // panic escaping the evaluator — a budget trip from a non-error-returning

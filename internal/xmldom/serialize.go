@@ -8,19 +8,9 @@ import (
 
 // Encode serializes the subtree compactly (no added whitespace) — the
 // canonical wire form. Text and attribute values are escaped.
-func (n *Node) Encode(w io.Writer) error { return encode(w, n, -1, false) }
-
-// EncodeIndent serializes with two-space indentation for humans.
-// Mixed-content elements (those with non-whitespace text children) are
-// kept inline so text is not distorted.
-func (n *Node) EncodeIndent(w io.Writer) error { return encode(w, n, 0, true) }
-
-func encode(out io.Writer, n *Node, depth int, indent bool) error {
+func (n *Node) Encode(out io.Writer) error {
 	w := writer{buf: make([]byte, 0, flushAt+flushAt/4), out: out}
-	writeNode(&w, n, depth, indent)
-	if indent {
-		w.byte('\n')
-	}
+	writeNode(&w, n, -1, false)
 	w.flush()
 	return w.err
 }

@@ -60,9 +60,6 @@ type Tokenizer struct {
 	attrs []Attr
 }
 
-// NewTokenizer tokenizes src.
-func NewTokenizer(src string) *Tokenizer { return &Tokenizer{src: src} }
-
 // reset points the tokenizer at a new input, keeping its attribute buffer.
 func (z *Tokenizer) reset(src string) {
 	*z = Tokenizer{src: src, attrs: z.attrs[:0]}

@@ -51,12 +51,6 @@ type Sequence []Item
 // Singleton wraps one item.
 func Singleton(it Item) Sequence { return Sequence{it} }
 
-// IsNode reports whether the item is a tree node (element/text/document).
-func IsNode(it Item) bool {
-	_, ok := it.(*xmldom.Node)
-	return ok
-}
-
 // StringValue returns the string value of an item: text content of nodes,
 // lexical form of atomics.
 func StringValue(it Item) string {

@@ -71,9 +71,6 @@ func splitTop(s string) []string {
 	return append(parts, s[start:])
 }
 
-// IsValid reports From <= To at the evaluation instant.
-func (iv Interval) IsValid(at time.Time) bool { return iv.From.Compare(iv.To, at) <= 0 }
-
 // IsPoint reports whether the interval is degenerate ([t, t]).
 func (iv Interval) IsPoint(at time.Time) bool { return iv.From.Equal(iv.To, at) }
 
