@@ -2,7 +2,7 @@
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet layering static build bench-build test race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry trace-smoke alloc-gate bench-gate fuzz-smoke bench bench-json bench-diff
+.PHONY: check vet layering static build bench-build test loc race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry trace-smoke alloc-gate bench-gate fuzz-smoke bench bench-json bench-diff
 
 check: vet layering static build bench-build race race-stream test-recovery test-diffharness test-diffharness-incremental test-registry trace-smoke alloc-gate bench-gate fuzz-smoke
 
@@ -44,6 +44,13 @@ bench-build:
 
 test:
 	$(GO) test -timeout 120s ./...
+
+# Non-test Go lines per directory outside bench/, and their total: the
+# size ROADMAP.md and CHANGES.md quote. Not part of check.
+loc:
+	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); \
+	awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++ } END { for (d in n) printf "%7d %s\n", n[d], d }' $$files | sort -k2; \
+	cat $$files | wc -l | awk '{ printf "%7d total\n", $$1 }'
 
 # (240s: the root package replays every generated query arrival by arrival
 # under the detector — 80 s here since the generator spells the pushed and

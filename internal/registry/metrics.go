@@ -5,7 +5,7 @@ import "xcql/internal/obs"
 // RegisterMetrics publishes the registry's sharing counters into an
 // obs.Registry as gauges named prefix_<counter> (e.g.
 // "registry_shared_evals"). Gauges read a fresh Stats snapshot at
-// exposition time, so /metricsz always shows live values. The headline
+// exposition time, so /metrics always shows live values. The headline
 // pair is shared_evals vs shared_saved: their ratio is the fan-in the
 // sharing layer achieves — with K queries sharing one unit,
 // shared_saved grows like (K-1)× shared_evals.
