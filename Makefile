@@ -80,9 +80,11 @@ test-recovery:
 # guard: every stored payload is fingerprinted before and must be
 # untouched after (as it must after snapshot/compaction/coalescing), and
 # all three plans run concurrently beside a writer so that a write to a
-# shared node is a reported race.
+# shared node is a reported race. A store of the same fragments decoded
+# from their wire form, whose re-announced versions share their hole
+# nodes, answers every plan byte for byte as the in-memory store does.
 test-diffharness:
-	$(GO) test -race -run '^(TestDiffHarness|TestPushedFilterMatchesEvaluator|TestPayloadsSurviveMaintenance|TestSharedNodesUnderConcurrentPlans)$$' -timeout 300s .
+	$(GO) test -race -run '^(TestDiffHarness|TestPushedFilterMatchesEvaluator|TestPayloadsSurviveMaintenance|TestSharedNodesUnderConcurrentPlans|TestDecodedStoreMatchesInMemory)$$' -timeout 300s .
 
 # The incremental cell: generated pairs REPLAYED one arrival at a time
 # (every profile of at least four seeds, re-announced parents, expiring
@@ -149,11 +151,15 @@ trace-smoke:
 # map, a stats struct, a function table, a second serialization. A
 # subscriber reading a result frame pays the one string its strings are
 # substrings of and the delta slice: what it must not bring back is a
-# decode that allocates per field or item. Run without -race: the
+# decode that allocates per field or item. Thirty decoded re-announcements
+# of one account hold their trees' heap under a ceiling, and each version's
+# tree holds the one before's hole nodes: what must not come back is a
+# hole element built per hole per version. Run without -race: the
 # detector's instrumentation allocates on its own.
 alloc-gate:
 	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling|TestExplainDoesNotWalkTheStore)$$' -count=1 -timeout 120s .
 	$(GO) test -run '^TestSubscriberReadAllocationCeiling$$' -count=1 -timeout 120s ./internal/registry
+	$(GO) test -run '^TestDecodedVersionsShareHoles$$' -count=1 -timeout 120s ./internal/fragment
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
 # numbers a re-run reproduces — PlanGrid, Selectivity, ParallelCache's

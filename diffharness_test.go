@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xcql"
+	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/tagstruct"
 )
 
 // The metamorphic differential harness: randomized stream histories —
@@ -129,6 +132,107 @@ func TestDiffHarness(t *testing.T) {
 		}
 	}
 	t.Logf("verified %d store/query pairs", pairs)
+}
+
+// TestDecodedStoreMatchesInMemory: a store of fragments decoded from their
+// wire form — whose re-announced versions share their holes with the
+// version before — answers every query under every plan byte for byte as
+// the store of the same fragments built in memory does, at every instant.
+// The grid is the harness's histories of its first four seeds, every
+// profile, re-announcing ones included, plus a credit stream re-announcing
+// each account once per charge, with queries that land next to the holes:
+// a version's every child, every element of the stream, and a child count
+// per version.
+func TestDecodedStoreMatchesInMemory(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, p := range harnessProfiles(seed) {
+			ins, err := genstore.Generate(p)
+			if err != nil {
+				t.Fatalf("%s: generate: %v", p, err)
+			}
+			queries := append([]genstore.Query{{Name: "every-element", Src: `stream("s")//*`}}, ins.Queries...)
+			for _, tag := range ins.Structure.Tags() {
+				if tag.IsFragmented() {
+					queries = append(queries, genstore.Query{Name: "children-" + tag.Name,
+						Src: fmt.Sprintf(`for $a in stream("s")//%s return $a/*`, tag.Name)})
+				}
+			}
+			compareDecoded(t, p.String(), ins.Structure, ins.Fragments, p.Scan, queries, ins.Instants)
+		}
+	}
+	pub, frags := genstore.NewCreditPublisher(3)
+	var instants []time.Time
+	for i := 1; i <= 24; i++ {
+		at := genstore.CreditBase.Add(time.Duration(i) * time.Hour)
+		announce, tx := pub.Charge(i%3, 10*i, at)
+		frags = append(frags, announce, tx)
+		if i%6 == 0 {
+			instants = append(instants, at, at.Add(time.Minute))
+		}
+	}
+	compareDecoded(t, "credit", tagstruct.MustParseString(genstore.CreditStructure), frags, false, []genstore.Query{
+		{Name: "children", Src: `for $a in stream("s")//account return $a/*`},
+		{Name: "every-element", Src: `stream("s")//*`},
+		{Name: "customers", Src: `count(stream("s")//account/customer)`},
+		{Name: "customers-per-version", Src: `for $a in stream("s")//account return count($a/customer)`},
+		{Name: "charges-per-version", Src: `for $a in stream("s")//account return count($a/transaction)`},
+	}, instants)
+}
+
+// compareDecoded evaluates queries at instants under every plan over two
+// stores of frags — the fragments themselves, and each parsed from its
+// wire form — and fails on the first result that differs. A fragment frags
+// holds twice (a duplicate delivery) is parsed once, so that both stores
+// hold it twice as one object.
+func compareDecoded(t *testing.T, label string, s *tagstruct.Structure, frags []*fragment.Fragment, scan bool, queries []genstore.Query, instants []time.Time) {
+	t.Helper()
+	engines := make([]*xcql.Engine, 2)
+	parsed := map[*fragment.Fragment]*fragment.Fragment{}
+	for i := range engines {
+		st := fragment.NewStore(s)
+		if scan {
+			st = fragment.NewScanStore(s)
+		}
+		for _, f := range frags {
+			if i == 1 {
+				if parsed[f] == nil {
+					g, err := fragment.Parse(f.String())
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					parsed[f] = g
+				}
+				f = parsed[f]
+			}
+			if err := st.Add(f); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		engines[i] = xcql.NewEngine()
+		engines[i].RegisterStore("s", st)
+	}
+	for _, query := range queries {
+		for _, mode := range harnessModes {
+			for _, at := range instants {
+				var results [2]string
+				for i, e := range engines {
+					q, err := e.Compile(query.Src, mode)
+					if err != nil {
+						t.Fatalf("%s/%s/%s: compile: %v", label, query.Name, mode, err)
+					}
+					seq, err := q.Eval(at)
+					if err != nil {
+						t.Fatalf("%s/%s/%s at=%v: eval: %v", label, query.Name, mode, at, err)
+					}
+					results[i] = xcql.FormatSequence(seq)
+				}
+				if results[0] != results[1] {
+					t.Fatalf("%s/%s/%s at=%v: the decoded store diverged\nin memory:\n%s\ndecoded:\n%s",
+						label, query.Name, mode, at, harnessTruncate(results[0]), harnessTruncate(results[1]))
+				}
+			}
+		}
+	}
 }
 
 // runInstance evaluates one generated history under the full strategy

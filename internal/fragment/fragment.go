@@ -208,7 +208,12 @@ func (f *Fragment) Tree() *xmldom.Node {
 	if t := lz.tree.Load(); t != nil {
 		return t
 	}
-	t := lz.build()
+	return lz.publish(lz.build(nil))
+}
+
+// publish makes t the payload tree, unless a racing first read published
+// one before it, and returns the one published.
+func (lz *lazy) publish(t *xmldom.Node) *xmldom.Node {
 	if !lz.tree.CompareAndSwap(nil, t) {
 		t = lz.tree.Load()
 	}
@@ -218,8 +223,15 @@ func (f *Fragment) Tree() *xmldom.Node {
 // builders are the decoders first reads build payloads with.
 var builders = sync.Pool{New: func() any { return new(xmldom.Decoder) }}
 
-// build scans src again, as its decode did, and builds the payload.
-func (lz *lazy) build() *xmldom.Node {
+// build scans src again, as its decode did, and builds the payload. prev,
+// when not nil, is the state of the filler's version before this one, and
+// once that one has built its tree, a re-announced version builds only the
+// holes it adds: as far as the two versions' hole lists begin alike, each
+// hole among the payload's children is the node of prev's hole in the same
+// place among its children, if it spells just what that one does. A hole
+// is never an item of any plan, so which version built the node a tree
+// holds shows nowhere but in the heap.
+func (lz *lazy) build(prev *lazy) *xmldom.Node {
 	d := builders.Get().(*xmldom.Decoder)
 	defer builders.Put(d)
 	defer d.Reset()
@@ -229,7 +241,45 @@ func (lz *lazy) build() *xmldom.Node {
 		panic(fmt.Sprintf("fragment: a decoded frame no longer scans: %v", err))
 	}
 	payload, _ := el.OnlyElement()
-	return payload.Build()
+	if prev == nil {
+		return payload.Build()
+	}
+	before, shared := prev.tree.Load(), commonHoles(lz.holes, prev.holes)
+	if before == nil || shared == 0 {
+		return payload.Build()
+	}
+	kids := before.Children // a cursor over the holes among them
+	return payload.BuildWith(func(leaf xmldom.Scanned) *xmldom.Node {
+		if shared == 0 || leaf.Name() != HoleTag {
+			return nil
+		}
+		for len(kids) > 0 && !IsHole(kids[0]) {
+			kids = kids[1:]
+		}
+		if len(kids) == 0 {
+			shared = 0
+			return nil
+		}
+		h := kids[0]
+		kids, shared = kids[1:], shared-1
+		if leaf.SameLeaf(h) {
+			return h
+		}
+		return nil
+	})
+}
+
+// commonHoles is how many (id, tsid) pairs two lazy.holes lists begin
+// with alike: none when either is not whole pairs.
+func commonHoles(a, b string) int {
+	if len(a)%8 != 0 || len(b)%8 != 0 {
+		return 0
+	}
+	n := 0
+	for n+8 <= len(a) && n+8 <= len(b) && a[n:n+8] == b[n:n+8] {
+		n += 8
+	}
+	return n / 8
 }
 
 // EachHole calls yield with the id and tsid of every hole f's payload

@@ -114,6 +114,57 @@ func TestReadBesideAddOfNextVersion(t *testing.T) {
 	}
 }
 
+// TestFirstReadsOfConsecutiveVersionsRace: the first reads of a filler's
+// versions k and k+1 race — version k+1's build looks for version k's tree
+// while version k builds it — and each gets the tree a fresh parse of its
+// frame builds, whichever finished first (run with -race: the build of one
+// version reads the other's).
+func TestFirstReadsOfConsecutiveVersionsRace(t *testing.T) {
+	structure := tagstruct.MustParseString(`<stream:structure><tag type="temporal" id="2" name="account"><tag type="event" id="5" name="transaction"/></tag></stream:structure>`)
+	base := time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC)
+	const versions = 16
+	var frames []string
+	holes := ""
+	for i := range versions {
+		holes += fmt.Sprintf(`<hole id="%d" tsid="5"/>`, 100+i)
+		frames = append(frames, fmt.Sprintf(`<filler id="7" tsid="2" validTime="%s"><account id="a"><customer>C</customer>%s</account></filler>`,
+			base.Add(time.Duration(i)*time.Minute).Format(xtime.Layout), holes))
+	}
+	for range 8 {
+		st := NewStore(structure)
+		for _, frame := range frames {
+			f, err := decodeKept(new(xmldom.Decoder), frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Add(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vs := st.Versions(7)
+		for k := 0; k+1 < versions; k += 2 {
+			var wg sync.WaitGroup
+			for _, f := range vs[k : k+2] {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					st.tree(f)
+				}()
+			}
+			wg.Wait()
+		}
+		for k, f := range vs {
+			want, err := decodeFresh(frames[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.Tree().Equal(want.Payload) {
+				t.Fatalf("version %d built %s, a fresh parse builds %s", k, f.Tree(), want.Payload)
+			}
+		}
+	}
+}
+
 // A fragment built in memory writes its wire form once, into one
 // allocation of its exact size: the stamps on the stack, the payload
 // through the serializer's length pass.

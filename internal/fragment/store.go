@@ -334,6 +334,7 @@ type Filter func(v Version) bool
 // only if the filter reads it, so a filter that decides by position alone
 // (an incremental unit picking the versions it re-runs) builds nothing.
 type Version struct {
+	st  *Store
 	f   *Fragment
 	top *xmldom.Node // a read's built top, when the filter sifts those
 }
@@ -344,7 +345,32 @@ func (v Version) Payload() *xmldom.Node {
 	if v.top != nil {
 		return v.top
 	}
-	return v.f.Tree()
+	return v.st.tree(v.f)
+}
+
+// tree is f.Tree() for a stored version: the first read of a decoded one
+// builds its payload beside the filler's version before it, whose holes it
+// shares (lazy.build).
+func (st *Store) tree(f *Fragment) *xmldom.Node {
+	if lz := f.enc.lazy(); lz != nil && lz.tree.Load() == nil {
+		return lz.publish(lz.build(st.before(f)))
+	}
+	return f.Tree()
+}
+
+// before returns the decoded state of the version of f's filler that
+// precedes f in validTime order, nil when f is the first or that version
+// was built in memory.
+func (st *Store) before(f *Fragment) *lazy {
+	versions := st.Versions(f.FillerID)
+	i := sort.Search(len(versions), func(i int) bool { return !versions[i].ValidTime.Before(f.ValidTime) })
+	for i < len(versions) && versions[i] != f {
+		i++
+	}
+	if i == 0 || i == len(versions) {
+		return nil
+	}
+	return versions[i-1].enc.lazy()
 }
 
 // Sift appends to out the elements of els the filter keeps — versions
@@ -390,7 +416,7 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 			continue
 		}
 		examined++
-		if keep != nil && !keep(Version{f: f}) {
+		if keep != nil && !keep(Version{st: st, f: f}) {
 			continue
 		}
 		k := keptVersion{f: f}
@@ -414,13 +440,13 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 // lifespan's two, and its Children the stored payload's list, both
 // capacity-clipped: an append to one top reallocates, never writing into
 // another top's attributes or a stored payload's children.
-func buildTops(kept []keptVersion) []*xmldom.Node {
+func (st *Store) buildTops(kept []keptVersion) []*xmldom.Node {
 	if len(kept) == 0 {
 		return nil
 	}
 	nattrs, ninstants := 0, 0
 	for i, k := range kept {
-		nattrs += len(k.f.Tree().Attrs) + 2
+		nattrs += len(st.tree(k.f).Attrs) + 2
 		if i == 0 || kept[i-1].to != k.f {
 			ninstants++ // its vtFrom; otherwise the version before's vtTo
 		}
@@ -525,7 +551,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 		g.End, g.Built = len(kept), builtOf(len(kept)-n, r.Bare)
 		return g
 	})
-	out, stamps := tops(kept, r)
+	out, stamps := st.tops(kept, r)
 	return out, Group{End: len(out), Examined: examined, Built: builtOf(len(out), r.Bare), Stamps: stamps}
 }
 
@@ -534,9 +560,9 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 // stored payload, and the bytes the stamps would have added to them, in
 // all and group by group (r.Groups, already where each group ends in
 // kept).
-func tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
+func (st *Store) tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
 	if !r.Bare {
-		return buildTops(kept), 0
+		return st.buildTops(kept), 0
 	}
 	if len(kept) == 0 {
 		return nil, 0
@@ -547,7 +573,7 @@ func tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
 		for g < len(r.Groups) && i >= r.Groups[g].End {
 			g++
 		}
-		out[i] = k.f.Tree()
+		out[i] = st.tree(k.f)
 		n := stampBytes(k)
 		stamps += n
 		if g < len(r.Groups) {
@@ -594,7 +620,7 @@ func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
 			if f.ValidTime.After(at) {
 				break
 			}
-			if keep == nil || keep(Version{f: f}) {
+			if keep == nil || keep(Version{st: st, f: f}) {
 				n++
 			}
 		}

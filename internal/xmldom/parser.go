@@ -359,33 +359,114 @@ func (e Scanned) Walk(visit func(Scanned) bool) {
 // returns its top: a tree that shares nothing with the Decoder but the
 // input string its names and values are substrings of.
 func (e Scanned) Build() *Node {
+	nAttrs, nKids := e.sizes()
+	return e.build(make([]*Node, len(e.kids()), nKids), 0, nAttrs)
+}
+
+// BuildWith is Build, save that it asks standIn about each child of the
+// node that is an element without children, and where standIn returns a
+// node the tree takes that node in the child's place and builds none: the
+// arrays hold only what is built, and the tree shares the stand-ins as
+// well. standIn must not call the Decoder.
+func (e Scanned) BuildWith(standIn func(leaf Scanned) *Node) *Node {
 	d := e.d
-	recs := d.recs[e.i:d.recs[e.i].end]
-	nAttrs, nKids := 0, 0
-	for _, r := range recs {
+	nAttrs, nKids := e.sizes()
+	top := e.kids()
+	// the top's children come first in the child array: the stand-ins go
+	// straight there
+	kids := make([]*Node, len(top), nKids)
+	stood := 0
+	for c, k := range top {
+		if r := &d.recs[k]; r.typ == ElementNode && r.end == k+1 {
+			if kids[c] = standIn(Scanned{d, k}); kids[c] != nil {
+				stood++
+				nAttrs -= r.attrs.len()
+			}
+		}
+	}
+	return e.build(kids, stood, nAttrs)
+}
+
+// sizes counts the attributes and child pointers of the node's subtree.
+func (e Scanned) sizes() (nAttrs, nKids int) {
+	for _, r := range e.d.recs[e.i:e.d.recs[e.i].end] {
 		nAttrs += r.attrs.len()
 		nKids += r.kids.len()
 	}
-	nodes := make([]Node, len(recs))
+	return nAttrs, nKids
+}
+
+// kids returns the records of the node's children.
+func (e Scanned) kids() []int32 {
+	r := &e.d.recs[e.i]
+	return e.d.kids[r.kids.from:r.kids.to]
+}
+
+// build builds the node's subtree into kids, which holds a slot for each
+// of the node's children, a stand-in in stood of them, and room for every
+// other child pointer; nAttrs is the attributes of what is built.
+func (e Scanned) build(kids []*Node, stood, nAttrs int) *Node {
+	d := e.d
+	recs := d.recs[e.i:d.recs[e.i].end]
+	top := e.kids()
+	nodes := make([]Node, len(recs)-stood)
 	attrs := make([]Attr, 0, nAttrs)
-	kids := make([]*Node, 0, nKids)
-	for j := range recs {
-		r, n := &recs[j], &nodes[j]
+	// shift is how many of the top's children before record j stood in
+	shift, c := int32(0), 0
+	for j := range int32(len(recs)) {
+		if c < len(top) && top[c]-e.i == j {
+			stoodIn := kids[c] != nil
+			c++
+			if stoodIn {
+				shift++
+				continue
+			}
+		}
+		r, n := &recs[j], &nodes[j-shift]
 		n.Type, n.Name, n.Data = r.typ, r.name, r.data
 		if r.attrs.len() > 0 {
 			from := len(attrs)
 			attrs = append(attrs, d.attrs[r.attrs.from:r.attrs.to]...)
 			n.Attrs = attrs[from:len(attrs):len(attrs)]
 		}
-		if r.kids.len() > 0 {
+		switch {
+		case r.kids.len() == 0:
+		case j == 0:
+			n.Children = kids[:len(top):len(top)] // filled in below
+		default:
 			from := len(kids)
 			for _, k := range d.kids[r.kids.from:r.kids.to] {
-				kids = append(kids, &nodes[k-e.i])
+				kids = append(kids, &nodes[k-e.i-shift])
 			}
 			n.Children = kids[from:len(kids):len(kids)]
 		}
 	}
+	shift = 0
+	for c, k := range top {
+		if kids[c] != nil {
+			shift++
+		} else {
+			kids[c] = &nodes[k-e.i-shift]
+		}
+	}
 	return &nodes[0]
+}
+
+// SameLeaf reports whether the node and n are both elements without
+// children, of the same name and with the same attributes in the same
+// order: whether n is what Build would build of the node.
+func (e Scanned) SameLeaf(n *Node) bool {
+	r := &e.d.recs[e.i]
+	if r.typ != ElementNode || r.end != e.i+1 || n.Type != ElementNode || n.Name != r.name ||
+		n.Data != r.data || len(n.Children) > 0 || len(n.Attrs) != r.attrs.len() {
+		return false
+	}
+	for i, a := range e.d.attrs[r.attrs.from:r.attrs.to] {
+		if n.Attrs[i] != a {
+			return false
+		}
+	}
+	return true
 }
 
 // StreamDecoder pulls complete top-level elements one at a time from an

@@ -282,6 +282,66 @@ func TestDecodedListsAreClippedWindows(t *testing.T) {
 	}
 }
 
+// BuildWith builds what Build builds, save the childless children it is
+// handed stand-ins for: each is the stand-in itself, and the lists around
+// them stay exactly sized.
+func TestBuildWithTakesStandIns(t *testing.T) {
+	const src = `<a x="1">t<b k="v"/><d><b k="v"/></d><e><f g="h"/></e><b k="v"/>w<i/><b k="v">x</b></a>`
+	stand := MustParseString(`<b k="v"/>`).Root()
+	for _, tc := range []struct {
+		name  string
+		swap  func(Scanned) bool
+		stood int
+	}{
+		{"none", func(Scanned) bool { return false }, 0},
+		{"every b", func(c Scanned) bool { return c.Name() == "b" }, 2},
+		{"the second b", func(c Scanned) bool { from, _ := c.Span(); return c.Name() == "b" && from > 20 }, 1},
+	} {
+		var d Decoder
+		el, err := d.Scan(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := el.Build()
+		got := el.BuildWith(func(c Scanned) *Node {
+			if tc.swap(c) {
+				return stand
+			}
+			return nil
+		})
+		if !got.Equal(want) {
+			t.Fatalf("%s: built %s, want %s", tc.name, got, want)
+		}
+		all, built := 0, 0
+		want.Walk(func(*Node) bool { all++; return true })
+		got.Walk(func(n *Node) bool {
+			if n == stand {
+				return false
+			}
+			built++
+			return true
+		})
+		if built != all-tc.stood || cap(got.Children) != len(got.Children) {
+			t.Errorf("%s: built %d nodes of %d, want %d stood in (%d/%d children)", tc.name, built, all, tc.stood,
+				len(got.Children), cap(got.Children))
+		}
+	}
+	var d Decoder
+	el, _ := d.Scan(`<a><b k="v"/><b k="v">x</b><b v="k"/><c k="v"/><b k="v" l="w"/></a>`)
+	want := NewElement("b")
+	want.SetAttr("k", "v")
+	var same []bool
+	el.Walk(func(c Scanned) bool {
+		if c.Name() != "a" {
+			same = append(same, c.SameLeaf(want))
+		}
+		return true
+	})
+	if !slices.Equal(same, []bool{true, false, false, false, false}) {
+		t.Errorf("SameLeaf: %v", same)
+	}
+}
+
 // A kept decoder lets go of scratch that one outsized tree grew: a
 // connection's decoder lives as long as the connection.
 func TestDecoderLetsGoOfOutsizedScratch(t *testing.T) {
