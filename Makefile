@@ -30,8 +30,8 @@ build:
 # bench/ is a module of its own, so `go build ./...` from the root never
 # compiles it, yet it pins public API: the deprecated QaCPlusPlus constant
 # and "QaC++" wire name (both QaC+ now), the deprecated, always-zero
-# EvalStats.LabelRangeLookups, Query.WithParallelism (a deprecated no-op:
-# holes resolve sequentially) and Query.WithCache,
+# EvalStats.LabelRangeLookups, Query.WithParallelism and Query.WithCache
+# (deprecated no-ops: holes resolve sequentially and uncached),
 # Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
 # RegisterRequest.Incremental (ignored fields since every standing query
 # runs the incremental engine), and registry.DialSubscribe. Folding any of
@@ -59,8 +59,8 @@ race:
 	$(GO) test -race -timeout 240s ./...
 
 # The stream and obs packages hold the timing-sensitive reliability/chaos
-# tests and the lock-free histogram, fragment the materialization cache,
-# the store's lock and the lazily decoded payloads, and registry the
+# tests and the lock-free histogram, fragment the store's lock, its
+# coalescing beside readers and the lazily decoded payloads, and registry the
 # standing-query fan-out; a second -count=2 pass under the race detector
 # is the deflake gate.
 race-stream:
@@ -74,10 +74,10 @@ test-recovery:
 	$(GO) test -race -run '^(TestCrashPointHarness|TestCrashPointHarnessReplaysTwice)$$' -timeout 300s ./internal/segstore
 
 # The metamorphic differential harness: >=200 generated store/query
-# pairs, every plan x cache combination, byte-identical
-# results, and every predicate the translator pushes below the access path
-# against the same predicate left to the evaluator, under the race detector. The grid doubles as the immutability
-# guard: every stored payload is fingerprinted before and must be
+# pairs under every plan, byte-identical results, and every predicate
+# the translator pushes below the access path against the same predicate
+# left to the evaluator, under the race detector. The grid doubles as the
+# immutability guard: every stored payload is fingerprinted before and must be
 # untouched after (as it must after snapshot/compaction/coalescing), and
 # all three plans run concurrently beside a writer so that a write to a
 # shared node is a reported race. A store of the same fragments decoded
@@ -163,12 +163,11 @@ alloc-gate:
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
 # numbers a re-run reproduces — PlanGrid, Selectivity, ParallelCache's
-# uncached, cold-cache and warm-cache rows, the re-announcing
+# one row (QaC+ on a scan store), the re-announcing
 # IncrementalContinuous rows, RegistryFanout, and the wire codec, recovery
 # and snapshot-bootstrap rows (allocs/op only) — held to the newest
 # snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
-# handlers/op, mat-bytes/op, cache-hits/op and cache-misses/op exactly,
-# allocs/op at most 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
+# handlers/op and mat-bytes/op exactly, allocs/op at most 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
 # moves by a quarter between two runs of the same code. A PR that moves
 # one of these on purpose writes a new snapshot (bench-json).
 bench-gate:
@@ -196,7 +195,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Snapshot the Figure-4 + selectivity + continuous + cache +
+# Snapshot the Figure-4 + selectivity + continuous + scan-store QaC+ +
 # durability + wire-codec benchmarks (quick scales) as JSON — cost counters
 # and latency quantiles included — the cross-PR performance trajectory.
 # Compare two snapshots with bench-diff. The snapshots name themselves:

@@ -47,7 +47,7 @@ import (
 // Q1, Q5, QD; before predicates were pushed Q1 and QD needed 9 829 / 9 323
 // and 2 815 / 2 409, and the clone-per-read engine 48 703 / 48 197 and
 // 8 275 / 7 869): a change that brings a deep copy back on the read path —
-// in the store, the cache, a projection or a constructor — a top element
+// in the store, a projection or a constructor — a top element
 // back for every version a filter or a window turns away, an allocation
 // per top, a per-read regrouping of what the index already holds, an id
 // set per crossing or a context per tuple goes through them, while

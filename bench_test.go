@@ -322,7 +322,7 @@ func BenchmarkGranularity(b *testing.B) {
 }
 
 // BenchmarkGetFillers measures hole resolution itself — the paper's
-// get_fillers, an uncached read through one hole —: indexed store versus
+// get_fillers, a read through one hole —: indexed store versus
 // the paper's scan cost model, at two stream sizes.
 func BenchmarkGetFillers(b *testing.B) {
 	for _, scale := range []float64{0.005, 0.02} {
@@ -432,13 +432,11 @@ func BenchmarkContinuous(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCache measures the filler-resolution cache on top of a
-// fixed plan: uncached vs cold vs warm, on a scale-heavy scan-store QaC+
-// workload whose results carry nested holes (so materialization resolves
-// many independent fillers, each a full log pass under the paper's cost
-// model). Results are byte-identical across all cells — see
-// TestDiffHarness — only the cost moves. The name is kept from when the
-// grid had parallel cells, so snapshots line up across that change.
+// BenchmarkParallelCache measures QaC+ on a scale-heavy scan store whose
+// results carry nested holes, so materialization resolves many
+// independent fillers, each a full log pass under the paper's cost model.
+// The benchmark's and the row's names are kept from when the grid had
+// parallel and cached cells, so snapshots line up across those changes.
 func BenchmarkParallelCache(b *testing.B) {
 	scale := 0.02
 	if testing.Short() {
@@ -446,45 +444,20 @@ func BenchmarkParallelCache(b *testing.B) {
 	}
 	ds := dataset(b, scale, true)
 	src := `for $x in stream("auction")//open_auction return $x`
-	cells := []struct {
-		name  string
-		cache int
-		warm  bool
-	}{
-		{"QaC+/seq", 0, false},
-		{"QaC+/seq-cold-cache", 4096, false},
-		{"QaC+/seq-warm-cache", 4096, true},
-	}
-	for _, cell := range cells {
-		b.Run(cell.name, func(b *testing.B) {
-			q, err := ds.Runtime.Compile(src, ixcql.QaCPlus)
-			if err != nil {
+	b.Run("QaC+/seq", func(b *testing.B) {
+		q, err := ds.Runtime.Compile(src, ixcql.QaCPlus)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := q.Eval(evalbench.EvalInstant); err != nil {
 				b.Fatal(err)
 			}
-			if cell.cache > 0 && cell.warm {
-				q.WithCache(cell.cache)
-				if _, err := q.Eval(evalbench.EvalInstant); err != nil {
-					b.Fatal(err) // fill the cache outside the timer
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if cell.cache > 0 && !cell.warm {
-					b.StopTimer()
-					q.WithCache(cell.cache) // a fresh, empty cache every pass
-					b.StartTimer()
-				}
-				if _, err := q.Eval(evalbench.EvalInstant); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			reportCostMetrics(b, q)
-			s := q.LastStats()
-			b.ReportMetric(float64(s.CacheHits), "cache-hits/op")
-			b.ReportMetric(float64(s.CacheMisses), "cache-misses/op")
-		})
-	}
+		}
+		b.StopTimer()
+		reportCostMetrics(b, q)
+	})
 }
 
 // BenchmarkFragmenter measures document fragmentation throughput.

@@ -144,10 +144,8 @@ func diffTable(w io.Writer, oldRecs, newRecs []Record) {
 }
 
 // gateExact are the metrics a re-run must reproduce to the unit: they
-// follow from the data and the plan, not from the host. The cache's hits
-// and misses are among them: a cached read that starts missing, or charges
-// a probe twice, moves them.
-var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "handlers/op", "mat-bytes/op", "cache-hits/op", "cache-misses/op"}
+// follow from the data and the plan, not from the host.
+var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "handlers/op", "mat-bytes/op"}
 
 // allocsAllowed is the most allocs/op a re-run may take against a
 // snapshot's: a fixed-iteration run amortizes one-off allocations over

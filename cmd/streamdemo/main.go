@@ -71,7 +71,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed for the fault schedule and reconnect jitter")
 	metricsAddr := flag.String("metrics", "", "serve /metrics, /statusz and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 	verbose := flag.Bool("log", false, "emit structured debug logs for the whole pipeline to stderr")
-	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
 	serveAddr := flag.String("serve", "", "serve the standing-query API on this address (e.g. 127.0.0.1:9280): register XCQL over HTTP or WebSocket, receive JSON deltas; keeps the demo streaming until interrupted")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: publishes write through to it, the server recovers from it on restart, and reconnecting clients bootstrap from it past the replay window")
 	historyLimit := flag.Int("history", 0, "bound the server's in-memory replay window to this many fragments (0 = unbounded); with -store-dir older positions stay servable from the log")
@@ -169,10 +168,6 @@ func main() {
 	fmt.Printf("client registered with stream %q (structure delivered in the handshake)\n", client.Name())
 
 	engine := xcql.NewEngine()
-	engine.SetCache(*cacheSize)
-	if c := engine.Cache(); c != nil {
-		c.RegisterMetrics(registry, "cache")
-	}
 	engine.AttachClient(client)
 	q := engine.MustCompile(
 		`for $t in stream("credit")//transaction

@@ -47,12 +47,11 @@ func main() {
 	queryFile := flag.String("f", "", "read the query from a file instead of argv")
 	showTrace := flag.Bool("trace", false, "dump the parse→translate→execute→materialize timeline to stderr")
 	showStats := flag.Bool("stats", false, "print the evaluation's cost counters to stderr")
-	cacheSize := flag.Int("cache", 0, "filler-resolution cache capacity in entries (0 = uncached)")
 	incremental := flag.Bool("incremental", false, "replay the fragment stream through an incremental continuous query, printing per-arrival deltas")
 	storeDir := flag.String("store-dir", "", "durable segment store directory: recovered fragments are ingested before the -fragments file and this run's ingest is write-ahead logged")
 	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → registry.eval → fanout → inc.recompute) in a flight recorder and dump it to stderr at the end")
 	flag.Parse()
-	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez, *cacheSize); err != nil {
+	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez); err != nil {
 		fatal(err)
 	}
 
@@ -74,7 +73,6 @@ func main() {
 	}
 
 	engine := xcql.NewEngine()
-	engine.SetCache(*cacheSize)
 	var store *fragment.Store
 	var frags []*fragment.Fragment
 	if *structPath != "" {
@@ -132,9 +130,6 @@ func main() {
 	if *showStats {
 		stats := q.LastStats()
 		fmt.Fprintln(os.Stderr, stats.String())
-		if c := engine.Cache(); c != nil {
-			fmt.Fprintln(os.Stderr, "cache:", c.String())
-		}
 	}
 	if *explain {
 		fmt.Fprint(os.Stderr, q.Explain().String())
@@ -145,7 +140,7 @@ func main() {
 }
 
 // checkFlags rejects flag combinations that cannot do what they ask.
-func checkFlags(structPath, storeDir string, incremental, trace, tracez bool, cache int) error {
+func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) error {
 	switch {
 	case storeDir != "" && structPath == "":
 		return fmt.Errorf("-store-dir needs -structure to build the recovered store")
@@ -155,8 +150,6 @@ func checkFlags(structPath, storeDir string, incremental, trace, tracez bool, ca
 		return fmt.Errorf("-tracez needs -incremental: spans are recorded per replayed arrival")
 	case trace && incremental:
 		return fmt.Errorf("-trace times one evaluation; with -incremental use -tracez for per-arrival spans")
-	case cache > 0 && incremental:
-		return fmt.Errorf("-cache has no effect with -incremental: the standing engine reads uncached")
 	}
 	return nil
 }
@@ -221,10 +214,10 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 }
 
 // attachSegStore wires a durable segment log under the in-memory store:
-// recovery first (the recovered fragments are ingested and the cache
-// generation advanced, so nothing stale survives), then write-ahead — a
-// hook appends every subsequently ingested fragment to the log, stamped
-// with the next durable sequence number, before it becomes queryable.
+// recovery first (the recovered fragments are ingested, each advancing
+// the store's generation), then write-ahead — a hook appends every
+// subsequently ingested fragment to the log, stamped with the next
+// durable sequence number, before it becomes queryable.
 func attachSegStore(store *fragment.Store, dir string) (*xcql.SegStore, error) {
 	seg, rep, err := xcql.OpenSegStore(dir, xcql.SegStoreOptions{SnapshotEvery: 1024})
 	if err != nil {
@@ -242,7 +235,6 @@ func attachSegStore(store *fragment.Store, dir string) (*xcql.SegStore, error) {
 		seg.Close()
 		return nil, err
 	}
-	store.AdvanceGeneration()
 	_, seq := seg.SeqBounds()
 	store.SetWAL(func(f *fragment.Fragment) error {
 		seq++

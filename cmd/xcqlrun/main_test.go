@@ -3,6 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"xcql"
+	"xcql/internal/fragment"
+	"xcql/internal/xmark"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -10,7 +15,6 @@ func TestCheckFlags(t *testing.T) {
 		name                       string
 		structure, storeDir        string
 		incremental, trace, tracez bool
-		cache                      int
 		wantErr                    string // "" = accepted
 	}{
 		{name: "one-shot", structure: "s.xml"},
@@ -22,12 +26,9 @@ func TestCheckFlags(t *testing.T) {
 		// an incremental replay never prints the one-shot timeline, so
 		// -trace would only fill the span ring
 		{name: "trace with incremental", structure: "s.xml", incremental: true, trace: true, wantErr: "-tracez"},
-		{name: "one-shot cache", structure: "s.xml", cache: 64},
-		// the standing engine reads uncached, so the cache would sit idle
-		{name: "cache with incremental", structure: "s.xml", incremental: true, cache: 64, wantErr: "-cache"},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.structure, c.storeDir, c.incremental, c.trace, c.tracez, c.cache)
+		err := checkFlags(c.structure, c.storeDir, c.incremental, c.trace, c.tracez)
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
@@ -36,5 +37,55 @@ func TestCheckFlags(t *testing.T) {
 		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// TestRecoveryReachesTheStandingQuery: attachSegStore ingests what the log
+// recovered through Add, so a standing query seeded before the recovery
+// sees the fragments stored behind its back on its next clock-only
+// evaluation, and answers what a one-shot evaluation of the recovered
+// store answers.
+func TestRecoveryReachesTheStandingQuery(t *testing.T) {
+	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.002, Seed: 1})
+	dir := t.TempDir()
+	logged := fragment.NewStore(s)
+	seg, err := attachSegStore(logged, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.AddAll(frags); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	store := fragment.NewStore(s)
+	engine := xcql.NewEngine()
+	engine.RegisterStore("auction", store)
+	q := engine.MustCompile(`stream("auction")//closed_auction/price`, xcql.QaCPlus)
+	at := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	cq := xcql.NewContinuousQuery(q, func(xcql.Result) {})
+	cq.Clock = func() time.Time { return at }
+	if err := cq.Evaluate(); err != nil {
+		t.Fatal(err)
+	}
+	if seg, err = attachSegStore(store, dir); err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if store.Len() != len(frags) || store.Generation() != uint64(len(frags)) {
+		t.Fatalf("recovered %d fragments at generation %d, want %d at %d", store.Len(), store.Generation(), len(frags), len(frags))
+	}
+	if err := cq.Evaluate(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.Eval(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("test setup broken: the recovered store answers nothing")
+	}
+	if got := cq.ItemsSnapshot(); xcql.FormatSequence(got) != xcql.FormatSequence(want) {
+		t.Fatalf("standing result after recovery has %d items, one-shot %d", len(got), len(want))
 	}
 }

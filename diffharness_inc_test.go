@@ -77,8 +77,8 @@ func replayAdvance(i int, frags []*xcql.Fragment, at *time.Time) bool {
 }
 
 // replaySetup builds one replay's fresh store and the query compiled over
-// it under (mode, cfg).
-func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mode, cfg execConfig) (*xcql.Store, *xcql.Query) {
+// it under mode.
+func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mode) (*xcql.Store, *xcql.Query) {
 	t.Helper()
 	var st *xcql.Store
 	if ins.Profile.Scan {
@@ -87,16 +87,10 @@ func replaySetup(t *testing.T, ins *genstore.Instance, src string, mode xcql.Mod
 		st = fragment.NewStore(ins.Structure)
 	}
 	e := xcql.NewEngine()
-	if !cfg.perQuery {
-		e.SetCache(cfg.cacheSize)
-	}
 	e.RegisterStore("s", st)
 	q, err := e.Compile(src, mode)
 	if err != nil {
 		t.Fatalf("compile %q under %s: %v", src, mode, err)
-	}
-	if cfg.perQuery {
-		q = q.WithCache(cfg.cacheSize)
 	}
 	return st, q
 }
@@ -129,9 +123,9 @@ func replaySteps(t *testing.T, st *xcql.Store, frags []*xcql.Fragment, at *time.
 // fn:view before the root filler arrives in a reordered history); it is
 // recorded as a marker, so a replay must fail at exactly the same steps.
 func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
-	src string, mode xcql.Mode, cfg execConfig) replayTrace {
+	src string, mode xcql.Mode) replayTrace {
 	t.Helper()
-	st, q := replaySetup(t, ins, src, mode, cfg)
+	st, q := replaySetup(t, ins, src, mode)
 	var tr replayTrace
 	var at time.Time
 	prev := map[string]bool{}
@@ -161,7 +155,7 @@ func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 // compiled under mode, on the replaySteps schedule.
 func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment, src string, mode xcql.Mode) replayTrace {
 	t.Helper()
-	st, q := replaySetup(t, ins, src, mode, execConfigs[0])
+	st, q := replaySetup(t, ins, src, mode)
 	var tr replayTrace
 	var at time.Time
 	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) {
@@ -238,7 +232,7 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 			}
 		}
 		for _, mode := range harnessModes {
-			check(replayOracle(t, ins, ins.Fragments, query.Src, mode, execConfigs[0]), mode, fmt.Sprintf("oracle/%s", mode))
+			check(replayOracle(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("oracle/%s", mode))
 			check(replayCQ(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("inc/%s", mode))
 		}
 	}
@@ -282,7 +276,7 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 				finals := make(map[string]string)
 				mode := xcql.QaCPlus
 				for name, frags := range orders {
-					want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
+					want := replayOracle(t, ins, frags, query.Src, mode).String()
 					inc := replayCQ(t, ins, frags, query.Src, mode)
 					if got := inc.String(); got != want {
 						t.Fatalf("%s/%s/%s order=%s: the replay diverged from the oracle\noracle:\n%s\nreplay:\n%s",
@@ -367,7 +361,7 @@ func FuzzIncrementalArrival(f *testing.F) {
 		// bits 4–5 pick the plan; 3 picks QaC+ too, so that every seed
 		// above keeps the plan it was written for
 		mode := harnessModes[min(int(flags>>4&3), len(harnessModes)-1)]
-		want := replayOracle(t, ins, frags, query.Src, mode, execConfigs[0]).String()
+		want := replayOracle(t, ins, frags, query.Src, mode).String()
 		if got := replayCQ(t, ins, frags, query.Src, mode).String(); got != want {
 			t.Fatalf("%s/%s/%s: the replay diverged from the oracle\noracle:\n%s\ngot:\n%s",
 				p, query.Name, mode, harnessTruncate(want), harnessTruncate(got))

@@ -15,31 +15,13 @@ import (
 // The metamorphic differential harness: randomized stream histories —
 // multi-version, reordered, duplicated, faulted (dangling holes), over
 // both store kinds — crossed with randomized XCQL queries, evaluated
-// under every execution strategy the engine offers:
-//
-//	{CaQ, QaC, QaC+} × {uncached, cold cache, warm cache} × {engine-wide, per-query cache}
-//
-// Every combination must produce byte-identical output to the baseline
-// (CaQ, uncached). This pins the claim that the filler-resolution cache is
-// a pure execution strategy: it may change wall time and counters, never
-// results. Run under -race (make test-diffharness) the harness also
-// shakes out data races in the cache.
+// under every plan the engine offers, {CaQ, QaC, QaC+}. Every plan must
+// produce byte-identical output to the baseline, CaQ's, except across a
+// known split (knownSplits). Run under -race (make test-diffharness) the
+// harness also shakes out data races on the read path.
 
 // harnessModes mirrors evalbench.Modes without depending on it.
 var harnessModes = []xcql.Mode{xcql.CaQ, xcql.QaC, xcql.QaCPlus}
-
-// execConfig is one execution strategy applied to every plan.
-type execConfig struct {
-	name      string
-	cacheSize int  // 0 = uncached
-	perQuery  bool // set the cache per query instead of engine-wide
-}
-
-var execConfigs = []execConfig{
-	{name: "seq"},
-	{name: "seq-cache", cacheSize: 128},
-	{name: "seq-cache-per-query", cacheSize: 128, perQuery: true},
-}
 
 // harnessProfiles is the store-mutation grid applied per seed.
 func harnessProfiles(seed int64) []genstore.Profile {
@@ -98,7 +80,7 @@ func splitOf(p genstore.Profile, q genstore.Query) planSplit {
 
 // baselineGroup names the results of one cell that must be byte-identical:
 // all of them, whatever the plan, except across a known split. Within a
-// group, cached and not, full and incremental all still agree.
+// group, full and incremental evaluations still agree.
 func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 	switch {
 	case sp == caqApart && mode == xcql.CaQ:
@@ -110,11 +92,10 @@ func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 }
 
 // TestDiffHarness is the headline test: at least 200 generated
-// store/query pairs, each evaluated at three instants under every
-// plan × cache combination, over at least four seeds (two
-// under -short): seed 1 alone holds the pairs, and seed 4 is the first
-// whose parents have several versions and children — where a child step's
-// positions count per parent.
+// store/query pairs, each evaluated at three instants under every plan,
+// over at least four seeds (two under -short): seed 1 alone holds the
+// pairs, and seed 4 is the first whose parents have several versions and
+// children — where a child step's positions count per parent.
 func TestDiffHarness(t *testing.T) {
 	minPairs, minSeeds := 200, int64(4)
 	if testing.Short() {
@@ -235,8 +216,8 @@ func compareDecoded(t *testing.T, label string, s *tagstruct.Structure, frags []
 	}
 }
 
-// runInstance evaluates one generated history under the full strategy
-// grid and returns how many store/query pairs it contributed.
+// runInstance evaluates one generated history under every plan and
+// returns how many store/query pairs it contributed.
 func runInstance(t *testing.T, p genstore.Profile) int {
 	t.Helper()
 	ins, err := genstore.Generate(p)
@@ -250,56 +231,30 @@ func runInstance(t *testing.T, p genstore.Profile) int {
 	// the immutability guard: no cell of the grid may write a stored node
 	prints := fingerprintPayloads(ins.Fragments)
 	defer func() { checkPayloads(t, prints, p.String()) }()
-	// one engine per execution strategy, all over the same store; the
-	// per-query strategy exercises Query.WithCache on an otherwise default
-	// engine
-	engines := make([]*xcql.Engine, len(execConfigs))
-	for i, cfg := range execConfigs {
-		e := xcql.NewEngine()
-		if !cfg.perQuery {
-			e.SetCache(cfg.cacheSize)
-		}
-		e.RegisterStore("s", st)
-		engines[i] = e
-	}
+	e := xcql.NewEngine()
+	e.RegisterStore("s", st)
 	for _, query := range ins.Queries {
 		for _, at := range ins.Instants {
 			baselines := make(map[string]string)
-			for i, cfg := range execConfigs {
-				for _, mode := range harnessModes {
-					q, err := engines[i].Compile(query.Src, mode)
-					if err != nil {
-						t.Fatalf("%s/%s/%s/%s: compile: %v", p, query.Name, cfg.name, mode, err)
-					}
-					if cfg.perQuery {
-						q = q.WithCache(cfg.cacheSize)
-					}
-					// cached configs evaluate twice: the first pass fills
-					// the cache (cold), the second must serve identical
-					// results from it (warm)
-					passes := 1
-					if cfg.cacheSize > 0 {
-						passes = 2
-					}
-					for pass := 0; pass < passes; pass++ {
-						seq, err := q.Eval(at)
-						if err != nil {
-							t.Fatalf("%s/%s/%s/%s at=%v pass=%d: eval: %v",
-								p, query.Name, cfg.name, mode, at, pass, err)
-						}
-						got := xcql.FormatSequence(seq)
-						group := splitOf(p, query).baselineGroup(mode)
-						baseline, ok := baselines[group]
-						if !ok {
-							baselines[group] = got
-							continue
-						}
-						if got != baseline {
-							t.Fatalf("%s/%s at=%v: %s/%s pass=%d diverged from baseline\nbaseline:\n%s\ngot:\n%s",
-								p, query.Name, at, cfg.name, mode, pass,
-								harnessTruncate(baseline), harnessTruncate(got))
-						}
-					}
+			for _, mode := range harnessModes {
+				q, err := e.Compile(query.Src, mode)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: compile: %v", p, query.Name, mode, err)
+				}
+				seq, err := q.Eval(at)
+				if err != nil {
+					t.Fatalf("%s/%s/%s at=%v: eval: %v", p, query.Name, mode, at, err)
+				}
+				got := xcql.FormatSequence(seq)
+				group := splitOf(p, query).baselineGroup(mode)
+				baseline, ok := baselines[group]
+				if !ok {
+					baselines[group] = got
+					continue
+				}
+				if got != baseline {
+					t.Fatalf("%s/%s at=%v: %s diverged from baseline\nbaseline:\n%s\ngot:\n%s",
+						p, query.Name, at, mode, harnessTruncate(baseline), harnessTruncate(got))
 				}
 			}
 		}

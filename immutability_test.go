@@ -14,7 +14,7 @@ import (
 )
 
 // Stored payloads are immutable and structurally shared: every read —
-// get_fillers, the cache, the tsid index, projections, hole filling,
+// get_fillers, the tsid index, projections, hole filling,
 // constructors, the wire codec — hands out the store's own nodes. These
 // tests are the guard on that contract: a fingerprint of every stored
 // payload (its serialization and the identity of every node in it) taken
@@ -114,9 +114,8 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 	checkPayloads(t, prints, "after post-maintenance reads")
 }
 
-// TestSharedNodesUnderConcurrentPlans runs all three plans — cached and
-// not — concurrently against ONE store while a
-// writer keeps adding versions. Every evaluation hands out the store's
+// TestSharedNodesUnderConcurrentPlans runs all three plans concurrently
+// against ONE store while a writer keeps adding versions. Every evaluation hands out the store's
 // own nodes, so under -race any write to a shared node (a parent link, an
 // in-place splice, a stamped attribute) is a reported data race; the
 // fingerprint check catches what a lucky schedule might hide. A query that
@@ -145,45 +144,37 @@ func TestSharedNodesUnderConcurrentPlans(t *testing.T) {
 		rounds = 2
 	}
 	var readers sync.WaitGroup
-	errs := make(chan error, len(execConfigs)*len(harnessModes)+1)
+	errs := make(chan error, len(harnessModes)+1)
 	// readers announce each finished query; the writer adds one fragment
 	// per announcement, so the writes land between and beside the reads
 	// for as long as any reader runs
 	tick := make(chan struct{})
-	for _, cfg := range execConfigs {
-		e := xcql.NewEngine()
-		if !cfg.perQuery {
-			e.SetCache(cfg.cacheSize)
-		}
-		e.RegisterStore("s", st)
-		for _, mode := range harnessModes {
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for r := 0; r < rounds; r++ {
-					for _, query := range queries {
-						q, err := e.Compile(query.Src, mode)
-						if err != nil {
-							errs <- fmt.Errorf("%s/%s/%s: compile: %w", cfg.name, mode, query.Name, err)
-							return
-						}
-						if cfg.perQuery {
-							q = q.WithCache(cfg.cacheSize)
-						}
-						seq, err := q.Eval(at)
-						if err != nil {
-							errs <- fmt.Errorf("%s/%s/%s: eval: %w", cfg.name, mode, query.Name, err)
-							return
-						}
-						_ = xcql.FormatSequence(seq) // serialize: read every node handed out
-						select {
-						case tick <- struct{}{}:
-						default:
-						}
+	e := xcql.NewEngine()
+	e.RegisterStore("s", st)
+	for _, mode := range harnessModes {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for r := 0; r < rounds; r++ {
+				for _, query := range queries {
+					q, err := e.Compile(query.Src, mode)
+					if err != nil {
+						errs <- fmt.Errorf("%s/%s: compile: %w", mode, query.Name, err)
+						return
+					}
+					seq, err := q.Eval(at)
+					if err != nil {
+						errs <- fmt.Errorf("%s/%s: eval: %w", mode, query.Name, err)
+						return
+					}
+					_ = xcql.FormatSequence(seq) // serialize: read every node handed out
+					select {
+					case tick <- struct{}{}:
+					default:
 					}
 				}
-			}()
-		}
+			}
+		}()
 	}
 	readersDone := make(chan struct{})
 	writerDone := make(chan struct{})

@@ -49,7 +49,7 @@ const (
 	// FromHoles reads Read.IDs, the hole ids of a child step, in groups.
 	FromHoles Source = iota
 	// FromFiller reads filler Read.ID reached without a hole: a stream's
-	// root, an incremental unit's own filler. It is not memoized.
+	// root, an incremental unit's own filler.
 	FromFiller
 	// FromHole reads filler Read.ID through the one hole that leads to it,
 	// as a projection or a materialization crosses holes one at a time.
@@ -94,12 +94,11 @@ type Read struct {
 	From, To int
 	// Last keeps each group's last version instead.
 	Last bool
-	// Bare asks for bare tops: each kept version's stored payload in place
-	// of a new top stamped with its lifespan, for a caller that reads
-	// nothing of a top but its name, children and payload attributes. The
-	// read reports what the stamps would have added to the returned tops'
-	// logical size (Group.Stamps). A cached read returns the cache's
-	// stamped tops: bare is a permission, never an obligation.
+	// Bare reads bare tops, for a caller that reads nothing of a top but
+	// its name, children and payload attributes: the read hands out each
+	// kept version's stored payload, never a new top stamped with its
+	// lifespan, and reports what the stamps would have added to the
+	// returned tops' logical size (Group.Stamps).
 	Bare bool
 	// EachGroup drops an id repeated within its group only, so that an id
 	// may recur in other groups, each getting its versions — a for
@@ -108,16 +107,13 @@ type Read struct {
 	// crossing several parents' holes reads a shared child once.
 	EachGroup bool
 	// Defer reads without charging anything: the caller charges each group
-	// when it takes it (Charge). Where a group's charge depends on the
-	// groups before it — through a cache, which they warm — a deferred read
-	// reads nothing and reports every group empty: each group's caller then
-	// reads for itself.
+	// when it takes it (Charge).
 	Defer bool
 }
 
 // Group is one group of a read as the read reports it, and, as Read
 // returns it, the whole read as one group. Every kind of access fills it
-// in, cached or not.
+// in.
 type Group struct {
 	// End is where the group ends: in Read.IDs as the caller closes it,
 	// and, once read, in what the read returns.
@@ -128,13 +124,11 @@ type Group struct {
 	// Examined is the versions the read examined: every visible version of
 	// the group's fillers, whatever Keep and the window turned away.
 	Examined int
-	// Built is the tops the read built: none for bare tops or a cache hit,
-	// every visible version's on a cache miss, which memoizes them all.
+	// Built is the tops the read built: none for bare tops.
 	Built int
 	// Stamps is what the stamps of a bare read's tops would have added to
 	// their logical size (xmldom.Node.TreeSize), so that a caller metering
-	// bytes charges what the stamped read returns. A cached read hands out
-	// the cache's stamped tops and reports none.
+	// bytes charges what the stamped read returns.
 	Stamps int
 }
 
@@ -275,7 +269,7 @@ const (
 
 // Eval is the evaluation an Access reads for: the instant its reads are
 // as of, and where it charges them. The zero value reads at the zero
-// instant, uncounted, unmetered and uncached.
+// instant, uncounted and unmetered.
 type Eval struct {
 	At time.Time
 	// Stats receives the access cost; nil collects nothing.
@@ -283,9 +277,6 @@ type Eval struct {
 	// Budget is charged one step — a cancellation poll — per pass of a
 	// log-scanned hole-id set; nil is unlimited.
 	Budget *budget.Budget
-	// Cache memoizes the reads that cross holes and the reads by tsid;
-	// nil disables it.
-	Cache *Cache
 }
 
 // NewAccess returns the access implementation of the given kind, reading
@@ -309,9 +300,7 @@ func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 	if r.Source != FromHoles {
 		return a.one(st, r, true)
 	}
-	if !a.holes(&r) {
-		return nil, Group{}
-	}
+	r.distinct()
 	var out []*xmldom.Node
 	var w windowKeep
 	keep := w.narrow(r.Keep, r.Groups != nil)
@@ -331,50 +320,21 @@ func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 	return out, total
 }
 
-// holes readies a FromHoles read, its ids deduped (Read.distinct), and
-// reports whether the read goes ahead: a deferred read through a cache
-// reads nothing and reports every group empty instead.
-func (a *logScan) holes(r *Read) bool {
-	if r.Defer && a.Cache != nil {
-		clear(r.Groups)
-		return false
-	}
-	r.distinct()
-	return true
-}
-
 // one is one pass, r's read of one filler or one tsid — the paper's
 // filler[@tsid=…] predicate, answered by the tsid index on an indexed
-// store —, charged when charge is set, as a deferred read never reaches
-// the cache (holes). A read through a hole and a read by tsid are
-// memoized when there is a cache, the filter then running over the
-// cached tops — the cache key has no filter dimension, so one entry
-// serves every query that reads the filler; what no hole leads to is read
-// once per evaluation.
+// store —, charged when charge is set.
 func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
 	ids := [1]int{r.ID}
-	tsid, holes := 0, 0
-	switch r.Source {
-	case FromTSID:
+	tsid := 0
+	if r.Source == FromTSID {
 		tsid = r.ID
-	case FromHole:
-		holes = 1
 	}
-	var els []*xmldom.Node
-	var g Group
-	if a.Cache == nil || r.Source == FromFiller {
-		els, g = st.lookup(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare})
-		g.Holes = holes
-		if charge {
-			a.charge(st, g, 1)
-		}
-	} else {
-		var slot [1]cachedSlot
-		hits, misses, built := a.Cache.get(st, tsid, ids[:], a.At, slot[:])
-		els = r.Keep.Sift(nil, slot[0].els)
-		g = Group{End: len(els), Holes: holes, Examined: len(slot[0].els), Built: built}
-		a.Stats.AddHoles(holes)
-		a.chargeCache(st, hits, misses, built)
+	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare})
+	if r.Source == FromHole {
+		g.Holes = 1
+	}
+	if charge {
+		a.charge(st, g, 1)
 	}
 	if tsid > 0 {
 		a.Stats.AddTSIDLookup(g.Examined)
@@ -398,17 +358,6 @@ func (a *logScan) charge(st *Store, g Group, passes int) {
 	a.Stats.AddNodes(g.Built)
 }
 
-// chargeCache charges a read the cache served: each hit replaces its
-// pass, and the misses share one pass that built every version of theirs.
-func (a *logScan) chargeCache(st *Store, hits, misses, built int) {
-	a.Stats.AddCacheHits(hits)
-	a.Stats.AddCacheMisses(misses)
-	if misses > 0 {
-		a.Stats.AddFillers(st.PassCost(1, built))
-		a.Stats.AddNodes(built)
-	}
-}
-
 // builtOf is how many top elements a read returning n versions builds: none
 // when it hands out bare tops.
 func builtOf(n int, bare bool) int {
@@ -420,44 +369,21 @@ func builtOf(n int, bare bool) int {
 
 type tsidIndex struct{ logScan }
 
-// Read resolves a hole-id set in one pass, windowed or not; with a cache,
-// resident ids are served from memory and only the misses share that
-// pass. Its other reads are the log scan's.
+// Read resolves a hole-id set in one pass, windowed or not. Its other
+// reads are the log scan's.
 func (a *tsidIndex) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 	if r.Source != FromHoles {
 		return a.logScan.Read(st, r)
 	}
-	if !a.holes(&r) || len(r.IDs) == 0 {
+	if r.distinct(); len(r.IDs) == 0 {
 		return nil, Group{}
 	}
-	if a.Cache == nil {
-		els, g := st.lookup(r.IDs, 0, a.At, r)
-		g.Holes = len(r.IDs)
-		if !r.Defer {
-			a.charge(st, g, 1)
-		}
-		return els, g
+	els, g := st.read(r.IDs, 0, a.At, r)
+	g.Holes = len(r.IDs)
+	if !r.Defer {
+		a.charge(st, g, 1)
 	}
-	slots := make([]cachedSlot, len(r.IDs))
-	hits, misses, built := a.Cache.get(st, 0, r.IDs, a.At, slots)
-	a.Stats.AddHoles(len(r.IDs))
-	a.chargeCache(st, hits, misses, built)
-	var out []*xmldom.Node
-	var w windowKeep
-	keep := w.narrow(r.Keep, r.Groups != nil)
-	total := r.each(st, a.At, r.IDs, &w, func(lo, hi int) Group {
-		var g Group
-		for _, s := range slots[lo:hi] {
-			g.Examined += len(s.els)
-			if !s.hit {
-				g.Built += len(s.els)
-			}
-			out = keep.Sift(out, s.els)
-		}
-		g.End = len(out)
-		return g
-	})
-	return out, total
+	return els, g
 }
 
 // Charge charges a deferred group its share of the one pass.

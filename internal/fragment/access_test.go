@@ -18,11 +18,11 @@ import (
 // charges are the counters an access read may move; a contract row
 // states all of them, so what a read must NOT move is pinned at zero.
 type charges struct {
-	holes, fillers, tsidLookups, hits, misses int64
+	holes, fillers, tsidLookups int64
 }
 
 func chargesOf(s *obs.EvalStats) charges {
-	return charges{s.HolesResolved, s.FillersScanned, s.TSIDLookups, s.CacheHits, s.CacheMisses}
+	return charges{s.HolesResolved, s.FillersScanned, s.TSIDLookups}
 }
 
 func render(els []*xmldom.Node) string {
@@ -92,11 +92,11 @@ func readOf(a fragment.Access, st *fragment.Store, r fragment.Read) ([]*xmldom.N
 // in groups deduped across the read or within each group, windowed, for
 // the last version, of bare tops; one hole at a time; a filler reached
 // without a hole; by tsid — through both access implementations, over
-// generated indexed and scan stores, with the cache absent, cold and warm:
-// the elements are byte-identical whichever index serves them, each
-// implementation moves exactly the counters it owns, and the report every
-// read fills in is the same whoever serves it, save what a cache hit does
-// not build and its stamped tops. Deferred reads have their own tests:
+// generated indexed and scan stores: the elements are byte-identical
+// whichever index serves them, each implementation moves exactly the
+// counters it owns, and the report every read fills in is the same
+// whoever serves it; a bare read hands out the stored payloads
+// themselves. Deferred reads have their own tests:
 // TestFillersEachIsTheCallsInTurn and TestChargeFillersChargesTheRead.
 func TestAccessContract(t *testing.T) {
 	kinds := []struct {
@@ -127,57 +127,40 @@ func TestAccessContract(t *testing.T) {
 		// passCost is what one lookup pass returning n elements costs
 		// under the store's model
 		passCost := func(n int) int64 { return int64(st.PassCost(1, n)) }
-		uncached := func() fragment.Access { return fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}) }
+		logScan := func() fragment.Access { return fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at}) }
 		// whole is the elements of a read of distinct ids as one set
 		whole := func(ids ...int) []*xmldom.Node {
-			els, _ := readOf(uncached(), st, fragment.Read{IDs: ids})
+			els, _ := readOf(logScan(), st, fragment.Read{IDs: ids})
 			return els
 		}
 
-		// one row per request shape; want states, per implementation and
-		// cache state, the charges of running it once, and oracle what it
-		// returns as simpler reads spell it
+		// one row per request shape; want states, per implementation, the
+		// charges of running it once, and oracle what it returns as simpler
+		// reads spell it
 		type row struct {
 			name     string
 			run      func(fragment.Access) ([]*xmldom.Node, []fragment.Group)
-			want     func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges
+			want     func(kind fragment.AccessKind, els []*xmldom.Node) charges
 			oracle   func() []*xmldom.Node
 			elements string // spelled out, when set
 			bare     bool
 			several  bool // several reads, each reported as one group
 		}
 		two := twoTSIDStore(t, scan)
-		perID := func(els []*xmldom.Node, n int, cached, warm bool) charges {
-			// one hole and one cached pass per id
-			c := charges{holes: int64(n)}
-			switch {
-			case warm:
-				c.hits = int64(n)
-			case scan:
+		perID := func(els []*xmldom.Node, n int) charges {
+			// one hole and one pass per id
+			c := charges{holes: int64(n), fillers: int64(len(els))}
+			if scan {
 				c.fillers = int64(n) * passCost(0)
-			default:
-				c.fillers = int64(len(els))
-			}
-			if cached && !warm {
-				c.misses = int64(n)
 			}
 			return c
 		}
-		batched := func(kind fragment.AccessKind, n int, cached, warm bool, els []*xmldom.Node) charges {
+		batched := func(kind fragment.AccessKind, n int, els []*xmldom.Node) charges {
 			if kind == fragment.LogScanAccess {
-				return perID(els, n, cached, warm)
+				return perID(els, n)
 			}
 			// one pass for the whole batch
-			c := charges{holes: int64(n)}
-			if warm {
-				c.hits = int64(n)
-				return c
-			}
-			c.fillers = passCost(len(els))
-			if cached {
-				c.misses = int64(n)
-			}
-			return c
+			return charges{holes: int64(n), fillers: passCost(len(els))}
 		}
 		dupIDs := []int{ids[1], ids[0], ids[1], 1 << 20, ids[2], ids[0]}
 		// three parents' groups sharing ids, one of them repeating its own
@@ -189,7 +172,7 @@ func TestAccessContract(t *testing.T) {
 				for _, g := range r.Groups {
 					own := r
 					own.IDs, own.Groups = r.IDs[lo:g.End], groupsAt(g.End-lo)
-					els, _ := readOf(uncached(), st, own)
+					els, _ := readOf(logScan(), st, own)
 					out = append(out, els...)
 					lo = g.End
 				}
@@ -210,8 +193,8 @@ func TestAccessContract(t *testing.T) {
 				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
 					return readOf(a, st, fragment.Read{IDs: ids})
 				},
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					return batched(kind, len(ids), cached, warm, els)
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
+					return batched(kind, len(ids), els)
 				},
 			},
 			{
@@ -223,8 +206,8 @@ func TestAccessContract(t *testing.T) {
 					}
 					return out, groups
 				},
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					return perID(els, len(ids), cached, warm)
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
+					return perID(els, len(ids))
 				},
 				oracle:  func() []*xmldom.Node { return whole(ids...) },
 				several: true,
@@ -234,9 +217,8 @@ func TestAccessContract(t *testing.T) {
 				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
 					return readOf(a, st, fragment.Read{Source: fragment.FromFiller, ID: fragment.RootFillerID})
 				},
-				want: func(kind fragment.AccessKind, _, _ bool, els []*xmldom.Node) charges {
-					// the root is reached without a hole: no hole counted,
-					// and the pass is not memoized
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
+					// the root is reached without a hole: no hole counted
 					return charges{fillers: passCost(len(els))}
 				},
 			},
@@ -245,9 +227,9 @@ func TestAccessContract(t *testing.T) {
 				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
 					return readOf(a, st, fragment.Read{IDs: dupIDs})
 				},
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
 					// four distinct ids, the unknown one among them
-					return batched(kind, 4, cached, warm, els)
+					return batched(kind, 4, els)
 				},
 				oracle: func() []*xmldom.Node { return whole(ids[1], ids[0], 1<<20, ids[2]) },
 			},
@@ -256,8 +238,8 @@ func TestAccessContract(t *testing.T) {
 				// group's ids were all read before it
 				name: "grouped-deduped-across-the-read",
 				run:  func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) { return readOf(a, st, grouped) },
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
-					return batched(kind, 5, cached, warm, els)
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
+					return batched(kind, 5, els)
 				},
 				oracle: func() []*xmldom.Node { return whole(ids[0], ids[1], ids[2], ids[3], ids[4]) },
 			},
@@ -267,8 +249,7 @@ func TestAccessContract(t *testing.T) {
 			windowed("last", fragment.Read{Last: true}),
 			{
 				// bare tops are the stored payloads, their stamps reported
-				// as bytes; a cache hands out its stamped tops and reports
-				// none
+				// as bytes
 				name: "bare",
 				run: func(a fragment.Access) ([]*xmldom.Node, []fragment.Group) {
 					return readOf(a, st, fragment.Read{IDs: grouped.IDs, Groups: grouped.Groups, Bare: true})
@@ -284,19 +265,11 @@ func TestAccessContract(t *testing.T) {
 					}
 					return out, groups
 				},
-				want: func(kind fragment.AccessKind, cached, warm bool, els []*xmldom.Node) charges {
+				want: func(kind fragment.AccessKind, els []*xmldom.Node) charges {
 					n := int64(len(tsids))
-					c := charges{tsidLookups: n}
-					switch {
-					case warm:
-						c.hits = n
-					case scan:
+					c := charges{tsidLookups: n, fillers: int64(len(els))}
+					if scan {
 						c.fillers = n * passCost(0)
-					default:
-						c.fillers = int64(len(els))
-					}
-					if cached && !warm {
-						c.misses = n
 					}
 					return c
 				},
@@ -320,8 +293,14 @@ func TestAccessContract(t *testing.T) {
 			},
 		}
 		stamped := whole(ids[:5]...) // what the bare row reads, stamped
+		payloads := map[*xmldom.Node]bool{}
+		for _, id := range st.FillerIDs() {
+			for _, v := range st.Versions(id) {
+				payloads[v.Tree()] = true
+			}
+		}
 		for _, rd := range rows {
-			refEls, refGroups := rd.run(uncached())
+			refEls, refGroups := rd.run(logScan())
 			reference := render(refEls)
 			if reference == "" {
 				t.Fatalf("scan=%v %s: reference read is empty", scan, rd.name)
@@ -335,108 +314,93 @@ func TestAccessContract(t *testing.T) {
 				}
 			}
 			for _, k := range kinds {
-				for _, state := range []string{"nil", "cold", "warm"} {
-					name := fmt.Sprintf("scan=%v/%s/%s/cache-%s", scan, rd.name, k.name, state)
-					var cache *fragment.Cache
-					if state != "nil" {
-						cache = fragment.NewCache(1 << 16)
+				name := fmt.Sprintf("scan=%v/%s/%s", scan, rd.name, k.name)
+				stats := &obs.EvalStats{}
+				els, groups := rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Stats: stats}))
+				if rd.bare {
+					// the stamps a bare read reports are what the stamped
+					// read's tops weigh beyond its payloads
+					size := int64(0)
+					for _, el := range els {
+						size += int64(el.TreeSize())
 					}
-					if state == "warm" {
-						rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Cache: cache}))
+					var want int64
+					for _, el := range stamped {
+						want += int64(el.TreeSize())
 					}
-					stats := &obs.EvalStats{}
-					els, groups := rd.run(fragment.NewAccess(k.kind, fragment.Eval{At: at, Stats: stats, Cache: cache}))
-					if rd.bare {
-						// the stamps a bare read reports are what the stamped
-						// read's tops weigh beyond its payloads; cached, the
-						// read is the stamped one
-						size := int64(0)
-						for _, el := range els {
-							size += int64(el.TreeSize())
-						}
-						var want int64
-						for _, el := range stamped {
-							want += int64(el.TreeSize())
-						}
-						total := groups[len(groups)-1]
-						if got := size + int64(total.Stamps); got != want {
-							t.Errorf("%s: %d bytes of tops and %d of stamps, the stamped read's are %d", name, size, total.Stamps, want)
-						}
-						if cache != nil && (render(els) != render(stamped) || total.Stamps != 0) {
-							t.Errorf("%s: a cached read returned other than its stamped tops, or reported %d bytes of stamps", name, total.Stamps)
-						}
-						if cache == nil && stats.NodesConstructed != 0 {
-							t.Errorf("%s: built %d tops", name, stats.NodesConstructed)
-						}
-					} else if got := render(els); got != reference {
-						t.Errorf("%s: elements differ from the log scan's:\n%s\nwant:\n%s", name, got, reference)
+					total := groups[len(groups)-1]
+					if got := size + int64(total.Stamps); got != want {
+						t.Errorf("%s: %d bytes of tops and %d of stamps, the stamped read's are %d", name, size, total.Stamps, want)
 					}
-					// the report: the same whoever serves the read, save
-					// the tops built and a cache's stamps
-					if len(groups) != len(refGroups) {
-						t.Fatalf("%s: %d reports, the log scan's %d", name, len(groups), len(refGroups))
+					if stats.NodesConstructed != 0 {
+						t.Errorf("%s: built %d tops", name, stats.NodesConstructed)
 					}
-					built := 0
-					for i, g := range groups {
-						ref := refGroups[i]
-						if cache != nil {
-							ref.Stamps = 0
-						}
-						if g.End != ref.End || g.Holes != ref.Holes || g.Examined != ref.Examined || g.Stamps != ref.Stamps {
-							t.Errorf("%s: report %d is %+v, the log scan's %+v", name, i, g, refGroups[i])
-						}
-						if rd.several || i == len(groups)-1 {
-							built += g.Built // a read as one group
+					for _, el := range els {
+						if !payloads[el] {
+							t.Errorf("%s: a bare read handed out %s, not a stored payload", name, el)
+							break
 						}
 					}
-					if int64(built) != stats.NodesConstructed {
-						t.Errorf("%s: reports built %d tops, %d charged", name, built, stats.NodesConstructed)
+				} else if got := render(els); got != reference {
+					t.Errorf("%s: elements differ from the log scan's:\n%s\nwant:\n%s", name, got, reference)
+				}
+				// the report: the same whoever serves the read
+				if len(groups) != len(refGroups) {
+					t.Fatalf("%s: %d reports, the log scan's %d", name, len(groups), len(refGroups))
+				}
+				built := 0
+				for i, g := range groups {
+					if ref := refGroups[i]; g.End != ref.End || g.Holes != ref.Holes || g.Examined != ref.Examined || g.Stamps != ref.Stamps {
+						t.Errorf("%s: report %d is %+v, the log scan's %+v", name, i, g, ref)
 					}
-					if rd.want == nil {
-						continue
+					if rd.several || i == len(groups)-1 {
+						built += g.Built // a read as one group
 					}
-					if got, want := chargesOf(stats), rd.want(k.kind, cache != nil, state == "warm", els); got != want {
-						t.Errorf("%s: charged %+v, want %+v", name, got, want)
-					}
+				}
+				if int64(built) != stats.NodesConstructed {
+					t.Errorf("%s: reports built %d tops, %d charged", name, built, stats.NodesConstructed)
+				}
+				if rd.want == nil {
+					continue
+				}
+				if got, want := chargesOf(stats), rd.want(k.kind, els); got != want {
+					t.Errorf("%s: charged %+v, want %+v", name, got, want)
 				}
 			}
 		}
 		// an incremental unit's read — a filler reached without a hole — asks
 		// its filter once per visible version, in validTime order, whatever
 		// the filter answers, so that a unit can select its versions by
-		// position; and it is charged what the unfiltered read is, cache or
-		// not
+		// position; and it is charged what the unfiltered read is
 		multi, hidden := 0, 0
 		for _, k := range kinds {
 			for _, when := range []time.Time{ins.Instants[1], at} {
-				for _, cache := range []*fragment.Cache{nil, fragment.NewCache(1 << 16)} {
-					for _, id := range ids {
-						name := fmt.Sprintf("scan=%v/unit-read/%s/filler %d at %s/cache=%v", scan, k.name, id, when.Format(time.DateTime), cache != nil)
-						var visible []*xmldom.Node
-						for _, v := range st.Versions(id) {
-							if !v.ValidTime.After(when) {
-								visible = append(visible, v.Tree())
-							} else {
-								hidden++
-							}
+				for _, id := range ids {
+					name := fmt.Sprintf("scan=%v/unit-read/%s/filler %d at %s", scan, k.name, id, when.Format(time.DateTime))
+					var visible []*xmldom.Node
+					for _, v := range st.Versions(id) {
+						if !v.ValidTime.After(when) {
+							visible = append(visible, v.Tree())
+						} else {
+							hidden++
 						}
-						if len(visible) > 1 {
-							multi++
-						}
-						plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
-						all, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain, Cache: cache}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id})
-						var asked []*xmldom.Node
-						odd := func(v fragment.Version) bool { asked = append(asked, v.Payload()); return len(asked)%2 == 1 }
-						kept, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered, Cache: cache}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id, Keep: odd})
-						if !slices.Equal(asked, visible) {
-							t.Errorf("%s: filter asked about %d payloads, want the %d visible versions' in validTime order", name, len(asked), len(visible))
-						}
-						if len(all) != len(visible) || len(kept) != (len(visible)+1)/2 {
-							t.Errorf("%s: %d versions read, %d kept of every other one; %d visible", name, len(all), len(kept), len(visible))
-						}
-						if got, want := chargesOf(filtered), chargesOf(plain); got != want {
-							t.Errorf("%s: charged %+v filtered, %+v unfiltered", name, got, want)
-						}
+					}
+					if len(visible) > 1 {
+						multi++
+					}
+					plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
+					all, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: plain}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id})
+					var asked []*xmldom.Node
+					odd := func(v fragment.Version) bool { asked = append(asked, v.Payload()); return len(asked)%2 == 1 }
+					kept, _ := fragment.NewAccess(k.kind, fragment.Eval{At: when, Stats: filtered}).Read(st, fragment.Read{Source: fragment.FromFiller, ID: id, Keep: odd})
+					if !slices.Equal(asked, visible) {
+						t.Errorf("%s: filter asked about %d payloads, want the %d visible versions' in validTime order", name, len(asked), len(visible))
+					}
+					if len(all) != len(visible) || len(kept) != (len(visible)+1)/2 {
+						t.Errorf("%s: %d versions read, %d kept of every other one; %d visible", name, len(all), len(kept), len(visible))
+					}
+					if got, want := chargesOf(filtered), chargesOf(plain); got != want {
+						t.Errorf("%s: charged %+v filtered, %+v unfiltered", name, got, want)
 					}
 				}
 			}
@@ -447,7 +411,7 @@ func TestAccessContract(t *testing.T) {
 		// the census EXPLAIN predicts tsid reads from is what they return
 		for _, tsid := range tsids {
 			_, versions := st.TSIDFillers(tsid)
-			if got, _ := readOf(uncached(), st, fragment.Read{Source: fragment.FromTSID, ID: tsid}); len(got) != versions {
+			if got, _ := readOf(logScan(), st, fragment.Read{Source: fragment.FromTSID, ID: tsid}); len(got) != versions {
 				t.Errorf("scan=%v tsid %d: census predicts %d versions, read returned %d", scan, tsid, versions, len(got))
 			}
 		}
@@ -501,8 +465,8 @@ type spent struct {
 	b     budget.Budget
 }
 
-func (s *spent) access(kind fragment.AccessKind, at time.Time, cache *fragment.Cache) fragment.Access {
-	return fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &s.stats, Budget: &s.b, Cache: cache})
+func (s *spent) access(kind fragment.AccessKind, at time.Time) fragment.Access {
+	return fragment.NewAccess(kind, fragment.Eval{At: at, Stats: &s.stats, Budget: &s.b})
 }
 
 // settle records the budget's steps used so far.
@@ -512,9 +476,7 @@ func (s *spent) settle() { s.steps, _, _ = s.b.Used() }
 // as its groups (deferredSets) returns what each set's own read returns,
 // in turn, with the same window per set, and charges nothing — no
 // counter, no budget step; each group charged through Charge then charges
-// what its own read charged: holes, fillers, nodes, budget steps. Through
-// a cache a deferred read reads and charges nothing, and reports every
-// group empty, so that each call reads for itself.
+// what its own read charged: holes, fillers, nodes, budget steps.
 func TestFillersEachIsTheCallsInTurn(t *testing.T) {
 	for _, scan := range []bool{false, true} {
 		_, st := contractStore(t, scan)
@@ -522,57 +484,42 @@ func TestFillersEachIsTheCallsInTurn(t *testing.T) {
 		for _, at := range []time.Time{genstore.Base.Add(6 * time.Hour), genstore.Base.Add(1000 * time.Hour)} {
 			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
 				for wname, w := range deferredWindows {
-					for _, state := range []string{"nil", "cold", "warm"} {
-						name := fmt.Sprintf("scan=%v/%d/%s/at=%s/cache-%s", scan, kind, wname, at.Format(time.DateTime), state)
-						var cache *fragment.Cache
-						if state != "nil" {
-							cache = fragment.NewCache(1 << 16)
-						}
-						if state == "warm" {
-							readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: cache}), st, fragment.Read{IDs: ids})
-						}
-						// each set's own read, in turn
-						var calls spent
-						var want []*xmldom.Node
-						var wantEnds []int
-						for _, set := range sets {
-							own := w
-							own.IDs, own.Groups = set, groupsAt(len(set))
-							els, _ := readOf(calls.access(kind, at, nil), st, own)
-							want = append(want, els...)
-							wantEnds = append(wantEnds, len(want))
-						}
-						calls.settle()
-						// the one deferred read
-						var each spent
-						acc := each.access(kind, at, cache)
-						r := w
-						r.IDs, r.Groups, r.EachGroup, r.Defer = ids, groupsAt(ends...), true, true
-						got, groups := readOf(acc, st, r)
-						groups = groups[:len(sets)]
-						if each.settle(); each.stats != (obs.EvalStats{}) || each.steps != 0 {
-							t.Errorf("%s: the deferred read charged %+v, %d steps", name, each.stats, each.steps)
-						}
-						if cache != nil {
-							if got != nil || slices.ContainsFunc(groups, func(g fragment.Group) bool { return g != fragment.Group{} }) {
-								t.Errorf("%s: a deferred read through a cache read %d versions, reported %+v", name, len(got), groups)
-							}
-							continue
-						}
-						gotEnds := make([]int, len(groups))
-						for g := range groups {
-							gotEnds[g] = groups[g].End
-						}
-						if render(got) != render(want) || !slices.Equal(gotEnds, wantEnds) {
-							t.Fatalf("%s: read\n%s%v\nthe sets' own reads in turn\n%s%v", name, render(got), gotEnds, render(want), wantEnds)
-						}
-						for _, g := range groups {
-							acc.Charge(st, g)
-						}
-						each.settle()
-						if each.stats != calls.stats || each.steps != calls.steps {
-							t.Errorf("%s: charged group by group\n%+v, %d steps\nthe sets' own reads charged\n%+v, %d steps", name, each.stats, each.steps, calls.stats, calls.steps)
-						}
+					name := fmt.Sprintf("scan=%v/%d/%s/at=%s", scan, kind, wname, at.Format(time.DateTime))
+					// each set's own read, in turn
+					var calls spent
+					var want []*xmldom.Node
+					var wantEnds []int
+					for _, set := range sets {
+						own := w
+						own.IDs, own.Groups = set, groupsAt(len(set))
+						els, _ := readOf(calls.access(kind, at), st, own)
+						want = append(want, els...)
+						wantEnds = append(wantEnds, len(want))
+					}
+					calls.settle()
+					// the one deferred read
+					var each spent
+					acc := each.access(kind, at)
+					r := w
+					r.IDs, r.Groups, r.EachGroup, r.Defer = ids, groupsAt(ends...), true, true
+					got, groups := readOf(acc, st, r)
+					groups = groups[:len(sets)]
+					if each.settle(); each.stats != (obs.EvalStats{}) || each.steps != 0 {
+						t.Errorf("%s: the deferred read charged %+v, %d steps", name, each.stats, each.steps)
+					}
+					gotEnds := make([]int, len(groups))
+					for g := range groups {
+						gotEnds[g] = groups[g].End
+					}
+					if render(got) != render(want) || !slices.Equal(gotEnds, wantEnds) {
+						t.Fatalf("%s: read\n%s%v\nthe sets' own reads in turn\n%s%v", name, render(got), gotEnds, render(want), wantEnds)
+					}
+					for _, g := range groups {
+						acc.Charge(st, g)
+					}
+					each.settle()
+					if each.stats != calls.stats || each.steps != calls.steps {
+						t.Errorf("%s: charged group by group\n%+v, %d steps\nthe sets' own reads charged\n%+v, %d steps", name, each.stats, each.steps, calls.stats, calls.steps)
 					}
 				}
 			}
@@ -599,9 +546,9 @@ func TestChargeFillersChargesTheRead(t *testing.T) {
 					var once, whole spent
 					r := w
 					r.IDs, r.Groups, r.EachGroup = ids, groupsAt(ends...), true
-					readOf(once.access(kind, at, nil), st, r)
+					readOf(once.access(kind, at), st, r)
 					r.Defer = true
-					acc := whole.access(kind, at, nil)
+					acc := whole.access(kind, at)
 					_, groups := readOf(acc, st, r)
 					acc.Charge(st, groups[len(groups)-1])
 					once.settle()
@@ -617,9 +564,9 @@ func TestChargeFillersChargesTheRead(t *testing.T) {
 					// the read
 					var child, fold spent
 					read := fragment.Read{IDs: ids, Groups: groupsAt(ends...)}
-					readOf(child.access(kind, at, nil), st, read)
+					readOf(child.access(kind, at), st, read)
 					read.From, read.To, read.Defer = 1, 0, true
-					acc = fold.access(kind, at, nil)
+					acc = fold.access(kind, at)
 					els, groups := readOf(acc, st, read)
 					g := groups[len(groups)-1]
 					g.Built = g.Examined
@@ -637,10 +584,9 @@ func TestChargeFillersChargesTheRead(t *testing.T) {
 
 // TestAccessFilter: a read with a filter returns what the same read
 // without one returns, less the versions the filter turns away — whichever
-// index serves it, cached or not — and is charged the unfiltered read's
-// access cost: the filter is asked about every version examined, and only
-// the constructed nodes follow what it kept (a cache miss builds, and
-// memoizes, every version's top all the same).
+// index serves it — and is charged the unfiltered read's access cost: the
+// filter is asked about every version examined, and only the constructed
+// nodes follow what it kept.
 func TestAccessFilter(t *testing.T) {
 	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess}
 	for _, scan := range []bool{false, true} {
@@ -688,61 +634,42 @@ func TestAccessFilter(t *testing.T) {
 		}
 		for name, run := range reads {
 			for _, kind := range kinds {
-				for _, state := range []string{"nil", "cold", "warm"} {
-					name := fmt.Sprintf("scan=%v/%s/%d/cache-%s", scan, name, kind, state)
-					caches := [2]*fragment.Cache{}
-					for i := range caches {
-						if state != "nil" {
-							caches[i] = fragment.NewCache(1 << 16)
+				name := fmt.Sprintf("scan=%v/%s/%d", scan, name, kind)
+				plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
+				all := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: plain}), nil)
+				asked := 0
+				kept := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: filtered}),
+					func(v fragment.Version) bool {
+						n := v.Payload()
+						asked++
+						if _, stamped := n.Attr("vtFrom"); stamped {
+							t.Errorf("%s: filter ran on a stamped top, not the stored payload", name)
 						}
-						if state == "warm" {
-							run(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}), nil)
-						}
+						return even(n)
+					})
+				var want []*xmldom.Node
+				for _, el := range all {
+					if even(el) {
+						want = append(want, el)
 					}
-					plain, filtered := &obs.EvalStats{}, &obs.EvalStats{}
-					all := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: plain, Cache: caches[0]}), nil)
-					asked := 0
-					kept := run(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: filtered, Cache: caches[1]}),
-						func(v fragment.Version) bool {
-							n := v.Payload()
-							asked++
-							if _, stamped := n.Attr("vtFrom"); stamped != (state != "nil") {
-								t.Errorf("%s: filter ran on a node with vtFrom stamped = %v", name, stamped)
-							}
-							return even(n)
-						})
-					var want []*xmldom.Node
-					for _, el := range all {
-						if even(el) {
-							want = append(want, el)
-						}
-					}
-					if len(want) == 0 || len(want) == len(all) {
-						t.Fatalf("%s: the filter keeps %d of %d versions, the case tests nothing", name, len(want), len(all))
-					}
-					if got := render(kept); got != render(want) {
-						t.Errorf("%s: filtered read returned\n%s\nwant\n%s", name, got, render(want))
-					}
-					if asked != len(all) {
-						t.Errorf("%s: filter asked about %d versions, %d examined", name, asked, len(all))
-					}
-					if got, want := chargesOf(filtered), chargesOf(plain); got != want {
-						t.Errorf("%s: access cost with the filter %+v, without %+v", name, got, want)
-					}
-					if filtered.TSIDIndexHits != plain.TSIDIndexHits {
-						t.Errorf("%s: index hits with the filter %d, without %d", name, filtered.TSIDIndexHits, plain.TSIDIndexHits)
-					}
-					built := int64(len(kept))
-					switch {
-					case state == "nil":
-					case state == "cold":
-						built = int64(len(all))
-					default:
-						built = 0
-					}
-					if filtered.NodesConstructed != built {
-						t.Errorf("%s: %d nodes constructed, want %d", name, filtered.NodesConstructed, built)
-					}
+				}
+				if len(want) == 0 || len(want) == len(all) {
+					t.Fatalf("%s: the filter keeps %d of %d versions, the case tests nothing", name, len(want), len(all))
+				}
+				if got := render(kept); got != render(want) {
+					t.Errorf("%s: filtered read returned\n%s\nwant\n%s", name, got, render(want))
+				}
+				if asked != len(all) {
+					t.Errorf("%s: filter asked about %d versions, %d examined", name, asked, len(all))
+				}
+				if got, want := chargesOf(filtered), chargesOf(plain); got != want {
+					t.Errorf("%s: access cost with the filter %+v, without %+v", name, got, want)
+				}
+				if filtered.TSIDIndexHits != plain.TSIDIndexHits {
+					t.Errorf("%s: index hits with the filter %d, without %d", name, filtered.TSIDIndexHits, plain.TSIDIndexHits)
+				}
+				if filtered.NodesConstructed != int64(len(kept)) {
+					t.Errorf("%s: %d nodes constructed, want %d", name, filtered.NodesConstructed, len(kept))
 				}
 			}
 		}
@@ -751,9 +678,9 @@ func TestAccessFilter(t *testing.T) {
 
 // TestAccessWindow: a windowed read returns, group by group, the positions
 // of its window among the versions the unwindowed read of the group returns
-// — whichever index serves it, cached or not — rewrites each group's End to
-// where the group ends in its output, and is charged the unwindowed read's
-// access cost; uncached, it builds only what it returns.
+// — whichever index serves it — rewrites each group's End to where the
+// group ends in its output, and is charged the unwindowed read's access
+// cost; it builds only what it returns.
 func TestAccessWindow(t *testing.T) {
 	kinds := []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess}
 	windows := map[string]fragment.Read{
@@ -812,45 +739,26 @@ func TestAccessWindow(t *testing.T) {
 					t.Fatalf("scan=%v: [1] keeps %d of %d versions, the case tests nothing", scan, len(want), len(all))
 				}
 				for _, kind := range kinds {
-					for _, state := range []string{"nil", "cold", "warm"} {
-						name := fmt.Sprintf("scan=%v/%s/filter=%v/%d/cache-%s", scan, name, keep != nil, kind, state)
-						caches := [2]*fragment.Cache{}
-						for i := range caches {
-							if state != "nil" {
-								caches[i] = fragment.NewCache(1 << 16)
-							}
-							if state == "warm" {
-								readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Cache: caches[i]}), st, fragment.Read{IDs: ids})
-							}
-						}
-						whole, windowed := &obs.EvalStats{}, &obs.EvalStats{}
-						all, _ := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: whole, Cache: caches[0]}), st, fragment.Read{IDs: ids, Keep: keep})
-						w.IDs, w.Keep, w.Groups = ids, keep, groupsAt(ends...)
-						got, groups := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: windowed, Cache: caches[1]}), st, w)
-						if render(got) != render(want) {
-							t.Errorf("%s: windowed read returned\n%s\nwant\n%s", name, render(got), render(want))
-						}
-						gotEnds := make([]int, len(ends))
-						for g := range gotEnds {
-							gotEnds[g] = groups[g].End
-						}
-						if !slices.Equal(gotEnds, wantEnds) {
-							t.Errorf("%s: group ends rewritten to %v, want %v", name, gotEnds, wantEnds)
-						}
-						if a, b := chargesOf(windowed), chargesOf(whole); a != b {
-							t.Errorf("%s: access cost with the window %+v, without %+v", name, a, b)
-						}
-						built := int64(len(got))
-						switch {
-						case state == "nil":
-						case state == "cold":
-							built = whole.NodesConstructed
-						default:
-							built = 0
-						}
-						if windowed.NodesConstructed != built {
-							t.Errorf("%s: %d nodes constructed, want %d (%d unwindowed)", name, windowed.NodesConstructed, built, len(all))
-						}
+					name := fmt.Sprintf("scan=%v/%s/filter=%v/%d", scan, name, keep != nil, kind)
+					whole, windowed := &obs.EvalStats{}, &obs.EvalStats{}
+					all, _ := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: whole}), st, fragment.Read{IDs: ids, Keep: keep})
+					w.IDs, w.Keep, w.Groups = ids, keep, groupsAt(ends...)
+					got, groups := readOf(fragment.NewAccess(kind, fragment.Eval{At: at, Stats: windowed}), st, w)
+					if render(got) != render(want) {
+						t.Errorf("%s: windowed read returned\n%s\nwant\n%s", name, render(got), render(want))
+					}
+					gotEnds := make([]int, len(ends))
+					for g := range gotEnds {
+						gotEnds[g] = groups[g].End
+					}
+					if !slices.Equal(gotEnds, wantEnds) {
+						t.Errorf("%s: group ends rewritten to %v, want %v", name, gotEnds, wantEnds)
+					}
+					if a, b := chargesOf(windowed), chargesOf(whole); a != b {
+						t.Errorf("%s: access cost with the window %+v, without %+v", name, a, b)
+					}
+					if windowed.NodesConstructed != int64(len(got)) {
+						t.Errorf("%s: %d nodes constructed, want %d (%d unwindowed)", name, windowed.NodesConstructed, len(got), len(all))
 					}
 				}
 			}

@@ -81,8 +81,8 @@ func TestCoalesceRemovesExactDuplicates(t *testing.T) {
 				t.Fatalf("versions under tsid 4 after coalesce = %d, want 3", got)
 			}
 
-			// a no-op pass must not advance the generation: it would
-			// invalidate every warm cache entry for nothing
+			// a no-op pass must not advance the generation: every standing
+			// query's next clock-only evaluation would recompute in full
 			gen := st.Generation()
 			if again := st.Coalesce(); again != 0 {
 				t.Fatalf("second coalesce removed %d", again)
@@ -109,18 +109,17 @@ func TestCoalesceKeepsDistinctPayloadsAtSameInstant(t *testing.T) {
 	}
 }
 
-// TestCoalesceCacheRace is the satellite race test: coalescing runs
-// concurrently with cached reads, fresh ingest, and LRU eviction
-// pressure, and no cached hand-out may ever observe a half-compacted
-// window. The store holds duplicated versions, so at the probed instant
-// exactly two renderings are consistent: the duplicated one (duplicate
-// versions annotate as degenerate zero-width windows) and the coalesced
-// one. The concurrent writer only adds versions dated after the probe
-// instant — invisible to it — so every hand-out must be one of those
-// two complete renderings; any torn intermediate (index rebuilt but log
+// TestCoalesceReadRace: coalescing runs concurrently with reads and
+// fresh ingest, and no read may ever observe a half-compacted window.
+// The store holds duplicated versions, so at the probed instant exactly
+// two renderings are consistent: the duplicated one (duplicate versions
+// annotate as degenerate zero-width windows) and the coalesced one. The
+// concurrent writer only adds versions dated after the probe instant —
+// invisible to it — so every read must return one of those two complete
+// renderings; any torn intermediate (index rebuilt but log
 // not, generation advanced outside the lock) renders as neither. Run
 // under -race to also validate the locking.
-func TestCoalesceCacheRace(t *testing.T) {
+func TestCoalesceReadRace(t *testing.T) {
 	st := coalesceStore(t, false, 1)
 	at := ts("2004-01-01T00:00:00")
 	wantDup := renderEls(readFillers(st, 2, at))
@@ -128,13 +127,12 @@ func TestCoalesceCacheRace(t *testing.T) {
 	if wantDup == wantClean {
 		t.Fatal("test setup broken: duplicated and coalesced renderings must differ")
 	}
-	cache := NewCache(2) // tiny: eviction pressure alongside coalescing
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// ingest: distinct future-dated versions churn the generation (and
-	// the cache) without changing what the probe instant sees
+	// ingest: distinct future-dated versions churn the generation and
+	// the index without changing what the probe instant sees
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -167,20 +165,19 @@ func TestCoalesceCacheRace(t *testing.T) {
 		}
 	}()
 
-	// readers: every cached hand-out must be one of the two consistent
+	// readers: every read must return one of the two consistent
 	// renderings, never a mixture
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				els, _ := getFillers(cache, st, 2, at)
+				els := readFillers(st, 2, at)
 				if got := renderEls(els); got != wantDup && got != wantClean {
-					t.Errorf("cached hand-out observed a half-compacted window:\n got %s", got)
+					t.Errorf("a read observed a half-compacted window:\n got %s", got)
 					return
 				}
-				// churn a second key so the 2-entry LRU evicts
-				_, _ = getFillers(cache, st, 1, at)
+				readFillers(st, 1, at)
 			}
 		}()
 	}

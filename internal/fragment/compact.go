@@ -22,10 +22,12 @@ import (
 // old one to the readers that hold its groups — and the ingest generation
 // advances before the lock is released, but only when something was
 // actually removed. A reader therefore sees each version group entirely
-// before the coalesce or entirely after it, never half-compacted, and a
-// cached lookup that resolved before it is stamped with the now-stale
-// generation, so it can never be served again. A no-op pass leaves the
-// generation untouched so it cannot gratuitously invalidate a warm cache.
+// before the coalesce or entirely after it, never half-compacted, and an
+// incremental engine that evaluates next without an arrival sees the
+// store changed behind its back and re-reads it (Store.Generation). A
+// pass that removes nothing must leave the generation alone: otherwise
+// the next clock-only evaluation of every standing query over the store
+// would be a full recompute.
 //
 // It returns the number of duplicate versions removed.
 func (st *Store) Coalesce() int {

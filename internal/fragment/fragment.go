@@ -70,7 +70,7 @@ type Fragment struct {
 	Trace obs.TraceContext
 	// Payload is the single element carried by a filler built in memory
 	// (New, FromXML). It is immutable from the moment the fragment is
-	// built: stores, caches, indexes and query results all share its
+	// built: stores, indexes and query results all share its
 	// subtrees, so nobody — not even the publisher that built it — may
 	// write it afterwards. Clone it to get a tree to change. A fragment
 	// decoded from a frame leaves it nil and builds its payload when

@@ -556,3 +556,37 @@ func TestReadDistinct(t *testing.T) {
 		}
 	}
 }
+
+// readFillers is the uncharged read of one filler through a hole.
+func readFillers(st *Store, fid int, at time.Time) []*xmldom.Node {
+	els, _ := NewAccess(LogScanAccess, Eval{At: at}).Read(st, Read{Source: FromHole, ID: fid})
+	return els
+}
+
+// TestFromXMLIgnoresPublishedAt: the decode-side guard. A crafted frame
+// must not be able to stamp PublishedAt — otherwise a peer could inject
+// arbitrary delivery latencies into the client's histogram.
+func TestFromXMLIgnoresPublishedAt(t *testing.T) {
+	el := xmldom.MustParseString(
+		`<filler id="7" tsid="4" validTime="2003-01-01T00:00:00" publishedAt="1999-01-01T00:00:00"><creditLimit>1</creditLimit></filler>`).Root()
+	f, err := FromXML(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.PublishedAt.IsZero() {
+		t.Fatalf("decoded PublishedAt = %v, want zero", f.PublishedAt)
+	}
+	// and the wire form never carries a publish stamp to begin with
+	g := New(7, 4, ts("2003-01-01T00:00:00"), xmldom.MustParseString(`<creditLimit>1</creditLimit>`).Root())
+	g.PublishedAt = time.Now()
+	if _, ok := g.ToXML().Attr("publishedAt"); ok {
+		t.Fatal("ToXML leaked a publish stamp onto the wire")
+	}
+	back, err := FromXML(g.ToXML())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.PublishedAt.IsZero() {
+		t.Fatalf("round-tripped PublishedAt = %v, want zero", back.PublishedAt)
+	}
+}

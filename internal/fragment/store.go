@@ -39,12 +39,9 @@ type Store struct {
 	byID   map[int][]*Fragment // filler id -> versions by validTime, ties by arrival
 	byTSID map[int]tsidFillers
 
-	// gen counts successful Adds. The materialization cache stamps every
-	// entry with the generation read BEFORE the resolving lookup, so any
-	// ingest racing the fill makes the entry stale rather than ever
-	// marking post-ingest data as pre-ingest. Duplicate or reordered
-	// frames the stream client drops never reach Add, so they advance
-	// nothing and cannot re-validate (or resurrect) cache entries.
+	// gen counts successful Adds, and Coalesce passes that removed
+	// something (Generation). Duplicate or reordered frames the stream
+	// client drops never reach Add, so they advance nothing.
 	gen atomic.Uint64
 
 	// wal, when set, receives every fragment after validation and before
@@ -156,9 +153,11 @@ func insertAt[T any](s []T, i int, v T) []T {
 }
 
 // Generation returns the store's ingest generation: a counter that
-// advances on every successful Add and never regresses. Cache layers
-// compare it to decide whether a memoized resolution still reflects the
-// store's contents.
+// advances on every successful Add, and on every Coalesce that removes a
+// version, and never regresses. Its one reader is an incremental engine's
+// check for fragments stored behind its back: a fragment-less evaluation
+// that finds the generation moved since the engine's last look re-reads
+// the store from scratch (inc.Engine.Apply).
 func (st *Store) Generation() uint64 { return st.gen.Load() }
 
 // SetWAL installs (or clears, with nil) the store's write-ahead hook.
@@ -170,12 +169,6 @@ func (st *Store) SetWAL(wal func(*Fragment) error) {
 	defer st.mu.Unlock()
 	st.wal = wal
 }
-
-// AdvanceGeneration bumps the ingest generation without adding a
-// fragment. Recovery paths call it after rebuilding a store from a
-// durable log so that cache entries memoized against the pre-crash
-// store object can never be served against the recovered contents.
-func (st *Store) AdvanceGeneration() { st.gen.Add(1) }
 
 // AddAll ingests fragments in order, stopping at the first error.
 func (st *Store) AddAll(fs []*Fragment) error {
@@ -324,10 +317,8 @@ func (st *Store) Root() *Fragment {
 // Filter decides, from a version's stored payload, whether a read returns
 // the version. A read evaluates it before the version's top element
 // exists, so a version it turns away costs the read no allocation; it is
-// still a version the read examined, and is charged as one. The filter
-// must read only what a payload and its lifespan-stamped top element have
-// in common — never vtFrom or vtTo — because a cached read applies it to
-// the cached tops instead. nil keeps every version.
+// still a version the read examined, and is charged as one. nil keeps
+// every version.
 type Filter func(v Version) bool
 
 // Version is a version as a Filter is asked about it: its payload is built
@@ -497,19 +488,29 @@ func renderInstant(b *strings.Builder, t time.Time) string {
 	return b.String()[start:]
 }
 
-// read is one read of the index: the version groups of fids, in that
-// order, annotated — of each group only the versions carrying tsid when
-// tsid > 0 — under r's filter, groups (which close fids), window and bare
-// tops, and the read as one group. It takes each group's slice header under
-// the lock and works outside it, so no Filter runs and no node is built
-// while a writer waits, and no group is copied. A read is two passes: the
-// first asks the filter about each version and notes the ones kept, the
+// read is one lookup pass, then one read of the index: the paper's
+// get_fillers over a set of distinct hole ids, their version groups
+// concatenated in input order — §8's unnested formulation when there are
+// several ids —, or, when tsid > 0, its filler[@tsid=…] lookup, the
+// versions carrying tsid, filler ids ascending; annotated under r's
+// filter, groups (which close the ids), window and bare tops, and the
+// read as one group. It takes each group's slice header under the lock
+// and works outside it, so no Filter runs and no node is built while a
+// writer waits, and no group is copied. Past the lookup pass, a read is two
+// passes over the versions: the first asks the filter about each version and notes the ones kept, the
 // second builds exactly those (buildTops) — or, for a read of bare tops,
 // hands out their stored payloads (tops). Without a filter every visible
 // version is kept, and with a window no more than its width per group, so
 // the read sizes its notes once; with a filter they start on the stack and
 // grow as versions are kept.
 func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
+	if tsid > 0 {
+		tsids := [1]int{tsid}
+		st.scanPass(AttrTSID, tsids[:])
+		fids, _ = st.TSIDFillers(tsid)
+	} else {
+		st.scanPass(AttrID, fids)
+	}
 	var few [32]keptVersion
 	kept := few[:0]
 	if r.Keep == nil {
@@ -626,45 +627,6 @@ func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
 		}
 	}
 	return n
-}
-
-// lookup is one lookup pass, then the read: the paper's get_fillers over a
-// set of distinct hole ids, their versions concatenated in input order —
-// §8's unnested formulation when there are several ids —, or, when tsid >
-// 0, its filler[@tsid=…] lookup, the versions carrying tsid, filler ids
-// ascending.
-func (st *Store) lookup(ids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
-	if tsid > 0 {
-		tsids := [1]int{tsid}
-		st.scanPass(AttrTSID, tsids[:])
-		ids, _ = st.TSIDFillers(tsid)
-	} else {
-		st.scanPass(AttrID, ids)
-	}
-	return st.read(ids, tsid, at, r)
-}
-
-// window is the span of evaluation instants over which a read of fids
-// returns what it returns at `at`: each group's visible prefix is constant
-// from its last visible version's validTime (from, when hasFrom) until its
-// next version's (to, when hasTo), and a read of several groups is
-// constant only while every group's is.
-func (st *Store) window(fids []int, at time.Time) (from, to time.Time, hasFrom, hasTo bool) {
-	for _, fid := range fids {
-		versions := st.Versions(fid)
-		visible := sort.Search(len(versions), func(i int) bool { return versions[i].ValidTime.After(at) })
-		if visible > 0 {
-			if t := versions[visible-1].ValidTime; !hasFrom || t.After(from) {
-				from, hasFrom = t, true
-			}
-		}
-		if visible < len(versions) {
-			if t := versions[visible].ValidTime; !hasTo || t.Before(to) {
-				to, hasTo = t, true
-			}
-		}
-	}
-	return from, to, hasFrom, hasTo
 }
 
 // LatestVersion returns the version of fillerID current at the evaluation

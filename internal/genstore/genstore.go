@@ -3,8 +3,7 @@
 // mutations — together with XCQL queries over them. It feeds the
 // metamorphic differential harness: every generated (store, query,
 // instant) triple must produce byte-identical results under all three
-// physical plans, cached or not, whatever the history looked like on the
-// wire.
+// physical plans, whatever the history looked like on the wire.
 //
 // Everything derives from a single seed through one math/rand stream, so
 // a failing case is reproducible from its seed alone.

@@ -80,8 +80,8 @@ type EvalStats struct {
 	BytesMaterialized int64
 	// NodesConstructed counts elements actually allocated: the annotated
 	// top element of every filler version a store read returned stamped
-	// (cache hits build none, nor does a read whose tops nothing in the
-	// query observes: it hands out the stored payloads), the elements
+	// (a read whose tops nothing in the query observes builds none: it
+	// hands out the stored payloads), the elements
 	// copy-on-write reconstruction and hole filling rebuilt, and element
 	// constructors.
 	// Subtrees shared with the store are not counted — compare with
@@ -91,13 +91,6 @@ type EvalStats struct {
 	// cardinality charged to the evaluation's budget.
 	Steps int64
 	Items int64
-
-	// CacheHits and CacheMisses count materialization-cache probes: a hit
-	// served a resolved subtree without touching the store, a miss fell
-	// through to a store lookup (and filled the cache). Zero when no cache
-	// is configured.
-	CacheHits   int64
-	CacheMisses int64
 
 	// HandlerInvocations counts the standing engine's unit runs: how many
 	// partial-match units one fragment arrival actually touched. Zero for a
@@ -192,20 +185,6 @@ func (s *EvalStats) AddNodes(n int) {
 	}
 }
 
-// AddCacheHits records n materialization-cache hits.
-func (s *EvalStats) AddCacheHits(n int) {
-	if s != nil {
-		atomic.AddInt64(&s.CacheHits, int64(n))
-	}
-}
-
-// AddCacheMisses records n materialization-cache misses.
-func (s *EvalStats) AddCacheMisses(n int) {
-	if s != nil {
-		atomic.AddInt64(&s.CacheMisses, int64(n))
-	}
-}
-
 // AddHandlerInvocations records n incremental handler runs.
 func (s *EvalStats) AddHandlerInvocations(n int) {
 	if s != nil {
@@ -258,9 +237,6 @@ func (s *EvalStats) String() string {
 		s.Plan, s.FillersScanned, s.HolesResolved, s.TSIDIndexHits, s.TSIDIndexMisses,
 		s.BytesMaterialized, s.NodesConstructed, s.Steps, s.Items,
 		s.ExecTime.Round(time.Microsecond), s.MaterializeTime.Round(time.Microsecond))
-	if s.CacheHits > 0 || s.CacheMisses > 0 {
-		line += fmt.Sprintf(" cache-hits=%d cache-misses=%d", s.CacheHits, s.CacheMisses)
-	}
 	if s.HandlerInvocations > 0 || s.BufferedItems > 0 {
 		line += fmt.Sprintf(" handlers=%d buffered-items=%d buffer-hwm-bytes=%d",
 			s.HandlerInvocations, s.BufferedItems, s.BufferHWMBytes)

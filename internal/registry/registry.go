@@ -908,8 +908,6 @@ func mergeStats(dst, src *obs.EvalStats) {
 	dst.NodesConstructed += src.NodesConstructed
 	dst.Steps += src.Steps
 	dst.Items += src.Items
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
 	dst.HandlerInvocations += src.HandlerInvocations
 	dst.BufferedItems += src.BufferedItems
 	dst.SharedUnitHits += src.SharedUnitHits

@@ -35,7 +35,7 @@ func Temporalize(st *fragment.Store, at time.Time) (*xmldom.Node, error) {
 
 // TemporalizeOptions configures TemporalizeWith beyond the instant:
 // metering and the access path the holes are crossed through. The zero
-// value is uncached, unmetered reconstruction.
+// value is unmetered reconstruction through a log scan.
 type TemporalizeOptions struct {
 	// Budget meters the walk: every element of the view charges a step
 	// and its shallow bytes — the logical size, whether the element was
@@ -48,8 +48,8 @@ type TemporalizeOptions struct {
 	// how the CaQ plan's whole-document construction shows up in
 	// EvalStats; nil collects nothing.
 	Stats *obs.EvalStats
-	// Access crosses the holes and charges each crossing; nil is an
-	// uncached log scan charging Stats.
+	// Access crosses the holes and charges each crossing; nil is a log
+	// scan charging Stats.
 	Access fragment.Access
 }
 
@@ -90,7 +90,7 @@ func TemporalizeWith(st *fragment.Store, at time.Time, opts TemporalizeOptions) 
 // (nil is unlimited) per element visited and aborts by panicking with the
 // *budget.ResourceError, which the engine boundary contains. Hole
 // resolution — and its cardinality/stats charging — lives in the resolver,
-// so the walk itself is identical for direct and cached execution. s
+// so the walk itself is identical whichever access path resolves. s
 // counts the elements actually rebuilt.
 func FillHoles(resolve HoleResolver, el *xmldom.Node, seen map[int]bool, b *budget.Budget, s *obs.EvalStats) *xmldom.Node {
 	b.MustStep()

@@ -20,9 +20,7 @@ import (
 // is charged what its own read would have charged, when it takes it: a
 // tuple that never makes the call pays for nothing. A call with a pushed
 // filter reads for itself (the filter charges a step per version it is
-// asked about, when it is asked), and so does every call of an evaluation
-// with a cache, whose hits the earlier bindings' reads would warm: the
-// access path reads nothing ahead there (fragment.Read.Defer).
+// asked about, when it is asked).
 type readAhead []*Intrinsic
 
 // alike reports that two correlated calls read alike: they cross the same
@@ -33,9 +31,8 @@ func (in *Intrinsic) alike(o *Intrinsic) bool {
 
 // clauseRead is one call made for every binding of its clause, as Begin
 // returns it: groups[i] is binding i's group of els. A group that crossed
-// no hole — a binding holding none of the call's, or any binding of a read
-// the access path left to the calls (fragment.Read.Defer) — makes its call
-// read as it would have.
+// no hole — a binding holding none of the call's — makes its call read as
+// it would have.
 type clauseRead struct {
 	call   *Intrinsic
 	st     *fragment.Store

@@ -101,8 +101,8 @@ func bareRun(t *testing.T, rt *xcql.Runtime, src string, mode xcql.Mode, at time
 	}
 	s := q.LastStats()
 	out.result, out.nodes = b.String(), s.NodesConstructed
-	out.counters = fmt.Sprintf("fillers=%d holes=%d tsid=%d/%d cache=%d/%d steps=%d items=%d bytes=%d",
-		s.FillersScanned, s.HolesResolved, s.TSIDLookups, s.TSIDIndexHits, s.CacheHits, s.CacheMisses, s.Steps, s.Items, s.BytesMaterialized)
+	out.counters = fmt.Sprintf("fillers=%d holes=%d tsid=%d/%d steps=%d items=%d bytes=%d",
+		s.FillersScanned, s.HolesResolved, s.TSIDLookups, s.TSIDIndexHits, s.Steps, s.Items, s.BytesMaterialized)
 	return out
 }
 

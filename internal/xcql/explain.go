@@ -2,7 +2,6 @@ package xcql
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -37,32 +36,6 @@ type Explain struct {
 	// (Query.LastStats); meaningful only when Evaluated is true.
 	Observed  obs.EvalStats
 	Evaluated bool
-	// Cache predicts the materialization cache's effectiveness for this
-	// plan's access paths; nil when the query runs uncached.
-	Cache *CacheExplain
-}
-
-// CacheExplain is the predicted effectiveness of the filler-resolution
-// cache for one query, probed against the cache's current contents
-// without evaluating or mutating anything. Residency is checked
-// generation-fresh but window-agnostic: a resident entry may still miss
-// at run time if the evaluation instant falls outside its cached
-// validity windows, so PredictedHits is an upper bound.
-type CacheExplain struct {
-	// Capacity is the cache's entry bound; Entries / ValidEntries the
-	// resident and generation-fresh entries for this query's streams.
-	Capacity     int
-	Entries      int
-	ValidEntries int
-	// PredictedHits / PredictedMisses split the plan's hole and tsid
-	// lookups by current residency.
-	PredictedHits   int64
-	PredictedMisses int64
-}
-
-func (ce *CacheExplain) String() string {
-	return fmt.Sprintf("capacity=%d entries=%d valid=%d predicted-hits=%d predicted-misses=%d",
-		ce.Capacity, ce.Entries, ce.ValidEntries, ce.PredictedHits, ce.PredictedMisses)
 }
 
 // ExplainTarget is one store access path in a translated plan.
@@ -149,54 +122,12 @@ func (q *Query) Explain() Explain {
 		ex.Streams = append(ex.Streams, s)
 	}
 	sort.Strings(ex.Streams)
-	if cache := q.QueryCache(); cache != nil {
-		ex.Cache = q.explainCache(cache, ex.Streams, ex.Targets)
-		ex.Predicted.CacheHits = ex.Cache.PredictedHits
-		ex.Predicted.CacheMisses = ex.Cache.PredictedMisses
-	}
 	last := q.LastStats()
 	if last.Plan != "" {
 		ex.Observed = last
 		ex.Evaluated = true
 	}
 	return ex
-}
-
-// explainCache probes the cache for the plan's access paths: which of
-// the filler ids / tsids each path would look up are resident with a
-// generation-fresh variant right now. Probes are side-effect-free — no
-// LRU promotion, no counter movement.
-func (q *Query) explainCache(cache *fragment.Cache, streamNames []string, targets []ExplainTarget) *CacheExplain {
-	ce := &CacheExplain{Capacity: cache.Capacity()}
-	for _, name := range streamNames {
-		if st := q.rt.Store(name); st != nil {
-			entries, valid := cache.Usage(st)
-			ce.Entries += entries
-			ce.ValidEntries += valid
-		}
-	}
-	for _, t := range targets {
-		st := q.rt.Store(t.Stream)
-		if st == nil {
-			continue
-		}
-		tsid, ids := 0, []int(nil)
-		switch t.Op {
-		case "get_fillers", "get_fillers_batched":
-			ids, _ = st.TSIDFillers(t.TSID)
-		case "materialize-view":
-			// CaQ resolves every non-root filler id through the cache
-			ids = slices.DeleteFunc(st.FillerIDs(), func(id int) bool { return id == fragment.RootFillerID })
-		case "tsid-index":
-			tsid, ids = t.TSID, []int{t.TSID}
-		default:
-			continue
-		}
-		hits := cache.Resident(st, tsid, ids)
-		ce.PredictedHits += int64(hits)
-		ce.PredictedMisses += int64(len(ids) - hits)
-	}
-	return ce
 }
 
 // explainCall classifies one intrinsic call as store access paths: one
@@ -311,9 +242,6 @@ func (ex Explain) String() string {
 		for _, t := range ex.Targets {
 			fmt.Fprintf(&b, "  %s\n", t)
 		}
-	}
-	if ex.Cache != nil {
-		fmt.Fprintf(&b, "cache:     %s\n", ex.Cache)
 	}
 	fmt.Fprintf(&b, "predicted: %s\n", statsLine(ex.Predicted))
 	if ex.Evaluated {

@@ -123,34 +123,3 @@ func TestPushdownAccounting(t *testing.T) {
 		}
 	}
 }
-
-// A cached read filters the cached tops: the entry is keyed by what was
-// read, not by who filtered it, so two queries with different filters —
-// and one with none — share it.
-func TestPushdownSharesCacheEntries(t *testing.T) {
-	rt := newRuntime(t)
-	rt.SetCache(64)
-	srcs := []string{
-		`stream("credit")//transaction[amount > 1000]`,
-		`stream("credit")//transaction[@id = "22222"]`,
-		`stream("credit")//transaction`,
-	}
-	wantItems := []int{2, 1, 3}
-	for _, mode := range []Mode{QaC, QaCPlus} {
-		for i, src := range srcs {
-			q := rt.MustCompile(src, mode)
-			seq, err := q.EvalRaw(evalAt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seq) != wantItems[i] {
-				t.Errorf("%s %s: %d items, want %d", mode, src, len(seq), wantItems[i])
-			}
-			if s := q.LastStats(); i > 0 && (s.CacheMisses != 0 || s.CacheHits == 0) {
-				t.Errorf("%s %s: hits=%d misses=%d after a query with another filter filled the cache",
-					mode, src, s.CacheHits, s.CacheMisses)
-			}
-		}
-		rt.SetCache(64) // a fresh cache for the next plan's access kinds
-	}
-}

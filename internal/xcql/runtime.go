@@ -45,10 +45,6 @@ type Runtime struct {
 	// tracing entirely, and the disabled path neither allocates nor
 	// reads the clock beyond the always-on phase timings.
 	trace obs.TraceSink
-
-	// cache is the runtime-wide filler cache, overridable per query
-	// (Query.WithCache); nil disables caching.
-	cache *fragment.Cache
 }
 
 // NewRuntime returns an empty runtime.
@@ -153,28 +149,6 @@ func (rt *Runtime) release() {
 	rt.mu.Unlock()
 }
 
-// SetCache installs a runtime-wide filler materialization cache bounded
-// to size entries; size <= 0 removes it. The cache is shared by every
-// query on this runtime (continuous queries warm it for each other) and
-// invalidates itself on store ingest. Queries override it with
-// WithCache.
-func (rt *Runtime) SetCache(size int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if size <= 0 {
-		rt.cache = nil
-		return
-	}
-	rt.cache = fragment.NewCache(size)
-}
-
-// Cache returns the runtime-wide cache installed by SetCache, or nil.
-func (rt *Runtime) Cache() *fragment.Cache {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.cache
-}
-
 // SetTraceSink installs (or, with nil, removes) the span sink that
 // receives parse/translate/execute/materialize trace events for every
 // compile and evaluation on this runtime.
@@ -212,11 +186,6 @@ type Query struct {
 	parseTime     time.Duration
 	translateTime time.Duration
 
-	// the per-query cache; unset falls back to the runtime-wide one
-	// (Runtime.SetCache).
-	cache    *fragment.Cache
-	cacheSet bool
-
 	statsMu   sync.Mutex
 	lastStats obs.EvalStats
 }
@@ -226,29 +195,10 @@ type Query struct {
 // bench/ stops calling it (ROADMAP item 1 (a)).
 func (q *Query) WithParallelism(int) *Query { return q }
 
-// WithCache gives this query its own filler materialization cache
-// bounded to size entries, overriding the runtime-wide cache; size <= 0
-// disables caching for this query even when the runtime has a cache.
-// Returns q for chaining; set it before sharing the query across
-// goroutines.
-func (q *Query) WithCache(size int) *Query {
-	if size <= 0 {
-		q.cache = nil
-	} else {
-		q.cache = fragment.NewCache(size)
-	}
-	q.cacheSet = true
-	return q
-}
-
-// QueryCache returns the cache this query's evaluations use: its own
-// (WithCache), else the runtime-wide one. Nil means caching is off.
-func (q *Query) QueryCache() *fragment.Cache {
-	if q.cacheSet {
-		return q.cache
-	}
-	return q.rt.Cache()
-}
+// Deprecated: WithCache does nothing and returns q. Every evaluation reads
+// its stores uncached; it stays only until the end-to-end harness under
+// bench/ stops calling it (ROADMAP item 1 (a)).
+func (q *Query) WithCache(int) *Query { return q }
 
 // LastStats returns a snapshot of the cost counters from the most recent
 // evaluation of this query (last-writer-wins under concurrent use). The
@@ -357,7 +307,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	}
 	sink := q.rt.traceSink()
 	b := budget.New(ctx, lim)
-	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Cache: q.QueryCache()})
+	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b})
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -413,8 +363,7 @@ func (q *Query) wrapResource(err error) error {
 
 // newStatic assembles the environment of the evaluation ev: the function
 // table, the evaluation's resource budget, and the access path every
-// store read goes through — the one place the mode's index is chosen,
-// with the cache folded into it.
+// store read goes through — the one place the mode's index is chosen.
 func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
 	rt := q.rt
 	acc := fragment.NewAccess(q.Mode.access(), ev)

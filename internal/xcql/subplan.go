@@ -53,10 +53,8 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // environment a unit evaluates in — function table, access path, hole
 // resolver, budget, horizon, the context $UnitVar is bound in — built once
 // (Query.NewUnitEval) and re-armed by every Eval, so that what a unit
-// evaluation allocates is what it reads and returns. Execution is
-// uncached: the pinned baseline strategy, byte-identical to every cached
-// configuration (see TestDiffHarness). One evaluation at a time; the
-// engine's lock sees to that.
+// evaluation allocates is what it reads and returns. One evaluation at a
+// time; the engine's lock sees to that.
 type UnitEval struct {
 	q       *Query
 	static  *xq.Static

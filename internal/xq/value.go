@@ -30,7 +30,7 @@ import (
 //	xtime.DateTime, xtime.Duration
 //
 // A node item is read-only, whoever produced it: it may be — or may share
-// subtrees with — a stored filler payload, a cache entry, a standing
+// subtrees with — a stored filler payload, a standing
 // query's buffer or another result (see the ownership rule in xmldom).
 // Node identity is pointer identity, so the same stored element reached
 // twice is one node to a path step's duplicate elimination. Clone a node

@@ -218,7 +218,7 @@ func TestRegistryOldPlanSpelling(t *testing.T) {
 		frags = append(frags, announce, tx)
 	}
 	ins := &genstore.Instance{Structure: xcql.MustParseTagStructure(genstore.CreditStructure), Fragments: frags}
-	want := replayOracle(t, ins, frags, src, xcql.QaCPlus, execConfigs[0])
+	want := replayOracle(t, ins, frags, src, xcql.QaCPlus)
 
 	st := fragment.NewStore(ins.Structure)
 	e := xcql.NewEngine()
@@ -354,7 +354,7 @@ func checkRegistryAgainstOracle(t *testing.T, specs []regSpec) {
 	}
 	ins := &genstore.Instance{Structure: xcql.MustParseTagStructure(genstore.CreditStructure), Fragments: frags}
 	for i, got := range replayRegistry(t, ins, frags, specs) {
-		want := replayOracle(t, ins, frags, specs[i].src, specs[i].mode, execConfigs[0])
+		want := replayOracle(t, ins, frags, specs[i].src, specs[i].mode)
 		if got.String() != want.String() {
 			t.Fatalf("registration %d (%s, %q) diverged from the oracle\noracle:\n%s\nregistry:\n%s",
 				i, specs[i].mode, specs[i].src, harnessTruncate(want.String()), harnessTruncate(got.String()))

@@ -175,7 +175,7 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 
 	// the survivor's first delivery re-emits its standing result; what
 	// follows is the oracle's, delta for delta
-	want := replayOracle(t, ins, frags, srcs[1], xcql.QaCPlus, execConfigs[0])
+	want := replayOracle(t, ins, frags, srcs[1], xcql.QaCPlus)
 	if !slices.ContainsFunc(want.deltas[closeAt:], func(d string) bool { return d != "" }) {
 		t.Fatalf("the fraud query reports nothing after the close: the case tests nothing")
 	}
@@ -183,7 +183,7 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 	if got := (replayTrace{deltas: traces[1].deltas[1:], final: traces[1].final}); got.String() != want.String() {
 		t.Fatalf("the registration left alone diverged from the oracle\noracle:\n%s\nregistry:\n%s", harnessTruncate(want.String()), harnessTruncate(got.String()))
 	}
-	first := replayOracle(t, ins, frags, srcs[0], xcql.QaCPlus, execConfigs[0])
+	first := replayOracle(t, ins, frags, srcs[0], xcql.QaCPlus)
 	if got, want := traces[0].deltas, first.deltas[:closeAt]; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("the closed registration diverged from the oracle before its close\noracle:\n%q\nregistry:\n%q", want, got)
 	}
@@ -221,7 +221,7 @@ func TestRegistryEquivalence(t *testing.T) {
 			for i, spec := range specs {
 				ref, ok := refs[spec]
 				if !ok {
-					ref = replayOracle(t, ins, ins.Fragments, spec.src, spec.mode, execConfigs[0])
+					ref = replayOracle(t, ins, ins.Fragments, spec.src, spec.mode)
 					refs[spec] = ref
 				}
 				if got, want := traces[i].String(), ref.String(); got != want {

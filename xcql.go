@@ -125,13 +125,6 @@ type (
 	Explain = ixcql.Explain
 	// ExplainTarget is one store access path in an Explain.
 	ExplainTarget = ixcql.ExplainTarget
-	// CacheExplain is an Explain's predicted cache effectiveness.
-	CacheExplain = ixcql.CacheExplain
-	// Cache is the LRU filler-resolution cache shared by queries; see
-	// Engine.SetCache and Query.WithCache.
-	Cache = fragment.Cache
-	// CacheStats is a snapshot of a Cache's hit/miss/eviction counters.
-	CacheStats = fragment.CacheStats
 	// Histogram is a fixed-bucket latency histogram with lock-free
 	// recording and p50/p90/p99 estimation.
 	Histogram = obs.Histogram
@@ -429,16 +422,6 @@ func ResourceCause(err error) (*ResourceError, bool) { return ixcql.ResourceCaus
 // rejected fast with an *OverloadError instead of queuing unboundedly —
 // admission control for heavily loaded servers.
 func (e *Engine) SetMaxConcurrentEvals(n int) { e.rt.SetMaxConcurrentEvals(n) }
-
-// SetCache gives the engine an LRU filler-resolution cache of the given
-// entry capacity, shared by every query compiled on it (size <= 0
-// removes the cache). Cached subtrees are invalidated automatically
-// when their stream's store advances. Individual queries can override
-// with Query.WithCache.
-func (e *Engine) SetCache(size int) { e.rt.SetCache(size) }
-
-// Cache returns the engine's shared filler-resolution cache, or nil.
-func (e *Engine) Cache() *Cache { return e.rt.Cache() }
 
 // MaterializeView reconstructs the full temporal view of a stream at the
 // evaluation instant (the paper's temporalize, §5).
