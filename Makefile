@@ -121,7 +121,10 @@ trace-smoke:
 # zero-copy read path with predicates pushed below it, a child step's
 # positions served as a read window and hole ids read in place, the
 # store's one index read in place, a read's tops built
-# in one array, no context kept per FLWOR tuple) — the deterministic
+# in one array, no context kept per FLWOR tuple; Q2, Q5 and QD ~10 % above
+# an evaluator that allocates per binding only what the result keeps:
+# arguments, intermediate path steps, the context item and constructor
+# content in the evaluation's scratch) — the deterministic
 # metric that neither a deep copy sneaking back onto the read path, nor a
 # top element built for a version the query discards, nor a per-read
 # regrouping of what the index holds, nor an id set built per hole crossing

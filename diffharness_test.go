@@ -10,6 +10,7 @@ import (
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/tagstruct"
+	"xcql/internal/xtime"
 )
 
 // The metamorphic differential harness: randomized stream histories —
@@ -52,7 +53,17 @@ const (
 	// tag) and CaQ and QaC cannot reach yet, so QaC+'s per-arrival deltas
 	// run ahead until the parent arrives. The final results agree.
 	indexAhead
+	// rootApart: the stream's root element is a snapshot element under
+	// CaQ, bare, and the root filler's one version under QaC and QaC+,
+	// stamped with its lifespan; all below the root agrees. No generated
+	// query returns the root element, so no cell of knownSplits holds
+	// it: rootSplit reproduces it.
+	rootApart
 )
+
+// rootSplit is rootApart's reproducer: stream("s")/<root> on this
+// history, at each of its instants.
+var rootSplit = genstore.Profile{Seed: 1}
 
 // knownSplits names, by instance and bound tag, the cells outside the
 // re-announcing profiles where the plans disagree. There, seeds 1–3
@@ -83,7 +94,7 @@ func splitOf(p genstore.Profile, q genstore.Query) planSplit {
 // group, full and incremental evaluations still agree.
 func (sp planSplit) baselineGroup(mode xcql.Mode) string {
 	switch {
-	case sp == caqApart && mode == xcql.CaQ:
+	case (sp == caqApart || sp == rootApart) && mode == xcql.CaQ:
 		return "CaQ"
 	case sp == indexAhead && mode == xcql.QaCPlus:
 		return "QaC+"
@@ -113,6 +124,51 @@ func TestDiffHarness(t *testing.T) {
 		}
 	}
 	t.Logf("verified %d store/query pairs", pairs)
+}
+
+// TestRootSplitReproduces: rootSplit parts the plans as rootApart's
+// baseline groups say, and by the root's own stamps alone. When the plans
+// agree on it, rootApart, rootSplit and this test go (ROADMAP item 2).
+func TestRootSplitReproduces(t *testing.T) {
+	ins, err := genstore.Generate(rootSplit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ins.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := xcql.NewEngine()
+	e.RegisterStore("s", st)
+	src := `stream("s")/` + ins.Structure.Root.Name
+	// the root filler's one version, valid from Base on
+	stamps := fmt.Sprintf(` vtFrom="%s" vtTo="now"`, genstore.Base.Format(xtime.Layout))
+	for _, at := range ins.Instants {
+		got := make(map[string]string)
+		for _, mode := range harnessModes {
+			q, err := e.Compile(src, mode)
+			if err != nil {
+				t.Fatalf("%s: %s under %s: %v", rootSplit, src, mode, err)
+			}
+			seq, err := q.Eval(at)
+			if err != nil {
+				t.Fatalf("%s: %s under %s at %v: %v", rootSplit, src, mode, at, err)
+			}
+			out := xcql.FormatSequence(seq)
+			group := rootApart.baselineGroup(mode)
+			if prev, ok := got[group]; ok && prev != out {
+				t.Fatalf("%s at %v: %s diverged within %q\n%s\nagainst\n%s", rootSplit, at, mode, group, out, prev)
+			}
+			got[group] = out
+		}
+		caq, rest := got[rootApart.baselineGroup(xcql.CaQ)], got[rootApart.baselineGroup(xcql.QaC)]
+		if caq == rest {
+			t.Fatalf("%s at %v: every plan returns the same root for %s: the split is gone, so rootApart, rootSplit and this test go", rootSplit, at, src)
+		}
+		if bare := strings.Replace(rest, stamps, "", 1); bare != caq {
+			t.Fatalf("%s at %v: the plans part on more than the root's stamps for %s\nCaQ:\n%s\nQaC and QaC+:\n%s", rootSplit, at, src, caq, rest)
+		}
+	}
 }
 
 // TestDecodedStoreMatchesInMemory: a store of fragments decoded from their

@@ -384,7 +384,7 @@ func GenerateFragments(cfg Config) (*tagstruct.Structure, []*fragment.Fragment, 
 	if err != nil {
 		panic("xmark: generated document does not match structure: " + err.Error())
 	}
-	return s, frags, len(doc.Root().String())
+	return s, frags, doc.Root().EncodedLen()
 }
 
 // FragmentedSize returns the total serialized size of the fragments (the

@@ -198,6 +198,19 @@ func TestQ5CountsPricesAbove40(t *testing.T) {
 	}
 }
 
+// The size GenerateFragments reports is the generated document's
+// serialized length, counted without serializing it.
+func TestGeneratedSizeIsSerializedLength(t *testing.T) {
+	cfg := Config{Scale: 0.002, Seed: 5}
+	doc := Generate(cfg).Root()
+	if got, want := doc.EncodedLen(), len(doc.String()); got != want {
+		t.Fatalf("EncodedLen = %d, len(String()) = %d", got, want)
+	}
+	if _, _, got := GenerateFragments(cfg); got != len(doc.String()) {
+		t.Fatalf("GenerateFragments reports %d bytes, the document serializes to %d", got, len(doc.String()))
+	}
+}
+
 func TestFragmentedSizeLargerThanPlain(t *testing.T) {
 	_, frags, plain := GenerateFragments(Config{Scale: 0.001, Seed: 4})
 	fragged := FragmentedSize(frags)

@@ -3,6 +3,7 @@ package xq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,20 +54,63 @@ type Static struct {
 	// every direct read of the clock — so the caller learns how long the
 	// result stays valid over an unchanged store. nil tracks nothing.
 	Horizon *xtime.Horizon
+
+	// The evaluation's scratch, which no result keeps (DESIGN.md "What an
+	// evaluation allocates"): args is the stack of the arguments of the
+	// calls in progress, and bufs the free list of the sequences lent to a
+	// path's intermediate steps, to a constructor's content and to the
+	// operands an operator only reads. Every slot above a slice's length is
+	// nil, so that a kept Static keeps no node alive. A Static is one
+	// evaluation's at a time.
+	args []Sequence
+	bufs []Sequence
 }
 
-// Func is a registered function implementation.
+// Func is a registered function implementation. args is lent for the
+// call: a Func may keep and return the sequences args holds, never the
+// args slice itself, which the evaluator reuses for the next call.
 type Func func(ctx *Context, args []Sequence) (Sequence, error)
+
+// lend hands out an empty sequence from the free list, nil when the list
+// is empty; give hands it back once nothing reads it.
+func (s *Static) lend() Sequence {
+	n := len(s.bufs)
+	if n == 0 {
+		return nil
+	}
+	b := s.bufs[n-1]
+	s.bufs[n-1] = nil
+	s.bufs = s.bufs[:n-1]
+	return b
+}
+
+func (s *Static) give(b Sequence) {
+	if cap(b) == 0 {
+		return
+	}
+	clear(b)
+	s.bufs = append(s.bufs, b[:0])
+}
+
+// popArgs drops the arguments above base, those of a call that returned.
+func (s *Static) popArgs(base int) {
+	clear(s.args[base:])
+	s.args = s.args[:base]
+}
 
 // Context is a dynamic evaluation context: variable bindings, the context
 // item, and its position/size for predicate evaluation.
 type Context struct {
 	Static *Static
 	vars   *binding
-	item   Item
-	pos    int // 1-based position() inside a predicate
-	size   int // last() inside a predicate
-	depth  int // user-declared function application depth
+	// focus is the context item as a one-item sequence, which "." evaluates
+	// to and a relative path starts from; nil when there is none. In a
+	// predicate it is a slot of the sequence the predicate runs over, not a
+	// copy.
+	focus Sequence
+	pos   int // 1-based position() inside a predicate
+	size  int // last() inside a predicate
+	depth int // user-declared function application depth
 	// doc is the document node the innermost enclosing path started from:
 	// what root() — and so a leading "/" — resolves to for nodes below it.
 	doc *xmldom.Node
@@ -151,8 +195,16 @@ func (c *Context) Ahead(seq Sequence) (ahead any, at int, ok bool) {
 // WithItem returns a child context focused on item at position pos of size.
 func (c *Context) WithItem(item Item, pos, size int) *Context {
 	child := *c
-	child.item, child.pos, child.size = item, pos, size
+	child.focus, child.pos, child.size = Singleton(item), pos, size
 	return &child
+}
+
+// item is the context item, nil when there is none.
+func (c *Context) item() Item {
+	if len(c.focus) == 0 {
+		return nil
+	}
+	return c.focus[0]
 }
 
 // Var looks up a variable binding.
@@ -183,25 +235,25 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		}
 		return v, nil
 	case *ContextItem:
-		if ctx.item == nil {
+		if ctx.focus == nil {
 			return nil, fmt.Errorf("xq: context item is undefined")
 		}
-		return Singleton(ctx.item), nil
+		return ctx.focus, nil
 	case *SeqExpr:
 		var out Sequence
 		for _, it := range ex.Items {
-			s, err := Eval(it, ctx)
-			if err != nil {
+			n := len(out)
+			var err error
+			if out, err = appendEval(out, it, ctx); err != nil {
 				return nil, err
 			}
-			if err := ctx.Static.Budget.AddItems(len(s)); err != nil {
+			if err := ctx.Static.Budget.AddItems(len(out) - n); err != nil {
 				return nil, err
 			}
-			out = append(out, s...)
 		}
 		return out, nil
 	case *Path:
-		return evalPath(ex, ctx)
+		return evalPath(nil, ex, ctx)
 	case *Filter:
 		base, err := Eval(ex.Base, ctx)
 		if err != nil {
@@ -211,20 +263,22 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 	case *BinOp:
 		return evalBinOp(ex, ctx)
 	case *Unary:
-		v, err := Eval(ex.E, ctx)
+		v, lent, err := borrow(ex.E, ctx)
 		if err != nil {
 			return nil, err
 		}
-		if len(v) == 0 {
-			return nil, nil
+		var neg Sequence
+		if len(v) > 0 {
+			neg = Singleton(-NumberValue(v[0]))
 		}
-		return Singleton(-NumberValue(v[0])), nil
+		ctx.Static.give(lent)
+		return neg, nil
 	case *If:
-		cond, err := Eval(ex.Cond, ctx)
+		cond, err := evalBool(ex.Cond, ctx)
 		if err != nil {
 			return nil, err
 		}
-		if EffectiveBool(cond) {
+		if cond {
 			return Eval(ex.Then, ctx)
 		}
 		return Eval(ex.Else, ctx)
@@ -235,13 +289,17 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 	case *Call:
 		return evalCall(ex, ctx)
 	case *ElemCtor:
-		return evalElemCtor(ex, ctx)
-	case *AttrCtorExpr:
-		v, err := Eval(ex.Value, ctx)
+		el, err := evalElemCtor(ex, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return Singleton(AttrItem{Name: ex.Name, Value: joinAtomics(v)}), nil
+		return Singleton(el), nil
+	case *AttrCtorExpr:
+		v, err := evalString(ex.Value, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return Singleton(AttrItem{Name: ex.Name, Value: v}), nil
 	case *IntervalProj:
 		return evalIntervalProj(ex, ctx)
 	case *VersionProj:
@@ -262,7 +320,11 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 
 // --- paths ----------------------------------------------------------------
 
-func evalPath(p *Path, ctx *Context) (Sequence, error) {
+// evalPath appends the path's value to dst. Its intermediate steps run in
+// sequences lent from the evaluation, one step's input handed back once the
+// next step has read it, and only the last step appends to dst, so a path
+// allocates what its value holds.
+func evalPath(dst Sequence, p *Path, ctx *Context) (Sequence, error) {
 	var cur Sequence
 	if p.Base != nil {
 		base, err := Eval(p.Base, ctx)
@@ -271,10 +333,10 @@ func evalPath(p *Path, ctx *Context) (Sequence, error) {
 		}
 		cur = base
 	} else {
-		if ctx.item == nil {
+		if ctx.focus == nil {
 			return nil, fmt.Errorf("xq: relative path with undefined context item")
 		}
-		cur = Singleton(ctx.item)
+		cur = ctx.focus
 	}
 	if len(cur) == 1 {
 		if d, ok := cur[0].(*xmldom.Node); ok && d.Type == xmldom.DocumentNode && d != ctx.doc {
@@ -283,51 +345,88 @@ func evalPath(p *Path, ctx *Context) (Sequence, error) {
 			ctx = &child
 		}
 	}
-	for _, step := range p.Steps {
-		next, err := applyStep(cur, step, ctx)
+	st := ctx.Static
+	var lent Sequence // cur, when a step before wrote it
+	for i, step := range p.Steps {
+		out := dst
+		if i < len(p.Steps)-1 {
+			out = st.lend()
+		}
+		next, err := applyStep(out, cur, step, ctx)
+		st.give(lent)
 		if err != nil {
 			return nil, err
 		}
-		cur = next
+		cur, lent = next, next
+	}
+	if len(p.Steps) == 0 {
+		return append(dst, cur...), nil
 	}
 	return cur, nil
 }
 
-func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
-	var out Sequence
-	// one node's matches are distinct already: only a longer input can reach
-	// a node twice
-	var seen map[*xmldom.Node]bool
-	if len(input) > 1 {
-		seen = map[*xmldom.Node]bool{}
+// applyStep appends to dst, in order and without duplicates, what step
+// selects from the nodes of input.
+func applyStep(dst, input Sequence, step Step, ctx *Context) (Sequence, error) {
+	st := ctx.Static
+	if len(input) == 1 {
+		// one node's matches are distinct already: only a longer input can
+		// reach a node twice
+		n, ok := input[0].(*xmldom.Node)
+		if !ok {
+			return dst, nil // axis steps only apply to nodes
+		}
+		from := len(dst)
+		dst = stepMatches(dst, n, step, st.Holes)
+		if err := st.Budget.AddItems(len(dst) - from); err != nil {
+			return nil, err
+		}
+		if len(step.Preds) == 0 {
+			return dst, nil
+		}
+		pc := *ctx
+		kept, err := filterOwned(dst[from:], step.Preds, &pc)
+		return dst[:from+len(kept)], err
 	}
+	if len(input) == 0 {
+		return dst, nil
+	}
+	var pc *Context
+	if len(step.Preds) > 0 {
+		c := *ctx
+		pc = &c
+	}
+	seen := map[*xmldom.Node]bool{}
+	matches := st.lend()
 	for _, it := range input {
 		n, ok := it.(*xmldom.Node)
 		if !ok {
-			continue // axis steps only apply to nodes
+			continue
 		}
-		matches := stepMatches(n, step, ctx.Static.Holes)
-		if err := ctx.Static.Budget.AddItems(len(matches)); err != nil {
+		matches = stepMatches(matches[:0], n, step, st.Holes)
+		if err := st.Budget.AddItems(len(matches)); err != nil {
 			return nil, err
 		}
-		filtered, err := ApplyPredicates(matches, step.Preds, ctx)
-		if err != nil {
-			return nil, err
+		kept := matches
+		if pc != nil {
+			var err error
+			if kept, err = filterOwned(matches, step.Preds, pc); err != nil {
+				return nil, err
+			}
 		}
-		if seen == nil {
-			return filtered, nil
-		}
-		for _, m := range filtered {
+		for _, m := range kept {
 			if mn, ok := m.(*xmldom.Node); ok {
 				if seen[mn] {
 					continue
 				}
 				seen[mn] = true
 			}
-			out = append(out, m)
+			dst = append(dst, m)
 		}
+		clear(kept)
 	}
-	return out, nil
+	st.give(matches)
+	return dst, nil
 }
 
 // stepMatches applies one axis step to a node. When a hole resolver is
@@ -336,75 +435,76 @@ func applyStep(input Sequence, step Step, ctx *Context) (Sequence, error) {
 // view abstraction holds even for paths the XCQL translator could not
 // type statically (user-function bodies, fragment content under a
 // constructed element).
-func stepMatches(n *xmldom.Node, step Step, resolve temporal.HoleResolver) Sequence {
+func stepMatches(dst Sequence, n *xmldom.Node, step Step, resolve temporal.HoleResolver) Sequence {
 	switch step.Axis {
 	case AxisSelf:
-		return Singleton(n)
+		return append(dst, n)
 	case AxisAttribute:
 		if step.Name == "*" {
-			out := make(Sequence, 0, len(n.Attrs))
+			dst = slices.Grow(dst, len(n.Attrs))
 			for _, a := range n.Attrs {
-				out = append(out, AttrItem{Name: a.Name, Value: a.Value})
+				dst = append(dst, AttrItem{Name: a.Name, Value: a.Value})
 			}
-			return out
+			return dst
 		}
 		if v, ok := n.Attr(step.Name); ok {
-			return Singleton(AttrItem{Name: step.Name, Value: v})
+			return append(dst, AttrItem{Name: step.Name, Value: v})
 		}
-		return nil
+		return dst
 	case AxisChild:
 		if step.Name == "text()" {
-			var out Sequence
 			for _, c := range n.Children {
 				if c.Type == xmldom.TextNode {
-					out = append(out, c)
+					dst = append(dst, c)
 				}
 			}
-			return out
+			return dst
 		}
-		var out Sequence
 		for _, c := range n.Children {
 			switch {
 			case c.Type != xmldom.ElementNode:
 			case c.Name == "hole":
 				for _, f := range holeFillers(c, resolve) {
 					if step.Name == "*" || f.Name == step.Name {
-						out = append(out, f)
+						dst = append(dst, f)
 					}
 				}
 			case step.Name == "*" || c.Name == step.Name:
-				out = append(out, c)
+				dst = append(dst, c)
 			}
 		}
-		return out
+		return dst
 	case AxisDescendant:
 		if step.Name == "text()" {
-			var out Sequence
 			n.Walk(func(m *xmldom.Node) bool {
 				if m.Type == xmldom.TextNode {
-					out = append(out, m)
+					dst = append(dst, m)
 				}
 				return true
 			})
-			return out
+			return dst
 		}
 		if resolve == nil {
-			return FromNodes(n.Descendants(step.Name))
+			ds := n.Descendants(step.Name)
+			dst = slices.Grow(dst, len(ds))
+			for _, m := range ds {
+				dst = append(dst, m)
+			}
+			return dst
 		}
-		var out Sequence
 		var walk func(m *xmldom.Node)
 		walk = func(m *xmldom.Node) {
 			eachElementChild(m, resolve, func(c *xmldom.Node) {
 				if step.Name == "*" || c.Name == step.Name {
-					out = append(out, c)
+					dst = append(dst, c)
 				}
 				walk(c)
 			})
 		}
 		walk(n)
-		return out
+		return dst
 	}
-	return nil
+	return dst
 }
 
 // contains reports whether n is root or one of its descendants.
@@ -454,38 +554,121 @@ func holeFillers(hole *xmldom.Node, resolve temporal.HoleResolver) []*xmldom.Nod
 // position in what the previous predicate kept, and a number selects the
 // item whose position it equals, anything else by its effective boolean
 // value. One context is focused on item after item: a predicate's
-// evaluation never keeps the context it was handed.
+// evaluation never keeps the context it was handed. input is only read.
 func ApplyPredicates(input Sequence, preds []Expr, ctx *Context) (Sequence, error) {
 	if len(preds) == 0 {
 		return input, nil
 	}
 	pc := *ctx
-	cur := input
+	kept, err := filterInto(nil, input, preds[0], &pc)
+	if err != nil {
+		return nil, err
+	}
+	return filterOwned(kept, preds[1:], &pc)
+}
+
+// filterOwned is ApplyPredicates over a sequence the caller owns: the
+// survivors move to its front, and the slots they leave are cleared. pc is
+// a copy of the caller's context, refocused item by item.
+func filterOwned(seq Sequence, preds []Expr, pc *Context) (Sequence, error) {
 	for _, pred := range preds {
-		var next Sequence
-		pc.size = len(cur)
-		for i, it := range cur {
-			pc.item, pc.pos = it, i+1
-			v, err := Eval(pred, &pc)
-			if err != nil {
-				return nil, err
-			}
-			// numeric predicate selects by position
-			if len(v) == 1 {
-				if f, ok := v[0].(float64); ok {
-					if f == float64(i+1) {
-						next = append(next, it)
-					}
-					continue
-				}
-			}
-			if EffectiveBool(v) {
-				next = append(next, it)
+		kept, err := filterInto(seq[:0], seq, pred, pc)
+		if err != nil {
+			return nil, err
+		}
+		clear(seq[len(kept):])
+		seq = kept
+	}
+	return seq, nil
+}
+
+// filterInto appends to dst the items of input that pred keeps, focusing pc
+// on each in turn. dst may be input[:0]: an item is written back only once
+// its predicate is decided.
+func filterInto(dst, input Sequence, pred Expr, pc *Context) (Sequence, error) {
+	pc.size = len(input)
+	for i := range input {
+		pc.focus, pc.pos = input[i:i+1:i+1], i+1
+		v, lent, err := borrow(pred, pc)
+		if err != nil {
+			return nil, err
+		}
+		// numeric predicate selects by position
+		keep := EffectiveBool(v)
+		if len(v) == 1 {
+			if f, ok := v[0].(float64); ok {
+				keep = f == float64(i+1)
 			}
 		}
-		cur = next
+		pc.Static.give(lent)
+		if keep {
+			dst = append(dst, input[i])
+		}
 	}
-	return cur, nil
+	return dst, nil
+}
+
+// borrow evaluates e for a caller that reads its value and keeps no part of
+// it, and hands the value back with give(lent) before it evaluates anything
+// else: a path's value is built in a lent sequence, every other value is
+// returned as Eval returns it, with lent nil.
+func borrow(e Expr, ctx *Context) (v, lent Sequence, err error) {
+	if _, ok := e.(*Path); !ok {
+		v, err = Eval(e, ctx)
+		return v, nil, err
+	}
+	v, err = appendEval(ctx.Static.lend(), e, ctx)
+	return v, v, err
+}
+
+// evalBool is e's effective boolean value.
+func evalBool(e Expr, ctx *Context) (bool, error) {
+	v, lent, err := borrow(e, ctx)
+	if err != nil {
+		return false, err
+	}
+	b := EffectiveBool(v)
+	ctx.Static.give(lent)
+	return b, nil
+}
+
+// evalString is the string values of e's items joined by single spaces.
+func evalString(e Expr, ctx *Context) (string, error) {
+	v, lent, err := borrow(e, ctx)
+	if err != nil {
+		return "", err
+	}
+	s := joinAtomics(v)
+	ctx.Static.give(lent)
+	return s, nil
+}
+
+// appendEval appends e's value to dst, as append(dst, Eval(e, ctx)...)
+// would, charging the same: a path's last step appends to dst, and a
+// constructor's element goes in without the one-item sequence Eval wraps
+// it in.
+func appendEval(dst Sequence, e Expr, ctx *Context) (Sequence, error) {
+	switch ex := e.(type) {
+	case *Path:
+		if err := ctx.Static.Budget.Step(); err != nil {
+			return nil, err
+		}
+		return evalPath(dst, ex, ctx)
+	case *ElemCtor:
+		if err := ctx.Static.Budget.Step(); err != nil {
+			return nil, err
+		}
+		el, err := evalElemCtor(ex, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return append(dst, el), nil
+	}
+	v, err := Eval(e, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, v...), nil
 }
 
 // --- operators --------------------------------------------------------------
@@ -497,54 +680,51 @@ var allenOps = map[string]bool{
 
 func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 	switch b.Op {
-	case "or":
-		l, err := Eval(b.L, ctx)
+	case "or", "and":
+		l, err := evalBool(b.L, ctx)
 		if err != nil {
 			return nil, err
 		}
-		if EffectiveBool(l) {
-			return Singleton(true), nil
+		if l == (b.Op == "or") {
+			return boolSeq(l), nil
 		}
-		r, err := Eval(b.R, ctx)
+		r, err := evalBool(b.R, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return Singleton(EffectiveBool(r)), nil
-	case "and":
-		l, err := Eval(b.L, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !EffectiveBool(l) {
-			return Singleton(false), nil
-		}
-		r, err := Eval(b.R, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return Singleton(EffectiveBool(r)), nil
+		return boolSeq(r), nil
 	}
-	l, err := Eval(b.L, ctx)
+	// the operands are only read: a path's is built in a lent sequence
+	l, lentL, err := borrow(b.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := Eval(b.R, ctx)
+	r, lentR, err := borrow(b.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	switch b.Op {
+	res, err := applyBinOp(b.Op, l, r, ctx.Static)
+	ctx.Static.give(lentR)
+	ctx.Static.give(lentL)
+	return res, err
+}
+
+// applyBinOp is the value of "l op r" for an operator other than or and
+// and; it keeps no part of l or r.
+func applyBinOp(op string, l, r Sequence, st *Static) (Sequence, error) {
+	switch op {
 	case "=", "!=", "<", "<=", ">", ">=":
-		return Singleton(generalCompare(b.Op, l, r, ctx.Static)), nil
+		return boolSeq(generalCompare(op, l, r, st)), nil
 	case "eq", "ne", "lt", "le", "gt", "ge":
 		if len(l) == 0 || len(r) == 0 {
 			return nil, nil
 		}
 		if isNaNItem(l[0]) || isNaNItem(r[0]) {
-			return Singleton(b.Op == "ne"), nil
+			return boolSeq(op == "ne"), nil
 		}
-		c := compareAtomic(l[0], r[0], ctx.Static)
+		c := compareAtomic(l[0], r[0], st)
 		var res bool
-		switch b.Op {
+		switch op {
 		case "eq":
 			res = c == 0
 		case "ne":
@@ -558,20 +738,20 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 		case "ge":
 			res = c >= 0
 		}
-		return Singleton(res), nil
+		return boolSeq(res), nil
 	case "+", "-", "*", "div", "idiv", "mod":
-		return evalArith(b.Op, l, r, ctx.Static)
+		return evalArith(op, l, r, st)
 	}
-	if allenOps[b.Op] {
-		li, lok := sequenceInterval(l, ctx.Static)
-		ri, rok := sequenceInterval(r, ctx.Static)
+	if allenOps[op] {
+		li, lok := sequenceInterval(l, st)
+		ri, rok := sequenceInterval(r, st)
 		if !lok || !rok {
-			return Singleton(false), nil
+			return falseSeq, nil
 		}
-		at := ctx.Static.Now
-		ctx.Static.Horizon.ObserveIntervals(li, ri)
+		at := st.Now
+		st.Horizon.ObserveIntervals(li, ri)
 		var res bool
-		switch b.Op {
+		switch op {
 		case "before":
 			res = li.Before(ri, at)
 		case "after":
@@ -589,9 +769,9 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 		case "finishes":
 			res = li.Finishes(ri, at)
 		}
-		return Singleton(res), nil
+		return boolSeq(res), nil
 	}
-	return nil, fmt.Errorf("xq: unknown operator %q", b.Op)
+	return nil, fmt.Errorf("xq: unknown operator %q", op)
 }
 
 // generalCompare implements XPath existential comparison semantics. The
@@ -745,26 +925,20 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	var tuples []tuple
 	var out Sequence
 	emit := func(c *Context) error {
-		v, err := Eval(fl.Return, c)
-		if err != nil {
+		n := len(out)
+		var err error
+		if out, err = appendEval(out, fl.Return, c); err != nil {
 			return err
 		}
-		if err := ctx.Static.Budget.AddItems(len(v)); err != nil {
-			return err
-		}
-		out = append(out, v...)
-		return nil
+		return ctx.Static.Budget.AddItems(len(out) - n)
 	}
 	var bindRest func(i int, c *Context) error
 	bindRest = func(i int, c *Context) error {
 		if i == len(fl.Clauses) {
 			if fl.Where != nil {
-				w, err := Eval(fl.Where, c)
-				if err != nil {
+				w, err := evalBool(fl.Where, c)
+				if err != nil || !w {
 					return err
-				}
-				if !EffectiveBool(w) {
-					return nil
 				}
 			}
 			// each surviving tuple is intermediate cardinality: an
@@ -881,24 +1055,23 @@ func evalQuantified(q *Quantified, ctx *Context) (Sequence, error) {
 		return nil, err
 	}
 	if len(seq) == 0 {
-		return Singleton(q.Every), nil
+		return boolSeq(q.Every), nil
 	}
 	frame := ctx.Bind(q.Var, nil)
 	for i := range seq {
 		frame.Rebind(seq[i : i+1 : i+1])
-		v, err := Eval(q.Satisfies, frame)
+		sat, err := evalBool(q.Satisfies, frame)
 		if err != nil {
 			return nil, err
 		}
-		sat := EffectiveBool(v)
 		if q.Every && !sat {
-			return Singleton(false), nil
+			return falseSeq, nil
 		}
 		if !q.Every && sat {
-			return Singleton(true), nil
+			return trueSeq, nil
 		}
 	}
-	return Singleton(q.Every), nil
+	return boolSeq(q.Every), nil
 }
 
 // evalModule registers the prologue's function declarations in a derived
@@ -907,6 +1080,7 @@ func evalQuantified(q *Quantified, ctx *Context) (Sequence, error) {
 // not runtime-registered functions of the same name.
 func evalModule(m *Module, ctx *Context) (Sequence, error) {
 	st := *ctx.Static
+	st.args, st.bufs = nil, nil // the body's scratch is its own
 	merged := make(map[string]Func, len(st.Funcs)+len(m.Funcs))
 	for _, fd := range m.Funcs {
 		merged[fd.Name] = makeUserFunc(fd)
@@ -950,14 +1124,19 @@ func evalCall(call *Call, ctx *Context) (Sequence, error) {
 			return nil, fmt.Errorf("xq: unknown function %s()", call.Name)
 		}
 	}
-	args := make([]Sequence, len(call.Args))
-	for i, a := range call.Args {
+	// the arguments go on the evaluation's stack, above those of the calls
+	// in progress, and come off when this one returns
+	st := ctx.Static
+	base := len(st.args)
+	defer st.popArgs(base)
+	for _, a := range call.Args {
 		v, err := Eval(a, ctx)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		st.args = append(st.args, v)
 	}
+	args := st.args[base:len(st.args):len(st.args)]
 	if fn == nil {
 		return call.Callee.Call(ctx, args)
 	}
@@ -975,20 +1154,24 @@ func lookupFunc(ctx *Context, name string) Func {
 
 // --- constructors -----------------------------------------------------------
 
-func evalElemCtor(ct *ElemCtor, ctx *Context) (Sequence, error) {
+// evalElemCtor builds the constructor's element. Its content is gathered in
+// a lent sequence: the element keeps the content's nodes, not the sequence.
+func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
+	st := ctx.Static
 	name := ct.Name
 	if ct.NameExpr != nil {
-		v, err := Eval(ct.NameExpr, ctx)
+		v, lent, err := borrow(ct.NameExpr, ctx)
 		if err != nil {
 			return nil, err
 		}
 		if len(v) == 0 {
 			return nil, fmt.Errorf("xq: computed element name is empty")
 		}
-		name = StringValue(Atomize(v)[0])
+		name = StringValue(v[0])
+		st.give(lent)
 	}
 	el := xmldom.NewElement(name)
-	ctx.Static.Stats.AddNodes(1)
+	st.Stats.AddNodes(1)
 	for _, ac := range ct.Attrs {
 		val, err := evalAttrParts(ac.Parts, ctx)
 		if err != nil {
@@ -996,33 +1179,36 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (Sequence, error) {
 		}
 		el.SetAttr(ac.Name, val)
 	}
-	var content Sequence
+	content := st.lend()
 	for _, ce := range ct.Content {
-		v, err := Eval(ce, ctx)
-		if err != nil {
+		from := len(content)
+		var err error
+		if content, err = appendEval(content, ce, ctx); err != nil {
 			return nil, err
 		}
 		// constructor content is attached, not copied, but the byte budget
 		// charges its logical size all the same, so a result cannot outgrow
 		// the budget by mentioning one subtree many times
-		for _, it := range v {
+		for _, it := range content[from:] {
 			if n, ok := it.(*xmldom.Node); ok {
-				if err := ctx.Static.Budget.AddBytes(int64(n.TreeSize())); err != nil {
+				if err := st.Budget.AddBytes(int64(n.TreeSize())); err != nil {
 					return nil, err
 				}
 			}
 		}
-		content = append(content, v...)
 	}
 	appendContent(el, content)
-	return Singleton(el), nil
+	st.give(content)
+	return el, nil
 }
 
 // appendContent realizes XQuery constructor content: attribute items set
 // attributes, nodes are attached as they are — shared with wherever they
 // came from, not copied — and adjacent atomics join into one
-// space-separated text node.
+// space-separated text node. The child list is sized once, for every
+// child the content makes.
 func appendContent(el *xmldom.Node, content Sequence) {
+	el.Children = slices.Grow(el.Children, childCount(content))
 	for i := 0; i < len(content); i++ {
 		switch v := content[i].(type) {
 		case AttrItem:
@@ -1042,6 +1228,28 @@ func appendContent(el *xmldom.Node, content Sequence) {
 			i = run - 1
 		}
 	}
+}
+
+// childCount is the number of children appendContent makes of content.
+func childCount(content Sequence) int {
+	n, inRun := 0, false
+	for _, it := range content {
+		switch v := it.(type) {
+		case AttrItem:
+		case *xmldom.Node:
+			if v.Type == xmldom.DocumentNode {
+				n += len(v.Children)
+			} else {
+				n++
+			}
+		default:
+			if !inRun {
+				n++ // a run of adjacent atomics is one text node
+			}
+		}
+		inRun = isAtomic(it)
+	}
+	return n
 }
 
 func isAtomic(it Item) bool {
@@ -1073,11 +1281,11 @@ func evalAttrParts(parts []Expr, ctx *Context) (string, error) {
 				continue
 			}
 		}
-		v, err := Eval(p, ctx)
+		v, err := evalString(p, ctx)
 		if err != nil {
 			return "", err
 		}
-		vals = append(vals, joinAtomics(v))
+		vals = append(vals, v)
 	}
 	return strings.Join(vals, ""), nil
 }
@@ -1111,14 +1319,15 @@ func evalIntervalProj(ip *IntervalProj, ctx *Context) (Sequence, error) {
 }
 
 func evalTimeEndpoint(e Expr, ctx *Context) (xtime.DateTime, error) {
-	v, err := Eval(e, ctx)
+	v, lent, err := borrow(e, ctx)
 	if err != nil {
 		return xtime.DateTime{}, err
 	}
+	defer ctx.Static.give(lent)
 	if len(v) == 0 {
 		return xtime.DateTime{}, fmt.Errorf("xq: empty interval endpoint %s", e.String())
 	}
-	dt, ok := DateTimeValue(Atomize(v)[0])
+	dt, ok := DateTimeValue(v[0])
 	if !ok {
 		return xtime.DateTime{}, fmt.Errorf("xq: interval endpoint %s is not a dateTime", e.String())
 	}
@@ -1154,14 +1363,15 @@ func evalVersionEndpoint(e Expr, ctx *Context) (int, bool, error) {
 	if _, ok := e.(*LastMarker); ok {
 		return 0, true, nil
 	}
-	v, err := Eval(e, ctx)
+	v, lent, err := borrow(e, ctx)
 	if err != nil {
 		return 0, false, err
 	}
+	defer ctx.Static.give(lent)
 	if len(v) == 0 {
 		return 0, false, fmt.Errorf("xq: empty version endpoint %s", e.String())
 	}
-	n := NumberValue(Atomize(v)[0])
+	n := NumberValue(v[0])
 	if math.IsNaN(n) {
 		return 0, false, fmt.Errorf("xq: version endpoint %s is not a number", e.String())
 	}

@@ -62,32 +62,32 @@ func init() {
 			if err := arity("not", args, 1); err != nil {
 				return nil, err
 			}
-			return Singleton(!EffectiveBool(args[0])), nil
+			return boolSeq(!EffectiveBool(args[0])), nil
 		},
 		"empty": func(_ *Context, args []Sequence) (Sequence, error) {
 			if err := arity("empty", args, 1); err != nil {
 				return nil, err
 			}
-			return Singleton(len(args[0]) == 0), nil
+			return boolSeq(len(args[0]) == 0), nil
 		},
 		"exists": func(_ *Context, args []Sequence) (Sequence, error) {
 			if err := arity("exists", args, 1); err != nil {
 				return nil, err
 			}
-			return Singleton(len(args[0]) > 0), nil
+			return boolSeq(len(args[0]) > 0), nil
 		},
 		"boolean": func(_ *Context, args []Sequence) (Sequence, error) {
 			if err := arity("boolean", args, 1); err != nil {
 				return nil, err
 			}
-			return Singleton(EffectiveBool(args[0])), nil
+			return boolSeq(EffectiveBool(args[0])), nil
 		},
 		"string": func(ctx *Context, args []Sequence) (Sequence, error) {
 			if len(args) == 0 {
-				if ctx.item == nil {
+				if ctx.item() == nil {
 					return Singleton(""), nil
 				}
-				return Singleton(StringValue(ctx.item)), nil
+				return Singleton(StringValue(ctx.item())), nil
 			}
 			if len(args[0]) == 0 {
 				return Singleton(""), nil
@@ -157,7 +157,7 @@ func init() {
 		},
 		"string-length": func(ctx *Context, args []Sequence) (Sequence, error) {
 			if len(args) == 0 {
-				return Singleton(float64(len(StringValue(ctx.item)))), nil
+				return Singleton(float64(len(StringValue(ctx.item())))), nil
 			}
 			return Singleton(float64(len(seqString(args[0])))), nil
 		},
@@ -174,7 +174,7 @@ func init() {
 				}
 				it = args[0][0]
 			} else {
-				it = ctx.item
+				it = ctx.item()
 			}
 			switch v := it.(type) {
 			case *xmldom.Node:
@@ -294,7 +294,7 @@ func strPred(name string, f func(a, b string) bool) Func {
 		if err := arity(name, args, 2); err != nil {
 			return nil, err
 		}
-		return Singleton(f(seqString(args[0]), seqString(args[1]))), nil
+		return boolSeq(f(seqString(args[0]), seqString(args[1]))), nil
 	}
 }
 

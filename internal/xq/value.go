@@ -51,6 +51,18 @@ type Sequence []Item
 // Singleton wraps one item.
 func Singleton(it Item) Sequence { return Sequence{it} }
 
+// trueSeq and falseSeq are the two boolean values, built once: a sequence
+// an evaluation returns is read-only, as a literal's is, so a comparison
+// or a test allocates no sequence for its answer.
+var trueSeq, falseSeq = Sequence{true}, Sequence{false}
+
+func boolSeq(b bool) Sequence {
+	if b {
+		return trueSeq
+	}
+	return falseSeq
+}
+
 // StringValue returns the string value of an item: text content of nodes,
 // lexical form of atomics.
 func StringValue(it Item) string {

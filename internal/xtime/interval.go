@@ -86,13 +86,17 @@ func (iv Interval) Overlaps(o Interval, at time.Time) bool {
 
 // Intersect returns the intersection of the two intervals and whether it is
 // non-empty. This is the clipping operation of interval_projection (§6):
-// the resulting lifespan is [max(from), min(to)]. The comparisons it
-// decides by — whether the intervals overlap, and which endpoints bound
-// the overlap — are reported to h.
+// the resulting lifespan is [max(from), min(to)]. An interval that ends
+// before it begins — a window [b, a] with b after a — holds no point, so
+// its intersection with anything is empty. The comparisons it decides by —
+// whether each interval begins by its end, whether they overlap, and which
+// endpoints bound the overlap — are reported to h.
 func (iv Interval) Intersect(o Interval, at time.Time, h *Horizon) (Interval, bool) {
+	h.LE(iv.From, iv.To)
+	h.LE(o.From, o.To)
 	h.LE(iv.From, o.To)
 	h.LE(o.From, iv.To)
-	if !iv.Overlaps(o, at) {
+	if iv.From.Compare(iv.To, at) > 0 || o.From.Compare(o.To, at) > 0 || !iv.Overlaps(o, at) {
 		return Interval{}, false
 	}
 	h.GE(iv.From, o.From)

@@ -104,6 +104,26 @@ func TestIntersectLaws(t *testing.T) {
 		right := intersect(&a.Interval, intersect(&b.Interval, &c.Interval))
 		return sameInterval(left, right)
 	})
+	checkLaw(t, "an inverted operand is empty", func(a, b lawInterval) bool {
+		inverted := NewInterval(a.To, a.From)
+		return !a.From.Before(a.To, eval) || intersect(&inverted, &b.Interval) == nil && intersect(&b.Interval, &inverted) == nil
+	})
+}
+
+// An interval whose start only the clock can carry past its end is empty
+// until then, and Intersect tells the horizon when that changes: here
+// [eval+1h, now] against a fixed interval covering it, whose own
+// endpoints decide nothing before eval+2h.
+func TestIntersectTellsHorizonOfInversion(t *testing.T) {
+	later := At(eval.Add(time.Hour))
+	var h Horizon
+	h.Reset(eval)
+	if _, ok := NewInterval(later, Now()).Intersect(NewInterval(Start(), At(eval.Add(2*time.Hour))), eval, &h); ok {
+		t.Fatal("[eval+1h, now] at eval holds no point, yet the intersection is not empty")
+	}
+	if next, ok := h.Next(); !ok || !next.Equal(eval.Add(time.Hour)) {
+		t.Fatalf("horizon %v (set %v), want %v: the inversion ends when now reaches the start", next, ok, eval.Add(time.Hour))
+	}
 }
 
 // TestCoalesceLaws: coalescing a coalesced set changes nothing, and the
