@@ -10,8 +10,8 @@ vet:
 	$(GO) vet ./...
 
 # Fragments flow from a stream client into a registry, and so do the
-# imports: a ContinuousQuery is a registry of one, which internal/stream
-# can only build while internal/registry knows nothing of it.
+# imports: Client.AttachRegistry feeds a registry, which internal/stream
+# can only import while internal/registry knows nothing of it.
 layering:
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/registry | grep -x xcql/internal/stream || { echo "internal/registry must not import internal/stream"; exit 1; }
 
@@ -88,9 +88,10 @@ test-diffharness:
 
 # The incremental cell: generated pairs REPLAYED one arrival at a time
 # (every profile of at least four seeds, re-announced parents, expiring
-# windows and pure clock advances included) through a continuous query,
-# its deltas byte-identical to the harness's from-scratch oracle under
-# every plan, plus the arrival-order metamorphic suite.
+# windows and pure clock advances included) through a standing query, the
+# one registration of a registry, its deltas byte-identical to the
+# harness's from-scratch oracle under every plan, plus the arrival-order
+# metamorphic suite.
 test-diffharness-incremental:
 	$(GO) test -race -run '^(TestDiffHarnessIncremental|TestIncrementalArrivalOrder)$$' -timeout 600s .
 
@@ -98,10 +99,11 @@ test-diffharness-incremental:
 # replayed through the multi-tenant registry with 2..32 overlapping
 # standing registrations, every delta stream and final standing result
 # byte-identical to a from-scratch evaluation diffed step by step (the
-# harness's own oracle, which a ContinuousQuery — a registry of one — is
-# held to as well), plus the shared-cost monotonicity, admission,
-# pending-re-emission and churn/soak suites, under the race detector. The
-# churn test dials a stream client, so it lives on the stream side.
+# harness's own oracle, which a registry of one registration is held to
+# in test-diffharness-incremental), plus the shared-cost monotonicity,
+# admission, pending-re-emission and churn/soak suites, under the race
+# detector. The churn test dials a stream client, so it lives on the
+# stream side.
 test-registry:
 	$(GO) test -race -run '^(TestRegistryEquivalence|TestRegistrySharedCostMonotonic)$$' -timeout 600s .
 	$(GO) test -race -run '^(TestRegistryAdmissionOverload|TestPendingReemissionSurvivesFailedArrival)$$' -timeout 120s ./internal/registry
@@ -110,9 +112,9 @@ test-registry:
 # End-to-end tracing acceptance: a chaos burst with the flight recorder
 # attached at every layer must produce a complete publish → segstore.append
 # → segstore.fsync → deliver → registry.eval → fanout span tree under one
-# trace id (a standing query records registry.eval/fanout/inc.recompute
-# however it was created), survive a forced reconnect, and leak no
-# goroutines — all under the race detector.
+# trace id (every standing query is a registration and records
+# registry.eval/fanout/inc.recompute), survive a forced reconnect, and
+# leak no goroutines — all under the race detector.
 trace-smoke:
 	$(GO) test -race -run '^TestTraceSmoke$$' -timeout 120s .
 
@@ -166,16 +168,17 @@ alloc-gate:
 
 # The benchmark gate: a short fixed-iteration run of the grid rows whose
 # numbers a re-run reproduces — PlanGrid, Selectivity, ParallelCache's
-# one row (QaC+ on a scan store), the re-announcing
-# IncrementalContinuous rows, RegistryFanout, and the wire codec, recovery
-# and snapshot-bootstrap rows (allocs/op only) — held to the newest
-# snapshot by `benchjson -gate`: fillers/op, holes/op, tsid-hits/op,
-# handlers/op and mat-bytes/op exactly, allocs/op at most 2 % + 2 above. ns/op is printed, never failed on: on a shared host it
-# moves by a quarter between two runs of the same code. A PR that moves
-# one of these on purpose writes a new snapshot (bench-json).
+# one row (QaC+ on a scan store), every IncrementalContinuous row (the
+# re-announcing ones and the incremental/events=N floor), RegistryFanout,
+# and the wire codec, recovery and snapshot-bootstrap rows (allocs/op
+# only) — held to the newest snapshot by `benchjson -gate`: fillers/op,
+# holes/op, tsid-hits/op, handlers/op and mat-bytes/op exactly, allocs/op
+# at most 2 % + 2 above. ns/op is printed, never failed on: on a shared
+# host it moves by a quarter between two runs of the same code. A PR that
+# moves one of these on purpose writes a new snapshot (bench-json).
 bench-gate:
 	( $(GO) test -run '^$$' -bench '^(BenchmarkPlanGrid|BenchmarkSelectivity|BenchmarkParallelCache)$$' -benchtime 20x -benchmem -short . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$/^reannounce$$' -benchtime 300x -benchmem -short . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkWireCodec|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchtime 200x -benchmem -short . ) \
 		| $(GO) run ./cmd/benchjson -gate $(BENCHOUT)

@@ -215,7 +215,7 @@ func TestAllocationCeiling(t *testing.T) {
 func fraudChargeAllocs(t *testing.T, events int, every time.Duration) float64 {
 	t.Helper()
 	cs := newCreditStanding(t, creditQueries[2].src, events, every)
-	if s := cs.cq.Strategy(); s != "1 piece (per-binding on account; sum folded over transaction terms)" {
+	if s := cs.reg.Strategy(); s != "1 piece (per-binding on account; sum folded over transaction terms)" {
 		t.Fatalf("fraud/incremental: strategy %s", s)
 	}
 	charges := cs.charges(41)

@@ -27,6 +27,7 @@ import (
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
 	"xcql/internal/temporal"
@@ -520,8 +521,11 @@ var creditQueries = []struct{ name, src string }{
 // hour's window holds 360 charges and expires them as the stream runs on
 // — with `events` charges already in the store and evaluated.
 type creditStanding struct {
-	q      *ixcql.Query
-	cq     *stream.ContinuousQuery
+	q   *ixcql.Query
+	r   *registry.Registry
+	reg *registry.Registration
+	// err is the last arrival's evaluation error
+	err    error
 	pub    *genstore.CreditPublisher
 	st     *fragment.Store
 	events int
@@ -551,10 +555,12 @@ func newCreditStanding(tb testing.TB, src string, events int, every time.Duratio
 	if cs.q, err = rt.Compile(src, ixcql.QaCPlus); err != nil {
 		tb.Fatal(err)
 	}
-	cs.cq = stream.NewContinuousQuery(cs.q, func(stream.Result) {})
-	cs.cq.Clock = func() time.Time { return cs.at }
-	if err := cs.cq.EvaluateFragment(nil); err != nil {
+	cs.r = registry.New(func() time.Time { return cs.at })
+	if cs.reg, err = cs.r.Register(cs.q, registry.Options{OnResult: func(res registry.Result) { cs.err = res.Err }}); err != nil {
 		tb.Fatal(err)
+	}
+	if cs.r.Evaluate(); cs.err != nil {
+		tb.Fatal(cs.err)
 	}
 	return cs
 }
@@ -578,8 +584,8 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 		if err := cs.st.Add(f); err != nil {
 			return err
 		}
-		if err := cs.cq.EvaluateFragment(f); err != nil {
-			return err
+		if cs.r.Apply(f); cs.err != nil {
+			return cs.err
 		}
 	}
 	return nil
@@ -623,7 +629,7 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(cs.cq.BufferHWMBytes()), "buffered-bytes-hwm")
+				b.ReportMetric(float64(cs.reg.Stats().BufferHWMBytes), "buffered-bytes-hwm")
 				b.ReportMetric(float64(cs.q.LastStats().HandlerInvocations), "handlers/op")
 			})
 		}
@@ -661,12 +667,17 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 				b.Fatal(err)
 			}
 			at := base.Add(time.Duration(preload) * time.Second)
-			cq := stream.NewContinuousQuery(q, func(stream.Result) {})
-			cq.Clock = func() time.Time { return at }
-			// seed the standing state outside the timer
-			if err := cq.EvaluateFragment(nil); err != nil {
+			r := registry.New(func() time.Time { return at })
+			reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) {
+				if res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			}})
+			if err != nil {
 				b.Fatal(err)
 			}
+			// seed the standing state outside the timer
+			r.Evaluate()
 			// prebuild the arrival fragments so the timer measures
 			// ingest + evaluation, not payload parsing
 			arrivals := make([]*fragment.Fragment, b.N)
@@ -680,12 +691,10 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 					at = f.ValidTime
 				}
 				mustAdd(b, st, f)
-				if err := cq.EvaluateFragment(f); err != nil {
-					b.Fatal(err)
-				}
+				r.Apply(f)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(cq.BufferHWMBytes()), "buffered-bytes-hwm")
+			b.ReportMetric(float64(reg.Stats().BufferHWMBytes), "buffered-bytes-hwm")
 			s := q.LastStats()
 			b.ReportMetric(float64(s.HandlerInvocations), "handlers/op")
 		})

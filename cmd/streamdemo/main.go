@@ -173,25 +173,40 @@ func main() {
 		`for $t in stream("credit")//transaction
 		 where $t/amount > 700
 		 return <big id="{$t/@id}">{ $t/amount/text() }</big>`, xcql.QaCPlus)
-	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) {
+	// the demo's standing query is a registration on the engine's registry,
+	// the one -serve exposes
+	qreg := engine.Registry()
+	qreg.SetFlightRecorder(flight)
+	cq, err := qreg.Register(q, xcql.RegistryOptions{OnResult: func(r xcql.RegistryResult) {
 		for _, item := range r.Delta {
 			fmt.Printf("  continuous result: %s\n", xcql.FormatSequence(xcql.Sequence{item}))
 		}
-	})
-	cq.SetLogger(logger)
-	cq.SetFlightRecorder(flight)
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("incremental evaluation: %s\n", cq.Strategy())
-	cq.RegisterMetrics(registry, "cq")
-	cq.Attach(client)
+	cq.Latency().Register(registry, "cq_latency")
+	cqStat := func(f func(xcql.RegistrationStats) int64) func() int64 {
+		return func() int64 { return f(cq.Stats()) }
+	}
+	registry.Gauge("cq_evals", cqStat(func(st xcql.RegistrationStats) int64 { return st.Evaluations }))
+	registry.Gauge("cq_buffer_bytes", cqStat(func(st xcql.RegistrationStats) int64 { return st.BufferBytes }))
+	registry.Gauge("cq_buffer_hwm_bytes", cqStat(func(st xcql.RegistrationStats) int64 { return st.BufferHWMBytes }))
+	registry.Gauge("cq_degraded", cqStat(func(st xcql.RegistrationStats) int64 {
+		if st.Degraded != "" {
+			return 1
+		}
+		return 0
+	}))
+	client.AttachRegistry(qreg)
 
 	// -serve mounts the multi-tenant standing-query API over the same
-	// client store: registrations compiled by this engine share one
+	// registry: registrations compiled by this engine share one
 	// evaluation per arriving fragment per access path, and subscribers
 	// receive JSON deltas over HTTP long-poll-free WebSocket frames
 	var querySrv *http.Server
 	if *serveAddr != "" {
-		qreg := engine.Registry()
-		client.AttachRegistry(qreg)
 		qreg.RegisterMetrics(registry, "registry")
 		qln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {
@@ -227,7 +242,7 @@ func main() {
 			fmt.Fprintf(w, "client: watermark-seq=%d watermark=%s seq-lag=%d missing=%d lost=%d degraded=%q\n",
 				cs.LastSeq, cs.Watermark.Format(time.RFC3339), cs.Lag, cs.Missing, cs.Lost, cs.Degraded)
 			fmt.Fprintf(w, "watermark lag: %v\n", xcql.WatermarkLag(server, client))
-			fmt.Fprintf(w, "evaluations: %d\n", cq.Evaluations())
+			fmt.Fprintf(w, "evaluations: %d\n", cq.Stats().Evaluations)
 			fmt.Fprintf(w, "ingest->result latency: %s\n", cq.Latency())
 			fmt.Fprintf(w, "delivery latency:       %s\n\n", client.DeliveryLatency())
 			fmt.Fprint(w, q.Explain())
@@ -367,8 +382,9 @@ func main() {
 	}
 	fmt.Printf("watermark lag: %v, ingest->result latency: %s\n",
 		xcql.WatermarkLag(server, client), cq.Latency())
+	cs := cq.Stats()
 	fmt.Printf("incremental buffer: %d bytes standing, %d bytes high-water\n",
-		cq.BufferBytes(), cq.BufferHWMBytes())
+		cs.BufferBytes, cs.BufferHWMBytes)
 	if flight != nil {
 		flight.Flush()
 		st := flight.Stats()

@@ -12,7 +12,7 @@
 // predicted vs observed cost counters — goes to stderr.
 //
 // With -incremental the fragment file is replayed one arrival at a time
-// through an incremental continuous query: each arrival prints its
+// through a standing query: each arrival prints its
 // delta, and the final standing result plus the per-fragment cost
 // counters follow at the end.
 //
@@ -32,6 +32,7 @@ import (
 
 	"xcql"
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
@@ -155,21 +156,25 @@ func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) er
 }
 
 // runIncremental replays the fragment stream one arrival at a time
-// through an incremental continuous query. The evaluation clock tracks
-// the running maximum validTime unless an explicit -at pins it.
+// through a standing query, the one registration of a registry of its
+// own. The evaluation clock tracks the running maximum validTime unless an
+// explicit -at pins it.
 func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Fragment,
 	at time.Time, trackClock bool, showStats bool, tracez bool) {
 	clock := at
-	var delta xcql.Sequence
-	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) { delta = r.Delta })
-	cq.Clock = func() time.Time { return clock }
+	var last registry.Result
+	r := registry.New(func() time.Time { return clock })
+	reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) { last = res }})
+	if err != nil {
+		fatal(err)
+	}
 	var rec *xcql.FlightRecorder
 	if tracez {
 		// keep every trace: a CLI replay is small and the point is the dump
 		rec = xcql.NewFlightRecorder(xcql.FlightRecorderOptions{SampleEvery: 1})
-		cq.SetFlightRecorder(rec)
+		r.SetFlightRecorder(rec)
 	}
-	fmt.Fprintf(os.Stderr, "incremental: %s\n", cq.Strategy())
+	fmt.Fprintf(os.Stderr, "incremental: %s\n", reg.Strategy())
 	start := time.Now()
 	for i, f := range frags {
 		if err := store.Add(f); err != nil {
@@ -178,15 +183,16 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 		if trackClock && f.ValidTime.After(clock) {
 			clock = f.ValidTime
 		}
-		delta = nil
 		var sp *xcql.Span
 		if rec != nil {
 			sp = rec.Start(rec.NewTrace(), "ingest").Annotate("replay", f.TSID, f.Seq)
 			f = f.WithTrace(sp.Context())
 		}
-		if err := cq.EvaluateFragment(f); err != nil {
-			fatal(err)
+		r.Apply(f)
+		if last.Err != nil {
+			fatal(last.Err)
 		}
+		delta := last.Delta
 		if sp != nil {
 			sp.SetDetail(fmt.Sprintf("arrival=%d filler=%d delta=%d", i+1, f.FillerID, len(delta)))
 			sp.End()
@@ -201,15 +207,16 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 		fmt.Fprint(os.Stderr, rec.Render(0))
 	}
 	elapsed := time.Since(start)
-	snapshot := cq.ItemsSnapshot()
+	snapshot := reg.ItemsSnapshot()
 	fmt.Printf("-- final standing result\n%s\n", xcql.FormatSequence(snapshot))
 	fmt.Fprintf(os.Stderr, "%d item(s) standing after %d arrival(s), %v\n",
 		len(snapshot), len(frags), elapsed)
 	if showStats {
 		stats := q.LastStats()
 		fmt.Fprintln(os.Stderr, stats.String())
+		rs := reg.Stats()
 		fmt.Fprintf(os.Stderr, "buffer: %d bytes standing, %d bytes high-water\n",
-			cq.BufferBytes(), cq.BufferHWMBytes())
+			rs.BufferBytes, rs.BufferHWMBytes)
 	}
 }
 

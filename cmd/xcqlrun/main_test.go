@@ -7,6 +7,7 @@ import (
 
 	"xcql"
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/xmark"
 )
 
@@ -63,11 +64,16 @@ func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 	engine.RegisterStore("auction", store)
 	q := engine.MustCompile(`stream("auction")//closed_auction/price`, xcql.QaCPlus)
 	at := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	cq := xcql.NewContinuousQuery(q, func(xcql.Result) {})
-	cq.Clock = func() time.Time { return at }
-	if err := cq.Evaluate(); err != nil {
+	r := registry.New(func() time.Time { return at })
+	reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	r.Evaluate()
 	if seg, err = attachSegStore(store, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +81,7 @@ func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 	if store.Len() != len(frags) || store.Generation() != uint64(len(frags)) {
 		t.Fatalf("recovered %d fragments at generation %d, want %d at %d", store.Len(), store.Generation(), len(frags), len(frags))
 	}
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
+	r.Evaluate()
 	want, err := q.Eval(at)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +89,7 @@ func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("test setup broken: the recovered store answers nothing")
 	}
-	if got := cq.ItemsSnapshot(); xcql.FormatSequence(got) != xcql.FormatSequence(want) {
+	if got := reg.ItemsSnapshot(); xcql.FormatSequence(got) != xcql.FormatSequence(want) {
 		t.Fatalf("standing result after recovery has %d items, one-shot %d", len(got), len(want))
 	}
 }

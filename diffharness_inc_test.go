@@ -10,6 +10,7 @@ import (
 	"xcql"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/registry"
 )
 
 // The incremental cell of the differential harness: every generated
@@ -151,23 +152,28 @@ func replayOracle(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment,
 	return tr
 }
 
-// replayCQ replays frags through a ContinuousQuery over a fresh store,
-// compiled under mode, on the replaySteps schedule.
-func replayCQ(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment, src string, mode xcql.Mode) replayTrace {
+// replayStanding replays frags through a standing query, the one
+// registration of a registry over a fresh store, compiled under mode, on
+// the replaySteps schedule. An arrival whose evaluation failed replays as
+// "!error".
+func replayStanding(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment, src string, mode xcql.Mode) replayTrace {
 	t.Helper()
 	st, q := replaySetup(t, ins, src, mode)
 	var tr replayTrace
 	var at time.Time
-	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) {
-		tr.deltas = append(tr.deltas, xcql.FormatSequence(r.Delta))
-	})
-	cq.Clock = func() time.Time { return at }
-	replaySteps(t, st, frags, &at, func(f *xcql.Fragment) {
-		if err := cq.EvaluateFragment(f); err != nil {
-			tr.deltas = append(tr.deltas, "!error")
+	r := registry.New(func() time.Time { return at })
+	reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) {
+		delta := xcql.FormatSequence(res.Delta)
+		if res.Err != nil {
+			delta = "!error"
 		}
-	})
-	tr.final = xcql.FormatSequence(cq.ItemsSnapshot())
+		tr.deltas = append(tr.deltas, delta)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaySteps(t, st, frags, &at, r.Apply)
+	tr.final = xcql.FormatSequence(reg.ItemsSnapshot())
 	return tr
 }
 
@@ -233,7 +239,7 @@ func runIncrementalInstance(t *testing.T, p genstore.Profile) int {
 		}
 		for _, mode := range harnessModes {
 			check(replayOracle(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("oracle/%s", mode))
-			check(replayCQ(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("inc/%s", mode))
+			check(replayStanding(t, ins, ins.Fragments, query.Src, mode), mode, fmt.Sprintf("inc/%s", mode))
 		}
 	}
 	return len(ins.Queries)
@@ -277,7 +283,7 @@ func TestIncrementalArrivalOrder(t *testing.T) {
 				mode := xcql.QaCPlus
 				for name, frags := range orders {
 					want := replayOracle(t, ins, frags, query.Src, mode).String()
-					inc := replayCQ(t, ins, frags, query.Src, mode)
+					inc := replayStanding(t, ins, frags, query.Src, mode)
 					if got := inc.String(); got != want {
 						t.Fatalf("%s/%s/%s order=%s: the replay diverged from the oracle\noracle:\n%s\nreplay:\n%s",
 							p, query.Name, mode, name, harnessTruncate(want), harnessTruncate(got))
@@ -362,7 +368,7 @@ func FuzzIncrementalArrival(f *testing.F) {
 		// above keeps the plan it was written for
 		mode := harnessModes[min(int(flags>>4&3), len(harnessModes)-1)]
 		want := replayOracle(t, ins, frags, query.Src, mode).String()
-		if got := replayCQ(t, ins, frags, query.Src, mode).String(); got != want {
+		if got := replayStanding(t, ins, frags, query.Src, mode).String(); got != want {
 			t.Fatalf("%s/%s/%s: the replay diverged from the oracle\noracle:\n%s\ngot:\n%s",
 				p, query.Name, mode, harnessTruncate(want), harnessTruncate(got))
 		}

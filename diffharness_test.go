@@ -171,6 +171,53 @@ func TestRootSplitReproduces(t *testing.T) {
 	}
 }
 
+// snapshotTwin reproduces the version-boundary split (ROADMAP item 2): a
+// superseded version's lifespan is closed at its successor's vtFrom, so
+// at the instant an account is re-announced a snapshot holds both its
+// versions. The history is the credit stream a publisher sends, twenty
+// accounts charged round robin, snapshotTwin.charges of them
+// snapshotTwin.every apart: the last charge re-announces an account at
+// 2003-11-01T01:00:00Z.
+var snapshotTwin = struct {
+	charges int
+	every   time.Duration
+}{360, 10 * time.Second}
+
+// TestSnapshotTwinReproduces: at snapshotTwin's last re-announcement
+// count(stream("credit")//account?[now]) is 21 for twenty accounts under
+// every plan, the re-announced account twice, and 20 one second later.
+// When item 2 (b) picks the boundary rule the 21 goes, and with it
+// snapshotTwin and this test; the law that holds off the boundaries is
+// TestSnapshotUniquenessLaw (internal/xcql).
+func TestSnapshotTwinReproduces(t *testing.T) {
+	const src = `count(stream("credit")//account?[now])`
+	cs := newCreditStanding(t, src, snapshotTwin.charges, snapshotTwin.every)
+	if want := time.Date(2003, time.November, 1, 1, 0, 0, 0, time.UTC); !cs.at.Equal(want) {
+		t.Fatalf("the last charge is at %v, want %v", cs.at, want)
+	}
+	e := xcql.NewEngine()
+	e.RegisterStore("credit", cs.st)
+	for _, c := range []struct {
+		at   time.Time
+		want string
+	}{{cs.at, "21"}, {cs.at.Add(time.Second), "20"}} {
+		for _, mode := range harnessModes {
+			q, err := e.Compile(src, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := q.Eval(c.at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := xcql.FormatSequence(seq); got != c.want {
+				t.Fatalf("%s under %s at %s is %s, want %s: the boundary rule changed, so snapshotTwin and this test go (ROADMAP item 2)",
+					src, mode, c.at.Format(xtime.Layout), got, c.want)
+			}
+		}
+	}
+}
+
 // TestDecodedStoreMatchesInMemory: a store of fragments decoded from their
 // wire form — whose re-announced versions share their holes with the
 // version before — answers every query under every plan byte for byte as

@@ -66,27 +66,30 @@ func main() {
 	engine := xcql.NewEngine()
 	engine.AttachClient(client)
 
-	// the simulated feed's clock; continuous queries evaluate against it
+	// the simulated feed's clock; the standing queries, registrations on
+	// the engine's registry, evaluate against it
 	clock := time.Date(2003, time.November, 2, 9, 0, 0, 0, time.UTC)
-	now := func() time.Time { return clock }
+	standing := engine.Registry()
+	standing.SetClock(func() time.Time { return clock })
+	client.AttachRegistry(standing)
 
-	makeCQ := func(label, src string) *xcql.ContinuousQuery {
+	register := func(label, src string) {
 		q, err := engine.Compile(src, xcql.QaCPlus)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
-		cq := xcql.NewContinuousQuery(q, func(r xcql.Result) {
+		_, err = standing.Register(q, xcql.RegistryOptions{OnResult: func(r xcql.RegistryResult) {
 			if len(r.Delta) > 0 {
 				fmt.Printf("[%s] %s:\n%s\n", r.At.Format("2006-01-02 15:04"), label,
 					xcql.FormatSequence(r.Delta))
 			}
-		})
-		cq.Clock = now
-		cq.Attach(client)
-		return cq
+		}})
+		if err != nil {
+			log.Fatalf("%s: %v", label, err)
+		}
 	}
-	makeCQ("Query 1: maxed-out account", query1)
-	makeCQ("Query 2: fraud alert", query2)
+	register("Query 1: maxed-out account", query1)
+	register("Query 2: fraud alert", query2)
 
 	// subscribe the client and pump the broker synchronously for the demo
 	sub := server.Subscribe(1024, true)

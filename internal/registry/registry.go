@@ -10,12 +10,12 @@
 // the layer that dedupes the engine's per-tag/per-filler units *across*
 // queries.
 //
-// This is the one implementation of a standing query: a registration
-// owns the degrade/re-emit protocol and the delivery accounting, its
-// engine the previous-result memory, and stream.ContinuousQuery is a
-// registry holding exactly one of them. Every registration's observable
-// output — its per-arrival delta stream and its standing result — is
-// byte-identical to re-evaluating the query from scratch at every arrival
+// This is the one implementation of a standing query: every standing
+// query is a registration, which owns the degrade/re-emit protocol and the
+// delivery accounting, its engine the previous-result memory. A caller
+// wanting one standing query of its own makes a registry of one. Every
+// registration's observable output — its per-arrival delta stream and its
+// standing result — is byte-identical to re-evaluating the query from scratch at every arrival
 // and diffing consecutive results (the registry-equivalence harness pins
 // this against an oracle that does exactly that). Sharing changes cost,
 // never results.

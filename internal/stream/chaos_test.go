@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/xcql"
 	"xcql/internal/xq"
 )
@@ -93,20 +94,19 @@ func TestChaosConvergence(t *testing.T) {
 	defer c.Close()
 
 	var mu sync.Mutex
-	var results []Result
+	var results []registry.Result
 	sawDegraded := false
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
-	cq := NewContinuousQuery(rt.MustCompile(chaosQuery, xcql.QaCPlus), func(r Result) {
+	r, _ := standing(t, rt.MustCompile(chaosQuery, xcql.QaCPlus), ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		results = append(results, r)
-		if r.Degraded != "" {
+		results = append(results, res)
+		if res.Degraded != "" {
 			sawDegraded = true
 		}
 		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	// live publish: fragments race the faults in flight. Pacing is
 	// condition-based: wait (briefly) for the injector to see the frame

@@ -10,6 +10,7 @@ import (
 
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/segstore"
 	"xcql/internal/xcql"
 )
@@ -357,15 +358,14 @@ func TestSnapshotBootstrapBeyondReplayWindow(t *testing.T) {
 	invalidated := 0
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
-	cq := NewContinuousQuery(rt.MustCompile(chaosQuery, xcql.QaCPlus), func(r Result) {
+	r, _ := standing(t, rt.MustCompile(chaosQuery, xcql.QaCPlus), ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		if r.Degraded != "" {
+		if res.Degraded != "" {
 			invalidated++
 		}
 		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	// frame 7 resets the connection mid-frame; the rest of the traffic
 	// slides the window far past the client's position while it backs off

@@ -11,6 +11,7 @@ import (
 
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
+	"xcql/internal/registry"
 	"xcql/internal/xcql"
 )
 
@@ -234,11 +235,9 @@ func TestWatermarkAndLatencyMetrics(t *testing.T) {
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
 	q := rt.MustCompile(`count(stream("sensors")//event)`, xcql.QaCPlus)
-	cq := NewContinuousQuery(q, nil)
-	clock := ts("2003-06-01T00:00:00")
-	cq.Clock = func() time.Time { return clock }
-	cq.RegisterMetrics(r, "cq")
-	cq.Attach(c)
+	queries, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(registry.Result) {}})
+	reg.Latency().Register(r, "cq_latency")
+	c.AttachRegistry(queries)
 
 	sub := s.Subscribe(16, false)
 	defer sub.Cancel()
@@ -264,8 +263,8 @@ func TestWatermarkAndLatencyMetrics(t *testing.T) {
 		t.Errorf("watermark gauges = %d / %d, want %d",
 			vals["server_watermark_ns"], vals["client_watermark_ns"], want)
 	}
-	if vals["cq_evals"] != 2 {
-		t.Errorf("cq_evals = %d, want 2", vals["cq_evals"])
+	if n := reg.Stats().Evaluations; n != 2 {
+		t.Errorf("%d evaluations, want 2", n)
 	}
 	if vals["cq_latency_count"] != 2 || vals["cq_latency_p99"] <= 0 {
 		t.Errorf("cq latency histogram not populated: count=%d p99=%d",

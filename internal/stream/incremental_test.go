@@ -25,14 +25,13 @@ func TestIncrementalInvalidatedOnGap(t *testing.T) {
 	q := rt.MustCompile(`for $e in stream("sensors")//event where $e/value > 40 return $e/value`, xcql.QaCPlus)
 
 	var mu sync.Mutex
-	var results []Result
-	cq := NewContinuousQuery(q, func(r Result) {
+	var results []registry.Result
+	r, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		results = append(results, r)
+		results = append(results, res)
 		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	c.Apply(rootFragment().WithSeq(1))
 	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "41").WithSeq(2))
@@ -61,15 +60,13 @@ func TestIncrementalInvalidatedOnGap(t *testing.T) {
 	}
 	mu.Unlock()
 	// the standing snapshot agrees with a from-scratch evaluation
-	if got := strings.Join(xq.Strings(cq.ItemsSnapshot()), ","); got != "41,55" {
+	if got := strings.Join(xq.Strings(reg.ItemsSnapshot()), ","); got != "41,55" {
 		t.Fatalf("snapshot after reseed = %q", got)
 	}
 	// consumers can re-arm after handling the degradation; a fragment-less
 	// re-evaluation stays clean and emits nothing new
-	cq.ClearDegraded()
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
+	reg.ClearDegraded()
+	r.Evaluate()
 	mu.Lock()
 	defer mu.Unlock()
 	got := results[len(results)-1]
@@ -121,18 +118,17 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	emitted := map[string]bool{}
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
-	cq := NewContinuousQuery(rt.MustCompile(chaosQuery, xcql.QaCPlus), func(r Result) {
+	r, reg := standing(t, rt.MustCompile(chaosQuery, xcql.QaCPlus), ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		if r.Degraded != "" {
+		if res.Degraded != "" {
 			sawDegraded = true
 		}
-		for _, s := range xq.Strings(r.Delta) {
+		for _, s := range xq.Strings(res.Delta) {
 			emitted[s] = true
 		}
 		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	for _, f := range traffic[1:] {
 		before := fi.Stats().Frames
@@ -146,7 +142,7 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	})
 	st := c.Stats()
 	t.Logf("converged=%v store=%d/%d stats=%+v injector=%v strategy=%q",
-		converged, c.Store().Len(), len(traffic), st, fi, cq.Strategy())
+		converged, c.Store().Len(), len(traffic), st, fi, reg.Strategy())
 	if fs := fi.Stats(); fs.Dropped < 1 || fs.Resets < 1 {
 		t.Fatalf("chaos run was too gentle: %v", fi)
 	}
@@ -156,7 +152,7 @@ func TestIncrementalChaosNeverNarrows(t *testing.T) {
 	if st.Gaps > 0 && !sawDegraded {
 		t.Fatal("gaps were detected but no incremental result was marked degraded")
 	}
-	snapshot := xq.Strings(cq.ItemsSnapshot())
+	snapshot := xq.Strings(reg.ItemsSnapshot())
 	for _, item := range snapshot {
 		if !emitted[item] {
 			t.Fatalf("standing item %q never emitted as a delta", item)
@@ -183,88 +179,58 @@ const stateWire = `<stream:structure>
 // proportional to everything it ever emitted. A version projection
 // #[last,last] keeps exactly one standing item while the history grows
 // 60 versions deep; the buffer high-water mark must stay at one item,
-// not sixty. The state is the registration's, so the bound is pinned on a
-// bare registry.Registration (the numbers GET /v1/registryz reports) as
-// well as through the ContinuousQuery facade.
+// not sixty. The state is the registration's: the bound is pinned on the
+// numbers GET /v1/registryz reports.
 func TestDeltaMemoryBounded(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		facade bool
-	}{
-		{"facade/incremental", true}, {"registration/incremental", false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			structure, err := tagstruct.ParseString(stateWire)
-			if err != nil {
+	t.Run("registration/incremental", func(t *testing.T) {
+		structure, err := tagstruct.ParseString(stateWire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := fragment.NewStore(structure)
+		rt := xcql.NewRuntime()
+		rt.RegisterStream("st", st)
+		q := rt.MustCompile(`for $x in stream("st")//state#[last,last] return $x`, xcql.QaCPlus)
+
+		var deltas int
+		var at time.Time
+		r := registry.New(func() time.Time { return at })
+		reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) { deltas += len(res.Delta) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := func(f *fragment.Fragment) {
+			t.Helper()
+			if err := st.Add(f); err != nil {
 				t.Fatal(err)
 			}
-			st := fragment.NewStore(structure)
-			rt := xcql.NewRuntime()
-			rt.RegisterStream("st", st)
-			q := rt.MustCompile(`for $x in stream("st")//state#[last,last] return $x`, xcql.QaCPlus)
+			if f.ValidTime.After(at) {
+				at = f.ValidTime
+			}
+			r.Apply(f)
+		}
 
-			var deltas int
-			var at time.Time
-			clock := func() time.Time { return at }
-			onResult := func(r Result) { deltas += len(r.Delta) }
-			// the subject: how an arrival is evaluated, and where the two
-			// buffer numbers are read
-			var evaluate func(*fragment.Fragment)
-			var bufferBytes, bufferHWM func() int64
-			if c.facade {
-				cq := NewContinuousQuery(q, onResult)
-				cq.Clock = clock
-				evaluate = func(f *fragment.Fragment) {
-					t.Helper()
-					if err := cq.EvaluateFragment(f); err != nil {
-						t.Fatal(err)
-					}
-				}
-				bufferBytes, bufferHWM = cq.BufferBytes, cq.BufferHWMBytes
-			} else {
-				r := registry.New(clock)
-				reg, err := r.Register(q, registry.Options{OnResult: onResult})
-				if err != nil {
-					t.Fatal(err)
-				}
-				evaluate = r.Apply
-				bufferBytes = func() int64 { return reg.Stats().BufferBytes }
-				bufferHWM = func() int64 { return reg.Stats().BufferHWMBytes }
-			}
-
-			apply := func(f *fragment.Fragment) {
-				t.Helper()
-				if err := st.Add(f); err != nil {
-					t.Fatal(err)
-				}
-				if f.ValidTime.After(at) {
-					at = f.ValidTime
-				}
-				evaluate(f)
-			}
-
-			apply(fragment.New(fragment.RootFillerID, 1, ts("2003-01-01T00:00:00"),
-				xmldom.MustParseString(`<root><hole id="1" tsid="2"/></root>`).Root()))
-			const versions = 60
-			var totalEmitted int64
-			for i := 0; i < versions; i++ {
-				vt := ts("2003-01-01T00:00:00").Add(time.Duration(i+1) * time.Hour)
-				apply(fragment.New(1, 2, vt,
-					xmldom.MustParseString(`<state>v`+itoa(100+i)+`</state>`).Root()))
-				totalEmitted += bufferBytes()
-			}
-			// every new version replaced the previous one in the standing
-			// result — so it was emitted as a delta...
-			if deltas < versions {
-				t.Fatalf("deltas = %d, want >= %d (each version should emit)", deltas, versions)
-			}
-			// ...but the delta memory tracks the standing result, not the
-			// emission history: the high-water mark is one item's worth,
-			// far below the 60 items' worth the old unbounded map kept
-			if hwm := bufferHWM(); hwm == 0 || hwm > totalEmitted/10 {
-				t.Fatalf("buffer HWM = %d bytes after emitting %d bytes total; delta state is not generation-scoped",
-					hwm, totalEmitted)
-			}
-		})
-	}
+		apply(fragment.New(fragment.RootFillerID, 1, ts("2003-01-01T00:00:00"),
+			xmldom.MustParseString(`<root><hole id="1" tsid="2"/></root>`).Root()))
+		const versions = 60
+		var totalEmitted int64
+		for i := 0; i < versions; i++ {
+			vt := ts("2003-01-01T00:00:00").Add(time.Duration(i+1) * time.Hour)
+			apply(fragment.New(1, 2, vt,
+				xmldom.MustParseString(`<state>v`+itoa(100+i)+`</state>`).Root()))
+			totalEmitted += reg.Stats().BufferBytes
+		}
+		// every new version replaced the previous one in the standing
+		// result — so it was emitted as a delta...
+		if deltas < versions {
+			t.Fatalf("deltas = %d, want >= %d (each version should emit)", deltas, versions)
+		}
+		// ...but the delta memory tracks the standing result, not the
+		// emission history: the high-water mark is one item's worth,
+		// far below the 60 items' worth the old unbounded map kept
+		if hwm := reg.Stats().BufferHWMBytes; hwm == 0 || hwm > totalEmitted/10 {
+			t.Fatalf("buffer HWM = %d bytes after emitting %d bytes total; delta state is not generation-scoped",
+				hwm, totalEmitted)
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xcql/internal/registry"
 	"xcql/internal/xcql"
 )
 
@@ -61,14 +62,15 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ride a continuous query on the stream so its evaluation path is
+	// Ride a standing query on the stream so its evaluation path is
 	// part of what must wind down cleanly.
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
-	cq := NewContinuousQuery(rt.MustCompile(`count(stream("sensors")//event)`, xcql.QaCPlus), func(Result) {})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Limits = xcql.Limits{MaxSteps: 100000, Timeout: time.Second}
-	cq.Attach(c)
+	r, _ := standing(t, rt.MustCompile(`count(stream("sensors")//event)`, xcql.QaCPlus), ts("2003-06-01T00:00:00"), registry.Options{
+		Limits:   xcql.Limits{MaxSteps: 100000, Timeout: time.Second},
+		OnResult: func(registry.Result) {},
+	})
+	c.AttachRegistry(r)
 
 	waitFor(t, 2*time.Second, func() bool { return c.Store().Len() > 1 })
 

@@ -1,12 +1,11 @@
 // Structured logging for the stream pipeline.
 //
-// Every component (Server, Client, FaultInjector, ContinuousQuery)
-// carries an optional *slog.Logger installed with SetLogger. Logging is
-// OFF by default (nil logger) and the disabled path is a single atomic
-// pointer load and nil check — no slog.Attr construction, no allocation
-// — guarded by BenchmarkStreamLogOverhead and
-// TestDisabledObservabilityAllocatesNothing. Call sites therefore always
-// take the form
+// Every component (Server, Client, FaultInjector) carries an optional
+// *slog.Logger installed with SetLogger. Logging is OFF by default (nil
+// logger) and the disabled path is a single atomic pointer load and nil
+// check — no slog.Attr construction, no allocation — guarded by
+// BenchmarkStreamLogOverhead and TestDisabledObservabilityAllocatesNothing.
+// Call sites therefore always take the form
 //
 //	if l := x.log(); l != nil {
 //		l.LogAttrs(...)

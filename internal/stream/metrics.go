@@ -81,27 +81,6 @@ func (fi *FaultInjector) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"_resets", snap(func(st FaultStats) int64 { return st.Resets }))
 }
 
-// RegisterMetrics publishes the continuous query's ingest→result latency
-// histogram (count/sum/max and p50/p90/p99 under prefix_latency_*, in
-// nanoseconds) and its evaluation/degradation gauges. With prefix "cq"
-// the exposed names include cq_latency_p99 — the headline end-to-end
-// freshness number of the pipeline.
-func (cq *ContinuousQuery) RegisterMetrics(r *obs.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	cq.latency.Register(r, prefix+"_latency")
-	r.Gauge(prefix+"_evals", cq.Evaluations)
-	r.Gauge(prefix+"_buffer_bytes", cq.BufferBytes)
-	r.Gauge(prefix+"_buffer_hwm_bytes", cq.BufferHWMBytes)
-	r.Gauge(prefix+"_degraded", func() int64 {
-		if _, degraded := cq.registration().Degraded(); degraded {
-			return 1
-		}
-		return 0
-	})
-}
-
 // unixNanoOrZero renders an event-time watermark as Unix nanoseconds,
 // mapping the zero time (nothing observed yet) to 0 rather than the
 // meaningless negative UnixNano of year 1.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/xcql"
 	"xcql/internal/xq"
 )
@@ -252,14 +253,13 @@ func TestContinuousQueryInvalidatedOnGap(t *testing.T) {
 	q := rt.MustCompile(`for $e in stream("sensors")//event where $e/value > 40 return $e/value`, xcql.QaCPlus)
 
 	var mu sync.Mutex
-	var results []Result
-	cq := NewContinuousQuery(q, func(r Result) {
+	var results []registry.Result
+	r, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		results = append(results, r)
+		results = append(results, res)
 		mu.Unlock()
-	})
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	c.Apply(rootFragment().WithSeq(1))
 	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "41").WithSeq(2))
@@ -283,10 +283,8 @@ func TestContinuousQueryInvalidatedOnGap(t *testing.T) {
 	}
 	mu.Unlock()
 	// consumers can re-arm after handling the degradation
-	cq.ClearDegraded()
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
+	reg.ClearDegraded()
+	r.Evaluate()
 	mu.Lock()
 	defer mu.Unlock()
 	if got := results[len(results)-1]; got.Degraded != "" {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/registry"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xcql"
 	"xcql/internal/xmldom"
@@ -48,6 +49,19 @@ func rootFragment() *fragment.Fragment {
 func eventFragment(id int, at, val string) *fragment.Fragment {
 	el := xmldom.MustParseString(`<event><value>` + val + `</value></event>`).Root()
 	return fragment.New(id, 2, ts(at), el)
+}
+
+// standing makes q the one registration of a registry of its own that
+// evaluates at the instant at: a client's standing query, fed through
+// Client.AttachRegistry or the registry's Apply and Evaluate.
+func standing(t testing.TB, q *xcql.Query, at time.Time, opts registry.Options) (*registry.Registry, *registry.Registration) {
+	t.Helper()
+	r := registry.New(func() time.Time { return at })
+	reg, err := r.Register(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, reg
 }
 
 func TestBrokerMulticast(t *testing.T) {
@@ -242,15 +256,13 @@ func TestContinuousQueryDeltas(t *testing.T) {
 	q := rt.MustCompile(`for $e in stream("sensors")//event where $e/value > 40 return $e/value`, xcql.QaCPlus)
 
 	var mu sync.Mutex
-	var results []Result
-	cq := NewContinuousQuery(q, func(r Result) {
+	var results []registry.Result
+	r, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
 		mu.Lock()
-		results = append(results, r)
+		results = append(results, res)
 		mu.Unlock()
-	})
-	clock := ts("2003-06-01T00:00:00")
-	cq.Clock = func() time.Time { return clock }
-	cq.Attach(c)
+	}})
+	c.AttachRegistry(r)
 
 	c.Apply(rootFragment())
 	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "35")) // below threshold
@@ -273,7 +285,7 @@ func TestContinuousQueryDeltas(t *testing.T) {
 		t.Fatalf("delta 4 = %v", results[3].Delta)
 	}
 	// the standing result accumulates
-	if got := cq.ItemsSnapshot(); len(got) != 2 {
+	if got := reg.ItemsSnapshot(); len(got) != 2 {
 		t.Fatalf("items = %v", got)
 	}
 }
@@ -283,29 +295,23 @@ func TestContinuousQueryResetDelta(t *testing.T) {
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("sensors", c.Store())
 	q := rt.MustCompile(`stream("sensors")//event/value`, xcql.QaC)
-	var last Result
-	cq := NewContinuousQuery(q, func(r Result) { last = r })
-	cq.Clock = func() time.Time { return ts("2003-06-01T00:00:00") }
+	var last registry.Result
+	r, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) { last = res }})
 	c.Apply(rootFragment())
 	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "42"))
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
+	r.Evaluate()
+	if last.Err != nil || len(last.Delta) != 1 {
+		t.Fatalf("first delta = %v (%v)", last.Delta, last.Err)
 	}
-	if len(last.Delta) != 1 {
-		t.Fatalf("first delta = %v", last.Delta)
-	}
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
+	r.Evaluate()
 	if len(last.Delta) != 0 {
 		t.Fatal("repeat evaluation should be delta-empty")
 	}
-	cq.ResetDelta()
-	if err := cq.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Delta) != 1 {
-		t.Fatal("reset should replay deltas")
+	// an invalidation without a reason re-emits and degrades nothing
+	reg.Invalidate("")
+	r.Evaluate()
+	if len(last.Delta) != 1 || last.Degraded != "" {
+		t.Fatalf("reset should replay deltas undegraded: delta %v, degraded %q", last.Delta, last.Degraded)
 	}
 }
 

@@ -668,7 +668,7 @@ func endpointDateTime(seq xq.Sequence) (xtime.DateTime, bool) {
 	if len(seq) == 0 {
 		return xtime.DateTime{}, false
 	}
-	return xq.DateTimeValue(xq.Atomize(seq)[0])
+	return xq.DateTimeValue(xq.AtomizeFirst(seq))
 }
 
 // vproj is the version projection nodes#[vb,ve] of args, over the
@@ -696,7 +696,7 @@ func endpointVersion(seq xq.Sequence) (n int, last, ok bool) {
 	if len(seq) == 0 {
 		return 0, false, false
 	}
-	it := xq.Atomize(seq)[0]
+	it := xq.AtomizeFirst(seq)
 	if s, isStr := it.(string); isStr && s == "last" {
 		return 0, true, true
 	}

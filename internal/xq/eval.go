@@ -819,22 +819,16 @@ func sequenceInterval(seq Sequence, st *Static) (xtime.Interval, bool) {
 }
 
 func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
-	la, ra := Atomize(l), Atomize(r)
-	if len(la) == 0 || len(ra) == 0 {
+	if len(l) == 0 || len(r) == 0 {
 		return nil, nil
 	}
-	a, b := la[0], ra[0]
-	// dateTime ± duration, dateTime ± number (seconds), dateTime - dateTime
-	if da, ok := a.(xtime.DateTime); !ok {
-		// also allow lexical dateTimes from node content
-		if s, isStr := a.(string); isStr {
-			if d, err := xtime.Parse(s); err == nil {
-				da, a = d, d
-				_ = da
-			}
+	a, b := AtomizeFirst(l), AtomizeFirst(r)
+	// dateTime ± duration, dateTime ± number (seconds), dateTime - dateTime;
+	// a lexical dateTime from node content counts as one
+	if s, isStr := a.(string); isStr {
+		if d, err := xtime.Parse(s); err == nil {
+			a = d
 		}
-	} else {
-		_ = da
 	}
 	if da, ok := a.(xtime.DateTime); ok {
 		switch bv := b.(type) {
@@ -955,11 +949,7 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 				if err != nil {
 					return err
 				}
-				if len(kv) > 0 {
-					keys = append(keys, Atomize(kv)[0])
-				} else {
-					keys = append(keys, nil)
-				}
+				keys = append(keys, AtomizeFirst(kv))
 			}
 			tuples = append(tuples, tuple{ctx: c, keys: keys})
 			return nil

@@ -228,16 +228,29 @@ func EffectiveBool(seq Sequence) bool {
 func Atomize(seq Sequence) Sequence {
 	out := make(Sequence, 0, len(seq))
 	for _, it := range seq {
-		switch v := it.(type) {
-		case *xmldom.Node:
-			out = append(out, v.Text())
-		case AttrItem:
-			out = append(out, v.Value)
-		default:
-			out = append(out, it)
-		}
+		out = append(out, atomic(it))
 	}
 	return out
+}
+
+// AtomizeFirst is Atomize(seq)[0] without the sequence: the typed value of
+// seq's first item, nil when seq is empty.
+func AtomizeFirst(seq Sequence) Item {
+	if len(seq) == 0 {
+		return nil
+	}
+	return atomic(seq[0])
+}
+
+// atomic is one item's typed value.
+func atomic(it Item) Item {
+	switch v := it.(type) {
+	case *xmldom.Node:
+		return v.Text()
+	case AttrItem:
+		return v.Value
+	}
+	return it
 }
 
 // Strings maps StringValue over the sequence.

@@ -21,6 +21,7 @@ import (
 	"xcql"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/registry"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
@@ -364,7 +365,8 @@ func checkRegistryAgainstOracle(t *testing.T, specs []regSpec) {
 
 // BenchmarkRegistryFanout is the sharing headline of the BENCH snapshots:
 // per-fragment cost with K standing queries over one shared access
-// path, registry-shared vs K independent continuous queries. Shared
+// path, registry-shared vs K independent standing queries (K registries
+// of one registration each). Shared
 // mode should stay ~flat in K (handlers/op ~1×); independent mode grows
 // ~linearly.
 func BenchmarkRegistryFanout(b *testing.B) {
@@ -375,21 +377,24 @@ func BenchmarkRegistryFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("independent/k=%d", k), func(b *testing.B) {
 			fx := newRegistryCostFixture(b, 100, b.N)
 			at := fx.at
-			cqs := make([]*xcql.ContinuousQuery, k)
+			regs := make([]*xcql.QueryRegistry, k)
 			var handlers int64
 			queries := make([]*xcql.Query, k)
-			for i := range cqs {
+			for i := range regs {
 				q, err := fx.engine.Compile(registryCostQuery, xcql.QaCPlus)
 				if err != nil {
 					b.Fatal(err)
 				}
 				queries[i] = q
-				cq := xcql.NewContinuousQuery(q, func(xcql.Result) {})
-				cq.Clock = func() time.Time { return at }
-				if err := cq.EvaluateFragment(nil); err != nil {
+				regs[i] = registry.New(func() time.Time { return at })
+				if _, err := regs[i].Register(q, registry.Options{OnResult: func(res registry.Result) {
+					if res.Err != nil {
+						b.Fatal(res.Err)
+					}
+				}}); err != nil {
 					b.Fatal(err)
 				}
-				cqs[i] = cq
+				regs[i].Evaluate()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -398,10 +403,8 @@ func BenchmarkRegistryFanout(b *testing.B) {
 				if f.ValidTime.After(at) {
 					at = f.ValidTime
 				}
-				for _, cq := range cqs {
-					if err := cq.EvaluateFragment(f); err != nil {
-						b.Fatal(err)
-					}
+				for _, r := range regs {
+					r.Apply(f)
 				}
 			}
 			b.StopTimer()

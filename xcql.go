@@ -101,12 +101,6 @@ type (
 	Server = stream.Server
 	// Client receives a fragment stream into a local store.
 	Client = stream.Client
-	// ContinuousQuery re-evaluates a query as fragments arrive: a private
-	// QueryRegistry holding one registration.
-	ContinuousQuery = stream.ContinuousQuery
-	// Result is one evaluation of a continuous query — the same type as
-	// RegistryResult, under the name it has always had here.
-	Result = registry.Result
 	// Gap is a run of sequence numbers a client failed to receive.
 	Gap = stream.Gap
 	// ClientStats is a client's one progress snapshot: watermarks, lag,
@@ -388,10 +382,11 @@ func (e *Engine) EvalContextStats(ctx context.Context, src string, at time.Time,
 func (e *Engine) SetTraceSink(s TraceSink) { e.rt.SetTraceSink(s) }
 
 // NewFlightRecorder returns a bounded in-memory tracer. Attach it to the
-// pieces whose spans should join one tree: Server/Client/SegStore/
-// ContinuousQuery SetFlightRecorder, Engine.SetFlightRecorder for the
-// standing-query registry. The zero-value options give a 256-trace ring
-// with 1-in-16 uniform sampling plus always-kept p99/flagged traces.
+// pieces whose spans should join one tree: Server/Client/SegStore
+// SetFlightRecorder, Engine.SetFlightRecorder (or
+// QueryRegistry.SetFlightRecorder) for the standing-query registry. The
+// zero-value options give a 256-trace ring with 1-in-16 uniform sampling
+// plus always-kept p99/flagged traces.
 func NewFlightRecorder(opts FlightRecorderOptions) *FlightRecorder {
 	return obs.NewFlightRecorder(opts)
 }
@@ -506,11 +501,6 @@ func OpenSegStore(dir string, opts SegStoreOptions) (*SegStore, *RecoveryReport,
 // reseeded, and the log stays attached for write-through.
 func RecoverServer(name string, s *TagStructure, d DurableLog) (*Server, error) {
 	return stream.RecoverServer(name, s, d)
-}
-
-// NewContinuousQuery wraps a compiled query for continuous evaluation.
-func NewContinuousQuery(q *Query, onResult func(Result)) *ContinuousQuery {
-	return stream.NewContinuousQuery(q, onResult)
 }
 
 // NewHistogram returns an empty latency histogram.

@@ -133,10 +133,14 @@ func TestEngineContinuousOverBroadcast(t *testing.T) {
 	q := engine.MustCompile(
 		`for $t in stream("credit")//transaction where $t/amount > 100 return $t/@id`,
 		xcql.QaCPlus)
-	var last xcql.Result
-	cq := xcql.NewContinuousQuery(q, func(r xcql.Result) { last = r })
-	cq.Clock = func() time.Time { return at }
-	cq.Attach(client)
+	var last xcql.RegistryResult
+	standing := engine.Registry()
+	standing.SetClock(func() time.Time { return at })
+	reg, err := standing.Register(q, xcql.RegistryOptions{OnResult: func(r xcql.RegistryResult) { last = r }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.AttachRegistry(standing)
 
 	sub := server.Subscribe(128, true)
 	done := make(chan struct{})
@@ -153,8 +157,8 @@ func TestEngineContinuousOverBroadcast(t *testing.T) {
 	server.Close()
 	<-done
 
-	if len(cq.ItemsSnapshot()) == 0 {
-		t.Fatalf("continuous query produced nothing; errs=%v", client.Errs())
+	if len(reg.ItemsSnapshot()) == 0 {
+		t.Fatalf("standing query produced nothing; errs=%v", client.Errs())
 	}
 	if got := xcql.FormatSequence(last.Delta); !strings.Contains(got, "99999") {
 		t.Fatalf("delta = %q", got)
