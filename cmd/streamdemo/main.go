@@ -187,18 +187,6 @@ func main() {
 	}
 	fmt.Printf("incremental evaluation: %s\n", cq.Strategy())
 	cq.Latency().Register(registry, "cq_latency")
-	cqStat := func(f func(xcql.RegistrationStats) int64) func() int64 {
-		return func() int64 { return f(cq.Stats()) }
-	}
-	registry.Gauge("cq_evals", cqStat(func(st xcql.RegistrationStats) int64 { return st.Evaluations }))
-	registry.Gauge("cq_buffer_bytes", cqStat(func(st xcql.RegistrationStats) int64 { return st.BufferBytes }))
-	registry.Gauge("cq_buffer_hwm_bytes", cqStat(func(st xcql.RegistrationStats) int64 { return st.BufferHWMBytes }))
-	registry.Gauge("cq_degraded", cqStat(func(st xcql.RegistrationStats) int64 {
-		if st.Degraded != "" {
-			return 1
-		}
-		return 0
-	}))
 	client.AttachRegistry(qreg)
 
 	// -serve mounts the multi-tenant standing-query API over the same

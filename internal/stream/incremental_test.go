@@ -70,6 +70,9 @@ func TestIncrementalInvalidatedOnGap(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	got := results[len(results)-1]
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
 	if got.Degraded != "" || len(got.Delta) != 0 {
 		t.Fatalf("post-clear result = degraded %q delta %v", got.Degraded, xq.Strings(got.Delta))
 	}
@@ -195,7 +198,12 @@ func TestDeltaMemoryBounded(t *testing.T) {
 		var deltas int
 		var at time.Time
 		r := registry.New(func() time.Time { return at })
-		reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) { deltas += len(res.Delta) }})
+		reg, err := r.Register(q, registry.Options{OnResult: func(res registry.Result) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			deltas += len(res.Delta)
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

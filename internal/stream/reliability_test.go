@@ -287,7 +287,11 @@ func TestContinuousQueryInvalidatedOnGap(t *testing.T) {
 	r.Evaluate()
 	mu.Lock()
 	defer mu.Unlock()
-	if got := results[len(results)-1]; got.Degraded != "" {
+	got := results[len(results)-1]
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if got.Degraded != "" {
 		t.Fatal("ClearDegraded did not clear")
 	}
 }

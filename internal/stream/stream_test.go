@@ -304,13 +304,13 @@ func TestContinuousQueryResetDelta(t *testing.T) {
 		t.Fatalf("first delta = %v (%v)", last.Delta, last.Err)
 	}
 	r.Evaluate()
-	if len(last.Delta) != 0 {
-		t.Fatal("repeat evaluation should be delta-empty")
+	if last.Err != nil || len(last.Delta) != 0 {
+		t.Fatalf("repeat evaluation should be delta-empty: delta %v (%v)", last.Delta, last.Err)
 	}
 	// an invalidation without a reason re-emits and degrades nothing
 	reg.Invalidate("")
 	r.Evaluate()
-	if len(last.Delta) != 1 || last.Degraded != "" {
+	if last.Err != nil || len(last.Delta) != 1 || last.Degraded != "" {
 		t.Fatalf("reset should replay deltas undegraded: delta %v, degraded %q", last.Delta, last.Degraded)
 	}
 }
