@@ -40,9 +40,11 @@ import (
 // holes in one read (Q2: the bidders of every open auction), and the
 // evaluator allocates per binding only what the result keeps — no argument
 // slice per call, no sequence per intermediate path step, per context item
-// or per constructed element, no copy of a constructor's content: 30, 528,
-// 43 and 26 for Q1, Q2, Q5 and QD, and the ceilings sit ~10 % above Q2's,
-// Q5's and QD's (1 725, 201 and 221 while every one of those allocated;
+// or per constructed element, no copy of a constructor's content, and
+// count() answers from numbers built once: 30, 528, 41 and 26 for Q1, Q2,
+// Q5 and QD, and the ceilings sit ~10 % above Q2's, Q5's and QD's (43 for
+// Q5 while count() boxed its answer; 1 725, 201 and 221 while every one of
+// those allocated;
 // 3 401 for Q2 while every binding read its own children; 40,
 // 5 328, 1 014 and 1 206 while every top cost two allocations, every
 // literal evaluation one and every tuple a context and a binding; 96,
@@ -58,19 +60,23 @@ import (
 // allocator noise and small evaluator changes do not.
 //
 // Heap bytes have ceilings of their own, ~15 % above what Q2, Q5 and QD
-// allocate per evaluation — 78 360, 24 770 and 23 336 B (117 970, 27 320
+// allocate per evaluation — 78 360, 24 744 and 23 336 B (117 970, 27 320
 // and 26 450 B before the evaluator stopped allocating what no result
-// keeps) — and the two handler rows below per request — 122 170 and
-// 55 938 B (162 192 and 59 248 B): none of the four queries observes a
+// keeps) — and ~10 % above the two handler rows below per request —
+// 101 120 and 41 048 B (122 170 and 55 938 B before the plan cache and the
+// presized body, 162 192 and 59 248 B before the evaluator stopped
+// allocating what no result keeps): none of the four queries observes a
 // stamp, so their reads build no top (209 352, 61 106 and 68 040 B, and
 // 253 242 and 100 674 B, while every read stamped a new top per version).
 // No count shows that loss: a stamped read builds all its tops in a few
 // allocations, whatever their number.
 //
 // POST /v1/eval has two rows of its own: the handler around Q2 and QD —
-// the request, the compile, the evaluation and a body written by hand,
-// each node item encoded into one kept buffer and escaped from there —
-// 671 and 120 allocations per request, ceilings ~10 % above (1 868 and 315
+// the request, a plan-cache hit, the evaluation and a body written by hand
+// into one buffer sized for it, each node item encoded into one kept
+// buffer and escaped from there — 562 and 60 allocations per request,
+// ceilings ~10 % above (671 and 120 while every request parsed and
+// translated its text and grew its body from nothing, 1 868 and 315
 // before the evaluator stopped allocating what no result keeps; 1 885 and
 // 327 before the compile marked reads bare; 3 551 for Q2 while every binding
 // read its own children, 5 708 and 1 498 while the body was a map handed
@@ -104,7 +110,7 @@ func TestAllocationCeiling(t *testing.T) {
 	}{
 		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 39, 0},
 		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 581, 90_100},
-		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 47, 28_500},
+		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 45, 28_500},
 		{"QD/QaC+", queryQD, ixcql.QaCPlus, 29, 26_800},
 	} {
 		q, err := ds.Runtime.Compile(c.src, c.mode)
@@ -122,6 +128,16 @@ func TestAllocationCeiling(t *testing.T) {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", c.name, got, c.ceiling)
 		}
 		checkBytes(t, c.name, "op", c.maxBytes, eval)
+		// a compile of a text compiled before is a new Query over the
+		// cached plan: one allocation, no parse, no translation
+		hit := testing.AllocsPerRun(5, func() {
+			if _, err := ds.Runtime.Compile(c.src, c.mode); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if hit > 1 {
+			t.Errorf("%s: a plan-cache hit costs %.0f allocations, want 1", c.name, hit)
+		}
 		if c.name != "Q1/QaC+" {
 			continue
 		}
@@ -146,8 +162,8 @@ func TestAllocationCeiling(t *testing.T) {
 		ceiling   float64
 		maxBytes  float64
 	}{
-		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 738, 140_500},
-		{"POST /v1/eval QD/QaC+", queryQD, 132, 64_300},
+		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 618, 111_300},
+		{"POST /v1/eval QD/QaC+", queryQD, 66, 45_200},
 	} {
 		req, err := json.Marshal(map[string]string{"query": c.src, "mode": "QaC+", "at": evalbench.EvalInstant.Format(time.RFC3339Nano)})
 		if err != nil {

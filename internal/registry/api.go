@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -466,23 +467,37 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 
 // appendEvalBody appends the body of a successful POST /v1/eval to dst: the
 // object {"at", "items"} as encoding/json renders it with HTML escaping off,
-// each item serialized as inc.ItemSerial does, written field by field. A
-// node item is encoded into one buffer kept for all of them, grown to an
-// item's exact size when it is too small, and escaped from there, so an
-// item costs no string of its own.
+// each item serialized as inc.ItemSerial does, written field by field. dst
+// is grown once, to the items' encoded size with room for the quotes and
+// escapes JSON adds, and a node item is encoded into one buffer of the
+// largest item's size, kept for all of them, and escaped from there, so an
+// item costs no string of its own and a body one or two allocations.
 func appendEvalBody(dst []byte, at time.Time, seq xq.Sequence) []byte {
+	size, largest := len(`{"at":"","items":[]}`)+len(time.RFC3339Nano), 0
+	for _, it := range seq {
+		n := 24 // an atomic's serial: a number, a date, a short string
+		switch v := it.(type) {
+		case *xmldom.Node:
+			n = v.EncodedLen()
+			largest = max(largest, n)
+		case string:
+			n = len(v)
+		}
+		size += n + n/8 + len(`"",`)
+	}
+	dst = slices.Grow(dst, size)
 	dst = append(dst, `{"at":"`...)
 	dst = at.AppendFormat(dst, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
 	dst = append(dst, `","items":[`...)
 	var item []byte
+	if largest > 0 {
+		item = make([]byte, 0, largest)
+	}
 	for i, it := range seq {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		if n, ok := it.(*xmldom.Node); ok {
-			if size := n.EncodedLen(); cap(item) < size {
-				item = make([]byte, 0, size)
-			}
 			item = n.AppendTo(item[:0])
 			dst = appendJSONString(dst, item)
 		} else {

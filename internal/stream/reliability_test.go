@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
-	"xcql/internal/registry"
-	"xcql/internal/xcql"
-	"xcql/internal/xq"
 )
 
 func TestPublishStampsSequence(t *testing.T) {
@@ -243,56 +240,6 @@ func TestServerStatsSnapshot(t *testing.T) {
 	}
 	if st.OldestRetained != 1 || st.LatestSeq != 3 || st.Retained != 3 {
 		t.Fatalf("window = %+v", st)
-	}
-}
-
-func TestContinuousQueryInvalidatedOnGap(t *testing.T) {
-	c := NewClient("sensors", sensorStructure(t))
-	rt := xcql.NewRuntime()
-	rt.RegisterStream("sensors", c.Store())
-	q := rt.MustCompile(`for $e in stream("sensors")//event where $e/value > 40 return $e/value`, xcql.QaCPlus)
-
-	var mu sync.Mutex
-	var results []registry.Result
-	r, reg := standing(t, q, ts("2003-06-01T00:00:00"), registry.Options{OnResult: func(res registry.Result) {
-		mu.Lock()
-		results = append(results, res)
-		mu.Unlock()
-	}})
-	c.AttachRegistry(r)
-
-	c.Apply(rootFragment().WithSeq(1))
-	c.Apply(eventFragment(1, "2003-01-02T00:00:00", "41").WithSeq(2))
-	// seq 3 is lost; 4 arrives and invalidates the query
-	c.Apply(eventFragment(3, "2003-01-04T00:00:00", "55").WithSeq(4))
-
-	mu.Lock()
-	if len(results) != 3 {
-		t.Fatalf("evaluations = %d", len(results))
-	}
-	if results[1].Degraded != "" {
-		t.Fatal("pre-gap result marked degraded")
-	}
-	last := results[2]
-	if last.Degraded == "" {
-		t.Fatal("post-gap result not marked degraded")
-	}
-	// invalidation reset the delta state: everything visible re-emits
-	if strings.Join(xq.Strings(last.Delta), ",") != "41,55" {
-		t.Fatalf("post-gap delta = %v", last.Delta)
-	}
-	mu.Unlock()
-	// consumers can re-arm after handling the degradation
-	reg.ClearDegraded()
-	r.Evaluate()
-	mu.Lock()
-	defer mu.Unlock()
-	got := results[len(results)-1]
-	if got.Err != nil {
-		t.Fatal(got.Err)
-	}
-	if got.Degraded != "" {
-		t.Fatal("ClearDegraded did not clear")
 	}
 }
 

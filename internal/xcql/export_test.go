@@ -8,3 +8,11 @@ func SetBareReads(on bool) (restore func()) {
 	bareReads = on
 	return func() { bareReads = was }
 }
+
+// CachedPlans reports how many plans rt's plan cache holds and the bytes of
+// their texts.
+func (rt *Runtime) CachedPlans() (plans, bytes int) {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return len(rt.plans.plans), rt.plans.bytes
+}

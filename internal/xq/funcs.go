@@ -21,7 +21,7 @@ func init() {
 			if err := arity("count", args, 1); err != nil {
 				return nil, err
 			}
-			return Singleton(float64(len(args[0]))), nil
+			return countSeq(len(args[0])), nil
 		},
 		"sum": func(_ *Context, args []Sequence) (Sequence, error) {
 			if err := arity("sum", args, 1); err != nil {

@@ -30,6 +30,7 @@ var scratchQueries = []struct{ src, want string }{
 		"-3800.2||-950"},
 	{`every $t in $doc//transaction satisfies $t/amount/text() != ""`, "true"},
 	{`<out>{for $a in $doc/account return <a>{$a/creditLimit[. > 1500]/text()}</a>}</out>`, "20005000"},
+	{`for $a in $doc/account where count($a/transaction)[. > 1] = 2 return (count($a/transaction), 7)[. < 3]`, "2"},
 }
 
 // runOn evaluates src with $doc bound to the credit view under static.
@@ -98,6 +99,12 @@ func TestScratchChangesNoValue(t *testing.T) {
 			}
 		}
 	}
+	// count()'s shared answers are read-only to every receiver
+	for n, seq := range smallCounts {
+		if len(seq) != 1 || cap(seq) != 1 || seq[0] != float64(n) {
+			t.Fatalf("count's shared answer for %d is now %v (cap %d)", n, seq, cap(seq))
+		}
+	}
 }
 
 // manyTransactions is a view of one account holding n transactions.
@@ -118,6 +125,9 @@ func manyTransactions(n int) *xmldom.Node {
 // grow with the result. An operand arithmetic reads and an order-by key
 // are atomized as the one item read, never copied into a sequence first:
 // a sum in the where clause costs four more per binding, a sort key five.
+// A call's argument is a value of its own, which the callee may keep, but
+// count() answers from numbers built once: one more per binding (three
+// while it boxed a new number into a new sequence for every answer).
 func TestBindingAllocatesWhatTheResultKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -132,6 +142,7 @@ func TestBindingAllocatesWhatTheResultKeeps(t *testing.T) {
 	}{
 		{bind + `where $t/amount >= 0 and not($t/status = "suspended")` + result, 2},
 		{bind + `where $t/amount + 1 > 0` + result, 6},
+		{bind + `where count($t/status) = 1` + result, 3},
 		{bind + `order by $t/amount` + result, 7},
 	} {
 		e := MustParse(c.src)

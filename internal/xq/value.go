@@ -63,6 +63,28 @@ func boolSeq(b bool) Sequence {
 	return falseSeq
 }
 
+// smallCounts are the answers count() gives most often, built once as the
+// booleans are: counting a binding's children allocates nothing for the
+// answer. Each is capacity-clipped, so an append to one reallocates, and,
+// being no lent sequence, none is ever handed back to a Static's free list.
+var smallCounts = func() []Sequence {
+	items := make(Sequence, 256)
+	seqs := make([]Sequence, len(items))
+	for i := range items {
+		items[i] = float64(i)
+		seqs[i] = items[i : i+1 : i+1]
+	}
+	return seqs
+}()
+
+// countSeq is the number n as count() returns it.
+func countSeq(n int) Sequence {
+	if n < len(smallCounts) {
+		return smallCounts[n]
+	}
+	return Singleton(float64(n))
+}
+
 // StringValue returns the string value of an item: text content of nodes,
 // lexical form of atomics.
 func StringValue(it Item) string {
