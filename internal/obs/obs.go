@@ -114,8 +114,10 @@ type EvalStats struct {
 	SharedUnitMisses int64
 
 	// Per-phase wall times. Parse and Translate are compile-time and
-	// copied from the owning query; Exec and Materialize are measured per
-	// evaluation; Total = Exec + Materialize.
+	// copied from the owning query (zero for a query whose plan came from
+	// the runtime's plan cache: it parsed and translated nothing); Exec
+	// and Materialize are measured per evaluation; Total = Exec +
+	// Materialize.
 	ParseTime       time.Duration
 	TranslateTime   time.Duration
 	ExecTime        time.Duration
