@@ -13,6 +13,7 @@ package xcql_test
 //	BenchmarkGetFillers/…     hole resolution: indexed vs scan cost model
 //	BenchmarkReconstruction/… recursive temporalize vs schema-driven (§5.1)
 //	BenchmarkContinuous/…     per-arrival re-evaluation latency
+//	BenchmarkHistory/…        ad hoc reads of a long credit history
 //
 // Under -short the grid shrinks to the quick scales; the full run uses
 // the paper's sizes (~27 KB / 5.8 MB / 11.8 MB).
@@ -523,6 +524,28 @@ type creditStanding struct {
 
 func newCreditStanding(tb testing.TB, src string, events int, every time.Duration) *creditStanding {
 	tb.Helper()
+	cs := newCreditHistory(tb, events, every)
+	rt := ixcql.NewRuntime()
+	rt.RegisterStream("credit", cs.st)
+	var err error
+	if cs.q, err = rt.Compile(src, ixcql.QaCPlus); err != nil {
+		tb.Fatal(err)
+	}
+	cs.r = registry.New(func() time.Time { return cs.at })
+	if cs.reg, err = cs.r.Register(cs.q, registry.Options{OnResult: func(res registry.Result) { cs.err = res.Err }}); err != nil {
+		tb.Fatal(err)
+	}
+	if cs.r.Evaluate(); cs.err != nil {
+		tb.Fatal(cs.err)
+	}
+	return cs
+}
+
+// newCreditHistory is the credit stream's store as the publisher sends it,
+// `events` charges `every` apart behind it, and no query on it yet; at is
+// its last charge's instant.
+func newCreditHistory(tb testing.TB, events int, every time.Duration) *creditStanding {
+	tb.Helper()
 	structure, err := tagstruct.ParseString(genstore.CreditStructure)
 	if err != nil {
 		tb.Fatal(err)
@@ -537,18 +560,6 @@ func newCreditStanding(tb testing.TB, src string, events int, every time.Duratio
 			tb.Fatal(err)
 		}
 		cs.at = charge[1].ValidTime
-	}
-	rt := ixcql.NewRuntime()
-	rt.RegisterStream("credit", cs.st)
-	if cs.q, err = rt.Compile(src, ixcql.QaCPlus); err != nil {
-		tb.Fatal(err)
-	}
-	cs.r = registry.New(func() time.Time { return cs.at })
-	if cs.reg, err = cs.r.Register(cs.q, registry.Options{OnResult: func(res registry.Result) { cs.err = res.Err }}); err != nil {
-		tb.Fatal(err)
-	}
-	if cs.r.Evaluate(); cs.err != nil {
-		tb.Fatal(cs.err)
 	}
 	return cs
 }
@@ -577,6 +588,67 @@ func (cs *creditStanding) arrive(charge [2]*fragment.Fragment) error {
 		}
 	}
 	return nil
+}
+
+// historyShapes are the five shapes of ROADMAP's history table: ad hoc
+// reads of the credit stream whose cost a long history shows, each at a
+// small and a large history (charges).
+var historyShapes = []struct {
+	name, src string
+	charges   [2]int
+}{
+	{"window", `stream("credit")//transaction?[now-PT1H,now]`, [2]int{360, 3600}},
+	{"snapshot", `count(stream("credit")//account?[now])`, [2]int{360, 3600}},
+	{"last", `count(stream("credit")//account#[last])`, [2]int{360, 3600}},
+	{"sum", `for $a in stream("credit")//account return sum($a/transaction?[now-PT1H,now]/amount)`, [2]int{360, 3600}},
+	{"join", `for $t in stream("credit")//transaction return count(stream("credit")//transaction?[vtFrom($t)-PT1M,vtFrom($t)+PT1M])`, [2]int{100, 1000}},
+}
+
+// BenchmarkHistory is what an ad hoc read of a long history costs: each
+// history shape over the credit stream as its publisher sends it (twenty
+// accounts, a charge every ten seconds, so that an hour holds 360
+// charges), evaluated at the last charge's instant under each plan. One
+// untimed warmup evaluation runs outside the timer. nodes/op and items/op
+// are the tops the reads built and the items the query returned. Under
+// -short the join's large history, which takes seconds an evaluation under
+// every plan, is left out.
+func BenchmarkHistory(b *testing.B) {
+	for _, shape := range historyShapes {
+		for _, charges := range shape.charges {
+			if testing.Short() && shape.name == "join" && charges == shape.charges[1] {
+				continue
+			}
+			for _, mode := range evalbench.Modes {
+				b.Run(fmt.Sprintf("%s/charges=%d/%s", shape.name, charges, mode), func(b *testing.B) {
+					cs := newCreditHistory(b, charges, 10*time.Second)
+					rt := ixcql.NewRuntime()
+					rt.RegisterStream("credit", cs.st)
+					q, err := rt.Compile(shape.src, mode)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := q.Eval(cs.at); err != nil {
+						b.Fatal(err) // warmup, outside the timer
+					}
+					var items int
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						seq, err := q.Eval(cs.at)
+						if err != nil {
+							b.Fatal(err)
+						}
+						items = len(seq)
+					}
+					b.StopTimer()
+					s := q.LastStats()
+					b.ReportMetric(float64(s.FillersScanned), "fillers/op")
+					b.ReportMetric(float64(s.HolesResolved), "holes/op")
+					b.ReportMetric(float64(s.NodesConstructed), "nodes/op")
+					b.ReportMetric(float64(items), "items/op")
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkIncrementalContinuous measures the standing-query engine on the
