@@ -11,7 +11,6 @@ package xcql_test
 //	BenchmarkSelectivity/…    Q5's price threshold swept
 //	BenchmarkGranularity/…    fragmentation granularity: fine vs coarse
 //	BenchmarkGetFillers/…     hole resolution: indexed vs scan cost model
-//	BenchmarkReconstruction/… recursive temporalize vs schema-driven (§5.1)
 //	BenchmarkContinuous/…     per-arrival re-evaluation latency
 //	BenchmarkHistory/…        ad hoc reads of a long credit history
 //
@@ -31,7 +30,6 @@ import (
 	"xcql/internal/registry"
 	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
-	"xcql/internal/temporal"
 	ixcql "xcql/internal/xcql"
 	"xcql/internal/xmark"
 	"xcql/internal/xmldom"
@@ -344,28 +342,6 @@ func BenchmarkGetFillers(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkReconstruction compares §5's recursive temporalize with the
-// §5.1 schema-driven (flattened) reconstruction.
-func BenchmarkReconstruction(b *testing.B) {
-	ds := dataset(b, 0.01, false)
-	b.Run("recursive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := temporal.Temporalize(ds.Store, evalbench.EvalInstant); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("schema-driven", func(b *testing.B) {
-		r := temporal.NewReconstructor(ds.Store.Structure())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Materialize(ds.Store, evalbench.EvalInstant, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 const benchCreditStructure = `<stream:structure>

@@ -7,6 +7,7 @@ import (
 	"xcql/internal/budget"
 	"xcql/internal/obs"
 	"xcql/internal/xmldom"
+	"xcql/internal/xtime"
 )
 
 // Access is the one seam between a translated plan and the stores it
@@ -109,7 +110,78 @@ type Read struct {
 	// Defer reads without charging anything: the caller charges each group
 	// when it takes it (Charge).
 	Defer bool
+	// Span is the read's lifespan bound: the temporal projection that
+	// follows the step the read makes, made by the read. The zero Span
+	// bounds nothing.
+	Span Span
 }
+
+// SpanKind says what a lifespan bound bounds.
+type SpanKind uint8
+
+const (
+	// NoSpan bounds nothing.
+	NoSpan SpanKind = iota
+	// IntervalSpan is e?[a,b] — and e?[t], the window [t,t] —: a version
+	// whose lifespan misses the window is dropped before it is built, and a
+	// kept one is stamped with its lifespan clipped to the window.
+	IntervalSpan
+	// VersionSpan is e#[i,j]: the read keeps the versions numbered i..j
+	// among those Keep lets through, in read order — across the whole read,
+	// or, for a read with Groups, within each group —, and stamps them as
+	// it stamps every version.
+	VersionSpan
+)
+
+// Span is a read's lifespan bound (§6's projections, made while the read
+// crosses the holes instead of over what it built). A Span neither moves
+// what a read examines nor what it charges for that, except on a FromTSID
+// read of an event tag under an interval: the tag's versions are kept in
+// validTime order, and the read examines only those its window can reach
+// (Store.pickWindow). What lies below a kept version — holes, stamped
+// elements — the caller projects (temporal.ProjectBelow).
+type Span struct {
+	Kind SpanKind
+	// Window is an IntervalSpan's window.
+	Window xtime.Interval
+	// Versions is a VersionSpan's range.
+	Versions xtime.VersionInterval
+	// Horizon receives every comparison of a lifespan endpoint with the
+	// window's that the read decides by (nil: none), as the projection
+	// reports them (temporal.IntervalProjection): a standing query's result
+	// expires when one of them changes.
+	Horizon *xtime.Horizon
+}
+
+// within reports whether the projection e?[Window] keeps version k: whether
+// k's lifespan meets the window. It reports the comparisons it decides by to
+// sp.Horizon. This is the one test of a version against a lifespan bound.
+func (sp *Span) within(k keptVersion, at time.Time) bool {
+	_, ok := k.lifespan().Intersect(sp.Window, at, sp.Horizon)
+	return ok
+}
+
+// clips reports which of kept version k's stamps the window replaces: the
+// projection stamps k with its lifespan clipped to the window,
+// [max(vtFrom, a), min(vtTo, b)], where a tie keeps k's own.
+func (sp *Span) clips(k keptVersion, at time.Time) (from, to bool) {
+	life := k.lifespan()
+	return life.From.Compare(sp.Window.From, at) < 0, life.To.Compare(sp.Window.To, at) > 0
+}
+
+// lifespan is k's lifespan as its stamps spell it: validTimes to the
+// second, "now" while it is open.
+func (k keptVersion) lifespan() xtime.Interval {
+	life := xtime.Interval{From: stamped(k.f.ValidTime), To: xtime.Now()}
+	if k.to != nil {
+		life.To = stamped(k.to.ValidTime)
+	}
+	return life
+}
+
+// stamped is t as a stamp spells it, and a projection reads it back: in
+// UTC, to the second.
+func stamped(t time.Time) xtime.DateTime { return xtime.At(t.UTC().Truncate(time.Second)) }
 
 // Group is one group of a read as the read reports it, and, as Read
 // returns it, the whole read as one group. Every kind of access fills it
@@ -185,14 +257,17 @@ func (r *Read) distinct() {
 	r.IDs = ids[:n]
 }
 
-// each runs a read of ids — r's, or a tsid's fillers — group by group:
+// each runs a read of ids — r's, or tsid's fillers — group by group:
 // visit reads ids[lo:hi], one group, under the filter w narrowed
 // (windowKeep.narrow), which each opens for the group, and returns what it
 // read, End the length of the read's output after it, which becomes the
-// group's End. A read without Groups is one group, unwindowed. each
-// returns the read as one group.
-func (r *Read) each(st *Store, at time.Time, ids []int, w *windowKeep, visit func(lo, hi int) Group) Group {
+// group's End. A read without Groups is one group, unwindowed but for a
+// version range. each returns the read as one group.
+func (r *Read) each(st *Store, at time.Time, ids []int, tsid int, w *windowKeep, visit func(lo, hi int) Group) Group {
 	if r.Groups == nil {
+		if r.Span.Kind == VersionSpan {
+			w.open(r, st, ids, tsid, at)
+		}
 		g := visit(0, len(ids))
 		g.Holes = len(ids)
 		return g
@@ -202,7 +277,7 @@ func (r *Read) each(st *Store, at time.Time, ids []int, w *windowKeep, visit fun
 	for i := range r.Groups {
 		g := &r.Groups[i]
 		hi := g.End
-		w.open(r, st, ids[lo:hi], at)
+		w.open(r, st, ids[lo:hi], tsid, at)
 		took := visit(lo, hi)
 		g.End = took.End
 		g.took(took)
@@ -223,11 +298,12 @@ type windowKeep struct {
 	n        int
 }
 
-// narrow is the filter a read reads its groups under: keep narrowed to
-// the window through w, or keep itself for a read without groups.
-func (w *windowKeep) narrow(keep Filter, grouped bool) Filter {
-	if w.keep = keep; !grouped {
-		return keep
+// narrow is the filter r reads its groups under: keep narrowed to the
+// window through w, or keep itself for a read without groups or a version
+// range.
+func (w *windowKeep) narrow(r *Read) Filter {
+	if w.keep = r.Keep; r.Groups == nil && r.Span.Kind != VersionSpan {
+		return r.Keep
 	}
 	return w.admit
 }
@@ -240,14 +316,17 @@ func (w *windowKeep) admit(v Version) bool {
 	return w.n >= w.from
 }
 
-// open readies w for gids, one group of r: for Last, what keep lets
-// through of the group is counted off the store's index first.
-func (w *windowKeep) open(r *Read, st *Store, gids []int, at time.Time) {
+// open readies w for gids, one group of r — of tsid's versions, for
+// tsid > 0: for Last and for a version range, what keep lets through of
+// the group is counted off the store's index first.
+func (w *windowKeep) open(r *Read, st *Store, gids []int, tsid int, at time.Time) {
 	w.n = 0
 	switch {
 	case r.Last:
-		w.from = st.kept(gids, at, w.keep)
+		w.from = st.kept(gids, tsid, at, w.keep)
 		w.to = w.from
+	case r.Span.Kind == VersionSpan:
+		w.from, w.to = r.Span.Versions.Bounds(st.kept(gids, tsid, at, w.keep))
 	case r.From == 0:
 		w.from, w.to = 1, math.MaxInt
 	default:
@@ -303,14 +382,19 @@ func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 	r.distinct()
 	var out []*xmldom.Node
 	var w windowKeep
-	keep := w.narrow(r.Keep, r.Groups != nil)
-	total := r.each(st, a.At, r.IDs, &w, func(lo, hi int) Group {
+	keep := w.narrow(&r)
+	// a version range numbers versions across the holes, through keep
+	var span Span
+	if r.Span.Kind == IntervalSpan {
+		span = r.Span
+	}
+	total := r.each(st, a.At, r.IDs, 0, &w, func(lo, hi int) Group {
 		var g Group
 		for _, id := range r.IDs[lo:hi] {
 			if !r.Defer {
 				a.Budget.MustStep()
 			}
-			els, took := a.one(st, Read{Source: FromHole, ID: id, Keep: keep, Bare: r.Bare}, !r.Defer)
+			els, took := a.one(st, Read{Source: FromHole, ID: id, Keep: keep, Bare: r.Bare, Span: span}, !r.Defer)
 			out = append(out, els...)
 			g.took(took)
 		}
@@ -329,7 +413,7 @@ func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
 	if r.Source == FromTSID {
 		tsid = r.ID
 	}
-	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare})
+	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare, Span: r.Span})
 	if r.Source == FromHole {
 		g.Holes = 1
 	}

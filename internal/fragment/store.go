@@ -39,6 +39,9 @@ type Store struct {
 	byID   map[int][]*Fragment // filler id -> versions by validTime, ties by arrival
 	byTSID map[int]tsidFillers
 
+	// latest is the latest validTime of a version added.
+	latest time.Time
+
 	// gen counts successful Adds, and Coalesce passes that removed
 	// something (Generation). Duplicate or reordered frames the stream
 	// client drops never reach Add, so they advance nothing.
@@ -51,10 +54,14 @@ type Store struct {
 }
 
 // tsidFillers is what the index keeps per tsid: the distinct ids of the
-// fillers with a version carrying it, ascending, and how many versions do.
+// fillers with a version carrying it, ascending, and how many versions do;
+// for an event tag, its versions in validTime order too (ties in arrival
+// order), which answer a window by binary search (pickWindow). Like a
+// version group, byTime grows at its end or is replaced, never shifted.
 type tsidFillers struct {
 	fids     []int
 	versions int
+	byTime   []*Fragment
 }
 
 // NewStore returns an empty indexed store for the given tag structure.
@@ -115,6 +122,9 @@ func (st *Store) Add(f *Fragment) error {
 		}
 	}
 	st.log = append(st.log, f)
+	if f.ValidTime.After(st.latest) {
+		st.latest = f.ValidTime
+	}
 	if st.scan {
 		st.wire = append(st.wire, f.ToXML())
 	}
@@ -137,6 +147,10 @@ func (st *Store) index(f *Fragment) {
 		t.fids = insertAt(t.fids, i, f.FillerID)
 	}
 	t.versions++
+	if tag := st.structure.ByID(f.TSID); tag != nil && tag.Type == tagstruct.Event {
+		i := sort.Search(len(t.byTime), func(i int) bool { return t.byTime[i].ValidTime.After(f.ValidTime) })
+		t.byTime = insertAt(t.byTime, i, f)
+	}
 	st.byTSID[f.TSID] = t
 }
 
@@ -388,16 +402,16 @@ func (keep Filter) Sift(out, els []*xmldom.Node) []*xmldom.Node {
 type keptVersion struct{ f, to *Fragment }
 
 // pickVersions appends to kept each version of one filler id visible at
-// the evaluation instant that keep lets through, with what closes its
-// lifespan, and reports how many visible versions it examined. versions
-// must be the filler's versions in validTime order. A version's lifespan is
-// a fact about its filler, not about the read that reached it: it runs to
-// the validTime of the filler's next visible version, whatever that one's
-// tsid. A read by tsid (tsid > 0) returns — examines, asks keep about —
-// only the versions carrying the tsid; for a filler id that arrived under a
-// second tsid, the other tsid's versions still close the lifespans of the
-// ones returned.
-func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int, at time.Time, keep Filter) ([]keptVersion, int) {
+// the evaluation instant that keep lets through, and an interval bound sp
+// (nil for none) after it, with what closes its lifespan, and reports how
+// many visible versions it examined. versions must be the filler's
+// versions in validTime order. A version's lifespan is a fact about its
+// filler, not about the read that reached it: it runs to the validTime of
+// the filler's next visible version, whatever that one's tsid. A read by
+// tsid (tsid > 0) returns — examines, asks keep about — only the versions
+// carrying the tsid; for a filler id that arrived under a second tsid, the
+// other tsid's versions still close the lifespans of the ones returned.
+func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int, at time.Time, keep Filter, sp *Span) ([]keptVersion, int) {
 	examined := 0
 	for i, f := range versions {
 		if f.ValidTime.After(at) {
@@ -416,9 +430,109 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 		} else if i+1 < len(versions) && !versions[i+1].ValidTime.After(at) {
 			k.to = versions[i+1]
 		}
+		if sp != nil && !sp.within(k, at) {
+			continue
+		}
 		kept = append(kept, k)
 	}
 	return kept, examined
+}
+
+// pickWindow is pickVersions for a read of an event tag's versions under
+// an interval bound, events the tag's versions in validTime order
+// (tsidFillers.byTime): it examines the versions whose point lifespans lie
+// between the window's ends, found by binary search, and past them only
+// what the bound's report to its horizon needs — a version beyond the
+// window's later end enters it the sooner the earlier it is, so the first
+// one keep lets through stands for them all, and one before the earlier end
+// never enters it. When nothing else was asked about, the last such
+// version keep lets through is, so that a window that cannot be scheduled
+// by (xtime.Horizon.Collapse) is reported as the projection would report
+// it. The kept versions are appended grouped by filler id ascending, as a
+// tsid's read returns them.
+func (st *Store) pickWindow(kept []keptVersion, events []*Fragment, at time.Time, keep Filter, sp *Span) ([]keptVersion, int) {
+	visible, lo, hi := windowOf(events, sp.Window, at)
+	n, examined, asked := len(kept), 0, false
+	// ask asks keep and then the bound about f, reporting whether keep let
+	// it through
+	ask := func(f *Fragment) bool {
+		examined++
+		if keep != nil && !keep(Version{st: st, f: f}) {
+			return false
+		}
+		asked = true
+		if k := (keptVersion{f: f, to: f}); sp.within(k, at) {
+			kept = append(kept, k)
+		}
+		return true
+	}
+	for _, f := range events[lo:hi] {
+		ask(f)
+	}
+	for _, f := range events[hi:visible] {
+		if ask(f) {
+			break
+		}
+	}
+	for i := lo - 1; i >= 0 && !asked; i-- {
+		ask(events[i])
+	}
+	if byFiller := func(x, y keptVersion) int { return x.f.FillerID - y.f.FillerID }; !slices.IsSortedFunc(kept[n:], byFiller) {
+		slices.SortStableFunc(kept[n:], byFiller)
+	}
+	return kept, examined
+}
+
+// windowOf finds window in events, an event tag's versions in validTime
+// order: the first `visible` are visible at the instant at, and
+// events[lo:hi] lie between the window's ends.
+func windowOf(events []*Fragment, window xtime.Interval, at time.Time) (visible, lo, hi int) {
+	visible = sort.Search(len(events), func(i int) bool { return events[i].ValidTime.After(at) })
+	a, b := window.From.Resolve(at), window.To.Resolve(at)
+	if b.Before(a) {
+		a, b = b, a
+	}
+	lo = sort.Search(visible, func(i int) bool { return !stamped(events[i].ValidTime).Time().Before(a) })
+	hi = lo + sort.Search(visible-lo, func(i int) bool { return stamped(events[lo+i].ValidTime).Time().After(b) })
+	return visible, lo, hi
+}
+
+// WindowExamined is how many versions a FromTSID read of tsid without a
+// filter examines under the interval bound window at the instant at, and
+// true, when tsid is an event tag's; false, when the read examines every
+// visible version, as a read without a bound does. EXPLAIN predicts with
+// it.
+func (st *Store) WindowExamined(tsid int, window xtime.Interval, at time.Time) (int, bool) {
+	events := st.events(tsid)
+	if events == nil {
+		return 0, false
+	}
+	visible, lo, hi := windowOf(events, window, at)
+	n := hi - lo
+	switch {
+	case hi < visible:
+		n++ // the first version past the window
+	case lo == visible && lo > 0:
+		n++ // the last one before it
+	}
+	return n, true
+}
+
+// Latest returns the latest validTime of a version in the store: the
+// instant a standing query evaluates the newest arrival at.
+func (st *Store) Latest() time.Time {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.latest
+}
+
+// events returns the versions of tsid in validTime order when tsid is an
+// event tag's, nil otherwise.
+func (st *Store) events(tsid int) []*Fragment {
+	st.mu.RLock()
+	vs := st.byTSID[tsid].byTime
+	st.mu.RUnlock()
+	return vs[:len(vs):len(vs)]
 }
 
 // buildTops builds the top elements of the kept versions, each stamped with
@@ -431,7 +545,11 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 // lifespan's two, and its Children the stored payload's list, both
 // capacity-clipped: an append to one top reallocates, never writing into
 // another top's attributes or a stored payload's children.
-func (st *Store) buildTops(kept []keptVersion) []*xmldom.Node {
+// Under an interval bound a kept version's stamps are its lifespan
+// clipped to the window, spelled as the projection spells it — a window
+// endpoint that replaces a stamp as the window's bound is written
+// ("now-PT1H"), spelled once for the read.
+func (st *Store) buildTops(kept []keptVersion, sp *Span, at time.Time) []*xmldom.Node {
 	if len(kept) == 0 {
 		return nil
 	}
@@ -449,6 +567,10 @@ func (st *Store) buildTops(kept []keptVersion) []*xmldom.Node {
 	nodes := make([]xmldom.Node, len(kept))
 	attrs := make([]xmldom.Attr, nattrs)
 	var instants strings.Builder
+	var window [2]string // the window's ends as stamps, spelled when first needed
+	if sp != nil {
+		ninstants += 2
+	}
 	instants.Grow(ninstants * len(xtime.Layout))
 	to := ""
 	for i, k := range kept {
@@ -464,17 +586,44 @@ func (st *Store) buildTops(kept []keptVersion) []*xmldom.Node {
 		default:
 			to = renderInstant(&instants, k.to.ValidTime)
 		}
+		stampFrom, stampTo := from, to
+		if sp != nil {
+			clipFrom, clipTo := sp.clips(k, at)
+			if clipFrom {
+				stampFrom = sp.spell(&instants, &window, 0)
+			}
+			if clipTo {
+				stampTo = sp.spell(&instants, &window, 1)
+			}
+		}
 		p, el := k.f.Tree(), &nodes[i]
 		n := len(p.Attrs) + 2
 		el.Type, el.Name = p.Type, p.Name
 		el.Attrs = attrs[:copy(attrs, p.Attrs):n]
 		el.Children = p.Children[:len(p.Children):len(p.Children)]
-		el.SetAttr("vtFrom", from)
-		el.SetAttr("vtTo", to)
+		el.SetAttr("vtFrom", stampFrom)
+		el.SetAttr("vtTo", stampTo)
 		attrs = attrs[n:]
 		out[i] = el
 	}
 	return out
+}
+
+// spell returns the window's end `end` (0 its start, 1 its end) as a
+// stamp spells it, written at the end of b the first time — into spelled,
+// which keeps it for the read's other versions.
+func (sp *Span) spell(b *strings.Builder, spelled *[2]string, end int) string {
+	if spelled[end] == "" {
+		d := sp.Window.From
+		if end == 1 {
+			d = sp.Window.To
+		}
+		var buf [len(xtime.Layout)]byte
+		start := b.Len()
+		b.Write(d.AppendTo(buf[:0]))
+		spelled[end] = b.String()[start:]
+	}
+	return spelled[end]
 }
 
 // renderInstant spells t the way the wire does, at the end of b, and
@@ -504,16 +653,25 @@ func renderInstant(b *strings.Builder, t time.Time) string {
 // the read sizes its notes once; with a filter they start on the stack and
 // grow as versions are kept.
 func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
+	var sp *Span
+	if r.Span.Kind == IntervalSpan {
+		sp = &r.Span
+	}
+	var events []*Fragment
 	if tsid > 0 {
 		tsids := [1]int{tsid}
 		st.scanPass(AttrTSID, tsids[:])
 		fids, _ = st.TSIDFillers(tsid)
+		if sp != nil {
+			events = st.events(tsid)
+		}
 	} else {
 		st.scanPass(AttrID, fids)
 	}
 	var few [32]keptVersion
 	kept := few[:0]
-	if r.Keep == nil {
+	// a bound keeps what it keeps: the notes grow as versions are kept
+	if r.Keep == nil && r.Span.Kind == NoSpan {
 		total := 0
 		st.mu.RLock()
 		if tsid > 0 {
@@ -539,20 +697,24 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 	}
 	examined := 0
 	var w windowKeep
-	keep := w.narrow(r.Keep, r.Groups != nil)
-	r.each(st, at, fids, &w, func(lo, hi int) Group {
+	keep := w.narrow(&r)
+	r.each(st, at, fids, tsid, &w, func(lo, hi int) Group {
 		var g Group
 		n := len(kept)
-		for _, fid := range fids[lo:hi] {
-			var seen int
-			kept, seen = st.pickVersions(kept, st.Versions(fid), tsid, at, keep)
-			g.Examined += seen
+		if events != nil {
+			kept, g.Examined = st.pickWindow(kept, events, at, keep, sp)
+		} else {
+			for _, fid := range fids[lo:hi] {
+				var seen int
+				kept, seen = st.pickVersions(kept, st.Versions(fid), tsid, at, keep, sp)
+				g.Examined += seen
+			}
 		}
 		examined += g.Examined
 		g.End, g.Built = len(kept), builtOf(len(kept)-n, r.Bare)
 		return g
 	})
-	out, stamps := st.tops(kept, r)
+	out, stamps := st.tops(kept, r, at)
 	return out, Group{End: len(out), Examined: examined, Built: builtOf(len(out), r.Bare), Stamps: stamps}
 }
 
@@ -561,21 +723,26 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 // stored payload, and the bytes the stamps would have added to them, in
 // all and group by group (r.Groups, already where each group ends in
 // kept).
-func (st *Store) tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
+func (st *Store) tops(kept []keptVersion, r Read, at time.Time) ([]*xmldom.Node, int) {
+	var sp *Span
+	if r.Span.Kind == IntervalSpan {
+		sp = &r.Span
+	}
 	if !r.Bare {
-		return st.buildTops(kept), 0
+		return st.buildTops(kept, sp, at), 0
 	}
 	if len(kept) == 0 {
 		return nil, 0
 	}
 	out := make([]*xmldom.Node, len(kept))
 	stamps, g := 0, 0
+	var window [2]int // the spellings' lengths of the window's ends, once needed
 	for i, k := range kept {
 		for g < len(r.Groups) && i >= r.Groups[g].End {
 			g++
 		}
 		out[i] = st.tree(k.f)
-		n := stampBytes(k)
+		n := stampBytes(k, sp, at, &window)
 		stamps += n
 		if g < len(r.Groups) {
 			r.Groups[g].Stamps += n
@@ -586,14 +753,39 @@ func (st *Store) tops(kept []keptVersion, r Read) ([]*xmldom.Node, int) {
 
 // stampBytes is what buildTops' stamps add to k's top beyond its payload's
 // xmldom.Node.ShallowSize: vtFrom, and vtTo — "now" while the lifespan is
-// open. A payload attribute of either name is overwritten, not added to.
-func stampBytes(k keptVersion) int {
+// open —, under an interval bound sp (nil for none) the window's end where
+// it clips the lifespan, whose lengths window keeps once spelled. A payload
+// attribute of either name is overwritten, not added to.
+func stampBytes(k keptVersion, sp *Span, at time.Time, window *[2]int) int {
 	p := k.f.Tree()
-	to := len("now")
+	from, to := instantLen(k.f.ValidTime), len("now")
 	if k.to != nil {
 		to = instantLen(k.to.ValidTime)
 	}
-	return stampBytesOf(p, "vtFrom", instantLen(k.f.ValidTime)) + stampBytesOf(p, "vtTo", to)
+	if sp != nil {
+		clipFrom, clipTo := sp.clips(k, at)
+		if clipFrom {
+			from = sp.spellLen(window, 0)
+		}
+		if clipTo {
+			to = sp.spellLen(window, 1)
+		}
+	}
+	return stampBytesOf(p, "vtFrom", from) + stampBytesOf(p, "vtTo", to)
+}
+
+// spellLen is the length of spell's spelling of the window's end `end`,
+// kept in spelled once measured.
+func (sp *Span) spellLen(spelled *[2]int, end int) int {
+	if spelled[end] == 0 {
+		d := sp.Window.From
+		if end == 1 {
+			d = sp.Window.To
+		}
+		var buf [len(xtime.Layout)]byte
+		spelled[end] = len(d.AppendTo(buf[:0]))
+	}
+	return spelled[end]
 }
 
 func stampBytesOf(p *xmldom.Node, name string, n int) int {
@@ -613,13 +805,17 @@ func instantLen(t time.Time) int {
 }
 
 // kept counts the versions of fids visible at the evaluation instant that
-// keep lets through, building nothing.
-func (st *Store) kept(fids []int, at time.Time, keep Filter) int {
+// keep lets through — of those, the ones carrying tsid, for tsid > 0 —,
+// building nothing.
+func (st *Store) kept(fids []int, tsid int, at time.Time, keep Filter) int {
 	n := 0
 	for _, fid := range fids {
 		for _, f := range st.Versions(fid) {
 			if f.ValidTime.After(at) {
 				break
+			}
+			if tsid > 0 && f.TSID != tsid {
+				continue
 			}
 			if keep == nil || keep(Version{st: st, f: f}) {
 				n++

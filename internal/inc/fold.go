@@ -53,12 +53,13 @@ func (e *Engine) fold(p *piece) {
 	}
 }
 
-// termChain returns the child step a chain folds over — the plain
-// xcql:fillers call on the bound stream at its base — when every layer
-// above it maps its input node by node and reads the store only through
-// it: a child or attribute step without predicates, an interval
-// projection with constant bounds, a version projection keeping every
-// version. Else nil.
+// termChain returns the child step a chain folds over — the
+// xcql:fillers call on the bound stream at its base, plain or under a
+// lifespan bound that maps each version on its own and is the same at
+// every evaluation — when every layer above it maps its input node by node
+// and reads the store only through it: a child or attribute step without
+// predicates, an interval projection with constant bounds, a version
+// projection keeping every version. Else nil.
 func (e *Engine) termChain(x xq.Expr) *xq.Call {
 	for {
 		switch t := x.(type) {
@@ -78,7 +79,7 @@ func (e *Engine) termChain(x xq.Expr) *xq.Call {
 			case in == nil || in.Stream != e.stream:
 				return nil
 			case in.Op == xcql.FnFillers:
-				if in.Whole() && e.structure.ByID(in.TSIDs[0]) != nil {
+				if in.Whole() && in.Distributes() && in.Constant() && e.structure.ByID(in.TSIDs[0]) != nil {
 					return t
 				}
 				return nil

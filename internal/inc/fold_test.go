@@ -88,17 +88,18 @@ func TestFoldChargesWhatItReplaces(t *testing.T) {
 
 // TestFoldedPlanText pins what a folded unit runs and the signatures its
 // slots share results under, as the plan renders them: the aggregate
-// becomes an xcql:fold call on the child step's input, and the site's
-// chain reads the unit slot where the child step read the holes. A
-// where pushed below the jump stays a predicate on the unit's versions.
+// becomes an xcql:fold call on the child step's input, carrying the child
+// step's lifespan bound, and the site's chain reads the unit slot where the
+// child step read the holes. A where pushed below the jump stays a
+// predicate on the unit's versions.
 func TestFoldedPlanText(t *testing.T) {
 	rt, _ := newCreditStream(t, 2)
 	for _, c := range []struct{ src, body, folded, chain string }{
 		{
 			fraudQuery,
-			`for $a in $unit where (sum(xcql:iproj(xcql:fillers($a, "credit", 5), (now - PT1H), now, "credit")/amount) >= 5000) return $a/@id`,
-			`for $a in $unit where (xcql:fold($a, "credit", 0) >= 5000) return $a/@id`,
-			`xcql:iproj($unit, (now - PT1H), now, "credit")/amount`,
+			`for $a in $unit where (sum(xcql:fillers($a, "credit", 5, ?[(now - PT1H),now], tops=bare)/amount) >= 5000) return $a/@id`,
+			`for $a in $unit where (xcql:fold($a, "credit", 0, ?[(now - PT1H),now]) >= 5000) return $a/@id`,
+			`$unit/amount`,
 		},
 		{
 			`for $a in stream("credit")//account where $a/@id = "acct1001" and count($a/transaction) > 2 return $a/@id`,

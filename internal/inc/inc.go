@@ -461,14 +461,19 @@ func (e *Engine) decompose() []*piece {
 	}
 	pieces := make([]*piece, 0, len(strands))
 	for _, x := range strands {
-		tsids, pred := e.tsidJump(x)
-		p := &piece{tsids: tsids}
-		if p.indexed() {
+		jump := e.tsidJump(x)
+		p := &piece{}
+		if jump != nil {
+			p.tsids = jump.TSIDs
 			// the unit reads its filler's versions itself: a filter the
-			// translator pushed below the jump becomes a predicate on them
+			// translator pushed below the jump becomes a predicate on them,
+			// and a lifespan bound the projection it stands for
 			var own xq.Expr = unitRef
-			if pred != nil {
-				own = &xq.Filter{Base: unitRef, Preds: []xq.Expr{pred}}
+			if pred := jump.Pred(); pred != nil {
+				own = &xq.Filter{Base: own, Preds: []xq.Expr{pred}}
+			}
+			if proj := jump.Project(own); proj != nil {
+				own = proj
 			}
 			p.expr = body(own)
 			e.fold(p)
@@ -481,20 +486,21 @@ func (e *Engine) decompose() []*piece {
 	return pieces
 }
 
-// tsidJump returns the tsids of a strand that is a pure xcql:bytsid access
-// on the bound stream — what an indexed piece's units are the fillers of
-// — else nil, and the filter the jump carries, as a predicate.
-func (e *Engine) tsidJump(x xq.Expr) (tsids []int, pred xq.Expr) {
+// tsidJump returns the strand when it is a pure xcql:bytsid access on the
+// bound stream — its tsids are what an indexed piece's units are the
+// fillers of —, whose lifespan bound, if any, maps each version on its own;
+// else nil.
+func (e *Engine) tsidJump(x xq.Expr) *xcql.Intrinsic {
 	in := xcql.IntrinsicOf(x)
-	if in == nil || in.Op != xcql.FnByTSID || in.Stream != e.stream {
-		return nil, nil
+	if in == nil || in.Op != xcql.FnByTSID || in.Stream != e.stream || !in.Distributes() {
+		return nil
 	}
 	for _, id := range in.TSIDs {
 		if e.structure.ByID(id) == nil {
-			return nil, nil
+			return nil
 		}
 	}
-	return in.TSIDs, in.Pred()
+	return in
 }
 
 // finish renders a piece's unit signatures — what each unit slot

@@ -41,18 +41,6 @@ func TestTemporalizeBudgetAbortsOnSteps(t *testing.T) {
 	wantLimit(t, err, budget.LimitSteps)
 }
 
-func TestMaterializeBudgetAborts(t *testing.T) {
-	st := creditStore(t)
-	r := NewReconstructor(st.Structure())
-	b := budget.New(context.Background(), budget.Limits{MaxBytes: 64})
-	_, err := r.Materialize(st, evalAt, b)
-	wantLimit(t, err, budget.LimitBytes)
-
-	if _, err := r.Materialize(st, evalAt, nil); err != nil {
-		t.Fatalf("store unusable after budget abort: %v", err)
-	}
-}
-
 // A generous budget reconstructs the identical view.
 func TestTemporalizeBudgetTransparent(t *testing.T) {
 	st := creditStore(t)

@@ -1,7 +1,7 @@
 // Package temporal implements §5 and the projection functions of §6:
-// reconstruction of the temporal view from a fragment store (both the
-// recursive temporalize and the schema-driven flattened variant), and the
-// interval / version projections that give XCQL its windows.
+// reconstruction of the temporal view from a fragment store (the
+// recursive temporalize), and the interval / version projections that give
+// XCQL its windows.
 package temporal
 
 import (

@@ -105,13 +105,7 @@ func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, h *xti
 	from, hasFrom := el.Attr("vtFrom")
 	if !hasFrom {
 		// snapshot element: keep, project children
-		kids, changed := projectChildren(el, window, at, h, resolve)
-		if !changed {
-			return el
-		}
-		out := el.CloneShallow()
-		out.Children = kids
-		return out
+		return ProjectBelow(el, window, at, h, resolve)
 	}
 	life := LifespanOf(el)
 	clipped, ok := life.Intersect(window, at, h)
@@ -119,15 +113,53 @@ func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, h *xti
 		return nil
 	}
 	kids, changed := projectChildren(el, window, at, h, resolve)
-	clipFrom, clipTo := clipped.From.String(), clipped.To.String()
-	if to, _ := el.Attr("vtTo"); !changed && from == clipFrom && to == clipTo {
+	// the clipped lifespan is spelled on the stack, and only a spelling
+	// that differs from the element's becomes a string
+	var fromBuf, toBuf [2 * len(xtime.Layout)]byte
+	clipFrom, clipTo := clipped.From.AppendTo(fromBuf[:0]), clipped.To.AppendTo(toBuf[:0])
+	to, _ := el.Attr("vtTo")
+	sameFrom, sameTo := string(clipFrom) == from, string(clipTo) == to
+	if !changed && sameFrom && sameTo {
 		return el
 	}
 	out := el.CloneShallow()
-	out.SetAttr("vtFrom", clipFrom)
-	out.SetAttr("vtTo", clipTo)
+	if !sameFrom {
+		out.SetAttr("vtFrom", string(clipFrom))
+	}
+	if !sameTo {
+		out.SetAttr("vtTo", string(clipTo))
+	}
 	out.Children = kids
 	return out
+}
+
+// ProjectBelow projects what lies below el, and not el's own lifespan: el
+// itself when nothing below it changes, else a shallow copy of el holding
+// its projected children. It is the part of the projection a read under a
+// lifespan bound (fragment.Span) leaves: the read keeps and stamps each
+// version as the projection would, and its children are projected here.
+func ProjectBelow(el *xmldom.Node, window xtime.Interval, at time.Time, h *xtime.Horizon, resolve HoleResolver) *xmldom.Node {
+	kids, changed := projectChildren(el, window, at, h, resolve)
+	if !changed {
+		return el
+	}
+	out := el.CloneShallow()
+	out.Children = kids
+	return out
+}
+
+// Settled reports that nothing below el is a hole or carries a lifespan
+// stamp: ProjectBelow returns el itself under every window.
+func Settled(el *xmldom.Node) bool {
+	for _, c := range el.Children {
+		if c.Type != xmldom.ElementNode {
+			continue
+		}
+		if _, stamped := c.Attr("vtFrom"); stamped || fragment.IsHole(c) || !Settled(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // projectChildren projects src's children. While every child projects to

@@ -7,7 +7,6 @@ import (
 	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
-	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
 )
 
@@ -132,131 +131,4 @@ func FillHoles(resolve HoleResolver, el *xmldom.Node, seen map[int]bool, b *budg
 	out := el.CloneShallow()
 	out.Children = kids
 	return out
-}
-
-// Reconstructor is the schema-driven (flattened) reconstruction of §5.1:
-// instead of testing every child generically for holes, it precompiles,
-// per tag of the Tag Structure, which children are inline and which arrive
-// as fillers, and walks fragments with an explicit work list instead of
-// per-hole recursion. Behaviour is identical to Temporalize; only the
-// mechanics differ (this is the ablation measured in the benchmarks).
-type Reconstructor struct {
-	structure *tagstruct.Structure
-	// holeBearing[tsid] reports whether the tag's subtree can contain a
-	// hole at any depth, i.e. whether reconstruction must look inside
-	// elements of this tag at all. Subtrees of purely-snapshot tags are
-	// adopted wholesale without inspection.
-	holeBearing map[int]bool
-}
-
-// NewReconstructor compiles the reconstruction plan from the structure.
-func NewReconstructor(s *tagstruct.Structure) *Reconstructor {
-	bearing := make(map[int]bool, len(s.Tags()))
-	var compute func(t *tagstruct.Tag) bool
-	compute = func(t *tagstruct.Tag) bool {
-		has := false
-		for _, c := range t.Children {
-			childBears := compute(c)
-			if c.IsFragmented() || childBears {
-				has = true
-			}
-		}
-		bearing[t.ID] = has
-		return has
-	}
-	compute(s.Root)
-	return &Reconstructor{structure: s, holeBearing: bearing}
-}
-
-// Materialize builds the temporal view using the compiled plan: an
-// explicit work list of (element, tag) pairs in which only hole-bearing
-// subtrees are ever entered. It is metered by b: each work item charges
-// a step, and spliced fillers charge their cardinality and tree bytes,
-// so reconstruction aborts mid-flight when over budget. A nil budget is
-// unlimited.
-func (r *Reconstructor) Materialize(st *fragment.Store, at time.Time, b *budget.Budget) (*xmldom.Node, error) {
-	rootFrag := st.LatestVersion(fragment.RootFillerID, at)
-	if rootFrag == nil {
-		return nil, fmt.Errorf("temporal: root filler has not arrived")
-	}
-	if err := b.AddBytes(int64(rootFrag.Tree().TreeSize())); err != nil {
-		return nil, err
-	}
-	// Stored payloads are immutable, so the walk splices into private
-	// copies: own(el) gives an element whose child list it may write. Only
-	// hole-bearing elements — the spine from the root down to each hole —
-	// are ever copied; everything else stays shared with the store.
-	own := func(el *xmldom.Node) *xmldom.Node {
-		out := el.CloneShallow()
-		out.Children = append([]*xmldom.Node(nil), el.Children...)
-		return out
-	}
-	root := own(rootFrag.Tree())
-	acc := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: at})
-	type item struct {
-		el  *xmldom.Node
-		tag *tagstruct.Tag
-	}
-	// seen enforces the resolve-once-per-filler-id rule (see Temporalize);
-	// the work list is a stack with children pushed in reverse, so items
-	// pop in document order and the two reconstructions agree exactly.
-	seen := make(map[int]bool)
-	work := []item{{root, r.structure.Root}}
-	for len(work) > 0 {
-		if err := b.Step(); err != nil {
-			return nil, err
-		}
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		el, tag := it.el, it.tag
-		var descend []item
-		for i := 0; i < len(el.Children); i++ {
-			c := el.Children[i]
-			if c.Type != xmldom.ElementNode {
-				continue
-			}
-			if !fragment.IsHole(c) {
-				childTag := tag.Child(c.Name)
-				if childTag != nil && r.holeBearing[childTag.ID] {
-					el.Children[i] = own(c)
-					descend = append(descend, item{el.Children[i], childTag})
-				}
-				continue
-			}
-			id, err := fragment.HoleID(c)
-			if err != nil || seen[id] {
-				// drop the hole (unresolvable or already resolved earlier
-				// in document order)
-				el.Children = append(el.Children[:i], el.Children[i+1:]...)
-				i--
-				continue
-			}
-			seen[id] = true
-			fillers, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: id})
-			if err := b.AddItems(len(fillers)); err != nil {
-				return nil, err
-			}
-			var fillerBytes int64
-			for _, f := range fillers {
-				fillerBytes += int64(f.TreeSize())
-			}
-			if err := b.AddBytes(fillerBytes); err != nil {
-				return nil, err
-			}
-			fillerTag := r.structure.ByID(fragment.HoleTSID(c))
-			if fillerTag != nil && r.holeBearing[fillerTag.ID] {
-				for j, f := range fillers {
-					fillers[j] = own(f)
-					descend = append(descend, item{fillers[j], fillerTag})
-				}
-			}
-			// splice fillers in place of the hole
-			el.Children = append(el.Children[:i], append(fillers, el.Children[i+1:]...)...)
-			i += len(fillers) - 1
-		}
-		for i := len(descend) - 1; i >= 0; i-- {
-			work = append(work, descend[i])
-		}
-	}
-	return root, nil
 }

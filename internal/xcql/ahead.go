@@ -143,11 +143,12 @@ func attachReadAhead(plan xq.Expr) {
 }
 
 // correlated returns the intrinsic of c when c is xcql:fillers($v, …)
-// with no pushed filter: a call that crosses the holes of $v's binding and
-// of nothing else. Else nil.
+// with no pushed filter and no lifespan bound, whose ends may be the
+// binding's own: a call that crosses the holes of $v's binding and of
+// nothing else. Else nil.
 func correlated(c *xq.Call, v string) *Intrinsic {
 	in := IntrinsicOf(c)
-	if in == nil || in.Op != FnFillers || in.filter != nil {
+	if in == nil || in.Op != FnFillers || in.filter != nil || in.span != nil {
 		return nil
 	}
 	if ref, ok := c.Args[0].(*xq.VarRef); !ok || ref.Name != v {

@@ -93,6 +93,11 @@ func (m *bareMarker) bare(in *Intrinsic) bool {
 	if in.each != nil && len(in.each.rest()) > 0 {
 		return false
 	}
+	if in.span != nil && in.span.versions {
+		// what lies below a version is projected to the version's
+		// lifespan, which only its stamps say (below)
+		return false
+	}
 	for _, cu := range m.uses {
 		if cu.in == in && !cu.u.nav && (cu.u.b == nil || cu.u.b.observed) {
 			return false
@@ -133,6 +138,10 @@ func (m *bareMarker) walk(e xq.Expr, u use) {
 			// a per-parent list is the child step's predicates, which may
 			// read any variable in scope
 			m.walkAll(in.each.preds)
+		}
+		if in != nil && in.span != nil {
+			// and so may a bound's ends
+			m.walkAll([]xq.Expr{in.span.from, in.span.to})
 		}
 	case *xq.Path:
 		m.walk(ex.Base, use{nav: len(ex.Steps) > 0 && navigates(ex.Steps[0])})

@@ -551,7 +551,8 @@ func appendPathStep(base xq.Expr, step xq.Step) xq.Expr {
 // rewriteIntervalProj compiles e?[tb,te]. When the inner expression's
 // stream is known the projection becomes an intrinsic call bound to that
 // stream's store so holes are crossed during slicing (§6's
-// interval_projection); otherwise the engine's native projection over
+// interval_projection) — or, when e is a step's read, that read's lifespan
+// bound (pushSpan); otherwise the engine's native projection over
 // materialized content is kept.
 func (c *compiler) rewriteIntervalProj(ip *xq.IntervalProj, en env) (xq.Expr, typeSet, error) {
 	inner, ts, err := c.rewrite(ip.E, en)
@@ -573,6 +574,9 @@ func (c *compiler) rewriteIntervalProj(ip *xq.IntervalProj, en env) (xq.Expr, ty
 		if stream, single := singleStream(ts); single {
 			if to == nil {
 				to = from
+			}
+			if pushed := pushSpan(FnIProj, inner, from, to); pushed != nil {
+				return pushed, ts, nil
 			}
 			return c.call(FnIProj, stream, []xq.Expr{inner, from, to}), ts, nil
 		}
@@ -612,6 +616,9 @@ func (c *compiler) rewriteVersionProj(vp *xq.VersionProj, en env) (xq.Expr, type
 			}
 			if to == nil {
 				to = from
+			}
+			if pushed := pushSpan(FnVProj, inner, from, to); pushed != nil {
+				return pushed, ts, nil
 			}
 			return c.call(FnVProj, stream, []xq.Expr{inner, from, to}), ts, nil
 		}

@@ -73,6 +73,13 @@ type ExplainTarget struct {
 	// observes a lifespan stamp (Intrinsic.Bare): the path hands out stored
 	// payloads and builds no top.
 	Bare bool
+	// Span is the lifespan bound the path reads under, as the query spelled
+	// it ("" when none): the path builds only the versions in it. A
+	// tsid-index path on an event tag under a constant interval and no
+	// filter examines only the versions its window reaches, and Versions
+	// counts those, as of the store's newest version's validTime — the
+	// instant a standing query evaluates the newest arrival at.
+	Span string
 }
 
 func (t ExplainTarget) String() string {
@@ -91,6 +98,9 @@ func (t ExplainTarget) String() string {
 	}
 	if t.PerParent != "" {
 		b += " per-parent=" + t.PerParent
+	}
+	if t.Span != "" {
+		b += " span=" + t.Span
 	}
 	if t.Bare {
 		b += " tops=bare"
@@ -163,12 +173,32 @@ func (q *Query) explainCall(in *Intrinsic) []ExplainTarget {
 	if in.each != nil {
 		t.PerParent = in.each.list()
 	}
+	if in.span != nil {
+		t.Span = in.span.String()
+	}
 	out := make([]ExplainTarget, len(in.TSIDs))
 	for i, tsid := range in.TSIDs {
 		t.TSID = tsid
 		out[i] = q.censusTSID(t)
+		if in.Op == FnByTSID && in.filter == nil {
+			out[i] = q.censusWindow(out[i], in.span)
+		}
 	}
 	return out
+}
+
+// censusWindow narrows a tsid-index target's census to what its lifespan
+// bound b reaches, when the read examines no more than that: b a constant
+// interval on an event tag (fragment.Store.WindowExamined).
+func (q *Query) censusWindow(t ExplainTarget, b *bound) ExplainTarget {
+	st := q.rt.Store(t.Stream)
+	if st == nil || b == nil || !b.fixed || b.versions {
+		return t
+	}
+	if n, ok := st.WindowExamined(t.TSID, b.span.Window, st.Latest()); ok {
+		t.Versions, t.CostPerPass = n, st.PassCost(1, n)
+	}
+	return t
 }
 
 // censusTSID fills a target's store census from the store's index:
@@ -316,9 +346,17 @@ func walkExpr(e xq.Expr, fn func(xq.Expr)) {
 		for _, a := range ex.Args {
 			walkExpr(a, fn)
 		}
-		if in := IntrinsicOf(ex); in != nil && in.each != nil {
-			for _, p := range in.each.preds {
-				walkExpr(p, fn)
+		if in := IntrinsicOf(ex); in != nil {
+			if in.each != nil {
+				for _, p := range in.each.preds {
+					walkExpr(p, fn)
+				}
+			}
+			if in.span != nil {
+				walkExpr(in.span.from, fn)
+				if in.span.to != in.span.from {
+					walkExpr(in.span.to, fn)
+				}
 			}
 		}
 	case *xq.ElemCtor:

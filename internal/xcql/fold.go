@@ -156,9 +156,24 @@ func (in *Intrinsic) fold(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence
 	// it dedupes the ids and counts what the read examines, and is charged
 	// the whole read, which the kept terms stand in for
 	acc := u.static.Access
-	_, read := acc.Read(st, fragment.Read{IDs: input.ids, Groups: input.groups, From: 1, To: 0, Defer: true})
+	r := fragment.Read{IDs: input.ids, Groups: input.groups, From: 1, To: 0, Defer: true}
+	if in.span != nil && !in.Bare {
+		// the tops the bounded read builds are its versions in the
+		// bound, which a read of bare tops under it counts; each term
+		// reports the bound's comparisons to its own horizon
+		sp, err := in.span.eval(u.ctx)
+		if err != nil {
+			return nil, err
+		}
+		sp.Horizon = nil
+		r.From, r.Bare, r.Span = 0, true, sp
+	}
+	kept, read := acc.Read(st, r)
 	if !in.Bare {
 		read.Built = read.Examined
+		if in.span != nil {
+			read.Built = len(kept)
+		}
 	}
 	acc.Charge(st, read)
 	if !s.measured {
@@ -180,7 +195,7 @@ func (in *Intrinsic) fold(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence
 		}
 		if t == nil {
 			var err error
-			if t, err = u.evalTerm(s, st, id, kids, in.Bare); err != nil {
+			if t, err = u.evalTerm(s, st, in, id, kids); err != nil {
 				return err
 			}
 			if id >= 0 {
@@ -248,6 +263,7 @@ func (u *UnitEval) charge(steps, items, bytes int64, access *obs.AccessCounts) e
 // that charges is the chain's skeleton.
 func (u *UnitEval) measure(s *foldSite) error {
 	t := u.termFrame()
+	t.horizon.Reset(t.static.Now)
 	if _, err := t.term(s.Chain, nil); err != nil {
 		return err
 	}
@@ -268,21 +284,32 @@ func (u *UnitEval) termFrame() *UnitEval {
 }
 
 // evalTerm evaluates site s's chain over the versions of child id as the
-// child step reads them, bare tops or stamped — or over kids, the inline
-// children of a node —
-// in the terms' frame, and returns what it yields and charged beyond the
-// skeleton and the read. A budget trip returns or panics as the chain's
-// evaluation in the unit would; the unit's frame reports it.
-func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, id int, kids []*xmldom.Node, bare bool) (*Term, error) {
+// child step, fold call in, reads them — bare tops or stamped, under its
+// lifespan bound — or over kids, the inline children of a node, projected
+// by the bound, in the terms' frame, and returns what it yields and
+// charged beyond the skeleton and the read. A budget trip returns or panics
+// as the chain's evaluation in the unit would; the unit's frame reports it.
+func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, in *Intrinsic, id int, kids []*xmldom.Node) (*Term, error) {
 	t := u.termFrame()
+	t.horizon.Reset(t.static.Now)
 	base := kids
 	var read spent
 	var g fragment.Group
+	var span fragment.Span
+	if in.span != nil {
+		var err error
+		if span, err = in.span.eval(t.ctx); err != nil {
+			return nil, err
+		}
+	}
 	if id >= 0 {
 		u.fold.one[0] = id
-		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: bare})
+		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: in.Bare, Span: span})
 		// the read's own charge is its group's: the fold charges that
 		read = t.used()
+		below(t.static, st, base, span)
+	} else if span.Kind != fragment.NoSpan {
+		base = project(t.static, st, base, span)
 	}
 	bound, err := chargeNodes(&t.budget, base, g.Stamps)
 	if err != nil {
@@ -322,10 +349,10 @@ func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, id int, kids []*xml
 	return term, nil
 }
 
-// term runs a chain once with $UnitVar bound to bound. Errors come back as
-// the evaluator returns them: the unit frame around the fold wraps them.
+// term runs a chain once with $UnitVar bound to bound, into the horizon
+// its caller reset. Errors come back as the evaluator returns them: the
+// unit frame around the fold wraps them.
 func (u *UnitEval) term(chain xq.Expr, bound xq.Sequence) (xq.Sequence, error) {
-	u.horizon.Reset(u.static.Now)
 	u.ctx.Rebind(bound)
 	defer u.ctx.Rebind(nil)
 	return xq.Eval(chain, u.ctx)

@@ -12,21 +12,23 @@ import (
 // crosses the holes of, a projection's input and bounds — and everything
 // else is here:
 //
-//	Op         Args             Stream  TSIDs        filter  per-parent  Bare
+//	Op         Args             Stream  TSIDs        filter  per-parent  bound  Bare
 //	view       ()               ✓
 //	root       ()               ✓
-//	fillers    (nodes)          ✓       the tag      ✓       ✓           ✓
-//	bytsid     ()               ✓       one or more  ✓                   ✓
+//	fillers    (nodes)          ✓       the tag      ✓       ✓           ✓      ✓
+//	bytsid     ()               ✓       one or more  ✓                   ✓      ✓
 //	iproj      (nodes, tb, te)  ✓
 //	vproj      (nodes, vb, ve)  ✓
-//	fold       (nodes)          ✓       the tag                          ✓
+//	fold       (nodes)          ✓       the tag                          ✓      ✓
 //
 // A plan renders a call's Intrinsic after its Args, spelled as literal
 // arguments (String): the incremental engine's unit signatures and
 // EXPLAIN's rewritten plan read that rendering, and its evaluation is
 // charged a budget step per operand it spells, as it would be for the
-// literals (operands). An Intrinsic is its call's own while the translator
-// builds the plan (a pass that adds to it copies it), and read-only after.
+// literals (operands) — but the lifespan bound, whose ends are evaluated as
+// the projection's arguments were. An Intrinsic is its call's own while
+// the translator builds the plan (a pass that adds to it copies it), and
+// read-only after.
 type Intrinsic struct {
 	// Op is the function the call is: FnView, FnRoot, FnFillers, FnByTSID,
 	// FnIProj, FnVProj or FnFold.
@@ -46,6 +48,9 @@ type Intrinsic struct {
 	// (perParent); nil when the call carries none.
 	filter *pushed
 	each   *perParent
+	// span is the temporal projection pushed into the read (pushSpan), nil
+	// when the call carries none.
+	span *bound
 	// site is a fold's number among its frame's sites.
 	site int
 	rt   *Runtime
@@ -66,12 +71,16 @@ func (in *Intrinsic) call(args ...xq.Expr) *xq.Call {
 }
 
 // String spells the operands the call carries beyond its Args: the stream,
-// the tsids, the filter and the per-parent list, then tops=bare — a fold's
-// stream and site.
+// the tsids, the filter, the per-parent list and the bound, then tops=bare
+// — a fold's stream and site, and its bound.
 func (in *Intrinsic) String() string {
 	s := `"` + in.Stream + `"`
 	if in.Op == FnFold {
-		return s + ", " + strconv.Itoa(in.site)
+		s += ", " + strconv.Itoa(in.site)
+		if in.span != nil {
+			s += ", " + in.span.String()
+		}
+		return s
 	}
 	for _, id := range in.TSIDs {
 		s += ", " + strconv.Itoa(id)
@@ -82,14 +91,18 @@ func (in *Intrinsic) String() string {
 	if in.each != nil {
 		s += ", " + in.each.String()
 	}
+	if in.span != nil {
+		s += ", " + in.span.String()
+	}
 	if in.Bare {
 		s += ", tops=bare"
 	}
 	return s
 }
 
-// operands is the number of operands String spells but tops=bare, which
-// marks how the call reads, not what it reads.
+// operands is the number of operands String spells but the bound, whose
+// ends are evaluated, and tops=bare, which marks how the call reads, not
+// what it reads.
 func (in *Intrinsic) operands() int {
 	if in.Op == FnFold {
 		return 2
@@ -134,7 +147,8 @@ func (in *Intrinsic) Call(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, err
 }
 
 // Whole reports that the call hands out every version it reads: it carries
-// neither a pushed filter nor a per-parent list.
+// neither a pushed filter nor a per-parent list. A lifespan bound does not
+// count: it maps each version on its own (Distributes says when it does).
 func (in *Intrinsic) Whole() bool { return in.filter == nil && in.each == nil }
 
 // Pred is the call's pushed filter as a predicate over each node the call

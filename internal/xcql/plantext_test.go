@@ -47,7 +47,11 @@ func twinStore(t testing.TB) *fragment.Store {
 // under both fragment plans, for every shape an access call carries: a
 // pushed filter beside a per-parent list, a windowed [last()] list with
 // the rest of its predicates, a windowed list on a read of bare tops, a where pushed below a jump whose tops
-// nothing observes, a jump to two tsids, and both projections. The
+// nothing observes, a jump to two tsids, both projections pushed into the
+// read of the step they follow as its lifespan bound — on a read of bare
+// tops too —, and both left to a projection call where they follow no
+// step's read that can take them: another projection, a jump to two tags.
+// The
 // rendering is what EXPLAIN prints and what the incremental engine's unit
 // signatures are built from.
 func TestPlanText(t *testing.T) {
@@ -79,13 +83,28 @@ func TestPlanText(t *testing.T) {
 		},
 		{
 			`stream("credit")//transaction?[2003-11-01T00:00:00,now]`,
-			`xcql:iproj(xcql:fillers(xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare), "credit", 5), 2003-11-01T00:00:00, now, "credit")`,
-			`xcql:iproj(xcql:bytsid("credit", 5), 2003-11-01T00:00:00, now, "credit")`,
+			`xcql:fillers(xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare), "credit", 5, ?[2003-11-01T00:00:00,now])`,
+			`xcql:bytsid("credit", 5, ?[2003-11-01T00:00:00,now])`,
 		},
 		{
 			`stream("credit")//creditLimit#[1,last]`,
-			`xcql:vproj(xcql:fillers(xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare), "credit", 4), 1, "last", "credit")`,
-			`xcql:vproj(xcql:bytsid("credit", 4), 1, "last", "credit")`,
+			`xcql:fillers(xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare), "credit", 4, #[1,last])`,
+			`xcql:bytsid("credit", 4, #[1,last])`,
+		},
+		{
+			`for $a in stream("credit")//account return sum($a/transaction?[now-PT1H,now]/amount)`,
+			`for $a in xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare) return sum(xcql:fillers($a, "credit", 5, ?[(now - PT1H),now], tops=bare)/amount)`,
+			`for $a in xcql:bytsid("credit", 2, tops=bare) return sum(xcql:fillers($a, "credit", 5, ?[(now - PT1H),now], tops=bare)/amount)`,
+		},
+		{
+			`stream("credit")//transaction?[2003-11-01T00:00:00]?[now]`,
+			`xcql:iproj(xcql:fillers(xcql:fillers(xcql:root("credit")/creditAccounts, "credit", 2, tops=bare), "credit", 5, ?[2003-11-01T00:00:00]), now, now, "credit")`,
+			`xcql:iproj(xcql:bytsid("credit", 5, ?[2003-11-01T00:00:00]), now, now, "credit")`,
+		},
+		{
+			`stream("s")//x#[2]`,
+			`xcql:vproj((xcql:fillers(xcql:fillers(xcql:root("s")/r, "s", 2, tops=bare), "s", 4), xcql:fillers(xcql:fillers(xcql:root("s")/r, "s", 3, tops=bare), "s", 5)), 2, 2, "s")`,
+			`xcql:vproj(xcql:bytsid("s", 4, 5), 2, 2, "s")`,
 		},
 		{
 			`stream("credit")/creditAccounts/account/transaction[1]/amount`,

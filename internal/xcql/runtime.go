@@ -549,38 +549,58 @@ func root(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
 // list opens with one. A node that holds no hole of the tag contributes
 // its children of the tag's name where it stands (callInput). A call
 // on the binding of a for clause that read ahead takes its group of the
-// clause's one read instead (takeAhead). A Bare call reads bare tops.
+// clause's one read instead (takeAhead). A Bare call reads bare tops. A
+// call with a lifespan bound reads under it, projects what lies below the
+// versions kept (below) and the inline children whole; a version range
+// over inline children as well numbers them all, so there the projection
+// runs over the whole output, as the projection call did.
 func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence) (xq.Sequence, error) {
 	tsid, each, keep := in.TSIDs[0], in.each, in.filter.bind(ctx.Static)
-	if keep == nil {
+	var span fragment.Span
+	if in.span != nil {
+		var err error
+		if span, err = in.span.eval(ctx); err != nil {
+			return nil, err
+		}
+	} else if keep == nil {
 		if seq, ok, err := takeAhead(ctx, nodes, st, in); ok {
 			return seq, err
 		}
 	}
 	var input callInput
 	input.collect(nodes, tsid, st.Structure().ByID(tsid), each != nil)
+	read := span
+	if span.Kind == fragment.VersionSpan && input.inline != nil {
+		read = fragment.Span{}
+	}
 	var els []*xmldom.Node
-	var read fragment.Group
+	var g fragment.Group
 	if len(input.ids) > 0 {
-		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare}
+		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare, Span: read}
 		if each != nil {
 			each.window(&r)
 		}
-		els, read = ctx.Static.Access.Read(st, r)
+		els, g = ctx.Static.Access.Read(st, r)
 	}
 	var rest, preds []xq.Expr
 	if each != nil {
 		rest, preds = each.rest(), each.preds
 	}
 	if input.inline == nil && len(rest) == 0 {
-		return chargeNodes(ctx.Static.Budget, els, read.Stamps)
+		below(ctx.Static, st, els, span)
+		return chargeNodes(ctx.Static.Budget, els, g.Stamps)
 	}
+	below(ctx.Static, st, els, read)
 	// the read served the window a list opens with, not the inline children
 	var out []*xmldom.Node
 	lo := 0
 	err := input.each(func(g int, kids []*xmldom.Node) (err error) {
 		if g < 0 {
-			out, err = applyPreds(ctx, out, keep.Sift(nil, kids), preds)
+			kids = keep.Sift(nil, kids)
+			if read.Kind == fragment.IntervalSpan {
+				kids = project(ctx.Static, st, kids, read)
+			}
+			out, err = applyPreds(ctx, out, kids, preds)
 			return err
 		}
 		out, err = applyPreds(ctx, out, els[lo:input.groups[g].End], rest)
@@ -590,7 +610,10 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	if err != nil {
 		return nil, err
 	}
-	return chargeNodes(ctx.Static.Budget, out, read.Stamps)
+	if span.Kind == fragment.VersionSpan && read.Kind == fragment.NoSpan {
+		out = project(ctx.Static, st, out, span)
+	}
+	return chargeNodes(ctx.Static.Budget, out, g.Stamps)
 }
 
 // callInput is what a fillers call reads of its input nodes — and a fold
@@ -684,13 +707,21 @@ func (in *callInput) each(visit func(g int, kids []*xmldom.Node) error) error {
 // one of the call's, without touching any other document level.
 func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
 	keep := in.filter.bind(ctx.Static)
+	var span fragment.Span
+	if in.span != nil {
+		var err error
+		if span, err = in.span.eval(ctx); err != nil {
+			return nil, err
+		}
+	}
 	var out []*xmldom.Node
 	stamps := 0
 	for _, tsid := range in.TSIDs {
-		els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep, Bare: in.Bare})
+		els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep, Bare: in.Bare, Span: span})
 		out = append(out, els...)
 		stamps += g.Stamps
 	}
+	below(ctx.Static, st, out, span)
 	return chargeNodes(ctx.Static.Budget, out, stamps)
 }
 

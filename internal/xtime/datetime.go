@@ -224,6 +224,21 @@ func (d DateTime) Add(dur Duration) DateTime {
 // Sub shifts backwards by the duration.
 func (d DateTime) Sub(dur Duration) DateTime { return d.Add(dur.Negated()) }
 
+// AppendTo appends String's spelling of d to b, without allocating for an
+// absolute instant or an unshifted start or now: a caller comparing a
+// spelling with one it holds spells into a buffer of its own.
+func (d DateTime) AppendTo(b []byte) []byte {
+	switch {
+	case d.k == kindAbs:
+		return d.t.AppendFormat(b, Layout)
+	case !d.shift.IsZero():
+		return append(b, d.String()...)
+	case d.k == kindNow:
+		return append(b, "now"...)
+	}
+	return append(b, "start"...)
+}
+
 // String formats the value: "start", "now", "now+P…"/"now-P…" for shifted
 // symbolic values, or the ISO-8601 instant.
 func (d DateTime) String() string {
