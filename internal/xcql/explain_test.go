@@ -3,6 +3,11 @@ package xcql
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"xcql/internal/fragment"
+	"xcql/internal/genstore"
+	"xcql/internal/tagstruct"
 )
 
 // Explain must name the same plan whose counters LastStats reports, for
@@ -167,5 +172,48 @@ func TestExplainMultiTSIDJump(t *testing.T) {
 	p, o := ex.Predicted, q.LastStats()
 	if p.FillersScanned != o.FillersScanned || p.TSIDLookups != o.TSIDLookups || p.TSIDIndexHits != o.TSIDIndexHits {
 		t.Errorf("predicted %s, observed %s", statsLine(p), statsLine(o))
+	}
+}
+
+// A jump to an event tag under a constant interval examines only what its
+// window reaches: EXPLAIN renders the bound, predicts the counters the run
+// observes at the store's newest arrival — a fraction of the tag's
+// versions on a long history —, and a window that holds no version and
+// one that ends before now predict what they examine too.
+func TestExplainBoundedJump(t *testing.T) {
+	st := fragment.NewStore(tagstruct.MustParseString(genstore.CreditStructure))
+	pub, initial := genstore.NewCreditPublisher(20)
+	if err := st.AddAll(initial); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 720; i++ {
+		announce, tx := pub.Charge(i%20, i, genstore.CreditBase.Add(time.Duration(i)*10*time.Second))
+		if err := st.AddAll([]*fragment.Fragment{announce, tx}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := NewRuntime()
+	rt.RegisterStream("credit", st)
+	for _, src := range []string{
+		`stream("credit")//transaction?[now-PT1H,now]`,
+		`count(stream("credit")//transaction?[now-PT30M,now-PT10M])`,
+		`count(stream("credit")//transaction?[now+PT1H,now+PT2H])`,
+		`stream("credit")//transaction?[2003-11-01T00:30:00]`,
+	} {
+		q := rt.MustCompile(src, QaCPlus)
+		ex := q.Explain()
+		if len(ex.Targets) != 1 || ex.Targets[0].Span == "" || !strings.Contains(ex.Targets[0].String(), " span=?[") {
+			t.Fatalf("%s: targets %v, want one tsid-index path with its bound", src, ex.Targets)
+		}
+		if v := ex.Targets[0].Versions; v >= 720 {
+			t.Errorf("%s: predicted %d versions of 720: the window narrows nothing", src, v)
+		}
+		if _, err := q.Eval(st.Latest()); err != nil {
+			t.Fatal(err)
+		}
+		p, o := ex.Predicted, q.LastStats()
+		if p.FillersScanned != o.FillersScanned || p.TSIDLookups != o.TSIDLookups || p.TSIDIndexHits != o.TSIDIndexHits {
+			t.Errorf("%s: predicted %s, observed %s", src, statsLine(p), statsLine(o))
+		}
 	}
 }

@@ -9,6 +9,15 @@ func SetBareReads(on bool) (restore func()) {
 	return func() { bareReads = was }
 }
 
+// SetPushSpans turns the compiler's pushdown of a projection into the read
+// of the step it follows (pushSpan) on or off for the compilations that
+// follow, and returns what puts it back.
+func SetPushSpans(on bool) (restore func()) {
+	was := pushSpans
+	pushSpans = on
+	return func() { pushSpans = was }
+}
+
 // CachedPlans reports how many plans rt's plan cache holds and the bytes of
 // their texts.
 func (rt *Runtime) CachedPlans() (plans, bytes int) {

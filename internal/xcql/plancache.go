@@ -13,8 +13,8 @@ import (
 // the Tag Structures of the streams registered when it was translated —
 // stores, functions and documents are looked up when it is evaluated — so
 // the key is the text, the mode, the runtime's generation, which
-// RegisterStream and RegisterFunc bump, and the compiler's bareReads
-// setting. A failed compile is not kept.
+// RegisterStream and RegisterFunc bump, and the compiler's bareReads and
+// pushSpans settings. A failed compile is not kept.
 //
 // The cache holds at most maxCachedPlans plans and maxCachedPlanBytes bytes
 // of their texts; a text longer than that is compiled every time. When a
@@ -26,10 +26,10 @@ const (
 )
 
 type planKey struct {
-	src  string
-	mode Mode
-	gen  uint64
-	bare bool
+	src         string
+	mode        Mode
+	gen         uint64
+	bare, spans bool
 }
 
 // compiled is what one compile made, shared read-only by every Query of its

@@ -7,7 +7,9 @@ import (
 
 // What the translator pushes below an access call, read off EXPLAIN's
 // target lines: the filter on the target whose tag the predicate is on,
-// and the rewritten plan free of the predicate when all of it went down.
+// and the rewritten plan free of the predicate when all of it went down;
+// the lifespan bound a projection that directly follows a step becomes,
+// and the plan free of the projection call.
 // Whatever is pushed, every plan returns what CaQ — which has no access
 // call to push anything below — returns.
 func TestPushdownShapes(t *testing.T) {
@@ -47,7 +49,6 @@ func TestPushdownShapes(t *testing.T) {
 		{"where after a position", `for $t in ` + rooted + `/transaction[1] where $t/amount < 2000 return $t`, "transaction", "", "amount"},
 		{"disjunction", all + `[amount > 2000 or vendor = "BookShop"]`, "transaction", "", " or "},
 		{"conjunct after one that stays", `for $t in ` + all + ` where contains($t/vendor, "Pizza") and $t/amount > 100 return $t`, "transaction", "", "amount"},
-		{"after an interval projection", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", "amount"},
 		{"parenthesized path", `(` + all + `)[amount > 100]`, "transaction", "", "amount"},
 		{"value comparison", all + `[amount gt 100]`, "transaction", "", " gt "},
 		{"wildcard", all + `[* = "BookShop"]`, "transaction", "", "BookShop"},
@@ -57,37 +58,84 @@ func TestPushdownShapes(t *testing.T) {
 		{"positional variable", `for $t at $i in ` + all + ` where $t/amount > 100 return $i`, "transaction", "", "amount"},
 		{"let", `let $t := ` + all + ` where $t/amount > 3000 return count($t)`, "transaction", "", "amount"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := newRuntime(t)
-			evalAll(t, rt, tc.src) // every plan agrees with CaQ
-			for _, mode := range []Mode{QaC, QaCPlus} {
-				q := rt.MustCompile(tc.src, mode)
-				ex := q.Explain()
-				got, found := "", false
-				for _, tgt := range ex.Targets {
-					if tgt.Tag == tc.tag {
-						got, found = tgt.Filter, true
-						if (tgt.Filter != "") != strings.Contains(tgt.String(), "pushed=") {
-							t.Errorf("%s: target line %q and Filter %q disagree", mode, tgt, tgt.Filter)
-						}
+		pushdownShape(t, tc.name, tc.src, tc.tag, tc.pushed, "", tc.residual)
+	}
+	// a projection that directly follows a step is the step's read under a
+	// lifespan bound: the target carries it, and no projection call is left
+	for _, tc := range []struct {
+		name, src string
+		tag       string
+		pushed    string // the target's filter
+		span      string // its bound; "" when the projection stays a call
+		residual  string
+	}{
+		{"interval", all + `?[2003-11-01T00:00:00,now]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, ""},
+		{"symbolic window", all + `?[now-PT1H,now]`, "transaction", "", `?[(now - PT1H),now]`, ""},
+		{"inverted window", all + `?[now,now-PT1H]`, "transaction", "", `?[now,(now - PT1H)]`, ""},
+		{"instant", rooted + `?[now]`, "account", "", `?[now]`, ""},
+		{"version", rooted + `#[1]`, "account", "", `#[1]`, ""},
+		{"version range", all + `#[2,last]`, "transaction", "", `#[2,last]`, ""},
+		{"child step", `for $a in ` + rooted + ` return sum($a/transaction?[now-PT1H,now]/amount)`, "transaction", "", `?[(now - PT1H),now]`, ""},
+		{"after a pushed filter", all + `[amount > 100]?[now-PT1H,now]`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
+		{"then a where", `for $t in ` + all + `?[now-PT1H,now] where $t/amount > 100 return $t`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
+		{"then a predicate", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "amount"},
+		{"bounds of a binding", `for $t in ` + all + ` return count(` + all + `?[vtFrom($t)-PT1M,vtFrom($t)+PT1M])`, "transaction", "", `?[(vtFrom($t) - PT1M),(vtFrom($t) + PT1M)]`, ""},
+		// not pushed
+		{"after a per-parent position", rooted + `/transaction[1]?[now]`, "transaction", "", "", "xcql:iproj"},
+		{"after a filter left to the evaluator", all + `[1]?[now]`, "transaction", "", "", "xcql:iproj"},
+		{"after a projection", all + `?[2003-11-01T00:00:00,now]?[now]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "xcql:iproj"},
+		{"after a version range", all + `#[1,last]#[2]`, "transaction", "", `#[1,last]`, "xcql:vproj"},
+	} {
+		pushdownShape(t, "projection/"+tc.name, tc.src, tc.tag, tc.pushed, tc.span, tc.residual)
+	}
+}
+
+// pushdownShape checks one pushdown case: every plan returns what CaQ
+// returns, and under both fragment plans the access path on tag carries
+// filter pushed and bound span, and the rewritten plan still holds
+// residual.
+func pushdownShape(t *testing.T, name, src, tag, pushed, span, residual string) {
+	tc := struct{ name, src, tag, pushed, span, residual string }{name, src, tag, pushed, span, residual}
+	t.Run(tc.name, func(t *testing.T) {
+		rt := newRuntime(t)
+		evalAll(t, rt, tc.src) // every plan agrees with CaQ
+		for _, mode := range []Mode{QaC, QaCPlus} {
+			q := rt.MustCompile(tc.src, mode)
+			ex := q.Explain()
+			got, found := "", false
+			span := ""
+			for _, tgt := range ex.Targets {
+				if tgt.Tag == tc.tag {
+					got, span, found = tgt.Filter, tgt.Span, true
+					if (tgt.Filter != "") != strings.Contains(tgt.String(), "pushed=") {
+						t.Errorf("%s: target line %q and Filter %q disagree", mode, tgt, tgt.Filter)
+					}
+					if (tgt.Span != "") != strings.Contains(tgt.String(), "span="+tgt.Span) {
+						t.Errorf("%s: target line %q and Span %q disagree", mode, tgt, tgt.Span)
 					}
 				}
-				if !found {
-					t.Fatalf("%s: no access path on %s in\n%s", mode, tc.tag, ex)
-				}
-				if got != tc.pushed {
-					t.Errorf("%s: pushed %q, want %q\n%s", mode, got, tc.pushed, ex.Rewritten)
-				}
-				rest := strings.ReplaceAll(ex.Rewritten, got, "")
-				if tc.residual != "" && !strings.Contains(rest, tc.residual) {
-					t.Errorf("%s: %q is gone from the plan, and was not pushed:\n%s", mode, tc.residual, ex.Rewritten)
-				}
-				if tc.residual == "" && tc.pushed != "" && (strings.Contains(rest, "amount") || strings.Contains(rest, "@id") || strings.Contains(rest, "customer =")) {
-					t.Errorf("%s: the pushed predicate is still in the plan:\n%s", mode, ex.Rewritten)
-				}
 			}
-		})
-	}
+			if !found {
+				t.Fatalf("%s: no access path on %s in\n%s", mode, tc.tag, ex)
+			}
+			if got != tc.pushed {
+				t.Errorf("%s: pushed %q, want %q\n%s", mode, got, tc.pushed, ex.Rewritten)
+			}
+			if span != tc.span {
+				t.Errorf("%s: bound %q, want %q\n%s", mode, span, tc.span, ex.Rewritten)
+			}
+			if tc.span != "" && tc.residual == "" && (strings.Contains(ex.Rewritten, FnIProj) || strings.Contains(ex.Rewritten, FnVProj)) {
+				t.Errorf("%s: the pushed projection is still in the plan:\n%s", mode, ex.Rewritten)
+			}
+			rest := strings.ReplaceAll(ex.Rewritten, got, "")
+			if tc.residual != "" && !strings.Contains(rest, tc.residual) {
+				t.Errorf("%s: %q is gone from the plan, and was not pushed:\n%s", mode, tc.residual, ex.Rewritten)
+			}
+			if tc.residual == "" && tc.pushed != "" && (strings.Contains(rest, "amount") || strings.Contains(rest, "@id") || strings.Contains(rest, "customer =")) {
+				t.Errorf("%s: the pushed predicate is still in the plan:\n%s", mode, ex.Rewritten)
+			}
+		}
+	})
 }
 
 // A filter saves building a version's view, not finding the version: the

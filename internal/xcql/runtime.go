@@ -253,7 +253,7 @@ func (rt *Runtime) Compile(src string, mode Mode) (*Query, error) {
 	if sink != nil {
 		start = time.Now()
 	}
-	key := planKey{src: src, mode: mode, gen: rt.gen, bare: bareReads}
+	key := planKey{src: src, mode: mode, gen: rt.gen, bare: bareReads, spans: pushSpans}
 	c := rt.plans.plans[key]
 	rt.mu.RUnlock()
 	if c == nil {

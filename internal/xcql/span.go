@@ -19,6 +19,9 @@ import (
 // itself (below), crossing its holes under the same bound. The plan spells
 // the bound after the call's other operands; it costs no budget step.
 
+// pushSpans turns the pushdown on; tests turn it off to compare.
+var pushSpans = true
+
 // bound is a projection pushed into a read: e?[from,to] (to == from for
 // e?[t]) or e#[from,to], its ends as the projection call spelled them, and,
 // when they are constant (literals and arithmetic), their values, taken
@@ -38,7 +41,7 @@ type bound struct {
 // versions of the whole read.
 func pushSpan(op string, inner xq.Expr, from, to xq.Expr) *xq.Call {
 	in := IntrinsicOf(inner)
-	if in == nil || in.Op != FnFillers && in.Op != FnByTSID || in.span != nil || in.each != nil {
+	if !pushSpans || in == nil || in.Op != FnFillers && in.Op != FnByTSID || in.span != nil || in.each != nil {
 		return nil
 	}
 	b := &bound{versions: op == FnVProj, from: from, to: to}
