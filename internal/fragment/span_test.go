@@ -31,8 +31,9 @@ func versionsOf(els []*xmldom.Node) string {
 // stamps and reports — an interval over every source, by tsid through the
 // event tags' validTime index too, and a version range numbering the whole
 // read —, through both access implementations, over indexed and scan
-// stores of generated histories, reordered arrivals included, and examines
-// no more than the unbounded read.
+// stores of generated histories, reordered arrivals included — and a
+// store that filed its event versions by time halfway through its history
+// —, and examines no more than the unbounded read.
 func TestReadUnderSpan(t *testing.T) {
 	h := func(x float64) xtime.DateTime {
 		return xtime.At(genstore.Base.Add(time.Duration(x * float64(time.Hour))))
@@ -55,49 +56,67 @@ func TestReadUnderSpan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := ins.NewStore()
+			built, err := ins.NewStore()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
-				for _, at := range ins.Instants {
-					acc := fragment.NewAccess(kind, fragment.Eval{At: at})
-					for _, tag := range ins.Structure.Tags() {
-						if !tag.IsFragmented() {
-							continue
-						}
-						whole, all := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID})
-						for _, w := range windows {
-							var hb, hp xtime.Horizon
-							hb.Reset(at)
-							hp.Reset(at)
-							got, g := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID, Span: fragment.Span{Kind: fragment.IntervalSpan, Window: w, Horizon: &hb}})
-							want := temporal.IntervalProjection(whole, w, at, &hp, nil)
-							reads++
-							if versionsOf(got) != versionsOf(want) {
-								t.Fatalf("%s %v at %s: //%s%s reads\n%swhile its projection is\n%s", p, kind, at.Format(xtime.Layout), tag.Name, w, versionsOf(got), versionsOf(want))
+			// a store read under a bound halfway, so that the event tags'
+			// versions are filed by time on that read and by Add after it
+			grown := fragment.NewStore(ins.Structure)
+			if p.Scan {
+				grown = fragment.NewScanStore(ins.Structure)
+			}
+			half := len(ins.Fragments) / 2
+			if err := grown.AddAll(ins.Fragments[:half]); err != nil {
+				t.Fatal(err)
+			}
+			for _, tag := range ins.Structure.Tags() {
+				fragment.NewAccess(fragment.TSIDIndexAccess, fragment.Eval{At: ins.Instants[0]}).Read(grown, fragment.Read{Source: fragment.FromTSID, ID: tag.ID, Span: fragment.Span{Kind: fragment.IntervalSpan, Window: windows[0]}})
+			}
+			if err := grown.AddAll(ins.Fragments[half:]); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []*fragment.Store{built, grown} {
+				for _, kind := range []fragment.AccessKind{fragment.LogScanAccess, fragment.TSIDIndexAccess} {
+					for _, at := range ins.Instants {
+						acc := fragment.NewAccess(kind, fragment.Eval{At: at})
+						for _, tag := range ins.Structure.Tags() {
+							if !tag.IsFragmented() {
+								continue
 							}
-							bn, bok := hb.Next()
-							pn, pok := hp.Next()
-							if bn != pn || bok != pok {
-								t.Fatalf("%s %v at %s: //%s%s holds until %v (%v), its projection until %v (%v)", p, kind, at.Format(xtime.Layout), tag.Name, w, bn, bok, pn, pok)
+							whole, all := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID})
+							for _, w := range windows {
+								var hb, hp xtime.Horizon
+								hb.Reset(at)
+								hp.Reset(at)
+								got, g := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID, Span: fragment.Span{Kind: fragment.IntervalSpan, Window: w, Horizon: &hb}})
+								want := temporal.IntervalProjection(whole, w, at, &hp, nil)
+								reads++
+								if versionsOf(got) != versionsOf(want) {
+									t.Fatalf("%s %v at %s: //%s%s reads\n%swhile its projection is\n%s", p, kind, at.Format(xtime.Layout), tag.Name, w, versionsOf(got), versionsOf(want))
+								}
+								bn, bok := hb.Next()
+								pn, pok := hp.Next()
+								if bn != pn || bok != pok {
+									t.Fatalf("%s %v at %s: //%s%s holds until %v (%v), its projection until %v (%v)", p, kind, at.Format(xtime.Layout), tag.Name, w, bn, bok, pn, pok)
+								}
+								if g.Examined > all.Examined {
+									t.Fatalf("%s: //%s%s examined %d versions, the unbounded read %d", p, tag.Name, w, g.Examined, all.Examined)
+								}
+								if g.Examined < all.Examined {
+									narrowed++
+								}
 							}
-							if g.Examined > all.Examined {
-								t.Fatalf("%s: //%s%s examined %d versions, the unbounded read %d", p, tag.Name, w, g.Examined, all.Examined)
-							}
-							if g.Examined < all.Examined {
-								narrowed++
-							}
-						}
-						for _, v := range ranges {
-							got, _ := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID, Span: fragment.Span{Kind: fragment.VersionSpan, Versions: v}})
-							lo, hi := v.Bounds(len(whole))
-							var want []*xmldom.Node
-							if lo <= hi {
-								want = whole[lo-1 : hi]
-							}
-							if versionsOf(got) != versionsOf(want) {
-								t.Fatalf("%s %v at %s: //%s%s reads\n%swhile the read's versions %d..%d are\n%s", p, kind, at.Format(xtime.Layout), tag.Name, v, versionsOf(got), lo, hi, versionsOf(want))
+							for _, v := range ranges {
+								got, _ := acc.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tag.ID, Span: fragment.Span{Kind: fragment.VersionSpan, Versions: v}})
+								lo, hi := v.Bounds(len(whole))
+								var want []*xmldom.Node
+								if lo <= hi {
+									want = whole[lo-1 : hi]
+								}
+								if versionsOf(got) != versionsOf(want) {
+									t.Fatalf("%s %v at %s: //%s%s reads\n%swhile the read's versions %d..%d are\n%s", p, kind, at.Format(xtime.Layout), tag.Name, v, versionsOf(got), lo, hi, versionsOf(want))
+								}
 							}
 						}
 					}

@@ -55,13 +55,16 @@ type Store struct {
 
 // tsidFillers is what the index keeps per tsid: the distinct ids of the
 // fillers with a version carrying it, ascending, and how many versions do;
-// for an event tag, its versions in validTime order too (ties in arrival
-// order), which answer a window by binary search (pickWindow). Like a
-// version group, byTime grows at its end or is replaced, never shifted.
+// for an event tag, once a read has asked for them (timed, events), its
+// versions in validTime order too, which answer a window by binary search
+// (pickWindow). Like a version group, byTime grows at its end or is
+// replaced, never shifted. A stream no bounded read asks about pays
+// nothing for it.
 type tsidFillers struct {
 	fids     []int
 	versions int
 	byTime   []*Fragment
+	timed    bool
 }
 
 // NewStore returns an empty indexed store for the given tag structure.
@@ -147,11 +150,16 @@ func (st *Store) index(f *Fragment) {
 		t.fids = insertAt(t.fids, i, f.FillerID)
 	}
 	t.versions++
-	if tag := st.structure.ByID(f.TSID); tag != nil && tag.Type == tagstruct.Event {
-		i := sort.Search(len(t.byTime), func(i int) bool { return t.byTime[i].ValidTime.After(f.ValidTime) })
-		t.byTime = insertAt(t.byTime, i, f)
+	if t.timed {
+		t.byTime = insertAt(t.byTime, timeOrder(t.byTime, f), f)
 	}
 	st.byTSID[f.TSID] = t
+}
+
+// timeOrder is where f goes in versions, ordered by validTime: after every
+// version dated no later, so ties keep the order they are filed in.
+func timeOrder(versions []*Fragment, f *Fragment) int {
+	return sort.Search(len(versions), func(i int) bool { return versions[i].ValidTime.After(f.ValidTime) })
 }
 
 // insertAt returns s with v at position i, keeping the index's rule for
@@ -527,12 +535,34 @@ func (st *Store) Latest() time.Time {
 }
 
 // events returns the versions of tsid in validTime order when tsid is an
-// event tag's, nil otherwise.
+// event tag's, nil otherwise. The first ask files them, ties by filler id
+// and then in their version group's order; from then on Add files each
+// after every version dated no later.
 func (st *Store) events(tsid int) []*Fragment {
+	if tag := st.structure.ByID(tsid); tag == nil || tag.Type != tagstruct.Event {
+		return nil
+	}
 	st.mu.RLock()
-	vs := st.byTSID[tsid].byTime
+	t := st.byTSID[tsid]
 	st.mu.RUnlock()
-	return vs[:len(vs):len(vs)]
+	if !t.timed {
+		st.mu.Lock()
+		if t = st.byTSID[tsid]; !t.timed {
+			t.byTime = make([]*Fragment, 0, t.versions)
+			for _, fid := range t.fids {
+				for _, f := range st.byID[fid] {
+					if f.TSID == tsid {
+						t.byTime = append(t.byTime, f)
+					}
+				}
+			}
+			slices.SortStableFunc(t.byTime, func(a, b *Fragment) int { return a.ValidTime.Compare(b.ValidTime) })
+			t.timed = true
+			st.byTSID[tsid] = t
+		}
+		st.mu.Unlock()
+	}
+	return t.byTime[:len(t.byTime):len(t.byTime)]
 }
 
 // buildTops builds the top elements of the kept versions, each stamped with

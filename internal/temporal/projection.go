@@ -113,24 +113,32 @@ func projectElement(el *xmldom.Node, window xtime.Interval, at time.Time, h *xti
 		return nil
 	}
 	kids, changed := projectChildren(el, window, at, h, resolve)
-	// the clipped lifespan is spelled on the stack, and only a spelling
-	// that differs from the element's becomes a string
-	var fromBuf, toBuf [2 * len(xtime.Layout)]byte
-	clipFrom, clipTo := clipped.From.AppendTo(fromBuf[:0]), clipped.To.AppendTo(toBuf[:0])
 	to, _ := el.Attr("vtTo")
-	sameFrom, sameTo := string(clipFrom) == from, string(clipTo) == to
+	sameFrom, clipFrom := spelledAs(clipped.From, from)
+	sameTo, clipTo := spelledAs(clipped.To, to)
 	if !changed && sameFrom && sameTo {
 		return el
 	}
 	out := el.CloneShallow()
-	if !sameFrom {
-		out.SetAttr("vtFrom", string(clipFrom))
-	}
-	if !sameTo {
-		out.SetAttr("vtTo", string(clipTo))
-	}
+	out.SetAttr("vtFrom", clipFrom)
+	out.SetAttr("vtTo", clipTo)
 	out.Children = kids
 	return out
+}
+
+// spelledAs reports whether d's spelling (DateTime.String) is s, and the
+// spelling: an absolute instant is spelled on the stack, and becomes a
+// string only when it differs from s.
+func spelledAs(d xtime.DateTime, s string) (bool, string) {
+	if !d.IsAbsolute() {
+		spelled := d.String()
+		return spelled == s, spelled
+	}
+	var buf [2 * len(xtime.Layout)]byte
+	if spelled := d.AppendTo(buf[:0]); string(spelled) != s {
+		return false, string(spelled)
+	}
+	return true, s
 }
 
 // ProjectBelow projects what lies below el, and not el's own lifespan: el

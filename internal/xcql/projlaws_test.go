@@ -207,7 +207,9 @@ func outsideWindow(seq xq.Sequence, w lawWindow, at time.Time) string {
 // TestProjectionLaws holds interval and version projection to their laws
 // at the query level, on generated stores under each plan, each plan
 // compared with itself only (the plans part on some histories: ROADMAP
-// item 2):
+// item 2). Under QaC and QaC+ a projection that follows a step is that
+// step's read under a lifespan bound, and one after it a projection call,
+// so the laws hold across the two:
 //
 //   - composition: e?[a,b]?[c,d] serializes as e?[max(a,c),min(b,d)] —
 //     over windows that end before they begin too, where the meet ends
@@ -222,7 +224,7 @@ func outsideWindow(seq xq.Sequence, w lawWindow, at time.Time) string {
 //     versions, none of them dated after now.
 func TestProjectionLaws(t *testing.T) {
 	windows := lawWindows()
-	empty, checked, histories := 0, 0, 0
+	empty, checked, histories, bounded := 0, 0, 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, p := range []genstore.Profile{
 			{Seed: seed},
@@ -248,6 +250,9 @@ func TestProjectionLaws(t *testing.T) {
 						q, err := rt.Compile(src, mode)
 						if err != nil {
 							t.Fatalf("%s: %s under %s: %v", p, src, mode, err)
+						}
+						if pushed(q) {
+							bounded++
 						}
 						seq, err := q.Eval(at)
 						if err != nil {
@@ -316,6 +321,9 @@ func TestProjectionLaws(t *testing.T) {
 	}
 	if histories == 0 {
 		t.Fatal("no expression reads one filler's history: e#[last]?[now] goes unchecked")
+	}
+	if bounded == 0 {
+		t.Fatal("no plan reads under a lifespan bound: the laws go unchecked over pushed projections")
 	}
 }
 

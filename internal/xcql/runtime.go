@@ -574,13 +574,13 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 		read = fragment.Span{}
 	}
 	var els []*xmldom.Node
-	var g fragment.Group
+	var took fragment.Group
 	if len(input.ids) > 0 {
 		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare, Span: read}
 		if each != nil {
 			each.window(&r)
 		}
-		els, g = ctx.Static.Access.Read(st, r)
+		els, took = ctx.Static.Access.Read(st, r)
 	}
 	var rest, preds []xq.Expr
 	if each != nil {
@@ -588,7 +588,7 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	}
 	if input.inline == nil && len(rest) == 0 {
 		below(ctx.Static, st, els, span)
-		return chargeNodes(ctx.Static.Budget, els, g.Stamps)
+		return chargeNodes(ctx.Static.Budget, els, took.Stamps)
 	}
 	below(ctx.Static, st, els, read)
 	// the read served the window a list opens with, not the inline children
@@ -613,7 +613,7 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	if span.Kind == fragment.VersionSpan && read.Kind == fragment.NoSpan {
 		out = project(ctx.Static, st, out, span)
 	}
-	return chargeNodes(ctx.Static.Budget, out, g.Stamps)
+	return chargeNodes(ctx.Static.Budget, out, took.Stamps)
 }
 
 // callInput is what a fillers call reads of its input nodes — and a fold

@@ -207,9 +207,6 @@ func spanResolver(static *xq.Static, st *fragment.Store, sp *fragment.Span) temp
 	})
 }
 
-// Bounded reports that the call carries a lifespan bound.
-func (in *Intrinsic) Bounded() bool { return in.span != nil }
-
 // Distributes reports that the call's bound, if any, maps each version it
 // reads on its own: an interval, or the version range #[1,last], which
 // keeps every version. Any other range numbers the versions of the whole
