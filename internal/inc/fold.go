@@ -83,7 +83,7 @@ func (e *Engine) termChain(x xq.Expr) *xq.Call {
 					return t
 				}
 				return nil
-			case in.Op == xcql.FnIProj && constant(t.Args[1]) && constant(t.Args[2]) || in.Op == xcql.FnVProj && keepAllWindow(t.Args):
+			case in.Op == xcql.FnIProj && xcql.ConstantExpr(t.Args[1]) && xcql.ConstantExpr(t.Args[2]) || in.Op == xcql.FnVProj && xcql.KeepsAllVersions(t.Args[1], t.Args[2]):
 				x = t.Args[0]
 			default:
 				return nil
@@ -92,20 +92,6 @@ func (e *Engine) termChain(x xq.Expr) *xq.Call {
 			return nil
 		}
 	}
-}
-
-// constant reports an expression built of literals and arithmetic alone:
-// it is the same at every evaluation at one instant.
-func constant(x xq.Expr) bool {
-	ok := true
-	xcql.WalkPlan(x, func(n xq.Expr) {
-		switch n.(type) {
-		case *xq.Literal, *xq.BinOp, *xq.Unary:
-		default:
-			ok = false
-		}
-	})
-	return ok
 }
 
 // termKey names a term: a fold site and the child filler id it is of.

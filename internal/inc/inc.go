@@ -389,7 +389,7 @@ func (e *Engine) peel(x xq.Expr) (layer, bool) {
 	switch t := x.(type) {
 	case *xq.Call:
 		in := xcql.IntrinsicOf(t)
-		if in == nil || !(in.Op == xcql.FnIProj || in.Op == xcql.FnVProj && keepAllWindow(t.Args)) {
+		if in == nil || !(in.Op == xcql.FnIProj || in.Op == xcql.FnVProj && xcql.KeepsAllVersions(t.Args[1], t.Args[2])) {
 			return l, false
 		}
 		l.call = t
@@ -617,18 +617,6 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 		}
 	})
 	return d
-}
-
-// keepAllWindow reports the compiled version window is exactly #[1,last].
-func keepAllWindow(args []xq.Expr) bool {
-	from, ok1 := args[1].(*xq.Literal)
-	to, ok2 := args[2].(*xq.Literal)
-	if !ok1 || !ok2 {
-		return false
-	}
-	f, isNum := from.Val.(float64)
-	s, isStr := to.Val.(string)
-	return isNum && f == 1 && isStr && s == "last"
 }
 
 // SharedPass memoizes unit evaluations across the engines of one shared

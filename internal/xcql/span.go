@@ -57,7 +57,7 @@ func pushSpan(op string, inner xq.Expr, from, to xq.Expr) *xq.Call {
 // fold takes the bound's values once when both ends are constant: a
 // constant end means the same at every evaluation (now stays symbolic).
 func (b *bound) fold() {
-	if !constantExpr(b.from) || !constantExpr(b.to) {
+	if !ConstantExpr(b.from) || !ConstantExpr(b.to) {
 		return
 	}
 	defer func() {
@@ -81,9 +81,10 @@ func (b *bound) fold() {
 	}
 }
 
-// constantExpr reports an expression built of literals and arithmetic
-// alone.
-func constantExpr(e xq.Expr) bool {
+// ConstantExpr reports an expression built of literals and arithmetic
+// alone: it is the same at every evaluation at one instant, and, as now
+// stays symbolic, at every instant.
+func ConstantExpr(e xq.Expr) bool {
 	ok := true
 	walkExpr(e, func(n xq.Expr) {
 		switch n.(type) {
@@ -212,17 +213,18 @@ func spanResolver(static *xq.Static, st *fragment.Store, sp *fragment.Span) temp
 // keeps every version. Any other range numbers the versions of the whole
 // read.
 func (in *Intrinsic) Distributes() bool {
-	return in.span == nil || !in.span.versions || keepsAll(in.span.from, in.span.to)
+	return in.span == nil || !in.span.versions || KeepsAllVersions(in.span.from, in.span.to)
 }
 
 // Constant reports that the call's bound, if any, is the same at every
 // evaluation: its ends are literals and arithmetic.
 func (in *Intrinsic) Constant() bool {
-	return in.span == nil || constantExpr(in.span.from) && constantExpr(in.span.to)
+	return in.span == nil || ConstantExpr(in.span.from) && ConstantExpr(in.span.to)
 }
 
-// keepsAll reports the version range #[1,last].
-func keepsAll(from, to xq.Expr) bool {
+// KeepsAllVersions reports the version range #[1,last], its ends in a
+// projection call's form: what keeps every version.
+func KeepsAllVersions(from, to xq.Expr) bool {
 	f, ok1 := from.(*xq.Literal)
 	t, ok2 := to.(*xq.Literal)
 	return ok1 && ok2 && f.Val == 1.0 && t.Val == "last"
