@@ -55,8 +55,8 @@ type Store struct {
 
 // tsidFillers is what the index keeps per tsid: the distinct ids of the
 // fillers with a version carrying it, ascending, and how many versions do;
-// for an event tag, once a read has asked for them (timed, events), its
-// versions in validTime order too, which answer a window by binary search
+// for an event tag, once a bounded read or EXPLAIN has asked for them
+// (timed, events), its versions in validTime order too, which answer a window by binary search
 // (pickWindow). Like a version group, byTime grows at its end or is
 // replaced, never shifted. A stream no bounded read asks about pays
 // nothing for it.
