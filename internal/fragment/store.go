@@ -56,10 +56,10 @@ type Store struct {
 // tsidFillers is what the index keeps per tsid: the distinct ids of the
 // fillers with a version carrying it, ascending, and how many versions do;
 // for an event tag, once a bounded read or EXPLAIN has asked for them
-// (timed, events), its versions in validTime order too, which answer a window by binary search
-// (pickWindow). Like a version group, byTime grows at its end or is
-// replaced, never shifted. A stream no bounded read asks about pays
-// nothing for it.
+// (timed, events), its versions in validTime order too, which answer a
+// window by binary search (pickWindow). Like a version group, byTime grows
+// at its end or is replaced, never shifted. A stream no bounded read asks
+// about pays nothing for it.
 type tsidFillers struct {
 	fids     []int
 	versions int
@@ -644,16 +644,21 @@ func (st *Store) buildTops(kept []keptVersion, sp *Span, at time.Time) []*xmldom
 // which keeps it for the read's other versions.
 func (sp *Span) spell(b *strings.Builder, spelled *[2]string, end int) string {
 	if spelled[end] == "" {
-		d := sp.Window.From
-		if end == 1 {
-			d = sp.Window.To
-		}
 		var buf [len(xtime.Layout)]byte
 		start := b.Len()
-		b.Write(d.AppendTo(buf[:0]))
+		b.Write(sp.appendEnd(buf[:0], end))
 		spelled[end] = b.String()[start:]
 	}
 	return spelled[end]
+}
+
+// appendEnd appends the window's end `end` (0 its start, 1 its end) to b,
+// spelled as the projection spells it (xtime.DateTime.String).
+func (sp *Span) appendEnd(b []byte, end int) []byte {
+	if end == 1 {
+		return sp.Window.To.AppendTo(b)
+	}
+	return sp.Window.From.AppendTo(b)
 }
 
 // renderInstant spells t the way the wire does, at the end of b, and
@@ -744,7 +749,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 		g.End, g.Built = len(kept), builtOf(len(kept)-n, r.Bare)
 		return g
 	})
-	out, stamps := st.tops(kept, r, at)
+	out, stamps := st.tops(kept, r, sp, at)
 	return out, Group{End: len(out), Examined: examined, Built: builtOf(len(out), r.Bare), Stamps: stamps}
 }
 
@@ -752,12 +757,8 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 // top each (buildTops), or, when r asks for bare tops, each version's
 // stored payload, and the bytes the stamps would have added to them, in
 // all and group by group (r.Groups, already where each group ends in
-// kept).
-func (st *Store) tops(kept []keptVersion, r Read, at time.Time) ([]*xmldom.Node, int) {
-	var sp *Span
-	if r.Span.Kind == IntervalSpan {
-		sp = &r.Span
-	}
+// kept), under r's interval bound sp (nil for none).
+func (st *Store) tops(kept []keptVersion, r Read, sp *Span, at time.Time) ([]*xmldom.Node, int) {
 	if !r.Bare {
 		return st.buildTops(kept, sp, at), 0
 	}
@@ -808,12 +809,8 @@ func stampBytes(k keptVersion, sp *Span, at time.Time, window *[2]int) int {
 // kept in spelled once measured.
 func (sp *Span) spellLen(spelled *[2]int, end int) int {
 	if spelled[end] == 0 {
-		d := sp.Window.From
-		if end == 1 {
-			d = sp.Window.To
-		}
 		var buf [len(xtime.Layout)]byte
-		spelled[end] = len(d.AppendTo(buf[:0]))
+		spelled[end] = len(sp.appendEnd(buf[:0], end))
 	}
 	return spelled[end]
 }

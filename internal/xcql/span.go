@@ -61,11 +61,9 @@ func (b *bound) fold() {
 		return
 	}
 	defer func() {
-		// an end that fails to evaluate fails where the evaluation reaches
-		// it, as the projection call did
-		if recover() != nil {
-			b.fixed = false
-		}
+		// an end that fails to evaluate here is left to fail where the
+		// evaluation reaches it, as the projection call's did
+		recover()
 	}()
 	ctx := xq.NewContext(&xq.Static{})
 	from, err := xq.Eval(b.from, ctx)
