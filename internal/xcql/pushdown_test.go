@@ -78,7 +78,7 @@ func TestPushdownShapes(t *testing.T) {
 		{"child step", `for $a in ` + rooted + ` return sum($a/transaction?[now-PT1H,now]/amount)`, "transaction", "", `?[(now - PT1H),now]`, ""},
 		{"after a pushed filter", all + `[amount > 100]?[now-PT1H,now]`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
 		{"then a where", `for $t in ` + all + `?[now-PT1H,now] where $t/amount > 100 return $t`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
-		{"then a predicate", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "amount"},
+		{"after an interval projection", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "amount"},
 		{"bounds of a binding", `for $t in ` + all + ` return count(` + all + `?[vtFrom($t)-PT1M,vtFrom($t)+PT1M])`, "transaction", "", `?[(vtFrom($t) - PT1M),(vtFrom($t) + PT1M)]`, ""},
 		// not pushed
 		{"after a per-parent position", rooted + `/transaction[1]?[now]`, "transaction", "", "", "xcql:iproj"},
@@ -86,7 +86,7 @@ func TestPushdownShapes(t *testing.T) {
 		{"after a projection", all + `?[2003-11-01T00:00:00,now]?[now]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "xcql:iproj"},
 		{"after a version range", all + `#[1,last]#[2]`, "transaction", "", `#[1,last]`, "xcql:vproj"},
 	} {
-		pushdownShape(t, "projection/"+tc.name, tc.src, tc.tag, tc.pushed, tc.span, tc.residual)
+		pushdownShape(t, tc.name, tc.src, tc.tag, tc.pushed, tc.span, tc.residual)
 	}
 }
 
