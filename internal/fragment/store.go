@@ -39,9 +39,6 @@ type Store struct {
 	byID   map[int][]*Fragment // filler id -> versions by validTime, ties by arrival
 	byTSID map[int]tsidFillers
 
-	// latest is the latest validTime of a version added.
-	latest time.Time
-
 	// gen counts successful Adds, and Coalesce passes that removed
 	// something (Generation). Duplicate or reordered frames the stream
 	// client drops never reach Add, so they advance nothing.
@@ -125,9 +122,6 @@ func (st *Store) Add(f *Fragment) error {
 		}
 	}
 	st.log = append(st.log, f)
-	if f.ValidTime.After(st.latest) {
-		st.latest = f.ValidTime
-	}
 	if st.scan {
 		st.wire = append(st.wire, f.ToXML())
 	}
@@ -506,32 +500,22 @@ func windowOf(events []*Fragment, window xtime.Interval, at time.Time) (visible,
 }
 
 // WindowExamined is how many versions a FromTSID read of tsid without a
-// filter examines under the interval bound window at the instant at, and
-// true, when tsid is an event tag's; false, when the read examines every
-// visible version, as a read without a bound does. EXPLAIN predicts with
-// it.
-func (st *Store) WindowExamined(tsid int, window xtime.Interval, at time.Time) (int, bool) {
+// filter examines under the interval bound window at the validTime of the
+// tag's newest version, and true, when tsid is an event tag's; false, when
+// the read examines every visible version, as a read without a bound
+// does. EXPLAIN predicts with it: a standing query over an event tag is
+// evaluated as each of its versions arrives.
+func (st *Store) WindowExamined(tsid int, window xtime.Interval) (int, bool) {
 	events := st.events(tsid)
 	if events == nil {
 		return 0, false
 	}
-	visible, lo, hi := windowOf(events, window, at)
-	n := hi - lo
-	switch {
-	case hi < visible:
-		n++ // the first version past the window
-	case lo == visible && lo > 0:
-		n++ // the last one before it
+	var at time.Time
+	if len(events) > 0 {
+		at = events[len(events)-1].ValidTime
 	}
+	_, n := st.pickWindow(nil, events, at, nil, &Span{Kind: IntervalSpan, Window: window})
 	return n, true
-}
-
-// Latest returns the latest validTime of a version in the store: the
-// instant a standing query evaluates the newest arrival at.
-func (st *Store) Latest() time.Time {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.latest
 }
 
 // events returns the versions of tsid in validTime order when tsid is an

@@ -195,7 +195,7 @@ func (q *Query) censusWindow(t ExplainTarget, b *bound) ExplainTarget {
 	if st == nil || b == nil || !b.fixed || b.versions {
 		return t
 	}
-	if n, ok := st.WindowExamined(t.TSID, b.span.Window, st.Latest()); ok {
+	if n, ok := st.WindowExamined(t.TSID, b.span.Window); ok {
 		t.Versions, t.CostPerPass = n, st.PassCost(1, n)
 	}
 	return t

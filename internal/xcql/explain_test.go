@@ -186,8 +186,10 @@ func TestExplainBoundedJump(t *testing.T) {
 	if err := st.AddAll(initial); err != nil {
 		t.Fatal(err)
 	}
+	var last time.Time
 	for i := 1; i <= 720; i++ {
-		announce, tx := pub.Charge(i%20, i, genstore.CreditBase.Add(time.Duration(i)*10*time.Second))
+		last = genstore.CreditBase.Add(time.Duration(i) * 10 * time.Second)
+		announce, tx := pub.Charge(i%20, i, last)
 		if err := st.AddAll([]*fragment.Fragment{announce, tx}); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func TestExplainBoundedJump(t *testing.T) {
 		if v := ex.Targets[0].Versions; v >= 720 {
 			t.Errorf("%s: predicted %d versions of 720: the window narrows nothing", src, v)
 		}
-		if _, err := q.Eval(st.Latest()); err != nil {
+		if _, err := q.Eval(last); err != nil {
 			t.Fatal(err)
 		}
 		p, o := ex.Predicted, q.LastStats()

@@ -79,12 +79,17 @@ func TestPushdownShapes(t *testing.T) {
 		{"after a pushed filter", all + `[amount > 100]?[now-PT1H,now]`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
 		{"then a where", `for $t in ` + all + `?[now-PT1H,now] where $t/amount > 100 return $t`, "transaction", `[amount > 100]`, `?[(now - PT1H),now]`, ""},
 		{"after an interval projection", all + `?[2003-11-01T00:00:00,now][amount > 100]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "amount"},
+		{"where after every version", `for $t in ` + all + `#[1,last] where $t/amount > 100 return $t`, "transaction", `[amount > 100]`, `#[1,last]`, ""},
 		{"bounds of a binding", `for $t in ` + all + ` return count(` + all + `?[vtFrom($t)-PT1M,vtFrom($t)+PT1M])`, "transaction", "", `?[(vtFrom($t) - PT1M),(vtFrom($t) + PT1M)]`, ""},
 		// not pushed
 		{"after a per-parent position", rooted + `/transaction[1]?[now]`, "transaction", "", "", "xcql:iproj"},
 		{"after a filter left to the evaluator", all + `[1]?[now]`, "transaction", "", "", "xcql:iproj"},
 		{"after a projection", all + `?[2003-11-01T00:00:00,now]?[now]`, "transaction", "", `?[2003-11-01T00:00:00,now]`, "xcql:iproj"},
 		{"after a version range", all + `#[1,last]#[2]`, "transaction", "", `#[1,last]`, "xcql:vproj"},
+		// a where takes the versions a range selected, and a read under the
+		// range would number the versions the filter let through
+		{"where after a version range", `for $t in ` + all + `#[2,last] where $t/amount > 100 return $t`, "transaction", "", `#[2,last]`, "amount"},
+		{"where after a version", `for $t in ` + all + `#[2] where $t/amount > 100 return $t`, "transaction", "", `#[2]`, "amount"},
 	} {
 		pushdownShape(t, tc.name, tc.src, tc.tag, tc.pushed, tc.span, tc.residual)
 	}

@@ -60,11 +60,8 @@ func (b *bound) fold() {
 	if !ConstantExpr(b.from) || !ConstantExpr(b.to) {
 		return
 	}
-	defer func() {
-		// an end that fails to evaluate here is left to fail where the
-		// evaluation reaches it, as the projection call's did
-		recover()
-	}()
+	// an end that fails to evaluate here is left to fail where the
+	// evaluation reaches it, as the projection call's did
 	ctx := xq.NewContext(&xq.Static{})
 	from, err := xq.Eval(b.from, ctx)
 	if err != nil {

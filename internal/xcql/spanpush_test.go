@@ -15,9 +15,8 @@ import (
 // instant, symbolic windows — one that ends before now, whose answer
 // changes when a version already stored enters it, and one whose answer
 // no instant can be scheduled by (a month is no fixed length) —, an
-// inverted one that
-// keeps nothing, version
-// ranges, a window whose bounds a for clause binds (a self-join), and one
+// inverted one that keeps nothing, version ranges, alone and under a
+// where, a window whose bounds a for clause binds (a self-join), and one
 // over a child step.
 func spanQueries(ins *genstore.Instance) []string {
 	var out []string
@@ -45,6 +44,10 @@ func spanQueries(ins *genstore.Instance) []string {
 			all+`#[2]`,
 			all+`#[last]`,
 			all+`#[2,last]`,
+			`for $x in `+all+`#[2,last] where $x/@k != 3 return $x`,
+			all+`[@k != 3]#[2]`,
+			`for $x in `+all+`#[2] where $x/@tier = "t1" return $x`,
+			`for $x in `+all+`#[1,last] where $x/@k != 3 return $x`,
 			fmt.Sprintf(`for $x in %s return count(%s?[vtFrom($x)-PT2H,vtFrom($x)+PT1H])`, all, all),
 			fmt.Sprintf(`for $x in %s return <n>{%s?[vtTo($x),vtTo($x)+PT3H]}</n>`, all, all),
 		)
