@@ -171,10 +171,12 @@ alloc-gate:
 # one row (QaC+ on a scan store), every IncrementalContinuous row (the
 # re-announcing ones and the incremental/events=N floor), RegistryFanout,
 # the wire codec, recovery and snapshot-bootstrap rows (allocs/op
-# only), and every BenchmarkHistory row but the join's large history (one
-# evaluation each: a long history's read takes up to a second) — held to
+# only), every BenchmarkHistory row but the join's large history (one
+# evaluation each: a long history's read takes up to a second) and every
+# BenchmarkReannounce row (one pass of the stream each) — held to
 # the newest snapshot by `benchjson -gate`: fillers/op,
-# holes/op, tsid-hits/op, handlers/op and mat-bytes/op exactly, allocs/op
+# holes/op, tsid-hits/op, handlers/op, mat-bytes/op and the
+# re-announcement's wire, segment and decode counters exactly, allocs/op
 # at most 2 % + 2 above. ns/op is printed, never failed on: on a shared
 # host it moves by a quarter between two runs of the same code. A PR that
 # moves one of these on purpose writes a new snapshot (bench-json).
@@ -183,7 +185,8 @@ bench-gate:
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkWireCodec|BenchmarkRecovery|BenchmarkSnapshotBootstrap)$$' -benchtime 200x -benchmem -short . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkHistory$$' -benchtime 1x -benchmem -short . ) \
+	  $(GO) test -run '^$$' -bench '^BenchmarkHistory$$' -benchtime 1x -benchmem -short . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkReannounce$$' -benchtime 1x -benchmem -short . ) \
 		| $(GO) run ./cmd/benchjson -gate $(BENCHOUT)
 
 # A short deterministic shake of each fuzz target; longer runs are
@@ -205,8 +208,9 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Snapshot the Figure-4 + selectivity + continuous + scan-store QaC+ +
-# durability + wire-codec benchmarks (quick scales) and the long-history
-# reads (one evaluation a row, the join's large history included) as JSON — cost counters
+# durability + wire-codec benchmarks (quick scales), the long-history
+# reads (one evaluation a row, the join's large history included) and the
+# long-history re-announcement rows as JSON — cost counters
 # and latency quantiles included — the cross-PR performance trajectory.
 # Compare two snapshots with bench-diff. The snapshots name themselves:
 # bench-json rewrites the newest BENCH_pr*.json unless told where to write
@@ -219,7 +223,8 @@ bench-json:
 	  $(GO) test -run '^$$' -bench '^BenchmarkIncrementalContinuous$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkRegistryFanout$$' -benchtime 300x -benchmem -short . ; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkTracePropagation$$' -benchmem -short . ; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkHistory$$' -benchtime 1x -benchmem . ) \
+	  $(GO) test -run '^$$' -bench '^BenchmarkHistory$$' -benchtime 1x -benchmem . ; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkReannounce$$' -benchtime 1x -benchmem . ) \
 		| $(GO) run ./cmd/benchjson > $(BENCHOUT)
 
 # Regression table between two snapshots:

@@ -13,12 +13,15 @@ package xcql_test
 //	BenchmarkGetFillers/…     hole resolution: indexed vs scan cost model
 //	BenchmarkContinuous/…     per-arrival re-evaluation latency
 //	BenchmarkHistory/…        ad hoc reads of a long credit history
+//	BenchmarkReannounce/…     what a re-announcement costs each layer, deep in a history
 //
 // Under -short the grid shrinks to the quick scales; the full run uses
 // the paper's sizes (~27 KB / 5.8 MB / 11.8 MB).
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +31,7 @@ import (
 	"xcql/internal/genstore"
 	"xcql/internal/obs"
 	"xcql/internal/registry"
+	"xcql/internal/segstore"
 	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
 	ixcql "xcql/internal/xcql"
@@ -733,6 +737,141 @@ func BenchmarkIncrementalContinuous(b *testing.B) {
 			b.ReportMetric(float64(reg.Stats().BufferHWMBytes), "buffered-bytes-hwm")
 			s := q.LastStats()
 			b.ReportMetric(float64(s.HandlerInvocations), "handlers/op")
+		})
+	}
+}
+
+// reannounceCharges are BenchmarkReannounce's history lengths: charges in
+// all, over twenty accounts.
+var reannounceCharges = []int{100, 1000, 5000}
+
+// reannounceProbe is how many of a history's last charges the counters
+// average over: one per account.
+const reannounceProbe = 20
+
+// captureLog is the durable log a BenchmarkReannounce server writes
+// through: it keeps every frame's bytes, as a connection writes them, and
+// hands the fragment on to the segment store.
+type captureLog struct {
+	*segstore.Store
+	frames []string
+}
+
+func (l *captureLog) Append(f *fragment.Fragment) error {
+	l.frames = append(l.frames, f.String())
+	return l.Store.Append(f)
+}
+
+// reannounceCost is what the last reannounceProbe charges of a history
+// cost: the bytes of their re-announcements on the wire, the segment
+// store's bytes per frame over their frames, and what decoding each
+// re-announcement into the client store allocates.
+type reannounceCost struct {
+	wireBytes, segBytesPerFrame, decodeAllocs, decodeBytes float64
+}
+
+// runReannounce publishes the credit stream's initial document and
+// `charges` charges through a server writing through to a segment store
+// in dir, and decodes every frame the log got into a client store, as a
+// connection's read loop does.
+func runReannounce(tb testing.TB, structure *tagstruct.Structure, charges int, dir string) reannounceCost {
+	tb.Helper()
+	seg, _, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer seg.Close()
+	log := &captureLog{Store: seg}
+	srv := stream.NewServer("credit", structure)
+	defer srv.Close()
+	srv.AttachDurable(log)
+	client := fragment.NewStore(structure)
+	var dec xmldom.Decoder
+	decode := func(wire string) {
+		f, err := decodeFrame(&dec, []byte(wire))
+		if err == nil {
+			err = client.Add(f)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	pub, initial := genstore.NewCreditPublisher(20)
+	for _, f := range initial {
+		srv.Publish(f)
+		decode(log.frames[len(log.frames)-1])
+	}
+	var c reannounceCost
+	var segBefore int64
+	var before, after runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // nothing allocates beside a probe
+	for k := 1; k <= charges; k++ {
+		probe := k > charges-reannounceProbe
+		if k == charges-reannounceProbe+1 {
+			segBefore = seg.Stats().SegmentBytes
+			runtime.GC()
+		}
+		announce, tx := pub.Charge(k%20, 1+k*37%1000, genstore.CreditBase.Add(time.Duration(k)*10*time.Second))
+		srv.Publish(announce)
+		wire := []byte(log.frames[len(log.frames)-1])
+		if probe {
+			c.wireBytes += float64(len(wire))
+			runtime.ReadMemStats(&before)
+		}
+		f, err := decodeFrame(&dec, wire)
+		if err == nil {
+			err = client.Add(f)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if probe {
+			runtime.ReadMemStats(&after)
+			c.decodeAllocs += float64(after.Mallocs - before.Mallocs)
+			c.decodeBytes += float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		srv.Publish(tx)
+		decode(log.frames[len(log.frames)-1])
+	}
+	c.segBytesPerFrame = float64(seg.Stats().SegmentBytes-segBefore) / (2 * reannounceProbe)
+	c.wireBytes /= reannounceProbe
+	c.decodeAllocs /= reannounceProbe
+	c.decodeBytes /= reannounceProbe
+	if client.Len() != len(log.frames) {
+		tb.Fatalf("the client stored %d of %d frames", client.Len(), len(log.frames))
+	}
+	return c
+}
+
+// BenchmarkReannounce is what a re-announcement costs each layer it
+// crosses, deep in a history: the credit stream as its publisher sends it
+// (twenty accounts, every charge re-announcing its account) published
+// through a server writing through to a segment store, each frame decoded
+// into a client store as a connection's read loop decodes it. One
+// operation is the whole stream; the counters are the last twenty
+// charges' — one per account, the history `charges` long behind them —,
+// and a re-run reproduces them exactly: wire-B/reannounce is a
+// re-announcement's bytes as the log and every connection get them,
+// seg-B/frame the segment store's bytes per frame (framing included) over
+// those charges' re-announcements and transactions, and
+// decode-allocs/reannounce and decode-B/reannounce what decoding and
+// storing one re-announcement allocates.
+func BenchmarkReannounce(b *testing.B) {
+	structure := tagstruct.MustParseString(genstore.CreditStructure)
+	for _, charges := range reannounceCharges {
+		b.Run(fmt.Sprintf("charges=%d", charges), func(b *testing.B) {
+			var c reannounceCost
+			for i := 0; i < b.N; i++ {
+				dir, err := os.MkdirTemp(b.TempDir(), "seg")
+				if err != nil {
+					b.Fatal(err)
+				}
+				c = runReannounce(b, structure, charges, dir)
+			}
+			b.ReportMetric(c.wireBytes, "wire-B/reannounce")
+			b.ReportMetric(c.segBytesPerFrame, "seg-B/frame")
+			b.ReportMetric(c.decodeAllocs, "decode-allocs/reannounce")
+			b.ReportMetric(c.decodeBytes, "decode-B/reannounce")
 		})
 	}
 }

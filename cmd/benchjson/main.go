@@ -16,8 +16,9 @@
 // relative change, plus benchmarks only one side has.
 //
 // With -gate, the benchmark output on stdin is held to a snapshot on the
-// metrics a re-run reproduces — the access counters and bytes
-// materialized exactly, allocs/op within 2 % + 2 — and the command fails
+// metrics a re-run reproduces — the access counters, bytes materialized
+// and a re-announcement's wire, segment and decode counters exactly,
+// allocs/op within 2 % + 2 — and the command fails
 // when a row misses; ns/op is printed, never judged:
 //
 //	go test -bench 'BenchmarkPlanGrid$' -benchtime 20x -benchmem -short . | go run ./cmd/benchjson -gate BENCH_pr21.json
@@ -145,7 +146,8 @@ func diffTable(w io.Writer, oldRecs, newRecs []Record) {
 
 // gateExact are the metrics a re-run must reproduce to the unit: they
 // follow from the data and the plan, not from the host.
-var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "handlers/op", "mat-bytes/op"}
+var gateExact = []string{"fillers/op", "holes/op", "tsid-hits/op", "handlers/op", "mat-bytes/op",
+	"wire-B/reannounce", "seg-B/frame", "decode-allocs/reannounce", "decode-B/reannounce"}
 
 // allocsAllowed is the most allocs/op a re-run may take against a
 // snapshot's: a fixed-iteration run amortizes one-off allocations over
