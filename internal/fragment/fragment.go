@@ -16,6 +16,7 @@ package fragment
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,30 @@ const (
 	AttrValidTime = "validTime"
 	AttrSeq       = "seq"
 	AttrTrace     = "trace"
+	// AttrBase and AttrKept mark a delta frame: the validTime of the
+	// version of the filler it extends, and how many of that version's
+	// payload children it keeps (see SealedOver).
+	AttrBase = "base"
+	AttrKept = "kept"
 )
+
+// MissingPredecessorError is what a delta frame comes to where the version
+// it extends is not at hand: a decode with no store to link it to, or a
+// store that does not hold that version. A delta is a version only over its
+// predecessor, so nothing is built in its place; a stream client counts
+// the frame as a gap.
+type MissingPredecessorError struct {
+	FillerID int
+	// Predecessor is the validTime of the version the frame extends, and
+	// Kept how many of its payload children the frame keeps.
+	Predecessor time.Time
+	Kept        int
+}
+
+func (e *MissingPredecessorError) Error() string {
+	return fmt.Sprintf("fragment: delta frame of filler %d extends its version at %s (%d children), which is not at hand",
+		e.FillerID, e.Predecessor.UTC().Format(xtime.Layout), e.Kept)
+}
 
 // Fragment is one filler as it travels on the stream.
 type Fragment struct {
@@ -138,6 +162,10 @@ func (e encoding) restamped() encoding {
 // where the payload's tag is in it, the holes the payload announces, and —
 // from the first read on — the payload tree, built once: concurrent first
 // reads race to publish theirs, and every reader gets the one that won.
+//
+// A delta frame (see SealedOver) carries only the children its version
+// appends to its predecessor's: it is a version once linked to that one
+// (linkTo), and until then announces no hole and builds no tree.
 type lazy struct {
 	tree atomic.Pointer[xmldom.Node]
 	// src is the <filler> element as it arrived, or the stored frame
@@ -145,10 +173,38 @@ type lazy struct {
 	src string
 	// holes is the payload's hole pairs, (id, tsid) as little-endian
 	// int32s; a length that is not a multiple of 8 says a number did not
-	// fit, and EachHole asks the tree.
+	// fit, and EachHole asks the tree. A delta's are its appended
+	// children's; its whole list is its link's.
 	holes string
 	tag   [2]int32 // src[tag[0]:tag[1]] is the payload's tag
+	// kids is how many children the frame's payload element has; kept is
+	// how many of its predecessor's a delta keeps before them, -1 on a
+	// full frame.
+	kids, kept int32
+	// base is the UnixNano of a delta's predecessor's validTime.
+	base int64
+	// one holds the hole list of a payload that announces exactly one
+	// hole, so that decoding it allocates no list of its own.
+	one [8]byte
+	// link is a delta's link to its predecessor, nil until linkTo.
+	link atomic.Pointer[link]
 }
+
+// link is what linking a delta frame to its predecessor makes of it,
+// whole before anyone sees it.
+type link struct {
+	prev *Fragment
+	// holes is the whole hole list: prev's, then the frame's own, a prefix
+	// of holeRun's array.
+	holes   string
+	holeRun *run[byte]
+	// childRun is the run the children of the tree published are a prefix
+	// of, once one is.
+	childRun atomic.Pointer[run[*xmldom.Node]]
+}
+
+// delta reports whether the state is a delta frame's.
+func (lz *lazy) delta() bool { return lz.kept >= 0 }
 
 // decoded is a decoded fragment and its lazy state, in one allocation.
 type decoded struct {
@@ -196,10 +252,102 @@ func (f *Fragment) Sealed() *Fragment {
 	return &g
 }
 
+// SealedOver is Sealed for a fragment whose filler's version published
+// before it is prev. When f's payload is prev's with children appended —
+// same name and attributes, prev's children first, f dated later — and the
+// boundary leaves nothing for a parser to merge (no empty text child, no
+// two text children side by side), the copy's wire form is a delta frame:
+// the stamps, prev's validTime (AttrBase) and how many children it keeps
+// (AttrKept), and a payload element with neither attributes nor any child
+// but the appended ones. A receiver holding prev builds from it the tree
+// the full form spells; one that does not gets a
+// *MissingPredecessorError. Otherwise, or with no prev, the copy carries
+// the full form. It reports which.
+func (f *Fragment) SealedOver(prev *Fragment) (*Fragment, bool) {
+	kept, ok := f.extends(prev)
+	if !ok {
+		return f.Sealed(), false
+	}
+	g := *f
+	g.Payload = f.Tree()
+	g.enc = sealed(f.deltaString(prev.ValidTime, kept))
+	return &g, true
+}
+
+// extends reports whether f's payload is prev's with children appended,
+// in a form SealedOver can send as a delta, and how many children of
+// prev's it keeps.
+func (f *Fragment) extends(prev *Fragment) (int, bool) {
+	if prev == nil || prev.FillerID != f.FillerID || prev.TSID != f.TSID || !wireTime(prev.ValidTime) ||
+		!wireTime(f.ValidTime) || !f.ValidTime.Truncate(time.Second).After(prev.ValidTime.Truncate(time.Second)) {
+		return 0, false
+	}
+	p, b := f.Tree(), prev.Tree()
+	if p == nil || b == nil || p.Type != xmldom.ElementNode || b.Type != xmldom.ElementNode || p.Name != b.Name ||
+		len(b.Children) == 0 || len(p.Children) < len(b.Children) || len(p.Attrs) != len(b.Attrs) {
+		return 0, false
+	}
+	for i := range p.Attrs {
+		if p.Attrs[i] != b.Attrs[i] {
+			return 0, false
+		}
+	}
+	for i, c := range p.Children {
+		if c.Type == xmldom.TextNode && (c.Data == "" || i > 0 && p.Children[i-1].Type == xmldom.TextNode) {
+			return 0, false
+		}
+		if i < len(b.Children) && c != b.Children[i] && !c.Equal(b.Children[i]) {
+			return 0, false
+		}
+	}
+	return len(b.Children), true
+}
+
+// wireTime reports whether t is an instant a delta frame can name: its
+// second, as the wire spells it, has a UnixNano.
+func wireTime(t time.Time) bool {
+	y := t.UTC().Year()
+	return y > 1678 && y < 2262
+}
+
+// deltaString is the delta frame SealedOver seals f with: f's payload
+// past the first kept children, over its predecessor dated prevAt.
+func (f *Fragment) deltaString(prevAt time.Time, kept int) string {
+	var buf [wireHeadMax + 64]byte // stays on the stack: only its bytes are copied out
+	head := f.appendHead(buf[:0])
+	head = append(head, `" `+AttrBase+`="`...)
+	head = prevAt.UTC().AppendFormat(head, xtime.Layout)
+	head = append(head, `" `+AttrKept+`="`...)
+	head = strconv.AppendInt(head, int64(kept), 10)
+	p := f.Tree()
+	own := p.Children[kept:]
+	size := len(head) + len(`"><`) + len(p.Name) + len(`/></`+FillerTag+`>`)
+	if len(own) > 0 {
+		size += len(`></`) + len(p.Name)
+		for _, c := range own {
+			size += c.EncodedLen()
+		}
+	}
+	b := append(make([]byte, 0, size), head...)
+	b = append(append(b, `"><`...), p.Name...)
+	if len(own) == 0 {
+		b = append(b, `/>`...)
+	} else {
+		b = append(b, '>')
+		for _, c := range own {
+			b = c.AppendTo(b)
+		}
+		b = append(append(append(b, `</`...), p.Name...), '>')
+	}
+	b = append(b, `</`+FillerTag+`>`...)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
 // Tree returns the fragment's payload element: Payload for a fragment
 // built in memory; for one decoded from a frame, the tree built from the
 // frame on the first call — one tree, however many goroutines ask first.
-// It is immutable, like Payload.
+// It is immutable, like Payload. A delta frame's is built over its
+// predecessor's tree, and an unlinked delta has none: Tree returns nil.
 func (f *Fragment) Tree() *xmldom.Node {
 	lz := f.enc.lazy()
 	if lz == nil {
@@ -208,14 +356,35 @@ func (f *Fragment) Tree() *xmldom.Node {
 	if t := lz.tree.Load(); t != nil {
 		return t
 	}
-	return lz.publish(lz.build(nil))
+	if !lz.delta() {
+		return lz.publish(lz.build(), nil)
+	}
+	l := lz.link.Load()
+	if l == nil {
+		return nil
+	}
+	// build the unbuilt versions below first, the oldest first, so that no
+	// build waits on a deeper one
+	var few [8]*lazy
+	chain := few[:0]
+	for b := l.prev.enc.lazy(); b != nil && b.delta() && b.tree.Load() == nil; b = b.link.Load().prev.enc.lazy() {
+		chain = append(chain, b)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		chain[i].publish(chain[i].over(chain[i].link.Load().prev))
+	}
+	return lz.publish(lz.over(l.prev))
 }
 
 // publish makes t the payload tree, unless a racing first read published
-// one before it, and returns the one published.
-func (lz *lazy) publish(t *xmldom.Node) *xmldom.Node {
+// one before it, and returns the one published; r is the run a delta's
+// tree's children are a prefix of, which the version after it extends.
+func (lz *lazy) publish(t *xmldom.Node, r *run[*xmldom.Node]) *xmldom.Node {
 	if !lz.tree.CompareAndSwap(nil, t) {
-		t = lz.tree.Load()
+		return lz.tree.Load()
+	}
+	if r != nil {
+		lz.link.Load().childRun.Store(r)
 	}
 	return t
 }
@@ -223,15 +392,9 @@ func (lz *lazy) publish(t *xmldom.Node) *xmldom.Node {
 // builders are the decoders first reads build payloads with.
 var builders = sync.Pool{New: func() any { return new(xmldom.Decoder) }}
 
-// build scans src again, as its decode did, and builds the payload. prev,
-// when not nil, is the state of the filler's version before this one, and
-// once that one has built its tree, a re-announced version builds only the
-// holes it adds: as far as the two versions' hole lists begin alike, each
-// hole among the payload's children is the node of prev's hole in the same
-// place among its children, if it spells just what that one does. A hole
-// is never an item of any plan, so which version built the node a tree
-// holds shows nowhere but in the heap.
-func (lz *lazy) build(prev *lazy) *xmldom.Node {
+// payload scans src again, as its decode did, and hands fn the payload
+// element in a pooled decoder's scratch.
+func (lz *lazy) payload(fn func(xmldom.Scanned) *xmldom.Node) *xmldom.Node {
 	d := builders.Get().(*xmldom.Decoder)
 	defer builders.Put(d)
 	defer d.Reset()
@@ -241,55 +404,225 @@ func (lz *lazy) build(prev *lazy) *xmldom.Node {
 		panic(fmt.Sprintf("fragment: a decoded frame no longer scans: %v", err))
 	}
 	payload, _ := el.OnlyElement()
-	if prev == nil {
-		return payload.Build()
-	}
-	before, shared := prev.tree.Load(), commonHoles(lz.holes, prev.holes)
-	if before == nil || shared == 0 {
-		return payload.Build()
-	}
-	kids := before.Children // a cursor over the holes among them
-	return payload.BuildWith(func(leaf xmldom.Scanned) *xmldom.Node {
-		if shared == 0 || leaf.Name() != HoleTag {
-			return nil
-		}
-		for len(kids) > 0 && !IsHole(kids[0]) {
-			kids = kids[1:]
-		}
-		if len(kids) == 0 {
-			shared = 0
-			return nil
-		}
-		h := kids[0]
-		kids, shared = kids[1:], shared-1
-		if leaf.SameLeaf(h) {
-			return h
-		}
-		return nil
-	})
+	return fn(payload)
 }
 
-// commonHoles is how many (id, tsid) pairs two lazy.holes lists begin
-// with alike: none when either is not whole pairs.
-func commonHoles(a, b string) int {
-	if len(a)%8 != 0 || len(b)%8 != 0 {
-		return 0
+// build builds a full frame's payload.
+func (lz *lazy) build() *xmldom.Node {
+	return lz.payload(xmldom.Scanned.Build)
+}
+
+// over builds a delta's payload over its predecessor prev's tree: prev's
+// attributes, and as children prev's — a window of the array they are a
+// prefix of, which the appended children extend in place where no other
+// version has (run) — followed by the children the frame carries, the only
+// nodes built. It returns the tree and the run its children are a prefix
+// of.
+func (lz *lazy) over(prev *Fragment) (*xmldom.Node, *run[*xmldom.Node]) {
+	base := prev.Tree()
+	var r *run[*xmldom.Node]
+	if b := prev.enc.lazy(); b != nil && b.delta() {
+		r = b.link.Load().childRun.Load()
 	}
-	n := 0
-	for n+8 <= len(a) && n+8 <= len(b) && a[n:n+8] == b[n:n+8] {
-		n += 8
+	list, r := claim(r, base.Children, int(lz.kids))
+	t := lz.payload(func(payload xmldom.Scanned) *xmldom.Node { return payload.BuildAfter(base.Attrs, list) })
+	return t, r
+}
+
+// run is an array the versions of one filler share, each version's list a
+// prefix of it: a version whose predecessor's list ends where the array's
+// claimed part does claims the elements after it for its own, and any
+// other starts an array of its own. No element is written after it is
+// claimed and filled, so no list a reader holds changes.
+type run[T any] struct {
+	used atomic.Int64
+	buf  []T // its length is its capacity
+}
+
+// claim returns a list of base's elements followed by own slots for the
+// caller to fill before anyone reads the list, and the run it is a prefix
+// of: base's run r, when base is the prefix of r's array that r's claimed
+// part ends at and the array has the room, a new run otherwise.
+func claim[T any](r *run[T], base []T, own int) ([]T, *run[T]) {
+	n := len(base) + own
+	if r != nil && len(base) > 0 && n <= len(r.buf) && &r.buf[0] == &base[0] &&
+		r.used.CompareAndSwap(int64(len(base)), int64(n)) {
+		return r.buf[:n:n], r
 	}
-	return n / 8
+	r = &run[T]{buf: make([]T, max(2*n, 8))}
+	copy(r.buf, base)
+	r.used.Store(int64(n))
+	return r.buf[:n:n], r
+}
+
+// linkTo links the delta f to prev, the version it extends: the filler's
+// version dated the frame's base validTime, carrying its tsid and as many
+// payload children as the frame keeps, a full form or a linked delta. A
+// version that is not that one is a *MissingPredecessorError. From then on
+// f announces prev's holes and then its own, and builds its tree over
+// prev's. A delta linked before — to a version of another store, the same
+// version — stays as it is; a full form has nothing to link.
+func (f *Fragment) linkTo(prev *Fragment) error {
+	lz := f.enc.lazy()
+	if lz == nil || !lz.delta() {
+		return nil
+	}
+	if !lz.extends(f, prev) {
+		return f.missingPredecessor()
+	}
+	if lz.link.Load() != nil {
+		return nil
+	}
+	l := &link{prev: prev, holes: "?"} // not whole pairs: EachHole asks the tree
+	holes, r := prevHoles(prev)
+	if len(holes)%8 == 0 && len(lz.holes)%8 == 0 {
+		var list []byte
+		list, l.holeRun = claim(r, unsafe.Slice(unsafe.StringData(holes), len(holes)), len(lz.holes))
+		copy(list[len(holes):], lz.holes)
+		l.holes = unsafe.String(unsafe.SliceData(list), len(list))
+	}
+	lz.link.CompareAndSwap(nil, l) // a racing link of the same frame to the same version may win
+	return nil
+}
+
+// extends reports whether prev is the version the delta f extends.
+func (lz *lazy) extends(f, prev *Fragment) bool {
+	if prev == nil || prev == f || prev.FillerID != f.FillerID || prev.TSID != f.TSID ||
+		prev.ValidTime.Truncate(time.Second).UnixNano() != lz.base {
+		return false
+	}
+	kids := -1
+	switch b := prev.enc.lazy(); {
+	case b == nil:
+		if prev.Payload != nil {
+			kids = len(prev.Payload.Children)
+		}
+	case !b.delta():
+		kids = int(b.kids)
+	case b.link.Load() != nil:
+		kids = int(b.kept + b.kids)
+	}
+	return kids == int(lz.kept)
+}
+
+// prevHoles returns a version's hole list as lazy.holes keeps it, and the
+// run it is a prefix of.
+func prevHoles(prev *Fragment) (string, *run[byte]) {
+	if b := prev.enc.lazy(); b != nil && b.delta() {
+		l := b.link.Load()
+		return l.holes, l.holeRun
+	} else if b != nil {
+		return b.holes, nil
+	}
+	var pairs []byte
+	fits := true
+	prev.EachHole(func(id, tsid int) bool {
+		fits = fits && id == int(int32(id)) && tsid == int(int32(tsid))
+		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(id))
+		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(tsid))
+		return true
+	})
+	if !fits {
+		return "?", nil
+	}
+	return string(pairs), nil
+}
+
+// missingPredecessor is the error of a delta f whose predecessor is not at
+// hand.
+func (f *Fragment) missingPredecessor() error {
+	lz := f.enc.lazy()
+	return &MissingPredecessorError{FillerID: f.FillerID, Predecessor: time.Unix(0, lz.base).UTC(), Kept: int(lz.kept)}
+}
+
+// Chains links the delta frames of a log read in the order it was written
+// (Link): each extends the version of its filler written last before it,
+// as the server that sealed it (SealedOver) published them. It keeps the
+// last version of each filler that has announced a hole — a delta's
+// predecessor always has — and nothing for any other.
+type Chains struct {
+	last map[int]*Fragment
+}
+
+// Link links f, the next fragment of the log, when it is a delta frame, to
+// the version of its filler read last before it, or returns a
+// *MissingPredecessorError when that is not the version f extends — lost
+// to a torn or corrupt frame, say: f is then no version, and Tree returns
+// nil for it. Either way f is the filler's last version from here on.
+func (c *Chains) Link(f *Fragment) error {
+	prev, tracked := c.last[f.FillerID]
+	var err error
+	if f.IsDelta() {
+		if err = f.linkTo(prev); err == nil && !f.isLinkedDelta() {
+			err = f.missingPredecessor()
+		}
+	}
+	if tracked || f.IsDelta() || announcesHole(f) {
+		if c.last == nil {
+			c.last = make(map[int]*Fragment)
+		}
+		c.last[f.FillerID] = f
+	}
+	return err
+}
+
+// announcesHole reports whether f's payload announces a hole.
+func announcesHole(f *Fragment) bool {
+	any := false
+	f.EachHole(func(int, int) bool { any = true; return false })
+	return any
+}
+
+// AnnouncesHole reports whether f's payload announces a hole: whether its
+// filler's next version may be sealed as a delta over it.
+func (f *Fragment) AnnouncesHole() bool { return announcesHole(f) }
+
+// isLinkedDelta reports whether f is a delta linked to its predecessor.
+func (f *Fragment) isLinkedDelta() bool {
+	lz := f.enc.lazy()
+	return lz != nil && lz.delta() && lz.link.Load() != nil
+}
+
+// IsDelta reports whether f was decoded from a delta frame (SealedOver):
+// a version only once linked to the one it extends.
+func (f *Fragment) IsDelta() bool {
+	lz := f.enc.lazy()
+	return lz != nil && lz.delta()
+}
+
+// Predecessor returns, for a fragment decoded from a delta frame and
+// linked, the version it extends and how many of that version's payload
+// children it keeps before its own; nil and 0 otherwise.
+func (f *Fragment) Predecessor() (*Fragment, int) {
+	if lz := f.enc.lazy(); lz != nil && lz.delta() {
+		if l := lz.link.Load(); l != nil {
+			return l.prev, int(lz.kept)
+		}
+	}
+	return nil, 0
 }
 
 // EachHole calls yield with the id and tsid of every hole f's payload
 // announces, in document order, until yield returns false: a hole's own
 // content is not searched, a hole whose id does not parse is skipped, and
 // one without a tsid that parses has tsid 0. A decoded fragment answers
-// from what its decode collected, and builds nothing.
+// from what its decode collected, and builds nothing; an unlinked delta
+// announces none.
 func (f *Fragment) EachHole(yield func(id, tsid int) bool) {
-	if lz := f.enc.lazy(); lz != nil && len(lz.holes)%8 == 0 {
-		for h := lz.holes; h != ""; h = h[8:] {
+	if lz := f.enc.lazy(); lz != nil {
+		holes := lz.holes
+		if lz.delta() {
+			l := lz.link.Load()
+			if l == nil {
+				return
+			}
+			holes = l.holes
+		}
+		if len(holes)%8 != 0 {
+			treeHoles(f.Tree(), yield)
+			return
+		}
+		for h := holes; h != ""; h = h[8:] {
 			if !yield(int(int32(le32(h))), int(int32(le32(h[4:])))) {
 				return
 			}
@@ -427,6 +760,11 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 	if err := fromWrapper(f, el.Name, el.Attrs, kids); err != nil {
 		return nil, err
 	}
+	if base, kept, delta, err := deltaOf(f, el.Attrs); err != nil {
+		return nil, err
+	} else if delta {
+		return nil, &MissingPredecessorError{FillerID: f.FillerID, Predecessor: time.Unix(0, base).UTC(), Kept: kept}
+	}
 	f.Payload = payload
 	return f, nil
 }
@@ -436,7 +774,9 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 // code that reads FromXML's and with the same errors; the payload's holes
 // are collected in the same scan; and the fragment keeps the element's
 // text — its wire form, without whatever followed it in the input — to
-// build the payload from when something first reads it (Tree).
+// build the payload from when something first reads it (Tree). A delta
+// frame decodes too, into a fragment that is a version once a Store links
+// it to the one it extends (Store.Add).
 func FromScanned(el xmldom.Scanned) (*Fragment, error) {
 	from, _ := el.Span()
 	return decode(el, el.Source(), from)
@@ -451,19 +791,52 @@ func decode(el xmldom.Scanned, src string, base int) (*Fragment, error) {
 	if err := fromWrapper(&f, el.Name(), el.Attrs(), kids); err != nil {
 		return nil, err
 	}
+	prevAt, kept, delta, err := deltaOf(&f, el.Attrs())
+	if err != nil {
+		return nil, err
+	}
+	if delta && len(payload.Attrs()) > 0 {
+		return nil, fmt.Errorf("fragment: delta frame of filler %d carries payload attributes", f.FillerID)
+	}
 	d := &decoded{Fragment: f}
 	from, _ := payload.Span()
 	tag := int32(from-base) + 1
 	d.lz.src = src
-	d.lz.holes = scanHoles(payload)
+	d.lz.holes = scanHoles(payload, &d.lz.one)
 	d.lz.tag = [2]int32{tag, tag + int32(len(payload.Name()))}
+	d.lz.kids, d.lz.kept = int32(payload.Children()), -1
+	if delta {
+		d.lz.base, d.lz.kept = prevAt, int32(kept)
+	}
 	d.enc = encoding{unsafe.Pointer(&d.lz), decodedWire}
 	return &d.Fragment, nil
 }
 
+// deltaOf reads a delta frame's AttrBase and AttrKept off the wrapper's
+// attributes: the UnixNano of the validTime of the version it extends, and
+// how many of that version's children it keeps; delta is false on a full
+// frame.
+func deltaOf(f *Fragment, attrs []xmldom.Attr) (prevAt int64, kept int, delta bool, err error) {
+	baseStr, ok := xmldom.LookupAttr(attrs, AttrBase)
+	if !ok {
+		return 0, 0, false, nil
+	}
+	at, err := xtime.Parse(baseStr)
+	if err != nil || !at.IsAbsolute() || !wireTime(at.Time()) {
+		return 0, 0, false, fmt.Errorf("fragment: filler %d has bad %s %q", f.FillerID, AttrBase, baseStr)
+	}
+	keptStr, _ := xmldom.LookupAttr(attrs, AttrKept)
+	kept, err = strconv.Atoi(keptStr)
+	if err != nil || kept < 0 || kept > math.MaxInt32 {
+		return 0, 0, false, fmt.Errorf("fragment: filler %d has bad %s %q", f.FillerID, AttrKept, keptStr)
+	}
+	return at.Time().UnixNano(), kept, true, nil
+}
+
 // scanHoles collects a scanned payload's holes as lazy.holes keeps them,
-// in the walk treeHoles takes over a built tree.
-func scanHoles(payload xmldom.Scanned) string {
+// in the walk treeHoles takes over a built tree: a single pair in one,
+// which the caller keeps, any other list in a string of its own.
+func scanHoles(payload xmldom.Scanned, one *[8]byte) string {
 	var buf [32 * 8]byte
 	pairs, fits := buf[:0], true
 	payload.Walk(func(el xmldom.Scanned) bool {
@@ -489,6 +862,10 @@ func scanHoles(payload xmldom.Scanned) string {
 	})
 	if !fits {
 		return "?" // not a whole pair: EachHole asks the tree
+	}
+	if len(pairs) == len(one) {
+		copy(one[:], pairs)
+		return unsafe.String(&one[0], len(one))
 	}
 	return string(pairs)
 }
@@ -556,12 +933,17 @@ func fromWrapper(f *Fragment, tag string, attrs []xmldom.Attr, kids int) error {
 
 // Parse parses a <filler> document. The fragment builds its payload when
 // first read, and carries no wire form: the text need not be one, so
-// String encodes.
+// String encodes. A delta frame, which is a version only over the one it
+// extends, is a *MissingPredecessorError: there is no store here to link
+// it to.
 func Parse(src string) (*Fragment, error) {
 	var d xmldom.Decoder
 	f, err := parse(&d, src)
 	if err != nil {
 		return nil, err
+	}
+	if f.IsDelta() {
+		return nil, f.missingPredecessor()
 	}
 	f.enc.n = decodedOnly
 	return f, nil
@@ -571,7 +953,8 @@ func Parse(src string) (*Fragment, error) {
 // of the replay reading it: the fragment keeps src as its wire form — whoever
 // replays it to a socket or copies it to another file writes the stored
 // bytes, not a re-encoding — and builds its payload from it when first
-// read.
+// read. A delta frame decodes as FromScanned decodes it: the replay links
+// it (Link).
 func ParseStored(d *xmldom.Decoder, src string) (*Fragment, error) {
 	return parse(d, src)
 }

@@ -115,20 +115,30 @@ func TestReadBesideAddOfNextVersion(t *testing.T) {
 }
 
 // TestFirstReadsOfConsecutiveVersionsRace: the first reads of a filler's
-// versions k and k+1 race — version k+1's build looks for version k's tree
-// while version k builds it — and each gets the tree a fresh parse of its
-// frame builds, whichever finished first (run with -race: the build of one
-// version reads the other's).
+// versions k and k+1, decoded from delta frames, race — version k+1's
+// build needs version k's tree, which version k builds at the same time,
+// and both claim room in the array their children share — and each gets
+// the tree a fresh parse of its full form builds, whichever finished first
+// (run with -race: the build of one version reads the other's).
 func TestFirstReadsOfConsecutiveVersionsRace(t *testing.T) {
 	structure := tagstruct.MustParseString(`<stream:structure><tag type="temporal" id="2" name="account"><tag type="event" id="5" name="transaction"/></tag></stream:structure>`)
 	base := time.Date(2003, time.November, 1, 0, 0, 0, 0, time.UTC)
 	const versions = 16
-	var frames []string
+	var full, frames []string
 	holes := ""
+	var prev *Fragment
 	for i := range versions {
 		holes += fmt.Sprintf(`<hole id="%d" tsid="5"/>`, 100+i)
-		frames = append(frames, fmt.Sprintf(`<filler id="7" tsid="2" validTime="%s"><account id="a"><customer>C</customer>%s</account></filler>`,
+		f, err := decodeFresh(fmt.Sprintf(`<filler id="7" tsid="2" validTime="%s"><account id="a"><customer>C</customer>%s</account></filler>`,
 			base.Add(time.Duration(i)*time.Minute).Format(xtime.Layout), holes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, delta := f.SealedOver(prev)
+		if delta != (i > 0) {
+			t.Fatalf("version %d sealed as a delta: %v", i, delta)
+		}
+		full, frames, prev = append(full, f.String()), append(frames, sealed.String()), f
 	}
 	for range 8 {
 		st := NewStore(structure)
@@ -148,13 +158,13 @@ func TestFirstReadsOfConsecutiveVersionsRace(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					st.tree(f)
+					f.Tree()
 				}()
 			}
 			wg.Wait()
 		}
 		for k, f := range vs {
-			want, err := decodeFresh(frames[k])
+			want, err := decodeFresh(full[k])
 			if err != nil {
 				t.Fatal(err)
 			}

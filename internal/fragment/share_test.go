@@ -14,10 +14,9 @@ import (
 )
 
 // decodedVersionsCeiling bounds the heap the trees of sharedVersions
-// re-announced account versions keep, ~15 % above what they keep when each
-// version builds only the hole it adds (17 960 B on linux/amd64). Built
-// with a hole element of their own per hole they keep Σk·160 B ≈ 74 KB
-// more.
+// re-announced account versions keep, the ceiling PR 37's hole sharing
+// kept under (17 960 B on linux/amd64 then). Built with a hole element of
+// their own per hole they keep Σk·160 B ≈ 74 KB more.
 const (
 	sharedVersions         = 30
 	decodedVersionsCeiling = 20_700
@@ -45,29 +44,36 @@ func readAll(t *testing.T, st *fragment.Store, fid int, at time.Time) {
 }
 
 // TestDecodedVersionsShareHoles: an account re-announced once per charge,
-// decoded as a client receives it, builds each hole once — version k's
-// tree holds version k−1's hole nodes for the holes the two lists have in
-// common — and every tree is the one a fresh parse of its frame builds.
-// What breaks the list's agreement (a reordered hole list, a hole with an
-// extra attribute, a hole below a child element) builds its own nodes
-// from there. The trees' heap is held under a ceiling that one hole
-// element per hole per version exceeds several times over.
+// sealed as a publishing server seals it — each version a delta frame over
+// the one before — and decoded as a client receives it, builds each node
+// once: version k's tree holds version k−1's children, holes and all, the
+// same nodes, and every tree is the one a fresh parse of the version's full
+// form builds. A version that does not extend the one before (a reordered
+// hole list, a hole with an extra attribute, a hole below a child element)
+// travels in the full form and builds all its nodes. The trees' heap is
+// held under a ceiling that one hole element per hole per version exceeds
+// several times over.
 func TestDecodedVersionsShareHoles(t *testing.T) {
 	structure := tagstruct.MustParseString(genstore.CreditStructure)
 	pub, _ := genstore.NewCreditPublisher(1)
 	st := fragment.NewStore(structure)
-	var frames []string
+	var full []string
+	var prev *fragment.Fragment
+	var dec xmldom.Decoder
 	for k := 1; k <= sharedVersions; k++ {
 		announce, _ := pub.Charge(0, k, genstore.CreditBase.Add(time.Duration(k)*time.Minute))
-		frame := announce.String()
-		f, err := fragment.Parse(frame)
+		sealed, delta := announce.SealedOver(prev)
+		if delta != (k > 1) {
+			t.Fatalf("version %d sealed as a delta: %v", k, delta)
+		}
+		f, err := fragment.ParseStored(&dec, sealed.String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, frame)
 		if err := st.Add(f); err != nil {
 			t.Fatal(err)
 		}
+		full, prev = append(full, announce.String()), announce
 	}
 	at := genstore.CreditBase.Add(time.Hour)
 	before := retained()
@@ -75,7 +81,7 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 	after := retained()
 	versions := st.Versions(1)
 	for k, f := range versions {
-		fresh, err := fragment.Parse(frames[k])
+		fresh, err := fragment.Parse(full[k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,68 +95,71 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 		if k == 0 {
 			continue
 		}
+		if p, kept := f.Predecessor(); p != versions[k-1] || kept != len(versions[k-1].Tree().Children) {
+			t.Fatalf("version %d records predecessor %p keeping %d, want %p keeping %d", k, p, kept, versions[k-1], len(versions[k-1].Tree().Children))
+		}
 		for j, h := range holesOf(versions[k-1].Tree()) {
 			if hs[j] != h {
 				t.Fatalf("hole %d of version %d is not version %d's node", j, k, k-1)
 			}
 		}
 	}
-	if kept := int64(after) - int64(before); kept > decodedVersionsCeiling {
+	kept := int64(after) - int64(before)
+	t.Logf("%d decoded versions keep %d B of trees (ceiling %d B)", sharedVersions, kept, decodedVersionsCeiling)
+	if kept > decodedVersionsCeiling {
 		t.Errorf("%d decoded versions keep %d B of trees, ceiling %d B", sharedVersions, kept, decodedVersionsCeiling)
 	}
 	runtime.KeepAlive(st)
 
-	// versions that do not extend the one before: each shares the holes
-	// before the first that differs, where the lists still agree, and
-	// builds the rest
+	// versions that do not extend the one before travel whole: they share
+	// no node with it
 	hole := func(id int) string { return fmt.Sprintf(`<hole id="%d" tsid="5"/>`, id) }
 	for _, c := range []struct {
 		name       string
 		prev, next string
-		shared     []bool // per hole of next, in order among the account's children
 	}{
-		{"reordered", hole(10) + hole(11) + hole(12), hole(11) + hole(10) + hole(12) + hole(13),
-			[]bool{false, false, false, false}},
-		{"extra attribute", hole(10) + hole(11) + hole(12), hole(10) + `<hole id="11" tsid="5" x="y"/>` + hole(12) + hole(13),
-			[]bool{true, false, true, false}},
-		{"nested", hole(10) + hole(11), hole(10) + `<customer>C<hole id="11" tsid="5"/></customer>` + hole(11) + hole(12),
-			[]bool{true, true, false}},
+		{"reordered", hole(10) + hole(11) + hole(12), hole(11) + hole(10) + hole(12) + hole(13)},
+		{"extra attribute", hole(10) + hole(11) + hole(12), hole(10) + `<hole id="11" tsid="5" x="y"/>` + hole(12) + hole(13)},
+		{"nested", hole(10) + hole(11), hole(10) + `<customer>C<hole id="11" tsid="5"/></customer>` + hole(11) + hole(12)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			st := fragment.NewStore(structure)
 			var fs []*fragment.Fragment
 			var frames []string
+			var prev *fragment.Fragment
 			for i, holes := range []string{c.prev, c.next} {
 				frame := fmt.Sprintf(`<filler id="1" tsid="2" validTime="%s"><account id="a">%s</account></filler>`,
 					genstore.CreditBase.Add(time.Duration(i)*time.Minute).Format(xtime.Layout), holes)
-				f, err := fragment.Parse(frame)
+				v, err := fragment.Parse(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sealed, delta := v.SealedOver(prev)
+				if delta {
+					t.Fatalf("version %d sealed as a delta over a version it does not extend", i)
+				}
+				f, err := fragment.ParseStored(&dec, sealed.String())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := st.Add(f); err != nil {
 					t.Fatal(err)
 				}
-				fs, frames = append(fs, f), append(frames, frame)
+				fs, frames, prev = append(fs, f), append(frames, frame), v
 			}
 			readAll(t, st, 1, at)
-			prev := map[*xmldom.Node]bool{}
-			for _, h := range holesOf(fs[0].Tree()) {
-				prev[h] = true
-			}
 			fresh, _ := fragment.Parse(frames[1])
 			if !fs[1].Tree().Equal(fresh.Tree()) {
 				t.Fatalf("built %s, a fresh parse %s", fs[1].Tree(), fresh.Tree())
 			}
-			var got []bool
-			for _, h := range holesOf(fs[1].Tree()) {
-				got = append(got, prev[h])
-			}
-			if fmt.Sprint(got) != fmt.Sprint(c.shared) {
-				t.Errorf("holes shared with the version before: %v, want %v", got, c.shared)
-			}
-			if c.name == "nested" && prev[fs[1].Tree().Children[1].Children[1]] {
-				t.Error("a hole below a child element is the version before's node")
-			}
+			prevNodes := map[*xmldom.Node]bool{}
+			fs[0].Tree().Walk(func(n *xmldom.Node) bool { prevNodes[n] = true; return true })
+			fs[1].Tree().Walk(func(n *xmldom.Node) bool {
+				if prevNodes[n] {
+					t.Fatalf("<%s> is the version before's node", n.Name)
+				}
+				return true
+			})
 		})
 	}
 }

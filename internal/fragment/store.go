@@ -94,7 +94,11 @@ func (st *Store) Structure() *tagstruct.Structure { return st.structure }
 // Add ingests one fragment. The tsid must exist in the tag structure and,
 // except for the root filler, must belong to a fragmented tag, and the
 // payload must be the tag's element — read off a decoded fragment's frame,
-// which Add does not build.
+// which Add does not build. A fragment decoded from a delta frame is linked
+// to the stored version it extends — the one version of its filler dated
+// the frame's base validTime — which the fragment records (Predecessor),
+// and is a *MissingPredecessorError, and stored not at all, when the store
+// does not hold that version.
 func (st *Store) Add(f *Fragment) error {
 	tag := st.structure.ByID(f.TSID)
 	if tag == nil {
@@ -113,6 +117,11 @@ func (st *Store) Add(f *Fragment) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if f.IsDelta() {
+		if err := f.linkTo(st.predecessor(f)); err != nil {
+			return err
+		}
+	}
 	if st.wal != nil {
 		// write-ahead: the fragment is durable before it is queryable. The
 		// append runs under the store lock so the log's order is exactly
@@ -128,6 +137,27 @@ func (st *Store) Add(f *Fragment) error {
 	st.index(f)
 	st.gen.Add(1)
 	return nil
+}
+
+// predecessor returns the version a delta f extends: the one stored
+// version of its filler dated the frame's base validTime, searched from the
+// newest, where a re-announcement's predecessor is; nil when there is
+// none, or more than one. Callers hold the write lock.
+func (st *Store) predecessor(f *Fragment) *Fragment {
+	at := f.enc.lazy().base
+	var prev *Fragment
+	versions := st.byID[f.FillerID]
+	for i := len(versions) - 1; i >= 0; i-- {
+		switch vt := versions[i].ValidTime.Truncate(time.Second).UnixNano(); {
+		case vt == at && prev != nil:
+			return nil
+		case vt == at:
+			prev = versions[i]
+		case vt < at:
+			return prev
+		}
+	}
+	return prev
 }
 
 // index files f under its filler id and its tsid. Callers hold the write
@@ -341,7 +371,6 @@ type Filter func(v Version) bool
 // only if the filter reads it, so a filter that decides by position alone
 // (an incremental unit picking the versions it re-runs) builds nothing.
 type Version struct {
-	st  *Store
 	f   *Fragment
 	top *xmldom.Node // a read's built top, when the filter sifts those
 }
@@ -352,32 +381,7 @@ func (v Version) Payload() *xmldom.Node {
 	if v.top != nil {
 		return v.top
 	}
-	return v.st.tree(v.f)
-}
-
-// tree is f.Tree() for a stored version: the first read of a decoded one
-// builds its payload beside the filler's version before it, whose holes it
-// shares (lazy.build).
-func (st *Store) tree(f *Fragment) *xmldom.Node {
-	if lz := f.enc.lazy(); lz != nil && lz.tree.Load() == nil {
-		return lz.publish(lz.build(st.before(f)))
-	}
-	return f.Tree()
-}
-
-// before returns the decoded state of the version of f's filler that
-// precedes f in validTime order, nil when f is the first or that version
-// was built in memory.
-func (st *Store) before(f *Fragment) *lazy {
-	versions := st.Versions(f.FillerID)
-	i := sort.Search(len(versions), func(i int) bool { return !versions[i].ValidTime.Before(f.ValidTime) })
-	for i < len(versions) && versions[i] != f {
-		i++
-	}
-	if i == 0 || i == len(versions) {
-		return nil
-	}
-	return versions[i-1].enc.lazy()
+	return v.f.Tree()
 }
 
 // Sift appends to out the elements of els the filter keeps — versions
@@ -423,7 +427,7 @@ func (st *Store) pickVersions(kept []keptVersion, versions []*Fragment, tsid int
 			continue
 		}
 		examined++
-		if keep != nil && !keep(Version{st: st, f: f}) {
+		if keep != nil && !keep(Version{f: f}) {
 			continue
 		}
 		k := keptVersion{f: f}
@@ -459,7 +463,7 @@ func (st *Store) pickWindow(kept []keptVersion, events []*Fragment, at time.Time
 	// it through
 	ask := func(f *Fragment) bool {
 		examined++
-		if keep != nil && !keep(Version{st: st, f: f}) {
+		if keep != nil && !keep(Version{f: f}) {
 			return false
 		}
 		asked = true
@@ -569,7 +573,7 @@ func (st *Store) buildTops(kept []keptVersion, sp *Span, at time.Time) []*xmldom
 	}
 	nattrs, ninstants := 0, 0
 	for i, k := range kept {
-		nattrs += len(st.tree(k.f).Attrs) + 2
+		nattrs += len(k.f.Tree().Attrs) + 2
 		if i == 0 || kept[i-1].to != k.f {
 			ninstants++ // its vtFrom; otherwise the version before's vtTo
 		}
@@ -756,7 +760,7 @@ func (st *Store) tops(kept []keptVersion, r Read, sp *Span, at time.Time) ([]*xm
 		for g < len(r.Groups) && i >= r.Groups[g].End {
 			g++
 		}
-		out[i] = st.tree(k.f)
+		out[i] = k.f.Tree()
 		n := stampBytes(k, sp, at, &window)
 		stamps += n
 		if g < len(r.Groups) {
@@ -828,7 +832,7 @@ func (st *Store) kept(fids []int, tsid int, at time.Time, keep Filter) int {
 			if tsid > 0 && f.TSID != tsid {
 				continue
 			}
-			if keep == nil || keep(Version{st: st, f: f}) {
+			if keep == nil || keep(Version{f: f}) {
 				n++
 			}
 		}

@@ -47,15 +47,36 @@ type frameRec struct {
 	xml string
 }
 
-// encodeFrame renders one frame (header + payload) into a fresh buffer.
-func encodeFrame(lsn uint64, xml string) []byte {
+// appendFrame appends one frame (header + payload) to dst: the store
+// encodes every frame it writes into a buffer it keeps (Store.frame).
+func appendFrame(dst []byte, lsn uint64, xml string) []byte {
 	payloadLen := 8 + len(xml)
-	buf := make([]byte, frameHeaderLen+payloadLen)
-	binary.BigEndian.PutUint32(buf[0:4], uint32(payloadLen))
-	binary.BigEndian.PutUint64(buf[frameHeaderLen:], lsn)
-	copy(buf[frameHeaderLen+8:], xml)
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(buf[frameHeaderLen:], crcTable))
-	return buf
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
+	dst = append(dst, 0, 0, 0, 0) // the CRC, once the payload is in
+	dst = binary.BigEndian.AppendUint64(dst, lsn)
+	dst = append(dst, xml...)
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+frameHeaderLen:], crcTable))
+	return dst
+}
+
+// maxKeptFrame bounds the frame buffer a store keeps between writes: a
+// frame larger than it is encoded in a buffer of its own, which the store
+// lets go, as a stream connection's read loop does with its read buffer.
+const maxKeptFrame = 64 << 10
+
+// linkDeltas links the delta frames among frames, which are in LSN order —
+// the order the server that sealed them wrote them — to their
+// predecessors (fragment.Chains), and returns how many have none: a frame
+// before them was torn, corrupt or quarantined.
+func linkDeltas(frames []frameRec) (missing int) {
+	var chains fragment.Chains
+	for _, rec := range frames {
+		if rec.frag != nil && chains.Link(rec.frag) != nil {
+			missing++
+		}
+	}
+	return missing
 }
 
 // parseResult is what scanning one file's bytes yields.

@@ -74,6 +74,11 @@ type RecoveryReport struct {
 	QuarantinedFiles []string
 	QuarantinedBytes int64
 	SalvagedFrames   int
+	// MissingPredecessors counts the delta frames whose predecessor — the
+	// version they extend, which the log held before them — did not
+	// survive: a replay hands them out unlinked, no version, and a store
+	// refuses them (fragment.MissingPredecessorError).
+	MissingPredecessors int
 	// Seq coverage of the recovered log (0/0 when no sequenced frames).
 	MinSeq, MaxSeq uint64
 	// Degraded is the explicit "data may be missing" verdict.
@@ -208,6 +213,9 @@ type Store struct {
 	sinceSnapshot int
 	stats         Stats
 	closed        bool
+	// frame is the buffer every frame is encoded into before its write
+	// (appendFrame), kept while no larger than maxKeptFrame.
+	frame []byte
 
 	// tracer, when set, records "segstore.append" (+ child
 	// "segstore.fsync") spans for traced fragments. nil = off.
@@ -311,6 +319,13 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	}
 	noteSeqs(snapFrames)
 	liveFrames := len(snapFrames)
+	// every file's frames, for the check that each delta frame's
+	// predecessor survived, which runs when there is a delta at all
+	replay, deltas := [][]frameRec{snapFrames}, hasDelta(snapFrames)
+	keep := func(frames []frameRec) {
+		replay = append(replay, frames)
+		deltas = deltas || hasDelta(frames)
+	}
 	for _, name := range segNames {
 		path := filepath.Join(dir, name)
 		data, err := readAll(s.fs, path)
@@ -362,6 +377,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		}
 		if res.corrupt {
 			// the salvage segment (if any) was registered by writeSegmentFile
+			keep(res.frames)
 			noteSeqs(res.frames)
 			for _, rec := range res.frames {
 				if !seen[rec.lsn] {
@@ -390,6 +406,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 				continue
 			}
 		}
+		keep(res.frames)
 		noteSeqs(res.frames)
 		for _, rec := range res.frames {
 			if !seen[rec.lsn] {
@@ -417,6 +434,14 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		s.contiguous = s.maxSeq-s.minSeq+1 == uint64(len(seqs))
 	}
 
+	if deltas {
+		if n := missingPredecessors(replay); n > 0 {
+			rep.MissingPredecessors = n
+			rep.Degraded = joinReason(rep.Degraded,
+				fmt.Sprintf("%d delta frames lack the version they extend: those versions are lost", n))
+		}
+	}
+
 	rep.Segments = len(s.segs)
 	rep.Frames = liveFrames
 	if s.snap != nil {
@@ -427,6 +452,34 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	rep.Duration = time.Since(start)
 	s.stats.Recovery = *rep
 	return s, rep, nil
+}
+
+// hasDelta reports whether any of frames is a delta frame.
+func hasDelta(frames []frameRec) bool {
+	for _, rec := range frames {
+		if rec.frag != nil && rec.frag.IsDelta() {
+			return true
+		}
+	}
+	return false
+}
+
+// missingPredecessors is how many delta frames of the files' frames —
+// deduplicated by LSN and read in LSN order, as a replay reads them — lack
+// their predecessor.
+func missingPredecessors(files [][]frameRec) int {
+	var all []frameRec
+	seen := make(map[uint64]bool)
+	for _, frames := range files {
+		for _, rec := range frames {
+			if rec.lsn > 0 && !seen[rec.lsn] {
+				seen[rec.lsn] = true
+				all = append(all, rec)
+			}
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
+	return linkDeltas(all)
 }
 
 func joinReason(a, b string) string {
@@ -529,7 +582,7 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 	}
 	si := &segInfo{name: name}
 	for _, rec := range frames {
-		buf := encodeFrame(rec.lsn, rec.xml)
+		buf := s.encode(rec.lsn, rec.xml)
 		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			return err
@@ -558,6 +611,18 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 	return nil
 }
 
+// encode encodes one frame into the store's frame buffer and returns it,
+// valid until the next encode. The caller holds s.mu.
+func (s *Store) encode(lsn uint64, xml string) []byte {
+	buf := appendFrame(s.frame[:0], lsn, xml)
+	if cap(buf) <= maxKeptFrame {
+		s.frame = buf
+	} else {
+		s.frame = nil
+	}
+	return buf
+}
+
 // Append writes one fragment to the log. With syncing on (the default)
 // a nil return means the fragment is on stable storage. On error the
 // active segment is sealed at its last committed byte and the next
@@ -578,7 +643,7 @@ func (s *Store) Append(f *fragment.Fragment) error {
 	// through one; encoded here otherwise
 	xml := f.String()
 	lsn := s.nextLSN
-	buf := encodeFrame(lsn, xml)
+	buf := s.encode(lsn, xml)
 	if _, err := s.active.Write(buf); err != nil {
 		s.stats.AppendErrors++
 		s.repairActiveLocked()
@@ -747,6 +812,7 @@ func (s *Store) collectLocked() ([]frameRec, error) {
 		add(res.frames)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
+	linkDeltas(out)
 	return out, nil
 }
 
@@ -843,6 +909,7 @@ func (s *Store) ReadTSID(tsid int) ([]*fragment.Fragment, error) {
 		add(res.frames)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
+	linkDeltas(out)
 	frags := make([]*fragment.Fragment, 0, len(out))
 	for _, rec := range out {
 		frags = append(frags, rec.frag)
@@ -910,9 +977,9 @@ func (s *Store) snapshotLocked() (uint64, error) {
 		return err
 	}
 	_ = write([]byte(snapMagic))
-	_ = write(encodeFrame(0, meta.String()))
+	_ = write(s.encode(0, meta.String()))
 	for _, rec := range frames {
-		_ = write(encodeFrame(rec.lsn, rec.xml))
+		_ = write(s.encode(rec.lsn, rec.xml))
 	}
 	if err != nil {
 		f.Close()

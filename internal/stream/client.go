@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -24,6 +25,13 @@ const maxTrackedMissing = 4096
 // of the noise must not grow with it. ClientStats.Errors has the total.
 const maxKeptErrs = 64
 
+// Gap reasons a client records for fragments it may still receive: one
+// lost on the way, and a delta frame whose predecessor it does not hold.
+const (
+	reasonLost          = "lost in transit"
+	reasonNoPredecessor = "predecessor missing"
+)
+
 // Gap describes a run of sequence numbers the client has not received —
 // fragments lost on the transport (which may still heal via reordering or
 // replay) or a resume position the server no longer retained (permanent).
@@ -31,8 +39,10 @@ type Gap struct {
 	// [From, To] is the inclusive range of missing sequence numbers.
 	From, To uint64
 	// Reason distinguishes how the gap was discovered: "lost in transit"
-	// (a later fragment arrived first) or "unrecoverable: …" (the
-	// server's replay window had already slid past the resume position).
+	// (a later fragment arrived first), "predecessor missing" (a delta
+	// frame arrived over a version the client does not hold; a resume
+	// replays it) or "unrecoverable: …" (the server's replay window had
+	// already slid past the resume position).
 	Reason string
 }
 
@@ -252,7 +262,7 @@ func (c *Client) Apply(f *fragment.Fragment) {
 			// the position (a late joiner legitimately starts mid-stream);
 			// with one, any skip is a real gap.
 			if (c.baselined || c.lastSeq > 0) && f.Seq > c.lastSeq+1 {
-				g := Gap{From: c.lastSeq + 1, To: f.Seq - 1, Reason: "lost in transit"}
+				g := Gap{From: c.lastSeq + 1, To: f.Seq - 1, Reason: reasonLost}
 				c.markMissingLocked(g)
 				gap = &g
 			}
@@ -277,6 +287,19 @@ func (c *Client) Apply(f *fragment.Fragment) {
 		c.notifyGap(*gap)
 	}
 	if err := c.store.Add(f); err != nil {
+		var missing *fragment.MissingPredecessorError
+		if errors.As(err, &missing) && f.Seq > 0 {
+			// a delta frame over a version this client does not hold is no
+			// version here: its seq is missing, as if the frame were lost,
+			// and a resume replays it
+			g := Gap{From: f.Seq, To: f.Seq, Reason: reasonNoPredecessor}
+			c.mu.Lock()
+			c.markMissingLocked(g)
+			c.mu.Unlock()
+			rec.Flag(f.Trace.TraceID, "gap")
+			c.notifyGap(g)
+			return
+		}
 		c.addErr(err)
 		if l := c.log(); l != nil {
 			l.LogAttrs(logCtx, slog.LevelError, "malformed fragment skipped",
@@ -326,7 +349,7 @@ func (c *Client) setDegradedLocked(reason string) {
 func (c *Client) notifyGap(g Gap) {
 	if l := c.log(); l != nil {
 		level := slog.LevelWarn
-		if g.Reason != "lost in transit" {
+		if g.Reason != reasonLost && g.Reason != reasonNoPredecessor {
 			level = slog.LevelError // unrecoverable
 		}
 		l.LogAttrs(logCtx, level, "sequence gap detected",

@@ -38,6 +38,7 @@ func (s *Server) AttachDurable(d DurableLog) {
 	s.mu.Lock()
 	s.durable = d
 	s.durableBroken = ""
+	s.durableGen++
 	s.mu.Unlock()
 }
 
@@ -67,6 +68,7 @@ func RecoverServer(name string, structure *tagstruct.Structure, d DurableLog) (*
 	}
 	s.history = append(s.history, frames...)
 	s.durable = d
+	s.durableGen++
 	if l := s.log(); l != nil {
 		l.LogAttrs(logCtx, slog.LevelInfo, "server recovered from durable log",
 			slog.String("component", "server"), slog.String("stream", name),

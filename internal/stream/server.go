@@ -65,11 +65,30 @@ type Server struct {
 	durableBroken string // first write-through error; sticky
 	bootstraps    int64  // subscriptions bridged from the durable log
 	storageErrors int64  // durable write/read failures
+	durableGen    uint64 // counts AttachDurable calls: which log a delta's predecessor went to
 
 	// tracer, when set, stamps every published fragment with a fresh
 	// trace context (or joins one already carried by a relayed fragment)
 	// and records the publish span. Guarded by mu; nil = tracing off.
 	tracer *obs.FlightRecorder
+
+	// bases holds, for each filler a version of which has announced a hole,
+	// the version published last: the one its next version's wire form is
+	// sealed over as a delta frame (fragment.SealedOver). One entry per
+	// parent filler, whatever its history. Guarded by mu.
+	bases map[int]baseVersion
+}
+
+// baseVersion is the version of a filler published last, and what decides
+// whether a delta frame may name it as its predecessor: a receiver must
+// find it by its validTime alone, so it must be later, as the wire spells
+// it, than every earlier version of the filler (unique); and a durable log
+// must hold it (log), so that a replay of the log links the delta.
+type baseVersion struct {
+	f      *fragment.Fragment
+	latest time.Time // the latest validTime of the filler's versions, as the wire spells it
+	unique bool
+	log    uint64 // the generation of the durable log f was written to, 0 when none took it
 }
 
 // SetFlightRecorder attaches a flight recorder: every subsequent Publish
@@ -87,6 +106,7 @@ func NewServer(name string, structure *tagstruct.Structure) *Server {
 		name:      name,
 		structure: structure,
 		subs:      make(map[*Subscription]struct{}),
+		bases:     make(map[int]baseVersion),
 	}
 }
 
@@ -128,6 +148,11 @@ type Subscription struct {
 	ch     chan *fragment.Fragment
 	// wire marks a subscription whose consumer writes wire bytes.
 	wire bool
+	// lostFrom and lostTo are the sequence numbers a wire subscription's
+	// consumer resumed without and can never be sent — its resume position
+	// was behind the replay window —, both 0 when none: a delta frame over
+	// a version among them goes to it in the full form.
+	lostFrom, lostTo uint64
 
 	// guarded by server.mu — a single lock serializes Publish, Cancel and
 	// Close, so the channel is never closed while a send is in flight.
@@ -182,7 +207,22 @@ func (s *Server) SubscribeFrom(buffer int, afterSeq uint64) *Subscription {
 func (s *Server) subscribeWire(buffer int, afterSeq uint64) *Subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.subscribeLocked(buffer, s.replayLocked(afterSeq), true)
+	replay := s.replayLocked(afterSeq)
+	sub := s.subscribeLocked(buffer, replay, true)
+	first := s.nextSeq + 1
+	if len(replay) > 0 {
+		first = replay[0].Seq
+	}
+	if first > afterSeq+1 {
+		sub.lostFrom, sub.lostTo = afterSeq+1, first-1
+	}
+	return sub
+}
+
+// lacks reports whether the subscription's consumer can never have been
+// sent the fragment with sequence number seq.
+func (sub *Subscription) lacks(seq uint64) bool {
+	return sub.lostTo > 0 && seq >= sub.lostFrom && seq <= sub.lostTo
 }
 
 func (s *Server) subscribe(buffer int, replay []*fragment.Fragment) *Subscription {
@@ -225,6 +265,12 @@ func (s *Server) subscribeLocked(buffer int, replay []*fragment.Fragment, wire b
 // ServerStats.Dropped. The publish-instant stamp (Fragment.PublishedAt) is what
 // in-process clients measure delivery latency against.
 //
+// The wire form a durable log and the connections get is a delta frame
+// when the fragment's payload is the one of its filler's version published
+// before it with children appended (fragment.SealedOver): a
+// re-announcement carries only what it adds. A connection whose consumer
+// can never have received that version gets the full form.
+//
 // With a durable log attached the write-through (an fsync per publish by
 // default) happens between sequence assignment and delivery — still
 // write-ahead, so a crash can never deliver a frame the log lost — but
@@ -262,18 +308,23 @@ func (s *Server) Publish(f *fragment.Fragment) {
 		d = nil
 	}
 	seal := d != nil || s.wireSubs > 0
+	prev, tracked := s.bases[stamped.FillerID]
+	var base *fragment.Fragment
+	if tracked && prev.unique && (d == nil || prev.log == s.durableGen) {
+		base = prev.f
+	}
 	s.mu.Unlock()
 
 	// every stamp is on: wired is stamped plus the one encoding the
-	// durable log frames and every connection writes. It goes to those who
-	// write bytes and is garbage once they have; the replay window and the
-	// in-process subscribers keep the fragment without it. With nobody to
-	// write bytes there is no encoding at all (a connection that joins
-	// before the fan-out below makes its own, as one replaying the window
-	// does).
-	wired := stamped
+	// durable log frames and every connection writes — over base, a delta
+	// frame where it can be one. It goes to those who write bytes and is
+	// garbage once they have; the replay window and the in-process
+	// subscribers keep the fragment without it. With nobody to write bytes
+	// there is no encoding at all (a connection that joins before the
+	// fan-out below makes its own, as one replaying the window does).
+	wired, delta := stamped, false
 	if seal {
-		wired = stamped.Sealed()
+		wired, delta = stamped.SealedOver(base)
 	}
 	var derr error
 	if d != nil {
@@ -297,13 +348,31 @@ func (s *Server) Publish(f *fragment.Fragment) {
 		psp.End()
 		return
 	}
+	if tracked || stamped.AnnouncesHole() {
+		at := stamped.ValidTime.Truncate(time.Second)
+		next := baseVersion{f: stamped, latest: at, unique: !tracked || at.After(prev.latest)}
+		if tracked && prev.latest.After(at) {
+			next.latest = prev.latest
+		}
+		if d != nil && derr == nil {
+			next.log = s.durableGen
+		}
+		s.bases[stamped.FillerID] = next
+	}
 	s.history = append(s.history, stamped)
 	s.trimHistoryLocked()
 	drops := 0
+	var whole *fragment.Fragment // the full form, for a consumer without base
 	for sub := range s.subs {
 		out := stamped
 		if sub.wire {
 			out = wired
+			if delta && sub.lacks(base.Seq) {
+				if whole == nil {
+					whole = stamped.Sealed()
+				}
+				out = whole
+			}
 		}
 		select {
 		case sub.ch <- out:

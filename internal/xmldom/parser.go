@@ -326,6 +326,9 @@ func (e Scanned) OnlyElement() (Scanned, int) {
 	return only, n
 }
 
+// Children returns how many children the node has.
+func (e Scanned) Children() int { return len(e.kids()) }
+
 // Span returns where the node lies in the input it was scanned from, as
 // byte offsets [from, to): an element from the '<' of its start tag to past
 // the '>' of its end tag, a document the whole input.
@@ -360,31 +363,32 @@ func (e Scanned) Walk(visit func(Scanned) bool) {
 // input string its names and values are substrings of.
 func (e Scanned) Build() *Node {
 	nAttrs, nKids := e.sizes()
-	return e.build(make([]*Node, len(e.kids()), nKids), 0, nAttrs)
+	kids := make([]*Node, nKids)
+	n := len(e.kids())
+	return e.build(kids[:n:n], kids[n:n], nAttrs, true)
 }
 
-// BuildWith is Build, save that it asks standIn about each child of the
-// node that is an element without children, and where standIn returns a
-// node the tree takes that node in the child's place and builds none: the
-// arrays hold only what is built, and the tree shares the stand-ins as
-// well. standIn must not call the Decoder.
-func (e Scanned) BuildWith(standIn func(leaf Scanned) *Node) *Node {
-	d := e.d
+// BuildAfter builds the node as Build does, save its top: the top's
+// attributes are attrs, not its own, and its children are list — the
+// nodes list holds already, followed by the node's own children, which
+// BuildAfter builds into the slots list ends with, one for each. The tree
+// shares attrs and the nodes before those slots; what it builds is in
+// arrays of its own. BuildAfter writes nothing of list but its last slots,
+// and the top's lists are exactly as long as their capacity.
+func (e Scanned) BuildAfter(attrs []Attr, list []*Node) *Node {
 	nAttrs, nKids := e.sizes()
-	top := e.kids()
-	// the top's children come first in the child array: the stand-ins go
-	// straight there
-	kids := make([]*Node, len(top), nKids)
-	stood := 0
-	for c, k := range top {
-		if r := &d.recs[k]; r.typ == ElementNode && r.end == k+1 {
-			if kids[c] = standIn(Scanned{d, k}); kids[c] != nil {
-				stood++
-				nAttrs -= r.attrs.len()
-			}
-		}
+	own := len(e.kids())
+	if len(list) < own {
+		panic("xmldom: BuildAfter's list has no slot for every child")
 	}
-	return e.build(kids, stood, nAttrs)
+	var inner []*Node
+	if nKids > own {
+		inner = make([]*Node, 0, nKids-own)
+	}
+	top := e.build(list[len(list)-own:], inner, nAttrs-e.d.recs[e.i].attrs.len(), false)
+	top.Attrs = attrs[:len(attrs):len(attrs)]
+	top.Children = list[:len(list):len(list)]
+	return top
 }
 
 // sizes counts the attributes and child pointers of the node's subtree.
@@ -402,29 +406,19 @@ func (e Scanned) kids() []int32 {
 	return e.d.kids[r.kids.from:r.kids.to]
 }
 
-// build builds the node's subtree into kids, which holds a slot for each
-// of the node's children, a stand-in in stood of them, and room for every
-// other child pointer; nAttrs is the attributes of what is built.
-func (e Scanned) build(kids []*Node, stood, nAttrs int) *Node {
+// build builds the node's subtree: the top's children into top, a slot
+// for each, every other child pointer into inner's spare capacity, and
+// nAttrs attributes into an array of their own — the top's own among them
+// when topAttrs is set.
+func (e Scanned) build(top, inner []*Node, nAttrs int, topAttrs bool) *Node {
 	d := e.d
 	recs := d.recs[e.i:d.recs[e.i].end]
-	top := e.kids()
-	nodes := make([]Node, len(recs)-stood)
+	nodes := make([]Node, len(recs))
 	attrs := make([]Attr, 0, nAttrs)
-	// shift is how many of the top's children before record j stood in
-	shift, c := int32(0), 0
 	for j := range int32(len(recs)) {
-		if c < len(top) && top[c]-e.i == j {
-			stoodIn := kids[c] != nil
-			c++
-			if stoodIn {
-				shift++
-				continue
-			}
-		}
-		r, n := &recs[j], &nodes[j-shift]
+		r, n := &recs[j], &nodes[j]
 		n.Type, n.Name, n.Data = r.typ, r.name, r.data
-		if r.attrs.len() > 0 {
+		if r.attrs.len() > 0 && (j > 0 || topAttrs) {
 			from := len(attrs)
 			attrs = append(attrs, d.attrs[r.attrs.from:r.attrs.to]...)
 			n.Attrs = attrs[from:len(attrs):len(attrs)]
@@ -432,41 +426,19 @@ func (e Scanned) build(kids []*Node, stood, nAttrs int) *Node {
 		switch {
 		case r.kids.len() == 0:
 		case j == 0:
-			n.Children = kids[:len(top):len(top)] // filled in below
-		default:
-			from := len(kids)
-			for _, k := range d.kids[r.kids.from:r.kids.to] {
-				kids = append(kids, &nodes[k-e.i-shift])
+			for c, k := range d.kids[r.kids.from:r.kids.to] {
+				top[c] = &nodes[k-e.i]
 			}
-			n.Children = kids[from:len(kids):len(kids)]
-		}
-	}
-	shift = 0
-	for c, k := range top {
-		if kids[c] != nil {
-			shift++
-		} else {
-			kids[c] = &nodes[k-e.i-shift]
+			n.Children = top[:len(top):len(top)]
+		default:
+			from := len(inner)
+			for _, k := range d.kids[r.kids.from:r.kids.to] {
+				inner = append(inner, &nodes[k-e.i])
+			}
+			n.Children = inner[from:len(inner):len(inner)]
 		}
 	}
 	return &nodes[0]
-}
-
-// SameLeaf reports whether the node and n are both elements without
-// children, of the same name and with the same attributes in the same
-// order: whether n is what Build would build of the node.
-func (e Scanned) SameLeaf(n *Node) bool {
-	r := &e.d.recs[e.i]
-	if r.typ != ElementNode || r.end != e.i+1 || n.Type != ElementNode || n.Name != r.name ||
-		n.Data != r.data || len(n.Children) > 0 || len(n.Attrs) != r.attrs.len() {
-		return false
-	}
-	for i, a := range e.d.attrs[r.attrs.from:r.attrs.to] {
-		if n.Attrs[i] != a {
-			return false
-		}
-	}
-	return true
 }
 
 // StreamDecoder pulls complete top-level elements one at a time from an

@@ -282,63 +282,45 @@ func TestDecodedListsAreClippedWindows(t *testing.T) {
 	}
 }
 
-// BuildWith builds what Build builds, save the childless children it is
-// handed stand-ins for: each is the stand-in itself, and the lists around
-// them stay exactly sized.
-func TestBuildWithTakesStandIns(t *testing.T) {
-	const src = `<a x="1">t<b k="v"/><d><b k="v"/></d><e><f g="h"/></e><b k="v"/>w<i/><b k="v">x</b></a>`
-	stand := MustParseString(`<b k="v"/>`).Root()
-	for _, tc := range []struct {
-		name  string
-		swap  func(Scanned) bool
-		stood int
-	}{
-		{"none", func(Scanned) bool { return false }, 0},
-		{"every b", func(c Scanned) bool { return c.Name() == "b" }, 2},
-		{"the second b", func(c Scanned) bool { from, _ := c.Span(); return c.Name() == "b" && from > 20 }, 1},
-	} {
+// BuildAfter builds what Build builds of a node's subtree below its top,
+// after the nodes a list already holds: the top takes the attributes and
+// the list it is handed, fills only the list's last slots, and every list
+// of the tree stays exactly sized.
+func TestBuildAfterExtendsAList(t *testing.T) {
+	prefix := MustParseString(`<a x="1">t<b k="v"/><c/></a>`).Root()
+	for _, tail := range []string{``, `<b k="w"/>`, `<d><b k="v"/>x</d><e/>`, `u<f g="h"><i/></f>`} {
 		var d Decoder
-		el, err := d.Scan(src)
+		el, err := d.Scan(`<a>` + tail + `</a>`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := el.Build()
-		got := el.BuildWith(func(c Scanned) *Node {
-			if tc.swap(c) {
-				return stand
-			}
-			return nil
-		})
-		if !got.Equal(want) {
-			t.Fatalf("%s: built %s, want %s", tc.name, got, want)
+		whole, err := ParseElement(`<a x="1">t<b k="v"/><c/>` + tail + `</a>`)
+		if err != nil {
+			t.Fatal(err)
 		}
-		all, built := 0, 0
-		want.Walk(func(*Node) bool { all++; return true })
-		got.Walk(func(n *Node) bool {
-			if n == stand {
-				return false
+		own := len(whole.Children) - len(prefix.Children)
+		backing := make([]*Node, len(prefix.Children)+own, len(prefix.Children)+own+4)
+		copy(backing, prefix.Children)
+		sentinel := NewText("beyond")
+		backing = append(backing, sentinel)[:len(backing)]
+		got := el.BuildAfter(prefix.Attrs, backing)
+		if !got.Equal(whole) {
+			t.Fatalf("%q: built %s, want %s", tail, got, whole)
+		}
+		for i, c := range prefix.Children {
+			if got.Children[i] != c {
+				t.Fatalf("%q: child %d is not the list's node", tail, i)
 			}
-			built++
+		}
+		if backing[:len(backing)+1][len(backing)] != sentinel {
+			t.Fatalf("%q: BuildAfter wrote past its list", tail)
+		}
+		got.Walk(func(n *Node) bool {
+			if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
+				t.Fatalf("%q: <%s>'s lists are not exactly sized", tail, n.Name)
+			}
 			return true
 		})
-		if built != all-tc.stood || cap(got.Children) != len(got.Children) {
-			t.Errorf("%s: built %d nodes of %d, want %d stood in (%d/%d children)", tc.name, built, all, tc.stood,
-				len(got.Children), cap(got.Children))
-		}
-	}
-	var d Decoder
-	el, _ := d.Scan(`<a><b k="v"/><b k="v">x</b><b v="k"/><c k="v"/><b k="v" l="w"/></a>`)
-	want := NewElement("b")
-	want.SetAttr("k", "v")
-	var same []bool
-	el.Walk(func(c Scanned) bool {
-		if c.Name() != "a" {
-			same = append(same, c.SameLeaf(want))
-		}
-		return true
-	})
-	if !slices.Equal(same, []bool{true, false, false, false, false}) {
-		t.Errorf("SameLeaf: %v", same)
 	}
 }
 
