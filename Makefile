@@ -143,8 +143,10 @@ trace-smoke:
 # window-expiry scheduling costs many times as much, losing a unit's
 # per-version memo or its per-child terms three to four times, and more with
 # every charge (a check holds one charge flat from 250 to 1 000 charges in). The wire codec's ceilings hold allocations and bytes alike —
-# decoding one transaction frame and one thirty-hole account frame, and
-# Publish up to the wire bytes — since what the codec must not bring back
+# decoding one transaction frame and one thirty-hole account frame, the
+# account's re-announcement as a delta frame (decoded, and decoded and
+# read), Publish up to the wire bytes and a segment store's append — since
+# what the codec must not bring back
 # is a per-frame buffer (one allocation, 32 KiB) or a node built at a time
 # (decoding is the frame's string, its hole list and the fragment: the
 # payload is built on its first read, for one allocation more than an eager

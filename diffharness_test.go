@@ -9,7 +9,10 @@ import (
 	"xcql"
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
+	"xcql/internal/segstore"
+	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
+	"xcql/internal/xmldom"
 	"xcql/internal/xtime"
 )
 
@@ -219,13 +222,16 @@ func TestSnapshotTwinReproduces(t *testing.T) {
 }
 
 // TestDecodedStoreMatchesInMemory: a store of fragments decoded from their
-// wire form — whose re-announced versions share their holes with the
-// version before — answers every query under every plan byte for byte as
-// the store of the same fragments built in memory does, at every instant.
-// The grid is the harness's histories of its first four seeds, every
-// profile, re-announcing ones included, plus a credit stream re-announcing
-// each account once per charge, with queries that land next to the holes:
-// a version's every child, every element of the stream, and a child count
+// wire form answers every query under every plan byte for byte as the
+// store of the same fragments built in memory does, at every instant —
+// whether each was decoded from its full form, from the frame a server
+// seals it in (a re-announcement a delta frame over the version before,
+// its tree built over that one's), or replayed from a segment store those
+// frames were written through to and snapshotted half-way. The grid is the
+// harness's histories of its first four seeds, every profile,
+// re-announcing ones included, plus a credit stream re-announcing each
+// account once per charge, with queries that land next to the holes: a
+// version's every child, every element of the stream, and a child count
 // per version.
 func TestDecodedStoreMatchesInMemory(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -263,42 +269,28 @@ func TestDecodedStoreMatchesInMemory(t *testing.T) {
 	}, instants)
 }
 
-// compareDecoded evaluates queries at instants under every plan over two
-// stores of frags — the fragments themselves, and each parsed from its
-// wire form — and fails on the first result that differs. A fragment frags
-// holds twice (a duplicate delivery) is parsed once, so that both stores
-// hold it twice as one object.
+// compareDecoded evaluates queries at instants under every plan over the
+// stores of frags — the fragments themselves, and the decoded ones
+// (decodedStores) — and fails on the first result that differs.
 func compareDecoded(t *testing.T, label string, s *tagstruct.Structure, frags []*fragment.Fragment, scan bool, queries []genstore.Query, instants []time.Time) {
 	t.Helper()
-	engines := make([]*xcql.Engine, 2)
-	parsed := map[*fragment.Fragment]*fragment.Fragment{}
-	for i := range engines {
-		st := fragment.NewStore(s)
-		if scan {
-			st = fragment.NewScanStore(s)
-		}
-		for _, f := range frags {
-			if i == 1 {
-				if parsed[f] == nil {
-					g, err := fragment.Parse(f.String())
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					parsed[f] = g
-				}
-				f = parsed[f]
-			}
-			if err := st.Add(f); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-		}
+	inMemory := fragment.NewStore(s)
+	if scan {
+		inMemory = fragment.NewScanStore(s)
+	}
+	if err := inMemory.AddAll(frags); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	names, stores := decodedStores(t, label, s, frags, scan)
+	engines := make([]*xcql.Engine, 1+len(stores))
+	for i, st := range append([]*fragment.Store{inMemory}, stores...) {
 		engines[i] = xcql.NewEngine()
 		engines[i].RegisterStore("s", st)
 	}
 	for _, query := range queries {
 		for _, mode := range harnessModes {
 			for _, at := range instants {
-				var results [2]string
+				results := make([]string, len(engines))
 				for i, e := range engines {
 					q, err := e.Compile(query.Src, mode)
 					if err != nil {
@@ -309,14 +301,92 @@ func compareDecoded(t *testing.T, label string, s *tagstruct.Structure, frags []
 						t.Fatalf("%s/%s/%s at=%v: eval: %v", label, query.Name, mode, at, err)
 					}
 					results[i] = xcql.FormatSequence(seq)
-				}
-				if results[0] != results[1] {
-					t.Fatalf("%s/%s/%s at=%v: the decoded store diverged\nin memory:\n%s\ndecoded:\n%s",
-						label, query.Name, mode, at, harnessTruncate(results[0]), harnessTruncate(results[1]))
+					if i > 0 && results[i] != results[0] {
+						t.Fatalf("%s/%s/%s at=%v: the %s store diverged\nin memory:\n%s\ndecoded:\n%s",
+							label, query.Name, mode, at, names[i-1], harnessTruncate(results[0]), harnessTruncate(results[i]))
+					}
 				}
 			}
 		}
 	}
+}
+
+// decodedStores returns the stores a client builds of frags, and their
+// names: "parsed", each fragment parsed from its full form; "sealed", each
+// decoded, as a connection's read loop decodes it, from the frame a server
+// publishing frags seals it in — over the filler's version before it, a
+// delta frame where it can be one —; and, unless frags holds a fragment
+// twice, "recovered", those frames as a segment store they were written
+// through to — snapshotted half-way — replays them after a reopen. A
+// fragment frags holds twice (a duplicate delivery) is published and
+// decoded once, so that every store holds it twice as one object.
+func decodedStores(t *testing.T, label string, s *tagstruct.Structure, frags []*fragment.Fragment, scan bool) ([]string, []*fragment.Store) {
+	t.Helper()
+	newStore := func() *fragment.Store {
+		if scan {
+			return fragment.NewScanStore(s)
+		}
+		return fragment.NewStore(s)
+	}
+	dir := t.TempDir()
+	seg, _, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &captureLog{Store: seg}
+	srv := stream.NewServer("s", s)
+	defer srv.Close()
+	srv.AttachDurable(log)
+	parsed, sealed := newStore(), newStore()
+	decoded := map[*fragment.Fragment][2]*fragment.Fragment{}
+	var dec xmldom.Decoder
+	twice := false
+	for i, f := range frags {
+		d, ok := decoded[f]
+		if ok {
+			twice = true
+		} else {
+			if d[0], err = fragment.Parse(f.String()); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			srv.Publish(f)
+			if d[1], err = decodeFrame(&dec, []byte(log.frames[len(log.frames)-1])); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			decoded[f] = d
+		}
+		if err := parsed.Add(d[0]); err != nil {
+			t.Fatalf("%s: parsed: %v", label, err)
+		}
+		if err := sealed.Add(d[1]); err != nil {
+			t.Fatalf("%s: sealed: %v", label, err)
+		}
+		if i == len(frags)/2 {
+			if _, err := seg.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if twice {
+		return []string{"parsed", "sealed"}, []*fragment.Store{parsed, sealed}
+	}
+	seg, rep, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil || rep.Degraded != "" {
+		t.Fatalf("%s: reopening the segment store: %v %v", label, err, rep)
+	}
+	defer seg.Close()
+	replayed, err := seg.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := newStore()
+	if err := recovered.AddAll(replayed); err != nil {
+		t.Fatalf("%s: recovered: %v", label, err)
+	}
+	return []string{"parsed", "sealed", "recovered"}, []*fragment.Store{parsed, sealed, recovered}
 }
 
 // runInstance evaluates one generated history under every plan and

@@ -195,12 +195,9 @@ type lazy struct {
 type link struct {
 	prev *Fragment
 	// holes is the whole hole list: prev's, then the frame's own, a prefix
-	// of holeRun's array.
-	holes   string
-	holeRun *run[byte]
-	// childRun is the run the children of the tree published are a prefix
-	// of, once one is.
-	childRun atomic.Pointer[run[*xmldom.Node]]
+	// of run's array.
+	holes string
+	run   *holeRun
 }
 
 // delta reports whether the state is a delta frame's.
@@ -357,7 +354,7 @@ func (f *Fragment) Tree() *xmldom.Node {
 		return t
 	}
 	if !lz.delta() {
-		return lz.publish(lz.build(), nil)
+		return lz.publish(lz.build())
 	}
 	l := lz.link.Load()
 	if l == nil {
@@ -377,14 +374,10 @@ func (f *Fragment) Tree() *xmldom.Node {
 }
 
 // publish makes t the payload tree, unless a racing first read published
-// one before it, and returns the one published; r is the run a delta's
-// tree's children are a prefix of, which the version after it extends.
-func (lz *lazy) publish(t *xmldom.Node, r *run[*xmldom.Node]) *xmldom.Node {
+// one before it, and returns the one published.
+func (lz *lazy) publish(t *xmldom.Node) *xmldom.Node {
 	if !lz.tree.CompareAndSwap(nil, t) {
 		return lz.tree.Load()
-	}
-	if r != nil {
-		lz.link.Load().childRun.Store(r)
 	}
 	return t
 }
@@ -413,46 +406,42 @@ func (lz *lazy) build() *xmldom.Node {
 }
 
 // over builds a delta's payload over its predecessor prev's tree: prev's
-// attributes, and as children prev's — a window of the array they are a
-// prefix of, which the appended children extend in place where no other
-// version has (run) — followed by the children the frame carries, the only
-// nodes built. It returns the tree and the run its children are a prefix
-// of.
-func (lz *lazy) over(prev *Fragment) (*xmldom.Node, *run[*xmldom.Node]) {
+// attributes, and as children prev's — its holes the very nodes, a hole
+// being no item of any plan, and every other child a copy, since a node an
+// evaluation can return is one version's alone — followed by the children
+// the frame carries. Only those and the copies are built: no hole of a
+// re-announced parent is built twice.
+func (lz *lazy) over(prev *Fragment) *xmldom.Node {
 	base := prev.Tree()
-	var r *run[*xmldom.Node]
-	if b := prev.enc.lazy(); b != nil && b.delta() {
-		r = b.link.Load().childRun.Load()
-	}
-	list, r := claim(r, base.Children, int(lz.kids))
-	t := lz.payload(func(payload xmldom.Scanned) *xmldom.Node { return payload.BuildAfter(base.Attrs, list) })
-	return t, r
+	return lz.payload(func(payload xmldom.Scanned) *xmldom.Node {
+		return payload.BuildAfter(base.Attrs, base.Children, IsHole)
+	})
 }
 
-// run is an array the versions of one filler share, each version's list a
-// prefix of it: a version whose predecessor's list ends where the array's
-// claimed part does claims the elements after it for its own, and any
-// other starts an array of its own. No element is written after it is
-// claimed and filled, so no list a reader holds changes.
-type run[T any] struct {
+// holeRun is a byte array the hole lists of one filler's versions share,
+// each list a prefix of it: a version whose predecessor's list ends where
+// the array's claimed part does claims the bytes after it for its own
+// pairs, and any other starts an array of its own. No byte is written after
+// it is claimed and filled, so no list a reader holds changes.
+type holeRun struct {
 	used atomic.Int64
-	buf  []T // its length is its capacity
+	buf  []byte // its length is its capacity
 }
 
-// claim returns a list of base's elements followed by own slots for the
-// caller to fill before anyone reads the list, and the run it is a prefix
-// of: base's run r, when base is the prefix of r's array that r's claimed
-// part ends at and the array has the room, a new run otherwise.
-func claim[T any](r *run[T], base []T, own int) ([]T, *run[T]) {
-	n := len(base) + own
-	if r != nil && len(base) > 0 && n <= len(r.buf) && &r.buf[0] == &base[0] &&
-		r.used.CompareAndSwap(int64(len(base)), int64(n)) {
-		return r.buf[:n:n], r
+// extend returns prev's hole list followed by own, and the run the list
+// is a prefix of: prev's run r, when prev is the prefix of r's array that
+// r's claimed part ends at and the array has the room, a new run
+// otherwise.
+func extend(r *holeRun, prev, own string) (string, *holeRun) {
+	n := len(prev) + len(own)
+	if r == nil || prev == "" || n > len(r.buf) || unsafe.StringData(prev) != &r.buf[0] ||
+		!r.used.CompareAndSwap(int64(len(prev)), int64(n)) {
+		r = &holeRun{buf: make([]byte, max(2*n, 64))}
+		copy(r.buf, prev)
+		r.used.Store(int64(n))
 	}
-	r = &run[T]{buf: make([]T, max(2*n, 8))}
-	copy(r.buf, base)
-	r.used.Store(int64(n))
-	return r.buf[:n:n], r
+	copy(r.buf[len(prev):n], own)
+	return unsafe.String(&r.buf[0], n), r
 }
 
 // linkTo links the delta f to prev, the version it extends: the filler's
@@ -474,12 +463,8 @@ func (f *Fragment) linkTo(prev *Fragment) error {
 		return nil
 	}
 	l := &link{prev: prev, holes: "?"} // not whole pairs: EachHole asks the tree
-	holes, r := prevHoles(prev)
-	if len(holes)%8 == 0 && len(lz.holes)%8 == 0 {
-		var list []byte
-		list, l.holeRun = claim(r, unsafe.Slice(unsafe.StringData(holes), len(holes)), len(lz.holes))
-		copy(list[len(holes):], lz.holes)
-		l.holes = unsafe.String(unsafe.SliceData(list), len(list))
+	if holes, r := prevHoles(prev); len(holes)%8 == 0 && len(lz.holes)%8 == 0 {
+		l.holes, l.run = extend(r, holes, lz.holes)
 	}
 	lz.link.CompareAndSwap(nil, l) // a racing link of the same frame to the same version may win
 	return nil
@@ -507,10 +492,10 @@ func (lz *lazy) extends(f, prev *Fragment) bool {
 
 // prevHoles returns a version's hole list as lazy.holes keeps it, and the
 // run it is a prefix of.
-func prevHoles(prev *Fragment) (string, *run[byte]) {
+func prevHoles(prev *Fragment) (string, *holeRun) {
 	if b := prev.enc.lazy(); b != nil && b.delta() {
 		l := b.link.Load()
-		return l.holes, l.holeRun
+		return l.holes, l.run
 	} else if b != nil {
 		return b.holes, nil
 	}
@@ -538,8 +523,7 @@ func (f *Fragment) missingPredecessor() error {
 // Chains links the delta frames of a log read in the order it was written
 // (Link): each extends the version of its filler written last before it,
 // as the server that sealed it (SealedOver) published them. It keeps the
-// last version of each filler that has announced a hole — a delta's
-// predecessor always has — and nothing for any other.
+// last version of each filler read.
 type Chains struct {
 	last map[int]*Fragment
 }
@@ -550,19 +534,16 @@ type Chains struct {
 // to a torn or corrupt frame, say: f is then no version, and Tree returns
 // nil for it. Either way f is the filler's last version from here on.
 func (c *Chains) Link(f *Fragment) error {
-	prev, tracked := c.last[f.FillerID]
 	var err error
 	if f.IsDelta() {
-		if err = f.linkTo(prev); err == nil && !f.isLinkedDelta() {
+		if err = f.linkTo(c.last[f.FillerID]); err == nil && !f.isLinkedDelta() {
 			err = f.missingPredecessor()
 		}
 	}
-	if tracked || f.IsDelta() || announcesHole(f) {
-		if c.last == nil {
-			c.last = make(map[int]*Fragment)
-		}
-		c.last[f.FillerID] = f
+	if c.last == nil {
+		c.last = make(map[int]*Fragment)
 	}
+	c.last[f.FillerID] = f
 	return err
 }
 
@@ -762,6 +743,8 @@ func FromXML(el *xmldom.Node) (*Fragment, error) {
 	}
 	if base, kept, delta, err := deltaOf(f, el.Attrs); err != nil {
 		return nil, err
+	} else if delta && len(payload.Attrs) > 0 {
+		return nil, errDeltaAttrs(f.FillerID)
 	} else if delta {
 		return nil, &MissingPredecessorError{FillerID: f.FillerID, Predecessor: time.Unix(0, base).UTC(), Kept: kept}
 	}
@@ -796,7 +779,7 @@ func decode(el xmldom.Scanned, src string, base int) (*Fragment, error) {
 		return nil, err
 	}
 	if delta && len(payload.Attrs()) > 0 {
-		return nil, fmt.Errorf("fragment: delta frame of filler %d carries payload attributes", f.FillerID)
+		return nil, errDeltaAttrs(f.FillerID)
 	}
 	d := &decoded{Fragment: f}
 	from, _ := payload.Span()
@@ -810,6 +793,12 @@ func decode(el xmldom.Scanned, src string, base int) (*Fragment, error) {
 	}
 	d.enc = encoding{unsafe.Pointer(&d.lz), decodedWire}
 	return &d.Fragment, nil
+}
+
+// errDeltaAttrs refuses a delta frame whose payload element carries
+// attributes: a delta's are its predecessor's.
+func errDeltaAttrs(fid int) error {
+	return fmt.Errorf("fragment: delta frame of filler %d carries payload attributes", fid)
 }
 
 // deltaOf reads a delta frame's AttrBase and AttrKept off the wrapper's

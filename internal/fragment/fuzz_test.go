@@ -1,6 +1,7 @@
 package fragment
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -22,7 +23,10 @@ import (
 // and reject exactly what a fresh ParseElement + FromXML does, with the
 // same error, and a fragment it decoded must not change when the same
 // decoder decodes the next frame. What a decode leaves unbuilt must equal
-// what an eager decode builds (lazyEqualsEager).
+// what an eager decode builds (lazyEqualsEager). A delta frame is the one
+// exception: the kept decoder takes it, unlinked, where an exported decode
+// refuses it with a *MissingPredecessorError, and linked it is the version
+// its full form spells (deltaEqualsFull).
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00"><doc/></filler>`))
 	f.Add([]byte(`<filler id="7" tsid="5" validTime="2003-01-02T10:00:00" seq="42"><event><value>33</value></event></filler>`))
@@ -44,10 +48,35 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="4" tsid="5"><hole id="8" tsid="5"/></hole></account></filler>`))
 	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="four" tsid="5"/><hole id="9" tsid="5"/></account></filler>`))
 	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-02-28T23:59:59"><account><hole id="4"/><hole id="5" tsid="x"/></account></filler>`))
+	// delta frames: one appended hole, nothing appended, mixed content, and
+	// a bad predecessor stamp, a bad count and payload attributes (refused)
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" seq="9" base="2003-02-28T23:59:59" kept="2"><account><hole id="11" tsid="5"/></account></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" base="2003-02-28T23:59:59" kept="1"><account/></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" base="2003-02-28T23:59:59" kept="0"><account>t<!-- c --><x><hole id="4" tsid="5"/></x><hole id="6"/></account></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" base="now" kept="2"><account/></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" base="2003-02-28T23:59:59" kept="-1"><account/></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-03-01T00:00:00" base="2003-02-28T23:59:59" kept="2"><account id="a"/></filler>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dec xmldom.Decoder
 		keptFrag, keptErr := decodeKept(&dec, string(data))
 		freshFrag, freshErr := decodeFresh(string(data))
+		if miss := (*MissingPredecessorError)(nil); keptErr == nil && errors.As(freshErr, &miss) {
+			if _, err := Parse(string(data)); err == nil || err.Error() != freshErr.Error() {
+				t.Fatalf("Parse of a delta frame: %v, FromXML: %v", err, freshErr)
+			}
+			wire := keptFrag.String()
+			for i := range data {
+				data[i] = 'X'
+			}
+			if _, err := decodeKept(&dec, `<filler id="9" tsid="9" validTime="2004-01-01T00:00:00"><next/></filler>`); err != nil {
+				t.Fatal(err)
+			}
+			if keptFrag.String() != wire {
+				t.Fatalf("a delta changed with the bytes it was decoded from and its decoder:\nbefore %s\n after %s", wire, keptFrag)
+			}
+			deltaEqualsFull(t, keptFrag, miss)
+			return
+		}
 		if (keptErr == nil) != (freshErr == nil) || keptErr != nil && keptErr.Error() != freshErr.Error() {
 			t.Fatalf("kept decoder: %v; fresh ParseElement + FromXML: %v", keptErr, freshErr)
 		}
@@ -124,6 +153,68 @@ func decodeFresh(frame string) (*Fragment, error) {
 		return nil, err
 	}
 	return FromXML(el)
+}
+
+// deltaEqualsFull holds a fragment decoded from a delta frame to the
+// version it stands for: unlinked it is no version — no tree, no hole, and
+// miss, what an exported decode of its frame said, names its predecessor
+// —, and linked to a predecessor of as many <k/> children as it keeps, its
+// tree is the full form's — the predecessor's children, then the frame's
+// own, parsed — and its holes that tree's.
+func deltaEqualsFull(t *testing.T, frag *Fragment, miss *MissingPredecessorError) {
+	t.Helper()
+	lz := frag.enc.lazy()
+	if miss.FillerID != frag.FillerID || miss.Kept != int(lz.kept) || miss.Predecessor.UnixNano() != lz.base {
+		t.Fatalf("the error %v does not name the frame's predecessor", miss)
+	}
+	if frag.Tree() != nil {
+		t.Fatalf("an unlinked delta built %s", frag.Tree())
+	}
+	frag.EachHole(func(id, tsid int) bool {
+		t.Fatalf("an unlinked delta announces hole %d", id)
+		return false
+	})
+	if miss.Kept > 256 {
+		return
+	}
+	var dec xmldom.Decoder
+	el, err := dec.Scan(frag.String())
+	if err != nil {
+		t.Fatalf("the frame of a decoded delta does not scan: %v", err)
+	}
+	payload, _ := el.OnlyElement()
+	own, err := xmldom.ParseString(payload.Source())
+	if err != nil {
+		t.Fatalf("the payload %q does not parse on its own: %v", payload.Source(), err)
+	}
+	prev := xmldom.NewElement(payload.Name())
+	for range miss.Kept {
+		prev.AppendChild(xmldom.NewElement("k"))
+	}
+	want := xmldom.Elem(payload.Name(), nil, append(slices.Clone(prev.Children), own.Root().Children...)...)
+	if err := frag.linkTo(New(frag.FillerID, frag.TSID, miss.Predecessor, prev)); err != nil {
+		t.Fatalf("linking the delta to its predecessor: %v", err)
+	}
+	if got, _ := frag.Predecessor(); got == nil || !frag.Tree().Equal(want) {
+		t.Fatalf("the linked delta built %s, its full form %s", frag.Tree(), want)
+	}
+	var holes, walked [][2]int
+	frag.EachHole(func(id, tsid int) bool {
+		holes = append(holes, [2]int{id, tsid})
+		return true
+	})
+	want.Walk(func(n *xmldom.Node) bool {
+		if !IsHole(n) {
+			return true
+		}
+		if id, err := HoleID(n); err == nil {
+			walked = append(walked, [2]int{id, HoleTSID(n)})
+		}
+		return false
+	})
+	if !slices.Equal(holes, walked) {
+		t.Fatalf("the linked delta lists holes %v, its full form %v", holes, walked)
+	}
 }
 
 // lazyEqualsEager holds a decoded fragment, before anything has read its

@@ -45,10 +45,10 @@ func readAll(t *testing.T, st *fragment.Store, fid int, at time.Time) {
 
 // TestDecodedVersionsShareHoles: an account re-announced once per charge,
 // sealed as a publishing server seals it — each version a delta frame over
-// the one before — and decoded as a client receives it, builds each node
-// once: version k's tree holds version k−1's children, holes and all, the
-// same nodes, and every tree is the one a fresh parse of the version's full
-// form builds. A version that does not extend the one before (a reordered
+// the one before — and decoded as a client receives it, builds each hole
+// once: version k's tree holds version k−1's hole nodes, records version
+// k−1 as its predecessor, and is the tree a fresh parse of the version's
+// full form builds. A version that does not extend the one before (a reordered
 // hole list, a hole with an extra attribute, a hole below a child element)
 // travels in the full form and builds all its nodes. The trees' heap is
 // held under a ceiling that one hole element per hole per version exceeds

@@ -142,15 +142,16 @@ func (st *Store) Add(f *Fragment) error {
 // predecessor returns the version a delta f extends: the one stored
 // version of its filler dated the frame's base validTime, searched from the
 // newest, where a re-announcement's predecessor is; nil when there is
-// none, or more than one. Callers hold the write lock.
+// none, or more than one (a fragment stored twice is one). Callers hold the
+// write lock.
 func (st *Store) predecessor(f *Fragment) *Fragment {
 	at := f.enc.lazy().base
 	var prev *Fragment
 	versions := st.byID[f.FillerID]
 	for i := len(versions) - 1; i >= 0; i-- {
 		switch vt := versions[i].ValidTime.Truncate(time.Second).UnixNano(); {
-		case vt == at && prev != nil:
-			return nil
+		case vt == at && prev != nil && versions[i] != prev:
+			return nil // two versions: a delta names one by its validTime alone
 		case vt == at:
 			prev = versions[i]
 		case vt < at:

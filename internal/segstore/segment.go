@@ -68,8 +68,12 @@ const maxKeptFrame = 64 << 10
 // linkDeltas links the delta frames among frames, which are in LSN order —
 // the order the server that sealed them wrote them — to their
 // predecessors (fragment.Chains), and returns how many have none: a frame
-// before them was torn, corrupt or quarantined.
+// before them was torn, corrupt or quarantined. A log without a delta
+// frame costs it one pass.
 func linkDeltas(frames []frameRec) (missing int) {
+	if !hasDelta(frames) {
+		return 0
+	}
 	var chains fragment.Chains
 	for _, rec := range frames {
 		if rec.frag != nil && chains.Link(rec.frag) != nil {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"testing"
 
@@ -44,6 +45,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="4" tsid="5"><hole id="8" tsid="5"/></hole></a></filler>`))
 	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="four" tsid="5"/><hole id="9" tsid="5"/></a></filler>`))
 	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:00:00"><a><hole id="4"/><hole id="5" tsid="x"/></a></filler>`))
+	// delta frames: a re-announcement's appended hole, nothing appended,
+	// mixed content, and one whose payload carries attributes (refused)
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:01:00" seq="8" base="2003-01-02T00:00:00" kept="2"><a><hole id="7" tsid="5"/></a></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:01:00" base="2003-01-02T00:00:00" kept="1"><a/></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:01:00" base="2003-01-02T00:00:00" kept="0"><a>t<x><hole id="4" tsid="5"/></x><hole id="6"/></a></filler>`))
+	f.Add(frame(`<filler id="3" tsid="2" validTime="2003-01-02T00:01:00" base="2003-01-02T00:00:00" kept="2"><a k="v"/></filler>`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		buf := make([]byte, 0, 64)
@@ -74,6 +81,10 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		frag, err := fragment.FromScanned(el)
 		if err != nil {
+			return
+		}
+		if frag.IsDelta() {
+			deltaFrame(t, frag, payload, &dec)
 			return
 		}
 		before := frag.String()
@@ -130,6 +141,68 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// deltaFrame is FuzzReadFrame on a delta frame, which the read loop
+// decodes into no version until a store links it: it builds no tree,
+// announces no hole and, decoded by anything without a store to link it
+// to, is a *fragment.MissingPredecessorError naming its predecessor; it
+// changes with neither the read buffer nor the decoder; and linked (Chains)
+// to a predecessor of as many <k/> children as it keeps, its tree is the
+// one its full form parses to, whatever became of those.
+func deltaFrame(t *testing.T, frag *fragment.Fragment, payload []byte, dec *xmldom.Decoder) {
+	t.Helper()
+	before := frag.String()
+	_, err := fragment.Parse(before)
+	miss := (*fragment.MissingPredecessorError)(nil)
+	if !errors.As(err, &miss) || miss.FillerID != frag.FillerID {
+		t.Fatalf("Parse of a delta frame: %v", err)
+	}
+	if frag.Tree() != nil {
+		t.Fatalf("an unlinked delta built %s", frag.Tree())
+	}
+	frag.EachHole(func(id, _ int) bool {
+		t.Fatalf("an unlinked delta announces hole %d", id)
+		return false
+	})
+	el, err := dec.Scan(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := el.OnlyElement()
+	own, err := xmldom.ParseString(p.Source())
+	if err != nil {
+		t.Fatalf("the payload %q does not parse on its own: %v", p.Source(), err)
+	}
+	name := p.Name()
+	for i := range payload {
+		payload[i] = 'X'
+	}
+	if _, err := dec.Scan(`<filler id="9" tsid="9" validTime="2004-01-01T00:00:00"><next a="b">c<d/></next></filler>`); err != nil {
+		t.Fatal(err)
+	}
+	if after := frag.String(); after != before {
+		t.Fatalf("decoded delta changed with the read buffer and the decoder:\nbefore %s\n after %s", before, after)
+	}
+	if miss.Kept > 256 {
+		return
+	}
+	prev := xmldom.NewElement(name)
+	for range miss.Kept {
+		prev.AppendChild(xmldom.NewElement("k"))
+	}
+	want := xmldom.Elem(name, nil, append(slices.Clone(prev.Children), own.Root().Children...)...)
+	var chains fragment.Chains
+	prevFrag := fragment.New(frag.FillerID, frag.TSID, miss.Predecessor, prev)
+	if err := chains.Link(prevFrag); err != nil {
+		t.Fatal(err)
+	}
+	if err := chains.Link(frag); err != nil {
+		t.Fatalf("linking the delta to its predecessor: %v", err)
+	}
+	if !frag.Tree().Equal(want) {
+		t.Fatalf("the linked delta built %s, its full form %s", frag.Tree(), want)
+	}
+}
+
 // decodeFragment decodes a frame the encoder wrote.
 func decodeFragment(t *testing.T, wire string) *fragment.Fragment {
 	t.Helper()
@@ -156,6 +229,7 @@ func sameFragment(a, b *fragment.Fragment) bool {
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00"><doc/></filler>`))
 	f.Add([]byte(`<filler id="0" tsid="1" validTime="2003-01-02T00:00:00" trace="0000000000000001-0000000000000002"><doc/></filler>`))
+	f.Add([]byte(`<filler id="3" tsid="2" validTime="2003-01-02T00:01:00" seq="8" base="2003-01-02T00:00:00" kept="2"><a><hole id="7" tsid="5"/></a></filler>`))
 	f.Add([]byte{0, 0, 0, 4})
 	f.Add([]byte("x"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

@@ -363,32 +363,100 @@ func (e Scanned) Walk(visit func(Scanned) bool) {
 // input string its names and values are substrings of.
 func (e Scanned) Build() *Node {
 	nAttrs, nKids := e.sizes()
-	kids := make([]*Node, nKids)
 	n := len(e.kids())
-	return e.build(kids[:n:n], kids[n:n], nAttrs, true)
+	a := arena{
+		nodes: make([]Node, 0, e.d.recs[e.i].end-e.i),
+		attrs: make([]Attr, 0, nAttrs),
+		kids:  make([]*Node, n, nKids),
+	}
+	return e.build(&a, a.kids[:n:n], true)
 }
 
 // BuildAfter builds the node as Build does, save its top: the top's
-// attributes are attrs, not its own, and its children are list — the
-// nodes list holds already, followed by the node's own children, which
-// BuildAfter builds into the slots list ends with, one for each. The tree
-// shares attrs and the nodes before those slots; what it builds is in
-// arrays of its own. BuildAfter writes nothing of list but its last slots,
-// and the top's lists are exactly as long as their capacity.
-func (e Scanned) BuildAfter(attrs []Attr, list []*Node) *Node {
+// attributes are attrs, not its own, and its children are the nodes of
+// prefix, each the node itself where share says so and a deep copy of it
+// otherwise, followed by the node's own children. The tree shares attrs,
+// the nodes share keeps and the input string, and nothing else: what it
+// builds and copies lies in three arrays, as Build's tree does, and every
+// list in it is exactly as long as its capacity.
+func (e Scanned) BuildAfter(attrs []Attr, prefix []*Node, share func(*Node) bool) *Node {
 	nAttrs, nKids := e.sizes()
-	own := len(e.kids())
-	if len(list) < own {
-		panic("xmldom: BuildAfter's list has no slot for every child")
+	nAttrs -= e.d.recs[e.i].attrs.len()
+	nNodes := int(e.d.recs[e.i].end - e.i)
+	for _, p := range prefix {
+		if !share(p) {
+			p.Walk(func(n *Node) bool {
+				nNodes++
+				nAttrs += len(n.Attrs)
+				nKids += len(n.Children)
+				return true
+			})
+		}
 	}
-	var inner []*Node
-	if nKids > own {
-		inner = make([]*Node, 0, nKids-own)
+	n := len(prefix) + len(e.kids())
+	a := arena{
+		nodes: make([]Node, 0, nNodes),
+		attrs: make([]Attr, 0, nAttrs),
+		kids:  make([]*Node, n, len(prefix)+nKids),
 	}
-	top := e.build(list[len(list)-own:], inner, nAttrs-e.d.recs[e.i].attrs.len(), false)
+	list := a.kids[:n:n]
+	top := e.build(&a, list[len(prefix):], false)
+	for i, p := range prefix {
+		if share(p) {
+			list[i] = p
+		} else {
+			list[i] = a.copy(p)
+		}
+	}
 	top.Attrs = attrs[:len(attrs):len(attrs)]
-	top.Children = list[:len(list):len(list)]
+	top.Children = list
 	return top
+}
+
+// arena is the three arrays a tree is built in, each filled up to its
+// length and sized beforehand, so that a pointer into one stays put.
+type arena struct {
+	nodes []Node
+	attrs []Attr
+	kids  []*Node
+}
+
+// node returns the arena's next node.
+func (a *arena) node() *Node {
+	a.nodes = a.nodes[:len(a.nodes)+1]
+	return &a.nodes[len(a.nodes)-1]
+}
+
+// children returns the arena's next n child pointers, a list exactly as
+// long as its capacity.
+func (a *arena) children(n int) []*Node {
+	from := len(a.kids)
+	a.kids = a.kids[:from+n]
+	return a.kids[from : from+n : from+n]
+}
+
+// attributes copies list into the arena and returns the copy, exactly as
+// long as its capacity.
+func (a *arena) attributes(list []Attr) []Attr {
+	from := len(a.attrs)
+	a.attrs = append(a.attrs, list...)
+	return a.attrs[from:len(a.attrs):len(a.attrs)]
+}
+
+// copy returns a deep copy of n in the arena.
+func (a *arena) copy(n *Node) *Node {
+	c := a.node()
+	c.Type, c.Name, c.Data = n.Type, n.Name, n.Data
+	if len(n.Attrs) > 0 {
+		c.Attrs = a.attributes(n.Attrs)
+	}
+	if len(n.Children) > 0 {
+		c.Children = a.children(len(n.Children))
+		for i, k := range n.Children {
+			c.Children[i] = a.copy(k)
+		}
+	}
+	return c
 }
 
 // sizes counts the attributes and child pointers of the node's subtree.
@@ -406,22 +474,19 @@ func (e Scanned) kids() []int32 {
 	return e.d.kids[r.kids.from:r.kids.to]
 }
 
-// build builds the node's subtree: the top's children into top, a slot
-// for each, every other child pointer into inner's spare capacity, and
-// nAttrs attributes into an array of their own — the top's own among them
-// when topAttrs is set.
-func (e Scanned) build(top, inner []*Node, nAttrs int, topAttrs bool) *Node {
+// build builds the node's subtree in the arena: the top's children into
+// top, a slot for each, and the top's attributes when topAttrs is set.
+func (e Scanned) build(a *arena, top []*Node, topAttrs bool) *Node {
 	d := e.d
 	recs := d.recs[e.i:d.recs[e.i].end]
-	nodes := make([]Node, len(recs))
-	attrs := make([]Attr, 0, nAttrs)
+	base := len(a.nodes)
+	a.nodes = a.nodes[:base+len(recs)]
+	nodes := a.nodes[base:]
 	for j := range int32(len(recs)) {
 		r, n := &recs[j], &nodes[j]
 		n.Type, n.Name, n.Data = r.typ, r.name, r.data
 		if r.attrs.len() > 0 && (j > 0 || topAttrs) {
-			from := len(attrs)
-			attrs = append(attrs, d.attrs[r.attrs.from:r.attrs.to]...)
-			n.Attrs = attrs[from:len(attrs):len(attrs)]
+			n.Attrs = a.attributes(d.attrs[r.attrs.from:r.attrs.to])
 		}
 		switch {
 		case r.kids.len() == 0:
@@ -431,11 +496,11 @@ func (e Scanned) build(top, inner []*Node, nAttrs int, topAttrs bool) *Node {
 			}
 			n.Children = top[:len(top):len(top)]
 		default:
-			from := len(inner)
-			for _, k := range d.kids[r.kids.from:r.kids.to] {
-				inner = append(inner, &nodes[k-e.i])
+			kids := a.children(r.kids.len())
+			for c, k := range d.kids[r.kids.from:r.kids.to] {
+				kids[c] = &nodes[k-e.i]
 			}
-			n.Children = inner[from:len(inner):len(inner)]
+			n.Children = kids
 		}
 	}
 	return &nodes[0]

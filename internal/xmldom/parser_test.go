@@ -283,41 +283,38 @@ func TestDecodedListsAreClippedWindows(t *testing.T) {
 }
 
 // BuildAfter builds what Build builds of a node's subtree below its top,
-// after the nodes a list already holds: the top takes the attributes and
-// the list it is handed, fills only the list's last slots, and every list
-// of the tree stays exactly sized.
-func TestBuildAfterExtendsAList(t *testing.T) {
-	prefix := MustParseString(`<a x="1">t<b k="v"/><c/></a>`).Root()
+// after the nodes of a prefix: the top takes the attributes it is handed,
+// each prefix node is itself where share says so and a deep copy
+// otherwise, and every list of the tree is exactly sized.
+func TestBuildAfterSharesWhatItIsTold(t *testing.T) {
+	prefix := MustParseString(`<a x="1">t<b k="v"/><c><d e="f"/>g</c></a>`).Root()
+	isB := func(n *Node) bool { return n.Name == "b" }
 	for _, tail := range []string{``, `<b k="w"/>`, `<d><b k="v"/>x</d><e/>`, `u<f g="h"><i/></f>`} {
 		var d Decoder
 		el, err := d.Scan(`<a>` + tail + `</a>`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := ParseElement(`<a x="1">t<b k="v"/><c/>` + tail + `</a>`)
+		whole, err := ParseElement(`<a x="1">t<b k="v"/><c><d e="f"/>g</c>` + tail + `</a>`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own := len(whole.Children) - len(prefix.Children)
-		backing := make([]*Node, len(prefix.Children)+own, len(prefix.Children)+own+4)
-		copy(backing, prefix.Children)
-		sentinel := NewText("beyond")
-		backing = append(backing, sentinel)[:len(backing)]
-		got := el.BuildAfter(prefix.Attrs, backing)
-		if !got.Equal(whole) {
-			t.Fatalf("%q: built %s, want %s", tail, got, whole)
+		before := prefix.String()
+		got := el.BuildAfter(prefix.Attrs, prefix.Children, isB)
+		if !got.Equal(whole) || prefix.String() != before {
+			t.Fatalf("%q: built %s, want %s (prefix now %s)", tail, got, whole, prefix)
 		}
 		for i, c := range prefix.Children {
-			if got.Children[i] != c {
-				t.Fatalf("%q: child %d is not the list's node", tail, i)
+			if shared := got.Children[i] == c; shared != isB(c) {
+				t.Fatalf("%q: prefix child %d (<%s>) shared: %v", tail, i, c.Name, shared)
 			}
-		}
-		if backing[:len(backing)+1][len(backing)] != sentinel {
-			t.Fatalf("%q: BuildAfter wrote past its list", tail)
 		}
 		got.Walk(func(n *Node) bool {
 			if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
 				t.Fatalf("%q: <%s>'s lists are not exactly sized", tail, n.Name)
+			}
+			if n.Name == "d" && len(n.Attrs) > 0 && &n.Attrs[0] == &prefix.Children[2].Children[0].Attrs[0] {
+				t.Fatalf("%q: a copy shares its attributes", tail)
 			}
 			return true
 		})

@@ -3,7 +3,8 @@ package xcql_test
 // The wire codec's benchmark rows and allocation ceilings: what one frame
 // costs to encode at Publish and to decode where it arrives, on the two
 // frames an ingest event of the credit stream is made of — the transaction
-// and the re-announcement of its account, thirty holes in.
+// and the re-announcement of its account, thirty holes in, in its full form
+// and as the delta frame a server seals it in.
 
 import (
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"xcql/internal/fragment"
+	"xcql/internal/segstore"
 	"xcql/internal/stream"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xmldom"
@@ -38,6 +40,26 @@ func wireFixtures() map[string]*fragment.Fragment {
 }
 
 var wireFixtureNames = []string{"transaction", "account30"}
+
+// reannounced is account30 re-announced n times, a hole more each time:
+// the full form of the version before the first, and then each
+// re-announcement's delta frame (SealedOver) as a server publishing them
+// seals it.
+func reannounced(n int) (prev *fragment.Fragment, deltas [][]byte) {
+	acct := wireFixtures()["account30"]
+	prev = acct
+	for i := range n {
+		p := acct.Payload.CloneShallow()
+		p.Children = append(append(p.Children, prev.Payload.Children...), fragment.NewHole(9000+i, 5))
+		next := fragment.New(acct.FillerID, acct.TSID, prev.ValidTime.Add(time.Minute), p).WithSeq(prev.Seq + 2)
+		sealed, delta := next.SealedOver(prev)
+		if !delta {
+			panic("a re-announcement sealed whole")
+		}
+		deltas, prev = append(deltas, []byte(sealed.String())), next
+	}
+	return acct, deltas
+}
 
 // decodeFrame is the client read loop's work on one frame: the one copy
 // out of the read buffer, the frame scanned in place in the connection's
@@ -120,6 +142,10 @@ func (l *nullLog) SeqCoverage() (min, max uint64, contiguous bool) { return 0, 0
 // a string per name and value: 72 allocations and 35.6 KB for the
 // transaction.) Publish → wire bytes is the stamped copy, the sealed copy,
 // the bytes, and the window's and the trim's share: 5 allocations, 586 B.
+// A re-announcement travels as a delta frame: decoding it is held at the
+// transaction's ceilings, and decoding and reading it, twenty times along
+// a chain of them, under today's full-form account30 rows. A segment
+// store's append allocates nothing.
 func TestWireCodecAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -163,6 +189,47 @@ func TestWireCodecAllocationCeiling(t *testing.T) {
 		t.Errorf("decode+first-read/account30: %.0f allocs and %.0f B, ceilings %d and %d", allocs, bytes, firstReadAllocs, firstReadBytes)
 	}
 
+	// a re-announcement of account30 is a delta frame: decoding it costs
+	// what decoding a transaction does — the frame's string and the
+	// fragment, its one new hole kept in the fragment —, and its first
+	// read, linked as a store links it to the version before (Chains),
+	// builds the top, the new hole and a copy of the customer, and holds
+	// the version before's hole nodes in a list of its own
+	const deltaAllocs, deltaBytes = 2, 390
+	_, deltas := reannounced(1)
+	allocs, bytes = allocsAndBytes(200, func() {
+		if f, err := decodeFrame(&dec, deltas[0]); err != nil || !f.IsDelta() {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("decode/account30 as a delta (%d B on the wire): %.0f allocs, %.0f B (ceilings %d, %d)", len(deltas[0]), allocs, bytes, deltaAllocs, deltaBytes)
+	if allocs > deltaAllocs || bytes > deltaBytes {
+		t.Errorf("decode/account30 as a delta: %.0f allocs and %.0f B per frame, ceilings %d and %d", allocs, bytes, deltaAllocs, deltaBytes)
+	}
+	const deltaReadAllocs, deltaReadBytes = 6, 1500
+	const chain = 20
+	prev, deltas := reannounced(chain + 1)
+	var chains fragment.Chains
+	if err := chains.Link(prev); err != nil {
+		t.Fatal(err)
+	}
+	prev.Tree()
+	next := 0
+	allocs, bytes = allocsAndBytes(chain, func() {
+		f, err := decodeFrame(&dec, deltas[next])
+		if err == nil {
+			err = chains.Link(f)
+		}
+		if err != nil || f.Tree() == nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	t.Logf("decode+first-read/account30 as a delta: %.1f allocs, %.0f B (ceilings %d, %d)", allocs, bytes, deltaReadAllocs, deltaReadBytes)
+	if allocs > deltaReadAllocs || bytes > deltaReadBytes {
+		t.Errorf("decode+first-read/account30 as a delta: %.1f allocs and %.0f B, ceilings %d and %d", allocs, bytes, deltaReadAllocs, deltaReadBytes)
+	}
+
 	structure := tagstruct.MustParseString(`<stream:structure>
 <tag type="snapshot" id="1" name="creditAccounts"><tag type="temporal" id="2" name="account">
 <tag type="temporal" id="4" name="creditLimit"/><tag type="event" id="5" name="transaction"/></tag></tag>
@@ -181,5 +248,25 @@ func TestWireCodecAllocationCeiling(t *testing.T) {
 	}
 	if log.frames != 200+1 || log.bytes == 0 {
 		t.Fatalf("the log saw %d frames, %d bytes: Publish did not hand it every frame", log.frames, log.bytes)
+	}
+
+	// a segment store encodes every frame into a buffer it keeps: an
+	// append allocates nothing (it was the frame's bytes, 1 allocation and
+	// 192 B for the transaction, before)
+	seg, _, err := segstore.Open(t.TempDir(), segstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	sealed := fixtures["transaction"].Sealed()
+	const appendAllocs, appendBytes = 0, 0
+	allocs, bytes = allocsAndBytes(200, func() {
+		if err := seg.Append(sealed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("segstore append/transaction: %.1f allocs, %.0f B (ceilings %d, %d)", allocs, bytes, appendAllocs, appendBytes)
+	if allocs > appendAllocs || bytes > appendBytes {
+		t.Errorf("segstore append/transaction: %.1f allocs and %.0f B per append, ceilings %d and %d", allocs, bytes, appendAllocs, appendBytes)
 	}
 }
