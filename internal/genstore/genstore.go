@@ -390,9 +390,10 @@ func (g *gen) mutate() {
 // a tag with a fragmented child the sliding-window shapes of the paper's
 // continuous queries (bounded so large structures don't explode the
 // corpus) and, for the first such tag, positions on the child step
-// (genPositional), and last the same positions taken from each version a
-// for clause binds. The windows are a few hours wide and histories span a day, so
-// they expire while a history replays.
+// (genPositional), then the same positions taken from each version a
+// for clause binds, and last the first event tag's versions under a window
+// that ends before now. The windows are a few hours wide and histories span
+// a day, so they expire while a history replays.
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
 	add := func(kind string, t *tagstruct.Tag, format string, args ...any) {
@@ -446,6 +447,16 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 		// before them keep their places in the list.
 		add("each-first", parent, `for $x in stream("s")//%s return $x/%s[1]`, parent.Name, child.Name)
 		add("each-last", parent, `for $x in stream("s")//%s return $x/%s[last()]`, parent.Name, child.Name)
+	}
+	// the first event tag's versions read by tsid under a window that ends
+	// before now, wrapped so that no per-binding unit reads them filler by
+	// filler: a standing result whose versions leave the window as the
+	// clock moves on, and which a version about to enter it must schedule
+	for _, t := range s.Tags() {
+		if t.IsFragmented() && t.Type == tagstruct.Event {
+			add("past-window", t, `<w>{stream("s")//%s?[now-PT4H,now-PT1H]}</w>`, t.Name)
+			break
+		}
 	}
 	return qs
 }
