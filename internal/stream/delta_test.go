@@ -254,23 +254,27 @@ func TestDeltaChaosConverges(t *testing.T) {
 // every later re-announcement whose predecessor it was never sent: it
 // stores each of them as the publisher built it, with no further gap.
 func TestResumePastWindowSendsFullForms(t *testing.T) {
-	traffic := creditTraffic(2, 20)
+	// five accounts: a re-announcement's predecessor is ten frames back,
+	// out of the four-frame window by the time it is sealed over
+	traffic := creditTraffic(5, 30)
 	s := NewServer("credit", creditStructure(t))
 	defer s.Close()
 	s.SetHistoryLimit(4)
-	// the 8th frame dies mid-frame, cutting the client off while the
+	// the 10th frame dies mid-frame, cutting the client off while the
 	// traffic floods past the window
-	fi := NewFaultInjector(FaultPlan{Seed: 7, ResetEvery: 8})
+	fi := NewFaultInjector(FaultPlan{Seed: 7, ResetEvery: 10})
 	addr := startFaultyServer(t, s, ServeOptions{Faults: fi})
-	s.PublishAll(traffic[:4])
 	c, err := Dial(addr, DialOptions{Reconnect: true, InitialBackoff: 150 * time.Millisecond,
 		MaxBackoff: time.Second, Rand: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !waitFor(t, 2*time.Second, func() bool { return c.Store().Len() == 4 }) {
-		t.Fatalf("initial join incomplete: %d of 4", c.Store().Len())
+	for _, f := range traffic[:8] {
+		s.Publish(f)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return c.Store().Len() == 8 }) {
+		t.Fatalf("the client got %d of the first 8 frames", c.Store().Len())
 	}
 	rt := xcql.NewRuntime()
 	rt.RegisterStream("credit", c.Store())
@@ -284,12 +288,12 @@ func TestResumePastWindowSendsFullForms(t *testing.T) {
 		mu.Unlock()
 	}})
 	c.AttachRegistry(r)
-	s.PublishAll(traffic[4:14])
+	s.PublishAll(traffic[8:30])
 	// the rest arrives after the client is back
 	if !waitFor(t, 10*time.Second, func() bool { return c.Stats().ReconnectDegraded >= 1 }) {
 		t.Fatalf("the client never resumed past the window: %+v", c.Stats())
 	}
-	s.PublishAll(traffic[14:])
+	s.PublishAll(traffic[30:])
 	if !waitFor(t, 10*time.Second, func() bool { return c.LastSeq() == uint64(len(traffic)) }) {
 		t.Fatalf("the client never caught up: %+v", c.Stats())
 	}
@@ -378,6 +382,59 @@ func TestQuarantinedPredecessorIsAGap(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("the registry was not invalidated")
+	}
+	sameVersions(t, c.Store(), traffic)
+}
+
+// TestLateJoinerOfARecoveredLogGetsFullForms: a server recovered from a
+// log of delta frames, its window trimmed and no log to bridge from,
+// replays to a fresh client the deltas whose predecessor it no longer
+// sends in the full form, and the rest as they were stored: the client
+// stores the publisher's versions without a gap.
+func TestLateJoinerOfARecoveredLogGetsFullForms(t *testing.T) {
+	traffic := creditTraffic(2, 10)
+	dir := t.TempDir()
+	seg, _, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer("credit", creditStructure(t))
+	s.AttachDurable(seg)
+	s.PublishAll(traffic)
+	s.Close()
+	seg.Close()
+	if seg, _, err = segstore.Open(dir, segstore.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	rs, err := RecoverServer("credit", creditStructure(t), seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	rs.AttachDurable(nil)
+	rs.SetHistoryLimit(6)
+	c, err := Dial(startFaultyServer(t, rs, ServeOptions{}), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !waitFor(t, 5*time.Second, func() bool { return c.LastSeq() == uint64(len(traffic)) }) {
+		t.Fatalf("the client never caught up: %+v", c.Stats())
+	}
+	if st := c.Stats(); st.Missing != 0 || st.Received != 6 || len(c.Gaps()) != 0 {
+		t.Fatalf("stats %+v, gaps %v: want the window's six frames and no gap", st, c.Gaps())
+	}
+	linked := 0
+	for _, fid := range c.Store().FillerIDs() {
+		for _, v := range c.Store().Versions(fid) {
+			if prev, _ := v.Predecessor(); prev != nil {
+				linked++
+			}
+		}
+	}
+	if linked == 0 {
+		t.Fatal("no replayed re-announcement came as a delta frame over one the client got")
 	}
 	sameVersions(t, c.Store(), traffic)
 }

@@ -208,14 +208,23 @@ func (s *Server) subscribeWire(buffer int, afterSeq uint64) *Subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	replay := s.replayLocked(afterSeq)
-	sub := s.subscribeLocked(buffer, replay, true)
 	first := s.nextSeq + 1
 	if len(replay) > 0 {
 		first = replay[0].Seq
 	}
+	var lostFrom, lostTo uint64
 	if first > afterSeq+1 {
-		sub.lostFrom, sub.lostTo = afterSeq+1, first-1
+		lostFrom, lostTo = afterSeq+1, first-1
+		// a replayed delta frame over a version the consumer never gets
+		// goes in the full form: an unstamped copy encodes it
+		for i, f := range replay {
+			if prev, _ := f.Predecessor(); prev != nil && prev.Seq >= lostFrom && prev.Seq <= lostTo {
+				replay[i] = f.WithSeq(f.Seq)
+			}
+		}
 	}
+	sub := s.subscribeLocked(buffer, replay, true)
+	sub.lostFrom, sub.lostTo = lostFrom, lostTo
 	return sub
 }
 
