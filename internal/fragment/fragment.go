@@ -360,16 +360,6 @@ func (f *Fragment) Tree() *xmldom.Node {
 	if l == nil {
 		return nil
 	}
-	// build the unbuilt versions below first, the oldest first, so that no
-	// build waits on a deeper one
-	var few [8]*lazy
-	chain := few[:0]
-	for b := l.prev.enc.lazy(); b != nil && b.delta() && b.tree.Load() == nil; b = b.link.Load().prev.enc.lazy() {
-		chain = append(chain, b)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		chain[i].publish(chain[i].over(chain[i].link.Load().prev))
-	}
 	return lz.publish(lz.over(l.prev))
 }
 
@@ -406,17 +396,41 @@ func (lz *lazy) build() *xmldom.Node {
 }
 
 // over builds a delta's payload over its predecessor prev's tree: prev's
-// attributes, and as children prev's — its holes the very nodes, a hole
-// being no item of any plan, and every other child a copy, since a node an
-// evaluation can return is one version's alone — followed by the children
-// the frame carries. Only those and the copies are built: no hole of a
-// re-announced parent is built twice.
+// attributes, and as children prev's — its childless holes the very nodes,
+// a hole being no item of any plan, and every other child a copy, since a
+// node an evaluation can return is one version's alone — followed by the
+// children the frame carries. Only those and the copies are built: no hole
+// of a re-announced parent is built twice. A predecessor that is itself an
+// unbuilt delta is not built for it: the children the unbuilt deltas below
+// add are built from their frames for this version alone, after the
+// children of the first built version, or full form, under them. So a
+// version's first read costs its own history at most once, however deep
+// the unbuilt chain below it.
 func (lz *lazy) over(prev *Fragment) *xmldom.Node {
+	var few [8]*lazy
+	below := few[:0] // the unbuilt deltas under lz, newest first
+	for b := prev.enc.lazy(); b != nil && b.delta() && b.tree.Load() == nil; b = prev.enc.lazy() {
+		below = append(below, b)
+		prev = b.link.Load().prev
+	}
 	base := prev.Tree()
+	kids, shared := base.Children, len(base.Children)
+	if len(below) > 0 {
+		kids = make([]*xmldom.Node, 0, lz.kept)
+		kids = append(kids, base.Children...)
+		for i := len(below) - 1; i >= 0; i-- {
+			kids = append(kids, below[i].payload(xmldom.Scanned.Build).Children...)
+		}
+	}
+	share := func(i int, n *xmldom.Node) bool { return i >= shared || sharedHole(n) }
 	return lz.payload(func(payload xmldom.Scanned) *xmldom.Node {
-		return payload.BuildAfter(base.Attrs, base.Children, IsHole)
+		return payload.BuildAfter(base.Attrs, kids, share)
 	})
 }
+
+// sharedHole reports whether a version built over its predecessor holds
+// the predecessor's node n itself: a hole with nothing in it.
+func sharedHole(n *xmldom.Node) bool { return IsHole(n) && len(n.Children) == 0 }
 
 // holeRun is a byte array the hole lists of one filler's versions share,
 // each list a prefix of it: a version whose predecessor's list ends where

@@ -172,3 +172,57 @@ func retained() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// TestFirstReadOfADeepDeltaBuildsItAlone: the first read of the newest of
+// an account's re-announcements, none of them read before, builds that
+// version and the full form under the chain, whose holes it holds — the
+// children the deltas in between add built from their frames for it alone
+// — and none of the versions in between: it allocates less than building
+// the same version from its full form does, where building the chain
+// would allocate each version's child list (quadratic in the history).
+func TestFirstReadOfADeepDeltaBuildsItAlone(t *testing.T) {
+	const versions = 300
+	structure := tagstruct.MustParseString(genstore.CreditStructure)
+	pub, _ := genstore.NewCreditPublisher(1)
+	deltas, full := fragment.NewStore(structure), fragment.NewStore(structure)
+	var prev *fragment.Fragment
+	var dec xmldom.Decoder
+	for k := 1; k <= versions; k++ {
+		announce, _ := pub.Charge(0, k, genstore.CreditBase.Add(time.Duration(k)*time.Minute))
+		sealed, _ := announce.SealedOver(prev)
+		for st, wire := range map[*fragment.Store]string{deltas: sealed.String(), full: announce.String()} {
+			f, err := fragment.ParseStored(&dec, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Add(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = announce
+	}
+	var bytes [2]uint64
+	for i, st := range []*fragment.Store{deltas, full} {
+		vs := st.Versions(1)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tree := vs[len(vs)-1].Tree()
+		runtime.ReadMemStats(&after)
+		bytes[i] = after.TotalAlloc - before.TotalAlloc
+		if !tree.Equal(prev.Payload) {
+			t.Fatalf("the newest version built %s, the publisher's %s", tree, prev.Payload)
+		}
+		// the first version, the one full form under the deltas, is built
+		// for the newest to hold its holes
+		for k, v := range vs[1 : len(vs)-1] {
+			if fragment.Built(v) {
+				t.Fatalf("reading the newest version built version %d", k+1)
+			}
+		}
+	}
+	t.Logf("first read of the newest of %d versions: %d B from delta frames, %d B from the full form", versions, bytes[0], bytes[1])
+	if !raceEnabled && bytes[0] > bytes[1] {
+		t.Errorf("the newest delta's first read allocated %d B, its full form's %d B", bytes[0], bytes[1])
+	}
+}

@@ -374,17 +374,18 @@ func (e Scanned) Build() *Node {
 
 // BuildAfter builds the node as Build does, save its top: the top's
 // attributes are attrs, not its own, and its children are the nodes of
-// prefix, each the node itself where share says so and a deep copy of it
-// otherwise, followed by the node's own children. The tree shares attrs,
-// the nodes share keeps and the input string, and nothing else: what it
-// builds and copies lies in three arrays, as Build's tree does, and every
-// list in it is exactly as long as its capacity.
-func (e Scanned) BuildAfter(attrs []Attr, prefix []*Node, share func(*Node) bool) *Node {
+// prefix, each the node itself where share says so of it and its place in
+// prefix and a deep copy of it otherwise, followed by the node's own
+// children. The tree shares attrs, the nodes share keeps and the input
+// string, and nothing else: what it builds and copies lies in three
+// arrays, as Build's tree does, and every list in it is exactly as long as
+// its capacity.
+func (e Scanned) BuildAfter(attrs []Attr, prefix []*Node, share func(i int, n *Node) bool) *Node {
 	nAttrs, nKids := e.sizes()
 	nAttrs -= e.d.recs[e.i].attrs.len()
 	nNodes := int(e.d.recs[e.i].end - e.i)
-	for _, p := range prefix {
-		if !share(p) {
+	for i, p := range prefix {
+		if !share(i, p) {
 			p.Walk(func(n *Node) bool {
 				nNodes++
 				nAttrs += len(n.Attrs)
@@ -402,7 +403,7 @@ func (e Scanned) BuildAfter(attrs []Attr, prefix []*Node, share func(*Node) bool
 	list := a.kids[:n:n]
 	top := e.build(&a, list[len(prefix):], false)
 	for i, p := range prefix {
-		if share(p) {
+		if share(i, p) {
 			list[i] = p
 		} else {
 			list[i] = a.copy(p)

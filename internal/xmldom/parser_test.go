@@ -288,7 +288,7 @@ func TestDecodedListsAreClippedWindows(t *testing.T) {
 // otherwise, and every list of the tree is exactly sized.
 func TestBuildAfterSharesWhatItIsTold(t *testing.T) {
 	prefix := MustParseString(`<a x="1">t<b k="v"/><c><d e="f"/>g</c></a>`).Root()
-	isB := func(n *Node) bool { return n.Name == "b" }
+	isB := func(_ int, n *Node) bool { return n.Name == "b" }
 	for _, tail := range []string{``, `<b k="w"/>`, `<d><b k="v"/>x</d><e/>`, `u<f g="h"><i/></f>`} {
 		var d Decoder
 		el, err := d.Scan(`<a>` + tail + `</a>`)
@@ -305,7 +305,7 @@ func TestBuildAfterSharesWhatItIsTold(t *testing.T) {
 			t.Fatalf("%q: built %s, want %s (prefix now %s)", tail, got, whole, prefix)
 		}
 		for i, c := range prefix.Children {
-			if shared := got.Children[i] == c; shared != isB(c) {
+			if shared := got.Children[i] == c; shared != isB(i, c) {
 				t.Fatalf("%q: prefix child %d (<%s>) shared: %v", tail, i, c.Name, shared)
 			}
 		}
