@@ -516,15 +516,21 @@ func prevHoles(prev *Fragment) (string, *holeRun) {
 	var pairs []byte
 	fits := true
 	prev.EachHole(func(id, tsid int) bool {
-		fits = fits && id == int(int32(id)) && tsid == int(int32(tsid))
-		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(id))
-		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(tsid))
+		pairs, fits = appendHole(pairs, id, tsid, fits)
 		return true
 	})
 	if !fits {
 		return "?", nil
 	}
 	return string(pairs), nil
+}
+
+// appendHole appends a hole's (id, tsid) pair as lazy.holes keeps it, and
+// reports whether the list so far, fits, still holds whole pairs.
+func appendHole(pairs []byte, id, tsid int, fits bool) ([]byte, bool) {
+	fits = fits && id == int(int32(id)) && tsid == int(int32(tsid))
+	pairs = binary.LittleEndian.AppendUint32(pairs, uint32(id))
+	return binary.LittleEndian.AppendUint32(pairs, uint32(tsid)), fits
 }
 
 // missingPredecessor is the error of a delta f whose predecessor is not at
@@ -550,9 +556,7 @@ type Chains struct {
 func (c *Chains) Link(f *Fragment) error {
 	var err error
 	if f.IsDelta() {
-		if err = f.linkTo(c.last[f.FillerID]); err == nil && !f.isLinkedDelta() {
-			err = f.missingPredecessor()
-		}
+		err = f.linkTo(c.last[f.FillerID])
 	}
 	if c.last == nil {
 		c.last = make(map[int]*Fragment)
@@ -561,21 +565,12 @@ func (c *Chains) Link(f *Fragment) error {
 	return err
 }
 
-// announcesHole reports whether f's payload announces a hole.
-func announcesHole(f *Fragment) bool {
+// AnnouncesHole reports whether f's payload announces a hole: whether its
+// filler's next version may be sealed as a delta over it.
+func (f *Fragment) AnnouncesHole() bool {
 	any := false
 	f.EachHole(func(int, int) bool { any = true; return false })
 	return any
-}
-
-// AnnouncesHole reports whether f's payload announces a hole: whether its
-// filler's next version may be sealed as a delta over it.
-func (f *Fragment) AnnouncesHole() bool { return announcesHole(f) }
-
-// isLinkedDelta reports whether f is a delta linked to its predecessor.
-func (f *Fragment) isLinkedDelta() bool {
-	lz := f.enc.lazy()
-	return lz != nil && lz.delta() && lz.link.Load() != nil
 }
 
 // IsDelta reports whether f was decoded from a delta frame (SealedOver):
@@ -858,9 +853,7 @@ func scanHoles(payload xmldom.Scanned, one *[8]byte) string {
 				tsid = n
 			}
 		}
-		fits = fits && id == int(int32(id)) && tsid == int(int32(tsid))
-		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(id))
-		pairs = binary.LittleEndian.AppendUint32(pairs, uint32(tsid))
+		pairs, fits = appendHole(pairs, id, tsid, fits)
 		return false
 	})
 	if !fits {

@@ -612,7 +612,7 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 }
 
 // encode encodes one frame into the store's frame buffer and returns it,
-// valid until the next encode. The caller holds s.mu.
+// valid until the next encode. The caller holds s.mu, or is Open.
 func (s *Store) encode(lsn uint64, xml string) []byte {
 	buf := appendFrame(s.frame[:0], lsn, xml)
 	if cap(buf) <= maxKeptFrame {
