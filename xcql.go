@@ -82,6 +82,10 @@ type (
 	TagType = tagstruct.TagType
 	// Fragment is one filler on the wire.
 	Fragment = fragment.Fragment
+	// MissingPredecessorError is what decoding a delta frame — a
+	// re-announcement carrying only what it adds to its predecessor —
+	// returns where that predecessor is not at hand.
+	MissingPredecessorError = fragment.MissingPredecessorError
 	// Store is a client-side fragment repository.
 	Store = fragment.Store
 	// Fragmenter cuts documents into fragments along a TagStructure.
@@ -459,7 +463,9 @@ func NewFragment(fillerID, tsid int, validTime time.Time, payload *Node) *Fragme
 // NewHole builds a <hole id tsid/> placeholder element.
 func NewHole(fillerID, tsid int) *Node { return fragment.NewHole(fillerID, tsid) }
 
-// ParseFragment parses the <filler> wire form.
+// ParseFragment parses the <filler> wire form. A delta frame is a version
+// only over its predecessor, which a parse has no store to find: it
+// returns a *MissingPredecessorError.
 func ParseFragment(src string) (*Fragment, error) { return fragment.Parse(src) }
 
 // NewServer creates a broadcast server for a named stream.

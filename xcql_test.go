@@ -1,6 +1,7 @@
 package xcql_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -196,6 +197,11 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := xcql.ParseFragment(`<filler id="1" tsid="2" validTime="2003-01-01T00:00:00"><account/></filler>`); err != nil {
 		t.Fatal(err)
+	}
+	// a delta frame has no store here to find its predecessor in
+	_, err := xcql.ParseFragment(`<filler id="1" tsid="2" validTime="2003-01-01T00:01:00" base="2003-01-01T00:00:00" kept="1"><account><hole id="7" tsid="5"/></account></filler>`)
+	if miss := (*xcql.MissingPredecessorError)(nil); !errors.As(err, &miss) || miss.FillerID != 1 || miss.Kept != 1 {
+		t.Fatalf("ParseFragment of a delta frame: %v", err)
 	}
 	h := xcql.NewHole(5, 7)
 	if h.AttrOr("id", "") != "5" {
