@@ -438,3 +438,48 @@ func TestLateJoinerOfARecoveredLogGetsFullForms(t *testing.T) {
 	}
 	sameVersions(t, c.Store(), traffic)
 }
+
+// TestLogAttachedMidStreamHoldsEveryPredecessor: a durable log attached
+// after a stream began never gets a delta frame over a version it does
+// not hold — a re-announcement over a version published before the log
+// was there goes to it in the full form — so its replay links every delta.
+func TestLogAttachedMidStreamHoldsEveryPredecessor(t *testing.T) {
+	traffic := creditTraffic(3, 12)
+	dir := t.TempDir()
+	seg, _, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer("credit", creditStructure(t))
+	s.PublishAll(traffic[:15])
+	s.AttachDurable(seg)
+	s.PublishAll(traffic[15:])
+	s.Close()
+	seg.Close()
+	seg, rep, err := segstore.Open(dir, segstore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if rep.MissingPredecessors != 0 || rep.Degraded != "" {
+		t.Fatalf("recovery report %+v", rep)
+	}
+	frames, err := seg.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	st := fragment.NewStore(creditStructure(t))
+	for _, f := range frames {
+		if f.IsDelta() {
+			deltas++
+		}
+		if err := st.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deltas == 0 || len(frames) != len(traffic)-15 {
+		t.Fatalf("the log holds %d frames, %d of them deltas", len(frames), deltas)
+	}
+	sameVersions(t, st, traffic)
+}

@@ -317,9 +317,10 @@ func (s *Server) Publish(f *fragment.Fragment) {
 		d = nil
 	}
 	seal := d != nil || s.wireSubs > 0
+	gen := s.durableGen // the log d is: a log attached meanwhile never sees this version
 	prev, tracked := s.bases[stamped.FillerID]
 	var base *fragment.Fragment
-	if tracked && prev.unique && (d == nil || prev.log == s.durableGen) {
+	if tracked && prev.unique && (d == nil || prev.log == gen) {
 		base = prev.f
 	}
 	s.mu.Unlock()
@@ -364,7 +365,7 @@ func (s *Server) Publish(f *fragment.Fragment) {
 			next.latest = prev.latest
 		}
 		if d != nil && derr == nil {
-			next.log = s.durableGen
+			next.log = gen
 		}
 		s.bases[stamped.FillerID] = next
 	}
