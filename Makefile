@@ -161,10 +161,16 @@ trace-smoke:
 # decode that allocates per field or item. Thirty decoded re-announcements
 # of one account hold their trees' heap under a ceiling, and each version's
 # tree holds the one before's hole nodes: what must not come back is a
-# hole element built per hole per version. Run without -race: the
+# hole element built per hole per version. A FLWOR carves what its
+# constructors build from a few arrays sized for its bindings: Q2 at sf
+# 0.005, 0.01 and 0.02 allocates within 10 of itself, a constructor behind
+# a where the evaluator keeps holds its bytes (a chunk reserved for bindings
+# the where drops), and a standing constructor query on the credit stream
+# holds the heap it retains per item, 1 000 charges in (a chunk that pins
+# dead neighbours through the version memo). Run without -race: the
 # detector's instrumentation allocates on its own.
 alloc-gate:
-	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling|TestExplainDoesNotWalkTheStore)$$' -count=1 -timeout 120s .
+	$(GO) test -run '^(TestAllocationCeiling|TestWireCodecAllocationCeiling|TestRegistryArrivalAllocationCeiling|TestExplainDoesNotWalkTheStore|TestStandingConstructorRetention)$$' -count=1 -timeout 120s .
 	$(GO) test -run '^TestSubscriberReadAllocationCeiling$$' -count=1 -timeout 120s ./internal/registry
 	$(GO) test -run '^TestDecodedVersionsShareHoles$$' -count=1 -timeout 120s ./internal/fragment
 

@@ -624,6 +624,25 @@ func (f *Fragment) EachHole(yield func(id, tsid int) bool) {
 	}
 }
 
+// EachNewHole calls yield with the id and tsid of every hole a linked
+// delta announces beyond the ones its predecessor does — those of its
+// appended children, the frame's own pairs — in document order, until
+// yield returns false, and reports true. For anything else (a full form,
+// an unlinked delta, a frame whose pairs did not fit in its list) it
+// yields nothing and reports false, and the caller asks EachHole.
+func (f *Fragment) EachNewHole(yield func(id, tsid int) bool) bool {
+	lz := f.enc.lazy()
+	if lz == nil || !lz.delta() || lz.link.Load() == nil || len(lz.holes)%8 != 0 {
+		return false
+	}
+	for h := lz.holes; h != ""; h = h[8:] {
+		if !yield(int(int32(le32(h))), int(int32(le32(h[4:])))) {
+			break
+		}
+	}
+	return true
+}
+
 // treeHoles is EachHole over a built tree; it reports whether yield wants
 // more.
 func treeHoles(n *xmldom.Node, yield func(id, tsid int) bool) bool {

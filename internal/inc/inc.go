@@ -832,15 +832,19 @@ func (e *Engine) rebuildContainment(at time.Time) {
 // ingest records a fragment's containment facts: its own tsid, and for
 // every hole in its payload the parent link and the hole's announced
 // tsid. A contradiction (same filler id, different tsid or parent) is an
-// error — the caller falls back to whole-plan recomputation.
+// error — the caller falls back to whole-plan recomputation. The engine
+// ingests every version the store holds (rebuildContainment) and then
+// every arrival, and a store holds a linked delta's predecessor, so the
+// holes a delta keeps are recorded under its filler already: of a linked
+// delta only the holes it appends are walked, and an account's
+// re-announcement costs its new hole, not its history.
 func (e *Engine) ingest(f *fragment.Fragment) error {
 	if prev, ok := e.tsidOf[f.FillerID]; ok && prev != f.TSID {
 		return fmt.Errorf("inc: filler %d seen with tsid %d and %d", f.FillerID, prev, f.TSID)
 	}
 	e.tsidOf[f.FillerID] = f.TSID
 	var err error
-	// the holes a decoded fragment's decode collected: nothing is built
-	f.EachHole(func(hid, ht int) bool {
+	record := func(hid, ht int) bool {
 		if prev, ok := e.parentOf[hid]; ok && prev != f.FillerID {
 			err = fmt.Errorf("inc: filler %d held by both filler %d and %d", hid, prev, f.FillerID)
 			return false
@@ -854,7 +858,11 @@ func (e *Engine) ingest(f *fragment.Fragment) error {
 			e.tsidOf[hid] = ht
 		}
 		return true
-	})
+	}
+	// the holes a decoded fragment's decode collected: nothing is built
+	if !f.EachNewHole(record) {
+		f.EachHole(record)
+	}
 	return err
 }
 

@@ -64,6 +64,9 @@ type Static struct {
 	// evaluation's at a time.
 	args []Sequence
 	bufs []Sequence
+	// ctor is what the constructors of the FLWOR in progress carve their
+	// nodes and lists from; the FLWOR clears it on return.
+	ctor chunks
 }
 
 // Func is a registered function implementation. args is lent for the
@@ -910,6 +913,11 @@ func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 // keeps a context of its own, as does a tuple with a positional variable.
 // A for clause with a ReadAhead hands it a sequence of several items before
 // it binds the first.
+//
+// What the return builds is sized once per evaluation where it can be: the
+// result sequence for the bindings still to come when no where can drop
+// one of them, and the constructors' nodes and lists from chunks of the
+// FLWOR's own (chunks), which the FLWOR drops on return.
 func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	ordered := len(fl.OrderBy) > 0
 	type tuple struct {
@@ -918,18 +926,38 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	}
 	var tuples []tuple
 	var out Sequence
+	st := ctx.Static
+	outer := st.ctor
+	st.ctor = chunks{}
+	defer func() { st.ctor = outer }()
+	// rest is the bindings still to come of the innermost for clause, the
+	// one in hand included; seen is the tuples the where tried and kept
+	// those it let through. What the where will let through of the rest is
+	// not known: a chunk behind one holds as many bindings as came through
+	// before it, and no more than the rest at the rate they came through.
+	rest, seen, kept := 1, 0, 0
 	emit := func(c *Context) error {
+		kept++
+		st.ctor.left = rest
+		if !ordered && fl.Where != nil {
+			st.ctor.left = min(kept, (rest*kept+seen-1)/seen)
+		} else if len(out) == cap(out) {
+			out = slices.Grow(out, rest)
+		}
 		n := len(out)
 		var err error
-		if out, err = appendEval(out, fl.Return, c); err != nil {
+		out, err = appendEval(out, fl.Return, c)
+		st.ctor.bindings++
+		if err != nil {
 			return err
 		}
-		return ctx.Static.Budget.AddItems(len(out) - n)
+		return st.Budget.AddItems(len(out) - n)
 	}
 	var bindRest func(i int, c *Context) error
 	bindRest = func(i int, c *Context) error {
 		if i == len(fl.Clauses) {
 			if fl.Where != nil {
+				seen++
 				w, err := evalBool(fl.Where, c)
 				if err != nil || !w {
 					return err
@@ -966,6 +994,7 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			}
 			if ordered || cl.PosVar != "" {
 				for idx := range seq {
+					rest = len(seq) - idx
 					cc, _ := c.bindItem(cl.Var, seq, idx, ahead)
 					if cl.PosVar != "" {
 						cc = cc.Bind(cl.PosVar, Singleton(float64(idx+1)))
@@ -981,6 +1010,7 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			}
 			frame, mark := c.bindItem(cl.Var, seq, 0, ahead)
 			for idx := range seq {
+				rest = len(seq) - idx
 				frame.vars.val = seq[idx : idx+1 : idx+1]
 				if mark != nil {
 					mark.at = idx
@@ -1029,7 +1059,8 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 		}
 		return false
 	})
-	for _, t := range tuples {
+	for i, t := range tuples {
+		rest = len(tuples) - i
 		if err := emit(t.ctx); err != nil {
 			return nil, err
 		}
@@ -1070,7 +1101,7 @@ func evalQuantified(q *Quantified, ctx *Context) (Sequence, error) {
 // not runtime-registered functions of the same name.
 func evalModule(m *Module, ctx *Context) (Sequence, error) {
 	st := *ctx.Static
-	st.args, st.bufs = nil, nil // the body's scratch is its own
+	st.args, st.bufs, st.ctor = nil, nil, chunks{} // the body's scratch is its own
 	merged := make(map[string]Func, len(st.Funcs)+len(m.Funcs))
 	for _, fd := range m.Funcs {
 		merged[fd.Name] = makeUserFunc(fd)
@@ -1146,6 +1177,8 @@ func lookupFunc(ctx *Context, name string) Func {
 
 // evalElemCtor builds the constructor's element. Its content is gathered in
 // a lent sequence: the element keeps the content's nodes, not the sequence.
+// The element, its child list, its attribute list and the text nodes of its
+// runs of atomics are carved from the chunks of the FLWOR in progress.
 func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 	st := ctx.Static
 	name := ct.Name
@@ -1160,8 +1193,10 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 		name = StringValue(v[0])
 		st.give(lent)
 	}
-	el := xmldom.NewElement(name)
+	el := st.ctor.node(xmldom.ElementNode)
+	el.Name = name
 	st.Stats.AddNodes(1)
+	el.Attrs = carve(&st.ctor.attrs, len(ct.Attrs), &st.ctor, carvedAttrs)[:0]
 	for _, ac := range ct.Attrs {
 		val, err := evalAttrParts(ac.Parts, ctx)
 		if err != nil {
@@ -1187,7 +1222,7 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 			}
 		}
 	}
-	appendContent(el, content)
+	appendContent(el, content, &st.ctor)
 	st.give(content)
 	return el, nil
 }
@@ -1195,10 +1230,10 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 // appendContent realizes XQuery constructor content: attribute items set
 // attributes, nodes are attached as they are — shared with wherever they
 // came from, not copied — and adjacent atomics join into one
-// space-separated text node. The child list is sized once, for every
+// space-separated text node. The child list is carved once, for every
 // child the content makes.
-func appendContent(el *xmldom.Node, content Sequence) {
-	el.Children = slices.Grow(el.Children, childCount(content))
+func appendContent(el *xmldom.Node, content Sequence, c *chunks) {
+	el.Children = carve(&c.kids, childCount(content), c, carvedKids)[:0]
 	for i := 0; i < len(content); i++ {
 		switch v := content[i].(type) {
 		case AttrItem:
@@ -1214,10 +1249,86 @@ func appendContent(el *xmldom.Node, content Sequence) {
 			for run < len(content) && isAtomic(content[run]) {
 				run++
 			}
-			el.AppendChild(xmldom.NewText(joinAtomics(content[i:run])))
+			text := c.node(xmldom.TextNode)
+			text.Data = joinAtomics(content[i:run])
+			el.AppendChild(text)
 			i = run - 1
 		}
 	}
+}
+
+// chunks are the arrays the constructors of one FLWOR evaluation carve
+// their elements and text nodes, child lists and attribute lists from
+// (DESIGN.md "What an evaluation allocates"), so that a FLWOR allocates
+// what its results keep in a few arrays, not two objects per element. Every
+// window carved is capacity-clipped: an append to one element's list
+// reallocates, never writing into a neighbour's slots. A new chunk is sized
+// for the bindings still to come (left), at the need per binding learned
+// from the bindings the FLWOR returned so far, and holds at most chunkCap
+// slots; outside any FLWOR left is 0 and a chunk is exactly what its one
+// constructor asks for. The FLWOR drops its chunks on return, so a chunk
+// lives only as long as the results carved from it, and a Static kept
+// between evaluations keeps no node alive.
+type chunks struct {
+	nodes []xmldom.Node
+	kids  []*xmldom.Node
+	attrs []xmldom.Attr
+	// left is the bindings a new chunk is for, the one in hand included;
+	// bindings is how many bindings' returns completed, and carved what
+	// each array gave out.
+	left, bindings int
+	carved         [3]int
+}
+
+// The arrays a chunk is carved from, as chunks.carved counts them.
+const (
+	carvedNodes = iota
+	carvedKids
+	carvedAttrs
+)
+
+// chunkCap caps a chunk's slots: the most a chunk can keep alive beyond the
+// results still carved from it, and the size at which a FLWOR's allocations
+// start to grow with its bindings again.
+const chunkCap = 256
+
+// node carves one node of the given type.
+func (c *chunks) node(t xmldom.NodeType) *xmldom.Node {
+	n := &carve(&c.nodes, 1, c, carvedNodes)[0]
+	n.Type = t
+	return n
+}
+
+// carve returns a window of n slots cut from the front of *free,
+// capacity-clipped, after replacing *free with a new chunk when fewer than n
+// slots are left. Inside a FLWOR's return the chunk is sized for the
+// bindings still to come, at n slots each or what the bindings before took
+// each if more, to at most chunkCap slots unless n is more, and takes the
+// whole of the allocator's size class; elsewhere it is the n slots. *free
+// is nil once empty, and outside a return, so that no slice the chunks
+// hold points into a chunk they are done with. n = 0 is nil.
+func carve[T any](free *[]T, n int, c *chunks, kind int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*free) < n {
+		size := n
+		if c.left > 0 {
+			per := n
+			if c.bindings > 0 {
+				per = max(per, (c.carved[kind]+c.bindings-1)/c.bindings)
+			}
+			size = max(n, min(per*c.left, chunkCap))
+		}
+		*free = slices.Grow[[]T](nil, size)
+		*free = (*free)[:cap(*free)]
+	}
+	w := (*free)[:n:n]
+	if *free = (*free)[n:]; len(*free) == 0 || c.left == 0 {
+		*free = nil
+	}
+	c.carved[kind] += n
+	return w
 }
 
 // childCount is the number of children appendContent makes of content.
