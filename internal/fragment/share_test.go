@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
@@ -13,13 +14,14 @@ import (
 	"xcql/internal/xtime"
 )
 
-// decodedVersionsCeiling bounds the heap the trees of sharedVersions
-// re-announced account versions keep: 17 016 B on linux/amd64 with each
-// version holding the one before's hole nodes, and Σk·160 B ≈ 74 KB more
-// with a hole element of their own per hole.
+// decodedVersionsCeiling bounds what the trees of sharedVersions
+// re-announced account versions hold (treeBytes): 17 640 B on
+// linux/amd64 with each version holding the one before's hole nodes, and
+// 83 760 B with a hole element of their own per hole, as the full
+// forms build them.
 const (
 	sharedVersions         = 30
-	decodedVersionsCeiling = 20_700
+	decodedVersionsCeiling = 18_500
 )
 
 // holesOf returns the holes among a payload's children, in order.
@@ -50,9 +52,9 @@ func readAll(t *testing.T, st *fragment.Store, fid int, at time.Time) {
 // k−1 as its predecessor, and is the tree a fresh parse of the version's
 // full form builds. A version that does not extend the one before (a reordered
 // hole list, a hole with an extra attribute, a hole below a child element)
-// travels in the full form and builds all its nodes. The trees' heap is
-// held under a ceiling that one hole element per hole per version exceeds
-// several times over.
+// travels in the full form and builds all its nodes. What the trees hold
+// is held under a ceiling that one hole element per hole per version
+// exceeds several times over.
 func TestDecodedVersionsShareHoles(t *testing.T) {
 	structure := tagstruct.MustParseString(genstore.CreditStructure)
 	pub, _ := genstore.NewCreditPublisher(1)
@@ -76,15 +78,15 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 		full, prev = append(full, announce.String()), announce
 	}
 	at := genstore.CreditBase.Add(time.Hour)
-	before := retained()
 	readAll(t, st, 1, at)
-	after := retained()
 	versions := st.Versions(1)
+	trees, fullTrees := make([]*xmldom.Node, len(versions)), make([]*xmldom.Node, len(versions))
 	for k, f := range versions {
 		fresh, err := fragment.Parse(full[k])
 		if err != nil {
 			t.Fatal(err)
 		}
+		trees[k], fullTrees[k] = f.Tree(), fresh.Tree()
 		if !f.Tree().Equal(fresh.Tree()) {
 			t.Fatalf("version %d built %s, a fresh parse %s", k, f.Tree(), fresh.Tree())
 		}
@@ -104,12 +106,16 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 			}
 		}
 	}
-	kept := int64(after) - int64(before)
-	t.Logf("%d decoded versions keep %d B of trees (ceiling %d B)", sharedVersions, kept, decodedVersionsCeiling)
+	kept, unshared := treeBytes(trees), treeBytes(fullTrees)
+	t.Logf("%d decoded versions hold %d B of trees, their full forms %d B (ceiling %d B)", sharedVersions, kept, unshared, decodedVersionsCeiling)
 	if kept > decodedVersionsCeiling {
-		t.Errorf("%d decoded versions keep %d B of trees, ceiling %d B", sharedVersions, kept, decodedVersionsCeiling)
+		t.Errorf("%d decoded versions hold %d B of trees, ceiling %d B", sharedVersions, kept, decodedVersionsCeiling)
 	}
-	runtime.KeepAlive(st)
+	// the measure tells sharing from its loss: the full forms' trees are
+	// several ceilings
+	if unshared < 3*decodedVersionsCeiling {
+		t.Errorf("the full forms hold %d B of trees, under three ceilings of %d B", unshared, decodedVersionsCeiling)
+	}
 
 	// versions that do not extend the one before travel whole: they share
 	// no node with it
@@ -164,13 +170,23 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 	}
 }
 
-// retained is the heap in use after a collection.
-func retained() uint64 {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+// treeBytes is what trees hold: each distinct node once, by pointer, with
+// its attribute and child-list storage. Unlike the process heap it reads
+// the same on every run.
+func treeBytes(trees []*xmldom.Node) int64 {
+	seen := map[*xmldom.Node]bool{}
+	var n int64
+	for _, tree := range trees {
+		tree.Walk(func(m *xmldom.Node) bool {
+			if seen[m] {
+				return false // an immutable node's subtree is counted with it
+			}
+			seen[m] = true
+			n += int64(unsafe.Sizeof(*m)) + int64(cap(m.Attrs))*int64(unsafe.Sizeof(xmldom.Attr{})) + int64(cap(m.Children))*int64(unsafe.Sizeof(m))
+			return true
+		})
+	}
+	return n
 }
 
 // TestFirstReadOfADeepDeltaBuildsItAlone: the first read of the newest of

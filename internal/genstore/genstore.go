@@ -391,16 +391,17 @@ func (g *gen) mutate() {
 // continuous queries (bounded so large structures don't explode the
 // corpus) and, for the first such tag, positions on the child step
 // (genPositional), then the same positions taken from each version a
-// for clause binds, and last the first event tag's versions under a window
-// that ends before now. The windows are a few hours wide and histories span
-// a day, so they expire while a history replays.
+// for clause binds, the first event tag's versions under a window that ends
+// before now, and last projections of the first tag that follow no step.
+// The windows are a few hours wide and histories span a day, so they
+// expire while a history replays.
 func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 	var qs []Query
 	add := func(kind string, t *tagstruct.Tag, format string, args ...any) {
 		qs = append(qs, Query{Name: kind + "-" + t.Name, Src: fmt.Sprintf(format, args...)})
 	}
 	fragTags := 0
-	var parent, child *tagstruct.Tag // what genPositional was given
+	var first, parent, child *tagstruct.Tag // what genPredicates and genPositional were given
 	for _, t := range s.Tags() {
 		if !t.IsFragmented() {
 			continue
@@ -421,6 +422,7 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 		add("filter", t, `for $x in stream("s")//%s where $x/text() > 500 return $x/text()`, t.Name)
 		add("sliding", t, `stream("s")//%s?[now-PT5H,now]`, t.Name)
 		if fragTags == 1 {
+			first = t
 			g.genPredicates(add, t)
 		}
 		for _, c := range t.Children {
@@ -457,6 +459,15 @@ func (g *gen) genQueries(s *tagstruct.Structure) []Query {
 			add("past-window", t, `<w>{stream("s")//%s?[now-PT4H,now-PT1H]}</w>`, t.Name)
 			break
 		}
+	}
+	// projections that follow no step, which no read takes as its bound:
+	// the fragment plans' projection calls over built nodes and CaQ's own
+	if first != nil {
+		all := `stream("s")//` + first.Name
+		add("each-interval", first, `for $x in %s return $x?[2004-06-01T02:00:00,now]`, all)
+		add("each-versions", first, `for $x in %s return $x#[1,last]`, all)
+		add("each-newest", first, `for $x in %s return $x#[last]`, all)
+		add("twice-sliding", first, `(%s, %s)?[now-PT5H,now]`, all, all)
 	}
 	return qs
 }

@@ -75,15 +75,16 @@ func (e *Engine) termChain(x xq.Expr) *xq.Call {
 			x = t.Base
 		case *xq.Call:
 			in := xcql.IntrinsicOf(t)
-			switch {
-			case in == nil || in.Stream != e.stream:
+			if in == nil || in.Stream != e.stream || !xcql.Distributes(t) || !xcql.Constant(t) {
 				return nil
-			case in.Op == xcql.FnFillers:
-				if in.Whole() && in.Distributes() && in.Constant() && e.structure.ByID(in.TSIDs[0]) != nil {
+			}
+			switch in.Op {
+			case xcql.FnFillers:
+				if in.Whole() && e.structure.ByID(in.TSIDs[0]) != nil {
 					return t
 				}
 				return nil
-			case in.Op == xcql.FnIProj && xcql.ConstantExpr(t.Args[1]) && xcql.ConstantExpr(t.Args[2]) || in.Op == xcql.FnVProj && xcql.KeepsAllVersions(t.Args[1], t.Args[2]):
+			case xcql.FnIProj, xcql.FnVProj:
 				x = t.Args[0]
 			default:
 				return nil

@@ -389,7 +389,7 @@ func (e *Engine) peel(x xq.Expr) (layer, bool) {
 	switch t := x.(type) {
 	case *xq.Call:
 		in := xcql.IntrinsicOf(t)
-		if in == nil || !(in.Op == xcql.FnIProj || in.Op == xcql.FnVProj && xcql.KeepsAllVersions(t.Args[1], t.Args[2])) {
+		if in == nil || in.Op != xcql.FnIProj && in.Op != xcql.FnVProj || !xcql.Distributes(t) {
 			return l, false
 		}
 		l.call = t
@@ -492,7 +492,7 @@ func (e *Engine) decompose() []*piece {
 // else nil.
 func (e *Engine) tsidJump(x xq.Expr) *xcql.Intrinsic {
 	in := xcql.IntrinsicOf(x)
-	if in == nil || in.Op != xcql.FnByTSID || in.Stream != e.stream || !in.Distributes() {
+	if in == nil || in.Op != xcql.FnByTSID || in.Stream != e.stream || !xcql.Distributes(x.(*xq.Call)) {
 		return nil
 	}
 	for _, id := range in.TSIDs {

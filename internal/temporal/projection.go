@@ -14,16 +14,6 @@ import (
 // view, which contains no holes.
 type HoleResolver func(holeID int) []*xmldom.Node
 
-// AccessResolver crosses the holes of one store's fragments through an
-// access path, which charges every crossing the way its index pays for
-// it.
-func AccessResolver(acc fragment.Access, st *fragment.Store) HoleResolver {
-	return func(holeID int) []*xmldom.Node {
-		els, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID})
-		return els
-	}
-}
-
 // BudgetResolver wraps a HoleResolver so every hole expansion charges
 // the budget: one step per resolution (which also polls cancellation),
 // plus the cardinality and tree bytes of the returned filler versions.

@@ -49,7 +49,11 @@ var evalAt = ts("2003-11-15T12:00:00")
 
 // storeResolver crosses st's holes at evalAt through an uncounted log scan.
 func storeResolver(st *fragment.Store) HoleResolver {
-	return AccessResolver(fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: evalAt}), st)
+	acc := fragment.NewAccess(fragment.LogScanAccess, fragment.Eval{At: evalAt})
+	return func(holeID int) []*xmldom.Node {
+		els, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID})
+		return els
+	}
 }
 
 func creditStore(t *testing.T) *fragment.Store {

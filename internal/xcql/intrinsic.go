@@ -138,10 +138,8 @@ func (in *Intrinsic) Call(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, err
 		return in.fillers(ctx, st, args[0])
 	case FnByTSID:
 		return in.byTSID(ctx, st)
-	case FnIProj:
-		return iproj(ctx, st, args)
-	case FnVProj:
-		return vproj(ctx, st, args)
+	case FnIProj, FnVProj:
+		return in.projection(ctx, st, args)
 	}
 	return in.fold(ctx, st, args[0])
 }

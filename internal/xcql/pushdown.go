@@ -244,13 +244,13 @@ func withFilter(call xq.Expr, conds []cond) xq.Expr {
 
 // pushStepPreds moves the leading predicates of a step below the access
 // calls its pieces are, when all of them are and none counts a version
-// range (Intrinsic.Distributes): a predicate goes down whole
+// range (Distributes): a predicate goes down whole
 // or not at all, and the first one that stays keeps every later one with
 // it (they may count positions in its output). It returns the pieces and
 // the predicates still to apply.
 func pushStepPreds(pieces []xq.Expr, ts typeSet, preds []xq.Expr) ([]xq.Expr, []xq.Expr) {
 	for _, p := range pieces {
-		if in := readCall(p); in == nil || !in.Distributes() {
+		if readCall(p) == nil || !Distributes(p.(*xq.Call)) {
 			return pieces, preds
 		}
 	}
@@ -288,7 +288,7 @@ func pushWhere(clauses []any, where xq.Expr, vars map[string]typeSet) ([]any, xq
 	if !ok || fc.PosVar != "" {
 		return clauses, where
 	}
-	if in := readCall(fc.In); in == nil || in.each != nil || !in.Distributes() {
+	if in := readCall(fc.In); in == nil || in.each != nil || !Distributes(fc.In.(*xq.Call)) {
 		// a filter goes below the positions a per-parent list or a version
 		// range counts, and a where filters what they selected
 		return clauses, where

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -18,7 +17,6 @@ import (
 	"xcql/internal/temporal"
 	"xcql/internal/xmldom"
 	"xcql/internal/xq"
-	"xcql/internal/xtime"
 )
 
 // Runtime ties the compiler to live fragment stores: it registers named
@@ -723,75 +721,6 @@ func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, e
 	}
 	below(ctx.Static, st, out, span)
 	return chargeNodes(ctx.Static.Budget, out, stamps)
-}
-
-// projResolver is the hole resolver a projection intrinsic slices with:
-// the evaluation's access path over the projection's own stream.
-func projResolver(static *xq.Static, st *fragment.Store) temporal.HoleResolver {
-	return temporal.BudgetResolver(static.Budget, temporal.AccessResolver(static.Access, st))
-}
-
-// iproj is the interval projection nodes?[tb,te] of args, over the
-// fragments of st.
-func iproj(ctx *xq.Context, st *fragment.Store, args []xq.Sequence) (xq.Sequence, error) {
-	from, ok := endpointDateTime(args[1])
-	if !ok {
-		return nil, fmt.Errorf("xcql: interval start is not a dateTime")
-	}
-	to, ok := endpointDateTime(args[2])
-	if !ok {
-		return nil, fmt.Errorf("xcql: interval end is not a dateTime")
-	}
-	window := xtime.NewInterval(from, to)
-	nodes := xq.Nodes(args[0])
-	out := xq.FromNodes(temporal.IntervalProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, projResolver(ctx.Static, st)))
-	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func endpointDateTime(seq xq.Sequence) (xtime.DateTime, bool) {
-	if len(seq) == 0 {
-		return xtime.DateTime{}, false
-	}
-	return xq.DateTimeValue(xq.AtomizeFirst(seq))
-}
-
-// vproj is the version projection nodes#[vb,ve] of args, over the
-// fragments of st.
-func vproj(ctx *xq.Context, st *fragment.Store, args []xq.Sequence) (xq.Sequence, error) {
-	window := xtime.VersionInterval{}
-	var ok bool
-	window.From, window.FromLast, ok = endpointVersion(args[1])
-	if !ok {
-		return nil, fmt.Errorf("xcql: version start is not a number")
-	}
-	window.To, window.ToLast, ok = endpointVersion(args[2])
-	if !ok {
-		return nil, fmt.Errorf("xcql: version end is not a number")
-	}
-	nodes := xq.Nodes(args[0])
-	out := xq.FromNodes(temporal.VersionProjection(nodes, window, ctx.Static.Now, ctx.Static.Horizon, projResolver(ctx.Static, st)))
-	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func endpointVersion(seq xq.Sequence) (n int, last, ok bool) {
-	if len(seq) == 0 {
-		return 0, false, false
-	}
-	it := xq.AtomizeFirst(seq)
-	if s, isStr := it.(string); isStr && s == "last" {
-		return 0, true, true
-	}
-	f := xq.NumberValue(it)
-	if math.IsNaN(f) {
-		return 0, false, false
-	}
-	return int(f), false, true
 }
 
 // materializeResult resolves any holes left in result nodes (the final

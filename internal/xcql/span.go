@@ -1,8 +1,6 @@
 package xcql
 
 import (
-	"fmt"
-
 	"xcql/internal/fragment"
 	"xcql/internal/temporal"
 	"xcql/internal/xmldom"
@@ -57,7 +55,7 @@ func pushSpan(op string, inner xq.Expr, from, to xq.Expr) *xq.Call {
 // fold takes the bound's values once when both ends are constant: a
 // constant end means the same at every evaluation (now stays symbolic).
 func (b *bound) fold() {
-	if !ConstantExpr(b.from) || !ConstantExpr(b.to) {
+	if !constantExpr(b.from) || !constantExpr(b.to) {
 		return
 	}
 	// an end that fails to evaluate here is left to fail where the
@@ -76,10 +74,10 @@ func (b *bound) fold() {
 	}
 }
 
-// ConstantExpr reports an expression built of literals and arithmetic
+// constantExpr reports an expression built of literals and arithmetic
 // alone: it is the same at every evaluation at one instant, and, as now
 // stays symbolic, at every instant.
-func ConstantExpr(e xq.Expr) bool {
+func constantExpr(e xq.Expr) bool {
 	ok := true
 	walkExpr(e, func(n xq.Expr) {
 		switch n.(type) {
@@ -112,31 +110,22 @@ func (b *bound) eval(ctx *xq.Context) (fragment.Span, error) {
 	return sp, nil
 }
 
-// of is the bound of the ends' values, checked as the projection calls
-// check them.
-func (b *bound) of(from, to xq.Sequence) (fragment.Span, error) {
-	var sp fragment.Span
+// of is the bound of the ends' values, each taken as every plan takes a
+// projection's ends (xq.TimeEndpoint, xq.VersionEndpoint).
+func (b bound) of(from, to xq.Sequence) (sp fragment.Span, err error) {
 	if b.versions {
 		sp.Kind = fragment.VersionSpan
-		var ok bool
 		v := &sp.Versions
-		if v.From, v.FromLast, ok = endpointVersion(from); !ok {
-			return sp, fmt.Errorf("xcql: version start is not a number")
+		if v.From, v.FromLast, err = xq.VersionEndpoint(from); err == nil {
+			v.To, v.ToLast, err = xq.VersionEndpoint(to)
 		}
-		if v.To, v.ToLast, ok = endpointVersion(to); !ok {
-			return sp, fmt.Errorf("xcql: version end is not a number")
-		}
-		return sp, nil
+		return sp, err
 	}
 	sp.Kind = fragment.IntervalSpan
-	var ok bool
-	if sp.Window.From, ok = endpointDateTime(from); !ok {
-		return sp, fmt.Errorf("xcql: interval start is not a dateTime")
+	if sp.Window.From, err = xq.TimeEndpoint(from); err == nil {
+		sp.Window.To, err = xq.TimeEndpoint(to)
 	}
-	if sp.Window.To, ok = endpointDateTime(to); !ok {
-		return sp, fmt.Errorf("xcql: interval end is not a dateTime")
-	}
-	return sp, nil
+	return sp, err
 }
 
 // String spells the bound as the query did: ?[a,b], ?[t], #[i,j].
@@ -183,14 +172,27 @@ func below(static *xq.Static, st *fragment.Store, els []*xmldom.Node, sp fragmen
 }
 
 // project is the projection sp stands for over els whole — elements built
-// already, such as a node's inline children —: what the projection call
-// made of them.
+// already, such as a node's inline children or a projection call's input.
 func project(static *xq.Static, st *fragment.Store, els []*xmldom.Node, sp fragment.Span) []*xmldom.Node {
 	resolve := spanResolver(static, st, &fragment.Span{})
 	if sp.Kind == fragment.VersionSpan {
 		return temporal.VersionProjection(els, sp.Versions, static.Now, static.Horizon, resolve)
 	}
 	return temporal.IntervalProjection(els, sp.Window, static.Now, static.Horizon, resolve)
+}
+
+// projection evaluates an xcql:iproj or xcql:vproj call, args its input
+// and its ends: the bound of the ends over the nodes the input built.
+func (in *Intrinsic) projection(ctx *xq.Context, st *fragment.Store, args []xq.Sequence) (xq.Sequence, error) {
+	sp, err := bound{versions: in.Op == FnVProj}.of(args[1], args[2])
+	if err != nil {
+		return nil, err
+	}
+	out := xq.FromNodes(project(ctx.Static, st, xq.Nodes(args[0]), sp))
+	if err := ctx.Static.Budget.AddItems(len(out)); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // spanResolver crosses a hole as a projection under *sp does: the
@@ -203,23 +205,34 @@ func spanResolver(static *xq.Static, st *fragment.Store, sp *fragment.Span) temp
 	})
 }
 
-// Distributes reports that the call's bound, if any, maps each version it
-// reads on its own: an interval, or the version range #[1,last], which
-// keeps every version. Any other range numbers the versions of the whole
-// read.
-func (in *Intrinsic) Distributes() bool {
-	return in.span == nil || !in.span.versions || KeepsAllVersions(in.span.from, in.span.to)
+// boundOf is the lifespan bound call c — an intrinsic's — applies, nil
+// when it applies none: a read's pushed bound, a projection call's ends.
+func boundOf(c *xq.Call) *bound {
+	if in := IntrinsicOf(c); in.Op != FnIProj && in.Op != FnVProj {
+		return in.span
+	}
+	return &bound{versions: c.Name == FnVProj, from: c.Args[1], to: c.Args[2]}
 }
 
-// Constant reports that the call's bound, if any, is the same at every
+// Distributes reports that call c, an intrinsic's, maps each version it
+// reads or is given on its own under its bound, if any: an interval, or
+// the version range #[1,last], which keeps every version. Any other range
+// numbers the versions of its whole input.
+func Distributes(c *xq.Call) bool {
+	b := boundOf(c)
+	return b == nil || !b.versions || keepsAllVersions(b.from, b.to)
+}
+
+// Constant reports that call c's bound, if any, is the same at every
 // evaluation: its ends are literals and arithmetic.
-func (in *Intrinsic) Constant() bool {
-	return in.span == nil || ConstantExpr(in.span.from) && ConstantExpr(in.span.to)
+func Constant(c *xq.Call) bool {
+	b := boundOf(c)
+	return b == nil || constantExpr(b.from) && constantExpr(b.to)
 }
 
-// KeepsAllVersions reports the version range #[1,last], its ends in a
+// keepsAllVersions reports the version range #[1,last], its ends in a
 // projection call's form: what keeps every version.
-func KeepsAllVersions(from, to xq.Expr) bool {
+func keepsAllVersions(from, to xq.Expr) bool {
 	f, ok1 := from.(*xq.Literal)
 	t, ok2 := to.(*xq.Literal)
 	return ok1 && ok2 && f.Val == 1.0 && t.Val == "last"

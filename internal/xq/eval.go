@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -466,7 +465,7 @@ func stepMatches(dst Sequence, n *xmldom.Node, step Step, resolve temporal.HoleR
 		for _, c := range n.Children {
 			switch {
 			case c.Type != xmldom.ElementNode:
-			case c.Name == "hole":
+			case fragment.IsHole(c):
 				for _, f := range holeFillers(c, resolve) {
 					if step.Name == "*" || f.Name == step.Name {
 						dst = append(dst, f)
@@ -528,7 +527,7 @@ func eachElementChild(n *xmldom.Node, resolve temporal.HoleResolver, visit func(
 		if c.Type != xmldom.ElementNode {
 			continue
 		}
-		if c.Name != "hole" {
+		if !fragment.IsHole(c) {
 			visit(c)
 			continue
 		}
@@ -544,10 +543,8 @@ func holeFillers(hole *xmldom.Node, resolve temporal.HoleResolver) []*xmldom.Nod
 	if resolve == nil {
 		return nil
 	}
-	if idStr, ok := hole.Attr("id"); ok {
-		if id, err := strconv.Atoi(idStr); err == nil {
-			return resolve(id)
-		}
+	if id, err := fragment.HoleID(hole); err == nil {
+		return resolve(id)
 	}
 	return nil
 }
@@ -1425,12 +1422,21 @@ func evalTimeEndpoint(e Expr, ctx *Context) (xtime.DateTime, error) {
 		return xtime.DateTime{}, err
 	}
 	defer ctx.Static.give(lent)
-	if len(v) == 0 {
-		return xtime.DateTime{}, fmt.Errorf("xq: empty interval endpoint %s", e.String())
+	return TimeEndpoint(v)
+}
+
+// TimeEndpoint is an end of an interval projection e?[a,b], seq its value:
+// its first item, atomized, as a dateTime. Every plan takes a projection's
+// ends here and in VersionEndpoint, whether the evaluator, a projection
+// call or a read under a lifespan bound applies it.
+func TimeEndpoint(seq Sequence) (xtime.DateTime, error) {
+	if len(seq) == 0 {
+		return xtime.DateTime{}, fmt.Errorf("xq: empty interval endpoint")
 	}
-	dt, ok := DateTimeValue(v[0])
+	it := AtomizeFirst(seq)
+	dt, ok := DateTimeValue(it)
 	if !ok {
-		return xtime.DateTime{}, fmt.Errorf("xq: interval endpoint %s is not a dateTime", e.String())
+		return xtime.DateTime{}, fmt.Errorf("xq: interval endpoint %q is not a dateTime", StringValue(it))
 	}
 	return dt, nil
 }
@@ -1469,12 +1475,23 @@ func evalVersionEndpoint(e Expr, ctx *Context) (int, bool, error) {
 		return 0, false, err
 	}
 	defer ctx.Static.give(lent)
-	if len(v) == 0 {
-		return 0, false, fmt.Errorf("xq: empty version endpoint %s", e.String())
+	return VersionEndpoint(v)
+}
+
+// VersionEndpoint is an end of a version projection e#[i,j], seq its
+// value: its first item, atomized, as a version number, or the last
+// version for the string "last" (last reports it).
+func VersionEndpoint(seq Sequence) (n int, last bool, err error) {
+	if len(seq) == 0 {
+		return 0, false, fmt.Errorf("xq: empty version endpoint")
 	}
-	n := NumberValue(v[0])
-	if math.IsNaN(n) {
-		return 0, false, fmt.Errorf("xq: version endpoint %s is not a number", e.String())
+	it := AtomizeFirst(seq)
+	if s, ok := it.(string); ok && s == "last" {
+		return 0, true, nil
 	}
-	return int(n), false, nil
+	f := NumberValue(it)
+	if math.IsNaN(f) {
+		return 0, false, fmt.Errorf("xq: version endpoint %q is not a number", StringValue(it))
+	}
+	return int(f), false, nil
 }
