@@ -142,7 +142,10 @@ trace-smoke:
 # credit stream has a ceiling too: losing per-binding decomposition or
 # window-expiry scheduling costs many times as much, losing a unit's
 # per-version memo or its per-child terms three to four times, and more with
-# every charge (a check holds one charge flat from 250 to 1 000 charges in). The wire codec's ceilings hold allocations and bytes alike —
+# every charge (a check holds one charge flat from 250 to 1 000 charges in);
+# so has one charge of the standing filter query: a unit that reads its
+# versions stamped where nothing in its body observes a stamp exceeds both
+# ceilings. The wire codec's ceilings hold allocations and bytes alike —
 # decoding one transaction frame and one thirty-hole account frame, the
 # account's re-announcement as a delta frame (decoded, and decoded and
 # read), Publish up to the wire bytes and a segment store's append — since

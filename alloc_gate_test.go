@@ -236,14 +236,16 @@ func TestAllocationCeiling(t *testing.T) {
 
 	// The standing fraud query on a re-announced credit stream, 250
 	// charges in (bench/e2e's standing-window shape): one charge — the
-	// account's re-announcement, then the transaction — re-runs three
-	// versions of the charged account and nothing else — the new version
-	// and the one whose lifespan it closes, then the version announcing the
-	// transaction —, each folding the sum from its transactions' kept
-	// terms, of which the charge evaluates two (the new transaction's, empty
-	// on the re-announcement, full on its arrival), each one bare read under
-	// the window's lifespan bound and its /amount: 45 allocations averaged
-	// over the next two rounds of the twenty accounts (74 while each term
+	// account's re-announcement, then the transaction — re-runs two
+	// versions of the charged account and nothing else — the new version,
+	// then the version announcing the transaction; the one whose lifespan
+	// the new version closes keeps its output, which observes no stamp —,
+	// each read bare and folding the sum from its transactions' kept terms,
+	// of which the charge evaluates two (the new transaction's, empty on the
+	// re-announcement, full on its arrival), each one bare read under the
+	// window's lifespan bound and its /amount: 32 allocations averaged over
+	// the next two rounds of the twenty accounts (45 while the unit read its
+	// versions stamped and re-ran the closed one; 74 while each term
 	// read the transaction stamped and then projected it to the window,
 	// formatting both ends of its clipped lifespan to compare them; 310 while every
 	// re-run re-crossed, re-projected and re-summed every transaction the
@@ -265,11 +267,20 @@ func TestAllocationCeiling(t *testing.T) {
 	// (a charge that leaves re-runs every version holding it, memo or no
 	// memo), the same charge 1 000 charges in must cost within a fifth of
 	// what it costs 250 in.
-	const fraudCeiling = 52
+	const fraudCeiling = 37
 	got := fraudChargeAllocs(t, 250, 10*time.Second)
 	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
 	if got > fraudCeiling {
 		t.Errorf("fraud/incremental: %.0f allocs per charge, ceiling %d", got, fraudCeiling)
+	}
+	// The standing filter query on the same stream: a charge runs the one
+	// unit of its transaction, whose pushed filter keeps it, and reads it
+	// bare: 10 allocations (13 while the unit read its version stamped).
+	const filterCeiling = 11
+	got = chargeAllocs(t, creditQueries[1].src, "1 piece (per-binding on transaction)", 250, 10*time.Second)
+	t.Logf("filter/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, filterCeiling)
+	if got > filterCeiling {
+		t.Errorf("filter/incremental: %.0f allocs per charge, ceiling %d", got, filterCeiling)
 	}
 	shallow, deep := fraudChargeAllocs(t, 250, time.Second), fraudChargeAllocs(t, 1000, time.Second)
 	t.Logf("fraud/incremental, one charge a second: %.0f allocs/charge 250 charges in, %.0f 1 000 in", shallow, deep)
@@ -283,9 +294,18 @@ func TestAllocationCeiling(t *testing.T) {
 // in, averaged over the next two rounds of the twenty accounts.
 func fraudChargeAllocs(t *testing.T, events int, every time.Duration) float64 {
 	t.Helper()
-	cs := newCreditStanding(t, creditQueries[2].src, events, every)
-	if s := cs.reg.Strategy(); s != "1 piece (per-binding on account; sum folded over transaction terms)" {
-		t.Fatalf("fraud/incremental: strategy %s", s)
+	return chargeAllocs(t, creditQueries[2].src, "1 piece (per-binding on account; sum folded over transaction terms)", events, every)
+}
+
+// chargeAllocs is what one charge of the standing query src, whose
+// strategy must be strategy, costs on a re-announced credit stream charged
+// `every` apart, `events` charges in, averaged over the next two rounds of
+// the twenty accounts.
+func chargeAllocs(t *testing.T, src, strategy string, events int, every time.Duration) float64 {
+	t.Helper()
+	cs := newCreditStanding(t, src, events, every)
+	if s := cs.reg.Strategy(); s != strategy {
+		t.Fatalf("%s: strategy %s, want %s", src, s, strategy)
 	}
 	charges := cs.charges(41)
 	next := 0

@@ -638,10 +638,11 @@ func BenchmarkHistory(b *testing.B) {
 // The reannounce rows are the stream a publisher sends (creditStanding):
 // one operation is one charge — the account's re-announcement and the
 // transaction, each ingested and evaluated — on twenty accounts with
-// `events` charges behind them. The engine re-runs three versions
-// of the charged account (fraud) — on the re-announcement the new one and
-// the one whose lifespan it closes, on the transaction the one announcing
-// it —, the one transaction (filter, pass-through), and nothing for the
+// `events` charges behind them. The engine re-runs two versions of the
+// charged account (fraud) — on the re-announcement the new one (the one
+// whose lifespan it closes keeps its output, which reads no stamp), on the
+// transaction the one announcing it —, the one transaction (filter,
+// pass-through), and nothing for the
 // clock moving on until a charge leaves the window, when it re-runs the
 // versions holding that charge. What is left grows with the holes of the
 // account's latest versions, which each re-run crosses — linearly in that

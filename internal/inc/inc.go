@@ -27,7 +27,8 @@
 // ancestors, independent of store size. The same layers distribute over a
 // filler's versions, so a unit keeps its output cut by version and re-runs
 // only the versions an arrival changed: a re-announced parent costs its
-// new version and the one whose lifespan it closes, not its history. And
+// new version — and the one whose lifespan it closes, when the body
+// observes a stamp — not its history. And
 // an aggregate over a child step distributes over the children: a re-run
 // version folds the per-child terms the engine keeps (fold.go) instead of
 // re-crossing its holes.
@@ -84,6 +85,11 @@ type piece struct {
 	// expr runs as it stands; folds says which, for Strategy.
 	folded xq.Expr
 	folds  []string
+	// bare says that nothing the body runs observes the stamps of the
+	// versions an indexed unit reads (xcql.UnitBare): the read builds no
+	// top, and a version keeps its output when only its lifespan's end
+	// moved (planRerun).
+	bare bool
 }
 
 // body is the expression the piece's units evaluate.
@@ -477,6 +483,7 @@ func (e *Engine) decompose() []*piece {
 			}
 			p.expr = body(own)
 			e.fold(p)
+			p.bare = xcql.UnitBare(p.body())
 		} else {
 			p.expr = body(x)
 			p.deps = e.dependencies(p.expr)
@@ -603,7 +610,7 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 			d.rooted = true
 			broad("reads stream(%q) as a whole", t.Name)
 		case *xq.ElemCtor:
-			if t.NameExpr != nil || t.Name == "hole" {
+			if t.NameExpr != nil || t.Name == fragment.HoleTag {
 				broad("may construct a hole")
 			}
 		case *xq.Literal, *xq.SeqExpr, *xq.Path, *xq.Filter, *xq.BinOp, *xq.Unary,
@@ -1106,7 +1113,7 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 		}
 	}
 	if !p.indexed() {
-		seq, horizon, err := e.frame.Eval(p.body(), nil, 0, nil, nil, at, lim, stats, !e.countMode)
+		seq, horizon, err := e.frame.Eval(p.body(), nil, 0, nil, false, nil, at, lim, stats, !e.countMode)
 		if err != nil {
 			return unitResult{}, err
 		}
@@ -1127,15 +1134,15 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 		vs = vs[:n]
 		if memo == nil && n < 2 {
 			// one version: nothing to keep apart
-			seq, horizon, err := e.frame.Eval(p.body(), e.store, k.fid, nil, nil, at, lim, stats, !e.countMode)
+			seq, horizon, err := e.frame.Eval(p.body(), e.store, k.fid, nil, p.bare, nil, at, lim, stats, !e.countMode)
 			if err != nil {
 				return unitResult{}, err
 			}
 			e.reran += n
 			return e.result(seq, horizon), nil
 		}
-		e.planRerun(vs, memo, prev, at)
-		_, _, err := e.frame.Eval(p.body(), e.store, k.fid, e.keep, e.each, at, lim, stats, !e.countMode)
+		e.planRerun(vs, memo, prev, at, p.bare)
+		_, _, err := e.frame.Eval(p.body(), e.store, k.fid, e.keep, p.bare, e.each, at, lim, stats, !e.countMode)
 		e.reran += len(r.ends)
 		if err != nil {
 			return unitResult{}, err
@@ -1213,10 +1220,13 @@ func (r *versionRun) reset() {
 // the next version's validTime, or now), the span's horizon is ahead of a
 // clock that moved, and its payload holds none of the holes the arrival
 // reached it through: these are everything a version's output depends on.
-// memo's versions are a subsequence of vs — the store only inserts — and
-// are matched in order, so a version stored mid-history re-runs with the
-// one whose lifespan it closes, and no other.
-func (e *Engine) planRerun(vs []*fragment.Fragment, memo *versionMemo, prev *unit, at time.Time) {
+// A bare unit's body (piece.bare) observes no stamp, so its versions'
+// outputs cannot depend on where their lifespans end, and their ends are
+// not compared. memo's versions are a subsequence of vs — the store only
+// inserts — and are matched in order, so a version stored mid-history
+// re-runs with the one whose lifespan it closes, and no other — or, bare,
+// alone.
+func (e *Engine) planRerun(vs []*fragment.Fragment, memo *versionMemo, prev *unit, at time.Time, bare bool) {
 	r := &e.run
 	var spans []versionSpan
 	if memo != nil {
@@ -1233,7 +1243,7 @@ func (e *Engine) planRerun(vs []*fragment.Fragment, memo *versionMemo, prev *uni
 		keep := -1
 		if j < len(spans) && spans[j].v == v {
 			next := i+1 < len(vs)
-			sameEnd := next == (j+1 < len(spans)) && (!next || vs[i+1].ValidTime.Equal(spans[j+1].v.ValidTime))
+			sameEnd := bare || next == (j+1 < len(spans)) && (!next || vs[i+1].ValidTime.Equal(spans[j+1].v.ValidTime))
 			h := spans[j].horizon()
 			due := moved && !h.IsZero() && !h.After(at)
 			if sameEnd && !due && (len(r.holes) == 0 || !holdsHole(v, r.holes)) {

@@ -87,6 +87,24 @@ func markBare(plan xq.Expr) {
 	}
 }
 
+// UnitBare reports that body, an incremental unit's (UnitEval.Eval),
+// observes no lifespan stamp of the versions bound to $UnitVar, so that its
+// read may hand out bare tops: markBare's rule with $UnitVar a for
+// variable. The filter on $UnitVar that stands for a jump's pushed filter
+// never reads a stamp (pushable); a projection of $UnitVar that stands for
+// its lifespan bound observes, as a projection does. A fold call crosses
+// the holes of its nodes as the xcql:fillers call it replaces. The marks
+// of body's own access calls are markBare's and are left as they are.
+func UnitBare(body xq.Expr) bool {
+	if !bareReads {
+		return false
+	}
+	unit := &binding{}
+	m := bareMarker{scope: []scoped{{UnitVar, unit}}}
+	m.walk(body, use{})
+	return !unit.observed
+}
+
 // bare reports that access call in, consumed as its uses say, may return
 // bare tops.
 func (m *bareMarker) bare(in *Intrinsic) bool {
@@ -127,12 +145,13 @@ func (m *bareMarker) walk(e xq.Expr, u use) {
 			return
 		}
 	case *xq.Call:
-		in := readCall(ex)
-		if in != nil {
+		in := IntrinsicOf(ex)
+		if readCall(ex) != nil {
 			m.uses = append(m.uses, callUse{in, u})
 		}
+		crosses := in != nil && (in.Op == FnFillers || in.Op == FnFold)
 		for _, a := range ex.Args {
-			m.walk(a, use{nav: in != nil && in.Op == FnFillers})
+			m.walk(a, use{nav: crosses})
 		}
 		if in != nil && in.each != nil {
 			// a per-parent list is the child step's predicates, which may
@@ -191,7 +210,13 @@ func (m *bareMarker) walk(e xq.Expr, u use) {
 	case *xq.SeqExpr:
 		m.walkAll(ex.Items)
 	case *xq.Filter:
-		m.walk(ex.Base, use{})
+		if v, ok := ex.Base.(*xq.VarRef); ok && v.Name == UnitVar {
+			// a jump's pushed filter over a unit's versions (UnitBare):
+			// what it keeps is consumed as the filter is
+			m.walk(ex.Base, u)
+		} else {
+			m.walk(ex.Base, use{})
+		}
 		m.walkAll(ex.Preds)
 	case *xq.BinOp:
 		m.walk(ex.L, use{})

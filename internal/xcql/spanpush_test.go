@@ -104,7 +104,7 @@ func TestSpanPushdownMatchesProjection(t *testing.T) {
 						}
 						u := q.NewUnitEval()
 						for _, at := range ins.Instants {
-							seq, until, err := u.Eval(q.Plan, nil, 0, nil, nil, at, xcql.Limits{}, nil, true)
+							seq, until, err := u.Eval(q.Plan, nil, 0, nil, false, nil, at, xcql.Limits{}, nil, true)
 							results[i] = append(results[i], fmt.Sprintf("%s%v\nuntil %s", serialize(seq), err, until.Format(xtime.Layout)))
 						}
 					}

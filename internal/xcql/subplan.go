@@ -88,7 +88,10 @@ func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
 // $UnitVar is bound to the versions of filler fid that keep lets through
 // (nil keeps all), read through the plan's access path and charged the way
 // a full evaluation charges the same fetch — the by-tsid read, one filler
-// at a time, every visible version examined whatever keep turns away.
+// at a time, every visible version examined whatever keep turns away. With
+// bare set the read hands out the versions' stored payloads, as a full
+// evaluation's read marked Bare does, and is charged the bytes of the
+// stamped tops all the same: it is for a body UnitBare clears.
 // materialize runs the final hole-filling Materialize step on the result,
 // as Query.Eval does.
 //
@@ -112,7 +115,7 @@ func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
 // step/byte/deadline-bounded by lim. Everything an evaluation leaves in
 // the frame — a budget trip's panic included — the next one's arming
 // overwrites.
-func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, each func(xq.Sequence, time.Time),
+func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, bare bool, each func(xq.Sequence, time.Time),
 	at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	q, static := u.q, u.static
 	u.arm(at, lim, stats)
@@ -126,8 +129,8 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 	if st != nil {
 		// the budget meters the unit's own read as it meters the by-tsid
 		// read of a full evaluation
-		els, _ := static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fid, Keep: keep})
-		if bound, err = chargeNodes(&u.budget, els, 0); err != nil {
+		els, g := static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fid, Keep: keep, Bare: bare})
+		if bound, err = chargeNodes(&u.budget, els, g.Stamps); err != nil {
 			return nil, time.Time{}, q.wrapResource(err)
 		}
 	}

@@ -3,6 +3,7 @@ package xcql_test
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,24 +79,36 @@ func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment
 }
 
 // registrySpecs builds the overlapping registration set for one
-// instance: every generated query enters twice under a rotating plan,
-// then the set is padded with duplicate registrations (cycling queries
-// and plans) up to n — the duplicates are what force engine sharing and
-// cross-query unit sharing inside one group.
-func registrySpecs(ins *genstore.Instance, n int) []regSpec {
+// instance: every generated query, from the start-th on and wrapping
+// round, enters twice under a rotating plan, then the set is padded with
+// duplicate registrations (cycling queries and plans) up to n — the
+// duplicates are what force engine sharing and cross-query unit sharing
+// inside one group. A set holds at most n/2 distinct queries, fewer than
+// an instance generates, so each instance starts where the one before
+// stopped (start), and every query shape is registered under some seed.
+func registrySpecs(ins *genstore.Instance, n, start int) []regSpec {
+	query := func(j int) genstore.Query { return ins.Queries[(start+j)%len(ins.Queries)] }
 	var specs []regSpec
-	for j, q := range ins.Queries {
-		mode := harnessModes[j%len(harnessModes)]
+	for j := range ins.Queries {
+		q, mode := query(j), harnessModes[j%len(harnessModes)]
 		specs = append(specs, regSpec{src: q.Src, mode: mode}, regSpec{src: q.Src, mode: mode})
 	}
 	for j := 0; len(specs) < n; j++ {
-		q := ins.Queries[j%len(ins.Queries)]
-		specs = append(specs, regSpec{src: q.Src, mode: harnessModes[(j/2)%len(harnessModes)]})
+		specs = append(specs, regSpec{src: query(j).Src, mode: harnessModes[(j/2)%len(harnessModes)]})
 	}
 	if len(specs) > n {
 		specs = specs[:n]
 	}
 	return specs
+}
+
+// queryShape is a generated query's name without the tag it was made for:
+// "each-first-span2" is of the shape "each-first".
+func queryShape(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i > 0 && strings.ContainsAny(name[len(name)-1:], "0123456789") {
+		return name[:i]
+	}
+	return name
 }
 
 // TestSharedMemoSurvivesChurn: two incremental registrations whose plans
@@ -200,7 +213,8 @@ func TestRegistryEquivalence(t *testing.T) {
 	}
 	// registration-count schedule: cycles the required N=2..32 band
 	nSchedule := []int{2, 6, 12, 32, 8, 16, 4, 24}
-	pairs, inst := 0, 0
+	pairs, inst, start := 0, 0, 0
+	shapes := make(map[string]bool) // generated shapes, true once registered
 	for seed := int64(1); pairs < minPairs; seed++ {
 		if seed > 100 {
 			t.Fatalf("generator exhausted 100 seeds with only %d pairs", pairs)
@@ -212,7 +226,8 @@ func TestRegistryEquivalence(t *testing.T) {
 			}
 			n := nSchedule[inst%len(nSchedule)]
 			inst++
-			specs := registrySpecs(ins, n)
+			specs := registrySpecs(ins, n, start)
+			start += n / 2
 			traces := replayRegistry(t, ins, ins.Fragments, specs)
 			// oracle replays are cached per distinct query and plan: every
 			// registration of it must match the one independent baseline
@@ -230,10 +245,18 @@ func TestRegistryEquivalence(t *testing.T) {
 				}
 				verified[spec.src] = true
 			}
+			for _, q := range ins.Queries {
+				shapes[queryShape(q.Name)] = shapes[queryShape(q.Name)] || verified[q.Src]
+			}
 			// a pair counts only when the instance's replay actually
 			// verified that query (small N truncates the spec list)
 			pairs += len(verified)
 		}
 	}
-	t.Logf("verified %d registry store/query pairs (%d registry replays)", pairs, inst)
+	t.Logf("verified %d registry store/query pairs (%d registry replays), %d query shapes", pairs, inst, len(shapes))
+	for shape, registered := range shapes {
+		if !registered {
+			t.Errorf("no instance registered a query of the shape %s", shape)
+		}
+	}
 }
