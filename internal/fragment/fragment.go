@@ -96,9 +96,10 @@ type Fragment struct {
 	// (New, FromXML). It is immutable from the moment the fragment is
 	// built: stores, indexes and query results all share its
 	// subtrees, so nobody — not even the publisher that built it — may
-	// write it afterwards. Clone it to get a tree to change. A fragment
-	// decoded from a frame leaves it nil and builds its payload when
-	// something first reads it: Tree reads either kind.
+	// write it afterwards. Clone it to get a tree to change. A version a
+	// store built over its predecessor (Store.Add) holds its tree here. A
+	// fragment decoded from a frame leaves it nil and builds its payload
+	// when something first reads it: Tree reads either kind.
 	Payload *xmldom.Node
 
 	// enc is the fragment's wire form, or the frame it was decoded from
@@ -108,12 +109,14 @@ type Fragment struct {
 
 // encoding is what a fragment carries besides its stamps and Payload, in
 // the two words of a string: nothing; the bytes of its wire form, which
-// Sealed renders (n > 0); or, on a fragment decoded from a frame, its lazy
-// state (n < 0). A fragment built in memory — and every copy a publish
-// makes of one — is thus no larger for what a decoded fragment keeps.
+// Sealed renders (n > 0); on a fragment decoded from a frame, its lazy
+// state (decodedWire, decodedOnly); or, on a version a store built in
+// memory over its predecessor (storedOver), its link (builtOver). A
+// fragment built in memory — and every copy a publish makes of one — is
+// thus no larger for what a decoded or linked fragment keeps.
 type encoding struct {
-	p unsafe.Pointer // the wire form's first byte, or the *lazy
-	n int            // the wire form's length, or decodedWire or decodedOnly
+	p unsafe.Pointer // the wire form's first byte, the *lazy or the *linkedVersion
+	n int            // the wire form's length, or decodedWire, decodedOnly or builtOver
 }
 
 const (
@@ -123,6 +126,9 @@ const (
 	// restamped it, or it was parsed from text that need not be a wire
 	// form — so the fragment has no wire form.
 	decodedOnly = -2
+	// builtOver: p is the linkedVersion of a version built in memory over
+	// its predecessor (storedOver); its payload is Payload.
+	builtOver = -3
 )
 
 // sealed is the encoding of a fragment whose wire form is wire.
@@ -143,17 +149,20 @@ func (e encoding) wire() string {
 
 // lazy returns a decoded fragment's state, nil for one built in memory.
 func (e encoding) lazy() *lazy {
-	if e.n < 0 {
+	if e.n == decodedWire || e.n == decodedOnly {
 		return (*lazy)(e.p)
 	}
 	return nil
 }
 
 // restamped is the encoding of a copy with other stamps: the decoded state
-// without a wire form, or nothing.
+// without a wire form, the link, which names no stamp, or nothing.
 func (e encoding) restamped() encoding {
-	if e.n < 0 {
+	switch e.n {
+	case decodedWire, decodedOnly:
 		return encoding{e.p, decodedOnly}
+	case builtOver:
+		return e
 	}
 	return encoding{}
 }
@@ -190,14 +199,33 @@ type lazy struct {
 	link atomic.Pointer[link]
 }
 
-// link is what linking a delta frame to its predecessor makes of it,
-// whole before anyone sees it.
+// link is what a version extending its predecessor records of it — a
+// delta frame once linked, or a version a store built in memory over the
+// one before (storedOver) —, whole before anyone sees it.
 type link struct {
 	prev *Fragment
-	// holes is the whole hole list: prev's, then the frame's own, a prefix
-	// of run's array.
+	// holes is the whole hole list: prev's, then the version's own, a
+	// prefix of run's array.
 	holes string
 	run   *holeRun
+}
+
+// linked returns the link of a version linked to the one it extends,
+// how many of that one's payload children it keeps, and its own hole
+// pairs — those of its appended children; a list that is not whole pairs
+// says a number did not fit, and the tree is asked. It returns nil for a
+// version with no link.
+func (f *Fragment) linked() (l *link, kept int, own string) {
+	if f.enc.n == builtOver {
+		v := (*linkedVersion)(f.enc.p)
+		return &v.l, v.kept, v.own
+	}
+	if lz := f.enc.lazy(); lz != nil && lz.delta() {
+		if l := lz.link.Load(); l != nil {
+			return l, int(lz.kept), lz.holes
+		}
+	}
+	return nil, 0, ""
 }
 
 // delta reports whether the state is a delta frame's.
@@ -476,12 +504,111 @@ func (f *Fragment) linkTo(prev *Fragment) error {
 	if lz.link.Load() != nil {
 		return nil
 	}
-	l := &link{prev: prev, holes: "?"} // not whole pairs: EachHole asks the tree
-	if holes, r := prevHoles(prev); len(holes)%8 == 0 && len(lz.holes)%8 == 0 {
-		l.holes, l.run = extend(r, holes, lz.holes)
-	}
+	l := &link{prev: prev}
+	l.chain(prev, lz.holes)
 	lz.link.CompareAndSwap(nil, l) // a racing link of the same frame to the same version may win
 	return nil
+}
+
+// chain makes l's hole list prev's followed by own, the version's own
+// pairs, on prev's run where it can, or a list that is not whole pairs
+// ("?": EachHole asks the tree) when either is not.
+func (l *link) chain(prev *Fragment, own string) {
+	l.holes = "?"
+	if holes, r := prevHoles(prev); len(holes)%8 == 0 && len(own)%8 == 0 {
+		l.holes, l.run = extend(r, holes, own)
+	}
+}
+
+// linkedVersion is a version a store built in memory over its predecessor:
+// the fragment, its link, how many of the predecessor's children it keeps,
+// its own hole pairs (as lazy.holes keeps a delta's) and its payload's top.
+type linkedVersion struct {
+	Fragment
+	l    link
+	kept int
+	own  string
+	top  xmldom.Node
+}
+
+// versionArena is what a store carves the versions it builds in memory
+// from (storedOver): arrays sized for many versions, each version one
+// element of the first and its child list a capacity-clipped window of the
+// second, so that storing a re-announcement allocates nothing of its own
+// on most Adds. A store never drops a version it holds but a duplicate
+// (Coalesce), so an array lives as long as the versions carved from it
+// would.
+type versionArena struct {
+	versions []linkedVersion
+	kids     []*xmldom.Node
+}
+
+func (a *versionArena) version() *linkedVersion {
+	if len(a.versions) == cap(a.versions) {
+		a.versions = make([]linkedVersion, 0, 64)
+	}
+	a.versions = a.versions[:len(a.versions)+1]
+	return &a.versions[len(a.versions)-1]
+}
+
+func (a *versionArena) children(n int) []*xmldom.Node {
+	if cap(a.kids)-len(a.kids) < n {
+		a.kids = make([]*xmldom.Node, 0, max(4096, 8*n))
+	}
+	from := len(a.kids)
+	a.kids = a.kids[:from+n]
+	return a.kids[from : from+n : from+n]
+}
+
+// storedOver returns what a store keeps of f, built in memory, when prev is
+// its filler's newest stored version and given the fragment prev was added
+// as (Store.added): prev itself, or the payload a version the store built
+// over its predecessor was built from, whose tree equals prev's. When f's
+// payload extends given's (extends, the test SealedOver seals a delta by),
+// it is a new fragment linked to prev as a delta decoded over prev is: it
+// records prev, how many of prev's children it keeps and its hole list —
+// prev's, then its appended children's, on prev's run —, and its payload
+// holds prev's childless holes themselves, as lazy.over shares them, and
+// f's other children. Its stamps are f's, and its String is f's full form.
+// f itself, which a publisher may hand to several stores, is not written.
+// Otherwise it returns f. The new version is carved from a.
+func (f *Fragment) storedOver(prev, given *Fragment, a *versionArena) *Fragment {
+	kept, ok := f.extends(given)
+	if !ok {
+		return f
+	}
+	p, b := f.Tree(), prev.Tree()
+	kids := a.children(len(p.Children))
+	for i, c := range p.Children {
+		// a kept child equals prev's (extends): f's own tells whether
+		// prev's is a childless hole, and prev's is not read
+		if i < kept && sharedHole(c) {
+			c = b.Children[i]
+		}
+		kids[i] = c
+	}
+	v := a.version()
+	v.Fragment = *f
+	v.top = xmldom.Node{Type: p.Type, Name: p.Name, Attrs: b.Attrs, Children: kids}
+	v.Payload = &v.top
+	var buf [8 * 8]byte
+	own, fits := buf[:0], true
+	for _, c := range p.Children[kept:] {
+		treeHoles(c, func(id, tsid int) bool {
+			own, fits = appendHole(own, id, tsid, fits)
+			return true
+		})
+	}
+	v.l, v.kept, v.own = link{prev: prev}, kept, "?"
+	if fits {
+		// chain copies the pairs out of buf
+		v.l.chain(prev, unsafe.String(unsafe.SliceData(own), len(own)))
+		if len(v.l.holes)%8 == 0 {
+			v.own = v.l.holes[len(v.l.holes)-len(own):]
+		}
+	}
+	v.enc = encoding{unsafe.Pointer(v), builtOver}
+	return &v.Fragment
 }
 
 // extends reports whether prev is the version the delta f extends.
@@ -507,10 +634,9 @@ func (lz *lazy) extends(f, prev *Fragment) bool {
 // prevHoles returns a version's hole list as lazy.holes keeps it, and the
 // run it is a prefix of.
 func prevHoles(prev *Fragment) (string, *holeRun) {
-	if b := prev.enc.lazy(); b != nil && b.delta() {
-		l := b.link.Load()
+	if l, _, _ := prev.linked(); l != nil {
 		return l.holes, l.run
-	} else if b != nil {
+	} else if b := prev.enc.lazy(); b != nil {
 		return b.holes, nil
 	}
 	var pairs []byte
@@ -580,14 +706,14 @@ func (f *Fragment) IsDelta() bool {
 	return lz != nil && lz.delta()
 }
 
-// Predecessor returns, for a fragment decoded from a delta frame and
-// linked, the version it extends and how many of that version's payload
-// children it keeps before its own; nil and 0 otherwise.
+// Predecessor returns, for a version linked to the one it extends — a
+// delta frame a store or Chains linked, or a version a store built in
+// memory over its filler's newest (Store.Add) —, that version and how
+// many of its payload children the version keeps before its own; nil and
+// 0 otherwise.
 func (f *Fragment) Predecessor() (*Fragment, int) {
-	if lz := f.enc.lazy(); lz != nil && lz.delta() {
-		if l := lz.link.Load(); l != nil {
-			return l.prev, int(lz.kept)
-		}
+	if l, kept, _ := f.linked(); l != nil {
+		return l.prev, kept
 	}
 	return nil, 0
 }
@@ -595,47 +721,52 @@ func (f *Fragment) Predecessor() (*Fragment, int) {
 // EachHole calls yield with the id and tsid of every hole f's payload
 // announces, in document order, until yield returns false: a hole's own
 // content is not searched, a hole whose id does not parse is skipped, and
-// one without a tsid that parses has tsid 0. A decoded fragment answers
-// from what its decode collected, and builds nothing; an unlinked delta
-// announces none.
+// one without a tsid that parses has tsid 0. A decoded or linked fragment
+// answers from the list its decode or link collected, and builds nothing;
+// an unlinked delta announces none.
 func (f *Fragment) EachHole(yield func(id, tsid int) bool) {
-	if lz := f.enc.lazy(); lz != nil {
-		holes := lz.holes
-		if lz.delta() {
-			l := lz.link.Load()
-			if l == nil {
-				return
-			}
-			holes = l.holes
+	l, _, _ := f.linked()
+	lz := f.enc.lazy()
+	switch {
+	case l != nil && eachPair(l.holes, yield):
+	case l == nil && lz != nil && lz.delta(): // unlinked
+	case l == nil && lz != nil && eachPair(lz.holes, yield):
+	default:
+		if p := f.Tree(); p != nil {
+			treeHoles(p, yield)
 		}
-		if len(holes)%8 != 0 {
-			treeHoles(f.Tree(), yield)
-			return
-		}
-		for h := holes; h != ""; h = h[8:] {
-			if !yield(int(int32(le32(h))), int(int32(le32(h[4:])))) {
-				return
-			}
-		}
-		return
-	}
-	if p := f.Tree(); p != nil {
-		treeHoles(p, yield)
 	}
 }
 
-// EachNewHole calls yield with the id and tsid of every hole a linked
-// delta announces beyond the ones its predecessor does — those of its
-// appended children, the frame's own pairs — in document order, until
-// yield returns false, and reports true. For anything else (a full form,
-// an unlinked delta, a frame whose pairs did not fit in its list) it
-// yields nothing and reports false, and the caller asks EachHole.
-func (f *Fragment) EachNewHole(yield func(id, tsid int) bool) bool {
-	lz := f.enc.lazy()
-	if lz == nil || !lz.delta() || lz.link.Load() == nil || len(lz.holes)%8 != 0 {
+// EachNewHole calls yield with the id and tsid of every hole f announces
+// beyond the ones its predecessor (Predecessor) does, in document order,
+// until yield returns false: for a linked version, those of its appended
+// children — from its own pairs, or, when a number did not fit in them,
+// from its tree —; for a version with none, every hole EachHole yields.
+func (f *Fragment) EachNewHole(yield func(id, tsid int) bool) {
+	l, kept, own := f.linked()
+	if l == nil {
+		f.EachHole(yield)
+		return
+	}
+	if eachPair(own, yield) {
+		return
+	}
+	for _, c := range f.Tree().Children[kept:] {
+		if !treeHoles(c, yield) {
+			return
+		}
+	}
+}
+
+// eachPair calls yield with each (id, tsid) pair of a hole list as
+// lazy.holes keeps it, until yield returns false, and reports true; when
+// the list is not whole pairs it yields nothing and reports false.
+func eachPair(holes string, yield func(id, tsid int) bool) bool {
+	if len(holes)%8 != 0 {
 		return false
 	}
-	for h := lz.holes; h != ""; h = h[8:] {
+	for h := holes; h != ""; h = h[8:] {
 		if !yield(int(int32(le32(h))), int(int32(le32(h[4:])))) {
 			break
 		}

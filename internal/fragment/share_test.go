@@ -15,10 +15,10 @@ import (
 )
 
 // decodedVersionsCeiling bounds what the trees of sharedVersions
-// re-announced account versions hold (treeBytes): 17 640 B on
-// linux/amd64 with each version holding the one before's hole nodes, and
-// 83 760 B with a hole element of their own per hole, as the full
-// forms build them.
+// re-announced account versions hold (treeBytes), decoded or added in
+// memory: 17 640 B decoded on linux/amd64 with each version holding the one
+// before's hole nodes, and 83 760 B with a hole element of their own per
+// hole, as the full forms build them.
 const (
 	sharedVersions         = 30
 	decodedVersionsCeiling = 18_500
@@ -50,7 +50,9 @@ func readAll(t *testing.T, st *fragment.Store, fid int, at time.Time) {
 // the one before — and decoded as a client receives it, builds each hole
 // once: version k's tree holds version k−1's hole nodes, records version
 // k−1 as its predecessor, and is the tree a fresh parse of the version's
-// full form builds. A version that does not extend the one before (a reordered
+// full form builds. The publisher's fragments added to a store in memory,
+// each a full tree with hole nodes of its own, are stored in that same
+// shape. A version that does not extend the one before (a reordered
 // hole list, a hole with an extra attribute, a hole below a child element)
 // travels in the full form and builds all its nodes. What the trees hold
 // is held under a ceiling that one hole element per hole per version
@@ -58,7 +60,7 @@ func readAll(t *testing.T, st *fragment.Store, fid int, at time.Time) {
 func TestDecodedVersionsShareHoles(t *testing.T) {
 	structure := tagstruct.MustParseString(genstore.CreditStructure)
 	pub, _ := genstore.NewCreditPublisher(1)
-	st := fragment.NewStore(structure)
+	decoded, inMemory := fragment.NewStore(structure), fragment.NewStore(structure)
 	var full []string
 	var prev *fragment.Fragment
 	var dec xmldom.Decoder
@@ -72,49 +74,61 @@ func TestDecodedVersionsShareHoles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Add(f); err != nil {
+		if err := decoded.Add(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := inMemory.Add(announce); err != nil {
 			t.Fatal(err)
 		}
 		full, prev = append(full, announce.String()), announce
 	}
 	at := genstore.CreditBase.Add(time.Hour)
-	readAll(t, st, 1, at)
-	versions := st.Versions(1)
-	trees, fullTrees := make([]*xmldom.Node, len(versions)), make([]*xmldom.Node, len(versions))
-	for k, f := range versions {
-		fresh, err := fragment.Parse(full[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees[k], fullTrees[k] = f.Tree(), fresh.Tree()
-		if !f.Tree().Equal(fresh.Tree()) {
-			t.Fatalf("version %d built %s, a fresh parse %s", k, f.Tree(), fresh.Tree())
-		}
-		hs := holesOf(f.Tree())
-		if len(hs) != k+1 {
-			t.Fatalf("version %d has %d holes, want %d", k, len(hs), k+1)
-		}
-		if k == 0 {
-			continue
-		}
-		if p, kept := f.Predecessor(); p != versions[k-1] || kept != len(versions[k-1].Tree().Children) {
-			t.Fatalf("version %d records predecessor %p keeping %d, want %p keeping %d", k, p, kept, versions[k-1], len(versions[k-1].Tree().Children))
-		}
-		for j, h := range holesOf(versions[k-1].Tree()) {
-			if hs[j] != h {
-				t.Fatalf("hole %d of version %d is not version %d's node", j, k, k-1)
+	for _, c := range []struct {
+		name string
+		st   *fragment.Store
+	}{{"decoded", decoded}, {"in-memory", inMemory}} {
+		readAll(t, c.st, 1, at)
+		versions := c.st.Versions(1)
+		trees, fullTrees := make([]*xmldom.Node, len(versions)), make([]*xmldom.Node, len(versions))
+		for k, f := range versions {
+			fresh, err := fragment.Parse(full[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees[k], fullTrees[k] = f.Tree(), fresh.Tree()
+			if !f.Tree().Equal(fresh.Tree()) {
+				t.Fatalf("%s: version %d built %s, a fresh parse %s", c.name, k, f.Tree(), fresh.Tree())
+			}
+			// a version linked in memory still spells its full form
+			if c.st == inMemory && f.String() != full[k] {
+				t.Fatalf("in-memory: version %d spells %s, its full form %s", k, f.String(), full[k])
+			}
+			hs := holesOf(f.Tree())
+			if len(hs) != k+1 {
+				t.Fatalf("%s: version %d has %d holes, want %d", c.name, k, len(hs), k+1)
+			}
+			if k == 0 {
+				continue
+			}
+			if p, kept := f.Predecessor(); p != versions[k-1] || kept != len(versions[k-1].Tree().Children) {
+				t.Fatalf("%s: version %d records predecessor %p keeping %d, want %p keeping %d", c.name, k, p, kept, versions[k-1], len(versions[k-1].Tree().Children))
+			}
+			for j, h := range holesOf(versions[k-1].Tree()) {
+				if hs[j] != h {
+					t.Fatalf("%s: hole %d of version %d is not version %d's node", c.name, j, k, k-1)
+				}
 			}
 		}
-	}
-	kept, unshared := treeBytes(trees), treeBytes(fullTrees)
-	t.Logf("%d decoded versions hold %d B of trees, their full forms %d B (ceiling %d B)", sharedVersions, kept, unshared, decodedVersionsCeiling)
-	if kept > decodedVersionsCeiling {
-		t.Errorf("%d decoded versions hold %d B of trees, ceiling %d B", sharedVersions, kept, decodedVersionsCeiling)
-	}
-	// the measure tells sharing from its loss: the full forms' trees are
-	// several ceilings
-	if unshared < 3*decodedVersionsCeiling {
-		t.Errorf("the full forms hold %d B of trees, under three ceilings of %d B", unshared, decodedVersionsCeiling)
+		kept, unshared := treeBytes(trees), treeBytes(fullTrees)
+		t.Logf("%d %s versions hold %d B of trees, their full forms %d B (ceiling %d B)", sharedVersions, c.name, kept, unshared, decodedVersionsCeiling)
+		if kept > decodedVersionsCeiling {
+			t.Errorf("%d %s versions hold %d B of trees, ceiling %d B", sharedVersions, c.name, kept, decodedVersionsCeiling)
+		}
+		// the measure tells sharing from its loss: the full forms' trees are
+		// several ceilings
+		if unshared < 3*decodedVersionsCeiling {
+			t.Errorf("the full forms hold %d B of trees, under three ceilings of %d B", unshared, decodedVersionsCeiling)
+		}
 	}
 
 	// versions that do not extend the one before travel whole: they share

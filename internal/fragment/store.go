@@ -44,11 +44,28 @@ type Store struct {
 	// client drops never reach Add, so they advance nothing.
 	gen atomic.Uint64
 
+	// built is what Add carves the versions it builds in memory from.
+	built versionArena
+	// added is, per filler whose newest version Add built in memory over
+	// its predecessor (storedOver), that version and the fragment it was
+	// built from: what the filler's next re-announcement is compared with
+	// (Fragment.extends), as a publishing server compares with the version
+	// it published last. The two payloads are equal, but the given one
+	// lies in one piece, where its publisher built it, and the stored
+	// one's holes wherever the versions that announced them put them: a
+	// comparison reads every kept child, and at 250 holes a version
+	// reading the stored tree costs about three times as much.
+	added map[int]addedVersion
+
 	// wal, when set, receives every fragment after validation and before
 	// it becomes queryable — the write-ahead rule: an error keeps the
 	// fragment out of memory entirely and fails the Add.
 	wal func(*Fragment) error
 }
+
+// addedVersion is a version Add built in memory over its predecessor, and
+// the fragment it was built from.
+type addedVersion struct{ stored, given *Fragment }
 
 // tsidFillers is what the index keeps per tsid: the distinct ids of the
 // fillers with a version carrying it, ascending, and how many versions do;
@@ -98,7 +115,14 @@ func (st *Store) Structure() *tagstruct.Structure { return st.structure }
 // to the stored version it extends — the one version of its filler dated
 // the frame's base validTime — which the fragment records (Predecessor),
 // and is a *MissingPredecessorError, and stored not at all, when the store
-// does not hold that version.
+// does not hold that version. A fragment built in memory whose payload
+// extends its filler's newest stored version's, as a delta frame would
+// (SealedOver), is stored as the version such a frame decodes into: a new
+// fragment with f's stamps, linked to that version and holding its
+// childless holes (storedOver); a decoded newest version it is compared
+// with builds its tree, as its first read would. Any other fragment — one
+// older than the newest, one that does not extend it, one decoded from a
+// full frame — is stored as given.
 func (st *Store) Add(f *Fragment) error {
 	tag := st.structure.ByID(f.TSID)
 	if tag == nil {
@@ -117,10 +141,13 @@ func (st *Store) Add(f *Fragment) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if f.IsDelta() {
+	switch {
+	case f.IsDelta():
 		if err := f.linkTo(st.predecessor(f)); err != nil {
 			return err
 		}
+	case f.enc.lazy() == nil:
+		f = st.over(f)
 	}
 	if st.wal != nil {
 		// write-ahead: the fragment is durable before it is queryable. The
@@ -137,6 +164,30 @@ func (st *Store) Add(f *Fragment) error {
 	st.index(f)
 	st.gen.Add(1)
 	return nil
+}
+
+// over returns what the store keeps of f, built in memory: the version
+// storedOver builds over its filler's newest stored version, or f. Callers
+// hold the write lock.
+func (st *Store) over(f *Fragment) *Fragment {
+	vs := st.byID[f.FillerID]
+	if len(vs) == 0 {
+		return f
+	}
+	prev, given := vs[len(vs)-1], vs[len(vs)-1]
+	if a, ok := st.added[f.FillerID]; ok && a.stored == prev {
+		given = a.given
+	}
+	v := f.storedOver(prev, given, &st.built)
+	if v == f {
+		delete(st.added, f.FillerID)
+		return f
+	}
+	if st.added == nil {
+		st.added = make(map[int]addedVersion)
+	}
+	st.added[f.FillerID] = addedVersion{v, f}
+	return v
 }
 
 // predecessor returns the version a delta f extends: the one stored

@@ -841,10 +841,10 @@ func (e *Engine) rebuildContainment(at time.Time) {
 // tsid. A contradiction (same filler id, different tsid or parent) is an
 // error — the caller falls back to whole-plan recomputation. The engine
 // ingests every version the store holds (rebuildContainment) and then
-// every arrival, and a store holds a linked delta's predecessor, so the
-// holes a delta keeps are recorded under its filler already: of a linked
-// delta only the holes it appends are walked, and an account's
-// re-announcement costs its new hole, not its history.
+// every arrival, and a store holds a linked version's predecessor, so the
+// holes a version keeps are recorded under its filler already: of a linked
+// version only the holes it appends are walked (EachNewHole), and an
+// account's re-announcement costs its new hole, not its history.
 func (e *Engine) ingest(f *fragment.Fragment) error {
 	if prev, ok := e.tsidOf[f.FillerID]; ok && prev != f.TSID {
 		return fmt.Errorf("inc: filler %d seen with tsid %d and %d", f.FillerID, prev, f.TSID)
@@ -867,9 +867,7 @@ func (e *Engine) ingest(f *fragment.Fragment) error {
 		return true
 	}
 	// the holes a decoded fragment's decode collected: nothing is built
-	if !f.EachNewHole(record) {
-		f.EachHole(record)
-	}
+	f.EachNewHole(record)
 	return err
 }
 

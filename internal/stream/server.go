@@ -203,10 +203,13 @@ func (s *Server) SubscribeFrom(buffer int, afterSeq uint64) *Subscription {
 }
 
 // subscribeWire is SubscribeFrom for a consumer that writes every
-// fragment out as bytes: while it is subscribed, Publish seals.
-func (s *Server) subscribeWire(buffer int, afterSeq uint64) *Subscription {
+// fragment out as bytes: while it is subscribed, Publish seals. It also
+// returns the server's counters as they stood when the subscription
+// began, which describe the window its replay starts from.
+func (s *Server) subscribeWire(buffer int, afterSeq uint64) (*Subscription, ServerStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st := s.statsLocked()
 	replay := s.replayLocked(afterSeq)
 	first := s.nextSeq + 1
 	if len(replay) > 0 {
@@ -225,7 +228,7 @@ func (s *Server) subscribeWire(buffer int, afterSeq uint64) *Subscription {
 	}
 	sub := s.subscribeLocked(buffer, replay, true)
 	sub.lostFrom, sub.lostTo = lostFrom, lostTo
-	return sub
+	return sub, st
 }
 
 // lacks reports whether the subscription's consumer can never have been
@@ -490,6 +493,11 @@ type ServerStats struct {
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked is Stats for a caller holding s.mu.
+func (s *Server) statsLocked() ServerStats {
 	st := ServerStats{
 		LatestSeq:     s.nextSeq,
 		Watermark:     s.watermark,

@@ -208,8 +208,14 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 	w := bufio.NewWriterSize(conn, 64<<10)
 	clean := &connSink{w: w}
 
+	// the subscription begins before the header goes out: a client whose
+	// Dial has returned gets every fragment published since, and the header
+	// describes the replay window as the subscription found it. Frames
+	// published meanwhile wait in the subscription's buffer.
+	sub, st := s.subscribeWire(opts.SubscriptionBuffer, after)
+	defer sub.Cancel()
+
 	// header: name, structure and the current replay window
-	st := s.Stats()
 	header := xmldom.NewElement(headerTag)
 	header.SetAttr("name", s.Name())
 	header.SetAttr("proto", protoVersion)
@@ -226,8 +232,6 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 		sink = opts.Faults.wrap(clean, conn)
 	}
 
-	sub := s.subscribeWire(opts.SubscriptionBuffer, after)
-	defer sub.Cancel()
 	for f := range sub.C() {
 		// the bytes Publish sealed onto the fragment, the same ones for
 		// every connection; a replayed fragment that carries none is

@@ -22,7 +22,8 @@ func TestPublishEncodesOncePerFragment(t *testing.T) {
 	s.AttachDurable(log)
 	var wires []*Subscription
 	for range conns {
-		wires = append(wires, s.subscribeWire(frags+1, 0))
+		sub, _ := s.subscribeWire(frags+1, 0)
+		wires = append(wires, sub)
 	}
 	inproc := s.Subscribe(frags+1, false)
 

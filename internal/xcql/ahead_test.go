@@ -166,7 +166,7 @@ var aheadStats = map[string]string{
 	"order by/QaC+":                   "fillers=10 holes=7 nodes=4 steps=40 items=16 bytes=2920",
 	"at/QaC+":                         "fillers=7 holes=4 nodes=1 steps=31 items=21 bytes=1819",
 	"nested/QaC+":                     "fillers=12 holes=9 nodes=6 steps=46 items=39 bytes=4021",
-	"mixed sequence/QaC+":             "fillers=7 holes=4 nodes=4 steps=40 items=20 bytes=1819",
+	"mixed sequence/QaC+":             "fillers=7 holes=4 nodes=1 steps=40 items=20 bytes=1819",
 	"Q2/QaC+":                         "fillers=911 holes=930 nodes=224 steps=1568 items=1340 bytes=646911",
 }
 
@@ -217,13 +217,13 @@ func TestFillersMixedInput(t *testing.T) {
 	accounts := `stream("credit")/creditAccounts/account`
 	for _, tc := range []struct{ src, values, stats string }{
 		{`for $t in (` + accounts + `, ` + projected + `, ` + accounts + `)/transaction return string($t/amount)`,
-			"[100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=48 holes=21 nodes=42 steps=125 items=120 bytes=14445"},
+			"[100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=48 holes=21 nodes=18 steps=125 items=120 bytes=14445"},
 		{`for $t in (` + projected + `, ` + accounts + `, ` + projected + `)/transaction return string($t/amount)`,
-			"[100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=54 holes=27 nodes=42 steps=164 items=147 bytes=16923"},
+			"[100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200 100 200]", "fillers=54 holes=27 nodes=27 steps=164 items=147 bytes=16923"},
 		{`for $t in (` + projected + `, ` + accounts + `)/transaction[1] return string($t/amount)`,
-			"[100]", "fillers=24 holes=12 nodes=20 steps=60 items=45 bytes=7460"},
+			"[100]", "fillers=24 holes=12 nodes=14 steps=60 items=45 bytes=7460"},
 		{`for $t in (` + accounts + `, ` + projected + `)/transaction[last()] return string($t/amount)`,
-			"[200]", "fillers=24 holes=12 nodes=20 steps=60 items=45 bytes=7460"},
+			"[200]", "fillers=24 holes=12 nodes=14 steps=60 items=45 bytes=7460"},
 	} {
 		qac := evalRendered(t, rt, tc.src, QaC, at)
 		got := evalRendered(t, rt, tc.src, QaCPlus, at)

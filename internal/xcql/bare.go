@@ -208,7 +208,10 @@ func (m *bareMarker) walk(e xq.Expr, u use) {
 		m.scope = outer
 		m.walk(ex.Body, use{})
 	case *xq.SeqExpr:
-		m.walkAll(ex.Items)
+		// a sequence is consumed item by item
+		for _, it := range ex.Items {
+			m.walk(it, u)
+		}
 	case *xq.Filter:
 		if v, ok := ex.Base.(*xq.VarRef); ok && v.Name == UnitVar {
 			// a jump's pushed filter over a unit's versions (UnitBare):

@@ -237,6 +237,8 @@ func exampleCorpora(t *testing.T) []bareCorpus {
 			`stream("credit")//account/creditLimit`,
 			`sum(stream("credit")//transaction?[2003-10-01,2003-11-01][status = "charged"]/amount)`,
 			`for $a in stream("credit")//account return ($a/@id, $a/customer/text(), $a/transaction/amount)`,
+			`for $a in (stream("credit")//account, stream("credit")//account) return sum($a/transaction?[now-PT1H,now]/amount)`,
+			`for $a in (stream("credit")//account, stream("credit")//account) return $a`,
 		}, exampleInstants("2003-11-02T09:00:00", "2003-11-06T00:00:00")},
 		{"examples netmon", netmon, []string{
 			`for $s in stream("gsyn")//packet
@@ -325,6 +327,11 @@ func TestBareMarking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	credit := fragment.NewStore(tagstruct.MustParseString(genstore.CreditStructure))
+	if _, initial := genstore.NewCreditPublisher(2); credit.AddAll(initial) != nil {
+		t.Fatal("the credit stream's initial document does not store")
+	}
+	ds.Runtime.RegisterStream("credit", credit)
 	const people = `stream("auction")/site/people/person`
 	for _, c := range []struct {
 		name, src, tag string
@@ -338,6 +345,7 @@ func TestBareMarking(t *testing.T) {
 		{"a named attribute", `for $b in ` + people + ` return $b/@id`, "person", true},
 		{"a let", `for $b in ` + people + ` let $n := $b/name return $n`, "person", true},
 		{"an unreferenced variable", `count(for $b in ` + people + ` return 1)`, "person", true},
+		{"a sequence of jumps", `for $a in (stream("credit")//account, stream("credit")//account) return sum($a/transaction?[now-PT1H,now]/amount)`, "account", true},
 		{"returned", `for $b in ` + people + ` return $b`, "person", false},
 		{"@vtFrom", `for $b in ` + people + ` return $b/@vtFrom`, "person", false},
 		{"@*", `for $b in ` + people + ` return $b/@*`, "person", false},
