@@ -41,6 +41,10 @@ type Access interface {
 	// Arm makes ev the evaluation the reads are for from here on: an owner
 	// that runs one evaluation after another keeps one Access for them all.
 	Arm(ev Eval)
+	// Scratch is the armed evaluation's Scratch (Eval.Scratch), which a
+	// caller collecting hole ids for a read borrows its buffers from; nil
+	// lends none.
+	Scratch() *Scratch
 }
 
 // Source is what a read reads.
@@ -356,6 +360,9 @@ type Eval struct {
 	// Budget is charged one step — a cancellation poll — per pass of a
 	// log-scanned hole-id set; nil is unlimited.
 	Budget *budget.Budget
+	// Scratch is the bookkeeping the reads borrow and give back; nil
+	// allocates it per read.
+	Scratch *Scratch
 }
 
 // NewAccess returns the access implementation of the given kind, reading
@@ -370,6 +377,8 @@ func NewAccess(kind AccessKind, ev Eval) Access {
 type logScan struct{ Eval }
 
 func (a *logScan) Arm(ev Eval) { a.Eval = ev }
+
+func (a *logScan) Scratch() *Scratch { return a.Eval.Scratch }
 
 // Read issues one pass per hole: the per-hole cost the QaC plan pays and
 // the batched read avoids, each hole's pass a step of the budget. A window
@@ -413,7 +422,7 @@ func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
 	if r.Source == FromTSID {
 		tsid = r.ID
 	}
-	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare, Span: r.Span})
+	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare, Span: r.Span}, a.Eval.Scratch)
 	if r.Source == FromHole {
 		g.Holes = 1
 	}
@@ -462,7 +471,7 @@ func (a *tsidIndex) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 	if r.distinct(); len(r.IDs) == 0 {
 		return nil, Group{}
 	}
-	els, g := st.read(r.IDs, 0, a.At, r)
+	els, g := st.read(r.IDs, 0, a.At, r, a.Eval.Scratch)
 	g.Holes = len(r.IDs)
 	if !r.Defer {
 		a.charge(st, g, 1)

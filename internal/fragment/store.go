@@ -725,9 +725,10 @@ func renderInstant(b *strings.Builder, t time.Time) string {
 // second builds exactly those (buildTops) — or, for a read of bare tops,
 // hands out their stored payloads (tops). Without a filter every visible
 // version is kept, and with a window no more than its width per group, so
-// the read sizes its notes once; with a filter they start on the stack and
-// grow as versions are kept.
-func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Node, Group) {
+// the read sizes its notes once; with a filter they grow as versions are
+// kept. The notes are borrowed of sc and given back once the tops are built
+// (nil: the read allocates them).
+func (st *Store) read(fids []int, tsid int, at time.Time, r Read, sc *Scratch) ([]*xmldom.Node, Group) {
 	var sp *Span
 	if r.Span.Kind == IntervalSpan {
 		sp = &r.Span
@@ -743,8 +744,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 	} else {
 		st.scanPass(AttrID, fids)
 	}
-	var few [32]keptVersion
-	kept := few[:0]
+	kept := sc.takeNotes()
 	// a bound keeps what it keeps: the notes grow as versions are kept
 	if r.Keep == nil && r.Span.Kind == NoSpan {
 		total := 0
@@ -766,9 +766,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 				total = width * len(r.Groups)
 			}
 		}
-		if total > len(few) {
-			kept = make([]keptVersion, 0, total)
-		}
+		kept = slices.Grow(kept, total)
 	}
 	examined := 0
 	var w windowKeep
@@ -790,6 +788,7 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read) ([]*xmldom.Nod
 		return g
 	})
 	out, stamps := st.tops(kept, r, sp, at)
+	sc.giveNotes(kept)
 	return out, Group{End: len(out), Examined: examined, Built: builtOf(len(out), r.Bare), Stamps: stamps}
 }
 

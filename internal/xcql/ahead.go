@@ -32,7 +32,8 @@ func (in *Intrinsic) alike(o *Intrinsic) bool {
 // clauseRead is one call made for every binding of its clause, as Begin
 // returns it: groups[i] is binding i's group of els. A group that crossed
 // no hole — a binding holding none of the call's — makes its call read as
-// it would have.
+// it would have. The groups are borrowed of the evaluation's scratch and
+// given back at End; els and items are what the calls return.
 type clauseRead struct {
 	call   *Intrinsic
 	st     *fragment.Store
@@ -59,16 +60,29 @@ func (r *clauseRead) read(ctx *xq.Context, seq xq.Sequence) {
 		return // the call reports the missing stream itself
 	}
 	var in callInput
-	if in.collect(seq, r.call.TSIDs[0], nil, true); len(in.ids) == 0 {
+	if in.collect(ctx.Static.Access.Scratch(), seq, r.call.TSIDs[0], nil, true); len(in.ids) == 0 {
+		in.release()
 		return
 	}
 	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.call.Bare, EachGroup: true, Defer: true}
 	if r.call.each != nil {
 		r.call.each.window(&read)
 	}
-	r.groups = in.groups
 	r.els, _ = ctx.Static.Access.Read(r.st, read)
 	r.items = xq.FromNodes(r.els)
+	// the groups outlive the read, the ids do not
+	r.groups, in.groups = in.groups, nil
+	in.release()
+}
+
+// End gives back the groups the clause's reads borrowed.
+func (ra readAhead) End(ctx *xq.Context, ahead any) {
+	reads, _ := ahead.([]clauseRead)
+	sc := ctx.Static.Access.Scratch()
+	for i := range reads {
+		sc.GiveGroups(reads[i].groups)
+		reads[i].groups = nil
+	}
 }
 
 // takeAhead answers fillers call in on nodes from what the clause that

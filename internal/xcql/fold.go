@@ -103,13 +103,11 @@ var zeroUnix = time.Time{}.Unix()
 func (t *Term) Len() int { return len(t.nums) }
 
 // foldState is a frame's folding: its sites, the memo their terms are kept
-// in, the frame the terms evaluate in, and the buffers of the fold call in
-// progress.
+// in, the frame the terms evaluate in, and the id a term's read reads.
 type foldState struct {
 	sites []foldSite
 	memo  TermMemo
 	terms *UnitEval
-	in    callInput // the call's input, as xcql:fillers reads it
 	one   [1]int
 }
 
@@ -149,13 +147,14 @@ func (in *Intrinsic) fold(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence
 	}
 	f, site, tsid := &u.fold, in.site, in.TSIDs[0]
 	s := &f.sites[site]
-	input := &f.in
-	input.collect(nodes, tsid, st.Structure().ByID(tsid), false)
+	acc := u.static.Access
+	var input callInput
+	input.collect(acc.Scratch(), nodes, tsid, st.Structure().ByID(tsid), false)
 	input.closeRun() // a read's window needs its groups
+	defer input.release()
 	// the child step's read, made as xcql:fillers makes it, of no position:
 	// it dedupes the ids and counts what the read examines, and is charged
 	// the whole read, which the kept terms stand in for
-	acc := u.static.Access
 	r := fragment.Read{IDs: input.ids, Groups: input.groups, From: 1, To: 0, Defer: true}
 	if in.span != nil && !in.Bare {
 		// the tops the bounded read builds are its versions in the
@@ -279,7 +278,7 @@ func (u *UnitEval) termFrame() *UnitEval {
 	}
 	t := u.fold.terms
 	t.stats = obs.EvalStats{}
-	t.arm(u.static.Now, u.budget.Limits(), &t.stats)
+	t.arm(u.static.Now, u.budget.Limits(), &t.stats, u.sc)
 	return t
 }
 

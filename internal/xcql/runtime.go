@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xcql/internal/budget"
@@ -48,6 +49,10 @@ type Runtime struct {
 	// tracing entirely, and the disabled path neither allocates nor
 	// reads the clock beyond the always-on phase timings.
 	trace obs.TraceSink
+
+	// scratch is what an evaluation borrows and no result keeps, kept for
+	// the next one (scratch.go).
+	scratch atomic.Pointer[scratch]
 }
 
 // NewRuntime returns an empty runtime.
@@ -361,7 +366,10 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	}
 	sink := q.rt.traceSink()
 	b := budget.New(ctx, lim)
-	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b})
+	sc := q.rt.takeScratch()
+	defer q.rt.giveScratch(sc)
+	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Scratch: &sc.read})
+	static.Scratch = &sc.eval
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -387,7 +395,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	}
 	if materialize {
 		matStart := time.Now()
-		seq = materializeResult(seq, static)
+		seq = materializeResult(seq, static, owned(q.Plan))
 		stats.MaterializeTime = time.Since(matStart)
 		if sink != nil {
 			sink.Span("materialize", q.Mode.String(), matStart, stats.MaterializeTime)
@@ -566,7 +574,8 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 		}
 	}
 	var input callInput
-	input.collect(nodes, tsid, st.Structure().ByID(tsid), each != nil)
+	input.collect(ctx.Static.Access.Scratch(), nodes, tsid, st.Structure().ByID(tsid), each != nil)
+	defer input.release()
 	read := span
 	if span.Kind == fragment.VersionSpan && input.inline != nil {
 		read = fragment.Span{}
@@ -622,11 +631,13 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 // resolves holes while clipping); one holding neither contributes nothing.
 // A group is one input item's ids under a per-parent list or for a
 // read-ahead, else those of a run of nodes between inline ones; a call
-// with neither reads its ids as one set.
+// with neither reads its ids as one set. The ids and groups are borrowed
+// of the evaluation's scratch (sc) and given back by release.
 type callInput struct {
 	ids    []int
 	groups []fragment.Group
 	inline []inlineKids
+	sc     *fragment.Scratch
 }
 
 // inlineKids are one input node's inline children, and how many of the
@@ -636,11 +647,14 @@ type inlineKids struct {
 	kids   []*xmldom.Node
 }
 
-// collect reads nodes into in, over in's buffers: the holes of tsid and,
-// when tag is given, the inline children of its name — each item of nodes
-// a group of its own when perItem, empty when it holds no hole.
-func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, perItem bool) {
-	in.ids, in.groups, in.inline = in.ids[:0], in.groups[:0], in.inline[:0]
+// collect reads nodes into in, over buffers borrowed of sc: the holes of
+// tsid and, when tag is given, the inline children of its name — each item
+// of nodes a group of its own when perItem, empty when it holds no hole.
+// groups and inline stay nil when nothing is added to them: a read without
+// groups is one unwindowed group, and a call without inline children takes
+// the fast path.
+func (in *callInput) collect(sc *fragment.Scratch, nodes xq.Sequence, tsid int, tag *tagstruct.Tag, perItem bool) {
+	in.sc, in.ids, in.groups, in.inline = sc, sc.IDs(), nil, nil
 	if perItem {
 		// sized once: a group per item, and every item's holes counted
 		total := 0
@@ -649,7 +663,7 @@ func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, pe
 				total += fragment.CountHoles(n, tsid)
 			}
 		}
-		in.ids, in.groups = slices.Grow(in.ids, total), slices.Grow(in.groups, len(nodes))
+		in.ids, in.groups = slices.Grow(in.ids, total), slices.Grow(sc.Groups(), len(nodes))
 	}
 	for _, it := range nodes {
 		if n, ok := it.(*xmldom.Node); ok {
@@ -673,13 +687,27 @@ func (in *callInput) collect(nodes xq.Sequence, tsid int, tag *tagstruct.Tag, pe
 	if len(in.inline) > 0 {
 		in.closeRun()
 	}
+	if len(in.groups) == 0 {
+		sc.GiveGroups(in.groups)
+		in.groups = nil
+	}
 }
 
 // closeRun closes the group of the ids read since the last group.
 func (in *callInput) closeRun() {
 	if n := len(in.groups); len(in.ids) > 0 && (n == 0 || in.groups[n-1].End < len(in.ids)) {
+		if in.groups == nil {
+			in.groups = in.sc.Groups()
+		}
 		in.groups = append(in.groups, fragment.Group{End: len(in.ids)})
 	}
+}
+
+// release gives back the buffers collect borrowed.
+func (in *callInput) release() {
+	in.sc.GiveIDs(in.ids)
+	in.sc.GiveGroups(in.groups)
+	in.ids, in.groups = nil, nil
 }
 
 // each visits the call's output in input order: each group g of the read,
@@ -731,17 +759,33 @@ func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, e
 // budget, so an attack that hides its bulk behind holes in the result
 // still trips mid-materialization (the panic is contained by Query.eval).
 // Each result item resolves its holes under a seen map of its own.
-func materializeResult(seq xq.Sequence, static *xq.Static) xq.Sequence {
-	out := make(xq.Sequence, 0, len(seq))
-	for _, it := range seq {
-		n, ok := it.(*xmldom.Node)
-		if !ok || !hasHoles(n) {
-			out = append(out, it)
-			continue
+//
+// A result the evaluation built for itself (own) is filled in place and
+// never copied; any other is copied first, as it may be a sequence every
+// evaluation hands back — a literal's, built once per plan.
+func materializeResult(seq xq.Sequence, static *xq.Static, own bool) xq.Sequence {
+	out := seq
+	if !own {
+		out = slices.Clone(seq)
+	}
+	for i, it := range out {
+		if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
+			out[i] = temporal.FillHoles(static.Holes, n, make(map[int]bool), nil, static.Stats)
 		}
-		out = append(out, temporal.FillHoles(static.Holes, n, make(map[int]bool), nil, static.Stats))
 	}
 	return out
+}
+
+// owned reports that what the plan e evaluates to is a sequence built by
+// that evaluation alone, which no one else holds: a FLWOR's result or a
+// constructed element's. Any other expression may hand back a sequence a
+// later evaluation hands back too.
+func owned(e xq.Expr) bool {
+	switch e.(type) {
+	case *xq.FLWOR, *xq.ElemCtor:
+		return true
+	}
+	return false
 }
 
 func hasHoles(n *xmldom.Node) bool {

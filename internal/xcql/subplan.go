@@ -61,6 +61,7 @@ type UnitEval struct {
 	budget  budget.Budget
 	horizon xtime.Horizon
 	ctx     *xq.Context // $UnitVar bound, rebound per unit
+	sc      *scratch    // the evaluation's, taken of the runtime; nil between
 	fold    foldState
 	stats   obs.EvalStats // a term frame's counters (fold.go)
 }
@@ -75,11 +76,23 @@ func (q *Query) NewUnitEval() *UnitEval {
 }
 
 // arm readies the frame for an evaluation at the instant at under a budget
-// built from lim, its counters charged to stats.
-func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
+// built from lim, its counters charged to stats, over the scratch sc.
+func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats, sc *scratch) {
 	u.budget.Reset(context.Background(), lim)
 	u.static.Now, u.static.Stats, u.static.Funcs = at, stats, u.q.rt.funcTable()
-	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget})
+	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Scratch: &sc.read})
+	u.static.Scratch, u.sc = &sc.eval, sc
+}
+
+// disarm drops the frame's hold on its scratch — and its terms' frame's,
+// which borrowed it —, so that the runtime may hand it to another
+// evaluation; the next evaluation arms the frame anew.
+func (u *UnitEval) disarm() {
+	u.static.Access.Arm(fragment.Eval{})
+	u.static.Scratch, u.sc = nil, nil
+	if t := u.fold.terms; t != nil {
+		t.disarm()
+	}
 }
 
 // Eval evaluates one sub-expression of the query's plan at the evaluation
@@ -118,9 +131,12 @@ func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats) {
 func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Filter, bare bool, each func(xq.Sequence, time.Time),
 	at time.Time, lim Limits, stats *obs.EvalStats, materialize bool) (seq xq.Sequence, horizon time.Time, err error) {
 	q, static := u.q, u.static
-	u.arm(at, lim, stats)
+	sc := q.rt.takeScratch()
+	u.arm(at, lim, stats, sc)
 	defer func() {
 		u.ctx.Rebind(nil)
+		u.disarm()
+		q.rt.giveScratch(sc)
 		if p := recover(); p != nil {
 			seq, horizon, err = nil, time.Time{}, q.contained(p)
 		}
@@ -171,7 +187,7 @@ func (u *UnitEval) run(e xq.Expr, bound xq.Sequence, at time.Time, materialize b
 		return nil, time.Time{}, u.q.wrapResource(err)
 	}
 	if materialize {
-		seq = materializeResult(seq, u.static)
+		seq = materializeResult(seq, u.static, owned(e))
 	}
 	horizon, _ := u.horizon.Next()
 	return seq, horizon, nil

@@ -185,9 +185,13 @@ type ForClause struct {
 // the first, so that what the clause's body reads of each item can be read
 // for all of them at once. What Begin returns rides on every binding the
 // clause makes, and a function the body calls finds it again through
-// Context.Ahead; nil rides on none.
+// Context.Ahead; nil rides on none. End is handed what Begin returned once
+// no binding of the clause is evaluated any more — after the clause's last
+// binding, or, in a FLWOR with an order by, once its last return ran — a
+// budget trip's panic included, so that Begin's scratch can be given back.
 type ReadAhead interface {
 	Begin(ctx *Context, seq Sequence) any
+	End(ctx *Context, ahead any)
 }
 
 // LetClause binds Var to the whole sequence of E.

@@ -54,18 +54,61 @@ type Static struct {
 	// result stays valid over an unchanged store. nil tracks nothing.
 	Horizon *xtime.Horizon
 
-	// The evaluation's scratch, which no result keeps (DESIGN.md "What an
-	// evaluation allocates"): args is the stack of the arguments of the
-	// calls in progress, and bufs the free list of the sequences lent to a
-	// path's intermediate steps, to a constructor's content and to the
-	// operands an operator only reads. Every slot above a slice's length is
-	// nil, so that a kept Static keeps no node alive. A Static is one
-	// evaluation's at a time.
+	// Scratch is the evaluation's scratch (Scratch), which no result
+	// keeps. nil: the evaluation makes one the first time it needs one,
+	// and keeps it here. A Static is one evaluation's at a time.
+	Scratch *Scratch
+}
+
+// Scratch is an evaluation's scratch (DESIGN.md "What an evaluation
+// allocates"): args is the stack of the arguments of the calls in progress,
+// bufs the free list of the sequences lent to a path's intermediate steps,
+// to a constructor's content and to the operands an operator only reads,
+// and ctor what the constructors of the FLWOR in progress carve their nodes
+// and lists from, which the FLWOR clears on return. Every slot above a
+// slice's length is nil, so that a kept Scratch keeps no node alive, and no
+// result keeps any of it: an owner that runs one evaluation after another
+// may hand each one's Static the same Scratch, trimmed between them (Trim).
+// One evaluation at a time.
+type Scratch struct {
 	args []Sequence
 	bufs []Sequence
-	// ctor is what the constructors of the FLWOR in progress carve their
-	// nodes and lists from; the FLWOR clears it on return.
 	ctor chunks
+}
+
+// The most a trimmed Scratch keeps: argument slots, lent sequences, and
+// items of room in each; past them a buffer is dropped, so that one large
+// evaluation does not stay resident in a Scratch kept for the next.
+const (
+	keptArgs = 64
+	keptBufs = 8
+	keptBuf  = 256
+)
+
+// Trim readies s for the next evaluation: it drops the buffers past the
+// caps and any constructor state left over.
+func (s *Scratch) Trim() {
+	if cap(s.args) > keptArgs {
+		s.args = nil
+	}
+	n := 0
+	for _, b := range s.bufs {
+		if cap(b) <= keptBuf && n < keptBufs {
+			s.bufs[n] = b
+			n++
+		}
+	}
+	clear(s.bufs[n:])
+	s.bufs = s.bufs[:n]
+	s.ctor = chunks{}
+}
+
+// scratch is the evaluation's Scratch, made on first use.
+func (s *Static) scratch() *Scratch {
+	if s.Scratch == nil {
+		s.Scratch = new(Scratch)
+	}
+	return s.Scratch
 }
 
 // Func is a registered function implementation. args is lent for the
@@ -76,13 +119,14 @@ type Func func(ctx *Context, args []Sequence) (Sequence, error)
 // lend hands out an empty sequence from the free list, nil when the list
 // is empty; give hands it back once nothing reads it.
 func (s *Static) lend() Sequence {
-	n := len(s.bufs)
+	sc := s.scratch()
+	n := len(sc.bufs)
 	if n == 0 {
 		return nil
 	}
-	b := s.bufs[n-1]
-	s.bufs[n-1] = nil
-	s.bufs = s.bufs[:n-1]
+	b := sc.bufs[n-1]
+	sc.bufs[n-1] = nil
+	sc.bufs = sc.bufs[:n-1]
 	return b
 }
 
@@ -91,13 +135,14 @@ func (s *Static) give(b Sequence) {
 		return
 	}
 	clear(b)
-	s.bufs = append(s.bufs, b[:0])
+	sc := s.scratch()
+	sc.bufs = append(sc.bufs, b[:0])
 }
 
 // popArgs drops the arguments above base, those of a call that returned.
-func (s *Static) popArgs(base int) {
-	clear(s.args[base:])
-	s.args = s.args[:base]
+func (sc *Scratch) popArgs(base int) {
+	clear(sc.args[base:])
+	sc.args = sc.args[:base]
 }
 
 // Context is a dynamic evaluation context: variable bindings, the context
@@ -291,11 +336,11 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 	case *Call:
 		return evalCall(ex, ctx)
 	case *ElemCtor:
-		el, err := evalElemCtor(ex, ctx)
-		if err != nil {
+		var one Sequence
+		if _, err := evalElemCtor(ex, ctx, &one); err != nil {
 			return nil, err
 		}
-		return Singleton(el), nil
+		return one, nil
 	case *AttrCtorExpr:
 		v, err := evalString(ex.Value, ctx)
 		if err != nil {
@@ -658,7 +703,7 @@ func appendEval(dst Sequence, e Expr, ctx *Context) (Sequence, error) {
 		if err := ctx.Static.Budget.Step(); err != nil {
 			return nil, err
 		}
-		el, err := evalElemCtor(ex, ctx)
+		el, err := evalElemCtor(ex, ctx, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -923,10 +968,23 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	}
 	var tuples []tuple
 	var out Sequence
-	st := ctx.Static
-	outer := st.ctor
-	st.ctor = chunks{}
-	defer func() { st.ctor = outer }()
+	// pending is what the for clauses of an ordered FLWOR read ahead: its
+	// tuples keep their bindings until the last return ran
+	type begun struct {
+		ra    ReadAhead
+		ctx   *Context
+		ahead any
+	}
+	var pending []begun
+	st, sc := ctx.Static, ctx.Static.scratch()
+	outer := sc.ctor
+	sc.ctor = chunks{}
+	defer func() {
+		sc.ctor = outer
+		for _, b := range pending {
+			b.ra.End(b.ctx, b.ahead)
+		}
+	}()
 	// rest is the bindings still to come of the innermost for clause, the
 	// one in hand included; seen is the tuples the where tried and kept
 	// those it let through. What the where will let through of the rest is
@@ -935,16 +993,16 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	rest, seen, kept := 1, 0, 0
 	emit := func(c *Context) error {
 		kept++
-		st.ctor.left = rest
+		sc.ctor.left = rest
 		if !ordered && fl.Where != nil {
-			st.ctor.left = min(kept, (rest*kept+seen-1)/seen)
+			sc.ctor.left = min(kept, (rest*kept+seen-1)/seen)
 		} else if len(out) == cap(out) {
 			out = slices.Grow(out, rest)
 		}
 		n := len(out)
 		var err error
 		out, err = appendEval(out, fl.Return, c)
-		st.ctor.bindings++
+		sc.ctor.bindings++
 		if err != nil {
 			return err
 		}
@@ -987,7 +1045,11 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 			}
 			var ahead any
 			if cl.Ahead != nil && len(seq) > 1 {
-				ahead = cl.Ahead.Begin(c, seq)
+				if ahead = cl.Ahead.Begin(c, seq); ahead != nil && ordered {
+					pending = append(pending, begun{cl.Ahead, c, ahead})
+				} else if ahead != nil {
+					defer cl.Ahead.End(c, ahead)
+				}
 			}
 			if ordered || cl.PosVar != "" {
 				for idx := range seq {
@@ -1098,7 +1160,7 @@ func evalQuantified(q *Quantified, ctx *Context) (Sequence, error) {
 // not runtime-registered functions of the same name.
 func evalModule(m *Module, ctx *Context) (Sequence, error) {
 	st := *ctx.Static
-	st.args, st.bufs, st.ctor = nil, nil, chunks{} // the body's scratch is its own
+	st.Scratch = nil // the body's scratch is its own
 	merged := make(map[string]Func, len(st.Funcs)+len(m.Funcs))
 	for _, fd := range m.Funcs {
 		merged[fd.Name] = makeUserFunc(fd)
@@ -1144,17 +1206,17 @@ func evalCall(call *Call, ctx *Context) (Sequence, error) {
 	}
 	// the arguments go on the evaluation's stack, above those of the calls
 	// in progress, and come off when this one returns
-	st := ctx.Static
-	base := len(st.args)
-	defer st.popArgs(base)
+	sc := ctx.Static.scratch()
+	base := len(sc.args)
+	defer sc.popArgs(base)
 	for _, a := range call.Args {
 		v, err := Eval(a, ctx)
 		if err != nil {
 			return nil, err
 		}
-		st.args = append(st.args, v)
+		sc.args = append(sc.args, v)
 	}
-	args := st.args[base:len(st.args):len(st.args)]
+	args := sc.args[base:len(sc.args):len(sc.args)]
 	if fn == nil {
 		return call.Callee.Call(ctx, args)
 	}
@@ -1175,9 +1237,11 @@ func lookupFunc(ctx *Context, name string) Func {
 // evalElemCtor builds the constructor's element. Its content is gathered in
 // a lent sequence: the element keeps the content's nodes, not the sequence.
 // The element, its child list, its attribute list and the text nodes of its
-// runs of atomics are carved from the chunks of the FLWOR in progress.
-func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
-	st := ctx.Static
+// runs of atomics are carved from the chunks of the FLWOR in progress. With
+// one set the element is carved with the one-item sequence Eval returns it
+// in, and *one is that sequence (chunks.boxed).
+func evalElemCtor(ct *ElemCtor, ctx *Context, one *Sequence) (*xmldom.Node, error) {
+	st, c := ctx.Static, &ctx.Static.scratch().ctor
 	name := ct.Name
 	if ct.NameExpr != nil {
 		v, lent, err := borrow(ct.NameExpr, ctx)
@@ -1190,10 +1254,15 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 		name = StringValue(v[0])
 		st.give(lent)
 	}
-	el := st.ctor.node(xmldom.ElementNode)
+	var el *xmldom.Node
+	if one != nil {
+		el, *one = c.boxed()
+	} else {
+		el = c.node(xmldom.ElementNode)
+	}
 	el.Name = name
 	st.Stats.AddNodes(1)
-	el.Attrs = carve(&st.ctor.attrs, len(ct.Attrs), &st.ctor, carvedAttrs)[:0]
+	el.Attrs = carve(&c.attrs, len(ct.Attrs), c, carvedAttrs)[:0]
 	for _, ac := range ct.Attrs {
 		val, err := evalAttrParts(ac.Parts, ctx)
 		if err != nil {
@@ -1219,7 +1288,7 @@ func evalElemCtor(ct *ElemCtor, ctx *Context) (*xmldom.Node, error) {
 			}
 		}
 	}
-	appendContent(el, content, &st.ctor)
+	appendContent(el, content, c)
 	st.give(content)
 	return el, nil
 }
@@ -1264,17 +1333,18 @@ func appendContent(el *xmldom.Node, content Sequence, c *chunks) {
 // from the bindings the FLWOR returned so far, and holds at most chunkCap
 // slots; outside any FLWOR left is 0 and a chunk is exactly what its one
 // constructor asks for. The FLWOR drops its chunks on return, so a chunk
-// lives only as long as the results carved from it, and a Static kept
+// lives only as long as the results carved from it, and a Scratch kept
 // between evaluations keeps no node alive.
 type chunks struct {
 	nodes []xmldom.Node
 	kids  []*xmldom.Node
 	attrs []xmldom.Attr
+	items []Item // the one-item sequences of constructors evaluated by Eval
 	// left is the bindings a new chunk is for, the one in hand included;
 	// bindings is how many bindings' returns completed, and carved what
 	// each array gave out.
 	left, bindings int
-	carved         [3]int
+	carved         [4]int
 }
 
 // The arrays a chunk is carved from, as chunks.carved counts them.
@@ -1282,6 +1352,7 @@ const (
 	carvedNodes = iota
 	carvedKids
 	carvedAttrs
+	carvedItems
 )
 
 // chunkCap caps a chunk's slots: the most a chunk can keep alive beyond the
@@ -1294,6 +1365,27 @@ func (c *chunks) node(t xmldom.NodeType) *xmldom.Node {
 	n := &carve(&c.nodes, 1, c, carvedNodes)[0]
 	n.Type = t
 	return n
+}
+
+// boxed carves an element with the one-item sequence that holds it, for a
+// constructor Eval evaluates: inside a FLWOR's return the sequence is a
+// slot of an array of items, carved as the nodes are; elsewhere, where a
+// chunk is exactly what its one constructor asks for, the element and its
+// sequence are one allocation.
+func (c *chunks) boxed() (*xmldom.Node, Sequence) {
+	if c.left == 0 {
+		b := &struct {
+			el  xmldom.Node
+			seq [1]Item
+		}{}
+		b.el.Type = xmldom.ElementNode
+		b.seq[0] = &b.el
+		return &b.el, b.seq[:]
+	}
+	el := c.node(xmldom.ElementNode)
+	one := carve(&c.items, 1, c, carvedItems)
+	one[0] = el
+	return el, one
 }
 
 // carve returns a window of n slots cut from the front of *free,

@@ -148,12 +148,27 @@ func TestConstructorTextAllocationsFlat(t *testing.T) {
 	}
 }
 
-// aheadProbe is a ReadAhead that records the sequences it is handed.
-type aheadProbe struct{ begun []Sequence }
+// aheadProbe is a ReadAhead that records the sequences it is handed, and
+// how many of what its Begin returned came back to End.
+type aheadProbe struct {
+	begun []Sequence
+	ended int
+}
+
+// aheadToken is what an aheadProbe's Begin returns: ended once End had it.
+type aheadToken struct {
+	probe *aheadProbe
+	ended bool
+}
 
 func (p *aheadProbe) Begin(_ *Context, seq Sequence) any {
 	p.begun = append(p.begun, seq)
-	return p
+	return &aheadToken{probe: p}
+}
+
+func (p *aheadProbe) End(_ *Context, ahead any) {
+	ahead.(*aheadToken).ended = true
+	p.ended++
 }
 
 // What a for clause's ReadAhead returned rides on each binding the clause
@@ -161,7 +176,9 @@ func (p *aheadProbe) Begin(_ *Context, seq Sequence) any {
 // FLWOR binds — one frame rebound, a context per tuple for an order by or
 // a positional variable — and reaches through a let and a nested clause
 // that rebind the very sequence; an equal sequence built anew finds
-// nothing, and a clause of one item has nothing read ahead.
+// nothing, and a clause of one item has nothing read ahead. What Begin
+// returned comes back to End once, after every binding that carries it was
+// evaluated — for an order by, after the last return.
 func TestReadAheadRidesOnEachBinding(t *testing.T) {
 	for src, want := range map[string]string{
 		`for $x in (10, 20, 30) return at($x)`:                               "0|1|2",
@@ -181,8 +198,10 @@ func TestReadAheadRidesOnEachBinding(t *testing.T) {
 		st := &Static{Now: evalAt, Funcs: map[string]Func{
 			"at": func(ctx *Context, args []Sequence) (Sequence, error) {
 				a, at, ok := ctx.Ahead(args[0])
-				if !ok || a != probe {
+				if tok, _ := a.(*aheadToken); !ok || tok == nil || tok.probe != probe {
 					return Singleton(float64(-1)), nil
+				} else if tok.ended {
+					return Singleton(float64(-2)), nil
 				}
 				return Singleton(float64(at)), nil
 			},
@@ -193,6 +212,9 @@ func TestReadAheadRidesOnEachBinding(t *testing.T) {
 		}
 		if got := asStrings(seq); got != want {
 			t.Errorf("%s = %q, want %q", src, got, want)
+		}
+		if probe.ended != len(probe.begun) {
+			t.Errorf("%s: %d reads ahead began, %d ended", src, len(probe.begun), probe.ended)
 		}
 	}
 }

@@ -41,17 +41,21 @@ func runOn(t *testing.T, static *Static, src string) (Sequence, error) {
 }
 
 // checkScratchClean fails unless static's scratch holds no argument, no
-// item and no constructor chunk: a Static kept across evaluations keeps no
+// item and no constructor chunk: a Scratch kept across evaluations keeps no
 // node alive.
 func checkScratchClean(t *testing.T, static *Static, src string) {
 	t.Helper()
-	if len(static.args) != 0 {
-		t.Errorf("%s: %d arguments left on the stack", src, len(static.args))
+	sc := static.Scratch
+	if sc == nil {
+		return
 	}
-	if c := static.ctor; c.nodes != nil || c.kids != nil || c.attrs != nil {
-		t.Errorf("%s: the Static keeps a constructor chunk (%d nodes, %d children, %d attributes free)", src, len(c.nodes), len(c.kids), len(c.attrs))
+	if len(sc.args) != 0 {
+		t.Errorf("%s: %d arguments left on the stack", src, len(sc.args))
 	}
-	for _, b := range static.bufs {
+	if c := sc.ctor; c.nodes != nil || c.kids != nil || c.attrs != nil || c.items != nil {
+		t.Errorf("%s: the Static keeps a constructor chunk (%d nodes, %d children, %d attributes, %d items free)", src, len(c.nodes), len(c.kids), len(c.attrs), len(c.items))
+	}
+	for _, b := range sc.bufs {
 		for i, it := range b[:cap(b)] {
 			if it != nil {
 				t.Errorf("%s: a lent sequence keeps %v in slot %d", src, it, i)
@@ -62,10 +66,12 @@ func checkScratchClean(t *testing.T, static *Static, src string) {
 }
 
 // The scratch changes no value: each query gives its value on a fresh
-// Static, again on the same Static, and on a Static whose last evaluation
-// tripped its budget midway, and the scratch comes back clean after each.
+// Static, again on the same Static, on a new Static handed the Scratch of
+// the evaluations before, trimmed, as a runtime hands it, and on a Static
+// whose last evaluation tripped its budget midway, and the scratch comes
+// back clean after each.
 func TestScratchChangesNoValue(t *testing.T) {
-	shared := &Static{Now: evalAt}
+	shared, handed := &Static{Now: evalAt}, &Scratch{}
 	for _, q := range scratchQueries {
 		fresh, err := runOn(t, &Static{Now: evalAt}, q.src)
 		if err != nil {
@@ -83,6 +89,15 @@ func TestScratchChangesNoValue(t *testing.T) {
 				t.Errorf("%s on a Static used before (pass %d):\n%swant\n%s", q.src, pass, render(again), render(fresh))
 			}
 			checkScratchClean(t, shared, q.src)
+			own := &Static{Now: evalAt, Scratch: handed}
+			if again, err = runOn(t, own, q.src); err != nil {
+				t.Fatalf("%s: %v", q.src, err)
+			}
+			if render(again) != render(fresh) {
+				t.Errorf("%s over a handed Scratch (pass %d):\n%swant\n%s", q.src, pass, render(again), render(fresh))
+			}
+			checkScratchClean(t, own, q.src)
+			handed.Trim()
 		}
 		// trip the budget at every step in turn: whatever the evaluation
 		// leaves behind, the next one on the same Static is unaffected
@@ -134,7 +149,10 @@ func manyTransactions(n int) *xmldom.Node {
 // where clause costs four per binding, a sort key five. A call's argument
 // is a value of its own, which the callee may keep, but count() answers
 // from numbers built once: one per binding (three while it boxed a new
-// number into a new sequence for every answer).
+// number into a new sequence for every answer). A constructor bound by a
+// let is evaluated whole, and its one-item sequence is carved with it: the
+// let's context and binding are the binding's two (three while the
+// sequence was an object of its own).
 func TestBindingAllocatesWhatTheResultKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -152,6 +170,9 @@ func TestBindingAllocatesWhatTheResultKeeps(t *testing.T) {
 		{bind + `where count($t/status) = 1` + result, 1},
 		{bind + `order by $t/amount` + result, 5},
 		{bind + result, 0},
+		// the let's context and binding; the constructor Eval evaluates
+		// carves its one-item sequence with its element
+		{bind + `let $r := <r>{$t/amount/text()}</r> return $r`, 2},
 	} {
 		e := MustParse(c.src)
 		allocs := func(n int) float64 {
@@ -169,5 +190,37 @@ func TestBindingAllocatesWhatTheResultKeeps(t *testing.T) {
 		if more, most := large-small, c.perBinding*n+8; more > float64(most) {
 			t.Errorf("%s: %d more bindings cost %.0f more allocations, want at most %d", c.src, n, more, most)
 		}
+	}
+}
+
+// Trim keeps what the caps allow of a Scratch — the argument stack up to
+// keptArgs slots, up to keptBufs lent sequences of up to keptBuf items —
+// and drops the rest, so that a Scratch kept between evaluations stays
+// small whatever one evaluation grew it to.
+func TestScratchTrim(t *testing.T) {
+	sc := &Scratch{args: make([]Sequence, 0, keptArgs+1)}
+	for i := range 2 * keptBufs {
+		sc.bufs = append(sc.bufs, make(Sequence, 0, 1+i*keptBuf/keptBufs))
+	}
+	sc.bufs = append(sc.bufs, make(Sequence, 0, keptBuf+1))
+	sc.ctor.left = 3
+	sc.Trim()
+	if sc.args != nil {
+		t.Errorf("an argument stack of %d slots kept past the cap of %d", keptArgs+1, keptArgs)
+	}
+	if len(sc.bufs) != keptBufs {
+		t.Errorf("%d lent sequences kept, want %d", len(sc.bufs), keptBufs)
+	}
+	for _, b := range sc.bufs[:cap(sc.bufs)] {
+		if cap(b) > keptBuf {
+			t.Errorf("a lent sequence of %d items kept past the cap of %d", cap(b), keptBuf)
+		}
+	}
+	if c := sc.ctor; c.left != 0 || c.nodes != nil || c.kids != nil || c.attrs != nil || c.items != nil {
+		t.Errorf("constructor state kept: %+v", c)
+	}
+	sc.args = make([]Sequence, 0, keptArgs)
+	if sc.Trim(); cap(sc.args) != keptArgs {
+		t.Errorf("an argument stack of %d slots dropped", keptArgs)
 	}
 }
