@@ -101,12 +101,13 @@ test-diffharness-incremental:
 # byte-identical to a from-scratch evaluation diffed step by step (the
 # harness's own oracle, which a registry of one registration is held to
 # in test-diffharness-incremental), plus the shared-cost monotonicity,
-# admission, pending-re-emission and churn/soak suites, under the race
-# detector. The churn test dials a stream client, so it lives on the
+# sharing-scope (a group is one plan over the same stores and limits),
+# sharing-counter, admission, pending-re-emission and churn/soak suites,
+# under the race detector. The churn test dials a stream client, so it lives on the
 # stream side.
 test-registry:
 	$(GO) test -race -run '^(TestRegistryEquivalence|TestRegistrySharedCostMonotonic)$$' -timeout 600s .
-	$(GO) test -race -run '^(TestRegistryAdmissionOverload|TestPendingReemissionSurvivesFailedArrival)$$' -timeout 120s ./internal/registry
+	$(GO) test -race -run '^(TestRegistryAdmissionOverload|TestPendingReemissionSurvivesFailedArrival|TestPlansPartUnits|TestDifferentLimitsNeverShare|TestSharedCountersCountAdvances)$$' -timeout 120s ./internal/registry
 	$(GO) test -race -run '^TestRegistryChurnUnderFire$$' -timeout 120s ./internal/stream
 
 # End-to-end tracing acceptance: a chaos burst with the flight recorder

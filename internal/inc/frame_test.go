@@ -31,26 +31,26 @@ func TestFrameSurvivesBudgetTrips(t *testing.T) {
 		rt, cs := newCreditStream(t, 3)
 		tripped := New(rt.MustCompile(c.src, xcql.QaCPlus))
 		at := creditBase
-		if _, _, err := tripped.Apply(nil, at, xcql.Limits{}, nil, nil); err != nil {
+		if _, _, err := tripped.Apply(nil, at, xcql.Limits{}, nil); err != nil {
 			t.Fatalf("%s: seeding: %v", c.name, err)
 		}
 		for i := range 9 {
 			at = creditBase.Add(time.Duration(i+1) * time.Minute)
 			announce, tx := cs.charge(i%3, 2000, at)
-			if _, _, err := tripped.Apply(announce, at, xcql.Limits{}, nil, nil); err != nil {
+			if _, _, err := tripped.Apply(announce, at, xcql.Limits{}, nil); err != nil {
 				t.Fatalf("%s: charge %d, the re-announcement: %v", c.name, i, err)
 			}
-			_, _, err := tripped.Apply(tx, at, c.starved, &obs.EvalStats{}, nil)
+			_, _, err := tripped.Apply(tx, at, c.starved, &obs.EvalStats{})
 			var re *budget.ResourceError
 			if !errors.As(err, &re) || re.Limit != c.limit {
 				t.Fatalf("%s: charge %d under %+v: %v, want a %s trip", c.name, i, c.starved, err, c.limit)
 			}
 			var got, want obs.EvalStats
-			if _, _, err := tripped.Apply(nil, at, xcql.Limits{}, &got, nil); err != nil {
+			if _, _, err := tripped.Apply(nil, at, xcql.Limits{}, &got); err != nil {
 				t.Fatalf("%s: charge %d, the evaluation after the trip: %v", c.name, i, err)
 			}
 			fresh := New(rt.MustCompile(c.src, xcql.QaCPlus))
-			if _, _, err := fresh.Apply(nil, at, xcql.Limits{}, &want, nil); err != nil {
+			if _, _, err := fresh.Apply(nil, at, xcql.Limits{}, &want); err != nil {
 				t.Fatal(err)
 			}
 			if a, b := snapshotSerials(tripped), snapshotSerials(fresh); a != b {

@@ -77,9 +77,6 @@ type piece struct {
 	expr  xq.Expr
 	tsids []int // indexed: the tsids of its xcql:bytsid jump
 	deps
-	// sigs holds the SharedPass signature of each unit slot: one per
-	// tsid, or the single one of a generic piece.
-	sigs []string
 	// folded is what an indexed piece's units run in place of expr when
 	// its body folds aggregates from per-child terms (fold.go), nil when
 	// expr runs as it stands; folds says which, for Strategy.
@@ -167,8 +164,7 @@ type unit struct {
 
 // versionMemo is an indexed unit's output cut by version, in read order
 // (validTime): version i's items are entries[spans[i-1].end:spans[i].end],
-// the first from 0 — in count mode the ends are running counts. It is
-// read-only once made: a SharedPass hands it to every engine of the group.
+// the first from 0 — in count mode the ends are running counts.
 type versionMemo struct{ spans []versionSpan }
 
 // versionSpan is what one version contributed to its unit's output: the
@@ -271,9 +267,7 @@ type Engine struct {
 }
 
 // unitResult is one dirty unit's fresh evaluation, held until every
-// dirty unit has evaluated without error — and, through a SharedPass, by
-// every engine of the group that evaluates the same unit: the entries are
-// read-only once made.
+// dirty unit has evaluated without error.
 type unitResult struct {
 	entries  []entry
 	count    int
@@ -429,7 +423,7 @@ func (l layer) passThrough() bool {
 // classify each strand with the layers as its body.
 func (e *Engine) decompose() []*piece {
 	if e.store == nil || e.structure == nil {
-		return []*piece{e.finish(&piece{expr: e.stripped, deps: deps{broad: "the plan does not name exactly one registered stream"}})}
+		return []*piece{{expr: e.stripped, deps: deps{broad: "the plan does not name exactly one registered stream"}}}
 	}
 	expr := e.stripped
 	var layers []layer // outermost first
@@ -488,7 +482,7 @@ func (e *Engine) decompose() []*piece {
 			p.expr = body(x)
 			p.deps = e.dependencies(p.expr)
 		}
-		pieces = append(pieces, e.finish(p))
+		pieces = append(pieces, p)
 	}
 	return pieces
 }
@@ -508,35 +502,6 @@ func (e *Engine) tsidJump(x xq.Expr) *xcql.Intrinsic {
 		}
 	}
 	return in
-}
-
-// finish renders a piece's unit signatures — what each unit slot
-// computes, independent of which query's engine computes it. Two engines
-// whose units share a signature (same stream/store, same evaluation
-// instant, same limits) produce identical outputs, or identical budget
-// trips, for the same filler, which is what lets a SharedPass evaluate the
-// unit once and hand the result to every registration in a shared group,
-// whatever its query. The signature is the materialize flag (count-mode
-// queries skip materialization), the plan (a scan read charges a step per
-// hole where QaC+'s index read charges none, so under a step limit two
-// plans can part), the stream, for an indexed slot its tsid, and the
-// canonical rendering of the body the unit evaluates.
-func (e *Engine) finish(p *piece) *piece {
-	m := "m0|"
-	if !e.countMode {
-		m = "m1|"
-	}
-	m += e.q.Mode.String() + "|"
-	body := p.expr.String()
-	if !p.indexed() {
-		p.sigs = []string{m + "g|" + e.stream + "|" + body}
-		return p
-	}
-	p.sigs = make([]string, len(p.tsids))
-	for i, tsid := range p.tsids {
-		p.sigs[i] = m + "i|" + e.stream + "|" + strconv.Itoa(tsid) + "|" + body
-	}
-	return p
 }
 
 // dependencies derives what x depends on from the access paths it
@@ -626,64 +591,6 @@ func (e *Engine) dependencies(x xq.Expr) deps {
 	return d
 }
 
-// SharedPass memoizes unit evaluations across the engines of one shared
-// query group for the arrival in progress: the first engine to evaluate a
-// unit — a signature and the filler it is bound to — stores its result (or
-// error), serials included, and every later engine with the same unit takes
-// the memo instead of re-evaluating and re-serializing. Sharing is sound
-// only when the participating engines read the same store, the same
-// evaluation instant and the same limits — the registry gives every group
-// one pass for its lifetime, scopes it to exactly one (fragment, instant,
-// limits, store) cell by a Reset before each arrival, and touches it from
-// one arrival at a time, so there is neither an invalidation protocol nor a
-// lock. Items handed out through a pass are shared across engines;
-// consumers must not mutate them (the same rule deltas already carry).
-type SharedPass struct {
-	results      map[passKey]sharedResult
-	hits, misses int64
-}
-
-// passKey names one unit independent of which query's engine computes it:
-// the piece slot's structural signature plus the filler id the unit is
-// bound to (indexed units only; generic units evaluate the whole sub-plan
-// and carry no filler binding).
-type passKey struct {
-	sig string
-	fid int
-}
-
-type sharedResult struct {
-	unitResult
-	err error
-}
-
-// passKeptUnits bounds the table a pass keeps between arrivals: clearing
-// one costs its capacity, and the arrival that seeds a group memoizes
-// every unit of the store.
-const passKeptUnits = 64
-
-// NewSharedPass returns an empty memo.
-func NewSharedPass() *SharedPass {
-	return &SharedPass{results: make(map[passKey]sharedResult)}
-}
-
-// Reset empties the memo and its counters for the next arrival.
-func (sp *SharedPass) Reset() {
-	if len(sp.results) > passKeptUnits {
-		sp.results = make(map[passKey]sharedResult)
-	} else {
-		clear(sp.results)
-	}
-	sp.hits, sp.misses = 0, 0
-}
-
-// Hits is the number of unit evaluations served from the memo this arrival.
-func (sp *SharedPass) Hits() int64 { return sp.hits }
-
-// Misses is the number of unit evaluations computed into the memo — the
-// actual work the whole shared group performed this arrival.
-func (sp *SharedPass) Misses() int64 { return sp.misses }
-
 // Apply ingests one fragment arrival (already added to the store by the
 // caller) at evaluation instant at, recomputes only the dirty units, and
 // returns the delta: the items whose serialized form was absent from the
@@ -691,9 +598,7 @@ func (sp *SharedPass) Misses() int64 { return sp.misses }
 // forms — the strings the engine diffed by, for whoever puts the delta on
 // a wire (nil in count mode, whose one item is a number). A nil fragment
 // is a pure clock advance (re-evaluate the units whose horizon the clock
-// reached and newly visible pending arrivals only). Unit evaluations are
-// drawn from, and contributed to, the group's SharedPass sp (see there for
-// the sharing contract); nil evaluates unshared. One arrival is one
+// reached and newly visible pending arrivals only). One arrival is one
 // evaluation to the runtime's admission control (SetMaxConcurrentEvals),
 // however many units it runs: past the bound it fails with an
 // *xcql.OverloadError. An error (that one, or e.g. a budget trip in some
@@ -702,7 +607,7 @@ func (sp *SharedPass) Misses() int64 { return sp.misses }
 // store that took fragments since the last evaluation: nothing handed
 // them in, so the engine re-reads the store, as a from-scratch evaluation
 // would.
-func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
+func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, []string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.q.Admit(); err != nil {
@@ -728,7 +633,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 		// popped pending arrivals would be lost), or fragments stored behind
 		// the engine's back: rebuild everything
 		rsp.SetDetail("full-recompute")
-		return e.recomputeAll(at, lim, stats, sp)
+		return e.recomputeAll(at, lim, stats)
 	}
 	// the clock alone dirties what it has reached: the units whose
 	// horizon has come, and the stored versions that become visible. A
@@ -755,7 +660,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 			// decomposing and recompute the whole plan from here on
 			e.fallback()
 			rsp.SetDetail("fallback-full")
-			return e.recomputeAll(at, lim, stats, sp)
+			return e.recomputeAll(at, lim, stats)
 		}
 		if f.ValidTime.After(at) {
 			e.pending = append(e.pending, pendingArrival{fid: f.FillerID, tsid: f.TSID, at: f.ValidTime})
@@ -764,7 +669,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 		}
 	}
 	dirty := len(e.dirty)
-	seq, serials, err := e.applyDirty(at, lim, stats, sp)
+	seq, serials, err := e.applyDirty(at, lim, stats)
 	if rsp != nil {
 		rsp.SetDetail("dirty=" + strconv.Itoa(dirty) + " units=" + strconv.Itoa(len(e.order)) + " versions=" + strconv.Itoa(e.reran) + " terms=" + strconv.Itoa(e.terms.runs))
 	}
@@ -784,7 +689,7 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 // delta stays relative to what was last emitted; re-emitting a standing
 // result is the registry's business (it renders StandingDelta), not the
 // engine's.
-func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
+func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, []string, error) {
 	e.rebuildContainment(at)
 	clear(e.terms.kept)
 	for pi, p := range e.pieces {
@@ -803,7 +708,7 @@ func (e *Engine) recomputeAll(at time.Time, lim xcql.Limits, stats *obs.EvalStat
 		u.versions = nil
 		e.mark(u)
 	}
-	seq, serials, err := e.applyDirty(at, lim, stats, sp)
+	seq, serials, err := e.applyDirty(at, lim, stats)
 	if err != nil {
 		e.seeded = false
 		return nil, nil, err
@@ -947,7 +852,7 @@ func (e *Engine) fallback() {
 		u.count += old.count
 		old.dirty = false
 	}
-	e.pieces = []*piece{e.finish(&piece{expr: e.stripped, deps: deps{broad: "the stream announced a filler under two parents or tags"}})}
+	e.pieces = []*piece{{expr: e.stripped, deps: deps{broad: "the stream announced a filler under two parents or tags"}}}
 	e.order = []*unit{u}
 	e.due, e.dirty = nil, e.dirty[:0]
 }
@@ -963,10 +868,7 @@ func (e *Engine) fallback() {
 // this reproduces the from-scratch diff byte for byte. Phase C swaps the
 // buffers, releases the old entries' refcounts and re-files the units
 // under their new horizons.
-func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (xq.Sequence, []string, error) {
-	// HandlerInvocations is charged in evalUnitShared, once per unit
-	// actually executed: a registry shared-pass hit runs no handler, so
-	// a group of K queries sharing a unit reports ~1× handler cost.
+func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats) (xq.Sequence, []string, error) {
 	// the dirty units in global output order; iterating these instead of
 	// all of e.order keeps the per-arrival cost proportional to what the
 	// arrival touched, not to the store size
@@ -988,7 +890,8 @@ func (e *Engine) applyDirty(at time.Time, lim xcql.Limits, stats *obs.EvalStats,
 		e.dirty, e.results, e.holes = dirty[:0], e.results[:0], e.holes[:0]
 	}()
 	for _, u := range dirty {
-		r, err := e.evalUnitShared(u, at, lim, stats, sp)
+		stats.AddHandlerInvocations(1)
+		r, err := e.reevalUnit(u, at, lim, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1061,32 +964,6 @@ func (e *Engine) schedule(u *unit, horizon time.Time) {
 	}
 }
 
-// evalUnitShared consults the shared pass (when present) before falling
-// through to a real unit evaluation: a hit returns the memoized result
-// of an identical unit already evaluated by another engine in the group
-// this arrival, charging only the shared-hit counter; a miss evaluates
-// and publishes the result for the rest of the group. The result carries
-// its versionMemo: an engine that takes a hit re-runs its next arrival from
-// what the evaluating engine kept, which describes the same output.
-func (e *Engine) evalUnitShared(u *unit, at time.Time, lim xcql.Limits, stats *obs.EvalStats, sp *SharedPass) (unitResult, error) {
-	if sp == nil {
-		stats.AddHandlerInvocations(1)
-		return e.reevalUnit(u.key, u, at, lim, stats)
-	}
-	key := passKey{e.pieces[u.key.piece].sigs[max(u.key.arg, 0)], u.key.fid}
-	if r, ok := sp.results[key]; ok {
-		sp.hits++
-		stats.AddSharedUnitHits(1)
-		return r.unitResult, r.err
-	}
-	stats.AddHandlerInvocations(1)
-	r, err := e.reevalUnit(u.key, u, at, lim, stats)
-	sp.results[key] = sharedResult{r, err}
-	sp.misses++
-	stats.AddSharedUnitMisses(1)
-	return r, err
-}
-
 // reevalUnit computes one unit's current output and horizon in the
 // engine's evaluation frame. A generic unit evaluates its whole sub-plan.
 // An indexed unit reads its filler's annotated versions (the same store
@@ -1097,10 +974,11 @@ func (e *Engine) evalUnitShared(u *unit, at time.Time, lim xcql.Limits, stats *o
 // no versionMemo; otherwise version by version, and then only the versions
 // planRerun finds changed: the read builds no top for the others, whose
 // spans of prev's output are kept. Every item is serialized once, when its
-// version runs: the serial is what the engine diffs by, what a shared pass
-// hands the group's other engines, and what a delta carries to the wire.
+// version runs: the serial is what the engine diffs by and what a delta
+// carries to the wire.
 // Count mode skips materialization and serials — only cardinality survives.
-func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
+func (e *Engine) reevalUnit(prev *unit, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
+	k := prev.key
 	p := e.pieces[k.piece]
 	if e.frame == nil {
 		e.frame = e.q.NewUnitEval()
@@ -1117,10 +995,7 @@ func (e *Engine) reevalUnit(k unitKey, prev *unit, at time.Time, lim xcql.Limits
 		}
 		return e.result(seq, horizon), nil
 	}
-	var memo *versionMemo
-	if prev != nil {
-		memo = prev.versions
-	}
+	memo := prev.versions
 	r := &e.run
 	defer r.reset()
 	for {
@@ -1403,21 +1278,6 @@ func (e *Engine) BufferHWMBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.hwm
-}
-
-// UnitSignatures lists the structural signatures of the engine's piece
-// slots (one per indexed xcql:bytsid tsid, one per generic piece), in
-// plan order. The registry refcounts these across the queries of a
-// shared group: a signature held by K queries is evaluated once per
-// arrival and shared K ways.
-func (e *Engine) UnitSignatures() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var sigs []string
-	for _, p := range e.pieces {
-		sigs = append(sigs, p.sigs...)
-	}
-	return sigs
 }
 
 // Strategy describes how the plan decomposed and which arrivals re-run

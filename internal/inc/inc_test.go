@@ -129,5 +129,5 @@ func TestEvalUnitChargesLikeFullEvaluation(t *testing.T) {
 // evalUnit computes one unit's current output and horizon from scratch:
 // every version of an indexed unit runs.
 func (e *Engine) evalUnit(k unitKey, at time.Time, lim xcql.Limits, stats *obs.EvalStats) (unitResult, error) {
-	return e.reevalUnit(k, nil, at, lim, stats)
+	return e.reevalUnit(&unit{key: k, due: -1}, at, lim, stats)
 }

@@ -157,11 +157,11 @@ func TestPerBindingSchedule(t *testing.T) {
 	apply := func(f *fragment.Fragment, at time.Time) (fraudUnits, filterUnits int64) {
 		t.Helper()
 		var fs, ls obs.EvalStats
-		delta, _, err := fraud.Apply(f, at, xcql.Limits{}, &fs, nil)
+		delta, _, err := fraud.Apply(f, at, xcql.Limits{}, &fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := filter.Apply(f, at, xcql.Limits{}, &ls, nil); err != nil {
+		if _, _, err := filter.Apply(f, at, xcql.Limits{}, &ls); err != nil {
 			t.Fatal(err)
 		}
 		ref, err := full.Eval(at)
@@ -235,7 +235,7 @@ func newFraudReplay(t *testing.T, rt *xcql.Runtime, src string) *fraudReplay {
 // it, and returns how many versions it re-ran.
 func (fr *fraudReplay) step(f *fragment.Fragment, at time.Time) int {
 	fr.t.Helper()
-	delta, _, err := fr.e.Apply(f, at, xcql.Limits{}, nil, nil)
+	delta, _, err := fr.e.Apply(f, at, xcql.Limits{}, nil)
 	if err != nil {
 		fr.t.Fatalf("at %s: %v", at.Format(time.TimeOnly), err)
 	}
@@ -429,8 +429,8 @@ func TestPerVersionSchedule(t *testing.T) {
 			plain.e.pieces[0].folded = nil
 			tripped.step(nil, at.Add(-time.Second))
 			plain.step(nil, at.Add(-time.Second))
-			_, _, err := tripped.e.Apply(announce, at, lim, nil, nil)
-			_, _, want := plain.e.Apply(announce, at, lim, nil, nil)
+			_, _, err := tripped.e.Apply(announce, at, lim, nil)
+			_, _, want := plain.e.Apply(announce, at, lim, nil)
 			var re, wantRE *budget.ResourceError
 			same := errors.As(err, &re) == errors.As(want, &wantRE) && (re == nil || re.Limit == wantRE.Limit)
 			if limit == budget.LimitSteps {
@@ -470,7 +470,7 @@ func TestVolatileUnitRunsOncePerInstant(t *testing.T) {
 	units := func(f *fragment.Fragment, at time.Time) int64 {
 		t.Helper()
 		var st obs.EvalStats
-		if _, _, err := e.Apply(f, at, xcql.Limits{}, &st, nil); err != nil {
+		if _, _, err := e.Apply(f, at, xcql.Limits{}, &st); err != nil {
 			t.Fatal(err)
 		}
 		return st.HandlerInvocations
@@ -507,7 +507,7 @@ func TestHorizonLaw(t *testing.T) {
 	bounded, changed := 0, 0
 	check := func(name string, e *Engine, frags []*fragment.Fragment, at time.Time) {
 		t.Helper()
-		if _, _, err := e.Apply(nil, at, xcql.Limits{}, nil, nil); err != nil {
+		if _, _, err := e.Apply(nil, at, xcql.Limits{}, nil); err != nil {
 			return // e.g. CaQ before the root filler: nothing to hold
 		}
 		// a stored version that becomes visible changes the store the

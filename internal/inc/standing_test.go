@@ -26,7 +26,7 @@ func TestUnboundPlanRerunsEveryEvaluation(t *testing.T) {
 	later := creditBase.Add(time.Hour)
 	cs.charge(0, 700, later)
 	for _, at := range []time.Time{creditBase, later} {
-		delta, _, err := e.Apply(nil, at, xcql.Limits{}, nil, nil)
+		delta, _, err := e.Apply(nil, at, xcql.Limits{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestEvaluationAfterUnreportedWrites(t *testing.T) {
 	apply := func(f *fragment.Fragment, at time.Time) (string, int64) {
 		t.Helper()
 		var st obs.EvalStats
-		delta, _, err := e.Apply(f, at, xcql.Limits{}, &st, nil)
+		delta, _, err := e.Apply(f, at, xcql.Limits{}, &st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,14 +104,6 @@ type EvalStats struct {
 	// delta-state) buffer in serialized bytes — the memory bound the
 	// continuous query's state machine promises.
 	BufferHWMBytes int64
-	// SharedUnitHits and SharedUnitMisses count incremental unit
-	// evaluations served from (hits) or computed into (misses) a
-	// registry-scoped shared pass: when K standing queries share an
-	// access path, one arrival evaluates each distinct unit once (a miss)
-	// and the other K-1 consumers take hits. Zero outside registry-driven
-	// evaluation.
-	SharedUnitHits   int64
-	SharedUnitMisses int64
 
 	// Per-phase wall times. Parse and Translate are compile-time and
 	// copied from the owning query (zero for a query whose plan came from
@@ -201,21 +193,6 @@ func (s *EvalStats) AddBufferedItems(n int) {
 	}
 }
 
-// AddSharedUnitHits records n unit evaluations served from a shared pass.
-func (s *EvalStats) AddSharedUnitHits(n int) {
-	if s != nil {
-		atomic.AddInt64(&s.SharedUnitHits, int64(n))
-	}
-}
-
-// AddSharedUnitMisses records n unit evaluations computed into a shared
-// pass (the actual work a shared group performed).
-func (s *EvalStats) AddSharedUnitMisses(n int) {
-	if s != nil {
-		atomic.AddInt64(&s.SharedUnitMisses, int64(n))
-	}
-}
-
 // MaxBufferHWMBytes raises the buffer high-water mark to n if larger.
 func (s *EvalStats) MaxBufferHWMBytes(n int64) {
 	if s == nil {
@@ -242,9 +219,6 @@ func (s *EvalStats) String() string {
 	if s.HandlerInvocations > 0 || s.BufferedItems > 0 {
 		line += fmt.Sprintf(" handlers=%d buffered-items=%d buffer-hwm-bytes=%d",
 			s.HandlerInvocations, s.BufferedItems, s.BufferHWMBytes)
-	}
-	if s.SharedUnitHits > 0 || s.SharedUnitMisses > 0 {
-		line += fmt.Sprintf(" shared-hits=%d shared-misses=%d", s.SharedUnitHits, s.SharedUnitMisses)
 	}
 	return line
 }

@@ -6,9 +6,10 @@ import "xcql/internal/obs"
 // obs.Registry as gauges named prefix_<counter> (e.g.
 // "registry_shared_evals"). Gauges read a fresh Stats snapshot at
 // exposition time, so /metrics always shows live values. The headline
-// pair is shared_evals vs shared_saved: their ratio is the fan-in the
-// sharing layer achieves — with K queries sharing one unit,
-// shared_saved grows like (K-1)× shared_evals.
+// pair is shared_evals vs shared_saved: the unit evaluations the groups'
+// advances ran vs the members served by another member's advance — with
+// K identical queries and one unit evaluation per arrival, shared_saved
+// grows like (K-1)× shared_evals.
 func (r *Registry) RegisterMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return

@@ -1,14 +1,9 @@
 // Package registry is the multi-tenant standing-query layer: one
 // process-wide registry accepts many compiled XCQL registrations, groups
-// them by the stores their plans read and their limits, and evaluates each
-// partial-match unit they have in common once per arriving fragment
-// instead of once per query. Every registration runs the incremental
-// engine (internal/inc); within a group, registrations with identical
-// plans advance one shared engine per arrival, and registrations with
-// different plans — another mode, another set of access paths — share
-// individual unit evaluations through an inc.SharedPass: the registry is
-// the layer that dedupes the engine's per-tag/per-filler units *across*
-// queries.
+// the identical ones — one plan over the same stores under the same
+// limits — and advances each group's one incremental engine
+// (internal/inc) once per arriving fragment instead of once per query,
+// fanning the delta out to every member.
 //
 // This is the one implementation of a standing query: every standing
 // query is a registration, which owns the degrade/re-emit protocol and the
@@ -21,21 +16,16 @@
 // never results.
 //
 // Sharing is scoped for soundness: a group key is the identity of the
-// stores the plan reads and a fingerprint of the registration's effective
-// limits, so two units share work only when their evaluations read the
-// same store state at the same instant under the same budget. What a unit
-// computes is its signature (inc.Engine.UnitSignatures): the materialize
-// flag, the plan, the stream, the tsid and the body. The plan keeps a scan
-// plan's unit (CaQ, QaC: one budget step per hole read) apart from QaC+'s
-// (none), so that no registration is handed a budget trip, or a success,
-// its own plan would not produce.
-// A group's SharedPass is emptied before each arrival; nothing memoized
-// outlives the arrival, so there is no cross-arrival invalidation protocol
-// to get wrong.
+// stores the plan reads, a fingerprint of the registration's effective
+// limits and the plan (mode and canonical rendering), so members share an
+// advance only where each would have made the same one alone: the same
+// reads of the same store state at the same instant under the same budget,
+// tripping or succeeding together. Registrations of different plans share
+// nothing, whatever units their decompositions have in common.
 // What surrounds a delivery is owned by what outlives the arrival, and
-// reset rather than rebuilt: the group owns the pass, an engine share the
-// stats its advance counts into (a member's Query.LastStats is a copy),
-// and the serial an engine diffs an item by travels with the delta
+// reset rather than rebuilt: the group owns the engine and the stats its
+// advance counts into (a member's Query.LastStats is a copy), and the
+// serial an engine diffs an item by travels with the delta
 // (Result.Serials) to the codec.
 //
 // Delivery is per-registration with backpressure: a subscriber that
@@ -127,8 +117,9 @@ const DefaultBuffer = 64
 // Registry is the standing-query registry. All methods are safe for
 // concurrent use; fragment arrivals are serialized internally.
 type Registry struct {
-	// evalMu serializes arrivals (Apply/Evaluate): shared passes are
-	// scoped to one arrival, so two arrivals must not interleave.
+	// evalMu serializes arrivals (Apply/Evaluate): a group's advance stats
+	// are scratch for the arrival in progress, so two arrivals must not
+	// interleave.
 	evalMu sync.Mutex
 
 	mu     sync.Mutex
@@ -164,9 +155,9 @@ type Registry struct {
 func (r *Registry) SetFlightRecorder(rec *obs.FlightRecorder) {
 	r.mu.Lock()
 	r.tracer = rec
-	engines := make([]*inc.Engine, 0, len(r.regs))
-	for _, reg := range r.regs {
-		engines = append(engines, reg.eng)
+	engines := make([]*inc.Engine, 0, len(r.groups))
+	for _, g := range r.groups {
+		engines = append(engines, g.eng)
 	}
 	r.mu.Unlock()
 	for _, eng := range engines {
@@ -209,26 +200,24 @@ func (r *Registry) SetMaxRegistrations(n int) {
 	r.mu.Unlock()
 }
 
-// group is one sharing scope: every registration whose plan reads the
-// same stores under the same limits.
+// group is one sharing scope: every registration of one plan reading the
+// same stores under the same limits. Its members advance ONE engine per
+// arrival and each take the delta, so a member's cost is a delivery, not an
+// evaluation. The group, its engine with it, lives while it has a member.
 type group struct {
 	key   string
 	scope string // the key's readable part: stream names and limits
 	// members is sorted by id and, like Registry.order, replaced where
 	// membership changes and never written in place.
 	members []*Registration
-	// sigRef refcounts unit signatures across members: a signature with
-	// refcount K is evaluated once per arrival and shared K ways.
-	sigRef map[string]int
-	// engShares maps plan identities to a single shared inc.Engine:
-	// identical registrations advance ONE engine per arrival and fan the
-	// delta out, so per-member cost is a delivery, not an evaluation. The
-	// engine lives while any member holds it (refcount) and dies with the
-	// last Close.
-	engShares map[string]*engShare
-	// units is the unit memo the members' engines share, emptied at the
-	// start of every arrival. Touched under evalMu only.
-	units *inc.SharedPass
+	// eng is the engine every member advances and reads, under lim.
+	eng *inc.Engine
+	lim xcql.Limits
+	// advance is what the engine's advance for the arrival in progress
+	// counts into, named plan; every member records a copy as its
+	// LastStats. Touched under evalMu only.
+	plan    string
+	advance obs.EvalStats
 
 	sharedEvals int64
 	sharedSaved int64
@@ -245,16 +234,7 @@ type Registration struct {
 	r    *Registry
 	q    *xcql.Query
 	opts Options
-	lim  xcql.Limits
 	g    *group
-	// planKey is the sharing identity (mode + canonical plan): members of a
-	// group with the same key share one advance of one engine per arrival.
-	planKey string
-	// share holds the engine, possibly shared with the group's other
-	// members of the same planKey, and eng is that engine.
-	share *engShare
-	eng   *inc.Engine
-	sigs  []string
 	// paths is the plan's access-path signature from EXPLAIN, what
 	// RegStats.Group reports.
 	paths string
@@ -287,7 +267,7 @@ type RegStats struct {
 	Degraded    string
 	// BufferBytes is the standing state the registration holds between
 	// arrivals, in serialized bytes: the engine's partial-match buffers
-	// (members sharing an engine each report the shared buffers).
+	// (the members of a group each report the group's buffers).
 	// BufferHWMBytes is its high-water mark — it follows the standing
 	// result's size, not the output history.
 	BufferBytes    int64
@@ -303,11 +283,11 @@ type Stats struct {
 	// Applies counts fragment arrivals (plus fragment-less Evaluate
 	// calls) the registry processed.
 	Applies int64
-	// SharedEvals counts unit evaluations actually performed: the shared
-	// passes' misses.
+	// SharedEvals counts the unit evaluations the groups' advances ran:
+	// their HandlerInvocations.
 	SharedEvals int64
-	// SharedSaved counts evaluations sharing made unnecessary: unit hits
-	// plus the extra members a shared engine advance served.
+	// SharedSaved counts the members served by another member's advance:
+	// a group of K members saves K-1 advances per arrival.
 	SharedSaved int64
 	// Fanout counts results delivered to registrations.
 	Fanout int64
@@ -324,27 +304,25 @@ type Stats struct {
 // GroupStats is a snapshot of one sharing group.
 type GroupStats struct {
 	// Key renders the group's sharing scope: the streams its members
-	// read and, when set, their limits.
+	// read and, when set, their limits. Groups of different plans over
+	// one scope render the same Key.
 	Key string
 	// Members is the live registration count.
 	Members int
-	// SharedUnits counts unit signatures held by more than one member —
-	// the units evaluated once and fanned out.
-	SharedUnits int
 	// SharedEvals / SharedSaved / Fanout mirror the registry-level
 	// counters, scoped to this group.
 	SharedEvals int64
 	SharedSaved int64
 	Fanout      int64
 	// Stats accumulates the group's evaluation cost counters across
-	// arrivals: with K members sharing a unit, FillersScanned grows
-	// like one query's cost, not K of them.
+	// arrivals: with K members, FillersScanned grows like one query's
+	// cost, not K of them.
 	Stats obs.EvalStats
 }
 
 // Register adds a compiled standing query. The registration is grouped
-// with every earlier registration reading the same stores under the same
-// limits and starts receiving a Result per subsequent
+// with every earlier registration of the same plan reading the same stores
+// under the same limits and starts receiving a Result per subsequent
 // arrival. Registration itself performs no evaluation; the first
 // arrival (or Evaluate call) seeds the standing state and emits it as
 // the first delta.
@@ -360,7 +338,6 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		r:       r,
 		q:       q,
 		opts:    opts,
-		lim:     lim,
 		latency: obs.NewHistogram(),
 	}
 	if opts.OnResult == nil {
@@ -370,9 +347,6 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		}
 		reg.ch = make(chan Result, buf)
 	}
-	reg.eng = inc.New(q)
-	reg.sigs = reg.eng.UnitSignatures()
-	reg.planKey = q.Mode.String() + "\x00" + q.Plan.String()
 	ex := q.Explain()
 	key, scope := groupKey(q, ex.Streams, lim)
 	reg.paths = accessPaths(ex.Targets)
@@ -388,57 +362,37 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 	g := r.groups[key]
 	if g == nil {
 		g = &group{
-			key:       key,
-			scope:     scope,
-			sigRef:    make(map[string]int),
-			engShares: make(map[string]*engShare),
-			units:     inc.NewSharedPass(),
-			latency:   obs.NewHistogram(),
+			key:     key,
+			scope:   scope,
+			eng:     inc.New(q),
+			lim:     lim,
+			plan:    q.Mode.String() + "/inc",
+			latency: obs.NewHistogram(),
 		}
+		g.eng.SetFlightRecorder(r.tracer)
 		r.groups[key] = g
 		at := sort.Search(len(r.order), func(i int) bool { return r.order[i].key > key })
 		r.order = slices.Insert(slices.Clone(r.order), at, g)
+	} else {
+		// join the group's live engine: this member's first delivery
+		// re-emits the standing result (exactly what a fresh independent
+		// query's first evaluation produces), and from then on it consumes
+		// the group's advance.
+		reg.needReseed = true
 	}
 	reg.g = g
 	// ids only grow, so the newest member sorts last
 	g.members = append(slices.Clip(g.members), reg)
-	for _, sig := range reg.sigs {
-		g.sigRef[sig]++
-	}
-	if share := g.engShares[reg.planKey]; share != nil {
-		// adopt the share's live engine: this member's first delivery
-		// re-emits the standing result (exactly what a fresh independent
-		// query's first evaluation produces), and from then on it consumes
-		// the shared advance.
-		reg.share, reg.eng = share, share.eng
-		share.refs++
-		reg.needReseed = true
-	} else {
-		reg.share = &engShare{eng: reg.eng, refs: 1, plan: q.Mode.String() + "/inc"}
-		g.engShares[reg.planKey] = reg.share
-	}
-	reg.eng.SetFlightRecorder(r.tracer)
 	r.regs[reg.id] = reg
 	return reg, nil
 }
 
-// engShare is one refcounted shared engine: every live registration with
-// the same plan identity in the group advances and reads the same engine.
-type engShare struct {
-	eng  *inc.Engine
-	refs int
-	// stats is what the engine's advance for the arrival in progress counts
-	// into, named plan; every member records a copy as its LastStats.
-	// Touched under evalMu only.
-	plan  string
-	stats obs.EvalStats
-}
-
 // groupKey derives a registration's sharing scope: the identity of every
-// store the plan reads (sharing across different stores would be unsound)
-// and the effective limits fingerprint (sharing across different budgets
-// would change which registrations trip). How the plan reads is not part
-// of it: the unit signatures carry that. scope is the readable part.
+// store the plan reads (sharing across different stores would be unsound),
+// the effective limits fingerprint (sharing across different budgets would
+// change which registrations trip) and the plan, mode included (a scan
+// plan charges a budget step per hole read where QaC+'s index read charges
+// none). scope is the readable part.
 func groupKey(q *xcql.Query, streams []string, lim xcql.Limits) (key, scope string) {
 	names := slices.Compact(slices.Sorted(slices.Values(streams)))
 	stores := make([]string, len(names))
@@ -452,7 +406,7 @@ func groupKey(q *xcql.Query, streams []string, lim xcql.Limits) (key, scope stri
 	if lim != (xcql.Limits{}) {
 		scope += fmt.Sprintf(" %+v", lim)
 	}
-	return scope + "\x00" + strings.Join(stores, ","), scope
+	return scope + "\x00" + strings.Join(stores, ",") + "\x00" + q.Mode.String() + "\x00" + q.Plan.String(), scope
 }
 
 // accessPaths renders the access paths EXPLAIN finds in a plan, sorted and
@@ -490,11 +444,11 @@ func (reg *Registration) Latency() *obs.Histogram { return reg.latency }
 // ItemsSnapshot returns the registration's full standing result at the
 // last applied instant, read off the engine's buffers. The items are
 // shared with the engine; callers must not mutate them.
-func (reg *Registration) ItemsSnapshot() xq.Sequence { return reg.eng.ItemsSnapshot() }
+func (reg *Registration) ItemsSnapshot() xq.Sequence { return reg.g.eng.ItemsSnapshot() }
 
 // Strategy describes how the engine decomposed the plan (see
 // inc.Engine.Strategy).
-func (reg *Registration) Strategy() string { return reg.eng.Strategy() }
+func (reg *Registration) Strategy() string { return reg.g.eng.Strategy() }
 
 // Degraded reports the current degradation reason, if any.
 func (reg *Registration) Degraded() (string, bool) {
@@ -537,12 +491,12 @@ func (reg *Registration) Stats() RegStats {
 	return RegStats{
 		ID:             reg.id,
 		Group:          reg.paths,
-		Strategy:       reg.eng.Strategy(),
+		Strategy:       reg.g.eng.Strategy(),
 		Evaluations:    reg.evals,
 		Dropped:        reg.dropped,
 		Degraded:       reg.degraded,
-		BufferBytes:    reg.eng.BufferedBytes(),
-		BufferHWMBytes: reg.eng.BufferHWMBytes(),
+		BufferBytes:    reg.g.eng.BufferedBytes(),
+		BufferHWMBytes: reg.g.eng.BufferHWMBytes(),
 	}
 }
 
@@ -556,16 +510,6 @@ func (reg *Registration) Close() {
 		delete(r.regs, reg.id)
 		g := reg.g
 		g.members = slices.DeleteFunc(slices.Clone(g.members), func(m *Registration) bool { return m == reg })
-		for _, sig := range reg.sigs {
-			if g.sigRef[sig]--; g.sigRef[sig] <= 0 {
-				delete(g.sigRef, sig)
-			}
-		}
-		if share := g.engShares[reg.planKey]; share != nil {
-			if share.refs--; share.refs <= 0 {
-				delete(g.engShares, reg.planKey)
-			}
-		}
 		if len(g.members) == 0 {
 			delete(r.groups, g.key)
 			r.order = slices.DeleteFunc(slices.Clone(r.order), func(o *group) bool { return o == g })
@@ -621,8 +565,8 @@ func (reg *Registration) deliver(res Result) bool {
 
 // Apply ingests one fragment arrival (already added to the stores the
 // queries read) at the registry clock's current instant: each sharing
-// group evaluates its members' units once each and fans the
-// per-registration deltas out. A nil fragment is a pure re-evaluation (clock advance).
+// group advances its engine once and fans the per-registration deltas
+// out. A nil fragment is a pure re-evaluation (clock advance).
 func (r *Registry) Apply(f *fragment.Fragment) {
 	r.evalMu.Lock()
 	defer r.evalMu.Unlock()
@@ -641,47 +585,35 @@ func (r *Registry) Apply(f *fragment.Fragment) {
 func (r *Registry) Evaluate() { r.Apply(nil) }
 
 // groupPass is one sharing group's evaluation of one arrival: the
-// arrival's coordinates and what the group's counters gain from it. (The
-// shared evaluations made so far travel beside it, as a map of their own:
-// inside this struct the map could not stay on the stack.)
+// arrival's coordinates, the group's one advance — made by the first member
+// to be served — and what the group's counters gain from it.
 type groupPass struct {
+	g   *group
 	f   *fragment.Fragment
 	at  time.Time
 	rec *obs.FlightRecorder
 	ptc obs.TraceContext // the "registry.eval" span member fan-outs hang off
 	tid uint64
-	// units is the group's unit memo, emptied for this (fragment, instant)
-	// cell.
-	units *inc.SharedPass
 
-	stats     obs.EvalStats
+	// advanced says the engine has advanced for this arrival: delta (with
+	// serials, its items' serialized forms, nil in count mode) or err is
+	// what the advance produced.
+	advanced bool
+	delta    xq.Sequence
+	serials  []string
+	err      error
+
 	delivered int64
 	reseeds   int64
-}
-
-// sharedEval is one evaluation shared by every member of a group with
-// the same planKey: the delta one advance of the shared engine produced —
-// or the error that replaced it. The first member pays for it; the rest
-// consume it.
-type sharedEval struct {
-	delta xq.Sequence
-	// serials are the serialized forms of delta's items, its
-	// Result.Serials (nil in count mode).
-	serials []string
-	err     error
-	// stats is the advance's cost profile, in the share's scratch.
-	stats     *obs.EvalStats
-	consumers int
 }
 
 // applyGroup evaluates one sharing group for one arrival.
 func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	start := time.Now()
 	r.mu.Lock()
-	gp := groupPass{f: f, at: at, rec: r.tracer, units: g.units, stats: obs.EvalStats{Plan: "group"}}
+	gp := groupPass{g: g, f: f, at: at, rec: r.tracer}
 	members := g.members // by id
 	r.mu.Unlock()
-	gp.units.Reset()
 
 	// a traced arrival gets one "registry.eval" span per sharing group;
 	// each member's delivery hangs off it as a "fanout" child, so K
@@ -693,16 +625,14 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 		gsp = gp.rec.Start(f.Trace, "registry.eval").Annotate("", f.TSID, f.Seq)
 		gp.ptc = gsp.Context()
 	}
-	shared := make(map[string]sharedEval) // by planKey
 	for _, reg := range members {
-		reg.apply(&gp, shared)
+		reg.apply(&gp)
 	}
 	g.latency.ObserveExemplar(time.Since(start), gp.tid)
 
-	evals := gp.units.Misses()
-	saved := gp.units.Hits()
-	for _, ev := range shared {
-		saved += int64(ev.consumers - 1)
+	var evals, saved int64
+	if gp.advanced {
+		evals, saved = g.advance.HandlerInvocations, int64(len(members)-1)
 	}
 	if gsp != nil {
 		gsp.SetDetail(fmt.Sprintf("group=%s members=%d evals=%d saved=%d", g.scope, len(members), evals, saved))
@@ -712,7 +642,9 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 	g.sharedEvals += evals
 	g.sharedSaved += saved
 	g.fanout += gp.delivered
-	mergeStats(&g.stats, &gp.stats)
+	if gp.advanced {
+		mergeStats(&g.stats, &g.advance)
+	}
 	r.sharedEvals += evals
 	r.sharedSaved += saved
 	r.fanout += gp.delivered
@@ -721,23 +653,20 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 }
 
 // apply is one member's share of an arrival: take (or, as the first
-// member with this planKey, make) the shared evaluation, fold it into the
-// standing state, and deliver what that yields.
-func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
+// member served, make) the group's advance, fold it into the standing
+// state, and deliver what that yields.
+func (reg *Registration) apply(gp *groupPass) {
 	start := time.Now()
 	fsp := gp.rec.Start(gp.ptc, "fanout").SetReg(reg.id)
 	defer fsp.End()
-	ev, ok := shared[reg.planKey]
-	if !ok {
-		ev = reg.evaluate(gp)
+	if !gp.advanced {
+		gp.evaluate()
 	}
-	ev.consumers++
-	shared[reg.planKey] = ev
 	// every member publishes the advance's cost profile as its own
 	// LastStats (an EXPLAIN on any member shows what this arrival cost the
-	// share, not zero)
-	reg.q.RecordStats(ev.stats)
-	res, outcome := reg.settle(ev, gp)
+	// group, not zero)
+	reg.q.RecordStats(&gp.g.advance)
+	res, outcome := reg.settle(gp)
 	res.At, res.TraceID = gp.at, gp.tid
 	switch {
 	case outcome == "governed":
@@ -759,20 +688,17 @@ func (reg *Registration) apply(gp *groupPass, shared map[string]sharedEval) {
 	reg.latency.ObserveExemplar(time.Since(start), gp.tid)
 }
 
-// evaluate performs the shared evaluation of reg's planKey for this
-// arrival: one advance of the (possibly shared) engine, whose unit
-// evaluations are further deduped across DIFFERENT plans through the
-// group's shared pass.
-func (reg *Registration) evaluate(gp *groupPass) sharedEval {
-	stats := &reg.share.stats
-	*stats = obs.EvalStats{Plan: reg.share.plan}
-	delta, serials, err := reg.eng.Apply(gp.f, gp.at, reg.lim, stats, gp.units)
-	mergeStats(&gp.stats, stats)
-	return sharedEval{delta: delta, serials: serials, err: err, stats: stats}
+// evaluate makes the group's one advance for this arrival: its engine's
+// Apply under the group's limits, counted into the group's advance stats.
+func (gp *groupPass) evaluate() {
+	g := gp.g
+	g.advance = obs.EvalStats{Plan: g.plan}
+	gp.delta, gp.serials, gp.err = g.eng.Apply(gp.f, gp.at, g.lim, &g.advance)
+	gp.advanced = true
 }
 
-// settle is the one standing-state transition: it folds a shared
-// evaluation into the registration and returns the delivery it yields,
+// settle is the one standing-state transition: it folds the group's
+// advance into the registration and returns the delivery it yields,
 // plus what to call the outcome where it is not a plain delta
 // ("governed", "error", "reseed"). A governed failure (budget, deadline,
 // admission) is part of normal operation: the registration is invalidated
@@ -780,11 +706,11 @@ func (reg *Registration) evaluate(gp *groupPass) sharedEval {
 // is delivered as Result.Err and changes nothing — in particular a
 // pending re-emission stays pending. Otherwise the delta is the engine's,
 // or, when a re-emission is pending, the whole standing result.
-func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
-	if ev.err != nil {
-		reason, governed := governedFailure(ev.err)
+func (reg *Registration) settle(gp *groupPass) (Result, string) {
+	if gp.err != nil {
+		reason, governed := governedFailure(gp.err)
 		if !governed {
-			return Result{Err: ev.err}, "error"
+			return Result{Err: gp.err}, "error"
 		}
 		reg.Invalidate(reason)
 		return Result{Degraded: reason}, "governed"
@@ -795,13 +721,13 @@ func (reg *Registration) settle(ev sharedEval, gp *groupPass) (Result, string) {
 	outcome := ""
 	if reg.needReseed {
 		// re-emit from the engine's standing buffers rather than rebuild
-		// them: the engine may be shared, and its other members are owed
-		// nothing but this arrival's delta
-		res.Delta, res.Serials = reg.eng.StandingDelta()
+		// them: the group's other members are owed nothing but this
+		// arrival's delta
+		res.Delta, res.Serials = reg.g.eng.StandingDelta()
 		outcome = "reseed"
 		gp.reseeds++
 	} else {
-		res.Delta, res.Serials = ev.delta, ev.serials
+		res.Delta, res.Serials = gp.delta, gp.serials
 	}
 	reg.needReseed = false
 	return res, outcome
@@ -857,25 +783,17 @@ func (r *Registry) Stats() Stats {
 func (r *Registry) Groups() []GroupStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]GroupStats, 0, len(r.groups))
-	for _, g := range r.groups {
-		shared := 0
-		for _, n := range g.sigRef {
-			if n > 1 {
-				shared++
-			}
-		}
+	out := make([]GroupStats, 0, len(r.order))
+	for _, g := range r.order {
 		out = append(out, GroupStats{
 			Key:         g.scope,
 			Members:     len(g.members),
-			SharedUnits: shared,
 			SharedEvals: g.sharedEvals,
 			SharedSaved: g.sharedSaved,
 			Fanout:      g.fanout,
 			Stats:       g.stats,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -910,8 +828,6 @@ func mergeStats(dst, src *obs.EvalStats) {
 	dst.Items += src.Items
 	dst.HandlerInvocations += src.HandlerInvocations
 	dst.BufferedItems += src.BufferedItems
-	dst.SharedUnitHits += src.SharedUnitHits
-	dst.SharedUnitMisses += src.SharedUnitMisses
 	if src.BufferHWMBytes > dst.BufferHWMBytes {
 		dst.BufferHWMBytes = src.BufferHWMBytes
 	}

@@ -142,7 +142,7 @@ func creditCharges(charges int) (*tagstruct.Structure, []*fragment.Fragment) {
 // per registration what each arrival delivered (the delta's serials, or
 // the degradation) and, per arrival, the steps the last mode's advance
 // counted.
-func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragment.Fragment, src string, lim xcql.Limits, modes ...xcql.Mode) ([][]string, []int64, *Registry, []*Registration) {
+func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragment.Fragment, src string, lim xcql.Limits, modes ...xcql.Mode) ([][]string, []int64, *Registry) {
 	t.Helper()
 	st := fragment.NewStore(structure)
 	rt := xcql.NewRuntime()
@@ -150,11 +150,10 @@ func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragmen
 	at := genstore.CreditBase
 	r := New(func() time.Time { return at })
 	traces := make([][]string, len(modes))
-	regs := make([]*Registration, len(modes))
 	var q *xcql.Query
 	for i, mode := range modes {
 		q = rt.MustCompile(src, mode)
-		reg, err := r.Register(q, Options{Limits: lim, OnResult: func(res Result) {
+		_, err := r.Register(q, Options{Limits: lim, OnResult: func(res Result) {
 			d := strings.Join(res.Serials, "")
 			if res.Degraded != "" || res.Err != nil {
 				d = fmt.Sprintf("!%s %v", res.Degraded, res.Err)
@@ -164,7 +163,6 @@ func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragmen
 		if err != nil {
 			t.Fatal(err)
 		}
-		regs[i] = reg
 	}
 	var steps []int64
 	for _, f := range frags {
@@ -175,39 +173,35 @@ func replayCredit(t *testing.T, structure *tagstruct.Structure, frags []*fragmen
 		r.Apply(f)
 		steps = append(steps, q.LastStats().Steps)
 	}
-	return traces, steps, r, regs
+	return traces, steps, r
 }
 
-// A QaC unit and a QaC+ unit that evaluate the same body are not the same
-// unit: QaC's scan read charges a budget step per hole it crosses, QaC+'s
+// A QaC registration and a QaC+ one of the same query are not the same
+// engine: QaC's scan read charges a budget step per hole it crosses, QaC+'s
 // index read none, so under a step limit QaC trips where QaC+ does not.
-// The unit signature names the plan, and a QaC+ registration beside a QaC
-// one of the same query, under a limit that only QaC's reads exceed,
-// delivers exactly what it delivers alone.
+// The group key names the plan, and a QaC+ registration beside a QaC one
+// of the same query, under a limit that only QaC's reads exceed, delivers
+// exactly what it delivers alone.
 func TestPlansPartUnits(t *testing.T) {
 	structure, frags := creditCharges(12)
 	// child steps only: QaC and QaC+ translate it alike
 	const src = `stream("s")/creditAccounts/account/transaction`
 	// the most an index read of this stream ever costs: QaC+ never trips
-	_, indexSteps, _, _ := replayCredit(t, structure, frags, src, xcql.Limits{}, xcql.QaCPlus)
+	_, indexSteps, _ := replayCredit(t, structure, frags, src, xcql.Limits{}, xcql.QaCPlus)
 	lim := xcql.Limits{MaxSteps: slices.Max(indexSteps)}
 
-	scanAlone, _, _, _ := replayCredit(t, structure, frags, src, lim, xcql.QaC)
-	indexAlone, _, _, _ := replayCredit(t, structure, frags, src, lim, xcql.QaCPlus)
+	scanAlone, _, _ := replayCredit(t, structure, frags, src, lim, xcql.QaC)
+	indexAlone, _, _ := replayCredit(t, structure, frags, src, lim, xcql.QaCPlus)
 	if !slices.ContainsFunc(scanAlone[0], func(d string) bool { return strings.HasPrefix(d, "!") }) {
 		t.Fatalf("QaC never trips MaxSteps=%d: the case tests nothing", lim.MaxSteps)
 	}
 	if slices.ContainsFunc(indexAlone[0], func(d string) bool { return strings.HasPrefix(d, "!") }) {
 		t.Fatalf("QaC+ trips MaxSteps=%d alone: %q", lim.MaxSteps, indexAlone[0])
 	}
-	// QaC registers first, so its unit evaluates first
-	both, _, r, regs := replayCredit(t, structure, frags, src, lim, xcql.QaC, xcql.QaCPlus)
-	if got := r.Stats().Groups; got != 1 {
-		t.Fatalf("%d groups, want the two plans in one", got)
-	}
-	scanSigs, indexSigs := regs[0].sigs, regs[1].sigs
-	if len(scanSigs) != 1 || strings.Replace(scanSigs[0], "|QaC|", "|QaC+|", 1) != indexSigs[0] || scanSigs[0] == indexSigs[0] {
-		t.Fatalf("signatures %q and %q: want one body, apart only in the plan", scanSigs, indexSigs)
+	// QaC registers first, so its engine advances first
+	both, _, r := replayCredit(t, structure, frags, src, lim, xcql.QaC, xcql.QaCPlus)
+	if got := r.Stats().Groups; got != 2 {
+		t.Fatalf("%d groups, want one per plan", got)
 	}
 	for i, alone := range [][]string{scanAlone[0], indexAlone[0]} {
 		if !slices.Equal(both[i], alone) {
@@ -241,11 +235,73 @@ func TestDifferentLimitsNeverShare(t *testing.T) {
 		t.Fatalf("%d groups, want one per limit: %+v", len(groups), groups)
 	}
 	for _, g := range groups {
-		if g.Members != 1 || g.SharedSaved != 0 || g.Stats.SharedUnitHits != 0 {
+		if g.Members != 1 || g.SharedSaved != 0 {
 			t.Errorf("group %q shared work across limits: %+v", g.Key, g)
 		}
 		if !strings.HasPrefix(g.Key, "s {MaxSteps:") {
 			t.Errorf("group key %q does not name the stream and the limits", g.Key)
 		}
+	}
+}
+
+// The sharing counters count advances: SharedEvals is the unit evaluations
+// the groups' advances ran — their HandlerInvocations — and SharedSaved the
+// members served by another member's advance. K identical registrations
+// are one group that advances once per arrival and saves K-1; the fraud
+// and filter queries are two plans, so two groups, and save nothing.
+func TestSharedCountersCountAdvances(t *testing.T) {
+	const k = 8
+	const (
+		passThrough = `for $t in stream("s")//transaction return $t`
+		fraud       = `for $a in stream("s")//account where sum($a/transaction?[now-PT1H,now]/amount) >= 5000 return $a/@id`
+		filter      = `for $t in stream("s")//transaction where $t/amount > 500 return $t/amount`
+	)
+	for _, c := range []struct {
+		name   string
+		srcs   []string
+		groups int
+		saved  int64 // per group and arrival
+	}{
+		{"identical", slices.Repeat([]string{passThrough}, k), 1, k - 1},
+		{"fraud+filter", []string{fraud, filter}, 2, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			structure, frags := creditCharges(30)
+			st := fragment.NewStore(structure)
+			rt := xcql.NewRuntime()
+			rt.RegisterStream("s", st)
+			at := genstore.CreditBase
+			r := New(func() time.Time { return at })
+			for _, src := range c.srcs {
+				if _, err := r.Register(rt.MustCompile(src, xcql.QaCPlus), Options{OnResult: func(Result) {}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range frags {
+				if err := st.Add(f); err != nil {
+					t.Fatal(err)
+				}
+				at = f.ValidTime
+				r.Apply(f)
+			}
+			groups := r.Groups()
+			if len(groups) != c.groups {
+				t.Fatalf("%d groups, want %d: %+v", len(groups), c.groups, groups)
+			}
+			var handlers, saved int64
+			for _, g := range groups {
+				if g.SharedEvals == 0 || g.SharedEvals != g.Stats.HandlerInvocations {
+					t.Errorf("group of %d: SharedEvals = %d, want its %d handler invocations", g.Members, g.SharedEvals, g.Stats.HandlerInvocations)
+				}
+				if want := c.saved * int64(len(frags)); g.SharedSaved != want {
+					t.Errorf("group of %d: SharedSaved = %d over %d arrivals, want %d", g.Members, g.SharedSaved, len(frags), want)
+				}
+				handlers += g.Stats.HandlerInvocations
+				saved += g.SharedSaved
+			}
+			if s := r.Stats(); s.SharedEvals != handlers || s.SharedSaved != saved || s.Applies != int64(len(frags)) {
+				t.Errorf("registry counters %+v, want the groups' %d evaluations and %d saved over %d arrivals", s, handlers, saved, len(frags))
+			}
+		})
 	}
 }

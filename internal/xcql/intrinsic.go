@@ -22,8 +22,8 @@ import (
 //	fold       (nodes)          ✓       the tag                          ✓      ✓
 //
 // A plan renders a call's Intrinsic after its Args, spelled as literal
-// arguments (String): the incremental engine's unit signatures and
-// EXPLAIN's rewritten plan read that rendering, and its evaluation is
+// arguments (String): the registry's group keys and EXPLAIN's rewritten
+// plan read that rendering, and its evaluation is
 // charged a budget step per operand it spells, as it would be for the
 // literals (operands) — but the lifespan bound, whose ends are evaluated as
 // the projection's arguments were. An Intrinsic is its call's own while

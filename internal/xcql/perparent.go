@@ -30,7 +30,7 @@ type perParent struct {
 
 // String renders the list the way the plan carries it — per-parent:[…]…,
 // with window[…] for the predicate the read serves — which is also what
-// the incremental engine's unit signatures are built from.
+// the registry's group keys are built from.
 func (p *perParent) String() string { return "per-parent:" + p.list() }
 
 // list spells the predicates, the windowed one marked.

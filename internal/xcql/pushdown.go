@@ -15,8 +15,8 @@ import (
 // on each stored payload before it builds the version's top element, so a
 // version the query would discard costs no node, no context and no
 // comparison in the evaluator. It is the call's Intrinsic's filter, which
-// is how it reaches the read, the plan's rendering (and so the incremental
-// engine's unit signatures) and EXPLAIN.
+// is how it reaches the read, the plan's rendering (and so the registry's
+// group keys) and EXPLAIN.
 //
 // A condition is pushable when the translator can prove, from the Tag
 // Structure, that its path reads only what is inline in the payload: child

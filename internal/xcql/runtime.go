@@ -225,9 +225,8 @@ func (q *Query) WithCache(int) *Query { return q }
 // zero value is returned before the first evaluation. Stats are recorded
 // even when the evaluation failed, so a budget trip still shows how far
 // it got. For a standing query the counters are those of its engine's
-// last advance, and a unit that advance took from another registration's
-// evaluation of it (a registry shares a unit across registrations of one
-// plan) counts as SharedUnitHits, not as this plan's reads.
+// last advance: every registration of a registry's sharing group reads
+// the cost of the one advance that served them all.
 func (q *Query) LastStats() obs.EvalStats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()

@@ -148,57 +148,11 @@ func TestRegistrySharedCostMonotonic(t *testing.T) {
 		}
 		check("FillersScanned", many.Stats.FillersScanned, one.Stats.FillersScanned)
 		check("HandlerInvocations", many.Stats.HandlerInvocations, one.Stats.HandlerInvocations)
-		if many.SharedUnits == 0 {
-			t.Errorf("SharedUnits = 0: no unit signature is held by more than one member")
-		}
 		if many.SharedSaved == 0 {
 			t.Errorf("SharedSaved = 0 with %d members sharing one path", k)
 		}
 		if one.SharedSaved != 0 {
 			t.Errorf("SharedSaved = %d with a single member: nothing to share", one.SharedSaved)
-		}
-	})
-
-	// Identical registrations share a whole engine, so the per-arrival
-	// unit memo only proves itself across DISTINCT plans that decompose
-	// into an overlapping piece: a sequence query carries the same
-	// //transaction unit as the plain query, and the second engine to
-	// advance must hit the first engine's unit results.
-	t.Run("cross-plan-unit-sharing", func(t *testing.T) {
-		fx := newRegistryCostFixture(t, 100, 50)
-		r := fx.engine.Registry()
-		at := fx.at
-		r.SetClock(func() time.Time { return at })
-		srcs := []string{
-			registryCostQuery,
-			`(stream("credit")//transaction, stream("credit")//transaction/amount)`,
-		}
-		for _, src := range srcs {
-			q, err := fx.engine.Compile(src, xcql.QaCPlus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.Register(q, xcql.RegistryOptions{OnResult: func(xcql.RegistryResult) {}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, f := range fx.arrivals {
-			mustAddT(t, fx.store, f)
-			if f.ValidTime.After(at) {
-				at = f.ValidTime
-			}
-			r.Apply(f)
-		}
-		var hits, units int64
-		for _, g := range r.Groups() {
-			hits += g.Stats.SharedUnitHits
-			units += int64(g.SharedUnits)
-		}
-		if hits == 0 {
-			t.Errorf("SharedUnitHits = 0: the shared pass never served a unit across distinct plans")
-		}
-		if units == 0 {
-			t.Errorf("SharedUnits = 0: no unit signature is held by more than one member")
 		}
 	})
 }
@@ -303,11 +257,10 @@ func TestRegistryOldPlanSpelling(t *testing.T) {
 	}
 }
 
-// TestRegistrySharesUnitsAcrossPlans: a sharing group is the stores its
-// members read and their limits, not their access paths, so a unit is
-// evaluated once per arrival for every registration whose decomposition
-// holds it — beside a plan that reads more paths — and every registration
-// still delivers what replayOracle computes for it alone.
+// TestRegistrySharesUnitsAcrossPlans: registrations of two plans over one
+// store, one reading a superset of the other's paths, hold a unit in common
+// but share nothing — a sharing group is one plan — and each reports its
+// own access paths and delivers what replayOracle computes for it alone.
 func TestRegistrySharesUnitsAcrossPlans(t *testing.T) {
 	t.Run("superset-path-set", func(t *testing.T) {
 		fx := newRegistryCostFixture(t, 100, 50)
@@ -328,9 +281,8 @@ func TestRegistrySharesUnitsAcrossPlans(t *testing.T) {
 			at = f.ValidTime
 			r.Apply(f)
 		}
-		groups := r.Groups()
-		if len(groups) != 1 || groups[0].Stats.SharedUnitHits == 0 || groups[0].SharedUnits == 0 {
-			t.Fatalf("groups %+v: want one group in which the transaction unit is shared", groups)
+		if groups := r.Groups(); len(groups) != 2 {
+			t.Fatalf("groups %+v: want one per plan", groups)
 		}
 		regs := r.Registrations()
 		if regs[0].Group != "tsid-index(credit:5)" || regs[1].Group != "tsid-index(credit:2) tsid-index(credit:5)" {

@@ -15,13 +15,12 @@ import (
 // The registry-equivalence cell of the differential harness: every
 // generated store/query pair is replayed fragment by fragment through
 // the multi-tenant registry with N=2..32 overlapping standing
-// registrations sharing ONE store and one evaluation pass per arrival —
-// and each registration's per-arrival delta trace and final standing
+// registrations sharing ONE store — and each registration's per-arrival delta trace and final standing
 // result must be byte-identical to replayOracle's: the same history on a
 // private store, evaluated from scratch at every step and diffed in the
 // test, through none of the registry's code. Sharing (one engine advance
-// per identical plan, unit memoization across plans) is an execution
-// strategy, not a semantics change; this suite pins that.
+// per identical plan) is an execution strategy, not a semantics change;
+// this suite pins that.
 
 // regSpec is one standing registration in a registry replay.
 type regSpec struct {
@@ -82,8 +81,7 @@ func replayRegistry(t *testing.T, ins *genstore.Instance, frags []*xcql.Fragment
 // instance: every generated query, from the start-th on and wrapping
 // round, enters twice under a rotating plan, then the set is padded with
 // duplicate registrations (cycling queries and plans) up to n — the
-// duplicates are what force engine sharing and cross-query unit sharing
-// inside one group. A set holds at most n/2 distinct queries, fewer than
+// duplicates are what force engine sharing inside one group. A set holds at most n/2 distinct queries, fewer than
 // an instance generates, so each instance starts where the one before
 // stopped (start), and every query shape is registered under some seed.
 func registrySpecs(ins *genstore.Instance, n, start int) []regSpec {
@@ -112,15 +110,12 @@ func queryShape(name string) string {
 }
 
 // TestSharedMemoSurvivesChurn: two incremental registrations whose plans
-// differ — so each has an engine of its own — but share the fraud piece's
-// unit signature, on a re-announced credit stream. The second joins a
-// quarter of the way in: its seeding evaluates the accounts the arrival
-// left clean itself, and from then on the first, which evaluates first,
-// computes every dirty account and the second takes it from the shared
-// pass, its per-version memo included. When the first is closed half-way
-// the second re-runs from the memos it took, not from the ones it made
-// when it joined. Its deltas after joining and its final standing result
-// are replayOracle's, and so are the first's up to its close.
+// differ — so each is a group and an engine of its own — but hold the same
+// fraud piece, on a re-announced credit stream. The second joins a quarter
+// of the way in, on a quiet account's arrival, and the first is closed
+// half-way: the second's per-version memos are its own engine's
+// throughout. Its deltas after joining and its final standing result are
+// replayOracle's, and so are the first's up to its close.
 func TestSharedMemoSurvivesChurn(t *testing.T) {
 	structure := xcql.MustParseTagStructure(genstore.CreditStructure)
 	pub, frags := genstore.NewCreditPublisher(3)
@@ -175,9 +170,8 @@ func TestSharedMemoSurvivesChurn(t *testing.T) {
 				t.Fatalf("strategies %q and %q, want the fraud piece per binding in both, folded in the first", a, b)
 			}
 		case steps == closeAt:
-			groups := r.Groups()
-			if len(groups) != 1 || groups[0].Members != 2 || groups[0].Stats.SharedUnitHits == 0 {
-				t.Fatalf("before the close: groups %+v, want the two registrations in one group sharing units", groups)
+			if groups := r.Groups(); len(groups) != 2 || groups[0].Members != 1 || groups[1].Members != 1 {
+				t.Fatalf("before the close: groups %+v, want one per plan", groups)
 			}
 			regs[0].Close()
 		}
