@@ -118,6 +118,11 @@ type Read struct {
 	// follows the step the read makes, made by the read. The zero Span
 	// bounds nothing.
 	Span Span
+	// Into is a list the read writes what it returns over, from its front,
+	// when it has room; nil allocates one. A caller that copies what the
+	// read returns lends one of its Scratch (Scratch.Nodes) and gives back
+	// what the read returned.
+	Into []*xmldom.Node
 }
 
 // SpanKind says what a lifespan bound bounds.
@@ -389,7 +394,7 @@ func (a *logScan) Read(st *Store, r Read) ([]*xmldom.Node, Group) {
 		return a.one(st, r, true)
 	}
 	r.distinct()
-	var out []*xmldom.Node
+	out := r.Into[:0]
 	var w windowKeep
 	keep := w.narrow(&r)
 	// a version range numbers versions across the holes, through keep

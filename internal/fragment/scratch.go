@@ -1,10 +1,14 @@
 package fragment
 
+import "xcql/internal/xmldom"
+
 // Scratch is a read's bookkeeping, kept from one evaluation to the next
 // (DESIGN.md "What an evaluation allocates"): the notes a read takes of the
-// versions it keeps before it builds them (keptVersion), and the hole ids
-// and groups a caller collects for a FromHoles read. None of it outlives the
-// read, or the caller's use of the ids: what a read returns is built anew.
+// versions it keeps before it builds them (keptVersion), the hole ids and
+// groups a caller collects for a FromHoles read, and the list a read returns
+// its versions in to a caller that copies them out (Read.Into). None of it
+// outlives the read, or the caller's use of the ids or the list: what else
+// a read returns is built anew.
 // An owner that runs one evaluation after another hands each one the same
 // Scratch through Eval.Scratch — one evaluation at a time.
 //
@@ -19,16 +23,38 @@ type Scratch struct {
 	notes  []keptVersion
 	ids    []int
 	groups []Group
+	nodes  []*xmldom.Node
 }
 
 // The caps of the buffers a Scratch keeps, in elements: 16 KB of notes,
-// 16 KB of ids, 20 KB of groups. Past them a read is large enough that
-// allocating its bookkeeping is small beside what it reads.
+// 16 KB of ids, 20 KB of groups, 8 KB of nodes. Past them a read is large
+// enough that allocating its bookkeeping is small beside what it reads.
 const (
 	keptNotes  = 1024
 	keptIDs    = 2048
 	keptGroups = 512
+	keptNodes  = 1024
 )
+
+// Nodes lends an empty list for a read to return its versions in
+// (Read.Into), for a caller that copies them out; nil when there is none.
+func (s *Scratch) Nodes() []*xmldom.Node {
+	if s == nil {
+		return nil
+	}
+	nodes := s.nodes
+	s.nodes = nil
+	return nodes
+}
+
+// GiveNodes hands back a list a read returned over what Nodes lent, or
+// one the read allocated, cleared: a kept node would stay alive.
+func (s *Scratch) GiveNodes(nodes []*xmldom.Node) {
+	if s != nil && cap(nodes) <= keptNodes && cap(nodes) > cap(s.nodes) {
+		clear(nodes)
+		s.nodes = nodes[:0]
+	}
+}
 
 // IDs lends an empty buffer for a read's hole ids, nil when there is none.
 func (s *Scratch) IDs() []int {

@@ -619,7 +619,7 @@ func (st *Store) events(tsid int) []*Fragment {
 // clipped to the window, spelled as the projection spells it — a window
 // endpoint that replaces a stamp as the window's bound is written
 // ("now-PT1H"), spelled once for the read.
-func (st *Store) buildTops(kept []keptVersion, sp *Span, at time.Time) []*xmldom.Node {
+func (st *Store) buildTops(out []*xmldom.Node, kept []keptVersion, sp *Span, at time.Time) []*xmldom.Node {
 	if len(kept) == 0 {
 		return nil
 	}
@@ -633,7 +633,7 @@ func (st *Store) buildTops(kept []keptVersion, sp *Span, at time.Time) []*xmldom
 			ninstants++
 		}
 	}
-	out := make([]*xmldom.Node, len(kept))
+	out = slices.Grow(out[:0], len(kept))[:len(kept)]
 	nodes := make([]xmldom.Node, len(kept))
 	attrs := make([]xmldom.Attr, nattrs)
 	var instants strings.Builder
@@ -796,15 +796,16 @@ func (st *Store) read(fids []int, tsid int, at time.Time, r Read, sc *Scratch) (
 // top each (buildTops), or, when r asks for bare tops, each version's
 // stored payload, and the bytes the stamps would have added to them, in
 // all and group by group (r.Groups, already where each group ends in
-// kept), under r's interval bound sp (nil for none).
+// kept), under r's interval bound sp (nil for none). The list of them is
+// written over r.Into.
 func (st *Store) tops(kept []keptVersion, r Read, sp *Span, at time.Time) ([]*xmldom.Node, int) {
 	if !r.Bare {
-		return st.buildTops(kept, sp, at), 0
+		return st.buildTops(r.Into, kept, sp, at), 0
 	}
 	if len(kept) == 0 {
 		return nil, 0
 	}
-	out := make([]*xmldom.Node, len(kept))
+	out := slices.Grow(r.Into[:0], len(kept))[:len(kept)]
 	stamps, g := 0, 0
 	var window [2]int // the spellings' lengths of the window's ends, once needed
 	for i, k := range kept {

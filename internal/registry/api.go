@@ -20,14 +20,15 @@ package registry
 // reader are fuzzed against arbitrary bytes (FuzzQueryAPIRequest).
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xcql/internal/inc"
@@ -63,6 +64,9 @@ type API struct {
 	// registrations live and die with their connection and are not in
 	// this map once closed.
 	owned map[int64]*Registration
+
+	// body is the POST /v1/eval body buffers kept between requests.
+	body atomic.Pointer[evalBody]
 }
 
 // NewAPI builds the service front for a registry.
@@ -450,7 +454,14 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	seq, err := q.Eval(at)
+	// the body is written as the evaluation yields the items; on an error
+	// it is dropped, unsent
+	out := a.takeBody()
+	out.begin(at)
+	err = q.EvalEach(context.Background(), at, q.Limits, func(it xq.Item) error {
+		out.add(it)
+		return nil
+	})
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		var oe *xcql.OverloadError
@@ -462,49 +473,65 @@ func (a *API) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(appendEvalBody(nil, at, seq))
+	w.Write(out.end())
+	a.giveBody(out)
 }
 
-// appendEvalBody appends the body of a successful POST /v1/eval to dst: the
-// object {"at", "items"} as encoding/json renders it with HTML escaping off,
-// each item serialized as inc.ItemSerial does, written field by field. dst
-// is grown once, to the items' encoded size with room for the quotes and
-// escapes JSON adds, and a node item is encoded into one buffer of the
-// largest item's size, kept for all of them, and escaped from there, so an
-// item costs no string of its own and a body one or two allocations.
-func appendEvalBody(dst []byte, at time.Time, seq xq.Sequence) []byte {
-	size, largest := len(`{"at":"","items":[]}`)+len(time.RFC3339Nano), 0
-	for _, it := range seq {
-		n := 24 // an atomic's serial: a number, a date, a short string
-		switch v := it.(type) {
-		case *xmldom.Node:
-			n = v.EncodedLen()
-			largest = max(largest, n)
-		case string:
-			n = len(v)
-		}
-		size += n + n/8 + len(`"",`)
+// evalBody is where POST /v1/eval writes its body: the object {"at",
+// "items"} as encoding/json renders it with HTML escaping off, each item
+// serialized as inc.ItemSerial does, written field by field as the items
+// come (begin, add, end). buf is the body, item the node item in hand
+// serialized, escaped from there into buf, so an item costs no string of
+// its own. The API lends one to a request at a time and keeps it between
+// requests (API.takeBody), so a body costs no allocation once the kept
+// buffers are as large as it.
+type evalBody struct {
+	buf, item []byte
+}
+
+// begin starts a body at the end of buf, the evaluation instant at written.
+func (b *evalBody) begin(at time.Time) {
+	b.buf = append(b.buf, `{"at":"`...)
+	b.buf = at.AppendFormat(b.buf, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
+	b.buf = append(b.buf, `","items":[`...)
+}
+
+// add writes the next item.
+func (b *evalBody) add(it xq.Item) {
+	if b.buf[len(b.buf)-1] != '[' {
+		b.buf = append(b.buf, ',')
 	}
-	dst = slices.Grow(dst, size)
-	dst = append(dst, `{"at":"`...)
-	dst = at.AppendFormat(dst, time.RFC3339Nano) // digits and "-:.TZ+": nothing to escape
-	dst = append(dst, `","items":[`...)
-	var item []byte
-	if largest > 0 {
-		item = make([]byte, 0, largest)
+	if n, ok := it.(*xmldom.Node); ok {
+		b.item = n.AppendTo(b.item[:0])
+		b.buf = appendJSONString(b.buf, b.item)
+	} else {
+		b.buf = appendJSONString(b.buf, inc.ItemSerial(it))
 	}
-	for i, it := range seq {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		if n, ok := it.(*xmldom.Node); ok {
-			item = n.AppendTo(item[:0])
-			dst = appendJSONString(dst, item)
-		} else {
-			dst = appendJSONString(dst, inc.ItemSerial(it))
-		}
+}
+
+// end closes the body and returns it.
+func (b *evalBody) end() []byte {
+	b.buf = append(b.buf, "]}"...)
+	return b.buf
+}
+
+// takeBody lends a request the API's body buffers, emptied: the ones kept,
+// or, while another request holds those, new ones.
+func (a *API) takeBody() *evalBody {
+	if b := a.body.Swap(nil); b != nil {
+		b.buf = b.buf[:0]
+		return b
 	}
-	return append(dst, "]}"...)
+	return new(evalBody)
+}
+
+// giveBody takes back buffers a request wrote its body with. The API keeps
+// the ones given back last, unless one is past wsMaxKeptWriteBuffer: a large
+// result's body is let go.
+func (a *API) giveBody(b *evalBody) {
+	if cap(b.buf) <= wsMaxKeptWriteBuffer && cap(b.item) <= wsMaxKeptWriteBuffer {
+		a.body.Store(b)
+	}
 }
 
 // handleRegistryz reports the sharing stats: the JSON sibling of

@@ -91,3 +91,14 @@ func FuzzEvalBody(f *testing.F) {
 		sameEvalBody(t, appendEvalBody(nil, at, seq), at, seq)
 	})
 }
+
+// appendEvalBody appends to dst the body POST /v1/eval writes for the
+// result seq at at: the handler's encoding (evalBody) over a whole result.
+func appendEvalBody(dst []byte, at time.Time, seq xq.Sequence) []byte {
+	b := evalBody{buf: dst}
+	b.begin(at)
+	for _, it := range seq {
+		b.add(it)
+	}
+	return b.end()
+}

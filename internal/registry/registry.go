@@ -42,6 +42,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -207,6 +208,9 @@ func (r *Registry) SetMaxRegistrations(n int) {
 type group struct {
 	key   string
 	scope string // the key's readable part: stream names and limits
+	// mode and digest name the plan: its mode and a digest of its
+	// canonical rendering (planDigest).
+	mode, digest string
 	// members is sorted by id and, like Registry.order, replaced where
 	// membership changes and never written in place.
 	members []*Registration
@@ -305,8 +309,12 @@ type Stats struct {
 type GroupStats struct {
 	// Key renders the group's sharing scope: the streams its members
 	// read and, when set, their limits. Groups of different plans over
-	// one scope render the same Key.
+	// one scope render the same Key, and differ in Mode or Plan.
 	Key string
+	// Mode is the plan's mode ("QaC+"), and Plan a short digest of the
+	// plan's canonical rendering, the one the group is keyed by.
+	Mode string
+	Plan string
 	// Members is the live registration count.
 	Members int
 	// SharedEvals / SharedSaved / Fanout mirror the registry-level
@@ -364,6 +372,8 @@ func (r *Registry) Register(q *xcql.Query, opts Options) (*Registration, error) 
 		g = &group{
 			key:     key,
 			scope:   scope,
+			mode:    q.Mode.String(),
+			digest:  planDigest(q),
 			eng:     inc.New(q),
 			lim:     lim,
 			plan:    q.Mode.String() + "/inc",
@@ -407,6 +417,14 @@ func groupKey(q *xcql.Query, streams []string, lim xcql.Limits) (key, scope stri
 		scope += fmt.Sprintf(" %+v", lim)
 	}
 	return scope + "\x00" + strings.Join(stores, ",") + "\x00" + q.Mode.String() + "\x00" + q.Plan.String(), scope
+}
+
+// planDigest is a short digest of q's canonical rendering, the plan text
+// groupKey keys a group by: eight hex digits of its FNV-1a hash.
+func planDigest(q *xcql.Query) string {
+	h := fnv.New32a()
+	h.Write([]byte(q.Plan.String()))
+	return fmt.Sprintf("%08x", h.Sum32())
 }
 
 // accessPaths renders the access paths EXPLAIN finds in a plan, sorted and
@@ -635,7 +653,7 @@ func (r *Registry) applyGroup(g *group, f *fragment.Fragment, at time.Time) {
 		evals, saved = g.advance.HandlerInvocations, int64(len(members)-1)
 	}
 	if gsp != nil {
-		gsp.SetDetail(fmt.Sprintf("group=%s members=%d evals=%d saved=%d", g.scope, len(members), evals, saved))
+		gsp.SetDetail(fmt.Sprintf("group=%s plan=%s/%s members=%d evals=%d saved=%d", g.scope, g.mode, g.digest, len(members), evals, saved))
 	}
 	gsp.End()
 	r.mu.Lock()
@@ -787,6 +805,8 @@ func (r *Registry) Groups() []GroupStats {
 	for _, g := range r.order {
 		out = append(out, GroupStats{
 			Key:         g.scope,
+			Mode:        g.mode,
+			Plan:        g.digest,
 			Members:     len(g.members),
 			SharedEvals: g.sharedEvals,
 			SharedSaved: g.sharedSaved,

@@ -12,6 +12,7 @@ import (
 	"xcql/internal/fragment"
 	"xcql/internal/genstore"
 	"xcql/internal/inc"
+	"xcql/internal/obs"
 	"xcql/internal/tagstruct"
 	"xcql/internal/xcql"
 )
@@ -272,6 +273,10 @@ func TestSharedCountersCountAdvances(t *testing.T) {
 			rt.RegisterStream("s", st)
 			at := genstore.CreditBase
 			r := New(func() time.Time { return at })
+			// the last arrival is traced: one registry.eval span per group
+			rec := obs.NewFlightRecorder(obs.FlightRecorderOptions{SampleEvery: 1})
+			r.SetFlightRecorder(rec)
+			frags[len(frags)-1].Trace = rec.NewTrace()
 			for _, src := range c.srcs {
 				if _, err := r.Register(rt.MustCompile(src, xcql.QaCPlus), Options{OnResult: func(Result) {}}); err != nil {
 					t.Fatal(err)
@@ -287,6 +292,33 @@ func TestSharedCountersCountAdvances(t *testing.T) {
 			groups := r.Groups()
 			if len(groups) != c.groups {
 				t.Fatalf("%d groups, want %d: %+v", len(groups), c.groups, groups)
+			}
+			// groups of different plans over one store render apart, in
+			// GroupStats and in the span of each one's advance
+			rec.Flush()
+			var details []string
+			for _, tr := range rec.Traces(obs.TraceFilter{}) {
+				for _, sp := range tr.Spans {
+					if sp.Name == "registry.eval" {
+						details = append(details, sp.Detail)
+					}
+				}
+			}
+			if len(details) != c.groups {
+				t.Fatalf("%d registry.eval spans for the traced arrival, want one per group: %q", len(details), details)
+			}
+			rendered := map[string]bool{}
+			for _, g := range groups {
+				if g.Mode != "QaC+" || len(g.Plan) != 8 {
+					t.Errorf("group of %d names plan %q/%q, want QaC+ and a digest of eight digits", g.Members, g.Mode, g.Plan)
+				}
+				rendered[g.Key+" "+g.Mode+" "+g.Plan] = true
+				if !slices.ContainsFunc(details, func(d string) bool { return strings.Contains(d, " plan=QaC+/"+g.Plan+" ") }) {
+					t.Errorf("no registry.eval span names the plan %s: %q", g.Plan, details)
+				}
+			}
+			if len(rendered) != len(groups) {
+				t.Errorf("%d groups render as %d: %+v", len(groups), len(rendered), groups)
 			}
 			var handlers, saved int64
 			for _, g := range groups {

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"xcql/internal/fragment"
-	"xcql/internal/xmldom"
 	"xcql/internal/xq"
 )
 
@@ -30,15 +29,15 @@ func (in *Intrinsic) alike(o *Intrinsic) bool {
 }
 
 // clauseRead is one call made for every binding of its clause, as Begin
-// returns it: groups[i] is binding i's group of els. A group that crossed
+// returns it: groups[i] is binding i's group of items. A group that crossed
 // no hole — a binding holding none of the call's — makes its call read as
 // it would have. The groups are borrowed of the evaluation's scratch and
-// given back at End; els and items are what the calls return.
+// given back at End; items is what the calls return, a group handed out as
+// a window of it.
 type clauseRead struct {
 	call   *Intrinsic
 	st     *fragment.Store
-	els    []*xmldom.Node
-	items  xq.Sequence // els as items: a group is handed out as a window of it
+	items  xq.Sequence
 	groups []fragment.Group
 }
 
@@ -54,22 +53,28 @@ func (ra readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
 
 // read makes r's call for every binding of seq: the bindings' hole ids go
 // to the store as one deferred read whose groups are the bindings, each
-// binding's ids distinct within its group, as its own call makes them.
+// binding's ids distinct within its group, as its own call makes them. The
+// read returns its versions in a list lent of the scratch, given back once
+// they are items.
 func (r *clauseRead) read(ctx *xq.Context, seq xq.Sequence) {
 	if r.st = r.call.rt.Store(r.call.Stream); r.st == nil {
 		return // the call reports the missing stream itself
 	}
+	sc := ctx.Static.Access.Scratch()
 	var in callInput
-	if in.collect(ctx.Static.Access.Scratch(), seq, r.call.TSIDs[0], nil, true); len(in.ids) == 0 {
+	if in.collect(sc, seq, r.call.TSIDs[0], nil, true); len(in.ids) == 0 {
 		in.release()
 		return
 	}
-	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.call.Bare, EachGroup: true, Defer: true}
+	read := fragment.Read{IDs: in.ids, Groups: in.groups, Bare: r.call.Bare, EachGroup: true, Defer: true, Into: sc.Nodes()}
 	if r.call.each != nil {
 		r.call.each.window(&read)
 	}
-	r.els, _ = ctx.Static.Access.Read(r.st, read)
-	r.items = xq.FromNodes(r.els)
+	els, _ := ctx.Static.Access.Read(r.st, read)
+	r.items = xq.FromNodes(els)
+	if sc.GiveNodes(els); cap(els) == 0 {
+		sc.GiveNodes(read.Into) // nothing kept: the list lent is unwritten
+	}
 	// the groups outlive the read, the ids do not
 	r.groups, in.groups = in.groups, nil
 	in.release()
@@ -108,22 +113,21 @@ func takeAhead(ctx *xq.Context, nodes xq.Sequence, st *fragment.Store, in *Intri
 	if at > 0 {
 		lo = r.groups[at-1].End
 	}
-	els := r.els[lo:g.End:g.End]
+	items := r.items[lo:g.End:g.End]
 	ctx.Static.Access.Charge(st, g)
+	stamps := g.Stamps
 	if in.each != nil && len(in.each.rest()) > 0 {
 		// never bare: a list the read does not serve whole keeps the tops
 		// stamped (markBare)
-		out, err := applyPreds(ctx, nil, els, in.each.rest())
-		if err != nil {
+		if items, err = xq.ApplyPredicates(items, in.each.rest(), ctx); err != nil {
 			return nil, true, err
 		}
-		seq, err := chargeNodes(ctx.Static.Budget, out, 0)
-		return seq, true, err
+		stamps = 0
 	}
-	if err := meterNodes(ctx.Static.Budget, els, g.Stamps); err != nil {
+	if err := meterItems(ctx.Static.Budget, items, stamps); err != nil {
 		return nil, true, err
 	}
-	return r.items[lo:g.End:g.End], true, nil
+	return items, true, nil
 }
 
 // attachReadAhead gives every for clause of plan whose body makes

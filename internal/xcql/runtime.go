@@ -348,14 +348,83 @@ func (q *Query) EvalRaw(at time.Time) (xq.Sequence, error) {
 	return q.eval(context.Background(), at, q.Limits, false)
 }
 
-// eval is the engine boundary: admission control, budget construction,
-// plan evaluation, result materialization, and panic containment. Any
-// panic escaping the evaluator — a budget trip from a non-error-returning
-// walk, or a genuine bug — is converted into an *EvalError here instead
-// of killing the process and every attached continuous query.
+// EvalEach is EvalLimits for a caller that reads the result an item at a
+// time and keeps none of it: each item goes to yield as the plan produces
+// it, materialized as Eval materializes it, each item's holes filled under
+// a seen map of its own (materializeResult). An unordered FLWOR yields each
+// binding's return as it completes and builds the next binding's over it
+// once yield returns (xq.EvalEach), so an item, and any node it holds, is
+// yield's only for the call; any other plan is evaluated whole, then
+// yielded item by item. An error yield returns ends the evaluation with
+// it. Admission, limits, panic containment and LastStats are Eval's, and so
+// are the trace spans: execute is the evaluation less the filling, and
+// materialize the filling, traced as if it followed.
+func (q *Query) EvalEach(ctx context.Context, at time.Time, lim Limits, yield func(xq.Item) error) error {
+	return q.run(ctx, at, lim, func(static *xq.Static, stats *obs.EvalStats, sink obs.TraceSink) error {
+		execStart := time.Now()
+		var fill time.Duration
+		err := xq.EvalEach(q.Plan, xq.NewContext(static), func(seq xq.Sequence) error {
+			for _, it := range seq {
+				if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
+					start := time.Now()
+					it = temporal.FillHoles(static.Holes, n, make(map[int]bool), nil, static.Stats)
+					fill += time.Since(start)
+				}
+				if err := yield(it); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		stats.ExecTime, stats.MaterializeTime = time.Since(execStart)-fill, fill
+		if sink != nil {
+			sink.Span("execute", q.Mode.String(), execStart, stats.ExecTime)
+			if err == nil {
+				sink.Span("materialize", q.Mode.String(), execStart.Add(stats.ExecTime), fill)
+			}
+		}
+		return err
+	})
+}
+
+// eval is Eval and its variants: the plan evaluated whole and, when
+// materialize is set, its result materialized.
 func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize bool) (seq xq.Sequence, err error) {
-	if err := q.rt.admit(); err != nil {
+	err = q.run(ctx, at, lim, func(static *xq.Static, stats *obs.EvalStats, sink obs.TraceSink) error {
+		execStart := time.Now()
+		var err error
+		seq, err = xq.Eval(q.Plan, xq.NewContext(static))
+		stats.ExecTime = time.Since(execStart)
+		if sink != nil {
+			sink.Span("execute", q.Mode.String(), execStart, stats.ExecTime)
+		}
+		if err != nil || !materialize {
+			return err
+		}
+		matStart := time.Now()
+		seq = materializeResult(seq, static, owned(q.Plan))
+		stats.MaterializeTime = time.Since(matStart)
+		if sink != nil {
+			sink.Span("materialize", q.Mode.String(), matStart, stats.MaterializeTime)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
+	}
+	return seq, nil
+}
+
+// run is the engine boundary every evaluation crosses: admission control,
+// budget construction, the evaluation's scratch, and panic containment.
+// exec evaluates the plan under static, recording its phases in stats and
+// sink (nil: not tracing). Any panic escaping the evaluator — a budget trip
+// from a non-error-returning walk, or a genuine bug — is converted into an
+// *EvalError here instead of killing the process and every attached
+// continuous query.
+func (q *Query) run(ctx context.Context, at time.Time, lim Limits, exec func(*xq.Static, *obs.EvalStats, obs.TraceSink) error) (err error) {
+	if err := q.rt.admit(); err != nil {
+		return err
 	}
 	defer q.rt.release()
 	stats := &obs.EvalStats{
@@ -372,7 +441,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
-			seq, err = nil, q.contained(p)
+			err = q.contained(p)
 		}
 		// stats are recorded even on failure: a tripped budget still
 		// shows how far the evaluation got before it was cut off.
@@ -383,24 +452,10 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 			sink.Span("eval", q.Mode.String(), start, stats.TotalTime)
 		}
 	}()
-	execStart := time.Now()
-	seq, err = xq.Eval(q.Plan, xq.NewContext(static))
-	stats.ExecTime = time.Since(execStart)
-	if sink != nil {
-		sink.Span("execute", q.Mode.String(), execStart, stats.ExecTime)
+	if err := exec(static, stats, sink); err != nil {
+		return q.wrapResource(err)
 	}
-	if err != nil {
-		return nil, q.wrapResource(err)
-	}
-	if materialize {
-		matStart := time.Now()
-		seq = materializeResult(seq, static, owned(q.Plan))
-		stats.MaterializeTime = time.Since(matStart)
-		if sink != nil {
-			sink.Span("materialize", q.Mode.String(), matStart, stats.MaterializeTime)
-		}
-	}
-	return seq, nil
+	return nil
 }
 
 // contained is the error a panic that escaped the evaluator becomes: a
@@ -493,8 +548,17 @@ func chargeNodes(b *budget.Budget, out []*xmldom.Node, stamps int) (xq.Sequence,
 	return xq.FromNodes(out), nil
 }
 
-// meterNodes is chargeNodes' charge, for a caller that holds the items.
+// meterNodes is chargeNodes' charge.
 func meterNodes(b *budget.Budget, out []*xmldom.Node, stamps int) error {
+	return meter(b, out, stamps, func(nd *xmldom.Node) *xmldom.Node { return nd })
+}
+
+// meterItems is chargeNodes' charge of nodes a caller holds as items.
+func meterItems(b *budget.Budget, out xq.Sequence, stamps int) error {
+	return meter(b, out, stamps, func(it xq.Item) *xmldom.Node { return it.(*xmldom.Node) })
+}
+
+func meter[T any](b *budget.Budget, out []T, stamps int, node func(T) *xmldom.Node) error {
 	if b == nil {
 		return nil
 	}
@@ -502,8 +566,8 @@ func meterNodes(b *budget.Budget, out []*xmldom.Node, stamps int) error {
 		return err
 	}
 	n := int64(stamps)
-	for _, nd := range out {
-		n += int64(nd.TreeSize())
+	for _, it := range out {
+		n += int64(node(it).TreeSize())
 	}
 	return b.AddBytes(n)
 }

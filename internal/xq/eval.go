@@ -65,15 +65,18 @@ type Static struct {
 // bufs the free list of the sequences lent to a path's intermediate steps,
 // to a constructor's content and to the operands an operator only reads,
 // and ctor what the constructors of the FLWOR in progress carve their nodes
-// and lists from, which the FLWOR clears on return. Every slot above a
-// slice's length is nil, so that a kept Scratch keeps no node alive, and no
-// result keeps any of it: an owner that runs one evaluation after another
-// may hand each one's Static the same Scratch, trimmed between them (Trim).
-// One evaluation at a time.
+// and lists from, which the FLWOR clears on return. yielded is what the
+// return of a FLWOR EvalEach yields carves from: rewound once each
+// binding's return is yielded, and kept, cleared, for the next such FLWOR.
+// Every slot above a slice's length is nil, so that a kept Scratch keeps no
+// node alive, and no result keeps any of it: an owner that runs one
+// evaluation after another may hand each one's Static the same Scratch,
+// trimmed between them (Trim). One evaluation at a time.
 type Scratch struct {
-	args []Sequence
-	bufs []Sequence
-	ctor chunks
+	args    []Sequence
+	bufs    []Sequence
+	ctor    chunks
+	yielded chunks
 }
 
 // The most a trimmed Scratch keeps: argument slots, lent sequences, and
@@ -86,7 +89,9 @@ const (
 )
 
 // Trim readies s for the next evaluation: it drops the buffers past the
-// caps and any constructor state left over.
+// caps and any constructor state left over, and keeps the yielded chunks
+// rewound — an evaluation cut off mid-binding left slots in them — while
+// none is past its cap.
 func (s *Scratch) Trim() {
 	if cap(s.args) > keptArgs {
 		s.args = nil
@@ -101,6 +106,10 @@ func (s *Scratch) Trim() {
 	clear(s.bufs[n:])
 	s.bufs = s.bufs[:n]
 	s.ctor = chunks{}
+	s.yielded.rewind()
+	if !s.yielded.small() {
+		s.yielded = chunks{}
+	}
 }
 
 // scratch is the evaluation's Scratch, made on first use.
@@ -330,7 +339,7 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		}
 		return Eval(ex.Else, ctx)
 	case *FLWOR:
-		return evalFLWOR(ex, ctx)
+		return evalFLWOR(ex, ctx, nil)
 	case *Quantified:
 		return evalQuantified(ex, ctx)
 	case *Call:
@@ -960,7 +969,15 @@ func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 // result sequence for the bindings still to come when no where can drop
 // one of them, and the constructors' nodes and lists from chunks of the
 // FLWOR's own (chunks), which the FLWOR drops on return.
-func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
+//
+// With yield set (EvalEach; never with an order by) the FLWOR returns
+// nothing: each binding's return goes to yield as it completes, built in
+// one lent sequence and in the Scratch's yielded chunks, and both are
+// cleared once yield returns, so that the next binding builds in the same
+// arrays. What the other clauses construct — a let's element, a for
+// clause's sequence — is carved from the FLWOR's own chunks as ever: it
+// may outlive the binding.
+func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, error) {
 	ordered := len(fl.OrderBy) > 0
 	type tuple struct {
 		ctx  *Context
@@ -991,7 +1008,19 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 	// not known: a chunk behind one holds as many bindings as came through
 	// before it, and no more than the rest at the rate they came through.
 	rest, seen, kept := 1, 0, 0
+	if yield != nil {
+		// a return cut off mid-way may have written past out's length
+		out = st.lend()
+		sc.yielded.restart()
+		defer func() {
+			clear(out[:cap(out)])
+			st.give(out)
+		}()
+	}
 	emit := func(c *Context) error {
+		if yield != nil {
+			return yieldReturn(fl, c, &out, yield)
+		}
 		kept++
 		sc.ctor.left = rest
 		if !ordered && fl.Where != nil {
@@ -1125,6 +1154,55 @@ func evalFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
 		}
 	}
 	return out, nil
+}
+
+// yieldReturn evaluates fl's return for the tuple c into *out, charges its
+// items, hands them to yield, and clears what the return built: *out, and
+// the yielded chunks its constructors carved from, which are sized for one
+// binding. The chunks are rewound on every exit, a budget trip's panic
+// included.
+func yieldReturn(fl *FLWOR, c *Context, out *Sequence, yield func(Sequence) error) error {
+	st, sc := c.Static, c.Static.scratch()
+	own := sc.ctor
+	sc.ctor = sc.yielded
+	defer func() {
+		sc.yielded, sc.ctor = sc.ctor, own
+		sc.yielded.bindings++
+		sc.yielded.rewind()
+	}()
+	v, err := appendEval((*out)[:0], fl.Return, c)
+	if err != nil {
+		return err
+	}
+	*out = v
+	if err = st.Budget.AddItems(len(v)); err == nil {
+		err = yield(v)
+	}
+	clear(v)
+	return err
+}
+
+// EvalEach evaluates e as Eval does and hands its value to yield: an
+// unordered FLWOR's a binding's return at a time, as each completes, any
+// other expression's whole, once. It charges what Eval charges. A sequence
+// yield is handed, and every node a FLWOR's return constructed in it, is
+// the evaluation's: both are cleared and built over for the next binding
+// once yield returns, so yield keeps neither. An error yield returns ends
+// the evaluation with it.
+func EvalEach(e Expr, ctx *Context, yield func(Sequence) error) error {
+	fl, ok := e.(*FLWOR)
+	if !ok || len(fl.OrderBy) > 0 {
+		v, err := Eval(e, ctx)
+		if err != nil {
+			return err
+		}
+		return yield(v)
+	}
+	if err := ctx.Static.Budget.Step(); err != nil {
+		return err
+	}
+	_, err := evalFLWOR(fl, ctx, yield)
+	return err
 }
 
 // evalQuantified binds one frame for the range variable and rebinds it
@@ -1335,16 +1413,30 @@ func appendContent(el *xmldom.Node, content Sequence, c *chunks) {
 // constructor asks for. The FLWOR drops its chunks on return, so a chunk
 // lives only as long as the results carved from it, and a Scratch kept
 // between evaluations keeps no node alive.
+//
+// The chunks of a yielding FLWOR's return (Scratch.yielded) are rewound
+// instead: each binding's return carves from the front of the same arrays,
+// sized for one binding, which are cleared once its items were yielded.
 type chunks struct {
-	nodes []xmldom.Node
-	kids  []*xmldom.Node
-	attrs []xmldom.Attr
-	items []Item // the one-item sequences of constructors evaluated by Eval
+	nodes pool[xmldom.Node]
+	kids  pool[*xmldom.Node]
+	attrs pool[xmldom.Attr]
+	items pool[Item] // the one-item sequences of constructors evaluated by Eval
 	// left is the bindings a new chunk is for, the one in hand included;
 	// bindings is how many bindings' returns completed, and carved what
-	// each array gave out.
+	// each array gave out. reused marks chunks that are rewound.
 	left, bindings int
 	carved         [4]int
+	reused         bool
+}
+
+// pool is the chunk one array is carved from: chunk[:used] is given out.
+// chunk is nil once used up, and outside a return, so that no slice the
+// chunks hold points into a chunk they are done with — unless the chunks
+// are rewound, which keeps it.
+type pool[T any] struct {
+	chunk []T
+	used  int
 }
 
 // The arrays a chunk is carved from, as chunks.carved counts them.
@@ -1388,33 +1480,63 @@ func (c *chunks) boxed() (*xmldom.Node, Sequence) {
 	return el, one
 }
 
-// carve returns a window of n slots cut from the front of *free,
-// capacity-clipped, after replacing *free with a new chunk when fewer than n
-// slots are left. Inside a FLWOR's return the chunk is sized for the
-// bindings still to come, at n slots each or what the bindings before took
-// each if more, to at most chunkCap slots unless n is more, and takes the
-// whole of the allocator's size class; elsewhere it is the n slots. *free
-// is nil once empty, and outside a return, so that no slice the chunks
-// hold points into a chunk they are done with. n = 0 is nil.
-func carve[T any](free *[]T, n int, c *chunks, kind int) []T {
+// restart readies rewound chunks for a FLWOR of their own: one binding
+// at a time, nothing learned yet; the arrays stay.
+func (c *chunks) restart() {
+	c.rewind()
+	*c = chunks{nodes: c.nodes, kids: c.kids, attrs: c.attrs, items: c.items, left: 1, reused: true}
+}
+
+// rewind clears every slot carved since the last rewind, for the next
+// binding to carve again.
+func (c *chunks) rewind() {
+	c.nodes.rewind()
+	c.kids.rewind()
+	c.attrs.rewind()
+	c.items.rewind()
+}
+
+func (p *pool[T]) rewind() {
+	clear(p.chunk[:p.used])
+	p.used = 0
+}
+
+// small reports that no array of c is past twice chunkCap, what a Scratch
+// keeps of them.
+func (c *chunks) small() bool {
+	return max(cap(c.nodes.chunk), cap(c.kids.chunk), cap(c.attrs.chunk), cap(c.items.chunk)) <= 2*chunkCap
+}
+
+// carve returns a window of n slots cut from p's chunk, capacity-clipped,
+// after replacing the chunk with a new one when fewer than n slots are
+// left. Inside a FLWOR's return the chunk is sized for the bindings still
+// to come, at n slots each or what the bindings before took each if more,
+// to at most chunkCap slots unless n is more, and takes the whole of the
+// allocator's size class; rewound chunks are sized for what the binding in
+// hand took of the chunk before too, so that the next binding finds room;
+// elsewhere it is the n slots. n = 0 is nil.
+func carve[T any](p *pool[T], n int, c *chunks, kind int) []T {
 	if n == 0 {
 		return nil
 	}
-	if len(*free) < n {
+	if len(p.chunk)-p.used < n {
 		size := n
 		if c.left > 0 {
 			per := n
 			if c.bindings > 0 {
 				per = max(per, (c.carved[kind]+c.bindings-1)/c.bindings)
 			}
+			if c.reused {
+				per = max(per, p.used+n)
+			}
 			size = max(n, min(per*c.left, chunkCap))
 		}
-		*free = slices.Grow[[]T](nil, size)
-		*free = (*free)[:cap(*free)]
+		p.chunk = slices.Grow[[]T](nil, size)
+		p.chunk, p.used = p.chunk[:cap(p.chunk)], 0
 	}
-	w := (*free)[:n:n]
-	if *free = (*free)[n:]; len(*free) == 0 || c.left == 0 {
-		*free = nil
+	w := p.chunk[p.used : p.used+n : p.used+n]
+	if p.used += n; !c.reused && (p.used == len(p.chunk) || c.left == 0) {
+		p.chunk, p.used = nil, 0
 	}
 	c.carved[kind] += n
 	return w

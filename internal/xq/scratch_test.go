@@ -41,8 +41,8 @@ func runOn(t *testing.T, static *Static, src string) (Sequence, error) {
 }
 
 // checkScratchClean fails unless static's scratch holds no argument, no
-// item and no constructor chunk: a Scratch kept across evaluations keeps no
-// node alive.
+// item and no constructor chunk, and its yielded chunks are rewound: a
+// Scratch kept across evaluations keeps no node alive.
 func checkScratchClean(t *testing.T, static *Static, src string) {
 	t.Helper()
 	sc := static.Scratch
@@ -52,8 +52,17 @@ func checkScratchClean(t *testing.T, static *Static, src string) {
 	if len(sc.args) != 0 {
 		t.Errorf("%s: %d arguments left on the stack", src, len(sc.args))
 	}
-	if c := sc.ctor; c.nodes != nil || c.kids != nil || c.attrs != nil || c.items != nil {
-		t.Errorf("%s: the Static keeps a constructor chunk (%d nodes, %d children, %d attributes, %d items free)", src, len(c.nodes), len(c.kids), len(c.attrs), len(c.items))
+	if c := sc.ctor; c.nodes.chunk != nil || c.kids.chunk != nil || c.attrs.chunk != nil || c.items.chunk != nil {
+		t.Errorf("%s: the Static keeps a constructor chunk (%d nodes, %d children, %d attributes, %d items)", src, len(c.nodes.chunk), len(c.kids.chunk), len(c.attrs.chunk), len(c.items.chunk))
+	}
+	if c := sc.yielded; c.nodes.used+c.kids.used+c.attrs.used+c.items.used != 0 {
+		t.Errorf("%s: the yielded chunks are not rewound: %+v", src, c)
+	}
+	for _, p := range sc.yielded.kids.chunk {
+		if p != nil {
+			t.Errorf("%s: a rewound child list keeps %v", src, p)
+			break
+		}
 	}
 	for _, b := range sc.bufs {
 		for i, it := range b[:cap(b)] {
@@ -216,7 +225,7 @@ func TestScratchTrim(t *testing.T) {
 			t.Errorf("a lent sequence of %d items kept past the cap of %d", cap(b), keptBuf)
 		}
 	}
-	if c := sc.ctor; c.left != 0 || c.nodes != nil || c.kids != nil || c.attrs != nil || c.items != nil {
+	if c := sc.ctor; c.left != 0 || c.nodes.chunk != nil || c.kids.chunk != nil || c.attrs.chunk != nil || c.items.chunk != nil {
 		t.Errorf("constructor state kept: %+v", c)
 	}
 	sc.args = make([]Sequence, 0, keptArgs)
