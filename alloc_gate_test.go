@@ -47,11 +47,18 @@ import (
 // and what an evaluation reads by and no result keeps — argument stack,
 // lent sequences, hole ids and groups, a read's kept-version notes — is
 // scratch the runtime recycles across evaluations, a FLWOR's result is
-// handed out without a copy, and a read-ahead returns its versions in a
-// list lent of that scratch:
-// 25, 30, 26 and 16 for Q1, Q2, Q5 and QD, flat in the number of auctions
-// (Q2 at sf 0.005, 0.01 and 0.02 within 10), and the ceilings sit ~10 %
-// above Q2's, Q5's and QD's (31 for Q2 while the read-ahead's list was
+// handed out without a copy, a store read returns its versions in a list
+// lent of that scratch and writes them once, as items, into a sequence its
+// consumer lends — a for clause's, a read-ahead's —, count() over an
+// unordered FLWOR counts each binding's return without building the
+// FLWOR's result, and an evaluation's static environment — its xq.Static,
+// access path, hole resolvers, store list and budget — is kept with the
+// scratch: 14, 18, 14 and 4 for Q1, Q2, Q5 and QD, flat in the
+// number of auctions (Q2 at sf 0.005, 0.01 and 0.02 within 10), and the
+// ceilings sit ~10 % above them, one allocation at least (25, 30, 26 and
+// 16 while every read copied its list of versions into a sequence of its
+// own, count() counted a FLWOR's whole result and each evaluation built
+// its environment; 31 for Q2 while the read-ahead's list was
 // its own; 30, 42, 33 and 18 while that scratch and the
 // copy were allocated per evaluation; 528, 41 and 26 while every constructed element
 // and its child list were objects of their own and a result sequence
@@ -73,7 +80,10 @@ import (
 // allocator noise and small evaluator changes do not.
 //
 // Heap bytes have ceilings of their own, ~15 % above what Q1, Q2, Q5 and
-// QD allocate per evaluation — 1 264, 39 512, 7 896 and 10 776 B (41 608 B
+// QD allocate per evaluation — 736, 28 784, 736 and 3 488 B (1 248,
+// 39 512, 7 880 and 10 760 B while every read's versions were a list of
+// nodes and a sequence of their own, count() counted a built result and
+// each evaluation built its environment; 41 608 B
 // for Q2 while the read-ahead kept its versions both as a list of nodes and
 // as items; 5 584,
 // 72 088, 18 216 and 17 320 B while a read's bookkeeping and the
@@ -82,8 +92,10 @@ import (
 // and 23 336 B for Q2, Q5 and QD while constructors and results allocated
 // per binding; 117 970, 27 320
 // and 26 450 B before the evaluator stopped allocating what no result
-// keeps) — and ~13 % above the two handler rows below per request —
-// 26 112 and 19 840 B (64 368 and 28 488 B while the handler evaluated the
+// keeps) — and ~15 % above the two handler rows below per request —
+// 15 384 and 12 568 B (26 112 and 19 840 B while every read's versions were
+// a list and a sequence of their own and each evaluation built its
+// environment; 64 368 and 28 488 B while the handler evaluated the
 // result whole and wrote it into a body of its own; 94 848 and 35 032 B
 // while that bookkeeping was
 // allocated per evaluation; 101 120 and 41 048 B while constructors and results
@@ -99,7 +111,9 @@ import (
 // reserved for bindings a where drops, which the row of a constructor
 // behind a where the evaluator keeps holds in bytes: 92 of 195 closed
 // auctions pass it, and its chunks are sized for the bindings at the rate
-// the where let them through (27 890 B, ceiling ~10 % above; 38 682 B if
+// the where let them through (22 394 B, ceiling ~10 % above; 31 922 B if
+// sized for every binding still to come; 27 890 B while every read's
+// versions were a list and a sequence of their own, and 38 682 B then if
 // sized for every binding still to come; 34 688 B while the bookkeeping
 // above was allocated per evaluation, 34 712 B while every element was an
 // object of its own). number() keeps the comparison from being pushed below the read,
@@ -109,10 +123,12 @@ import (
 // the request, a plan-cache hit, and the evaluation, each item written as
 // the FLWOR yields it into a body buffer the API keeps between requests,
 // each node item encoded into a kept buffer and escaped from there, the
-// elements a binding constructs built in arrays rewound for the next — 59
-// and 47 allocations per request, ceilings 63 and 49: under the 64 and 50
-// the handler allocates when it evaluates the result whole into a body of
-// its own (65 and 50 before the read-ahead's list was lent; 76 and 52
+// elements a binding constructs built in arrays rewound for the next — 47
+// and 35 allocations per request, ceilings 52 and 39 (59 and 47 while every
+// read's versions were a list and a sequence of their own and each
+// evaluation built its environment, against the 64 and 50 the handler then
+// allocated when it evaluated the result whole into a body of its own; 65
+// and 50 before the read-ahead's list was lent; 76 and 52
 // while the evaluation's scratch and a
 // read's bookkeeping were allocated per request; 562 and 60 while every constructed element and its
 // child list were objects of their own and a result sequence doubled its
@@ -152,11 +168,11 @@ func TestAllocationCeiling(t *testing.T) {
 		ceiling   float64
 		maxBytes  float64 // 0: not gated
 	}{
-		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 39, 1_460},
-		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 34, 45_400},
-		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 29, 9_100},
-		{"QD/QaC+", queryQD, ixcql.QaCPlus, 18, 12_400},
-		{"constructor behind a where/QaC+", queryWhere, ixcql.QaCPlus, 700, 30_700},
+		{"Q1/QaC+", xmark.QueryQ1(), ixcql.QaCPlus, 16, 850},
+		{"Q2/QaC+", xmark.QueryQ2(), ixcql.QaCPlus, 20, 33_100},
+		{"Q5/QaC+", xmark.QueryQ5(), ixcql.QaCPlus, 16, 850},
+		{"QD/QaC+", queryQD, ixcql.QaCPlus, 5, 4_000},
+		{"constructor behind a where/QaC+", queryWhere, ixcql.QaCPlus, 700, 24_700},
 	} {
 		q, err := ds.Runtime.Compile(c.src, c.mode)
 		if err != nil {
@@ -238,8 +254,8 @@ func TestAllocationCeiling(t *testing.T) {
 		ceiling   float64
 		maxBytes  float64
 	}{
-		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 63, 29_600},
-		{"POST /v1/eval QD/QaC+", queryQD, 49, 22_500},
+		{"POST /v1/eval Q2/QaC+", xmark.QueryQ2(), 52, 17_700},
+		{"POST /v1/eval QD/QaC+", queryQD, 39, 14_450},
 	} {
 		post := evalPost(t, ds, c.name, c.src)
 		got := testing.AllocsPerRun(5, post)
@@ -250,14 +266,15 @@ func TestAllocationCeiling(t *testing.T) {
 		checkBytes(t, c.name, "request", c.maxBytes, post)
 	}
 	// What one more open auction costs POST /v1/eval Q2, between sf 0.005
-	// and 0.02 (60 and 240 open auctions): 71 B, ceiling ~15 % above — the
-	// read's share, the item of the auction and of its first bidder and the
-	// auction's slot in the list of tops, and the recorder's copy of its
-	// line of the body. The element the binding constructs, its child list,
-	// its slot in a result sequence and its line of a body of the request's
-	// own are reused from binding to binding and request to request (222 B
-	// while the handler evaluated the result whole into a body of its own).
-	const perAuctionCeiling = 82.0
+	// and 0.02 (60 and 240 open auctions): 28 B, ceiling ~15 % above — the
+	// recorder's copy of its line of the body. The items of the auction and
+	// of its first bidder and the auction's slot in the list of tops, the
+	// element the binding constructs, its child list, its slot in a result
+	// sequence and its line of a body of the request's own are reused from
+	// binding to binding and request to request (71 B while every read's
+	// versions were a list and a sequence of their own, 222 B while the
+	// handler evaluated the result whole into a body of its own).
+	const perAuctionCeiling = 33.0
 	var auctions, reqBytes [2]float64
 	for i, d := range []*evalbench.Dataset{smallest, ds} {
 		res, err := d.Runtime.MustCompile(xmark.QueryQ2(), ixcql.QaCPlus).Eval(evalbench.EvalInstant)
@@ -282,8 +299,10 @@ func TestAllocationCeiling(t *testing.T) {
 	// each read bare and folding the sum from its transactions' kept terms,
 	// of which the charge evaluates two (the new transaction's, empty on the
 	// re-announcement, full on its arrival), each one bare read under the
-	// window's lifespan bound and its /amount: 30 allocations averaged over
-	// the next two rounds of the twenty accounts (32 while each unit
+	// window's lifespan bound and its /amount: 24 allocations averaged over
+	// the next two rounds of the twenty accounts (30 while the unit's read
+	// and each term's returned a list of nodes and a sequence of their own;
+	// 32 while each unit
 	// evaluation copied its FLWOR's result to materialize it; 45 while the unit read its
 	// versions stamped and re-ran the closed one; 74 while each term
 	// read the transaction stamped and then projected it to the window,
@@ -307,7 +326,7 @@ func TestAllocationCeiling(t *testing.T) {
 	// (a charge that leaves re-runs every version holding it, memo or no
 	// memo), the same charge 1 000 charges in must cost within a fifth of
 	// what it costs 250 in.
-	const fraudCeiling = 34
+	const fraudCeiling = 27
 	got := fraudChargeAllocs(t, 250, 10*time.Second)
 	t.Logf("fraud/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, fraudCeiling)
 	if got > fraudCeiling {
@@ -315,9 +334,10 @@ func TestAllocationCeiling(t *testing.T) {
 	}
 	// The standing filter query on the same stream: a charge runs the one
 	// unit of its transaction, whose pushed filter keeps it, and reads it
-	// bare: 9 allocations (10 while its evaluation copied its result to
-	// materialize it, 13 while the unit read its version stamped).
-	const filterCeiling = 10
+	// bare: 7 allocations (9 while the unit's read returned a list of nodes
+	// and a sequence of its own, 10 while its evaluation copied its result
+	// to materialize it, 13 while the unit read its version stamped).
+	const filterCeiling = 8
 	got = chargeAllocs(t, creditQueries[1].src, "1 piece (per-binding on transaction)", 250, 10*time.Second)
 	t.Logf("filter/incremental, 250 re-announced charges: %.0f allocs/charge (ceiling %d)", got, filterCeiling)
 	if got > filterCeiling {
@@ -388,10 +408,11 @@ func chargeAllocs(t *testing.T, src, strategy string, events int, every time.Dur
 // serial an engine diffs an item by is the string the frame is written
 // from. So
 //
-//   - a transaction costs the version read (its slice, its top element and
-//     that one's attributes), the unit's bound sequence, its entries, the
-//     serial in one allocation of its size, and the delta and serials a
-//     delivery carries: 11 allocations and 560 B (14 and 688 B while the
+//   - a transaction costs the version read (its top element and that
+//     one's attributes), its entries, the serial in one allocation of its
+//     size, and the delta and serials a delivery carries: 9 allocations and
+//     536 B (11 and 560 B while the read returned a slice of its own and the
+//     unit bound its versions in a sequence of its own; 14 and 688 B while the
 //     "QaC++" half was a plan and an engine of its own, 34 and 1 904 B
 //     while each plan was a group of its own that evaluated the unit again
 //     and a serial grew its buffer, 94 and 8 800 B when every arrival built
@@ -479,7 +500,7 @@ func TestRegistryArrivalAllocationCeiling(t *testing.T) {
 		name                           string
 		allocs, bytes, maxAllocs, maxB float64
 	}{
-		{"transaction arrival", median(allocs[1]), median(bytes[1]), 13, 645},
+		{"transaction arrival", median(allocs[1]), median(bytes[1]), 10, 616},
 		{"re-announcement that dirties nothing", median(allocs[0]), median(bytes[0]), 2, 64},
 		{"steady-state frame encode", encAllocs, encBytes, 0, 0},
 	} {

@@ -427,7 +427,7 @@ func (a *logScan) one(st *Store, r Read, charge bool) ([]*xmldom.Node, Group) {
 	if r.Source == FromTSID {
 		tsid = r.ID
 	}
-	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare, Span: r.Span}, a.Eval.Scratch)
+	els, g := st.read(ids[:], tsid, a.At, Read{Keep: r.Keep, Bare: r.Bare, Span: r.Span, Into: r.Into}, a.Eval.Scratch)
 	if r.Source == FromHole {
 		g.Holes = 1
 	}

@@ -27,12 +27,15 @@ type Scratch struct {
 }
 
 // The caps of the buffers a Scratch keeps, in elements: 16 KB of notes,
-// 16 KB of ids, 20 KB of groups, 8 KB of nodes. Past them a read is large
-// enough that allocating its bookkeeping is small beside what it reads.
+// 32 KB of ids, 40 KB of groups, 8 KB of nodes. Past them a read is large
+// enough that allocating its bookkeeping is small beside what it reads. A
+// store with history reaches them: XMark Q2's read ahead over an auction
+// stream written beside the reads (bench/e2e's adhoc-under-ingest) groups
+// 640 open_auction versions holding 2 747 hole ids by the end of its run.
 const (
 	keptNotes  = 1024
-	keptIDs    = 2048
-	keptGroups = 512
+	keptIDs    = 4096
+	keptGroups = 1024
 	keptNodes  = 1024
 )
 

@@ -22,14 +22,17 @@ import (
 // window edges, duplicated transactions, an account version that holds its
 // transaction inline instead of behind a hole, and a clock regression.
 // The shapes cover sum, avg and count, items that are not numbers,
-// attribute steps, a keep-all version projection, two sites in one body
-// and a site in the return clause.
+// attribute steps, a keep-all version projection, two sites in one body,
+// a site in the return clause and one whose chain is the child step alone,
+// whose term's items are its bound versions (numbers where the inline
+// transactions hold only their amount).
 func TestFoldChargesWhatItReplaces(t *testing.T) {
 	for _, c := range []struct{ src, folds string }{
 		{fraudQuery, "sum folded over transaction terms"},
 		{`for $a in stream("credit")//account where avg($a/transaction?[now-PT1H,now]/amount) > 1000 return $a/@id`, "avg folded"},
 		{`for $a in stream("credit")//account where count($a/transaction?[now-PT2H,now-PT10M]) >= 3 return $a/@id`, "count folded"},
 		{`for $a in stream("credit")//account return <n>{sum($a/transaction/vendor)}</n>`, "sum folded"},
+		{`for $a in stream("credit")//account return <n>{sum($a/transaction)}</n>`, "sum folded"},
 		{`for $a in stream("credit")//account where avg($a/transaction/@id) = 1 or count($a/transaction#[1,last]/amount) > 4 return $a/@id`, "avg folded over transaction terms; count folded"},
 		{`for $a in stream("credit")//account where sum($a/transaction?[now-PT1H,now]/amount) > 3000 and count($a/transaction) > 2 return <hit>{$a/@id}{avg($a/transaction/amount)}</hit>`, "count folded over transaction terms; avg folded"},
 	} {

@@ -31,9 +31,10 @@ func (in *Intrinsic) alike(o *Intrinsic) bool {
 // clauseRead is one call made for every binding of its clause, as Begin
 // returns it: groups[i] is binding i's group of items. A group that crossed
 // no hole — a binding holding none of the call's — makes its call read as
-// it would have. The groups are borrowed of the evaluation's scratch and
-// given back at End; items is what the calls return, a group handed out as
-// a window of it.
+// it would have. items is what the calls return, a group handed out as a
+// window of it. The groups are borrowed of the evaluation's read scratch
+// and the items lent of its evaluator's (xq.Static.Lend), and both are
+// given back at End.
 type clauseRead struct {
 	call   *Intrinsic
 	st     *fragment.Store
@@ -55,7 +56,7 @@ func (ra readAhead) Begin(ctx *xq.Context, seq xq.Sequence) any {
 // to the store as one deferred read whose groups are the bindings, each
 // binding's ids distinct within its group, as its own call makes them. The
 // read returns its versions in a list lent of the scratch, given back once
-// they are items.
+// they are items in a sequence the evaluation lends.
 func (r *clauseRead) read(ctx *xq.Context, seq xq.Sequence) {
 	if r.st = r.call.rt.Store(r.call.Stream); r.st == nil {
 		return // the call reports the missing stream itself
@@ -71,22 +72,21 @@ func (r *clauseRead) read(ctx *xq.Context, seq xq.Sequence) {
 		r.call.each.window(&read)
 	}
 	els, _ := ctx.Static.Access.Read(r.st, read)
-	r.items = xq.FromNodes(els)
-	if sc.GiveNodes(els); cap(els) == 0 {
-		sc.GiveNodes(read.Into) // nothing kept: the list lent is unwritten
-	}
+	r.items = xq.AppendNodes(ctx.Static.Lend(), els)
+	giveNodes(sc, els, read.Into)
 	// the groups outlive the read, the ids do not
 	r.groups, in.groups = in.groups, nil
 	in.release()
 }
 
-// End gives back the groups the clause's reads borrowed.
+// End gives back the groups and items the clause's reads borrowed.
 func (ra readAhead) End(ctx *xq.Context, ahead any) {
 	reads, _ := ahead.([]clauseRead)
 	sc := ctx.Static.Access.Scratch()
 	for i := range reads {
 		sc.GiveGroups(reads[i].groups)
-		reads[i].groups = nil
+		ctx.Static.Give(reads[i].items)
+		reads[i].groups, reads[i].items = nil, nil
 	}
 }
 

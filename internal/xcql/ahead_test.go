@@ -125,6 +125,30 @@ func TestReadAheadPerBinding(t *testing.T) {
 	}
 }
 
+// Context.Ahead tells a clause's sequence from a buffer reused: of two
+// sibling FLWORs that read ahead one after the other, the second builds its
+// clause's sequence and its read in the sequences the first gave back, and
+// each binding takes its own clause's group — the result QaC's, which reads
+// per binding, and the values of each FLWOR alone.
+func TestReadAheadSiblingClauses(t *testing.T) {
+	rt, at := reannouncedCredit(t)
+	const (
+		first = `for $a in stream("credit")/creditAccounts/account return $a/transaction[1]/amount`
+		last  = `for $b in stream("credit")/creditAccounts/account return $b/transaction[last()]/amount`
+	)
+	for _, src := range []string{"(" + first + ", " + last + ")", "(" + last + ", " + first + ")", "(" + first + ", " + first + ")"} {
+		oracle := evalRendered(t, rt, src, QaC, at)
+		for range 2 { // the second over the scratch the first gave back
+			if got := evalRendered(t, rt, src, QaCPlus, at); got.items != oracle.items {
+				t.Errorf("%s: QaC+ %s, QaC %s", src, got.values, oracle.values)
+			}
+		}
+	}
+	if got := evalRendered(t, rt, "("+first+", "+last+")", QaCPlus, at).values; got != "[100 100 100 200]" {
+		t.Errorf("%s then %s: %s, want [100 100 100 200]", first, last, got)
+	}
+}
+
 // TestReadAheadQ2 pins the counters of XMark Q2, whose bidder[1] the read
 // ahead reads for every open auction at once.
 func TestReadAheadQ2(t *testing.T) {

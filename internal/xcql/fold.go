@@ -249,7 +249,7 @@ func (in *Intrinsic) fold(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence
 // charge charges the frame what an evaluation charged: the budget's steps,
 // items and bytes, and the access counters, nil for none.
 func (u *UnitEval) charge(steps, items, bytes int64, access *obs.AccessCounts) error {
-	if err := u.budget.Charge(steps, items, bytes); err != nil {
+	if err := u.env.budget.Charge(steps, items, bytes); err != nil {
 		return err
 	}
 	if access != nil {
@@ -278,7 +278,7 @@ func (u *UnitEval) termFrame() *UnitEval {
 	}
 	t := u.fold.terms
 	t.stats = obs.EvalStats{}
-	t.arm(u.static.Now, u.budget.Limits(), &t.stats, u.sc)
+	t.arm(u.static.Now, u.env.budget.Limits(), &t.stats, u.sc)
 	return t
 }
 
@@ -301,19 +301,28 @@ func (u *UnitEval) evalTerm(s *foldSite, st *fragment.Store, in *Intrinsic, id i
 			return nil, err
 		}
 	}
+	sc := t.static.Access.Scratch()
+	var lent []*xmldom.Node
 	if id >= 0 {
 		u.fold.one[0] = id
-		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: in.Bare, Span: span})
+		lent = sc.Nodes()
+		base, g = t.static.Access.Read(st, fragment.Read{IDs: u.fold.one[:], Bare: in.Bare, Span: span, Into: lent})
 		// the read's own charge is its group's: the fold charges that
 		read = t.used()
 		below(t.static, st, base, span)
 	} else if span.Kind != fragment.NoSpan {
 		base = project(t.static, st, base, span)
 	}
-	bound, err := chargeNodes(&t.budget, base, g.Stamps)
+	// the term's bound sequence is lent of the evaluation, and given back
+	// once the chain's items are numbers
+	bound, err := appendRead(t.static.Lend(), &t.env.budget, base, g.Stamps)
+	if id >= 0 {
+		giveNodes(sc, base, lent)
+	}
 	if err != nil {
 		return nil, err
 	}
+	defer t.static.Give(bound)
 	seq, err := t.term(s.Chain, bound)
 	if err != nil {
 		return nil, err
@@ -359,6 +368,6 @@ func (u *UnitEval) term(chain xq.Expr, bound xq.Sequence) (xq.Sequence, error) {
 
 // used is what the frame's budget and counters hold.
 func (u *UnitEval) used() spent {
-	steps, items, bytes := u.budget.Used()
+	steps, items, bytes := u.env.budget.Used()
 	return spent{steps, items, bytes, u.stats.Access()}
 }

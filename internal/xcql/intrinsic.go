@@ -3,6 +3,7 @@ package xcql
 import (
 	"strconv"
 
+	"xcql/internal/fragment"
 	"xcql/internal/xq"
 )
 
@@ -119,29 +120,49 @@ func (in *Intrinsic) operands() int {
 
 // Call evaluates the call, args its Args' values.
 func (in *Intrinsic) Call(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
+	return in.eval(ctx, args, nil, false)
+}
+
+// AppendCall is Call appending the value to dst (xq.AppendCallee): a
+// fillers or by-tsid read writes its versions there as items, and builds
+// no sequence of its own.
+func (in *Intrinsic) AppendCall(dst xq.Sequence, ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
+	return in.eval(ctx, args, dst, true)
+}
+
+// eval evaluates the call, appending its value to dst when into is set.
+func (in *Intrinsic) eval(ctx *xq.Context, args []xq.Sequence, dst xq.Sequence, into bool) (xq.Sequence, error) {
 	for range in.operands() {
 		if err := ctx.Static.Budget.Step(); err != nil {
 			return nil, err
 		}
 	}
+	var v xq.Sequence
+	var err error
 	if in.Op == FnView {
-		return in.rt.view(in.Stream, ctx.Static)
+		v, err = in.rt.view(in.Stream, ctx.Static)
+	} else {
+		var st *fragment.Store
+		if st, err = in.rt.storeOrErr(in.Stream); err != nil {
+			return nil, err
+		}
+		switch in.Op {
+		case FnRoot:
+			v, err = root(ctx, st)
+		case FnFillers:
+			return in.fillers(ctx, st, args[0], dst, into)
+		case FnByTSID:
+			return in.byTSID(ctx, st, dst)
+		case FnIProj, FnVProj:
+			v, err = in.projection(ctx, st, args)
+		default:
+			v, err = in.fold(ctx, st, args[0])
+		}
 	}
-	st, err := in.rt.storeOrErr(in.Stream)
-	if err != nil {
-		return nil, err
+	if err != nil || !into {
+		return v, err
 	}
-	switch in.Op {
-	case FnRoot:
-		return root(ctx, st)
-	case FnFillers:
-		return in.fillers(ctx, st, args[0])
-	case FnByTSID:
-		return in.byTSID(ctx, st)
-	case FnIProj, FnVProj:
-		return in.projection(ctx, st, args)
-	}
-	return in.fold(ctx, st, args[0])
+	return append(dst, v...), nil
 }
 
 // Whole reports that the call hands out every version it reads: it carries

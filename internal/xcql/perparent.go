@@ -78,10 +78,12 @@ func applyPreds(ctx *xq.Context, out, group []*xmldom.Node, preds []xq.Expr) ([]
 }
 
 // appendNodes is append(out, els...) that takes els itself while out is
-// empty: what an access read returns is its caller's.
+// empty — what an access read returns is its caller's —, capped at its
+// length: els may be a window of a read whose later versions an append to
+// out must not write over.
 func appendNodes(out, els []*xmldom.Node) []*xmldom.Node {
 	if len(out) == 0 {
-		return els
+		return els[:len(els):len(els)]
 	}
 	return append(out, els...)
 }

@@ -360,10 +360,11 @@ func (q *Query) EvalRaw(at time.Time) (xq.Sequence, error) {
 // are the trace spans: execute is the evaluation less the filling, and
 // materialize the filling, traced as if it followed.
 func (q *Query) EvalEach(ctx context.Context, at time.Time, lim Limits, yield func(xq.Item) error) error {
-	return q.run(ctx, at, lim, func(static *xq.Static, stats *obs.EvalStats, sink obs.TraceSink) error {
+	return q.run(ctx, at, lim, func(ctx *xq.Context, stats *obs.EvalStats, sink obs.TraceSink) error {
 		execStart := time.Now()
 		var fill time.Duration
-		err := xq.EvalEach(q.Plan, xq.NewContext(static), func(seq xq.Sequence) error {
+		static := ctx.Static
+		err := xq.EvalEach(q.Plan, ctx, func(seq xq.Sequence) error {
 			for _, it := range seq {
 				if n, ok := it.(*xmldom.Node); ok && hasHoles(n) {
 					start := time.Now()
@@ -390,10 +391,10 @@ func (q *Query) EvalEach(ctx context.Context, at time.Time, lim Limits, yield fu
 // eval is Eval and its variants: the plan evaluated whole and, when
 // materialize is set, its result materialized.
 func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize bool) (seq xq.Sequence, err error) {
-	err = q.run(ctx, at, lim, func(static *xq.Static, stats *obs.EvalStats, sink obs.TraceSink) error {
+	err = q.run(ctx, at, lim, func(ctx *xq.Context, stats *obs.EvalStats, sink obs.TraceSink) error {
 		execStart := time.Now()
 		var err error
-		seq, err = xq.Eval(q.Plan, xq.NewContext(static))
+		seq, err = xq.Eval(q.Plan, ctx)
 		stats.ExecTime = time.Since(execStart)
 		if sink != nil {
 			sink.Span("execute", q.Mode.String(), execStart, stats.ExecTime)
@@ -402,7 +403,7 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 			return err
 		}
 		matStart := time.Now()
-		seq = materializeResult(seq, static, owned(q.Plan))
+		seq = materializeResult(seq, ctx.Static, owned(q.Plan))
 		stats.MaterializeTime = time.Since(matStart)
 		if sink != nil {
 			sink.Span("materialize", q.Mode.String(), matStart, stats.MaterializeTime)
@@ -416,13 +417,14 @@ func (q *Query) eval(ctx context.Context, at time.Time, lim Limits, materialize 
 }
 
 // run is the engine boundary every evaluation crosses: admission control,
-// budget construction, the evaluation's scratch, and panic containment.
-// exec evaluates the plan under static, recording its phases in stats and
-// sink (nil: not tracing). Any panic escaping the evaluator — a budget trip
-// from a non-error-returning walk, or a genuine bug — is converted into an
+// the evaluation's scratch and the static environment kept in it, armed
+// with a new budget, and panic containment. exec evaluates the plan under
+// the root context ctx, recording its phases in stats and sink (nil: not
+// tracing). Any panic escaping the evaluator — a budget trip from a
+// non-error-returning walk, or a genuine bug — is converted into an
 // *EvalError here instead of killing the process and every attached
 // continuous query.
-func (q *Query) run(ctx context.Context, at time.Time, lim Limits, exec func(*xq.Static, *obs.EvalStats, obs.TraceSink) error) (err error) {
+func (q *Query) run(ctx context.Context, at time.Time, lim Limits, exec func(*xq.Context, *obs.EvalStats, obs.TraceSink) error) (err error) {
 	if err := q.rt.admit(); err != nil {
 		return err
 	}
@@ -433,11 +435,13 @@ func (q *Query) run(ctx context.Context, at time.Time, lim Limits, exec func(*xq
 		TranslateTime: q.translateTime,
 	}
 	sink := q.rt.traceSink()
-	b := budget.New(ctx, lim)
 	sc := q.rt.takeScratch()
 	defer q.rt.giveScratch(sc)
-	static := q.newStatic(fragment.Eval{At: at, Stats: stats, Budget: b, Scratch: &sc.read})
-	static.Scratch = &sc.eval
+	e := sc.env(q)
+	e.arm(q, ctx, at, lim, stats, sc)
+	if at.IsZero() {
+		e.static.Now = time.Now().UTC() // as xq.NewContext makes it
+	}
 	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
@@ -445,14 +449,15 @@ func (q *Query) run(ctx context.Context, at time.Time, lim Limits, exec func(*xq
 		}
 		// stats are recorded even on failure: a tripped budget still
 		// shows how far the evaluation got before it was cut off.
-		stats.Steps, stats.Items, stats.BytesMaterialized = b.Used()
+		stats.Steps, stats.Items, stats.BytesMaterialized = e.budget.Used()
 		stats.TotalTime = time.Since(start)
 		q.storeStats(stats)
 		if sink != nil {
 			sink.Span("eval", q.Mode.String(), start, stats.TotalTime)
 		}
+		e.disarm()
 	}()
-	if err := exec(static, stats, sink); err != nil {
+	if err := exec(e.root, stats, sink); err != nil {
 		return q.wrapResource(err)
 	}
 	return nil
@@ -477,53 +482,78 @@ func (q *Query) wrapResource(err error) error {
 	return err
 }
 
-// newStatic assembles the environment of the evaluation ev: the function
-// table, the evaluation's resource budget, and the access path every
-// store read goes through — the one place the mode's index is chosen.
-func (q *Query) newStatic(ev fragment.Eval) *xq.Static {
+// evalEnv is an evaluation's static environment: the xq.Static it runs under
+// and its root context, the budget that meters it, and the stores its hole
+// crossings read. An owner makes one (Query.newEnv) — a runtime's scratch
+// one per access kind for the evaluations it serves, an incremental
+// engine's frame one of its own — and arms it for each evaluation in turn
+// (arm), so that an evaluation allocates none of it.
+type evalEnv struct {
+	static xq.Static
+	root   *xq.Context
+	budget budget.Budget
+	stores []*fragment.Store
+}
+
+// newEnv makes an environment for evaluations of plans under q's mode: the
+// function table, the budget, and the access path every store read goes
+// through — the one place the mode's index is chosen.
+func (q *Query) newEnv() *evalEnv {
+	rt, e := q.rt, &evalEnv{}
+	e.static = xq.Static{
+		Doc:    rt.doc,
+		Holes:  temporal.BudgetResolver(&e.budget, e.resolve),
+		Budget: &e.budget,
+		Access: fragment.NewAccess(q.Mode.access(), fragment.Eval{}),
+	}
+	e.static.Stream = func(name string) (xq.Sequence, error) {
+		// uncompiled stream() access sees the materialized view
+		return rt.view(name, &e.static)
+	}
+	e.root = xq.NewContext(&e.static)
+	return e
+}
+
+// arm readies e for an evaluation of q at the instant at under a budget
+// built from ctx and lim, its counters charged to stats, over the scratch
+// sc: the runtime's functions and q's stores as they are now.
+func (e *evalEnv) arm(q *Query, ctx context.Context, at time.Time, lim Limits, stats *obs.EvalStats, sc *scratch) {
 	rt := q.rt
-	acc := fragment.NewAccess(q.Mode.access(), ev)
+	e.budget.Reset(ctx, lim)
 	rt.mu.RLock()
-	funcs := rt.funcs
-	stores := make([]*fragment.Store, 0, len(q.streams))
+	e.static.Funcs = rt.funcs
+	e.stores = e.stores[:0]
 	for _, name := range q.streams {
 		if st := rt.stores[name]; st != nil {
-			stores = append(stores, st)
+			e.stores = append(e.stores, st)
 		}
 	}
 	rt.mu.RUnlock()
-	static := &xq.Static{
-		Now:    ev.At,
-		Funcs:  funcs,
-		Doc:    rt.doc,
-		Holes:  temporal.BudgetResolver(ev.Budget, scopedResolver(acc, stores)),
-		Budget: ev.Budget,
-		Stats:  ev.Stats,
-		Access: acc,
-	}
-	static.Stream = func(name string) (xq.Sequence, error) {
-		// uncompiled stream() access sees the materialized view
-		return rt.view(name, static)
-	}
-	return static
+	e.static.Now, e.static.Stats, e.static.Scratch = at, stats, &sc.eval
+	e.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &e.budget, Scratch: &sc.read})
 }
 
-// scopedResolver crosses holes that no stream-named call covers — steps
-// over untyped content and the final materialization — through the
-// stores of the streams the plan names, in first-reference order; the
-// first store holding the id answers. Filler ids are unique within a
-// stream only, so a plan never resolves through a stream it does not
-// name, and a join of streams with overlapping ids whose result carries
-// holes resolves them in its first stream (DESIGN.md "Access paths").
-func scopedResolver(acc fragment.Access, stores []*fragment.Store) temporal.HoleResolver {
-	return func(holeID int) []*xmldom.Node {
-		for _, st := range stores {
-			if els, _ := acc.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID}); len(els) > 0 {
-				return els
-			}
+// disarm drops e's hold on the evaluation it was armed for and on its
+// scratch, so that the runtime may hand that to another evaluation.
+func (e *evalEnv) disarm() {
+	e.static.Access.Arm(fragment.Eval{})
+	e.static.Stats, e.static.Scratch = nil, nil
+}
+
+// resolve crosses holes that no stream-named call covers — steps over
+// untyped content and the final materialization — through the stores of
+// the streams the plan names, in first-reference order; the first store
+// holding the id answers. Filler ids are unique within a stream only, so a
+// plan never resolves through a stream it does not name, and a join of
+// streams with overlapping ids whose result carries holes resolves them in
+// its first stream (DESIGN.md "Access paths").
+func (e *evalEnv) resolve(holeID int) []*xmldom.Node {
+	for _, st := range e.stores {
+		if els, _ := e.static.Access.Read(st, fragment.Read{Source: fragment.FromHole, ID: holeID}); len(els) > 0 {
+			return els
 		}
-		return nil
 	}
+	return nil
 }
 
 func (rt *Runtime) storeOrErr(name string) (*fragment.Store, error) {
@@ -536,24 +566,37 @@ func (rt *Runtime) storeOrErr(name string) (*fragment.Store, error) {
 
 // --- intrinsics -----------------------------------------------------------
 
-// chargeNodes meters the output of a store read: cardinality plus the
-// tree bytes of every resolved filler version, stamps is the bytes the
-// stamps of the bare tops among them would add (fragment.Group.Stamps).
-// This is what bounds the fragment plans' access paths, and it is the same
-// charge for bare tops as for stamped ones.
-func chargeNodes(b *budget.Budget, out []*xmldom.Node, stamps int) (xq.Sequence, error) {
+// appendRead meters the output of a store read — cardinality plus the tree
+// bytes of every resolved filler version, stamps the bytes the stamps of
+// the bare tops among them would add (fragment.Group.Stamps) — and appends
+// it to dst as items, growing dst at most once (xq.AppendNodes). This is
+// what bounds the fragment plans' access paths, and it is the same charge
+// for bare tops as for stamped ones.
+func appendRead(dst xq.Sequence, b *budget.Budget, out []*xmldom.Node, stamps int) (xq.Sequence, error) {
 	if err := meterNodes(b, out, stamps); err != nil {
 		return nil, err
 	}
-	return xq.FromNodes(out), nil
+	return xq.AppendNodes(dst, out), nil
 }
 
-// meterNodes is chargeNodes' charge.
+// giveNodes hands back to sc the list a read returned over lent, the list
+// sc lent it (fragment.Read.Into), and lent itself when the read returned
+// another — cleared whole: the read may have written over it before it
+// outgrew it.
+func giveNodes(sc *fragment.Scratch, els, lent []*xmldom.Node) {
+	sc.GiveNodes(els)
+	if cap(lent) > 0 && (cap(els) == 0 || &els[:1][0] != &lent[:1][0]) {
+		clear(lent[:cap(lent)])
+		sc.GiveNodes(lent)
+	}
+}
+
+// meterNodes is appendRead's charge.
 func meterNodes(b *budget.Budget, out []*xmldom.Node, stamps int) error {
 	return meter(b, out, stamps, func(nd *xmldom.Node) *xmldom.Node { return nd })
 }
 
-// meterItems is chargeNodes' charge of nodes a caller holds as items.
+// meterItems is appendRead's charge of nodes a caller holds as items.
 func meterItems(b *budget.Budget, out xq.Sequence, stamps int) error {
 	return meter(b, out, stamps, func(it xq.Item) *xmldom.Node { return it.(*xmldom.Node) })
 }
@@ -622,8 +665,11 @@ func root(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
 // call with a lifespan bound reads under it, projects what lies below the
 // versions kept (below) and the inline children whole; a version range
 // over inline children as well numbers them all, so there the projection
-// runs over the whole output, as the projection call did.
-func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Sequence) (xq.Sequence, error) {
+// runs over the whole output, as the projection call did. What the call
+// returns is appended to dst (appendRead; nil: a sequence of its own), but
+// a group taken of a read-ahead, which is handed out as its window unless
+// into is set.
+func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes, dst xq.Sequence, into bool) (xq.Sequence, error) {
 	tsid, each, keep := in.TSIDs[0], in.each, in.filter.bind(ctx.Static)
 	var span fragment.Span
 	if in.span != nil {
@@ -633,11 +679,15 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 		}
 	} else if keep == nil {
 		if seq, ok, err := takeAhead(ctx, nodes, st, in); ok {
-			return seq, err
+			if err != nil || !into {
+				return seq, err
+			}
+			return append(xq.Grow(dst, len(seq)), seq...), nil
 		}
 	}
+	sc := ctx.Static.Access.Scratch()
 	var input callInput
-	input.collect(ctx.Static.Access.Scratch(), nodes, tsid, st.Structure().ByID(tsid), each != nil)
+	input.collect(sc, nodes, tsid, st.Structure().ByID(tsid), each != nil)
 	defer input.release()
 	read := span
 	if span.Kind == fragment.VersionSpan && input.inline != nil {
@@ -645,8 +695,10 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	}
 	var els []*xmldom.Node
 	var took fragment.Group
+	lent := sc.Nodes()
+	defer func() { giveNodes(sc, els, lent) }()
 	if len(input.ids) > 0 {
-		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare, Span: read}
+		r := fragment.Read{IDs: input.ids, Keep: keep, Groups: input.groups, Bare: in.Bare, Span: read, Into: lent}
 		if each != nil {
 			each.window(&r)
 		}
@@ -658,7 +710,7 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	}
 	if input.inline == nil && len(rest) == 0 {
 		below(ctx.Static, st, els, span)
-		return chargeNodes(ctx.Static.Budget, els, took.Stamps)
+		return appendRead(dst, ctx.Static.Budget, els, took.Stamps)
 	}
 	below(ctx.Static, st, els, read)
 	// the read served the window a list opens with, not the inline children
@@ -683,7 +735,7 @@ func (in *Intrinsic) fillers(ctx *xq.Context, st *fragment.Store, nodes xq.Seque
 	if span.Kind == fragment.VersionSpan && read.Kind == fragment.NoSpan {
 		out = project(ctx.Static, st, out, span)
 	}
-	return chargeNodes(ctx.Static.Budget, out, took.Stamps)
+	return appendRead(dst, ctx.Static.Budget, out, took.Stamps)
 }
 
 // callInput is what a fillers call reads of its input nodes — and a fold
@@ -793,8 +845,9 @@ func (in *callInput) each(visit func(g int, kids []*xmldom.Node) error) error {
 }
 
 // byTSID is QaC+'s descendant jump: all filler versions whose tsid is
-// one of the call's, without touching any other document level.
-func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, error) {
+// one of the call's, without touching any other document level, appended
+// to dst.
+func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store, dst xq.Sequence) (xq.Sequence, error) {
 	keep := in.filter.bind(ctx.Static)
 	var span fragment.Span
 	if in.span != nil {
@@ -803,15 +856,26 @@ func (in *Intrinsic) byTSID(ctx *xq.Context, st *fragment.Store) (xq.Sequence, e
 			return nil, err
 		}
 	}
+	sc := ctx.Static.Access.Scratch()
+	lent := sc.Nodes()
 	var out []*xmldom.Node
+	defer func() { giveNodes(sc, out, lent) }()
 	stamps := 0
-	for _, tsid := range in.TSIDs {
-		els, g := ctx.Static.Access.Read(st, fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep, Bare: in.Bare, Span: span})
-		out = append(out, els...)
+	for i, tsid := range in.TSIDs {
+		r := fragment.Read{Source: fragment.FromTSID, ID: tsid, Keep: keep, Bare: in.Bare, Span: span}
+		if i == 0 {
+			r.Into = lent
+		}
+		els, g := ctx.Static.Access.Read(st, r)
+		if i == 0 {
+			out = els
+		} else {
+			out = append(out, els...)
+		}
 		stamps += g.Stamps
 	}
 	below(ctx.Static, st, out, span)
-	return chargeNodes(ctx.Static.Budget, out, stamps)
+	return appendRead(dst, ctx.Static.Budget, out, stamps)
 }
 
 // materializeResult resolves any holes left in result nodes (the final

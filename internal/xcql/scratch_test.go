@@ -1,10 +1,11 @@
 package xcql
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
-	"xcql/internal/fragment"
 	"xcql/internal/xq"
 )
 
@@ -62,17 +63,78 @@ func TestMaterializeKeepsAnOwnedResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static := q.newStatic(fragment.Eval{At: evalAt})
+		static := armedStatic(q)
 		if got := materializeResult(raw, static, owned(q.Plan)); len(got) == 0 || &got[0] != &raw[0] {
 			t.Errorf("under %s the FLWOR's result was copied", mode)
 		}
 		lit := rt.MustCompile(`(1, 2)`, mode)
-		seq, err := xq.Eval(lit.Plan, xq.NewContext(lit.newStatic(fragment.Eval{At: evalAt})))
+		seq, err := xq.Eval(lit.Plan, xq.NewContext(armedStatic(lit)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := materializeResult(seq, static, owned(lit.Plan)); &got[0] == &seq[0] {
 			t.Errorf("under %s a literal's sequence was handed out as it is", mode)
+		}
+	}
+}
+
+// armedStatic is a static environment of q's, armed for an evaluation at
+// evalAt over a scratch of its own.
+func armedStatic(q *Query) *xq.Static {
+	e := q.newEnv()
+	e.arm(q, context.Background(), evalAt, Limits{}, nil, new(scratch))
+	return &e.static
+}
+
+// A unit whose result is its bound sequence — a pass-through body, $UnitVar
+// itself — hands back a sequence of its own: the unit's versions are read
+// into a sequence the evaluation lends, which goes back when the unit
+// returns, so what Eval returned, and what each was handed, is unchanged
+// by the evaluations that follow over the same scratch.
+func TestUnitResultIsItsOwn(t *testing.T) {
+	rt, at := reannouncedCredit(t)
+	q := rt.MustCompile(`stream("credit")//account`, QaCPlus)
+	st := rt.Store("credit")
+	fids, versions := st.TSIDFillers(st.Structure().Named("account")[0].ID)
+	if len(fids) != 1 || versions != 3 {
+		t.Fatalf("%d accounts in %d versions, want 1 in 3", len(fids), versions)
+	}
+	u := q.NewUnitEval()
+	body := &xq.VarRef{Name: UnitVar}
+	for _, materialize := range []bool{false, true} {
+		// the query's own evaluation reads the same versions the same way
+		eval := q.EvalRaw
+		if materialize {
+			eval = q.Eval
+		}
+		ref, err := eval(at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Join(renderSeq(ref), "\n")
+		held, _, err := u.Eval(body, st, fids[0], nil, false, nil, at, Limits{}, nil, materialize)
+		if err != nil || len(held) != versions {
+			t.Fatalf("materialize=%v: %d items, %v", materialize, len(held), err)
+		}
+		var each []xq.Sequence
+		keep := func(seq xq.Sequence, _ time.Time) { each = append(each, seq) }
+		if _, _, err := u.Eval(body, st, fids[0], nil, false, keep, at, Limits{}, nil, materialize); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, _, err := u.Eval(body, st, fids[0], nil, true, nil, at, Limits{}, nil, materialize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := strings.Join(renderSeq(held), "\n"); got != want {
+			t.Errorf("materialize=%v: the result held changed under the next evaluations:\n%s\nwant\n%s", materialize, got, want)
+		}
+		var got []string
+		for _, seq := range each {
+			got = append(got, renderSeq(seq)...)
+		}
+		if strings.Join(got, "\n") != want {
+			t.Errorf("materialize=%v: the versions each kept changed under the next evaluations:\n%s\nwant\n%s", materialize, strings.Join(got, "\n"), want)
 		}
 	}
 }

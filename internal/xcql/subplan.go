@@ -2,10 +2,10 @@ package xcql
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"xcql/internal/budget"
 	"xcql/internal/fragment"
 	"xcql/internal/obs"
 	"xcql/internal/xq"
@@ -57,8 +57,8 @@ func (q *Query) RecordStats(s *obs.EvalStats) { q.storeStats(s) }
 // time; the engine's lock sees to that.
 type UnitEval struct {
 	q       *Query
-	static  *xq.Static
-	budget  budget.Budget
+	env     *evalEnv
+	static  *xq.Static // env's
 	horizon xtime.Horizon
 	ctx     *xq.Context // $UnitVar bound, rebound per unit
 	sc      *scratch    // the evaluation's, taken of the runtime; nil between
@@ -68,28 +68,26 @@ type UnitEval struct {
 
 // NewUnitEval builds the frame of an engine over this query's plan.
 func (q *Query) NewUnitEval() *UnitEval {
-	u := &UnitEval{q: q}
-	u.static = q.newStatic(fragment.Eval{Budget: &u.budget})
+	u := &UnitEval{q: q, env: q.newEnv()}
+	u.static = &u.env.static
 	u.static.Horizon = &u.horizon
-	u.ctx = xq.NewContext(u.static).Bind(foldVar, xq.Sequence{u}).Bind(UnitVar, nil)
+	u.ctx = u.env.root.Bind(foldVar, xq.Sequence{u}).Bind(UnitVar, nil)
 	return u
 }
 
 // arm readies the frame for an evaluation at the instant at under a budget
 // built from lim, its counters charged to stats, over the scratch sc.
 func (u *UnitEval) arm(at time.Time, lim Limits, stats *obs.EvalStats, sc *scratch) {
-	u.budget.Reset(context.Background(), lim)
-	u.static.Now, u.static.Stats, u.static.Funcs = at, stats, u.q.rt.funcTable()
-	u.static.Access.Arm(fragment.Eval{At: at, Stats: stats, Budget: &u.budget, Scratch: &sc.read})
-	u.static.Scratch, u.sc = &sc.eval, sc
+	u.env.arm(u.q, context.Background(), at, lim, stats, sc)
+	u.sc = sc
 }
 
 // disarm drops the frame's hold on its scratch — and its terms' frame's,
 // which borrowed it —, so that the runtime may hand it to another
 // evaluation; the next evaluation arms the frame anew.
 func (u *UnitEval) disarm() {
-	u.static.Access.Arm(fragment.Eval{})
-	u.static.Scratch, u.sc = nil, nil
+	u.env.disarm()
+	u.sc = nil
 	if t := u.fold.terms; t != nil {
 		t.disarm()
 	}
@@ -133,20 +131,26 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 	q, static := u.q, u.static
 	sc := q.rt.takeScratch()
 	u.arm(at, lim, stats, sc)
+	// the unit's versions, in a sequence lent of the evaluation and given
+	// back when the unit returns
+	var bound xq.Sequence
 	defer func() {
 		u.ctx.Rebind(nil)
+		static.Give(bound)
 		u.disarm()
 		q.rt.giveScratch(sc)
 		if p := recover(); p != nil {
 			seq, horizon, err = nil, time.Time{}, q.contained(p)
 		}
 	}()
-	var bound xq.Sequence
 	if st != nil {
 		// the budget meters the unit's own read as it meters the by-tsid
 		// read of a full evaluation
-		els, g := static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fid, Keep: keep, Bare: bare})
-		if bound, err = chargeNodes(&u.budget, els, g.Stamps); err != nil {
+		lent := sc.read.Nodes()
+		els, g := static.Access.Read(st, fragment.Read{Source: fragment.FromFiller, ID: fid, Keep: keep, Bare: bare, Into: lent})
+		bound, err = appendRead(static.Lend(), &u.env.budget, els, g.Stamps)
+		giveNodes(&sc.read, els, lent)
+		if err != nil {
 			return nil, time.Time{}, q.wrapResource(err)
 		}
 	}
@@ -169,7 +173,7 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 		// Query.eval copies the budget's totals into the stats at the
 		// end; unit evaluations instead accumulate, so one arrival's
 		// stats sum its unit evaluations.
-		steps, items, bytes := u.budget.Used()
+		steps, items, bytes := u.env.budget.Used()
 		atomic.AddInt64(&stats.Steps, steps)
 		atomic.AddInt64(&stats.Items, items)
 		atomic.AddInt64(&stats.BytesMaterialized, bytes)
@@ -178,7 +182,8 @@ func (u *UnitEval) Eval(e xq.Expr, st *fragment.Store, fid int, keep fragment.Fi
 }
 
 // run evaluates e once with $UnitVar bound to bound, and the horizon of
-// that one evaluation.
+// that one evaluation. A result that is bound, or a window of it — a
+// pass-through body's — is copied: bound goes back to the evaluation.
 func (u *UnitEval) run(e xq.Expr, bound xq.Sequence, at time.Time, materialize bool) (xq.Sequence, time.Time, error) {
 	u.horizon.Reset(at)
 	u.ctx.Rebind(bound)
@@ -189,6 +194,23 @@ func (u *UnitEval) run(e xq.Expr, bound xq.Sequence, at time.Time, materialize b
 	if materialize {
 		seq = materializeResult(seq, u.static, owned(e))
 	}
+	if within(seq, bound) {
+		seq = slices.Clone(seq)
+	}
 	horizon, _ := u.horizon.Next()
 	return seq, horizon, nil
+}
+
+// within reports that seq starts at a slot of lent: seq is lent, or a
+// window of it.
+func within(seq, lent xq.Sequence) bool {
+	if len(seq) == 0 {
+		return false
+	}
+	for i := range lent {
+		if &lent[i] == &seq[0] {
+			return true
+		}
+	}
+	return false
 }

@@ -280,6 +280,16 @@ type Callee interface {
 	String() string
 }
 
+// AppendCallee is a Callee that can append its value to a sequence its
+// caller lends — a for clause's sequence, an operand read and dropped —,
+// so that it builds no sequence of its own. AppendCall returns dst with the
+// value appended, in dst's array or one grown from it, never a sequence the
+// callee holds; it charges what Call charges.
+type AppendCallee interface {
+	Callee
+	AppendCall(dst Sequence, ctx *Context, args []Sequence) (Sequence, error)
+}
+
 func (e *Call) String() string {
 	parts := make([]string, len(e.Args), len(e.Args)+1)
 	for i, a := range e.Args {

@@ -25,7 +25,7 @@ func TestConstructedWindowsAreClipped(t *testing.T) {
 		if len(seq) < 2 {
 			t.Fatalf("%s: %d items", src, len(seq))
 		}
-		checkScratchClean(t, static, src)
+		checkScratchClean(t, static, src, 0)
 		want := render(seq)
 		// the constructed elements: each result and the <s> inside it; the
 		// stored nodes they hold are not the evaluator's to clip
@@ -92,5 +92,5 @@ func TestConstructorOutsideAFLWORTakesAChunkOfOne(t *testing.T) {
 	if got != 2 {
 		t.Errorf("<a>{$x}</a> costs %.0f allocations, want 2", got)
 	}
-	checkScratchClean(t, static, "<a>{$x}</a>")
+	checkScratchClean(t, static, "<a>{$x}</a>", 0)
 }

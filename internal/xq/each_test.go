@@ -42,13 +42,17 @@ func TestEvalEachMatchesEval(t *testing.T) {
 			t.Errorf("%s: EvalEach yields %q, charging %v; Eval returns %q, charging %v", src, got, gotUsed, want, wantUsed)
 		}
 		for steps := int64(1); ; steps++ {
+			kept := 0
+			if shared.Scratch != nil {
+				kept = len(shared.Scratch.bufs)
+			}
 			_, _, err := eachUsed(t, shared, src, budget.Limits{MaxSteps: steps})
-			checkScratchClean(t, shared, src)
+			checkScratchClean(t, shared, src, kept)
 			again, _, err2 := eachUsed(t, shared, src, budget.Limits{})
 			if err2 != nil || again != want {
 				t.Fatalf("%s after a trip at %d steps: %q, %v; want %q", src, steps, again, err2, want)
 			}
-			checkScratchClean(t, shared, src)
+			checkScratchClean(t, shared, src, kept)
 			if err == nil {
 				break
 			}
@@ -138,5 +142,5 @@ func TestYieldedReturnCutOffByAPanic(t *testing.T) {
 		}()
 		eachUsed(t, static, src, budget.Limits{})
 	}()
-	checkScratchClean(t, static, src)
+	checkScratchClean(t, static, src, 0)
 }

@@ -81,11 +81,13 @@ type Scratch struct {
 
 // The most a trimmed Scratch keeps: argument slots, lent sequences, and
 // items of room in each; past them a buffer is dropped, so that one large
-// evaluation does not stay resident in a Scratch kept for the next.
+// evaluation does not stay resident in a Scratch kept for the next. A for
+// clause's sequence is a lent one: keptBuf holds XMark Q2's 640
+// open_auction versions on a store with history.
 const (
 	keptArgs = 64
 	keptBufs = 8
-	keptBuf  = 256
+	keptBuf  = 1024
 )
 
 // Trim readies s for the next evaluation: it drops the buffers past the
@@ -121,13 +123,22 @@ func (s *Static) scratch() *Scratch {
 }
 
 // Func is a registered function implementation. args is lent for the
-// call: a Func may keep and return the sequences args holds, never the
-// args slice itself, which the evaluator reuses for the next call.
+// call: a Func may return the sequences args holds, never the args slice
+// itself, which the evaluator reuses for the next call, and copies what it
+// keeps past the evaluation's clause: an argument may be a window of a
+// sequence the evaluation lent — a for clause's binding, a context item, a
+// read made for every binding at once — which it reuses once the clause is
+// done.
 type Func func(ctx *Context, args []Sequence) (Sequence, error)
 
-// lend hands out an empty sequence from the free list, nil when the list
-// is empty; give hands it back once nothing reads it.
-func (s *Static) lend() Sequence {
+// Lend hands out an empty sequence from the evaluation's free list, nil
+// when the list is empty, for a value its borrower reads and keeps no part
+// of: an operator's operands, a path's intermediate steps, a for clause's
+// sequence, a store read a host makes for itself (a read ahead, a fold's
+// term). Give hands it back, or the sequence grown from it, once nothing
+// reads it: it clears the items and lends the array again. Every slot past
+// the length of a sequence given back must be nil.
+func (s *Static) Lend() Sequence {
 	sc := s.scratch()
 	n := len(sc.bufs)
 	if n == 0 {
@@ -139,13 +150,23 @@ func (s *Static) lend() Sequence {
 	return b
 }
 
-func (s *Static) give(b Sequence) {
+// Give hands back a sequence Lend lent (Lend).
+func (s *Static) Give(b Sequence) {
 	if cap(b) == 0 {
 		return
 	}
 	clear(b)
 	sc := s.scratch()
 	sc.bufs = append(sc.bufs, b[:0])
+}
+
+// giveCut hands back a lent sequence a value cut off midway was built in,
+// cleared whole: such a value may have written past its length. An
+// evaluation that returns, with its value or an error, has given back
+// every sequence it lent.
+func (s *Static) giveCut(b Sequence) {
+	clear(b[:cap(b)])
+	s.Give(b)
 }
 
 // popArgs drops the arguments above base, those of a call that returned.
@@ -327,7 +348,7 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		if len(v) > 0 {
 			neg = Singleton(-NumberValue(v[0]))
 		}
-		ctx.Static.give(lent)
+		ctx.Static.Give(lent)
 		return neg, nil
 	case *If:
 		cond, err := evalBool(ex.Cond, ctx)
@@ -339,11 +360,11 @@ func Eval(e Expr, ctx *Context) (Sequence, error) {
 		}
 		return Eval(ex.Else, ctx)
 	case *FLWOR:
-		return evalFLWOR(ex, ctx, nil)
+		return evalFLWOR(ex, ctx, nil, nil)
 	case *Quantified:
 		return evalQuantified(ex, ctx)
 	case *Call:
-		return evalCall(ex, ctx)
+		return evalCall(nil, false, ex, ctx)
 	case *ElemCtor:
 		var one Sequence
 		if _, err := evalElemCtor(ex, ctx, &one); err != nil {
@@ -406,11 +427,14 @@ func evalPath(dst Sequence, p *Path, ctx *Context) (Sequence, error) {
 	for i, step := range p.Steps {
 		out := dst
 		if i < len(p.Steps)-1 {
-			out = st.lend()
+			out = st.Lend()
 		}
 		next, err := applyStep(out, cur, step, ctx)
-		st.give(lent)
+		st.Give(lent)
 		if err != nil {
+			if i < len(p.Steps)-1 {
+				st.giveCut(out)
+			}
 			return nil, err
 		}
 		cur, lent = next, next
@@ -453,7 +477,7 @@ func applyStep(dst, input Sequence, step Step, ctx *Context) (Sequence, error) {
 		pc = &c
 	}
 	seen := map[*xmldom.Node]bool{}
-	matches := st.lend()
+	matches := st.Lend()
 	for _, it := range input {
 		n, ok := it.(*xmldom.Node)
 		if !ok {
@@ -461,12 +485,14 @@ func applyStep(dst, input Sequence, step Step, ctx *Context) (Sequence, error) {
 		}
 		matches = stepMatches(matches[:0], n, step, st.Holes)
 		if err := st.Budget.AddItems(len(matches)); err != nil {
+			st.giveCut(matches)
 			return nil, err
 		}
 		kept := matches
 		if pc != nil {
 			var err error
 			if kept, err = filterOwned(matches, step.Preds, pc); err != nil {
+				st.giveCut(matches)
 				return nil, err
 			}
 		}
@@ -481,7 +507,7 @@ func applyStep(dst, input Sequence, step Step, ctx *Context) (Sequence, error) {
 		}
 		clear(kept)
 	}
-	st.give(matches)
+	st.Give(matches)
 	return dst, nil
 }
 
@@ -654,7 +680,7 @@ func filterInto(dst, input Sequence, pred Expr, pc *Context) (Sequence, error) {
 				keep = f == float64(i+1)
 			}
 		}
-		pc.Static.give(lent)
+		pc.Static.Give(lent)
 		if keep {
 			dst = append(dst, input[i])
 		}
@@ -663,16 +689,45 @@ func filterInto(dst, input Sequence, pred Expr, pc *Context) (Sequence, error) {
 }
 
 // borrow evaluates e for a caller that reads its value and keeps no part of
-// it, and hands the value back with give(lent) before it evaluates anything
-// else: a path's value is built in a lent sequence, every other value is
-// returned as Eval returns it, with lent nil.
+// it past its own use — an operand, most before anything else is evaluated;
+// a for clause's sequence, after the clause's last binding —, and hands it
+// back with Give(lent) then: a value built for its caller alone (lends) is
+// built in a lent sequence, every other value is returned as Eval returns
+// it, with lent nil.
 func borrow(e Expr, ctx *Context) (v, lent Sequence, err error) {
-	if _, ok := e.(*Path); !ok {
+	if !lends(e) {
 		v, err = Eval(e, ctx)
 		return v, nil, err
 	}
-	v, err = appendEval(ctx.Static.lend(), e, ctx)
+	v, err = lendEval(e, ctx)
 	return v, v, err
+}
+
+// lendEval is appendEval into a sequence lent of the evaluation, given
+// back when the evaluation fails.
+func lendEval(e Expr, ctx *Context) (Sequence, error) {
+	buf := ctx.Static.Lend()
+	v, err := appendEval(buf, e, ctx)
+	if err != nil {
+		ctx.Static.giveCut(buf)
+	}
+	return v, err
+}
+
+// lends reports that e's value is built for its caller alone, so that a
+// caller that reads it and keeps no part of it may lend the sequence it is
+// built in: a path's, and a host call's that appends (AppendCallee) — a
+// store read. Any other value may be a sequence the evaluation holds
+// already, a variable's or a literal's, handed out without a copy.
+func lends(e Expr) bool {
+	switch ex := e.(type) {
+	case *Path:
+		return true
+	case *Call:
+		_, ok := ex.Callee.(AppendCallee)
+		return ok
+	}
+	return false
 }
 
 // evalBool is e's effective boolean value.
@@ -682,7 +737,7 @@ func evalBool(e Expr, ctx *Context) (bool, error) {
 		return false, err
 	}
 	b := EffectiveBool(v)
-	ctx.Static.give(lent)
+	ctx.Static.Give(lent)
 	return b, nil
 }
 
@@ -693,14 +748,15 @@ func evalString(e Expr, ctx *Context) (string, error) {
 		return "", err
 	}
 	s := joinAtomics(v)
-	ctx.Static.give(lent)
+	ctx.Static.Give(lent)
 	return s, nil
 }
 
 // appendEval appends e's value to dst, as append(dst, Eval(e, ctx)...)
-// would, charging the same: a path's last step appends to dst, and a
+// would, charging the same: a path's last step appends to dst, a
 // constructor's element goes in without the one-item sequence Eval wraps
-// it in.
+// it in, and a host call that appends (AppendCallee) writes its value
+// there itself.
 func appendEval(dst Sequence, e Expr, ctx *Context) (Sequence, error) {
 	switch ex := e.(type) {
 	case *Path:
@@ -717,6 +773,11 @@ func appendEval(dst Sequence, e Expr, ctx *Context) (Sequence, error) {
 			return nil, err
 		}
 		return append(dst, el), nil
+	case *Call:
+		if err := ctx.Static.Budget.Step(); err != nil {
+			return nil, err
+		}
+		return evalCall(dst, true, ex, ctx)
 	}
 	v, err := Eval(e, ctx)
 	if err != nil {
@@ -755,11 +816,12 @@ func evalBinOp(b *BinOp, ctx *Context) (Sequence, error) {
 	}
 	r, lentR, err := borrow(b.R, ctx)
 	if err != nil {
+		ctx.Static.Give(lentL)
 		return nil, err
 	}
 	res, err := applyBinOp(b.Op, l, r, ctx.Static)
-	ctx.Static.give(lentR)
-	ctx.Static.give(lentL)
+	ctx.Static.Give(lentR)
+	ctx.Static.Give(lentL)
 	return res, err
 }
 
@@ -970,14 +1032,21 @@ func evalArith(op string, l, r Sequence, st *Static) (Sequence, error) {
 // one of them, and the constructors' nodes and lists from chunks of the
 // FLWOR's own (chunks), which the FLWOR drops on return.
 //
+// A for clause's sequence that is built for the clause alone (lends) — a
+// path's, a store read's — is built in a sequence lent of the evaluation,
+// and given back once no binding of the clause is evaluated any more, as
+// what its ReadAhead returned is.
+//
 // With yield set (EvalEach; never with an order by) the FLWOR returns
 // nothing: each binding's return goes to yield as it completes, built in
 // one lent sequence and in the Scratch's yielded chunks, and both are
 // cleared once yield returns, so that the next binding builds in the same
 // arrays. What the other clauses construct — a let's element, a for
 // clause's sequence — is carved from the FLWOR's own chunks as ever: it
-// may outlive the binding.
-func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, error) {
+// may outlive the binding. With count set (count over an unordered FLWOR)
+// the FLWOR returns nothing either: each binding's return is built in one
+// lent sequence, counted into *count, charged and cleared.
+func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error, count *int) (Sequence, error) {
 	ordered := len(fl.OrderBy) > 0
 	type tuple struct {
 		ctx  *Context
@@ -985,12 +1054,14 @@ func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, e
 	}
 	var tuples []tuple
 	var out Sequence
-	// pending is what the for clauses of an ordered FLWOR read ahead: its
-	// tuples keep their bindings until the last return ran
+	// pending is what the for clauses of an ordered FLWOR read ahead and
+	// the sequences they lent: its tuples keep their bindings until the
+	// last return ran
 	type begun struct {
 		ra    ReadAhead
 		ctx   *Context
 		ahead any
+		input Sequence
 	}
 	var pending []begun
 	st, sc := ctx.Static, ctx.Static.scratch()
@@ -999,7 +1070,10 @@ func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, e
 	defer func() {
 		sc.ctor = outer
 		for _, b := range pending {
-			b.ra.End(b.ctx, b.ahead)
+			if b.ahead != nil {
+				b.ra.End(b.ctx, b.ahead)
+			}
+			st.Give(b.input)
 		}
 	}()
 	// rest is the bindings still to come of the innermost for clause, the
@@ -1008,14 +1082,13 @@ func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, e
 	// not known: a chunk behind one holds as many bindings as came through
 	// before it, and no more than the rest at the rate they came through.
 	rest, seen, kept := 1, 0, 0
-	if yield != nil {
+	if yield != nil || count != nil {
 		// a return cut off mid-way may have written past out's length
-		out = st.lend()
-		sc.yielded.restart()
-		defer func() {
-			clear(out[:cap(out)])
-			st.give(out)
-		}()
+		out = st.Lend()
+		if yield != nil {
+			sc.yielded.restart()
+		}
+		defer func() { st.giveCut(out) }()
 	}
 	emit := func(c *Context) error {
 		if yield != nil {
@@ -1025,17 +1098,23 @@ func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, e
 		sc.ctor.left = rest
 		if !ordered && fl.Where != nil {
 			sc.ctor.left = min(kept, (rest*kept+seen-1)/seen)
-		} else if len(out) == cap(out) {
+		} else if len(out) == cap(out) && count == nil {
 			out = slices.Grow(out, rest)
 		}
 		n := len(out)
-		var err error
-		out, err = appendEval(out, fl.Return, c)
+		v, err := appendEval(out, fl.Return, c)
 		sc.ctor.bindings++
 		if err != nil {
-			return err
+			return err // a lent out goes back whole
 		}
-		return st.Budget.AddItems(len(out) - n)
+		out = v
+		items := len(out) - n
+		if count != nil {
+			*count += items
+			clear(out)
+			out = out[:0]
+		}
+		return st.Budget.AddItems(items)
 	}
 	var bindRest func(i int, c *Context) error
 	bindRest = func(i int, c *Context) error {
@@ -1068,15 +1147,19 @@ func evalFLWOR(fl *FLWOR, ctx *Context, yield func(Sequence) error) (Sequence, e
 		}
 		switch cl := fl.Clauses[i].(type) {
 		case ForClause:
-			seq, err := Eval(cl.In, c)
+			seq, lent, err := borrow(cl.In, c)
 			if err != nil {
 				return err
 			}
 			var ahead any
 			if cl.Ahead != nil && len(seq) > 1 {
-				if ahead = cl.Ahead.Begin(c, seq); ahead != nil && ordered {
-					pending = append(pending, begun{cl.Ahead, c, ahead})
-				} else if ahead != nil {
+				ahead = cl.Ahead.Begin(c, seq)
+			}
+			if ordered && (ahead != nil || lent != nil) {
+				pending = append(pending, begun{cl.Ahead, c, ahead, lent})
+			} else {
+				defer st.Give(lent)
+				if ahead != nil {
 					defer cl.Ahead.End(c, ahead)
 				}
 			}
@@ -1201,7 +1284,7 @@ func EvalEach(e Expr, ctx *Context, yield func(Sequence) error) error {
 	if err := ctx.Static.Budget.Step(); err != nil {
 		return err
 	}
-	_, err := evalFLWOR(fl, ctx, yield)
+	_, err := evalFLWOR(fl, ctx, yield, nil)
 	return err
 }
 
@@ -1275,11 +1358,21 @@ func makeUserFunc(fd FuncDecl) Func {
 	}
 }
 
-func evalCall(call *Call, ctx *Context) (Sequence, error) {
+// evalCall evaluates call; with into set it appends the value to dst, as
+// appendEval does, and a host call that appends (AppendCallee) writes it
+// there itself.
+func evalCall(dst Sequence, into bool, call *Call, ctx *Context) (Sequence, error) {
 	var fn Func
 	if call.Callee == nil {
 		if fn = lookupFunc(ctx, call.Name); fn == nil {
 			return nil, fmt.Errorf("xq: unknown function %s()", call.Name)
+		}
+		if fl := counted(call, ctx); fl != nil {
+			v, err := countFLWOR(fl, ctx)
+			if err != nil || !into {
+				return v, err
+			}
+			return append(dst, v...), nil
 		}
 	}
 	// the arguments go on the evaluation's stack, above those of the calls
@@ -1295,10 +1388,49 @@ func evalCall(call *Call, ctx *Context) (Sequence, error) {
 		sc.args = append(sc.args, v)
 	}
 	args := sc.args[base:len(sc.args):len(sc.args)]
-	if fn == nil {
-		return call.Callee.Call(ctx, args)
+	if app, ok := call.Callee.(AppendCallee); ok && into {
+		return app.AppendCall(dst, ctx, args)
 	}
-	return fn(ctx, args)
+	var v Sequence
+	var err error
+	if fn == nil {
+		v, err = call.Callee.Call(ctx, args)
+	} else {
+		v, err = fn(ctx, args)
+	}
+	if err != nil || !into {
+		return v, err
+	}
+	return append(dst, v...), nil
+}
+
+// counted returns the FLWOR call counts when call is the builtin count over
+// an unordered FLWOR, else nil.
+func counted(call *Call, ctx *Context) *FLWOR {
+	if call.Name != "count" || len(call.Args) != 1 {
+		return nil
+	}
+	if _, shadowed := ctx.Static.Funcs["count"]; shadowed {
+		return nil
+	}
+	if fl, ok := call.Args[0].(*FLWOR); ok && len(fl.OrderBy) == 0 {
+		return fl
+	}
+	return nil
+}
+
+// countFLWOR is count(fl) for an unordered fl: each binding's return is
+// counted and dropped as it completes, so that no result is built to be
+// counted. It charges what evaluating fl as count's argument charges.
+func countFLWOR(fl *FLWOR, ctx *Context) (Sequence, error) {
+	if err := ctx.Static.Budget.Step(); err != nil {
+		return nil, err
+	}
+	n := 0
+	if _, err := evalFLWOR(fl, ctx, nil, &n); err != nil {
+		return nil, err
+	}
+	return countSeq(n), nil
 }
 
 func lookupFunc(ctx *Context, name string) Func {
@@ -1327,10 +1459,11 @@ func evalElemCtor(ct *ElemCtor, ctx *Context, one *Sequence) (*xmldom.Node, erro
 			return nil, err
 		}
 		if len(v) == 0 {
+			st.Give(lent)
 			return nil, fmt.Errorf("xq: computed element name is empty")
 		}
 		name = StringValue(v[0])
-		st.give(lent)
+		st.Give(lent)
 	}
 	var el *xmldom.Node
 	if one != nil {
@@ -1348,26 +1481,29 @@ func evalElemCtor(ct *ElemCtor, ctx *Context, one *Sequence) (*xmldom.Node, erro
 		}
 		el.SetAttr(ac.Name, val)
 	}
-	content := st.lend()
+	content := st.Lend()
 	for _, ce := range ct.Content {
 		from := len(content)
-		var err error
-		if content, err = appendEval(content, ce, ctx); err != nil {
+		v, err := appendEval(content, ce, ctx)
+		if err != nil {
+			st.giveCut(content)
 			return nil, err
 		}
+		content = v
 		// constructor content is attached, not copied, but the byte budget
 		// charges its logical size all the same, so a result cannot outgrow
 		// the budget by mentioning one subtree many times
 		for _, it := range content[from:] {
 			if n, ok := it.(*xmldom.Node); ok {
 				if err := st.Budget.AddBytes(int64(n.TreeSize())); err != nil {
+					st.giveCut(content)
 					return nil, err
 				}
 			}
 		}
 	}
 	appendContent(el, content, c)
-	st.give(content)
+	st.Give(content)
 	return el, nil
 }
 
@@ -1635,7 +1771,7 @@ func evalTimeEndpoint(e Expr, ctx *Context) (xtime.DateTime, error) {
 	if err != nil {
 		return xtime.DateTime{}, err
 	}
-	defer ctx.Static.give(lent)
+	defer ctx.Static.Give(lent)
 	return TimeEndpoint(v)
 }
 
@@ -1688,7 +1824,7 @@ func evalVersionEndpoint(e Expr, ctx *Context) (int, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	defer ctx.Static.give(lent)
+	defer ctx.Static.Give(lent)
 	return VersionEndpoint(v)
 }
 

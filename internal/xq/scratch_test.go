@@ -42,12 +42,19 @@ func runOn(t *testing.T, static *Static, src string) (Sequence, error) {
 
 // checkScratchClean fails unless static's scratch holds no argument, no
 // item and no constructor chunk, and its yielded chunks are rewound: a
-// Scratch kept across evaluations keeps no node alive.
-func checkScratchClean(t *testing.T, static *Static, src string) {
+// Scratch kept across evaluations keeps no node alive. It also fails unless
+// the scratch holds at least kept lent sequences: an evaluation, one a
+// budget trip cut off included, gives back every sequence it lent — a for
+// clause its sequence, even cut off partway through its bindings —, so that
+// the evaluations after it lend them again.
+func checkScratchClean(t *testing.T, static *Static, src string, kept int) {
 	t.Helper()
 	sc := static.Scratch
 	if sc == nil {
 		return
+	}
+	if len(sc.bufs) < kept {
+		t.Errorf("%s: %d lent sequences given back, %d were", src, len(sc.bufs), kept)
 	}
 	if len(sc.args) != 0 {
 		t.Errorf("%s: %d arguments left on the stack", src, len(sc.args))
@@ -97,7 +104,7 @@ func TestScratchChangesNoValue(t *testing.T) {
 			if render(again) != render(fresh) {
 				t.Errorf("%s on a Static used before (pass %d):\n%swant\n%s", q.src, pass, render(again), render(fresh))
 			}
-			checkScratchClean(t, shared, q.src)
+			checkScratchClean(t, shared, q.src, 0)
 			own := &Static{Now: evalAt, Scratch: handed}
 			if again, err = runOn(t, own, q.src); err != nil {
 				t.Fatalf("%s: %v", q.src, err)
@@ -105,15 +112,17 @@ func TestScratchChangesNoValue(t *testing.T) {
 			if render(again) != render(fresh) {
 				t.Errorf("%s over a handed Scratch (pass %d):\n%swant\n%s", q.src, pass, render(again), render(fresh))
 			}
-			checkScratchClean(t, own, q.src)
+			checkScratchClean(t, own, q.src, 0)
 			handed.Trim()
 		}
 		// trip the budget at every step in turn: whatever the evaluation
 		// leaves behind, the next one on the same Static is unaffected
 		for steps := int64(1); ; steps++ {
+			kept := len(shared.Scratch.bufs)
 			shared.Budget = budget.New(context.Background(), budget.Limits{MaxSteps: steps})
 			_, err := runOn(t, shared, q.src)
 			shared.Budget = nil
+			checkScratchClean(t, shared, q.src, kept)
 			again, err2 := runOn(t, shared, q.src)
 			if err2 != nil {
 				t.Fatalf("%s after a trip at %d steps: %v", q.src, steps, err2)
@@ -121,7 +130,7 @@ func TestScratchChangesNoValue(t *testing.T) {
 			if render(again) != render(fresh) {
 				t.Fatalf("%s after a trip at %d steps:\n%swant\n%s", q.src, steps, render(again), render(fresh))
 			}
-			checkScratchClean(t, shared, q.src)
+			checkScratchClean(t, shared, q.src, kept)
 			if err == nil {
 				break
 			}

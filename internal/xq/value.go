@@ -296,12 +296,33 @@ func Nodes(seq Sequence) []*xmldom.Node {
 }
 
 // FromNodes builds a sequence from nodes.
-func FromNodes(nodes []*xmldom.Node) Sequence {
-	out := make(Sequence, len(nodes))
-	for i, n := range nodes {
-		out[i] = n
+func FromNodes(nodes []*xmldom.Node) Sequence { return AppendNodes(nil, nodes) }
+
+// Grow makes room in dst for n more items: with too little room, dst grows
+// to exactly the length it needs, not by a doubling of the room, so that a
+// value appended to a lent sequence that is too short for it costs what a
+// sequence of its own costs.
+func Grow(dst Sequence, n int) Sequence {
+	if cap(dst)-len(dst) >= n {
+		return dst
 	}
-	return out
+	grown := make(Sequence, len(dst), len(dst)+n)
+	copy(grown, dst)
+	return grown
+}
+
+// AppendNodes appends nodes to dst as items. dst grows at most once, to
+// exactly the length it needs: nodes appended to a lent sequence with too
+// little room cost what FromNodes costs, not a doubling of the room.
+func AppendNodes(dst Sequence, nodes []*xmldom.Node) Sequence {
+	if dst == nil {
+		dst = make(Sequence, 0, len(nodes))
+	}
+	dst = Grow(dst, len(nodes))
+	for _, n := range nodes {
+		dst = append(dst, n)
+	}
+	return dst
 }
 
 // isNaNItem reports whether the item is the typed number NaN, which

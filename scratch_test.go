@@ -34,7 +34,10 @@ func renderItems(seq xq.Sequence) string {
 // becomes part of a result: goroutines evaluate one cached plan each at
 // instants of their own, every result equals the sequential evaluation's
 // at its instant, and a result held from one evaluation is unchanged after
-// the evaluation that follows it on the same goroutine. Under the race
+// the evaluation that follows it on the same goroutine. The plans include
+// for clauses whose sequences are lent of the scratch — returned whole, one
+// nested in another's return, rebound by a let, ordered over what the
+// clause read ahead —, which a result must never hold. Under the race
 // detector (make race) two evaluations writing one buffer is a reported
 // race.
 func TestScratchIsOneEvaluations(t *testing.T) {
@@ -59,6 +62,10 @@ func TestScratchIsOneEvaluations(t *testing.T) {
 	for _, p := range []plan{
 		{"Q2", ds.Runtime, xmark.QueryQ2(), xmarkAt},
 		{"QD", ds.Runtime, `for $c in stream("auction")//closed_auction return $c/price`, xmarkAt},
+		{"for returned whole", ds.Runtime, `for $x in stream("auction")//closed_auction return $x`, xmarkAt},
+		{"nested for", ds.Runtime, `for $a in stream("auction")/site/open_auctions/open_auction return for $b in $a/bidder return $b/increase/text()`, xmarkAt},
+		{"let of the for variable", ds.Runtime, `for $c in stream("auction")//closed_auction let $d := $c return $d/price`, xmarkAt},
+		{"order by over a read ahead", ds.Runtime, `for $a in stream("auction")/site/open_auctions/open_auction order by $a/bidder[1]/increase descending return <i>{$a/bidder[1]/increase/text()}</i>`, xmarkAt},
 		{"window", crt, `stream("credit")//transaction?[now-PT20M,now]`, creditAt},
 	} {
 		q, err := p.rt.Compile(p.src, ixcql.QaCPlus)
