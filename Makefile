@@ -34,7 +34,8 @@ build:
 # (deprecated no-ops: holes resolve sequentially and uncached),
 # Engine.SetTraceSink and SpanRecord, RegistryOptions.Incremental and
 # RegisterRequest.Incremental (ignored fields since every standing query
-# runs the incremental engine), and registry.DialSubscribe. Folding any of
+# runs the incremental engine), SegStore.Compact (Snapshot under another
+# name) and registry.DialSubscribe. Folding any of
 # them waits on the harness (ROADMAP 1 (a)). Building and self-testing it
 # here makes a change that breaks the end-to-end harness fail locally, not
 # in the pipeline. (-o /dev/null: the module's one main package would
@@ -67,7 +68,7 @@ race-stream:
 	$(GO) test -race -count=2 -timeout 120s ./internal/stream ./internal/obs ./internal/fragment ./internal/registry
 
 # The crash-point harness: enumerate every filesystem operation in an
-# ingest/snapshot/compact run, kill the store at each one, and prove
+# ingest/snapshot/snapshot run, kill the store at each one, and prove
 # recovery yields exactly the committed prefix (never losing an
 # acknowledged append), under the race detector.
 test-recovery:
@@ -78,8 +79,8 @@ test-recovery:
 # the translator pushes below the access path against the same predicate
 # left to the evaluator, under the race detector. The grid doubles as the
 # immutability guard: every stored payload is fingerprinted before and must be
-# untouched after (as it must after snapshot/compaction/coalescing), and
-# all three plans run concurrently beside a writer so that a write to a
+# untouched after (as it must after ingest/snapshot/snapshot and coalescing),
+# and all three plans run concurrently beside a writer so that a write to a
 # shared node is a reported race. A store of the same fragments decoded
 # from their wire form, whose re-announced versions share their hole
 # nodes, answers every plan byte for byte as the in-memory store does.

@@ -19,7 +19,7 @@ import (
 // query's body observes no stamp of its account's versions: its unit reads
 // them bare, and a version keeps its output when only its lifespan's end
 // moved, so a re-announcement re-runs the new version alone — the first
-// one also the version the seeding ran with no memo. Its twins that observe
+// one too: the seeding memoed the account's one version. Its twins that observe
 // a stamp read stamped: the one returning the account re-runs the version
 // whose lifespan the new one closes as well; the one testing vtTo against
 // "now" re-runs besides these the version the charge before closed, whose
@@ -36,12 +36,7 @@ func TestClosedVersionKeepsItsOutput(t *testing.T) {
 		// reannounce is the versions charge i's re-announcement re-runs
 		reannounce func(i int) int
 	}{
-		{fraudQuery, true, func(i int) int {
-			if i == 1 {
-				return 2
-			}
-			return 1
-		}},
+		{fraudQuery, true, func(int) int { return 1 }},
 		{fraudAccountsQuery, false, func(int) int { return 2 }},
 		{fraudCurrentQuery, false, func(i int) int { return min(i+1, 3) }},
 	} {

@@ -1005,8 +1005,11 @@ func (e *Engine) reevalUnit(prev *unit, at time.Time, lim xcql.Limits, stats *ob
 			n--
 		}
 		vs = vs[:n]
-		if memo == nil && n < 2 {
-			// one version: nothing to keep apart
+		// one version: nothing to keep apart — unless the unit is bare and
+		// its tag temporal, when the filler's next version closes this one's
+		// lifespan and this one keeps its output (planRerun)
+		if memo == nil && n < 2 && (n == 0 || !p.bare ||
+			e.structure.ByID(p.tsids[k.arg]).Type == tagstruct.Event) {
 			seq, horizon, err := e.frame.Eval(p.body(), e.store, k.fid, nil, p.bare, nil, at, lim, stats, !e.countMode)
 			if err != nil {
 				return unitResult{}, err

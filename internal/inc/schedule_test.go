@@ -276,10 +276,11 @@ func (fr *fraudReplay) terms(what string, runs, fid, items int) {
 // TestPerVersionSchedule pins which versions an arrival re-runs on a
 // re-announced credit stream, one account charged k times a minute apart,
 // so that version i of the account holds the holes of charges 1..i: a
-// re-announcement re-runs the new version — and on the first charge the
-// one before it, which ran with no memo —, its transaction the one version
-// announcing it; the version whose lifespan the new one closes keeps its
-// output, which observes no stamp (TestClosedVersionKeepsItsOutput); the clock re-runs
+// re-announcement re-runs the new version alone — the first charge too,
+// since the seeding memoed the account's one version —, its transaction
+// the one version announcing it; the version whose lifespan the new one
+// closes keeps its output, which observes no stamp
+// (TestClosedVersionKeepsItsOutput); the clock re-runs
 // nothing short of a window edge, and just past one only the versions
 // whose horizon it passed — the versions holding the charge that left the
 // window, not the older ones. Within the versions that re-run, the sum
@@ -309,10 +310,7 @@ func TestPerVersionSchedule(t *testing.T) {
 		at = minute(i)
 		announce, tx := cs.pub.Charge(0, 2000, at)
 		announce.Trace = rec.NewTrace()
-		want := 1
-		if i == 1 {
-			want = 2 // the seeding ran the account's one version with no memo
-		}
+		const want = 1
 		if n := fr.step(cs.add(announce), at); n != want {
 			t.Fatalf("charge %d, the re-announcement: %d versions re-run, want %d", i, n, want)
 		}

@@ -9,25 +9,19 @@ import (
 
 // crashWorkload drives one store lifetime over fs: append every fragment
 // (fsync on, tiny segments so the log rolls), with a snapshot a third of
-// the way in and a compaction two thirds in. It returns the acknowledged
-// appends; the first error is the simulated process death and stops the
-// run, exactly as a crash would.
+// the way in and a second one, replacing the first, two thirds in. It
+// returns the acknowledged appends; the first error is the simulated
+// process death and stops the run, exactly as a crash would.
 func crashWorkload(fs FS, dir string, frags []*fragment.Fragment) []*fragment.Fragment {
 	s, _, err := Open(dir, Options{FS: fs, MaxSegmentBytes: 512})
 	if err != nil {
 		return nil
 	}
 	defer s.Close()
-	snapAt, compactAt := len(frags)/3, 2*len(frags)/3
 	var acked []*fragment.Fragment
 	for i, f := range frags {
-		if i == snapAt {
+		if i == len(frags)/3 || i == 2*len(frags)/3 {
 			if _, err := s.Snapshot(); err != nil {
-				return acked
-			}
-		}
-		if i == compactAt {
-			if _, err := s.Compact(); err != nil {
 				return acked
 			}
 		}
@@ -46,7 +40,7 @@ func crashFragments(t testing.TB, seed int64, limit int) []*fragment.Fragment {
 	t.Helper()
 	var out []*fragment.Fragment
 	// one generated instance is small; concatenate consecutive seeds
-	// until the stream is long enough to roll segments and compact
+	// until the stream is long enough to roll segments and snapshot twice
 	for s := seed; len(out) < limit; s++ {
 		ins, err := genstore.Generate(genstore.Profile{Seed: s})
 		if err != nil {
@@ -64,8 +58,8 @@ func crashFragments(t testing.TB, seed int64, limit int) []*fragment.Fragment {
 
 // TestCrashPointHarness is the tentpole proof: enumerate every mutating
 // filesystem operation the workload performs — appends, fsyncs, segment
-// creates, snapshot writes, renames, compaction rewrites — and crash the
-// process at each one in turn. After every crash, reopening the
+// creates, snapshot writes, renames, the old snapshot's removal — and
+// crash the process at each one in turn. After every crash, reopening the
 // directory must yield a clean, non-degraded store whose contents are
 // byte-identical to a prefix of the appended sequence and include every
 // acknowledged append.

@@ -13,8 +13,9 @@
 //	seg-<16-hex-lsn>.seg      sealed and active log segments; the name
 //	                          carries the LSN of the segment's first
 //	                          record, so lexical order is log order
-//	cseg-<…>-<k>.seg          compacted segments (one (tsid-group,
-//	                          validity-window) partition each)
+//	cseg-<…>-<k>.seg          compacted segments an earlier build wrote,
+//	                          frames grouped by tsid; recovered as any
+//	                          segment and absorbed by the next snapshot
 //	snap-<16-hex-gen>.snap    generation-stamped snapshots; only the
 //	                          newest valid one is live
 //	*.quarantine              corrupt files set aside by recovery

@@ -22,8 +22,6 @@ func (s *Store) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Gauge(prefix+"_snapshots", snap(func(st Stats) int64 { return st.Snapshots }))
 	r.Gauge(prefix+"_snapshot_gen", snap(func(st Stats) int64 { return int64(st.SnapshotGen) }))
 	r.Gauge(prefix+"_snapshot_frames", snap(func(st Stats) int64 { return int64(st.SnapshotFrames) }))
-	r.Gauge(prefix+"_compactions", snap(func(st Stats) int64 { return st.Compactions }))
-	r.Gauge(prefix+"_segments_skipped", snap(func(st Stats) int64 { return st.SegmentsSkipped }))
 	r.Gauge(prefix+"_quarantined_frames", snap(func(st Stats) int64 { return st.QuarantinedFrames }))
 	r.Gauge(prefix+"_recovery_ns", snap(func(st Stats) int64 { return int64(st.Recovery.Duration) }))
 	r.Gauge(prefix+"_recovery_frames", snap(func(st Stats) int64 { return int64(st.Recovery.Frames) }))

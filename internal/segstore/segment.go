@@ -17,11 +17,11 @@ import (
 //	n bytes payload = u64 BE LSN + fragment wire XML
 //
 // The LSN is the store's own log sequence number, assigned once at
-// append time and preserved verbatim by snapshots and compaction — it
-// is what makes frame identity survive rewrites, so recovery can
-// deduplicate a frame that a compaction crash left in both an input
-// and an output segment. Each frame is written with a single Write
-// call, so a crash tears at most the trailing frame.
+// append time and preserved verbatim by snapshots — it is what makes
+// frame identity survive rewrites, so recovery can deduplicate a frame
+// that a snapshot crash left in both the snapshot and a segment. Each
+// frame is written with a single Write call, so a crash tears at most the
+// trailing frame.
 //
 // A snapshot file's first frame carries LSN 0 and a <segstore:snapshot>
 // meta element instead of a filler.
@@ -40,7 +40,7 @@ type frameRec struct {
 	lsn  uint64
 	frag *fragment.Fragment
 	// xml is the fragment's wire form exactly as stored; re-encoding is
-	// avoided when frames are copied between files (snapshot, compaction)
+	// avoided when frames are copied between files (snapshot, salvage)
 	// so byte identity is structural, not re-serialization luck. A frame
 	// read back from a file has one copy of its payload, this string: frag
 	// was decoded in place from it and carries it as its wire form.

@@ -117,12 +117,6 @@ type Stats struct {
 	Snapshots      int64
 	SnapshotGen    uint64
 	SnapshotFrames int
-	// Compactions completed and input segments consumed by them.
-	Compactions     int64
-	CompactedInputs int64
-	// SegmentsSkipped counts segment files a filtered read pruned via
-	// (tsid, validity-window) metadata without opening them.
-	SegmentsSkipped int64
 	// QuarantinedFrames counts corrupt frames skipped during runtime
 	// reads (quarantine-and-continue after at-rest corruption).
 	QuarantinedFrames int64
@@ -132,51 +126,16 @@ type Stats struct {
 
 // segInfo is the in-memory metadata of one live segment file.
 type segInfo struct {
-	name     string // base name
-	frames   int
-	bytes    int64
-	firstLSN uint64
-	lastLSN  uint64
-	minSeq   uint64
-	maxSeq   uint64
-	tsids    map[int]struct{}
-	minVT    time.Time
-	maxVT    time.Time
-	hasVT    bool
+	name    string // base name
+	frames  int
+	bytes   int64
+	lastLSN uint64
 }
 
-func (si *segInfo) note(rec frameRec, frameBytes int64) {
+func (si *segInfo) note(lsn uint64, frameBytes int64) {
 	si.frames++
 	si.bytes += frameBytes
-	if si.firstLSN == 0 || rec.lsn < si.firstLSN {
-		si.firstLSN = rec.lsn
-	}
-	if rec.lsn > si.lastLSN {
-		si.lastLSN = rec.lsn
-	}
-	f := rec.frag
-	if f == nil {
-		return
-	}
-	if f.Seq > 0 {
-		if si.minSeq == 0 || f.Seq < si.minSeq {
-			si.minSeq = f.Seq
-		}
-		if f.Seq > si.maxSeq {
-			si.maxSeq = f.Seq
-		}
-	}
-	if si.tsids == nil {
-		si.tsids = make(map[int]struct{})
-	}
-	si.tsids[f.TSID] = struct{}{}
-	if !si.hasVT || f.ValidTime.Before(si.minVT) {
-		si.minVT = f.ValidTime
-	}
-	if !si.hasVT || f.ValidTime.After(si.maxVT) {
-		si.maxVT = f.ValidTime
-	}
-	si.hasVT = true
+	si.lastLSN = max(si.lastLSN, lsn)
 }
 
 // snapInfo is the live snapshot's metadata.
@@ -204,7 +163,6 @@ type Store struct {
 	segs       []*segInfo // sealed segments, no particular order
 	snap       *snapInfo
 	nextLSN    uint64
-	compactGen uint64
 
 	// committed seq coverage across snapshot + segments
 	minSeq, maxSeq uint64
@@ -267,16 +225,9 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	sort.Strings(segNames)
 	sort.Strings(snapNames)
 
-	// seed the compaction generation past every cseg already on disk —
-	// whatever its fate below — so a post-restart compaction can never
-	// name an output after a surviving input, rename over it, and then
-	// delete it as "consumed"
 	taken := make(map[string]bool, len(segNames))
 	for _, name := range segNames {
 		taken[name] = true
-		if g := csegGen(name); g > s.compactGen {
-			s.compactGen = g
-		}
 	}
 
 	// Snapshots, newest first: the first valid one is live, older ones
@@ -396,7 +347,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		}
 		si := &segInfo{name: name}
 		for _, rec := range res.frames {
-			si.note(rec, int64(frameHeaderLen+8+len(rec.xml)))
+			si.note(rec.lsn, int64(frameHeaderLen+8+len(rec.xml)))
 		}
 		// a segment fully covered by the live snapshot is a leftover of a
 		// snapshot that crashed between rename and cleanup
@@ -498,23 +449,6 @@ func segName(firstLSN uint64) string { return fmt.Sprintf("seg-%016x.seg", first
 func salvageName(lsn uint64) string  { return fmt.Sprintf("rseg-%016x.seg", lsn) }
 func snapName(gen uint64) string     { return fmt.Sprintf("snap-%016x.snap", gen) }
 
-// csegGen extracts the generation from a compaction output name
-// (cseg-<firstLSN>-g<gen>-<k>.seg), 0 for anything else.
-func csegGen(name string) uint64 {
-	if !strings.HasPrefix(name, "cseg-") || !strings.HasSuffix(name, ".seg") {
-		return 0
-	}
-	parts := strings.Split(strings.TrimSuffix(name, ".seg"), "-")
-	if len(parts) != 4 || len(parts[2]) < 2 || parts[2][0] != 'g' {
-		return 0
-	}
-	g, err := strconv.ParseUint(parts[2][1:], 10, 64)
-	if err != nil {
-		return 0
-	}
-	return g
-}
-
 // quarantine renames a broken file to <name>.quarantine (never deleting
 // evidence) and records it.
 func (s *Store) quarantine(name string, rep *RecoveryReport) {
@@ -569,7 +503,7 @@ func (s *Store) loadSnapshot(name string) (*snapInfo, []frameRec, error) {
 }
 
 // writeSegmentFile writes frames into a fresh sealed segment (tmp +
-// rename + dir sync) and registers it. Used by salvage and compaction.
+// rename + dir sync) and registers it. Recovery's salvage uses it.
 func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 	tmp := filepath.Join(s.dir, name+".tmp")
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -587,7 +521,7 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 			f.Close()
 			return err
 		}
-		si.note(rec, int64(len(buf)))
+		si.note(rec.lsn, int64(len(buf)))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -639,11 +573,10 @@ func (s *Store) Append(f *fragment.Fragment) error {
 		s.stats.AppendErrors++
 		return err
 	}
+	lsn := s.nextLSN
 	// the bytes the publishing server sealed onto f, when it came
 	// through one; encoded here otherwise
-	xml := f.String()
-	lsn := s.nextLSN
-	buf := s.encode(lsn, xml)
+	buf := s.encode(lsn, f.String())
 	if _, err := s.active.Write(buf); err != nil {
 		s.stats.AppendErrors++
 		s.repairActiveLocked()
@@ -664,7 +597,7 @@ func (s *Store) Append(f *fragment.Fragment) error {
 		asp.SetDetail(fmt.Sprintf("lsn=%d bytes=%d", lsn, len(buf)))
 	}
 	s.nextLSN++
-	s.activeSeg.note(frameRec{lsn: lsn, frag: f, xml: xml}, int64(len(buf)))
+	s.activeSeg.note(lsn, int64(len(buf)))
 	s.noteSeqLocked(f.Seq)
 	s.stats.Appends++
 	s.sinceSnapshot++
@@ -860,63 +793,6 @@ func (s *Store) ReadSince(afterSeq uint64) ([]*fragment.Fragment, error) {
 	return out, nil
 }
 
-// ReadTSID returns the committed fragments carrying one tsid in append
-// order, opening only the segment files whose metadata says they hold
-// that tsid — the (tsid, validity window) partition pay-off. The
-// snapshot is always read (it is one file holding everything).
-func (s *Store) ReadTSID(tsid int) ([]*fragment.Fragment, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []frameRec
-	seen := make(map[uint64]bool)
-	add := func(frames []frameRec) {
-		for _, rec := range frames {
-			if rec.lsn == 0 || seen[rec.lsn] || rec.frag == nil || rec.frag.TSID != tsid {
-				continue
-			}
-			seen[rec.lsn] = true
-			out = append(out, rec)
-		}
-	}
-	if s.snap != nil {
-		_, frames, err := s.loadSnapshot(s.snap.name)
-		if err != nil {
-			return nil, fmt.Errorf("segstore: live snapshot unreadable: %w", err)
-		}
-		add(frames)
-	}
-	segs := append([]*segInfo(nil), s.segs...)
-	if s.activeSeg != nil && s.activeSeg.frames > 0 {
-		segs = append(segs, s.activeSeg)
-	}
-	for _, si := range segs {
-		if _, ok := si.tsids[tsid]; !ok {
-			s.stats.SegmentsSkipped++
-			continue
-		}
-		data, err := readAll(s.fs, filepath.Join(s.dir, si.name))
-		if err != nil {
-			return nil, fmt.Errorf("segstore: reading %s: %w", si.name, err)
-		}
-		if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-			s.noteRuntimeCorruptionLocked()
-			continue
-		}
-		res := parseFile(data[len(segMagic):], int64(len(segMagic)))
-		if res.corrupt {
-			s.noteRuntimeCorruptionLocked()
-		}
-		add(res.frames)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
-	linkDeltas(out)
-	frags := make([]*fragment.Fragment, 0, len(out))
-	for _, rec := range out {
-		frags = append(frags, rec.frag)
-	}
-	return frags, nil
-}
-
 // SeqCoverage reports the committed sequenced coverage [min, max] and
 // whether it is known to be gap-free. Bootstrap decisions must require
 // contiguous — a log with holes cannot promise a lossless resume.
@@ -946,6 +822,9 @@ func (s *Store) Snapshot() (uint64, error) {
 	}
 	return s.snapshotLocked()
 }
+
+// Compact is Snapshot: the snapshot is the log's one rewrite.
+func (s *Store) Compact() (uint64, error) { return s.Snapshot() }
 
 func (s *Store) snapshotLocked() (uint64, error) {
 	s.sealActiveLocked()

@@ -1,8 +1,10 @@
 package segstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -249,8 +251,8 @@ func TestRecoveryDuplicateFramesAcrossSegmentBoundary(t *testing.T) {
 	appendAll(t, s, want)
 	s.Close()
 
-	// simulate a compaction that crashed after writing its output but
-	// before removing an input: the same LSNs live in two files
+	// simulate a rewrite that crashed after writing its output but before
+	// removing an input: the same LSNs live in two files
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -429,121 +431,76 @@ func TestRecoveryCorruptInteriorQuarantined(t *testing.T) {
 	mustEqualWires(t, got3, got)
 }
 
-func TestCompactPartitionsAndPreservesLog(t *testing.T) {
+// TestCompactSurvivesReopen: a directory an earlier build compacted holds
+// cseg- files whose frames are grouped by tsid and so out of LSN order.
+// Open recovers every frame, All and ReadSince return them in LSN order,
+// appends resume past the highest LSN, and the next Snapshot absorbs the
+// files and removes them.
+func TestCompactSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	want := nFrags(40)
-	s, _ := openT(t, dir, Options{MaxSegmentBytes: 400})
-	defer s.Close()
-	appendAll(t, s, want)
-	st, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
+	want := nFrags(30)
+	// the old compaction's layout: frames grouped by tsid, each frame's
+	// LSN its append position, chunked into two files
+	lsns := make([]int, len(want))
+	for i := range lsns {
+		lsns[i] = i
 	}
-	if st.InputSegments < 2 || st.OutputSegments == 0 {
-		t.Fatalf("compaction did nothing: %+v", st)
+	sort.SliceStable(lsns, func(i, j int) bool { return want[lsns[i]].TSID < want[lsns[j]].TSID })
+	if sort.IntsAreSorted(lsns) {
+		t.Fatal("the grouped layout is in LSN order: nothing to reorder")
 	}
-	if st.TSIDs != 3 || st.Windows == 0 {
-		t.Fatalf("expected 3 tsid partitions with coalesced windows: %+v", st)
+	for k, chunk := range [][]int{lsns[:len(lsns)/2], lsns[len(lsns)/2:]} {
+		data := []byte(segMagic)
+		for _, i := range chunk {
+			data = appendFrame(data, uint64(i+1), want[i].String())
+		}
+		name := fmt.Sprintf("cseg-%016x-g1-%d.seg", chunk[0]+1, k)
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, rep := openT(t, dir, Options{})
+	if rep.Degraded != "" || rep.Frames != len(want) || rep.Segments != 2 {
+		t.Fatalf("compacted directory recovered as %s (%d segments), want %d frames in 2", rep, rep.Segments, len(want))
 	}
 	got, err := s.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualWires(t, got, want)
-
-	// per-tsid reads prune segments via the partition metadata
-	before := s.Stats().SegmentsSkipped
-	one, err := s.ReadTSID(2)
+	since, err := s.ReadSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range one {
-		if f.TSID != 2 {
-			t.Fatalf("ReadTSID(2) returned tsid %d", f.TSID)
-		}
-	}
-	var wantOne int
-	for _, f := range want {
-		if f.TSID == 2 {
-			wantOne++
-		}
-	}
-	if len(one) != wantOne {
-		t.Fatalf("ReadTSID(2) = %d frags, want %d", len(one), wantOne)
-	}
-	if s.Stats().SegmentsSkipped <= before {
-		t.Fatal("compacted layout should let ReadTSID skip foreign partitions")
-	}
-}
+	mustEqualWires(t, since, want)
+	tail := frag(99, 2, "2003-02-01T00:00:00", "tail", 31)
+	appendAll(t, s, []*fragment.Fragment{tail})
+	want = append(want, tail)
 
-func TestCompactSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	want := nFrags(30)
-	s, _ := openT(t, dir, Options{MaxSegmentBytes: 300})
-	appendAll(t, s, want)
-	if _, err := s.Compact(); err != nil {
+	if _, err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, s, []*fragment.Fragment{frag(99, 2, "2003-02-01T00:00:00", "tail", 31)})
 	s.Close()
-
-	s2, rep := openT(t, dir, Options{MaxSegmentBytes: 300})
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "cseg-") {
+			t.Fatalf("the snapshot left %s behind", e.Name())
+		}
+	}
+	s2, rep := openT(t, dir, Options{})
 	defer s2.Close()
 	if rep.Degraded != "" {
-		t.Fatalf("compacted store reopened degraded: %s", rep.Degraded)
+		t.Fatalf("snapshotted store reopened degraded: %s", rep.Degraded)
 	}
-	got, err := s2.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want)+1 {
-		t.Fatalf("got %d frames, want %d", len(got), len(want)+1)
-	}
-	mustEqualWires(t, got[:len(want)], want)
-}
-
-func TestCompactGenerationSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	first := nFrags(30)
-	s, _ := openT(t, dir, Options{MaxSegmentBytes: 300})
-	appendAll(t, s, first)
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	// restart: the generation counter must resume past the surviving cseg
-	// outputs, or the next compaction names an output after one of its own
-	// inputs, renames over it, and then deletes it as consumed — losing
-	// every frame the input held
-	s2, _ := openT(t, dir, Options{MaxSegmentBytes: 300})
-	var more []*fragment.Fragment
-	for i := 0; i < 10; i++ {
-		at := ts("2003-03-01T00:00:00").Add(time.Duration(i) * time.Minute)
-		more = append(more, frag(100+i, 2+i%3, at.Format(xtime.Layout), "w"+strconv.Itoa(i), uint64(31+i)))
-	}
-	appendAll(t, s2, more)
-	if _, err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]*fragment.Fragment{}, first...), more...)
-	got, err := s2.All()
+	got, err = s2.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualWires(t, got, want)
-	s2.Close()
-
-	s3, rep := openT(t, dir, Options{MaxSegmentBytes: 300})
-	defer s3.Close()
-	if rep.Degraded != "" {
-		t.Fatalf("twice-compacted store reopened degraded: %s", rep.Degraded)
-	}
-	got3, err := s3.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualWires(t, got3, want)
 }
 
 func TestRuntimeCorruptionBreaksCoverageClaim(t *testing.T) {

@@ -123,9 +123,9 @@ func (in *Intrinsic) Call(ctx *xq.Context, args []xq.Sequence) (xq.Sequence, err
 	return in.eval(ctx, args, nil, false)
 }
 
-// AppendCall is Call appending the value to dst (xq.AppendCallee): a
-// fillers or by-tsid read writes its versions there as items, and builds
-// no sequence of its own.
+// AppendCall is Call appending the value to dst: a fillers or by-tsid
+// read writes its versions there as items, and builds no sequence of its
+// own.
 func (in *Intrinsic) AppendCall(dst xq.Sequence, ctx *xq.Context, args []xq.Sequence) (xq.Sequence, error) {
 	return in.eval(ctx, args, dst, true)
 }

@@ -275,19 +275,15 @@ type Call struct {
 
 // Callee is a call a host compiled. Call evaluates it over its Args'
 // values; String spells the operands it holds beyond them, "" for none.
+// AppendCall appends the value to a sequence its caller lends — a for
+// clause's sequence, an operand read and dropped —, so that it builds no
+// sequence of its own: it returns dst with the value appended, in dst's
+// array or one grown from it, never a sequence the callee holds, and
+// charges what Call charges.
 type Callee interface {
 	Call(ctx *Context, args []Sequence) (Sequence, error)
-	String() string
-}
-
-// AppendCallee is a Callee that can append its value to a sequence its
-// caller lends — a for clause's sequence, an operand read and dropped —,
-// so that it builds no sequence of its own. AppendCall returns dst with the
-// value appended, in dst's array or one grown from it, never a sequence the
-// callee holds; it charges what Call charges.
-type AppendCallee interface {
-	Callee
 	AppendCall(dst Sequence, ctx *Context, args []Sequence) (Sequence, error)
+	String() string
 }
 
 func (e *Call) String() string {

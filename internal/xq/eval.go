@@ -716,16 +716,15 @@ func lendEval(e Expr, ctx *Context) (Sequence, error) {
 
 // lends reports that e's value is built for its caller alone, so that a
 // caller that reads it and keeps no part of it may lend the sequence it is
-// built in: a path's, and a host call's that appends (AppendCallee) — a
-// store read. Any other value may be a sequence the evaluation holds
-// already, a variable's or a literal's, handed out without a copy.
+// built in: a path's, and a host call's (Callee.AppendCall) — a store
+// read. Any other value may be a sequence the evaluation holds already, a
+// variable's or a literal's, handed out without a copy.
 func lends(e Expr) bool {
 	switch ex := e.(type) {
 	case *Path:
 		return true
 	case *Call:
-		_, ok := ex.Callee.(AppendCallee)
-		return ok
+		return ex.Callee != nil
 	}
 	return false
 }
@@ -755,8 +754,8 @@ func evalString(e Expr, ctx *Context) (string, error) {
 // appendEval appends e's value to dst, as append(dst, Eval(e, ctx)...)
 // would, charging the same: a path's last step appends to dst, a
 // constructor's element goes in without the one-item sequence Eval wraps
-// it in, and a host call that appends (AppendCallee) writes its value
-// there itself.
+// it in, and a host call (Callee.AppendCall) writes its value there
+// itself.
 func appendEval(dst Sequence, e Expr, ctx *Context) (Sequence, error) {
 	switch ex := e.(type) {
 	case *Path:
@@ -1359,8 +1358,8 @@ func makeUserFunc(fd FuncDecl) Func {
 }
 
 // evalCall evaluates call; with into set it appends the value to dst, as
-// appendEval does, and a host call that appends (AppendCallee) writes it
-// there itself.
+// appendEval does, and a host call (Callee.AppendCall) writes it there
+// itself.
 func evalCall(dst Sequence, into bool, call *Call, ctx *Context) (Sequence, error) {
 	var fn Func
 	if call.Callee == nil {
@@ -1388,16 +1387,13 @@ func evalCall(dst Sequence, into bool, call *Call, ctx *Context) (Sequence, erro
 		sc.args = append(sc.args, v)
 	}
 	args := sc.args[base:len(sc.args):len(sc.args)]
-	if app, ok := call.Callee.(AppendCallee); ok && into {
-		return app.AppendCall(dst, ctx, args)
-	}
-	var v Sequence
-	var err error
 	if fn == nil {
-		v, err = call.Callee.Call(ctx, args)
-	} else {
-		v, err = fn(ctx, args)
+		if into {
+			return call.Callee.AppendCall(dst, ctx, args)
+		}
+		return call.Callee.Call(ctx, args)
 	}
+	v, err := fn(ctx, args)
 	if err != nil || !into {
 		return v, err
 	}

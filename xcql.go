@@ -175,7 +175,7 @@ type (
 	// FaultInjector corrupts a fragment flow on purpose (tests, -chaos).
 	FaultInjector = stream.FaultInjector
 	// SegStore is the durable segment store: an append-only, checksummed
-	// fragment log with crash recovery, snapshots and compaction. Servers
+	// fragment log with crash recovery and snapshots. Servers
 	// write through to one (Server.AttachDurable) so reconnecting clients
 	// can bootstrap past the in-memory replay window; standalone hosts use
 	// it to survive restarts (see OpenSegStore).
@@ -189,8 +189,6 @@ type (
 	RecoveryReport = segstore.RecoveryReport
 	// SegStoreStats is a snapshot of a SegStore's counters.
 	SegStoreStats = segstore.Stats
-	// CompactStats reports one durable compaction pass.
-	CompactStats = segstore.CompactStats
 	// DurableLog is the write-through/replay interface a Server uses for
 	// durable bootstrap; *SegStore satisfies it.
 	DurableLog = stream.DurableLog
