@@ -61,7 +61,7 @@ race:
 
 # The stream and obs packages hold the timing-sensitive reliability/chaos
 # tests and the lock-free histogram, fragment the store's lock, its
-# coalescing beside readers and the lazily decoded payloads, and registry the
+# one writer beside readers and the lazily decoded payloads, and registry the
 # standing-query fan-out; a second -count=2 pass under the race detector
 # is the deflake gate.
 race-stream:
@@ -79,7 +79,7 @@ test-recovery:
 # the translator pushes below the access path against the same predicate
 # left to the evaluator, under the race detector. The grid doubles as the
 # immutability guard: every stored payload is fingerprinted before and must be
-# untouched after (as it must after ingest/snapshot/snapshot and coalescing),
+# untouched after (as it must after a logged ingest and two snapshots),
 # and all three plans run concurrently beside a writer so that a write to a
 # shared node is a reported race. A store of the same fragments decoded
 # from their wire form, whose re-announced versions share their hole

@@ -16,11 +16,11 @@
 // delta, and the final standing result plus the per-fragment cost
 // counters follow at the end.
 //
-// With -store-dir the store is durable: fragments recovered from the
-// directory's segment log are ingested first (exact duplicates from a
-// previous run of the same file are coalesced away), and every fragment
-// ingested this run is appended to the log before it becomes queryable,
-// so a crash mid-ingest loses nothing that was acknowledged.
+// With -store-dir the store is durable: the fragments the directory's
+// segment log holds are recovered into the store first, and each fragment
+// of the file the log does not hold yet is stored and appended to the log
+// before any evaluation reads it. A re-run over the same file finds every
+// fragment logged and logs nothing twice.
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 	showTrace := flag.Bool("trace", false, "dump the parse→translate→execute→materialize timeline to stderr")
 	showStats := flag.Bool("stats", false, "print the evaluation's cost counters to stderr")
 	incremental := flag.Bool("incremental", false, "replay the fragment stream through an incremental continuous query, printing per-arrival deltas")
-	storeDir := flag.String("store-dir", "", "durable segment store directory: recovered fragments are ingested before the -fragments file and this run's ingest is write-ahead logged")
+	storeDir := flag.String("store-dir", "", "durable segment store directory: the fragments it holds are recovered first, and each -fragments fragment it does not hold yet is stored and logged")
 	tracez := flag.Bool("tracez", false, "with -incremental: record a per-arrival span tree (ingest → registry.eval → fanout → inc.recompute) in a flight recorder and dump it to stderr at the end")
 	flag.Parse()
 	if err := checkFlags(*structPath, *storeDir, *incremental, *showTrace, *tracez); err != nil {
@@ -76,14 +76,17 @@ func main() {
 	engine := xcql.NewEngine()
 	var store *fragment.Store
 	var frags []*fragment.Fragment
+	var ingest func(*fragment.Fragment) error
 	if *structPath != "" {
 		var err error
 		_, store, frags, err = loadStream(*structPath, *fragPath)
 		if err != nil {
 			fatal(err)
 		}
+		ingest = store.Add
 		if *storeDir != "" {
-			seg, err := attachSegStore(store, *storeDir)
+			var seg *xcql.SegStore
+			seg, frags, ingest, err = attachSegStore(store, *storeDir, frags)
 			if err != nil {
 				fatal(err)
 			}
@@ -91,14 +94,10 @@ func main() {
 		}
 		if !*incremental {
 			// one-shot evaluation reads a fully ingested store
-			if err := store.AddAll(frags); err != nil {
-				fatal(err)
-			}
-			// re-running over the same durable log re-ingests fragments
-			// that were both recovered and in the file; exact duplicates
-			// are semantics-preserving and coalesce away
-			if removed := store.Coalesce(); removed > 0 {
-				fmt.Fprintf(os.Stderr, "coalesced %d duplicate version(s) after recovery\n", removed)
+			for _, f := range frags {
+				if err := ingest(f); err != nil {
+					fatal(err)
+				}
 			}
 		}
 		engine.RegisterStore(*streamName, store)
@@ -117,7 +116,7 @@ func main() {
 		return
 	}
 	if *incremental {
-		runIncremental(q, store, frags, at, *atStr == "now", *showStats, *tracez)
+		runIncremental(q, store, ingest, frags, at, *atStr == "now", *showStats, *tracez)
 		return
 	}
 	start := time.Now()
@@ -157,10 +156,12 @@ func checkFlags(structPath, storeDir string, incremental, trace, tracez bool) er
 
 // runIncremental replays the fragment stream one arrival at a time
 // through a standing query, the one registration of a registry of its
-// own. The evaluation clock tracks the running maximum validTime unless an
-// explicit -at pins it.
-func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Fragment,
-	at time.Time, trackClock bool, showStats bool, tracez bool) {
+// own, storing each arrival through ingest. Fragments the store holds
+// already — recovered from -store-dir — seed the query before the first
+// arrival. The evaluation clock tracks the running maximum validTime
+// unless an explicit -at pins it.
+func runIncremental(q *xcql.Query, store *fragment.Store, ingest func(*fragment.Fragment) error,
+	frags []*fragment.Fragment, at time.Time, trackClock bool, showStats bool, tracez bool) {
 	clock := at
 	var last registry.Result
 	r := registry.New(func() time.Time { return clock })
@@ -176,8 +177,14 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 	}
 	fmt.Fprintf(os.Stderr, "incremental: %s\n", reg.Strategy())
 	start := time.Now()
+	if store.Len() > 0 {
+		r.Evaluate()
+		if last.Err != nil {
+			fatal(last.Err)
+		}
+	}
 	for i, f := range frags {
-		if err := store.Add(f); err != nil {
+		if err := ingest(f); err != nil {
 			fatal(err)
 		}
 		if trackClock && f.ValidTime.After(clock) {
@@ -220,37 +227,57 @@ func runIncremental(q *xcql.Query, store *fragment.Store, frags []*fragment.Frag
 	}
 }
 
-// attachSegStore wires a durable segment log under the in-memory store:
-// recovery first (the recovered fragments are ingested, each advancing
-// the store's generation), then write-ahead — a hook appends every
-// subsequently ingested fragment to the log, stamped with the next
-// durable sequence number, before it becomes queryable.
-func attachSegStore(store *fragment.Store, dir string) (*xcql.SegStore, error) {
+// attachSegStore opens the segment log in dir, recovers every fragment it
+// holds into the empty store, and returns the fragments of frags it does
+// not hold yet with the function that ingests one: Add, then an append
+// stamped with the next sequence number. Add checks the fragment first, so
+// the log holds none a recovery could not store.
+func attachSegStore(store *fragment.Store, dir string, frags []*fragment.Fragment) (
+	*xcql.SegStore, []*fragment.Fragment, func(*fragment.Fragment) error, error) {
 	seg, rep, err := xcql.OpenSegStore(dir, xcql.SegStoreOptions{SnapshotEvery: 1024})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	fmt.Fprintln(os.Stderr, "segment store:", rep)
 	recovered, err := seg.All()
+	if err == nil {
+		err = store.AddAll(recovered)
+	}
 	if err != nil {
 		seg.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
-	// recovered fragments are already durable: ingest them before the
-	// write-ahead hook is installed so they are not re-appended
-	if err := store.AddAll(recovered); err != nil {
-		seg.Close()
-		return nil, err
-	}
-	_, seq := seg.SeqBounds()
-	store.SetWAL(func(f *fragment.Fragment) error {
-		seq++
-		return seg.Append(f.WithSeq(seq))
-	})
 	if len(recovered) > 0 {
 		fmt.Fprintf(os.Stderr, "recovered %d fragment(s) into the store\n", len(recovered))
 	}
-	return seg, nil
+	logged := make(map[string]int, len(recovered))
+	for _, f := range recovered {
+		logged[logKey(f)]++
+	}
+	var fresh []*fragment.Fragment
+	for _, f := range frags {
+		if k := logKey(f); logged[k] > 0 {
+			logged[k]--
+		} else {
+			fresh = append(fresh, f)
+		}
+	}
+	_, seq := seg.SeqBounds()
+	ingest := func(f *fragment.Fragment) error {
+		if err := store.Add(f); err != nil {
+			return err
+		}
+		seq++
+		return seg.Append(f.WithSeq(seq))
+	}
+	return seg, fresh, ingest, nil
+}
+
+// logKey names a fragment by its filler id, tsid, validTime and payload:
+// what a copy logged on an earlier run shares with the file's fragment,
+// whose sequence number it lacks.
+func logKey(f *fragment.Fragment) string {
+	return fmt.Sprintf("%d|%d|%d|%s", f.FillerID, f.TSID, f.ValidTime.UnixNano(), f.Tree())
 }
 
 func readQuery(file string, args []string) (string, error) {

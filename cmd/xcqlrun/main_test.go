@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -49,13 +50,14 @@ func TestCheckFlags(t *testing.T) {
 func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.002, Seed: 1})
 	dir := t.TempDir()
-	logged := fragment.NewStore(s)
-	seg, err := attachSegStore(logged, dir)
+	seg, fresh, ingest, err := attachSegStore(fragment.NewStore(s), dir, frags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := logged.AddAll(frags); err != nil {
-		t.Fatal(err)
+	for _, f := range fresh {
+		if err := ingest(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	seg.Close()
 
@@ -74,12 +76,12 @@ func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Evaluate()
-	if seg, err = attachSegStore(store, dir); err != nil {
+	if seg, fresh, _, err = attachSegStore(store, dir, frags); err != nil {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	if store.Len() != len(frags) || store.Generation() != uint64(len(frags)) {
-		t.Fatalf("recovered %d fragments at generation %d, want %d at %d", store.Len(), store.Generation(), len(frags), len(frags))
+	if store.Len() != len(frags) || len(fresh) != 0 {
+		t.Fatalf("recovered %d fragments and found %d new, want %d and none", store.Len(), len(fresh), len(frags))
 	}
 	r.Evaluate()
 	want, err := q.Eval(at)
@@ -91,5 +93,60 @@ func TestRecoveryReachesTheStandingQuery(t *testing.T) {
 	}
 	if got := reg.ItemsSnapshot(); xcql.FormatSequence(got) != xcql.FormatSequence(want) {
 		t.Fatalf("standing result after recovery has %d items, one-shot %d", len(got), len(want))
+	}
+}
+
+// TestRerunLogsNothingTwice: three runs over one directory and one file
+// leave the log holding the file's fragments once, and each run's store
+// holds each fragment once: the first run logs them all, the later ones
+// recover them and find nothing new. A fragment the store refuses is not
+// logged.
+func TestRerunLogsNothingTwice(t *testing.T) {
+	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.002, Seed: 1})
+	want := make(map[string]int)
+	for _, f := range frags {
+		want[logKey(f)]++
+	}
+	dir := t.TempDir()
+	for run := 1; run <= 3; run++ {
+		store := fragment.NewStore(s)
+		seg, fresh, ingest, err := attachSegStore(store, dir, frags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run > 1 && len(fresh) != 0 {
+			t.Fatalf("run %d: %d fragments of the logged file are new", run, len(fresh))
+		}
+		for _, f := range fresh {
+			if err := ingest(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad := fragment.New(frags[1].FillerID, 999, frags[1].ValidTime, frags[1].Tree())
+		if err := ingest(bad); err == nil {
+			t.Fatalf("run %d: a fragment of an unknown tsid was ingested", run)
+		}
+		if store.Len() != len(frags) {
+			t.Fatalf("run %d: store holds %d fragments, the file %d", run, store.Len(), len(frags))
+		}
+		seg.Close()
+
+		again, _, err := xcql.OpenSegStore(dir, xcql.SegStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged, err := again.All()
+		again.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int)
+		for _, f := range logged {
+			got[logKey(f)]++
+		}
+		if len(logged) != len(frags) || !maps.Equal(got, want) {
+			t.Fatalf("run %d: the log holds %d frames (%d distinct), the file %d fragments (%d distinct)",
+				run, len(logged), len(got), len(frags), len(want))
+		}
 	}
 }

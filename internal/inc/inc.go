@@ -254,9 +254,10 @@ type Engine struct {
 	seeded   bool
 	fellBack bool
 	lastAt   time.Time
-	// gen is the store generation the last evaluation started from: a
-	// fragment-less evaluation that finds the store moved on rebuilds.
-	gen uint64
+	// stored is the store's Len when the last evaluation started, a count
+	// that only grows: a fragment-less evaluation that finds it grown
+	// rebuilds.
+	stored int
 
 	lastTotal float64 // count mode: last emitted total
 	emitted   bool    // count mode: a total has been emitted
@@ -625,8 +626,8 @@ func (e *Engine) Apply(f *fragment.Fragment, at time.Time, lim xcql.Limits, stat
 	if e.store != nil {
 		// arrivals may be stored ahead of their Apply; a fragment-less
 		// evaluation comes after every write that was ever handed in
-		gen := e.store.Generation()
-		missed, e.gen = f == nil && gen > e.gen, gen
+		n := e.store.Len()
+		missed, e.stored = f == nil && n > e.stored, n
 	}
 	if !e.seeded || at.Before(e.lastAt) || missed {
 		// first evaluation, a clock regression (visibility may shrink and

@@ -1,9 +1,10 @@
 // Package segstore is the durable layer under the in-memory fragment
 // store: an append-only, CRC-checksummed segment log plus periodic
-// atomic snapshots, living in one directory. The in-memory
-// fragment.Store writes through it (write-ahead: a fragment is on disk
-// before it is queryable), a stream.Server uses it as the bootstrap
-// source that outlives the bounded in-memory replay window, and on open
+// atomic snapshots, living in one directory. A stream.Server writes
+// every published fragment to it (write-ahead of delivery) and uses it as
+// the bootstrap source that outlives the bounded in-memory replay window;
+// xcqlrun -store-dir logs the fragments it stores (the in-memory
+// fragment.Store knows nothing of the log); and on open
 // the store recovers exactly the committed prefix of the log — torn
 // tails are truncated, corrupt interior segments are quarantined and
 // reported, and nothing is ever narrowed silently.

@@ -702,7 +702,8 @@ func (s *Store) repairActiveLocked() {
 // and counted rather than failing the read: quarantine-and-continue.
 // Every skipped region also breaks the contiguity claim (see
 // noteRuntimeCorruptionLocked): a read that dropped frames must not
-// leave SeqCoverage promising a gap-free bootstrap.
+// leave SeqCoverage promising a gap-free bootstrap. It links no delta
+// frame: a snapshot copies the frames' bytes alone, and read links them.
 func (s *Store) collectLocked() ([]frameRec, error) {
 	var out []frameRec
 	seen := make(map[uint64]bool)
@@ -745,7 +746,6 @@ func (s *Store) collectLocked() ([]frameRec, error) {
 		add(res.frames)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].lsn < out[j].lsn })
-	linkDeltas(out)
 	return out, nil
 }
 
@@ -761,32 +761,28 @@ func (s *Store) noteRuntimeCorruptionLocked() {
 
 // All returns every committed fragment in append order (sequenced or
 // not).
-func (s *Store) All() ([]*fragment.Fragment, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs, err := s.collectLocked()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*fragment.Fragment, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, rec.frag)
-	}
-	return out, nil
-}
+func (s *Store) All() ([]*fragment.Fragment, error) { return s.read(0, true) }
 
 // ReadSince returns the committed sequenced fragments with Seq >
 // afterSeq, in append order — the stream server's bootstrap read.
 func (s *Store) ReadSince(afterSeq uint64) ([]*fragment.Fragment, error) {
+	return s.read(afterSeq, false)
+}
+
+// read returns the committed fragments with Seq > afterSeq, or every one
+// when all is set, in append order, each delta frame linked to its
+// predecessor (linkDeltas).
+func (s *Store) read(afterSeq uint64, all bool) ([]*fragment.Fragment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	recs, err := s.collectLocked()
 	if err != nil {
 		return nil, err
 	}
+	linkDeltas(recs)
 	var out []*fragment.Fragment
 	for _, rec := range recs {
-		if rec.frag.Seq > afterSeq {
+		if all || rec.frag.Seq > afterSeq {
 			out = append(out, rec.frag)
 		}
 	}

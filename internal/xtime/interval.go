@@ -116,6 +116,21 @@ func (iv Interval) Cover(o Interval, at time.Time) Interval {
 	}
 }
 
+// CoverAll returns the minimum interval covering every input, or ok=false
+// for an empty input. Used to derive a parent lifespan from children. The
+// endpoint comparisons the cover is chosen by are reported to h.
+func CoverAll(ivs []Interval, at time.Time, h *Horizon) (Interval, bool) {
+	if len(ivs) == 0 {
+		return Interval{}, false
+	}
+	acc := ivs[0]
+	for _, iv := range ivs[1:] {
+		h.ObserveIntervals(acc, iv)
+		acc = acc.Cover(iv, at)
+	}
+	return acc, true
+}
+
 // Allen's interval relations (§2 defines "a before b" as a.t2 < b.t3; the
 // rest follow the standard algebra).
 

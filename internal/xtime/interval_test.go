@@ -2,7 +2,6 @@ package xtime
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -137,62 +136,6 @@ func TestVersionIntervalBounds(t *testing.T) {
 		if lo != c.lo || hi != c.hi {
 			t.Errorf("%v.Bounds(%d) = (%d,%d), want (%d,%d)", c.vi, c.count, lo, hi, c.lo, c.hi)
 		}
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	in := []Interval{
-		iv("2003-03-01T00:00:00", "2003-04-01T00:00:00"),
-		iv("2003-01-01T00:00:00", "2003-02-01T00:00:00"),
-		iv("2003-02-01T00:00:00", "2003-03-01T00:00:00"), // meets the first
-		iv("2003-06-01T00:00:00", "2003-07-01T00:00:00"),
-	}
-	out := Coalesce(in, eval)
-	if len(out) != 2 {
-		t.Fatalf("coalesced to %d intervals: %v", len(out), out)
-	}
-	if !out[0].Equal(iv("2003-01-01T00:00:00", "2003-04-01T00:00:00"), eval) {
-		t.Fatalf("first = %v", out[0])
-	}
-}
-
-func TestCoalesceProperties(t *testing.T) {
-	// Property: coalesced output is sorted, pairwise disjoint and
-	// non-meeting, and covers exactly the same point set boundaries.
-	f := func(raw []uint16) bool {
-		var in []Interval
-		for i := 0; i+1 < len(raw); i += 2 {
-			a := time.Date(2003, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(raw[i]) * time.Minute)
-			b := a.Add(time.Duration(raw[i+1]%500) * time.Minute)
-			in = append(in, NewInterval(At(a), At(b)))
-		}
-		out := Coalesce(in, eval)
-		if len(in) == 0 {
-			return out == nil
-		}
-		for i := 1; i < len(out); i++ {
-			// strictly after, with a gap (no overlap, no meet)
-			if out[i].From.Compare(out[i-1].To, eval) <= 0 {
-				return false
-			}
-		}
-		// every input interval must be covered by some output interval
-		for _, a := range in {
-			covered := false
-			for _, b := range out {
-				if b.Covers(a, eval) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -63,19 +63,6 @@ func sameInterval(a, b *Interval) bool {
 	return a.Equal(*b, eval)
 }
 
-// sameSet compares two interval lists element by element at eval.
-func sameSet(a, b []Interval) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i], eval) {
-			return false
-		}
-	}
-	return true
-}
-
 func checkLaw(t *testing.T, law string, f any) {
 	t.Helper()
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -124,31 +111,6 @@ func TestIntersectTellsHorizonOfInversion(t *testing.T) {
 	if next, ok := h.Next(); !ok || !next.Equal(eval.Add(time.Hour)) {
 		t.Fatalf("horizon %v (set %v), want %v: the inversion ends when now reaches the start", next, ok, eval.Add(time.Hour))
 	}
-}
-
-// TestCoalesceLaws: coalescing a coalesced set changes nothing, and the
-// order of the input does not matter.
-func TestCoalesceLaws(t *testing.T) {
-	checkLaw(t, "idempotent", func(in []lawInterval) bool {
-		once := Coalesce(lawIntervals(in), eval)
-		return sameSet(Coalesce(once, eval), once)
-	})
-	checkLaw(t, "order-independent", func(in []lawInterval, seed int64) bool {
-		ivs := lawIntervals(in)
-		shuffled := append([]Interval(nil), ivs...)
-		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		})
-		return sameSet(Coalesce(shuffled, eval), Coalesce(ivs, eval))
-	})
-}
-
-func lawIntervals(in []lawInterval) []Interval {
-	out := make([]Interval, len(in))
-	for i, iv := range in {
-		out[i] = iv.Interval
-	}
-	return out
 }
 
 // properInterval is a lawInterval whose From is strictly before its To at
