@@ -68,11 +68,15 @@ race-stream:
 	$(GO) test -race -count=2 -timeout 120s ./internal/stream ./internal/obs ./internal/fragment ./internal/registry
 
 # The crash-point harness: enumerate every filesystem operation in an
-# ingest/snapshot/snapshot run, kill the store at each one, and prove
-# recovery yields exactly the committed prefix (never losing an
-# acknowledged append), under the race detector.
+# ingest/snapshot/snapshot run of batched appends, kill the store at each
+# one, and prove recovery yields exactly the committed prefix (never
+# losing an acknowledged batch); then the same one layer up, a durable
+# server killed at each operation of its group commits, whose recovered
+# log must hold every frame any subscriber received. Under the race
+# detector.
 test-recovery:
 	$(GO) test -race -run '^(TestCrashPointHarness|TestCrashPointHarnessReplaysTwice)$$' -timeout 300s ./internal/segstore
+	$(GO) test -race -run '^TestCrashPointWriteThrough$$' -timeout 300s ./internal/stream
 
 # The metamorphic differential harness: >=200 generated store/query
 # pairs under every plan, byte-identical results, and every predicate

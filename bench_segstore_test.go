@@ -113,6 +113,7 @@ func BenchmarkSnapshotBootstrap(b *testing.B) {
 				payload := xmldom.TextElem("creditLimit", fmt.Sprintf("%d", 1000+i))
 				server.Publish(fragment.New(i+1, 4, base.Add(time.Duration(i)*time.Second), payload))
 			}
+			server.Sync()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sub := server.SubscribeFrom(n+16, 0)

@@ -752,15 +752,22 @@ const reannounceProbe = 20
 
 // captureLog is the durable log a BenchmarkReannounce server writes
 // through: it keeps every frame's bytes, as a connection writes them, and
-// hands the fragment on to the segment store.
+// hands the fragments on to the segment store. Its server's committer
+// writes it; a reader of frames calls the server's Sync first.
 type captureLog struct {
 	*segstore.Store
 	frames []string
 }
 
 func (l *captureLog) Append(f *fragment.Fragment) error {
-	l.frames = append(l.frames, f.String())
-	return l.Store.Append(f)
+	return l.AppendBatch([]*fragment.Fragment{f})
+}
+
+func (l *captureLog) AppendBatch(fs []*fragment.Fragment) error {
+	for _, f := range fs {
+		l.frames = append(l.frames, f.String())
+	}
+	return l.Store.AppendBatch(fs)
 }
 
 // reannounceCost is what the last reannounceProbe charges of a history
@@ -800,6 +807,7 @@ func runReannounce(tb testing.TB, structure *tagstruct.Structure, charges int, d
 	pub, initial := genstore.NewCreditPublisher(20)
 	for _, f := range initial {
 		srv.Publish(f)
+		srv.Sync()
 		decode(log.frames[len(log.frames)-1])
 	}
 	var c reannounceCost
@@ -814,6 +822,7 @@ func runReannounce(tb testing.TB, structure *tagstruct.Structure, charges int, d
 		}
 		announce, tx := pub.Charge(k%20, 1+k*37%1000, genstore.CreditBase.Add(time.Duration(k)*10*time.Second))
 		srv.Publish(announce)
+		srv.Sync()
 		wire := []byte(log.frames[len(log.frames)-1])
 		if probe {
 			c.wireBytes += float64(len(wire))
@@ -832,6 +841,7 @@ func runReannounce(tb testing.TB, structure *tagstruct.Structure, charges int, d
 			c.decodeBytes += float64(after.TotalAlloc - before.TotalAlloc)
 		}
 		srv.Publish(tx)
+		srv.Sync()
 		decode(log.frames[len(log.frames)-1])
 	}
 	c.segBytesPerFrame = float64(seg.Stats().SegmentBytes-segBefore) / (2 * reannounceProbe)

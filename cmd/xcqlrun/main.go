@@ -19,8 +19,10 @@
 // With -store-dir the store is durable: the fragments the directory's
 // segment log holds are recovered into the store first, and each fragment
 // of the file the log does not hold yet is stored and appended to the log
-// before any evaluation reads it. A re-run over the same file finds every
-// fragment logged and logs nothing twice.
+// before any evaluation reads it — all of them in one batch, one fsync,
+// for a one-shot evaluation, one arrival at a time for -incremental. A
+// re-run over the same file finds every fragment logged and logs nothing
+// twice.
 package main
 
 import (
@@ -84,8 +86,8 @@ func main() {
 			fatal(err)
 		}
 		ingest = store.Add
+		var seg *xcql.SegStore
 		if *storeDir != "" {
-			var seg *xcql.SegStore
 			seg, frags, ingest, err = attachSegStore(store, *storeDir, frags)
 			if err != nil {
 				fatal(err)
@@ -94,10 +96,8 @@ func main() {
 		}
 		if !*incremental {
 			// one-shot evaluation reads a fully ingested store
-			for _, f := range frags {
-				if err := ingest(f); err != nil {
-					fatal(err)
-				}
+			if err := storeAndLog(store, seg, frags); err != nil {
+				fatal(err)
 			}
 		}
 		engine.RegisterStore(*streamName, store)
@@ -229,9 +229,8 @@ func runIncremental(q *xcql.Query, store *fragment.Store, ingest func(*fragment.
 
 // attachSegStore opens the segment log in dir, recovers every fragment it
 // holds into the empty store, and returns the fragments of frags it does
-// not hold yet with the function that ingests one: Add, then an append
-// stamped with the next sequence number. Add checks the fragment first, so
-// the log holds none a recovery could not store.
+// not hold yet with the function that ingests one: storeAndLog of one
+// fragment.
 func attachSegStore(store *fragment.Store, dir string, frags []*fragment.Fragment) (
 	*xcql.SegStore, []*fragment.Fragment, func(*fragment.Fragment) error, error) {
 	seg, rep, err := xcql.OpenSegStore(dir, xcql.SegStoreOptions{SnapshotEvery: 1024})
@@ -262,15 +261,41 @@ func attachSegStore(store *fragment.Store, dir string, frags []*fragment.Fragmen
 			fresh = append(fresh, f)
 		}
 	}
-	_, seq := seg.SeqBounds()
 	ingest := func(f *fragment.Fragment) error {
-		if err := store.Add(f); err != nil {
-			return err
-		}
-		seq++
-		return seg.Append(f.WithSeq(seq))
+		return storeAndLog(store, seg, []*fragment.Fragment{f})
 	}
 	return seg, fresh, ingest, nil
+}
+
+// storeAndLog stores frags in order and, with a log, appends the ones the
+// store took to it in one AppendBatch, each stamped with the next sequence
+// number: one fsync for the lot, before any evaluation reads the store.
+// Add checks a fragment before the log takes it, so the log holds none a
+// recovery could not store: one the store refuses stops the run unlogged,
+// and the ones stored before it are logged.
+func storeAndLog(store *fragment.Store, seg *xcql.SegStore, frags []*fragment.Fragment) error {
+	var batch []*fragment.Fragment
+	var seq uint64
+	if seg != nil {
+		_, seq = seg.SeqBounds()
+		batch = make([]*fragment.Fragment, 0, len(frags))
+	}
+	var err error
+	for _, f := range frags {
+		if err = store.Add(f); err != nil {
+			break
+		}
+		if seg != nil {
+			seq++
+			batch = append(batch, f.WithSeq(seq))
+		}
+	}
+	if len(batch) > 0 {
+		if lerr := seg.AppendBatch(batch); err == nil {
+			err = lerr
+		}
+	}
+	return err
 }
 
 // logKey names a fragment by its filler id, tsid, validTime and payload:

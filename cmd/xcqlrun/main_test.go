@@ -2,6 +2,7 @@ package main
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,52 @@ func TestRerunLogsNothingTwice(t *testing.T) {
 		if len(logged) != len(frags) || !maps.Equal(got, want) {
 			t.Fatalf("run %d: the log holds %d frames (%d distinct), the file %d fragments (%d distinct)",
 				run, len(logged), len(got), len(frags), len(want))
+		}
+	}
+}
+
+// TestOneShotLogsInOneBatch: a one-shot run stores the file's new
+// fragments and logs them with one fsync, not one per fragment; a
+// fragment the store refuses stops the run unlogged, and what was stored
+// before it is logged.
+func TestOneShotLogsInOneBatch(t *testing.T) {
+	s, frags, _ := xmark.GenerateFragments(xmark.Config{Scale: 0.002, Seed: 1})
+	dir := t.TempDir()
+	store := fragment.NewStore(s)
+	seg, fresh, _, err := attachSegStore(store, dir, frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := seg.Stats().Fsyncs
+	bad := fragment.New(frags[1].FillerID, 999, frags[1].ValidTime, frags[1].Tree())
+	withBad := append(append(slices.Clip(fresh[:len(fresh)-1]), bad), fresh[len(fresh)-1])
+	if err := storeAndLog(store, seg, withBad); err == nil {
+		t.Fatal("a fragment of an unknown tsid was stored")
+	}
+	// one segment created (a directory sync) and one batch
+	if got := seg.Stats().Fsyncs - before; got > 2 {
+		t.Fatalf("logging %d fragments took %d fsyncs", len(fresh)-1, got)
+	}
+	if err := storeAndLog(store, seg, fresh[len(fresh)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	seg.Close()
+
+	again, _, err := xcql.OpenSegStore(dir, xcql.SegStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	logged, err := again.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != len(frags) || store.Len() != len(frags) {
+		t.Fatalf("the log holds %d frames and the store %d fragments, the file %d", len(logged), store.Len(), len(frags))
+	}
+	for i, f := range logged {
+		if f.Seq != uint64(i+1) || logKey(f) != logKey(frags[i]) {
+			t.Fatalf("frame %d is seq %d %s, want seq %d %s", i, f.Seq, logKey(f), i+1, logKey(frags[i]))
 		}
 	}
 }

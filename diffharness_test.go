@@ -350,6 +350,7 @@ func decodedStores(t *testing.T, label string, s *tagstruct.Structure, frags []*
 				t.Fatalf("%s: %v", label, err)
 			}
 			srv.Publish(f)
+			srv.Sync()
 			if d[1], err = decodeFrame(&dec, []byte(log.frames[len(log.frames)-1])); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -8,27 +8,33 @@ import (
 )
 
 // crashWorkload drives one store lifetime over fs: append every fragment
-// (fsync on, tiny segments so the log rolls), with a snapshot a third of
-// the way in and a second one, replacing the first, two thirds in. It
-// returns the acknowledged appends; the first error is the simulated
-// process death and stops the run, exactly as a crash would.
+// in batches of one to four (AppendBatch; fsync on, tiny segments so the
+// log rolls), with a snapshot before the batch that reaches a third of
+// the way in and a second one, replacing the first, before the batch that
+// reaches two thirds. It returns the acknowledged appends, whole batches;
+// the first error is the simulated process death and stops the run,
+// exactly as a crash would, inside a batch's writes or its fsync too.
 func crashWorkload(fs FS, dir string, frags []*fragment.Fragment) []*fragment.Fragment {
 	s, _, err := Open(dir, Options{FS: fs, MaxSegmentBytes: 512})
 	if err != nil {
 		return nil
 	}
 	defer s.Close()
+	snapAt := []int{len(frags) / 3, 2 * len(frags) / 3}
 	var acked []*fragment.Fragment
-	for i, f := range frags {
-		if i == len(frags)/3 || i == 2*len(frags)/3 {
+	for i, run := 0, 0; i < len(frags); run++ {
+		end := min(i+1+run%4, len(frags))
+		if len(snapAt) > 0 && end > snapAt[0] {
+			snapAt = snapAt[1:]
 			if _, err := s.Snapshot(); err != nil {
 				return acked
 			}
 		}
-		if err := s.Append(f); err != nil {
+		if err := s.AppendBatch(frags[i:end]); err != nil {
 			return acked
 		}
-		acked = append(acked, f)
+		acked = append(acked, frags[i:end]...)
+		i = end
 	}
 	return acked
 }
@@ -57,12 +63,12 @@ func crashFragments(t testing.TB, seed int64, limit int) []*fragment.Fragment {
 }
 
 // TestCrashPointHarness is the tentpole proof: enumerate every mutating
-// filesystem operation the workload performs — appends, fsyncs, segment
-// creates, snapshot writes, renames, the old snapshot's removal — and
-// crash the process at each one in turn. After every crash, reopening the
-// directory must yield a clean, non-degraded store whose contents are
-// byte-identical to a prefix of the appended sequence and include every
-// acknowledged append.
+// filesystem operation the workload performs — a batch's frame writes and
+// its fsync, segment creates, snapshot writes, renames, the old
+// snapshot's removal — and crash the process at each one in turn. After
+// every crash, reopening the directory must yield a clean, non-degraded
+// store whose contents are byte-identical to a prefix of the appended
+// sequence and include every acknowledged batch.
 func TestCrashPointHarness(t *testing.T) {
 	frags := crashFragments(t, 42, 30)
 	want := wires(frags)

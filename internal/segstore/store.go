@@ -132,8 +132,10 @@ type segInfo struct {
 	lastLSN uint64
 }
 
-func (si *segInfo) note(lsn uint64, frameBytes int64) {
-	si.frames++
+// note adds frames frames, frameBytes bytes in all, the last of them at
+// lsn.
+func (si *segInfo) note(lsn uint64, frames int, frameBytes int64) {
+	si.frames += frames
 	si.bytes += frameBytes
 	si.lastLSN = max(si.lastLSN, lsn)
 }
@@ -347,7 +349,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		}
 		si := &segInfo{name: name}
 		for _, rec := range res.frames {
-			si.note(rec.lsn, int64(frameHeaderLen+8+len(rec.xml)))
+			si.note(rec.lsn, 1, int64(frameHeaderLen+8+len(rec.xml)))
 		}
 		// a segment fully covered by the live snapshot is a leftover of a
 		// snapshot that crashed between rename and cleanup
@@ -521,7 +523,7 @@ func (s *Store) writeSegmentFile(name string, frames []frameRec) error {
 			f.Close()
 			return err
 		}
-		si.note(rec.lsn, int64(len(buf)))
+		si.note(rec.lsn, 1, int64(len(buf)))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -557,59 +559,101 @@ func (s *Store) encode(lsn uint64, xml string) []byte {
 	return buf
 }
 
-// Append writes one fragment to the log. With syncing on (the default)
-// a nil return means the fragment is on stable storage. On error the
-// active segment is sealed at its last committed byte and the next
-// append starts a fresh one, so one bad write cannot poison the log.
+// Append writes one fragment to the log: a batch of one (AppendBatch).
 func (s *Store) Append(f *fragment.Fragment) error {
+	return s.AppendBatch([]*fragment.Fragment{f})
+}
+
+// AppendBatch writes fragments to the log in order, each through the
+// store's kept frame buffer, and syncs once after the last: with syncing
+// on (the default) a nil return means every one of them is on stable
+// storage. An error acknowledges none of them: the active segment is cut
+// back to its last committed byte and sealed, and the next append starts
+// a fresh one, so one bad write cannot poison the log. A crash between
+// the first write and the sync can leave a prefix of the batch in the
+// log, never a frame the batch did not hold. A batch is never split
+// across segments, so a segment outgrows MaxSegmentBytes by at most its
+// last batch.
+func (s *Store) AppendBatch(fs []*fragment.Fragment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("segstore: store is closed")
 	}
-	asp := s.tracer.Start(f.Trace, "segstore.append").Annotate("", f.TSID, f.Seq)
-	defer asp.End()
+	if len(fs) == 0 {
+		return nil
+	}
+	// a "segstore.append" span per traced fragment, each with a
+	// "segstore.fsync" child around the batch's one sync
+	var spans []*obs.Span
+	if s.tracer != nil {
+		spans = make([]*obs.Span, len(fs))
+		for i, f := range fs {
+			spans[i] = s.tracer.Start(f.Trace, "segstore.append").Annotate("", f.TSID, f.Seq)
+		}
+		defer endSpans(spans)
+	}
 	if err := s.ensureActiveLocked(); err != nil {
 		s.stats.AppendErrors++
 		return err
 	}
-	lsn := s.nextLSN
-	// the bytes the publishing server sealed onto f, when it came
-	// through one; encoded here otherwise
-	buf := s.encode(lsn, f.String())
-	if _, err := s.active.Write(buf); err != nil {
-		s.stats.AppendErrors++
-		s.repairActiveLocked()
-		return fmt.Errorf("segstore: append: %w", err)
+	var written int64
+	for i, f := range fs {
+		// the bytes the publishing server sealed onto f, when it came
+		// through one; encoded here otherwise
+		lsn := s.nextLSN + uint64(i)
+		buf := s.encode(lsn, f.String())
+		if _, err := s.active.Write(buf); err != nil {
+			s.stats.AppendErrors++
+			s.repairActiveLocked()
+			return fmt.Errorf("segstore: append: %w", err)
+		}
+		written += int64(len(buf))
+		if spans != nil && spans[i] != nil {
+			spans[i].SetDetail(fmt.Sprintf("lsn=%d bytes=%d", lsn, len(buf)))
+		}
 	}
 	if !s.opts.NoSync {
-		fsp := s.tracer.Start(asp.Context(), "segstore.fsync")
-		if err := s.active.Sync(); err != nil {
-			fsp.End()
+		var fsyncs []*obs.Span
+		if spans != nil {
+			fsyncs = make([]*obs.Span, len(spans))
+			for i, sp := range spans {
+				fsyncs[i] = s.tracer.Start(sp.Context(), "segstore.fsync")
+			}
+		}
+		err := s.active.Sync()
+		endSpans(fsyncs)
+		if err != nil {
 			s.stats.AppendErrors++
 			s.repairActiveLocked()
 			return fmt.Errorf("segstore: fsync: %w", err)
 		}
-		fsp.End()
 		s.stats.Fsyncs++
 	}
-	if asp != nil {
-		asp.SetDetail(fmt.Sprintf("lsn=%d bytes=%d", lsn, len(buf)))
+	n := uint64(len(fs))
+	s.activeSeg.note(s.nextLSN+n-1, len(fs), written)
+	s.nextLSN += n
+	for _, f := range fs {
+		s.noteSeqLocked(f.Seq)
 	}
-	s.nextLSN++
-	s.activeSeg.note(lsn, int64(len(buf)))
-	s.noteSeqLocked(f.Seq)
-	s.stats.Appends++
-	s.sinceSnapshot++
+	s.stats.Appends += int64(n)
+	s.sinceSnapshot += len(fs)
 	if s.activeSeg.bytes >= s.opts.MaxSegmentBytes {
 		s.sealActiveLocked()
 	}
 	if s.opts.SnapshotEvery > 0 && s.sinceSnapshot >= s.opts.SnapshotEvery {
-		// best-effort: an auto-snapshot failure must not fail the append
-		// that triggered it (the frame is already durable)
+		// best-effort: an auto-snapshot failure must not fail the batch
+		// that triggered it (its frames are already durable)
 		_, _ = s.snapshotLocked()
 	}
 	return nil
+}
+
+// endSpans ends every span of spans; a nil one is a no-op.
+func endSpans(spans []*obs.Span) {
+	for _, sp := range spans {
+		sp.End()
+	}
 }
 
 func (s *Store) noteSeqLocked(seq uint64) {

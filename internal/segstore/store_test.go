@@ -648,6 +648,61 @@ func TestAppendAfterInjectedWriteError(t *testing.T) {
 	mustEqualWires(t, got, acked)
 }
 
+// TestAppendBatchSyncsOnce: a batch is written with one fsync, and a
+// batch whose write fails is acknowledged in none of its frames — the
+// frames it did write are cut back, so the log holds exactly the
+// acknowledged batches.
+func TestAppendBatchSyncsOnce(t *testing.T) {
+	frags := nFrags(10)
+	s, _ := openT(t, t.TempDir(), Options{})
+	if err := s.AppendBatch(frags[:1]); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Fsyncs
+	if err := s.AppendBatch(frags[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Fsyncs-before != 1 || st.Appends != 10 || st.Frames != 10 {
+		t.Fatalf("a batch of 9 took %d fsyncs; stats %+v", st.Fsyncs-before, st)
+	}
+	got, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualWires(t, got, frags)
+	s.Close()
+
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil, FaultPlan{Seed: 5, ShortWriteProb: 0.15})
+	s, _ = openT(t, dir, Options{FS: ffs, MaxSegmentBytes: 600})
+	var acked []*fragment.Fragment
+	failures := 0
+	all := nFrags(60)
+	for i := 0; i < len(all); i += 3 {
+		if err := s.AppendBatch(all[i : i+3]); err != nil {
+			failures++
+			continue
+		}
+		acked = append(acked, all[i:i+3]...)
+	}
+	if failures == 0 || len(acked) == 0 {
+		t.Fatalf("fault plan failed %d batches and acknowledged %d frames", failures, len(acked))
+	}
+	if st := s.Stats(); st.AppendErrors != int64(failures) || st.Appends != int64(len(acked)) {
+		t.Fatalf("AppendErrors = %d, Appends = %d; want %d and %d", st.AppendErrors, st.Appends, failures, len(acked))
+	}
+	s.Close()
+	s2, rep := openT(t, dir, Options{})
+	defer s2.Close()
+	if rep.Degraded != "" {
+		t.Fatalf("failed batches were cut back in place, the store must not be degraded: %s", rep.Degraded)
+	}
+	if got, err = s2.All(); err != nil {
+		t.Fatal(err)
+	}
+	mustEqualWires(t, got, acked)
+}
+
 func TestSyncErrorMeansUnacknowledged(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil, FaultPlan{Seed: 3, SyncErrProb: 0.5})

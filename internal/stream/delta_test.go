@@ -100,6 +100,7 @@ func sealedFrames(t *testing.T, traffic []*fragment.Fragment) (*Server, []*fragm
 	log := &wireLog{}
 	s.AttachDurable(log)
 	s.PublishAll(traffic)
+	s.Sync()
 	var dec xmldom.Decoder
 	out := make([]*fragment.Fragment, len(log.frames))
 	for i, wire := range log.frames {
@@ -328,7 +329,10 @@ func TestQuarantinedPredecessorIsAGap(t *testing.T) {
 	}
 	s := NewServer("credit", creditStructure(t))
 	s.AttachDurable(seg)
-	s.PublishAll(traffic)
+	for _, f := range traffic {
+		s.Publish(f)
+		s.Sync() // a batch of one: one frame a segment
+	}
 	s.Close()
 	seg.Close()
 	// one frame a segment: corrupt the one holding the re-announcement of

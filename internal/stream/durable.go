@@ -16,7 +16,9 @@ import (
 // seq-stamped fragment (write-ahead of delivery), ReadSince returns every
 // persisted fragment with Seq > afterSeq in sequence order, and
 // SeqCoverage reports the contiguous sequence range the log can replay
-// without holes.
+// without holes. A log that also has AppendBatch(fs []*fragment.Fragment)
+// error, persisting a batch with one sync as *segstore.Store does, is
+// written a batch at a time; any other a fragment at a time.
 type DurableLog interface {
 	Append(f *fragment.Fragment) error
 	ReadSince(afterSeq uint64) ([]*fragment.Fragment, error)
@@ -24,10 +26,13 @@ type DurableLog interface {
 }
 
 // AttachDurable wires a durable log under the server: every subsequent
-// Publish writes through to it before delivery, and subscriptions whose
-// resume position precedes the in-memory replay window are bridged from
-// the log (snapshot + delta bootstrap) instead of surfacing an
-// unrecoverable gap.
+// Publish is written through to it before delivery — queued, and written
+// in batches with one fsync each by the server's committer — and
+// subscriptions whose resume position precedes the in-memory replay
+// window are bridged from the log (snapshot + delta bootstrap) instead
+// of surfacing an unrecoverable gap. Fragments queued for the log it
+// replaces are written to that log and delivered first. nil detaches:
+// Publish delivers at once again.
 //
 // A durable write failure does not block delivery — the radio keeps
 // transmitting — but it is sticky: the log is considered broken from the
@@ -35,11 +40,28 @@ type DurableLog interface {
 // advertised resume floor falls back to the in-memory window so clients
 // are never promised a bootstrap the server can no longer serve.
 func (s *Server) AttachDurable(d DurableLog) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.delivered < s.queued {
+		s.cond.Wait()
+	}
+	s.attachLocked(d)
+}
+
+// attachLocked makes d the durable log, healthy, and starts the
+// committer with the first log. The caller holds s.mu and nothing is
+// queued.
+func (s *Server) attachLocked(d DurableLog) {
 	s.durable = d
 	s.durableBroken = ""
 	s.durableGen++
-	s.mu.Unlock()
+	if d != nil && s.commitDone == nil && !s.closed {
+		s.queue = make([]pending, 0, commitQueueLen)
+		s.commitDone = make(chan struct{})
+		go s.commit()
+	}
 }
 
 // RecoverServer rebuilds a server from its durable log after a restart:
@@ -47,7 +69,8 @@ func (s *Server) AttachDurable(d DurableLog) {
 // resumes after the highest persisted seq (so restarted streams stay
 // monotone and resuming clients cannot collide with recycled numbers),
 // and the event-time watermark is restored. The log stays attached, so
-// new publishes keep writing through.
+// new publishes keep writing through; Close stops the committer that
+// writes them.
 //
 // The whole persisted log is loaded into the replay window; callers with
 // memory bounds should SetHistoryLimit afterwards — trimmed positions
@@ -67,8 +90,10 @@ func RecoverServer(name string, structure *tagstruct.Structure, d DurableLog) (*
 		}
 	}
 	s.history = append(s.history, frames...)
-	s.durable = d
-	s.durableGen++
+	s.delivered = s.nextSeq
+	s.mu.Lock()
+	s.attachLocked(d)
+	s.mu.Unlock()
 	if l := s.log(); l != nil {
 		l.LogAttrs(logCtx, slog.LevelInfo, "server recovered from durable log",
 			slog.String("component", "server"), slog.String("stream", name),
@@ -85,9 +110,10 @@ func RecoverServer(name string, structure *tagstruct.Structure, d DurableLog) (*
 // log's first sequence number (usually 0: the whole stream) are servable
 // via the durable bridge. The caller holds s.mu.
 func (s *Server) resumeFloorLocked() uint64 {
-	// in-memory floor: the window [oldest, nextSeq] serves after >= oldest-1;
-	// an empty window serves only clients already at nextSeq
-	floor := s.nextSeq
+	// in-memory floor: the window [oldest, delivered] serves after >=
+	// oldest-1; an empty window serves only clients already at delivered
+	// (what is queued for the durable log reaches every subscription)
+	floor := s.delivered
 	if len(s.history) > 0 {
 		floor = s.history[0].Seq - 1
 	}

@@ -3,6 +3,8 @@ package stream
 import (
 	"errors"
 	"math/rand"
+	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +59,7 @@ func TestSubscribeFromBridgesDurableLog(t *testing.T) {
 	for i := 1; i <= 9; i++ {
 		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
 	}
+	s.Sync()
 	// the window holds only seqs 9..10, but the floor reaches to genesis
 	if st := s.Stats(); st.OldestRetained != 9 || st.ResumeFloor != 0 {
 		t.Fatalf("window [%d..] floor %d, want window [9..] floor 0", st.OldestRetained, st.ResumeFloor)
@@ -103,6 +106,7 @@ func TestRecoverServerResumesSequence(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
 	}
+	s.Sync()
 	wm := s.Stats().Watermark
 	s.Close()
 	seg.Close()
@@ -131,6 +135,7 @@ func TestRecoverServerResumesSequence(t *testing.T) {
 	}
 	// the next publish continues the sequence and is persisted
 	s2.Publish(eventFragment(6, "2003-01-03T00:00:00", "v"))
+	s2.Sync()
 	if got := s2.LatestSeq(); got != 7 {
 		t.Fatalf("post-recovery publish got seq %d, want 7", got)
 	}
@@ -188,6 +193,7 @@ func TestBridgeRequiresJoinUpWithWindow(t *testing.T) {
 	for i := 1; i <= 9; i++ {
 		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
 	}
+	s.Sync()
 	s.SetHistoryLimit(2)        // window holds seqs [9,10]
 	log.frames = log.frames[:3] // durable coverage [1,3]: hole 4..8
 
@@ -257,6 +263,7 @@ func TestPublishDoesNotHoldStateLockDuringDurableAppend(t *testing.T) {
 	if blocked {
 		t.Fatal("Stats blocked behind an in-flight durable append")
 	}
+	s.Sync()
 	if got := s.LatestSeq(); got != 1 {
 		t.Fatalf("publish did not complete after release: seq %d", got)
 	}
@@ -276,16 +283,12 @@ func TestDurableWriteThroughFailure(t *testing.T) {
 	s.Publish(rootFragment())
 	s.Publish(eventFragment(1, "2003-01-02T00:00:00", "v"))
 	s.Publish(eventFragment(2, "2003-01-02T00:00:00", "v"))
+	s.Sync()
 
-	st := s.Stats()
-	if st.StorageErrors != 1 {
+	if st := s.Stats(); st.StorageErrors != 1 {
 		t.Fatalf("StorageErrors = %d, want 1 (the failure is sticky, not repeated)", st.StorageErrors)
 	}
-	if st.ResumeFloor != 0 {
-		// empty history never happens here; window floor = oldest-1 = 0
-		// for a full window, which equals genesis — assert via a trimmed
-		// window instead
-	}
+	// a full window's floor is genesis either way: a trimmed one tells
 	s.SetHistoryLimit(1)
 	if got := s.Stats().ResumeFloor; got != 2 {
 		t.Fatalf("broken log still lowers the floor: %d, want 2", got)
@@ -297,6 +300,7 @@ func TestDurableWriteThroughFailure(t *testing.T) {
 	// re-attaching a healthy log clears the broken state
 	s.AttachDurable(&flakyLog{})
 	s.Publish(eventFragment(3, "2003-01-03T00:00:00", "v"))
+	s.Sync()
 	if st := s.Stats(); st.StorageErrors != 1 {
 		t.Fatalf("healthy re-attach kept failing: %d", st.StorageErrors)
 	}
@@ -443,4 +447,241 @@ func TestReconnectOutcomeMetrics(t *testing.T) {
 			t.Fatalf("%s = %d, want %d (registry %v)", name, got[name], want, got)
 		}
 	}
+}
+
+// gateLog is a segment store whose batch append waits at a gate: each
+// AppendBatch reports its batch's size on entered, then waits for one
+// token on release before it writes. The test's cleanup opens the gate
+// for good, so a failing test cannot leave the committer stuck.
+type gateLog struct {
+	*segstore.Store
+	entered chan int
+	release chan struct{}
+}
+
+// gatedServer is a server whose durable log is a gateLog, closed at the
+// test's end.
+func gatedServer(t *testing.T) (*Server, *gateLog) {
+	t.Helper()
+	g := &gateLog{Store: openSegT(t), entered: make(chan int, 8), release: make(chan struct{})}
+	s := NewServer("sensors", sensorStructure(t))
+	s.AttachDurable(g)
+	t.Cleanup(s.Close)
+	t.Cleanup(func() { close(g.release) })
+	return s, g
+}
+
+func (g *gateLog) AppendBatch(fs []*fragment.Fragment) error {
+	g.entered <- len(fs)
+	<-g.release
+	return g.Store.AppendBatch(fs)
+}
+
+// seqsOf lists the sequence numbers of fs.
+func seqsOf(fs []*fragment.Fragment) []uint64 {
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = f.Seq
+	}
+	return out
+}
+
+// TestQueuedFramesWaitForTheLog: a fragment a durable server has queued
+// reaches no subscriber — in-process or over TCP — before its log has
+// written it through; the ten fragments queued behind a batch stuck in
+// its write go to the log as one batch, one fsync, and are delivered in
+// sequence order.
+func TestQueuedFramesWaitForTheLog(t *testing.T) {
+	s, g := gatedServer(t)
+	inproc := s.Subscribe(32, false)
+	c, err := Dial(startFaultyServer(t, s, ServeOptions{}), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var mu sync.Mutex
+	var overTCP []uint64
+	c.OnFragment(func(f *fragment.Fragment) {
+		mu.Lock()
+		overTCP = append(overTCP, f.Seq)
+		mu.Unlock()
+	})
+	if !waitFor(t, 2*time.Second, func() bool { return s.Stats().Subscribers == 2 }) {
+		t.Fatalf("%d subscribers, want 2", s.Stats().Subscribers)
+	}
+
+	s.Publish(rootFragment())
+	if n := <-g.entered; n != 1 {
+		t.Fatalf("first batch of %d, want 1", n)
+	}
+	for i := 1; i <= 10; i++ {
+		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
+	}
+	// eleven published, none written through: nothing has left the server
+	st := s.Stats()
+	if st.LatestSeq != 0 || st.Retained != 0 || st.MaxQueueDepth != 0 || len(inproc.C()) != 0 || c.LastSeq() != 0 {
+		t.Fatalf("a queued fragment was delivered before its write-through: stats %+v, in-process %d, TCP last seq %d",
+			st, len(inproc.C()), c.LastSeq())
+	}
+
+	g.release <- struct{}{} // the first batch commits
+	if n := <-g.entered; n != 10 {
+		t.Fatalf("the ten queued fragments went to the log in a batch of %d", n)
+	}
+	if got := seqsOf(drain(inproc)); !slices.Equal(got, []uint64{1}) {
+		t.Fatalf("before the second batch's write-through the in-process subscriber got %v, want [1]", got)
+	}
+	before := g.Stats().Fsyncs
+	g.release <- struct{}{}
+	s.Sync()
+	if got := g.Stats().Fsyncs - before; got != 1 {
+		t.Fatalf("a batch of ten took %d fsyncs, want 1", got)
+	}
+	want := []uint64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	if got := seqsOf(drain(inproc)); !slices.Equal(got, want) {
+		t.Fatalf("in-process delivery %v, want %v", got, want)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return c.LastSeq() == 11 }) {
+		t.Fatalf("the TCP client reached seq %d of 11", c.LastSeq())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(overTCP, append([]uint64{1}, want...)) || c.Stats().Gaps != 0 {
+		t.Fatalf("TCP delivery %v (gaps %v)", overTCP, c.Gaps())
+	}
+}
+
+// TestCloseDrainsTheCommitQueue: Close on a durable server with
+// fragments still queued writes them through and delivers them, in
+// order, before it closes the subscriptions, and returns only then.
+func TestCloseDrainsTheCommitQueue(t *testing.T) {
+	s, g := gatedServer(t)
+	sub := s.Subscribe(32, false)
+	s.Publish(rootFragment())
+	<-g.entered
+	for i := 1; i <= 5; i++ {
+		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	g.release <- struct{}{}
+	if n := <-g.entered; n != 5 {
+		t.Fatalf("the queued fragments went to the log in a batch of %d, want 5", n)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a batch still unwritten")
+	default:
+	}
+	g.release <- struct{}{}
+	<-closed
+	var got []uint64
+	for f := range sub.C() { // closed once everything queued is delivered
+		got = append(got, f.Seq)
+	}
+	if want := []uint64{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v before the close, want %v", got, want)
+	}
+	frames, err := g.ReadSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqsOf(frames); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("the log holds %v", got)
+	}
+	s.Publish(eventFragment(6, "2003-01-02T00:00:00", "v"))
+	if st := s.Stats(); st.LatestSeq != 6 {
+		t.Fatalf("a publish after Close was taken: %+v", st)
+	}
+}
+
+// TestReconnectWhileFirstBatchIsQueued: a client that registers, and
+// re-registers, while the server's replay window is still empty and its
+// first fragments wait for the log is told the stream starts at seq 0 —
+// the handshake names what was delivered, not what was queued — so it
+// writes nothing off as lost or already seen, and gets every fragment.
+func TestReconnectWhileFirstBatchIsQueued(t *testing.T) {
+	s, g := gatedServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := &connTracker{Listener: ln}
+	t.Cleanup(func() { ln.Close() })
+	go func() { _ = ServeTCP(s, conns) }()
+
+	s.Publish(rootFragment())
+	<-g.entered
+	for i := 1; i <= 3; i++ {
+		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
+	}
+	cc, hs, err := dialHandshake(ln.Addr().String(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.conn.Close()
+	if hs.latest != 0 || hs.oldest != 0 || hs.floor != 0 {
+		t.Fatalf("handshake with four fragments queued: latest=%d oldest=%d floor=%d, want 0 0 0", hs.latest, hs.oldest, hs.floor)
+	}
+
+	c, err := Dial(ln.Addr().String(), testDialOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// cut the client's connection while everything is still queued: it
+	// re-registers before the first delivery
+	if !waitFor(t, 2*time.Second, func() bool { return conns.count() == 2 }) {
+		t.Fatal("the client's connection was never accepted")
+	}
+	conns.closeLast()
+	if !waitFor(t, 2*time.Second, func() bool { return c.Stats().Reconnects >= 1 && s.Stats().Subscribers >= 1 }) {
+		t.Fatalf("the client never re-registered: %+v", c.Stats())
+	}
+	if st := s.Stats(); st.Retained != 0 {
+		t.Fatalf("the reconnect was not made while the first batch was queued: %+v", st)
+	}
+
+	g.release <- struct{}{}
+	<-g.entered
+	g.release <- struct{}{}
+	if !waitFor(t, 2*time.Second, func() bool { return c.LastSeq() == 4 }) {
+		t.Fatalf("the client reached seq %d of 4: %+v", c.LastSeq(), c.Stats())
+	}
+	st := c.Stats()
+	if reason, degraded := c.Degraded(); degraded || st.Lost != 0 || st.Gaps != 0 || st.ReconnectDegraded != 0 || c.Store().Len() != 4 {
+		t.Fatalf("client %+v, store %d, gaps %v, degraded %q", st, c.Store().Len(), c.Gaps(), reason)
+	}
+}
+
+// connTracker is a listener that remembers the connections it accepted.
+type connTracker struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connTracker) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, conn)
+		l.mu.Unlock()
+	}
+	return conn, err
+}
+
+func (l *connTracker) count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
+func (l *connTracker) closeLast() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.conns[len(l.conns)-1].Close()
 }

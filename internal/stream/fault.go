@@ -163,8 +163,12 @@ func (fs *faultSink) WriteFrame(payload string) error {
 		time.Sleep(d.delay)
 	}
 	if d.reset {
-		// write the length prefix and half the payload, then kill the
-		// connection: the peer sees a frame that never completes
+		// the frames before this one reach the peer whole; then write the
+		// length prefix and half the payload, and kill the connection: the
+		// peer sees a frame that never completes
+		if err := fs.next.Flush(); err != nil {
+			return err
+		}
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 		_, _ = fs.conn.Write(hdr[:])

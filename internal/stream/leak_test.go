@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcql/internal/registry"
+	"xcql/internal/segstore"
 	"xcql/internal/xcql"
 )
 
@@ -124,6 +125,32 @@ func TestNoGoroutineLeakAcrossReconnectCycles(t *testing.T) {
 	case <-serveDone:
 	case <-time.After(2 * time.Second):
 		t.Fatal("ServeTCPOptions did not return after listener close")
+	}
+
+	assertNoGoroutineLeak(t, baseline)
+}
+
+// A durable server's committer exits with Close, which writes through
+// whatever is still queued and then joins it.
+func TestNoGoroutineLeakFromCommitter(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	seg, _, err := segstore.Open(t.TempDir(), segstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	for round := 0; round < 3; round++ {
+		s := NewServer("sensors", sensorStructure(t))
+		s.AttachDurable(seg)
+		s.Publish(rootFragment())
+		for i := 1; i <= 20; i++ {
+			s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
+		}
+		s.Close()
+	}
+	if got := seg.Stats().Appends; got != 3*21 {
+		t.Fatalf("the log took %d appends, want %d", got, 3*21)
 	}
 
 	assertNoGoroutineLeak(t, baseline)

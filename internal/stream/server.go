@@ -41,12 +41,17 @@ type Server struct {
 	structure *tagstruct.Structure
 	logHolder
 
-	// pubMu serializes publishes end to end so the durable write-through
-	// order always equals the sequence order; mu guards the shared state
-	// and is never held across a disk sync. Lock order: pubMu before mu.
+	// pubMu serializes publishes end to end so the commit queue's order —
+	// and with it the log's and the delivery's — always equals the
+	// sequence order; mu guards the shared state and is never held across
+	// a disk sync. Lock order: pubMu before mu.
 	pubMu sync.Mutex
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// cond (on mu) wakes the committer when a fragment is queued, and a
+	// publisher waiting for room in the queue, Sync and AttachDurable when
+	// a batch has been delivered or the server closes.
+	cond sync.Cond
 	subs map[*Subscription]struct{}
 	// wireSubs counts the live subscriptions that write fragments out as
 	// bytes (TCP connections): with any of them, or a durable log,
@@ -55,7 +60,8 @@ type Server struct {
 	history      []*fragment.Fragment // seq-stamped, retained for replay
 	historyLimit int                  // max retained fragments; 0 = unbounded
 	nextSeq      uint64               // last assigned sequence number
-	watermark    time.Time            // max validTime ever published (monotone)
+	delivered    uint64               // last sequence number retained and fanned out
+	watermark    time.Time            // max validTime ever delivered (monotone)
 	dropped      int64
 	closed       bool
 
@@ -66,6 +72,15 @@ type Server struct {
 	bootstraps    int64  // subscriptions bridged from the durable log
 	storageErrors int64  // durable write/read failures
 	durableGen    uint64 // counts AttachDurable calls: which log a delta's predecessor went to
+
+	// group commit (see commit): with a durable log attached Publish
+	// queues and one committer goroutine writes the queue through and
+	// delivers it. queue holds at most commitQueueLen fragments; queued is
+	// the sequence number of the last one queued; commitDone is closed
+	// when the committer has exited, nil before it starts.
+	queue      []pending
+	queued     uint64
+	commitDone chan struct{}
 
 	// tracer, when set, stamps every published fragment with a fresh
 	// trace context (or joins one already carried by a relayed fragment)
@@ -102,12 +117,14 @@ func (s *Server) SetFlightRecorder(rec *obs.FlightRecorder) {
 
 // NewServer creates a server for the named stream.
 func NewServer(name string, structure *tagstruct.Structure) *Server {
-	return &Server{
+	s := &Server{
 		name:      name,
 		structure: structure,
 		subs:      make(map[*Subscription]struct{}),
 		bases:     make(map[int]baseVersion),
 	}
+	s.cond.L = &s.mu
+	return s
 }
 
 // Name returns the stream name clients query with stream(name).
@@ -154,7 +171,7 @@ type Subscription struct {
 	// a version among them goes to it in the full form.
 	lostFrom, lostTo uint64
 
-	// guarded by server.mu — a single lock serializes Publish, Cancel and
+	// guarded by server.mu — a single lock serializes delivery, Cancel and
 	// Close, so the channel is never closed while a send is in flight.
 	closed bool
 }
@@ -211,7 +228,7 @@ func (s *Server) subscribeWire(buffer int, afterSeq uint64) (*Subscription, Serv
 	defer s.mu.Unlock()
 	st := s.statsLocked()
 	replay := s.replayLocked(afterSeq)
-	first := s.nextSeq + 1
+	first := s.delivered + 1
 	if len(replay) > 0 {
 		first = replay[0].Seq
 	}
@@ -283,47 +300,48 @@ func (s *Server) subscribeLocked(buffer int, replay []*fragment.Fragment, wire b
 // re-announcement carries only what it adds. A connection whose consumer
 // can never have received that version gets the full form.
 //
-// With a durable log attached the write-through (an fsync per publish by
-// default) happens between sequence assignment and delivery — still
-// write-ahead, so a crash can never deliver a frame the log lost — but
-// outside the state lock: a slow disk serializes concurrent publishers
-// (pubMu), never subscribers, Stats or subscriptions.
+// Without a durable log Publish delivers the fragment before it returns.
+// With one it stamps, seals and queues it, and returns: the server's one
+// committer writes everything queued through to the log with one fsync
+// (a group commit) and only then retains and fans out each fragment, in
+// sequence order — still write-ahead, so a crash can never deliver a
+// frame the log lost. A full queue (commitQueueLen fragments) holds the
+// publisher back, as a slow disk does; the fsync itself runs outside
+// the server's state lock. Sync waits for what has been queued.
 func (s *Server) Publish(f *fragment.Fragment) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.mu.Lock()
+	for s.durable != nil && len(s.queue) == commitQueueLen && !s.closed {
+		s.cond.Wait()
+	}
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	s.nextSeq++
-	stamped := f.WithSeq(s.nextSeq)
+	p := pending{stamped: f.WithSeq(s.nextSeq)}
+	stamped := p.stamped
 	stamped.PublishedAt = time.Now()
 	// root span of the fragment's journey: downstream layers (segstore,
 	// client delivery, registry evaluation/fan-out) parent to it through
 	// the trace context stamped on the fragment. A fragment arriving with
 	// a trace already on it (a relay) joins that trace instead.
-	var psp *obs.Span
 	if rec := s.tracer; rec != nil {
 		tc := stamped.Trace
 		if !tc.Valid() {
 			tc = rec.NewTrace()
 		}
-		psp = rec.Start(tc, "publish").Annotate(s.name, stamped.TSID, stamped.Seq)
-		stamped.Trace = psp.Context()
+		p.rec = rec
+		p.psp = rec.Start(tc, "publish").Annotate(s.name, stamped.TSID, stamped.Seq)
+		stamped.Trace = p.psp.Context()
 	}
-	if stamped.ValidTime.After(s.watermark) {
-		s.watermark = stamped.ValidTime
-	}
-	d := s.durable
-	if s.durableBroken != "" {
-		d = nil
-	}
-	seal := d != nil || s.wireSubs > 0
-	gen := s.durableGen // the log d is: a log attached meanwhile never sees this version
+	logged := s.durable != nil && s.durableBroken == ""
+	seal := logged || s.wireSubs > 0
+	gen := s.durableGen // the log this version goes to: a log attached later never sees it
 	prev, tracked := s.bases[stamped.FillerID]
 	var base *fragment.Fragment
-	if tracked && prev.unique && (d == nil || prev.log == gen) {
+	if tracked && prev.unique && (!logged || prev.log == gen) {
 		base = prev.f
 	}
 	s.mu.Unlock()
@@ -334,31 +352,19 @@ func (s *Server) Publish(f *fragment.Fragment) {
 	// garbage once they have; the replay window and the in-process
 	// subscribers keep the fragment without it. With nobody to write bytes
 	// there is no encoding at all (a connection that joins before the
-	// fan-out below makes its own, as one replaying the window does).
-	wired, delta := stamped, false
+	// fan-out makes its own, as one replaying the window does).
+	p.wired = stamped
 	if seal {
-		wired, delta = stamped.SealedOver(base)
-	}
-	var derr error
-	if d != nil {
-		derr = d.Append(wired)
+		var delta bool
+		if p.wired, delta = stamped.SealedOver(base); delta {
+			p.base = base
+		}
 	}
 
 	s.mu.Lock()
-	if derr != nil && s.durable == d {
-		// first failure marks the log broken (sticky): the resume floor
-		// immediately retreats to the in-memory window. Delivery proceeds
-		// — the radio keeps transmitting.
-		s.storageErrors++
-		if s.durableBroken == "" {
-			s.durableBroken = derr.Error()
-		}
-	}
 	if s.closed {
-		// closed while the durable append was in flight: the frame is on
-		// disk (recovery will replay it) but there is nobody to deliver to
 		s.mu.Unlock()
-		psp.End()
+		p.psp.End()
 		return
 	}
 	if tracked || stamped.AnnouncesHole() {
@@ -367,20 +373,150 @@ func (s *Server) Publish(f *fragment.Fragment) {
 		if tracked && prev.latest.After(at) {
 			next.latest = prev.latest
 		}
-		if d != nil && derr == nil {
+		if logged {
 			next.log = gen
 		}
 		s.bases[stamped.FillerID] = next
 	}
+	if s.durable != nil {
+		s.queue = append(s.queue, p)
+		s.queued = stamped.Seq
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		return
+	}
+	p.drops = s.deliverLocked(&p)
+	s.mu.Unlock()
+	s.published(&p)
+}
+
+// commitQueueLen bounds a durable server's commit queue: the fragments
+// published and not yet written through, and so the largest batch one
+// fsync commits.
+const commitQueueLen = 64
+
+// pending is a stamped fragment on its way to delivery: queued for the
+// committer on a server with a durable log, delivered at once otherwise.
+type pending struct {
+	stamped *fragment.Fragment // what the replay window and in-process subscribers keep
+	wired   *fragment.Fragment // stamped with the wire form the log and the connections write
+	base    *fragment.Fragment // the version wired is a delta frame over; nil for a full form
+	rec     *obs.FlightRecorder
+	psp     *obs.Span // the publish span, ended once the fragment is delivered
+	drops   int       // subscribers that missed it
+}
+
+// batchLog is a DurableLog that writes a batch of fragments with one
+// fsync; *segstore.Store is one. The committer writes a log without it a
+// fragment at a time.
+type batchLog interface {
+	AppendBatch(fs []*fragment.Fragment) error
+}
+
+// writeThrough writes frames to d in order, with one AppendBatch when d
+// has it, and returns the first error.
+func writeThrough(d DurableLog, frames []*fragment.Fragment) error {
+	if b, ok := d.(batchLog); ok {
+		return b.AppendBatch(frames)
+	}
+	for _, f := range frames {
+		if err := d.Append(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// commit is the server's committer, started with its first durable log
+// (attachLocked): it takes everything queued, writes it through with one
+// fsync, then delivers it in sequence order, and returns once Close has
+// been called and the queue is drained. Its two arrays, the batch it
+// delivers and the frames it writes, are commitQueueLen long and kept.
+func (s *Server) commit() {
+	defer close(s.commitDone)
+	batch := make([]pending, 0, commitQueueLen)
+	frames := make([]*fragment.Fragment, 0, commitQueueLen)
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.cond.Wait()
+		}
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		s.queue, batch = batch, s.queue
+		s.cond.Broadcast() // a publisher waiting for room queues behind this batch
+		// AttachDurable waits for the queue to drain before it replaces
+		// the log, so everything queued was sealed for this one
+		d := s.durable
+		if s.durableBroken != "" {
+			d = nil
+		}
+		s.mu.Unlock()
+
+		var derr error
+		if d != nil {
+			for i := range batch {
+				frames = append(frames, batch[i].wired)
+			}
+			derr = writeThrough(d, frames)
+			clear(frames)
+			frames = frames[:0]
+		}
+
+		s.mu.Lock()
+		if derr != nil {
+			// the first failure marks the log broken (sticky): the resume
+			// floor immediately retreats to the in-memory window and
+			// nothing more is written to it. Delivery proceeds — the radio
+			// keeps transmitting.
+			s.storageErrors++
+			if s.durableBroken == "" {
+				s.durableBroken = derr.Error()
+			}
+		}
+		for i := range batch {
+			batch[i].drops = s.deliverLocked(&batch[i])
+		}
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		if derr != nil {
+			if l := s.log(); l != nil {
+				l.LogAttrs(logCtx, slog.LevelError, "durable write-through failed, log marked broken",
+					slog.String("component", "server"), slog.String("stream", s.name),
+					slog.Uint64("seq", batch[0].stamped.Seq), slog.Int("frames", len(batch)),
+					slog.String("err", derr.Error()))
+			}
+		}
+		for i := range batch {
+			s.published(&batch[i])
+		}
+		clear(batch)
+		batch = batch[:0]
+	}
+}
+
+// deliverLocked retains one stamped fragment in the replay window and
+// fans it out to every subscriber: the one fan-out of both paths, the
+// inline one without a durable log and the committer's after the
+// write-through. It returns how many subscribers missed the fragment.
+// The caller holds s.mu.
+func (s *Server) deliverLocked(p *pending) int {
+	stamped := p.stamped
+	if stamped.ValidTime.After(s.watermark) {
+		s.watermark = stamped.ValidTime
+	}
 	s.history = append(s.history, stamped)
 	s.trimHistoryLocked()
+	s.delivered = stamped.Seq
 	drops := 0
 	var whole *fragment.Fragment // the full form, for a consumer without base
 	for sub := range s.subs {
 		out := stamped
 		if sub.wire {
-			out = wired
-			if delta && sub.lacks(base.Seq) {
+			out = p.wired
+			if p.base != nil && sub.lacks(p.base.Seq) {
 				if whole == nil {
 					whole = stamped.Sealed()
 				}
@@ -394,33 +530,43 @@ func (s *Server) Publish(f *fragment.Fragment) {
 			drops++
 		}
 	}
-	rec := s.tracer
-	s.mu.Unlock()
-	if psp != nil {
-		psp.SetDetail(fmt.Sprintf("filler=%d subs_missed=%d", stamped.FillerID, drops))
-		psp.End()
-		if drops > 0 {
-			rec.Flag(stamped.Trace.TraceID, "overflow-drop")
-		}
-	}
-	if derr != nil {
-		if l := s.log(); l != nil {
-			l.LogAttrs(logCtx, slog.LevelError, "durable write-through failed, log marked broken",
-				slog.String("component", "server"), slog.String("stream", s.name),
-				slog.Uint64("seq", stamped.Seq), slog.String("err", derr.Error()))
+	return drops
+}
+
+// published ends a delivered fragment's publish span and logs its
+// delivery.
+func (s *Server) published(p *pending) {
+	stamped := p.stamped
+	if p.psp != nil {
+		p.psp.SetDetail(fmt.Sprintf("filler=%d subs_missed=%d", stamped.FillerID, p.drops))
+		p.psp.End()
+		if p.drops > 0 {
+			p.rec.Flag(stamped.Trace.TraceID, "overflow-drop")
 		}
 	}
 	if l := s.log(); l != nil {
 		l.LogAttrs(logCtx, slog.LevelDebug, "publish",
 			slog.String("component", "server"), slog.String("stream", s.name),
 			slog.Uint64("seq", stamped.Seq), slog.Int("fillerID", stamped.FillerID))
-		if drops > 0 {
+		if p.drops > 0 {
 			l.LogAttrs(logCtx, slog.LevelWarn, "subscriber buffer full, delivery dropped",
 				slog.String("component", "server"), slog.String("stream", s.name),
 				slog.Uint64("seq", stamped.Seq), slog.Int("fillerID", stamped.FillerID),
-				slog.Int("subscribers_missed", drops))
+				slog.Int("subscribers_missed", p.drops))
 		}
 	}
+}
+
+// Sync waits until every fragment published before the call has been
+// written through to the durable log (or the log has broken) and
+// delivered: retained for replay and fanned out. Without a durable log
+// Publish delivers before it returns, and Sync returns at once.
+func (s *Server) Sync() {
+	s.mu.Lock()
+	for s.delivered < s.queued {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // PublishAll publishes fragments in order.
@@ -439,24 +585,26 @@ func (s *Server) History() []*fragment.Fragment {
 	return out
 }
 
-// LatestSeq returns the sequence number of the most recently published
-// fragment (0 before the first publish).
+// LatestSeq returns the sequence number of the most recently delivered
+// fragment (0 before the first delivery): ServerStats.LatestSeq.
 func (s *Server) LatestSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nextSeq
+	return s.delivered
 }
 
 // ServerStats is a point-in-time snapshot of the server's progress and
 // delivery counters: the one read-out of a server, which the metrics
 // gauges, WatermarkLag and the demo's status page all read.
 type ServerStats struct {
-	// LatestSeq is the sequence number of the most recently published
-	// fragment: the number of fragments published, and the server's
-	// sequence watermark.
+	// LatestSeq is the sequence number of the most recently delivered
+	// fragment — retained for replay and fanned out: the number of
+	// fragments delivered, and the server's sequence watermark. A fragment
+	// a durable server has queued and not yet written through is not
+	// counted until it is delivered (Sync waits for that).
 	LatestSeq uint64
-	// Watermark is the latest validTime ever published — the server's
-	// event-time watermark; zero before the first publish. Monotone by
+	// Watermark is the latest validTime ever delivered — the server's
+	// event-time watermark; zero before the first delivery. Monotone by
 	// construction: late data (an older validTime) is published and
 	// sequenced but never moves it backwards, so a stalled watermark
 	// means a stalled stream, never a transport hiccup.
@@ -499,7 +647,7 @@ func (s *Server) Stats() ServerStats {
 // statsLocked is Stats for a caller holding s.mu.
 func (s *Server) statsLocked() ServerStats {
 	st := ServerStats{
-		LatestSeq:     s.nextSeq,
+		LatestSeq:     s.delivered,
 		Watermark:     s.watermark,
 		Dropped:       s.dropped,
 		Subscribers:   len(s.subs),
@@ -517,8 +665,9 @@ func (s *Server) statsLocked() ServerStats {
 	return st
 }
 
-// Close shuts the stream down: all subscriptions are cancelled and future
-// publishes are ignored.
+// Close shuts the stream down: future publishes are ignored, the
+// fragments a durable server has queued are written through and
+// delivered, and then all subscriptions are cancelled.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -526,12 +675,19 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	s.cond.Broadcast()
+	done := s.commitDone
+	s.mu.Unlock()
+	if done != nil {
+		<-done // the committer drains the queue, then exits
+	}
+	s.mu.Lock()
 	for sub := range s.subs {
 		s.dropLocked(sub)
 		sub.closed = true
 		close(sub.ch)
 	}
-	seq := s.nextSeq
+	seq := s.delivered
 	s.mu.Unlock()
 	if l := s.log(); l != nil {
 		l.LogAttrs(logCtx, slog.LevelInfo, "server closed",

@@ -114,21 +114,21 @@ func decodeElement(payload []byte) (*xmldom.Node, error) {
 // injector wraps it to corrupt the flow deliberately.
 type frameSink interface {
 	WriteFrame(payload string) error
-	// Flush releases any frame the sink is holding back (reordering).
+	// Flush releases any frame the sink is holding back (reordering) and
+	// writes out what the connection has buffered.
 	Flush() error
 }
 
-// connSink writes frames straight to the connection, flushing per frame
-// so subscribers see fragments as they are published.
+// connSink writes frames into the connection's buffered writer; serveConn
+// flushes it whenever its subscription has nothing more queued, so a
+// batch the committer delivered leaves in one write and an idle stream
+// still sends each frame at once.
 type connSink struct {
 	w *bufio.Writer
 }
 
 func (cs *connSink) WriteFrame(payload string) error {
-	if err := writeFrame(cs.w, payload); err != nil {
-		return err
-	}
-	return cs.w.Flush()
+	return writeFrame(cs.w, payload)
 }
 
 func (cs *connSink) Flush() error { return cs.w.Flush() }
@@ -232,7 +232,17 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 		sink = opts.Faults.wrap(clean, conn)
 	}
 
-	for f := range sub.C() {
+	for {
+		// about to wait for the next frame: what is buffered goes out
+		if len(sub.C()) == 0 {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		f, ok := <-sub.C()
+		if !ok {
+			break
+		}
 		// the bytes Publish sealed onto the fragment, the same ones for
 		// every connection; a replayed fragment that carries none is
 		// encoded here
@@ -241,7 +251,7 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 		}
 	}
 	// orderly end of stream: release any held frame, then say goodbye.
-	// The eos frame carries the latest published seq so a client that was
+	// The eos frame carries the latest delivered seq so a client that was
 	// starved (e.g. its whole tail overflowed the subscription buffer) can
 	// tell it is behind and run its final catch-up pass.
 	if err := sink.Flush(); err != nil {
@@ -249,7 +259,10 @@ func serveConn(s *Server, conn net.Conn, opts ServeOptions) error {
 	}
 	eos := xmldom.NewElement(eosTag)
 	eos.SetAttr("latest", strconv.FormatUint(s.Stats().LatestSeq, 10))
-	return clean.WriteFrame(eos.String())
+	if err := clean.WriteFrame(eos.String()); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // --- client side -----------------------------------------------------------

@@ -31,6 +31,7 @@ func TestPublishEncodesOncePerFragment(t *testing.T) {
 	for i := 1; i <= frags; i++ {
 		s.Publish(eventFragment(i, "2003-01-02T00:00:00", "v"))
 	}
+	s.Sync()
 
 	// free to read: a sealed fragment's String hands out the attached
 	// bytes, an unsealed one encodes

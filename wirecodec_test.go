@@ -241,7 +241,10 @@ func TestWireCodecAllocationCeiling(t *testing.T) {
 	srv.SetHistoryLimit(8) // the window's growth is not the codec's
 	unstamped := fragment.New(11017, 5, fixtures["transaction"].ValidTime, fixtures["transaction"].Payload)
 	const publishAllocs, publishBytes = 6, 680
-	allocs, bytes = allocsAndBytes(200, func() { srv.Publish(unstamped) })
+	allocs, bytes = allocsAndBytes(200, func() {
+		srv.Publish(unstamped)
+		srv.Sync()
+	})
 	t.Logf("publish/transaction: %.0f allocs, %.0f B (ceilings %d, %d)", allocs, bytes, publishAllocs, publishBytes)
 	if allocs > publishAllocs || bytes > publishBytes {
 		t.Errorf("publish/transaction: %.0f allocs and %.0f B per publish, ceilings %d and %d", allocs, bytes, publishAllocs, publishBytes)

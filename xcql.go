@@ -101,7 +101,10 @@ type (
 	Func = xq.Func
 	// EvalContext is the dynamic context passed to user functions.
 	EvalContext = xq.Context
-	// Server multicasts a fragment stream to registered clients.
+	// Server multicasts a fragment stream to registered clients. With a
+	// durable log attached, Publish queues and one committer per server
+	// writes each batch through with one fsync before delivering it;
+	// Server.Sync waits for that, and Close drains the queue.
 	Server = stream.Server
 	// Client receives a fragment stream into a local store.
 	Client = stream.Client
@@ -175,10 +178,11 @@ type (
 	// FaultInjector corrupts a fragment flow on purpose (tests, -chaos).
 	FaultInjector = stream.FaultInjector
 	// SegStore is the durable segment store: an append-only, checksummed
-	// fragment log with crash recovery and snapshots. Servers
-	// write through to one (Server.AttachDurable) so reconnecting clients
-	// can bootstrap past the in-memory replay window; standalone hosts use
-	// it to survive restarts (see OpenSegStore).
+	// fragment log with crash recovery and snapshots, written a batch at a
+	// time with one fsync each (AppendBatch; Append is a batch of one).
+	// Servers write through to one (Server.AttachDurable) so reconnecting
+	// clients can bootstrap past the in-memory replay window; standalone
+	// hosts use it to survive restarts (see OpenSegStore).
 	SegStore = segstore.Store
 	// SegStoreOptions tune a SegStore: segment size, fsync policy,
 	// automatic snapshot cadence.
@@ -502,7 +506,8 @@ func OpenSegStore(dir string, opts SegStoreOptions) (*SegStore, *RecoveryReport,
 
 // RecoverServer rebuilds a stream server from its durable log after a
 // restart: sequence numbers continue monotonically, the replay window is
-// reseeded, and the log stays attached for write-through.
+// reseeded, and the log stays attached for write-through (group commit:
+// see Server).
 func RecoverServer(name string, s *TagStructure, d DurableLog) (*Server, error) {
 	return stream.RecoverServer(name, s, d)
 }
